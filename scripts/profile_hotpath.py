@@ -41,7 +41,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.perf.cases import BENCH_CASES, get_case  # noqa: E402
-from repro.sim import core_build_info  # noqa: E402
 
 DEFAULT_TOP = 25
 
@@ -77,18 +76,10 @@ def main(argv=None) -> int:
         return 0
 
     case = get_case(args.case)
-    info = core_build_info()
-    mode = "compiled" if info["compiled"] else "pure-python"
     print(f"profiling {case.name} ({case.description})")
-    print(f"core: {mode}  [engine={info['engine']}, "
-          f"scheduler={info['scheduler']}]")
-    if info["compiled"]:
-        print("note: cProfile cannot see inside compiled extension frames; "
-              "rebuild pure-Python (scripts/build_compiled_core.py --clean) "
-              "for a full call tree")
 
     if args.tracemalloc:
-        return run_tracemalloc(case, info, args)
+        return run_tracemalloc(case, args)
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -105,13 +96,13 @@ def main(argv=None) -> int:
         print(f"wrote raw profile to {args.out}")
     if args.json_out is not None:
         args.json_out.write_text(json.dumps(
-            profile_payload(stats, case, events, info, args.sort, args.top),
+            profile_payload(stats, case, events, args.sort, args.top),
             indent=2, sort_keys=True) + "\n")
         print(f"wrote JSON profile to {args.json_out}")
     return 0
 
 
-def run_tracemalloc(case, info, args) -> int:
+def run_tracemalloc(case, args) -> int:
     """The ``--tracemalloc`` mode: rank allocation sites by bytes live at
     the run's peak (snapshot taken at the traced-memory high-water mark is
     approximated by snapshotting right after the run, before teardown — the
@@ -151,7 +142,6 @@ def run_tracemalloc(case, info, args) -> int:
             "case": case.name,
             "description": case.description,
             "events": events,
-            "core": dict(info),
             "mode": "tracemalloc",
             "traced_current_bytes": traced_current,
             "traced_peak_bytes": traced_peak,
@@ -166,7 +156,7 @@ def run_tracemalloc(case, info, args) -> int:
 _SORT_VALUE = {"cumulative": 3, "tottime": 2, "ncalls": 1}
 
 
-def profile_payload(stats: pstats.Stats, case, events, info,
+def profile_payload(stats: pstats.Stats, case, events,
                     sort: str, top: int) -> dict:
     """The ``--json`` artifact: run context plus the top-N functions.
 
@@ -192,7 +182,6 @@ def profile_payload(stats: pstats.Stats, case, events, info,
         "case": case.name,
         "description": case.description,
         "events": events,
-        "core": dict(info),
         "sort": sort,
         "total_functions": len(rows),
         "top": rows[:top],

@@ -1,46 +1,10 @@
-"""Setuptools shim, plus the optional mypyc build of the simulator core.
+"""Setuptools shim.
 
 The canonical build configuration lives in ``pyproject.toml``; this file only
 exists so that ``pip install -e . --no-use-pep517`` works in offline
-environments where the ``wheel`` package is unavailable — and to host the
-*optional* compiled-core hook, which needs imperative logic ``pyproject.toml``
-cannot express.
-
-Compiled core
--------------
-Set ``REPRO_BUILD_MYPYC=1`` to compile the two hot modules
-(``repro.sim.engine``, ``repro.sim.scheduler``) with mypyc::
-
-    REPRO_BUILD_MYPYC=1 pip install -e .
-    # or, in-place without pip:
-    python scripts/build_compiled_core.py
-
-The default build is always pure Python: when the variable is unset — or
-mypy/mypyc is not installed — ``setup()`` runs exactly as before, with no
-extension modules and no new dependencies.  ``repro.sim.core_build_info()``
-reports which variant the interpreter actually imported.
+environments where the ``wheel`` package is unavailable.
 """
-
-import os
 
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("REPRO_BUILD_MYPYC") == "1":
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        import warnings
-
-        warnings.warn(
-            "REPRO_BUILD_MYPYC=1 but mypy/mypyc is not installed; "
-            "building the pure-Python core instead "
-            "(pip install mypy to enable the compiled core)",
-            stacklevel=1)
-    else:
-        ext_modules = mypycify([
-            "src/repro/sim/engine.py",
-            "src/repro/sim/scheduler.py",
-        ])
-
-setup(ext_modules=ext_modules)
+setup()

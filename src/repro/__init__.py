@@ -64,12 +64,11 @@ from repro.core import (
     Supervisor,
     SUPERVISOR_ID,
     build_skip_ring,
-    build_stable_system,
     index_of,
     label_of,
     r_value,
 )
-from repro.cluster import ConsistentHashRing, ShardedPubSub, build_stable_sharded_system
+from repro.cluster import ConsistentHashRing, ShardedPubSub
 from repro.pubsub import PatriciaTrie, Publication
 from repro.sim import Simulator, SimulatorConfig
 from repro.api import (
@@ -95,7 +94,6 @@ __all__ = [
     "Supervisor",
     "SupervisedPubSub",
     "SUPERVISOR_ID",
-    "build_stable_system",
     "label_of",
     "index_of",
     "r_value",
@@ -105,7 +103,6 @@ __all__ = [
     "SimulatorConfig",
     "ConsistentHashRing",
     "ShardedPubSub",
-    "build_stable_sharded_system",
     "SystemSpec",
     "PubSub",
     "SystemBuilder",

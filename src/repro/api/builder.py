@@ -23,7 +23,6 @@ The built facade keeps its spec at ``system.spec`` for reporting.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence, Tuple
 
 from repro.api.spec import SystemSpec
@@ -147,8 +146,8 @@ class SystemBuilder:
 
     def telemetry(self, enabled: bool = True) -> "SystemBuilder":
         """Toggle run-wide telemetry (latency histograms + phase spans; see
-        :mod:`repro.telemetry`).  Enabling it moves the engine onto the
-        serial gear — report bytes stay deterministic either way."""
+        :mod:`repro.telemetry`).  Costs one histogram bucket increment per
+        delivery; report bytes stay deterministic either way."""
         self._spec = self._spec.with_overrides(telemetry=enabled)
         return self
 
@@ -211,10 +210,3 @@ class PubSub:
     @staticmethod
     def from_json(text: str) -> PubSubFacadeBase:
         return build_system(SystemSpec.from_json(text))
-
-
-def deprecated_build_stable_shim(name: str, replacement: str) -> None:
-    """Emit the shared deprecation warning for legacy bootstrap helpers."""
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} from repro.api instead",
-        DeprecationWarning, stacklevel=3)

@@ -71,9 +71,9 @@ class SystemSpec:
         records delivery-latency histograms and the builder attaches a
         :class:`~repro.telemetry.recorder.TelemetryRecorder` to the facade
         (``system.telemetry``), whose spans/histograms land in
-        ``RunReport.telemetry``.  Off by default — the batched fast path
-        and all report bytes are untouched; on, the engine takes the
-        serial gear.  Reconciled with :attr:`sim` like :attr:`seed`
+        ``RunReport.telemetry``.  Off by default — all report bytes are
+        untouched; on, the engine's drain loop records one histogram sample
+        per delivery.  Reconciled with :attr:`sim` like :attr:`seed`
         (a ``sim`` with ``telemetry=True`` is inherited; a bool cannot
         conflict).
     params:

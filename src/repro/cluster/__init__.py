@@ -19,11 +19,10 @@ See ``benchmarks/bench_e11_sharded_scaling.py`` for the scaling experiment
 """
 
 from repro.cluster.sharding import ConsistentHashRing, spread
-from repro.cluster.sharded import ShardedPubSub, build_stable_sharded_system
+from repro.cluster.sharded import ShardedPubSub
 
 __all__ = [
     "ConsistentHashRing",
     "spread",
     "ShardedPubSub",
-    "build_stable_sharded_system",
 ]

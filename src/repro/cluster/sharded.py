@@ -176,30 +176,3 @@ class ShardedPubSub(PubSubFacadeBase):
         return (f"ShardedPubSub(shards={len(self.supervisors)}, "
                 f"live={len(self.live_shard_ids())}, n={len(self.subscribers)}, "
                 f"topics={len(self._topic_shard)}, t={self.sim.now:.1f})")
-
-
-def build_stable_sharded_system(topics: List[str], subscribers_per_topic: int,
-                                shards: int = 4, seed: int = 0,
-                                params: Optional[ProtocolParams] = None,
-                                sim_config: Optional[SimulatorConfig] = None,
-                                max_rounds: int = 2_000) -> "ShardedPubSub":
-    """Deprecated: use :func:`repro.api.builder.build_stable` with a sharded
-    :class:`~repro.api.spec.SystemSpec`.
-
-    Thin shim kept for old call sites; delegates to the unified bootstrap
-    helper (same population and stabilization order, so results are
-    seed-identical) and emits a :class:`DeprecationWarning`.
-    """
-    from repro.api.builder import build_stable, deprecated_build_stable_shim
-    from repro.api.spec import SystemSpec
-
-    deprecated_build_stable_shim(
-        "build_stable_sharded_system",
-        "build_stable(SystemSpec(topology='sharded', ...), topics=..., "
-        "subscribers_per_topic=...)")
-    spec = SystemSpec.from_legacy(seed=seed, params=params, sim_config=sim_config,
-                                  topology="sharded", shards=shards,
-                                  max_rounds=max_rounds)
-    cluster, _ = build_stable(spec, topics=topics,
-                              subscribers_per_topic=subscribers_per_topic)
-    return cluster

@@ -33,7 +33,7 @@ from repro.core.shortcuts import shortcut_labels, shortcut_labels_closed_form
 from repro.core.skip_ring import SkipRingTopology, build_skip_ring
 from repro.core.supervisor import Supervisor, TopicDatabase
 from repro.core.subscriber import Subscriber, TopicView, Neighbor
-from repro.core.system import SupervisedPubSub, build_stable_system, SUPERVISOR_ID
+from repro.core.system import SupervisedPubSub, SUPERVISOR_ID
 
 __all__ = [
     "ProtocolParams",
@@ -57,6 +57,5 @@ __all__ = [
     "TopicView",
     "Neighbor",
     "SupervisedPubSub",
-    "build_stable_system",
     "SUPERVISOR_ID",
 ]

@@ -24,7 +24,7 @@ True
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.config import ProtocolParams
 from repro.core.facade import PubSubFacadeBase
@@ -60,23 +60,3 @@ class SupervisedPubSub(PubSubFacadeBase):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SupervisedPubSub(n={len(self.subscribers)}, "
                 f"topics={self.registry.topics()}, t={self.sim.now:.1f})")
-
-
-def build_stable_system(n: int, seed: int = 0, params: Optional[ProtocolParams] = None,
-                        topic: Optional[str] = None, max_rounds: int = 2_000,
-                        sim_config: Optional[SimulatorConfig] = None,
-                        ) -> Tuple[SupervisedPubSub, List[Subscriber]]:
-    """Deprecated: use :func:`repro.api.builder.build_stable` with a
-    :class:`~repro.api.spec.SystemSpec`.
-
-    Thin shim kept for old call sites; it delegates to the unified bootstrap
-    helper (same construction order, so results are seed-identical) and emits
-    a :class:`DeprecationWarning`.
-    """
-    from repro.api.builder import build_stable, deprecated_build_stable_shim
-    from repro.api.spec import SystemSpec
-
-    deprecated_build_stable_shim("build_stable_system", "build_stable(SystemSpec(...), n)")
-    spec = SystemSpec.from_legacy(seed=seed, params=params, sim_config=sim_config,
-                                  max_rounds=max_rounds)
-    return build_stable(spec, n, topic=topic)

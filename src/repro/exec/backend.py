@@ -11,9 +11,8 @@ Two backends implement the same contract:
 * :class:`InlineBackend` — run every task serially in this process;
 * :class:`ProcessPoolBackend` — run up to ``jobs`` tasks concurrently,
   **each in its own fresh interpreter** (``python -m repro.exec.worker``).
-  Per-task subprocess isolation is generalized from the perf suite's
-  ``case_runner``: no warm caches leak between tasks, and process-wide
-  measurements (peak RSS) genuinely belong to one task.
+  With per-task subprocess isolation no warm caches leak between tasks,
+  and process-wide measurements (peak RSS) genuinely belong to one task.
 
 Backend choice never changes results: both backends canonicalize every
 result through a JSON round-trip (sorted keys), so a result dict has the

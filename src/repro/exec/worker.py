@@ -4,8 +4,7 @@
 (``{"task_id": ..., "fn": "module:function", "payload": {...}}``) from
 stdin, runs it, and prints the result dict as JSON (sorted keys) to stdout.
 :class:`~repro.exec.backend.ProcessPoolBackend` drives one worker per task,
-which keeps every task isolated in a fresh interpreter — the generalization
-of what ``repro.perf.case_runner`` did for bench cases only.
+which keeps every task isolated in a fresh interpreter.
 """
 
 from __future__ import annotations

@@ -7,41 +7,14 @@ object).  :func:`run_experiment` runs one experiment in-process;
 :data:`~repro.experiments.experiments.ALL_EXPERIMENTS` out through the
 :mod:`repro.exec` backends (``jobs=1`` inline, ``jobs>1`` one fresh worker
 process per experiment) with backend-independent, byte-identical reports.
-:class:`ExperimentResult` remains as a thin deprecation shim so old call
-sites keep working — it *is* a ``RunReport`` under its historical
-constructor signature.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.api.report import RunReport
-
-
-class ExperimentResult(RunReport):
-    """Deprecated alias of :class:`~repro.api.report.RunReport`.
-
-    Kept so code written against the pre-unified-API harness keeps running;
-    constructing one emits a :class:`DeprecationWarning`.  ``experiment_id``
-    maps onto :attr:`RunReport.name`.
-    """
-
-    def __init__(self, experiment_id: str, title: str = "",
-                 headers: Sequence[str] = (),
-                 rows: List[Sequence] = None,
-                 claims: Dict[str, bool] = None,
-                 metadata: Dict[str, object] = None) -> None:
-        warnings.warn(
-            "ExperimentResult is deprecated; use repro.api.RunReport "
-            "(name=... instead of experiment_id=...)",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(name=experiment_id, title=title, headers=list(headers),
-                         rows=list(rows) if rows else [],
-                         claims=dict(claims) if claims else {},
-                         metadata=dict(metadata) if metadata else {})
 
 
 def run_experiment(fn: Callable[..., RunReport], *args, **kwargs) -> RunReport:

@@ -12,9 +12,7 @@ recorded, comparable artifact:
   subprocess (clean interpreter state, honest per-case peak RSS), records
   wall times / events per second / peak RSS, writes ``BENCH_<n>.json`` at
   the repo root and compares it against the previous ``BENCH_*.json`` with
-  a configurable regression threshold;
-* :mod:`repro.perf.case_runner` — DEPRECATED shim; the subprocess entry
-  point is ``python -m repro.exec.worker`` (see :mod:`repro.exec`).
+  a configurable regression threshold.
 
 ``scripts/bench_suite.py`` is the command-line front door; CI runs it with
 ``--quick`` on every push and fails on >20 % wall-time regressions against

@@ -34,34 +34,7 @@ from repro.sim.tracing import Tracer, TraceEvent
 from repro.sim.rng import BatchedUniform, derive_rng, derive_seed, spawn_seeds
 
 
-def core_build_info() -> dict:
-    """Which build of the simulator core this interpreter imported.
-
-    The hot modules (:mod:`repro.sim.engine`, :mod:`repro.sim.scheduler`)
-    can optionally be compiled with mypyc (``scripts/build_compiled_core.py``
-    or ``REPRO_BUILD_MYPYC=1 pip install -e .``).  Compiled extension modules
-    shadow the pure-Python sources at import time; this helper reports which
-    one actually loaded, so benchmarks and bug reports can state their mode.
-    """
-    import repro.sim.engine as _engine
-    import repro.sim.scheduler as _scheduler
-
-    def mode(module) -> str:
-        filename = getattr(module, "__file__", "") or ""
-        return ("compiled" if filename.endswith((".so", ".pyd"))
-                else "pure-python")
-
-    engine_mode = mode(_engine)
-    scheduler_mode = mode(_scheduler)
-    return {
-        "engine": engine_mode,
-        "scheduler": scheduler_mode,
-        "compiled": engine_mode == "compiled" and scheduler_mode == "compiled",
-    }
-
-
 __all__ = [
-    "core_build_info",
     "NodeArena",
     "Simulator",
     "SimulatorConfig",

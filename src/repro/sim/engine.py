@@ -12,24 +12,25 @@ The simulator realises the paper's asynchronous execution model:
 All randomness is derived from a single master seed
 (:class:`SimulatorConfig.seed`), so runs are reproducible.
 
-Hot-path layout (PR 4, extended in PR 6): the drivers funnel into
-:meth:`Simulator.run_until_time`.  On the paper's fault model (no link
-adversary) with a built-in scheduler it drains events in **blocks**: a safety
-window is computed such that nothing a handler can schedule may land inside
-it (``min(min_delay, timeout_period * (1 - jitter))`` ahead of the next
-event, clipped by the earliest pending crash/callback), the whole window is
-spliced out of the scheduler in one array operation
+Hot-path layout: every driver funnels into :meth:`Simulator.run_until_time`,
+which has **one** event loop — the windowed block drain.  A safety window is
+computed such that nothing a handler can schedule may land inside it
+(``min(min_delay, timeout_period * (1 - jitter))`` ahead of the next event,
+clipped by the earliest pending crash/callback), the whole window is taken
+out of the scheduler in one call
 (:meth:`~repro.sim.scheduler.EventScheduler.pop_block_into`), and a tight
-index loop delivers it with no per-event queue traffic.  Messages travel as
-plain tuples (*fast records*, :mod:`repro.sim.network`) that serve as
-scheduler event and channel entry at once — no per-message object
-allocation.  Message delays and timeout jitter come from
-:class:`~repro.sim.rng.BatchedUniform` / :class:`~repro.sim.rng.BatchedRandom`
-pre-generated in blocks — bit-identical to per-call ``Random.uniform``
-draws, so seeded runs (and their reports) are byte-identical to the
-unbatched engine's.  Adversarial runs and custom schedulers use the serial
-fused loop (per-event pops, every collaborator prebound in locals), which
-preserves the exact ``step()`` semantics event by event.
+loop delivers it with no per-event queue traffic.  Anything that does land
+inside an open window — a callback, a zero-delay injection, a delivery an
+adversary scaled below ``min_delay`` — raises an interrupt flag, and the
+drain hands its unprocessed tail back to the scheduler and reopens the
+window; so the event order is exactly :meth:`Simulator.step`'s under any
+scheduler, adversary or telemetry setting.  Messages travel as plain tuples
+(*fast records*, :mod:`repro.sim.network`) that live only in the scheduler —
+no per-message object allocation.  Message delays and timeout jitter come
+from :class:`~repro.sim.rng.BatchedUniform` /
+:class:`~repro.sim.rng.BatchedRandom` pre-generated in blocks —
+bit-identical to per-call ``Random.uniform`` draws, so seeded runs (and
+their reports) are byte-identical to an unbatched engine's.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 import random
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 import heapq
 
@@ -98,10 +99,8 @@ class SimulatorConfig:
         Enable run-wide latency telemetry (:mod:`repro.telemetry`): the
         network records every message's send→delivery latency into a
         deterministic histogram (``network.stats.delivery_latency``).  Off
-        by default; enabling it takes the engine off the batched block
-        drain onto the serial gear — the same cost model as running under
-        a link adversary — which is why the hot path stays byte- and
-        wall-identical when the knob is off.
+        by default; the drain loop pays one ``None`` test per delivery when
+        off and one histogram bucket increment when on.
     """
 
     seed: int = 0
@@ -171,7 +170,7 @@ class Simulator:
         self.nodes: Dict[NodeRef, ProtocolNode] = {}
         #: columnar hot-state store (dense node list, flat timeout counters,
         #: liveness column, topic interning — see :mod:`repro.sim.arena`);
-        #: populated by :meth:`add_node`, consumed by the fused drain loops
+        #: populated by :meth:`add_node`, consumed by the fused drain loop
         self.arena = NodeArena()
         self.arena.attach(self)
         self._seq = itertools.count()
@@ -251,12 +250,9 @@ class Simulator:
           records straight off the scheduler backlog).
 
         Both fuse the no-adversary branch of :meth:`Network.submit` (kept in
-        sync with it — the semantics are pinned by the golden and parity
-        tests); messages facing an adversary or a crashed destination take
-        the full method.  On a custom (non-built-in) scheduler ``_send_fast``
-        degrades to the Message path wholesale: custom queues expose no
-        backlog iterator, so routing their traffic through the channels keeps
-        the in-flight views exact.  Live reads each call: ``self.now`` and
+        sync with it — the semantics are pinned by the golden and reference-
+        drain tests); messages facing an adversary or a crashed destination
+        take the full method.  Live reads each call: ``self.now`` and
         ``network.adversary``.
         """
         network = self.network
@@ -277,9 +273,8 @@ class Simulator:
         seq_next = self._seq.__next__
         # The per-message scheduler push is specialised on the concrete
         # scheduler type: for the wheel the bucket append is inlined, for the
-        # heap the push is one C-level ``heappush`` — the generic method call
-        # only remains for custom schedulers.  Semantics are pinned by the
-        # heap/wheel parity tests.
+        # heap the push is one C-level ``heappush``; any other scheduler
+        # (including subclasses of the two) gets its own ``push``.
         scheduler_kind = type(scheduler)
         is_wheel = scheduler_kind is TimeoutWheelScheduler
         is_heap = scheduler_kind is HeapScheduler
@@ -293,8 +288,7 @@ class Simulator:
         heappush = heapq.heappush
         # The in-flight introspection needs to see the channel-free fast
         # records _send_fast leaves in the scheduler; hand the network the
-        # backlog iterator (the base-class default yields nothing, matching
-        # the Message-path fallback custom schedulers get below).
+        # backlog iterator.
         network._pending_records = scheduler.iter_events
 
         def _fast_submit(msg: Message) -> None:
@@ -302,6 +296,10 @@ class Simulator:
             if network.adversary is not None or dest in crashed:
                 accepted = network_submit(msg, delay_draws, self.now)
                 for copy in accepted:
+                    if copy.deliver_time < self._block_end:
+                        # a delay spike with factor < 1 can undercut
+                        # min_delay and land inside the open window
+                        self._block_interrupted = True
                     scheduler_push((copy.deliver_time, seq_next(), _DELIVER, copy))
                 return
             msg.msg_id = msg_id = msg_next()
@@ -381,22 +379,13 @@ class Simulator:
                         # repro: allow[no-hotpath-allocation]
                         buckets[index] = [record]
                         heappush(bucket_heap, index)
-            else:
+            elif is_heap:
                 heappush(event_heap, record)
-
-        def _send_via_message(sender: Optional[NodeRef], dest: NodeRef,
-                              action: str, topic: Optional[str],
-                              params: Dict[str, Any]) -> None:
-            # Custom-scheduler gear: no backlog iterator to surface records
-            # from, so every send keeps its channel entry by travelling as a
-            # full Message.  Observable semantics (stats, delay draws, event
-            # order) are identical to the record path.
-            _fast_submit(Message(action=action, params=params, sender=sender,
-                                 dest=dest, topic=topic))
+            else:
+                scheduler_push(record)
 
         #: record-building fast path used by :meth:`ProtocolNode.send`
-        self._send_fast = (_send_fast if is_wheel or is_heap
-                           else _send_via_message)
+        self._send_fast = _send_fast
 
     # ------------------------------------------------------------------ nodes
     def add_node(self, node: ProtocolNode, schedule_timeout: bool = True) -> ProtocolNode:
@@ -435,21 +424,6 @@ class Simulator:
     # also assigned per instance — is the :meth:`ProtocolNode.send` sibling
     # that skips Message construction entirely.
 
-    def submit_messages(self, msgs: Sequence[Message]) -> None:
-        """Bulk-submit pre-built messages stamped at the current instant.
-
-        Folds the per-message :meth:`Network.submit` → scheduler-push round
-        trip into one :meth:`Network.submit_batch` call — all delivery delays
-        drawn in one block, bitwise-identical to submitting the messages one
-        by one — plus a single push loop.  Ownership of the messages
-        transfers like :attr:`submit_message`.
-        """
-        accepted = self.network.submit_batch(msgs, self._delay_draws, self.now)
-        push = self._scheduler.push
-        seq = self._seq
-        for msg in accepted:
-            push((msg.deliver_time, next(seq), _DELIVER, msg))
-
     def inject_message(self, dest: NodeRef, action: str, params: Dict[str, Any],
                        topic: Optional[str] = None, delay: Optional[float] = None) -> None:
         """Place an adversarial message into ``dest``'s channel (initial-state
@@ -476,9 +450,8 @@ class Simulator:
         adversary preserves the heap/wheel parity guarantee.
         """
         self.network.install_adversary(adversary)
-        # An adversary may scale delays below min_delay, so the block drain's
-        # safety window no longer holds: abort any block in progress and let
-        # run_until_time fall back to the serial loop (see _run_blocks).
+        # The open window (if any) was started on the fused no-adversary
+        # delivery path: close it so the next one reads the new adversary.
         self._block_interrupted = True
 
     def adversary_rng(self) -> random.Random:
@@ -545,10 +518,7 @@ class Simulator:
         elif kind == _TIMEOUT:
             self._handle_timeout(event[3])
         elif kind == _DELIVER_FAST:
-            if self.network.pop_record(event):
-                node = self.nodes.get(event[3])
-                if node is not None and not node.crashed:
-                    node.dispatch(record_to_message(event))
+            self._handle_record(event)
         elif kind == _CRASH:
             self._apply_crash(event[3])
             special = self._special_times
@@ -560,6 +530,14 @@ class Simulator:
             if special and special[0] == time:
                 heapq.heappop(special)
         return True
+
+    def _handle_record(self, record: tuple) -> None:
+        """Unfused record delivery: the full :meth:`Network.pop_record`
+        (delivery-time adversary check, per-reason drop accounting)."""
+        if self.network.pop_record(record):
+            node = self.nodes.get(record[3])
+            if node is not None and not node.crashed:
+                node.dispatch(record_to_message(record))
 
     def _handle_delivery(self, msg: Message) -> None:
         pending = self.network.pop(msg)
@@ -612,36 +590,20 @@ class Simulator:
         self._bind_fast_submit()
 
     # ----------------------------------------------------------------- drivers
-    def run_for(self, duration: float, max_steps: Optional[int] = None) -> None:
+    def run_for(self, duration: float) -> None:
         """Run until simulation time advances by ``duration``."""
-        self.run_until_time(self.now + duration, max_steps=max_steps)
+        self.run_until_time(self.now + duration)
 
-    def run_until_time(self, deadline: float, max_steps: Optional[int] = None) -> None:
+    def run_until_time(self, deadline: float) -> None:
         """Process events in order until the next one lies beyond ``deadline``.
 
-        This is the engine's hot loop, in two gears:
-
-        * **Block drain** (:meth:`_run_blocks`) — the paper's fault model (no
-          link adversary) on a built-in scheduler.  Whole safety windows of
-          events are spliced out of the queue at array level and delivered in
-          a tight index loop; see the method for the window argument.
-        * **Serial fused loop** (:meth:`_run_serial`) — adversarial runs and
-          custom schedulers.  Per-event pops fused with the concrete
-          scheduler, every collaborator prebound in a local.
-
-        Both gears process the exact per-event ``step()`` sequence: events
-        are consumed in ``(time, seq)`` order, and anything pushed by a
-        handler either carries ``time >= now`` outside the active window or
-        interrupts the block (see :meth:`_push`), so it sorts strictly after
-        the event being processed.  Reports are byte-identical across gears
-        and schedulers.
+        Events are consumed in exactly the ``(time, seq)`` order repeated
+        :meth:`step` calls would produce, whatever the scheduler, adversary
+        or telemetry setting — see :meth:`_run_blocks`, the one drain loop.
         """
-        if max_steps is not None:
-            self._run_until_time_bounded(deadline, max_steps)
-            return
         self._maybe_retune_wheel()
         # Pause the cyclic garbage collector for the duration of the run.
-        # The hot loops allocate a tuple or two per event (records, timeout
+        # The hot loop allocates a tuple or two per event (records, timeout
         # events, stats keys), and every ~700 net allocations trigger a gen-0
         # scan; over a long run the collector eats 10-20 % of the wall clock
         # while collecting almost nothing — event garbage is acyclic and dies
@@ -658,17 +620,7 @@ class Simulator:
             wall_start = perf_counter()  # repro: allow[no-ambient-nondeterminism]
             steps_before = self._steps
         try:
-            scheduler_type = type(self._scheduler)
-            # Latency telemetry needs the per-message delivery path, so a
-            # histogram on the stats forces the serial gear exactly like an
-            # installed adversary does.
-            if (self.network.adversary is None
-                    and self.network.stats.delivery_latency is None
-                    and (scheduler_type is TimeoutWheelScheduler
-                         or scheduler_type is HeapScheduler)):
-                self._run_blocks(deadline)
-            else:
-                self._run_serial(deadline)
+            self._run_blocks(deadline)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -681,7 +633,7 @@ class Simulator:
             self.now = deadline
 
     def _run_blocks(self, deadline: float) -> None:
-        """Windowed block drain (the no-adversary hot path).
+        """The event loop: a windowed block drain.
 
         Safety argument: with no adversary, every handler-scheduled event
         lies at least ``horizon = min(min_delay, timeout_period * (1 -
@@ -694,6 +646,13 @@ class Simulator:
         block so the drain requeues its unprocessed tail.  Hence every event
         in ``[t0, limit)`` is already in the scheduler when the window opens,
         and the block can be consumed with no per-event queue traffic.
+
+        Under a link adversary the horizon is only a guess — a delay spike
+        with ``factor < 1`` undercuts ``min_delay`` — but the same interrupt
+        covers it (the adversarial submit path raises the flag for a
+        delivery inside the open window), so correctness never depends on
+        the window width.  Whether an adversary is installed is read once
+        per window: installing or removing one interrupts the open window.
         """
         # repro: hotpath — the fused delivery/timeout drain; repro.check
         # flags per-event container/Message allocations added to this loop
@@ -707,18 +666,21 @@ class Simulator:
         # performs; inline the concrete scheduler's push for them (the same
         # specialisation _bind_fast_submit applies to sends).
         is_wheel = type(scheduler) is TimeoutWheelScheduler
+        is_heap = type(scheduler) is HeapScheduler
         if is_wheel:
             inv_width = scheduler._inv_width
             buckets = scheduler._buckets
             bucket_heap = scheduler._bucket_heap
             insert_late = scheduler._insert_late
-        else:
-            event_heap = scheduler._heap  # only wheel/heap reach this loop
+        elif is_heap:
+            event_heap = scheduler._heap
         seq_next = self._seq.__next__
         network = self.network
-        channels = network._channels
         crashed_set = network._crashed
         stats = network.stats
+        latency_hist = stats.delivery_latency  # None unless telemetry is on
+        handle_record = self._handle_record
+        handle_delivery = self._handle_delivery
         received = stats._received
         received_cols = stats._received_cols  # dense half; grown in place
         bump_column = stats._bump_column
@@ -765,12 +727,6 @@ class Simulator:
         cached_action: Any = None
         cached_handler: Any = None
         while True:
-            if network.adversary is not None:
-                # A handler installed an adversary mid-run: delays may now
-                # shrink below min_delay, so the window argument no longer
-                # holds.  Finish the run on the serial loop.
-                self._run_serial(deadline)
-                return
             t0 = next_time()
             if t0 is None or t0 > deadline:
                 return
@@ -790,6 +746,7 @@ class Simulator:
                 if not self.step():
                     return
                 continue
+            adversarial = network.adversary is not None
             self._block_end = limit
             self._block_interrupted = False
             consumed = n
@@ -807,7 +764,7 @@ class Simulator:
                     time = event[0]
                     self.now = time
                     kind = event[2]
-                    if kind == _DELIVER_FAST:
+                    if kind == _DELIVER_FAST and not adversarial:
                         # Fused record delivery (in sync with
                         # Network.pop_record): records have no channel entry,
                         # so "still deliverable?" is one membership test on
@@ -817,6 +774,8 @@ class Simulator:
                         if crashed_set and dest in crashed_set:
                             continue  # destination crashed after the send
                         delivered += 1
+                        if latency_hist is not None:
+                            latency_hist.record(time - event[8])
                         action = event[4]
                         # Dense arena lookup; sparse/forged destinations fall
                         # back to the id->node dict.  (A negative id must not
@@ -907,29 +866,19 @@ class Simulator:
                                     # repro: allow[no-hotpath-allocation]
                                     buckets[index] = [timeout_event]
                                     heappush(bucket_heap, index)
-                        else:
+                        elif is_heap:
                             heappush(event_heap, timeout_event)
+                        else:
+                            push(timeout_event)
                     elif kind == _DELIVER:
-                        # Message-form delivery (injected corruption or
-                        # leftovers from an adversarial phase).
-                        msg = event[3]
-                        dest = msg.dest
-                        try:
-                            del channels[dest][msg.msg_id]
-                        except KeyError:
-                            continue
-                        delivered += 1
-                        stats_key = (dest, msg.action)
-                        try:
-                            received[stats_key] += 1
-                        except KeyError:
-                            received[stats_key] = 1
-                        if derived:
-                            derived.clear()
-                        node = nodes_get(dest)
-                        if node is None or node.crashed:
-                            continue
-                        node.dispatch(msg)
+                        # Message-form delivery (every send under an
+                        # adversary, injected corruption): the full channel
+                        # pop with its delivery-time adversary check.
+                        handle_delivery(event[3])
+                    elif kind == _DELIVER_FAST:
+                        # A record sent before the adversary was installed:
+                        # the delivery-time partition check applies to it.
+                        handle_record(event)
                     elif kind == _CRASH:
                         # Defensive: specials are normally excluded by the
                         # window bound; only a push that bypassed ``_push``
@@ -960,6 +909,11 @@ class Simulator:
                 if consumed != n:
                     for event in block[consumed:]:
                         push(event)
+                    if adversarial:
+                        # Delays are undercutting the window: narrow it for
+                        # the rest of this drain instead of requeueing most
+                        # of a block per event.
+                        horizon *= 0.5
                 block.clear()
                 self._block_end = _NEG_INF
                 self._block_interrupted = False
@@ -969,196 +923,6 @@ class Simulator:
                     # blocks observe fresh totals.
                     stats.total_delivered += delivered
                     delivered = 0
-
-    def _run_serial(self, deadline: float) -> None:
-        """Serial fused loop: per-event pops fused with the concrete
-        scheduler (wheel bucket tail / C-level ``heappop``; custom schedulers
-        are drained in same-timestamp batches through
-        :meth:`~repro.sim.scheduler.EventScheduler.pop_batch_into`), the
-        deliver → handler → stats chain inlined without intermediate
-        wrappers.  Used for adversarial runs and custom schedulers; event
-        semantics identical to :meth:`_run_blocks` and :meth:`step`.
-        """
-        scheduler = self._scheduler
-        scheduler_type = type(scheduler)
-        is_wheel = scheduler_type is TimeoutWheelScheduler
-        is_heap = scheduler_type is HeapScheduler
-        if is_wheel:
-            advance = scheduler._advance
-            heap: List[Any] = []
-        elif is_heap:
-            heap = scheduler._heap
-        heappop = heapq.heappop
-        pop_batch_into = scheduler.pop_batch_into
-        pending: List[Any] = []
-        push = scheduler.push
-        seq = self._seq
-        nodes = self.nodes
-        nodes_get = nodes.get
-        # Same columnar captures as _run_blocks (in-place-growth contract).
-        arena = self.arena
-        node_list = arena.nodes
-        timeout_counts = arena.timeout_count
-        network = self.network
-        network_pop = network.pop
-        pop_record = network.pop_record
-        channels = network._channels
-        stats = network.stats
-        received = stats._received
-        derived = stats._derived
-        latency_hist = stats.delivery_latency  # None unless telemetry is on
-        base_dispatch = ProtocolNode.dispatch
-        special = self._special_times
-        period = self.config.timeout_period
-        jitter = self.config.timeout_jitter
-        # Same unrolled-uniform caveat as in _run_blocks: keep the exact
-        # ``1 + (a + span * r)`` parenthesisation.
-        neg_jitter = -jitter
-        jitter_span = jitter - neg_jitter
-        jitter_buffer = self._jitter_draws._buffer
-        jitter_refill = self._jitter_draws._refill
-        steps = 0
-        while True:
-            # ---- pop the next due event, fused with the scheduler kind ----
-            if is_wheel:
-                # the wheel's next event is the tail of the current
-                # (descending-sorted) bucket: a pop is one ``del``
-                current = scheduler._current
-                if not current:
-                    advance()
-                    current = scheduler._current
-                    if not current:
-                        break
-                event = current[-1]
-                time = event[0]
-                if time > deadline:
-                    break
-                del current[-1]
-                scheduler._count -= 1
-            elif is_heap:
-                if not heap or heap[0][0] > deadline:
-                    break
-                event = heappop(heap)
-                time = event[0]
-            else:  # custom scheduler: the portable batch interface
-                if not pending:
-                    if not pop_batch_into(pending, deadline):
-                        break
-                    pending.reverse()  # serve the batch in order off the tail
-                event = pending.pop()
-                time = event[0]
-            steps += 1
-            if time > self.now:
-                self.now = time
-            # ---- handle it (one shared body for every scheduler kind) ----
-            kind = event[2]
-            if kind == _DELIVER:
-                msg = event[3]
-                if network.adversary is not None:
-                    # Adversarial runs take the full channel pop (delivery-
-                    # time partition checks, per-reason drop accounting).
-                    # NB: must not be named `pending` — that local is the
-                    # generic-scheduler batch buffer above.
-                    delivered = network_pop(msg)
-                    if delivered is None:
-                        continue
-                    node = nodes_get(delivered.dest)
-                    if node is None or node.crashed:
-                        continue
-                    node.dispatch(delivered)
-                    continue
-                # Fused no-adversary delivery (in sync with Network.pop):
-                # the scheduled payload IS the stored channel entry, so the
-                # channel pop is pure bookkeeping, and the O(1) stats
-                # counters update inline.  Channel/node lookups use plain
-                # subscripts with KeyError fallbacks: misses only happen when
-                # the destination crashed after the send (or a corrupted
-                # initial state referenced a phantom node).
-                dest = msg.dest
-                try:
-                    del channels[dest][msg.msg_id]
-                except KeyError:
-                    continue  # destination crashed after the send
-                stats.total_delivered += 1
-                if latency_hist is not None:
-                    latency_hist.record(msg.deliver_time - msg.send_time)
-                stats_key = (dest, msg.action)
-                try:
-                    received[stats_key] += 1
-                except KeyError:
-                    received[stats_key] = 1
-                if derived:
-                    derived.clear()
-                try:
-                    node = nodes[dest]
-                except KeyError:
-                    continue
-                if node.crashed:
-                    continue
-                node_type = node.__class__
-                if node_type.dispatch is not base_dispatch:
-                    node.dispatch(msg)  # subclass overrides dispatch wholesale
-                    continue
-                handler = node_type._action_handlers.get(msg.action)
-                if handler is None:
-                    node.dispatch(msg)  # unknown action / late-bound handler
-                    continue
-                params = msg.params
-                topic = msg.topic
-                if topic is not None and "topic" not in params:
-                    params["topic"] = topic
-                handler(node, **params)
-            elif kind == _TIMEOUT:
-                node_id = event[3]
-                try:
-                    node = node_list[node_id] if node_id >= 0 else None
-                except (IndexError, TypeError):
-                    node = None
-                if node is None:
-                    node = nodes_get(node_id)
-                    if node is None or node.crashed:
-                        continue
-                    node.timeout_count += 1  # sparse-id property path
-                else:
-                    if node.crashed:
-                        continue
-                    timeout_counts[node_id] += 1
-                node.on_timeout()
-                if not jitter_buffer:
-                    jitter_refill()
-                next_in = period * (
-                    1 + (neg_jitter + jitter_span * jitter_buffer.pop()))
-                push((self.now + next_in, next(seq), _TIMEOUT, node_id))
-            elif kind == _DELIVER_FAST:
-                # Record delivery through the full channel pop: this loop
-                # runs under adversaries (delivery-time checks apply) and for
-                # custom schedulers, where throughput is not the priority.
-                if pop_record(event):
-                    node = nodes_get(event[3])
-                    if node is not None and not node.crashed:
-                        node.dispatch(record_to_message(event))
-            elif kind == _CRASH:
-                self._apply_crash(event[3])
-                if special and special[0] == time:
-                    heappop(special)
-            elif kind == _CALL:
-                event[3]()
-                if special and special[0] == time:
-                    heappop(special)
-        self._steps += steps
-
-    def _run_until_time_bounded(self, deadline: float, max_steps: int) -> None:
-        """Step-capped variant of :meth:`run_until_time` (rarely used; kept
-        off the fused loops so the cap stays exact at event granularity)."""
-        steps = 0
-        next_time = self.scheduler.next_time
-        while steps < max_steps:
-            upcoming = next_time()
-            if upcoming is None or upcoming > deadline:
-                break
-            self.step()
-            steps += 1
-        self.now = max(self.now, deadline)
 
     def run_rounds(self, rounds: int) -> None:
         """Run for ``rounds`` timeout periods of simulated time."""
@@ -1200,8 +964,8 @@ class Simulator:
     def enable_profiling(self) -> None:
         """Opt-in wall-clock drain accounting for :meth:`run_until_time`.
 
-        Each drain (one ``run_until_time`` call — a block-drain or serial
-        sweep) adds its real wall time and event count to a running tally.
+        Each drain (one ``run_until_time`` call) adds its real wall time
+        and event count to a running tally.
         The tally is wall-clock data: it never enters a deterministic
         report, only profiling artifacts (``scripts/profile_hotpath.py``).
         Idempotent; costs two ``perf_counter`` calls per drain when on and

@@ -87,21 +87,23 @@ DROP_REASONS = (DROP_TO_CRASHED, DROP_ADVERSARY_LOSS, DROP_PARTITION)
 # The no-adversary send fast path stores in-flight messages as plain tuples
 # instead of Message instances: building one tuple costs ~1/5th of a slotted
 # dataclass plus its field writes, and the per-message hot path touches every
-# field at most once.  A record is simultaneously the *scheduler event* and
-# the *channel entry* — one allocation serves both roles:
+# field at most once.  A record is the *scheduler event* itself:
 #
 #     (deliver_time, seq, kind, dest, action, params, topic, sender,
 #      send_time, msg_id)
 #
 # The first three positions match the scheduler's ``(time, seq, kind, ...)``
 # event layout (``seq`` is unique, so tuple comparison never reads past it and
-# mixed 4-/10-tuples order correctly); the tail is the struct-of-arrays row
-# the engine's block drain consumes in place.  Channels may therefore hold a
-# mix of records (fast-path sends) and Message objects (adversarial submits,
-# injected initial-state corruption); every introspection surface
-# materialises records back into equivalent Message instances on demand, so
-# external consumers never see the tuple form.  Index constants are shared
-# with the engine's fused loops.
+# mixed 4-/10-tuples order correctly); the tail is the row the engine's block
+# drain consumes in place.  A record lives *only* in the scheduler until its
+# delivery event fires (``msg_id`` stays ``-1``: no channel entry, no counter
+# draw on the send path); channels hold only :class:`Message` objects
+# (adversarial submits, injected initial-state corruption).  "Is the record
+# still deliverable?" is a crashed-set test, and the in-flight introspection
+# reads pending records straight out of the scheduler through
+# :attr:`Network._pending_records`, materialising them into equivalent
+# Message instances, so external consumers never see the tuple form.  Index
+# constants are shared with the engine's fused loops.
 REC_DELIVER_TIME = 0
 REC_SEQ = 1
 REC_KIND = 2
@@ -118,15 +120,6 @@ REC_MSG_ID = 9
 #: it, so ``event[REC_KIND] == FAST_RECORD_KIND`` identifies records inside
 #: a mixed scheduler backlog without a length check.
 FAST_RECORD_KIND = 4
-
-# PR 10 (columnar arena) removed the per-destination channel entry for fast
-# records entirely: a record now lives *only* in the scheduler until its
-# delivery event fires, marked by ``msg_id == -1`` (no counter draw on the
-# send path).  "Is it still deliverable?" becomes a crashed-set test instead
-# of a channel pop — equivalent, because a record's channel entry could only
-# ever disappear through :meth:`Network.mark_crashed`.  The in-flight
-# introspection surfaces read pending records straight out of the scheduler
-# through :attr:`Network._pending_records`.
 
 #: dense-id ceiling for the columnar :class:`ChannelStats` store — node ids
 #: at or past this always count through the sparse dict half (bounds any one
@@ -146,11 +139,6 @@ def record_to_message(record: tuple) -> "Message":
                    topic=record[REC_TOPIC], send_time=record[REC_SEND_TIME],
                    deliver_time=record[REC_DELIVER_TIME],
                    msg_id=record[REC_MSG_ID])
-
-
-def _materialise(entry) -> "Message":
-    """Channel entry (record tuple or Message) -> Message."""
-    return record_to_message(entry) if type(entry) is tuple else entry
 
 
 class ChannelStats:
@@ -206,9 +194,7 @@ class ChannelStats:
         #: optional :class:`~repro.telemetry.histogram.LatencyHistogram` of
         #: send→delivery latency in sim seconds.  ``None`` (the default)
         #: keeps the hot paths latency-blind; :meth:`enable_latency` turns it
-        #: on (``SimulatorConfig.telemetry`` does so at build time), and a
-        #: non-``None`` value also forces the engine off the batched block
-        #: drain — per-message observation needs the serial gear.
+        #: on (``SimulatorConfig.telemetry`` does so at build time).
         self.delivery_latency = None
         #: lazily derived Counter views, invalidated with ``.clear()`` — never
         #: rebound, so the engine's fused closures may capture the dict once.
@@ -493,14 +479,13 @@ class Network:
             raise ValueError("delays must satisfy 0 < min_delay <= max_delay")
         self.min_delay = min_delay
         self.max_delay = max_delay
-        #: dest -> {msg_id -> entry}.  An entry is either a :class:`Message`
-        #: (adversarial submits, injected corruption) or a fast-path record
-        #: tuple (see the module-level ``REC_*`` constants).  A plain dict
-        #: (not a defaultdict): the engine's fused delivery path subscripts
-        #: it, and an auto-creating container would silently resurrect empty
-        #: channels for crashed destinations that :meth:`mark_crashed`
-        #: discarded.
-        self._channels: Dict[int, Dict[int, Any]] = {}
+        #: dest -> {msg_id -> Message} (adversarial submits, injected
+        #: corruption; fast-path records never enter a channel).  A plain
+        #: dict (not a defaultdict): the engine's fused submit path
+        #: subscripts it, and an auto-creating container would silently
+        #: resurrect empty channels for crashed destinations that
+        #: :meth:`mark_crashed` discarded.
+        self._channels: Dict[int, Dict[int, Message]] = {}
         self._msg_counter = itertools.count()
         self.stats = ChannelStats()
         self._crashed: set[int] = set()
@@ -573,43 +558,6 @@ class Network:
             return (msg,)
         return self._submit_adversarial(msg, rng, now)
 
-    def submit_batch(self, msgs: Sequence[Message], rng, now: float) -> List[Message]:
-        """Bulk sibling of :meth:`submit`: accept a burst of messages sent at
-        the same instant, drawing all delivery delays in one block.
-
-        Bitwise-identical to submitting each message individually: the fused
-        path only engages when no adversary is installed, no node has crashed
-        (a crashed destination consumes *no* delay draw on the per-message
-        path, so pre-drawing would desynchronise the stream) and ``rng``
-        exposes the :meth:`~repro.sim.rng.BatchedUniform.take` bulk draw.
-        Returns the accepted messages, each needing a delivery event.
-        """
-        if self.adversary is not None or self._crashed or not hasattr(rng, "take"):
-            accepted: List[Message] = []
-            for msg in msgs:
-                accepted.extend(self.submit(msg, rng, now))
-            return accepted
-        delays = rng.take(len(msgs))
-        next_id = self._msg_counter.__next__
-        stats = self.stats
-        stats.total_sent += len(msgs)
-        sent = stats._sent
-        channels = self._channels
-        for msg, delay in zip(msgs, delays):
-            msg_id = msg.msg_id = next_id()
-            msg.send_time = now
-            msg.deliver_time = now + delay
-            key = (msg.sender, msg.action)
-            sent[key] = sent.get(key, 0) + 1
-            dest = msg.dest
-            try:
-                channels[dest][msg_id] = msg
-            except KeyError:
-                channels[dest] = {msg_id: msg}
-        if stats._derived:
-            stats._derived.clear()
-        return list(msgs)
-
     def _submit_adversarial(self, msg: Message, rng, now: float) -> Sequence[Message]:
         """Slow path of :meth:`submit`: consult the adversary for loss,
         duplication and delay scaling."""
@@ -681,21 +629,11 @@ class Network:
         with traffic still in flight) vetoed delivery.  The record is only
         materialised into a :class:`Message` on that rare adversarial check.
 
-        Channel-free records (``msg_id == -1``, the only kind the engine has
-        produced since PR 10) replace the channel pop with a crashed-set
-        test — the two are equivalent because only :meth:`mark_crashed` could
-        remove a record's channel entry.  The legacy branch stays for records
-        with a real ``msg_id`` (hand-built fixtures, pre-migration state).
+        Records have no channel entry, so "still pending?" is a crashed-set
+        test — only :meth:`mark_crashed` could ever remove one.
         """
-        if record[REC_MSG_ID] == -1:
-            if record[REC_DEST] in self._crashed:
-                return False
-        else:
-            channel = self._channels.get(record[REC_DEST])
-            if channel is None:
-                return False
-            if channel.pop(record[REC_MSG_ID], None) is None:
-                return False
+        if record[REC_DEST] in self._crashed:
+            return False
         adversary = self.adversary
         if adversary is not None:
             reason = adversary.on_deliver(record_to_message(record),
@@ -737,8 +675,7 @@ class Network:
     def channel_of(self, node_id: int) -> List[Message]:
         """Return the in-flight messages currently addressed to ``node_id``
         (fast-path records materialised into :class:`Message` instances)."""
-        out = [_materialise(entry)
-               for entry in self._channels.get(node_id, {}).values()]
+        out = list(self._channels.get(node_id, {}).values())
         if node_id not in self._crashed:
             out.extend(record_to_message(event)
                        for event in self._iter_pending_fast()
@@ -753,8 +690,7 @@ class Network:
 
     def iter_in_flight(self) -> Iterator[Message]:
         for channel in self._channels.values():
-            for entry in channel.values():
-                yield record_to_message(entry) if type(entry) is tuple else entry
+            yield from channel.values()
         for event in self._iter_pending_fast():
             yield record_to_message(event)
 
@@ -777,11 +713,8 @@ class Network:
                     edges.append((dest, value))
 
         for channel in self._channels.values():
-            for entry in channel.values():
-                if type(entry) is tuple:
-                    _collect(entry[REC_DEST], entry[REC_PARAMS])
-                else:
-                    _collect(entry.dest, entry.params)
+            for msg in channel.values():
+                _collect(msg.dest, msg.params)
         for event in self._iter_pending_fast():
             _collect(event[REC_DEST], event[REC_PARAMS])
         return edges

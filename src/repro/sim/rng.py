@@ -129,23 +129,6 @@ class BatchedUniform:
             self._refill()
         return buffer.pop()
 
-    def take(self, count: int) -> List[float]:
-        """The next ``count`` draws as a fresh list, in draw order.
-
-        The bulk sibling of :meth:`next` used by the network's
-        ``submit_batch``: one call serves a whole burst of messages with two
-        C-level list operations instead of ``count`` Python-level pops.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        buffer = self._buffer
-        while len(buffer) < count:
-            self._refill()
-        taken = buffer[len(buffer) - count:]
-        del buffer[len(buffer) - count:]
-        taken.reverse()
-        return taken
-
     def uniform(self, a: float, b: float) -> float:
         """``Random.uniform``-compatible signature over the bound interval."""
         if a != self.a or b != self.b:

@@ -23,30 +23,19 @@ counter assigned by the simulator.  Within a wheel bucket events are sorted
 by that key, and buckets partition the time axis, so the global order is
 identical to the heap's.  Tests assert this parity for identical seeds.
 
-Beyond single pops, both schedulers support :meth:`EventScheduler.pop_batch`:
-one call removes and returns *every* pending event sharing the earliest
-timestamp, in ``seq`` order.  The engine drains such a batch in one scheduler
-round-trip instead of paying per-event queue traffic.  Batching cannot
-reorder anything: an event pushed *while* a batch is being processed carries
-a timestamp ``>= now`` and a seq greater than every batched event, so it
-sorts strictly after the whole batch under the ``(time, seq)`` order — both
-schedulers hand it out on a later call, exactly as per-event popping would.
-
-**Block drains (PR 6).**  :meth:`EventScheduler.pop_block_into` generalises
-the same-timestamp batch to a *time window*: one call removes every pending
-event with ``time`` strictly below a caller-supplied limit (for the wheel,
-bounded by the current bucket) as one array-level splice.  The engine picks
-the limit so that nothing a handler can schedule may land inside the window
-(see :meth:`~repro.sim.engine.Simulator.run_until_time`), which turns the
-whole window into a struct-of-arrays: the bucket slice *is* the packed event
-array, and draining it costs two C-level list operations instead of one
-queue round-trip per event.  :meth:`EventScheduler.pop_block_columns_into`
-exposes the same block as parallel ``time`` / ``kind`` / ``payload`` column
-lists (one C-level ``zip`` transpose) for consumers that want columnar
-access — the compiled core and the profiling tools.  Measured on CPython
-3.11, iterating the block's event rows beats indexing three parallel
-columns (~330 ns vs ~1 µs per event), so the pure-Python engine consumes
-the row form and the column form is an explicit view, not the hot path.
+**Block drains.**  The engine does not pop event by event: one
+:meth:`EventScheduler.pop_block_into` call removes every pending event with
+``time`` strictly below a caller-supplied limit (for the wheel, bounded by
+the current bucket) as one array-level splice.  The engine picks the limit
+so that nothing a handler schedules is expected to land inside the window,
+and requeues the unprocessed tail when something does (see
+:meth:`~repro.sim.engine.Simulator.run_until_time`), so the block is
+consumed in exactly the order per-event pops would produce.  The bucket
+slice *is* the packed event array: draining it costs two C-level list
+operations instead of one queue round-trip per event.  The base class
+implements the block pop over :meth:`~EventScheduler.next_time` /
+:meth:`~EventScheduler.pop`, so a custom queue only has to provide
+``push``, ``pop``, ``next_time``, ``iter_events`` and ``__len__``.
 """
 
 from __future__ import annotations
@@ -70,10 +59,6 @@ Event = Tuple[float, int, int, Any]
 SCHEDULER_NAMES = ("heap", "wheel")
 
 
-#: Sentinel deadline meaning "no limit" for :meth:`EventScheduler.pop_batch_into`.
-_NO_LIMIT = float("inf")
-
-
 class EventScheduler:
     """Minimal interface the simulator needs from an event queue."""
 
@@ -86,37 +71,18 @@ class EventScheduler:
         """Remove and return the earliest event.  Undefined when empty."""
         raise NotImplementedError
 
-    def pop_batch_into(self, out: List[Event], limit: float = _NO_LIMIT) -> int:
-        """Drain every event sharing the earliest timestamp into ``out``.
-
-        Appends the batch in ``seq`` order and returns its size; returns 0
-        (appending nothing) when the queue is empty or the earliest event
-        lies beyond ``limit``.  The caller owns ``out`` and reuses it across
-        calls, so the steady-state hot loop allocates no containers.
-        """
-        raise NotImplementedError
-
-    def pop_batch(self, limit: float = _NO_LIMIT) -> List[Event]:
-        """Convenience wrapper over :meth:`pop_batch_into` returning a fresh
-        list (empty when nothing is due by ``limit``)."""
-        out: List[Event] = []
-        self.pop_batch_into(out, limit)
-        return out
-
     def pop_block_into(self, out: List[Event], limit: float) -> int:
         """Drain a block of events with ``time`` strictly below ``limit``.
 
         Appends the block to ``out`` in ascending ``(time, seq)`` order and
-        returns its size.  Unlike :meth:`pop_batch_into` the bound is
-        **exclusive** (``time < limit``, not ``<=``) and the block spans every
-        due timestamp, not just the earliest one.  Implementations may return
-        fewer events than are due (the wheel stops at its current bucket
-        boundary); the only guarantees are (a) at least one event is returned
-        whenever ``next_time() < limit`` and (b) events come out in exactly
-        the order per-event popping would produce.  The caller owns ``out``
-        and reuses it across calls.
+        returns its size.  The bound is **exclusive** (``time < limit``).
+        Implementations may return fewer events than are due (the wheel
+        stops at its current bucket boundary); the only guarantees are (a)
+        at least one event is returned whenever ``next_time() < limit`` and
+        (b) events come out in exactly the order per-event popping would
+        produce.  The caller owns ``out`` and reuses it across calls.
 
-        The default implementation loops :meth:`pop_batch_into`, so custom
+        The default implementation pops event by event, so custom
         schedulers inherit correct (if unaccelerated) block behaviour.
         """
         count = 0
@@ -124,26 +90,8 @@ class EventScheduler:
             upcoming = self.next_time()
             if upcoming is None or upcoming >= limit:
                 return count
-            count += self.pop_batch_into(out, upcoming)
-
-    def pop_block_columns_into(self, times: List[float], kinds: List[int],
-                               payloads: List[Any], limit: float) -> int:
-        """Columnar form of :meth:`pop_block_into`: the same block appended
-        to three parallel column lists (``time``, ``kind``, ``payload`` —
-        for deliveries the payload *is* the destination-keyed record, for
-        timeouts/crashes it is the destination node id).  One C-level
-        transpose; no per-event Python iteration.  Returns the block size.
-        """
-        block: List[Event] = []
-        count = self.pop_block_into(block, limit)
-        if count:
-            times += [event[0] for event in block]
-            kinds += [event[2] for event in block]
-            # Fast-delivery records (see repro.sim.network) embed their
-            # payload in the event tuple itself; the row IS the payload.
-            payloads += [event[3] if len(event) == 4 else event
-                         for event in block]
-        return count
+            out.append(self.pop())
+            count += 1
 
     def next_time(self) -> Optional[float]:
         """Timestamp of the earliest pending event, or ``None`` when empty."""
@@ -153,14 +101,11 @@ class EventScheduler:
         """Iterate over every pending event in **arbitrary** order.
 
         A cold introspection surface: the network's in-flight views read
-        channel-free fast-delivery records (PR 10) straight out of the queue
-        through it, and the arena derives per-node timeout deadlines from it.
-        The iterator must not be used across a mutation (push/pop).  The
-        default yields nothing, so custom schedulers stay correct for the
-        engine (which routes their sends through Message channels) and may
-        override to expose their backlog.
+        channel-free fast-delivery records straight out of the queue through
+        it, and the arena derives per-node timeout deadlines from it.  The
+        iterator must not be used across a mutation (push/pop).
         """
-        return iter(())
+        raise NotImplementedError
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -182,22 +127,6 @@ class HeapScheduler(EventScheduler):
 
     def pop(self) -> Event:
         return heapq.heappop(self._heap)
-
-    def pop_batch_into(self, out: List[Event], limit: float = _NO_LIMIT) -> int:
-        heap = self._heap
-        if not heap or heap[0][0] > limit:
-            return 0
-        pop = heapq.heappop
-        first = pop(heap)
-        out.append(first)
-        if not heap or heap[0][0] != first[0]:
-            return 1
-        time = first[0]
-        count = 1
-        while heap and heap[0][0] == time:
-            out.append(pop(heap))
-            count += 1
-        return count
 
     def pop_block_into(self, out: List[Event], limit: float) -> int:
         # A heap has no bucket structure to splice, so the block drain is a
@@ -335,31 +264,6 @@ class TimeoutWheelScheduler(EventScheduler):
             current = self._current
         self._count -= 1
         return current.pop()
-
-    def pop_batch_into(self, out: List[Event], limit: float = _NO_LIMIT) -> int:
-        # The current bucket is sorted descending, so the earliest-timestamp
-        # run sits at the tail.  Equal-time events always share a bucket
-        # (equal times hash to equal indices), so the tail run is the full
-        # batch.  Batches are almost always size one (continuous delays
-        # rarely collide), so the single-event path stays branch-light.
-        current = self._current
-        if not current:
-            self._advance()
-            current = self._current
-            if not current:
-                return 0
-        event = current[-1]
-        time = event[0]
-        if time > limit:
-            return 0
-        del current[-1]
-        out.append(event)
-        count = 1
-        while current and current[-1][0] == time:
-            out.append(current.pop())
-            count += 1
-        self._count -= count
-        return count
 
     def pop_block_into(self, out: List[Event], limit: float) -> int:
         """Array-level block drain: the due suffix of the current bucket.

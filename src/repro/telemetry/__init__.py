@@ -4,8 +4,8 @@ Everything here is byte-reproducible by construction (integer bucket
 counts, spec-derived bounds, rounded sim-time floats) so telemetry can ride
 inside the canonical report artifacts without breaking their byte-identity
 guarantees.  The subsystem is off by default (``SystemSpec.telemetry`` /
-``SimulatorConfig.telemetry``); enabling it moves the engine onto the
-serial gear — the cost model is the same as running under an adversary.
+``SimulatorConfig.telemetry``); enabling it adds one histogram sample per
+delivery to the engine's drain loop.
 
 Public surface:
 

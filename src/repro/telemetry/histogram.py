@@ -12,9 +12,8 @@ in order of importance:
    the max of maxima, so merging per-task histograms from an exec campaign
    is associative and (for equal specs) independent of worker count.
 3. **Cheap to record.**  :meth:`record` is one :func:`bisect.bisect_left`
-   into a ~40-entry tuple plus two integer bumps — small enough for the
-   engine's serial gear (telemetry never runs on the batched block drain;
-   see ``SimulatorConfig.telemetry``).
+   into a ~40-entry tuple plus two integer bumps — small enough to sit
+   in the engine's drain loop (see ``SimulatorConfig.telemetry``).
 
 Percentiles are *derived at report time*: a percentile resolves to the
 upper bound of the bucket containing its rank, clamped to the exact

@@ -2,9 +2,8 @@
 
 This module is deprecation-clean by construction: every test runs with
 ``DeprecationWarning`` promoted to an error (CI additionally runs the file
-under ``-W error::DeprecationWarning``), so the new surface can never lean on
-a deprecated code path.  The shim tests assert their warnings explicitly via
-``pytest.warns``.
+under ``-W error::DeprecationWarning``), so the surface can never lean on a
+deprecated code path.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from repro.api import (
     build_stable,
     build_system,
 )
-from repro.cluster.sharded import ShardedPubSub, build_stable_sharded_system
+from repro.cluster.sharded import ShardedPubSub
 from repro.core.config import ProtocolParams
-from repro.core.system import SupervisedPubSub, build_stable_system
+from repro.core.system import SupervisedPubSub
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.sim.engine import SimulatorConfig
@@ -306,37 +305,6 @@ class TestRunReport:
         run = RunReport(name="X", title="t")
         parsed = json.loads(run.to_json())
         assert parsed["name"] == "X" and parsed["passed"] is True
-
-
-class TestDeprecationShims:
-    @pytest.mark.filterwarnings("default::DeprecationWarning")
-    def test_build_stable_system_warns_and_matches_the_unified_helper(self):
-        with pytest.warns(DeprecationWarning, match="build_stable_system"):
-            system, subscribers = build_stable_system(6, seed=4)
-        fresh, fresh_subs = build_stable(SystemSpec(seed=4), 6)
-        assert len(subscribers) == len(fresh_subs) == 6
-        assert (system.message_stats().to_summary_dict()
-                == fresh.message_stats().to_summary_dict())
-
-    @pytest.mark.filterwarnings("default::DeprecationWarning")
-    def test_build_stable_sharded_system_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="build_stable_sharded_system"):
-            cluster = build_stable_sharded_system(["a", "b"], 3, shards=2, seed=4)
-        fresh, _ = build_stable(SystemSpec(topology="sharded", shards=2, seed=4),
-                                topics=["a", "b"], subscribers_per_topic=3)
-        assert (cluster.message_stats().to_summary_dict()
-                == fresh.message_stats().to_summary_dict())
-
-    @pytest.mark.filterwarnings("default::DeprecationWarning")
-    def test_experiment_result_is_a_deprecated_run_report(self):
-        from repro.experiments.runner import ExperimentResult
-        with pytest.warns(DeprecationWarning, match="ExperimentResult"):
-            result = ExperimentResult(experiment_id="E0", title="legacy",
-                                      headers=["h"])
-        assert isinstance(result, RunReport)
-        assert result.experiment_id == result.name == "E0"
-        result.claim("ok", True)
-        assert result.all_claims_hold
 
 
 class TestChurnIsFacadeAgnostic:

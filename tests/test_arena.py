@@ -107,7 +107,7 @@ class TestArenaObjectEquivalence:
             wheel_log, wheel_sim = _storm("wheel", nodes, rounds)
             assert heap_sim.steps_executed == wheel_sim.steps_executed
             assert heap_log == wheel_log
-            # and the columns agree between the two gears as well
+            # and the columns agree between the two schedulers as well
             assert (heap_sim.arena.timeout_count
                     == wheel_sim.arena.timeout_count)
 
@@ -164,7 +164,7 @@ class TestHundredKSmoke:
         assert heap_sim.steps_executed == wheel_sim.steps_executed
         assert heap_sim.steps_executed >= 3 * SMOKE_NODES  # it stormed
         assert heap_log == wheel_log
-        # flat columns cover the whole population on both gears
+        # flat columns cover the whole population on both schedulers
         assert len(wheel_sim.arena.nodes) >= SMOKE_NODES
         assert sum(1 for n in wheel_sim.arena.nodes if n is not None) \
             == SMOKE_NODES

@@ -1,17 +1,10 @@
-"""PR 6 tests: block-drain edge cases, the columnar scheduler path, the
-50k-node heap-vs-wheel event-log parity gate, the monotone-seq bucket sort
-contract, the optional compiled-core introspection, and the deprecated
-``repro.perf.case_runner`` shim."""
+"""Block-drain edge cases, the 50k-node heap-vs-wheel event-log parity gate
+and the monotone-seq bucket sort contract."""
 
 from __future__ import annotations
 
-import importlib
 import random
-import sys
 
-import pytest
-
-from repro.sim import core_build_info
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.node import ProtocolNode
 from repro.sim.scheduler import (
@@ -48,10 +41,6 @@ class TestBlockDrainEdges:
             out = []
             assert scheduler.pop_block_into(out, limit=10.0) == 0
             assert out == []
-            times, kinds, payloads = [], [], []
-            assert scheduler.pop_block_columns_into(
-                times, kinds, payloads, limit=10.0) == 0
-            assert times == kinds == payloads == []
             assert scheduler.next_time() is None
             assert len(scheduler) == 0
 
@@ -70,17 +59,6 @@ class TestBlockDrainEdges:
             assert _drain_block(scheduler, out, limit=1.0 + 1e-9) == 2
             assert [e[1] for e in out] == [0, 1, 2]
             assert len(scheduler) == 0
-
-    def test_batch_limit_is_inclusive_where_block_is_exclusive(self):
-        """Contrast case pinning the two bounds: ``pop_batch_into`` takes
-        ``time <= limit``, ``pop_block_into`` takes ``time < limit``."""
-        for scheduler in _both_schedulers():
-            scheduler.push(_event(2.0, 7))
-            block = []
-            assert _drain_block(scheduler, block, limit=2.0) == 0
-            batch = []
-            assert scheduler.pop_batch_into(batch, limit=2.0) == 1
-            assert batch[0][1] == 7
 
     def test_wheel_rollover_at_auto_sized_width(self):
         """Events spanning many buckets — including exact bucket-boundary
@@ -108,48 +86,6 @@ class TestBlockDrainEdges:
             _drain_block(heap, drained_heap, limit)
         assert drained_wheel == drained_heap
         assert drained_wheel == sorted(events)
-
-    def test_columnar_path_matches_rowwise_and_heap(self):
-        """``pop_block_columns_into`` transposes the identical block on both
-        schedulers: 4-tuple payloads surface as ``event[3]``, fast 10-tuple
-        records surface as the whole row."""
-        rng = random.Random(7)
-        rows = []
-        for seq in range(300):
-            time = rng.uniform(0.0, 5.0)
-            if seq % 3:
-                rows.append((time, seq, 4, seq + 1, "Ping", None, None,
-                             0, time, seq))  # fast-record shape (10-tuple)
-            else:
-                rows.append(_event(time, seq, payload=seq + 1))
-        heap, wheel = HeapScheduler(), TimeoutWheelScheduler(bucket_width=0.5)
-        reference = HeapScheduler()
-        for row in rows:
-            heap.push(row)
-            wheel.push(row)
-            reference.push(row)
-        columns = {}
-        for name, scheduler in (("heap", heap), ("wheel", wheel)):
-            times, kinds, payloads = [], [], []
-            count = 0
-            limit = 0.0
-            while len(scheduler):
-                limit += 1.1
-                while True:
-                    got = scheduler.pop_block_columns_into(
-                        times, kinds, payloads, limit)
-                    if not got:
-                        break
-                    count += got
-            assert count == len(rows)
-            columns[name] = (times, kinds, payloads)
-        assert columns["heap"] == columns["wheel"]
-        block = []
-        _drain_block(reference, block, limit=100.0)
-        assert columns["heap"][0] == [event[0] for event in block]
-        assert columns["heap"][1] == [event[2] for event in block]
-        assert columns["heap"][2] == [
-            event[3] if len(event) == 4 else event for event in block]
 
 
 class _Recorder(ProtocolNode):
@@ -229,61 +165,3 @@ class TestMonotoneSeqBucketSort:
         _drain_block(slow, out_slow, limit=10.0)
         assert len(out_fast) == 2000
         assert out_fast == out_slow == sorted(out_fast)
-
-
-class TestCoreBuildInfo:
-    def test_reports_mode_for_both_hot_modules(self):
-        info = core_build_info()
-        assert set(info) == {"engine", "scheduler", "compiled"}
-        assert info["engine"] in ("pure-python", "compiled")
-        assert info["scheduler"] in ("pure-python", "compiled")
-        assert info["compiled"] == (info["engine"] == "compiled"
-                                    and info["scheduler"] == "compiled")
-
-    def test_mode_matches_imported_module_files(self):
-        import repro.sim.engine as engine
-        import repro.sim.scheduler as scheduler
-
-        info = core_build_info()
-        for module, key in ((engine, "engine"), (scheduler, "scheduler")):
-            expected = ("compiled" if module.__file__.endswith((".so", ".pyd"))
-                        else "pure-python")
-            assert info[key] == expected
-
-    @pytest.mark.skipif(not core_build_info()["compiled"],
-                        reason="compiled core not built "
-                               "(scripts/build_compiled_core.py)")
-    def test_compiled_core_runs_the_storm(self):
-        """Only meaningful after ``scripts/build_compiled_core.py``: the
-        compiled extension modules must drive the engine end to end."""
-        log, steps = _storm_log("wheel", 500, 4)
-        assert steps > 0 and log
-
-
-@pytest.mark.filterwarnings("default::DeprecationWarning")
-class TestCaseRunnerShim:
-    """The legacy per-case subprocess runner is a warning stub now; these
-    tests opt back out of the repo-wide error::DeprecationWarning filter."""
-
-    def test_import_emits_deprecation_warning(self):
-        sys.modules.pop("repro.perf.case_runner", None)
-        with pytest.warns(DeprecationWarning, match="repro.exec"):
-            importlib.import_module("repro.perf.case_runner")
-
-    def test_measure_warns_and_delegates_to_exec_layer(self, monkeypatch):
-        sys.modules.pop("repro.perf.case_runner", None)
-        with pytest.warns(DeprecationWarning):
-            case_runner = importlib.import_module("repro.perf.case_runner")
-        import repro.exec.tasks as tasks
-
-        seen = {}
-
-        def fake_run_bench_case(payload):
-            seen.update(payload)
-            return {"name": payload["case"], "wall_seconds": 0.0}
-
-        monkeypatch.setattr(tasks, "run_bench_case", fake_run_bench_case)
-        with pytest.warns(DeprecationWarning, match="case_runner is deprecated"):
-            result = case_runner.measure("core_2k_wheel", repeats=2)
-        assert seen == {"case": "core_2k_wheel", "repeats": 2}
-        assert result["name"] == "core_2k_wheel"

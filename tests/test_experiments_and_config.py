@@ -5,7 +5,8 @@ import pytest
 from repro.core.config import PAPER_DEFAULTS, PSEUDOCODE_VARIANT, ProtocolParams
 from repro.experiments import experiments as exp
 from repro.experiments.report import format_table, render_result
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.api.report import RunReport
+from repro.experiments.runner import run_experiment
 
 
 class TestProtocolParams:
@@ -39,23 +40,21 @@ class TestProtocolParams:
         assert ProtocolParams().enable_flooding  # original untouched
 
 
-# The ExperimentResult shim intentionally warns; these tests cover the shim
-# itself, so they opt back out of the suite-wide error::DeprecationWarning.
-@pytest.mark.filterwarnings("default::DeprecationWarning")
 class TestRunnerAndReport:
     def test_experiment_result_claims(self):
-        result = ExperimentResult("X", "test", headers=["a"], rows=[(1,)])
+        result = RunReport(name="X", title="test", headers=["a"], rows=[(1,)])
         assert result.all_claims_hold
         result.claim("ok", True)
         result.claim("bad", False)
         assert not result.all_claims_hold
 
     def test_run_experiment_records_wall_time(self):
-        result = run_experiment(lambda: ExperimentResult("X", "t", headers=["a"]))
+        result = run_experiment(lambda: RunReport(name="X", title="t",
+                                                  headers=["a"]))
         assert result.wall_seconds is not None and result.wall_seconds >= 0
 
     def test_format_table_and_render(self):
-        result = ExperimentResult("X", "demo", headers=["n", "value"])
+        result = RunReport(name="X", title="demo", headers=["n", "value"])
         result.add_row(1, 2.3456)
         result.claim("holds", True)
         text = render_result(result)

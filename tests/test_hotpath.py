@@ -1,9 +1,10 @@
 """Unit tests for the PR 4 hot-path machinery: batched RNG draws, scheduler
-batch pops, wheel bucket auto-sizing (and its SystemSpec knob), the cached
+block pops, wheel bucket auto-sizing (and its SystemSpec knob), the cached
 failure detector, and the slotted message/node state."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from repro.sim.network import Message
 from repro.sim.node import ProtocolNode
 from repro.sim.rng import BatchedUniform
 from repro.sim.scheduler import (
+    EventScheduler,
     HeapScheduler,
     TimeoutWheelScheduler,
     auto_bucket_width,
@@ -56,50 +58,103 @@ class TestBatchedUniform:
         assert draws.pending() == 7
 
 
+class _SortedListScheduler(EventScheduler):
+    """The least a custom queue has to provide; ``pop_block_into`` is the
+    base class's, built on ``next_time``/``pop``."""
+
+    __slots__ = ("_events",)
+
+    def __init__(self):
+        self._events = []
+
+    def push(self, event):
+        self._events.append(event)
+        self._events.sort(reverse=True)
+
+    def pop(self):
+        return self._events.pop()
+
+    def next_time(self):
+        return self._events[-1][0] if self._events else None
+
+    def iter_events(self):
+        return iter(self._events)
+
+    def __len__(self):
+        return len(self._events)
+
+
 class TestPopBatch:
+    """``pop_block_into`` on the heap, the wheel and the base-class default
+    (the class and test names predate the block pop)."""
+
     @staticmethod
     def _fill(events):
-        heap, wheel = HeapScheduler(), TimeoutWheelScheduler(bucket_width=0.25)
+        schedulers = (HeapScheduler(), TimeoutWheelScheduler(bucket_width=0.25),
+                      _SortedListScheduler())
         for event in events:
-            heap.push(event)
-            wheel.push(event)
-        return heap, wheel
+            for scheduler in schedulers:
+                scheduler.push(event)
+        return schedulers
+
+    @staticmethod
+    def _after(time):
+        return math.nextafter(time, math.inf)
 
     def test_equal_timestamp_runs_drain_in_one_batch(self):
         events = [(1.0, 0, 0, "a"), (1.0, 1, 0, "b"), (1.0, 2, 0, "c"),
                   (2.0, 3, 0, "d")]
         for scheduler in self._fill(events):
-            batch = scheduler.pop_batch()
-            assert batch == events[:3]
-            assert scheduler.pop_batch() == [events[3]]
+            block = []
+            assert scheduler.pop_block_into(block, self._after(1.0)) == 3
+            assert block == events[:3]
+            assert scheduler.pop_block_into(block, self._after(2.0)) == 1
+            assert block == events
             assert len(scheduler) == 0
 
     def test_limit_excludes_future_events(self):
         events = [(1.0, 0, 0, "a"), (5.0, 1, 0, "b")]
         for scheduler in self._fill(events):
-            assert scheduler.pop_batch(limit=0.5) == []
-            assert scheduler.pop_batch(limit=1.0) == [events[0]]
-            assert scheduler.pop_batch(limit=2.0) == []
+            block = []
+            assert scheduler.pop_block_into(block, 0.5) == 0
+            assert scheduler.pop_block_into(block, 1.0) == 0  # exclusive
+            assert scheduler.pop_block_into(block, 2.0) == 1
+            assert scheduler.pop_block_into(block, 2.0) == 0
+            assert block == [events[0]]
             assert len(scheduler) == 1
 
     def test_pop_batch_into_reuses_buffer_and_counts(self):
         events = [(1.0, 0, 0, "a"), (1.0, 1, 0, "b"), (3.0, 2, 0, "c")]
         for scheduler in self._fill(events):
             out = []
-            assert scheduler.pop_batch_into(out) == 2
-            assert scheduler.pop_batch_into(out) == 1
-            assert out == events
-            assert scheduler.pop_batch_into(out) == 0
+            assert scheduler.pop_block_into(out, 2.0) == 2
+            assert scheduler.pop_block_into(out, 4.0) == 1
+            assert out == events  # appended to, never replaced
+            assert scheduler.pop_block_into(out, 4.0) == 0
+            assert scheduler.next_time() is None
 
     def test_heap_wheel_batch_parity_randomized(self):
         rng = random.Random(3)
         # Coarse timestamps force plenty of equal-time collisions.
         events = [(round(rng.uniform(0, 20), 1), seq, seq % 4, None)
                   for seq in range(2_000)]
-        heap, wheel = self._fill(events)
+        heap, wheel, generic = self._fill(events)
+        limit = 0.0
         while len(heap):
-            assert heap.pop_batch() == wheel.pop_batch()
-        assert len(wheel) == 0
+            limit += 0.37  # windows not aligned to buckets or timestamps
+            blocks = []
+            for scheduler in (heap, wheel, generic):
+                block = []
+                # the wheel stops at bucket boundaries: pop until dry
+                while scheduler.pop_block_into(block, limit):
+                    pass
+                blocks.append(block)
+            assert blocks[0] == blocks[1] == blocks[2]
+        assert len(wheel) == len(generic) == 0
+
+    def test_base_class_requires_the_backlog_iterator(self):
+        with pytest.raises(NotImplementedError):
+            EventScheduler().iter_events()
 
 
 class TestWheelAutoSizing:
@@ -168,15 +223,15 @@ class _Pinger(ProtocolNode):
 class TestGenericSchedulerDrain:
     def test_custom_scheduler_runs_through_batch_interface(self):
         """A scheduler that is not exactly HeapScheduler/TimeoutWheelScheduler
-        is drained through the portable ``pop_batch_into`` interface and must
+        is drained through the same ``pop_block_into`` interface and must
         produce results identical to the built-ins."""
-        calls = {"batches": 0}
+        calls = {"blocks": 0}
 
-        class CountingHeap(HeapScheduler):  # subclass -> generic engine path
-            def pop_batch_into(self, out, limit=float("inf")):
-                count = super().pop_batch_into(out, limit)
+        class CountingHeap(HeapScheduler):  # subclass -> generic pushes
+            def pop_block_into(self, out, limit):
+                count = super().pop_block_into(out, limit)
                 if count:
-                    calls["batches"] += 1
+                    calls["blocks"] += 1
                 return count
 
         def run(scheduler=None):
@@ -189,15 +244,17 @@ class TestGenericSchedulerDrain:
                     sim.network.stats.total_delivered, sim.now)
 
         custom = run(CountingHeap())
-        assert calls["batches"] > 0, "generic drain did not use pop_batch_into"
+        assert calls["blocks"] > 0, "drain did not use pop_block_into"
         assert custom == run()  # identical to the default wheel engine
+        # ... and so is a queue with nothing but the required five methods
+        assert run(_SortedListScheduler()) == custom
 
     def test_custom_scheduler_with_adversary(self):
-        """The generic drain's batch buffer must survive the adversarial
-        delivery branch (regression: a shadowed local crashed this path)."""
+        """A custom scheduler under an adversary matches the built-in
+        wheel event for event."""
         from repro.scenarios.adversary import LinkAdversary
 
-        class SubHeap(HeapScheduler):  # not exactly HeapScheduler -> generic
+        class SubHeap(HeapScheduler):  # not exactly HeapScheduler
             pass
 
         def run(scheduler):
@@ -214,7 +271,8 @@ class TestGenericSchedulerDrain:
 
         custom = run(SubHeap())
         assert custom[3] > 0, "adversary never dropped anything"
-        assert custom == run(None)  # parity with the fused wheel path
+        assert custom == run(None)  # parity with the default wheel
+
     def test_spec_roundtrip_with_width(self):
         spec = SystemSpec(seed=3, wheel_bucket_width=0.2)
         assert SystemSpec.from_json(spec.to_json()) == spec

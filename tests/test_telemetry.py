@@ -2,8 +2,8 @@
 
 Covers the histogram's determinism contract (byte-reproducible state,
 order-invariant merges, percentile edge cases), the span timeline, the
-``SystemSpec.telemetry`` knob and its reconciliation, the engine gear
-selection and observer-effect guarantees, RunReport/CampaignReport
+``SystemSpec.telemetry`` knob and its reconciliation, the
+observer-effect guarantees, RunReport/CampaignReport
 serialization shapes, jobs-1-vs-N byte parity with telemetry on, the
 tracer truncation accounting, and the ``repro-metrics`` CLI.
 """
