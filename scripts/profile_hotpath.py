@@ -3,14 +3,18 @@
 
 The perf suite answers "did it get slower?"; this script answers "where does
 the time go?".  It runs any case from the bench matrix
-(:data:`repro.perf.cases.BENCH_CASES`) under :mod:`cProfile` in-process and
-prints the top functions by cumulative time — the view that surfaces the
-engine's block loop, the scheduler drains and the RNG refills in one screen.
+(:data:`repro.perf.cases.BENCH_CASES`) or any of the six workloads of the
+repo benchmark (``bench/workloads.py``: set-up outside the profiler, the
+timed region inside, the workload's own correctness check after) under
+:mod:`cProfile` in-process and prints the top functions by cumulative time —
+the view that surfaces the engine's block loop, the scheduler drains, the
+protocol handlers and the legitimacy oracle in one screen.
 
 Usage::
 
     python scripts/profile_hotpath.py                    # core_2k_wheel
     python scripts/profile_hotpath.py core_50k_wheel
+    python scripts/profile_hotpath.py join_stabilize     # a paper-level operation
     python scripts/profile_hotpath.py --top 40 --sort tottime
     python scripts/profile_hotpath.py --out storm.pstats # for snakeviz etc.
     python scripts/profile_hotpath.py --json prof.json   # structured top-N
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import importlib.util
 import json
 import pstats
 import sys
@@ -40,9 +45,37 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.perf.cases import BENCH_CASES, get_case  # noqa: E402
+from repro.perf.cases import BENCH_CASES, BenchCase, get_case  # noqa: E402
 
 DEFAULT_TOP = 25
+#: Seed of the profiled repeat: repeat 0 of the benchmark's default ``--seed 11``.
+WORKLOAD_SEED = 11_000
+
+
+def _benchmark_workloads() -> dict:
+    """``bench/workloads.py::BY_NAME``, imported by path and only read."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", REPO_ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.BY_NAME
+
+
+def resolve_case(name: str):
+    """``(case, check)``: a bench-matrix case, or a benchmark workload wrapped
+    as one — built here, so ``case.run`` is the workload's timed region alone;
+    ``check(payload)`` returns its number of failed ops (matrix cases: 0)."""
+    workload = _benchmark_workloads().get(name)
+    if workload is None:
+        return get_case(name), lambda payload: 0
+    state = workload.setup(WORKLOAD_SEED, workload.sizes())
+
+    def run():
+        before = state.sim.steps_executed
+        workload.run(state, None)
+        return state.sim.steps_executed - before, state
+
+    return BenchCase(name, workload.why, run), workload.check
 
 
 def main(argv=None) -> int:
@@ -71,11 +104,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for case in BENCH_CASES:
-            print(f"{case.name:22s} {case.description}")
+        rows = [(case.name, case.description) for case in BENCH_CASES]
+        rows += [(workload.name, workload.why) for workload in _benchmark_workloads().values()]
+        for name, text in rows:
+            print(f"{name:22s} {text}")
         return 0
 
-    case = get_case(args.case)
+    case, check = resolve_case(args.case)
     print(f"profiling {case.name} ({case.description})")
 
     if args.tracemalloc:
@@ -85,7 +120,11 @@ def main(argv=None) -> int:
     profiler.enable()
     events, payload = case.run()
     profiler.disable()
+    failed = check(payload)
     del payload
+    if failed:
+        print(f"WARNING: {failed} ops failed the workload's check — "
+              f"this is the profile of a wrong run")
 
     if events:
         print(f"events processed: {events:,}")

@@ -18,9 +18,15 @@ labels handed out for ``x ∈ {2^d, ..., 2^{d+1}-1}`` fall exactly halfway
 between previously used positions, so consecutive joins are spread uniformly
 around the ring (the property behind Theorem 7's constant join overhead).
 
-Labels are represented as Python strings over ``{'0','1'}``; real values are
-exact :class:`fractions.Fraction` objects so that property-based tests can use
-arbitrarily long labels without floating-point error.
+Labels *are* strings over ``{'0','1'}`` (wire, reports, goldens).  Ring order
+is the lexicographic order of the bit string without its trailing zeros
+(:func:`ring_key`): exact at any length, compared at C speed, equal exactly
+when ``r`` is (``'1'`` vs ``'10'``); distances use integers scaled to a common
+bit length (:func:`scaled_r`).  :func:`r_value` and ``Fraction`` are the
+*specification* (figures, experiments, the property tests that pin the key to
+it), not the implementation of any comparison.  ``ring_key``, ``scaled_r`` and
+``closer`` are *unchecked* — handlers test :func:`is_valid_label` once, at
+message ingress; everything else raises ``ValueError`` on garbage.
 """
 
 from __future__ import annotations
@@ -103,8 +109,7 @@ def label_from_r(value: Fraction) -> Label:
 
 def label_length(label: Label) -> int:
     """``|label|`` — the number of bits of the (canonical) label."""
-    _validate(label)
-    return len(label)
+    return len(_validate(label))
 
 
 def level_of_edge(label_u: Label, label_v: Label) -> int:
@@ -119,40 +124,50 @@ def labels_up_to(n: int) -> List[Label]:
     return [label_of(i) for i in range(n)]
 
 
+def ring_key(label: Label) -> str:
+    """The order key (unchecked): ``r(a) < r(b)`` iff ``ring_key(a) <
+    ring_key(b)``, and the keys are equal iff the ``r``-values are."""
+    return label.rstrip("0")
+
+
+def scaled_r(label: Label, bits: int) -> int:
+    """``r(label) · 2^bits``, an integer for ``bits >= len(label)`` (unchecked)."""
+    return int(label, 2) << (bits - len(label))
+
+
+def closer(label_a: Label, label_b: Label, origin: Label) -> bool:
+    """``|r(a) − r(origin)| < |r(b) − r(origin)|`` in integers (unchecked)."""
+    bits = max(len(label_a), len(label_b), len(origin))
+    at = scaled_r(origin, bits)
+    return abs(scaled_r(label_a, bits) - at) < abs(scaled_r(label_b, bits) - at)
+
+
 def sort_by_r(labels: Iterable[Label]) -> List[Label]:
     """Sort labels by their position on the ring (ascending ``r``-value)."""
-    return sorted(labels, key=r_value)
+    return sorted(labels, key=lambda label: ring_key(_validate(label)))
 
 
 def compare(label_a: Label, label_b: Label) -> int:
     """Three-way comparison of ring positions: -1, 0 or +1."""
-    ra, rb = r_value(label_a), r_value(label_b)
-    if ra < rb:
-        return -1
-    if ra > rb:
-        return 1
-    return 0
+    ka, kb = ring_key(_validate(label_a)), ring_key(_validate(label_b))
+    return (ka > kb) - (ka < kb)
 
 
 def ring_distance(label_a: Label, label_b: Label) -> Fraction:
     """Cyclic distance between two ring positions (in [0, 1/2])."""
-    diff = abs(r_value(label_a) - r_value(label_b))
+    diff = linear_distance(label_a, label_b)
     return min(diff, 1 - diff)
 
 
 def linear_distance(label_a: Label, label_b: Label) -> Fraction:
-    """Absolute difference of ``r``-values (used by the linearization rule and
-    by SetData's "is the stored neighbour closer?" check, Algorithm 4 line 18)."""
-    return abs(r_value(label_a) - r_value(label_b))
+    """``|r(a) − r(b)|`` exactly (what :func:`closer` compares, Algorithm 4 line 18)."""
+    bits = max(len(_validate(label_a)), len(_validate(label_b)))
+    return Fraction(abs(scaled_r(label_a, bits) - scaled_r(label_b, bits)), 1 << bits)
 
 
 def is_valid_label(label: object) -> bool:
     """True if ``label`` is a non-empty string over {'0','1'}."""
-    return (
-        isinstance(label, str)
-        and len(label) > 0
-        and all(c in "01" for c in label)
-    )
+    return isinstance(label, str) and len(label) > 0 and not label.strip("01")
 
 
 def is_canonical_label(label: object) -> bool:
@@ -169,9 +184,7 @@ def max_level(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n == 1:
-        return 1
-    return (n - 1).bit_length()
+    return max(1, (n - 1).bit_length())
 
 
 def count_labels_of_length(k: int, n: Optional[int] = None) -> int:
@@ -186,17 +199,11 @@ def count_labels_of_length(k: int, n: Optional[int] = None) -> int:
     full = 2 if k == 1 else 2 ** (k - 1)
     if n is None:
         return full
-    # Labels of length k correspond to indices {0,1} for k=1 and
-    # {2^{k-1}, ..., 2^k - 1} for k > 1.
-    if k == 1:
-        lo, hi = 0, 1
-    else:
-        lo, hi = 2 ** (k - 1), 2 ** k - 1
-    if n <= lo:
-        return 0
-    return min(hi, n - 1) - lo + 1
+    first = 0 if k == 1 else full  # lowest join index with label length k
+    return max(0, min(n - first, full))
 
 
-def _validate(label: object) -> None:
+def _validate(label: object) -> Label:
     if not is_valid_label(label):
         raise ValueError(f"invalid label: {label!r}")
+    return label  # type: ignore[return-value]

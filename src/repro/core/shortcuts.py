@@ -33,13 +33,16 @@ from repro.core.labels import (
     label_from_r,
     label_length,
     r_value,
+    scaled_r,
 )
 
 
 def _reflect(neighbor: Label, own: Label) -> Label:
-    """The label ``s`` with ``r(s) = 2·r(neighbor) − r(own) (mod 1)``."""
-    value = (2 * r_value(neighbor) - r_value(own)) % 1
-    return label_from_r(value)
+    """The canonical label ``s`` with ``r(s) = 2·r(neighbor) − r(own) (mod 1)``,
+    in integers scaled to the longer of the two (already validated) labels."""
+    bits = max(len(neighbor), len(own))
+    value = (2 * scaled_r(neighbor, bits) - scaled_r(own, bits)) % (1 << bits)
+    return format(value, f"0{bits}b").rstrip("0") or "0"
 
 
 def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label],
@@ -59,9 +62,9 @@ def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label],
         return []
     result: List[Label] = []
     current = neighbor
-    own_len = label_length(own)
+    own_len = len(own)
     for _ in range(max_steps):
-        if label_length(current) <= own_len:
+        if len(current) <= own_len:
             # The neighbour itself is not longer than us: nothing to derive on
             # this side (its edge is already a ring edge).
             if current == neighbor:
@@ -69,7 +72,7 @@ def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label],
             break
         current = _reflect(current, own)
         result.append(current)
-        if label_length(current) <= own_len:
+        if len(current) <= own_len:
             break
     return result
 

@@ -17,14 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.core.labels import (
-    Label,
-    label_length,
-    label_of,
-    labels_up_to,
-    max_level,
-    r_value,
-)
+from repro.core.labels import Label, label_of, labels_up_to, max_level, r_value, ring_key
 from repro.core.shortcuts import shortcut_labels
 
 Edge = Tuple[int, int]
@@ -47,18 +40,25 @@ class SkipRingTopology:
             lbl: i for i, lbl in enumerate(self.labels)
         }
         self.top_level = max_level(n)
+        self._order: Optional[List[int]] = None
+        self._position: Dict[int, int] = {}
         self._ring_edges: Optional[Set[Edge]] = None
         self._shortcut_edges: Optional[Dict[int, Set[Edge]]] = None
 
     # ------------------------------------------------------------------ rings
+    def _full_order(self) -> List[int]:
+        """The full ring order (and the ``node → position`` map), sorted once:
+        the topology is immutable, so every per-node query shares it."""
+        if self._order is None:
+            self._order = sorted(range(self.n), key=lambda i: ring_key(self.labels[i]))
+            self._position = {node: pos for pos, node in enumerate(self._order)}
+        return self._order
+
     def ring_order(self, level: Optional[int] = None) -> List[int]:
-        """Node indices sorted by ring position, restricted to ``K_level``
-        (nodes with label length ≤ level).  ``None`` means all nodes."""
-        if level is None:
-            members = range(self.n)
-        else:
-            members = [i for i in range(self.n) if label_length(self.labels[i]) <= level]
-        return sorted(members, key=lambda i: r_value(self.labels[i]))
+        """Node indices sorted by ring position within ``K_level`` (label length
+        ≤ level; ``None``: all nodes) — a filtered copy of the one cached order."""
+        return [i for i in self._full_order()
+                if level is None or len(self.labels[i]) <= level]
 
     @staticmethod
     def _cycle_edges(order: List[int]) -> Set[Edge]:
@@ -66,14 +66,12 @@ class SkipRingTopology:
         m = len(order)
         if m <= 1:
             return set()
-        if m == 2:
-            return {_norm(order[0], order[1])}
         return {_norm(order[i], order[(i + 1) % m]) for i in range(m)}
 
     def ring_edges(self) -> Set[Edge]:
         """``E_R``: edges between consecutive nodes in the full ring."""
         if self._ring_edges is None:
-            self._ring_edges = self._cycle_edges(self.ring_order())
+            self._ring_edges = self._cycle_edges(self._full_order())
         return set(self._ring_edges)
 
     def shortcut_edges_by_level(self) -> Dict[int, Set[Edge]]:
@@ -91,7 +89,7 @@ class SkipRingTopology:
                     if edge in ring:
                         continue
                     u, v = edge
-                    lvl = max(label_length(self.labels[u]), label_length(self.labels[v]))
+                    lvl = max(len(self.labels[u]), len(self.labels[v]))
                     by_level[lvl].add(edge)
             self._shortcut_edges = dict(by_level)
         return {lvl: set(edges) for lvl, edges in self._shortcut_edges.items()}
@@ -112,8 +110,8 @@ class SkipRingTopology:
 
     def ring_neighbors(self, node: int) -> Tuple[int, int]:
         """(predecessor, successor) of ``node`` on the full ring."""
-        order = self.ring_order()
-        pos = order.index(node)
+        order = self._full_order()
+        pos = self._position[node]
         return order[pos - 1], order[(pos + 1) % len(order)]
 
     def neighbors(self, node: int) -> Set[int]:
@@ -168,22 +166,17 @@ class SkipRingTopology:
         * ``shortcuts`` maps shortcut labels (as computed locally by the
           protocol from the ring-neighbour labels) to node indices.
         """
-        order = self.ring_order()
-        pos = order.index(node)
-        own_label = self.labels[node]
-        pred = order[pos - 1] if pos > 0 else None
-        succ = order[pos + 1] if pos + 1 < len(order) else None
+        order, pos, last = self._full_order(), self._position[node], self.n - 1
+        before, after = order[pos - 1], order[(pos + 1) % self.n]  # cyclic neighbours
+        pred = before if pos > 0 else None
+        succ = after if pos < last else None
         ring: Optional[int] = None
-        if self.n >= 2:
-            if pos == 0:
-                ring = order[-1]
-            elif pos == len(order) - 1:
-                ring = order[0]
-        pred_label = self.labels[pred] if pred is not None else (
-            self.labels[ring] if ring is not None and pos == 0 else None)
-        succ_label = self.labels[succ] if succ is not None else (
-            self.labels[ring] if ring is not None and pos == len(order) - 1 else None)
-        targets = shortcut_labels(own_label, pred_label, succ_label)
+        if last > 0 and (pred is None or succ is None):
+            ring = before if pred is None else after
+        own_label = self.labels[node]
+        # Shortcuts derive from the cyclic neighbours, whichever variable holds them.
+        around = (self.labels[before], self.labels[after]) if last > 0 else (None, None)
+        targets = shortcut_labels(own_label, *around)
         shortcuts = {
             lbl: self.index_by_label[lbl]
             for lbl in targets

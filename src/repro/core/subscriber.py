@@ -25,14 +25,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from repro.core import messages as msg
 from repro.core.config import ProtocolParams
-from repro.core.labels import (
-    Label,
-    is_valid_label,
-    label_length,
-    linear_distance,
-    r_value,
-)
-from repro.core.shortcuts import shortcut_labels, shortcut_labels_from_neighbor
+from repro.core.labels import Label, closer, is_valid_label, ring_key
+from repro.core.shortcuts import shortcut_labels_from_neighbor
 from repro.pubsub.antientropy import (
     handle_check_and_publish,
     handle_check_trie,
@@ -61,7 +55,7 @@ class TopicView:
 
     __slots__ = ("owner", "topic", "subscribed", "pending_unsubscribe", "label",
                  "left", "right", "ring", "shortcuts", "trie",
-                 "config_change_count", "_last_config_state")
+                 "config_change_count", "_last_config_state", "_chain_memo")
 
     def __init__(self, owner: "Subscriber", topic: str, subscribed: bool) -> None:
         self.owner = owner
@@ -76,6 +70,9 @@ class TopicView:
         self.trie = PatriciaTrie(key_bits=owner.params.publication_key_bits)
         #: number of SetData messages that actually changed label or neighbours
         self.config_change_count = 0
+        #: the last ``(own, left, right)`` label triple and its two shortcut
+        #: chains — in a legitimate state the triple does not change
+        self._chain_memo: Optional[Tuple[Tuple, List[Label], List[Label]]] = None
 
     # ------------------------------------------------------------- shorthands
     @property
@@ -103,7 +100,7 @@ class TopicView:
         if self.left is not None:
             return self.left
         if self.ring is not None and self.label is not None and \
-                r_value(self.ring.label) > r_value(self.label):
+                ring_key(self.ring.label) > ring_key(self.label):
             return self.ring
         return None
 
@@ -112,7 +109,7 @@ class TopicView:
         if self.right is not None:
             return self.right
         if self.ring is not None and self.label is not None and \
-                r_value(self.ring.label) < r_value(self.label):
+                ring_key(self.ring.label) < ring_key(self.label):
             return self.ring
         return None
 
@@ -176,12 +173,12 @@ class TopicView:
         """Re-linearize neighbours that are on the wrong side of our label and
         ring pointers that should not exist (Algorithms 1–2 Timeout)."""
         assert self.label is not None
-        own = r_value(self.label)
-        if self.left is not None and r_value(self.left.label) >= own:
+        own = ring_key(self.label)
+        if self.left is not None and ring_key(self.left.label) >= own:
             stale = self.left
             self.left = None
             self._integrate(stale.label, stale.ref)
-        if self.right is not None and r_value(self.right.label) <= own:
+        if self.right is not None and ring_key(self.right.label) <= own:
             stale = self.right
             self.right = None
             self._integrate(stale.label, stale.ref)
@@ -220,7 +217,7 @@ class TopicView:
                 self.send_supervisor(msg.GET_CONFIGURATION, node=self.node_id)
                 self.owner.configuration_requests += 1
             return
-        probability = self.params.request_probability(label_length(self.label))
+        probability = self.params.request_probability(len(self.label))
         if self.rng.random() < probability:
             self.send_supervisor(msg.GET_CONFIGURATION, node=self.node_id)
             self.owner.configuration_requests += 1
@@ -228,15 +225,23 @@ class TopicView:
     # ------------------------------------------------------------- shortcuts
     def _maintain_shortcuts(self) -> None:
         """Recompute expected shortcut labels, prune stale entries, and
-        introduce our own-level neighbours to each other (Section 3.2.2)."""
+        introduce our own-level neighbours to each other (Section 3.2.2).
+
+        The two shortcut chains are a pure function of the label triple
+        ``(own, left, right)``; they are derived once per Timeout, and not at
+        all while the triple is the one the view saw last."""
         assert self.label is not None
         left_nb = self.effective_left()
         right_nb = self.effective_right()
-        expected = shortcut_labels(
-            self.label,
-            left_nb.label if left_nb is not None else None,
-            right_nb.label if right_nb is not None else None,
-        )
+        left = left_nb.label if left_nb is not None else None
+        right = right_nb.label if right_nb is not None else None
+        if self._chain_memo is None or self._chain_memo[0] != (self.label, left, right):
+            self._chain_memo = ((self.label, left, right),
+                                shortcut_labels_from_neighbor(self.label, left),
+                                shortcut_labels_from_neighbor(self.label, right))
+        _, left_chain, right_chain = self._chain_memo
+        expected = {*left_chain, *right_chain}
+        expected.discard(self.label)
         # Prune entries whose label we no longer expect; delegate their refs
         # into the ring so the references are not lost.
         for stale_label in [lbl for lbl in self.shortcuts if lbl not in expected]:
@@ -249,11 +254,11 @@ class TopicView:
         for wanted in sorted(expected):
             self.shortcuts.setdefault(wanted, None)
 
-        self._introduce_own_level_pair(expected, left_nb, right_nb)
+        self._introduce_own_level_pair(left_nb, left_chain, right_nb, right_chain)
 
-    def _introduce_own_level_pair(self, expected: Set[Label],
-                                  left_nb: Optional[Neighbor],
-                                  right_nb: Optional[Neighbor]) -> None:
+    def _introduce_own_level_pair(self, left_nb: Optional[Neighbor], left_chain: List[Label],
+                                  right_nb: Optional[Neighbor], right_chain: List[Label],
+                                  ) -> None:
         """A node of level ``k = |label|`` introduces its two neighbours in the
         level-``k`` ring to each other (Algorithm 4, lines 12–14).
 
@@ -263,10 +268,9 @@ class TopicView:
         """
         assert self.label is not None
         pair: List[Neighbor] = []
-        for nb in (left_nb, right_nb):
+        for nb, chain in ((left_nb, left_chain), (right_nb, right_chain)):
             if nb is None:
                 continue
-            chain = shortcut_labels_from_neighbor(self.label, nb.label)
             if chain:
                 target_label = chain[-1]
                 ref = self.shortcuts.get(target_label)
@@ -290,8 +294,8 @@ class TopicView:
         if self.label is None:
             self.send(cand_ref, msg.REMOVE_CONNECTIONS, node=self.node_id)
             return
-        own = r_value(self.label)
-        cand_r = r_value(cand_label)
+        own = ring_key(self.label)
+        cand_r = ring_key(cand_label)
         if cand_r == own:
             # Two nodes claiming the same ring position: only the supervisor
             # can resolve this; ask it to refresh the other node.
@@ -315,9 +319,7 @@ class TopicView:
             if current.label != cand_label:
                 setattr(self, side, Neighbor(cand_label, cand_ref))
             return
-        own = r_value(self.label)
-        cand_closer = abs(r_value(cand_label) - own) < abs(r_value(current.label) - own)
-        if cand_closer:
+        if closer(cand_label, current.label, self.label):
             setattr(self, side, Neighbor(cand_label, cand_ref))
             # Delegate the displaced neighbour to the new, closer one.
             self.send(cand_ref, msg.LINEARIZE, node=current.ref, label=current.label)
@@ -329,9 +331,7 @@ class TopicView:
         """Handle an introduction flagged CYC: the sender believes we are an
         endpoint of the sorted list and it is our wrap-around partner."""
         assert self.label is not None
-        own = r_value(self.label)
-        cand_r = r_value(cand_label)
-        if cand_r > own:
+        if ring_key(cand_label) > ring_key(self.label):
             # The candidate is larger, so we would be the minimum.
             if self.left is None:
                 self._keep_farthest_ring(cand_label, cand_ref, prefer_larger=True)
@@ -350,8 +350,8 @@ class TopicView:
         if self.ring is None or self.ring.ref == cand_ref:
             self.ring = Neighbor(cand_label, cand_ref)
             return
-        current_r = r_value(self.ring.label)
-        cand_r = r_value(cand_label)
+        current_r = ring_key(self.ring.label)
+        cand_r = ring_key(cand_label)
         keep_candidate = cand_r > current_r if prefer_larger else cand_r < current_r
         if keep_candidate:
             loser = self.ring
@@ -368,14 +368,10 @@ class TopicView:
             return
         if believed != self.label:
             self.send(node, msg.CORRECT_LABEL, node=self.node_id, label=self.label)
-        if not is_valid_label(label):
-            return
-        self._integrate(label, node, cyc=(flag == msg.FLAG_CYC))
+        self._integrate(label, node, cyc=(flag == msg.FLAG_CYC))  # checks ``label``
 
     def handle_linearize(self, node: NodeRef, label: Label) -> None:
-        if not is_valid_label(label):
-            return
-        self._integrate(label, node)
+        self._integrate(label, node)  # checks ``label``
 
     def handle_correct_label(self, node: NodeRef, label: Label) -> None:
         """A neighbour told us its actual label differs from what we stored."""
@@ -432,6 +428,8 @@ class TopicView:
             # stale message): ask the supervisor to take us out again.
             self.send_supervisor(msg.UNSUBSCRIBE, node=self.node_id)
             return
+        if not is_valid_label(label):
+            return  # a forged SetData: ingress is where labels are checked
         pred_nb = _as_neighbor(pred)
         succ_nb = _as_neighbor(succ)
         changed = self.label != label
@@ -443,7 +441,7 @@ class TopicView:
                 continue
             if current.ref in (proposed.ref, self.node_id):
                 continue
-            if linear_distance(current.label, label) <= linear_distance(proposed.label, label):
+            if not closer(proposed.label, current.label, label):
                 self.send_supervisor(msg.GET_CONFIGURATION, node=current.ref)
         self.label = label
         displaced: List[Neighbor] = []
@@ -476,8 +474,8 @@ class TopicView:
         displaced: List[Neighbor] = []
         if proposed is None or proposed.ref == self.node_id:
             return displaced
-        own = r_value(self.label)
-        proposed_r = r_value(proposed.label)
+        own = ring_key(self.label)
+        proposed_r = ring_key(proposed.label)
         wrap = proposed_r > own if is_pred else proposed_r < own
         if wrap:
             if self.ring is not None and self.ring.ref != proposed.ref:

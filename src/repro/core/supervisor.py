@@ -18,8 +18,9 @@ The supervisor never participates in publication dissemination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, insort
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core import messages as msg
 from repro.core.config import ProtocolParams
@@ -27,8 +28,9 @@ from repro.core.labels import (
     Label,
     index_of,
     is_canonical_label,
+    is_valid_label,
     label_of,
-    r_value,
+    ring_key,
 )
 from repro.sim.node import NodeRef, ProtocolNode
 
@@ -36,109 +38,153 @@ from repro.sim.node import NodeRef, ProtocolNode
 Entry = Tuple[Label, NodeRef]
 
 
-@dataclass
-class TopicDatabase:
-    """Per-topic supervisor state: the label → subscriber map and the
-    round-robin pointer used by the periodic Timeout."""
+#: An entry as the ring order sees it: ``(invalid?, ring key, insertion number,
+#: label)``.  Invalid labels go last and ties (equal ``r``, or two invalid
+#: labels) keep insertion order — what a stable sort of the ``entries`` dict by
+#: ``r`` gives.  The insertion number is unique, so items never compare labels.
+_Item = Tuple[int, str, int, Label]
 
-    entries: Dict[Label, Optional[NodeRef]] = field(default_factory=dict)
-    next_index: int = 0
+
+class TopicDatabase:
+    """Per-topic supervisor state: the label → subscriber map, its ring order
+    and the round-robin pointer used by the periodic Timeout.
+
+    ``entries`` is a read-only view; every write goes through :meth:`put`,
+    :meth:`remove` or :meth:`clear`, which keep two indexes in step with it:
+    the entries that hold a subscriber as a bisect-maintained list in ring
+    order (a configuration is one bisect plus two neighbours, Theorem 7's
+    constant join work) and ``subscriber → labels`` (``label_for`` and the
+    duplicate checks are lookups).  All four corruption conditions of
+    Section 3.1 — ``None`` references, one subscriber under several labels,
+    holes, out-of-range / non-canonical / invalid labels — stay representable.
+    """
+
+    def __init__(self, entries: Optional[Mapping[Label, Optional[NodeRef]]] = None,
+                 next_index: int = 0) -> None:
+        self._entries: Dict[Label, Optional[NodeRef]] = {}
+        self.entries: Mapping[Label, Optional[NodeRef]] = MappingProxyType(self._entries)
+        self.next_index = next_index
+        self._inserted = 0
+        self._item: Dict[Label, _Item] = {}
+        self._order: List[_Item] = []
+        self._labels_of: Dict[Optional[NodeRef], List[Label]] = {}
+        for label, ref in (entries or {}).items():
+            self.put(label, ref)
+
+    # ----------------------------------------------------------------- writes
+    def put(self, label: Label, ref: Optional[NodeRef]) -> None:
+        """``entries[label] = ref``.  Overwriting keeps the label's place in
+        the order, as it keeps its place in the dict."""
+        if label in self._entries:
+            self._unlink(label)
+        else:
+            self._inserted += 1
+            self._item[label] = ((0, ring_key(label), self._inserted, label)
+                                 if is_valid_label(label) else (1, "", self._inserted, label))
+        self._entries[label] = ref
+        self._labels_of.setdefault(ref, []).append(label)
+        if ref is not None:
+            insort(self._order, self._item[label])
+
+    def remove(self, label: Label) -> None:
+        """``del entries[label]`` (``KeyError`` if absent)."""
+        self._unlink(label)
+        del self._entries[label], self._item[label]
+
+    def clear(self) -> None:
+        for index in (self._entries, self._item, self._order, self._labels_of):
+            index.clear()
+
+    def _unlink(self, label: Label) -> None:
+        ref = self._entries[label]
+        owned = self._labels_of[ref]
+        owned.remove(label)
+        if not owned:
+            del self._labels_of[ref]
+        if ref is not None:
+            del self._order[bisect_left(self._order, self._item[label])]
 
     # ------------------------------------------------------------------ views
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def members(self) -> List[NodeRef]:
-        return [ref for ref in self.entries.values() if ref is not None]
+        return [ref for ref in self._entries.values() if ref is not None]
 
     def label_for(self, node: NodeRef) -> Optional[Label]:
-        for label, ref in self.entries.items():
-            if ref == node:
-                return label
-        return None
+        """The label ``node`` holds (the earliest inserted, if several)."""
+        owned = self._labels_of.get(node)
+        return min(owned, key=lambda label: self._item[label][2]) if owned else None
 
     def sorted_entries(self) -> List[Entry]:
-        """Entries sorted by ring position ``r(label)`` (corrupted labels that
-        are not valid bit strings sort last)."""
-        def key(item: Tuple[Label, Optional[NodeRef]]):
-            label = item[0]
-            try:
-                return (0, r_value(label))
-            except ValueError:
-                return (1, 0)
-
-        return [(label, ref) for label, ref in sorted(self.entries.items(), key=key)
-                if ref is not None]
-
-    # --------------------------------------------------------------- mutation
-    def is_corrupted(self) -> bool:
-        """True if any of the four corruption conditions of Section 3.1 holds."""
-        if any(ref is None for ref in self.entries.values()):
-            return True  # (i) tuple without a subscriber
-        refs = [ref for ref in self.entries.values() if ref is not None]
-        if len(refs) != len(set(refs)):
-            return True  # (ii) one subscriber under several labels
-        wanted = {label_of(i) for i in range(self.n)}
-        present = set(self.entries)
-        if wanted - present:
-            return True  # (iii) labels missing
-        if present - wanted:
-            return True  # (iv) labels out of range / non-canonical
-        return False
-
-    def check_multiple_copies(self, node: NodeRef) -> None:
-        """Remove duplicate tuples for ``node``, keeping the lowest label
-        (Algorithm 3, CheckMultipleCopies)."""
-        owned = [label for label, ref in self.entries.items() if ref == node]
-        if len(owned) <= 1:
-            return
-        owned.sort(key=_label_sort_key)
-        for label in owned[1:]:
-            del self.entries[label]
-
-    def repair_labels(self, crashed: Optional[List[NodeRef]] = None) -> None:
-        """CheckLabels (Algorithm 3) extended with crash removal (Section 3.3).
-
-        Restores the invariant that the database contains exactly the labels
-        ``l(0), ..., l(n-1)``, each held by a distinct live subscriber.
-        """
-        # (i) drop tuples without a subscriber, and crashed subscribers.
-        crashed_set = set(crashed or [])
-        for label in [lbl for lbl, ref in self.entries.items()
-                      if ref is None or ref in crashed_set]:
-            del self.entries[label]
-        # (ii) drop duplicate subscribers (keep lowest label per subscriber).
-        seen: Dict[NodeRef, Label] = {}
-        for label in sorted(self.entries, key=_label_sort_key):
-            ref = self.entries[label]
-            assert ref is not None
-            if ref in seen:
-                del self.entries[label]
-            else:
-                seen[ref] = label
-        # (iii)/(iv) move out-of-range labels into the holes 0..n-1.
-        n = len(self.entries)
-        wanted = [label_of(i) for i in range(n)]
-        missing = [w for w in wanted if w not in self.entries]
-        extras = sorted((label for label in self.entries if label not in set(wanted)),
-                        key=_label_sort_key, reverse=True)
-        for hole, extra in zip(missing, extras):
-            ref = self.entries.pop(extra)
-            self.entries[hole] = ref
+        """Entries that hold a subscriber, by ring position ``r(label)``
+        (corrupted labels that are not valid bit strings last)."""
+        return [(item[3], self._entries[item[3]]) for item in self._order]
 
     def configuration_for(self, label: Label) -> Tuple[Optional[Entry], Optional[Entry]]:
         """(pred, succ) of the entry holding ``label`` on the cyclic ring
         induced by the database ordering.  ``None`` values are returned for a
         single-entry database."""
-        ordered = self.sorted_entries()
-        if len(ordered) <= 1:
+        order = self._order
+        if len(order) <= 1:
             return None, None
-        labels = [entry[0] for entry in ordered]
-        pos = labels.index(label)
-        pred = ordered[pos - 1]
-        succ = ordered[(pos + 1) % len(ordered)]
-        return pred, succ
+        item = self._item[label]
+        pos = bisect_left(order, item)
+        if pos == len(order) or order[pos] is not item:
+            raise ValueError(f"{label!r} holds no subscriber")
+        pred, succ = order[pos - 1][3], order[(pos + 1) % len(order)][3]
+        return (pred, self._entries[pred]), (succ, self._entries[succ])
+
+    # ----------------------------------------------------------------- repair
+    def is_corrupted(self) -> bool:
+        """True if any of the four corruption conditions of Section 3.1 holds."""
+        return (None in self._labels_of  # (i) tuple without a subscriber
+                # (ii) one subscriber under several labels
+                or len(self._labels_of) != len(self._entries)
+                # (iii)/(iv) among n labels, one of l(0..n-1) missing means
+                # another is out of range or non-canonical
+                or bool(self._missing_labels()))
+
+    def _missing_labels(self) -> List[Label]:
+        """The holes: labels of ``l(0), ..., l(n-1)`` the database lacks."""
+        entries = self._entries
+        return [label for label in map(label_of, range(len(entries))) if label not in entries]
+
+    def check_multiple_copies(self, node: NodeRef) -> None:
+        """Remove duplicate tuples for ``node``, keeping the lowest label
+        (Algorithm 3, CheckMultipleCopies)."""
+        owned = self._labels_of.get(node, ())
+        if len(owned) > 1:
+            for label in sorted(owned, key=_label_sort_key)[1:]:
+                self.remove(label)
+
+    def repair_labels(self, crashed: Optional[List[NodeRef]] = None) -> None:
+        """CheckLabels (Algorithm 3) extended with crash removal (Section 3.3).
+
+        Restores the invariant that the database contains exactly the labels
+        ``l(0), ..., l(n-1)``, each held by a distinct live subscriber.  On an
+        uncorrupted, crash-free database this is one O(n) scan for holes and
+        no sort.
+        """
+        # (i) drop tuples without a subscriber, and crashed subscribers.
+        for ref in (None, *(crashed or ())):
+            for label in list(self._labels_of.get(ref, ())):
+                self.remove(label)
+        # (ii) drop duplicate subscribers (keep lowest label per subscriber).
+        if len(self._labels_of) != len(self._entries):
+            for ref in [ref for ref, owned in self._labels_of.items() if len(owned) > 1]:
+                self.check_multiple_copies(ref)
+        # (iii)/(iv) move out-of-range labels into the holes 0..n-1.
+        missing = self._missing_labels()
+        if missing:
+            wanted = set(map(label_of, range(len(self._entries))))
+            extras = sorted((label for label in self._entries if label not in wanted),
+                            key=_label_sort_key, reverse=True)
+            for hole, extra in zip(missing, extras):
+                ref = self._entries[extra]
+                self.remove(extra)
+                self.put(hole, ref)
 
     def next_label(self) -> Label:
         """The label the next joining subscriber receives: ``l(n)``."""
@@ -234,7 +280,7 @@ class Supervisor(ProtocolNode):
             self._send_configuration(node, existing, db, topic)
         else:
             label = db.next_label()
-            db.entries[label] = node
+            db.put(label, node)
             self._send_configuration(node, label, db, topic)
         self.ops_handled += 1
         self.op_response_messages += self.config_messages_sent - before_sent
@@ -253,14 +299,14 @@ class Supervisor(ProtocolNode):
             last_label = label_of(n - 1)
             if n > 1 and label != last_label:
                 mover = db.entries.get(last_label)
-                del db.entries[last_label]
-                del db.entries[label]
+                db.remove(last_label)
+                db.remove(label)
                 if mover is not None:
-                    db.entries[label] = mover
+                    db.put(label, mover)
                     pred, succ = db.configuration_for(label)
                     self._send_set_data(mover, pred, label, succ, topic)
             else:
-                del db.entries[label]
+                db.remove(label)
         # Permission for the departing subscriber to clear its state.
         self._send_set_data(node, None, None, None, topic)
         self.ops_handled += 1

@@ -129,26 +129,26 @@ def corrupt_supervisor_database(system: SupervisedPubSub, subscribers: List[Subs
     topic = topic or system.params.default_topic
     rng = random.Random(config.seed * 104729 + 7)
     db = system.supervisor.database(topic)
-    db.entries.clear()
+    db.clear()
     ids = [s.node_id for s in subscribers]
     if config.database_mode == "empty":
         return
     if config.database_mode == "correct":
         for index, node_id in enumerate(ids):
-            db.entries[label_of(index)] = node_id
+            db.put(label_of(index), node_id)
         return
     if config.database_mode == "partial":
         sample = rng.sample(ids, max(1, len(ids) // 2))
         for index, node_id in enumerate(sample):
-            db.entries[label_of(index)] = node_id
+            db.put(label_of(index), node_id)
         return
     # corrupted: exercise all four corruption conditions of Section 3.1
     sample = rng.sample(ids, max(2, len(ids) // 2))
     for index, node_id in enumerate(sample):
-        db.entries[label_of(index)] = node_id
-    db.entries[label_of(len(sample) + 3)] = sample[0]          # (ii) duplicate subscriber
-    db.entries[label_of(len(sample) + 5)] = None                # (i) tuple without subscriber
-    db.entries[_random_label(rng, config.max_random_label_bits) * 2 + "1"] = sample[-1]
+        db.put(label_of(index), node_id)
+    db.put(label_of(len(sample) + 3), sample[0])          # (ii) duplicate subscriber
+    db.put(label_of(len(sample) + 5), None)                # (i) tuple without subscriber
+    db.put(_random_label(rng, config.max_random_label_bits) * 2 + "1", sample[-1])
     # (iii) holes arise implicitly because we skipped labels above; (iv) the
     # out-of-range labels were just inserted.
 

@@ -389,3 +389,66 @@ class TestSlotsAndCompat:
         sim.nodes[1].send(2, "Echo", topic="news", value=42)
         sim.run_for(5.0)
         assert received == [(42, "news")]
+
+
+class TestProtocolPathStaysFractionFree:
+    """The PR 14 contract: ``Fraction`` / ``r_value`` are the specification
+    and the test oracle; no handler, the supervisor database and the
+    legitimacy oracle never touch them, and a join never sorts the database."""
+
+    def test_stabilize_maintain_and_recover_without_fraction(self, monkeypatch):
+        from repro.api import builder
+        import repro.analysis.convergence as convergence
+        import repro.core.labels as labels
+        import repro.core.shortcuts as shortcuts
+        import repro.core.skip_ring as skip_ring
+        import repro.core.subscriber as subscriber
+        import repro.core.supervisor as supervisor
+
+        def off_the_path(*args, **kwargs):
+            raise AssertionError("Fraction algebra reached from the protocol path")
+
+        for module in (labels, shortcuts, skip_ring, subscriber, supervisor, convergence):
+            for name in ("r_value", "label_from_r", "r_float", "linear_distance",
+                         "ring_distance", "Fraction"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, off_the_path)
+
+        system = builder.build_system(SystemSpec(seed=14))
+        peers = [system.add_subscriber() for _ in range(64)]
+        assert system.run_until_legitimate()
+        system.run_rounds(10)
+        assert system.is_legitimate()
+        system.crash(peers[17])
+        assert not system.is_legitimate()
+        assert system.run_until_legitimate()
+        assert len(system.members()) == 63
+
+    def test_a_join_does_not_sort_the_database(self, monkeypatch):
+        import repro.core.supervisor as supervisor_module
+
+        sim = Simulator(SimulatorConfig(seed=3))
+        supervisor = supervisor_module.Supervisor(0)
+        sim.add_node(supervisor, schedule_timeout=False)
+        for node in range(1, 257):
+            supervisor.on_Subscribe(node)
+
+        calls = []
+
+        def counting_sorted(*args, **kwargs):
+            calls.append(args)
+            return sorted(*args, **kwargs)
+
+        # A module global shadows the builtin for code in that module only.
+        monkeypatch.setattr(supervisor_module, "sorted", counting_sorted, raising=False)
+        for node in range(257, 289):
+            supervisor.on_Subscribe(node)
+            supervisor.on_GetConfiguration(node)
+        supervisor.on_Unsubscribe(5)
+        supervisor.on_timeout()  # CheckLabels on an uncorrupted database
+        assert calls == []
+        db = supervisor.database()
+        assert db.n == 287 and not db.is_corrupted()
+        db.put("0100", 5)  # non-canonical: now the repair has something to sort
+        supervisor.on_timeout()
+        assert calls and not db.is_corrupted()

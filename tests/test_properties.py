@@ -1,19 +1,27 @@
 """Property-based tests (hypothesis) for the core data structures and invariants."""
 
 
+from fractions import Fraction
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.labels import (
+    closer,
+    compare,
     index_of,
+    is_valid_label,
     label_from_r,
     label_length,
     label_of,
+    linear_distance,
     max_level,
     r_value,
+    ring_distance,
+    ring_key,
     sort_by_r,
 )
-from repro.core.shortcuts import shortcut_labels, shortcut_labels_closed_form
+from repro.core.shortcuts import _reflect, shortcut_labels, shortcut_labels_closed_form
 from repro.core.skip_ring import SkipRingTopology
 from repro.core.supervisor import TopicDatabase
 from repro.pubsub.antientropy import reconcile_once
@@ -56,6 +64,50 @@ def test_sort_by_r_is_total_order(indices):
     ordered = sort_by_r(labels)
     values = [r_value(lbl) for lbl in ordered]
     assert values == sorted(values)
+
+
+# ------------------------------------- the fast algebra vs the Fraction spec
+# Arbitrary valid labels: long, non-canonical, with trailing zeros.  The
+# protocol path orders by ``ring_key`` and measures in scaled integers;
+# ``r_value`` (exact fractions) is the specification both must agree with.
+any_label = st.text(alphabet="01", min_size=1, max_size=200)
+# Short labels collide in ``r`` often ('1' / '10' / '100'), so ties get drawn.
+short_label = st.text(alphabet="01", min_size=1, max_size=5)
+
+
+@given(any_label | short_label, any_label | short_label)
+def test_ring_key_orders_exactly_like_r_value(a, b):
+    ra, rb = r_value(a), r_value(b)
+    assert (ring_key(a) < ring_key(b)) == (ra < rb)
+    assert (ring_key(a) == ring_key(b)) == (ra == rb)
+    assert compare(a, b) == (ra > rb) - (ra < rb)
+
+
+@given(st.lists(any_label | short_label, max_size=12))
+def test_sort_by_r_is_the_stable_sort_by_r_value(labels):
+    assert sort_by_r(labels) == sorted(labels, key=r_value)
+
+
+@given(any_label | short_label, any_label | short_label, any_label | short_label)
+def test_integer_distances_match_the_fraction_spec(a, b, origin):
+    ra, rb, ro = r_value(a), r_value(b), r_value(origin)
+    assert closer(a, b, origin) == (abs(ra - ro) < abs(rb - ro))
+    assert linear_distance(a, b) == abs(ra - rb)
+    assert ring_distance(a, b) == min(abs(ra - rb), 1 - abs(ra - rb))
+    assert isinstance(linear_distance(a, b), Fraction)
+
+
+@given(any_label | short_label, any_label | short_label)
+def test_integer_reflect_matches_the_fraction_spec(neighbor, own):
+    assert _reflect(neighbor, own) == label_from_r((2 * r_value(neighbor) - r_value(own)) % 1)
+
+
+@given(st.one_of(st.text(max_size=8), st.text(alphabet="01٠١１²", max_size=8),
+                 st.none(), st.integers(), st.binary(max_size=4)))
+def test_is_valid_label_is_the_char_by_char_definition(candidate):
+    expected = (isinstance(candidate, str) and len(candidate) > 0
+                and all(c in "01" for c in candidate))
+    assert is_valid_label(candidate) == expected
 
 
 # --------------------------------------------------------------- shortcuts

@@ -1,5 +1,9 @@
 """Unit tests for the supervisor protocol and database repair (Section 3.1)."""
 
+import random
+from fractions import Fraction
+
+import pytest
 
 from repro.core.config import ProtocolParams
 from repro.core.labels import label_of
@@ -90,6 +94,85 @@ def make_supervisor(params: ProtocolParams | None = None):
     supervisor = Supervisor(0, params=params)
     sim.add_node(supervisor, schedule_timeout=False)
     return sim, supervisor
+
+
+class TestOrderedDatabaseDifferential:
+    """The database's bisect-maintained ring order and ``subscriber → labels``
+    index against what the seed computed from the plain dict on every call:
+    a stable ``sorted()`` over ``Fraction`` keys and linear scans."""
+
+    @staticmethod
+    def _assert_matches_reference(db: TopicDatabase, refs) -> None:
+        entries = dict(db.entries)
+
+        def key(item):
+            label = item[0]
+            valid = isinstance(label, str) and label != "" and set(label) <= {"0", "1"}
+            return (0, Fraction(int(label, 2), 2 ** len(label))) if valid else (1, 0)
+
+        ordered = [item for item in sorted(entries.items(), key=key) if item[1] is not None]
+        assert db.sorted_entries() == ordered
+        assert db.members() == [ref for ref in entries.values() if ref is not None]
+        assert db.n == len(entries)
+        for pos, (label, _) in enumerate(ordered):
+            expected = ((None, None) if len(ordered) <= 1 else
+                        (ordered[pos - 1], ordered[(pos + 1) % len(ordered)]))
+            assert db.configuration_for(label) == expected
+        for ref in refs:
+            assert db.label_for(ref) == next(
+                (label for label, held in entries.items() if held == ref), None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_histories_match_the_sorted_dict_reference(self, seed):
+        rng = random.Random(seed)
+        sim, sup = make_supervisor()
+        db = sup.database()
+        refs = list(range(100, 130)) + [999]  # 999 never joins
+
+        def short_label():  # non-canonical and trailing zeros included: r ties
+            return "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+
+        def step():
+            roll = rng.random()
+            if roll < 0.35:
+                sup.on_Subscribe(rng.choice(refs[:-1]))
+            elif roll < 0.55:
+                try:
+                    sup.on_Unsubscribe(rng.choice(refs))
+                except KeyError:  # l(n-1) is a hole: raised before any write, as
+                    pass          # ``del entries[last_label]`` on the plain dict did
+            elif roll < 0.65:
+                db.repair_labels(crashed=rng.sample(refs, rng.randint(0, 3)))
+            elif roll < 0.70:
+                db.check_multiple_copies(rng.choice(refs))
+            # the four modes of workloads.initial_states.corrupt_supervisor_database
+            elif roll < 0.76:
+                db.put(label_of(db.n + rng.randint(0, 5)), None)               # (i)
+            elif roll < 0.84:
+                db.put(label_of(db.n + rng.randint(0, 5)), rng.choice(refs))   # (ii)/(iv)
+            elif roll < 0.92:
+                db.put(short_label() + rng.choice(("", "0", "00")), rng.choice(refs))
+            elif roll < 0.97:
+                db.put(rng.choice(("", "2", "0x1", "١", "abc", " 1")), rng.choice(refs + [None]))
+            else:
+                db.clear()
+
+        for _ in range(400):
+            step()
+            self._assert_matches_reference(db, refs)
+        db.repair_labels()
+        assert not db.is_corrupted()
+        self._assert_matches_reference(db, refs)
+
+    def test_direct_writes_to_entries_raise(self):
+        db = TopicDatabase(entries={label_of(0): 1})
+        with pytest.raises(TypeError):
+            db.entries[label_of(1)] = 2
+        with pytest.raises(TypeError):
+            del db.entries[label_of(0)]
+        with pytest.raises(AttributeError):
+            db.entries.clear()
+        assert db.entries == {label_of(0): 1}
 
 
 class TestSupervisorHandlers:
