@@ -572,13 +572,16 @@ class TopicView:
             self.send(sender, msg.PUBLISH, pubs=pubs.to_wire())
 
     def handle_publish(self, pubs: List[dict]) -> None:
+        if not isinstance(pubs, (list, tuple)):
+            return
+        trie = self.trie
         for wire in pubs:
             try:
                 publication = Publication.from_wire(wire)
             except (KeyError, ValueError, TypeError):
                 continue
-            if publication.key not in self.trie:
-                self.trie.insert(publication)
+            # A forged key_bits decodes to a key of another length: drop it.
+            if len(publication.key) == trie.key_bits and trie.insert(publication):
                 self.owner.sim.tracer.record(self.owner.now, "publication_received",
                                              node=self.node_id, topic=self.topic,
                                              key=publication.key, via="antientropy")
@@ -588,9 +591,8 @@ class TopicView:
             publication = Publication.from_wire(pub)
         except (KeyError, ValueError, TypeError):
             return
-        if publication.key in self.trie:
-            return
-        self.trie.insert(publication)
+        if len(publication.key) != self.trie.key_bits or not self.trie.insert(publication):
+            return  # forged key_bits (a key of another length), or already stored
         self.owner.sim.tracer.record(self.owner.now, "flood_delivery", node=self.node_id,
                                      topic=self.topic, key=publication.key, hops=hops)
         self._flood(publication, hops=hops + 1, exclude=sender)

@@ -88,7 +88,7 @@ def handle_check_trie(
     reply_tuples: List[Summary] = []
     cap_replies: List[CheckAndPublishRequest] = []
     for label, digest in tuples:
-        if not isinstance(label, str) or any(c not in "01" for c in label):
+        if not isinstance(label, str) or label.strip("01"):
             # Corrupted tuple from an arbitrary initial state: ignore.
             continue
         node = trie.search_node(label)
@@ -122,7 +122,7 @@ def handle_check_and_publish(
     the requester.
     """
     reply, cap_replies = handle_check_trie(trie, tuples)
-    if isinstance(prefix, str) and all(c in "01" for c in prefix):
+    if isinstance(prefix, str) and not prefix.strip("01"):
         to_publish = trie.publications_with_prefix(prefix)
     else:
         to_publish = []

@@ -59,11 +59,6 @@ def node_hash(child_hash_left: str, child_hash_right: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def content_hash(payload: BytesLike) -> str:
-    """Convenience hash of a raw payload (used for deduplication in examples)."""
-    return hashlib.sha256(b"content|" + _to_bytes(payload)).hexdigest()
-
-
 def ring_position(data: BytesLike, salt: BytesLike = b"") -> int:
     """Deterministic 64-bit position on the consistent-hash ring.
 

@@ -9,14 +9,18 @@ binary trie:
   prefix of the children's labels and their hash is
   ``h(h(child_0) ∘ h(child_1))``.
 
-Because hashes are recomputed bottom-up on insertion, two tries hold the same
-publication set if and only if their root hashes are equal (up to hash
-collisions), which is exactly the property the CheckTrie reconciliation
-protocol relies on.
+Hashes are computed when read, not when written.  Invariant: a node's cached
+hash is either absent or the Merkle hash of its current subtree; ``insert``
+clears the cache of every node it descends through, reading ``node.hash``
+fills it (recursion depth at most ``key_bits``).  Every reader goes through
+that one attribute, so two tries hold the same publication set if and only if
+their root hashes are equal (up to hash collisions), which is exactly the
+property the CheckTrie reconciliation protocol relies on.
 """
 
 from __future__ import annotations
 
+from os.path import commonprefix  # character-wise, works on any strings
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.pubsub.hashing import leaf_hash, node_hash
@@ -32,29 +36,32 @@ class TrieNode:
     the paper's convention where ``CheckTrie`` messages carry full labels.
     """
 
-    __slots__ = ("label", "children", "publication", "hash")
+    __slots__ = ("label", "children", "publication", "_hash")
 
     def __init__(self, label: str, publication: Optional[Publication] = None) -> None:
         self.label = label
         self.children: Dict[str, "TrieNode"] = {}
         self.publication = publication
-        self.hash = ""
+        self._hash: Optional[str] = None
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
+    @property
+    def hash(self) -> str:
+        """Merkle hash of this subtree; computed on the first read after a change below."""
+        digest = self._hash
+        if digest is None:
+            children = self.children
+            digest = self._hash = (node_hash(children["0"].hash, children["1"].hash)
+                                   if children else leaf_hash(self.label))
+        return digest
+
     def child_summaries(self) -> List[Summary]:
         """Summaries of the two children in trie order ('0' child first)."""
-        return [(self.children[b].label, self.children[b].hash)
-                for b in sorted(self.children)]
-
-    def recompute_hash(self) -> None:
-        if self.is_leaf:
-            self.hash = leaf_hash(self.label)
-        else:
-            left, right = (self.children[b] for b in sorted(self.children))
-            self.hash = node_hash(left.hash, right.hash)
+        left, right = self.children["0"], self.children["1"]
+        return [(left.label, left.hash), (right.label, right.hash)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else "inner"
@@ -112,11 +119,9 @@ class PatriciaTrie:
         while node is not None:
             if node.label == label:
                 return node
-            if len(node.label) >= len(label):
-                # node.label is at least as long but different: `label` would
-                # have to sit above or beside it; no exact node exists.
-                return None
             if not label.startswith(node.label):
+                # Also the case when node.label is as long or longer: `label`
+                # would sit above or beside it; no exact node exists.
                 return None
             branch = label[len(node.label)]
             node = node.children.get(branch)
@@ -144,12 +149,11 @@ class PatriciaTrie:
         stack = [start]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                if node.publication is not None:
-                    out.append(node.publication)
-            else:
-                stack.extend(node.children[b] for b in sorted(node.children, reverse=True))
-        out.sort(key=lambda p: p.key)
+            if node.children:
+                # The '0' subtree is popped, and finished, first: key order.
+                stack += (node.children["1"], node.children["0"])
+            elif node.publication is not None:
+                out.append(node.publication)
         return out
 
     def iter_nodes(self) -> Iterator[TrieNode]:
@@ -170,7 +174,7 @@ class PatriciaTrie:
         only grows.
         """
         key = publication.key
-        if len(key) != self.key_bits or any(c not in "01" for c in key):
+        if len(key) != self.key_bits or key.strip("01"):
             raise ValueError(
                 f"publication key {key!r} is not a {self.key_bits}-bit binary string")
         if key in self._by_key:
@@ -178,36 +182,27 @@ class PatriciaTrie:
         self._by_key[key] = publication
 
         new_leaf = TrieNode(key, publication)
-        new_leaf.recompute_hash()
-
-        if self.root is None:
+        node = self.root
+        if node is None:
             self.root = new_leaf
             return True
 
-        # Walk down, remembering the path for the bottom-up hash update.
-        path: List[TrieNode] = []
-        node = self.root
-        while True:
-            common = _common_prefix_len(key, node.label)
-            if common == len(node.label) and len(node.label) < len(key) and not node.is_leaf:
-                # node.label is a proper prefix of key: descend.
-                path.append(node)
-                node = node.children[key[common]]
-                continue
-            # Split `node`: create an inner node holding the diverging children.
-            inner = TrieNode(key[:common])
-            inner.children[node.label[common]] = node
-            inner.children[key[common]] = new_leaf
-            inner.recompute_hash()
-            if path:
-                parent = path[-1]
-                parent.children[inner.label[len(parent.label)]] = inner
-            else:
-                self.root = inner
-            break
-
-        for ancestor in reversed(path):
-            ancestor.recompute_hash()
+        # Walk down while node.label is a proper prefix of key; every node
+        # passed gets a new descendant, so its cached hash is now stale.
+        parent: Optional[TrieNode] = None
+        while node.children and key.startswith(node.label):
+            node._hash = None
+            parent = node
+            node = node.children[key[len(node.label)]]
+        # Split above `node`: a new inner node holds the diverging children.
+        common = len(commonprefix((key, node.label)))
+        inner = TrieNode(key[:common])
+        inner.children[node.label[common]] = node
+        inner.children[key[common]] = new_leaf
+        if parent is None:
+            self.root = inner
+        else:
+            parent.children[key[len(parent.label)]] = inner
         return True
 
     def insert_all(self, publications: List[Publication]) -> int:
@@ -233,25 +228,12 @@ class PatriciaTrie:
                 assert node.publication is not None, "leaf without publication"
                 assert node.hash == leaf_hash(node.label), "stale leaf hash"
             else:
-                assert len(node.children) == 2, "inner node without two children"
-                bits = sorted(node.children)
-                assert bits == ["0", "1"], "inner node children keys must be 0/1"
+                assert node.children.keys() == {"0", "1"}, "inner node children must be 0 and 1"
                 for bit, child in node.children.items():
                     assert child.label.startswith(node.label), "child label must extend parent"
                     assert child.label[len(node.label)] == bit, "child stored under wrong bit"
-                left, right = (node.children[b] for b in bits)
+                left, right = node.children["0"], node.children["1"]
                 assert node.hash == node_hash(left.hash, right.hash), "stale inner hash"
-                assert node.label == _common_prefix(left.label, right.label), (
+                assert node.label == commonprefix((left.label, right.label)), (
                     "inner label must be the LCP of its children")
 
-
-def _common_prefix_len(a: str, b: str) -> int:
-    n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n
-
-
-def _common_prefix(a: str, b: str) -> str:
-    return a[: _common_prefix_len(a, b)]

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict
 
 from repro.pubsub.hashing import publication_key
+
+# Wire content -> the one live Publication derived from it.  Weak, so it holds
+# nothing that a trie or an in-flight handler does not already hold.
+_INTERNED: "weakref.WeakValueDictionary[tuple, Publication]" = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -22,6 +28,10 @@ class Publication:
         The ``m``-bit trie key ``h̄_m(publisher, payload)`` as a '0'/'1'
         string.  It is derived deterministically, so any subscriber that
         receives ``(publisher, payload)`` reconstructs the same key.
+
+    :meth:`from_wire` interns: equal wire content yields the same instance
+    for as long as anything holds it, so n tries share one payload.  Its key
+    is only ever derived by the hash; forged content is different content.
     """
 
     publisher: int
@@ -36,15 +46,27 @@ class Publication:
                    key=publication_key(publisher, payload, bits=key_bits))
 
     # ---------------------------------------------------------------- wire fmt
-    def to_wire(self) -> Dict[str, Any]:
-        """Plain-data representation for message parameters."""
+    @cached_property
+    def _wire(self) -> Dict[str, Any]:
         return {"publisher": self.publisher, "payload": self.payload.hex(),
                 "key_bits": len(self.key)}
 
+    def to_wire(self) -> Dict[str, Any]:
+        """Plain-data representation for message parameters.
+
+        Built once and shared by every message that carries this publication:
+        delivered parameters are read-only by contract, do not modify it.
+        """
+        return self._wire
+
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "Publication":
-        payload = bytes.fromhex(data["payload"])
-        return cls.create(int(data["publisher"]), payload, key_bits=int(data["key_bits"]))
+        ident = (int(data["publisher"]), data["payload"], int(data["key_bits"]))
+        publication = _INTERNED.get(ident)
+        if publication is None:
+            publication = cls.create(ident[0], bytes.fromhex(ident[1]), key_bits=ident[2])
+            _INTERNED[ident] = publication
+        return publication
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         text = self.payload[:24]

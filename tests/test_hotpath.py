@@ -4,6 +4,7 @@ failure detector, and the slotted message/node state."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -452,3 +453,88 @@ class TestProtocolPathStaysFractionFree:
         db.put("0100", 5)  # non-canonical: now the repair has something to sort
         supervisor.on_timeout()
         assert calls and not db.is_corrupted()
+
+
+class _CountingHashlib:
+    """Stands in for ``hashlib`` inside ``repro.pubsub.hashing``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sha256(self, data=b""):
+        self.calls += 1
+        return hashlib.sha256(data)
+
+
+class TestPublicationPathBudget:
+    """The PR 15 contract: a trie node is hashed when it is read, a
+    publication is derived once per distinct wire content, and its wire form
+    is built once."""
+
+    @pytest.fixture
+    def sha(self, monkeypatch):
+        import repro.pubsub.hashing as hashing
+        counter = _CountingHashlib()
+        monkeypatch.setattr(hashing, "hashlib", counter)
+        return counter
+
+    def test_inserts_hash_nothing_and_a_read_hashes_each_node_once(self, sha):
+        from repro.pubsub.patricia import PatriciaTrie
+        from repro.pubsub.publications import Publication
+
+        k = 64
+        publications = [Publication.create(1, bytes([i]), key_bits=64) for i in range(k)]
+        trie = PatriciaTrie(key_bits=64)
+        sha.calls = 0
+        for publication in publications:
+            trie.insert(publication)
+        assert sha.calls == 0
+        first = trie.root_summary()
+        assert 0 < sha.calls <= 2 * k - 1  # k leaves, k - 1 inner nodes
+        sha.calls = 0
+        assert trie.root_summary() == first
+        assert sha.calls == 0
+        trie.check_invariants()
+
+    def test_a_stored_publication_is_not_derived_again(self, sha):
+        from repro.core.subscriber import Subscriber
+
+        sim = Simulator(SimulatorConfig(seed=15))
+        node = Subscriber(1, 0)
+        sim.add_node(node, schedule_timeout=False)
+        view = node.view(subscribed=True)
+        wire = {"publisher": 9, "payload": "ab", "key_bits": 64}
+        node.on_PublishNew(pub=dict(wire), hops=1, sender=2)
+        assert len(view.trie) == 1 and sha.calls == 1  # the key derivation
+        sha.calls = 0
+        node.on_PublishNew(pub=dict(wire), hops=2, sender=3)  # equal content, another dict
+        node.on_Publish(pubs=[dict(wire)])
+        assert len(view.trie) == 1 and sha.calls == 0
+
+    def test_one_wire_form_and_one_instance_per_publication(self):
+        from repro.pubsub.publications import Publication
+
+        p = Publication.create(3, b"payload", key_bits=64)
+        assert p.to_wire() is p.to_wire()
+        assert p.to_wire() == {"publisher": 3, "payload": b"payload".hex(), "key_bits": 64}
+        q = Publication.from_wire(p.to_wire())
+        assert q == p
+        assert Publication.from_wire(dict(p.to_wire())) is q
+        assert Publication.from_wire(q.to_wire()) is q
+
+    def test_intern_table_holds_nothing_a_dropped_system_held(self):
+        import gc
+
+        from repro.api import build_stable
+        from repro.pubsub.publications import _INTERNED
+
+        gc.collect()
+        before = set(_INTERNED.keys())
+        system, peers = build_stable(SystemSpec(seed=15), 16)
+        for i, peer in enumerate(peers):
+            system.publish(peer, b"budget-%d" % i)
+        assert system.run_until_publications_converged()
+        assert len(set(_INTERNED.keys()) - before) == len(peers)
+        del system, peers, peer
+        gc.collect()
+        assert set(_INTERNED.keys()) - before == set()

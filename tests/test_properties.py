@@ -25,6 +25,7 @@ from repro.core.shortcuts import _reflect, shortcut_labels, shortcut_labels_clos
 from repro.core.skip_ring import SkipRingTopology
 from repro.core.supervisor import TopicDatabase
 from repro.pubsub.antientropy import reconcile_once
+from repro.pubsub.hashing import leaf_hash, node_hash
 from repro.pubsub.patricia import PatriciaTrie
 from repro.pubsub.publications import Publication
 
@@ -205,6 +206,49 @@ def test_patricia_prefix_query_matches_filter(keys, prefix):
         trie.insert(Publication(1, key.encode(), key))
     expected = sorted(k for k in keys if k.startswith(prefix))
     assert [p.key for p in trie.publications_with_prefix(prefix)] == expected
+
+
+def _eager_hash(node):
+    """The Merkle hash of ``node``'s subtree from scratch, reading no cache."""
+    if not node.children:
+        return leaf_hash(node.label)
+    return node_hash(_eager_hash(node.children["0"]), _eager_hash(node.children["1"]))
+
+
+trie_steps = st.lists(st.tuples(
+    st.sampled_from(["insert", "insert", "root", "node", "children", "invariants"]),
+    st.text(alphabet="01", min_size=8, max_size=8),
+    st.integers(min_value=0, max_value=10 ** 6)), max_size=60)
+
+
+@given(trie_steps, st.booleans())
+def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step):
+    """Hashes are computed when read: under any interleaving of inserts and
+    reads, every hash read is the one an eager trie would hold, and a cached
+    hash is never stale."""
+    trie = PatriciaTrie(key_bits=8)
+    for op, key, pick in steps:
+        nodes = sorted(trie.iter_nodes(), key=lambda n: n.label)
+        node = nodes[pick % len(nodes)] if nodes else None
+        if op == "insert":
+            trie.insert(Publication(1, key.encode(), key))
+        elif op == "invariants":
+            trie.check_invariants()
+        elif node is None:
+            assert trie.root_summary() is None
+        elif op == "root":
+            assert trie.root_summary() == (trie.root.label, _eager_hash(trie.root))
+        elif op == "node":
+            assert trie.search_node(node.label).hash == _eager_hash(node)
+        elif node.children:
+            assert node.child_summaries() == [
+                (child.label, _eager_hash(child))
+                for child in (node.children["0"], node.children["1"])]
+        if check_every_step:  # reads every hash, so also leaves no cache empty
+            trie.check_invariants()
+        for n in trie.iter_nodes():
+            assert n._hash is None or n._hash == _eager_hash(n), "stale cached hash"
+    trie.check_invariants()
 
 
 # ------------------------------------------------------------ anti-entropy

@@ -11,7 +11,7 @@ from repro.pubsub.flooding import (
     ideal_flood_hops,
     plain_ring_flood_depth,
 )
-from repro.pubsub.hashing import content_hash, leaf_hash, node_hash, publication_key
+from repro.pubsub.hashing import leaf_hash, node_hash, publication_key
 from repro.pubsub.topics import TopicRegistry
 
 
@@ -33,9 +33,6 @@ class TestHashing:
     def test_leaf_and_node_hash_distinct_domains(self):
         assert leaf_hash("01") != node_hash("01", "01")
         assert node_hash("a", "b") != node_hash("b", "a")
-
-    def test_content_hash_stable(self):
-        assert content_hash(b"x") == content_hash("x")
 
 
 class TestFlooding:

@@ -1,10 +1,14 @@
 """Unit tests for the subscriber-side protocol logic (Algorithms 1, 2, 4, 5)."""
 
 
+import pytest
+
 from repro.core import messages as msg
 from repro.core.config import ProtocolParams
 from repro.core.subscriber import Neighbor, Subscriber
 from repro.core.supervisor import Supervisor
+from repro.pubsub.hashing import publication_key
+from repro.pubsub.publications import Publication
 from repro.sim.engine import Simulator, SimulatorConfig
 
 
@@ -268,3 +272,61 @@ class TestPublicationHandlers:
         view.handle_publish([{"bogus": 1}])
         view.handle_publish_new({"bogus": 1}, hops=1, sender=None)
         assert len(view.trie) == 0
+
+
+# Publication wires an arbitrary initial state or a forger may put in flight.
+# The receiver's key length is 64 bits.
+FORGED_WIRES = [
+    {"publisher": 1, "payload": "00", "key_bits": 8},    # decodes, to a key of another length
+    {"publisher": 1, "payload": "00", "key_bits": 0},
+    {"publisher": 1, "payload": "00", "key_bits": 300},
+    {"publisher": 1, "payload": "00", "key_bits": "many"},
+    {"publisher": 1, "payload": "not hex", "key_bits": 64},
+    {"publisher": 1, "payload": ["00"], "key_bits": 64},  # unhashable
+    {"publisher": 1, "payload": b"00", "key_bits": 64},
+    {"publisher": None, "payload": "00", "key_bits": 64},
+    {"payload": "00", "key_bits": 64},
+    {"publisher": 1, "key_bits": 64},
+    {"publisher": 1, "payload": "00"},
+    [1, "00", 64],
+    "publication",
+    7,
+]
+
+
+class TestForgedPublicationWires:
+    def _view_with_one_publication(self):
+        sim, sup, (a, b, c) = make_world()
+        view = a.view(subscribed=True)
+        view.label = "0"
+        view.right = Neighbor("1", b.node_id)
+        view.ring = Neighbor("11", c.node_id)
+        stored = a.publish(b"genuine")
+        return sim, a, b, view, stored
+
+    @pytest.mark.parametrize("wire", FORGED_WIRES, ids=repr)
+    def test_forged_wire_is_dropped_at_ingress(self, wire):
+        sim, a, b, view, stored = self._view_with_one_publication()
+        def observed():
+            return (view.trie.root_summary(), view.trie.keys(),
+                    sent(sim, a.node_id, msg.PUBLISH_NEW))
+
+        before = observed()
+        a.on_PublishNew(pub=wire, hops=1, sender=b.node_id)
+        a.on_Publish(pubs=[wire, stored.to_wire()])
+        a.on_Publish(pubs=wire)
+        assert observed() == before
+        view.trie.check_invariants()
+
+    def test_forged_publisher_cannot_smuggle_a_stored_key(self):
+        """Interning is by wire *content*: a wire that differs from a stored
+        publication only in its publisher is other content, gets its key
+        from the hash like any publication, and is stored beside it."""
+        sim, a, b, view, stored = self._view_with_one_publication()
+        forged = dict(stored.to_wire(), publisher=stored.publisher + 1)
+        a.on_PublishNew(pub=forged, hops=1, sender=b.node_id)
+        other = Publication.from_wire(forged)
+        assert other is not stored and other.key != stored.key
+        assert other.key == publication_key(stored.publisher + 1, b"genuine", bits=64)
+        assert view.trie.keys() == sorted([stored.key, other.key])
+        assert view.trie.get(stored.key) is stored
