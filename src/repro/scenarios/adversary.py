@@ -21,10 +21,13 @@ initial state.  :class:`LinkAdversary` makes those conditions injectable:
 
 Determinism: all coin flips come from one ``random.Random`` handed in by the
 caller (use :meth:`repro.sim.engine.Simulator.adversary_rng` to derive it
-from the master seed).  The network consults the adversary inside
-``Network.submit``/``pop``, which execute in event order — identical for the
-heap and wheel schedulers — so identical seeds give identical event orders
-with the adversary active.  Tests assert this parity.
+from the master seed).  The network consults ``on_submit`` once per send
+(:meth:`repro.sim.network.Network.delivery_times`) and the engine's drain
+consults ``on_deliver`` once per delivery, both in event order — identical
+for the heap and wheel schedulers — so identical seeds give identical event
+orders with the adversary active.  Tests assert this parity.  The hooks take
+``(sender, dest, now)``: a link policy reads nothing else of a message, so
+none is built to ask it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.sim.network import DROP_ADVERSARY_LOSS, DROP_PARTITION, Message
+from repro.sim.network import DROP_ADVERSARY_LOSS, DROP_PARTITION
 
 
 @dataclass(frozen=True)
@@ -188,10 +191,12 @@ class LinkAdversary:
             }
 
     # ------------------------------------------------------------------ hooks
-    def on_submit(self, msg: Message, now: float) -> LinkVerdict:
-        """Called by ``Network.submit`` for every non-crashed destination."""
+    def on_submit(self, sender: Optional[int], dest: int,
+                  now: float) -> LinkVerdict:
+        """Called by ``Network.delivery_times`` for every send to a
+        non-crashed destination."""
         for partition in self.partitions.values():
-            if partition.severs(msg.sender, msg.dest, now):
+            if partition.severs(sender, dest, now):
                 return LinkVerdict(drop_reason=DROP_PARTITION)
         delay_factor = 1.0
         for spike in self.spikes:
@@ -206,15 +211,17 @@ class LinkAdversary:
             return PASS_VERDICT
         return LinkVerdict(duplicates=duplicates, delay_factor=delay_factor)
 
-    def on_deliver(self, msg: Message, now: float) -> Optional[str]:
-        """Called by ``Network.pop``; a non-``None`` return drops the message.
+    def on_deliver(self, sender: Optional[int], dest: int,
+                   now: float) -> Optional[str]:
+        """Called at delivery time (the engine's drain loop,
+        ``Network.pop_record``); a non-``None`` return drops the message.
 
         Only partitions act here: a message sent before a partition started
         must not cross the cut while it is active.  Loss/duplication already
         happened at send time.
         """
         for partition in self.partitions.values():
-            if partition.severs(msg.sender, msg.dest, now):
+            if partition.severs(sender, dest, now):
                 return DROP_PARTITION
         return None
 

@@ -12,8 +12,8 @@ The paper's computational model (Section 1.1) assumes:
 :mod:`repro.sim` provides a seeded, deterministic discrete-event simulator that
 realises exactly this model: :class:`~repro.sim.engine.Simulator` drives
 periodic timeouts and delivers messages with randomised delays drawn from a
-seeded RNG, :class:`~repro.sim.network.Network` tracks channels and message
-accounting, :class:`~repro.sim.node.ProtocolNode` is the base class for
+seeded RNG, :class:`~repro.sim.network.Network` holds the link policy, the
+message accounting and the views of what is in flight, :class:`~repro.sim.node.ProtocolNode` is the base class for
 protocol participants, and :mod:`repro.sim.failure` adds crash injection plus
 the supervisor-side oracle failure detector used in Section 3.3 of the paper.
 """

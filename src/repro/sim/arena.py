@@ -5,20 +5,21 @@ per-event cost tripled between 2k and 50k nodes because the hot loop chased
 pointers through per-node Python objects and one channel dict per
 destination.  The arena is the memory-layout answer: node identifiers are
 interned to dense integer indices at registration time, and the hot per-node
-simulator state lives in flat parallel buffers —
+simulator state lives in two flat parallel buffers —
 
 * ``nodes``        — dense ``node_id -> ProtocolNode`` list (one pointer
                      array instead of a hash table; the engine's delivery and
                      timeout branches index it directly),
 * ``timeout_count``— ``array('q')`` int64 column, the authoritative store
                      behind :attr:`ProtocolNode.timeout_count` (the object
-                     attribute is a thin property view over this buffer),
-* ``crashed``      — one byte per node (vectorizable liveness column,
-                     mirrored from the object flags by the crash path),
+                     attribute is a thin property view over this buffer).
 
-plus a topic-interning table and per-topic membership/suspect columns
-derived on demand (cold paths — membership changes are protocol-rare, so
-those columns are rebuilt generationally rather than maintained per event).
+That is the whole arena: the engine reads these two buffers and calls
+:meth:`NodeArena.add`, nothing else.  (Liveness has one home per question —
+``ProtocolNode.crashed`` for "may it act", ``Network._crashed`` for "is its
+address gone" — and no third copy here.)  The columns earn their lines at
+scale, not at the 2k nodes ``bench/`` runs: see README's engine section for
+the measured 20k/100k numbers.
 
 The arena only accelerates **dense** ids: non-negative ints within a growth
 cap (every id the facades allocate — supervisors from 0, subscribers from 1).
@@ -28,23 +29,19 @@ fuzz scenario forges) take the classic dict path: :meth:`add` leaves their
 ``Simulator.nodes``, and their timeout counter lives in the node's private
 slot.  Correctness never depends on density; only the constant factor does.
 
-Buffers are grown strictly **in place** (``list.append`` /
-``array.extend``): the engine's fused loops capture ``nodes`` and
+Buffers are grown strictly **in place** (``list.extend`` /
+``array.frombytes``): the engine's fused loops capture ``nodes`` and
 ``timeout_count`` once per drain, so rebinding either would silently split
-the state.  :meth:`rebuild` re-derives every column from the attached
-simulator's live objects (used after cluster rebalancing and by the
-equivalence tests) and is the one operation allowed to reset buffers — it
-must never run concurrently with a drain.
+the state.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
-    from repro.sim.node import NodeRef, ProtocolNode
+    from repro.sim.node import ProtocolNode
 
 #: Ids below this always get a dense slot (covers every normal facade run
 #: without any ratio test).
@@ -56,63 +53,45 @@ _DENSE_GROWTH = 4
 
 
 class NodeArena:
-    """Interned node/topic identifiers + flat hot-state columns.
+    """Dense node list + flat timeout-counter column.
 
-    One arena per :class:`~repro.sim.engine.Simulator`; the simulator
-    registers every node through :meth:`add` and mirrors crashes through
-    :meth:`mark_crashed`.  All columns are indexed by **node id** (identity
-    interning — the dense case needs no id→slot hash on the hot path);
-    sparse ids are tracked in :attr:`extra` and excluded from the columns.
+    One arena per :class:`~repro.sim.engine.Simulator`, which registers every
+    node through :meth:`add`.  Both columns are indexed by **node id**
+    (identity interning — the dense case needs no id→slot hash on the hot
+    path); sparse ids are excluded from the columns and live only in
+    ``Simulator.nodes``.
     """
 
-    __slots__ = ("nodes", "timeout_count", "crashed", "extra", "_sim",
-                 "_topic_ids", "_topic_names", "_membership_generation",
-                 "_membership_cache", "count")
+    __slots__ = ("nodes", "timeout_count", "_registered")
 
     def __init__(self) -> None:
         #: dense node_id -> node (None-padded); the engine hot loops index it
         self.nodes: List[Optional["ProtocolNode"]] = []
         #: int64 Timeout-firing counters, index-aligned with :attr:`nodes`
         self.timeout_count = array("q")
-        #: liveness column: 1 = crashed, index-aligned with :attr:`nodes`
-        self.crashed = bytearray()
-        #: sparse-id nodes excluded from the columns (fallback dict)
-        self.extra: Dict["NodeRef", "ProtocolNode"] = {}
-        #: registered node count (dense + sparse)
-        self.count = 0
-        self._sim: Optional["Simulator"] = None
-        #: topic string -> dense topic index, in interning order
-        self._topic_ids: Dict[str, int] = {}
-        self._topic_names: List[str] = []
-        #: bumped on any membership mutation; invalidates the derived columns
-        self._membership_generation = 0
-        self._membership_cache: Dict[str, tuple] = {}
+        #: nodes registered so far (dense + sparse): scales the growth cap
+        self._registered = 0
 
-    def attach(self, sim: "Simulator") -> None:
-        self._sim = sim
-
-    # ------------------------------------------------------------ node columns
     def _dense_eligible(self, node_id: object) -> bool:
         if type(node_id) is not int or node_id < 0:
             return False
         if node_id < _DENSE_FLOOR:
             return True
-        return node_id < _DENSE_GROWTH * (self.count + 1) + _DENSE_FLOOR
+        return node_id < _DENSE_GROWTH * (self._registered + 1) + _DENSE_FLOOR
 
     def add(self, node: "ProtocolNode") -> None:
         """Register ``node``, interning its id and assigning its column row.
 
         Dense ids become their own index (identity interning: the engine
         needs no id→slot lookup); the buffers are padded in place up to the
-        id.  Sparse ids keep ``_arena_index = -1`` and live in :attr:`extra`
-        — every consumer falls back to the object attributes for them.
+        id.  Sparse ids keep ``_arena_index = -1`` — every consumer falls
+        back to the object attributes for them.
         """
         node_id = node.node_id
-        self.count += 1
+        self._registered += 1
+        node._arena = self
         if not self._dense_eligible(node_id):
-            node._arena = self
             node._arena_index = -1
-            self.extra[node_id] = node
             return
         nodes = self.nodes
         if node_id >= len(nodes):
@@ -125,176 +104,6 @@ class NodeArena:
             nodes.extend([None] * grow)
             # frombytes, not extend: extend(bytes) appends one item per BYTE
             self.timeout_count.frombytes(bytes(8 * grow))
-            self.crashed.extend(bytes(grow))
         nodes[node_id] = node
         self.timeout_count[node_id] = node._timeout_count
-        self.crashed[node_id] = 1 if node.crashed else 0
-        node._arena = self
         node._arena_index = node_id
-
-    def get(self, node_id: "NodeRef") -> Optional["ProtocolNode"]:
-        """Node for ``node_id`` (dense or sparse), or ``None``."""
-        if type(node_id) is int and 0 <= node_id < len(self.nodes):
-            node = self.nodes[node_id]
-            if node is not None:
-                return node
-        return self.extra.get(node_id)
-
-    def mark_crashed(self, node_id: "NodeRef") -> None:
-        """Mirror a crash into the liveness column (idempotent)."""
-        if type(node_id) is int and 0 <= node_id < len(self.crashed):
-            self.crashed[node_id] = 1
-
-    def live_count(self) -> int:
-        """Number of registered, non-crashed nodes (column-level count)."""
-        dense = sum(1 for node in self.nodes if node is not None)
-        dense -= sum(self.crashed)
-        return dense + sum(1 for node in self.extra.values()
-                           if not node.crashed)
-
-    # ---------------------------------------------------------------- topics
-    def topic_id(self, topic: str) -> int:
-        """Dense index for ``topic``, interning it on first sight."""
-        ids = self._topic_ids
-        tid = ids.get(topic)
-        if tid is None:
-            tid = len(self._topic_names)
-            ids[topic] = tid
-            self._topic_names.append(topic)
-        return tid
-
-    def topic_name(self, tid: int) -> str:
-        return self._topic_names[tid]
-
-    @property
-    def topics(self) -> List[str]:
-        """Interned topics in interning order (a copy)."""
-        return list(self._topic_names)
-
-    def note_membership_change(self) -> None:
-        """Explicitly invalidate the derived per-topic membership columns
-        (needed only when code flips ``TopicView.subscribed`` directly,
-        outside event processing — the cache otherwise self-invalidates on
-        the simulator's step counter)."""
-        self._membership_generation += 1
-
-    def membership_column(self, topic: str) -> bytearray:
-        """Flat subscribed-flag column for ``topic``, index-aligned with
-        :attr:`nodes` (sparse-id members are not represented — callers that
-        must see them use the object API).
-
-        Derived from the live :class:`~repro.core.subscriber.TopicView`
-        flags and cached keyed on the simulator's event-step counter:
-        membership only mutates while events are being processed (subscribe
-        and crash-repair messages), so a column computed between drains stays
-        valid until the next event runs.  A generational rebuild at query
-        frequency is cheaper than per-event maintenance and can never drift.
-        """
-        sim = self._sim
-        generation = (self._membership_generation,
-                      sim._steps if sim is not None else -1)
-        cached = self._membership_cache.get(topic)
-        if cached is not None and cached[0] == generation:
-            return cached[1]
-        column = bytearray(len(self.nodes))
-        for node_id, node in enumerate(self.nodes):
-            views = getattr(node, "views", None)
-            if views is None:
-                continue
-            view = views.get(topic)
-            if view is not None and view.subscribed:
-                column[node_id] = 1
-        self._membership_cache[topic] = (generation, column)
-        return column
-
-    def members(self, topic: str) -> List[int]:
-        """Dense node ids currently subscribed to ``topic`` and live."""
-        crashed = self.crashed
-        return [node_id
-                for node_id, flag in enumerate(self.membership_column(topic))
-                if flag and not crashed[node_id]]
-
-    # --------------------------------------------------------- derived views
-    def suspect_column(self) -> bytearray:
-        """Failure-detector suspicion flags at the attached simulator's
-        current time, index-aligned with :attr:`nodes`."""
-        sim = self._sim
-        column = bytearray(len(self.nodes))
-        if sim is None:
-            return column
-        detector = sim.failure_detector
-        for node_id in detector.known_crashes:
-            if (type(node_id) is int and 0 <= node_id < len(column)
-                    and detector.suspects(node_id)):
-                column[node_id] = 1
-        return column
-
-    def timeout_deadlines(self) -> "array[float]":
-        """Next pending Timeout deadline per dense node id (``inf`` when none
-        is scheduled — crashed nodes, or ids past the dense window).
-
-        Derived from the scheduler's pending events rather than maintained by
-        the timeout branch: the engine reschedules ~half of all events, and a
-        per-event column write would tax the hot loop for a value nothing on
-        it reads.  One :meth:`~repro.sim.scheduler.EventScheduler.iter_events`
-        sweep on demand is exact and free at event time.
-        """
-        deadlines = array("d", [float("inf")]) * len(self.nodes)
-        sim = self._sim
-        if sim is None:
-            return deadlines
-        for event in sim.scheduler.iter_events():
-            if event[2] != 1:  # _TIMEOUT
-                continue
-            node_id = event[3]
-            if type(node_id) is int and 0 <= node_id < len(deadlines):
-                if event[0] < deadlines[node_id]:
-                    deadlines[node_id] = event[0]
-        return deadlines
-
-    # ------------------------------------------------------------- lifecycle
-    def rebuild(self) -> None:
-        """Re-derive every column from the attached simulator's live nodes.
-
-        The recovery path for states the incremental mirrors cannot see —
-        cluster rebalancing that crashed a supervisor through a side door, a
-        test that flipped ``node.crashed`` directly — and the reference
-        implementation the equivalence tests compare the mirrors against.
-        Buffers are reset in place (cleared, then regrown), so engine
-        closures bound between drains stay valid; never call mid-drain.
-        """
-        sim = self._sim
-        if sim is None:
-            raise RuntimeError("arena is not attached to a simulator")
-        # Fold column values back into the private slots BEFORE clearing the
-        # buffers: ``node.timeout_count`` reads through ``_arena_index``, so
-        # snapshotting after the clear would read a dead column.
-        for node in sim.nodes.values():
-            node._timeout_count = node.timeout_count
-            node._arena = None
-            node._arena_index = -1
-        del self.nodes[:]
-        del self.timeout_count[:]
-        del self.crashed[:]
-        self.extra.clear()
-        self.count = 0
-        self._membership_cache.clear()
-        self._membership_generation += 1
-        for node in sim.nodes.values():
-            self.add(node)
-
-    def working_set_bytes(self) -> Dict[str, int]:
-        """Approximate per-column byte sizes (the README working-set table).
-
-        Counts the flat buffers only — the point of the layout is that these
-        replace per-node dicts and per-message channel entries, so the sum
-        here *is* the simulator-side per-node working set.
-        """
-        import sys
-        return {
-            "nodes_list": sys.getsizeof(self.nodes),
-            "timeout_count": self.timeout_count.itemsize * len(self.timeout_count),
-            "crashed": len(self.crashed),
-            "membership_columns": sum(
-                len(cached[1]) for cached in self._membership_cache.values()),
-        }

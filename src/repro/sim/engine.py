@@ -24,9 +24,11 @@ inside an open window — a callback, a zero-delay injection, a delivery an
 adversary scaled below ``min_delay`` — raises an interrupt flag, and the
 drain hands its unprocessed tail back to the scheduler and reopens the
 window; so the event order is exactly :meth:`Simulator.step`'s under any
-scheduler, adversary or telemetry setting.  Messages travel as plain tuples
-(*fast records*, :mod:`repro.sim.network`) that live only in the scheduler —
-no per-message object allocation.  Message delays and timeout jitter come
+scheduler, adversary or telemetry setting.  Every in-flight message — sent by
+a node, duplicated by an adversary or injected as initial-state corruption —
+is one plain tuple (a *record*, :mod:`repro.sim.network`) that is its own
+delivery event and lives only in the scheduler: no per-message object, no
+second copy in a channel.  Message delays and timeout jitter come
 from :class:`~repro.sim.rng.BatchedUniform` /
 :class:`~repro.sim.rng.BatchedRandom` pre-generated in blocks —
 bit-identical to per-call ``Random.uniform`` draws, so seeded runs (and
@@ -47,12 +49,7 @@ import heapq
 
 from repro.sim.arena import NodeArena
 from repro.sim.failure import CrashSchedule, FailureDetector
-from repro.sim.network import (
-    FAST_RECORD_KIND,
-    Message,
-    Network,
-    record_to_message,
-)
+from repro.sim.network import FAST_RECORD_KIND, Network, record_to_message
 from repro.sim.node import NodeRef, ProtocolNode
 from repro.sim.rng import BatchedRandom, BatchedUniform, derive_rng
 from repro.sim.scheduler import (
@@ -115,8 +112,10 @@ class SimulatorConfig:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
-        if self.min_delay < 0:
-            raise ValueError("min_delay must be non-negative")
+        # Strictly positive: the block drain's safety window is
+        # min(min_delay, ...) wide (see Simulator._run_blocks).
+        if self.min_delay <= 0:
+            raise ValueError("min_delay must be positive")
         if self.max_delay < self.min_delay:
             raise ValueError("max_delay must be >= min_delay")
         if self.detection_lag < 0:
@@ -133,13 +132,12 @@ class SimulatorConfig:
 
 
 # Event kinds used in the scheduler
-_DELIVER = 0
 _TIMEOUT = 1
 _CRASH = 2
 _CALL = 3
-#: Fast-record delivery: the event tuple IS the in-flight message record
-#: (see the ``REC_*`` layout in :mod:`repro.sim.network`, which owns the
-#: canonical kind value — the network's introspection filters on it too).
+#: Message delivery: the event tuple IS the in-flight message record (see the
+#: ``REC_*`` layout in :mod:`repro.sim.network`, which owns the canonical
+#: kind value — the network's introspection filters on it too).
 _DELIVER_FAST = FAST_RECORD_KIND
 
 _NEG_INF = float("-inf")
@@ -150,15 +148,15 @@ class Simulator:
 
     Slotted: ``self.now`` is read and written once per event and the block-
     interrupt flag is polled once per event, so the per-instance ``__dict__``
-    indirection is worth removing.  The two submit closures are per-instance
-    slots assigned by :meth:`_bind_fast_submit`.
+    indirection is worth removing.  The ``_send_fast`` closure is a
+    per-instance slot assigned by :meth:`_bind_fast_submit`.
     """
 
     __slots__ = ("config", "now", "network", "tracer", "failure_detector",
                  "nodes", "arena", "_seq", "_delay_rng", "_delay_draws",
                  "_jitter_rng", "_jitter_draws", "_adversary_rng", "_steps",
                  "_special_times", "_block_end", "_block_interrupted",
-                 "_scheduler", "submit_message", "_send_fast", "_profile")
+                 "_scheduler", "_send_fast", "_profile")
 
     def __init__(self, config: Optional[SimulatorConfig] = None) -> None:
         self.config = config or SimulatorConfig()
@@ -168,11 +166,10 @@ class Simulator:
         self.failure_detector = FailureDetector(self.config.detection_lag)
         self.failure_detector.attach(self)
         self.nodes: Dict[NodeRef, ProtocolNode] = {}
-        #: columnar hot-state store (dense node list, flat timeout counters,
-        #: liveness column, topic interning — see :mod:`repro.sim.arena`);
-        #: populated by :meth:`add_node`, consumed by the fused drain loop
+        #: columnar hot-state store (dense node list, flat timeout counters
+        #: — see :mod:`repro.sim.arena`); populated by :meth:`add_node`,
+        #: consumed by the fused drain loop
         self.arena = NodeArena()
-        self.arena.attach(self)
         self._seq = itertools.count()
         self._delay_rng = derive_rng(self.config.seed, "delay")
         #: pre-generated message-delay draws; bit-identical to calling
@@ -202,8 +199,7 @@ class Simulator:
         self._block_end: float = _NEG_INF
         self._block_interrupted = False
         # Assigning the scheduler (a property) also binds the fused
-        # ``submit_message``/``_send_fast`` closures, which capture the
-        # scheduler's push.
+        # ``_send_fast`` closure, which captures the scheduler's push.
         scheduler = make_scheduler(
             self.config.scheduler, self.config.timeout_period,
             min_delay=self.config.min_delay, max_delay=self.config.max_delay,
@@ -221,7 +217,7 @@ class Simulator:
     @property
     def scheduler(self) -> EventScheduler:
         """The event queue.  Assigning a new scheduler rebinds the fused
-        submit path, so a replacement (e.g. a custom
+        send path, so a replacement (e.g. a custom
         :class:`~repro.sim.scheduler.EventScheduler` installed by a test or
         an experiment) is picked up consistently."""
         return self._scheduler
@@ -232,39 +228,32 @@ class Simulator:
         self._bind_fast_submit()
 
     def _bind_fast_submit(self) -> None:
-        """(Re)build the prebound submit closures.
+        """(Re)build the prebound ``_send_fast(sender, dest, action, topic,
+        params)`` closure behind :meth:`ProtocolNode.send`.
 
         Network internals, scheduler, delay source and seq counter are fixed
         for the simulator's lifetime (scheduler swaps re-run this binding via
         the property setter), so the per-message path resolves them once here
-        instead of per call.  Two closures come out:
+        instead of per call.  A send builds one record tuple that lives
+        *only* in the scheduler until delivery: the crashed set answers
+        "still deliverable?" and the network's in-flight views read pending
+        records straight off the scheduler backlog.
 
-        * ``submit_message(msg)`` — the ownership-transferring Message path
-          (external callers, injected messages);
-        * ``_send_fast(sender, dest, action, topic, params)`` — the
-          :meth:`ProtocolNode.send` path, which never builds a Message at
-          all: the in-flight record is one tuple living *only* in the
-          scheduler until delivery (PR 10: no channel entry, no message-id
-          draw — ``msg_id`` stays ``-1``; the crashed set answers "still
-          deliverable?" and the network's in-flight views read pending
-          records straight off the scheduler backlog).
-
-        Both fuse the no-adversary branch of :meth:`Network.submit` (kept in
-        sync with it — the semantics are pinned by the golden and reference-
-        drain tests); messages facing an adversary or a crashed destination
-        take the full method.  Live reads each call: ``self.now`` and
+        Without an adversary and to a live destination the closure fuses the
+        accounting, the delay draw and the concrete scheduler's push inline;
+        facing an adversary or a crashed destination it asks
+        :meth:`Network.delivery_times` which copies survive and pushes one
+        record per copy.  Live reads each call: ``self.now`` and
         ``network.adversary``.
         """
         network = self.network
-        network_submit = network.submit
-        channels = network._channels
+        delivery_times = network.delivery_times
         crashed = network._crashed
         stats = network.stats
         sent = stats._sent
         sent_cols = stats._sent_cols  # dense columnar half; grown in place
         bump_column = stats._bump_column
         derived = stats._derived  # invalidated in place, never rebound
-        msg_next = network._msg_counter.__next__
         delay_draws = self._delay_draws
         delay_buffer = delay_draws._buffer  # refilled in place, never rebound
         delay_refill = delay_draws._refill
@@ -286,55 +275,28 @@ class Simulator:
         elif is_heap:
             event_heap = scheduler._heap
         heappush = heapq.heappush
-        # The in-flight introspection needs to see the channel-free fast
-        # records _send_fast leaves in the scheduler; hand the network the
-        # backlog iterator.
+        # Every in-flight view of the network reads the records _send_fast
+        # and inject_message leave in the scheduler; hand it the backlog
+        # iterator.
         network._pending_records = scheduler.iter_events
-
-        def _fast_submit(msg: Message) -> None:
-            dest = msg.dest
-            if network.adversary is not None or dest in crashed:
-                accepted = network_submit(msg, delay_draws, self.now)
-                for copy in accepted:
-                    if copy.deliver_time < self._block_end:
-                        # a delay spike with factor < 1 can undercut
-                        # min_delay and land inside the open window
-                        self._block_interrupted = True
-                    scheduler_push((copy.deliver_time, seq_next(), _DELIVER, copy))
-                return
-            msg.msg_id = msg_id = msg_next()
-            msg.send_time = now = self.now
-            stats.total_sent += 1
-            key = (msg.sender, msg.action)
-            try:
-                sent[key] += 1
-            except KeyError:
-                sent[key] = 1
-            if derived:
-                derived.clear()
-            if not delay_buffer:
-                delay_refill()
-            msg.deliver_time = deliver_time = now + delay_buffer.pop()
-            try:
-                channels[dest][msg_id] = msg
-            except KeyError:
-                channels[dest] = {msg_id: msg}
-            scheduler_push((deliver_time, seq_next(), _DELIVER, msg))
-
-        #: ownership-transferring fast path (see :meth:`submit_message`)
-        self.submit_message = _fast_submit
 
         def _send_fast(sender: Optional[NodeRef], dest: NodeRef, action: str,
                        topic: Optional[str], params: Dict[str, Any]) -> None:
             # repro: hotpath — one frame per ProtocolNode.send; repro.check
             # flags per-event container/Message allocations added here
-            if network.adversary is not None or (crashed and dest in crashed):
-                # cold branch (adversary installed / dest already crashed)
-                # repro: allow[no-hotpath-allocation]
-                _fast_submit(Message(action=action, params=params,
-                                     sender=sender, dest=dest, topic=topic))
-                return
             now = self.now
+            if network.adversary is not None or (crashed and dest in crashed):
+                # cold branch (adversary installed / dest already crashed):
+                # zero, one or (duplicated) two copies, all sharing ``params``
+                for deliver_time in delivery_times(sender, dest, action,
+                                                   delay_draws, now):
+                    if deliver_time < self._block_end:
+                        # a delay spike with factor < 1 can undercut
+                        # min_delay and land inside the open window
+                        self._block_interrupted = True
+                    scheduler_push((deliver_time, seq_next(), _DELIVER_FAST,
+                                    dest, action, params, topic, sender, now))
+                return
             stats.total_sent += 1
             # Columnar sent counter for dense int senders: one action-keyed
             # lookup in a handful-sized dict plus an int64 array store,
@@ -360,11 +322,9 @@ class Simulator:
             deliver_time = now + delay_buffer.pop()
             # The record layout is pinned by the REC_* constants in
             # repro.sim.network: (deliver_time, seq, kind, dest, action,
-            # params, topic, sender, send_time, msg_id).  msg_id is -1: the
-            # record lives only in the scheduler, there is no channel entry
-            # to key (and no counter draw to pay).
+            # params, topic, sender, send_time).
             record = (deliver_time, seq_next(), _DELIVER_FAST, dest, action,
-                      params, topic, sender, now, -1)
+                      params, topic, sender, now)
             if is_wheel:
                 # inlined TimeoutWheelScheduler.push
                 index = int(deliver_time * inv_width)
@@ -384,7 +344,7 @@ class Simulator:
             else:
                 scheduler_push(record)
 
-        #: record-building fast path used by :meth:`ProtocolNode.send`
+        #: the send path used by :meth:`ProtocolNode.send`
         self._send_fast = _send_fast
 
     # ------------------------------------------------------------------ nodes
@@ -411,47 +371,33 @@ class Simulator:
         return [n for n in self.nodes.values() if not n.crashed]
 
     # --------------------------------------------------------------- messages
-    def send_message(self, sender: Optional[NodeRef], dest: NodeRef, action: str,
-                     topic: Optional[str], params: Dict[str, Any]) -> None:
-        """Submit a message to the network and schedule its delivery."""
-        self.submit_message(Message(action=action, params=dict(params), sender=sender,
-                                    dest=dest, topic=topic))
-
-    # submit_message — assigned per instance in ``__init__`` — submits an
-    # already-built :class:`Message` and schedules its accepted copies (an
-    # ownership-transferring fast path: the message and its params dict must
-    # not be mutated by the caller after handing them over).  _send_fast —
-    # also assigned per instance — is the :meth:`ProtocolNode.send` sibling
-    # that skips Message construction entirely.
-
     def inject_message(self, dest: NodeRef, action: str, params: Dict[str, Any],
                        topic: Optional[str] = None, delay: Optional[float] = None) -> None:
         """Place an adversarial message into ``dest``'s channel (initial-state
-        corruption).  It will be delivered like any other message."""
-        msg = Message(action=action, params=dict(params), sender=None, dest=dest,
-                      topic=topic, send_time=self.now)
+        corruption): a record with ``sender=None``, delivered like any other
+        but never counted as a protocol send."""
         if delay is not None and delay < 0:
             # The block drain relies on every schedulable time being >= now
             # (the simulated clock never moves backward).
             raise ValueError("inject_message delay must be non-negative")
-        self.network.inject_initial(msg)
         if delay is None:
             delay = self._delay_draws.next()
-        msg.deliver_time = self.now + delay
-        self._push(msg.deliver_time, _DELIVER, msg)
+        self._push(self.now + delay, _DELIVER_FAST, dest, action, dict(params),
+                   topic, None, self.now)
 
     # ----------------------------------------------------------------- faults
     def install_adversary(self, adversary) -> None:
         """Install a link adversary on the network (see
         :meth:`repro.sim.network.Network.install_adversary`).
 
-        The adversary's coin flips happen inside ``Network.submit``/``pop``,
-        which run in event order — identical for both schedulers — so a seeded
-        adversary preserves the heap/wheel parity guarantee.
+        The adversary's coin flips happen at send time
+        (``Network.delivery_times``), which runs in event order — identical
+        for both schedulers — so a seeded adversary preserves the heap/wheel
+        parity guarantee.
         """
         self.network.install_adversary(adversary)
-        # The open window (if any) was started on the fused no-adversary
-        # delivery path: close it so the next one reads the new adversary.
+        # The drain reads the adversary once per window: close the open one
+        # (if any) so the next delivery already faces the new adversary.
         self._block_interrupted = True
 
     def adversary_rng(self) -> random.Random:
@@ -477,7 +423,6 @@ class Simulator:
         if node is None or node.crashed:
             return
         node.crash()
-        self.arena.mark_crashed(node_id)
         self.network.mark_crashed(node_id)
         self.failure_detector.notify_crash(node_id, self.now)
         self.tracer.record(self.now, "crash", node=node_id)
@@ -487,8 +432,9 @@ class Simulator:
         """Schedule an arbitrary callback (used by workloads/experiments)."""
         self._push(max(time, self.now), _CALL, fn)
 
-    def _push(self, time: float, kind: int, payload: Any) -> None:
-        """Generic event push with the block-drain bookkeeping.
+    def _push(self, time: float, kind: int, *payload: Any) -> None:
+        """Generic event push — ``(time, seq, kind, *payload)`` — with the
+        block-drain bookkeeping.
 
         Crash/callback times go into the special-times heap that clips the
         block window (entries are popped as the events are consumed), and a
@@ -500,7 +446,7 @@ class Simulator:
             heapq.heappush(self._special_times, time)
         if time < self._block_end:
             self._block_interrupted = True
-        self.scheduler.push((time, next(self._seq), kind, payload))
+        self.scheduler.push((time, next(self._seq), kind) + payload)
 
     # -------------------------------------------------------------- execution
     def step(self) -> bool:
@@ -513,9 +459,7 @@ class Simulator:
             self.now = time
         self._steps += 1
         kind = event[2]
-        if kind == _DELIVER:
-            self._handle_delivery(event[3])
-        elif kind == _TIMEOUT:
+        if kind == _TIMEOUT:
             self._handle_timeout(event[3])
         elif kind == _DELIVER_FAST:
             self._handle_record(event)
@@ -532,21 +476,14 @@ class Simulator:
         return True
 
     def _handle_record(self, record: tuple) -> None:
-        """Unfused record delivery: the full :meth:`Network.pop_record`
-        (delivery-time adversary check, per-reason drop accounting)."""
+        """Unfused record delivery, the reference for the drain loop's
+        fused branch: the full :meth:`Network.pop_record` (delivery-time
+        adversary check, per-reason drop accounting) and a materialised
+        :class:`~repro.sim.network.Message` through ``dispatch``."""
         if self.network.pop_record(record):
             node = self.nodes.get(record[3])
             if node is not None and not node.crashed:
                 node.dispatch(record_to_message(record))
-
-    def _handle_delivery(self, msg: Message) -> None:
-        pending = self.network.pop(msg)
-        if pending is None:
-            return
-        node = self.nodes.get(pending.dest)
-        if node is None or node.crashed:
-            return
-        node.dispatch(pending)
 
     def _handle_timeout(self, node_id: NodeRef) -> None:
         node = self.nodes.get(node_id)
@@ -639,9 +576,9 @@ class Simulator:
         lies at least ``horizon = min(min_delay, timeout_period * (1 -
         timeout_jitter))`` in the future (message delays are >= min_delay,
         timeout reschedules >= period * (1 - jitter); both strictly positive
-        by config validation) — **except** crashes, callbacks, zero-delay
-        injections and freshly added nodes' staggered timeouts.  The first
-        two are pre-registered in the special-times heap, which clips the
+        by :class:`SimulatorConfig` validation) — **except** crashes,
+        callbacks, zero-delay injections and freshly added nodes' staggered
+        timeouts.  The first two are pre-registered in the special-times heap, which clips the
         window; the rest route through :meth:`_push`, which interrupts the
         block so the drain requeues its unprocessed tail.  Hence every event
         in ``[t0, limit)`` is already in the scheduler when the window opens,
@@ -649,10 +586,12 @@ class Simulator:
 
         Under a link adversary the horizon is only a guess — a delay spike
         with ``factor < 1`` undercuts ``min_delay`` — but the same interrupt
-        covers it (the adversarial submit path raises the flag for a
-        delivery inside the open window), so correctness never depends on
-        the window width.  Whether an adversary is installed is read once
-        per window: installing or removing one interrupts the open window.
+        covers it (``_send_fast`` raises the flag for a copy landing inside
+        the open window), so correctness never depends on the window width.
+        The adversary is read once per window — installing or removing one
+        interrupts the open window — and costs the one delivery branch a
+        nested delivery-time check (a partition that started with the record
+        in flight), nothing else.
         """
         # repro: hotpath — the fused delivery/timeout drain; repro.check
         # flags per-event container/Message allocations added to this loop
@@ -679,8 +618,6 @@ class Simulator:
         crashed_set = network._crashed
         stats = network.stats
         latency_hist = stats.delivery_latency  # None unless telemetry is on
-        handle_record = self._handle_record
-        handle_delivery = self._handle_delivery
         received = stats._received
         received_cols = stats._received_cols  # dense half; grown in place
         bump_column = stats._bump_column
@@ -746,7 +683,7 @@ class Simulator:
                 if not self.step():
                     return
                 continue
-            adversarial = network.adversary is not None
+            adversary = network.adversary
             self._block_end = limit
             self._block_interrupted = False
             consumed = n
@@ -764,15 +701,23 @@ class Simulator:
                     time = event[0]
                     self.now = time
                     kind = event[2]
-                    if kind == _DELIVER_FAST and not adversarial:
+                    if kind == _DELIVER_FAST:
                         # Fused record delivery (in sync with
-                        # Network.pop_record): records have no channel entry,
-                        # so "still deliverable?" is one membership test on
-                        # the crashed set (usually empty) and the O(1) stats
-                        # counters update inline.
+                        # Network.pop_record): records live only in this
+                        # queue, so "still deliverable?" is one membership
+                        # test on the crashed set (usually empty) and the
+                        # O(1) stats counters update inline.
                         dest = event[3]
                         if crashed_set and dest in crashed_set:
                             continue  # destination crashed after the send
+                        if adversary is not None:
+                            # Delivery-time check: a record can be in flight
+                            # when a partition starts; it must not cross the
+                            # cut while the partition is active.
+                            reason = adversary.on_deliver(event[7], dest, time)
+                            if reason is not None:
+                                stats.record_drop(reason)
+                                continue
                         delivered += 1
                         if latency_hist is not None:
                             latency_hist.record(time - event[8])
@@ -870,15 +815,6 @@ class Simulator:
                             heappush(event_heap, timeout_event)
                         else:
                             push(timeout_event)
-                    elif kind == _DELIVER:
-                        # Message-form delivery (every send under an
-                        # adversary, injected corruption): the full channel
-                        # pop with its delivery-time adversary check.
-                        handle_delivery(event[3])
-                    elif kind == _DELIVER_FAST:
-                        # A record sent before the adversary was installed:
-                        # the delivery-time partition check applies to it.
-                        handle_record(event)
                     elif kind == _CRASH:
                         # Defensive: specials are normally excluded by the
                         # window bound; only a push that bypassed ``_push``
@@ -909,7 +845,7 @@ class Simulator:
                 if consumed != n:
                     for event in block[consumed:]:
                         push(event)
-                    if adversarial:
+                    if adversary is not None:
                         # Delays are undercutting the window: narrow it for
                         # the rest of this drain instead of requeueing most
                         # of a block per event.

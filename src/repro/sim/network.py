@@ -2,11 +2,16 @@
 
 The paper models the network as one unbounded channel ``v.Ch`` per node: a
 multiset of in-flight messages that are never lost or duplicated but may be
-delivered in any order and after any finite delay.  :class:`Network` owns all
-channels, assigns delivery delays, keeps per-action and per-node accounting
-(used by the supervisor-load and congestion experiments), and drops messages
-addressed to crashed nodes (the paper's Section 3.3 failure model: a crashed
-node's address ceases to exist, so messages to it "do not invoke any action").
+delivered in any order and after any finite delay.  Here an in-flight message
+is one thing only: a *record* tuple that is its own delivery event and lives
+in the simulator's scheduler until it fires (layout below) — whether a node
+sent it, a link adversary duplicated it or a corrupted initial state injected
+it.  ``v.Ch`` is therefore a view: the pending records addressed to ``v``.
+:class:`Network` decides which copies of a send a link adversary accepts and
+when they arrive, keeps per-action and per-node accounting (used by the
+supervisor-load and congestion experiments), and drops messages addressed to
+crashed nodes (the paper's Section 3.3 failure model: a crashed node's address
+ceases to exist, so messages to it "do not invoke any action").
 
 Beyond the paper's model the network accepts an optional **link adversary**
 (:meth:`Network.install_adversary`): a seeded policy object that may drop,
@@ -17,10 +22,9 @@ self-stabilization under conditions the paper's channel never exhibits.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -28,11 +32,12 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 class Message:
     """A single protocol message of the form ``<label>(<parameters>)``.
 
-    The class is slotted: a 2k-node maintenance round creates hundreds of
-    thousands of messages, and dropping the per-instance ``__dict__`` both
-    shrinks them and speeds up the attribute traffic on the submit/deliver
-    hot path.  Messages are plain data records — nothing may hang ad-hoc
-    attributes off them.
+    Nothing in flight is a ``Message``: this is the materialised view of an
+    in-flight record (:func:`record_to_message`), built only for a
+    :meth:`ProtocolNode.dispatch <repro.sim.node.ProtocolNode.dispatch>`
+    override, for :meth:`Simulator.step`'s reference delivery and for the
+    inspection API (:meth:`Network.channel_of`, :meth:`Network.iter_in_flight`).
+    Slotted plain data — nothing may hang ad-hoc attributes off it.
 
     Attributes
     ----------
@@ -53,9 +58,6 @@ class Message:
         instance).
     send_time / deliver_time:
         Simulation timestamps.
-    corrupted:
-        True for messages injected by the adversary rather than produced by
-        the protocol; used only for accounting and assertions.
     """
 
     action: str
@@ -65,8 +67,6 @@ class Message:
     topic: Optional[str] = None
     send_time: float = 0.0
     deliver_time: float = 0.0
-    msg_id: int = -1
-    corrupted: bool = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         src = "?" if self.sender is None else self.sender
@@ -83,27 +83,26 @@ DROP_PARTITION = "partition"        #: link severed by an active partition
 DROP_REASONS = (DROP_TO_CRASHED, DROP_ADVERSARY_LOSS, DROP_PARTITION)
 
 
-# --------------------------------------------------------------- fast records
-# The no-adversary send fast path stores in-flight messages as plain tuples
-# instead of Message instances: building one tuple costs ~1/5th of a slotted
-# dataclass plus its field writes, and the per-message hot path touches every
-# field at most once.  A record is the *scheduler event* itself:
+# -------------------------------------------------------------------- records
+# An in-flight message is a plain tuple, not a Message instance: building one
+# tuple costs ~1/5th of a slotted dataclass plus its field writes, and the
+# per-message hot path touches every field at most once.  A record is the
+# *scheduler event* itself:
 #
-#     (deliver_time, seq, kind, dest, action, params, topic, sender,
-#      send_time, msg_id)
+#     (deliver_time, seq, kind, dest, action, params, topic, sender, send_time)
 #
 # The first three positions match the scheduler's ``(time, seq, kind, ...)``
 # event layout (``seq`` is unique, so tuple comparison never reads past it and
-# mixed 4-/10-tuples order correctly); the tail is the row the engine's block
+# mixed 4-/9-tuples order correctly); the tail is the row the engine's block
 # drain consumes in place.  A record lives *only* in the scheduler until its
-# delivery event fires (``msg_id`` stays ``-1``: no channel entry, no counter
-# draw on the send path); channels hold only :class:`Message` objects
-# (adversarial submits, injected initial-state corruption).  "Is the record
-# still deliverable?" is a crashed-set test, and the in-flight introspection
-# reads pending records straight out of the scheduler through
-# :attr:`Network._pending_records`, materialising them into equivalent
-# Message instances, so external consumers never see the tuple form.  Index
-# constants are shared with the engine's fused loops.
+# delivery event fires — every send (with or without a link adversary; a
+# duplicate is a second record sharing the params dict) and every injected
+# corruption (``sender`` is ``None``).  "Is the record still deliverable?" is
+# a crashed-set test, and the in-flight introspection reads pending records
+# straight out of the scheduler through :attr:`Network._pending_records`,
+# materialising them into equivalent Message instances, so external consumers
+# never see the tuple form.  Index constants are shared with the engine's
+# fused loops.
 REC_DELIVER_TIME = 0
 REC_SEQ = 1
 REC_KIND = 2
@@ -113,10 +112,9 @@ REC_PARAMS = 5
 REC_TOPIC = 6
 REC_SENDER = 7
 REC_SEND_TIME = 8
-REC_MSG_ID = 9
 
 #: The scheduler event kind marking a fast-delivery record (canonical here;
-#: the engine's ``_DELIVER_FAST`` aliases it).  Only 10-tuple records carry
+#: the engine's ``_DELIVER_FAST`` aliases it).  Only 9-tuple records carry
 #: it, so ``event[REC_KIND] == FAST_RECORD_KIND`` identifies records inside
 #: a mixed scheduler backlog without a length check.
 FAST_RECORD_KIND = 4
@@ -129,25 +127,24 @@ _STATS_COLUMN_CAP = 1 << 20
 
 
 def record_to_message(record: tuple) -> "Message":
-    """Materialise a fast-path in-flight record into an equivalent
-    :class:`Message` (field-identical to what the pre-record engine stored).
+    """Materialise an in-flight record into an equivalent :class:`Message`.
 
-    The params dict is shared, not copied — records own their params exactly
-    as Messages do, so in-place topic folding keeps working."""
+    The params dict is shared, not copied — the record owns its params, so
+    :meth:`ProtocolNode.dispatch`'s in-place topic folding keeps working."""
     return Message(action=record[REC_ACTION], params=record[REC_PARAMS],
                    sender=record[REC_SENDER], dest=record[REC_DEST],
                    topic=record[REC_TOPIC], send_time=record[REC_SEND_TIME],
-                   deliver_time=record[REC_DELIVER_TIME],
-                   msg_id=record[REC_MSG_ID])
+                   deliver_time=record[REC_DELIVER_TIME])
 
 
 class ChannelStats:
     """Aggregated message statistics, queryable per node and per action.
 
-    The recording hot path (one :meth:`record_send` per submitted message,
-    one :meth:`record_delivery` per delivered message) performs a single dict
-    update on one ``(node, action)`` table plus an integer increment.  The
-    per-node, per-action and per-(node, action) :class:`Counter` views the
+    Recording is inlined where the messages are — the engine's send closure
+    and drain loop, :meth:`Network.delivery_times` and
+    :meth:`Network.pop_record` — and costs one counter update on a
+    ``(node, action)`` store plus an integer increment.  The per-node,
+    per-action and per-(node, action) :class:`Counter` views the
     experiments consume are derived lazily on first access and cached until
     the next write, so querying stays as convenient as the eager counters the
     seed kept while the per-message cost is O(1) with a minimal constant.
@@ -171,7 +168,7 @@ class ChannelStats:
     def __init__(self) -> None:
         #: raw (sender-or-None, action) -> count and (dest, action) -> count
         #: — the *sparse* half of the store: non-int / negative node keys and
-        #: every count recorded through the Message paths
+        #: every count recorded off the engine's fused loops
         self._sent: Dict[tuple, int] = {}
         self._received: Dict[tuple, int] = {}
         #: columnar half (PR 10): ``action -> array('q')`` indexed by dense
@@ -207,24 +204,6 @@ class ChannelStats:
             self.delivery_latency = LatencyHistogram()
 
     # -------------------------------------------------------------- recording
-    def record_send(self, msg: Message) -> None:
-        self.total_sent += 1
-        key = (msg.sender, msg.action)
-        sent = self._sent
-        sent[key] = sent.get(key, 0) + 1
-        if self._derived:
-            self._derived.clear()
-
-    def record_delivery(self, msg: Message) -> None:
-        self.total_delivered += 1
-        if self.delivery_latency is not None:
-            self.delivery_latency.record(msg.deliver_time - msg.send_time)
-        key = (msg.dest, msg.action)
-        received = self._received
-        received[key] = received.get(key, 0) + 1
-        if self._derived:
-            self._derived.clear()
-
     def record_drop(self, reason: str = DROP_TO_CRASHED) -> None:
         """Account one dropped message under ``reason`` (a :data:`DROP_REASONS`
         name)."""
@@ -463,30 +442,28 @@ def _dict_delta(current: Dict, baseline: Dict) -> Dict:
 
 
 class Network:
-    """Owns every node channel and enforces the asynchronous delivery model.
+    """Link policy, crash set and accounting of the asynchronous network.
 
-    The network does not deliver messages by itself: the
-    :class:`~repro.sim.engine.Simulator` schedules a delivery event for each
-    accepted message and later calls :meth:`pop` to remove it from the channel
-    when the destination processes it.
+    The network holds no message: every in-flight record lives in the
+    :class:`~repro.sim.engine.Simulator`'s scheduler.  The simulator asks
+    :meth:`delivery_times` which copies of a send survive a link adversary or
+    a crashed destination, delivers records itself (its drain loop fuses what
+    :meth:`pop_record` spells out), and the inspection methods read the
+    pending records back out of the scheduler.
     """
 
-    __slots__ = ("min_delay", "max_delay", "_channels", "_msg_counter",
-                 "stats", "_crashed", "adversary", "_pending_records")
+    __slots__ = ("min_delay", "max_delay", "stats", "_crashed", "adversary",
+                 "_pending_records")
 
     def __init__(self, min_delay: float = 0.1, max_delay: float = 1.0) -> None:
-        if min_delay <= 0 or max_delay < min_delay:
-            raise ValueError("delays must satisfy 0 < min_delay <= max_delay")
+        # Same rule, same words as SimulatorConfig (which fires first for a
+        # simulator-built network); kept for standalone construction.
+        if min_delay <= 0:
+            raise ValueError("min_delay must be positive")
+        if max_delay < min_delay:
+            raise ValueError("max_delay must be >= min_delay")
         self.min_delay = min_delay
         self.max_delay = max_delay
-        #: dest -> {msg_id -> Message} (adversarial submits, injected
-        #: corruption; fast-path records never enter a channel).  A plain
-        #: dict (not a defaultdict): the engine's fused submit path
-        #: subscripts it, and an auto-creating container would silently
-        #: resurrect empty channels for crashed destinations that
-        #: :meth:`mark_crashed` discarded.
-        self._channels: Dict[int, Dict[int, Message]] = {}
-        self._msg_counter = itertools.count()
         self.stats = ChannelStats()
         self._crashed: set[int] = set()
         #: optional link-level adversary (duck-typed; see
@@ -494,149 +471,89 @@ class Network:
         #: the paper's fault model: no loss, no duplication, finite delays.
         self.adversary = None
         #: zero-arg callable yielding the scheduler's pending events (the
-        #: simulator binds ``scheduler.iter_events`` here), used by the
-        #: in-flight introspection to see channel-free fast records.  ``None``
-        #: for a standalone network — then channels are the whole truth.
+        #: simulator binds ``scheduler.iter_events`` here) — the source of
+        #: every in-flight view.  ``None`` for a standalone network, which
+        #: then has nothing in flight.
         self._pending_records = None
 
     # ------------------------------------------------------------------ admin
     def install_adversary(self, adversary) -> None:
         """Install (or with ``None``, remove) a link adversary.
 
-        The adversary is consulted on every :meth:`submit` (loss, duplication,
-        delay spikes, send-time partition checks) and every :meth:`pop`
-        (delivery-time partition checks for messages already in flight when a
-        partition started).  It must expose ``on_submit(msg, now)`` returning
-        a :class:`~repro.scenarios.adversary.LinkVerdict` and
-        ``on_deliver(msg, now)`` returning a drop-reason string or ``None``.
+        The adversary is consulted on every send (loss, duplication, delay
+        spikes, send-time partition checks — :meth:`delivery_times`) and
+        every delivery (partition checks for messages already in flight when
+        a partition started).  It must expose ``on_submit(sender, dest, now)``
+        returning a :class:`~repro.scenarios.adversary.LinkVerdict` and
+        ``on_deliver(sender, dest, now)`` returning a drop-reason string or
+        ``None``.
         """
         self.adversary = adversary
 
     def mark_crashed(self, node_id: int) -> None:
-        """Record ``node_id`` as crashed; its channel is discarded and future
-        messages to it are dropped silently."""
+        """Record ``node_id`` as crashed: records in flight to it are never
+        delivered (silently — they leave every in-flight view at once) and
+        future messages to it are dropped at send time."""
         self._crashed.add(node_id)
-        self._channels.pop(node_id, None)
 
     def is_crashed(self, node_id: int) -> bool:
         return node_id in self._crashed
 
     # ------------------------------------------------------------------ sends
-    def submit(self, msg: Message, rng, now: float) -> Sequence[Message]:
-        """Accept ``msg`` into the destination channel.
+    def delivery_times(self, sender: Optional[int], dest: int, action: str,
+                       rng, now: float) -> Sequence[float]:
+        """Account one send and return the delivery time of every accepted
+        copy — the caller pushes one record per entry.
 
-        Returns the sequence of accepted copies (with delays and ids
-        assigned), each of which needs a delivery event scheduled.  It is
-        empty if the destination is crashed or the installed adversary
-        dropped the message; it has more than one element when the adversary
-        duplicated it.  Without an adversary the result is always zero or one
-        message — the paper's channel model — served by an allocation-light
-        fast path (this is the per-message hot loop, so the O(1)
-        :class:`ChannelStats` counter updates are fused inline rather than
-        paying a method call and a re-read of ``msg`` fields per message).
+        Empty if the destination is crashed or the adversary dropped the
+        message (send-time partition check, then probabilistic loss); two
+        entries when the adversary duplicated it.  Each copy draws its own
+        delay from ``rng`` (``uniform(min_delay, max_delay)``), scaled by the
+        adversary's delay factor.  The engine's send closure calls this only
+        when an adversary is installed or ``dest`` has crashed; every other
+        send takes its fused single-copy path.
         """
-        msg.msg_id = next(self._msg_counter)
-        msg.send_time = now
-        dest = msg.dest
         stats = self.stats
         stats.total_sent += 1
-        key = (msg.sender, msg.action)
+        key = (sender, action)
         sent = stats._sent
         sent[key] = sent.get(key, 0) + 1
         if stats._derived:
             stats._derived.clear()
         if dest in self._crashed:
-            drops = stats._drops
-            drops[DROP_TO_CRASHED] = drops.get(DROP_TO_CRASHED, 0) + 1
+            stats.record_drop(DROP_TO_CRASHED)
             return ()
-        if self.adversary is None:
-            msg.deliver_time = now + rng.uniform(self.min_delay, self.max_delay)
-            try:
-                self._channels[dest][msg.msg_id] = msg
-            except KeyError:
-                self._channels[dest] = {msg.msg_id: msg}
-            return (msg,)
-        return self._submit_adversarial(msg, rng, now)
-
-    def _submit_adversarial(self, msg: Message, rng, now: float) -> Sequence[Message]:
-        """Slow path of :meth:`submit`: consult the adversary for loss,
-        duplication and delay scaling."""
-        verdict = self.adversary.on_submit(msg, now)
-        if verdict.drop_reason is not None:
-            self.stats.record_drop(verdict.drop_reason)
-            return ()
-        if verdict.duplicates:
-            self.stats.record_duplicate(verdict.duplicates)
-        accepted: List[Message] = []
-        for i in range(1 + verdict.duplicates):
-            copy = msg if i == 0 else replace(msg, msg_id=next(self._msg_counter))
-            delay = rng.uniform(self.min_delay, self.max_delay) * verdict.delay_factor
-            copy.deliver_time = now + delay
-            self._channels.setdefault(copy.dest, {})[copy.msg_id] = copy
-            accepted.append(copy)
-        return accepted
-
-    def inject_initial(self, msg: Message) -> Message:
-        """Place a (possibly corrupted) message into a channel without
-        accounting it as protocol traffic.  Used by adversarial initial-state
-        generators; the simulator still schedules its delivery."""
-        msg.msg_id = next(self._msg_counter)
-        msg.corrupted = True
-        if msg.dest in self._crashed:
-            return msg
-        self._channels.setdefault(msg.dest, {})[msg.msg_id] = msg
-        return msg
+        copies, delay_factor = 1, 1.0
+        if self.adversary is not None:
+            verdict = self.adversary.on_submit(sender, dest, now)
+            if verdict.drop_reason is not None:
+                stats.record_drop(verdict.drop_reason)
+                return ()
+            if verdict.duplicates:
+                stats.record_duplicate(verdict.duplicates)
+            copies += verdict.duplicates
+            delay_factor = verdict.delay_factor
+        return [now + rng.uniform(self.min_delay, self.max_delay) * delay_factor
+                for _ in range(copies)]
 
     # -------------------------------------------------------------- delivery
-    def pop(self, msg: Message) -> Optional[Message]:
-        """Remove ``msg`` from its channel at delivery time.
-
-        Returns the message if it is still pending (normal case) or ``None``
-        if the destination crashed after the message was sent.
-        """
-        channel = self._channels.get(msg.dest)
-        if channel is None:
-            return None
-        pending = channel.pop(msg.msg_id, None)
-        if pending is None:
-            return None
-        adversary = self.adversary
-        if adversary is not None:
-            # Delivery-time check: a message can be in flight when a partition
-            # starts; it must not cross the cut while the partition is active.
-            reason = adversary.on_deliver(pending, pending.deliver_time)
-            if reason is not None:
-                self.stats.record_drop(reason)
-                return None
-        stats = self.stats
-        stats.total_delivered += 1
-        if stats.delivery_latency is not None:
-            stats.delivery_latency.record(
-                pending.deliver_time - pending.send_time)
-        key = (pending.dest, pending.action)
-        received = stats._received
-        received[key] = received.get(key, 0) + 1
-        if stats._derived:
-            stats._derived.clear()
-        return pending
-
     def pop_record(self, record: tuple) -> bool:
-        """Record-form sibling of :meth:`pop` for fast-path in-flight tuples.
+        """Account the delivery of ``record`` — the reference the engine's
+        fused drain branch is pinned against (:meth:`Simulator.step` uses it).
 
         Returns ``True`` if the record was still pending and is now accounted
         as delivered; ``False`` if the destination crashed after the send or
-        an adversary installed *since* the send (e.g. between scenario runs
-        with traffic still in flight) vetoed delivery.  The record is only
-        materialised into a :class:`Message` on that rare adversarial check.
+        the installed adversary vetoed delivery (a partition that started
+        with the record in flight).
 
-        Records have no channel entry, so "still pending?" is a crashed-set
-        test — only :meth:`mark_crashed` could ever remove one.
+        Records live only in the scheduler, so "still pending?" is a
+        crashed-set test.
         """
         if record[REC_DEST] in self._crashed:
             return False
         adversary = self.adversary
         if adversary is not None:
-            reason = adversary.on_deliver(record_to_message(record),
+            reason = adversary.on_deliver(record[REC_SENDER], record[REC_DEST],
                                           record[REC_DELIVER_TIME])
             if reason is not None:
                 self.stats.record_drop(reason)
@@ -654,15 +571,13 @@ class Network:
         return True
 
     # ------------------------------------------------------------ inspection
-    def _iter_pending_fast(self) -> Iterator[tuple]:
-        """Yield the channel-free fast records still awaiting delivery.
+    def _iter_pending(self) -> Iterator[tuple]:
+        """Yield the records still awaiting delivery.
 
         Pulled from the scheduler backlog (:attr:`_pending_records`),
-        filtered down to records whose destination is alive — exactly the
-        records the old per-destination channels would have held.  Records
-        addressed to crashed nodes stay queued (the engine skips them at
-        delivery time), so they are filtered here the way
-        :meth:`mark_crashed` used to discard their channel entries.
+        filtered down to records whose destination is alive: records
+        addressed to a crashed node stay queued (the engine skips them at
+        delivery time) but are no longer in flight.
         """
         source = self._pending_records
         if source is None:
@@ -673,25 +588,17 @@ class Network:
                 yield event
 
     def channel_of(self, node_id: int) -> List[Message]:
-        """Return the in-flight messages currently addressed to ``node_id``
-        (fast-path records materialised into :class:`Message` instances)."""
-        out = list(self._channels.get(node_id, {}).values())
-        if node_id not in self._crashed:
-            out.extend(record_to_message(event)
-                       for event in self._iter_pending_fast()
-                       if event[REC_DEST] == node_id)
-        return out
+        """The paper's ``v.Ch``: the in-flight messages currently addressed
+        to ``node_id``, materialised into :class:`Message` instances."""
+        return [record_to_message(event) for event in self._iter_pending()
+                if event[REC_DEST] == node_id]
 
     def in_flight(self) -> int:
-        """Total number of undelivered messages (channel entries plus
-        channel-free fast records pending in the scheduler)."""
-        return (sum(len(ch) for ch in self._channels.values())
-                + sum(1 for _ in self._iter_pending_fast()))
+        """Total number of undelivered messages."""
+        return sum(1 for _ in self._iter_pending())
 
     def iter_in_flight(self) -> Iterator[Message]:
-        for channel in self._channels.values():
-            yield from channel.values()
-        for event in self._iter_pending_fast():
+        for event in self._iter_pending():
             yield record_to_message(event)
 
     def implicit_edges(self) -> List[tuple[int, int]]:
@@ -701,20 +608,14 @@ class Network:
         Reference-carrying parameters are recognised by convention: any
         parameter named ``node``, ``ref``, ``pred``, ``succ`` or ending in
         ``_ref`` whose value is an ``int`` is treated as a node reference.
-        Reads fast-path records in place — no materialisation needed.
+        Reads the records in place — no materialisation needed.
         """
         edges = []
-
-        def _collect(dest: int, params: Dict[str, Any]) -> None:
-            for key, value in params.items():
+        for event in self._iter_pending():
+            dest = event[REC_DEST]
+            for key, value in event[REC_PARAMS].items():
                 if not isinstance(value, int):
                     continue
                 if key in ("node", "ref", "pred", "succ", "sender") or key.endswith("_ref"):
                     edges.append((dest, value))
-
-        for channel in self._channels.values():
-            for msg in channel.values():
-                _collect(msg.dest, msg.params)
-        for event in self._iter_pending_fast():
-            _collect(event[REC_DEST], event[REC_PARAMS])
         return edges

@@ -131,12 +131,12 @@ class ProtocolNode:
         nothing.  Crashed nodes never send.
 
         This is the per-message hot path: the kwargs dict is freshly built by
-        the call itself, so it is handed over without the defensive copy
-        :meth:`Simulator.send_message` performs for external callers, and
-        submission goes through the simulator's prebound ``_send_fast``
-        closure (network, scheduler and delay source resolved once per
-        simulator, not once per message), which on the no-adversary path
-        builds an in-flight record tuple instead of a :class:`Message`.
+        the call itself, so it is handed over to the in-flight record without
+        a defensive copy (:meth:`Simulator.inject_message`, whose caller keeps
+        its dict, copies), and the send goes through the simulator's prebound
+        ``_send_fast`` closure (network, scheduler and delay source resolved
+        once per simulator, not once per message), which builds one record
+        tuple per accepted copy and never a :class:`Message`.
         """
         if self.crashed or dest is None:
             return
@@ -175,8 +175,8 @@ class ProtocolNode:
             bound(**params)
             return
         # The topic is folded into the params dict IN PLACE: every message
-        # owns its params (send/send_message/inject_message copy or transfer
-        # ownership on construction), handlers only ever see the unpacked
+        # owns its params (send transfers ownership of its kwargs dict,
+        # inject_message copies), handlers only ever see the unpacked
         # ``**params`` copy, and for adversarial duplicates — which share one
         # dict — the write is idempotent.  This saves a dict copy on every
         # topic-carrying delivery.

@@ -50,7 +50,7 @@ _TIME_KEY = itemgetter(0)
 
 #: One scheduled event: (time, seq, kind, payload).  ``seq`` is unique, so the
 #: pair (time, seq) is a total order and kind/payload never get compared —
-#: which also lets the engine's fast-delivery records (10-tuples whose first
+#: which also lets the engine's message-delivery records (9-tuples whose first
 #: three positions follow this layout; see :mod:`repro.sim.network`) mix
 #: freely with plain 4-tuple events in one queue.
 Event = Tuple[float, int, int, Any]
@@ -100,10 +100,10 @@ class EventScheduler:
     def iter_events(self):
         """Iterate over every pending event in **arbitrary** order.
 
-        A cold introspection surface: the network's in-flight views read
-        channel-free fast-delivery records straight out of the queue through
-        it, and the arena derives per-node timeout deadlines from it.  The
-        iterator must not be used across a mutation (push/pop).
+        A cold introspection surface: the network's in-flight views
+        (``channel_of``, ``in_flight``, ``implicit_edges``) read the pending
+        message records straight out of the queue through it.  The iterator
+        must not be used across a mutation (push/pop).
         """
         raise NotImplementedError
 

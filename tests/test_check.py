@@ -360,6 +360,10 @@ class TestFixedFindings:
         from repro.sim.engine import SimulatorConfig
         with pytest.raises(ValueError, match="min_delay"):
             SimulatorConfig(min_delay=-0.1)
+        # zero used to validate here and die later in Network.__init__ with
+        # other words; the drain's window argument needs it strictly positive
+        with pytest.raises(ValueError, match="min_delay must be positive"):
+            SimulatorConfig(min_delay=0.0)
         with pytest.raises(ValueError, match="max_delay"):
             SimulatorConfig(min_delay=0.5, max_delay=0.1)
         with pytest.raises(ValueError, match="detection_lag"):

@@ -274,6 +274,37 @@ class TestGenericSchedulerDrain:
         assert custom[3] > 0, "adversary never dropped anything"
         assert custom == run(None)  # parity with the default wheel
 
+    def test_interrupted_windows_narrow_under_an_adversary(self):
+        """A delay spike with ``factor < 1`` lands deliveries inside the open
+        window; every interrupt hands the unprocessed tail back to the
+        queue.  The drain halves its window after each one, so the requeue
+        traffic stays a sliver of the events (without the halving it
+        exceeds the event count itself)."""
+        from repro.scenarios.adversary import LinkAdversary
+
+        class RequeueCounting(HeapScheduler):  # subclass -> generic pushes
+            def __init__(self):
+                super().__init__()
+                self.seen = set()
+                self.requeued = 0
+
+            def push(self, event):
+                key = event[:2]
+                self.requeued += key in self.seen
+                self.seen.add(key)
+                super().push(event)
+
+        sim = Simulator(SimulatorConfig(seed=5))
+        sim.scheduler = scheduler = RequeueCounting()
+        adversary = LinkAdversary(rng=sim.adversary_rng())
+        adversary.add_delay_spike(0.0, 1e9, factor=0.01)
+        sim.install_adversary(adversary)
+        for i in range(30):
+            sim.add_node(_Pinger(i + 1))
+        sim.run_until_time(30.0)
+        assert sim.steps_executed > 1_500
+        assert 0 < scheduler.requeued < sim.steps_executed // 20
+
     def test_spec_roundtrip_with_width(self):
         spec = SystemSpec(seed=3, wheel_bucket_width=0.2)
         assert SystemSpec.from_json(spec.to_json()) == spec
@@ -349,8 +380,8 @@ class TestSlotsAndCompat:
     def test_message_dataclass_replace_still_works(self):
         from dataclasses import replace
         msg = Message(action="A", params={"x": 1}, sender=1, dest=2)
-        copy = replace(msg, msg_id=7)
-        assert copy.msg_id == 7 and copy.action == "A" and copy.params == {"x": 1}
+        copy = replace(msg, deliver_time=7.0)
+        assert copy.deliver_time == 7.0 and copy.action == "A" and copy.params == {"x": 1}
 
     def test_protocol_node_base_is_slotted_but_subclasses_stay_open(self):
         node = ProtocolNode(1)
@@ -453,6 +484,59 @@ class TestProtocolPathStaysFractionFree:
         db.put("0100", 5)  # non-canonical: now the repair has something to sort
         supervisor.on_timeout()
         assert calls and not db.is_corrupted()
+
+
+class TestInFlightMessagesAreRecords:
+    """The PR 16 contract: nothing in flight is a ``Message`` — not under a
+    link adversary either.  One is built only when something inspects the
+    network or a node overrides ``dispatch``."""
+
+    def test_lossy_partitioned_run_constructs_no_message(self, monkeypatch):
+        from repro.api import build_stable
+        from repro.scenarios.adversary import LinkAdversary
+
+        built = []
+        real_init = Message.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Message, "__init__", counting_init)
+        system, peers = build_stable(SystemSpec(seed=16), 12)
+        sim = system.sim
+        adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.1,
+                                  duplicate_rate=0.1)
+        adversary.add_partition("cut", [[p.node_id for p in peers[:4]]],
+                                start=sim.now + 2.0, heal_time=sim.now + 6.0)
+        sim.install_adversary(adversary)
+        del built[:]
+        system.run_rounds(10)
+        drops = sim.network.stats.drops_by_reason
+        assert drops["adversary_loss"] > 0 and drops["partition"] > 0
+        assert sim.network.stats.duplicated > 0
+        assert built == []
+        # inspection is what materialises one — per entry read, no more
+        in_flight = list(sim.network.iter_in_flight())
+        assert len(built) == len(in_flight) > 0
+
+    def test_a_dispatch_override_still_receives_a_message(self):
+        seen = []
+
+        class Tap(ProtocolNode):
+            def dispatch(self, msg):
+                seen.append(msg)
+
+        sim = Simulator(SimulatorConfig(seed=16))
+        sim.add_node(Tap(1), schedule_timeout=False)
+        sim.add_node(_Pinger(2), schedule_timeout=False)
+        sim.nodes[2].send(1, "Ping", topic="t", sender=2)
+        sim.inject_message(1, "Forged", {"x": 1}, delay=0.5)
+        sim.run_for(2.0)
+        assert sorted((m.action, m.sender, m.dest, m.topic) for m in seen) == [
+            ("Forged", None, 1, None), ("Ping", 2, 1, "t")]
+        assert all(isinstance(m, Message) and m.deliver_time >= m.send_time
+                   for m in seen)
 
 
 class _CountingHashlib:

@@ -17,7 +17,7 @@ from repro.sim.network import (
     DROP_ADVERSARY_LOSS,
     DROP_PARTITION,
     DROP_TO_CRASHED,
-    Message,
+    FAST_RECORD_KIND,
 )
 from repro.sim.node import ProtocolNode
 
@@ -29,10 +29,6 @@ class Counting(ProtocolNode):
 
     def on_Ping(self, sender=None, topic=None):
         self.pings += 1
-
-
-def _msg(sender, dest):
-    return Message(action="Ping", params={}, sender=sender, dest=dest)
 
 
 class TestPartitionAndSpike:
@@ -99,7 +95,7 @@ class TestAdversaryHooks:
         sim.install_adversary(adversary)
         # Partition starts at t=0.05: the first message is submitted before it
         # but delivered during it (delays are >= 0.1), so the delivery-time
-        # hook in Network.pop must sever it too.
+        # hook must sever it too.
         adversary.add_partition("cut", [{1}], start=0.05, heal_time=100.0)
         a.send(2, "Ping", sender=1)
         sim.run_for(1.0)
@@ -142,6 +138,77 @@ class TestAdversaryHooks:
         system.run_rounds(20)
         adversary.quiesce()
         assert system.run_until_legitimate(max_rounds=400)
+
+
+class TestOneInFlightForm:
+    """Everything in flight — sent with or without an adversary, duplicated,
+    injected — is one record in the scheduler, and every network view is a
+    reading of those records."""
+
+    def test_views_agree_under_every_adversarial_condition(self):
+        sim = Simulator(SimulatorConfig(seed=21))
+        nodes = [sim.add_node(Counting(i + 1), schedule_timeout=False)
+                 for i in range(6)]
+        adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.2,
+                                  duplicate_rate=0.3)
+        adversary.add_delay_spike(0.0, 50.0, factor=0.5)
+        # starts with every copy below already in flight
+        adversary.add_partition("cut", [{1, 2}], start=0.02, heal_time=50.0)
+        sim.install_adversary(adversary)
+        for node in nodes:
+            for dest in range(1, 7):
+                if dest != node.node_id:
+                    node.send(dest, "Ping", sender=node.node_id)
+        sim.inject_message(3, "Ping", {"sender": 99})
+        network, stats = sim.network, sim.network.stats
+        assert stats.drops_by_reason[DROP_ADVERSARY_LOSS] > 0
+        assert stats.duplicated > 0
+        assert stats.total_sent == 30  # the injection is not a protocol send
+
+        in_flight = list(network.iter_in_flight())
+        assert (network.in_flight() == len(in_flight)
+                == sum(len(network.channel_of(n)) for n in sim.nodes)
+                == 30 - stats.total_dropped + stats.duplicated + 1)
+        # the scheduler backlog is the only store: one record per entry
+        assert (sorted(m.deliver_time for m in in_flight)
+                == sorted(event[0] for event in sim.scheduler.iter_events()
+                          if event[2] == FAST_RECORD_KIND))
+        # the spike undercut min_delay for at least one copy
+        assert any(m.deliver_time - m.send_time < sim.config.min_delay
+                   for m in in_flight)
+        # a duplicate is a second entry sharing the first one's params dict
+        sharers = {}
+        for msg in in_flight:
+            sharers.setdefault(id(msg.params), []).append(msg)
+        pairs = [group for group in sharers.values() if len(group) == 2]
+        assert len(pairs) == stats.duplicated
+        assert len(sharers) == len(in_flight) - stats.duplicated
+        assert all(a.deliver_time != b.deliver_time for a, b in pairs)
+        # injected corruption has no sender
+        injected = [m for m in in_flight if m.sender is None]
+        assert len(injected) == 1 and injected[0].dest == 3
+        assert injected[0].params == {"sender": 99}
+
+        # copies addressed to a node that then crashes leave every view at
+        # once and are nobody's "drop"
+        to_four = len(network.channel_of(4))
+        assert to_four > 0
+        drops_before = stats.drops_by_reason
+        sim.crash_node(4)
+        assert network.channel_of(4) == []
+        assert (network.in_flight() == len(list(network.iter_in_flight()))
+                == len(in_flight) - to_four)
+        assert all(dest != 4 for dest, _ref in network.implicit_edges())
+        assert stats.drops_by_reason == drops_before
+
+        sim.run_for(2.0)
+        assert network.in_flight() == 0
+        # all of them were sent before the cut: severed at delivery time
+        severed = stats.drops_by_reason[DROP_PARTITION]
+        assert severed > 0
+        assert stats.drops_by_reason[DROP_TO_CRASHED] == 0
+        assert (sum(node.pings for node in nodes) == stats.total_delivered
+                == len(in_flight) - to_four - severed)
 
 
 class TestSchedulerParityWithAdversary:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.failure import CrashSchedule, FailureDetector
-from repro.sim.network import ChannelStats, Message, Network
+from repro.sim.network import ChannelStats, Network
 from repro.sim.node import ProtocolNode
 from repro.sim.rng import derive_rng, shuffle_deterministically, spawn_seeds
 from repro.sim.tracing import Tracer
@@ -152,15 +152,19 @@ class TestNetwork:
         assert len(sim.network.channel_of(2)) == 1
 
     def test_stats_snapshot_and_delta(self):
-        stats = ChannelStats()
-        msg = Message(action="A", params={}, sender=1, dest=2)
-        stats.record_send(msg)
-        stats.record_delivery(msg)
+        sim = Simulator(SimulatorConfig(seed=8))
+        sim.add_node(EchoNode(1), schedule_timeout=False)
+        sim.add_node(EchoNode(2), schedule_timeout=False)
+        stats = sim.network.stats
+        assert isinstance(stats, ChannelStats)
+        sim.nodes[1].send(2, "Ping", reply=False, sender=1)
+        sim.run_for(2.0)  # sent and delivered
         snap = stats.snapshot()
-        stats.record_send(Message(action="A", params={}, sender=1, dest=2))
+        sim.nodes[1].send(2, "Ping", reply=False, sender=1)  # sent, in flight
         delta = stats.delta(snap)
         assert delta.total_sent == 1 and delta.total_delivered == 0
-        assert stats.sent_by(1, "A") == 2
+        assert delta.sent_by(1, "Ping") == 1 and delta.received_by(2) == 0
+        assert stats.sent_by(1, "Ping") == 2
         assert stats.received_by(2) == 1
 
 
