@@ -126,9 +126,11 @@ def main(argv=None) -> int:
         print(f"WARNING: {failed} ops failed the workload's check — "
               f"this is the profile of a wrong run")
 
+    stats = pstats.Stats(profiler, stream=sys.stdout)
     if events:
         print(f"events processed: {events:,}")
-    stats = pstats.Stats(profiler, stream=sys.stdout)
+        print(f"calls/event: {calls_per_event(stats, events):.1f} "
+              f"({stats.prim_calls:,} primitive calls)")
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.out is not None:
         stats.dump_stats(args.out)
@@ -191,6 +193,12 @@ def run_tracemalloc(case, args) -> int:
     return 0
 
 
+def calls_per_event(stats: pstats.Stats, events: int) -> float:
+    """Primitive (non-recursive) calls per simulator event: how many Python
+    and builtin frames one event costs, the number ROADMAP item 4 tracks."""
+    return stats.prim_calls / events if events else 0.0
+
+
 #: pstats sort key -> index into the per-function stats tuple (cc, nc, tt, ct).
 _SORT_VALUE = {"cumulative": 3, "tottime": 2, "ncalls": 1}
 
@@ -221,6 +229,7 @@ def profile_payload(stats: pstats.Stats, case, events,
         "case": case.name,
         "description": case.description,
         "events": events,
+        "calls_per_event": round(calls_per_event(stats, events), 2),
         "sort": sort,
         "total_functions": len(rows),
         "top": rows[:top],

@@ -16,6 +16,13 @@ Algorithms 1–2), the probabilistic configuration requests to the supervisor
 (Section 3.2.1, actions (i)–(iv)), shortcut maintenance and the pairwise
 shortcut introductions (Section 3.2.2), and one anti-entropy exchange with a
 random ring neighbour (Algorithm 5).
+
+A node of a legitimate skip ring does the same thing every period (closure),
+so a view derives what follows from ``(label, left, right, ring)`` alone once
+(:class:`_TimeoutPlan`, current exactly while the four are *the same
+objects*) and sends the same params dicts again.  Every dict a view caches is
+shared by all the messages sent from it and therefore read-only: handlers get
+a ``**params`` copy and the engine's in-place ``topic`` fold is idempotent.
 """
 
 from __future__ import annotations
@@ -27,15 +34,14 @@ from repro.core import messages as msg
 from repro.core.config import ProtocolParams
 from repro.core.labels import Label, closer, is_valid_label, ring_key
 from repro.core.shortcuts import shortcut_labels_from_neighbor
-from repro.pubsub.antientropy import (
-    handle_check_and_publish,
-    handle_check_trie,
-    initial_check_trie,
-)
+from repro.pubsub.antientropy import handle_check_and_publish, handle_check_trie
 from repro.pubsub.flooding import flood_fanout
 from repro.pubsub.patricia import PatriciaTrie
 from repro.pubsub.publications import Publication
 from repro.sim.node import NodeRef, ProtocolNode
+
+#: ``dict.get`` default that no reference carried by a message can equal.
+_ABSENT = object()
 
 
 class Neighbor(NamedTuple):
@@ -45,20 +51,77 @@ class Neighbor(NamedTuple):
     ref: NodeRef
 
 
+class _TimeoutPlan:
+    """What a Timeout derives from ``(label, left, right, ring)`` alone.
+
+    Built right after ``_sanitize_sides`` and current exactly while the view
+    holds *the same four objects* (compared with ``is``, so any write — a
+    handler's, a test's, ``workloads/initial_states.py``'s — misses and
+    rebuilds): a current plan therefore also says the view is sane.
+    """
+
+    __slots__ = ("label", "left", "right", "ring", "introduces", "minimal",
+                 "request_probability", "level_pair", "expected", "targets")
+
+    def __init__(self, view: "TopicView") -> None:
+        label, node_id = view.label, view.node_id
+        left, right, ring = view.left, view.right, view.ring
+        self.label, self.left, self.right, self.ring = label, left, right, ring
+        #: ``(dest, Introduce params)`` per stored ring neighbour, carrying the
+        #: label we believe it has (extended BuildRing)
+        self.introduces = [
+            (nb.ref, {"node": node_id, "label": label, "believed": nb.label, "flag": flag})
+            for nb, flag in ((left, msg.FLAG_LIN), (right, msg.FLAG_LIN), (ring, msg.FLAG_CYC))
+            if nb is not None]
+        #: action (iv) trigger: the node locally looks like the minimum but
+        #: has no wrap-around partner (so it may be the head of an unrecorded
+        #: component), or it is completely isolated
+        self.minimal = left is None and ring is None
+        self.request_probability = view.owner.params.request_probability(len(label))
+        # The ring neighbours, whether stored in ``left``/``right`` or ``ring``.
+        if ring is not None:
+            if left is None and ring_key(ring.label) > ring_key(label):
+                left = ring
+            if right is None and ring_key(ring.label) < ring_key(label):
+                right = ring
+        # The two shortcut chains are a pure function of the label triple.
+        left_chain = shortcut_labels_from_neighbor(label, left.label if left else None)
+        right_chain = shortcut_labels_from_neighbor(label, right.label if right else None)
+        self.expected = {*left_chain, *right_chain} - {label}
+        #: Our two neighbours in the level-``|label|`` ring (Algorithm 4,
+        #: lines 12–14) as ``(ring neighbour, via)``: on each side it is the
+        #: shortcut stored under ``via``, the terminal label of the recursion
+        #: (the ring neighbour is deeper than we are), or, with ``via`` None,
+        #: the ring neighbour itself.  ``None`` when a side has no neighbour.
+        self.level_pair = None if left is None or right is None else (
+            (left, left_chain[-1] if left_chain else None),
+            (right, right_chain[-1] if right_chain else None))
+        #: sorted anti-entropy targets, filled in on first use
+        self.targets: Optional[List[NodeRef]] = None
+
+
 class TopicView:
     """Per-topic protocol state of a subscriber.
 
     Slotted: a million-subscriber simulation holds one view per (node, topic)
     pair and the routing/shortcut fields are read on every delivered message,
     so the state lives in fixed slots instead of a per-instance dict.
+
+    ``_plan`` caches what a Timeout derives from ``(label, left, right,
+    ring)`` and is matched by identity, so every write to one of the four
+    rebuilds it; ``_pair_memo`` / ``_check_memo`` hold the last
+    ``IntroduceShortcut`` pair and ``CheckTrie`` params, matched by value.
+    The cached dicts are shared by the messages sent from them: read-only.
     """
 
-    __slots__ = ("owner", "topic", "subscribed", "pending_unsubscribe", "label",
-                 "left", "right", "ring", "shortcuts", "trie",
-                 "config_change_count", "_last_config_state", "_chain_memo")
+    __slots__ = ("owner", "node_id", "topic", "subscribed", "pending_unsubscribe",
+                 "label", "left", "right", "ring", "shortcuts", "trie",
+                 "config_change_count", "_last_config_state", "_plan",
+                 "_pair_memo", "_check_memo")
 
     def __init__(self, owner: "Subscriber", topic: str, subscribed: bool) -> None:
         self.owner = owner
+        self.node_id: NodeRef = owner.node_id
         self.topic = topic
         self.subscribed = subscribed
         self.pending_unsubscribe = False
@@ -70,94 +133,66 @@ class TopicView:
         self.trie = PatriciaTrie(key_bits=owner.params.publication_key_bits)
         #: number of SetData messages that actually changed label or neighbours
         self.config_change_count = 0
-        #: the last ``(own, left, right)`` label triple and its two shortcut
-        #: chains — in a legitimate state the triple does not change
-        self._chain_memo: Optional[Tuple[Tuple, List[Label], List[Label]]] = None
+        self._last_config_state: Optional[Tuple] = None
+        self._plan: Optional[_TimeoutPlan] = None
+        self._pair_memo: Optional[Tuple[list, Optional[dict], Optional[dict]]] = None
+        self._check_memo: Optional[Tuple[Tuple[str, str], dict]] = None
 
-    # ------------------------------------------------------------- shorthands
-    @property
-    def node_id(self) -> NodeRef:
-        return self.owner.node_id
-
-    @property
-    def params(self) -> ProtocolParams:
-        return self.owner.params
-
-    @property
-    def rng(self) -> random.Random:
-        return self.owner.rng
-
+    # ------------------------------------------------------------------ sends
+    # One frame per message: each variant makes ``ProtocolNode.send``'s tests
+    # itself and hands its dict to the simulator's ``_send_fast`` as it is
+    # (read per call — the engine rebinds it; a detached owner's ``sim``
+    # raises the explanatory error).
     def send(self, dest: Optional[NodeRef], action: str, **params) -> None:
-        self.owner.send(dest, action, topic=self.topic, **params)
+        owner = self.owner
+        if not owner.crashed and dest is not None:
+            (owner._sim or owner.sim)._send_fast(self.node_id, dest, action, self.topic, params)
+
+    def _send(self, dest: Optional[NodeRef], action: str, params: dict) -> None:
+        """:meth:`send` for a prebuilt — usually cached and shared — dict."""
+        owner = self.owner
+        if not owner.crashed and dest is not None:
+            (owner._sim or owner.sim)._send_fast(self.node_id, dest, action, self.topic, params)
 
     def send_supervisor(self, action: str, **params) -> None:
-        self.owner.send(self.owner.supervisor_for(self.topic), action,
-                        topic=self.topic, **params)
+        self._send(self.owner.supervisor_for(self.topic), action, params)
 
     # ------------------------------------------------------------- inspection
-    def effective_left(self) -> Optional[Neighbor]:
-        """The left ring neighbour, whether stored in ``left`` or ``ring``."""
-        if self.left is not None:
-            return self.left
-        if self.ring is not None and self.label is not None and \
-                ring_key(self.ring.label) > ring_key(self.label):
-            return self.ring
-        return None
-
-    def effective_right(self) -> Optional[Neighbor]:
-        """The right ring neighbour, whether stored in ``right`` or ``ring``."""
-        if self.right is not None:
-            return self.right
-        if self.ring is not None and self.label is not None and \
-                ring_key(self.ring.label) < ring_key(self.label):
-            return self.ring
-        return None
-
     def neighbor_refs(self) -> Set[NodeRef]:
         """All explicit neighbour references (ring + shortcuts)."""
-        refs: Set[NodeRef] = set()
-        for nb in (self.left, self.right, self.ring):
-            if nb is not None:
-                refs.add(nb.ref)
+        refs = self.ring_neighbor_refs()
         refs.update(ref for ref in self.shortcuts.values() if ref is not None)
         refs.discard(self.node_id)
         return refs
 
     def ring_neighbor_refs(self) -> Set[NodeRef]:
-        refs: Set[NodeRef] = set()
-        for nb in (self.left, self.right, self.ring):
-            if nb is not None and nb.ref != self.node_id:
-                refs.add(nb.ref)
-        return refs
-
-    def believes_minimal_and_unanchored(self) -> bool:
-        """Action (iv) trigger: the node locally looks like the minimum but has
-        no wrap-around partner (so it may be the head of an unrecorded
-        component), or it is completely isolated."""
-        if self.label is None:
-            return False
-        return self.left is None and self.ring is None
+        return {nb.ref for nb in (self.left, self.right, self.ring)
+                if nb is not None and nb.ref != self.node_id}
 
     # ==================================================================== ring
     def timeout(self) -> None:
-        if not self.subscribed and self.label is None and not self._has_any_connection():
+        label = self.label
+        if label is None:
+            if self.subscribed or self.neighbor_refs():
+                self._timeout_without_label()
             return
-        if self.label is None:
-            self._timeout_without_label()
-            return
-        self._sanitize_sides()
-        self._introduce_to_neighbors()
-        self._supervisor_requests()
-        if self.params.shortcut_maintenance:
-            self._maintain_shortcuts()
-        if self.params.enable_anti_entropy:
-            self._anti_entropy_round()
+        plan = self._plan
+        if (plan is None or plan.label is not label or plan.left is not self.left
+                or plan.right is not self.right or plan.ring is not self.ring):
+            self._sanitize_sides()
+            plan = self._plan = _TimeoutPlan(self)
+        for dest, introduce in plan.introduces:
+            self._send(dest, msg.INTRODUCE, introduce)
+        self._supervisor_requests(plan)
+        params = self.owner.params
+        if params.shortcut_maintenance:
+            self._maintain_shortcuts(plan)
+        if params.enable_anti_entropy:
+            self._anti_entropy_round(plan)
 
-    def _has_any_connection(self) -> bool:
-        return bool(self.neighbor_refs())
-
-    def _timeout_without_label(self) -> None:
-        """Algorithm 2 (label = ⊥ branch) + action (i) of Section 3.2.1."""
+    def _disconnect(self) -> None:
+        """Tell every neighbour to drop us, then drop them all (Algorithm 2,
+        label = ⊥ branch)."""
         for nb in (self.left, self.right, self.ring):
             if nb is not None:
                 self.send(nb.ref, msg.REMOVE_CONNECTIONS, node=self.node_id)
@@ -166,6 +201,10 @@ class TopicView:
                 self.send(ref, msg.REMOVE_CONNECTIONS, node=self.node_id)
         self.left = self.right = self.ring = None
         self.shortcuts = {}
+
+    def _timeout_without_label(self) -> None:
+        """Algorithm 2 (label = ⊥ branch) + action (i) of Section 3.2.1."""
+        self._disconnect()
         if self.subscribed:
             self.send_supervisor(msg.SUBSCRIBE, node=self.node_id)
 
@@ -192,103 +231,76 @@ class TopicView:
                 self.ring = None
                 self._integrate(stale.label, stale.ref)
 
-    def _introduce_to_neighbors(self) -> None:
-        """Periodically introduce ourselves to every direct ring neighbour,
-        carrying the label we believe they have (extended BuildRing)."""
-        assert self.label is not None
-        if self.left is not None:
-            self.send(self.left.ref, msg.INTRODUCE, node=self.node_id, label=self.label,
-                      believed=self.left.label, flag=msg.FLAG_LIN)
-        if self.right is not None:
-            self.send(self.right.ref, msg.INTRODUCE, node=self.node_id, label=self.label,
-                      believed=self.right.label, flag=msg.FLAG_LIN)
-        if self.ring is not None:
-            self.send(self.ring.ref, msg.INTRODUCE, node=self.node_id, label=self.label,
-                      believed=self.ring.label, flag=msg.FLAG_CYC)
-
-    def _supervisor_requests(self) -> None:
+    def _supervisor_requests(self, plan: _TimeoutPlan) -> None:
         """Actions (ii) and (iv) of Section 3.2.1."""
-        assert self.label is not None
         if self.pending_unsubscribe:
             self.send_supervisor(msg.UNSUBSCRIBE, node=self.node_id)
             return
-        if self.params.enable_minimal_request and self.believes_minimal_and_unanchored():
-            if self.rng.random() < self.params.minimal_request_probability:
-                self.send_supervisor(msg.GET_CONFIGURATION, node=self.node_id)
-                self.owner.configuration_requests += 1
-            return
-        probability = self.params.request_probability(len(self.label))
-        if self.rng.random() < probability:
+        owner = self.owner
+        if owner.params.enable_minimal_request and plan.minimal:
+            probability = owner.params.minimal_request_probability
+        else:
+            probability = plan.request_probability
+        if owner.rng.random() < probability:
             self.send_supervisor(msg.GET_CONFIGURATION, node=self.node_id)
-            self.owner.configuration_requests += 1
+            owner.configuration_requests += 1
 
     # ------------------------------------------------------------- shortcuts
-    def _maintain_shortcuts(self) -> None:
-        """Recompute expected shortcut labels, prune stale entries, and
-        introduce our own-level neighbours to each other (Section 3.2.2).
-
-        The two shortcut chains are a pure function of the label triple
-        ``(own, left, right)``; they are derived once per Timeout, and not at
-        all while the triple is the one the view saw last."""
-        assert self.label is not None
-        left_nb = self.effective_left()
-        right_nb = self.effective_right()
-        left = left_nb.label if left_nb is not None else None
-        right = right_nb.label if right_nb is not None else None
-        if self._chain_memo is None or self._chain_memo[0] != (self.label, left, right):
-            self._chain_memo = ((self.label, left, right),
-                                shortcut_labels_from_neighbor(self.label, left),
-                                shortcut_labels_from_neighbor(self.label, right))
-        _, left_chain, right_chain = self._chain_memo
-        expected = {*left_chain, *right_chain}
-        expected.discard(self.label)
-        # Prune entries whose label we no longer expect; delegate their refs
-        # into the ring so the references are not lost.
-        for stale_label in [lbl for lbl in self.shortcuts if lbl not in expected]:
-            ref = self.shortcuts.pop(stale_label)
-            if ref is not None and ref != self.node_id:
-                self._integrate(stale_label, ref)
-        # Sorted so the shortcuts dict's insertion order (and therefore every
-        # later iteration over it, i.e. the message send order) is independent
-        # of PYTHONHASHSEED — runs must be reproducible across processes.
-        for wanted in sorted(expected):
-            self.shortcuts.setdefault(wanted, None)
-
-        self._introduce_own_level_pair(left_nb, left_chain, right_nb, right_chain)
-
-    def _introduce_own_level_pair(self, left_nb: Optional[Neighbor], left_chain: List[Label],
-                                  right_nb: Optional[Neighbor], right_chain: List[Label],
-                                  ) -> None:
-        """A node of level ``k = |label|`` introduces its two neighbours in the
-        level-``k`` ring to each other (Algorithm 4, lines 12–14).
-
-        On each side, the level-``k`` neighbour is either the terminal label of
-        the shortcut recursion (when the ring neighbour on that side is deeper
-        than we are) or the ring neighbour itself (when it is not).
-        """
-        assert self.label is not None
-        pair: List[Neighbor] = []
-        for nb, chain in ((left_nb, left_chain), (right_nb, right_chain)):
-            if nb is None:
-                continue
-            if chain:
-                target_label = chain[-1]
-                ref = self.shortcuts.get(target_label)
-                if ref is not None:
-                    pair.append(Neighbor(target_label, ref))
-            else:
-                pair.append(nb)
-        unique = {nb.ref: nb for nb in pair if nb.ref != self.node_id}
-        if len(unique) != 2:
+    def _maintain_shortcuts(self, plan: _TimeoutPlan) -> None:
+        """Hold exactly the expected shortcut labels and introduce our two
+        own-level neighbours to each other (Section 3.2.2)."""
+        shortcuts = self.shortcuts
+        expected = plan.expected
+        if shortcuts.keys() != expected:
+            # Prune entries whose label we no longer expect; delegate their
+            # refs into the ring so the references are not lost.
+            for stale_label in [lbl for lbl in shortcuts if lbl not in expected]:
+                ref = shortcuts.pop(stale_label)
+                if ref is not None and ref != self.node_id:
+                    self._integrate(stale_label, ref)
+            # Sorted so the shortcuts dict's insertion order (and therefore
+            # every later iteration over it, i.e. the message send order) is
+            # independent of PYTHONHASHSEED — runs must be reproducible across
+            # processes.
+            for wanted in sorted(expected):
+                shortcuts.setdefault(wanted, None)
+        if plan.level_pair is None:
             return
-        first, second = list(unique.values())
-        self.send(first.ref, msg.INTRODUCE_SHORTCUT, node=second.ref, label=second.label)
-        self.send(second.ref, msg.INTRODUCE_SHORTCUT, node=first.ref, label=first.label)
+        pair = []
+        for nb, via in plan.level_pair:
+            if via is not None:
+                ref = shortcuts.get(via)
+                if ref is None:
+                    return
+                nb = (via, ref)
+            pair.append(nb)
+        memo = self._pair_memo
+        if memo is None or memo[0] != pair:
+            (first_label, first), (second_label, second) = pair
+            if first == second or self.node_id in (first, second):
+                memo = (pair, None, None)  # not two distinct other nodes
+            else:
+                memo = (pair, {"node": second, "label": second_label},
+                        {"node": first, "label": first_label})
+            self._pair_memo = memo
+        if memo[1] is not None:
+            self._send(pair[0][1], msg.INTRODUCE_SHORTCUT, memo[1])
+            self._send(pair[1][1], msg.INTRODUCE_SHORTCUT, memo[2])
 
     # ------------------------------------------------------------- integrate
     def _integrate(self, cand_label: Label, cand_ref: NodeRef, cyc: bool = False) -> None:
         """Linearization: place a reference where it belongs or delegate it
         towards its position (Algorithm 1 / Algorithm 2)."""
+        plan = self._plan
+        if plan is not None and plan.label is self.label and not cyc:
+            # The candidate *is* a stored list neighbour, and the plan vouches
+            # that this neighbour is on its side of this label: the path below
+            # would end in ``_integrate_side`` finding ``current`` equal to it
+            # (or earlier, had the stored label been written invalid) — a no-op.
+            cand = (cand_label, cand_ref)
+            if (cand == self.left and self.left is plan.left) or \
+                    (cand == self.right and self.right is plan.right):
+                return
         if cand_ref == self.node_id or not is_valid_label(cand_label):
             return
         if self.label is None:
@@ -348,7 +360,8 @@ class TopicView:
         """Keep the wrap-around candidate farthest from us (Algorithm 2,
         line 31) and push the loser into the sorted list."""
         if self.ring is None or self.ring.ref == cand_ref:
-            self.ring = Neighbor(cand_label, cand_ref)
+            if self.ring is None or self.ring.label != cand_label:
+                self.ring = Neighbor(cand_label, cand_ref)
             return
         current_r = ring_key(self.ring.label)
         cand_r = ring_key(cand_label)
@@ -405,12 +418,12 @@ class TopicView:
         if self.label is None:
             self.send(node, msg.REMOVE_CONNECTIONS, node=self.node_id)
             return
+        if isinstance(label, str) and self.shortcuts.get(label, _ABSENT) == node:
+            return  # stored already: every path below would leave the view as it is
         if node == self.node_id or not is_valid_label(label):
             return
         if label in self.shortcuts:
             old = self.shortcuts[label]
-            if old == node:
-                return
             self.shortcuts[label] = node
             if old is not None:
                 self._integrate(label, old)
@@ -443,71 +456,50 @@ class TopicView:
                 continue
             if not closer(proposed.label, current.label, label):
                 self.send_supervisor(msg.GET_CONFIGURATION, node=current.ref)
-        self.label = label
-        displaced: List[Neighbor] = []
-        displaced.extend(self._adopt_config_side(pred_nb, is_pred=True))
-        displaced.extend(self._adopt_config_side(succ_nb, is_pred=False))
+        if changed:
+            self.label = label
+        # The references this displaces are dropped rather than re-delegated:
+        # the supervisor's configuration is authoritative, and a displaced node
+        # that is still alive re-announces itself (or contacts the supervisor)
+        # on its own Timeout.  Re-delegating here would keep references to
+        # crashed subscribers circulating forever (Section 3.3).
+        self._adopt_config_side(pred_nb, is_pred=True)
+        self._adopt_config_side(succ_nb, is_pred=False)
         if pred_nb is None and succ_nb is None:
             # Single-subscriber system: no neighbours at all.
-            for nb in (self.left, self.right, self.ring):
-                if nb is not None and nb.ref != self.node_id:
-                    displaced.append(nb)
             self.left = self.right = self.ring = None
         new_state = (self.label,
                      self.left.ref if self.left else None,
                      self.right.ref if self.right else None,
                      self.ring.ref if self.ring else None)
-        if changed or getattr(self, "_last_config_state", None) != new_state:
+        if changed or self._last_config_state != new_state:
             self.config_change_count += 1
         self._last_config_state = new_state
-        # Displaced references are dropped rather than re-delegated: the
-        # supervisor's configuration is authoritative, and a displaced node
-        # that is still alive re-announces itself (or contacts the supervisor)
-        # on its own Timeout.  Re-delegating here would keep references to
-        # crashed subscribers circulating forever (Section 3.3).
-        del displaced
 
-    def _adopt_config_side(self, proposed: Optional[Neighbor], is_pred: bool) -> List[Neighbor]:
-        """Install the supervisor-provided predecessor/successor, returning the
-        displaced neighbours that must be re-linearized."""
+    def _adopt_config_side(self, proposed: Optional[Neighbor], is_pred: bool) -> None:
+        """Install the supervisor-provided predecessor/successor (a stored
+        equal one stays the object it is: the Timeout plan matches by identity)."""
         assert self.label is not None
-        displaced: List[Neighbor] = []
         if proposed is None or proposed.ref == self.node_id:
-            return displaced
+            return
         own = ring_key(self.label)
         proposed_r = ring_key(proposed.label)
-        wrap = proposed_r > own if is_pred else proposed_r < own
-        if wrap:
-            if self.ring is not None and self.ring.ref != proposed.ref:
-                displaced.append(self.ring)
-            self.ring = proposed
-            side = "left" if is_pred else "right"
-            current: Optional[Neighbor] = getattr(self, side)
-            if current is not None:
-                if current.ref != proposed.ref:
-                    displaced.append(current)
-                setattr(self, side, None)
-        else:
-            side = "left" if is_pred else "right"
-            current = getattr(self, side)
-            if current is not None and current.ref != proposed.ref:
-                displaced.append(current)
+        side = "left" if is_pred else "right"
+        if proposed_r > own if is_pred else proposed_r < own:
+            # The wrap-around partner: it lives in ``ring`` and the list side
+            # it would otherwise occupy is empty.
+            if self.ring != proposed:
+                self.ring = proposed
+            setattr(self, side, None)
+        elif getattr(self, side) != proposed:
             setattr(self, side, proposed)
-        return displaced
 
     def _clear_membership(self) -> None:
         """Handle ``SetData(⊥, ⊥, ⊥)``: drop the label and all connections
         (Lemma 6: the node eventually disconnects from the skip ring)."""
         changed = self.label is not None
         self.label = None
-        for nb in (self.left, self.right, self.ring):
-            if nb is not None:
-                self.send(nb.ref, msg.REMOVE_CONNECTIONS, node=self.node_id)
-        for ref in set(self.shortcuts.values()):
-            if ref is not None:
-                self.send(ref, msg.REMOVE_CONNECTIONS, node=self.node_id)
-        self.left = self.right = self.ring = None
-        self.shortcuts = {}
+        self._disconnect()
         if changed:
             self.config_change_count += 1
         if self.pending_unsubscribe:
@@ -518,11 +510,11 @@ class TopicView:
     def publish(self, payload: bytes | str) -> Publication:
         """Create a new publication, store it locally and flood it."""
         publication = Publication.create(self.node_id, payload,
-                                         key_bits=self.params.publication_key_bits)
+                                         key_bits=self.owner.params.publication_key_bits)
         self.trie.insert(publication)
         self.owner.sim.tracer.record(self.owner.now, "publish", node=self.node_id,
                                      topic=self.topic, key=publication.key)
-        if self.params.enable_flooding:
+        if self.owner.params.enable_flooding:
             self._flood(publication, hops=1, exclude=None)
         return publication
 
@@ -538,19 +530,29 @@ class TopicView:
             self.send(ref, msg.PUBLISH_NEW, pub=publication.to_wire(), hops=hops,
                       sender=self.node_id)
 
-    def _anti_entropy_round(self) -> None:
+    def _anti_entropy_round(self, plan: _TimeoutPlan) -> None:
         """Send our trie root to a random direct ring neighbour (Algorithm 5)."""
-        if self.rng.random() >= self.params.anti_entropy_probability:
+        rng = self.owner.rng
+        if rng.random() >= self.owner.params.anti_entropy_probability:
             return
-        request = initial_check_trie(self.trie)
-        if request is None:
+        summary = self.trie.root_summary()
+        if summary is None:
+            return  # nothing to offer; a neighbour's request still reaches us
+        if plan.left is self.left and plan.right is self.right and plan.ring is self.ring:
+            targets = plan.targets
+            if targets is None:
+                targets = plan.targets = sorted(self.ring_neighbor_refs())
+        else:
+            # Shortcut upkeep has just re-linearized a pruned reference: the
+            # ring pointers are no longer the plan's.
+            targets = sorted(self.ring_neighbor_refs())
+        if not targets:
             return
-        neighbors = [nb.ref for nb in (self.left, self.right, self.ring)
-                     if nb is not None and nb.ref != self.node_id]
-        if not neighbors:
-            return
-        target = self.rng.choice(sorted(set(neighbors)))
-        self.send(target, msg.CHECK_TRIE, sender=self.node_id, tuples=request.to_wire())
+        memo = self._check_memo
+        if memo is None or memo[0] != summary:
+            memo = self._check_memo = (
+                summary, {"sender": self.node_id, "tuples": [summary]})
+        self._send(rng.choice(targets), msg.CHECK_TRIE, memo[1])
 
     def handle_check_trie(self, sender: NodeRef, tuples: List[Tuple[str, str]]) -> None:
         reply, caps = handle_check_trie(self.trie, _as_summaries(tuples))
@@ -604,7 +606,7 @@ def _as_neighbor(value: Optional[Sequence]) -> Optional[Neighbor]:
         return None
     try:
         label, ref = value[0], value[1]
-    except (TypeError, IndexError):
+    except (KeyError, IndexError, TypeError):
         return None
     if not is_valid_label(label) or not isinstance(ref, int):
         return None
@@ -716,43 +718,70 @@ class Subscriber(ProtocolNode):
             view.timeout()
 
     # ------------------------------------------------------- message handlers
-    def _topic_view(self, topic: Optional[str]) -> TopicView:
-        view = self.view(topic, create=True, subscribed=False)
-        assert view is not None
-        return view
+    # Every handler finds its view with the same expression: one dict lookup
+    # for a known topic (never hashing a ``topic`` that is not a ``str``), and
+    # :meth:`_open_view` for everything else.
+    def _open_view(self, topic: object) -> Optional[TopicView]:
+        """The view of a topic the lookup missed: ``None``/``""`` mean the
+        default topic and a topic never seen gets a view (in an arbitrary
+        initial state we may be somebody's neighbour there).  A ``topic`` that
+        is not a string at all is a forged message, dropped as ``None``."""
+        if topic is not None and not isinstance(topic, str):
+            return None
+        return self.view(topic)
 
     def on_SetData(self, pred=None, label=None, succ=None, topic: Optional[str] = None) -> None:
-        self._topic_view(topic).handle_set_data(pred, label, succ)
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is not None:
+            view.handle_set_data(pred, label, succ)
 
     def on_Introduce(self, node: NodeRef, label: Label, believed=None,
                      flag: str = msg.FLAG_LIN, topic: Optional[str] = None) -> None:
-        self._topic_view(topic).handle_introduce(node, label, believed, flag)
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is not None:
+            view.handle_introduce(node, label, believed, flag)
 
     def on_Linearize(self, node: NodeRef, label: Label, topic: Optional[str] = None) -> None:
-        self._topic_view(topic).handle_linearize(node, label)
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is not None:
+            view.handle_linearize(node, label)
 
     def on_CorrectLabel(self, node: NodeRef, label: Label, topic: Optional[str] = None) -> None:
-        self._topic_view(topic).handle_correct_label(node, label)
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is not None:
+            view.handle_correct_label(node, label)
 
     def on_RemoveConnections(self, node: NodeRef, topic: Optional[str] = None) -> None:
-        self._topic_view(topic).handle_remove_connections(node)
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is not None:
+            view.handle_remove_connections(node)
 
     def on_IntroduceShortcut(self, node: NodeRef, label: Label,
                              topic: Optional[str] = None) -> None:
-        self._topic_view(topic).handle_introduce_shortcut(node, label)
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is not None:
+            view.handle_introduce_shortcut(node, label)
 
     def on_CheckTrie(self, sender: NodeRef, tuples=None, topic: Optional[str] = None) -> None:
-        self._topic_view(topic).handle_check_trie(sender, tuples or [])
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is not None:
+            view.handle_check_trie(sender, tuples or [])
 
     def on_CheckAndPublish(self, sender: NodeRef, tuples=None, prefix: str = "",
                            topic: Optional[str] = None) -> None:
-        self._topic_view(topic).handle_check_and_publish(sender, tuples or [], prefix)
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is not None:
+            view.handle_check_and_publish(sender, tuples or [], prefix)
 
     def on_Publish(self, pubs=None, topic: Optional[str] = None) -> None:
-        self._topic_view(topic).handle_publish(pubs or [])
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is not None:
+            view.handle_publish(pubs or [])
 
     def on_PublishNew(self, pub=None, hops: int = 1, sender: Optional[NodeRef] = None,
                       topic: Optional[str] = None) -> None:
         if pub is None:
             return
-        self._topic_view(topic).handle_publish_new(pub, hops, sender)
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is not None:
+            view.handle_publish_new(pub, hops, sender)

@@ -137,6 +137,10 @@ class ProtocolNode:
         ``_send_fast`` closure (network, scheduler and delay source resolved
         once per simulator, not once per message), which builds one record
         tuple per accepted copy and never a :class:`Message`.
+
+        :class:`~repro.core.subscriber.TopicView` does not come through here:
+        its ``send`` variants make the same two tests and call ``_send_fast``
+        themselves, one frame per message instead of three.
         """
         if self.crashed or dest is None:
             return

@@ -622,3 +622,139 @@ class TestPublicationPathBudget:
         del system, peers, peer
         gc.collect()
         assert set(_INTERNED.keys()) - before == set()
+
+
+class TestSteadyStateBudget:
+    """The PR 18 contract: a view of a legitimate ring derives what follows
+    from ``(label, left, right, ring)`` once, re-sends the same params dicts
+    every Timeout, and every write to the view shows in the next Timeout."""
+
+    @pytest.fixture
+    def steady(self):
+        from repro.api import build_stable
+
+        system, peers = build_stable(SystemSpec(seed=18), 32)
+        keys = {system.publish(peer, b"steady-%d" % i).key
+                for i, peer in enumerate(peers[:8])}
+        assert system.run_until_publications_converged(expected_keys=keys)
+        system.run_rounds(3)
+        return system, peers
+
+    @staticmethod
+    def _timeout_sends(system, peer):
+        """What one more Timeout of ``peer`` puts in flight, as
+        ``{(dest, action): params}`` — the records' own dicts, not copies."""
+        def in_flight():
+            return [m for m in system.sim.network.iter_in_flight()
+                    if m.sender == peer.node_id]
+        before = {(m.dest, m.action, m.send_time, m.deliver_time) for m in in_flight()}
+        peer.on_timeout()
+        new = [m for m in in_flight()
+               if (m.dest, m.action, m.send_time, m.deliver_time) not in before]
+        sends = {(m.dest, m.action): m.params for m in new}
+        assert len(sends) == len(new), "the view is not in its steady state"
+        return sends
+
+    def test_a_legitimate_ring_validates_and_derives_next_to_nothing(self, steady, monkeypatch):
+        import repro.core.subscriber as subscriber_module
+
+        calls = {"is_valid_label": 0, "shortcut_labels_from_neighbor": 0}
+
+        def counted(name):
+            original = getattr(subscriber_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(subscriber_module, name, counted(name))
+        system, peers = steady
+        before = sum(peer.timeout_count for peer in peers)
+        system.run_rounds(10)
+        node_rounds = sum(peer.timeout_count for peer in peers) - before
+        assert node_rounds >= 300 and system.is_legitimate()
+        # 4.1 per node-round before the plan; what is left is SetData ingress.
+        assert calls["is_valid_label"] <= 1.0 * node_rounds
+        assert calls["shortcut_labels_from_neighbor"] == 0
+
+    def test_consecutive_timeouts_send_the_same_params_objects(self, steady):
+        system, peers = steady
+        shared = {"Introduce": 0, "IntroduceShortcut": 0, "CheckTrie": 0}
+        for peer in peers:
+            first = self._timeout_sends(system, peer)
+            second = self._timeout_sends(system, peer)
+            for key in first.keys() & second.keys():
+                if key[1] in shared:
+                    assert first[key] is second[key]
+                    shared[key[1]] += 1
+            # CheckTrie goes to a random neighbour: same dict whoever gets it.
+            offers = [params for sends in (first, second)
+                      for (_, action), params in sends.items() if action == "CheckTrie"]
+            assert len(offers) == 2 and offers[0] is offers[1]
+        # Every node has two ring neighbours; the two nodes of level 1 have
+        # one and the same own-level neighbour on both sides, so no pair.
+        assert shared["Introduce"] >= 2 * len(peers)
+        assert shared["IntroduceShortcut"] >= 2 * (len(peers) - 2)
+
+    def test_every_write_shows_in_the_next_timeout(self, steady):
+        system, peers = steady
+        # A node of the deepest level: ``label + "1"`` is a ring position
+        # between it and its right neighbour.
+        peer = next(p for p in peers if len(p.label()) == 5
+                    and p.view().left and p.view().right)
+        view = peer.view()
+        sends = self._timeout_sends(system, peer)
+        left, right = view.left, view.right
+
+        # a SetData that moves the node to another label between its neighbours
+        new_label = view.label + "1"
+        peer.on_SetData(pred=tuple(left), label=new_label, succ=tuple(right),
+                        topic=view.topic)
+        after = self._timeout_sends(system, peer)
+        for dest in (left.ref, right.ref):
+            assert sends[dest, "Introduce"]["label"] != new_label
+            assert after[dest, "Introduce"]["label"] == new_label
+            assert after[dest, "Introduce"] is not sends[dest, "Introduce"]
+
+        # a RemoveConnections from the left neighbour: no Introduce to it any more
+        peer.on_RemoveConnections(node=left.ref, topic=view.topic)
+        after = self._timeout_sends(system, peer)
+        assert (left.ref, "Introduce") not in after
+        assert (right.ref, "Introduce") in after
+        assert [dest for dest, action in after if action == "CheckTrie"] == [right.ref]
+
+        # a trie insert: the next root offer carries the new root
+        old_offer = next(params for (_, action), params in after.items()
+                         if action == "CheckTrie")
+        peer.publish(b"one more")
+        after = self._timeout_sends(system, peer)
+        offer = next(params for (_, action), params in after.items()
+                     if action == "CheckTrie")
+        assert offer is not old_offer
+        assert offer["tuples"] == [view.trie.root_summary()] != old_offer["tuples"]
+
+    def test_a_cached_message_in_flight_only_ever_gains_its_topic(self, steady):
+        """Cached params are shared between messages: delivering one copy may
+        fold the topic into the dict (idempotent) and nothing else."""
+        system, peers = steady
+        sim = system.sim
+        peer = peers[5]
+        view = peer.view()
+        dest = view.left.ref if view.left else view.right.ref
+        self._timeout_sends(system, peer)
+        sim.run_for(sim.config.max_delay + 0.01)   # the first copies are delivered
+        delivered = peer.view()._plan.introduces[0][1]
+        assert delivered["topic"] == view.topic
+        sibling = self._timeout_sends(system, peer)[dest, "Introduce"]
+        snapshot = dict(sibling)
+        sim.run_for(sim.config.min_delay / 2)       # other deliveries, not this one
+        in_flight = [m for m in sim.network.iter_in_flight()
+                     if m.sender == peer.node_id and m.dest == dest
+                     and m.action == "Introduce"]
+        assert in_flight and all(m.params is sibling for m in in_flight)
+        assert sibling == snapshot
+        assert {k: v for k, v in sibling.items() if k != "topic"} == {
+            "node": peer.node_id, "label": view.label,
+            "believed": (view.left or view.right).label, "flag": "LIN"}

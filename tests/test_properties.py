@@ -6,6 +6,8 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import SystemSpec, build_stable
+from repro.core import messages as msg
 from repro.core.labels import (
     closer,
     compare,
@@ -23,6 +25,7 @@ from repro.core.labels import (
 )
 from repro.core.shortcuts import _reflect, shortcut_labels, shortcut_labels_closed_form
 from repro.core.skip_ring import SkipRingTopology
+from repro.core.subscriber import Neighbor, Subscriber
 from repro.core.supervisor import TopicDatabase
 from repro.pubsub.antientropy import reconcile_once
 from repro.pubsub.hashing import leaf_hash, node_hash
@@ -301,3 +304,142 @@ def test_database_repair_is_idempotent(entries):
     once = dict(db.entries)
     db.repair_labels()
     assert db.entries == once
+
+
+# ------------------------------------------- the Timeout plan vs no plan at all
+# ``core/subscriber.py`` caches what a Timeout derives from (label, left,
+# right, ring) and re-sends cached params dicts.  Two identical systems take
+# the same steps; in one, every cache is thrown away before every step, so it
+# runs the uncached protocol.  Sends and state must never differ.
+_LABELS = ["0", "1", "01", "11", "10", "001", "011", "101", "111", "0001", "1111"]
+_REFS = [1, 2, 3, 4, 5, 0, 99]  # the five subscribers, the supervisor, nobody
+_PAYLOADS = [b"a", b"b", b"c"]
+
+_label = st.sampled_from(_LABELS)
+_any_label = st.one_of(_label, _label, st.sampled_from(["", "2x", None, 7, ["0"]]))
+_ref = st.sampled_from(_REFS)
+_pair = st.one_of(st.none(), st.tuples(_label, _ref), st.tuples(_label, _ref),
+                  st.sampled_from([{0: "0"}, 7, ("0",)]))
+_node_and_label = st.fixed_dictionaries({"node": _ref, "label": _any_label})
+_deliveries = st.one_of(
+    st.tuples(st.just(msg.INTRODUCE), st.fixed_dictionaries({
+        "node": _ref, "label": _any_label, "believed": _any_label,
+        "flag": st.sampled_from([msg.FLAG_LIN, msg.FLAG_CYC, "?"])})),
+    st.tuples(st.just(msg.LINEARIZE), _node_and_label),
+    st.tuples(st.just(msg.CORRECT_LABEL), _node_and_label),
+    st.tuples(st.just(msg.INTRODUCE_SHORTCUT), _node_and_label),
+    st.tuples(st.just(msg.REMOVE_CONNECTIONS), st.fixed_dictionaries({"node": _ref})),
+    st.tuples(st.just(msg.SET_DATA), st.fixed_dictionaries({
+        "pred": _pair, "label": st.one_of(_label, _label, _any_label, st.none()), "succ": _pair})),
+    st.tuples(st.just(msg.PUBLISH_NEW), st.fixed_dictionaries({
+        "pub": st.builds(lambda publisher, payload: {"publisher": publisher,
+                                                     "payload": payload.hex(), "key_bits": 64},
+                         _ref, st.sampled_from(_PAYLOADS)),
+        "hops": st.integers(1, 3), "sender": _ref})),
+)
+_neighbor = st.one_of(st.none(), st.builds(Neighbor, _label, _ref))
+_writes = st.one_of(
+    st.tuples(st.sampled_from(["left", "right", "ring"]), _neighbor),
+    st.tuples(st.just("label"), st.one_of(st.none(), _label)),
+    st.tuples(st.just("shortcut"), st.tuples(_label, st.one_of(st.none(), _ref))),
+    st.tuples(st.just("shortcuts"), st.just(None)),
+)
+# A benign delivery: a stored neighbour (or shortcut) introduces itself again,
+# under its stored label or another one.
+_echoes = st.tuples(
+    st.sampled_from(["left", "right", "ring", "shortcuts"]),
+    st.sampled_from([msg.INTRODUCE, msg.LINEARIZE, msg.INTRODUCE_SHORTCUT, msg.CORRECT_LABEL]),
+    st.one_of(st.none(), _label), st.sampled_from([msg.FLAG_LIN, msg.FLAG_CYC]))
+# Two of the five subscribers take the steps and two of the seven step kinds
+# are a Timeout, so "write one field, then time out" is a common subsequence.
+_steps = st.lists(st.tuples(st.integers(0, 1), st.one_of(
+    st.tuples(st.just("deliver"), _deliveries),
+    st.tuples(st.just("echo"), _echoes),
+    st.tuples(st.just("write"), _writes),
+    st.tuples(st.just("timeout"), st.none()),
+    st.tuples(st.just("timeout"), st.none()),
+    st.tuples(st.just("publish"), st.sampled_from(_PAYLOADS)),
+    st.tuples(st.just("run"), st.sampled_from([0.3, 1.1])),
+)), min_size=12, max_size=30)
+
+
+class _World:
+    """A stable five-subscriber system whose every send is logged."""
+
+    def __init__(self, seed: int) -> None:
+        # The heap scheduler: the wheel's retune rebinds ``_send_fast``.
+        self.system, self.subscribers = build_stable(
+            SystemSpec(seed=seed, scheduler="heap"), 5)
+        self.sends = []
+        sim = self.system.sim
+        send_fast = sim._send_fast
+
+        def logged(sender, dest, action, topic, params):
+            self.sends.append((sender, dest, action, topic,
+                               {k: v for k, v in params.items() if k != "topic"}))
+            send_fast(sender, dest, action, topic, params)
+
+        sim._send_fast = logged
+
+    def views(self):
+        return [view for sub in self.subscribers for view in sub.views.values()]
+
+    def forget(self) -> None:
+        for view in self.views():
+            view._plan = view._pair_memo = view._check_memo = None
+
+    def take(self, who: int, kind: str, arg) -> None:
+        sub = self.subscribers[who]
+        view = sub.view()
+        if kind == "deliver":
+            action, params = arg
+            Subscriber._action_handlers[action](sub, topic=view.topic, **params)
+        elif kind == "echo":
+            field, action, relabel, flag = arg
+            stored = getattr(view, field)
+            if field == "shortcuts":
+                stored = next(((lbl, ref) for lbl, ref in stored.items() if ref is not None), None)
+            if stored is not None:
+                params = {"node": stored[1], "label": relabel or stored[0]}
+                if action == msg.INTRODUCE:
+                    params.update(believed=view.label, flag=flag)
+                Subscriber._action_handlers[action](sub, topic=view.topic, **params)
+        elif kind == "write":
+            field, value = arg
+            if field == "shortcut":
+                view.shortcuts[value[0]] = value[1]
+            elif field == "shortcuts":
+                view.shortcuts = {}
+            else:
+                setattr(view, field, value)
+        elif kind == "timeout":
+            sub.on_timeout()
+        elif kind == "publish":
+            sub.publish(arg)
+        else:
+            self.system.sim.run_for(arg)
+
+    def state(self):
+        sim = self.system.sim
+        return (sim.now, sim.steps_executed, [
+            (sub.node_id, sub.configuration_requests, sub.rng.getstate(), [
+                (view.topic, view.subscribed, view.pending_unsubscribe, view.label,
+                 view.left, view.right, view.ring, list(view.shortcuts.items()),
+                 view.config_change_count, view._last_config_state,
+                 view.trie.root_summary())
+                for view in sub.views.values()])
+            for sub in self.subscribers])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 3), _steps)
+def test_timeout_plan_and_memos_are_indistinguishable_from_no_cache(seed, steps):
+    cached, uncached = _World(seed), _World(seed)
+    assert all(view._plan is not None for view in cached.views())
+    for who, (kind, arg) in steps:
+        uncached.forget()
+        cached.take(who, kind, arg)
+        uncached.take(who, kind, arg)
+        assert cached.sends == uncached.sends
+        assert cached.state() == uncached.state()

@@ -330,3 +330,152 @@ class TestForgedPublicationWires:
         assert other.key == publication_key(stored.publisher + 1, b"genuine", bits=64)
         assert view.trie.keys() == sorted([stored.key, other.key])
         assert view.trie.get(stored.key) is stored
+
+
+# ``topic`` values no sender produces: two unhashable, two hashable.
+FORGED_TOPICS = [["x"], {"a": 1}, 7, b"t"]
+
+# One well-formed parameter set per subscriber-bound action.
+HANDLER_PARAMS = {
+    msg.SET_DATA: {"pred": ("0", 2), "label": "01", "succ": ("1", 3)},
+    msg.INTRODUCE: {"node": 2, "label": "01", "believed": "0", "flag": msg.FLAG_LIN},
+    msg.LINEARIZE: {"node": 2, "label": "01"},
+    msg.CORRECT_LABEL: {"node": 2, "label": "01"},
+    msg.REMOVE_CONNECTIONS: {"node": 2},
+    msg.INTRODUCE_SHORTCUT: {"node": 2, "label": "01"},
+    msg.CHECK_TRIE: {"sender": 2, "tuples": [("0", "ab")]},
+    msg.CHECK_AND_PUBLISH: {"sender": 2, "tuples": [("0", "ab")], "prefix": "0"},
+    msg.PUBLISH: {"pubs": [{"publisher": 1, "payload": "00", "key_bits": 64}]},
+    msg.PUBLISH_NEW: {"pub": {"publisher": 1, "payload": "00", "key_bits": 64},
+                      "hops": 1, "sender": 2},
+}
+
+
+class TestForgedTopics:
+    """A ``topic`` that is neither ``None`` nor a ``str`` is a forged message:
+    dropped by the handlers' one view lookup, whatever the action."""
+
+    def test_every_subscriber_bound_action_is_covered(self):
+        assert set(HANDLER_PARAMS) == set(Subscriber._action_handlers) - {"timeout"}
+
+    @pytest.mark.parametrize("topic", FORGED_TOPICS, ids=repr)
+    @pytest.mark.parametrize("action", sorted(HANDLER_PARAMS))
+    def test_handler_drops_the_message(self, action, topic):
+        sim, sup, (a, b, c) = make_world()
+        view = a.view(subscribed=True)
+        view.handle_set_data(("0", b.node_id), "01", ("1", c.node_id))
+        before = (view.label, view.left, view.right, view.ring, dict(view.shortcuts),
+                  len(view.trie), sim.network.stats.sent_by(a.node_id))
+        Subscriber._action_handlers[action](a, topic=topic, **HANDLER_PARAMS[action])
+        assert list(a.views) == [a.params.default_topic]
+        assert (view.label, view.left, view.right, view.ring, dict(view.shortcuts),
+                len(view.trie), sim.network.stats.sent_by(a.node_id)) == before
+
+    def test_none_and_empty_topics_still_mean_the_default_topic(self):
+        sim, sup, (a, b, c) = make_world()
+        view = a.view(subscribed=True)
+        a.on_SetData(("0", b.node_id), "01", ("1", c.node_id), topic=None)
+        assert view.label == "01"
+        a.on_RemoveConnections(node=b.node_id, topic="")
+        assert view.left is None and list(a.views) == [a.params.default_topic]
+
+    def test_injected_forged_topics_do_not_stop_the_run(self, fresh_system):
+        system, subscribers = fresh_system(8, seed=18)
+        sim = system.sim
+        for i, topic in enumerate(FORGED_TOPICS * 3):
+            action = sorted(HANDLER_PARAMS)[i % len(HANDLER_PARAMS)]
+            sim.inject_message(subscribers[i % 8].node_id, action,
+                               HANDLER_PARAMS[action], topic=topic, delay=0.01 * (i + 1))
+        system.run_rounds(1)
+        assert system.run_until_legitimate(max_rounds=50)
+        assert all(list(s.views) == [system.params.default_topic] for s in subscribers)
+
+
+# ``pred`` / ``succ`` values that are not a ``(label, int ref)`` pair.
+FORGED_NEIGHBORS = [{"label": "0", "ref": 2}, {0: "0"}, {"0", 2}, 7, ("0",), ("0", "ref"),
+                    ("2x", 2)]
+
+
+class TestForgedSetDataNeighbors:
+    """Correct topic, correct label, a garbage neighbour: decoded as ``None``
+    (a dict used to raise ``KeyError: 0`` out of the handler)."""
+
+    @pytest.mark.parametrize("side", ["pred", "succ"])
+    @pytest.mark.parametrize("garbage", FORGED_NEIGHBORS, ids=repr)
+    def test_garbage_on_one_side_leaves_the_view_unchanged(self, garbage, side):
+        sim, sup, (a, b, c) = make_world()
+        view = a.view(subscribed=True)
+        config = {"pred": ("0", b.node_id), "label": "01", "succ": ("1", c.node_id)}
+        a.on_SetData(**config, topic=view.topic)
+        before = (view.left, view.right, view.ring, view.config_change_count,
+                  sim.network.stats.sent_by(a.node_id))
+        a.on_SetData(**dict(config, **{side: garbage}), topic=view.topic)
+        assert (view.left, view.right, view.ring, view.config_change_count,
+                sim.network.stats.sent_by(a.node_id)) == before
+
+    def test_garbage_on_both_sides_reads_as_the_single_subscriber_configuration(self):
+        sim, sup, (a, b, c) = make_world()
+        view = a.view(subscribed=True)
+        a.on_SetData(("0", b.node_id), "01", ("1", c.node_id), topic=view.topic)
+        a.on_SetData(pred={0: "0"}, label="01", succ={"0", 2}, topic=view.topic)
+        assert view.label == "01"
+        assert view.left is None and view.right is None and view.ring is None
+
+
+class TestTimeoutPlanStaysHonest:
+    """The Timeout plan and the no-op fast paths vouch only for the objects
+    they were built from: cases a random walk rarely reaches, one by one."""
+
+    def _interior_view(self):
+        sim, sup, (a, b, c, d) = make_world(4)
+        view = a.view(subscribed=True)
+        view.handle_set_data(("0", b.node_id), "01", ("1", c.node_id))
+        a.on_timeout()  # the plan now vouches for ("01", left "0", right "1")
+        return sim, a, b, c, d, view
+
+    @pytest.mark.parametrize("side, label, delegate", [("left", "11", "c"), ("right", "0", "b")])
+    def test_a_neighbour_written_to_the_wrong_side_takes_the_full_path(self, side, label, delegate):
+        sim, a, b, c, d, view = self._interior_view()
+        setattr(view, side, Neighbor(label, d.node_id))
+        before = sent(sim, a.node_id, msg.LINEARIZE)
+        view.handle_linearize(d.node_id, label)  # equal to the stored one, which is misplaced
+        # farther than the neighbour of the side it belongs to: delegated there
+        assert sent(sim, a.node_id, msg.LINEARIZE) == before + 1
+        last = [m for m in sim.network.iter_in_flight() if m.action == msg.LINEARIZE][-1]
+        assert last.dest == {"b": b, "c": c}[delegate].node_id
+        assert last.params == {"node": d.node_id, "label": label}
+
+    def test_anti_entropy_targets_follow_a_reference_the_same_timeout_relinearized(self):
+        sim, sup, (a, b, c) = make_world()
+        view = a.view(subscribed=True)
+        view.label = "1"
+        view.left = Neighbor("0", b.node_id)
+        a.publish(b"something to offer")
+        a.on_timeout()
+        offers = [m.dest for m in sim.network.iter_in_flight() if m.action == msg.CHECK_TRIE]
+        assert offers == [b.node_id]
+        view.shortcuts["011"] = c.node_id  # not an expected label, closer than "0"
+        a.on_timeout()  # prunes it into ``left`` after the plan was matched
+        assert view.left == Neighbor("011", c.node_id)
+        offers = [m.dest for m in sim.network.iter_in_flight() if m.action == msg.CHECK_TRIE]
+        assert sorted(offers) == sorted([b.node_id, c.node_id])
+
+    def test_the_wrap_around_partner_can_change_its_label(self):
+        sim, sup, (a, b, c) = make_world()
+        view = a.view(subscribed=True)
+        view.label = "0"
+        view.ring = stored = Neighbor("11", c.node_id)
+        view.handle_introduce(c.node_id, "11", believed="0", flag=msg.FLAG_CYC)
+        assert view.ring is stored  # restated: the same object, the plan stays current
+        view.handle_introduce(c.node_id, "111", believed="0", flag=msg.FLAG_CYC)
+        assert view.ring == Neighbor("111", c.node_id)
+
+    def test_set_data_replaces_a_different_wrap_around_partner(self):
+        sim, sup, (a, b, c) = make_world()
+        view = a.view(subscribed=True)
+        view.handle_set_data(("1", b.node_id), "11", ("0", c.node_id))
+        stored = view.ring
+        view.handle_set_data(("1", b.node_id), "11", ("0", c.node_id))
+        assert view.ring is stored and view.label == "11"
+        view.handle_set_data(("1", b.node_id), "11", ("01", b.node_id))
+        assert view.ring == Neighbor("01", b.node_id) and view.right is None
