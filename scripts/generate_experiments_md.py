@@ -202,12 +202,13 @@ comparison claim (see DESIGN.md for the experiment index).  "Claims" listed
 under each table are checked programmatically on every run; no wall-clock
 value enters this file.
 
-Every measured table below is byte-identical to the pre-arena engine's
-output: the columnar node-state arena and vectorized delivery core (PR 10)
+Every measured table below is byte-identical across the engine's performance
+work: PR 10's vectorized delivery core and columnar node-state arena, and
+PR 19's deletion of that arena, the batched RNG drawers and the wheel retune,
 changed per-event *cost* only, never event order or report bytes — the
 goldens in `tests/golden/`, the corpus replays in `tests/corpus/`, and the
 heap-vs-wheel parity suites (`tests/test_batched_core.py`,
-`tests/test_arena.py`) pin that equivalence at up to 100k nodes.
+`tests/test_engine_scale.py`) pin that equivalence at up to 100k nodes.
 
 """
 

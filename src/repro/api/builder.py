@@ -136,14 +136,6 @@ class SystemBuilder:
         self._spec = self._spec.with_overrides(scheduler=name)
         return self
 
-    def wheel_bucket_width(self, width: Optional[float]) -> "SystemBuilder":
-        """Pin the timeout-wheel bucket width (``None`` restores auto-sizing).
-
-        A pure performance knob: event order — and therefore every report —
-        is identical for any width."""
-        self._spec = self._spec.with_overrides(wheel_bucket_width=width)
-        return self
-
     def telemetry(self, enabled: bool = True) -> "SystemBuilder":
         """Toggle run-wide telemetry (latency histograms + phase spans; see
         :mod:`repro.telemetry`).  Costs one histogram bucket increment per

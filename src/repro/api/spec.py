@@ -59,13 +59,6 @@ class SystemSpec:
     scheduler:
         Event-queue backend (``"wheel"`` or ``"heap"``); reconciled with
         :attr:`sim` the same way :attr:`seed` is.
-    wheel_bucket_width:
-        Explicit timeout-wheel bucket width.  ``None`` (the default)
-        auto-sizes the width from the simulation's timeout period and delay
-        bounds (:func:`repro.sim.scheduler.auto_bucket_width`).  Purely a
-        performance knob: any width yields the identical event order, so
-        reports never depend on it.  Reconciled with :attr:`sim` the same
-        way :attr:`seed` is.
     telemetry:
         Enable run-wide telemetry (:mod:`repro.telemetry`): the simulator
         records delivery-latency histograms and the builder attaches a
@@ -93,7 +86,6 @@ class SystemSpec:
     virtual_nodes: int = 64
     seed: int = 0
     scheduler: str = "wheel"
-    wheel_bucket_width: Optional[float] = None
     telemetry: bool = False
     params: ProtocolParams = field(default_factory=ProtocolParams)
     sim: Optional[SimulatorConfig] = None
@@ -121,9 +113,6 @@ class SystemSpec:
             raise ValueError(
                 f"scheduler must be one of {SCHEDULER_NAMES}, "
                 f"got {self.scheduler!r}")
-        if self.wheel_bucket_width is not None and self.wheel_bucket_width <= 0:
-            raise ValueError(
-                "wheel_bucket_width must be positive (or None for auto-sizing)")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.check_every_rounds < 1:
@@ -160,18 +149,10 @@ class SystemSpec:
             raise ValueError(
                 f"conflicting schedulers: spec scheduler {self.scheduler!r} "
                 f"vs sim.scheduler {sim.scheduler!r}; set it in one place")
-        if self.wheel_bucket_width is None:
-            object.__setattr__(self, "wheel_bucket_width", sim.wheel_bucket_width)
-        elif sim.wheel_bucket_width not in (None, self.wheel_bucket_width):
-            raise ValueError(
-                f"conflicting wheel bucket widths: spec "
-                f"{self.wheel_bucket_width} vs sim.wheel_bucket_width "
-                f"{sim.wheel_bucket_width}; set it in one place")
         if not self.telemetry:
             # Booleans cannot conflict: True on either side simply wins.
             object.__setattr__(self, "telemetry", sim.telemetry)
-        neutral = replace(sim, seed=0, scheduler="wheel",
-                          wheel_bucket_width=None, telemetry=False)
+        neutral = replace(sim, seed=0, scheduler="wheel", telemetry=False)
         object.__setattr__(self, "sim",
                            None if neutral == SimulatorConfig() else neutral)
 
@@ -199,7 +180,6 @@ class SystemSpec:
         copies it again defensively, so sharing the spec is always safe)."""
         base = self.sim if self.sim is not None else SimulatorConfig()
         return replace(base, seed=self.seed, scheduler=self.scheduler,
-                       wheel_bucket_width=self.wheel_bucket_width,
                        telemetry=self.telemetry)
 
     def build(self) -> Any:
@@ -222,7 +202,6 @@ class SystemSpec:
             "virtual_nodes": self.virtual_nodes,
             "seed": self.seed,
             "scheduler": self.scheduler,
-            "wheel_bucket_width": self.wheel_bucket_width,
             "telemetry": self.telemetry,
             "params": asdict(self.params),
             "sim": asdict(self.sim) if self.sim is not None else None,

@@ -141,8 +141,8 @@ class TopicView:
     # ------------------------------------------------------------------ sends
     # One frame per message: each variant makes ``ProtocolNode.send``'s tests
     # itself and hands its dict to the simulator's ``_send_fast`` as it is
-    # (read per call — the engine rebinds it; a detached owner's ``sim``
-    # raises the explanatory error).
+    # (read per call — assigning ``sim.scheduler`` rebinds it; a detached
+    # owner's ``sim`` raises the explanatory error).
     def send(self, dest: Optional[NodeRef], action: str, **params) -> None:
         owner = self.owner
         if not owner.crashed and dest is not None:

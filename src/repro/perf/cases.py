@@ -103,8 +103,8 @@ BENCH_CASES: List[BenchCase] = [
               lambda: _core_storm(5_000, 80, "heap")),
     BenchCase("core_20k_wheel",
               "engine core: 20000 nodes x 20 rounds, timeout wheel "
-              "(production-scale storm; arena columns + density-adaptive "
-              "buckets keep per-event cost near core_2k)",
+              "(production-scale storm: where a scale regression of the "
+              "engine would be seen)",
               lambda: _core_storm(20_000, 20, "wheel")),
     BenchCase("core_50k_wheel",
               "engine core: 50000 nodes x 8 rounds, timeout wheel "
@@ -113,8 +113,8 @@ BENCH_CASES: List[BenchCase] = [
               lambda: _core_storm(50_000, 8, "wheel")),
     BenchCase("core_100k_wheel",
               "engine core: 100000 nodes x 4 rounds, timeout wheel "
-              "(the arena's headline scale; heap-vs-wheel event-log parity "
-              "at this size is pinned by tests/test_arena.py)",
+              "(the largest storm; heap-vs-wheel event-log parity at this "
+              "size is pinned by tests/test_engine_scale.py)",
               lambda: _core_storm(100_000, 4, "wheel")),
     BenchCase("facade_single",
               "single supervisor: 8 topics x 8 subscribers stabilized "

@@ -18,7 +18,6 @@ protocol participants, and :mod:`repro.sim.failure` adds crash injection plus
 the supervisor-side oracle failure detector used in Section 3.3 of the paper.
 """
 
-from repro.sim.arena import NodeArena
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.network import Message, Network, ChannelStats
 from repro.sim.node import ProtocolNode, NodeRef
@@ -31,11 +30,10 @@ from repro.sim.scheduler import (
     make_scheduler,
 )
 from repro.sim.tracing import Tracer, TraceEvent
-from repro.sim.rng import BatchedUniform, derive_rng, derive_seed, spawn_seeds
+from repro.sim.rng import derive_rng, derive_seed, spawn_seeds
 
 
 __all__ = [
-    "NodeArena",
     "Simulator",
     "SimulatorConfig",
     "EventScheduler",
@@ -52,7 +50,6 @@ __all__ = [
     "CrashSchedule",
     "Tracer",
     "TraceEvent",
-    "BatchedUniform",
     "derive_rng",
     "derive_seed",
     "spawn_seeds",

@@ -28,11 +28,13 @@ scheduler, adversary or telemetry setting.  Every in-flight message — sent by
 a node, duplicated by an adversary or injected as initial-state corruption —
 is one plain tuple (a *record*, :mod:`repro.sim.network`) that is its own
 delivery event and lives only in the scheduler: no per-message object, no
-second copy in a channel.  Message delays and timeout jitter come
-from :class:`~repro.sim.rng.BatchedUniform` /
-:class:`~repro.sim.rng.BatchedRandom` pre-generated in blocks —
-bit-identical to per-call ``Random.uniform`` draws, so seeded runs (and
-their reports) are byte-identical to an unbatched engine's.
+second copy in a channel.  Message delays and timeout jitter are drawn where
+they are used: one ``random()`` per use on a prebound ``Random.random``,
+inside ``Random.uniform``'s own expression (``a + (b - a) * random()``), so
+every float and each stream's position after it are those of per-call
+``uniform`` draws (pinned by ``tests/test_engine_reference.py``).  The node
+table is one dict, ``Simulator.nodes``; the wheel's bucket width is fixed
+when the simulator builds it (:func:`~repro.sim.scheduler.auto_bucket_width`).
 """
 
 from __future__ import annotations
@@ -47,17 +49,14 @@ from typing import Any, Callable, Dict, List, Optional
 
 import heapq
 
-from repro.sim.arena import NodeArena
 from repro.sim.failure import CrashSchedule, FailureDetector
 from repro.sim.network import FAST_RECORD_KIND, Network, record_to_message
 from repro.sim.node import NodeRef, ProtocolNode
-from repro.sim.rng import BatchedRandom, BatchedUniform, derive_rng
+from repro.sim.rng import derive_rng
 from repro.sim.scheduler import (
     SCHEDULER_NAMES,
     EventScheduler,
-    HeapScheduler,
     TimeoutWheelScheduler,
-    auto_bucket_width,
     make_scheduler,
 )
 from repro.sim.tracing import Tracer
@@ -86,12 +85,6 @@ class SimulatorConfig:
         Event-queue implementation: ``"wheel"`` (bucketed timeout wheel, the
         fast default) or ``"heap"`` (binary heap).  Both produce identical
         event orders for identical seeds (see :mod:`repro.sim.scheduler`).
-    wheel_bucket_width:
-        Explicit bucket width for the timeout wheel.  ``None`` (the default)
-        auto-sizes it from ``timeout_period``/``timeout_jitter`` and the delay
-        bounds (:func:`~repro.sim.scheduler.auto_bucket_width`).  The width
-        only tunes performance — event order, and therefore every report, is
-        identical for any width.
     telemetry:
         Enable run-wide latency telemetry (:mod:`repro.telemetry`): the
         network records every message's send→delivery latency into a
@@ -108,7 +101,6 @@ class SimulatorConfig:
     detection_lag: float = 0.0
     keep_trace_events: bool = False
     scheduler: str = "wheel"
-    wheel_bucket_width: Optional[float] = None
     telemetry: bool = False
 
     def __post_init__(self) -> None:
@@ -127,8 +119,6 @@ class SimulatorConfig:
         if self.scheduler not in SCHEDULER_NAMES:
             raise ValueError(
                 f"scheduler must be one of {SCHEDULER_NAMES}, got {self.scheduler!r}")
-        if self.wheel_bucket_width is not None and self.wheel_bucket_width <= 0:
-            raise ValueError("wheel_bucket_width must be positive (or None for auto)")
 
 
 # Event kinds used in the scheduler
@@ -153,10 +143,9 @@ class Simulator:
     """
 
     __slots__ = ("config", "now", "network", "tracer", "failure_detector",
-                 "nodes", "arena", "_seq", "_delay_rng", "_delay_draws",
-                 "_jitter_rng", "_jitter_draws", "_adversary_rng", "_steps",
-                 "_special_times", "_block_end", "_block_interrupted",
-                 "_scheduler", "_send_fast", "_profile")
+                 "nodes", "_seq", "_delay_rng", "_jitter_rng",
+                 "_adversary_rng", "_steps", "_special_times", "_block_end",
+                 "_block_interrupted", "_scheduler", "_send_fast", "_profile")
 
     def __init__(self, config: Optional[SimulatorConfig] = None) -> None:
         self.config = config or SimulatorConfig()
@@ -166,23 +155,13 @@ class Simulator:
         self.failure_detector = FailureDetector(self.config.detection_lag)
         self.failure_detector.attach(self)
         self.nodes: Dict[NodeRef, ProtocolNode] = {}
-        #: columnar hot-state store (dense node list, flat timeout counters
-        #: — see :mod:`repro.sim.arena`); populated by :meth:`add_node`,
-        #: consumed by the fused drain loop
-        self.arena = NodeArena()
         self._seq = itertools.count()
+        #: message delays: one ``uniform(min_delay, max_delay)`` per accepted
+        #: copy of a send (and per injection without an explicit delay)
         self._delay_rng = derive_rng(self.config.seed, "delay")
-        #: pre-generated message-delay draws; bit-identical to calling
-        #: ``self._delay_rng.uniform(min_delay, max_delay)`` per message
-        self._delay_draws = BatchedUniform(
-            self._delay_rng, self.config.min_delay, self.config.max_delay)
+        #: the ``add_node`` timeout stagger and the per-Timeout reschedule
+        #: factor, interleaved in event order
         self._jitter_rng = derive_rng(self.config.seed, "jitter")
-        #: pre-generated raw jitter draws serving both the ``add_node``
-        #: timeout stagger and the per-timeout reschedule factor, in the same
-        #: interleaved order (and bitwise the same values) as calling
-        #: ``self._jitter_rng`` directly.  Nothing else may draw from
-        #: ``_jitter_rng`` — a direct draw would desynchronise the buffer.
-        self._jitter_draws = BatchedRandom(self._jitter_rng)
         self._adversary_rng = derive_rng(self.config.seed, "adversary")
         self._steps = 0
         #: opt-in wall-clock drain accounting (see :meth:`enable_profiling`)
@@ -203,8 +182,7 @@ class Simulator:
         scheduler = make_scheduler(
             self.config.scheduler, self.config.timeout_period,
             min_delay=self.config.min_delay, max_delay=self.config.max_delay,
-            timeout_jitter=self.config.timeout_jitter,
-            bucket_width=self.config.wheel_bucket_width)
+            timeout_jitter=self.config.timeout_jitter)
         if type(scheduler) is TimeoutWheelScheduler:
             # The engine builds every event around a freshly drawn seq and
             # pushes it immediately, so its push stream is seq-monotone per
@@ -228,20 +206,20 @@ class Simulator:
         self._bind_fast_submit()
 
     def _bind_fast_submit(self) -> None:
-        """(Re)build the prebound ``_send_fast(sender, dest, action, topic,
-        params)`` closure behind :meth:`ProtocolNode.send`.
+        """Build the ``_send_fast(sender, dest, action, topic, params)``
+        closure behind :meth:`ProtocolNode.send`, once per scheduler
+        assignment.
 
-        Network internals, scheduler, delay source and seq counter are fixed
-        for the simulator's lifetime (scheduler swaps re-run this binding via
-        the property setter), so the per-message path resolves them once here
-        instead of per call.  A send builds one record tuple that lives
+        Network internals, scheduler, delay stream and seq counter are fixed
+        for the simulator's lifetime, so the per-message path resolves them
+        here instead of per call.  A send builds one record tuple that lives
         *only* in the scheduler until delivery: the crashed set answers
         "still deliverable?" and the network's in-flight views read pending
         records straight off the scheduler backlog.
 
         Without an adversary and to a live destination the closure fuses the
-        accounting, the delay draw and the concrete scheduler's push inline;
-        facing an adversary or a crashed destination it asks
+        accounting, the delay draw and the push inline; facing an adversary,
+        a crashed destination or a ``dest`` that cannot be an address it asks
         :meth:`Network.delivery_times` which copies survive and pushes one
         record per copy.  Live reads each call: ``self.now`` and
         ``network.adversary``.
@@ -254,26 +232,27 @@ class Simulator:
         sent_cols = stats._sent_cols  # dense columnar half; grown in place
         bump_column = stats._bump_column
         derived = stats._derived  # invalidated in place, never rebound
-        delay_draws = self._delay_draws
-        delay_buffer = delay_draws._buffer  # refilled in place, never rebound
-        delay_refill = delay_draws._refill
+        delay_rng = self._delay_rng
+        # ``delay_rng.uniform(min_delay, max_delay)`` unrolled with its bounds
+        # precomputed — ``now + (a + (b - a) * random())`` is the same float
+        # as Random.uniform's, minus the per-message method frame, as long as
+        # it stays parenthesised exactly so (float addition is
+        # non-associative).
+        delay_rand = delay_rng.random
+        min_delay = self.config.min_delay
+        delay_span = self.config.max_delay - min_delay
         scheduler = self._scheduler
         scheduler_push = scheduler.push
         seq_next = self._seq.__next__
-        # The per-message scheduler push is specialised on the concrete
-        # scheduler type: for the wheel the bucket append is inlined, for the
-        # heap the push is one C-level ``heappush``; any other scheduler
-        # (including subclasses of the two) gets its own ``push``.
-        scheduler_kind = type(scheduler)
-        is_wheel = scheduler_kind is TimeoutWheelScheduler
-        is_heap = scheduler_kind is HeapScheduler
+        # Two push shapes: the bucket append of the built-in wheel, inlined,
+        # and ``push`` for every other scheduler (the heap, subclasses of
+        # either, custom queues).
+        is_wheel = type(scheduler) is TimeoutWheelScheduler
         if is_wheel:
             inv_width = scheduler._inv_width
             buckets = scheduler._buckets
             bucket_heap = scheduler._bucket_heap
             insert_late = scheduler._insert_late
-        elif is_heap:
-            event_heap = scheduler._heap
         heappush = heapq.heappush
         # Every in-flight view of the network reads the records _send_fast
         # and inject_message leave in the scheduler; hand it the backlog
@@ -285,11 +264,16 @@ class Simulator:
             # repro: hotpath — one frame per ProtocolNode.send; repro.check
             # flags per-event container/Message allocations added here
             now = self.now
-            if network.adversary is not None or (crashed and dest in crashed):
-                # cold branch (adversary installed / dest already crashed):
-                # zero, one or (duplicated) two copies, all sharing ``params``
+            try:
+                cold = network.adversary is not None or (
+                    crashed and dest in crashed)
+            except TypeError:
+                cold = True  # unhashable ``dest``: no such address
+            if cold:
+                # cold branch (adversary / dest crashed or no address): zero,
+                # one or (duplicated) two copies, all sharing ``params``
                 for deliver_time in delivery_times(sender, dest, action,
-                                                   delay_draws, now):
+                                                   delay_rng, now):
                     if deliver_time < self._block_end:
                         # a delay spike with factor < 1 can undercut
                         # min_delay and land inside the open window
@@ -317,9 +301,7 @@ class Simulator:
                     sent[key] = 1
             if derived:
                 derived.clear()
-            if not delay_buffer:
-                delay_refill()
-            deliver_time = now + delay_buffer.pop()
+            deliver_time = now + (min_delay + delay_span * delay_rand())
             # The record layout is pinned by the REC_* constants in
             # repro.sim.network: (deliver_time, seq, kind, dest, action,
             # params, topic, sender, send_time).
@@ -339,8 +321,6 @@ class Simulator:
                         # repro: allow[no-hotpath-allocation]
                         buckets[index] = [record]
                         heappush(bucket_heap, index)
-            elif is_heap:
-                heappush(event_heap, record)
             else:
                 scheduler_push(record)
 
@@ -354,11 +334,10 @@ class Simulator:
             raise ValueError(f"duplicate node id {node.node_id}")
         node.attach(self)
         self.nodes[node.node_id] = node
-        self.arena.add(node)
         if schedule_timeout:
             # Stagger the first timeout uniformly over one period so nodes do
             # not fire in lock-step.
-            first = self.now + self._jitter_draws.uniform(
+            first = self.now + self._jitter_rng.uniform(
                 0, self.config.timeout_period)
             self._push(first, _TIMEOUT, node.node_id)
         return node
@@ -381,7 +360,8 @@ class Simulator:
             # (the simulated clock never moves backward).
             raise ValueError("inject_message delay must be non-negative")
         if delay is None:
-            delay = self._delay_draws.next()
+            delay = self._delay_rng.uniform(self.config.min_delay,
+                                            self.config.max_delay)
         self._push(self.now + delay, _DELIVER_FAST, dest, action, dict(params),
                    topic, None, self.now)
 
@@ -493,38 +473,8 @@ class Simulator:
         node.on_timeout()
         period = self.config.timeout_period
         jitter = self.config.timeout_jitter
-        next_in = period * (1 + self._jitter_draws.uniform(-jitter, jitter))
+        next_in = period * (1 + self._jitter_rng.uniform(-jitter, jitter))
         self._push(self.now + next_in, _TIMEOUT, node_id)
-
-    def _maybe_retune_wheel(self) -> None:
-        """Adapt the wheel's bucket width to the registered node count.
-
-        The best bucket holds a few hundred events, but event density scales
-        with the node population (one timeout plus roughly one delivery per
-        node per period), which is unknown when the scheduler is built.  At
-        each run entry, when the width was auto-sized (no explicit
-        ``wheel_bucket_width``), re-target ``~256`` timeout events per bucket
-        and re-bucket the backlog when the current width is off by more than
-        2x (hysteresis — incremental node growth never churns the wheel).
-        Bucket width never affects event order, so runs stay byte-identical
-        per seed; the fused send path is re-bound because it captures the
-        reciprocal width by value.
-        """
-        scheduler = self._scheduler
-        if (type(scheduler) is not TimeoutWheelScheduler
-                or self.config.wheel_bucket_width is not None):
-            return
-        n = len(self.nodes)
-        if n == 0:
-            return
-        config = self.config
-        base = auto_bucket_width(config.timeout_period, config.min_delay,
-                                 config.max_delay, config.timeout_jitter)
-        desired = min(base, max(256.0 * config.timeout_period / n, 1e-9))
-        if 0.5 < desired / scheduler.bucket_width < 2.0:
-            return
-        scheduler.retune(desired)
-        self._bind_fast_submit()
 
     # ----------------------------------------------------------------- drivers
     def run_for(self, duration: float) -> None:
@@ -538,7 +488,6 @@ class Simulator:
         :meth:`step` calls would produce, whatever the scheduler, adversary
         or telemetry setting — see :meth:`_run_blocks`, the one drain loop.
         """
-        self._maybe_retune_wheel()
         # Pause the cyclic garbage collector for the duration of the run.
         # The hot loop allocates a tuple or two per event (records, timeout
         # events, stats keys), and every ~700 net allocations trigger a gen-0
@@ -602,19 +551,17 @@ class Simulator:
         heappop = heapq.heappop
         heappush = heapq.heappush
         # Timeout reschedules are by far the most frequent push this loop
-        # performs; inline the concrete scheduler's push for them (the same
-        # specialisation _bind_fast_submit applies to sends).
+        # performs; inline the built-in wheel's push for them (the same two
+        # push shapes _bind_fast_submit gives sends).
         is_wheel = type(scheduler) is TimeoutWheelScheduler
-        is_heap = type(scheduler) is HeapScheduler
         if is_wheel:
             inv_width = scheduler._inv_width
             buckets = scheduler._buckets
             bucket_heap = scheduler._bucket_heap
             insert_late = scheduler._insert_late
-        elif is_heap:
-            event_heap = scheduler._heap
         seq_next = self._seq.__next__
         network = self.network
+        pop_record = network.pop_record
         crashed_set = network._crashed
         stats = network.stats
         latency_hist = stats.delivery_latency  # None unless telemetry is on
@@ -622,29 +569,17 @@ class Simulator:
         received_cols = stats._received_cols  # dense half; grown in place
         bump_column = stats._bump_column
         derived = stats._derived
-        nodes = self.nodes
-        nodes_get = nodes.get
-        # Columnar arena state: the dense node list replaces the id->node
-        # hash on the hot lookups and the flat int64 column replaces the
-        # per-object counter bump.  Both buffers only ever grow IN PLACE
-        # (arena contract), so capturing them here stays valid across
-        # handler-driven add_node calls within the drain.
-        arena = self.arena
-        node_list = arena.nodes
-        timeout_counts = arena.timeout_count
+        nodes_get = self.nodes.get
         base_dispatch = ProtocolNode.dispatch
         config = self.config
         period = config.timeout_period
         jitter = config.timeout_jitter
-        # ``uniform(-jitter, jitter)`` unrolled with its bounds precomputed:
-        # ``a + (b - a) * random()`` with a = -jitter, b - a = 2 * jitter —
-        # bit-identical to Random.uniform, minus the per-event method frame.
-        # (Float addition is non-associative: the parenthesisation in the
-        # reschedule below must stay exactly ``1 + (a + span * r)``.)
+        # ``uniform(-jitter, jitter)`` unrolled like the delay draw of
+        # _bind_fast_submit; the reschedule below must stay parenthesised
+        # exactly ``1 + (a + span * r)``.
         neg_jitter = -jitter
         jitter_span = jitter - neg_jitter
-        jitter_buffer = self._jitter_draws._buffer  # refilled in place
-        jitter_refill = self._jitter_draws._refill
+        jitter_rand = self._jitter_rng.random
         special = self._special_times
         horizon = min(config.min_delay, period * (1.0 - jitter))
         # Strict `< limit` window membership with an inclusive deadline:
@@ -708,48 +643,37 @@ class Simulator:
                         # test on the crashed set (usually empty) and the
                         # O(1) stats counters update inline.
                         dest = event[3]
-                        if crashed_set and dest in crashed_set:
-                            continue  # destination crashed after the send
-                        if adversary is not None:
-                            # Delivery-time check: a record can be in flight
-                            # when a partition starts; it must not cross the
-                            # cut while the partition is active.
-                            reason = adversary.on_deliver(event[7], dest, time)
-                            if reason is not None:
-                                stats.record_drop(reason)
-                                continue
-                        delivered += 1
-                        if latency_hist is not None:
-                            latency_hist.record(time - event[8])
                         action = event[4]
-                        # Dense arena lookup; sparse/forged destinations fall
-                        # back to the id->node dict.  (A negative id must not
-                        # index the list — Python would alias it to the tail.)
-                        try:
-                            node = node_list[dest] if dest >= 0 else None
-                        except (IndexError, TypeError):
-                            node = None
-                        if node is not None:
-                            # dense id: columnar received counter (no tuple
-                            # allocation, no n_nodes-sized dict probe)
+                        if type(dest) is int and dest >= 0:
+                            if crashed_set and dest in crashed_set:
+                                continue  # destination crashed after the send
+                            if adversary is not None:
+                                # Delivery-time check: a record can be in
+                                # flight when a partition starts; it must not
+                                # cross the cut while the partition is active.
+                                reason = adversary.on_deliver(event[7], dest,
+                                                              time)
+                                if reason is not None:
+                                    stats.record_drop(reason)
+                                    continue
+                            delivered += 1
+                            if latency_hist is not None:
+                                latency_hist.record(time - event[8])
+                            # columnar counter, as _send_fast's for sends
                             try:
                                 received_cols[action][dest] += 1
                             except (KeyError, IndexError):
                                 bump_column(received_cols, received,
                                             dest, action)
-                        else:
-                            stats_key = (dest, action)
-                            try:
-                                received[stats_key] += 1
-                            except KeyError:
-                                received[stats_key] = 1
-                        if derived:
-                            derived.clear()
-                        if node is None:
-                            node = nodes_get(dest)
-                            if node is None:
-                                continue
-                        if node.crashed:
+                            if derived:
+                                derived.clear()
+                        elif not pop_record(event):
+                            # Not an id the facades allocate (non-negative
+                            # ints): the reference accounting, sparse stats
+                            # half — where an unhashable ``dest`` is dropped.
+                            continue
+                        node = nodes_get(dest)
+                        if node is None or node.crashed:
                             continue
                         node_type = node.__class__
                         if node_type is cached_type and action is cached_action:
@@ -773,26 +697,13 @@ class Simulator:
                                 params["topic"] = topic
                             handler(node, **params)
                     elif kind == _TIMEOUT:
-                        nid = event[3]
-                        try:
-                            node = node_list[nid] if nid >= 0 else None
-                        except (IndexError, TypeError):
-                            node = None
-                        if node is None:
-                            node = nodes_get(nid)
-                            if node is None or node.crashed:
-                                continue
-                            node.timeout_count += 1  # sparse-id property path
-                        else:
-                            if node.crashed:
-                                continue
-                            # flat-column bump, skipping the property frame
-                            timeout_counts[nid] += 1
+                        node = nodes_get(event[3])
+                        if node is None or node.crashed:
+                            continue
+                        node.timeout_count += 1
                         node.on_timeout()
-                        if not jitter_buffer:
-                            jitter_refill()
                         next_at = self.now + period * (
-                            1 + (neg_jitter + jitter_span * jitter_buffer.pop()))
+                            1 + (neg_jitter + jitter_span * jitter_rand()))
                         timeout_event = (next_at, seq_next(), _TIMEOUT, event[3])
                         if is_wheel:
                             # inlined TimeoutWheelScheduler.push; the _count
@@ -811,8 +722,6 @@ class Simulator:
                                     # repro: allow[no-hotpath-allocation]
                                     buckets[index] = [timeout_event]
                                     heappush(bucket_heap, index)
-                        elif is_heap:
-                            heappush(event_heap, timeout_event)
                         else:
                             push(timeout_event)
                     elif kind == _CRASH:

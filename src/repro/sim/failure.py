@@ -97,9 +97,16 @@ class FailureDetector:
         simulator (the normal case — the supervisor queries it mid-run).  A
         detached detector cannot know the current time, so omitting ``now``
         raises instead of silently guessing.
+
+        An unhashable ``node_id`` (a forged ref) is suspected at once: like a
+        crashed node's it is an address that does not exist (the rule
+        :class:`~repro.sim.network.Network` applies to a ``dest``).
         """
-        if node_id not in self._crash_times:
-            return False
+        try:
+            if node_id not in self._crash_times:
+                return False
+        except TypeError:
+            return True
         if now is None:
             if self._sim is None:
                 raise RuntimeError(

@@ -450,6 +450,15 @@ class Network:
     a crashed destination, delivers records itself (its drain loop fuses what
     :meth:`pop_record` spells out), and the inspection methods read the
     pending records back out of the scheduler.
+
+    A ``dest`` that cannot be an address — unhashable: a forged list or dict
+    where a node ref belongs — is an address that does not exist.  The send
+    is counted, then dropped as ``to_crashed`` exactly once, by whichever
+    looks the address up first: :meth:`delivery_times` (a send under an
+    adversary or with some node crashed) or :meth:`pop_record` (when the
+    record comes due; the drain loop calls it for every ``dest`` but a
+    non-negative int).  It is never delivered, shown to an adversary or part
+    of an in-flight view.
     """
 
     __slots__ = ("min_delay", "max_delay", "stats", "_crashed", "adversary",
@@ -496,8 +505,13 @@ class Network:
         future messages to it are dropped at send time."""
         self._crashed.add(node_id)
 
-    def is_crashed(self, node_id: int) -> bool:
-        return node_id in self._crashed
+    def is_crashed(self, node_id: Any) -> bool:
+        """Whether ``node_id``'s address is gone: it crashed, or it cannot be
+        an address at all (unhashable — see the class docstring)."""
+        try:
+            return node_id in self._crashed
+        except TypeError:
+            return True
 
     # ------------------------------------------------------------------ sends
     def delivery_times(self, sender: Optional[int], dest: int, action: str,
@@ -520,7 +534,7 @@ class Network:
         sent[key] = sent.get(key, 0) + 1
         if stats._derived:
             stats._derived.clear()
-        if dest in self._crashed:
+        if self.is_crashed(dest):
             stats.record_drop(DROP_TO_CRASHED)
             return ()
         copies, delay_factor = 1, 1.0
@@ -549,7 +563,11 @@ class Network:
         Records live only in the scheduler, so "still pending?" is a
         crashed-set test.
         """
-        if record[REC_DEST] in self._crashed:
+        try:
+            if record[REC_DEST] in self._crashed:
+                return False
+        except TypeError:  # no such address (see the class docstring)
+            self.stats.record_drop(DROP_TO_CRASHED)
             return False
         adversary = self.adversary
         if adversary is not None:
@@ -582,9 +600,9 @@ class Network:
         source = self._pending_records
         if source is None:
             return
-        crashed = self._crashed
+        gone = self.is_crashed
         for event in source():
-            if event[REC_KIND] == FAST_RECORD_KIND and event[REC_DEST] not in crashed:
+            if event[REC_KIND] == FAST_RECORD_KIND and not gone(event[REC_DEST]):
                 yield event
 
     def channel_of(self, node_id: int) -> List[Message]:

@@ -39,8 +39,7 @@ class ProtocolNode:
     attributes (as the test doubles and baselines do).
     """
 
-    __slots__ = ("node_id", "crashed", "_timeout_count", "_sim",
-                 "_arena", "_arena_index")
+    __slots__ = ("node_id", "crashed", "timeout_count", "_sim")
 
     #: Class-level action → unbound-handler table, compiled once per subclass
     #: (see :meth:`_compile_action_handlers`).  Replaces the per-message
@@ -69,18 +68,9 @@ class ProtocolNode:
     def __init__(self, node_id: NodeRef) -> None:
         self.node_id: NodeRef = node_id
         self.crashed: bool = False
-        #: Timeout-firing counter backing store for nodes *outside* the
-        #: arena's dense window (sparse/forged ids, detached nodes).  Once
-        #: the simulator registers the node in its
-        #: :class:`~repro.sim.arena.NodeArena` with a dense index, the
-        #: authoritative counter is the arena's flat ``timeout_count``
-        #: column and this slot goes stale — always read through the
-        #: :attr:`timeout_count` property, which dispatches on
-        #: ``_arena_index``.
-        self._timeout_count: int = 0
+        #: number of ``Timeout`` firings, maintained by the simulator
+        self.timeout_count: int = 0
         self._sim: Optional["Simulator"] = None
-        self._arena = None
-        self._arena_index: int = -1
 
     # ------------------------------------------------------------------ wiring
     def attach(self, sim: "Simulator") -> None:
@@ -97,29 +87,6 @@ class ProtocolNode:
     def now(self) -> float:
         """Current simulation time."""
         return self.sim.now
-
-    @property
-    def timeout_count(self) -> int:
-        """Number of ``Timeout`` firings, maintained by the simulator.
-
-        A thin view: for arena-registered nodes with a dense id the counter
-        lives in the arena's flat ``timeout_count`` column (the engine's hot
-        loops increment that buffer directly, skipping this property);
-        sparse-id and detached nodes keep a private slot.  Either way the
-        value read here is always the live one.
-        """
-        index = self._arena_index
-        if index >= 0:
-            return self._arena.timeout_count[index]
-        return self._timeout_count
-
-    @timeout_count.setter
-    def timeout_count(self, value: int) -> None:
-        index = self._arena_index
-        if index >= 0:
-            self._arena.timeout_count[index] = value
-        else:
-            self._timeout_count = value
 
     # ------------------------------------------------------------------- comms
     def send(self, dest: Optional[NodeRef], action: str, topic: Optional[str] = None,

@@ -1,21 +1,18 @@
 """Pluggable event schedulers for the discrete-event simulator.
 
-The simulator's hot loop is "pop the earliest pending event, advance the
-clock, handle it".  The seed implementation kept every pending event in one
-``heapq``; for large runs the event volume is dominated by the periodic
-``Timeout`` storm (one event per node per period), and the per-event
-``heappush``/``heappop`` overhead becomes the bottleneck.
+The event volume of a run is dominated by the periodic ``Timeout`` storm (one
+event per node per period) and one delivery per message, so the cost of a
+push and a pop decides the engine's speed.  Behind the tiny
+:class:`EventScheduler` interface there are two implementations:
 
-This module splits the scheduling policy out of :class:`~repro.sim.engine.
-Simulator` behind the tiny :class:`EventScheduler` interface and provides two
-implementations:
-
-* :class:`HeapScheduler` — the classic binary heap (the seed behaviour);
-* :class:`TimeoutWheelScheduler` — a bucketed timing wheel: events are
-  appended (O(1)) to coarse time buckets and each bucket is sorted once when
-  the clock reaches it.  Batch ``list.sort`` on an almost-sorted bucket is
-  substantially cheaper than ~``log n`` sift operations per event, which is
-  what makes the Timeout storm fast.
+* :class:`TimeoutWheelScheduler` — the default, whose push the engine
+  inlines: events are appended (O(1)) to coarse time buckets of one fixed
+  width (:func:`auto_bucket_width`) and each bucket is sorted once when the
+  clock reaches it.  Batch ``list.sort`` on an almost-sorted bucket is
+  substantially cheaper than ~``log n`` sift operations per event;
+* :class:`HeapScheduler` — the classic binary heap, kept as the parity
+  reference: the engine hands it events through ``push``, as it does any
+  custom queue.
 
 Both schedulers emit events in **exactly** the same order: ascending
 ``(time, seq)`` where ``seq`` is the monotonically increasing submission
@@ -309,51 +306,6 @@ class TimeoutWheelScheduler(EventScheduler):
                 return None
         return current[-1][0]
 
-    def retune(self, bucket_width: float) -> None:
-        """Re-bucket every pending event under a new bucket width.
-
-        Bucket width never affects emission order (the ``(time, seq)``
-        contract is width-independent), only the append/sort balance — so
-        retuning between drains keeps runs byte-identical per seed.  The
-        engine uses this to adapt the width to the registered node count:
-        the best bucket holds a few hundred events, and event density scales
-        with the node population, which is unknown when the wheel is built.
-
-        Buffers are mutated in place, but callers holding fused closures
-        over the wheel internals must rebind them afterwards — they capture
-        the reciprocal width *by value*.  The pending events are re-pushed
-        in ascending ``(time, seq)`` order, which restores the
-        :attr:`monotone_seq` promise for every rebuilt bucket.
-        """
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        if bucket_width == self.bucket_width:
-            return
-        events = list(self._current)
-        for bucket in self._buckets.values():
-            events.extend(bucket)
-        # (time, seq) is unique at positions 0-1, so the tuple sort never
-        # compares payloads (records carry dicts, which do not order).
-        events.sort()
-        self.bucket_width = bucket_width
-        self._inv_width = inv = 1.0 / bucket_width
-        buckets = self._buckets
-        heap = self._bucket_heap
-        buckets.clear()
-        del heap[:]
-        del self._current[:]
-        # -1 sorts below every non-negative timestamp's index, so every
-        # re-push and every later push lands in a future bucket.
-        self._current_index = -1
-        for event in events:
-            index = int(event[0] * inv)
-            try:
-                buckets[index].append(event)
-            except KeyError:
-                buckets[index] = [event]
-                heap.append(index)
-        heap.sort()  # sorted unique ints are already a valid heap
-
     def iter_events(self):
         yield from self._current
         for bucket in self._buckets.values():
@@ -370,11 +322,11 @@ def auto_bucket_width(timeout_period: float = 1.0, min_delay: float = 0.1,
     The event mix is dominated by two populations: periodic ``Timeout`` events
     spread over ``timeout_period * (1 ± jitter)`` and message deliveries spread
     over ``[min_delay, max_delay]``.  A good bucket collects a sorting-friendly
-    slice of both, so the width tracks the *shorter* of the two horizons — a
-    quarter of it, the ratio PR 1 validated for the default parameters —
-    instead of the former fixed ``timeout_period / 4`` constant, which
-    degenerated to one-event buckets when delays were much shorter than the
-    period (or to a single giant bucket in delay-dominated runs).
+    slice of both, so the width is a quarter of the *shorter* of the two
+    horizons (a fraction of the period alone degenerates to one-event buckets
+    when delays are much shorter than the period, and to a single giant
+    bucket in delay-dominated runs).  This is the one sizing rule: the engine
+    applies it when it builds its wheel and never changes the width after.
 
     Bucket width never affects event *order* (the schedulers' ``(time, seq)``
     contract is width-independent), only the append/sort balance, so any
@@ -399,20 +351,12 @@ def auto_bucket_width(timeout_period: float = 1.0, min_delay: float = 0.1,
 
 def make_scheduler(name: str, timeout_period: float = 1.0, *,
                    min_delay: float = 0.1, max_delay: float = 1.0,
-                   timeout_jitter: float = 0.2,
-                   bucket_width: Optional[float] = None) -> EventScheduler:
-    """Instantiate the scheduler selected by :class:`SimulatorConfig.scheduler`.
-
-    The wheel's bucket width is auto-sized from the simulation time scales
-    (see :func:`auto_bucket_width`) unless ``bucket_width`` pins it
-    explicitly — the knob :class:`~repro.api.spec.SystemSpec` exposes as
-    ``wheel_bucket_width``.
-    """
+                   timeout_jitter: float = 0.2) -> EventScheduler:
+    """Instantiate the scheduler selected by :class:`SimulatorConfig.scheduler`
+    (the wheel at :func:`auto_bucket_width` of the simulation time scales)."""
     if name == "heap":
         return HeapScheduler()
     if name == "wheel":
-        if bucket_width is None:
-            bucket_width = auto_bucket_width(timeout_period, min_delay,
-                                             max_delay, timeout_jitter)
-        return TimeoutWheelScheduler(bucket_width=bucket_width)
+        return TimeoutWheelScheduler(bucket_width=auto_bucket_width(
+            timeout_period, min_delay, max_delay, timeout_jitter))
     raise ValueError(f"unknown scheduler {name!r}; expected one of {SCHEDULER_NAMES}")

@@ -113,6 +113,16 @@ class TestSystemSpecRoundTrip:
         with pytest.raises(ValueError, match="check_every_rounds"):
             SystemSpec(check_every_rounds=0)
 
+    def test_retired_wheel_width_key_is_rejected_not_ignored(self):
+        """PR 19 retired ``wheel_bucket_width`` with no shim: a document that
+        still carries the key fails loudly, on the spec and inside ``sim``."""
+        data = SystemSpec().to_dict()
+        assert "wheel_bucket_width" not in data
+        with pytest.raises(TypeError, match="wheel_bucket_width"):
+            SystemSpec.from_dict({**data, "wheel_bucket_width": None})
+        with pytest.raises(TypeError, match="wheel_bucket_width"):
+            SystemSpec.from_dict({**data, "sim": {"wheel_bucket_width": 0.2}})
+
     def test_named_defaults_replace_the_magic_numbers(self):
         spec = SystemSpec()
         assert spec.max_rounds == DEFAULT_MAX_ROUNDS == 2_000

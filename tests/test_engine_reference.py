@@ -5,7 +5,13 @@ handles a single event.  The contract is that the two are indistinguishable
 — same handler log, counters, drop accounting and latency histogram — on
 every scheduler, with telemetry on or off, and under a link adversary that
 breaks the window's safety argument (a ``DelaySpike`` with ``factor < 1``
-puts deliveries closer than ``min_delay``).
+puts deliveries closer than ``min_delay``), and when nodes send to forged
+addresses (unhashable ones are no address at all; the hashable ones take
+``pop_record``'s accounting inside the drain loop too).
+
+With no second implementation of the random draws to compare against, the
+last test pins them to the streams themselves: the engine draws what
+``Random.uniform`` would, one draw per use, none ahead.
 """
 
 from __future__ import annotations
@@ -15,31 +21,39 @@ import pytest
 from repro.scenarios.adversary import LinkAdversary
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.node import ProtocolNode
+from repro.sim.rng import derive_rng
 from repro.sim.scheduler import HeapScheduler
 
 NODES = 40
 DEADLINES = (1.0, 1.0, 4.25, 7.5, 12.0)
+#: what node 13 also pings in the ``forged`` modes: two dests that cannot be
+#: an address, then hashable ids no facade allocates (``True`` aliases node 1)
+FORGED = ([1], {"a": 1}, 2.5, -3, "x", 10**9, True)
 
 
 class _SubHeap(HeapScheduler):
-    """Not exactly a built-in type: takes the engine's generic pushes."""
+    """A queue installed from outside (``sim.scheduler = ...``), fed through
+    ``push`` like the built-in heap."""
 
 
 class _Relay(ProtocolNode):
     """Logs every handled event; pings two peers per timeout and relays
     each ping onward for a few hops, so sends also happen in handlers."""
 
-    __slots__ = ("log",)
+    __slots__ = ("log", "forged")
 
-    def __init__(self, node_id, log):
+    def __init__(self, node_id, log, forged=()):
         super().__init__(node_id)
         self.log = log
+        self.forged = forged
 
     def on_timeout(self):
         self.log.append((self.now, "timeout", self.node_id))
         for step in (1, 7):
             self.send((self.node_id + step) % NODES + 1, "Ping",
                       origin=self.node_id, hops=2)
+        for dest in self.forged:
+            self.send(dest, "Ping", origin=self.node_id, hops=0)
 
     def on_Ping(self, origin, hops, topic=None):
         self.log.append((self.now, "ping", self.node_id, origin, hops))
@@ -70,11 +84,12 @@ def _build(scheduler, mode):
         sim.scheduler = _SubHeap()
     log = []
     for i in range(NODES):
-        sim.add_node(_Relay(i + 1, log))
+        sim.add_node(_Relay(i + 1, log, FORGED if i + 1 == 13
+                            and mode.startswith("forged") else ()))
     sim.crash_node(5, at=4.3)
     sim.call_at(5.1, lambda: sim.inject_message(
         9, "Ping", {"origin": 0, "hops": 1}, delay=0.0))
-    if mode == "adversary":
+    if mode.endswith("adversary"):
         def install():
             adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.1,
                                       duplicate_rate=0.1)
@@ -96,6 +111,7 @@ def _observe(sim, log):
         "now": sim.now,
         "steps": sim.steps_executed,
         "summary": stats.to_summary_dict(),
+        "received": stats.received_by_node_action,
         "drops": stats.drops_by_reason,
         "latency": None if latency is None else latency.to_dict(),
         "timeouts": sim.timeout_counts,
@@ -103,7 +119,8 @@ def _observe(sim, log):
     }
 
 
-@pytest.mark.parametrize("mode", ["plain", "telemetry", "adversary"])
+@pytest.mark.parametrize("mode", ["plain", "telemetry", "adversary", "forged",
+                                  "forged-adversary"])
 @pytest.mark.parametrize("scheduler", ["wheel", "heap", "subheap"])
 def test_run_until_time_reproduces_the_step_drain(scheduler, mode):
     reference, reference_log = _build(scheduler, mode)
@@ -118,19 +135,78 @@ def test_run_until_time_reproduces_the_step_drain(scheduler, mode):
     assert expected["steps"] > 2_000
     if mode == "telemetry":
         assert expected["latency"]["total"] == expected["summary"]["total_delivered"]
-    if mode == "adversary":
+    if mode.endswith("adversary"):
         assert all(count > 0 for count in expected["drops"].values())
         assert expected["summary"]["duplicated"] > 0
         assert any(b[0] - a[0] < 0.01 and b[1] == "ping"
                    for a, b in zip(reference_log, reference_log[1:]))
+    if mode.startswith("forged"):
+        # both unaddressable sends of every Timeout were dropped, some when
+        # sent (crashed set non-empty, adversary installed), some when due
+        assert expected["drops"]["to_crashed"] >= 2 * expected["timeouts"][13]
+        assert expected["received"][(2.5, "Ping")] > 0
 
 
 def test_all_cells_of_one_mode_agree_across_schedulers():
     """Scheduler choice is unobservable: the three queues give one log."""
-    for mode in ("plain", "adversary"):
+    for mode in ("plain", "adversary", "forged-adversary"):
         runs = []
         for scheduler in ("wheel", "heap", "subheap"):
             sim, log = _build(scheduler, mode)
             sim.run_until_time(DEADLINES[-1])
             runs.append(_observe(sim, log))
         assert runs[0] == runs[1] == runs[2]
+
+
+def _advanced(seed, stream, draws):
+    rng = derive_rng(seed, stream)
+    for _ in range(draws):
+        rng.random()
+    return rng.getstate()
+
+
+@pytest.mark.parametrize("adversarial", [False, True],
+                         ids=["plain", "loss+duplication"])
+@pytest.mark.parametrize("workload", ["relay-storm", "facade-churn"])
+def test_one_draw_per_use_and_none_ahead(workload, adversarial):
+    """The delay stream stands exactly one ``random()`` per accepted copy past
+    its seed, the jitter stream one per node added with a Timeout plus one
+    per Timeout fired.  A send to a crashed node, or one the adversary
+    drops, draws nothing; an injection with an explicit delay neither."""
+    def corrupt(sim, adversary_start):
+        if adversarial:
+            # no partition: every drop it makes is a send-time drop
+            sim.call_at(adversary_start, lambda: sim.install_adversary(
+                LinkAdversary(sim.adversary_rng(), loss_rate=0.1,
+                              duplicate_rate=0.1)))
+        sim.inject_message(3, "Ping", {"origin": 0, "hops": 1})
+        sim.inject_message(4, "Ping", {"origin": 0, "hops": 1}, delay=0.5)
+        return 1  # injections that drew their delay
+
+    if workload == "relay-storm":
+        sim, _ = _build("wheel", "plain")
+        injected = corrupt(sim, 1.5)
+        silent = sim.add_node(_Relay(NODES + 1, []), schedule_timeout=False)
+        sim.run_until_time(DEADLINES[-1])
+        assert silent.timeout_count == 0
+        with_timeout = len(sim.nodes) - 1
+    else:
+        from repro.api import SystemSpec, build_stable
+
+        system, peers = build_stable(SystemSpec(seed=77), 16)
+        sim = system.sim
+        injected = corrupt(sim, sim.now + 1.5)
+        system.crash(peers[3])
+        system.unsubscribe(peers[7])
+        system.add_subscriber()
+        system.run_rounds(30)
+        with_timeout = len(sim.nodes)
+    stats = sim.network.stats
+    assert stats.dropped_to_crashed > 0
+    assert adversarial == (stats.duplicated > 0
+                           and stats.drops_by_reason["adversary_loss"] > 0)
+    copies = stats.total_sent - stats.total_dropped + stats.duplicated + injected
+    assert sim._delay_rng.getstate() == _advanced(77, "delay", copies)
+    fired = sum(sim.timeout_counts.values())
+    assert sim._jitter_rng.getstate() == _advanced(77, "jitter",
+                                                   with_timeout + fired)

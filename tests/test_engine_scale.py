@@ -1,23 +1,24 @@
-"""PR 10 tests: the columnar node-state arena.
+"""The engine at scale: one event order, one Timeout count per node.
 
-Two claims are pinned here:
-
-* **Equivalence** — the arena's flat columns (dense node list,
-  ``timeout_count`` int64 column) are views over exactly the state the
-  object attributes report — after a crashy storm and after
-  :meth:`~repro.cluster.ShardedPubSub.crash_supervisor` rebalancing — storms
-  produce identical event logs run-to-run at 2k and 20k nodes on both
-  built-in schedulers, and the heap and the wheel agree event-for-event.
-* **Scale** — the 100k-node smoke: heap-vs-wheel event-log parity at the
-  arena's headline size (downsized under ``REPRO_SMOKE_FAST=1`` so the CI
-  matrix stays fast; the full size runs in the default local suite).
+* **Parity** — storms produce identical event logs run-to-run at 2k nodes on
+  both built-in schedulers, and the heap and the wheel agree event-for-event
+  at 2k, 20k and — the smoke — 100k nodes (downsized under
+  ``REPRO_SMOKE_FAST=1`` so the CI matrix stays fast; the full size runs in
+  the default local suite).
+* **Timeout accounting** — ``ProtocolNode.timeout_count`` is exactly the
+  number of Timeouts the node fired: after a crashy storm, for a node
+  registered under a forged id, and after
+  :meth:`~repro.cluster.ShardedPubSub.crash_supervisor` rebalancing.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 from repro.api import SystemSpec, build_stable
+from repro.core.subscriber import Subscriber
+from repro.core.supervisor import Supervisor
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.node import ProtocolNode
 
@@ -63,47 +64,52 @@ def _storm(scheduler: str, nodes: int, rounds: int, seed: int = 4242,
     return log, sim
 
 
-class TestArenaObjectEquivalence:
-    def test_columns_mirror_object_state_after_crashy_storm(self):
-        _, sim = _storm("wheel", 300, 6, crash=True)
-        arena = sim.arena
+def _logged_timeouts(log) -> Counter:
+    return Counter(node_id for _, kind, node_id in log if kind == "timeout")
+
+
+class TestTimeoutAccounting:
+    def test_timeout_count_is_the_logged_count_after_crashy_storm(self):
+        log, sim = _storm("wheel", 300, 6, crash=True)
         assert len(sim.nodes) == 300
-        for node_id, node in sim.nodes.items():
-            assert arena.nodes[node_id] is node
-            assert arena.timeout_count[node_id] == node.timeout_count
+        assert sim.timeout_counts == {
+            node_id: _logged_timeouts(log)[node_id] for node_id in sim.nodes}
         # the storm actually crashed someone, or the test proves nothing
         assert len(sim.live_nodes()) < 300
 
-    def test_sparse_ids_fall_back_to_objects(self):
+    def test_forged_id_node_fires_and_is_reachable(self):
         sim = Simulator(SimulatorConfig(seed=9, scheduler="wheel"))
         log = []
         for i in range(16):
             sim.add_node(_Recorder(i + 1, log, 16))
         forged = _Recorder(10**9, log, 16)
         sim.add_node(forged)
-        assert forged._arena_index == -1
-        assert forged not in sim.arena.nodes
-        assert len(sim.arena.nodes) < 10**6  # the columns did not balloon
         sim.run_rounds(4)
-        assert forged.timeout_count > 0  # counted via the object slot
+        assert forged.timeout_count == _logged_timeouts(log)[10**9] > 0
         assert sim.nodes[10**9] is forged
 
-    def test_columns_mirror_objects_after_supervisor_crash_rebalancing(self):
+    def test_timeout_count_after_supervisor_crash_rebalancing(self, monkeypatch):
+        fired = Counter()
+        for cls in (Subscriber, Supervisor):
+            def counting(self, _inner=cls.on_timeout):
+                fired[self.node_id] += 1
+                _inner(self)
+            monkeypatch.setattr(cls, "on_timeout", counting)
         topics = [f"topic-{i}" for i in range(6)]
         cluster = build_stable(SystemSpec(topology="sharded", shards=4,
                                           seed=17),
                                topics=topics, subscribers_per_topic=3)[0]
         victim = cluster.live_shard_ids()[1]
         moved = cluster.crash_supervisor(victim)
-        arena = cluster.sim.arena
         assert cluster.sim.nodes[victim].crashed
-        for node_id, node in cluster.sim.nodes.items():
-            if node._arena_index != -1:
-                assert arena.nodes[node_id] is node
-                assert arena.timeout_count[node_id] == node.timeout_count
         for topic in moved:
             assert cluster.run_until_legitimate(topic, max_rounds=800), topic
+        assert cluster.sim.timeout_counts == {
+            node_id: fired[node_id] for node_id in cluster.sim.nodes}
+        assert min(fired.values()) > 0
 
+
+class TestSchedulerParity:
     def test_same_seed_same_log_2k_both_schedulers(self):
         for scheduler in ("heap", "wheel"):
             first, _ = _storm(scheduler, 2_000, 3)
@@ -116,9 +122,7 @@ class TestArenaObjectEquivalence:
             wheel_log, wheel_sim = _storm("wheel", nodes, rounds)
             assert heap_sim.steps_executed == wheel_sim.steps_executed
             assert heap_log == wheel_log
-            # and the columns agree between the two schedulers as well
-            assert (heap_sim.arena.timeout_count
-                    == wheel_sim.arena.timeout_count)
+            assert heap_sim.timeout_counts == wheel_sim.timeout_counts
 
 
 class TestHundredKSmoke:
@@ -128,7 +132,6 @@ class TestHundredKSmoke:
         assert heap_sim.steps_executed == wheel_sim.steps_executed
         assert heap_sim.steps_executed >= 3 * SMOKE_NODES  # it stormed
         assert heap_log == wheel_log
-        # flat columns cover the whole population on both schedulers
-        assert len(wheel_sim.arena.nodes) >= SMOKE_NODES
-        assert sum(1 for n in wheel_sim.arena.nodes if n is not None) \
-            == SMOKE_NODES
+        # every node of the population fired on both schedulers
+        assert len(wheel_sim.nodes) == SMOKE_NODES
+        assert min(wheel_sim.timeout_counts.values()) > 0

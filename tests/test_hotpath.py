@@ -1,6 +1,6 @@
-"""Unit tests for the PR 4 hot-path machinery: batched RNG draws, scheduler
-block pops, wheel bucket auto-sizing (and its SystemSpec knob), the cached
-failure detector, and the slotted message/node state."""
+"""Unit tests for the PR 4 hot-path machinery: scheduler block pops, wheel
+bucket auto-sizing, the cached failure detector, and the slotted
+message/node state."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.failure import FailureDetector
 from repro.sim.network import Message
 from repro.sim.node import ProtocolNode
-from repro.sim.rng import BatchedUniform
 from repro.sim.scheduler import (
     EventScheduler,
     HeapScheduler,
@@ -23,40 +22,6 @@ from repro.sim.scheduler import (
     auto_bucket_width,
     make_scheduler,
 )
-
-
-class TestBatchedUniform:
-    def test_bitwise_identical_to_sequential_uniform(self):
-        """The whole point: pre-generated batches must reproduce the exact
-        float sequence of per-call ``Random.uniform`` on the same seed."""
-        reference = random.Random(1234)
-        expected = [reference.uniform(0.1, 1.0) for _ in range(3000)]
-        batched = BatchedUniform(random.Random(1234), 0.1, 1.0, batch_size=128)
-        got = [batched.next() for _ in range(3000)]
-        assert got == expected  # == on floats: bitwise equality intended
-
-    def test_uniform_signature_matches_next(self):
-        a = BatchedUniform(random.Random(7), 0.5, 2.0)
-        b = BatchedUniform(random.Random(7), 0.5, 2.0)
-        assert [a.uniform(0.5, 2.0) for _ in range(10)] == \
-               [b.next() for _ in range(10)]
-
-    def test_refuses_foreign_interval(self):
-        draws = BatchedUniform(random.Random(0), 0.1, 1.0)
-        with pytest.raises(ValueError, match="bound to"):
-            draws.uniform(0.2, 0.9)
-
-    def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            BatchedUniform(random.Random(0), 2.0, 1.0)
-        with pytest.raises(ValueError):
-            BatchedUniform(random.Random(0), 0.0, 1.0, batch_size=0)
-
-    def test_pending_introspection(self):
-        draws = BatchedUniform(random.Random(0), 0.0, 1.0, batch_size=8)
-        assert draws.pending() == 0
-        draws.next()
-        assert draws.pending() == 7
 
 
 class _SortedListScheduler(EventScheduler):
@@ -180,23 +145,15 @@ class TestWheelAutoSizing:
         wheel = make_scheduler("wheel", 1.0, min_delay=0.1, max_delay=1.0,
                                timeout_jitter=0.2)
         assert wheel.bucket_width == pytest.approx(auto_bucket_width(1.0, 0.1, 1.0, 0.2))
-        pinned = make_scheduler("wheel", 1.0, bucket_width=0.125)
-        assert pinned.bucket_width == 0.125
-
-    def test_config_validates_width(self):
-        with pytest.raises(ValueError, match="wheel_bucket_width"):
-            SimulatorConfig(wheel_bucket_width=0.0)
-        assert SimulatorConfig(wheel_bucket_width=0.5).wheel_bucket_width == 0.5
-
-    def test_simulator_threads_width_to_wheel(self):
-        sim = Simulator(SimulatorConfig(wheel_bucket_width=0.125))
-        assert sim.scheduler.bucket_width == 0.125
 
     def test_bucket_width_never_changes_results(self):
-        """The knob is pure performance: any width, identical runs."""
+        """The width is pure performance: any width, identical runs.  A wheel
+        of another width is installed the supported way, by assigning
+        ``sim.scheduler``."""
         def run(width):
-            config = SimulatorConfig(seed=5, wheel_bucket_width=width)
-            sim = Simulator(config)
+            sim = Simulator(SimulatorConfig(seed=5))
+            if width is not None:
+                sim.scheduler = TimeoutWheelScheduler(bucket_width=width)
             nodes = [sim.add_node(_Pinger(i + 1)) for i in range(30)]
             sim.run_rounds(25)
             return ([n.pings for n in nodes], sim.steps_executed,
@@ -223,12 +180,12 @@ class _Pinger(ProtocolNode):
 
 class TestGenericSchedulerDrain:
     def test_custom_scheduler_runs_through_batch_interface(self):
-        """A scheduler that is not exactly HeapScheduler/TimeoutWheelScheduler
-        is drained through the same ``pop_block_into`` interface and must
+        """A scheduler installed from outside is fed through ``push`` and
+        drained through the same ``pop_block_into`` interface, and must
         produce results identical to the built-ins."""
         calls = {"blocks": 0}
 
-        class CountingHeap(HeapScheduler):  # subclass -> generic pushes
+        class CountingHeap(HeapScheduler):
             def pop_block_into(self, out, limit):
                 count = super().pop_block_into(out, limit)
                 if count:
@@ -255,7 +212,7 @@ class TestGenericSchedulerDrain:
         wheel event for event."""
         from repro.scenarios.adversary import LinkAdversary
 
-        class SubHeap(HeapScheduler):  # not exactly HeapScheduler
+        class SubHeap(HeapScheduler):
             pass
 
         def run(scheduler):
@@ -282,7 +239,7 @@ class TestGenericSchedulerDrain:
         exceeds the event count itself)."""
         from repro.scenarios.adversary import LinkAdversary
 
-        class RequeueCounting(HeapScheduler):  # subclass -> generic pushes
+        class RequeueCounting(HeapScheduler):
             def __init__(self):
                 super().__init__()
                 self.seen = set()
@@ -304,33 +261,6 @@ class TestGenericSchedulerDrain:
         sim.run_until_time(30.0)
         assert sim.steps_executed > 1_500
         assert 0 < scheduler.requeued < sim.steps_executed // 20
-
-    def test_spec_roundtrip_with_width(self):
-        spec = SystemSpec(seed=3, wheel_bucket_width=0.2)
-        assert SystemSpec.from_json(spec.to_json()) == spec
-        assert spec.sim_config().wheel_bucket_width == 0.2
-
-    def test_spec_inherits_width_from_sim(self):
-        spec = SystemSpec(sim=SimulatorConfig(wheel_bucket_width=0.4))
-        assert spec.wheel_bucket_width == 0.4
-        # the embedded config is neutralised back to None
-        assert spec.sim is None or spec.sim.wheel_bucket_width is None
-
-    def test_spec_conflicting_widths_raise(self):
-        with pytest.raises(ValueError, match="conflicting wheel bucket widths"):
-            SystemSpec(wheel_bucket_width=0.2,
-                       sim=SimulatorConfig(wheel_bucket_width=0.4))
-
-    def test_spec_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError, match="wheel_bucket_width"):
-            SystemSpec(wheel_bucket_width=-1.0)
-
-    def test_builder_exposes_knob(self):
-        from repro.api import PubSub
-        spec = PubSub.builder().wheel_bucket_width(0.2).seed(9).spec()
-        assert spec.wheel_bucket_width == 0.2
-        assert PubSub.builder().wheel_bucket_width(0.2) \
-            .wheel_bucket_width(None).spec().wheel_bucket_width is None
 
 
 class TestFailureDetectorCache:

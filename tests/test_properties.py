@@ -367,9 +367,7 @@ class _World:
     """A stable five-subscriber system whose every send is logged."""
 
     def __init__(self, seed: int) -> None:
-        # The heap scheduler: the wheel's retune rebinds ``_send_fast``.
-        self.system, self.subscribers = build_stable(
-            SystemSpec(seed=seed, scheduler="heap"), 5)
+        self.system, self.subscribers = build_stable(SystemSpec(seed=seed), 5)
         self.sends = []
         sim = self.system.sim
         send_fast = sim._send_fast

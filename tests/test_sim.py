@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.failure import CrashSchedule, FailureDetector
-from repro.sim.network import ChannelStats, Network
+from repro.sim.network import FAST_RECORD_KIND, ChannelStats, Network
 from repro.sim.node import ProtocolNode
 from repro.sim.rng import derive_rng, shuffle_deterministically, spawn_seeds
 from repro.sim.tracing import Tracer
@@ -283,3 +283,92 @@ class TestDropAccounting:
         sim.apply_crash_schedule(schedule)
         sim.run_rounds(6)
         assert node.crashed
+
+
+class _Stray(ProtocolNode):
+    """Per Timeout, one Ping to a live peer and one to ``stray``."""
+
+    def __init__(self, node_id, stray):
+        super().__init__(node_id)
+        self.stray = stray
+        self.pings = 0
+
+    def on_timeout(self):
+        self.send(self.node_id % 4 + 1, "Ping")
+        self.send(self.stray, "Ping")
+
+    def on_Ping(self, topic=None):
+        self.pings += 1
+
+
+def _install_lossy_partitioned(sim, group):
+    from repro.scenarios.adversary import LinkAdversary
+
+    adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.1,
+                              duplicate_rate=0.1)
+    # an active partition makes the adversary look every address up
+    adversary.add_partition("cut", [group], start=sim.now + 2.0,
+                            heal_time=sim.now + 6.0)
+    sim.install_adversary(adversary)
+
+
+@pytest.mark.parametrize("mode", ["plain", "crashed", "adversary"])
+@pytest.mark.parametrize("stray", [[1], {"a": 1}], ids=["list", "dict"])
+class TestUnaddressableDestination:
+    """A ``dest`` that cannot be an address (unhashable: a forged ref) is a
+    send to an address that does not exist — it must never end the run."""
+
+    @pytest.mark.parametrize("driver", ["run_rounds", "step"])
+    def test_bare_engine_send_is_dropped_once(self, stray, mode, driver):
+        sim = Simulator(SimulatorConfig(seed=21))
+        nodes = [sim.add_node(_Stray(i + 1, stray)) for i in range(4)]
+        if mode == "crashed":
+            sim.crash_node(4)  # a non-empty crashed set: looked up at send time
+        if mode == "adversary":
+            _install_lossy_partitioned(sim, [1, 2])
+        if driver == "run_rounds":
+            sim.run_rounds(10)
+        else:
+            while sim.scheduler.next_time() <= 10.0:
+                sim.step()
+        live = [node for node in nodes if not node.crashed]
+        assert all(node.timeout_count >= 8 for node in live)
+        assert sum(node.pings for node in live) >= 15
+        # the in-flight views survive the records still queued ...
+        network = sim.network
+        assert network.in_flight() == len(list(network.iter_in_flight()))
+        assert all(msg.dest == 1 for msg in network.channel_of(1))
+        network.implicit_edges()
+        # ... and every stray send is accounted exactly once: dropped as
+        # to_crashed, or still waiting to come due
+        strays = sum(node.timeout_count for node in nodes)
+        pending = sum(1 for event in sim.scheduler.iter_events()
+                      if event[2] == FAST_RECORD_KIND and event[3] is stray)
+        to_dead_peer = nodes[2].timeout_count if mode == "crashed" else 0
+        assert network.stats.dropped_to_crashed == strays - pending + to_dead_peer
+        assert network.stats.received_by_node.keys() <= {1, 2, 3, 4}
+
+    def test_ring_outlives_a_forged_neighbour_ref(self, stray, mode):
+        """A forged ``Linearize`` plants the ref as every subscriber's closest
+        neighbour; the next Timeouts send *to* it and ask the supervisor
+        about it.  Whether the ring recovers is the protocol's business —
+        the run must go on."""
+        from repro.api import SystemSpec, build_stable
+
+        system, peers = build_stable(SystemSpec(seed=3), 8)
+        sim = system.sim
+        if mode == "crashed":
+            sim.crash_node(peers[-1].node_id)
+        if mode == "adversary":
+            _install_lossy_partitioned(sim, [p.node_id for p in peers[:2]])
+        for peer in peers:
+            sim.inject_message(peer.node_id, "Linearize", {
+                "node": stray, "label": peer.view().label + "1"})
+        before = sim.timeout_counts
+        system.run_rounds(10)
+        fired = {node_id: count - before[node_id]
+                 for node_id, count in sim.timeout_counts.items()}
+        assert all(count >= 8 for node_id, count in fired.items()
+                   if not sim.nodes[node_id].crashed)
+        assert sim.network.stats.dropped_to_crashed > 0
+        sim.network.in_flight()
