@@ -1,35 +1,33 @@
 #!/usr/bin/env python
-"""Profile one bench case with cProfile and print the top cumulative hits.
+"""Profile one benchmark workload with cProfile and print the top cumulative hits.
 
-The perf suite answers "did it get slower?"; this script answers "where does
-the time go?".  It runs any case from the bench matrix
-(:data:`repro.perf.cases.BENCH_CASES`) or any of the six workloads of the
-repo benchmark (``bench/workloads.py``: set-up outside the profiler, the
-timed region inside, the workload's own correctness check after) under
+The repo benchmark (``bench/``) answers "did it get slower?"; this script
+answers "where does the time go?".  It runs any of the benchmark's six
+workloads (``bench/workloads.py``: set-up outside the profiler, the timed
+region inside, the workload's own correctness check after) under
 :mod:`cProfile` in-process and prints the top functions by cumulative time —
 the view that surfaces the engine's block loop, the scheduler drains, the
 protocol handlers and the legitimacy oracle in one screen.
 
 Usage::
 
-    python scripts/profile_hotpath.py                    # core_2k_wheel
-    python scripts/profile_hotpath.py core_50k_wheel
+    python scripts/profile_hotpath.py                    # engine_storm
     python scripts/profile_hotpath.py join_stabilize     # a paper-level operation
     python scripts/profile_hotpath.py --top 40 --sort tottime
     python scripts/profile_hotpath.py --out storm.pstats # for snakeviz etc.
     python scripts/profile_hotpath.py --json prof.json   # structured top-N
 
     # where do the *allocations* come from?  (tracemalloc, not cProfile)
-    python scripts/profile_hotpath.py core_50k_wheel --tracemalloc
+    python scripts/profile_hotpath.py publish_fanout --tracemalloc
     python scripts/profile_hotpath.py --tracemalloc --json alloc.json
 
 Profiling overhead is large (~2-3x wall) and skews toward call-heavy code,
-so compare *shapes* between runs, never absolute times — the bench suite
+so compare *shapes* between runs, never absolute times — ``bench/run.py``
 owns absolute numbers.  ``--tracemalloc`` switches the instrument from time
 to memory: the run executes under :mod:`tracemalloc` and the report ranks
 source lines by bytes still allocated at the run's peak — the view that
 finds what the hot loops keep alive (pending event tuples, stats columns),
-complementing the RSS numbers the bench suite records per repeat.
+complementing the ``peak_rss_mb`` the benchmark records per workload.
 """
 
 from __future__ import annotations
@@ -45,8 +43,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.perf.cases import BENCH_CASES, BenchCase, get_case  # noqa: E402
-
 DEFAULT_TOP = 25
 #: Seed of the profiled repeat: repeat 0 of the benchmark's default ``--seed 11``.
 WORKLOAD_SEED = 11_000
@@ -61,30 +57,23 @@ def _benchmark_workloads() -> dict:
     return module.BY_NAME
 
 
-def resolve_case(name: str):
-    """``(case, check)``: a bench-matrix case, or a benchmark workload wrapped
-    as one — built here, so ``case.run`` is the workload's timed region alone;
-    ``check(payload)`` returns its number of failed ops (matrix cases: 0)."""
-    workload = _benchmark_workloads().get(name)
-    if workload is None:
-        return get_case(name), lambda payload: 0
-    state = workload.setup(WORKLOAD_SEED, workload.sizes())
-
-    def run():
-        before = state.sim.steps_executed
-        workload.run(state, None)
-        return state.sim.steps_executed - before, state
-
-    return BenchCase(name, workload.why, run), workload.check
+def timed_region(workload, state) -> int:
+    """Run the workload's timed region alone (``state`` is its finished
+    set-up) and return the number of simulator events it processed."""
+    before = state.sim.steps_executed
+    workload.run(state, None)
+    return state.sim.steps_executed - before
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("case", nargs="?", default="core_2k_wheel",
-                        help="bench case to profile (default core_2k_wheel; "
-                             "--list shows the matrix)")
+    workloads = _benchmark_workloads()
+    parser.add_argument("workload", nargs="?", default="engine_storm",
+                        choices=list(workloads),
+                        help="benchmark workload to profile (default "
+                             "engine_storm; --list describes them)")
     parser.add_argument("--top", type=int, default=DEFAULT_TOP,
                         help=f"rows to print (default {DEFAULT_TOP})")
     parser.add_argument("--sort", default="cumulative",
@@ -100,28 +89,26 @@ def main(argv=None) -> int:
                              "tracemalloc and report the top-N allocation "
                              "sites by bytes live at the run's peak")
     parser.add_argument("--list", action="store_true",
-                        help="list the bench matrix and exit")
+                        help="list the benchmark's workloads and exit")
     args = parser.parse_args(argv)
 
     if args.list:
-        rows = [(case.name, case.description) for case in BENCH_CASES]
-        rows += [(workload.name, workload.why) for workload in _benchmark_workloads().values()]
-        for name, text in rows:
-            print(f"{name:22s} {text}")
+        for workload in workloads.values():
+            print(f"{workload.name:22s} {workload.why}")
         return 0
 
-    case, check = resolve_case(args.case)
-    print(f"profiling {case.name} ({case.description})")
+    workload = workloads[args.workload]
+    print(f"profiling {workload.name} ({workload.why})")
+    state = workload.setup(WORKLOAD_SEED, workload.sizes())
 
     if args.tracemalloc:
-        return run_tracemalloc(case, args)
+        return run_tracemalloc(workload, state, args)
 
     profiler = cProfile.Profile()
     profiler.enable()
-    events, payload = case.run()
+    events = timed_region(workload, state)
     profiler.disable()
-    failed = check(payload)
-    del payload
+    failed = workload.check(state)
     if failed:
         print(f"WARNING: {failed} ops failed the workload's check — "
               f"this is the profile of a wrong run")
@@ -137,13 +124,13 @@ def main(argv=None) -> int:
         print(f"wrote raw profile to {args.out}")
     if args.json_out is not None:
         args.json_out.write_text(json.dumps(
-            profile_payload(stats, case, events, args.sort, args.top),
+            profile_payload(stats, workload, events, args.sort, args.top),
             indent=2, sort_keys=True) + "\n")
         print(f"wrote JSON profile to {args.json_out}")
     return 0
 
 
-def run_tracemalloc(case, args) -> int:
+def run_tracemalloc(workload, state, args) -> int:
     """The ``--tracemalloc`` mode: rank allocation sites by bytes live at
     the run's peak (snapshot taken at the traced-memory high-water mark is
     approximated by snapshotting right after the run, before teardown — the
@@ -156,11 +143,10 @@ def run_tracemalloc(case, args) -> int:
     import tracemalloc
 
     tracemalloc.start()
-    events, payload = case.run()
+    events = timed_region(workload, state)
     snapshot = tracemalloc.take_snapshot()
     traced_current, traced_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    del payload
 
     if events:
         print(f"events processed: {events:,}")
@@ -180,8 +166,8 @@ def run_tracemalloc(case, args) -> int:
               f"{frame.filename}:{frame.lineno}")
     if args.json_out is not None:
         args.json_out.write_text(json.dumps({
-            "case": case.name,
-            "description": case.description,
+            "case": workload.name,
+            "description": workload.why,
             "events": events,
             "mode": "tracemalloc",
             "traced_current_bytes": traced_current,
@@ -203,13 +189,13 @@ def calls_per_event(stats: pstats.Stats, events: int) -> float:
 _SORT_VALUE = {"cumulative": 3, "tottime": 2, "ncalls": 1}
 
 
-def profile_payload(stats: pstats.Stats, case, events,
+def profile_payload(stats: pstats.Stats, workload, events,
                     sort: str, top: int) -> dict:
     """The ``--json`` artifact: run context plus the top-N functions.
 
     Wall times in here carry cProfile's 2-3x instrumentation overhead — the
     artifact is for comparing *shapes* across commits (which functions climbed
-    the table), never absolute regressions; the bench suite owns those.
+    the table), never absolute regressions; ``bench/compare.py`` owns those.
     """
     rows = []
     for (filename, line, name), (cc, nc, tt, ct, _callers) in stats.stats.items():
@@ -226,8 +212,8 @@ def profile_payload(stats: pstats.Stats, case, events,
         _SORT_VALUE[sort]]
     rows.sort(key=lambda row: row[value_index], reverse=True)
     return {
-        "case": case.name,
-        "description": case.description,
+        "case": workload.name,
+        "description": workload.why,
         "events": events,
         "calls_per_event": round(calls_per_event(stats, events), 2),
         "sort": sort,

@@ -3,10 +3,11 @@
 
 With ``SimulatorConfig.telemetry`` on, the engine's drain loop records one
 histogram sample per delivered message.  This script measures what that
-costs on the ``core_2k_wheel`` storm (2 000 nodes x 200 rounds, one message
-per node per timeout — all engine, no protocol): it alternates telemetry-off
-and telemetry-on runs in this process, takes the min wall of each, and fails
-if ``on / off`` exceeds the threshold.
+costs on an engine storm (2 000 nodes x 200 rounds, one message per node per
+timeout — all engine, no protocol: the event mix of ``bench/``'s
+``engine_storm``): it alternates telemetry-off and telemetry-on runs in this
+process, takes the min wall of each, and fails if ``on / off`` exceeds the
+threshold.
 
 Usage::
 
@@ -38,7 +39,7 @@ DEFAULT_REPEATS = 5
 
 
 class _Chatter(ProtocolNode):
-    """One message per timeout to a fixed neighbour (the core_2k event mix)."""
+    """One message per timeout to a fixed neighbour (the ``engine_storm`` event mix)."""
 
     __slots__ = ()
 

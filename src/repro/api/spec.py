@@ -164,11 +164,14 @@ class SystemSpec:
         """Map a legacy ``(seed=..., params=..., sim_config=...)`` facade
         constructor call onto a spec.
 
-        Mirrors the old precedence exactly (the deprecation shims rely on
-        it): a given ``sim_config`` wins wholesale — its seed and scheduler
-        included — and the bare ``seed`` argument is ignored, just like
+        Its one caller, ``workloads.initial_states.build_adversarial_system``,
+        takes an optional ``sim_config`` next to the seed of its own config
+        and needs the facade's precedence: a given ``sim_config`` wins
+        wholesale — its seed and scheduler included — and the bare ``seed``
+        argument is ignored, just like
         :class:`~repro.core.facade.PubSubFacadeBase` ignores ``seed`` when
-        ``sim_config`` is passed.
+        ``sim_config`` is passed (the plain constructor would reject the
+        disagreement).
         """
         if sim_config is not None:
             return cls(params=params, sim=sim_config, **overrides)

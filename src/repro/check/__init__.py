@@ -8,8 +8,8 @@ only catch *after* the fact:
 * no ambient randomness or wall-clock reads on report paths,
 * sorted iteration before anything is serialized,
 * ``__slots__`` on hot-path classes (and no stray attribute writes),
-* randomness only through seeded :class:`random.Random` streams or the
-  batched wrappers in :mod:`repro.sim.rng`,
+* randomness only through seeded :class:`random.Random` streams
+  (:func:`repro.sim.rng.derive_rng`),
 * hook callbacks matching the typed :class:`~repro.core.hooks.HookRegistry`
   signatures,
 * every :class:`~repro.api.spec.SystemSpec` / ``SimulatorConfig`` field

@@ -4,21 +4,23 @@ Two rules share the call-resolution machinery here:
 
 * **no-ambient-nondeterminism** — wall-clock reads (``time.time``,
   ``perf_counter``, ``datetime.now`` …), ``os.urandom``, ``uuid`` and
-  ``secrets`` anywhere outside the explicit wall-clock allowlist.  Reports
-  must be pure functions of the seed; a stray clock read is exactly the bug
-  class that shows up weeks later as an unexplainable golden-file diff.
+  ``secrets`` anywhere; a site that stamps a wall time on purpose
+  (``RunReport.wall_seconds``) carries a
+  ``# repro: allow[no-ambient-nondeterminism]`` pragma, the one waiver.
+  Reports must be pure functions of the seed; a stray clock read is exactly
+  the bug class that shows up weeks later as an unexplainable golden-file
+  diff.
 * **rng-discipline** — draws from the *module-level* ``random`` functions
   (``random.random()``, ``random.shuffle`` …) or unseeded
   ``random.Random()`` instances.  All randomness must flow from seeded
-  ``random.Random`` streams (usually via :func:`repro.sim.rng.derive_rng`)
-  or the batched wrappers, or runs stop being reproducible.
+  ``random.Random`` streams (usually via :func:`repro.sim.rng.derive_rng`),
+  or runs stop being reproducible.
 """
 
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatch
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from repro.check.context import FileContext, resolve_dotted
 from repro.check.findings import Finding
@@ -38,11 +40,6 @@ AMBIENT_CALLS = frozenset({
 #: Module prefixes whose calls are ambient wholesale.
 AMBIENT_MODULES = ("secrets.",)
 
-#: Module globs where wall-clock reads are the point (perf measurement);
-#: ``RunReport.wall_seconds``-style sites elsewhere carry explicit
-#: ``# repro: allow[no-ambient-nondeterminism]`` pragmas instead.
-DEFAULT_WALLCLOCK_ALLOWLIST = ("repro.perf", "repro.perf.*")
-
 #: ``random``-module functions that draw from (or reseed) the shared global
 #: RNG.  ``random.Random`` / ``random.SystemRandom`` are class constructors,
 #: handled separately.
@@ -61,31 +58,24 @@ def _called_names(tree: ast.Module, import_map: dict
 @register
 class AmbientNondeterminismRule(Rule):
     id = "no-ambient-nondeterminism"
-    title = ("wall-clock, uuid or OS-entropy reads outside the perf "
-             "allowlist poison report determinism")
-
-    def __init__(self, allowlist: Iterable[str] = DEFAULT_WALLCLOCK_ALLOWLIST
-                 ) -> None:
-        self.allowlist = tuple(allowlist)
+    title = "wall-clock, uuid or OS-entropy reads poison report determinism"
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if any(fnmatch(ctx.module, pattern) for pattern in self.allowlist):
-            return
         for node, dotted in _called_names(ctx.tree, ctx.import_map):
             if dotted in AMBIENT_CALLS or dotted.startswith(AMBIENT_MODULES):
                 yield Finding(
                     rule=self.id, path=ctx.relpath, line=node.lineno,
                     col=node.col_offset,
                     message=(f"ambient call {dotted}() — report paths must be "
-                             f"pure functions of the seed; time a run via the "
-                             f"perf/ helpers or waive the site explicitly"))
+                             f"pure functions of the seed; measure wall time "
+                             f"in bench/ or waive the site explicitly"))
 
 
 @register
 class RngDisciplineRule(Rule):
     id = "rng-discipline"
-    title = ("randomness must come from seeded random.Random streams or the "
-             "sim.rng batched wrappers, never the global random module")
+    title = ("randomness must come from seeded random.Random streams, "
+             "never the global random module")
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         for node, dotted in _called_names(ctx.tree, ctx.import_map):

@@ -198,6 +198,18 @@ class TopicDatabase:
         return label_of(self.next_index)
 
 
+def _is_address(node: object) -> bool:
+    """False for a ``node`` no subscriber can have: ``None`` or an unhashable
+    (forged list/dict) ref.  A request naming one comes from a corrupted
+    channel (Theorem 8) and is ignored — the network's rule for such a
+    ``dest``: an address that does not exist."""
+    try:
+        hash(node)
+    except TypeError:
+        return False
+    return node is not None
+
+
 def _label_sort_key(label: Label):
     """Sort canonical labels by join index; non-canonical (corrupted) labels
     sort after all canonical ones (so repairs reassign them first)."""
@@ -259,8 +271,11 @@ class Supervisor(ProtocolNode):
         """True if the supervisor's failure detector suspects ``node``.
 
         Requests from (or on behalf of) suspected subscribers are ignored so
-        that references to crashed nodes are never re-integrated (Section 3.3).
+        that references to crashed nodes are never re-integrated (Section 3.3);
+        a ``node`` that cannot be an address is suspected at once.
         """
+        if not _is_address(node):
+            return True
         if self._sim is None:
             return False
         return self.sim.failure_detector.suspects(node)
@@ -288,7 +303,11 @@ class Supervisor(ProtocolNode):
     def on_Unsubscribe(self, node: NodeRef, topic: Optional[str] = None) -> None:
         """Remove a subscriber (Section 4.1): the holder of the last label
         ``l(n-1)`` takes over the departing subscriber's label, and the
-        departing subscriber is granted permission to drop its connections."""
+        departing subscriber is granted permission to drop its connections.
+        The failure detector is not asked — the permission is granted to any
+        ``node`` that can be an address; one that cannot is ignored."""
+        if not _is_address(node):
+            return
         topic = topic or self.params.default_topic
         db = self.database(topic)
         db.check_multiple_copies(node)

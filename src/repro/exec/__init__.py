@@ -5,10 +5,10 @@ The scaling substrate every driver shares.  Three pieces:
 * **Backends** (:mod:`repro.exec.backend`) — run named, JSON-payloaded
   tasks either inline (:class:`InlineBackend`) or across CPU cores with
   per-task fresh-interpreter isolation (:class:`ProcessPoolBackend`).
-  Every ``--jobs N`` flag in the tree (``bench_suite``,
-  ``generate_experiments_md``, ``repro-scenarios``, ``repro-sweep``) maps
-  onto these two backends, and results are byte-identical either way:
-  both canonicalize through the same JSON boundary.
+  Every ``--jobs N`` flag in the tree (``generate_experiments_md``,
+  ``repro-scenarios``, ``repro-sweep``, ``repro-fuzz``) maps onto these two
+  backends, and results are byte-identical either way: both canonicalize
+  through the same JSON boundary.
 * **Sweeps** (:mod:`repro.exec.sweep`) — a declarative
   :class:`SweepSpec` parameter grid (scenario × shards × scheduler ×
   n_nodes × loss_rate × seed replicates) over a base

@@ -79,56 +79,6 @@ def run_experiment_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return run_experiment(fn, **dict(payload.get("kwargs") or {})).to_dict()
 
 
-def run_bench_case(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Measure one perf bench case (payload: ``{"case": name, "repeats": n}``).
-
-    This is the measurement loop the perf suite always ran in its per-case
-    subprocess: min wall time over N repeats plus the process-wide peak-RSS
-    high-water mark — which is only honest when the task runs through
-    :class:`~repro.exec.backend.ProcessPoolBackend`, one fresh interpreter
-    per case.
-    """
-    from repro.perf.cases import get_case
-
-    try:
-        import resource
-
-        def _peak_rss_kb():
-            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    except ImportError:  # pragma: no cover - non-POSIX
-        def _peak_rss_kb():
-            return None
-
-    name = payload["case"]
-    repeats = max(int(payload.get("repeats", 1)), 1)
-    case = get_case(name)
-    walls = []
-    rss_all = []
-    events = None
-    for _ in range(repeats):
-        start = time.perf_counter()  # repro: allow[no-ambient-nondeterminism]
-        events, result_payload = case.run()
-        walls.append(time.perf_counter() - start)  # repro: allow[no-ambient-nondeterminism]
-        del result_payload
-        # Sampled after every repeat: ru_maxrss is a process-wide high-water
-        # mark, so the per-repeat trail is non-decreasing and its *first*
-        # entry (== min) is the cleanest memory statistic — later repeats can
-        # only inherit fragmentation from earlier ones, never undercut it.
-        rss_all.append(_peak_rss_kb())
-    wall = min(walls)  # min is the stable statistic on noisy machines
-    have_rss = all(r is not None for r in rss_all)
-    return {
-        "name": name,
-        "description": case.description,
-        "wall_seconds": round(wall, 4),
-        "wall_seconds_all": [round(w, 4) for w in walls],
-        "events": events,
-        "events_per_sec": round(events / wall) if events else None,
-        "peak_rss_kb": rss_all[-1] if have_rss else None,
-        "peak_rss_kb_all": rss_all if have_rss else None,
-    }
-
-
 def misbehave(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Diagnostic task that fails on demand — the test fixture for the
     fault-tolerant layer.  ``payload["mode"]`` selects the failure:

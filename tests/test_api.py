@@ -89,8 +89,10 @@ class TestSystemSpecRoundTrip:
         assert SystemSpec(seed=7, sim=SimulatorConfig(seed=7)).seed == 7
 
     def test_from_legacy_matches_old_facade_precedence(self):
-        # sim_config wins wholesale, the bare seed is ignored — exactly the
-        # old PubSubFacadeBase behaviour the deprecation shims must mirror.
+        # sim_config wins wholesale, the bare seed is ignored — the
+        # PubSubFacadeBase precedence build_adversarial_system (workloads/
+        # initial_states.py, the one caller) needs for its (config.seed,
+        # sim_config) pair; the plain constructor raises on that disagreement.
         spec = SystemSpec.from_legacy(seed=5, sim_config=SimulatorConfig(seed=13))
         assert spec.seed == 13
         assert SystemSpec.from_legacy(seed=5).seed == 5

@@ -1,12 +1,11 @@
-"""Block-drain edge cases, the 50k-node heap-vs-wheel event-log parity gate
-and the monotone-seq bucket sort contract."""
+"""Block-drain edge cases and the monotone-seq bucket sort contract (the
+heap-vs-wheel event-log parity storms are ``tests/test_engine_scale.py``)."""
 
 from __future__ import annotations
 
 import random
 
 from repro.sim.engine import Simulator, SimulatorConfig
-from repro.sim.node import ProtocolNode
 from repro.sim.scheduler import (
     HeapScheduler,
     TimeoutWheelScheduler,
@@ -86,53 +85,6 @@ class TestBlockDrainEdges:
             _drain_block(heap, drained_heap, limit)
         assert drained_wheel == drained_heap
         assert drained_wheel == sorted(events)
-
-
-class _Recorder(ProtocolNode):
-    """Logs every event it handles as ``(now, kind, node_id)``."""
-
-    __slots__ = ("log", "fanout")
-
-    def __init__(self, node_id, log, fanout):
-        super().__init__(node_id)
-        self.log = log
-        self.fanout = fanout
-
-    def on_timeout(self):
-        self.log.append((self.now, "timeout", self.node_id))
-        self.send(self.node_id % self.fanout + 1, "Ping", sender=self.node_id)
-
-    def on_Ping(self, sender, topic=None):
-        self.log.append((self.now, "ping", self.node_id))
-
-
-def _storm_log(scheduler: str, nodes: int, rounds: int):
-    sim = Simulator(SimulatorConfig(seed=4242, scheduler=scheduler))
-    log = []
-    for i in range(nodes):
-        sim.add_node(_Recorder(i + 1, log, nodes))
-    sim.run_rounds(rounds)
-    return log, sim.steps_executed
-
-
-class TestLargeScaleSchedulerParity:
-    def test_50k_node_heap_wheel_event_log_parity(self):
-        """The tentpole gate at production scale: a 50k-node storm produces
-        the identical per-event log — same timestamps, same kinds, same
-        handling order — whether the engine drains a binary heap or the
-        timeout wheel (with its monotone-seq bucket sort and auto width)."""
-        heap_log, heap_steps = _storm_log("heap", 50_000, 2)
-        wheel_log, wheel_steps = _storm_log("wheel", 50_000, 2)
-        assert heap_steps == wheel_steps
-        assert heap_steps >= 150_000  # the storm actually stormed
-        assert heap_log == wheel_log
-
-    def test_2k_node_parity_with_more_rounds(self):
-        """Smaller population, deeper in time: exercises many wheel
-        rollovers and bucket reuse cycles."""
-        heap_log, _ = _storm_log("heap", 2_000, 12)
-        wheel_log, _ = _storm_log("wheel", 2_000, 12)
-        assert heap_log == wheel_log
 
 
 class TestMonotoneSeqBucketSort:

@@ -65,6 +65,23 @@ class TestAmbientNondeterminismRule:
         lines = sorted(f.line for f in result.findings)
         assert lines == [9, 10, 11]
 
+    def test_no_module_is_exempt_only_the_pragma_waives(self, tmp_path):
+        # The module name is the one a module allowlist used to exempt
+        # wholesale (the retired ``repro.perf``).
+        package = tmp_path / "repro" / "perf"
+        package.mkdir(parents=True)
+        for directory in (package.parent, package):
+            (directory / "__init__.py").write_text("")
+        module = package / "anything.py"
+        module.write_text(
+            "import time\n"
+            "a = time.perf_counter()\n"
+            "b = time.perf_counter()  # repro: allow[no-ambient-nondeterminism]\n")
+        result = run_rule("no-ambient-nondeterminism", module, root=tmp_path)
+        assert [(f.line, f.rule) for f in result.findings] == [
+            (2, "no-ambient-nondeterminism")]
+        assert result.suppressed == 1
+
 
 class TestRngDisciplineRule:
     def test_flags_module_level_random(self):

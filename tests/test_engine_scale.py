@@ -2,9 +2,9 @@
 
 * **Parity** — storms produce identical event logs run-to-run at 2k nodes on
   both built-in schedulers, and the heap and the wheel agree event-for-event
-  at 2k, 20k and — the smoke — 100k nodes (downsized under
-  ``REPRO_SMOKE_FAST=1`` so the CI matrix stays fast; the full size runs in
-  the default local suite).
+  at every size of :data:`PARITY_STORMS`: 2k to 50k nodes and — the smoke —
+  100k (downsized under ``REPRO_SMOKE_FAST=1`` so the CI matrix stays fast;
+  the full size runs in the default local suite).
 * **Timeout accounting** — ``ProtocolNode.timeout_count`` is exactly the
   number of Timeouts the node fired: after a crashy storm, for a node
   registered under a forged id, and after
@@ -16,6 +16,8 @@ from __future__ import annotations
 import os
 from collections import Counter
 
+import pytest
+
 from repro.api import SystemSpec, build_stable
 from repro.core.subscriber import Subscriber
 from repro.core.supervisor import Supervisor
@@ -24,9 +26,15 @@ from repro.sim.node import ProtocolNode
 
 SMOKE_FAST = os.environ.get("REPRO_SMOKE_FAST") == "1"
 
-#: The headline scale (matches the core_100k_wheel bench case); CI's fast
-#: mode keeps the same code paths at a size the matrix can afford.
+#: The largest storm; CI's fast mode keeps the same code paths at a size the
+#: matrix can afford.
 SMOKE_NODES = 5_000 if SMOKE_FAST else 100_000
+
+#: ``(nodes, rounds)`` of every heap-vs-wheel storm: few nodes deep in time
+#: (2k x 12: many wheel rollovers and bucket reuse cycles), many nodes briefly
+#: (working sets past cache), and the smoke.
+PARITY_STORMS = [(2_000, 3), (2_000, 12), (5_000, 10), (20_000, 2),
+                 (50_000, 2), (SMOKE_NODES, 2)]
 
 
 class _Recorder(ProtocolNode):
@@ -62,6 +70,11 @@ def _storm(scheduler: str, nodes: int, rounds: int, seed: int = 4242,
             sim.crash_node(victim, at=(rounds / 2) * period)
     sim.run_rounds(rounds)
     return log, sim
+
+
+def _fingerprint(sim):
+    stats = sim.network.stats
+    return (sim.steps_executed, stats.total_sent, stats.total_delivered, sim.now)
 
 
 def _logged_timeouts(log) -> Counter:
@@ -116,22 +129,20 @@ class TestSchedulerParity:
             second, _ = _storm(scheduler, 2_000, 3)
             assert first == second
 
-    def test_heap_wheel_parity_2k_and_20k(self):
-        for nodes, rounds in ((2_000, 3), (20_000, 2)):
-            heap_log, heap_sim = _storm("heap", nodes, rounds)
-            wheel_log, wheel_sim = _storm("wheel", nodes, rounds)
-            assert heap_sim.steps_executed == wheel_sim.steps_executed
-            assert heap_log == wheel_log
-            assert heap_sim.timeout_counts == wheel_sim.timeout_counts
-
-
-class TestHundredKSmoke:
-    def test_heap_wheel_event_log_parity_at_headline_scale(self):
-        heap_log, heap_sim = _storm("heap", SMOKE_NODES, 2)
-        wheel_log, wheel_sim = _storm("wheel", SMOKE_NODES, 2)
-        assert heap_sim.steps_executed == wheel_sim.steps_executed
-        assert heap_sim.steps_executed >= 3 * SMOKE_NODES  # it stormed
+    @pytest.mark.parametrize("nodes, rounds", PARITY_STORMS,
+                             ids=[f"{n}x{r}" for n, r in PARITY_STORMS])
+    def test_heap_wheel_event_log_parity(self, nodes, rounds):
+        """The same per-event log — same timestamps, same kinds, same handling
+        order — whether the engine drains a binary heap or the timeout wheel
+        (with its monotone-seq bucket sort and auto width)."""
+        heap_log, heap_sim = _storm("heap", nodes, rounds)
+        wheel_log, wheel_sim = _storm("wheel", nodes, rounds)
+        # The cheap aggregate fingerprint first for a readable failure, then
+        # the full log.
+        assert _fingerprint(heap_sim) == _fingerprint(wheel_sim)
+        assert heap_sim.steps_executed >= (rounds + 1) * nodes  # it stormed
         assert heap_log == wheel_log
+        assert heap_sim.timeout_counts == wheel_sim.timeout_counts
         # every node of the population fired on both schedulers
-        assert len(wheel_sim.nodes) == SMOKE_NODES
+        assert len(wheel_sim.nodes) == nodes
         assert min(wheel_sim.timeout_counts.values()) > 0

@@ -75,8 +75,8 @@ class TestBackends:
 
     def test_worker_failure_propagates(self):
         backend = ProcessPoolBackend(jobs=1)
-        task = TaskSpec(task_id="boom", fn="repro.exec.tasks:run_bench_case",
-                        payload={"case": "definitely_not_a_case"})
+        task = TaskSpec(task_id="boom", fn="repro.exec.tasks:misbehave",
+                        payload={"mode": "crash"})
         with pytest.raises(RuntimeError, match="boom"):
             backend.run([task])
 

@@ -5,8 +5,11 @@ message/node state."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,8 @@ from repro.sim.scheduler import (
     auto_bucket_width,
     make_scheduler,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class _SortedListScheduler(EventScheduler):
@@ -688,3 +693,34 @@ class TestSteadyStateBudget:
         assert {k: v for k, v in sibling.items() if k != "topic"} == {
             "node": peer.node_id, "label": view.label,
             "believed": (view.left or view.right).label, "flag": "LIN"}
+
+
+class TestProfilerSpeaksTheBenchmarksNames:
+    """``scripts/profile_hotpath.py`` profiles what ``bench/`` measures: its
+    one name space is the workload list of ``BENCHMARK.json``."""
+
+    @pytest.fixture(scope="class")
+    def script(self):
+        spec = importlib.util.spec_from_file_location(
+            "profile_hotpath", REPO_ROOT / "scripts" / "profile_hotpath.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.fixture(scope="class")
+    def names(self):
+        declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        return [workload["name"] for workload in declared["workloads"]]
+
+    def test_list_prints_the_declared_workloads_in_order(self, script, names, capsys):
+        assert script.main(["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == names
+
+    def test_a_retired_case_name_is_a_usage_error(self, script, names, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            script.main(["core_2k_wheel"])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err
+        assert "invalid choice: 'core_2k_wheel'" in message
+        assert all(name in message for name in names)

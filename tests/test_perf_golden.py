@@ -1,15 +1,11 @@
-"""Regression oracles for the PR 4 hot-path overhaul.
+"""Regression oracle for hot-path work: golden byte-identity.
 
-Two layers of protection:
-
-* **Golden byte-identity** — the reports of E1, E11 (two seeds) and E12 (two
-  seeds) must match ``tests/golden/*.json`` byte for byte.  The golden files
-  were generated by the *pre-optimization* engine, so any drift in RNG draw
-  order, event order, stats accounting or report serialization introduced by
-  hot-path work fails these tests.
-* **Heap-vs-wheel equivalence at scale** — a 5 000-node run must produce the
-  identical delivery/timeout event log under both schedulers (the PR 1/PR 2
-  parity invariant, re-asserted on the fused drain loops).
+The reports of E1, E11 (two seeds) and E12 (two seeds) must match
+``tests/golden/*.json`` byte for byte.  The golden files were generated by
+the *pre-optimization* engine, so any drift in RNG draw order, event order,
+stats accounting or report serialization introduced by hot-path work fails
+these tests.  (Heap-vs-wheel event-log parity, 5 000 nodes included, is
+``tests/test_engine_scale.py``.)
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ from repro.experiments.experiments import (
     e11_sharded_scaling,
     e12_adversarial_scenarios,
 )
-from repro.sim.engine import Simulator, SimulatorConfig
-from repro.sim.node import ProtocolNode
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -65,45 +59,3 @@ class TestGoldenReports:
             assert data["wall_seconds"] is None
             assert data["passed"] is True, f"{path.name} records failing claims"
             assert data["claims"], f"{path.name} has no claims"
-
-
-NODES_5K = 5_000
-
-
-class Recorder(ProtocolNode):
-    """Timeout-storm node logging every event it handles, for order parity."""
-
-    __slots__ = ("log",)
-
-    def __init__(self, node_id):
-        super().__init__(node_id)
-        self.log = []
-
-    def on_timeout(self):
-        self.log.append(("T", round(self.now, 12)))
-        self.send(self.node_id % NODES_5K + 1, "Ping", sender=self.node_id)
-
-    def on_Ping(self, sender, topic=None):
-        self.log.append(("P", sender, round(self.now, 12)))
-
-
-class TestSchedulerParityAt5k:
-    """Heap and wheel must drive byte-identical event orders at 5k nodes."""
-
-    @staticmethod
-    def _run(scheduler: str):
-        sim = Simulator(SimulatorConfig(seed=99, scheduler=scheduler))
-        nodes = [sim.add_node(Recorder(i + 1)) for i in range(NODES_5K)]
-        sim.run_rounds(10)
-        stats = sim.network.stats
-        merged = [(n.node_id, tuple(n.log)) for n in nodes]
-        return (merged, sim.steps_executed, stats.total_sent,
-                stats.total_delivered, sim.now)
-
-    def test_identical_event_logs(self):
-        heap_run = self._run("heap")
-        wheel_run = self._run("wheel")
-        # Compare the cheap aggregate fingerprints first for a readable
-        # failure, then the full per-node logs.
-        assert heap_run[1:] == wheel_run[1:]
-        assert heap_run[0] == wheel_run[0]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import SystemSpec, build_stable
 from repro.core.config import ProtocolParams
 from repro.core.labels import label_of
 from repro.core.supervisor import Supervisor, TopicDatabase
@@ -263,3 +264,52 @@ class TestSupervisorHandlers:
         assert sup.is_database_legitimate([10, 11])
         assert not sup.is_database_legitimate([10])
         assert not sup.is_database_legitimate([10, 11, 12])
+
+
+#: (destination, action, params) of one forged message.
+FORGED_REQUESTS = [
+    ("supervisor", "Subscribe", {"node": None}),
+    ("supervisor", "GetConfiguration", {"node": None}),
+    ("supervisor", "Unsubscribe", {"node": [1]}),
+    # reaches the supervisor *through the protocol*: sent with the receiver's
+    # own label, its ``_integrate`` answers with ``GetConfiguration(node=None)``
+    ("subscriber", "Linearize", {"node": None}),
+]
+
+
+class TestForgedRequests:
+    """Theorem 8 starts from arbitrary channel contents: a request naming a
+    ``node`` that cannot be an address (``None``, unhashable) is ignored at
+    the supervisor's ingress; each of these used to raise out of a handler
+    and end the run."""
+
+    @pytest.mark.parametrize("spec", [
+        SystemSpec(seed=3),
+        SystemSpec(seed=3, topology="sharded", shards=2),
+    ], ids=["single", "sharded"])
+    @pytest.mark.parametrize("dest, action, params", FORGED_REQUESTS,
+                             ids=[f"{a}-{p['node']}" for _, a, p in FORGED_REQUESTS])
+    def test_run_returns_and_relegitimizes(self, spec, dest, action, params):
+        system, peers = build_stable(spec, 8)
+        supervisor = system.supervisor_of("default")
+        before = dict(supervisor.database("default").entries)
+        if dest == "supervisor":
+            dest_id = supervisor.node_id
+        else:
+            dest_id = peers[0].node_id
+            params = dict(params, label=peers[0].view().label)
+        system.sim.inject_message(dest_id, action, params, topic="default")
+        system.run_rounds(10)
+        assert system.run_until_legitimate(max_rounds=300)
+        assert dict(supervisor.database("default").entries) == before
+
+    def test_unaddressable_node_is_ignored_by_every_request_handler(self):
+        sim, sup = make_supervisor()
+        sup.on_Subscribe(10)
+        for node in (None, [1], {"a": 1}):
+            sup.on_Subscribe(node)
+            sup.on_GetConfiguration(node)
+            sup.on_Unsubscribe(node)
+        assert dict(sup.database().entries) == {label_of(0): 10}
+        assert sup.ops_handled == 1
+        assert sim.network.stats.total_sent == 1
