@@ -65,6 +65,15 @@ def timed_region(workload, state) -> int:
     return state.sim.steps_executed - before
 
 
+def profile_region(workload, state):
+    """The timed region under :mod:`cProfile`: ``(stats, events)``."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    events = timed_region(workload, state)
+    profiler.disable()
+    return pstats.Stats(profiler, stream=sys.stdout), events
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -104,27 +113,26 @@ def main(argv=None) -> int:
     if args.tracemalloc:
         return run_tracemalloc(workload, state, args)
 
-    profiler = cProfile.Profile()
-    profiler.enable()
-    events = timed_region(workload, state)
-    profiler.disable()
+    stats, events = profile_region(workload, state)
     failed = workload.check(state)
     if failed:
         print(f"WARNING: {failed} ops failed the workload's check — "
               f"this is the profile of a wrong run")
 
-    stats = pstats.Stats(profiler, stream=sys.stdout)
     if events:
         print(f"events processed: {events:,}")
         print(f"calls/event: {calls_per_event(stats, events):.1f} "
               f"({stats.prim_calls:,} primitive calls)")
+        print(f"sha256/op: {sha256_per_op(stats, workload.ops(state)):.2f} "
+              f"(per {workload.op})")
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.out is not None:
         stats.dump_stats(args.out)
         print(f"wrote raw profile to {args.out}")
     if args.json_out is not None:
         args.json_out.write_text(json.dumps(
-            profile_payload(stats, workload, events, args.sort, args.top),
+            profile_payload(stats, workload, events, workload.ops(state),
+                            args.sort, args.top),
             indent=2, sort_keys=True) + "\n")
         print(f"wrote JSON profile to {args.json_out}")
     return 0
@@ -185,11 +193,19 @@ def calls_per_event(stats: pstats.Stats, events: int) -> float:
     return stats.prim_calls / events if events else 0.0
 
 
+def sha256_per_op(stats: pstats.Stats, ops: int) -> float:
+    """SHA-256 digests started per workload op (``Workload.ops``): every hash
+    of :mod:`repro.pubsub.hashing` is one ``openssl_sha256`` call."""
+    calls = sum(row[1] for (_, _, name), row in stats.stats.items()
+                if "openssl_sha256" in name)
+    return calls / ops if ops else 0.0
+
+
 #: pstats sort key -> index into the per-function stats tuple (cc, nc, tt, ct).
 _SORT_VALUE = {"cumulative": 3, "tottime": 2, "ncalls": 1}
 
 
-def profile_payload(stats: pstats.Stats, workload, events,
+def profile_payload(stats: pstats.Stats, workload, events, ops,
                     sort: str, top: int) -> dict:
     """The ``--json`` artifact: run context plus the top-N functions.
 
@@ -216,6 +232,7 @@ def profile_payload(stats: pstats.Stats, workload, events,
         "description": workload.why,
         "events": events,
         "calls_per_event": round(calls_per_event(stats, events), 2),
+        "sha256_per_op": round(sha256_per_op(stats, ops), 3),
         "sort": sort,
         "total_functions": len(rows),
         "top": rows[:top],

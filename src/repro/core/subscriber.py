@@ -35,7 +35,6 @@ from repro.core.config import ProtocolParams
 from repro.core.labels import Label, closer, is_valid_label, ring_key
 from repro.core.shortcuts import shortcut_labels_from_neighbor
 from repro.pubsub.antientropy import handle_check_and_publish, handle_check_trie
-from repro.pubsub.flooding import flood_fanout
 from repro.pubsub.patricia import PatriciaTrie
 from repro.pubsub.publications import Publication
 from repro.sim.node import NodeRef, ProtocolNode
@@ -518,17 +517,27 @@ class TopicView:
             self._flood(publication, hops=1, exclude=None)
         return publication
 
-    def _flood(self, publication: Publication, hops: int, exclude: Optional[NodeRef]) -> None:
-        targets = flood_fanout(
-            self.left.ref if self.left else None,
-            self.right.ref if self.right else None,
-            self.ring.ref if self.ring else None,
-            self.shortcuts.values(),
-            exclude=exclude,
-        )
-        for ref in targets:
-            self.send(ref, msg.PUBLISH_NEW, pub=publication.to_wire(), hops=hops,
-                      sender=self.node_id)
+    def _flood(self, publication: Publication, hops: int, exclude: object) -> None:
+        """Forward to every distinct ring and shortcut neighbour but ``exclude``,
+        the node the message arrived from: the paper does not require skipping
+        it, but that halves redundant traffic and the receiver drops duplicates
+        anyway.  ``exclude`` is message content, so it is only ever compared."""
+        owner = self.owner
+        if owner.crashed:
+            return
+        targets = set(self.shortcuts.values())
+        for nb in (self.left, self.right, self.ring):
+            if nb is not None:
+                targets.add(nb.ref)
+        targets.discard(None)
+        # :meth:`_send` to each target, its tests made once and its frame
+        # saved: one read-only dict for the whole flood.
+        send_fast = (owner._sim or owner.sim)._send_fast
+        node_id, topic = self.node_id, self.topic
+        params = {"pub": publication.to_wire(), "hops": hops, "sender": node_id}
+        for ref in sorted(targets):
+            if ref != exclude:
+                send_fast(node_id, ref, msg.PUBLISH_NEW, topic, params)
 
     def _anti_entropy_round(self, plan: _TimeoutPlan) -> None:
         """Send our trie root to a random direct ring neighbour (Algorithm 5)."""
@@ -589,11 +598,17 @@ class TopicView:
                                              key=publication.key, via="antientropy")
 
     def handle_publish_new(self, pub: dict, hops: int, sender: Optional[NodeRef]) -> None:
+        # Forged content is dropped with its message (anti-entropy delivers what
+        # it carried): a hop count that is not an int >= 1 — a bool is not — or
+        # a wire that does not decode.
+        if hops.__class__ is not int or hops < 1:
+            return
         try:
             publication = Publication.from_wire(pub)
         except (KeyError, ValueError, TypeError):
             return
-        if len(publication.key) != self.trie.key_bits or not self.trie.insert(publication):
+        trie = self.trie
+        if len(publication.key) != trie.key_bits or not trie.insert(publication):
             return  # forged key_bits (a key of another length), or already stored
         self.owner.sim.tracer.record(self.owner.now, "flood_delivery", node=self.node_id,
                                      topic=self.topic, key=publication.key, hops=hops)

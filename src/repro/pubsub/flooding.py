@@ -5,37 +5,18 @@ on the self-stabilizing anti-entropy protocol, but flooding delivers a fresh
 publication to every subscriber within the skip ring's diameter, i.e. in
 ``O(log n)`` hops, instead of the ``Θ(n)`` hops a plain ring would need.
 
-This module contains the neighbour fan-out helper used by the subscriber
-protocol plus analytical helpers used by experiment E7 (expected hop counts on
-the ideal topology).
+The fan-out itself is ``TopicView._flood`` in :mod:`repro.core.subscriber`;
+this module holds the analytical helpers used by experiment E7 (expected hop
+counts on the ideal topology).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict
 
 import networkx as nx
 
 from repro.core.skip_ring import SkipRingTopology
-
-
-def flood_fanout(left_ref: Optional[int], right_ref: Optional[int],
-                 ring_ref: Optional[int], shortcut_refs: Iterable[Optional[int]],
-                 exclude: Optional[int] = None) -> List[int]:
-    """The distinct neighbour references a PublishNew message is forwarded to.
-
-    ``exclude`` (typically the node the message arrived from) is skipped; the
-    paper's protocol does not require this but it halves redundant traffic and
-    does not affect delivery (the receiving node drops duplicates anyway).
-    """
-    targets: Set[int] = set()
-    for ref in (left_ref, right_ref, ring_ref, *shortcut_refs):
-        if ref is None:
-            continue
-        if exclude is not None and ref == exclude:
-            continue
-        targets.add(ref)
-    return sorted(targets)
 
 
 def ideal_flood_hops(n: int, source: int = 0) -> Dict[int, int]:

@@ -12,10 +12,13 @@ binary trie:
 Hashes are computed when read, not when written.  Invariant: a node's cached
 hash is either absent or the Merkle hash of its current subtree; ``insert``
 clears the cache of every node it descends through, reading ``node.hash``
-fills it (recursion depth at most ``key_bits``).  Every reader goes through
-that one attribute, so two tries hold the same publication set if and only if
-their root hashes are equal (up to hash collisions), which is exactly the
-property the CheckTrie reconciliation protocol relies on.
+fills it (recursion depth at most ``key_bits``).  A leaf's hash is a pure
+function of its key, so it is read from the stored :class:`Publication`
+(``Publication.leaf_hash``, computed once per instance): the n tries holding
+one interned publication hash its leaf once between them.  Every reader goes
+through that one attribute, so two tries hold the same publication set if and
+only if their root hashes are equal (up to hash collisions), which is exactly
+the property the CheckTrie reconciliation protocol relies on.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class TrieNode:
         if digest is None:
             children = self.children
             digest = self._hash = (node_hash(children["0"].hash, children["1"].hash)
-                                   if children else leaf_hash(self.label))
+                                   if children else self.publication.leaf_hash)
         return digest
 
     def child_summaries(self) -> List[Summary]:
@@ -174,11 +177,11 @@ class PatriciaTrie:
         only grows.
         """
         key = publication.key
+        if key in self._by_key:
+            return False  # and valid: it was checked when it was stored
         if len(key) != self.key_bits or key.strip("01"):
             raise ValueError(
                 f"publication key {key!r} is not a {self.key_bits}-bit binary string")
-        if key in self._by_key:
-            return False
         self._by_key[key] = publication
 
         new_leaf = TrieNode(key, publication)
@@ -190,14 +193,19 @@ class PatriciaTrie:
         # Walk down while node.label is a proper prefix of key; every node
         # passed gets a new descendant, so its cached hash is now stale.
         parent: Optional[TrieNode] = None
-        while node.children and key.startswith(node.label):
+        label = node.label
+        while node.children and key.startswith(label):
             node._hash = None
             parent = node
-            node = node.children[key[len(node.label)]]
+            node = node.children[key[len(label)]]
+            label = node.label
         # Split above `node`: a new inner node holds the diverging children.
-        common = len(commonprefix((key, node.label)))
+        # Their common prefix ends at the highest bit the two labels differ in
+        # (`label` is not empty: the descent passes every prefix of `key`).
+        width = len(label)
+        common = width - (int(key[:width], 2) ^ int(label, 2)).bit_length()
         inner = TrieNode(key[:common])
-        inner.children[node.label[common]] = node
+        inner.children[label[common]] = node
         inner.children[key[common]] = new_leaf
         if parent is None:
             self.root = inner

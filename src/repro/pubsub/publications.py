@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict
 
-from repro.pubsub.hashing import publication_key
+from repro.pubsub.hashing import leaf_hash as _leaf_hash, publication_key
 
 # Wire content -> the one live Publication derived from it.  Weak, so it holds
 # nothing that a trie or an in-flight handler does not already hold.
@@ -30,8 +30,9 @@ class Publication:
         receives ``(publisher, payload)`` reconstructs the same key.
 
     :meth:`from_wire` interns: equal wire content yields the same instance
-    for as long as anything holds it, so n tries share one payload.  Its key
-    is only ever derived by the hash; forged content is different content.
+    for as long as anything holds it, so n tries share one payload — and one
+    :attr:`leaf_hash`.  Its key is only ever derived by the hash; forged
+    content is different content.
     """
 
     publisher: int
@@ -44,6 +45,11 @@ class Publication:
             payload = payload.encode("utf-8")
         return cls(publisher=publisher, payload=bytes(payload),
                    key=publication_key(publisher, payload, bits=key_bits))
+
+    @cached_property
+    def leaf_hash(self) -> str:
+        """``h(key)``, the hash of this publication's leaf in any trie."""
+        return _leaf_hash(self.key)
 
     # ---------------------------------------------------------------- wire fmt
     @cached_property

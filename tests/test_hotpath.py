@@ -488,7 +488,8 @@ class _CountingHashlib:
 class TestPublicationPathBudget:
     """The PR 15 contract: a trie node is hashed when it is read, a
     publication is derived once per distinct wire content, and its wire form
-    is built once."""
+    is built once.  PR 21 adds: a leaf is hashed once per publication and a
+    duplicate insert is answered before the key is validated."""
 
     @pytest.fixture
     def sha(self, monkeypatch):
@@ -513,6 +514,58 @@ class TestPublicationPathBudget:
         sha.calls = 0
         assert trie.root_summary() == first
         assert sha.calls == 0
+        trie.check_invariants()
+
+    def test_n_views_hash_one_interned_leaf_once(self, sha):
+        """PR 21: ``h(key)`` is remembered on the interned publication, so it
+        is hashed once per publication, not per (publication, subscriber)."""
+        from repro.core.subscriber import Subscriber
+        from repro.pubsub.hashing import leaf_hash
+
+        sim = Simulator(SimulatorConfig(seed=21))
+        wire = {"publisher": 9, "payload": "abcd", "key_bits": 64}
+        views = []
+        for node_id in range(1, 9):
+            node = sim.add_node(Subscriber(node_id, 0), schedule_timeout=False)
+            node.on_PublishNew(pub=dict(wire), hops=1, sender=None)
+            views.append(node.view())
+        stored = {id(view.trie.get(view.trie.keys()[0])) for view in views}
+        assert len(stored) == 1 and sha.calls == 1  # one instance, one key derivation
+        sha.calls = 0
+        summaries = {view.trie.root_summary() for view in views}
+        assert sha.calls == 1  # one leaf hash between the 8 tries
+        (key, digest), = summaries
+        assert digest == leaf_hash(key)
+
+    def test_a_duplicate_insert_is_answered_before_validation(self):
+        from repro.pubsub.patricia import PatriciaTrie
+        from repro.pubsub.publications import Publication
+
+        class CountingKey(str):
+            checks = 0
+
+            def strip(self, chars=None):
+                CountingKey.checks += 1
+                return super().strip(chars)
+
+            def __len__(self):
+                CountingKey.checks += 1
+                return super().__len__()
+
+        trie = PatriciaTrie(key_bits=8)
+        stored = Publication(1, b"a", CountingKey("01100110"))
+        assert trie.insert(Publication(1, b"b", "01100111")) and trie.insert(stored)
+        assert CountingKey.checks == 2  # a new key is validated: len + strip
+        CountingKey.checks = 0
+        assert trie.insert(stored) is False
+        assert trie.insert(Publication(2, b"other", CountingKey("01100110"))) is False
+        assert CountingKey.checks == 0
+        # ... and a new malformed key still raises, leaving the trie as it was
+        before = (len(trie), trie.root_summary())
+        for malformed in ("0110011", "011001100", "0110011x", ""):
+            with pytest.raises(ValueError):
+                trie.insert(Publication(1, b"c", malformed))
+        assert (len(trie), trie.root_summary()) == before
         trie.check_invariants()
 
     def test_a_stored_publication_is_not_derived_again(self, sha):
@@ -724,3 +777,17 @@ class TestProfilerSpeaksTheBenchmarksNames:
         message = capsys.readouterr().err
         assert "invalid choice: 'core_2k_wheel'" in message
         assert all(name in message for name in names)
+
+    @pytest.mark.parametrize("name, hashes", [("engine_storm", False),
+                                              ("publish_fanout", True)])
+    def test_json_carries_sha256_per_op(self, script, name, hashes):
+        workload = script._benchmark_workloads()[name]
+        state = workload.setup(script.WORKLOAD_SEED, workload.sizes(0.05))
+        stats, events = script.profile_region(workload, state)
+        assert workload.check(state) == 0
+        payload = script.profile_payload(stats, workload, events, workload.ops(state),
+                                         "tottime", 5)
+        assert payload["calls_per_event"] > 0
+        # engine_storm never hashes; a delivery pays at least its share of the trie
+        assert payload["sha256_per_op"] > 0 if hashes else payload["sha256_per_op"] == 0
+

@@ -2,6 +2,7 @@
 
 
 from fractions import Fraction
+from os.path import commonprefix
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -230,11 +231,12 @@ def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step):
     reads, every hash read is the one an eager trie would hold, and a cached
     hash is never stale."""
     trie = PatriciaTrie(key_bits=8)
+    shared = {}  # key -> the one hand-built record every trie below stores
     for op, key, pick in steps:
         nodes = sorted(trie.iter_nodes(), key=lambda n: n.label)
         node = nodes[pick % len(nodes)] if nodes else None
         if op == "insert":
-            trie.insert(Publication(1, key.encode(), key))
+            trie.insert(shared.setdefault(key, Publication(1, key.encode(), key=key)))
         elif op == "invariants":
             trie.check_invariants()
         elif node is None:
@@ -252,6 +254,37 @@ def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step):
         for n in trie.iter_nodes():
             assert n._hash is None or n._hash == _eager_hash(n), "stale cached hash"
     trie.check_invariants()
+    # A leaf's hash lives on the Publication: tries sharing the instances, filled
+    # in other orders and read before, between and after, all hold eager hashes.
+    backwards, sorted_order = PatriciaTrie(key_bits=8), PatriciaTrie(key_bits=8)
+    for publication in reversed(shared.values()):
+        backwards.insert(publication)
+        assert backwards.root.hash == _eager_hash(backwards.root)
+    sorted_order.insert_all([shared[key] for key in sorted(shared)])
+    for other in (backwards, sorted_order):
+        assert other.root_summary() == trie.root_summary()
+        assert all(n.hash == _eager_hash(n) for n in other.iter_nodes())
+        assert all(other.get(key) is shared[key] for key in shared)
+
+
+@given(st.lists(st.text(alphabet="01", min_size=6, max_size=6),
+                min_size=2, max_size=16, unique=True))
+def test_patricia_xor_split_is_the_common_prefix(keys):
+    """``insert`` finds the split point with one XOR against the node the
+    descent stopped at — a leaf (equal lengths) or an inner node (a shorter
+    label), below an empty root label too.  Reference: ``os.path.commonprefix``."""
+    for key, other in zip(keys, keys[1:]):
+        for width in range(1, len(other) + 1):  # every label a node could carry
+            label = other[:width]
+            assert (width - (int(key[:width], 2) ^ int(label, 2)).bit_length()
+                    == len(commonprefix((key, label))))
+    trie = PatriciaTrie(key_bits=6)
+    for count, key in enumerate(keys, start=1):
+        assert trie.insert(Publication(1, b"", key=key))
+        for node in trie.iter_nodes():
+            below = [k for k in keys[:count] if k.startswith(node.label)]
+            assert node.label == commonprefix(below)
+            assert node.is_leaf == (len(below) == 1)
 
 
 # ------------------------------------------------------------ anti-entropy

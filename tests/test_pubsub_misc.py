@@ -3,16 +3,19 @@
 import pytest
 
 from repro.baselines.gossip import gossip_round_series, push_gossip_rounds
+from repro.core import messages as msg
 from repro.core.labels import max_level
+from repro.core.subscriber import Neighbor, Subscriber
 from repro.pubsub.flooding import (
-    flood_fanout,
     flood_message_count,
     ideal_flood_depth,
     ideal_flood_hops,
     plain_ring_flood_depth,
 )
 from repro.pubsub.hashing import leaf_hash, node_hash, publication_key
+from repro.pubsub.publications import Publication
 from repro.pubsub.topics import TopicRegistry
+from repro.sim.engine import Simulator, SimulatorConfig
 
 
 class TestHashing:
@@ -35,13 +38,36 @@ class TestHashing:
         assert node_hash("a", "b") != node_hash("b", "a")
 
 
+def _flood_targets(left, right, ring, shortcut_refs, exclude):
+    """Destinations, in send order, of one ``TopicView._flood`` — the fan-out's
+    one implementation — from a view holding exactly these references."""
+    sim = Simulator(SimulatorConfig(seed=7))
+    node = sim.add_node(Subscriber(1, 0), schedule_timeout=False)
+    view = node.view(subscribed=True)
+    view.label = "01"
+    view.left, view.right, view.ring = (
+        None if ref is None else Neighbor("0", ref) for ref in (left, right, ring))
+    view.shortcuts = dict(enumerate(shortcut_refs))
+    sends = []
+    sim._send_fast = lambda sender, dest, action, topic, params: sends.append(
+        (dest, action, params))
+    publication = Publication.create(1, b"x", key_bits=64)
+    view._flood(publication, hops=3, exclude=exclude)
+    assert all(action == msg.PUBLISH_NEW and params is sends[0][2]
+               for _, action, params in sends)  # one read-only dict per flood
+    assert not sends or sends[0][2] == {"pub": publication.to_wire(), "hops": 3, "sender": 1}
+    return [dest for dest, _, _ in sends]
+
+
 class TestFlooding:
     def test_flood_fanout_deduplicates_and_excludes(self):
-        targets = flood_fanout(2, 3, 2, [4, None, 3], exclude=4)
-        assert targets == [2, 3]
+        assert _flood_targets(2, 3, 2, [4, None, 3], exclude=4) == [2, 3]
+        # ``exclude`` is message content: a forged, unhashable one excludes nobody
+        assert _flood_targets(3, 2, None, [4, 2], exclude=[4]) == [2, 3, 4]
 
     def test_flood_fanout_empty(self):
-        assert flood_fanout(None, None, None, []) == []
+        assert _flood_targets(None, None, None, [], exclude=None) == []
+        assert _flood_targets(5, None, None, [None], exclude=5) == []
 
     @pytest.mark.parametrize("n", [2, 8, 16, 64, 256, 1024])
     def test_ideal_flood_depth_logarithmic(self, n):

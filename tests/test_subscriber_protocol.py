@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.api import SystemSpec, build_stable
 from repro.core import messages as msg
 from repro.core.config import ProtocolParams
 from repro.core.subscriber import Neighbor, Subscriber
@@ -330,6 +331,61 @@ class TestForgedPublicationWires:
         assert other.key == publication_key(stored.publisher + 1, b"genuine", bits=64)
         assert view.trie.keys() == sorted([stored.key, other.key])
         assert view.trie.get(stored.key) is stored
+
+
+# ``hops`` values that are not an int >= 1: some cannot be counted with
+# (``hops + 1`` raises), the float and the bool can and would flood on into
+# the ``flood_delivery`` events E7 takes ``max()`` over.
+FORGED_HOPS = ["x", None, 1.5, True, 0, [2]]
+
+_KEEP_EVENTS = SimulatorConfig(seed=3, keep_trace_events=True)
+BOTH_TOPOLOGIES = pytest.mark.parametrize("spec", [
+    SystemSpec(seed=3, sim=_KEEP_EVENTS),
+    SystemSpec(seed=3, sim=_KEEP_EVENTS, topology="sharded", shards=2),
+], ids=["single", "sharded"])
+
+
+class TestForgedPublishNewEnvelope:
+    """Theorem 8, arbitrary channel contents, for the two ``PublishNew``
+    parameters beside the wire: ``hops`` is counted with, so a forged one is
+    dropped with its message; ``sender`` is only compared, so a forged one
+    excludes nobody."""
+
+    WIRE = {"publisher": 9, "payload": "ab", "key_bits": 64}
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("hops", FORGED_HOPS, ids=repr)
+    def test_forged_hops_end_no_run_and_reach_no_trace(self, spec, hops):
+        system, peers = build_stable(spec, 8)
+        system.sim.inject_message(peers[0].node_id, "PublishNew",
+                                  {"pub": self.WIRE, "hops": hops, "sender": 2},
+                                  topic="default")
+        genuine = system.publish(peers[1].node_id, b"genuine")
+        system.run_rounds(4)
+        assert system.run_until_legitimate(max_rounds=300)
+        assert system.run_until_publications_converged(expected_keys={genuine.key},
+                                                       max_rounds=300)
+        deliveries = system.sim.tracer.events_of("flood_delivery")
+        assert len(deliveries) == len(peers) - 1  # the genuine flood, nothing forged
+        assert all(type(e.data["hops"]) is int and e.data["hops"] >= 1 for e in deliveries)
+        assert all(peer.view().trie.keys() == [genuine.key] for peer in peers)
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("sender", [[1], {}, None], ids=repr)
+    def test_forged_sender_excludes_nobody(self, spec, sender):
+        system, peers = build_stable(spec, 8)
+        receiver = peers[0]
+        sent_before = sent(system.sim, receiver.node_id, msg.PUBLISH_NEW)
+        system.sim.inject_message(receiver.node_id, "PublishNew",
+                                  {"pub": self.WIRE, "hops": 1, "sender": sender},
+                                  topic="default")
+        system.run_rounds(1)
+        key = Publication.from_wire(self.WIRE).key
+        assert key in receiver.view().trie
+        assert (sent(system.sim, receiver.node_id, msg.PUBLISH_NEW) - sent_before
+                == len(receiver.view().neighbor_refs()) > 0)
+        assert system.run_until_publications_converged(expected_keys={key}, max_rounds=300)
+        assert system.run_until_legitimate(max_rounds=300)
 
 
 # ``topic`` values no sender produces: two unhashable, two hashable.
