@@ -14,6 +14,7 @@ facade class.
 
 from __future__ import annotations
 
+import statistics
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.convergence import edge_set_signature
@@ -32,6 +33,7 @@ from repro.core.config import ProtocolParams
 from repro.core.labels import count_labels_of_length, max_level, r_float
 from repro.core.skip_ring import SkipRingTopology
 from repro.pubsub.flooding import ideal_flood_depth, plain_ring_flood_depth
+from repro.sim.engine import SimulatorConfig
 from repro.workloads.initial_states import AdversarialConfig, build_adversarial_system
 from repro.workloads.publications import generate_payloads, scatter_publications
 
@@ -46,10 +48,11 @@ def _build_system(seed: int, params: Optional[ProtocolParams] = None,
 
 
 def _build_stable(n: int, seed: int,
-                  params: Optional[ProtocolParams] = None):
+                  params: Optional[ProtocolParams] = None,
+                  sim: Optional[SimulatorConfig] = None):
     """Stable single-supervisor bootstrap via the unified API."""
     from repro.api.builder import build_stable
-    return build_stable(SystemSpec(seed=seed, params=params), n)
+    return build_stable(SystemSpec(seed=seed, params=params, sim=sim), n)
 
 
 # --------------------------------------------------------------------------- E1
@@ -299,19 +302,40 @@ def e7_flooding(sizes: Sequence[int] = (16, 64, 256, 1024), simulated_n: int = 3
         if n >= 64:
             result.claim(f"n={n}: flood depth < plain-ring depth", depth < plain)
 
-    # Simulated check on a live system: measure actual hop counts.
-    system, subscribers = _build_stable(simulated_n, seed=seed)
-    publication = system.publish(subscribers[0], b"flood-probe")
+    # Simulated check on a live system, from the kept ``flood_delivery``
+    # events (one per first receipt).  Delays are random and non-FIFO, so the
+    # first copy to arrive need not have come along a shortest path: hop
+    # counts are reported, not bounded.  What forwarding on first receipt
+    # does imply: a node at distance d from the publisher has the publication
+    # within d * max_delay of the publish.
+    system, subscribers = _build_stable(
+        simulated_n, seed=seed, sim=SimulatorConfig(keep_trace_events=True))
+    publisher = subscribers[0]
+    published_at = system.sim.now
+    publication = system.publish(publisher, b"flood-probe")
     system.run_rounds(3 * max_level(simulated_n))
     delivered = system.all_subscribers_have(publication.key)
-    hop_events = [e.data.get("hops", 0) for e in system.sim.tracer.events
-                  if e.kind == "flood_delivery" and e.data.get("key") == publication.key]
-    max_hops = max(hop_events) if hop_events else 0
+    arrivals = [(e.time - published_at, e.data["hops"])
+                for e in system.sim.tracer.events
+                if e.kind == "flood_delivery" and e.data.get("key") == publication.key]
+    source = SkipRingTopology(simulated_n).labels.index(publisher.view().label)
+    bound = ideal_flood_depth(simulated_n, source) * system.sim.config.max_delay
+    last_arrival = max((time for time, _ in arrivals), default=float("inf"))
+    hops = sorted(hop for _, hop in arrivals) or [0]
     result.claim(f"simulated n={simulated_n}: flood delivered to all subscribers", delivered)
+    result.claim(f"simulated n={simulated_n}: n - 1 hop events recorded",
+                 len(arrivals) == simulated_n - 1)
     result.claim(
-        f"simulated n={simulated_n}: max flood hops <= ceil(log n) + 1",
-        max_hops <= max_level(simulated_n) + 1)
-    result.metadata.update({"simulated_n": simulated_n, "simulated_max_hops": max_hops})
+        f"simulated n={simulated_n}: last first arrival <= flood depth x max_delay "
+        "after the publish", last_arrival <= bound)
+    result.metadata.update({
+        "simulated_n": simulated_n,
+        "simulated_hop_events": len(arrivals),
+        "simulated_first_arrival_hops": {
+            "min": hops[0], "median": statistics.median(hops), "max": hops[-1]},
+        "simulated_last_arrival": round(last_arrival, 2),
+        "simulated_arrival_bound": bound,
+    })
     return result
 
 

@@ -21,13 +21,18 @@ initial state.  :class:`LinkAdversary` makes those conditions injectable:
 
 Determinism: all coin flips come from one ``random.Random`` handed in by the
 caller (use :meth:`repro.sim.engine.Simulator.adversary_rng` to derive it
-from the master seed).  The network consults ``on_submit`` once per send
-(:meth:`repro.sim.network.Network.delivery_times`) and the engine's drain
-consults ``on_deliver`` once per delivery, both in event order — identical
-for the heap and wheel schedulers — so identical seeds give identical event
-orders with the adversary active.  Tests assert this parity.  The hooks take
-``(sender, dest, now)``: a link policy reads nothing else of a message, so
-none is built to ask it.
+from the master seed).  The engine's send path consults ``on_submit`` once
+per send to a live address and its drain consults ``on_deliver`` once per
+delivery, both in event order — identical for the heap and wheel schedulers
+— so identical seeds give identical event orders with the adversary active.
+Tests assert this parity.  The hooks take ``(sender, dest, now)``: a link
+policy reads nothing else of a message, so none is built to ask it.
+
+Every run of the scenario/fuzz harness sends through these hooks, quiet
+phases included, so they allocate nothing: an untouched message is ``None``
+from both, a loss, a severed link and a plain duplicate are three constant
+verdicts, and a :class:`LinkVerdict` is built only under an active delay
+spike.
 """
 
 from __future__ import annotations
@@ -53,8 +58,10 @@ class LinkVerdict:
     delay_factor: float = 1.0
 
 
-#: The verdict for an untouched message (no adversary interference).
-PASS_VERDICT = LinkVerdict()
+#: The verdicts that carry no per-message data.
+_LOST = LinkVerdict(drop_reason=DROP_ADVERSARY_LOSS)
+_SEVERED = LinkVerdict(drop_reason=DROP_PARTITION)
+_DUPLICATED = LinkVerdict(duplicates=1)
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,9 @@ class Partition:
         return self.heal_time is None or now < self.heal_time
 
     def severs(self, sender: Optional[int], dest: int, now: float) -> bool:
-        if not self.active(now):
+        # ``active(now)``, inlined: called per message and per partition
+        if now < self.start or (self.heal_time is not None
+                                and now >= self.heal_time):
             return False
         rest = len(self.groups)
         side_of = self._side.get
@@ -192,24 +201,31 @@ class LinkAdversary:
 
     # ------------------------------------------------------------------ hooks
     def on_submit(self, sender: Optional[int], dest: int,
-                  now: float) -> LinkVerdict:
-        """Called by ``Network.delivery_times`` for every send to a
-        non-crashed destination."""
-        for partition in self.partitions.values():
-            if partition.severs(sender, dest, now):
-                return LinkVerdict(drop_reason=DROP_PARTITION)
+                  now: float) -> Optional[LinkVerdict]:
+        """Called by the engine's send path for every send to a non-crashed
+        destination; ``None`` leaves the message untouched.
+
+        Coin order is part of the seeded contract: the loss coin (only if
+        ``loss_rate > 0``), then the duplicate coin (only if
+        ``duplicate_rate > 0``).
+        """
+        if self.partitions:
+            for partition in self.partitions.values():
+                if partition.severs(sender, dest, now):
+                    return _SEVERED
         delay_factor = 1.0
-        for spike in self.spikes:
-            if spike.active(now):
-                delay_factor *= spike.factor
-        duplicates = 0
+        if self.spikes:
+            for spike in self.spikes:
+                if spike.active(now):
+                    delay_factor *= spike.factor
         if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-            return LinkVerdict(drop_reason=DROP_ADVERSARY_LOSS)
-        if self.duplicate_rate > 0.0 and self.rng.random() < self.duplicate_rate:
-            duplicates = 1
-        if duplicates == 0 and delay_factor == 1.0:
-            return PASS_VERDICT
-        return LinkVerdict(duplicates=duplicates, delay_factor=delay_factor)
+            return _LOST
+        duplicated = (self.duplicate_rate > 0.0
+                      and self.rng.random() < self.duplicate_rate)
+        if delay_factor != 1.0:
+            return LinkVerdict(duplicates=int(duplicated),
+                               delay_factor=delay_factor)
+        return _DUPLICATED if duplicated else None
 
     def on_deliver(self, sender: Optional[int], dest: int,
                    now: float) -> Optional[str]:
@@ -220,14 +236,11 @@ class LinkAdversary:
         must not cross the cut while it is active.  Loss/duplication already
         happened at send time.
         """
-        for partition in self.partitions.values():
-            if partition.severs(sender, dest, now):
-                return DROP_PARTITION
+        if self.partitions:
+            for partition in self.partitions.values():
+                if partition.severs(sender, dest, now):
+                    return DROP_PARTITION
         return None
-
-    # -------------------------------------------------------------- inspection
-    def active_partitions(self, now: float) -> List[str]:
-        return sorted(name for name, p in self.partitions.items() if p.active(now))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LinkAdversary(loss={self.loss_rate}, dup={self.duplicate_rate}, "

@@ -28,7 +28,11 @@ scheduler, adversary or telemetry setting.  Every in-flight message — sent by
 a node, duplicated by an adversary or injected as initial-state corruption —
 is one plain tuple (a *record*, :mod:`repro.sim.network`) that is its own
 delivery event and lives only in the scheduler: no per-message object, no
-second copy in a channel.  Message delays and timeout jitter are drawn where
+second copy in a channel.  A send has one path too (``_send_fast``): with or
+without a link adversary — the scenario and fuzz harness installs one on
+every run — it is counted, tested against the crashed set, shown to the
+adversary and, unless that answers with a verdict, drawn and pushed inline.
+Message delays and timeout jitter are drawn where
 they are used: one ``random()`` per use on a prebound ``Random.random``,
 inside ``Random.uniform``'s own expression (``a + (b - a) * random()``), so
 every float and each stream's position after it are those of per-call
@@ -50,7 +54,12 @@ from typing import Any, Callable, Dict, List, Optional
 import heapq
 
 from repro.sim.failure import CrashSchedule, FailureDetector
-from repro.sim.network import FAST_RECORD_KIND, Network, record_to_message
+from repro.sim.network import (
+    DROP_TO_CRASHED,
+    FAST_RECORD_KIND,
+    Network,
+    record_to_message,
+)
 from repro.sim.node import NodeRef, ProtocolNode
 from repro.sim.rng import derive_rng
 from repro.sim.scheduler import (
@@ -217,28 +226,27 @@ class Simulator:
         "still deliverable?" and the network's in-flight views read pending
         records straight off the scheduler backlog.
 
-        Without an adversary and to a live destination the closure fuses the
-        accounting, the delay draw and the push inline; facing an adversary,
-        a crashed destination or a ``dest`` that cannot be an address it asks
-        :meth:`Network.delivery_times` which copies survive and pushes one
-        record per copy.  Live reads each call: ``self.now`` and
-        ``network.adversary``.
+        One path for every send: count it, drop it if the address is gone
+        (crashed, or a ``dest`` that cannot be an address — never shown to
+        the adversary), ask the installed adversary's ``on_submit``, and —
+        untouched (``None``) or with no adversary at all — draw the delay and
+        push inline.  Only a verdict (a drop, a duplicate, a delay spike)
+        takes the generic tail, one draw and one push per copy.  Live reads
+        each call: ``self.now`` and ``network.adversary``.
         """
         network = self.network
-        delivery_times = network.delivery_times
         crashed = network._crashed
         stats = network.stats
         sent = stats._sent
         sent_cols = stats._sent_cols  # dense columnar half; grown in place
         bump_column = stats._bump_column
         derived = stats._derived  # invalidated in place, never rebound
-        delay_rng = self._delay_rng
-        # ``delay_rng.uniform(min_delay, max_delay)`` unrolled with its bounds
+        # ``_delay_rng.uniform(min_delay, max_delay)`` unrolled with its bounds
         # precomputed — ``now + (a + (b - a) * random())`` is the same float
         # as Random.uniform's, minus the per-message method frame, as long as
         # it stays parenthesised exactly so (float addition is
         # non-associative).
-        delay_rand = delay_rng.random
+        delay_rand = self._delay_rng.random
         min_delay = self.config.min_delay
         delay_span = self.config.max_delay - min_delay
         scheduler = self._scheduler
@@ -264,23 +272,12 @@ class Simulator:
             # repro: hotpath — one frame per ProtocolNode.send; repro.check
             # flags per-event container/Message allocations added here
             now = self.now
+            adversary = network.adversary
             try:
-                cold = network.adversary is not None or (
-                    crashed and dest in crashed)
+                # unconditional under an adversary: it never sees an unhashable dest
+                gone = (crashed or adversary is not None) and dest in crashed
             except TypeError:
-                cold = True  # unhashable ``dest``: no such address
-            if cold:
-                # cold branch (adversary / dest crashed or no address): zero,
-                # one or (duplicated) two copies, all sharing ``params``
-                for deliver_time in delivery_times(sender, dest, action,
-                                                   delay_rng, now):
-                    if deliver_time < self._block_end:
-                        # a delay spike with factor < 1 can undercut
-                        # min_delay and land inside the open window
-                        self._block_interrupted = True
-                    scheduler_push((deliver_time, seq_next(), _DELIVER_FAST,
-                                    dest, action, params, topic, sender, now))
-                return
+                gone = True  # unhashable ``dest``: no such address
             stats.total_sent += 1
             # Columnar sent counter for dense int senders: one action-keyed
             # lookup in a handful-sized dict plus an int64 array store,
@@ -301,6 +298,32 @@ class Simulator:
                     sent[key] = 1
             if derived:
                 derived.clear()
+            if gone:
+                stats.record_drop(DROP_TO_CRASHED)
+                return
+            if adversary is not None:
+                verdict = adversary.on_submit(sender, dest, now)
+                if verdict is not None:
+                    # touched: dropped, duplicated or delay-scaled; the
+                    # copies share ``params``
+                    if verdict.drop_reason is not None:
+                        stats.record_drop(verdict.drop_reason)
+                        return
+                    duplicates = verdict.duplicates
+                    if duplicates:
+                        stats.record_duplicate(duplicates)
+                    factor = verdict.delay_factor
+                    for _ in range(1 + duplicates):
+                        deliver_time = now + (
+                            min_delay + delay_span * delay_rand()) * factor
+                        if deliver_time < self._block_end:
+                            # a factor < 1 can undercut min_delay and land
+                            # inside the open window
+                            self._block_interrupted = True
+                        scheduler_push((deliver_time, seq_next(),
+                                        _DELIVER_FAST, dest, action, params,
+                                        topic, sender, now))
+                    return
             deliver_time = now + (min_delay + delay_span * delay_rand())
             # The record layout is pinned by the REC_* constants in
             # repro.sim.network: (deliver_time, seq, kind, dest, action,
@@ -370,9 +393,9 @@ class Simulator:
         """Install a link adversary on the network (see
         :meth:`repro.sim.network.Network.install_adversary`).
 
-        The adversary's coin flips happen at send time
-        (``Network.delivery_times``), which runs in event order — identical
-        for both schedulers — so a seeded adversary preserves the heap/wheel
+        The adversary's coin flips happen at send time (``_send_fast``
+        calls its ``on_submit``), which runs in event order — identical for
+        both schedulers — so a seeded adversary preserves the heap/wheel
         parity guarantee.
         """
         self.network.install_adversary(adversary)

@@ -7,10 +7,10 @@ is one thing only: a *record* tuple that is its own delivery event and lives
 in the simulator's scheduler until it fires (layout below) — whether a node
 sent it, a link adversary duplicated it or a corrupted initial state injected
 it.  ``v.Ch`` is therefore a view: the pending records addressed to ``v``.
-:class:`Network` decides which copies of a send a link adversary accepts and
-when they arrive, keeps per-action and per-node accounting (used by the
-supervisor-load and congestion experiments), and drops messages addressed to
-crashed nodes (the paper's Section 3.3 failure model: a crashed node's address
+:class:`Network` holds the link adversary the engine's send path consults,
+keeps per-action and per-node accounting (used by the supervisor-load and
+congestion experiments) and the set of crashed nodes, messages to which are
+dropped (the paper's Section 3.3 failure model: a crashed node's address
 ceases to exist, so messages to it "do not invoke any action").
 
 Beyond the paper's model the network accepts an optional **link adversary**
@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(slots=True)
@@ -141,8 +141,7 @@ class ChannelStats:
     """Aggregated message statistics, queryable per node and per action.
 
     Recording is inlined where the messages are — the engine's send closure
-    and drain loop, :meth:`Network.delivery_times` and
-    :meth:`Network.pop_record` — and costs one counter update on a
+    and drain loop, and :meth:`Network.pop_record` — and costs one counter update on a
     ``(node, action)`` store plus an integer increment.  The per-node,
     per-action and per-(node, action) :class:`Counter` views the
     experiments consume are derived lazily on first access and cached until
@@ -445,20 +444,19 @@ class Network:
     """Link policy, crash set and accounting of the asynchronous network.
 
     The network holds no message: every in-flight record lives in the
-    :class:`~repro.sim.engine.Simulator`'s scheduler.  The simulator asks
-    :meth:`delivery_times` which copies of a send survive a link adversary or
-    a crashed destination, delivers records itself (its drain loop fuses what
-    :meth:`pop_record` spells out), and the inspection methods read the
-    pending records back out of the scheduler.
+    :class:`~repro.sim.engine.Simulator`'s scheduler.  The simulator's send
+    path (``_send_fast``) counts a send, drops it if the destination crashed
+    and asks :attr:`adversary` which copies survive; its drain loop delivers
+    records (fusing what :meth:`pop_record` spells out); the inspection
+    methods read the pending records back out of the scheduler.
 
     A ``dest`` that cannot be an address — unhashable: a forged list or dict
     where a node ref belongs — is an address that does not exist.  The send
     is counted, then dropped as ``to_crashed`` exactly once, by whichever
-    looks the address up first: :meth:`delivery_times` (a send under an
-    adversary or with some node crashed) or :meth:`pop_record` (when the
-    record comes due; the drain loop calls it for every ``dest`` but a
-    non-negative int).  It is never delivered, shown to an adversary or part
-    of an in-flight view.
+    looks the address up first: the send path (under an adversary or with
+    some node crashed) or :meth:`pop_record` (when the record comes due; the
+    drain loop calls it for every ``dest`` but a non-negative int).  It is
+    never delivered, shown to an adversary or part of an in-flight view.
     """
 
     __slots__ = ("min_delay", "max_delay", "stats", "_crashed", "adversary",
@@ -489,11 +487,13 @@ class Network:
     def install_adversary(self, adversary) -> None:
         """Install (or with ``None``, remove) a link adversary.
 
-        The adversary is consulted on every send (loss, duplication, delay
-        spikes, send-time partition checks — :meth:`delivery_times`) and
-        every delivery (partition checks for messages already in flight when
-        a partition started).  It must expose ``on_submit(sender, dest, now)``
-        returning a :class:`~repro.scenarios.adversary.LinkVerdict` and
+        The adversary is consulted on every send to a live address (loss,
+        duplication, delay spikes, send-time partition checks) and every
+        delivery (partition checks for messages already in flight when a
+        partition started).  It must expose ``on_submit(sender, dest, now)``
+        returning ``None`` (untouched) or a verdict with ``drop_reason``,
+        ``duplicates`` and ``delay_factor``
+        (:class:`~repro.scenarios.adversary.LinkVerdict`), and
         ``on_deliver(sender, dest, now)`` returning a drop-reason string or
         ``None``.
         """
@@ -512,43 +512,6 @@ class Network:
             return node_id in self._crashed
         except TypeError:
             return True
-
-    # ------------------------------------------------------------------ sends
-    def delivery_times(self, sender: Optional[int], dest: int, action: str,
-                       rng, now: float) -> Sequence[float]:
-        """Account one send and return the delivery time of every accepted
-        copy — the caller pushes one record per entry.
-
-        Empty if the destination is crashed or the adversary dropped the
-        message (send-time partition check, then probabilistic loss); two
-        entries when the adversary duplicated it.  Each copy draws its own
-        delay from ``rng`` (``uniform(min_delay, max_delay)``), scaled by the
-        adversary's delay factor.  The engine's send closure calls this only
-        when an adversary is installed or ``dest`` has crashed; every other
-        send takes its fused single-copy path.
-        """
-        stats = self.stats
-        stats.total_sent += 1
-        key = (sender, action)
-        sent = stats._sent
-        sent[key] = sent.get(key, 0) + 1
-        if stats._derived:
-            stats._derived.clear()
-        if self.is_crashed(dest):
-            stats.record_drop(DROP_TO_CRASHED)
-            return ()
-        copies, delay_factor = 1, 1.0
-        if self.adversary is not None:
-            verdict = self.adversary.on_submit(sender, dest, now)
-            if verdict.drop_reason is not None:
-                stats.record_drop(verdict.drop_reason)
-                return ()
-            if verdict.duplicates:
-                stats.record_duplicate(verdict.duplicates)
-            copies += verdict.duplicates
-            delay_factor = verdict.delay_factor
-        return [now + rng.uniform(self.min_delay, self.max_delay) * delay_factor
-                for _ in range(copies)]
 
     # -------------------------------------------------------------- delivery
     def pop_record(self, record: tuple) -> bool:

@@ -9,17 +9,24 @@ puts deliveries closer than ``min_delay``), and when nodes send to forged
 addresses (unhashable ones are no address at all; the hashable ones take
 ``pop_record``'s accounting inside the drain loop too).
 
-With no second implementation of the random draws to compare against, the
-last test pins them to the streams themselves: the engine draws what
-``Random.uniform`` would, one draw per use, none ahead.
+With no second implementation of the random draws to compare against,
+``test_one_draw_per_use_and_none_ahead`` pins them to the streams themselves:
+the engine draws what ``Random.uniform`` would, one draw per use, none ahead.
+
+The send path has a reference too, kept here since PR 22 deleted it from the
+library: ``Network.delivery_times``' arithmetic, replayed on twin RNG streams
+against scripted ``_send_fast`` calls under a link adversary.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from repro.scenarios.adversary import LinkAdversary
 from repro.sim.engine import Simulator, SimulatorConfig
+from repro.sim.network import FAST_RECORD_KIND
 from repro.sim.node import ProtocolNode
 from repro.sim.rng import derive_rng
 from repro.sim.scheduler import HeapScheduler
@@ -210,3 +217,103 @@ def test_one_draw_per_use_and_none_ahead(workload, adversarial):
     fired = sum(sim.timeout_counts.values())
     assert sim._jitter_rng.getstate() == _advanced(77, "jitter",
                                                    with_timeout + fired)
+
+
+# --------------------------------------------------------------------- sends
+# ``Network.delivery_times`` (deleted in PR 22) is the oracle for a send under
+# a link adversary: its arithmetic, replayed here on twin RNG streams.
+SEND_SEED = 22
+SEND_CRASHED = 7
+SEND_LOSS, SEND_DUPLICATION = 0.2, 0.25
+SEND_CUT = {"group": {1, 2, 3}, "start": 0.5, "heal": 2.0}
+SEND_SPIKE = {"start": 1.0, "end": 2.5, "factor": 0.25}
+SEND_SENDERS = (1, 4, True, "s", 2, 10**9)
+SEND_DESTS = (2, 5, SEND_CRASHED, [1], 3, {}, "x", 4)
+
+
+def _send_script():
+    """``(now, sender, dest)`` triples covering every sender x dest pair in
+    every combination of the partition and spike windows."""
+    senders, dests = len(SEND_SENDERS), len(SEND_DESTS)
+    return [(0.005 * i, SEND_SENDERS[i % senders],
+             SEND_DESTS[(i // senders) % dests]) for i in range(600)]
+
+
+def _replay_delivery_times(script, min_delay, max_delay):
+    """What the deleted reference did with each send: count it, drop it if the
+    address is gone, ask the adversary (partition, spike, loss coin, then
+    duplicate coin), draw one ``uniform`` delay per accepted copy."""
+    delay = derive_rng(SEND_SEED, "delay")
+    coins = derive_rng(SEND_SEED, "adversary")
+    sent, drops, duplicated, times = Counter(), Counter(), 0, []
+    group = SEND_CUT["group"]
+    for now, sender, dest in script:
+        sent[(sender, "Ping")] += 1
+        try:
+            gone = dest in {SEND_CRASHED}
+        except TypeError:
+            gone = True
+        if gone:
+            drops["to_crashed"] += 1
+            continue
+        if (SEND_CUT["start"] <= now < SEND_CUT["heal"]
+                and (dest in group) != (sender in group)):
+            drops["partition"] += 1
+            continue
+        factor = 1.0
+        if SEND_SPIKE["start"] <= now < SEND_SPIKE["end"]:
+            factor *= SEND_SPIKE["factor"]
+        if coins.random() < SEND_LOSS:
+            drops["adversary_loss"] += 1
+            continue
+        copies = 2 if coins.random() < SEND_DUPLICATION else 1
+        duplicated += copies - 1
+        times.extend((now + delay.uniform(min_delay, max_delay) * factor, now,
+                      sender, dest) for _ in range(copies))
+    return sent, drops, duplicated, times, delay.getstate(), coins.getstate()
+
+
+@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+def test_send_fast_reproduces_the_delivery_times_arithmetic(scheduler):
+    shown = []
+
+    class Recording(LinkAdversary):
+        def on_submit(self, sender, dest, now):
+            shown.append(dest)
+            return super().on_submit(sender, dest, now)
+
+    sim = Simulator(SimulatorConfig(seed=SEND_SEED, scheduler=scheduler))
+    sim.network.mark_crashed(SEND_CRASHED)
+    adversary = Recording(sim.adversary_rng(), loss_rate=SEND_LOSS,
+                          duplicate_rate=SEND_DUPLICATION)
+    adversary.add_partition("cut", [SEND_CUT["group"]], start=SEND_CUT["start"],
+                            heal_time=SEND_CUT["heal"])
+    adversary.add_delay_spike(**SEND_SPIKE)
+    sim.install_adversary(adversary)
+    script = _send_script()
+    params = {"origin": 0, "hops": 0}
+    for now, sender, dest in script:
+        sim.now = now
+        sim._send_fast(sender, dest, "Ping", None, params)
+
+    sent, drops, duplicated, times, delay_state, coin_state = \
+        _replay_delivery_times(script, sim.config.min_delay, sim.config.max_delay)
+    assert all(count > 0 for count in drops.values()) and duplicated > 0
+    assert any(t - now < sim.config.min_delay for t, now, _, _ in times)
+    stats = sim.network.stats
+    assert stats.total_sent == len(script)
+    assert stats.sent_by_node_action == sent
+    assert stats.drops_by_reason == dict(drops)
+    assert stats.duplicated == duplicated
+    pushed = sorted(sim.scheduler.iter_events(), key=lambda event: event[1])
+    # (deliver_time, send_time, sender, dest) per copy in push order; the
+    # deliver times compare with == on floats
+    assert [(e[0], e[8], e[7], e[3]) for e in pushed] == times
+    assert all(e[2] == FAST_RECORD_KIND and e[4] == "Ping" and e[5] is params
+               and e[6] is None for e in pushed)
+    assert len(sim.scheduler) == len(times)
+    assert sim._delay_rng.getstate() == delay_state
+    assert sim.adversary_rng().getstate() == coin_state
+    # an unaddressable dest is dropped before the adversary sees it
+    assert [1] not in shown and {} not in shown
+    assert len(shown) == len(script) - drops["to_crashed"]

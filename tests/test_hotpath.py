@@ -421,6 +421,19 @@ class TestProtocolPathStaysFractionFree:
         assert calls and not db.is_corrupted()
 
 
+def _count_constructions(monkeypatch, cls):
+    """Patch ``cls.__init__`` to append to the returned list per instance."""
+    built = []
+    real_init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
+
+
 class TestInFlightMessagesAreRecords:
     """The PR 16 contract: nothing in flight is a ``Message`` — not under a
     link adversary either.  One is built only when something inspects the
@@ -430,14 +443,7 @@ class TestInFlightMessagesAreRecords:
         from repro.api import build_stable
         from repro.scenarios.adversary import LinkAdversary
 
-        built = []
-        real_init = Message.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            real_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Message, "__init__", counting_init)
+        built = _count_constructions(monkeypatch, Message)
         system, peers = build_stable(SystemSpec(seed=16), 12)
         sim = system.sim
         adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.1,
@@ -610,6 +616,82 @@ class TestPublicationPathBudget:
         del system, peers, peer
         gc.collect()
         assert set(_INTERNED.keys()) - before == set()
+
+
+class TestAdversarialSendBudget:
+    """The PR 22 contract: the scenario harness installs a ``LinkAdversary``
+    on every run, so a send under one is the hot path — two Python frames
+    (``_send_fast`` and ``on_submit``) and no verdict object unless a delay
+    spike has a factor to carry."""
+
+    @pytest.fixture
+    def harness(self, monkeypatch):
+        """A stable 16-node system with the runner's adversary installed,
+        and the list every ``LinkVerdict`` construction appends to."""
+        from repro.api import build_stable
+        from repro.scenarios import ScenarioRunner, get_scenario
+        from repro.scenarios.adversary import LinkVerdict
+
+        built = _count_constructions(monkeypatch, LinkVerdict)
+        system, _ = build_stable(SystemSpec(seed=22), 16)
+        runner = ScenarioRunner(get_scenario("lossy-network"), seed=22,
+                                system=system)
+        assert system.sim.network.adversary is runner.adversary
+        return system, runner.adversary, built
+
+    @staticmethod
+    def _frames_per_send(system, rounds):
+        """Python ``call`` events from ``_send_fast`` down (itself included)
+        per send, over ``rounds`` timeout periods."""
+        import sys
+
+        depth = frames = 0
+
+        def profiler(frame, event, arg):
+            nonlocal depth, frames
+            if event == "call":
+                if depth or frame.f_code.co_name == "_send_fast":
+                    depth += 1
+                    frames += 1
+            elif event == "return" and depth:
+                depth -= 1
+
+        before = system.sim.network.stats.total_sent
+        sys.setprofile(profiler)
+        try:
+            system.run_rounds(rounds)
+        finally:
+            sys.setprofile(None)
+        return frames / (system.sim.network.stats.total_sent - before)
+
+    def test_a_quiet_adversary_costs_two_frames_and_no_verdict(self, harness):
+        system, adversary, built = harness
+        assert adversary.loss_rate == adversary.duplicate_rate == 0.0
+        assert not adversary.partitions and not adversary.spikes
+        assert self._frames_per_send(system, 10) <= 2.0
+        assert system.sim.network.stats.total_sent > 500
+        assert built == []
+
+    def test_loss_and_duplication_build_no_verdict(self, harness):
+        system, adversary, built = harness
+        adversary.set_rates(loss_rate=0.1, duplicate_rate=0.05)
+        system.run_rounds(10)
+        stats = system.sim.network.stats
+        assert stats.drops_by_reason["adversary_loss"] > 0 and stats.duplicated > 0
+        assert built == []
+
+    def test_a_delay_spike_builds_a_verdict_and_its_factor_is_applied(self, harness):
+        system, adversary, built = harness
+        sim = system.sim
+        start = sim.now
+        adversary.add_delay_spike(start, start + 5.0, factor=3.0)
+        system.run_rounds(4)
+        spiked = [m.deliver_time - m.send_time
+                  for m in sim.network.iter_in_flight() if m.send_time >= start]
+        assert built and spiked
+        assert all(3.0 * sim.config.min_delay <= latency <= 3.0 * sim.config.max_delay
+                   for latency in spiked)
+        assert max(spiked) > sim.config.max_delay
 
 
 class TestSteadyStateBudget:

@@ -335,7 +335,7 @@ class TestForgedPublicationWires:
 
 # ``hops`` values that are not an int >= 1: some cannot be counted with
 # (``hops + 1`` raises), the float and the bool can and would flood on into
-# the ``flood_delivery`` events E7 takes ``max()`` over.
+# the ``flood_delivery`` events E7 reads its hop counts from.
 FORGED_HOPS = ["x", None, 1.5, True, 0, [2]]
 
 _KEEP_EVENTS = SimulatorConfig(seed=3, keep_trace_events=True)
