@@ -1,6 +1,6 @@
 """A1 — Ablation.
 
-Regenerates the corresponding table/series from DESIGN.md's experiment index
+Regenerates the corresponding table/series from EXPERIMENTS.md (the experiment index)
 and asserts the reproduced claims hold.
 """
 

@@ -1,6 +1,6 @@
 """E10 — Introduction.
 
-Regenerates the corresponding table/series from DESIGN.md's experiment index
+Regenerates the corresponding table/series from EXPERIMENTS.md (the experiment index)
 and asserts the reproduced claims hold.
 """
 

@@ -1,6 +1,6 @@
 """E2 — Theorem 5.
 
-Regenerates the corresponding table/series from DESIGN.md's experiment index
+Regenerates the corresponding table/series from EXPERIMENTS.md (the experiment index)
 and asserts the reproduced claims hold.
 """
 

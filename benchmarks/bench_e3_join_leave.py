@@ -1,6 +1,6 @@
 """E3 — Theorem 7 / Section 4.1.
 
-Regenerates the corresponding table/series from DESIGN.md's experiment index
+Regenerates the corresponding table/series from EXPERIMENTS.md (the experiment index)
 and asserts the reproduced claims hold.
 """
 

@@ -24,7 +24,7 @@ def run_and_report(benchmark, experiment_fn, *args, **kwargs) -> RunReport:
     print()
     print(render_result(result))
     assert result.all_claims_hold, (
-        f"{result.experiment_id}: some reproduced claims failed: "
+        f"{result.name}: some reproduced claims failed: "
         f"{[c for c, ok in result.claims.items() if not ok]}")
     return result
 

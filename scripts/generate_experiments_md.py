@@ -202,7 +202,7 @@ regenerating this file and failing on diff); the same experiment code runs
 under `pytest benchmarks/ --benchmark-only`.  The paper (IPDPS 2018 /
 arXiv:1710.08128) is a theory paper without measured tables, so each
 experiment reproduces a stated definition, lemma, theorem, figure or
-comparison claim (see DESIGN.md for the experiment index).  "Claims" listed
+comparison claim (this file is the experiment index).  "Claims" listed
 under each table are checked programmatically on every run; no wall-clock
 value enters this file.
 
@@ -226,7 +226,7 @@ def generate(out_path: str = "EXPERIMENTS.md", jobs: int = 1) -> None:
     parts = [HEADER]
     for key in ALL_EXPERIMENTS:
         result = results[key]
-        parts.append(f"## {result.experiment_id} — {result.title}\n")
+        parts.append(f"## {result.name} — {result.title}\n")
         parts.append(COMMENTARY.get(key, "") + "\n")
         parts.append(format_table(result.headers, result.rows) + "\n")
         parts.append("Checked claims:\n")

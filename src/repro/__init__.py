@@ -63,7 +63,6 @@ from repro.core import (
     SupervisedPubSub,
     Supervisor,
     SUPERVISOR_ID,
-    build_skip_ring,
     index_of,
     label_of,
     r_value,
@@ -89,7 +88,6 @@ __all__ = [
     "PAPER_DEFAULTS",
     "PSEUDOCODE_VARIANT",
     "SkipRingTopology",
-    "build_skip_ring",
     "Subscriber",
     "Supervisor",
     "SupervisedPubSub",

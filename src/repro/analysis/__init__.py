@@ -1,4 +1,4 @@
-"""Analysis helpers: legitimacy predicates, graph metrics and statistics."""
+"""Analysis helpers: legitimacy predicates and graph metrics."""
 
 from repro.analysis.convergence import (
     LegitimacyReport,
@@ -11,10 +11,8 @@ from repro.analysis.graph_metrics import (
     degree_statistics,
     diameter,
     routing_congestion,
-    broadcast_load,
     position_balance,
 )
-from repro.analysis.stats import summarize, confidence_interval, Summary
 
 __all__ = [
     "LegitimacyReport",
@@ -25,9 +23,5 @@ __all__ = [
     "degree_statistics",
     "diameter",
     "routing_congestion",
-    "broadcast_load",
     "position_balance",
-    "summarize",
-    "confidence_interval",
-    "Summary",
 ]

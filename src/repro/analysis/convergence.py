@@ -164,17 +164,6 @@ def publications_converged(subscribers: Dict[NodeRef, Subscriber], members: List
     return True
 
 
-def publication_counts(subscribers: Dict[NodeRef, Subscriber], members: List[NodeRef],
-                       topic: str) -> List[int]:
-    """Number of stored publications per member (progress series for E6)."""
-    counts = []
-    for ref in members:
-        subscriber = subscribers.get(ref)
-        view = subscriber.view(topic, create=False) if subscriber else None
-        counts.append(len(view.trie) if view is not None else 0)
-    return counts
-
-
 def edge_set_signature(edges: Set[Tuple[int, int]]) -> str:
     """Stable hash of an undirected edge set, used by the closure experiment
     (E5) to detect any change of the explicit topology over time."""

@@ -23,9 +23,6 @@ class DegreeStats:
     mean: float
     num_edges: int
 
-    def as_row(self) -> Tuple[int, int, float, int]:
-        return (self.minimum, self.maximum, round(self.mean, 3), self.num_edges)
-
 
 def degree_statistics(graph: nx.Graph) -> DegreeStats:
     degrees = [d for _, d in graph.degree()]
@@ -47,12 +44,6 @@ def diameter(graph: nx.Graph) -> int:
     return int(nx.diameter(graph))
 
 
-def average_shortest_path(graph: nx.Graph) -> float:
-    if graph.number_of_nodes() <= 1:
-        return 0.0
-    return float(nx.average_shortest_path_length(graph))
-
-
 @dataclass
 class CongestionStats:
     """Per-node load statistics when routing messages between sampled pairs."""
@@ -62,10 +53,6 @@ class CongestionStats:
     mean_load: float
     p99_load: float
     load_imbalance: float  # max / mean
-
-    def as_row(self) -> Tuple[int, int, float, float, float]:
-        return (self.samples, self.max_load, round(self.mean_load, 3),
-                round(self.p99_load, 3), round(self.load_imbalance, 3))
 
 
 def routing_congestion(graph: nx.Graph, samples: int = 500, seed: int = 0,
@@ -106,25 +93,6 @@ def routing_congestion(graph: nx.Graph, samples: int = 500, seed: int = 0,
     )
 
 
-def broadcast_load(graph: nx.Graph, source: int) -> Dict[str, float]:
-    """Message load of a flood from ``source``: every node forwards to all of
-    its neighbours on first receipt, so node ``v`` sends ``deg(v)`` messages
-    (minus one for the edge the message arrived on).  Returns totals and the
-    per-node maximum."""
-    degrees = dict(graph.degree())
-    if not degrees:
-        return {"total_messages": 0.0, "max_per_node": 0.0, "mean_per_node": 0.0}
-    sends = {node: max(deg - (0 if node == source else 1), 0)
-             for node, deg in degrees.items()}
-    total = float(sum(sends.values()) + degrees.get(source, 0) - sends.get(source, 0))
-    values = np.array(list(sends.values()), dtype=float)
-    return {
-        "total_messages": total,
-        "max_per_node": float(values.max()),
-        "mean_per_node": float(values.mean()),
-    }
-
-
 def position_balance(positions: Iterable[float]) -> Dict[str, float]:
     """Balance of node placement on the unit ring.
 
@@ -150,12 +118,3 @@ def position_balance(positions: Iterable[float]) -> Dict[str, float]:
         "max_gap": max_gap,
         "min_gap": min_gap,
     }
-
-
-def hop_histogram(graph: nx.Graph, source: int) -> Dict[int, int]:
-    """Histogram of hop distances from ``source`` (flood delivery depths)."""
-    lengths = nx.single_source_shortest_path_length(graph, source)
-    histogram: Dict[int, int] = {}
-    for dist in lengths.values():
-        histogram[dist] = histogram.get(dist, 0) + 1
-    return histogram

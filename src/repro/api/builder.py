@@ -115,10 +115,6 @@ class SystemBuilder:
         self._spec = spec or SystemSpec()
 
     # ---------------------------------------------------------------- topology
-    def single(self) -> "SystemBuilder":
-        self._spec = self._spec.with_overrides(topology="single", shards=1)
-        return self
-
     def sharded(self, shards: int,
                 virtual_nodes: Optional[int] = None) -> "SystemBuilder":
         overrides = {"topology": "sharded", "shards": shards}

@@ -72,12 +72,6 @@ class RunReport:
     def failed_claims(self) -> List[str]:
         return [c for c, ok in self.claims.items() if not ok]
 
-    # The experiment harness's historical field name; kept as a property so
-    # rendering and benchmark assertions work identically on both vocabularies.
-    @property
-    def experiment_id(self) -> str:
-        return self.name
-
     # ------------------------------------------------------------ serialization
     def to_dict(self) -> Dict[str, object]:
         out = {

@@ -156,27 +156,6 @@ class SystemSpec:
         object.__setattr__(self, "sim",
                            None if neutral == SimulatorConfig() else neutral)
 
-    # ------------------------------------------------------------------ legacy
-    @classmethod
-    def from_legacy(cls, seed: int = 0, params: Optional[ProtocolParams] = None,
-                    sim_config: Optional[SimulatorConfig] = None,
-                    **overrides: object) -> "SystemSpec":
-        """Map a legacy ``(seed=..., params=..., sim_config=...)`` facade
-        constructor call onto a spec.
-
-        Its one caller, ``workloads.initial_states.build_adversarial_system``,
-        takes an optional ``sim_config`` next to the seed of its own config
-        and needs the facade's precedence: a given ``sim_config`` wins
-        wholesale — its seed and scheduler included — and the bare ``seed``
-        argument is ignored, just like
-        :class:`~repro.core.facade.PubSubFacadeBase` ignores ``seed`` when
-        ``sim_config`` is passed (the plain constructor would reject the
-        disagreement).
-        """
-        if sim_config is not None:
-            return cls(params=params, sim=sim_config, **overrides)
-        return cls(seed=seed, params=params, **overrides)
-
     # ----------------------------------------------------------------- derived
     def sim_config(self) -> SimulatorConfig:
         """A fresh :class:`SimulatorConfig` realising this spec (the facade

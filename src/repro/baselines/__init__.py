@@ -5,8 +5,6 @@
 * :mod:`repro.baselines.skipgraph` — skip graph with random membership vectors.
 * :mod:`repro.baselines.broker` — classic centralized broker publish-subscribe
   (the client-server alternative of the introduction).
-* :mod:`repro.baselines.gossip` — uniform push gossip, as a dissemination
-  comparator for flooding/anti-entropy.
 
 The overlay baselines are *static topology* constructions: the paper's
 comparison claims (degree, diameter, congestion, placement balance) are
@@ -16,12 +14,10 @@ structural, so no self-stabilizing protocol is needed for them.
 from repro.baselines.chord import ChordTopology
 from repro.baselines.skipgraph import SkipGraphTopology
 from repro.baselines.broker import BrokerPubSub, BrokerLoadModel
-from repro.baselines.gossip import push_gossip_rounds
 
 __all__ = [
     "ChordTopology",
     "SkipGraphTopology",
     "BrokerPubSub",
     "BrokerLoadModel",
-    "push_gossip_rounds",
 ]

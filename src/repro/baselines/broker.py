@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 
 @dataclass
@@ -52,7 +52,6 @@ class BrokerPubSub:
 
     def __init__(self) -> None:
         self._subscribers: Dict[str, Set[int]] = defaultdict(set)
-        self._delivered: Dict[int, List[bytes]] = defaultdict(list)
         self.broker_messages_handled = 0
 
     # ------------------------------------------------------------ membership
@@ -70,12 +69,7 @@ class BrokerPubSub:
     # ----------------------------------------------------------- publication
     def publish(self, publisher: int, payload: bytes, topic: str) -> int:
         """Relay a publication; returns the number of deliveries made."""
-        self.broker_messages_handled += 1  # inbound publish
         receivers = self._subscribers[topic]
-        for node_id in receivers:
-            self.broker_messages_handled += 1  # outbound delivery
-            self._delivered[node_id].append(payload)
+        # one inbound publish plus one outbound delivery per subscriber
+        self.broker_messages_handled += 1 + len(receivers)
         return len(receivers)
-
-    def delivered_to(self, node_id: int) -> List[bytes]:
-        return list(self._delivered[node_id])

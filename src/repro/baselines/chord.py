@@ -12,7 +12,6 @@ these networks", Section 1.3).
 from __future__ import annotations
 
 import hashlib
-import random
 from typing import Dict, List, Set, Tuple
 
 import networkx as nx
@@ -27,7 +26,6 @@ class ChordTopology:
         self.n = n
         self.bits = bits
         self.space = 2 ** bits
-        rng = random.Random(seed)
         # Hash-based identifiers (salted per seed), deduplicated.
         ids: Set[int] = set()
         counter = 0
@@ -37,7 +35,6 @@ class ChordTopology:
             counter += 1
         self.node_ids: List[int] = sorted(ids)
         self._successor_cache: Dict[int, int] = {}
-        rng.shuffle  # rng retained for API symmetry; placement is hash-based
 
     # ------------------------------------------------------------------ rings
     def successor(self, point: int) -> int:
@@ -88,44 +85,6 @@ class ChordTopology:
     def positions(self) -> List[float]:
         """Ring positions in [0, 1) (for the placement-balance metric)."""
         return [node_id / self.space for node_id in self.node_ids]
-
-    def degrees(self) -> List[int]:
-        graph = self.to_networkx()
-        return [d for _, d in graph.degree()]
-
-    def diameter(self) -> int:
-        return int(nx.diameter(self.to_networkx())) if self.n > 1 else 0
-
-    def greedy_route(self, source: int, target: int, max_hops: int = 10_000) -> List[int]:
-        """Greedy clockwise routing using fingers (standard Chord lookup).
-
-        Returns the node path from ``source`` to the node responsible for
-        ``target`` (i.e. ``successor(target)``).
-        """
-        responsible = self.successor(target)
-        path = [source]
-        current = source
-        hops = 0
-        while current != responsible and hops < max_hops:
-            candidates = self.fingers(current) + [self._ring_successor(current)]
-            # pick the candidate that gets closest to target without passing it
-            best = None
-            best_gap = None
-            for cand in candidates:
-                gap = (responsible - cand) % self.space
-                if best_gap is None or gap < best_gap:
-                    best_gap = gap
-                    best = cand
-            if best is None or best == current:
-                break
-            current = best
-            path.append(current)
-            hops += 1
-        return path
-
-    def _ring_successor(self, node_id: int) -> int:
-        index = self.node_ids.index(node_id)
-        return self.node_ids[(index + 1) % self.n]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ChordTopology(n={self.n}, bits={self.bits})"

@@ -58,16 +58,5 @@ class SkipGraphTopology:
     def positions(self) -> List[float]:
         return list(self.keys)
 
-    def degrees(self) -> List[int]:
-        graph = self.to_networkx()
-        return [d for _, d in graph.degree()]
-
-    def diameter(self) -> int:
-        return int(nx.diameter(self.to_networkx())) if self.n > 1 else 0
-
-    def average_degree(self) -> float:
-        degrees = self.degrees()
-        return sum(degrees) / len(degrees)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SkipGraphTopology(n={self.n}, levels={self.max_levels})"

@@ -63,8 +63,7 @@ class CheckResult:
         return dict(sorted(counts.items()))
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON payload of ``repro-check --json``; :meth:`finding_list_from`
-        round-trips the findings."""
+        """JSON payload of ``repro-check --json``."""
         return {
             "version": 1,
             "root": self.root,
@@ -78,11 +77,6 @@ class CheckResult:
             "parse_errors": list(self.parse_errors),
             "clean": self.clean,
         }
-
-    @staticmethod
-    def finding_list_from(data: Dict[str, Any]) -> List[Finding]:
-        """Rebuild the findings of a ``to_dict`` payload (JSON round-trip)."""
-        return [Finding.from_dict(entry) for entry in data.get("findings", [])]
 
 
 class CheckEngine:

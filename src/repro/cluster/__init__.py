@@ -18,11 +18,10 @@ See ``benchmarks/bench_e11_sharded_scaling.py`` for the scaling experiment
 (per-supervisor request load vs. shard count K).
 """
 
-from repro.cluster.sharding import ConsistentHashRing, spread
+from repro.cluster.sharding import ConsistentHashRing
 from repro.cluster.sharded import ShardedPubSub
 
 __all__ = [
     "ConsistentHashRing",
-    "spread",
     "ShardedPubSub",
 ]

@@ -167,11 +167,6 @@ class ShardedPubSub(PubSubFacadeBase):
         """Live shard id -> number of topics currently assigned to it."""
         return {sid: self._shard_topic_load.get(sid, 0) for sid in self.live_shard_ids()}
 
-    def max_supervisor_request_count(self) -> int:
-        """Request load of the most loaded supervisor (the cluster's hotspot)."""
-        counts = self.supervisor_request_counts()
-        return max(counts.values()) if counts else 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ShardedPubSub(shards={len(self.supervisors)}, "
                 f"live={len(self.live_shard_ids())}, n={len(self.subscribers)}, "

@@ -27,8 +27,7 @@ of perfect balance while still inheriting consistent hashing's stability.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.pubsub.hashing import ring_position
 
@@ -66,9 +65,6 @@ class ConsistentHashRing:
         for point in positions:
             del self._owner_at[point]
         self._points = sorted(self._owner_at)
-
-    def shard_ids(self) -> List[int]:
-        return sorted(self._shards)
 
     def __len__(self) -> int:
         return len(self._shards)
@@ -125,7 +121,3 @@ class ConsistentHashRing:
                 return shard
         return order[0]
 
-
-def spread(assignment: Sequence[int]) -> Dict[int, int]:
-    """Shard id -> key count histogram for an assignment (diagnostics)."""
-    return dict(Counter(assignment))

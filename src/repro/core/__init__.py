@@ -30,7 +30,7 @@ from repro.core.labels import (
     max_level,
 )
 from repro.core.shortcuts import shortcut_labels, shortcut_labels_closed_form
-from repro.core.skip_ring import SkipRingTopology, build_skip_ring
+from repro.core.skip_ring import SkipRingTopology
 from repro.core.supervisor import Supervisor, TopicDatabase
 from repro.core.subscriber import Subscriber, TopicView, Neighbor
 from repro.core.system import SupervisedPubSub, SUPERVISOR_ID
@@ -50,7 +50,6 @@ __all__ = [
     "shortcut_labels",
     "shortcut_labels_closed_form",
     "SkipRingTopology",
-    "build_skip_ring",
     "Supervisor",
     "TopicDatabase",
     "Subscriber",

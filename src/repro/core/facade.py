@@ -246,9 +246,3 @@ class PubSubFacadeBase:
 
     def message_stats(self):
         return self.sim.network.stats
-
-    def snapshot_message_stats(self):
-        return self.sim.network.stats.snapshot()
-
-    def subscriber_ids(self) -> List[NodeRef]:
-        return sorted(self.subscribers)

@@ -32,7 +32,7 @@ message ingress; everything else raises ``ValueError`` on garbage.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 #: Type alias used throughout the code base.
 Label = str
@@ -112,11 +112,6 @@ def label_length(label: Label) -> int:
     return len(_validate(label))
 
 
-def level_of_edge(label_u: Label, label_v: Label) -> int:
-    """Shortcut level of an edge: ``max(|label_u|, |label_v|)`` (Definition 2)."""
-    return max(label_length(label_u), label_length(label_v))
-
-
 def labels_up_to(n: int) -> List[Label]:
     """Labels of the first ``n`` subscribers, ``[l(0), ..., l(n-1)]``."""
     if n < 0:
@@ -140,29 +135,6 @@ def closer(label_a: Label, label_b: Label, origin: Label) -> bool:
     bits = max(len(label_a), len(label_b), len(origin))
     at = scaled_r(origin, bits)
     return abs(scaled_r(label_a, bits) - at) < abs(scaled_r(label_b, bits) - at)
-
-
-def sort_by_r(labels: Iterable[Label]) -> List[Label]:
-    """Sort labels by their position on the ring (ascending ``r``-value)."""
-    return sorted(labels, key=lambda label: ring_key(_validate(label)))
-
-
-def compare(label_a: Label, label_b: Label) -> int:
-    """Three-way comparison of ring positions: -1, 0 or +1."""
-    ka, kb = ring_key(_validate(label_a)), ring_key(_validate(label_b))
-    return (ka > kb) - (ka < kb)
-
-
-def ring_distance(label_a: Label, label_b: Label) -> Fraction:
-    """Cyclic distance between two ring positions (in [0, 1/2])."""
-    diff = linear_distance(label_a, label_b)
-    return min(diff, 1 - diff)
-
-
-def linear_distance(label_a: Label, label_b: Label) -> Fraction:
-    """``|r(a) − r(b)|`` exactly (what :func:`closer` compares, Algorithm 4 line 18)."""
-    bits = max(len(_validate(label_a)), len(_validate(label_b)))
-    return Fraction(abs(scaled_r(label_a, bits) - scaled_r(label_b, bits)), 1 << bits)
 
 
 def is_valid_label(label: object) -> bool:

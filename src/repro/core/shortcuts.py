@@ -25,7 +25,7 @@ legitimate configurations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.core.labels import (
     Label,
@@ -112,39 +112,3 @@ def shortcut_labels_closed_form(own: Label, top_level: int) -> Set[Label]:
     targets.discard(own)
     return targets
 
-
-def shortcut_levels(own: Label, targets: Set[Label]) -> Dict[int, Set[Label]]:
-    """Group shortcut target labels by shortcut level (``max`` of endpoint
-    lengths, Definition 2)."""
-    grouped: Dict[int, Set[Label]] = {}
-    own_len = label_length(own)
-    for target in targets:
-        level = max(own_len, label_length(target))
-        grouped.setdefault(level, set()).add(target)
-    return grouped
-
-
-def own_level_targets(own: Label, left: Optional[Label], right: Optional[Label],
-                      shortcuts: Set[Label]) -> Set[Label]:
-    """The node's two neighbours in ``R_{|own|}`` — the pair it must introduce
-    to each other on ``Timeout`` (Algorithm 4, lines 12–14).
-
-    If the node's own level equals the top level (its ring neighbours' labels
-    are not longer than its own), the ring neighbours themselves are returned;
-    otherwise the level-``|own|`` entries of its shortcut set are returned.
-    """
-    own_len = label_length(own) if is_valid_label(own) else 0
-    if own_len == 0:
-        return set()
-    level_targets = {
-        t for t in shortcuts if max(own_len, label_length(t)) == own_len
-    }
-    if level_targets:
-        return level_targets
-    ring_neighbors = {lbl for lbl in (left, right) if is_valid_label(lbl)}
-    longer = {lbl for lbl in ring_neighbors if label_length(lbl) > own_len}
-    if longer:
-        # Our ring neighbours are deeper than us, so our own-level neighbours
-        # are true shortcuts which we apparently have not computed yet.
-        return set()
-    return ring_neighbors

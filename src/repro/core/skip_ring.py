@@ -13,11 +13,11 @@ protocol converges to, independent of any simulation.  It is used
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.core.labels import Label, label_of, labels_up_to, max_level, r_value, ring_key
+from repro.core.labels import Label, labels_up_to, max_level, ring_key
 from repro.core.shortcuts import shortcut_labels
 
 Edge = Tuple[int, int]
@@ -104,28 +104,7 @@ class SkipRingTopology:
         """``E_R ∪ E_S`` as undirected edges."""
         return self.ring_edges() | self.shortcut_edges()
 
-    # --------------------------------------------------------------- per node
-    def label(self, node: int) -> Label:
-        return self.labels[node]
-
-    def ring_neighbors(self, node: int) -> Tuple[int, int]:
-        """(predecessor, successor) of ``node`` on the full ring."""
-        order = self._full_order()
-        pos = self._position[node]
-        return order[pos - 1], order[(pos + 1) % len(order)]
-
-    def neighbors(self, node: int) -> Set[int]:
-        out: Set[int] = set()
-        for u, v in self.edges():
-            if u == node:
-                out.add(v)
-            elif v == node:
-                out.add(u)
-        return out
-
-    def degree(self, node: int) -> int:
-        return len(self.neighbors(node))
-
+    # ---------------------------------------------------------------- degrees
     def degrees(self) -> List[int]:
         counts = [0] * self.n
         for u, v in self.edges():
@@ -190,35 +169,6 @@ class SkipRingTopology:
             "shortcuts": shortcuts,
         }
 
-    def expected_edge_set(self) -> FrozenSet[Edge]:
-        """The undirected explicit edge set a legitimate run must exhibit.
-
-        This is the union of the full ring edges and, for every node, its
-        locally computed shortcut targets.  (For powers of two this coincides
-        with :meth:`edges`; for other ``n`` the locally computable shortcut
-        set omits shortcuts that duplicate ring edges, which the protocol does
-        not maintain separately.)
-        """
-        edges: Set[Edge] = set(self.ring_edges())
-        for node in range(self.n):
-            spec = self.expected_subscriber_state(node)
-            for target in spec["shortcuts"].values():  # type: ignore[union-attr]
-                edges.add(_norm(node, target))
-        return frozenset(edges)
-
-    # -------------------------------------------------------- analytic bounds
-    @staticmethod
-    def worst_case_degree_bound(n: int) -> int:
-        """Lemma 3 upper bound ``2(⌈log n⌉ − 1 + 1) = 2·⌈log n⌉``
-        (the bound for a node with label length 1)."""
-        return 2 * max_level(n)
-
-    @staticmethod
-    def edge_count_formula(n: int) -> int:
-        """Lemma 3's closed form ``4n − 4`` for the number of undirected edges
-        (exact when ``n`` is a power of two and ``n ≥ 2``)."""
-        return 4 * n - 4
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SkipRingTopology(n={self.n}, top_level={self.top_level})"
 
@@ -226,16 +176,3 @@ class SkipRingTopology:
 def _norm(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
-
-def build_skip_ring(n: int) -> SkipRingTopology:
-    """Convenience constructor mirroring the paper's ``SR(n)`` notation."""
-    return SkipRingTopology(n)
-
-
-def figure1_rows(n: int = 16) -> List[Tuple[int, Label, str]]:
-    """The triples ``(x, l(x), r(l(x)))`` shown in Figure 1 of the paper."""
-    rows = []
-    for x in range(n):
-        lbl = label_of(x)
-        rows.append((x, lbl, str(r_value(lbl))))
-    return rows

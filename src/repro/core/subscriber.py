@@ -563,24 +563,22 @@ class TopicView:
                 summary, {"sender": self.node_id, "tuples": [summary]})
         self._send(rng.choice(targets), msg.CHECK_TRIE, memo[1])
 
-    def handle_check_trie(self, sender: NodeRef, tuples: List[Tuple[str, str]]) -> None:
-        reply, caps = handle_check_trie(self.trie, _as_summaries(tuples))
-        if reply is not None:
-            self.send(sender, msg.CHECK_TRIE, sender=self.node_id, tuples=reply.to_wire())
-        for cap in caps:
+    def _answer(self, sender: NodeRef, reply_tuples: list, caps: list) -> None:
+        """Send what :mod:`repro.pubsub.antientropy` computed, as it computed it."""
+        if reply_tuples:
+            self.send(sender, msg.CHECK_TRIE, sender=self.node_id, tuples=reply_tuples)
+        for tuples, prefix in caps:
             self.send(sender, msg.CHECK_AND_PUBLISH, sender=self.node_id,
-                      tuples=[list(t) for t in cap.tuples], prefix=cap.prefix)
+                      tuples=tuples, prefix=prefix)
 
-    def handle_check_and_publish(self, sender: NodeRef, tuples: List[Tuple[str, str]],
-                                 prefix: str) -> None:
-        reply, caps, pubs = handle_check_and_publish(self.trie, _as_summaries(tuples), prefix)
-        if reply is not None:
-            self.send(sender, msg.CHECK_TRIE, sender=self.node_id, tuples=reply.to_wire())
-        for cap in caps:
-            self.send(sender, msg.CHECK_AND_PUBLISH, sender=self.node_id,
-                      tuples=[list(t) for t in cap.tuples], prefix=cap.prefix)
-        if pubs.publications:
-            self.send(sender, msg.PUBLISH, pubs=pubs.to_wire())
+    def handle_check_trie(self, sender: NodeRef, tuples: object) -> None:
+        self._answer(sender, *handle_check_trie(self.trie, tuples))
+
+    def handle_check_and_publish(self, sender: NodeRef, tuples: object, prefix: object) -> None:
+        reply_tuples, caps, publications = handle_check_and_publish(self.trie, tuples, prefix)
+        self._answer(sender, reply_tuples, caps)
+        if publications:
+            self.send(sender, msg.PUBLISH, pubs=[p.to_wire() for p in publications])
 
     def handle_publish(self, pubs: List[dict]) -> None:
         if not isinstance(pubs, (list, tuple)):
@@ -626,20 +624,6 @@ def _as_neighbor(value: Optional[Sequence]) -> Optional[Neighbor]:
     if not is_valid_label(label) or not isinstance(ref, int):
         return None
     return Neighbor(label, ref)
-
-
-def _as_summaries(tuples) -> List[Tuple[str, str]]:
-    out: List[Tuple[str, str]] = []
-    if not isinstance(tuples, (list, tuple)):
-        return out
-    for item in tuples:
-        try:
-            label, digest = item[0], item[1]
-        except (TypeError, IndexError):
-            continue
-        if isinstance(label, str) and isinstance(digest, str):
-            out.append((label, digest))
-    return out
 
 
 class Subscriber(ProtocolNode):
@@ -780,13 +764,13 @@ class Subscriber(ProtocolNode):
     def on_CheckTrie(self, sender: NodeRef, tuples=None, topic: Optional[str] = None) -> None:
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is not None:
-            view.handle_check_trie(sender, tuples or [])
+            view.handle_check_trie(sender, tuples)
 
     def on_CheckAndPublish(self, sender: NodeRef, tuples=None, prefix: str = "",
                            topic: Optional[str] = None) -> None:
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is not None:
-            view.handle_check_and_publish(sender, tuples or [], prefix)
+            view.handle_check_and_publish(sender, tuples, prefix)
 
     def on_Publish(self, pubs=None, topic: Optional[str] = None) -> None:
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)

@@ -117,11 +117,6 @@ class TopicDatabase:
         owned = self._labels_of.get(node)
         return min(owned, key=lambda label: self._item[label][2]) if owned else None
 
-    def sorted_entries(self) -> List[Entry]:
-        """Entries that hold a subscriber, by ring position ``r(label)``
-        (corrupted labels that are not valid bit strings last)."""
-        return [(item[3], self._entries[item[3]]) for item in self._order]
-
     def configuration_for(self, label: Label) -> Tuple[Optional[Entry], Optional[Entry]]:
         """(pred, succ) of the entry holding ``label`` on the cyclic ring
         induced by the database ordering.  ``None`` values are returned for a
@@ -243,11 +238,20 @@ class Supervisor(ProtocolNode):
     def is_database_legitimate(self, expected_members: List[NodeRef],
                                topic: Optional[str] = None) -> bool:
         """True if the topic database is uncorrupted and contains exactly
-        ``expected_members`` (used by legitimacy checks)."""
+        ``expected_members`` (used by legitimacy checks).
+
+        Compared as sets — an uncorrupted database holds no subscriber twice,
+        so length plus set equality is the same predicate — because the oracle
+        must not raise: a forged ``Subscribe`` can store a hashable ref of any
+        type (``"x"`` next to ints), which ``sorted()`` cannot order.  Such a
+        ghost makes this ``False``; *evicting* it is the failure detector's
+        rule (ROADMAP item 1(a)), not this predicate's.
+        """
         db = self.database(topic)
         if db.is_corrupted():
             return False
-        return sorted(db.members()) == sorted(expected_members)
+        members = db.members()
+        return len(members) == len(expected_members) and set(members) == set(expected_members)
 
     # --------------------------------------------------------------- timeout
     def on_timeout(self) -> None:
@@ -281,12 +285,21 @@ class Supervisor(ProtocolNode):
         return self.sim.failure_detector.suspects(node)
 
     # ---------------------------------------------------------------- actions
+    def _request_topic(self, topic: object) -> Optional[str]:
+        """The topic a request names: ``None``/``""`` mean the default topic,
+        and a ``topic`` that is not a string at all is a forged message
+        (``None`` — the request is dropped, the subscriber's rule for it):
+        it must neither be hashed nor become a key of :attr:`databases`."""
+        if topic is not None and not isinstance(topic, str):
+            return None
+        return topic or self.params.default_topic
+
     def on_Subscribe(self, node: NodeRef, topic: Optional[str] = None) -> None:
         """Integrate a new subscriber (Section 4.1): insert ``(l(n), node)``
         and send the node its configuration."""
-        if self.failure_suspects(node):
+        topic = self._request_topic(topic)
+        if topic is None or self.failure_suspects(node):
             return
-        topic = topic or self.params.default_topic
         db = self.database(topic)
         db.check_multiple_copies(node)
         existing = db.label_for(node)
@@ -306,9 +319,9 @@ class Supervisor(ProtocolNode):
         departing subscriber is granted permission to drop its connections.
         The failure detector is not asked — the permission is granted to any
         ``node`` that can be an address; one that cannot is ignored."""
-        if not _is_address(node):
+        topic = self._request_topic(topic)
+        if topic is None or not _is_address(node):
             return
-        topic = topic or self.params.default_topic
         db = self.database(topic)
         db.check_multiple_copies(node)
         before_sent = self.config_messages_sent
@@ -339,9 +352,9 @@ class Supervisor(ProtocolNode):
         configuration (Algorithm 3 pseudocode), which makes the subscriber
         clear its label and re-subscribe on its next Timeout.
         """
-        if self.failure_suspects(node):
+        topic = self._request_topic(topic)
+        if topic is None or self.failure_suspects(node):
             return
-        topic = topic or self.params.default_topic
         db = self.database(topic)
         db.check_multiple_copies(node)
         label = db.label_for(node)

@@ -34,7 +34,7 @@ from repro.exec.backend import (
     is_failure_result,
 )
 from repro.exec.campaign import CampaignReport, CampaignRunner, run_campaign
-from repro.exec.demo import DEMO_SWEEPS, demo_names, get_demo_sweep
+from repro.exec.demo import DEMO_SWEEPS, get_demo_sweep
 from repro.exec.sweep import SweepSpec, SweepTask
 
 __all__ = [
@@ -53,6 +53,5 @@ __all__ = [
     "CampaignRunner",
     "run_campaign",
     "DEMO_SWEEPS",
-    "demo_names",
     "get_demo_sweep",
 ]

@@ -66,13 +66,6 @@ class CampaignReport:
     def failed_tasks(self) -> List[str]:
         return [task_id for task_id, ok in self.claims().items() if not ok]
 
-    @property
-    def task_failures(self) -> List[Dict[str, Any]]:
-        """The structured :class:`~repro.exec.backend.TaskFailure` dicts of
-        every task whose *worker* crashed, hung or emitted garbage (empty
-        for campaigns run without ``fault_tolerant=True``)."""
-        return [entry["failure"] for entry in self.tasks if "failure" in entry]
-
     def claims(self) -> Dict[str, bool]:
         """Flat ``task_id -> all invariants hold`` map.  A task whose worker
         failed (a ``"failure"`` entry instead of a ``"report"``) never

@@ -6,7 +6,7 @@ minute, so the demos double as CI smoke coverage of the execution layer.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.api.spec import SystemSpec
 from repro.exec.sweep import SweepSpec
@@ -45,10 +45,6 @@ DEMO_SWEEPS: Dict[str, Callable[[int], SweepSpec]] = {
     "e13-loss-shards": e13_loss_shards,
     "scenario-replicates": scenario_replicates,
 }
-
-
-def demo_names() -> List[str]:
-    return list(DEMO_SWEEPS)
 
 
 def get_demo_sweep(name: str, seed: int = 0) -> SweepSpec:

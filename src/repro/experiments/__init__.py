@@ -3,8 +3,8 @@
 Each experiment function in :mod:`repro.experiments.experiments` returns a
 :class:`~repro.api.report.RunReport` (the unified API's single result
 object) whose rows are printed by the corresponding benchmark in
-``benchmarks/`` and recorded in ``EXPERIMENTS.md``.  See DESIGN.md for the
-claim ↔ experiment ↔ module map.
+``benchmarks/`` and recorded in ``EXPERIMENTS.md``, which is also the
+claim ↔ experiment index.
 """
 
 from repro.api.report import RunReport

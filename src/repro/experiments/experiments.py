@@ -1,4 +1,4 @@
-"""Experiment implementations E1–E13 and ablations A1–A3 (see DESIGN.md).
+"""Experiment implementations E1–E13 and ablations A1–A3 (see EXPERIMENTS.md).
 
 Every function returns a :class:`~repro.api.report.RunReport` containing the
 table the corresponding benchmark prints, plus explicit pass/fail flags for
@@ -24,6 +24,7 @@ from repro.analysis.graph_metrics import (
     position_balance,
     routing_congestion,
 )
+from repro.api.builder import build_stable, build_system
 from repro.api.report import RunReport
 from repro.api.spec import SystemSpec
 from repro.baselines.broker import BrokerLoadModel, BrokerPubSub
@@ -36,23 +37,6 @@ from repro.pubsub.flooding import ideal_flood_depth, plain_ring_flood_depth
 from repro.sim.engine import SimulatorConfig
 from repro.workloads.initial_states import AdversarialConfig, build_adversarial_system
 from repro.workloads.publications import generate_payloads, scatter_publications
-
-
-def _build_system(seed: int, params: Optional[ProtocolParams] = None,
-                  shards: Optional[int] = None):
-    """One-liner for the construction shape every experiment uses."""
-    from repro.api.builder import build_system
-    topology = "single" if shards is None else "sharded"
-    return build_system(SystemSpec(topology=topology, shards=shards or 1,
-                                   seed=seed, params=params))
-
-
-def _build_stable(n: int, seed: int,
-                  params: Optional[ProtocolParams] = None,
-                  sim: Optional[SimulatorConfig] = None):
-    """Stable single-supervisor bootstrap via the unified API."""
-    from repro.api.builder import build_stable
-    return build_stable(SystemSpec(seed=seed, params=params, sim=sim), n)
 
 
 # --------------------------------------------------------------------------- E1
@@ -121,7 +105,7 @@ def e2_supervisor_load(sizes: Sequence[int] = (16, 64, 256), rounds: int = 40,
     )
     measured: List[float] = []
     for n in sizes:
-        system, _ = _build_stable(n, seed=seed)
+        system, _ = build_stable(SystemSpec(seed=seed), n)
         base_intervals = system.sim.completed_timeout_intervals()
         base_requests = system.supervisor_request_count()
         system.run_rounds(rounds)
@@ -158,7 +142,7 @@ def e3_join_leave(sizes: Sequence[int] = (16, 64), operations: int = 8,
     )
     per_op_by_n: Dict[int, float] = {}
     for n in sizes:
-        system, subscribers = _build_stable(n, seed=seed)
+        system, subscribers = build_stable(SystemSpec(seed=seed), n)
         topic = system.params.default_topic
 
         # --- overhead per operation: messages sent while handling the
@@ -179,7 +163,7 @@ def e3_join_leave(sizes: Sequence[int] = (16, 64), operations: int = 8,
         per_op_by_n[n] = per_op
 
         # --- configuration churn of pre-existing subscribers while n doubles.
-        system2, old_subscribers = _build_stable(n, seed=seed + 17)
+        system2, old_subscribers = build_stable(SystemSpec(seed=seed + 17), n)
         for sub in old_subscribers:
             view = sub.view(topic, create=False)
             if view is not None:
@@ -246,7 +230,7 @@ def e5_closure(n: int = 32, observation_rounds: int = 150, check_every: int = 10
         title="Closure: explicit topology is stable in a legitimate state (Theorem 13)",
         headers=["n", "checks", "distinct edge-set signatures", "still legitimate"],
     )
-    system, _ = _build_stable(n, seed=seed)
+    system, _ = build_stable(SystemSpec(seed=seed), n)
     signatures = {edge_set_signature(system.explicit_edges())}
     checks = 1
     for _ in range(observation_rounds // check_every):
@@ -272,7 +256,7 @@ def e6_publication_convergence(sizes: Sequence[int] = (8, 16, 32),
         headers=["n", "publications", "converged", "rounds to convergence"],
     )
     for n in sizes:
-        system, subscribers = _build_stable(n, seed=seed)
+        system, subscribers = build_stable(SystemSpec(seed=seed), n)
         keys = scatter_publications(system, subscribers, publication_count, seed=seed)
         start = system.sim.now
         ok = system.run_until_publications_converged(expected_keys=keys,
@@ -308,8 +292,8 @@ def e7_flooding(sizes: Sequence[int] = (16, 64, 256, 1024), simulated_n: int = 3
     # counts are reported, not bounded.  What forwarding on first receipt
     # does imply: a node at distance d from the publisher has the publication
     # within d * max_delay of the publish.
-    system, subscribers = _build_stable(
-        simulated_n, seed=seed, sim=SimulatorConfig(keep_trace_events=True))
+    system, subscribers = build_stable(
+        SystemSpec(seed=seed, sim=SimulatorConfig(keep_trace_events=True)), simulated_n)
     publisher = subscribers[0]
     published_at = system.sim.now
     publication = system.publish(publisher, b"flood-probe")
@@ -397,7 +381,7 @@ def e9_failures(n: int = 32, crash_fractions: Sequence[float] = (0.1, 0.25),
         headers=["n", "crashed", "survivors", "reconverged", "rounds"],
     )
     for fraction in crash_fractions:
-        system, subscribers = _build_stable(n, seed=seed)
+        system, subscribers = build_stable(SystemSpec(seed=seed), n)
         to_crash = subscribers[:: max(1, int(1 / fraction))][: max(1, int(n * fraction))]
         for victim in to_crash:
             system.crash(victim)
@@ -486,7 +470,7 @@ def e11_sharded_scaling(shard_counts: Sequence[int] = (1, 2, 4), topics: int = 8
         system.run_rounds(rounds)
         return ok, system.supervisor_request_counts()
 
-    baseline = _build_system(seed=seed)
+    baseline = build_system(SystemSpec(seed=seed))
     baseline_ok, baseline_counts = populate_and_run(baseline)
     baseline_max = max(baseline_counts.values())
     baseline_mean = sum(baseline_counts.values()) / len(baseline_counts)
@@ -497,7 +481,7 @@ def e11_sharded_scaling(shard_counts: Sequence[int] = (1, 2, 4), topics: int = 8
 
     hotspots: List[int] = []
     for k in shard_counts:
-        cluster = _build_system(seed=seed, shards=k)
+        cluster = build_system(SystemSpec(topology="sharded", shards=k, seed=seed))
         ok, counts = populate_and_run(cluster)
         hotspot = max(counts.values())
         mean = sum(counts.values()) / len(counts)
@@ -762,7 +746,7 @@ def a3_ablation_flooding(n: int = 32, publications: int = 5, seed: int = 9,
     latencies: Dict[str, float] = {}
     for label, flooding in (("flooding + anti-entropy", True), ("anti-entropy only", False)):
         params = ProtocolParams(enable_flooding=flooding)
-        system, subscribers = _build_stable(n, seed=seed, params=params)
+        system, subscribers = build_stable(SystemSpec(seed=seed, params=params), n)
         keys = set()
         for i, payload in enumerate(generate_payloads(publications, seed=seed)):
             keys.add(system.publish(subscribers[i % len(subscribers)], payload).key)

@@ -27,7 +27,7 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 def render_result(result: RunReport) -> str:
     """Full text report of an experiment: title, table, claim checklist."""
-    parts = [f"{result.experiment_id}: {result.title}", ""]
+    parts = [f"{result.name}: {result.title}", ""]
     parts.append(format_table(result.headers, result.rows))
     if result.claims:
         parts.append("")

@@ -33,7 +33,6 @@ from repro.fuzz.campaign import (
     FuzzConfig,
     FuzzFinding,
     FuzzReport,
-    run_fuzz_campaign,
 )
 from repro.fuzz.coverage import CoverageCollector, CoverageMap, spec_coverage_keys
 from repro.fuzz.generator import GeneratorLimits, SpecGenerator, generated_name
@@ -55,6 +54,5 @@ __all__ = [
     "Verdict",
     "evaluate",
     "generated_name",
-    "run_fuzz_campaign",
     "spec_coverage_keys",
 ]

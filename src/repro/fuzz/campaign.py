@@ -371,13 +371,3 @@ class FuzzCampaign:
         finding.shrink_steps = outcome.accepted_steps
         finding.shrink_budget_exhausted = outcome.budget_exhausted
 
-
-def run_fuzz_campaign(config: FuzzConfig, jobs: int = 1,
-                      progress: Optional[FuzzProgressFn] = None,
-                      task_timeout: Optional[float] = 300.0,
-                      retries: int = 1,
-                      budget_seconds: Optional[float] = None) -> FuzzReport:
-    """Convenience wrapper: one campaign, one report."""
-    return FuzzCampaign(config, jobs=jobs, task_timeout=task_timeout,
-                        retries=retries,
-                        budget_seconds=budget_seconds).run(progress=progress)

@@ -12,13 +12,7 @@ delivery (:mod:`repro.pubsub.flooding`, Section 4.3).
 from repro.pubsub.hashing import publication_key, node_hash, leaf_hash
 from repro.pubsub.patricia import PatriciaTrie, TrieNode
 from repro.pubsub.publications import Publication
-from repro.pubsub.antientropy import (
-    CheckTrieRequest,
-    CheckAndPublishRequest,
-    PublishRequest,
-    handle_check_trie,
-    initial_check_trie,
-)
+from repro.pubsub.antientropy import handle_check_trie
 from repro.pubsub.topics import TopicRegistry
 
 __all__ = [
@@ -28,10 +22,6 @@ __all__ = [
     "PatriciaTrie",
     "TrieNode",
     "Publication",
-    "CheckTrieRequest",
-    "CheckAndPublishRequest",
-    "PublishRequest",
     "handle_check_trie",
-    "initial_check_trie",
     "TopicRegistry",
 ]

@@ -45,11 +45,3 @@ def plain_ring_flood_depth(n: int, source: int = 0) -> int:
         return 0
     return (n - 1 + 1) // 2
 
-
-def flood_message_count(n: int) -> int:
-    """Total number of PublishNew messages a single flood generates on the
-    ideal topology when every node forwards to all of its neighbours on first
-    receipt: at most ``2·|E|`` (each undirected edge is crossed at most twice,
-    once in each direction)."""
-    topo = SkipRingTopology(n)
-    return 2 * topo.num_edges()

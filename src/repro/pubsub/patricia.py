@@ -107,14 +107,6 @@ class PatriciaTrie:
             return None
         return (self.root.label, self.root.hash)
 
-    def same_content_as(self, other: "PatriciaTrie") -> bool:
-        """True iff both tries store the same publication key set.
-
-        In a correct implementation this coincides with root-hash equality
-        (tested property), but the ground truth here is the key set.
-        """
-        return set(self._by_key) == set(other._by_key)
-
     # ------------------------------------------------------------ navigation
     def search_node(self, label: str) -> Optional[TrieNode]:
         """The trie node whose label equals ``label`` exactly, or ``None``."""
@@ -212,14 +204,6 @@ class PatriciaTrie:
         else:
             parent.children[key[len(parent.label)]] = inner
         return True
-
-    def insert_all(self, publications: List[Publication]) -> int:
-        """Insert many publications; returns how many were new."""
-        return sum(1 for p in publications if self.insert(p))
-
-    def merge_from(self, other: "PatriciaTrie") -> int:
-        """Insert every publication of ``other`` (test/debug helper)."""
-        return self.insert_all(other.all_publications())
 
     # ------------------------------------------------------------ validation
     def check_invariants(self) -> None:

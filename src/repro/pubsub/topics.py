@@ -27,9 +27,6 @@ class TopicRegistry:
     def topics(self) -> List[str]:
         return sorted(self._members)
 
-    def has_topic(self, topic: str) -> bool:
-        return topic in self._members
-
     # ------------------------------------------------------------ membership
     def subscribe(self, node_id: int, topic: str) -> None:
         self.add_topic(topic)
@@ -46,12 +43,6 @@ class TopicRegistry:
 
     def members(self, topic: str) -> Set[int]:
         return set(self._members.get(topic, set()))
-
-    def topics_of(self, node_id: int) -> List[str]:
-        return sorted(t for t, m in self._members.items() if node_id in m)
-
-    def size(self, topic: str) -> int:
-        return len(self._members.get(topic, set()))
 
     def __contains__(self, topic: object) -> bool:
         return topic in self._members

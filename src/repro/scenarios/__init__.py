@@ -29,7 +29,7 @@ from repro.scenarios.adversary import (
     LinkVerdict,
     Partition,
 )
-from repro.scenarios.library import SCENARIOS, get_scenario, scenario_names
+from repro.scenarios.library import SCENARIOS, get_scenario
 from repro.scenarios.runner import (
     PhaseReport,
     ScenarioReport,
@@ -52,5 +52,4 @@ __all__ = [
     "SCENARIOS",
     "get_scenario",
     "run_scenario",
-    "scenario_names",
 ]

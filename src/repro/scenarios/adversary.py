@@ -177,13 +177,6 @@ class LinkAdversary:
         self.partitions[name] = partition
         return partition
 
-    def heal_partition(self, name: str, now: float) -> None:
-        """Heal partition ``name`` immediately (ahead of its schedule)."""
-        partition = self.partitions.get(name)
-        if partition is None:
-            raise KeyError(f"no partition named {name!r}")
-        partition.heal_time = now
-
     def quiesce(self, now: Optional[float] = None) -> None:
         """Stop all probabilistic interference and discard delay spikes.
         With ``now`` given, partitions already healed by then are swept out

@@ -14,7 +14,7 @@ and 5 — under conditions the proofs never assumed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
 
@@ -144,10 +144,6 @@ SCENARIOS: Dict[str, Callable[[], ScenarioSpec]] = {
     "sharded-supervisor-failover": sharded_supervisor_failover,
     "delay-storm": delay_storm,
 }
-
-
-def scenario_names() -> List[str]:
-    return list(SCENARIOS)
 
 
 def get_scenario(name: str) -> ScenarioSpec:

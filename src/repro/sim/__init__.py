@@ -13,15 +13,17 @@ The paper's computational model (Section 1.1) assumes:
 realises exactly this model: :class:`~repro.sim.engine.Simulator` drives
 periodic timeouts and delivers messages with randomised delays drawn from a
 seeded RNG, :class:`~repro.sim.network.Network` holds the link policy, the
-message accounting and the views of what is in flight, :class:`~repro.sim.node.ProtocolNode` is the base class for
-protocol participants, and :mod:`repro.sim.failure` adds crash injection plus
-the supervisor-side oracle failure detector used in Section 3.3 of the paper.
+message accounting and the views of what is in flight,
+:class:`~repro.sim.node.ProtocolNode` is the base class for protocol
+participants, and :mod:`repro.sim.failure` is the supervisor-side oracle
+failure detector used in Section 3.3 of the paper (crashes are injected with
+:meth:`~repro.sim.engine.Simulator.crash_node`).
 """
 
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.network import Message, Network, ChannelStats
 from repro.sim.node import ProtocolNode, NodeRef
-from repro.sim.failure import FailureDetector, CrashSchedule
+from repro.sim.failure import FailureDetector
 from repro.sim.scheduler import (
     EventScheduler,
     HeapScheduler,
@@ -30,7 +32,7 @@ from repro.sim.scheduler import (
     make_scheduler,
 )
 from repro.sim.tracing import Tracer, TraceEvent
-from repro.sim.rng import derive_rng, derive_seed, spawn_seeds
+from repro.sim.rng import derive_rng, derive_seed
 
 
 __all__ = [
@@ -47,10 +49,8 @@ __all__ = [
     "ProtocolNode",
     "NodeRef",
     "FailureDetector",
-    "CrashSchedule",
     "Tracer",
     "TraceEvent",
     "derive_rng",
     "derive_seed",
-    "spawn_seeds",
 ]

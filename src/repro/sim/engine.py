@@ -53,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import heapq
 
-from repro.sim.failure import CrashSchedule, FailureDetector
+from repro.sim.failure import FailureDetector
 from repro.sim.network import (
     DROP_TO_CRASHED,
     FAST_RECORD_KIND,
@@ -159,7 +159,7 @@ class Simulator:
     def __init__(self, config: Optional[SimulatorConfig] = None) -> None:
         self.config = config or SimulatorConfig()
         self.now: float = 0.0
-        self.network = Network(self.config.min_delay, self.config.max_delay)
+        self.network = Network()
         self.tracer = Tracer(keep_events=self.config.keep_trace_events)
         self.failure_detector = FailureDetector(self.config.detection_lag)
         self.failure_detector.attach(self)
@@ -369,9 +369,6 @@ class Simulator:
         """A per-node RNG stream derived from the master seed."""
         return derive_rng(self.config.seed, "node", node_id, stream)
 
-    def live_nodes(self) -> List[ProtocolNode]:
-        return [n for n in self.nodes.values() if not n.crashed]
-
     # --------------------------------------------------------------- messages
     def inject_message(self, dest: NodeRef, action: str, params: Dict[str, Any],
                        topic: Optional[str] = None, delay: Optional[float] = None) -> None:
@@ -416,10 +413,6 @@ class Simulator:
             self._apply_crash(node_id)
         else:
             self._push(at, _CRASH, node_id)
-
-    def apply_crash_schedule(self, schedule: CrashSchedule) -> None:
-        for time, node_id in schedule:
-            self.crash_node(node_id, at=time)
 
     def _apply_crash(self, node_id: NodeRef) -> None:
         node = self.nodes.get(node_id)

@@ -1,4 +1,4 @@
-"""Crash injection and the supervisor-side oracle failure detector.
+"""The supervisor-side oracle failure detector.
 
 Section 3.3 of the paper allows subscribers to crash without warning.  The key
 observation there is that a *single* failure detector at the supervisor
@@ -15,32 +15,10 @@ not specify).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
-
-
-@dataclass(slots=True)
-class CrashSchedule:
-    """A list of (time, node_id) crash instructions applied by the simulator."""
-
-    crashes: List[tuple[float, int]] = field(default_factory=list)
-
-    def add(self, time: float, node_id: int) -> None:
-        if time < 0:
-            raise ValueError("crash time must be non-negative")
-        self.crashes.append((time, node_id))
-
-    def sorted(self) -> List[tuple[float, int]]:
-        return sorted(self.crashes)
-
-    def __len__(self) -> int:
-        return len(self.crashes)
-
-    def __iter__(self):
-        return iter(self.sorted())
 
 
 class FailureDetector:
@@ -115,11 +93,3 @@ class FailureDetector:
                     "called); a detached detector has no clock to consult")
             now = self._sim.now
         return node_id in self._suspected_at(now)
-
-    def suspected(self, node_ids: Iterable[int], now: Optional[float] = None) -> List[int]:
-        """Subset of ``node_ids`` currently suspected as crashed."""
-        return [nid for nid in node_ids if self.suspects(nid, now)]
-
-    @property
-    def known_crashes(self) -> Dict[int, float]:
-        return dict(self._crash_times)

@@ -142,13 +142,14 @@ class ChannelStats:
 
     Recording is inlined where the messages are — the engine's send closure
     and drain loop, and :meth:`Network.pop_record` — and costs one counter update on a
-    ``(node, action)`` store plus an integer increment.  The per-node,
-    per-action and per-(node, action) :class:`Counter` views the
-    experiments consume are derived lazily on first access and cached until
-    the next write, so querying stays as convenient as the eager counters the
-    seed kept while the per-message cost is O(1) with a minimal constant.
+    ``(node, action)`` store plus an integer increment.  The per-node and
+    per-action totals behind :meth:`sent_by` / :meth:`received_by` and the
+    :attr:`sent_by_action` / :attr:`received_by_action` views are derived
+    lazily on first access and cached until the next write, so querying stays
+    as convenient as the eager counters the seed kept while the per-message
+    cost is O(1) with a minimal constant.
 
-    The view properties are read-only and return fresh :class:`Counter`
+    The two view properties are read-only and return fresh :class:`Counter`
     copies: mutating a returned counter never corrupts the statistics.
 
     Drops are accounted **per reason** (see :data:`DROP_REASONS`): a message
@@ -216,11 +217,6 @@ class ChannelStats:
         self.duplicated += copies
 
     # ------------------------------------------------------------------- drops
-    @property
-    def dropped_to_crashed(self) -> int:
-        """Messages dropped because their destination had crashed."""
-        return self._drops.get(DROP_TO_CRASHED, 0)
-
     @property
     def drops_by_reason(self) -> Dict[str, int]:
         """Drop reason -> count (a copy; every known reason is present)."""
@@ -292,11 +288,6 @@ class ChannelStats:
                 for (_node, action), count in self._iter_counts(
                         self._sent, self._sent_cols):
                     view[action] += count
-            elif name == "sent_by_node_action":
-                for (node, action), count in self._iter_counts(
-                        self._sent, self._sent_cols):
-                    if node is not None:
-                        view[(node, action)] += count
             elif name == "received_by_node":
                 for (node, _action), count in self._iter_counts(
                         self._received, self._received_cols):
@@ -305,38 +296,18 @@ class ChannelStats:
                 for (_node, action), count in self._iter_counts(
                         self._received, self._received_cols):
                     view[action] += count
-            elif name == "received_by_node_action":
-                for (node, action), count in self._iter_counts(
-                        self._received, self._received_cols):
-                    view[(node, action)] += count
             else:  # pragma: no cover - programming error
                 raise KeyError(name)
             self._derived[name] = view
         return view
 
     @property
-    def sent_by_node(self) -> Counter:
-        return Counter(self._view("sent_by_node"))
-
-    @property
     def sent_by_action(self) -> Counter:
         return Counter(self._view("sent_by_action"))
 
     @property
-    def sent_by_node_action(self) -> Counter:
-        return Counter(self._view("sent_by_node_action"))
-
-    @property
-    def received_by_node(self) -> Counter:
-        return Counter(self._view("received_by_node"))
-
-    @property
     def received_by_action(self) -> Counter:
         return Counter(self._view("received_by_action"))
-
-    @property
-    def received_by_node_action(self) -> Counter:
-        return Counter(self._view("received_by_node_action"))
 
     # ---------------------------------------------------------------- queries
     def received_by(self, node_id: int, action: Optional[str] = None) -> int:
@@ -459,18 +430,9 @@ class Network:
     never delivered, shown to an adversary or part of an in-flight view.
     """
 
-    __slots__ = ("min_delay", "max_delay", "stats", "_crashed", "adversary",
-                 "_pending_records")
+    __slots__ = ("stats", "_crashed", "adversary", "_pending_records")
 
-    def __init__(self, min_delay: float = 0.1, max_delay: float = 1.0) -> None:
-        # Same rule, same words as SimulatorConfig (which fires first for a
-        # simulator-built network); kept for standalone construction.
-        if min_delay <= 0:
-            raise ValueError("min_delay must be positive")
-        if max_delay < min_delay:
-            raise ValueError("max_delay must be >= min_delay")
-        self.min_delay = min_delay
-        self.max_delay = max_delay
+    def __init__(self) -> None:
         self.stats = ChannelStats()
         self._crashed: set[int] = set()
         #: optional link-level adversary (duck-typed; see

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List
 
 
 def _hash_to_int(*parts: object) -> int:
@@ -49,21 +48,4 @@ def derive_rng(master_seed: int, *stream: object) -> random.Random:
         ``derive_rng(seed, "delay")`` or ``derive_rng(seed, "node", node_id)``.
     """
     return random.Random(_hash_to_int(master_seed, *stream))
-
-
-def spawn_seeds(master_seed: int, count: int, label: str = "seed") -> List[int]:
-    """Derive ``count`` independent integer seeds from ``master_seed``.
-
-    Used by experiment runners that repeat a trial over several seeds.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return [_hash_to_int(master_seed, label, i) for i in range(count)]
-
-
-def shuffle_deterministically(items: Iterable, master_seed: int, *stream: object) -> list:
-    """Return ``items`` as a list shuffled with a derived RNG."""
-    out = list(items)
-    derive_rng(master_seed, "shuffle", *stream).shuffle(out)
-    return out
 

@@ -29,7 +29,7 @@ class Tracer:
     """Collects trace events, counters and time series during a run."""
 
     __slots__ = ("keep_events", "max_events", "events", "counters", "series",
-                 "marks", "events_dropped")
+                 "events_dropped")
 
     def __init__(self, keep_events: bool = True, max_events: int = 1_000_000) -> None:
         self.keep_events = keep_events
@@ -37,7 +37,6 @@ class Tracer:
         self.events: List[TraceEvent] = []
         self.counters: Counter = Counter()
         self.series: Dict[str, List[tuple[float, float]]] = defaultdict(list)
-        self.marks: Dict[str, float] = {}
         #: events that would have been stored but fell past ``max_events``
         #: (counters still counted them; only the event *objects* are gone)
         self.events_dropped = 0
@@ -67,32 +66,3 @@ class Tracer:
     def sample(self, name: str, time: float, value: float) -> None:
         """Append ``(time, value)`` to the time series ``name``."""
         self.series[name].append((time, value))
-
-    def mark_once(self, name: str, time: float) -> bool:
-        """Record the first time ``name`` happened.  Returns True on the first
-        call for ``name`` and False afterwards."""
-        if name in self.marks:
-            return False
-        self.marks[name] = time
-        return True
-
-    # --------------------------------------------------------------- queries
-    def events_of(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def first_mark(self, name: str) -> Optional[float]:
-        return self.marks.get(name)
-
-    def reset_counters(self) -> None:
-        self.counters = Counter()
-
-    def summary(self) -> Dict[str, Any]:
-        """A compact dict summary suitable for experiment result records."""
-        return {
-            "counters": dict(self.counters),
-            "marks": dict(self.marks),
-            "series_lengths": {k: len(v) for k, v in sorted(self.series.items())},
-            "num_events": len(self.events),
-            "events_dropped": self.events_dropped,
-            "truncated": self.truncated,
-        }

@@ -10,7 +10,7 @@ timelines are byte-stable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 Span = Tuple[str, str, float, float]
 
@@ -54,11 +54,3 @@ class SpanTimeline:
     def to_list(self) -> List[List[object]]:
         return [[kind, name, start, end]
                 for kind, name, start, end in self.spans]
-
-    @classmethod
-    def from_list(cls, rows: Iterable[Sequence[object]]) -> "SpanTimeline":
-        timeline = cls()
-        for row in rows:
-            kind, name, start, end = row
-            timeline.add(str(kind), str(name), float(start), float(end))
-        return timeline

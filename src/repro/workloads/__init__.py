@@ -7,7 +7,7 @@ from repro.workloads.initial_states import (
     inject_corrupted_messages,
     scramble_topic_views,
 )
-from repro.workloads.churn import ChurnEvent, ChurnSchedule, generate_churn, apply_churn
+from repro.workloads.churn import ChurnEvent, ChurnSchedule, apply_churn
 from repro.workloads.publications import (
     generate_payloads,
     scatter_publications,
@@ -22,7 +22,6 @@ __all__ = [
     "scramble_topic_views",
     "ChurnEvent",
     "ChurnSchedule",
-    "generate_churn",
     "apply_churn",
     "generate_payloads",
     "scatter_publications",

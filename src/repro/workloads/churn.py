@@ -47,30 +47,8 @@ class ChurnSchedule:
     def sorted_events(self) -> List[ChurnEvent]:
         return sorted(self.events, key=lambda e: e.time)
 
-    def counts(self) -> dict:
-        out = {"join": 0, "leave": 0, "crash": 0}
-        for event in self.events:
-            out[event.kind] += 1
-        return out
-
     def __len__(self) -> int:
         return len(self.events)
-
-
-def generate_churn(duration: float, join_rate: float, leave_rate: float,
-                   crash_rate: float = 0.0, seed: int = 0) -> ChurnSchedule:
-    """Poisson-ish churn: events are spread uniformly over ``duration`` with
-    expected counts ``rate × duration`` per kind."""
-    rng = random.Random(seed)
-    schedule = ChurnSchedule()
-    for kind, rate in (("join", join_rate), ("leave", leave_rate), ("crash", crash_rate)):
-        expected = rate * duration
-        count = int(expected)
-        if rng.random() < expected - count:
-            count += 1
-        for _ in range(count):
-            schedule.add(ChurnEvent(time=rng.uniform(0, duration), kind=kind))
-    return schedule
 
 
 def apply_churn(system: PubSubFacadeBase, schedule: ChurnSchedule,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import SystemSpec, build_stable
 from repro.core.config import ProtocolParams
-from repro.workloads.churn import ChurnEvent, ChurnSchedule, apply_churn, generate_churn
+from repro.workloads.churn import ChurnEvent, ChurnSchedule, apply_churn
 from repro.workloads.initial_states import (
     AdversarialConfig,
     build_adversarial_system,
@@ -82,16 +82,6 @@ class TestChurn:
             ChurnEvent(time=-1, kind="join")
         with pytest.raises(ValueError):
             ChurnEvent(time=0, kind="explode")
-
-    def test_generate_churn_counts(self):
-        schedule = generate_churn(duration=100, join_rate=0.1, leave_rate=0.05,
-                                  crash_rate=0.02, seed=1)
-        counts = schedule.counts()
-        assert counts["join"] >= 8
-        assert counts["leave"] >= 3
-        assert len(schedule) == sum(counts.values())
-        times = [event.time for event in schedule.sorted_events()]
-        assert times == sorted(times)
 
     def test_system_survives_churn(self):
         system, _ = build_stable(SystemSpec(seed=71), 8)

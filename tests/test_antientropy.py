@@ -1,13 +1,8 @@
 """Unit tests for the CheckTrie/CheckAndPublish reconciliation (Algorithm 5)."""
 
-from repro.pubsub.antientropy import (
-    CheckAndPublishRequest,
-    CheckTrieRequest,
-    handle_check_and_publish,
-    handle_check_trie,
-    initial_check_trie,
-    reconcile_once,
-)
+from typing import List, Tuple
+
+from repro.pubsub.antientropy import handle_check_and_publish, handle_check_trie
 from repro.pubsub.patricia import PatriciaTrie
 from repro.pubsub.publications import Publication
 
@@ -23,15 +18,49 @@ def build(keys, bits=3) -> PatriciaTrie:
     return trie
 
 
+def reconcile_once(source: PatriciaTrie, target: PatriciaTrie, max_rounds: int = 10_000) -> int:
+    """Synchronously run the reconciliation between two tries until quiescent.
+
+    A test-only oracle (``tests/test_properties.py`` imports it from here): it
+    drives the same message logic as the asynchronous protocol in a simple
+    request/response loop, to show the exchange converges (both tries end up with the union of
+    publications that the *initiating* side can learn, per the paper's
+    example: which side initiates matters).  Returns the number of message
+    exchanges performed.
+    """
+    exchanges = 0
+    # Pending requests are (direction, tuples, prefix); direction True means
+    # the request travels from `source` to `target`, prefix None a CheckTrie.
+    pending: List[Tuple[bool, list, object]] = []
+    summary = source.root_summary()
+    if summary is not None:
+        pending.append((True, [summary], None))
+    while pending and exchanges < max_rounds:
+        towards_target, tuples, prefix = pending.pop(0)
+        local = target if towards_target else source
+        exchanges += 1
+        if prefix is None:
+            reply_tuples, caps = handle_check_trie(local, tuples)
+        else:
+            reply_tuples, caps, publications = handle_check_and_publish(local, tuples, prefix)
+            receiver = source if towards_target else target
+            for publication in publications:
+                receiver.insert(publication)
+        if reply_tuples:
+            pending.append((not towards_target, reply_tuples, None))
+        for cap_tuples, cap_prefix in caps:
+            pending.append((not towards_target, cap_tuples, cap_prefix))
+    return exchanges
+
+
 class TestInitialRequest:
+    # What a subscriber's Timeout sends (``TopicView._anti_entropy_round``).
     def test_empty_trie_initiates_nothing(self):
-        assert initial_check_trie(PatriciaTrie(key_bits=3)) is None
+        assert PatriciaTrie(key_bits=3).root_summary() is None
 
     def test_non_empty_trie_sends_root(self):
         trie = build(["000", "010"])
-        request = initial_check_trie(trie)
-        assert isinstance(request, CheckTrieRequest)
-        assert request.tuples == [trie.root_summary()]
+        assert trie.root_summary() == (trie.root.label, trie.root.hash)
 
 
 class TestHandleCheckTrie:
@@ -39,7 +68,7 @@ class TestHandleCheckTrie:
         trie = build(["000", "010", "100"])
         other = build(["000", "010", "100"])
         reply, caps = handle_check_trie(trie, [other.root_summary()])
-        assert reply is None and caps == []
+        assert reply == [] and caps == []
 
     def test_differing_inner_hash_descends_into_children(self):
         # Paper's Figure 2 walk-through, step 1: v receives u's root, sees the
@@ -48,8 +77,7 @@ class TestHandleCheckTrie:
         v = build(["000", "010", "100"])
         reply, caps = handle_check_trie(v, [u.root_summary()])
         assert caps == []
-        assert reply is not None
-        labels = [label for label, _ in reply.tuples]
+        labels = [label for label, _ in reply]
         assert labels == ["0", "100"]
 
     def test_missing_subtree_triggers_check_and_publish(self):
@@ -59,29 +87,26 @@ class TestHandleCheckTrie:
         v = build(["000", "010", "100"])
         _, caps = handle_check_trie(v, [(u.search_node("10").label, u.search_node("10").hash)])
         assert len(caps) == 1
-        cap = caps[0]
-        assert isinstance(cap, CheckAndPublishRequest)
-        assert cap.prefix == "101"
-        assert cap.tuples == [("100", v.search_node("100").hash)]
+        tuples, prefix = caps[0]
+        assert prefix == "101"
+        assert tuples == [["100", v.search_node("100").hash]]
 
     def test_totally_missing_prefix_requests_everything_below_it(self):
         v = build(["000"])
         reply, caps = handle_check_trie(v, [("11", "whatever")])
-        assert reply is None
-        assert len(caps) == 1
-        assert caps[0].prefix == "11"
-        assert caps[0].tuples == []
+        assert reply == []
+        assert caps == [([], "11")]
 
     def test_empty_local_trie_requests_full_subtree(self):
         empty = PatriciaTrie(key_bits=3)
         _, caps = handle_check_trie(empty, [("", "roothash")])
-        assert len(caps) == 1
-        assert caps[0].prefix == ""
+        assert caps == [([], "")]
 
     def test_corrupted_tuples_are_ignored(self):
         trie = build(["000"])
-        reply, caps = handle_check_trie(trie, [(123, "x"), ("02", "y")])
-        assert reply is None and caps == []
+        reply, caps = handle_check_trie(trie, [(123, "x"), ("02", "y"), ("0", 5), {}, [], 7])
+        assert reply == [] and caps == []
+        assert handle_check_trie(trie, "01") == handle_check_trie(trie, None) == ([], [])
 
 
 class TestHandleCheckAndPublish:
@@ -89,17 +114,23 @@ class TestHandleCheckAndPublish:
         u = build(["000", "010", "100", "101"])
         reply, caps, pubs = handle_check_and_publish(
             u, [("100", u.search_node("100").hash)], "101")
-        assert reply is None and caps == []
-        assert [p.key for p in pubs.publications] == ["101"]
+        assert reply == [] and caps == []
+        assert [p.key for p in pubs] == ["101"]
 
     def test_invalid_prefix_delivers_nothing(self):
         u = build(["000"])
         _, _, pubs = handle_check_and_publish(u, [], "10x")
-        assert pubs.publications == []
+        assert pubs == []
 
     def test_wire_formats(self):
-        cap = CheckAndPublishRequest(tuples=[("0", "h")], prefix="01")
-        assert cap.to_wire() == {"tuples": [("0", "h")], "prefix": "01"}
+        # What comes back is what goes on the wire: a CheckTrie's tuples are
+        # (label, digest) tuples, a CheckAndPublish's are 2-lists.
+        u = build(["000", "010", "100", "101"])
+        v = build(["000", "010", "100"])
+        reply, _ = handle_check_trie(v, [u.root_summary()])
+        assert all(type(t) is tuple and len(t) == 2 for t in reply)
+        _, caps = handle_check_trie(v, [("10", u.search_node("10").hash)])
+        assert caps == [([["100", v.search_node("100").hash]], "101")]
 
 
 class TestReconcileOnce:

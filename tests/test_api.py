@@ -88,14 +88,16 @@ class TestSystemSpecRoundTrip:
         # Explicitly agreeing is fine.
         assert SystemSpec(seed=7, sim=SimulatorConfig(seed=7)).seed == 7
 
-    def test_from_legacy_matches_old_facade_precedence(self):
-        # sim_config wins wholesale, the bare seed is ignored — the
+    def test_adversarial_builder_keeps_the_old_facade_precedence(self):
+        # sim_config wins wholesale, config.seed is ignored — the
         # PubSubFacadeBase precedence build_adversarial_system (workloads/
-        # initial_states.py, the one caller) needs for its (config.seed,
-        # sim_config) pair; the plain constructor raises on that disagreement.
-        spec = SystemSpec.from_legacy(seed=5, sim_config=SimulatorConfig(seed=13))
-        assert spec.seed == 13
-        assert SystemSpec.from_legacy(seed=5).seed == 5
+        # initial_states.py) states for its (config.seed, sim_config) pair;
+        # the plain SystemSpec constructor raises on that disagreement.
+        from repro.workloads.initial_states import AdversarialConfig, build_adversarial_system
+        config = AdversarialConfig(n=2, seed=5)
+        system, _ = build_adversarial_system(config, sim_config=SimulatorConfig(seed=13))
+        assert system.sim.config.seed == 13
+        assert build_adversarial_system(config)[0].sim.config.seed == 5
 
     def test_invalid_topology_and_shard_count_raise(self):
         with pytest.raises(ValueError, match="topology"):
@@ -301,7 +303,7 @@ class TestRunReport:
         assert run.passed and run.all_claims_hold and not run.failed_claims
         run.claim("broken", False)
         assert not run.passed and run.failed_claims == ["broken"]
-        assert run.experiment_id == "X"
+        assert run.name == "X"
 
     def test_message_stats_snapshots_embed_summaries(self):
         system = PubSub.builder().seed(1).build()

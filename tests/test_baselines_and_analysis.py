@@ -5,14 +5,11 @@ import pytest
 
 from repro.analysis.convergence import edge_set_signature
 from repro.analysis.graph_metrics import (
-    broadcast_load,
     degree_statistics,
     diameter,
-    hop_histogram,
     position_balance,
     routing_congestion,
 )
-from repro.analysis.stats import confidence_interval, ratio, summarize
 from repro.baselines.broker import BrokerLoadModel, BrokerPubSub
 from repro.baselines.chord import ChordTopology
 from repro.baselines.skipgraph import SkipGraphTopology
@@ -35,21 +32,12 @@ class TestChord:
         assert nx.is_connected(graph)
         stats = degree_statistics(graph)
         assert stats.mean >= 4  # Chord keeps ~log n fingers per node
-        assert chord.diameter() <= 12
+        assert diameter(graph) <= 12
 
     def test_successor_wraps_around(self):
         chord = ChordTopology(8, seed=3)
         beyond_last = chord.node_ids[-1] + 1
         assert chord.successor(beyond_last) == chord.node_ids[0]
-
-    def test_greedy_route_reaches_responsible_node(self):
-        chord = ChordTopology(32, seed=4)
-        source = chord.node_ids[0]
-        target_point = chord.node_ids[17] - 1
-        path = chord.greedy_route(source, target_point)
-        assert path[0] == source
-        assert path[-1] == chord.successor(target_point)
-        assert len(path) <= 2 + chord.bits
 
     def test_positions_in_unit_interval(self):
         chord = ChordTopology(16, seed=5)
@@ -65,13 +53,13 @@ class TestSkipGraph:
         sg = SkipGraphTopology(64, seed=1)
         graph = sg.to_networkx()
         assert nx.is_connected(graph)
-        assert sg.average_degree() >= 4
-        assert sg.diameter() <= 16
+        assert degree_statistics(graph).mean >= 4
+        assert diameter(graph) <= 16
 
     def test_single_node(self):
         sg = SkipGraphTopology(1, seed=2)
         assert sg.edges() == set()
-        assert sg.diameter() == 0
+        assert diameter(sg.to_networkx()) == 0
 
 
 class TestBroker:
@@ -94,14 +82,12 @@ class TestBroker:
             broker.publish(99, f"p{i}".encode(), "t")
         model = BrokerLoadModel(subscribers=6, publications=4, subscribe_ops=6)
         assert broker.broker_messages_handled == model.broker_messages()
-        assert len(broker.delivered_to(3)) == 4
 
     def test_unsubscribe_stops_delivery(self):
         broker = BrokerPubSub()
         broker.subscribe(1, "t")
         broker.unsubscribe(1, "t")
-        broker.publish(2, b"x", "t")
-        assert broker.delivered_to(1) == []
+        assert broker.publish(2, b"x", "t") == 0
 
 
 class TestGraphMetrics:
@@ -121,12 +107,6 @@ class TestGraphMetrics:
         ring_stats = routing_congestion(ring, samples=200, seed=1)
         assert star_stats.load_imbalance > ring_stats.load_imbalance
 
-    def test_broadcast_load(self):
-        g = SkipRingTopology(16).to_networkx()
-        load = broadcast_load(g, source=0)
-        assert load["total_messages"] > 0
-        assert load["max_per_node"] >= load["mean_per_node"]
-
     def test_position_balance_skip_ring_vs_random(self):
         skip_positions = [r_float(lbl) for lbl in SkipRingTopology(64).labels]
         chord_positions = ChordTopology(64, seed=1).positions()
@@ -137,34 +117,6 @@ class TestGraphMetrics:
 
     def test_position_balance_degenerate(self):
         assert position_balance([0.3])["max_min_ratio"] == 1.0
-
-    def test_hop_histogram_covers_all_nodes(self):
-        g = SkipRingTopology(32).to_networkx()
-        histogram = hop_histogram(g, 0)
-        assert sum(histogram.values()) == 32
-        assert histogram[0] == 1
-
-
-class TestStatsHelpers:
-    def test_summarize(self):
-        summary = summarize([1, 2, 3, 4])
-        assert summary.count == 4
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.minimum == 1 and summary.maximum == 4
-        assert summarize([]).count == 0
-
-    def test_confidence_interval(self):
-        low, high = confidence_interval([10.0] * 20)
-        assert low == pytest.approx(10.0) and high == pytest.approx(10.0)
-        low, high = confidence_interval([1.0, 2.0, 3.0, 4.0])
-        assert low < 2.5 < high
-        assert confidence_interval([]) == (0.0, 0.0)
-        assert confidence_interval([5.0]) == (5.0, 5.0)
-
-    def test_ratio(self):
-        assert ratio(4, 2) == 2
-        assert ratio(1, 0) == float("inf")
-        assert ratio(0, 0) == 1.0
 
     def test_edge_set_signature_is_order_independent(self):
         a = edge_set_signature({(1, 2), (3, 4)})

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import Baseline, CheckEngine, CheckResult, Finding
+from repro.check import Baseline, CheckEngine, Finding
 from repro.check.cli import main as check_main
 from repro.check.engine import iter_python_files
 from repro.check.pragmas import parse_pragmas
@@ -306,7 +306,7 @@ class TestCli:
                          "--json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
-        rebuilt = CheckResult.finding_list_from(payload)
+        rebuilt = [Finding.from_dict(entry) for entry in payload["findings"]]
         engine = CheckEngine(baseline=Baseline())
         direct = engine.run([FIXTURES / "bad_rng.py"],
                             root=Path(".")).findings
@@ -400,14 +400,6 @@ class TestFixedFindings:
         tracer = Tracer()
         with pytest.raises(AttributeError):
             tracer.extra = 1
-
-    def test_tracer_summary_series_lengths_sorted(self):
-        from repro.sim.tracing import Tracer
-        tracer = Tracer()
-        for name in ("zeta", "alpha", "mid"):
-            tracer.sample(name, 0.0, 1.0)
-        lengths = tracer.summary()["series_lengths"]
-        assert list(lengths) == sorted(lengths)
 
     def test_span_timeline_summary_sorted_by_kind(self):
         from repro.telemetry.spans import SpanTimeline

@@ -118,7 +118,7 @@ def _observe(sim, log):
         "now": sim.now,
         "steps": sim.steps_executed,
         "summary": stats.to_summary_dict(),
-        "received": stats.received_by_node_action,
+        "received": stats.snapshot()._received,  # (node, action) -> count
         "drops": stats.drops_by_reason,
         "latency": None if latency is None else latency.to_dict(),
         "timeouts": sim.timeout_counts,
@@ -209,7 +209,7 @@ def test_one_draw_per_use_and_none_ahead(workload, adversarial):
         system.run_rounds(30)
         with_timeout = len(sim.nodes)
     stats = sim.network.stats
-    assert stats.dropped_to_crashed > 0
+    assert stats.drops_by_reason["to_crashed"] > 0
     assert adversarial == (stats.duplicated > 0
                            and stats.drops_by_reason["adversary_loss"] > 0)
     copies = stats.total_sent - stats.total_dropped + stats.duplicated + injected
@@ -302,7 +302,7 @@ def test_send_fast_reproduces_the_delivery_times_arithmetic(scheduler):
     assert any(t - now < sim.config.min_delay for t, now, _, _ in times)
     stats = sim.network.stats
     assert stats.total_sent == len(script)
-    assert stats.sent_by_node_action == sent
+    assert stats.snapshot()._sent == sent  # (node, action) -> count
     assert stats.drops_by_reason == dict(drops)
     assert stats.duplicated == duplicated
     pushed = sorted(sim.scheduler.iter_events(), key=lambda event: event[1])

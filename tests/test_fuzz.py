@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.fuzz.campaign import FuzzCampaign, FuzzConfig, run_fuzz_campaign
+from repro.fuzz.campaign import FuzzCampaign, FuzzConfig
 from repro.fuzz.cli import QUICK_LIMITS
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.coverage import CoverageMap, depth_bucket, spec_coverage_keys
@@ -305,14 +305,14 @@ class TestCampaign:
 
     def test_same_seed_same_report_bytes(self):
         cfg = self.config()
-        first = run_fuzz_campaign(cfg).to_json()
-        second = run_fuzz_campaign(cfg).to_json()
+        first = FuzzCampaign(cfg).run().to_json()
+        second = FuzzCampaign(cfg).run().to_json()
         assert first == second
 
     def test_jobs_do_not_change_report_bytes(self):
         cfg = self.config()
-        inline = run_fuzz_campaign(cfg, jobs=1).to_json()
-        fanned = run_fuzz_campaign(cfg, jobs=2).to_json()
+        inline = FuzzCampaign(cfg, jobs=1).run().to_json()
+        fanned = FuzzCampaign(cfg, jobs=2).run().to_json()
         assert inline == fanned
 
     def test_case_seeds_are_schedule_independent(self):
@@ -323,7 +323,7 @@ class TestCampaign:
                          for i in range(16)]
 
     def test_report_contains_no_wall_clock(self):
-        report = run_fuzz_campaign(self.config())
+        report = FuzzCampaign(self.config()).run()
         text = report.to_json()
         assert report.iterations == 6
         assert '"truncated":false' in text
@@ -336,7 +336,7 @@ class TestCampaign:
         cfg = self.config(budget_iters=12, batch_size=4,
                           oracle=OracleSpec(max_relegitimize_rounds=0.5),
                           max_findings=1)
-        report = run_fuzz_campaign(cfg)
+        report = FuzzCampaign(cfg).run()
         assert not report.passed
         finding = report.findings[0]
         assert finding.kind == "oracle"
@@ -354,8 +354,7 @@ class TestCampaign:
         assert verdict.signature == finding.signature
 
     def test_coverage_trail_grows_and_pool_feeds_mutation(self):
-        report = run_fuzz_campaign(self.config(budget_iters=8,
-                                               batch_size=4))
+        report = FuzzCampaign(self.config(budget_iters=8, batch_size=4)).run()
         assert report.coverage is not None and len(report.coverage) > 0
         assert report.trail and report.trail[0]["iteration"] == 0
         assert report.pool_size == len(report.trail)

@@ -376,8 +376,7 @@ class TestProtocolPathStaysFractionFree:
             raise AssertionError("Fraction algebra reached from the protocol path")
 
         for module in (labels, shortcuts, skip_ring, subscriber, supervisor, convergence):
-            for name in ("r_value", "label_from_r", "r_float", "linear_distance",
-                         "ring_distance", "Fraction"):
+            for name in ("r_value", "label_from_r", "r_float", "Fraction"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, off_the_path)
 

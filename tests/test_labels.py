@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from repro.core.labels import (
-    compare,
     count_labels_of_length,
     index_of,
     is_canonical_label,
@@ -14,13 +13,10 @@ from repro.core.labels import (
     label_length,
     label_of,
     labels_up_to,
-    level_of_edge,
-    linear_distance,
     max_level,
     r_float,
     r_value,
-    ring_distance,
-    sort_by_r,
+    ring_key,
 )
 
 
@@ -106,26 +102,9 @@ class TestRValue:
 
 
 class TestComparisons:
-    def test_compare(self):
-        assert compare("0", "1") == -1
-        assert compare("1", "0") == 1
-        assert compare("01", "01") == 0
-
-    def test_sort_by_r_matches_figure1_ring_order(self):
+    def test_ring_key_order_matches_figure1_ring_order(self):
         labels = labels_up_to(8)
-        assert sort_by_r(labels) == ["0", "001", "01", "011", "1", "101", "11", "111"]
-
-    def test_ring_distance_is_symmetric_and_wraps(self):
-        assert ring_distance("0", "111") == Fraction(1, 8)
-        assert ring_distance("111", "0") == Fraction(1, 8)
-        assert ring_distance("0", "1") == Fraction(1, 2)
-
-    def test_linear_distance(self):
-        assert linear_distance("0", "111") == Fraction(7, 8)
-
-    def test_level_of_edge(self):
-        assert level_of_edge("0", "1") == 1
-        assert level_of_edge("01", "001") == 3
+        assert sorted(labels, key=ring_key) == ["0", "001", "01", "011", "1", "101", "11", "111"]
 
 
 class TestHelpers:

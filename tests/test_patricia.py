@@ -128,35 +128,11 @@ class TestHashesAndInvariants:
         trie_b.insert(Publication.create(2, b"extra", key_bits=8))
         assert trie_a.root_summary() != trie_b.root_summary()
 
-    def test_same_content_as(self):
-        trie_a = PatriciaTrie(key_bits=4)
-        trie_b = PatriciaTrie(key_bits=4)
-        for key in ("0001", "1000"):
-            trie_a.insert(make_pub(key))
-            trie_b.insert(make_pub(key))
-        assert trie_a.same_content_as(trie_b)
-        trie_b.insert(make_pub("1111"))
-        assert not trie_a.same_content_as(trie_b)
-
-    def test_merge_from(self):
-        trie_a = PatriciaTrie(key_bits=4)
-        trie_b = PatriciaTrie(key_bits=4)
-        trie_a.insert(make_pub("0001"))
-        trie_b.insert(make_pub("1110"))
-        added = trie_a.merge_from(trie_b)
-        assert added == 1
-        assert set(trie_a.keys()) == {"0001", "1110"}
-
     def test_invariants_hold_after_many_inserts(self):
         trie = PatriciaTrie(key_bits=6)
         for i in range(40):
             trie.insert(Publication.create(i % 5, f"payload-{i}".encode(), key_bits=6))
         trie.check_invariants()
-
-    def test_insert_all_counts_new_only(self):
-        trie = PatriciaTrie(key_bits=4)
-        pubs = [make_pub("0001"), make_pub("0001"), make_pub("0111")]
-        assert trie.insert_all(pubs) == 2
 
 
 class TestPublicationRecord:

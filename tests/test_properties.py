@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for the core data structures and invariants."""
 
 
-from fractions import Fraction
 from os.path import commonprefix
 
 from hypothesis import HealthCheck, given, settings
@@ -11,27 +10,23 @@ from repro.api import SystemSpec, build_stable
 from repro.core import messages as msg
 from repro.core.labels import (
     closer,
-    compare,
     index_of,
     is_valid_label,
     label_from_r,
     label_length,
     label_of,
-    linear_distance,
     max_level,
     r_value,
-    ring_distance,
     ring_key,
-    sort_by_r,
 )
 from repro.core.shortcuts import _reflect, shortcut_labels, shortcut_labels_closed_form
 from repro.core.skip_ring import SkipRingTopology
 from repro.core.subscriber import Neighbor, Subscriber
 from repro.core.supervisor import TopicDatabase
-from repro.pubsub.antientropy import reconcile_once
 from repro.pubsub.hashing import leaf_hash, node_hash
 from repro.pubsub.patricia import PatriciaTrie
 from repro.pubsub.publications import Publication
+from test_antientropy import reconcile_once  # the test-only pairwise driver
 
 SLOW = settings(max_examples=30, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -63,14 +58,6 @@ def test_label_length_bounded_by_max_level(n):
     assert all(label_length(label_of(i)) <= max_level(n) for i in range(n - 1, n))
 
 
-@given(st.sets(st.integers(min_value=0, max_value=500), min_size=2, max_size=40))
-def test_sort_by_r_is_total_order(indices):
-    labels = [label_of(i) for i in indices]
-    ordered = sort_by_r(labels)
-    values = [r_value(lbl) for lbl in ordered]
-    assert values == sorted(values)
-
-
 # ------------------------------------- the fast algebra vs the Fraction spec
 # Arbitrary valid labels: long, non-canonical, with trailing zeros.  The
 # protocol path orders by ``ring_key`` and measures in scaled integers;
@@ -85,21 +72,17 @@ def test_ring_key_orders_exactly_like_r_value(a, b):
     ra, rb = r_value(a), r_value(b)
     assert (ring_key(a) < ring_key(b)) == (ra < rb)
     assert (ring_key(a) == ring_key(b)) == (ra == rb)
-    assert compare(a, b) == (ra > rb) - (ra < rb)
 
 
 @given(st.lists(any_label | short_label, max_size=12))
-def test_sort_by_r_is_the_stable_sort_by_r_value(labels):
-    assert sort_by_r(labels) == sorted(labels, key=r_value)
+def test_sorting_by_ring_key_is_the_stable_sort_by_r_value(labels):
+    assert sorted(labels, key=ring_key) == sorted(labels, key=r_value)
 
 
 @given(any_label | short_label, any_label | short_label, any_label | short_label)
 def test_integer_distances_match_the_fraction_spec(a, b, origin):
     ra, rb, ro = r_value(a), r_value(b), r_value(origin)
     assert closer(a, b, origin) == (abs(ra - ro) < abs(rb - ro))
-    assert linear_distance(a, b) == abs(ra - rb)
-    assert ring_distance(a, b) == min(abs(ra - rb), 1 - abs(ra - rb))
-    assert isinstance(linear_distance(a, b), Fraction)
 
 
 @given(any_label | short_label, any_label | short_label)
@@ -123,9 +106,9 @@ def test_shortcut_recursion_matches_closed_form_powers_of_two(n):
     order = topo.ring_order()
     top = max_level(n)
     for position, node in enumerate(order[: min(n, 20)]):
-        own = topo.label(node)
-        left = topo.label(order[position - 1])
-        right = topo.label(order[(position + 1) % n])
+        own = topo.labels[node]
+        left = topo.labels[order[position - 1]]
+        right = topo.labels[order[(position + 1) % n]]
         assert shortcut_labels(own, left, right) == shortcut_labels_closed_form(own, top)
 
 
@@ -138,9 +121,9 @@ def test_shortcut_recursion_subset_of_closed_form_general_n(n):
     order = topo.ring_order()
     top = max_level(n)
     for position, node in enumerate(order[: min(n, 20)]):
-        own = topo.label(node)
-        left = topo.label(order[position - 1])
-        right = topo.label(order[(position + 1) % n])
+        own = topo.labels[node]
+        left = topo.labels[order[position - 1]]
+        right = topo.labels[order[(position + 1) % n]]
         derived = shortcut_labels(own, left, right)
         closed = shortcut_labels_closed_form(own, top)
         assert derived <= closed
@@ -260,7 +243,8 @@ def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step):
     for publication in reversed(shared.values()):
         backwards.insert(publication)
         assert backwards.root.hash == _eager_hash(backwards.root)
-    sorted_order.insert_all([shared[key] for key in sorted(shared)])
+    for key in sorted(shared):
+        sorted_order.insert(shared[key])
     for other in (backwards, sorted_order):
         assert other.root_summary() == trie.root_summary()
         assert all(n.hash == _eager_hash(n) for n in other.iter_nodes())

@@ -4,11 +4,9 @@ import pytest
 
 from repro.core.labels import max_level
 from repro.core.shortcuts import (
-    own_level_targets,
     shortcut_labels,
     shortcut_labels_closed_form,
     shortcut_labels_from_neighbor,
-    shortcut_levels,
 )
 from repro.core.skip_ring import SkipRingTopology
 
@@ -50,7 +48,7 @@ class TestRobustness:
             topo = SkipRingTopology(n)
             for node in range(n):
                 spec = topo.expected_subscriber_state(node)
-                assert topo.label(node) not in spec["shortcuts"]
+                assert topo.labels[node] not in spec["shortcuts"]
 
     def test_max_steps_guards_against_huge_labels(self):
         # A corrupted, very long neighbour label must not loop forever.
@@ -65,37 +63,15 @@ class TestClosedFormEquivalence:
         topo = SkipRingTopology(n)
         top = max_level(n)
         for node in range(n):
-            own = topo.label(node)
+            own = topo.labels[node]
             # reconstruct ring neighbour labels exactly as the protocol sees them
             order = topo.ring_order()
             pos = order.index(node)
-            left_label = topo.label(order[pos - 1])
-            right_label = topo.label(order[(pos + 1) % n])
+            left_label = topo.labels[order[pos - 1]]
+            right_label = topo.labels[order[(pos + 1) % n]]
             recursion = shortcut_labels(own, left_label, right_label)
             closed = shortcut_labels_closed_form(own, top)
             assert recursion == closed, f"mismatch for node {node} (n={n})"
 
     def test_closed_form_rejects_invalid(self):
         assert shortcut_labels_closed_form("", 4) == set()
-
-
-class TestLevelsAndOwnLevelTargets:
-    def test_shortcut_levels_grouping(self):
-        targets = shortcut_labels("01", "0011", "0101")
-        grouped = shortcut_levels("01", targets)
-        assert grouped[3] == {"001", "011"}
-        assert grouped[2] == {"0", "1"}
-
-    def test_own_level_targets_for_interior_node(self):
-        targets = shortcut_labels("01", "0011", "0101")
-        own = own_level_targets("01", "0011", "0101", targets)
-        assert own == {"0", "1"}
-
-    def test_own_level_targets_for_top_level_node(self):
-        # A deepest-level node has no shortcuts; its own-level neighbours are
-        # its ring neighbours.
-        own = own_level_targets("0011", "0001", "01", set())
-        assert own == {"0001", "01"}
-
-    def test_own_level_targets_empty_without_label(self):
-        assert own_level_targets("", None, None, set()) == set()

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.sim.engine import Simulator, SimulatorConfig
-from repro.sim.failure import CrashSchedule, FailureDetector
-from repro.sim.network import FAST_RECORD_KIND, ChannelStats, Network
+from repro.sim.failure import FailureDetector
+from repro.sim.network import FAST_RECORD_KIND, ChannelStats
 from repro.sim.node import ProtocolNode
-from repro.sim.rng import derive_rng, shuffle_deterministically, spawn_seeds
+from repro.sim.rng import derive_rng
 from repro.sim.tracing import Tracer
 
 
@@ -31,18 +31,6 @@ class TestRng:
     def test_derive_rng_is_deterministic(self):
         assert derive_rng(1, "a").random() == derive_rng(1, "a").random()
         assert derive_rng(1, "a").random() != derive_rng(1, "b").random()
-
-    def test_spawn_seeds(self):
-        seeds = spawn_seeds(7, 5)
-        assert len(seeds) == 5 and len(set(seeds)) == 5
-        assert spawn_seeds(7, 5) == seeds
-        with pytest.raises(ValueError):
-            spawn_seeds(1, -1)
-
-    def test_shuffle_deterministically(self):
-        a = shuffle_deterministically(range(20), 3, "x")
-        b = shuffle_deterministically(range(20), 3, "x")
-        assert a == b and sorted(a) == list(range(20))
 
 
 class TestSimulatorBasics:
@@ -95,7 +83,7 @@ class TestSimulatorBasics:
         a.send(2, "Ping", sender=1)
         sim.run_rounds(5)
         assert b.pings == 0 and b.timeouts == 0
-        assert sim.network.stats.dropped_to_crashed == 1
+        assert sim.network.stats.drops_by_reason["to_crashed"] == 1
 
     def test_scheduled_crash(self):
         sim = Simulator(SimulatorConfig(seed=5))
@@ -136,12 +124,6 @@ class TestSimulatorBasics:
 
 
 class TestNetwork:
-    def test_delay_bounds_validation(self):
-        with pytest.raises(ValueError):
-            Network(min_delay=0, max_delay=1)
-        with pytest.raises(ValueError):
-            Network(min_delay=2, max_delay=1)
-
     def test_channel_and_implicit_edges(self):
         sim = Simulator(SimulatorConfig(seed=8))
         sim.add_node(EchoNode(1), schedule_timeout=False)
@@ -169,18 +151,15 @@ class TestNetwork:
 
 
 class TestTracerAndFailureDetector:
-    def test_tracer_counters_series_marks(self):
+    def test_tracer_counters_series_events(self):
         tracer = Tracer()
         tracer.record(1.0, "x", node=3, foo="bar")
         tracer.count("x", 2)
         tracer.sample("load", 1.0, 0.5)
         assert tracer.counters["x"] == 3
-        assert tracer.mark_once("done", 2.0)
-        assert not tracer.mark_once("done", 3.0)
-        assert tracer.first_mark("done") == 2.0
-        assert len(tracer.events_of("x")) == 1
-        summary = tracer.summary()
-        assert summary["counters"]["x"] == 3
+        assert tracer.series["load"] == [(1.0, 0.5)]
+        (event,) = tracer.events
+        assert (event.time, event.kind, event.node, event.data) == (1.0, "x", 3, {"foo": "bar"})
 
     def test_tracer_event_cap(self):
         tracer = Tracer(max_events=2)
@@ -191,7 +170,7 @@ class TestTracerAndFailureDetector:
 
     def test_tracer_event_cap_keeps_earliest_events(self):
         """Truncation at max_events keeps the first events, drops the rest,
-        and never corrupts counters, marks or series."""
+        and never corrupts counters or series."""
         tracer = Tracer(max_events=3)
         for i in range(10):
             tracer.record(float(i), "k", node=i)
@@ -200,26 +179,22 @@ class TestTracerAndFailureDetector:
         assert [e.node for e in tracer.events] == [0, 1, 2]
         assert tracer.counters["k"] == 10
         assert len(tracer.series["s"]) == 10
-        assert tracer.summary()["num_events"] == 3
+        assert tracer.truncated and tracer.events_dropped == 7
 
     def test_tracer_keep_events_false_counts_without_storing(self):
         tracer = Tracer(keep_events=False)
         for i in range(5):
             tracer.record(float(i), "k", node=i)
         assert tracer.events == []
-        assert tracer.events_of("k") == []
         assert tracer.counters["k"] == 5
-        summary = tracer.summary()
-        assert summary["num_events"] == 0
-        assert summary["counters"]["k"] == 5
+        assert not tracer.truncated
 
     def test_failure_detector_lag(self):
         detector = FailureDetector(detection_lag=5.0)
         detector.notify_crash(1, time=10.0)
         assert not detector.suspects(1, now=12.0)
         assert detector.suspects(1, now=15.0)
-        assert detector.suspected([1, 2], now=20.0) == [1]
-        assert detector.known_crashes == {1: 10.0}
+        assert [n for n in (1, 2) if detector.suspects(n, now=20.0)] == [1]
 
     def test_failure_detector_validation(self):
         with pytest.raises(ValueError):
@@ -253,7 +228,7 @@ class TestDropAccounting:
         stats.record_drop("adversary_loss")
         stats.record_drop("partition")
         delta = stats.delta(snap)
-        assert stats.dropped_to_crashed == 1
+        assert stats.drops_by_reason["to_crashed"] == 1
         assert stats.total_dropped == 4
         assert stats.drops_by_reason == {
             "to_crashed": 1, "adversary_loss": 2, "partition": 1}
@@ -265,24 +240,6 @@ class TestDropAccounting:
     def test_unknown_drop_reason_rejected(self):
         with pytest.raises(ValueError, match="drop reason"):
             ChannelStats().record_drop("gremlins")
-
-    def test_crash_schedule(self):
-        schedule = CrashSchedule()
-        schedule.add(5.0, 2)
-        schedule.add(1.0, 3)
-        assert list(schedule) == [(1.0, 3), (5.0, 2)]
-        assert len(schedule) == 2
-        with pytest.raises(ValueError):
-            schedule.add(-1.0, 4)
-
-    def test_crash_schedule_applied_by_simulator(self):
-        sim = Simulator(SimulatorConfig(seed=9))
-        node = sim.add_node(EchoNode(1))
-        schedule = CrashSchedule()
-        schedule.add(2.0, 1)
-        sim.apply_crash_schedule(schedule)
-        sim.run_rounds(6)
-        assert node.crashed
 
 
 class _Stray(ProtocolNode):
@@ -345,8 +302,8 @@ class TestUnaddressableDestination:
         pending = sum(1 for event in sim.scheduler.iter_events()
                       if event[2] == FAST_RECORD_KIND and event[3] is stray)
         to_dead_peer = nodes[2].timeout_count if mode == "crashed" else 0
-        assert network.stats.dropped_to_crashed == strays - pending + to_dead_peer
-        assert network.stats.received_by_node.keys() <= {1, 2, 3, 4}
+        assert network.stats.drops_by_reason["to_crashed"] == strays - pending + to_dead_peer
+        assert {node for node, _ in network.stats.snapshot()._received} <= {1, 2, 3, 4}
 
     def test_ring_outlives_a_forged_neighbour_ref(self, stray, mode):
         """A forged ``Linearize`` plants the ref as every subscriber's closest
@@ -370,5 +327,5 @@ class TestUnaddressableDestination:
                  for node_id, count in sim.timeout_counts.items()}
         assert all(count >= 8 for node_id, count in fired.items()
                    if not sim.nodes[node_id].crashed)
-        assert sim.network.stats.dropped_to_crashed > 0
+        assert sim.network.stats.drops_by_reason["to_crashed"] > 0
         sim.network.in_flight()

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.core.labels import label_length, max_level, r_value
-from repro.core.skip_ring import SkipRingTopology, build_skip_ring, figure1_rows
+from repro.core.skip_ring import SkipRingTopology
 
 
 class TestConstruction:
@@ -39,15 +39,6 @@ class TestConstruction:
         assert len(by_level[2]) == 4
         assert len(by_level[1]) == 1
 
-    def test_figure1_rows(self):
-        rows = figure1_rows(16)
-        assert rows[0] == (0, "0", "0")
-        assert rows[5] == (5, "011", "3/8")
-        assert len(rows) == 16
-
-    def test_build_skip_ring_helper(self):
-        assert build_skip_ring(8).n == 8
-
 
 class TestLemma3:
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128])
@@ -72,9 +63,9 @@ class TestLemma3:
     def test_per_node_degree_formula(self, n):
         # Degree of a node with label length k is at most 2(log n - k + 1).
         topo = SkipRingTopology(n)
-        for node in range(n):
-            k = label_length(topo.label(node))
-            assert topo.degree(node) <= 2 * (max_level(n) - k + 1)
+        for node, degree in enumerate(topo.degrees()):
+            k = label_length(topo.labels[node])
+            assert degree <= 2 * (max_level(n) - k + 1)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64, 128])
     def test_diameter_logarithmic(self, n):
@@ -87,13 +78,6 @@ class TestLemma3:
 
 
 class TestExpectedState:
-    def test_ring_neighbors_consistency(self):
-        topo = SkipRingTopology(16)
-        for node in range(16):
-            pred, succ = topo.ring_neighbors(node)
-            assert (min(node, pred), max(node, pred)) in topo.ring_edges()
-            assert (min(node, succ), max(node, succ)) in topo.ring_edges()
-
     def test_expected_state_endpoints(self):
         topo = SkipRingTopology(8)
         order = topo.ring_order()
@@ -116,16 +100,27 @@ class TestExpectedState:
         for node in range(16):
             spec = topo.expected_subscriber_state(node)
             for label, target in spec["shortcuts"].items():
-                assert topo.label(target) == label
+                assert topo.labels[target] == label
+
+    @staticmethod
+    def _expected_edge_set(topo):
+        """The explicit edge set a legitimate run exhibits: the ring edges plus
+        every node's locally computed shortcut targets (for n not a power of
+        two these omit shortcuts that duplicate ring edges)."""
+        edges = set(topo.ring_edges())
+        for node in range(topo.n):
+            for target in topo.expected_subscriber_state(node)["shortcuts"].values():
+                edges.add((min(node, target), max(node, target)))
+        return edges
 
     def test_expected_edge_set_subset_of_definition(self):
         # For powers of two the locally computable edges equal Definition 2's.
         topo = SkipRingTopology(16)
-        assert set(topo.expected_edge_set()) == topo.edges()
+        assert self._expected_edge_set(topo) == topo.edges()
 
     def test_expected_edge_set_nonpower_subset(self):
         topo = SkipRingTopology(11)
-        assert set(topo.expected_edge_set()) <= topo.edges()
+        assert self._expected_edge_set(topo) <= topo.edges()
 
     def test_sr16_node_quarter_shortcuts_match_paper_example(self):
         # The paper's worked example: node 1/4 has shortcuts 1/8, 0, 3/8, 1/2.
@@ -137,5 +132,5 @@ class TestExpectedState:
 
     def test_labels_map_positions(self):
         topo = SkipRingTopology(32)
-        positions = [r_value(topo.label(i)) for i in range(32)]
+        positions = [r_value(topo.labels[i]) for i in range(32)]
         assert len(set(positions)) == 32

@@ -1,5 +1,6 @@
 """Unit tests for the subscriber-side protocol logic (Algorithms 1, 2, 4, 5)."""
 
+import copy
 
 import pytest
 
@@ -365,7 +366,7 @@ class TestForgedPublishNewEnvelope:
         assert system.run_until_legitimate(max_rounds=300)
         assert system.run_until_publications_converged(expected_keys={genuine.key},
                                                        max_rounds=300)
-        deliveries = system.sim.tracer.events_of("flood_delivery")
+        deliveries = [e for e in system.sim.tracer.events if e.kind == "flood_delivery"]
         assert len(deliveries) == len(peers) - 1  # the genuine flood, nothing forged
         assert all(type(e.data["hops"]) is int and e.data["hops"] >= 1 for e in deliveries)
         assert all(peer.view().trie.keys() == [genuine.key] for peer in peers)
@@ -386,6 +387,80 @@ class TestForgedPublishNewEnvelope:
                 == len(receiver.view().neighbor_refs()) > 0)
         assert system.run_until_publications_converged(expected_keys={key}, max_rounds=300)
         assert system.run_until_legitimate(max_rounds=300)
+
+
+# ``tuples`` values that are not a list of ``(bit-string label, str digest)``
+# pairs; the dict rows used to raise ``KeyError(0)`` out of the drain.
+FORGED_TUPLES = [[{}], [{"x": 1}], [[]], [["01"]], [[1, 2]], [["0x", "h"]], "01", 7, None]
+
+
+class TestForgedAntiEntropyTuples:
+    """Theorem 8, arbitrary channel contents, for the ``tuples`` of the two
+    anti-entropy requests: ``antientropy.handle_check_trie`` is their one
+    validator and skips what is not a summary, item by item."""
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("action", [msg.CHECK_TRIE, msg.CHECK_AND_PUBLISH])
+    @pytest.mark.parametrize("tuples", FORGED_TUPLES, ids=repr)
+    def test_forged_tuples_end_no_run_and_store_nothing(self, spec, action, tuples):
+        system, peers = build_stable(spec, 8)
+        params = {"sender": peers[1].node_id, "tuples": tuples}
+        if action == msg.CHECK_AND_PUBLISH:
+            params["prefix"] = "0"
+        system.sim.inject_message(peers[0].node_id, action, params, topic="default")
+        genuine = system.publish(peers[2].node_id, b"genuine")
+        system.run_rounds(5)
+        assert system.run_until_legitimate(max_rounds=100)
+        assert system.run_until_publications_converged(expected_keys={genuine.key},
+                                                       max_rounds=300)
+        assert all(peer.view().trie.keys() == [genuine.key] for peer in peers)
+
+
+class TestAntiEntropyWireShapes:
+    def test_recorded_exchange_between_two_views_with_different_tries(self):
+        """Message for message what the parent of PR 23 sent (its output, pasted):
+        ``CheckTrie`` carries ``(label, digest)`` tuples, ``CheckAndPublish``
+        2-lists, ``Publish`` wire dicts."""
+        params = ProtocolParams(publication_key_bits=4)
+        sim, sup, (a, b, c) = make_world(params=params)
+        view_a, view_b = a.view(subscribed=True), b.view(subscribed=True)
+        for payload in (b"p0", b"p1", b"p2", b"p5", b"p6"):
+            view_a.publish(payload)
+        for payload in (b"p0", b"p3", b"p6", b"p9"):
+            view_b.publish(payload)
+        assert view_a.trie.keys() == ["0001", "0110", "1100", "1111"]
+        assert view_b.trie.keys() == ["0000", "0101", "1000", "1111"]
+        log, send_fast = [], sim._send_fast
+
+        def recording(sender, dest, action, topic, params):
+            log.append((dest, action, copy.deepcopy(params)))
+            send_fast(sender, dest, action, topic, params)
+        sim._send_fast = recording
+        view_b.handle_check_trie(a.node_id, [list(view_a.trie.root_summary())])
+        sim.run_rounds(10)
+        h = {
+            "0": "1f8cf5ed138f1233d3f4d14a2939ccc9537d236a9a0b248bf87483abb7ccc326",
+            "1": "527240cf5b4811d376d6df68610e3a0dc04e7680ab021fbaba1ba32e6ccbf01e",
+            "0001": "4262b468aa9a042114cfc2fd78ad004abe897180383ddca22577ff3997a44aa7",
+            "0110": "b89f890549eff665e713a65dccd7f0b7a27db509d21434c2063f00f820627a35",
+            "11": "3e93a88c9f4a399fde892fa3563b389a91866155c47edebef7f5ab49b39aba9f",
+            "1111": "c2309946f7d5ea2a2c75820a05753dee615a964e7529413a75b4d763f0100208",
+        }
+        assert log == [
+            (1, "CheckTrie", {"sender": 2, "tuples": [("0", h["0"]), ("1", h["1"])]}),
+            (2, "CheckTrie", {"sender": 1, "tuples": [("0001", h["0001"]), ("0110", h["0110"])]}),
+            (2, "CheckAndPublish", {"sender": 1, "tuples": [["11", h["11"]]], "prefix": "10"}),
+            (1, "CheckAndPublish", {"sender": 2, "tuples": [], "prefix": "0001"}),
+            (1, "CheckAndPublish", {"sender": 2, "tuples": [], "prefix": "0110"}),
+            (2, "Publish", {"pubs": [{"publisher": 1, "payload": "7031", "key_bits": 4}]}),
+            (1, "CheckAndPublish", {"sender": 2, "tuples": [["1111", h["1111"]]], "prefix": "110"}),
+            (1, "Publish", {"pubs": [{"publisher": 2, "payload": "7033", "key_bits": 4}]}),
+            (2, "Publish", {"pubs": [{"publisher": 1, "payload": "7030", "key_bits": 4}]}),
+            (2, "Publish", {"pubs": [{"publisher": 1, "payload": "7035", "key_bits": 4}]}),
+        ]
+        # list == tuple is False, so the literal above pins the container types too.
+        assert view_a.trie.keys() == ["0001", "0110", "1000", "1100", "1111"]
+        assert view_b.trie.keys() == ["0000", "0001", "0101", "0110", "1000", "1100", "1111"]
 
 
 # ``topic`` values no sender produces: two unhashable, two hashable.

@@ -112,7 +112,7 @@ class TestOrderedDatabaseDifferential:
             return (0, Fraction(int(label, 2), 2 ** len(label))) if valid else (1, 0)
 
         ordered = [item for item in sorted(entries.items(), key=key) if item[1] is not None]
-        assert db.sorted_entries() == ordered
+        assert [(item[3], db.entries[item[3]]) for item in db._order] == ordered
         assert db.members() == [ref for ref in entries.values() if ref is not None]
         assert db.n == len(entries)
         for pos, (label, _) in enumerate(ordered):
@@ -277,16 +277,19 @@ FORGED_REQUESTS = [
 ]
 
 
+BOTH_TOPOLOGIES = pytest.mark.parametrize("spec", [
+    SystemSpec(seed=3),
+    SystemSpec(seed=3, topology="sharded", shards=2),
+], ids=["single", "sharded"])
+
+
 class TestForgedRequests:
     """Theorem 8 starts from arbitrary channel contents: a request naming a
     ``node`` that cannot be an address (``None``, unhashable) is ignored at
     the supervisor's ingress; each of these used to raise out of a handler
     and end the run."""
 
-    @pytest.mark.parametrize("spec", [
-        SystemSpec(seed=3),
-        SystemSpec(seed=3, topology="sharded", shards=2),
-    ], ids=["single", "sharded"])
+    @BOTH_TOPOLOGIES
     @pytest.mark.parametrize("dest, action, params", FORGED_REQUESTS,
                              ids=[f"{a}-{p['node']}" for _, a, p in FORGED_REQUESTS])
     def test_run_returns_and_relegitimizes(self, spec, dest, action, params):
@@ -313,3 +316,60 @@ class TestForgedRequests:
         assert dict(sup.database().entries) == {label_of(0): 10}
         assert sup.ops_handled == 1
         assert sim.network.stats.total_sent == 1
+
+
+class TestForgedRequestTopics:
+    """The subscriber's rule since PR 18, at the supervisor: a ``topic`` that is
+    neither ``None`` nor a ``str`` is a forged message and the request is
+    dropped.  An unhashable one used to raise out of ``databases.setdefault``;
+    ``7`` used to become a database key ``sorted(self.databases)`` chokes on."""
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("topic", [["t"], 7], ids=repr)
+    @pytest.mark.parametrize("action", ["Subscribe", "Unsubscribe", "GetConfiguration"])
+    def test_run_returns_with_topics_unchanged_and_legitimate(self, spec, action, topic):
+        system, peers = build_stable(spec, 8)
+        supervisor = system.supervisor_of("default")
+        topics, entries = supervisor.topics(), dict(supervisor.database("default").entries)
+        system.sim.inject_message(supervisor.node_id, action,
+                                  {"node": peers[0].node_id, "topic": topic})
+        system.run_rounds(5)
+        assert supervisor.topics() == topics
+        assert dict(supervisor.database("default").entries) == entries
+        assert system.run_until_legitimate(max_rounds=100)
+
+    def test_none_and_empty_topics_still_mean_the_default_topic(self):
+        sim, sup = make_supervisor()
+        sup.on_Subscribe(10, topic=None)
+        sup.on_Subscribe(11, topic="")
+        assert sup.topics() == [sup.params.default_topic]
+        assert sup.database().members() == [10, 11]
+
+
+class TestOracleDoesNotRaise:
+    """ROADMAP item 1(iii): a forged ``Subscribe`` stores any hashable ref, and
+    the legitimacy oracle has to *say* so — ``sorted()`` over ``'x'`` and ints
+    used to raise out of ``is_legitimate()``.  Evicting the ghost is the
+    detector rule's job (item 1(a)), so the system stays illegitimate here."""
+
+    @BOTH_TOPOLOGIES
+    def test_a_stored_ghost_reads_as_not_legitimate(self, spec):
+        system, peers = build_stable(spec, 8)
+        supervisor = system.supervisor_of("default")
+        system.sim.inject_message(supervisor.node_id, "Subscribe", {"node": "x"},
+                                  topic="default")
+        system.run_rounds(3)
+        assert "x" in supervisor.database("default").members()
+        assert system.is_legitimate() is False
+        assert system.run_until_legitimate(max_rounds=20) is False
+        assert not supervisor.is_database_legitimate([p.node_id for p in peers], "default")
+
+    def test_set_comparison_is_the_old_predicate_on_clean_databases(self):
+        sim, sup = make_supervisor()
+        for node in (12, 10, 11):
+            sup.on_Subscribe(node)
+        assert sup.is_database_legitimate([10, 11, 12])
+        assert sup.is_database_legitimate([11, 12, 10])
+        assert not sup.is_database_legitimate([10, 11])
+        assert not sup.is_database_legitimate([10, 11, 12, 13])
+        assert not sup.is_database_legitimate([10, 11, 13])

@@ -162,12 +162,6 @@ class TestSpanTimeline:
         with pytest.raises(ValueError):
             SpanTimeline().add("phase", "bad", 5.0, 4.0)
 
-    def test_list_round_trip(self):
-        spans = SpanTimeline()
-        spans.add("relegitimacy", "all", 1.0, 3.0)
-        clone = SpanTimeline.from_list(spans.to_list())
-        assert clone.to_list() == spans.to_list()
-
 
 # ------------------------------------------------------ spec + builder knob
 class TestTelemetryKnob:
@@ -355,17 +349,14 @@ class TestTracerTruncation:
         assert len(tracer.events) == 2
         assert tracer.events_dropped == 3
         assert tracer.truncated is True
-        summary = tracer.summary()
-        assert summary["events_dropped"] == 3
-        assert summary["truncated"] is True
         # Counters still saw every event.
-        assert summary["counters"]["tick"] == 5
+        assert tracer.counters["tick"] == 5
 
-    def test_untruncated_summary(self):
+    def test_untruncated_tracer(self):
         tracer = Tracer()
         tracer.record(0.0, "tick")
         assert tracer.truncated is False
-        assert tracer.summary()["events_dropped"] == 0
+        assert tracer.events_dropped == 0
 
     def test_runner_warns_once(self):
         import warnings
