@@ -1,4 +1,5 @@
-"""Analysis helpers: legitimacy predicates and graph metrics."""
+"""Analysis helpers: the legitimacy predicates.  E1/E7/E8's structural metrics are imported
+by name from :mod:`repro.analysis.graph_metrics`: it loads ``networkx``, this package does not."""
 
 from repro.analysis.convergence import (
     LegitimacyReport,
@@ -7,12 +8,6 @@ from repro.analysis.convergence import (
     count_correct_labels,
     edge_set_signature,
 )
-from repro.analysis.graph_metrics import (
-    degree_statistics,
-    diameter,
-    routing_congestion,
-    position_balance,
-)
 
 __all__ = [
     "LegitimacyReport",
@@ -20,8 +15,4 @@ __all__ = [
     "publications_converged",
     "count_correct_labels",
     "edge_set_signature",
-    "degree_statistics",
-    "diameter",
-    "routing_congestion",
-    "position_balance",
 ]

@@ -3,17 +3,18 @@
 These metrics back experiments E1 (skip-ring structure), E7 (flooding depth)
 and E8 (congestion/balance comparison against Chord and skip graphs).  All of
 them operate on plain :class:`networkx.Graph` objects plus, for the balance
-metric, a list of ring positions in ``[0, 1)``.
+metric, a list of ring positions in ``[0, 1)``.  Importing this module loads
+``networkx`` (the ``analysis`` extra); nothing the protocol imports does.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import networkx as nx
-import numpy as np
 
 
 @dataclass
@@ -82,14 +83,14 @@ def routing_congestion(graph: nx.Graph, samples: int = 500, seed: int = 0,
             load[node] += 1
         load[source] += 1
         load[target] += 1
-    values = np.array(list(load.values()), dtype=float)
-    mean = float(values.mean()) if len(values) else 0.0
+    values = sorted(load.values())  # >= 2 nodes here, which quantiles() needs
+    mean = statistics.fmean(values)
     return CongestionStats(
         samples=count,
-        max_load=int(values.max()) if len(values) else 0,
+        max_load=values[-1],
         mean_load=mean,
-        p99_load=float(np.percentile(values, 99)) if len(values) else 0.0,
-        load_imbalance=float(values.max() / mean) if mean > 0 else 1.0,
+        p99_load=statistics.quantiles(values, n=100, method="inclusive")[-1],
+        load_imbalance=values[-1] / mean if mean > 0 else 1.0,
     )
 
 
@@ -108,13 +109,11 @@ def position_balance(positions: Iterable[float]) -> Dict[str, float]:
         return {"max_min_ratio": 1.0, "cv": 0.0, "max_gap": 1.0, "min_gap": 1.0}
     gaps = [pos[i + 1] - pos[i] for i in range(len(pos) - 1)]
     gaps.append(1.0 - pos[-1] + pos[0])
-    arr = np.array(gaps, dtype=float)
-    min_gap = float(arr.min())
-    max_gap = float(arr.max())
-    mean = float(arr.mean())
+    min_gap, max_gap = min(gaps), max(gaps)
+    mean = statistics.fmean(gaps)
     return {
         "max_min_ratio": max_gap / min_gap if min_gap > 0 else float("inf"),
-        "cv": float(arr.std() / mean) if mean > 0 else 0.0,
+        "cv": statistics.pstdev(gaps) / mean if mean > 0 else 0.0,
         "max_gap": max_gap,
         "min_gap": min_gap,
     }

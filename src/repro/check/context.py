@@ -40,8 +40,8 @@ def module_name_for(path: Path) -> str:
 def build_import_map(tree: ast.Module) -> Dict[str, str]:
     """Local name -> dotted target for every top-level-ish import.
 
-    ``import random`` binds ``random -> random``; ``import numpy as np``
-    binds ``np -> numpy``; ``from time import perf_counter`` binds
+    ``import random`` binds ``random -> random``; ``import networkx as nx``
+    binds ``nx -> networkx``; ``from time import perf_counter`` binds
     ``perf_counter -> time.perf_counter``.  Relative imports keep their
     leading dots so rules can recognise in-package references.
     """

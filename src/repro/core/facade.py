@@ -197,6 +197,7 @@ class PubSubFacadeBase:
         return self.legitimacy_report(topic).legitimate
 
     def legitimacy_report(self, topic: Optional[str] = None):
+        # Per-call lookup (here and below): bench/trace.py patches the module attribute.
         from repro.analysis.convergence import ring_legitimate
         topic = topic or self.params.default_topic
         return ring_legitimate(self.supervisor_of(topic), self.subscribers,

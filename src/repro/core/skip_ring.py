@@ -13,12 +13,13 @@ protocol converges to, independent of any simulation.  It is used
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.labels import Label, labels_up_to, max_level, ring_key
 from repro.core.shortcuts import shortcut_labels
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Edge = Tuple[int, int]
 
@@ -123,9 +124,14 @@ class SkipRingTopology:
 
     def diameter(self) -> int:
         """Hop diameter of the undirected graph ``(V, E_R ∪ E_S)``."""
-        return nx.diameter(self.to_networkx()) if self.n > 1 else 0
+        if self.n <= 1:
+            return 0
+        import networkx as nx
+        return nx.diameter(self.to_networkx())
 
     def to_networkx(self) -> nx.Graph:
+        """As a graph (E1/E7/E8): this, and :meth:`diameter` for n > 1, loads ``networkx``."""
+        import networkx as nx
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n))
         graph.add_edges_from(self.edges())

@@ -1,10 +1,14 @@
 """Tests for the baseline overlays, the broker model and the analysis metrics."""
 
+import math
+import random
+
 import networkx as nx
 import pytest
 
 from repro.analysis.convergence import edge_set_signature
 from repro.analysis.graph_metrics import (
+    CongestionStats,
     degree_statistics,
     diameter,
     position_balance,
@@ -116,7 +120,98 @@ class TestGraphMetrics:
         assert hashed["max_min_ratio"] > balanced["max_min_ratio"]
 
     def test_position_balance_degenerate(self):
-        assert position_balance([0.3])["max_min_ratio"] == 1.0
+        trivial = {"max_min_ratio": 1.0, "cv": 0.0, "max_gap": 1.0, "min_gap": 1.0}
+        assert position_balance([]) == trivial
+        assert position_balance([0.3]) == trivial
+        # two positions: the smallest input that has gaps at all
+        assert position_balance([0.0, 0.5]) == {
+            "max_min_ratio": 1.0, "cv": 0.0, "max_gap": 0.5, "min_gap": 0.5}
+        coincident = position_balance([0.5, 0.5])
+        assert coincident["max_min_ratio"] == math.inf and coincident["cv"] == 1.0
+        # all-equal gaps: the coefficient of variation is exactly zero
+        assert position_balance([0.125, 0.375, 0.625, 0.875])["cv"] == 0.0
+        assert position_balance([i / 64 for i in range(64)])["cv"] == 0.0
+
+    def test_routing_congestion_degenerate(self):
+        nothing = CongestionStats(0, 0, 0.0, 0.0, 1.0)
+        assert routing_congestion(nx.Graph()) == nothing
+        assert routing_congestion(nx.empty_graph(1)) == nothing
+        # no pair routed: zero mean load, the imbalance falls back to 1.0
+        assert routing_congestion(nx.path_graph(3), samples=0) == nothing
+        assert routing_congestion(nx.path_graph(3), pairs=[]) == nothing
+        # two nodes, the fewest a percentile can be taken over
+        assert routing_congestion(nx.path_graph(2), samples=5, seed=0) == CongestionStats(
+            samples=5, max_load=5, mean_load=5.0, p99_load=5.0, load_imbalance=1.0)
+        uneven = routing_congestion(nx.path_graph(2), pairs=[(0, 0), (0, 1)])
+        assert uneven == CongestionStats(2, 3, 2.0, 2.98, 1.5)
+
+
+# E8's overlays (seed 6, 300 samples) as the numpy implementation computed them at
+# the parent commit: (n, overlay) -> routing_congestion fields, position_balance keys.
+E8_PARENT_VALUES = {
+    (64, "skip-ring"): (
+        (300, 121, 19.859375, 110.28999999999996, 6.092840283241542),
+        (1.0, 0.0, 0.015625, 0.015625)),
+    (64, "chord"): (
+        (300, 47, 13.8125, 34.39999999999995, 3.4027149321266967),
+        (80.60140730537964, 1.0321996468003636, 0.0719798943027854, 0.0008930352050811052)),
+    (64, "skip-graph"): (
+        (300, 32, 17.75, 31.369999999999997, 1.8028169014084507),
+        (791.6300812073558, 0.8772732602329933, 0.06126548250525221, 7.739155441366385e-05)),
+    (256, "skip-ring"): (
+        (300, 115, 6.53125, 85.84999999999985, 17.607655502392344),
+        (1.0, 0.0, 0.00390625, 0.00390625)),
+    (256, "chord"): (
+        (300, 16, 4.0234375, 12.0, 3.9766990291262134),
+        (1000.0869531578132, 0.9860869855752981, 0.021066951332613826, 2.10651196539402e-05)),
+    (256, "skip-graph"): (
+        (300, 17, 5.02734375, 13.449999999999989, 3.3815073815073817),
+        (2300.863439267009, 0.9600178044156822, 0.020120419088598296, 8.744725456200086e-06)),
+}
+
+
+class TestGraphMetricsNumerics:
+    """The statistics are plain stdlib arithmetic; numpy computed them before."""
+
+    @pytest.mark.parametrize("n,overlay", sorted(E8_PARENT_VALUES))
+    def test_e8_overlays_match_the_numpy_era_values(self, n, overlay):
+        if overlay == "skip-ring":
+            topo = SkipRingTopology(n)
+            positions = [r_float(lbl) for lbl in topo.labels]
+        else:
+            topo = {"chord": ChordTopology, "skip-graph": SkipGraphTopology}[overlay](n, seed=6)
+            positions = topo.positions()
+        congestion = routing_congestion(topo.to_networkx(), samples=300, seed=6)
+        balance = position_balance(positions)
+        want_congestion, want_balance = E8_PARENT_VALUES[n, overlay]
+        got_congestion = (congestion.samples, congestion.max_load, congestion.mean_load,
+                          congestion.p99_load, congestion.load_imbalance)
+        got_balance = tuple(balance[key] for key in ("max_min_ratio", "cv", "max_gap", "min_gap"))
+        assert isinstance(congestion.max_load, int) and isinstance(congestion.mean_load, float)
+        for got, want in zip(got_congestion + got_balance, want_congestion + want_balance):
+            assert round(got, 2) == round(want, 2)  # the precision E8 prints
+            assert math.isclose(got, want, rel_tol=1e-12)
+
+    def test_statistics_agree_with_numpy_on_random_vectors(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(24)
+        for _ in range(200):
+            # Loads: on a star every routed (leaf, hub) pair adds one to each end,
+            # so the load vector is the chosen leaf counts plus their sum at the hub.
+            leaves = rng.randint(1, 120)
+            counts = [rng.randint(0, 12) for _ in range(leaves)]
+            pairs = [(leaf, 0) for leaf, c in enumerate(counts, start=1) for _ in range(c)]
+            loads = np.array([sum(counts)] + counts, dtype=float)
+            stats = routing_congestion(nx.star_graph(leaves), pairs=pairs)
+            assert stats.max_load == loads.max()
+            assert math.isclose(stats.mean_load, loads.mean(), rel_tol=1e-12)
+            assert math.isclose(stats.p99_load, np.percentile(loads, 99), rel_tol=1e-12)
+            # Gaps: position_balance's own construction, then numpy's mean and std.
+            pos = sorted(rng.random() for _ in range(rng.randint(2, 300)))
+            gaps = np.array([b - a for a, b in zip(pos, pos[1:])] + [1.0 - pos[-1] + pos[0]])
+            balance = position_balance(pos)
+            assert balance["max_gap"] == gaps.max() and balance["min_gap"] == gaps.min()
+            assert math.isclose(balance["cv"], gaps.std() / gaps.mean(), rel_tol=1e-12)
 
     def test_edge_set_signature_is_order_independent(self):
         a = edge_set_signature({(1, 2), (3, 4)})

@@ -1,6 +1,8 @@
 """Integration tests: the full system converging, staying stable, and
 disseminating publications under joins, leaves, crashes and multiple topics."""
 
+from unittest.mock import Mock
+
 import pytest
 
 from repro import ProtocolParams
@@ -187,3 +189,23 @@ class TestTheorem5AndTheorem7Counters:
         supervisor = system.supervisor
         assert supervisor.ops_handled > 0
         assert supervisor.op_response_messages / supervisor.ops_handled <= 2.0
+
+
+class TestOracleIsLookedUpPerCall:
+    """``bench/trace.py`` counts oracle checks (``analysis.convergence.checks``)
+    by replacing the two predicates on :mod:`repro.analysis.convergence`; a facade
+    that bound them at import time would silently read 0."""
+
+    @pytest.mark.parametrize("spec", [
+        SystemSpec(seed=63), SystemSpec(seed=63, topology="sharded", shards=2)])
+    def test_a_replaced_predicate_is_seen_by_the_facade(self, spec, monkeypatch):
+        from repro.analysis import convergence
+        system, _ = build_stable(spec, 6)
+        ring = Mock(wraps=convergence.ring_legitimate)
+        publications = Mock(wraps=convergence.publications_converged)
+        monkeypatch.setattr(convergence, "ring_legitimate", ring)
+        monkeypatch.setattr(convergence, "publications_converged", publications)
+        assert system.is_legitimate() and system.publications_converged()
+        assert (ring.call_count, publications.call_count) == (1, 1)
+        assert system.run_until_legitimate() and system.run_until_publications_converged()
+        assert ring.call_count >= 2 and publications.call_count >= 2
