@@ -17,10 +17,19 @@ Algorithms 1–2), the probabilistic configuration requests to the supervisor
 shortcut introductions (Section 3.2.2), and one anti-entropy exchange with a
 random ring neighbour (Algorithm 5).
 
+Each message handler is a :class:`Subscriber` ``on_<Action>`` method that
+finds the view of the message's topic and does the work itself.
+
 A node of a legitimate skip ring does the same thing every period (closure),
 so a view derives what follows from ``(label, left, right, ring)`` alone once
 (:class:`_TimeoutPlan`, current exactly while the four are *the same
-objects*) and sends the same params dicts again.  Every dict a view caches is
+objects*) and sends the same params dicts again, each through the simulator's
+``_send_fast`` read once per Timeout.  It receives the same messages again
+too, and each "nothing to do" case is answered on the first lines of its
+handler: a ring neighbour restating itself under a current plan
+(``Introduce``), a shortcut stored already (``IntroduceShortcut``), a root
+summary equal to ours (``CheckTrie``) — one Python frame per message at each
+end.  Every other input takes the full path.  Every dict a view caches is
 shared by all the messages sent from it and therefore read-only: handlers get
 a ``**params`` copy and the engine's in-place ``topic`` fold is idempotent.
 """
@@ -41,6 +50,8 @@ from repro.sim.node import NodeRef, ProtocolNode
 
 #: ``dict.get`` default that no reference carried by a message can equal.
 _ABSENT = object()
+#: A ``_TimeoutPlan.level_pair`` ref: "the shortcut stored under this label".
+_VIA = object()
 
 
 class Neighbor(NamedTuple):
@@ -59,7 +70,7 @@ class _TimeoutPlan:
     rebuilds): a current plan therefore also says the view is sane.
     """
 
-    __slots__ = ("label", "left", "right", "ring", "introduces", "minimal",
+    __slots__ = ("label", "left", "right", "ring", "introduces", "restated",
                  "request_probability", "level_pair", "expected", "targets")
 
     def __init__(self, view: "TopicView") -> None:
@@ -72,29 +83,39 @@ class _TimeoutPlan:
             (nb.ref, {"node": node_id, "label": label, "believed": nb.label, "flag": flag})
             for nb, flag in ((left, msg.FLAG_LIN), (right, msg.FLAG_LIN), (ring, msg.FLAG_CYC))
             if nb is not None]
-        #: action (iv) trigger: the node locally looks like the minimum but
-        #: has no wrap-around partner (so it may be the head of an unrecorded
-        #: component), or it is completely isolated
-        self.minimal = left is None and ring is None
-        self.request_probability = view.owner.params.request_probability(len(label))
+        params = view.owner.params
+        # Action (iv) when the node locally looks like the minimum but has no
+        # wrap-around partner (so it may be the head of an unrecorded
+        # component) or is completely isolated, action (ii) otherwise.
+        if params.enable_minimal_request and left is None and ring is None:
+            self.request_probability = params.minimal_request_probability
+        else:
+            self.request_probability = params.request_probability(len(label))
         # The ring neighbours, whether stored in ``left``/``right`` or ``ring``.
+        cyc: Tuple[Neighbor, ...] = ()
         if ring is not None:
             if left is None and ring_key(ring.label) > ring_key(label):
                 left = ring
+                cyc = (ring,)
             if right is None and ring_key(ring.label) < ring_key(label):
                 right = ring
+                cyc = (ring,)
+        #: What an ``Introduce`` flagged LIN / CYC may restate to no effect: a
+        #: list neighbour (sanitized: on its side of the label) / the
+        #: wrap-around partner, when the list side it stands for is empty.
+        self.restated = ((self.left, self.right), cyc)
         # The two shortcut chains are a pure function of the label triple.
         left_chain = shortcut_labels_from_neighbor(label, left.label if left else None)
         right_chain = shortcut_labels_from_neighbor(label, right.label if right else None)
         self.expected = {*left_chain, *right_chain} - {label}
         #: Our two neighbours in the level-``|label|`` ring (Algorithm 4,
-        #: lines 12–14) as ``(ring neighbour, via)``: on each side it is the
-        #: shortcut stored under ``via``, the terminal label of the recursion
-        #: (the ring neighbour is deeper than we are), or, with ``via`` None,
-        #: the ring neighbour itself.  ``None`` when a side has no neighbour.
+        #: lines 12–14) as ``(label, ref, label, ref)``: on each side the
+        #: ring neighbour itself or, when it is deeper than we are, the
+        #: shortcut stored under the terminal label of the recursion (its ref
+        #: ``_VIA``, read at each Timeout).  ``None`` when a side has no neighbour.
         self.level_pair = None if left is None or right is None else (
-            (left, left_chain[-1] if left_chain else None),
-            (right, right_chain[-1] if right_chain else None))
+            *((left_chain[-1], _VIA) if left_chain else left),
+            *((right_chain[-1], _VIA) if right_chain else right))
         #: sorted anti-entropy targets, filled in on first use
         self.targets: Optional[List[NodeRef]] = None
 
@@ -108,9 +129,10 @@ class TopicView:
 
     ``_plan`` caches what a Timeout derives from ``(label, left, right,
     ring)`` and is matched by identity, so every write to one of the four
-    rebuilds it; ``_pair_memo`` / ``_check_memo`` hold the last
-    ``IntroduceShortcut`` pair and ``CheckTrie`` params, matched by value.
-    The cached dicts are shared by the messages sent from them: read-only.
+    rebuilds it; ``_pair_memo`` holds the last ``IntroduceShortcut`` pair,
+    matched by value, and ``_check_memo`` the last ``CheckTrie`` params,
+    matched by the identity of the root digest they carry.  The cached dicts
+    are shared by the messages sent from them: read-only.
     """
 
     __slots__ = ("owner", "node_id", "topic", "subscribed", "pending_unsubscribe",
@@ -134,27 +156,21 @@ class TopicView:
         self.config_change_count = 0
         self._last_config_state: Optional[Tuple] = None
         self._plan: Optional[_TimeoutPlan] = None
-        self._pair_memo: Optional[Tuple[list, Optional[dict], Optional[dict]]] = None
-        self._check_memo: Optional[Tuple[Tuple[str, str], dict]] = None
+        self._pair_memo: Optional[tuple] = None  # (first, second, their labels, params)
+        self._check_memo: Optional[Tuple[str, dict]] = None
 
     # ------------------------------------------------------------------ sends
-    # One frame per message: each variant makes ``ProtocolNode.send``'s tests
-    # itself and hands its dict to the simulator's ``_send_fast`` as it is
-    # (read per call — assigning ``sim.scheduler`` rebinds it; a detached
-    # owner's ``sim`` raises the explanatory error).
+    # ``ProtocolNode.send``'s two tests, made by the view itself, in front of
+    # the simulator's ``_send_fast`` (read per call or once per Timeout/flood
+    # — assigning ``sim.scheduler`` rebinds it; a detached owner's ``sim``
+    # raises the explanatory error).
     def send(self, dest: Optional[NodeRef], action: str, **params) -> None:
         owner = self.owner
         if not owner.crashed and dest is not None:
             (owner._sim or owner.sim)._send_fast(self.node_id, dest, action, self.topic, params)
 
-    def _send(self, dest: Optional[NodeRef], action: str, params: dict) -> None:
-        """:meth:`send` for a prebuilt — usually cached and shared — dict."""
-        owner = self.owner
-        if not owner.crashed and dest is not None:
-            (owner._sim or owner.sim)._send_fast(self.node_id, dest, action, self.topic, params)
-
     def send_supervisor(self, action: str, **params) -> None:
-        self._send(self.owner.supervisor_for(self.topic), action, params)
+        self.send(self.owner.supervisor_for(self.topic), action, **params)
 
     # ------------------------------------------------------------- inspection
     def neighbor_refs(self) -> Set[NodeRef]:
@@ -180,14 +196,24 @@ class TopicView:
                 or plan.right is not self.right or plan.ring is not self.ring):
             self._sanitize_sides()
             plan = self._plan = _TimeoutPlan(self)
+        # Each send below makes :meth:`send`'s tests in place: one frame per message.
+        owner = self.owner
+        send_fast = (owner._sim or owner.sim)._send_fast
+        node_id, topic = self.node_id, self.topic
         for dest, introduce in plan.introduces:
-            self._send(dest, msg.INTRODUCE, introduce)
-        self._supervisor_requests(plan)
-        params = self.owner.params
+            if not owner.crashed and dest is not None:
+                send_fast(node_id, dest, msg.INTRODUCE, topic, introduce)
+        # Actions (ii)/(iv) of Section 3.2.1, or the unsubscribe request.
+        if self.pending_unsubscribe:
+            self.send_supervisor(msg.UNSUBSCRIBE, node=node_id)
+        elif owner.rng.random() < plan.request_probability:
+            self.send_supervisor(msg.GET_CONFIGURATION, node=node_id)
+            owner.configuration_requests += 1
+        params = owner.params
         if params.shortcut_maintenance:
-            self._maintain_shortcuts(plan)
+            self._maintain_shortcuts(plan, send_fast)
         if params.enable_anti_entropy:
-            self._anti_entropy_round(plan)
+            self._anti_entropy_round(plan, send_fast)
 
     def _disconnect(self) -> None:
         """Tell every neighbour to drop us, then drop them all (Algorithm 2,
@@ -230,22 +256,8 @@ class TopicView:
                 self.ring = None
                 self._integrate(stale.label, stale.ref)
 
-    def _supervisor_requests(self, plan: _TimeoutPlan) -> None:
-        """Actions (ii) and (iv) of Section 3.2.1."""
-        if self.pending_unsubscribe:
-            self.send_supervisor(msg.UNSUBSCRIBE, node=self.node_id)
-            return
-        owner = self.owner
-        if owner.params.enable_minimal_request and plan.minimal:
-            probability = owner.params.minimal_request_probability
-        else:
-            probability = plan.request_probability
-        if owner.rng.random() < probability:
-            self.send_supervisor(msg.GET_CONFIGURATION, node=self.node_id)
-            owner.configuration_requests += 1
-
     # ------------------------------------------------------------- shortcuts
-    def _maintain_shortcuts(self, plan: _TimeoutPlan) -> None:
+    def _maintain_shortcuts(self, plan: _TimeoutPlan, send_fast: Callable) -> None:
         """Hold exactly the expected shortcut labels and introduce our two
         own-level neighbours to each other (Section 3.2.2)."""
         shortcuts = self.shortcuts
@@ -265,41 +277,32 @@ class TopicView:
                 shortcuts.setdefault(wanted, None)
         if plan.level_pair is None:
             return
-        pair = []
-        for nb, via in plan.level_pair:
-            if via is not None:
-                ref = shortcuts.get(via)
-                if ref is None:
-                    return
-                nb = (via, ref)
-            pair.append(nb)
+        first_label, first, second_label, second = plan.level_pair
+        if first is _VIA and (first := shortcuts.get(first_label)) is None:
+            return
+        if second is _VIA and (second := shortcuts.get(second_label)) is None:
+            return
         memo = self._pair_memo
-        if memo is None or memo[0] != pair:
-            (first_label, first), (second_label, second) = pair
+        if (memo is None or memo[0] != first or memo[1] != second
+                or memo[2] != first_label or memo[3] != second_label):
             if first == second or self.node_id in (first, second):
-                memo = (pair, None, None)  # not two distinct other nodes
+                introductions = None  # not two distinct other nodes
             else:
-                memo = (pair, {"node": second, "label": second_label},
-                        {"node": first, "label": first_label})
-            self._pair_memo = memo
-        if memo[1] is not None:
-            self._send(pair[0][1], msg.INTRODUCE_SHORTCUT, memo[1])
-            self._send(pair[1][1], msg.INTRODUCE_SHORTCUT, memo[2])
+                introductions = ({"node": second, "label": second_label},
+                                 {"node": first, "label": first_label})
+            memo = self._pair_memo = (first, second, first_label, second_label, introductions)
+        introductions = memo[4]
+        if introductions is not None:
+            owner, node_id, topic = self.owner, self.node_id, self.topic
+            if not owner.crashed and first is not None:
+                send_fast(node_id, first, msg.INTRODUCE_SHORTCUT, topic, introductions[0])
+            if not owner.crashed and second is not None:
+                send_fast(node_id, second, msg.INTRODUCE_SHORTCUT, topic, introductions[1])
 
     # ------------------------------------------------------------- integrate
     def _integrate(self, cand_label: Label, cand_ref: NodeRef, cyc: bool = False) -> None:
         """Linearization: place a reference where it belongs or delegate it
         towards its position (Algorithm 1 / Algorithm 2)."""
-        plan = self._plan
-        if plan is not None and plan.label is self.label and not cyc:
-            # The candidate *is* a stored list neighbour, and the plan vouches
-            # that this neighbour is on its side of this label: the path below
-            # would end in ``_integrate_side`` finding ``current`` equal to it
-            # (or earlier, had the stored label been written invalid) — a no-op.
-            cand = (cand_label, cand_ref)
-            if (cand == self.left and self.left is plan.left) or \
-                    (cand == self.right and self.right is plan.right):
-                return
         if cand_ref == self.node_id or not is_valid_label(cand_label):
             return
         if self.label is None:
@@ -372,109 +375,6 @@ class TopicView:
         else:
             self._integrate(cand_label, cand_ref)
 
-    # ------------------------------------------------------------ ring msgs
-    def handle_introduce(self, node: NodeRef, label: Label, believed: Optional[Label],
-                         flag: str) -> None:
-        if self.label is None:
-            self.send(node, msg.REMOVE_CONNECTIONS, node=self.node_id)
-            return
-        if believed != self.label:
-            self.send(node, msg.CORRECT_LABEL, node=self.node_id, label=self.label)
-        self._integrate(label, node, cyc=(flag == msg.FLAG_CYC))  # checks ``label``
-
-    def handle_linearize(self, node: NodeRef, label: Label) -> None:
-        self._integrate(label, node)  # checks ``label``
-
-    def handle_correct_label(self, node: NodeRef, label: Label) -> None:
-        """A neighbour told us its actual label differs from what we stored."""
-        if not is_valid_label(label):
-            return
-        was_ring = self.ring is not None and self.ring.ref == node
-        removed = False
-        for side in ("left", "right", "ring"):
-            nb: Optional[Neighbor] = getattr(self, side)
-            if nb is not None and nb.ref == node and nb.label != label:
-                setattr(self, side, None)
-                removed = True
-        for stored_label in [lbl for lbl, ref in self.shortcuts.items()
-                             if ref == node and lbl != label]:
-            self.shortcuts[stored_label] = None
-            removed = True
-        if removed:
-            self._integrate(label, node, cyc=was_ring)
-
-    def handle_remove_connections(self, node: NodeRef) -> None:
-        for side in ("left", "right", "ring"):
-            nb: Optional[Neighbor] = getattr(self, side)
-            if nb is not None and nb.ref == node:
-                setattr(self, side, None)
-        for stored_label in [lbl for lbl, ref in self.shortcuts.items() if ref == node]:
-            self.shortcuts[stored_label] = None
-
-    def handle_introduce_shortcut(self, node: NodeRef, label: Label) -> None:
-        """Store an introduced shortcut if we expect one with that label,
-        otherwise delegate the reference into the ring (Algorithm 4)."""
-        if self.label is None:
-            self.send(node, msg.REMOVE_CONNECTIONS, node=self.node_id)
-            return
-        if isinstance(label, str) and self.shortcuts.get(label, _ABSENT) == node:
-            return  # stored already: every path below would leave the view as it is
-        if node == self.node_id or not is_valid_label(label):
-            return
-        if label in self.shortcuts:
-            old = self.shortcuts[label]
-            self.shortcuts[label] = node
-            if old is not None:
-                self._integrate(label, old)
-        else:
-            self._integrate(label, node)
-
-    def handle_set_data(self, pred: Optional[Sequence], label: Optional[Label],
-                        succ: Optional[Sequence]) -> None:
-        """Adopt a configuration from the supervisor (Algorithm 4, SetData)."""
-        if label is None:
-            self._clear_membership()
-            return
-        if not self.subscribed:
-            # We never asked for this topic (corrupted supervisor database or a
-            # stale message): ask the supervisor to take us out again.
-            self.send_supervisor(msg.UNSUBSCRIBE, node=self.node_id)
-            return
-        if not is_valid_label(label):
-            return  # a forged SetData: ingress is where labels are checked
-        pred_nb = _as_neighbor(pred)
-        succ_nb = _as_neighbor(succ)
-        changed = self.label != label
-        # Action (iii): if a currently stored list neighbour is at least as
-        # close as the proposed one, it might be unknown to the supervisor —
-        # ask the supervisor to send it its configuration.
-        for current, proposed in ((self.left, pred_nb), (self.right, succ_nb)):
-            if current is None or proposed is None:
-                continue
-            if current.ref in (proposed.ref, self.node_id):
-                continue
-            if not closer(proposed.label, current.label, label):
-                self.send_supervisor(msg.GET_CONFIGURATION, node=current.ref)
-        if changed:
-            self.label = label
-        # The references this displaces are dropped rather than re-delegated:
-        # the supervisor's configuration is authoritative, and a displaced node
-        # that is still alive re-announces itself (or contacts the supervisor)
-        # on its own Timeout.  Re-delegating here would keep references to
-        # crashed subscribers circulating forever (Section 3.3).
-        self._adopt_config_side(pred_nb, is_pred=True)
-        self._adopt_config_side(succ_nb, is_pred=False)
-        if pred_nb is None and succ_nb is None:
-            # Single-subscriber system: no neighbours at all.
-            self.left = self.right = self.ring = None
-        new_state = (self.label,
-                     self.left.ref if self.left else None,
-                     self.right.ref if self.right else None,
-                     self.ring.ref if self.ring else None)
-        if changed or self._last_config_state != new_state:
-            self.config_change_count += 1
-        self._last_config_state = new_state
-
     def _adopt_config_side(self, proposed: Optional[Neighbor], is_pred: bool) -> None:
         """Install the supervisor-provided predecessor/successor (a stored
         equal one stays the object it is: the Timeout plan matches by identity)."""
@@ -530,7 +430,7 @@ class TopicView:
             if nb is not None:
                 targets.add(nb.ref)
         targets.discard(None)
-        # :meth:`_send` to each target, its tests made once and its frame
+        # :meth:`send` to each target, its tests made once and its frame
         # saved: one read-only dict for the whole flood.
         send_fast = (owner._sim or owner.sim)._send_fast
         node_id, topic = self.node_id, self.topic
@@ -539,13 +439,14 @@ class TopicView:
             if ref != exclude:
                 send_fast(node_id, ref, msg.PUBLISH_NEW, topic, params)
 
-    def _anti_entropy_round(self, plan: _TimeoutPlan) -> None:
+    def _anti_entropy_round(self, plan: _TimeoutPlan, send_fast: Callable) -> None:
         """Send our trie root to a random direct ring neighbour (Algorithm 5)."""
-        rng = self.owner.rng
-        if rng.random() >= self.owner.params.anti_entropy_probability:
+        owner = self.owner
+        rng = owner.rng
+        if rng.random() >= owner.params.anti_entropy_probability:
             return
-        summary = self.trie.root_summary()
-        if summary is None:
+        root = self.trie.root
+        if root is None:
             return  # nothing to offer; a neighbour's request still reaches us
         if plan.left is self.left and plan.right is self.right and plan.ring is self.ring:
             targets = plan.targets
@@ -558,10 +459,16 @@ class TopicView:
         if not targets:
             return
         memo = self._check_memo
-        if memo is None or memo[0] != summary:
+        if memo is None or memo[0] is not root._hash:
+            # Every insert clears the root's cached digest (and may put a new
+            # root above it): the digest object the memo was built from is
+            # current exactly while the root still holds it.
+            summary = self.trie.root_summary()
             memo = self._check_memo = (
-                summary, {"sender": self.node_id, "tuples": [summary]})
-        self._send(rng.choice(targets), msg.CHECK_TRIE, memo[1])
+                root._hash, {"sender": self.node_id, "tuples": [summary]})
+        dest = rng.choice(targets)
+        if not owner.crashed and dest is not None:
+            send_fast(self.node_id, dest, msg.CHECK_TRIE, self.topic, memo[1])
 
     def _answer(self, sender: NodeRef, reply_tuples: list, caps: list) -> None:
         """Send what :mod:`repro.pubsub.antientropy` computed, as it computed it."""
@@ -570,47 +477,6 @@ class TopicView:
         for tuples, prefix in caps:
             self.send(sender, msg.CHECK_AND_PUBLISH, sender=self.node_id,
                       tuples=tuples, prefix=prefix)
-
-    def handle_check_trie(self, sender: NodeRef, tuples: object) -> None:
-        self._answer(sender, *handle_check_trie(self.trie, tuples))
-
-    def handle_check_and_publish(self, sender: NodeRef, tuples: object, prefix: object) -> None:
-        reply_tuples, caps, publications = handle_check_and_publish(self.trie, tuples, prefix)
-        self._answer(sender, reply_tuples, caps)
-        if publications:
-            self.send(sender, msg.PUBLISH, pubs=[p.to_wire() for p in publications])
-
-    def handle_publish(self, pubs: List[dict]) -> None:
-        if not isinstance(pubs, (list, tuple)):
-            return
-        trie = self.trie
-        for wire in pubs:
-            try:
-                publication = Publication.from_wire(wire)
-            except (KeyError, ValueError, TypeError):
-                continue
-            # A forged key_bits decodes to a key of another length: drop it.
-            if len(publication.key) == trie.key_bits and trie.insert(publication):
-                self.owner.sim.tracer.record(self.owner.now, "publication_received",
-                                             node=self.node_id, topic=self.topic,
-                                             key=publication.key, via="antientropy")
-
-    def handle_publish_new(self, pub: dict, hops: int, sender: Optional[NodeRef]) -> None:
-        # Forged content is dropped with its message (anti-entropy delivers what
-        # it carried): a hop count that is not an int >= 1 — a bool is not — or
-        # a wire that does not decode.
-        if hops.__class__ is not int or hops < 1:
-            return
-        try:
-            publication = Publication.from_wire(pub)
-        except (KeyError, ValueError, TypeError):
-            return
-        trie = self.trie
-        if len(publication.key) != trie.key_bits or not trie.insert(publication):
-            return  # forged key_bits (a key of another length), or already stored
-        self.owner.sim.tracer.record(self.owner.now, "flood_delivery", node=self.node_id,
-                                     topic=self.topic, key=publication.key, hops=hops)
-        self._flood(publication, hops=hops + 1, exclude=sender)
 
 
 def _as_neighbor(value: Optional[Sequence]) -> Optional[Neighbor]:
@@ -716,10 +582,11 @@ class Subscriber(ProtocolNode):
         for view in list(self.views.values()):
             view.timeout()
 
+
     # ------------------------------------------------------- message handlers
-    # Every handler finds its view with the same expression: one dict lookup
-    # for a known topic (never hashing a ``topic`` that is not a ``str``), and
-    # :meth:`_open_view` for everything else.
+    # Each handler finds its view with the same expression — one dict lookup
+    # for a known topic (never hashing a ``topic`` that is not a ``str``),
+    # :meth:`_open_view` for everything else — and then does the work itself.
     def _open_view(self, topic: object) -> Optional[TopicView]:
         """The view of a topic the lookup missed: ``None``/``""`` mean the
         default topic and a topic never seen gets a view (in an arbitrary
@@ -729,58 +596,184 @@ class Subscriber(ProtocolNode):
             return None
         return self.view(topic)
 
-    def on_SetData(self, pred=None, label=None, succ=None, topic: Optional[str] = None) -> None:
+    def on_SetData(self, /, pred=None, label=None, succ=None, topic=None, **_) -> None:
+        """Adopt a configuration from the supervisor (Algorithm 4, SetData)."""
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is None:
+            return
+        if label is None:
+            view._clear_membership()
+            return
+        if not view.subscribed:
+            # We never asked for this topic (corrupted supervisor database or a
+            # stale message): ask the supervisor to take us out again.
+            view.send_supervisor(msg.UNSUBSCRIBE, node=self.node_id)
+            return
+        if not is_valid_label(label):
+            return  # a forged SetData: ingress is where labels are checked
+        pred_nb = _as_neighbor(pred)
+        succ_nb = _as_neighbor(succ)
+        changed = view.label != label
+        # Action (iii): if a currently stored list neighbour is at least as
+        # close as the proposed one, it might be unknown to the supervisor —
+        # ask the supervisor to send it its configuration.
+        for current, proposed in ((view.left, pred_nb), (view.right, succ_nb)):
+            if current is None or proposed is None:
+                continue
+            if current.ref in (proposed.ref, self.node_id):
+                continue
+            if not closer(proposed.label, current.label, label):
+                view.send_supervisor(msg.GET_CONFIGURATION, node=current.ref)
+        if changed:
+            view.label = label
+        # The references this displaces are dropped rather than re-delegated:
+        # the supervisor's configuration is authoritative, and a displaced node
+        # that is still alive re-announces itself (or contacts the supervisor)
+        # on its own Timeout.  Re-delegating here would keep references to
+        # crashed subscribers circulating forever (Section 3.3).
+        view._adopt_config_side(pred_nb, is_pred=True)
+        view._adopt_config_side(succ_nb, is_pred=False)
+        if pred_nb is None and succ_nb is None:
+            # Single-subscriber system: no neighbours at all.
+            view.left = view.right = view.ring = None
+        new_state = (view.label,
+                     view.left.ref if view.left else None,
+                     view.right.ref if view.right else None,
+                     view.ring.ref if view.ring else None)
+        if changed or view._last_config_state != new_state:
+            view.config_change_count += 1
+        view._last_config_state = new_state
+
+    def on_Introduce(self, /, node=None, label=None, believed=None, flag=None, topic=None,
+                     **_) -> None:
+        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
+        if view is None:
+            return
+        own = view.label
+        if own is None:
+            view.send(node, msg.REMOVE_CONNECTIONS, node=self.node_id)
+            return
+        cyc = flag == msg.FLAG_CYC
+        if believed != own:
+            view.send(node, msg.CORRECT_LABEL, node=self.node_id, label=own)
+        else:
+            plan = view._plan
+            if (plan is not None and plan.label is own and plan.left is view.left
+                    and plan.right is view.right and plan.ring is view.ring
+                    and (label, node) in plan.restated[cyc]):
+                return  # a neighbour as stored: ``_integrate`` would leave it there
+        view._integrate(label, node, cyc=cyc)  # checks ``label``
+
+    def on_Linearize(self, /, node=None, label=None, topic=None, **_) -> None:
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is not None:
-            view.handle_set_data(pred, label, succ)
+            view._integrate(label, node)  # checks ``label``
 
-    def on_Introduce(self, node: NodeRef, label: Label, believed=None,
-                     flag: str = msg.FLAG_LIN, topic: Optional[str] = None) -> None:
+    def on_CorrectLabel(self, /, node=None, label=None, topic=None, **_) -> None:
+        """A neighbour told us its actual label differs from what we stored."""
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
-        if view is not None:
-            view.handle_introduce(node, label, believed, flag)
+        if view is None or not is_valid_label(label):
+            return
+        was_ring = view.ring is not None and view.ring.ref == node
+        removed = False
+        for side in ("left", "right", "ring"):
+            nb: Optional[Neighbor] = getattr(view, side)
+            if nb is not None and nb.ref == node and nb.label != label:
+                setattr(view, side, None)
+                removed = True
+        for stored_label in [lbl for lbl, ref in view.shortcuts.items()
+                             if ref == node and lbl != label]:
+            view.shortcuts[stored_label] = None
+            removed = True
+        if removed:
+            view._integrate(label, node, cyc=was_ring)
 
-    def on_Linearize(self, node: NodeRef, label: Label, topic: Optional[str] = None) -> None:
+    def on_RemoveConnections(self, /, node=None, topic=None, **_) -> None:
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
-        if view is not None:
-            view.handle_linearize(node, label)
+        if view is None:
+            return
+        for side in ("left", "right", "ring"):
+            nb: Optional[Neighbor] = getattr(view, side)
+            if nb is not None and nb.ref == node:
+                setattr(view, side, None)
+        for stored_label in [lbl for lbl, ref in view.shortcuts.items() if ref == node]:
+            view.shortcuts[stored_label] = None
 
-    def on_CorrectLabel(self, node: NodeRef, label: Label, topic: Optional[str] = None) -> None:
+    def on_IntroduceShortcut(self, /, node=None, label=None, topic=None, **_) -> None:
+        """Store an introduced shortcut if we expect one with that label,
+        otherwise delegate the reference into the ring (Algorithm 4)."""
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
-        if view is not None:
-            view.handle_correct_label(node, label)
+        if view is None:
+            return
+        if view.label is None:
+            view.send(node, msg.REMOVE_CONNECTIONS, node=self.node_id)
+            return
+        shortcuts = view.shortcuts
+        if isinstance(label, str) and shortcuts.get(label, _ABSENT) == node:
+            return  # stored already: nothing to store, nothing to delegate
+        if node == self.node_id or not is_valid_label(label):
+            return
+        if label in shortcuts:
+            old = shortcuts[label]
+            shortcuts[label] = node
+            if old is not None:
+                view._integrate(label, old)
+        else:
+            view._integrate(label, node)
 
-    def on_RemoveConnections(self, node: NodeRef, topic: Optional[str] = None) -> None:
+    def on_CheckTrie(self, /, sender=None, tuples=None, topic=None, **_) -> None:
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
-        if view is not None:
-            view.handle_remove_connections(node)
+        if view is None:
+            return
+        # One summary equal to our root's (its digest as cached: a stale cache
+        # is ``None`` and misses) — ``handle_check_trie`` would answer nothing.
+        root = view.trie.root
+        if (tuples.__class__ is list and len(tuples) == 1 and root is not None
+                and tuples[0] == (root.label, root._hash)):
+            return
+        view._answer(sender, *handle_check_trie(view.trie, tuples))
 
-    def on_IntroduceShortcut(self, node: NodeRef, label: Label,
-                             topic: Optional[str] = None) -> None:
+    def on_CheckAndPublish(self, /, sender=None, tuples=None, prefix=None, topic=None,
+                           **_) -> None:
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
-        if view is not None:
-            view.handle_introduce_shortcut(node, label)
+        if view is None:
+            return
+        reply_tuples, caps, publications = handle_check_and_publish(view.trie, tuples, prefix)
+        view._answer(sender, reply_tuples, caps)
+        if publications:
+            view.send(sender, msg.PUBLISH, pubs=[p.to_wire() for p in publications])
 
-    def on_CheckTrie(self, sender: NodeRef, tuples=None, topic: Optional[str] = None) -> None:
+    def on_Publish(self, /, pubs=None, topic=None, **_) -> None:
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
-        if view is not None:
-            view.handle_check_trie(sender, tuples)
+        if view is None or not isinstance(pubs, (list, tuple)):
+            return
+        trie = view.trie
+        for wire in pubs:
+            try:
+                publication = Publication.from_wire(wire)
+            except (KeyError, ValueError, TypeError):
+                continue
+            # A forged key_bits decodes to a key of another length: drop it.
+            if len(publication.key) == trie.key_bits and trie.insert(publication):
+                self.sim.tracer.record(self.now, "publication_received", node=self.node_id,
+                                       topic=view.topic, key=publication.key, via="antientropy")
 
-    def on_CheckAndPublish(self, sender: NodeRef, tuples=None, prefix: str = "",
-                           topic: Optional[str] = None) -> None:
-        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
-        if view is not None:
-            view.handle_check_and_publish(sender, tuples, prefix)
-
-    def on_Publish(self, pubs=None, topic: Optional[str] = None) -> None:
-        view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
-        if view is not None:
-            view.handle_publish(pubs or [])
-
-    def on_PublishNew(self, pub=None, hops: int = 1, sender: Optional[NodeRef] = None,
-                      topic: Optional[str] = None) -> None:
+    def on_PublishNew(self, /, pub=None, hops=None, sender=None, topic=None, **_) -> None:
         if pub is None:
             return
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
-        if view is not None:
-            view.handle_publish_new(pub, hops, sender)
+        # Forged content is dropped with its message (anti-entropy delivers what
+        # it carried): a hop count that is not an int >= 1 — a bool is not — or
+        # a wire that does not decode.
+        if view is None or hops.__class__ is not int or hops < 1:
+            return
+        try:
+            publication = Publication.from_wire(pub)
+        except (KeyError, ValueError, TypeError):
+            return
+        trie = view.trie
+        if len(publication.key) != trie.key_bits or not trie.insert(publication):
+            return  # forged key_bits (a key of another length), or already stored
+        self.sim.tracer.record(self.now, "flood_delivery", node=self.node_id,
+                               topic=view.topic, key=publication.key, hops=hops)
+        view._flood(publication, hops=hops + 1, exclude=sender)

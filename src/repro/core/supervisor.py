@@ -294,7 +294,7 @@ class Supervisor(ProtocolNode):
             return None
         return topic or self.params.default_topic
 
-    def on_Subscribe(self, node: NodeRef, topic: Optional[str] = None) -> None:
+    def on_Subscribe(self, /, node=None, topic=None, **_) -> None:
         """Integrate a new subscriber (Section 4.1): insert ``(l(n), node)``
         and send the node its configuration."""
         topic = self._request_topic(topic)
@@ -313,7 +313,7 @@ class Supervisor(ProtocolNode):
         self.ops_handled += 1
         self.op_response_messages += self.config_messages_sent - before_sent
 
-    def on_Unsubscribe(self, node: NodeRef, topic: Optional[str] = None) -> None:
+    def on_Unsubscribe(self, /, node=None, topic=None, **_) -> None:
         """Remove a subscriber (Section 4.1): the holder of the last label
         ``l(n-1)`` takes over the departing subscriber's label, and the
         departing subscriber is granted permission to drop its connections.
@@ -344,7 +344,7 @@ class Supervisor(ProtocolNode):
         self.ops_handled += 1
         self.op_response_messages += self.config_messages_sent - before_sent
 
-    def on_GetConfiguration(self, node: NodeRef, topic: Optional[str] = None) -> None:
+    def on_GetConfiguration(self, /, node=None, topic=None, **_) -> None:
         """Send ``node`` its configuration.
 
         If ``node`` is unknown, either integrate it (paper prose,

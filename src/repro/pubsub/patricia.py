@@ -10,9 +10,10 @@ binary trie:
   ``h(h(child_0) ∘ h(child_1))``.
 
 Hashes are computed when read, not when written.  Invariant: a node's cached
-hash is either absent or the Merkle hash of its current subtree; ``insert``
-clears the cache of every node it descends through, reading ``node.hash``
-fills it (recursion depth at most ``key_bits``).  A leaf's hash is a pure
+hash (``_hash``, which the subscriber's steady-state paths read as it is) is
+either ``None`` or the Merkle hash of its current subtree; ``insert`` clears
+the cache of every node it descends through, reading ``node.hash`` fills it
+(recursion depth at most ``key_bits``).  A leaf's hash is a pure
 function of its key, so it is read from the stored :class:`Publication`
 (``Publication.leaf_hash``, computed once per instance): the n tries holding
 one interned publication hash its leaf once between them.  Every reader goes

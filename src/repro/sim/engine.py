@@ -586,7 +586,6 @@ class Simulator:
         bump_column = stats._bump_column
         derived = stats._derived
         nodes_get = self.nodes.get
-        base_dispatch = ProtocolNode.dispatch
         config = self.config
         period = config.timeout_period
         jitter = config.timeout_jitter
@@ -604,16 +603,6 @@ class Simulator:
         block: List[Any] = []  # repro: allow[no-hotpath-allocation] (setup)
         delivered = 0
         pushed = 0  # deferred wheel._count increments, flushed per block
-        # Monomorphic dispatch cache: simulations overwhelmingly deliver one
-        # action type to one node class, so remember the last resolved
-        # (class, action) -> handler.  Action strings come from per-call-site
-        # constants, so the identity check hits for repeat senders; any miss
-        # falls back to the full resolution (which also re-validates that the
-        # class does not override dispatch).  ``None`` caches "take the slow
-        # dispatch path" for that pair.
-        cached_type: Any = None
-        cached_action: Any = None
-        cached_handler: Any = None
         while True:
             t0 = next_time()
             if t0 is None or t0 > deadline:
@@ -691,20 +680,11 @@ class Simulator:
                         node = nodes_get(dest)
                         if node is None or node.crashed:
                             continue
-                        node_type = node.__class__
-                        if node_type is cached_type and action is cached_action:
-                            handler = cached_handler
-                        else:
-                            if (node_type.dispatch is base_dispatch):
-                                handler = node_type._action_handlers.get(action)
-                            else:
-                                handler = None  # subclass overrides dispatch
-                            cached_type = node_type
-                            cached_action = action
-                            cached_handler = handler
+                        handler = node._action_handlers.get(action)
                         if handler is None:
-                            # dispatch override / unknown action / late-bound
-                            # handler: the full dispatch path
+                            # dispatch override (its class's table is empty) /
+                            # unknown action / late-bound handler: the full
+                            # dispatch path
                             node.dispatch(record_to_message(event))
                         else:
                             params = event[5]

@@ -7,7 +7,8 @@ by subclasses), and two kinds of actions:
 * message-triggered actions — a delivered message ``<label>(<params>)``
   invokes the method ``on_<label>`` with the message's parameters, and
 * the periodic ``Timeout`` action — :meth:`on_timeout`, scheduled by the
-  simulator infinitely often (weak fairness).
+  simulator infinitely often (weak fairness).  ``timeout`` is not an action:
+  a message labelled so is ignored like any label no handler understands.
 
 Nodes communicate exclusively through :meth:`send`, which places a message
 into the destination's channel.  Node references are plain integers
@@ -37,13 +38,25 @@ class ProtocolNode:
     fully slotted (as :class:`~repro.core.subscriber.Subscriber` does) or
     declare none and transparently regain a ``__dict__`` for ad-hoc
     attributes (as the test doubles and baselines do).
+
+    Handler contract: ``on_<Action>(self, **params)``, the message's topic
+    folded into ``params`` as ``topic``; a class that overrides
+    :meth:`dispatch` receives every message through it instead.  Every
+    parameter is message content — in an arbitrary initial state missing,
+    extra or garbage — so the protocol's handlers (``Subscriber``,
+    ``Supervisor``) take one shape, ``on_Action(self, /, key=None, ...,
+    topic=None, **_)``: a missing key means the key set to ``None``, an
+    unknown one (``self`` too: it is positional-only) lands in ``**_``, and
+    values are validated where they are used.  ``**_`` costs ≈ 20 ns per
+    5-key binding (240 → 260 ns, best of 7 × 10⁶ calls, CPython 3.11),
+    about 1 % of a steady-state event.
     """
 
     __slots__ = ("node_id", "crashed", "timeout_count", "_sim")
 
     #: Class-level action → unbound-handler table, compiled once per subclass
-    #: (see :meth:`_compile_action_handlers`).  Replaces the per-message
-    #: ``getattr(self, f"on_{action}")`` lookup on the dispatch hot path.
+    #: (see :meth:`_compile_action_handlers`): the engine's one lookup per
+    #: delivered message.
     _action_handlers: ClassVar[Dict[str, Callable[..., None]]] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -55,14 +68,17 @@ class ProtocolNode:
         """Precompute the message-dispatch table for this class.
 
         Every method named ``on_<Action>`` anywhere in the MRO handles the
-        action ``<Action>``; subclass definitions shadow base-class ones, as
-        normal attribute lookup would.
+        action ``<Action>``, except ``on_timeout``; subclass definitions
+        shadow base-class ones, as normal attribute lookup would.  The table
+        of a class that overrides :meth:`dispatch` is empty, so the engine
+        hands each of its messages to that override.
         """
         table: Dict[str, Callable[..., None]] = {}
-        for klass in reversed(cls.__mro__):
-            for name, fn in vars(klass).items():
-                if name.startswith("on_") and callable(fn):
-                    table[name[3:]] = fn
+        if cls.dispatch is ProtocolNode.dispatch:
+            for klass in reversed(cls.__mro__):
+                for name, fn in vars(klass).items():
+                    if name.startswith("on_") and name != "on_timeout" and callable(fn):
+                        table[name[3:]] = fn
         cls._action_handlers = table
 
     def __init__(self, node_id: NodeRef) -> None:
@@ -106,8 +122,9 @@ class ProtocolNode:
         tuple per accepted copy and never a :class:`Message`.
 
         :class:`~repro.core.subscriber.TopicView` does not come through here:
-        its ``send`` variants make the same two tests and call ``_send_fast``
-        themselves, one frame per message instead of three.
+        it makes the same two tests itself, and a Timeout or a flood reads
+        ``_send_fast`` once and calls it per message — one frame per message
+        instead of three.
         """
         if self.crashed or dest is None:
             return
@@ -130,14 +147,15 @@ class ProtocolNode:
         """
         if self.crashed:
             return
-        handler = self._action_handlers.get(msg.action)
+        action = msg.action
+        handler = self._action_handlers.get(action)
         if handler is None:
             # Slow-path fallback for handlers added after class creation
-            # (monkeypatched class attributes, per-instance handlers): the
-            # precompiled table only sees methods present at class definition.
+            # (monkeypatched class attributes, per-instance handlers) and an
+            # override's ``super().dispatch`` (its class's table is empty).
             # Replacing an *existing* handler post-definition requires calling
             # ``cls._compile_action_handlers()`` to refresh the table.
-            bound = getattr(self, f"on_{msg.action}", None)
+            bound = None if action == "timeout" else getattr(self, f"on_{action}", None)
             if bound is None:
                 return
             params = dict(msg.params)

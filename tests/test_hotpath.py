@@ -804,6 +804,76 @@ class TestSteadyStateBudget:
         assert offer is not old_offer
         assert offer["tuples"] == [view.trie.root_summary()] != old_offer["tuples"]
 
+    @staticmethod
+    def _frames(system, rounds):
+        """Python ``call`` events under ``_run_blocks`` (the ``TestAdversarial
+        SendBudget`` idiom): per delivered Introduce / IntroduceShortcut /
+        CheckTrie, every frame its handler enters; per subscriber Timeout, the
+        frames of the protocol's own code outside ``_send_fast`` (the stdlib's
+        ``random.choice`` that draws the anti-entropy partner is not counted),
+        and the sends."""
+        import sys
+        from collections import Counter
+
+        import repro
+        from repro.core.subscriber import Subscriber
+
+        package = str(Path(repro.__file__).parent)
+        handlers = {getattr(Subscriber, f"on_{action}").__code__: action
+                    for action in ("Introduce", "IntroduceShortcut", "CheckTrie")}
+        delivered, frames = Counter(), Counter()
+        timeout = Counter()
+        entry = depth = sending = 0
+
+        def profiler(frame, event, arg):
+            nonlocal entry, depth, sending
+            if event == "call":
+                code = frame.f_code
+                if not depth:
+                    if code in handlers:
+                        entry = handlers[code]
+                        delivered[entry] += 1
+                    elif code is Subscriber.on_timeout.__code__:
+                        entry = "timeout"
+                    else:
+                        return
+                depth += 1
+                if entry != "timeout":
+                    frames[entry] += 1
+                elif sending:
+                    sending += 1  # below ``_send_fast``
+                elif code.co_name == "_send_fast":
+                    sending = 1
+                    timeout["sends"] += 1
+                elif code.co_filename.startswith(package):
+                    timeout["frames"] += 1
+            elif event == "return" and depth:
+                depth -= 1
+                if sending:
+                    sending -= 1
+
+        sys.setprofile(profiler)
+        try:
+            system.run_rounds(rounds)
+        finally:
+            sys.setprofile(None)
+        return delivered, frames, timeout
+
+    def test_a_steady_delivery_is_one_frame(self, steady):
+        """The "nothing to do" answer is the handler's first lines."""
+        system, peers = steady
+        delivered, frames, _ = self._frames(system, 10)
+        for action in ("Introduce", "IntroduceShortcut", "CheckTrie"):
+            assert delivered[action] >= 8 * len(peers)
+            assert frames[action] <= 1.0 * delivered[action], action
+
+    def test_a_steady_timeout_costs_at_most_one_frame_per_send(self, steady):
+        """Each send calls ``_send_fast`` from the frame that decides it."""
+        system, peers = steady
+        _, _, timeout = self._frames(system, 10)
+        assert timeout["sends"] >= 4 * 10 * len(peers)
+        assert timeout["frames"] <= 1.0 * timeout["sends"]
+
     def test_a_cached_message_in_flight_only_ever_gains_its_topic(self, steady):
         """Cached params are shared between messages: delivering one copy may
         fold the topic into the dict (idempotent) and nothing else."""

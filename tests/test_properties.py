@@ -325,9 +325,15 @@ def test_database_repair_is_idempotent(entries):
 
 # ------------------------------------------- the Timeout plan vs no plan at all
 # ``core/subscriber.py`` caches what a Timeout derives from (label, left,
-# right, ring) and re-sends cached params dicts.  Two identical systems take
-# the same steps; in one, every cache is thrown away before every step, so it
-# runs the uncached protocol.  Sends and state must never differ.
+# right, ring) and re-sends cached params dicts, and two handlers return early
+# on what a cache vouches for: ``Introduce`` on the plan, ``CheckTrie`` on the
+# trie root's cached digest.  Two identical systems take the same steps; in
+# one, every cache is thrown away before every step (and right before each
+# ``CheckTrie``), so it runs the uncached protocol and no such early return
+# fires.  Sends, state and RNG state must never differ — also in the states
+# built to make an early return *not* fire: a stale plan, a CYC flag, a
+# ``believed`` that is not the label, a root that differs, summaries in a
+# tuple or as 2-lists.
 _LABELS = ["0", "1", "01", "11", "10", "001", "011", "101", "111", "0001", "1111"]
 _REFS = [1, 2, 3, 4, 5, 0, 99]  # the five subscribers, the supervisor, nobody
 _PAYLOADS = [b"a", b"b", b"c"]
@@ -362,16 +368,23 @@ _writes = st.one_of(
     st.tuples(st.just("shortcuts"), st.just(None)),
 )
 # A benign delivery: a stored neighbour (or shortcut) introduces itself again,
-# under its stored label or another one.
+# under its stored label or another one, believing our label or another one.
 _echoes = st.tuples(
     st.sampled_from(["left", "right", "ring", "shortcuts"]),
     st.sampled_from([msg.INTRODUCE, msg.LINEARIZE, msg.INTRODUCE_SHORTCUT, msg.CORRECT_LABEL]),
-    st.one_of(st.none(), _label), st.sampled_from([msg.FLAG_LIN, msg.FLAG_CYC]))
-# Two of the five subscribers take the steps and two of the seven step kinds
+    st.one_of(st.none(), _label), st.sampled_from([msg.FLAG_LIN, msg.FLAG_CYC]),
+    st.booleans())
+# A ``CheckTrie`` carrying the root summary of one of the five subscribers
+# (ours, an equal one or one that differs) or a forged digest, in the shape
+# a Timeout sends, in a tuple, as a 2-list, or twice.
+_checks = st.tuples(st.sampled_from([0, 1, 2, 3, 4, "forged"]),
+                    st.sampled_from(["list", "tuple", "2-list", "twice"]), _ref)
+# Two of the five subscribers take the steps and two of the eight step kinds
 # are a Timeout, so "write one field, then time out" is a common subsequence.
 _steps = st.lists(st.tuples(st.integers(0, 1), st.one_of(
     st.tuples(st.just("deliver"), _deliveries),
     st.tuples(st.just("echo"), _echoes),
+    st.tuples(st.just("check"), _checks),
     st.tuples(st.just("write"), _writes),
     st.tuples(st.just("timeout"), st.none()),
     st.tuples(st.just("timeout"), st.none()),
@@ -383,8 +396,9 @@ _steps = st.lists(st.tuples(st.integers(0, 1), st.one_of(
 class _World:
     """A stable five-subscriber system whose every send is logged."""
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, caching: bool) -> None:
         self.system, self.subscribers = build_stable(SystemSpec(seed=seed), 5)
+        self.caching = caching
         self.sends = []
         sim = self.system.sim
         send_fast = sim._send_fast
@@ -400,8 +414,12 @@ class _World:
         return [view for sub in self.subscribers for view in sub.views.values()]
 
     def forget(self) -> None:
+        if self.caching:
+            return
         for view in self.views():
             view._plan = view._pair_memo = view._check_memo = None
+            for node in view.trie.iter_nodes():
+                node._hash = None  # the Merkle cache: recomputed on the next read
 
     def take(self, who: int, kind: str, arg) -> None:
         sub = self.subscribers[who]
@@ -410,15 +428,27 @@ class _World:
             action, params = arg
             Subscriber._action_handlers[action](sub, topic=view.topic, **params)
         elif kind == "echo":
-            field, action, relabel, flag = arg
+            field, action, relabel, flag, honest = arg
             stored = getattr(view, field)
             if field == "shortcuts":
                 stored = next(((lbl, ref) for lbl, ref in stored.items() if ref is not None), None)
             if stored is not None:
                 params = {"node": stored[1], "label": relabel or stored[0]}
                 if action == msg.INTRODUCE:
-                    params.update(believed=view.label, flag=flag)
+                    believed = view.label if honest else (view.label or "") + "1"
+                    params.update(believed=believed, flag=flag)
                 Subscriber._action_handlers[action](sub, topic=view.topic, **params)
+        elif kind == "check":
+            source, shape, sender = arg
+            if source == "forged":
+                summary = (view.trie.root.label if view.trie.root else "", "0" * 64)
+            else:
+                summary = self.subscribers[source].view().trie.root_summary()
+            if summary is not None:
+                tuples = {"list": [summary], "tuple": (summary,), "2-list": [list(summary)],
+                          "twice": [summary, summary]}[shape]
+                self.forget()  # reading the summary filled the Merkle cache
+                sub.on_CheckTrie(sender=sender, tuples=tuples, topic=view.topic)
         elif kind == "write":
             field, value = arg
             if field == "shortcut":
@@ -450,7 +480,7 @@ class _World:
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(0, 3), _steps)
 def test_timeout_plan_and_memos_are_indistinguishable_from_no_cache(seed, steps):
-    cached, uncached = _World(seed), _World(seed)
+    cached, uncached = _World(seed, caching=True), _World(seed, caching=False)
     assert all(view._plan is not None for view in cached.views())
     for who, (kind, arg) in steps:
         uncached.forget()

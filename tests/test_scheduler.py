@@ -123,7 +123,7 @@ class TestEngineParity:
 class TestDispatchTable:
     def test_handler_table_compiled_per_class(self):
         assert "Ping" in Pinger._action_handlers
-        assert "timeout" in Pinger._action_handlers
+        assert "timeout" not in Pinger._action_handlers  # the periodic action, no message's
         assert "Ping" not in ProtocolNode._action_handlers
 
     def test_subclass_overrides_shadow_base_handlers(self):

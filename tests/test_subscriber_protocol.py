@@ -38,7 +38,7 @@ class TestSetData:
         # succ='0' (smaller r-value: the wrap-around edge, stored in ring).
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
-        view.handle_set_data(("1", b.node_id), "11", ("0", c.node_id))
+        a.on_SetData(("1", b.node_id), "11", ("0", c.node_id))
         assert view.label == "11"
         assert view.left == Neighbor("1", b.node_id)
         assert view.right is None
@@ -47,7 +47,7 @@ class TestSetData:
     def test_interior_node_has_plain_left_and_right(self):
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
-        view.handle_set_data(("0", b.node_id), "01", ("1", c.node_id))
+        a.on_SetData(("0", b.node_id), "01", ("1", c.node_id))
         assert view.left == Neighbor("0", b.node_id)
         assert view.right == Neighbor("1", c.node_id)
         assert view.ring is None
@@ -55,9 +55,9 @@ class TestSetData:
     def test_empty_config_clears_membership_and_notifies(self):
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
-        view.handle_set_data(("0", b.node_id), "01", ("1", c.node_id))
+        a.on_SetData(("0", b.node_id), "01", ("1", c.node_id))
         view.pending_unsubscribe = True
-        view.handle_set_data(None, None, None)
+        a.on_SetData(None, None, None)
         assert view.label is None
         assert view.left is None and view.right is None and view.ring is None
         assert not view.subscribed and not view.pending_unsubscribe
@@ -70,13 +70,13 @@ class TestSetData:
         view = a.view(subscribed=True)
         view.label = "1"
         view.left = Neighbor("011", c.node_id)  # 3/8, closer to 1/2 than 0
-        view.handle_set_data(("0", b.node_id), "1", None)
+        a.on_SetData(("0", b.node_id), "1", None)
         assert sent(sim, a.node_id, msg.GET_CONFIGURATION) == 1
 
     def test_unwanted_topic_triggers_unsubscribe_request(self):
         sim, sup, (a, b, c) = make_world()
         view = a.view("ghost-topic", subscribed=False)
-        view.handle_set_data(("0", b.node_id), "01", ("1", c.node_id))
+        a.on_SetData(("0", b.node_id), "01", ("1", c.node_id), topic="ghost-topic")
         assert view.label is None
         assert sent(sim, a.node_id, msg.UNSUBSCRIBE) == 1
 
@@ -84,9 +84,9 @@ class TestSetData:
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
         config = (("0", b.node_id), "01", ("1", c.node_id))
-        view.handle_set_data(*config)
+        a.on_SetData(*config)
         first = view.config_change_count
-        view.handle_set_data(*config)
+        a.on_SetData(*config)
         assert view.config_change_count == first
 
 
@@ -95,13 +95,13 @@ class TestIntroduceAndLinearize:
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
         view.label = "01"
-        view.handle_introduce(b.node_id, "0", believed="11", flag=msg.FLAG_LIN)
+        a.on_Introduce(b.node_id, "0", believed="11", flag=msg.FLAG_LIN)
         assert sent(sim, a.node_id, msg.CORRECT_LABEL) == 1
 
     def test_unlabeled_receiver_asks_sender_to_remove_it(self):
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
-        view.handle_introduce(b.node_id, "0", believed=None, flag=msg.FLAG_LIN)
+        a.on_Introduce(b.node_id, "0", believed=None, flag=msg.FLAG_LIN)
         assert sent(sim, a.node_id, msg.REMOVE_CONNECTIONS) == 1
 
     def test_closer_candidate_replaces_and_delegates_old_neighbor(self):
@@ -109,7 +109,7 @@ class TestIntroduceAndLinearize:
         view = a.view(subscribed=True)
         view.label = "1"                    # r = 1/2
         view.left = Neighbor("0", b.node_id)  # r = 0 (far)
-        view.handle_linearize(c.node_id, "01")  # r = 1/4, closer on the left
+        a.on_Linearize(c.node_id, "01")  # r = 1/4, closer on the left
         assert view.left == Neighbor("01", c.node_id)
         # old left delegated towards the new one
         assert sent(sim, a.node_id, msg.LINEARIZE) == 1
@@ -119,7 +119,7 @@ class TestIntroduceAndLinearize:
         view = a.view(subscribed=True)
         view.label = "1"
         view.left = Neighbor("01", b.node_id)
-        view.handle_linearize(c.node_id, "0")  # farther left
+        a.on_Linearize(c.node_id, "0")  # farther left
         assert view.left == Neighbor("01", b.node_id)
         assert sent(sim, a.node_id, msg.LINEARIZE) == 1
 
@@ -127,7 +127,7 @@ class TestIntroduceAndLinearize:
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
         view.label = "0"                       # minimal position, left unset
-        view.handle_introduce(c.node_id, "11", believed="0", flag=msg.FLAG_CYC)
+        a.on_Introduce(c.node_id, "11", believed="0", flag=msg.FLAG_CYC)
         assert view.ring == Neighbor("11", c.node_id)
 
     def test_cycle_introduction_pushed_into_list_by_interior_node(self):
@@ -135,7 +135,7 @@ class TestIntroduceAndLinearize:
         view = a.view(subscribed=True)
         view.label = "01"
         view.left = Neighbor("0", b.node_id)
-        view.handle_introduce(c.node_id, "11", believed="01", flag=msg.FLAG_CYC)
+        a.on_Introduce(c.node_id, "11", believed="01", flag=msg.FLAG_CYC)
         assert view.ring is None
         assert view.right == Neighbor("11", c.node_id)
 
@@ -144,7 +144,7 @@ class TestIntroduceAndLinearize:
         view = a.view(subscribed=True)
         view.label = "1"
         view.left = Neighbor("0", b.node_id)
-        view.handle_correct_label(b.node_id, "01")
+        a.on_CorrectLabel(b.node_id, "01")
         assert view.left == Neighbor("01", b.node_id)
 
     def test_remove_connections_clears_all_references(self):
@@ -153,7 +153,7 @@ class TestIntroduceAndLinearize:
         view.label = "1"
         view.left = Neighbor("0", b.node_id)
         view.shortcuts = {"01": b.node_id, "11": c.node_id}
-        view.handle_remove_connections(b.node_id)
+        a.on_RemoveConnections(b.node_id)
         assert view.left is None
         assert view.shortcuts["01"] is None
         assert view.shortcuts["11"] == c.node_id
@@ -165,7 +165,7 @@ class TestShortcutHandling:
         view = a.view(subscribed=True)
         view.label = "01"
         view.shortcuts = {"0": None, "1": None}
-        view.handle_introduce_shortcut(b.node_id, "0")
+        a.on_IntroduceShortcut(b.node_id, "0")
         assert view.shortcuts["0"] == b.node_id
 
     def test_replaced_shortcut_keeps_old_reference_in_the_ring(self):
@@ -173,7 +173,7 @@ class TestShortcutHandling:
         view = a.view(subscribed=True)
         view.label = "01"
         view.shortcuts = {"0": b.node_id}
-        view.handle_introduce_shortcut(c.node_id, "0")
+        a.on_IntroduceShortcut(c.node_id, "0")
         assert view.shortcuts["0"] == c.node_id
         # The displaced reference is linearized: since the view had no left
         # neighbour it is absorbed locally rather than forwarded.
@@ -184,7 +184,7 @@ class TestShortcutHandling:
         view = a.view(subscribed=True)
         view.label = "1"
         view.left = Neighbor("01", b.node_id)
-        view.handle_introduce_shortcut(c.node_id, "0011")
+        a.on_IntroduceShortcut(c.node_id, "0011")
         assert "0011" not in view.shortcuts
         assert sent(sim, a.node_id, msg.LINEARIZE) == 1
 
@@ -250,7 +250,7 @@ class TestPublicationHandlers:
         incoming = a.publish(b"x")  # seeds the trie and floods
         first = sent(sim, a.node_id, msg.PUBLISH_NEW)
         # Receiving the same publication again must not re-flood.
-        view.handle_publish_new(incoming.to_wire(), hops=2, sender=b.node_id)
+        a.on_PublishNew(incoming.to_wire(), hops=2, sender=b.node_id)
         assert sent(sim, a.node_id, msg.PUBLISH_NEW) == first
 
     def test_check_trie_round_trip_between_two_views(self):
@@ -264,15 +264,15 @@ class TestPublicationHandlers:
         pub = a.publish(b"exclusive")
         # b initiates anti-entropy towards a by processing a's CheckTrie
         request = view_a.trie.root_summary()
-        view_b.handle_check_trie(a.node_id, [list(request)])
+        b.on_CheckTrie(a.node_id, [list(request)])
         sim.run_rounds(10)
         assert pub.key in view_b.trie
 
     def test_malformed_publication_wire_data_is_ignored(self):
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
-        view.handle_publish([{"bogus": 1}])
-        view.handle_publish_new({"bogus": 1}, hops=1, sender=None)
+        a.on_Publish([{"bogus": 1}])
+        a.on_PublishNew({"bogus": 1}, hops=1, sender=None)
         assert len(view.trie) == 0
 
 
@@ -436,7 +436,7 @@ class TestAntiEntropyWireShapes:
             log.append((dest, action, copy.deepcopy(params)))
             send_fast(sender, dest, action, topic, params)
         sim._send_fast = recording
-        view_b.handle_check_trie(a.node_id, [list(view_a.trie.root_summary())])
+        b.on_CheckTrie(a.node_id, [list(view_a.trie.root_summary())])
         sim.run_rounds(10)
         h = {
             "0": "1f8cf5ed138f1233d3f4d14a2939ccc9537d236a9a0b248bf87483abb7ccc326",
@@ -487,14 +487,14 @@ class TestForgedTopics:
     dropped by the handlers' one view lookup, whatever the action."""
 
     def test_every_subscriber_bound_action_is_covered(self):
-        assert set(HANDLER_PARAMS) == set(Subscriber._action_handlers) - {"timeout"}
+        assert set(HANDLER_PARAMS) == set(Subscriber._action_handlers)
 
     @pytest.mark.parametrize("topic", FORGED_TOPICS, ids=repr)
     @pytest.mark.parametrize("action", sorted(HANDLER_PARAMS))
     def test_handler_drops_the_message(self, action, topic):
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
-        view.handle_set_data(("0", b.node_id), "01", ("1", c.node_id))
+        a.on_SetData(("0", b.node_id), "01", ("1", c.node_id))
         before = (view.label, view.left, view.right, view.ring, dict(view.shortcuts),
                   len(view.trie), sim.network.stats.sent_by(a.node_id))
         Subscriber._action_handlers[action](a, topic=topic, **HANDLER_PARAMS[action])
@@ -560,7 +560,7 @@ class TestTimeoutPlanStaysHonest:
     def _interior_view(self):
         sim, sup, (a, b, c, d) = make_world(4)
         view = a.view(subscribed=True)
-        view.handle_set_data(("0", b.node_id), "01", ("1", c.node_id))
+        a.on_SetData(("0", b.node_id), "01", ("1", c.node_id))
         a.on_timeout()  # the plan now vouches for ("01", left "0", right "1")
         return sim, a, b, c, d, view
 
@@ -569,7 +569,7 @@ class TestTimeoutPlanStaysHonest:
         sim, a, b, c, d, view = self._interior_view()
         setattr(view, side, Neighbor(label, d.node_id))
         before = sent(sim, a.node_id, msg.LINEARIZE)
-        view.handle_linearize(d.node_id, label)  # equal to the stored one, which is misplaced
+        a.on_Linearize(d.node_id, label)  # equal to the stored one, which is misplaced
         # farther than the neighbour of the side it belongs to: delegated there
         assert sent(sim, a.node_id, msg.LINEARIZE) == before + 1
         last = [m for m in sim.network.iter_in_flight() if m.action == msg.LINEARIZE][-1]
@@ -596,17 +596,71 @@ class TestTimeoutPlanStaysHonest:
         view = a.view(subscribed=True)
         view.label = "0"
         view.ring = stored = Neighbor("11", c.node_id)
-        view.handle_introduce(c.node_id, "11", believed="0", flag=msg.FLAG_CYC)
+        a.on_Introduce(c.node_id, "11", believed="0", flag=msg.FLAG_CYC)
         assert view.ring is stored  # restated: the same object, the plan stays current
-        view.handle_introduce(c.node_id, "111", believed="0", flag=msg.FLAG_CYC)
+        a.on_Introduce(c.node_id, "111", believed="0", flag=msg.FLAG_CYC)
         assert view.ring == Neighbor("111", c.node_id)
 
     def test_set_data_replaces_a_different_wrap_around_partner(self):
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
-        view.handle_set_data(("1", b.node_id), "11", ("0", c.node_id))
+        a.on_SetData(("1", b.node_id), "11", ("0", c.node_id))
         stored = view.ring
-        view.handle_set_data(("1", b.node_id), "11", ("0", c.node_id))
+        a.on_SetData(("1", b.node_id), "11", ("0", c.node_id))
         assert view.ring is stored and view.label == "11"
-        view.handle_set_data(("1", b.node_id), "11", ("01", b.node_id))
+        a.on_SetData(("1", b.node_id), "11", ("01", b.node_id))
         assert view.ring == Neighbor("01", b.node_id) and view.right is None
+
+
+class TestTimeoutIsNoMessage:
+    """``timeout`` is the periodic action, not a message label: a message
+    named so is ignored like any label no handler understands (it used to
+    fire an unscheduled Timeout, or raise on its ``topic``/extra key)."""
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("role", ["subscriber", "supervisor"])
+    @pytest.mark.parametrize("params, topic", [({}, None), ({}, "default"),
+                                               ({"x": 1}, None), ({"x": 1}, "default")],
+                             ids=["bare", "topic", "extra", "extra+topic"])
+    def test_a_timeout_message_does_nothing(self, spec, role, params, topic):
+        system, peers = build_stable(spec, 8)
+        sim = system.sim
+        node = peers[0] if role == "subscriber" else system.supervisor_of("default")
+        before = (node.timeout_count, sim.network.stats.sent_by(node.node_id))
+        sim.inject_message(node.node_id, "timeout", params, topic=topic, delay=0.0)
+        sim.run_until_time(sim.now)  # the injected message, nothing else
+        assert (node.timeout_count, sim.network.stats.sent_by(node.node_id)) == before
+        system.run_rounds(10)
+        assert system.run_until_legitimate(max_rounds=300)
+
+
+# One well-formed parameter set per supervisor-bound action.
+SUPERVISOR_PARAMS = {action: {"node": 2}
+                     for action in (msg.SUBSCRIBE, msg.UNSUBSCRIBE, msg.GET_CONFIGURATION)}
+
+
+class TestMessageShape:
+    """Theorem 8, arbitrary channel contents, for the *shape* of a message:
+    every handler of both roles takes ``(self, /, key=None, ..., **_)``, so a
+    missing key reads as ``None`` and an unknown key — ``self`` too — is
+    absorbed.  Each used to raise ``TypeError`` out of the drain."""
+
+    def test_every_supervisor_bound_action_is_covered(self):
+        assert set(SUPERVISOR_PARAMS) == set(Supervisor._action_handlers)
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("action", sorted(HANDLER_PARAMS) + sorted(SUPERVISOR_PARAMS))
+    def test_missing_extra_and_none_keys_end_no_run(self, spec, action):
+        system, peers = build_stable(spec, 8)
+        if action in HANDLER_PARAMS:  # refs 2 and 3 are subscribers in both topologies
+            dest, params = peers[-1].node_id, HANDLER_PARAMS[action]
+        else:
+            dest, params = system.supervisor_of("default").node_id, SUPERVISOR_PARAMS[action]
+        variants = [{k: v for k, v in params.items() if k != key} for key in params]
+        variants += [dict(params, **{key: None}) for key in params]
+        variants.append(dict(params, extra=1, self=2))
+        for i, variant in enumerate(variants):
+            system.sim.inject_message(dest, action, variant, topic="default",
+                                      delay=0.01 * (i + 1))
+        system.run_rounds(10)
+        assert system.run_until_legitimate(max_rounds=300)
