@@ -125,6 +125,8 @@ def main(argv=None) -> int:
               f"({stats.prim_calls:,} primitive calls)")
         print(f"sha256/op: {sha256_per_op(stats, workload.ops(state)):.2f} "
               f"(per {workload.op})")
+        share, checks = oracle_cost(stats, workload.ops(state))
+        print(f"oracle: {share:.1%} of the region, {checks:.4f} checks/op")
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.out is not None:
         stats.dump_stats(args.out)
@@ -201,6 +203,20 @@ def sha256_per_op(stats: pstats.Stats, ops: int) -> float:
     return calls / ops if ops else 0.0
 
 
+#: The legitimacy oracle's entry points in ``repro.analysis.convergence``.
+ORACLE_CHECKS = ("ring_legitimate", "publications_converged")
+
+
+def oracle_cost(stats: pstats.Stats, ops: int) -> tuple[float, float]:
+    """``(share, checks per op)``: cumulative time under the oracle's entry
+    points over the profiled region's total, and how often they were called."""
+    rows = [row for (filename, _, name), row in stats.stats.items()
+            if name in ORACLE_CHECKS and filename.endswith("convergence.py")]
+    share = sum(row[3] for row in rows) / stats.total_tt if stats.total_tt else 0.0
+    checks = sum(row[1] for row in rows)
+    return share, (checks / ops if ops else 0.0)
+
+
 #: pstats sort key -> index into the per-function stats tuple (cc, nc, tt, ct).
 _SORT_VALUE = {"cumulative": 3, "tottime": 2, "ncalls": 1}
 
@@ -227,12 +243,15 @@ def profile_payload(stats: pstats.Stats, workload, events, ops,
     value_index = ("primitive_calls", "ncalls", "tottime", "cumtime")[
         _SORT_VALUE[sort]]
     rows.sort(key=lambda row: row[value_index], reverse=True)
+    oracle_share, oracle_checks = oracle_cost(stats, ops)
     return {
         "case": workload.name,
         "description": workload.why,
         "events": events,
         "calls_per_event": round(calls_per_event(stats, events), 2),
         "sha256_per_op": round(sha256_per_op(stats, ops), 3),
+        "oracle_share": round(oracle_share, 4),
+        "oracle_checks_per_op": round(oracle_checks, 5),
         "sort": sort,
         "total_functions": len(rows),
         "top": rows[:top],

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
-from repro.core.labels import index_of, label_of
+from repro.core.labels import Label
 from repro.core.skip_ring import SkipRingTopology
 from repro.core.subscriber import Subscriber
 from repro.core.supervisor import Supervisor
@@ -44,16 +45,35 @@ class LegitimacyReport:
     def legitimate(self) -> bool:
         return self.database_ok and self.labels_ok and self.ring_ok and self.shortcuts_ok
 
-    def add_problem(self, text: str) -> None:
+    def add_problem(self, text: str, *args: object) -> None:
+        """Keep ``text.format(*args)`` — formatted only if it is among the first 50."""
         if len(self.problems) < 50:
-            self.problems.append(text)
+            self.problems.append(text.format(*args) if args else text)
+
+
+#: One join index of SR(n): label, left/right/ring indices, shortcut (label, index) pairs.
+_Row = Tuple[Label, int, int, int, Tuple[Tuple[Label, int], ...]]
+
+
+@lru_cache(maxsize=8)  # a sharded system checks one n per topic
+def _ideal_state(n: int) -> Tuple[_Row, ...]:
+    """SR(n)'s legitimate state per join index, derived once per ``n``; a
+    neighbour that is absent is index ``n``, which the oracle maps to ``None``."""
+    topo = SkipRingTopology(n)
+    rows = []
+    for index in range(n):
+        spec = topo.expected_subscriber_state(index)
+        left, right, ring = (n if spec[side] is None else spec[side]
+                             for side in ("left", "right", "ring"))
+        rows.append((spec["label"], left, right, ring, tuple(spec["shortcuts"].items())))
+    return tuple(rows)
 
 
 def ring_legitimate(supervisor: Supervisor, subscribers: Dict[NodeRef, Subscriber],
                     members: List[NodeRef], topic: str) -> LegitimacyReport:
     """Full legitimacy check of the overlay for one topic."""
-    members = sorted(members)
     report = LegitimacyReport(topic=topic, n=len(members))
+    # database(), not databases.get(): created here at t = 0, it fixes the Timeout's topic order.
     db = supervisor.database(topic)
 
     report.database_ok = supervisor.is_database_legitimate(members, topic)
@@ -66,63 +86,37 @@ def ring_legitimate(supervisor: Supervisor, subscribers: Dict[NodeRef, Subscribe
         report.labels_ok = report.ring_ok = report.shortcuts_ok = True
         return report
 
-    # Map ideal node index -> actual subscriber reference via the database.
-    ref_of_index: Dict[int, NodeRef] = {}
-    for label, ref in db.entries.items():
-        assert ref is not None
-        ref_of_index[index_of(label)] = ref
-    topo = SkipRingTopology(n)
-
-    labels_ok = True
-    ring_ok = True
-    shortcuts_ok = True
-    for index in range(n):
-        ref = ref_of_index[index]
+    # An uncorrupted database holds exactly l(0..n-1): join index -> subscriber, n -> None.
+    rows = _ideal_state(n)
+    refs: List[Optional[NodeRef]] = [db.entries[row[0]] for row in rows] + [None]
+    labels_ok = ring_ok = shortcuts_ok = True
+    for ref, (expected_label, left, right, ring, shortcuts) in zip(refs, rows):
         subscriber = subscribers.get(ref)
         if subscriber is None or subscriber.crashed:
-            report.add_problem(f"database points to missing subscriber {ref}")
+            report.add_problem("database points to missing subscriber {}", ref)
             labels_ok = ring_ok = shortcuts_ok = False
             break
         view = subscriber.view(topic, create=False)
-        expected_label = label_of(index)
         if view is None or view.label != expected_label:
             labels_ok = False
-            report.add_problem(f"subscriber {ref} has label "
-                               f"{getattr(view, 'label', None)!r}, expected {expected_label!r}")
+            report.add_problem("subscriber {} has label {!r}, expected {!r}",
+                               ref, getattr(view, "label", None), expected_label)
             continue
-        spec = topo.expected_subscriber_state(index)
-        expected_left = _expected_ref(spec["left"], ref_of_index)
-        expected_right = _expected_ref(spec["right"], ref_of_index)
-        expected_ring = _expected_ref(spec["ring"], ref_of_index)
-        actual_left = view.left.ref if view.left is not None else None
-        actual_right = view.right.ref if view.right is not None else None
-        actual_ring = view.ring.ref if view.ring is not None else None
-        if (actual_left, actual_right, actual_ring) != (expected_left, expected_right,
-                                                        expected_ring):
+        actual = (view.left and view.left.ref,  # a Neighbor is a 2-tuple, never falsy
+                  view.right and view.right.ref, view.ring and view.ring.ref)
+        expected = (refs[left], refs[right], refs[ring])
+        if actual != expected:
             ring_ok = False
-            report.add_problem(
-                f"subscriber {ref}: ring neighbours (L={actual_left}, R={actual_right}, "
-                f"W={actual_ring}) expected (L={expected_left}, R={expected_right}, "
-                f"W={expected_ring})")
-        expected_shortcuts = {
-            lbl: ref_of_index[idx] for lbl, idx in spec["shortcuts"].items()  # type: ignore
-        }
-        actual_shortcuts = dict(view.shortcuts)
-        if actual_shortcuts != expected_shortcuts:
+            report.add_problem("subscriber {}: ring neighbours (L={}, R={}, W={}) "
+                               "expected (L={}, R={}, W={})", ref, *actual, *expected)
+        expected_shortcuts = {label: refs[index] for label, index in shortcuts}
+        if view.shortcuts != expected_shortcuts:
             shortcuts_ok = False
-            report.add_problem(
-                f"subscriber {ref}: shortcuts {actual_shortcuts} expected {expected_shortcuts}")
+            report.add_problem("subscriber {}: shortcuts {} expected {}",
+                               ref, view.shortcuts, expected_shortcuts)
 
-    report.labels_ok = labels_ok
-    report.ring_ok = ring_ok
-    report.shortcuts_ok = shortcuts_ok
+    report.labels_ok, report.ring_ok, report.shortcuts_ok = labels_ok, ring_ok, shortcuts_ok
     return report
-
-
-def _expected_ref(index: Optional[object], ref_of_index: Dict[int, NodeRef]) -> Optional[NodeRef]:
-    if index is None:
-        return None
-    return ref_of_index[int(index)]  # type: ignore[arg-type]
 
 
 def count_correct_labels(supervisor: Supervisor, subscribers: Dict[NodeRef, Subscriber],
@@ -147,21 +141,16 @@ def publications_converged(subscribers: Dict[NodeRef, Subscriber], members: List
                            topic: str, expected_keys: Optional[Set[str]] = None) -> bool:
     """True if every member's trie holds the same publication set (and, if
     given, at least ``expected_keys``)."""
-    key_sets: List[Set[str]] = []
+    key_sets: List[AbstractSet[str]] = []
     for ref in members:
         subscriber = subscribers.get(ref)
         if subscriber is None:
             return False
         view = subscriber.view(topic, create=False)
-        key_sets.append(set(view.trie.keys()) if view is not None else set())
-    if not key_sets:
-        return expected_keys is None or not expected_keys
-    first = key_sets[0]
-    if any(keys != first for keys in key_sets[1:]):
-        return False
-    if expected_keys is not None and not expected_keys <= first:
-        return False
-    return True
+        key_sets.append(view.trie.key_set() if view is not None else set())
+    first = key_sets[0] if key_sets else set()
+    return (all(keys == first for keys in key_sets[1:])
+            and (expected_keys is None or expected_keys <= first))
 
 
 def edge_set_signature(edges: Set[Tuple[int, int]]) -> str:

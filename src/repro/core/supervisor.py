@@ -68,6 +68,7 @@ class TopicDatabase:
         self._item: Dict[Label, _Item] = {}
         self._order: List[_Item] = []
         self._labels_of: Dict[Optional[NodeRef], List[Label]] = {}
+        self._missing: Optional[List[Label]] = None  # _missing_labels(), until a write
         for label, ref in (entries or {}).items():
             self.put(label, ref)
 
@@ -75,6 +76,7 @@ class TopicDatabase:
     def put(self, label: Label, ref: Optional[NodeRef]) -> None:
         """``entries[label] = ref``.  Overwriting keeps the label's place in
         the order, as it keeps its place in the dict."""
+        self._missing = None
         if label in self._entries:
             self._unlink(label)
         else:
@@ -90,10 +92,12 @@ class TopicDatabase:
         """``del entries[label]`` (``KeyError`` if absent)."""
         self._unlink(label)
         del self._entries[label], self._item[label]
+        self._missing = None
 
     def clear(self) -> None:
         for index in (self._entries, self._item, self._order, self._labels_of):
             index.clear()
+        self._missing = None
 
     def _unlink(self, label: Label) -> None:
         ref = self._entries[label]
@@ -142,9 +146,12 @@ class TopicDatabase:
                 or bool(self._missing_labels()))
 
     def _missing_labels(self) -> List[Label]:
-        """The holes: labels of ``l(0), ..., l(n-1)`` the database lacks."""
-        entries = self._entries
-        return [label for label in map(label_of, range(len(entries))) if label not in entries]
+        """The holes: labels of ``l(0), ..., l(n-1)`` the database lacks —
+        scanned once per write, not once per Timeout or oracle check."""
+        if self._missing is None:
+            self._missing = [label for label in map(label_of, range(len(self._entries)))
+                             if label not in self._entries]
+        return self._missing
 
     def check_multiple_copies(self, node: NodeRef) -> None:
         """Remove duplicate tuples for ``node``, keeping the lowest label
@@ -159,8 +166,8 @@ class TopicDatabase:
 
         Restores the invariant that the database contains exactly the labels
         ``l(0), ..., l(n-1)``, each held by a distinct live subscriber.  On an
-        uncorrupted, crash-free database this is one O(n) scan for holes and
-        no sort.
+        uncorrupted, crash-free database this is O(1) and no sort: the scan
+        for holes runs once after each write, not once per call.
         """
         # (i) drop tuples without a subscriber, and crashed subscribers.
         for ref in (None, *(crashed or ())):

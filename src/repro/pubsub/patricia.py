@@ -25,7 +25,7 @@ the property the CheckTrie reconciliation protocol relies on.
 from __future__ import annotations
 
 from os.path import commonprefix  # character-wise, works on any strings
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, KeysView, List, Optional, Tuple
 
 from repro.pubsub.hashing import leaf_hash, node_hash
 from repro.pubsub.publications import Publication
@@ -95,6 +95,10 @@ class PatriciaTrie:
 
     def keys(self) -> List[str]:
         return sorted(self._by_key)
+
+    def key_set(self) -> KeysView[str]:
+        """The stored keys as a live set-like view: neither sorted nor copied."""
+        return self._by_key.keys()
 
     def get(self, key: str) -> Optional[Publication]:
         return self._by_key.get(key)

@@ -419,6 +419,46 @@ class TestProtocolPathStaysFractionFree:
         supervisor.on_timeout()
         assert calls and not db.is_corrupted()
 
+    def test_checklabels_on_an_unchanged_database_scans_no_labels(self, monkeypatch):
+        """The hole scan (n ``label_of`` calls) runs once per database write:
+        a Timeout on an unchanged database calls ``label_of`` once, for the
+        round-robin pick, and the oracle's ``is_corrupted`` not at all."""
+        import repro.core.supervisor as supervisor_module
+
+        sim = Simulator(SimulatorConfig(seed=3))
+        supervisor = supervisor_module.Supervisor(0)
+        sim.add_node(supervisor, schedule_timeout=False)
+        for node in range(1, 257):
+            supervisor.on_Subscribe(node)
+        supervisor.on_timeout()
+        db = supervisor.database()
+        calls = []
+
+        def counting_label_of(index):
+            calls.append(index)
+            return label_of(index)
+
+        label_of = supervisor_module.label_of
+        monkeypatch.setattr(supervisor_module, "label_of", counting_label_of)
+        for _ in range(5):
+            supervisor.on_timeout()
+            assert not db.is_corrupted()
+            db.repair_labels()
+        assert len(calls) == 5  # one round-robin label per Timeout
+        db.remove(label_of(db.n - 1))  # a write: the next read scans again
+        assert not db.is_corrupted() and len(calls) == 5 + db.n
+
+    def test_consecutive_checks_at_one_n_build_sr_n_once(self, monkeypatch):
+        from repro.analysis import convergence
+        from repro.api import build_stable
+        from repro.core.skip_ring import SkipRingTopology
+
+        system, _ = build_stable(SystemSpec(seed=26), 37)
+        convergence._ideal_state.cache_clear()
+        built = _count_constructions(monkeypatch, SkipRingTopology)
+        assert all(system.is_legitimate() for _ in range(6))
+        assert built == [1]
+
 
 def _count_constructions(monkeypatch, cls):
     """Patch ``cls.__init__`` to append to the returned list per instance."""
@@ -929,9 +969,9 @@ class TestProfilerSpeaksTheBenchmarksNames:
         assert "invalid choice: 'core_2k_wheel'" in message
         assert all(name in message for name in names)
 
-    @pytest.mark.parametrize("name, hashes", [("engine_storm", False),
-                                              ("publish_fanout", True)])
-    def test_json_carries_sha256_per_op(self, script, name, hashes):
+    @pytest.mark.parametrize("name, protocol", [("engine_storm", False),
+                                                ("publish_fanout", True)])
+    def test_json_carries_sha256_per_op(self, script, name, protocol):
         workload = script._benchmark_workloads()[name]
         state = workload.setup(script.WORKLOAD_SEED, workload.sizes(0.05))
         stats, events = script.profile_region(workload, state)
@@ -939,6 +979,9 @@ class TestProfilerSpeaksTheBenchmarksNames:
         payload = script.profile_payload(stats, workload, events, workload.ops(state),
                                          "tottime", 5)
         assert payload["calls_per_event"] > 0
-        # engine_storm never hashes; a delivery pays at least its share of the trie
-        assert payload["sha256_per_op"] > 0 if hashes else payload["sha256_per_op"] == 0
+        # engine_storm never hashes nor checks; a delivery pays at least its
+        # share of the trie, and the drive polls publications_converged
+        for key in ("sha256_per_op", "oracle_share", "oracle_checks_per_op"):
+            assert payload[key] > 0 if protocol else payload[key] == 0, key
+        assert payload["oracle_share"] < 1
 

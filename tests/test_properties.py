@@ -3,9 +3,10 @@
 
 from os.path import commonprefix
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.convergence import LegitimacyReport, ring_legitimate
 from repro.api import SystemSpec, build_stable
 from repro.core import messages as msg
 from repro.core.labels import (
@@ -321,6 +322,120 @@ def test_database_repair_is_idempotent(entries):
     once = dict(db.entries)
     db.repair_labels()
     assert db.entries == once
+
+
+# Canonical labels, a non-canonical one ('0100' is l(2) = '01' with zeros) and
+# invalid ones; references include ``None`` (corruption (i)) and repeats (ii).
+_db_label = st.sampled_from(["0", "1", "01", "11", "001", "011", "101", "0100", "10", "", "2x"])
+_db_steps = st.lists(st.one_of(
+    st.tuples(st.just("put"), _db_label, st.one_of(st.none(), st.integers(1, 6))),
+    st.tuples(st.just("remove"), st.integers(0, 20), st.none()),
+    st.tuples(st.just("repair"), st.none(), st.one_of(st.none(), st.integers(1, 6))),
+    st.tuples(st.just("clear"), st.none(), st.none()),
+), max_size=40)
+
+
+@given(_db_steps)
+def test_memoized_hole_scan_equals_a_fresh_scan_after_every_write(steps):
+    """``_missing_labels`` is remembered until the next ``put``/``remove``/
+    ``clear``; after every step it and ``is_corrupted`` equal a scan of a
+    database rebuilt from the same entries."""
+    db = TopicDatabase()
+    for op, label, ref in steps:
+        if op == "put":
+            db.put(label, ref)
+        elif op == "remove" and db.n:
+            db.remove(list(db.entries)[label % db.n])
+        elif op == "repair":
+            db.repair_labels(crashed=None if ref is None else [ref])
+        elif op == "clear":
+            db.clear()
+        fresh = TopicDatabase(entries=dict(db.entries))
+        assert db._missing_labels() == fresh._missing_labels() == [
+            label_of(i) for i in range(db.n) if label_of(i) not in db.entries]
+        assert db.is_corrupted() == fresh.is_corrupted()
+
+
+# ------------------------------------------------ the oracle vs SR(n) per check
+def _reference_ring_legitimate(supervisor, subscribers, members, topic):
+    """The oracle as it was before its per-n table: ``SkipRingTopology(n)``
+    and ``expected_subscriber_state`` rebuilt on every check."""
+    report = LegitimacyReport(topic=topic, n=len(members))
+    report.database_ok = supervisor.is_database_legitimate(members, topic)
+    if not report.database_ok:
+        report.add_problem("supervisor database corrupted or membership mismatch")
+        return report
+    ref_of = {index_of(lbl): ref for lbl, ref in supervisor.database(topic).entries.items()}
+    topo, ok = SkipRingTopology(len(members)), {"label": True, "ring": True, "sc": True}
+    for index in range(len(members)):
+        ref, spec = ref_of[index], topo.expected_subscriber_state(index)
+        subscriber = subscribers.get(ref)
+        if subscriber is None or subscriber.crashed:
+            report.add_problem(f"database points to missing subscriber {ref}")
+            ok = dict.fromkeys(ok, False)
+            break
+        view = subscriber.view(topic, create=False)
+        if view is None or view.label != spec["label"]:
+            ok["label"] = False
+            report.add_problem(f"subscriber {ref} has label "
+                               f"{getattr(view, 'label', None)!r}, expected {spec['label']!r}")
+            continue
+        al, ar, aw = (None if s is None else s.ref for s in (view.left, view.right, view.ring))
+        el, er, ew = (None if spec[k] is None else ref_of[spec[k]]
+                      for k in ("left", "right", "ring"))
+        if (al, ar, aw) != (el, er, ew):
+            ok["ring"] = False
+            report.add_problem(f"subscriber {ref}: ring neighbours (L={al}, R={ar}, W={aw}) "
+                               f"expected (L={el}, R={er}, W={ew})")
+        expected = {lbl: ref_of[idx] for lbl, idx in spec["shortcuts"].items()}
+        if dict(view.shortcuts) != expected:
+            ok["sc"] = False
+            report.add_problem(f"subscriber {ref}: shortcuts {dict(view.shortcuts)} "
+                               f"expected {expected}")
+    report.labels_ok, report.ring_ok, report.shortcuts_ok = ok.values()
+    return report
+
+
+_perturbations = st.lists(st.tuples(
+    st.sampled_from(["label", "left", "right", "ring", "shortcut", "drop_shortcut",
+                     "extra_shortcut", "crash", "database", "scramble"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)), max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 40), _perturbations)
+@example(40, [("scramble", 0, 0)])  # 80 problems: the report keeps the first 50
+def test_table_driven_oracle_equals_rebuilding_sr_n_per_check(n, perturbations):
+    system, peers = build_stable(SystemSpec(seed=n), n)
+    members, topic = system.members(), system.params.default_topic
+    supervisor = system.supervisor_of(topic)
+    for kind, pick, other_pick in perturbations:
+        view, other = peers[pick % n].view(), peers[other_pick % n]
+        wrong = Neighbor(other.view().label, other.node_id)
+        if kind == "label":
+            view.label = _LABELS[pick % len(_LABELS)] if pick % 3 else None
+        elif kind in ("left", "right", "ring"):
+            setattr(view, kind, wrong if pick % 4 else None)
+        elif kind == "shortcut" and view.shortcuts:
+            view.shortcuts[sorted(view.shortcuts)[other_pick % len(view.shortcuts)]] = \
+                other.node_id
+        elif kind == "drop_shortcut" and view.shortcuts:
+            del view.shortcuts[sorted(view.shortcuts)[other_pick % len(view.shortcuts)]]
+        elif kind == "extra_shortcut":
+            view.shortcuts[wrong.label] = other.node_id
+        elif kind == "crash":
+            peers[pick % n].crash()
+        elif kind == "database":
+            supervisor.database(topic).put("0100", other.node_id)
+        elif kind == "scramble":
+            for peer in peers:
+                peer.view().left, peer.view().shortcuts = None, {}
+    actual = ring_legitimate(supervisor, system.subscribers, members, topic)
+    expected = _reference_ring_legitimate(supervisor, system.subscribers, members, topic)
+    assert actual == expected
+    assert len(actual.problems) <= 50
+    if perturbations == [("scramble", 0, 0)] and n == 40:
+        assert len(actual.problems) == 50 and not actual.ring_ok
 
 
 # ------------------------------------------- the Timeout plan vs no plan at all
