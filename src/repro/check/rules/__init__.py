@@ -4,7 +4,7 @@ Rule ids (stable — pragmas and baselines refer to them):
 
 * ``hook-signature`` — registered hook callbacks match emitter arity
 * ``no-ambient-nondeterminism`` — no wall-clock/uuid/entropy on report paths
-* ``no-hotpath-allocation`` — no per-event containers/Messages in marked hot loops
+* ``no-hotpath-allocation`` — no per-event containers in marked hot loops
 * ``no-unsorted-iteration-into-output`` — sorted iteration in serializers
 * ``rng-discipline`` — randomness only via seeded streams
 * ``slots-complete`` — sim/ classes slotted, no undeclared attribute writes

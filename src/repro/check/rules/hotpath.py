@@ -1,22 +1,17 @@
 """no-hotpath-allocation: per-event allocation bans in marked hot functions.
 
 The engine's fused loops (``_send_fast``, ``_run_blocks``) exist to remove
-per-event allocation: tuples replace :class:`~repro.sim.network.Message`
-objects, int64 columns replace ``(node, action)`` counter keys, prebound
-closures replace attribute chains.  A well-meaning edit that reintroduces a
-dict/list/set display — or a ``Message(...)`` construction — inside one of
+per-event allocation: a message is one record tuple, int64 columns replace
+``(node, action)`` counter keys, prebound closures replace attribute chains.
+A well-meaning edit that reintroduces a dict/list/set display inside one of
 those loops silently undoes the optimisation while every test stays green
 (the cost is wall time, not semantics).
 
 This rule makes the budget explicit.  A function opts in by carrying a
 ``# repro: hotpath`` marker comment anywhere in its body (by convention the
 first line); inside a marked function, in modules under ``repro.sim``, the
-rule flags
-
-* dict/list/set **displays** (``{...}``, ``[...]``, ``{a, b}``) and their
-  comprehensions — each one is a fresh heap container per execution;
-* calls constructing a :data:`banned class <BANNED_CONSTRUCTORS>`
-  (``Message(...)``) — the record fast path exists precisely to avoid it.
+rule flags dict/list/set **displays** (``{...}``, ``[...]``, ``{a, b}``) and
+their comprehensions — each one is a fresh heap container per execution.
 
 Tuples stay legal: the event records *are* tuples, and CPython allocates
 them from a free list.  Legitimate allocations inside a marked function —
@@ -30,9 +25,9 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
-from repro.check.context import FileContext, resolve_dotted
+from repro.check.context import FileContext
 from repro.check.findings import Finding
 from repro.check.rules.base import Rule, register
 
@@ -42,11 +37,6 @@ HOTPATH_MARKER = re.compile(r"#\s*repro:\s*hotpath\b")
 #: Only the sim core carries marked hot loops; everything else is free to
 #: allocate (report builders, scenario drivers, the checker itself).
 MODULE_PREFIX = "repro.sim"
-
-#: Class constructors banned per event inside a marked function.  Resolved
-#: through the import map, so aliases (``from repro.sim.network import
-#: Message as Msg``) are still caught.
-BANNED_CONSTRUCTORS = frozenset({"Message"})
 
 #: AST display nodes that allocate a fresh container on every execution,
 #: with the human name used in the finding message.
@@ -94,8 +84,7 @@ def _hot_functions(ctx: FileContext) -> List[ast.AST]:
     return hot
 
 
-def _allocation_sites(func: ast.AST, import_map: dict
-                      ) -> Iterator[Tuple[ast.AST, str]]:
+def _allocation_sites(func: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
     """(node, description) for every per-execution allocation in ``func``,
     without descending into nested functions (they opt in separately)."""
 
@@ -103,12 +92,6 @@ def _allocation_sites(func: ast.AST, import_map: dict
         for child in ast.iter_child_nodes(node):
             if isinstance(child, _FUNC_NODES + (ast.Lambda,)):
                 continue  # a nested function carries its own marker or none
-            if isinstance(child, ast.Call):
-                dotted: Optional[str] = resolve_dotted(child.func, import_map)
-                if dotted is not None:
-                    name = dotted.rsplit(".", 1)[-1]
-                    if name in BANNED_CONSTRUCTORS:
-                        yield child, f"{name}(...) construction"
             for kind, label in _DISPLAY_KINDS:
                 if isinstance(child, kind):
                     # unpacking targets ([a, b] = pair) are not allocations
@@ -125,14 +108,14 @@ def _allocation_sites(func: ast.AST, import_map: dict
 class HotpathAllocationRule(Rule):
     id = "no-hotpath-allocation"
     title = ("functions marked '# repro: hotpath' must not allocate "
-             "containers or Messages per event")
+             "containers per event")
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         if not (ctx.module == MODULE_PREFIX
                 or ctx.module.startswith(MODULE_PREFIX + ".")):
             return
         for func in _hot_functions(ctx):
-            for node, what in _allocation_sites(func, ctx.import_map):
+            for node, what in _allocation_sites(func):
                 yield Finding(
                     rule=self.id, path=ctx.relpath, line=node.lineno,
                     col=node.col_offset,

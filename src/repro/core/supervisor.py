@@ -251,8 +251,8 @@ class Supervisor(ProtocolNode):
         so length plus set equality is the same predicate — because the oracle
         must not raise: a forged ``Subscribe`` can store a hashable ref of any
         type (``"x"`` next to ints), which ``sorted()`` cannot order.  Such a
-        ghost makes this ``False``; *evicting* it is the failure detector's
-        rule (ROADMAP item 1(a)), not this predicate's.
+        ghost makes this ``False`` until the next Timeout evicts it (the
+        failure detector suspects an id with no node behind it).
         """
         db = self.database(topic)
         if db.is_corrupted():
@@ -283,7 +283,8 @@ class Supervisor(ProtocolNode):
 
         Requests from (or on behalf of) suspected subscribers are ignored so
         that references to crashed nodes are never re-integrated (Section 3.3);
-        a ``node`` that cannot be an address is suspected at once.
+        a ``node`` that cannot be an address, or names no node at all, is
+        suspected at once.
         """
         if not _is_address(node):
             return True

@@ -11,17 +11,17 @@ The paper's computational model (Section 1.1) assumes:
 
 :mod:`repro.sim` provides a seeded, deterministic discrete-event simulator that
 realises exactly this model: :class:`~repro.sim.engine.Simulator` drives
-periodic timeouts and delivers messages with randomised delays drawn from a
-seeded RNG, :class:`~repro.sim.network.Network` holds the link policy, the
-message accounting and the views of what is in flight,
-:class:`~repro.sim.node.ProtocolNode` is the base class for protocol
-participants, and :mod:`repro.sim.failure` is the supervisor-side oracle
-failure detector used in Section 3.3 of the paper (crashes are injected with
-:meth:`~repro.sim.engine.Simulator.crash_node`).
+periodic timeouts and delivers messages — each one tuple, its own delivery
+event — with randomised delays drawn from a seeded RNG,
+:class:`~repro.sim.network.Network` holds the link policy, the crashed set
+and the message accounting, :class:`~repro.sim.node.ProtocolNode` is the
+base class for protocol participants, and :mod:`repro.sim.failure` is the
+supervisor-side oracle failure detector used in Section 3.3 of the paper
+(crashes are injected with :meth:`~repro.sim.engine.Simulator.crash_node`).
 """
 
 from repro.sim.engine import Simulator, SimulatorConfig
-from repro.sim.network import Message, Network, ChannelStats
+from repro.sim.network import Network, ChannelStats
 from repro.sim.node import ProtocolNode, NodeRef
 from repro.sim.failure import FailureDetector
 from repro.sim.scheduler import (
@@ -43,7 +43,6 @@ __all__ = [
     "TimeoutWheelScheduler",
     "auto_bucket_width",
     "make_scheduler",
-    "Message",
     "Network",
     "ChannelStats",
     "ProtocolNode",

@@ -28,7 +28,8 @@ scheduler, adversary or telemetry setting.  Every in-flight message — sent by
 a node, duplicated by an adversary or injected as initial-state corruption —
 is one plain tuple (a *record*, :mod:`repro.sim.network`) that is its own
 delivery event and lives only in the scheduler: no per-message object, no
-second copy in a channel.  A send has one path too (``_send_fast``): with or
+second copy in a channel — and reaches a handler by one rule, the class's
+``_action_handlers`` table.  A send has one path too (``_send_fast``): with or
 without a link adversary — the scenario and fuzz harness installs one on
 every run — it is counted, tested against the crashed set, shown to the
 adversary and, unless that answers with a verdict, drawn and pushed inline.
@@ -54,12 +55,7 @@ from typing import Any, Callable, Dict, List, Optional
 import heapq
 
 from repro.sim.failure import FailureDetector
-from repro.sim.network import (
-    DROP_TO_CRASHED,
-    FAST_RECORD_KIND,
-    Network,
-    record_to_message,
-)
+from repro.sim.network import DROP_TO_CRASHED, FAST_RECORD_KIND, Network
 from repro.sim.node import NodeRef, ProtocolNode
 from repro.sim.rng import derive_rng
 from repro.sim.scheduler import (
@@ -223,7 +219,7 @@ class Simulator:
         for the simulator's lifetime, so the per-message path resolves them
         here instead of per call.  A send builds one record tuple that lives
         *only* in the scheduler until delivery: the crashed set answers
-        "still deliverable?" and the network's in-flight views read pending
+        "still deliverable?" and :meth:`Network.in_flight` reads pending
         records straight off the scheduler backlog.
 
         One path for every send: count it, drop it if the address is gone
@@ -262,15 +258,14 @@ class Simulator:
             bucket_heap = scheduler._bucket_heap
             insert_late = scheduler._insert_late
         heappush = heapq.heappush
-        # Every in-flight view of the network reads the records _send_fast
-        # and inject_message leave in the scheduler; hand it the backlog
-        # iterator.
+        # The network's in-flight count reads the records _send_fast and
+        # inject_message leave in the scheduler; hand it the backlog iterator.
         network._pending_records = scheduler.iter_events
 
         def _send_fast(sender: Optional[NodeRef], dest: NodeRef, action: str,
                        topic: Optional[str], params: Dict[str, Any]) -> None:
             # repro: hotpath — one frame per ProtocolNode.send; repro.check
-            # flags per-event container/Message allocations added here
+            # flags per-event container allocations added here
             now = self.now
             adversary = network.adversary
             try:
@@ -474,12 +469,18 @@ class Simulator:
     def _handle_record(self, record: tuple) -> None:
         """Unfused record delivery, the reference for the drain loop's
         fused branch: the full :meth:`Network.pop_record` (delivery-time
-        adversary check, per-reason drop accounting) and a materialised
-        :class:`~repro.sim.network.Message` through ``dispatch``."""
-        if self.network.pop_record(record):
-            node = self.nodes.get(record[3])
-            if node is not None and not node.crashed:
-                node.dispatch(record_to_message(record))
+        adversary check, per-reason drop accounting), then the same handler
+        table lookup and topic folding."""
+        if not self.network.pop_record(record):
+            return
+        node = self.nodes.get(record[3])
+        handler = (None if node is None or node.crashed
+                   else node._action_handlers.get(record[4]))
+        if handler is not None:
+            params = record[5]
+            if record[6] is not None and "topic" not in params:
+                params["topic"] = record[6]
+            handler(node, **params)
 
     def _handle_timeout(self, node_id: NodeRef) -> None:
         node = self.nodes.get(node_id)
@@ -559,7 +560,7 @@ class Simulator:
         in flight), nothing else.
         """
         # repro: hotpath — the fused delivery/timeout drain; repro.check
-        # flags per-event container/Message allocations added to this loop
+        # flags per-event container allocations added to this loop
         scheduler = self._scheduler
         pop_block_into = scheduler.pop_block_into
         next_time = scheduler.next_time
@@ -682,16 +683,14 @@ class Simulator:
                             continue
                         handler = node._action_handlers.get(action)
                         if handler is None:
-                            # dispatch override (its class's table is empty) /
-                            # unknown action / late-bound handler: the full
-                            # dispatch path
-                            node.dispatch(record_to_message(event))
-                        else:
-                            params = event[5]
-                            topic = event[6]
-                            if topic is not None and "topic" not in params:
-                                params["topic"] = topic
-                            handler(node, **params)
+                            continue  # a label no handler understands
+                        # topic folded in place: a record owns its params (a
+                        # duplicate shares them; the write is idempotent)
+                        params = event[5]
+                        topic = event[6]
+                        if topic is not None and "topic" not in params:
+                            params["topic"] = topic
+                        handler(node, **params)
                     elif kind == _TIMEOUT:
                         node = nodes_get(event[3])
                         if node is None or node.crashed:

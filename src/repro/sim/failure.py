@@ -76,13 +76,15 @@ class FailureDetector:
         detached detector cannot know the current time, so omitting ``now``
         raises instead of silently guessing.
 
-        An unhashable ``node_id`` (a forged ref) is suspected at once: like a
-        crashed node's it is an address that does not exist (the rule
-        :class:`~repro.sim.network.Network` applies to a ``dest``).
+        An id with no node behind it — unhashable, or (for an attached
+        detector, which sees the node table) absent from ``sim.nodes`` — is
+        a forged ref: like a crashed node's, an address that does not exist
+        (the rule :class:`~repro.sim.network.Network` applies to a ``dest``),
+        so it is suspected at once.
         """
         try:
             if node_id not in self._crash_times:
-                return False
+                return self._sim is not None and node_id not in self._sim.nodes
         except TypeError:
             return True
         if now is None:

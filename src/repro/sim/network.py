@@ -6,7 +6,7 @@ delivered in any order and after any finite delay.  Here an in-flight message
 is one thing only: a *record* tuple that is its own delivery event and lives
 in the simulator's scheduler until it fires (layout below) — whether a node
 sent it, a link adversary duplicated it or a corrupted initial state injected
-it.  ``v.Ch`` is therefore a view: the pending records addressed to ``v``.
+it.  ``v.Ch`` is therefore the pending records addressed to ``v``.
 :class:`Network` holds the link adversary the engine's send path consults,
 keeps per-action and per-node accounting (used by the supervisor-load and
 congestion experiments) and the set of crashed nodes, messages to which are
@@ -24,56 +24,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-
-@dataclass(slots=True)
-class Message:
-    """A single protocol message of the form ``<label>(<parameters>)``.
-
-    Nothing in flight is a ``Message``: this is the materialised view of an
-    in-flight record (:func:`record_to_message`), built only for a
-    :meth:`ProtocolNode.dispatch <repro.sim.node.ProtocolNode.dispatch>`
-    override, for :meth:`Simulator.step`'s reference delivery and for the
-    inspection API (:meth:`Network.channel_of`, :meth:`Network.iter_in_flight`).
-    Slotted plain data — nothing may hang ad-hoc attributes off it.
-
-    Attributes
-    ----------
-    action:
-        The action label, e.g. ``"Introduce"`` or ``"GetConfiguration"``.
-    params:
-        Keyword parameters of the action.  Values must be plain data
-        (ints, strings, tuples, node ids) so that an adversary can also forge
-        them in corrupted initial states.
-    sender:
-        Node id of the sender, or ``None`` for adversarially injected
-        (corrupted) messages present in the initial state.
-    dest:
-        Node id of the destination channel.
-    topic:
-        Optional topic identifier (Section 4: every message carries its topic
-        so the receiver can dispatch it to the right per-topic protocol
-        instance).
-    send_time / deliver_time:
-        Simulation timestamps.
-    """
-
-    action: str
-    params: Dict[str, Any]
-    sender: Optional[int]
-    dest: int
-    topic: Optional[str] = None
-    send_time: float = 0.0
-    deliver_time: float = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        src = "?" if self.sender is None else self.sender
-        return (
-            f"Message({self.action}, {src}->{self.dest}, t={self.send_time:.2f}"
-            f"->{self.deliver_time:.2f}, params={self.params})"
-        )
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 
 #: Drop-accounting reasons used by :meth:`ChannelStats.record_drop`.
@@ -84,10 +35,10 @@ DROP_REASONS = (DROP_TO_CRASHED, DROP_ADVERSARY_LOSS, DROP_PARTITION)
 
 
 # -------------------------------------------------------------------- records
-# An in-flight message is a plain tuple, not a Message instance: building one
-# tuple costs ~1/5th of a slotted dataclass plus its field writes, and the
-# per-message hot path touches every field at most once.  A record is the
-# *scheduler event* itself:
+# A message has one form between its send and its handler: a plain tuple
+# (building one costs ~1/5th of a slotted object plus its field writes, and
+# the per-message hot path touches every field at most once).  A record is
+# the *scheduler event* itself:
 #
 #     (deliver_time, seq, kind, dest, action, params, topic, sender, send_time)
 #
@@ -98,11 +49,9 @@ DROP_REASONS = (DROP_TO_CRASHED, DROP_ADVERSARY_LOSS, DROP_PARTITION)
 # delivery event fires — every send (with or without a link adversary; a
 # duplicate is a second record sharing the params dict) and every injected
 # corruption (``sender`` is ``None``).  "Is the record still deliverable?" is
-# a crashed-set test, and the in-flight introspection reads pending records
-# straight out of the scheduler through :attr:`Network._pending_records`,
-# materialising them into equivalent Message instances, so external consumers
-# never see the tuple form.  Index constants are shared with the engine's
-# fused loops.
+# a crashed-set test, and :meth:`Network.in_flight` counts the pending records
+# straight out of the scheduler through :attr:`Network._pending_records`.
+# Index constants are shared with the engine's fused loops.
 REC_DELIVER_TIME = 0
 REC_SEQ = 1
 REC_KIND = 2
@@ -124,17 +73,6 @@ FAST_RECORD_KIND = 4
 #: column at 8 MiB even against a forged id of 10**9; real deployments sit
 #: far below it).
 _STATS_COLUMN_CAP = 1 << 20
-
-
-def record_to_message(record: tuple) -> "Message":
-    """Materialise an in-flight record into an equivalent :class:`Message`.
-
-    The params dict is shared, not copied — the record owns its params, so
-    :meth:`ProtocolNode.dispatch`'s in-place topic folding keeps working."""
-    return Message(action=record[REC_ACTION], params=record[REC_PARAMS],
-                   sender=record[REC_SENDER], dest=record[REC_DEST],
-                   topic=record[REC_TOPIC], send_time=record[REC_SEND_TIME],
-                   deliver_time=record[REC_DELIVER_TIME])
 
 
 class ChannelStats:
@@ -418,8 +356,8 @@ class Network:
     :class:`~repro.sim.engine.Simulator`'s scheduler.  The simulator's send
     path (``_send_fast``) counts a send, drops it if the destination crashed
     and asks :attr:`adversary` which copies survive; its drain loop delivers
-    records (fusing what :meth:`pop_record` spells out); the inspection
-    methods read the pending records back out of the scheduler.
+    records (fusing what :meth:`pop_record` spells out); :meth:`in_flight`
+    counts the pending records back out of the scheduler.
 
     A ``dest`` that cannot be an address — unhashable: a forged list or dict
     where a node ref belongs — is an address that does not exist.  The send
@@ -427,7 +365,7 @@ class Network:
     looks the address up first: the send path (under an adversary or with
     some node crashed) or :meth:`pop_record` (when the record comes due; the
     drain loop calls it for every ``dest`` but a non-negative int).  It is
-    never delivered, shown to an adversary or part of an in-flight view.
+    never delivered, shown to an adversary or counted as in flight.
     """
 
     __slots__ = ("stats", "_crashed", "adversary", "_pending_records")
@@ -440,9 +378,9 @@ class Network:
         #: the paper's fault model: no loss, no duplication, finite delays.
         self.adversary = None
         #: zero-arg callable yielding the scheduler's pending events (the
-        #: simulator binds ``scheduler.iter_events`` here) — the source of
-        #: every in-flight view.  ``None`` for a standalone network, which
-        #: then has nothing in flight.
+        #: simulator binds ``scheduler.iter_events`` here) — what
+        #: :meth:`_iter_pending` reads.  ``None`` for a standalone network,
+        #: which then has nothing in flight.
         self._pending_records = None
 
     # ------------------------------------------------------------------ admin
@@ -463,7 +401,7 @@ class Network:
 
     def mark_crashed(self, node_id: int) -> None:
         """Record ``node_id`` as crashed: records in flight to it are never
-        delivered (silently — they leave every in-flight view at once) and
+        delivered (silently — they stop counting as in flight at once) and
         future messages to it are dropped at send time."""
         self._crashed.add(node_id)
 
@@ -530,35 +468,6 @@ class Network:
             if event[REC_KIND] == FAST_RECORD_KIND and not gone(event[REC_DEST]):
                 yield event
 
-    def channel_of(self, node_id: int) -> List[Message]:
-        """The paper's ``v.Ch``: the in-flight messages currently addressed
-        to ``node_id``, materialised into :class:`Message` instances."""
-        return [record_to_message(event) for event in self._iter_pending()
-                if event[REC_DEST] == node_id]
-
     def in_flight(self) -> int:
         """Total number of undelivered messages."""
         return sum(1 for _ in self._iter_pending())
-
-    def iter_in_flight(self) -> Iterator[Message]:
-        for event in self._iter_pending():
-            yield record_to_message(event)
-
-    def implicit_edges(self) -> List[tuple[int, int]]:
-        """Edges ``(u, v)`` where a message in flight to ``u`` carries a
-        reference to ``v`` (the paper's *implicit* edges).
-
-        Reference-carrying parameters are recognised by convention: any
-        parameter named ``node``, ``ref``, ``pred``, ``succ`` or ending in
-        ``_ref`` whose value is an ``int`` is treated as a node reference.
-        Reads the records in place — no materialisation needed.
-        """
-        edges = []
-        for event in self._iter_pending():
-            dest = event[REC_DEST]
-            for key, value in event[REC_PARAMS].items():
-                if not isinstance(value, int):
-                    continue
-                if key in ("node", "ref", "pred", "succ", "sender") or key.endswith("_ref"):
-                    edges.append((dest, value))
-        return edges

@@ -8,7 +8,8 @@ by subclasses), and two kinds of actions:
   invokes the method ``on_<label>`` with the message's parameters, and
 * the periodic ``Timeout`` action — :meth:`on_timeout`, scheduled by the
   simulator infinitely often (weak fairness).  ``timeout`` is not an action:
-  a message labelled so is ignored like any label no handler understands.
+  a message labelled so is received and dropped, like any label no handler
+  understands (an arbitrary initial state may put such labels in a channel).
 
 Nodes communicate exclusively through :meth:`send`, which places a message
 into the destination's channel.  Node references are plain integers
@@ -19,8 +20,6 @@ into the destination's channel.  Node references are plain integers
 from __future__ import annotations
 
 from typing import Any, Callable, ClassVar, Dict, Optional, TYPE_CHECKING
-
-from repro.sim.network import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -40,8 +39,8 @@ class ProtocolNode:
     attributes (as the test doubles and baselines do).
 
     Handler contract: ``on_<Action>(self, **params)``, the message's topic
-    folded into ``params`` as ``topic``; a class that overrides
-    :meth:`dispatch` receives every message through it instead.  Every
+    folded into ``params`` as ``topic``, found in the class's
+    :attr:`_action_handlers` table — the one dispatch rule.  Every
     parameter is message content — in an arbitrary initial state missing,
     extra or garbage — so the protocol's handlers (``Subscriber``,
     ``Supervisor``) take one shape, ``on_Action(self, /, key=None, ...,
@@ -69,16 +68,15 @@ class ProtocolNode:
 
         Every method named ``on_<Action>`` anywhere in the MRO handles the
         action ``<Action>``, except ``on_timeout``; subclass definitions
-        shadow base-class ones, as normal attribute lookup would.  The table
-        of a class that overrides :meth:`dispatch` is empty, so the engine
-        hands each of its messages to that override.
+        shadow base-class ones, as normal attribute lookup would.  A handler
+        added to a class after its creation is seen only once this is called
+        again.
         """
         table: Dict[str, Callable[..., None]] = {}
-        if cls.dispatch is ProtocolNode.dispatch:
-            for klass in reversed(cls.__mro__):
-                for name, fn in vars(klass).items():
-                    if name.startswith("on_") and name != "on_timeout" and callable(fn):
-                        table[name[3:]] = fn
+        for klass in reversed(cls.__mro__):
+            for name, fn in vars(klass).items():
+                if name.startswith("on_") and name != "on_timeout" and callable(fn):
+                    table[name[3:]] = fn
         cls._action_handlers = table
 
     def __init__(self, node_id: NodeRef) -> None:
@@ -119,7 +117,7 @@ class ProtocolNode:
         its dict, copies), and the send goes through the simulator's prebound
         ``_send_fast`` closure (network, scheduler and delay source resolved
         once per simulator, not once per message), which builds one record
-        tuple per accepted copy and never a :class:`Message`.
+        tuple per accepted copy.
 
         :class:`~repro.core.subscriber.TopicView` does not come through here:
         it makes the same two tests itself, and a Timeout or a flood reads
@@ -136,44 +134,6 @@ class ProtocolNode:
     # ----------------------------------------------------------------- actions
     def on_timeout(self) -> None:
         """Periodic ``Timeout`` action; subclasses override."""
-
-    def dispatch(self, msg: "Message") -> None:
-        """Invoke the handler for a delivered message.
-
-        Unknown actions are ignored: in an arbitrary initial state the channel
-        may contain corrupted messages whose labels no handler understands, and
-        the paper requires such messages to be received (removed from the
-        channel) without breaking the protocol.
-        """
-        if self.crashed:
-            return
-        action = msg.action
-        handler = self._action_handlers.get(action)
-        if handler is None:
-            # Slow-path fallback for handlers added after class creation
-            # (monkeypatched class attributes, per-instance handlers) and an
-            # override's ``super().dispatch`` (its class's table is empty).
-            # Replacing an *existing* handler post-definition requires calling
-            # ``cls._compile_action_handlers()`` to refresh the table.
-            bound = None if action == "timeout" else getattr(self, f"on_{action}", None)
-            if bound is None:
-                return
-            params = dict(msg.params)
-            if msg.topic is not None and "topic" not in params:
-                params["topic"] = msg.topic
-            bound(**params)
-            return
-        # The topic is folded into the params dict IN PLACE: every message
-        # owns its params (send transfers ownership of its kwargs dict,
-        # inject_message copies), handlers only ever see the unpacked
-        # ``**params`` copy, and for adversarial duplicates — which share one
-        # dict — the write is idempotent.  This saves a dict copy on every
-        # topic-carrying delivery.
-        params = msg.params
-        topic = msg.topic
-        if topic is not None and "topic" not in params:
-            params["topic"] = topic
-        handler(self, **params)
 
     # ------------------------------------------------------------------- misc
     def crash(self) -> None:

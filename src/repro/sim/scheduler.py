@@ -97,10 +97,9 @@ class EventScheduler:
     def iter_events(self):
         """Iterate over every pending event in **arbitrary** order.
 
-        A cold introspection surface: the network's in-flight views
-        (``channel_of``, ``in_flight``, ``implicit_edges``) read the pending
-        message records straight out of the queue through it.  The iterator
-        must not be used across a mutation (push/pop).
+        A cold introspection surface: ``Network.in_flight`` counts the
+        pending message records straight out of the queue through it.  The
+        iterator must not be used across a mutation (push/pop).
         """
         raise NotImplementedError
 

@@ -2,8 +2,6 @@
 repro.sim package — the directory layout gives these modules repro.sim.*
 names, which is what scopes the no-hotpath-allocation rule)."""
 
-from repro.sim.network import Message
-
 
 def deliver_block(block, handlers, submit):
     # repro: hotpath
@@ -13,7 +11,7 @@ def deliver_block(block, handlers, submit):
         if event[3] in {event[0], event[1]}:          # set display
             continue
         tags = {name for name in order}               # set comprehension
-        submit(Message(action=event[1], params=extras))
+        submit(event[1], extras)
         handlers[event[0]](order, tags)
 
 
@@ -40,7 +38,7 @@ def fallback_send(block, submit):
         if event[0] is None:
             # cold branch, deliberately waived:
             # repro: allow[no-hotpath-allocation]
-            submit(Message(action=event[1], params=None))
+            submit([event[1]])
 
 
 def warmed_up(block, scratch):

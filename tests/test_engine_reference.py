@@ -100,7 +100,7 @@ def _build(scheduler, mode):
         def install():
             adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.1,
                                       duplicate_rate=0.1)
-            # starts with pre-install records and Message-form copies in flight
+            # starts with records sent before the install in flight
             adversary.add_partition("cut", [range(1, 11)], start=1.75,
                                     heal_time=6.0)
             # deliveries 10x closer than min_delay: inside the drain's window

@@ -1,6 +1,6 @@
 """Unit tests for the PR 4 hot-path machinery: scheduler block pops, wheel
-bucket auto-sizing, the cached failure detector, and the slotted
-message/node state."""
+bucket auto-sizing, the cached failure detector, and the slotted node
+state."""
 
 from __future__ import annotations
 
@@ -12,11 +12,19 @@ import random
 from pathlib import Path
 
 import pytest
+from conftest import records_in_flight
 
 from repro.api import SystemSpec
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.failure import FailureDetector
-from repro.sim.network import Message
+from repro.sim.network import (
+    REC_ACTION,
+    REC_DELIVER_TIME,
+    REC_DEST,
+    REC_PARAMS,
+    REC_SEND_TIME,
+    REC_SEQ,
+)
 from repro.sim.node import ProtocolNode
 from repro.sim.scheduler import (
     EventScheduler,
@@ -306,18 +314,6 @@ class TestFailureDetectorCache:
 
 
 class TestSlotsAndCompat:
-    def test_message_is_slotted(self):
-        msg = Message(action="A", params={}, sender=1, dest=2)
-        assert not hasattr(msg, "__dict__")
-        with pytest.raises(AttributeError):
-            msg.arbitrary_attribute = 1
-
-    def test_message_dataclass_replace_still_works(self):
-        from dataclasses import replace
-        msg = Message(action="A", params={"x": 1}, sender=1, dest=2)
-        copy = replace(msg, deliver_time=7.0)
-        assert copy.deliver_time == 7.0 and copy.action == "A" and copy.params == {"x": 1}
-
     def test_protocol_node_base_is_slotted_but_subclasses_stay_open(self):
         node = ProtocolNode(1)
         assert not hasattr(node, "__dict__")
@@ -390,12 +386,10 @@ class TestProtocolPathStaysFractionFree:
         assert system.run_until_legitimate()
         assert len(system.members()) == 63
 
-    def test_a_join_does_not_sort_the_database(self, monkeypatch):
+    def test_a_join_does_not_sort_the_database(self, monkeypatch, supervised):
         import repro.core.supervisor as supervisor_module
 
-        sim = Simulator(SimulatorConfig(seed=3))
-        supervisor = supervisor_module.Supervisor(0)
-        sim.add_node(supervisor, schedule_timeout=False)
+        sim, supervisor = supervised(range(1, 289))
         for node in range(1, 257):
             supervisor.on_Subscribe(node)
 
@@ -419,15 +413,14 @@ class TestProtocolPathStaysFractionFree:
         supervisor.on_timeout()
         assert calls and not db.is_corrupted()
 
-    def test_checklabels_on_an_unchanged_database_scans_no_labels(self, monkeypatch):
+    def test_checklabels_on_an_unchanged_database_scans_no_labels(self, monkeypatch,
+                                                                   supervised):
         """The hole scan (n ``label_of`` calls) runs once per database write:
         a Timeout on an unchanged database calls ``label_of`` once, for the
         round-robin pick, and the oracle's ``is_corrupted`` not at all."""
         import repro.core.supervisor as supervisor_module
 
-        sim = Simulator(SimulatorConfig(seed=3))
-        supervisor = supervisor_module.Supervisor(0)
-        sim.add_node(supervisor, schedule_timeout=False)
+        sim, supervisor = supervised(range(1, 257))
         for node in range(1, 257):
             supervisor.on_Subscribe(node)
         supervisor.on_timeout()
@@ -471,52 +464,6 @@ def _count_constructions(monkeypatch, cls):
 
     monkeypatch.setattr(cls, "__init__", counting_init)
     return built
-
-
-class TestInFlightMessagesAreRecords:
-    """The PR 16 contract: nothing in flight is a ``Message`` — not under a
-    link adversary either.  One is built only when something inspects the
-    network or a node overrides ``dispatch``."""
-
-    def test_lossy_partitioned_run_constructs_no_message(self, monkeypatch):
-        from repro.api import build_stable
-        from repro.scenarios.adversary import LinkAdversary
-
-        built = _count_constructions(monkeypatch, Message)
-        system, peers = build_stable(SystemSpec(seed=16), 12)
-        sim = system.sim
-        adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.1,
-                                  duplicate_rate=0.1)
-        adversary.add_partition("cut", [[p.node_id for p in peers[:4]]],
-                                start=sim.now + 2.0, heal_time=sim.now + 6.0)
-        sim.install_adversary(adversary)
-        del built[:]
-        system.run_rounds(10)
-        drops = sim.network.stats.drops_by_reason
-        assert drops["adversary_loss"] > 0 and drops["partition"] > 0
-        assert sim.network.stats.duplicated > 0
-        assert built == []
-        # inspection is what materialises one — per entry read, no more
-        in_flight = list(sim.network.iter_in_flight())
-        assert len(built) == len(in_flight) > 0
-
-    def test_a_dispatch_override_still_receives_a_message(self):
-        seen = []
-
-        class Tap(ProtocolNode):
-            def dispatch(self, msg):
-                seen.append(msg)
-
-        sim = Simulator(SimulatorConfig(seed=16))
-        sim.add_node(Tap(1), schedule_timeout=False)
-        sim.add_node(_Pinger(2), schedule_timeout=False)
-        sim.nodes[2].send(1, "Ping", topic="t", sender=2)
-        sim.inject_message(1, "Forged", {"x": 1}, delay=0.5)
-        sim.run_for(2.0)
-        assert sorted((m.action, m.sender, m.dest, m.topic) for m in seen) == [
-            ("Forged", None, 1, None), ("Ping", 2, 1, "t")]
-        assert all(isinstance(m, Message) and m.deliver_time >= m.send_time
-                   for m in seen)
 
 
 class _CountingHashlib:
@@ -725,8 +672,8 @@ class TestAdversarialSendBudget:
         start = sim.now
         adversary.add_delay_spike(start, start + 5.0, factor=3.0)
         system.run_rounds(4)
-        spiked = [m.deliver_time - m.send_time
-                  for m in sim.network.iter_in_flight() if m.send_time >= start]
+        spiked = [record[REC_DELIVER_TIME] - record[REC_SEND_TIME]
+                  for record in records_in_flight(sim) if record[REC_SEND_TIME] >= start]
         assert built and spiked
         assert all(3.0 * sim.config.min_delay <= latency <= 3.0 * sim.config.max_delay
                    for latency in spiked)
@@ -753,14 +700,11 @@ class TestSteadyStateBudget:
     def _timeout_sends(system, peer):
         """What one more Timeout of ``peer`` puts in flight, as
         ``{(dest, action): params}`` — the records' own dicts, not copies."""
-        def in_flight():
-            return [m for m in system.sim.network.iter_in_flight()
-                    if m.sender == peer.node_id]
-        before = {(m.dest, m.action, m.send_time, m.deliver_time) for m in in_flight()}
+        before = {record[REC_SEQ] for record in records_in_flight(system.sim)}
         peer.on_timeout()
-        new = [m for m in in_flight()
-               if (m.dest, m.action, m.send_time, m.deliver_time) not in before]
-        sends = {(m.dest, m.action): m.params for m in new}
+        new = [record for record in records_in_flight(system.sim, sender=peer.node_id)
+               if record[REC_SEQ] not in before]
+        sends = {(record[REC_DEST], record[REC_ACTION]): record[REC_PARAMS] for record in new}
         assert len(sends) == len(new), "the view is not in its steady state"
         return sends
 
@@ -929,10 +873,8 @@ class TestSteadyStateBudget:
         sibling = self._timeout_sends(system, peer)[dest, "Introduce"]
         snapshot = dict(sibling)
         sim.run_for(sim.config.min_delay / 2)       # other deliveries, not this one
-        in_flight = [m for m in sim.network.iter_in_flight()
-                     if m.sender == peer.node_id and m.dest == dest
-                     and m.action == "Introduce"]
-        assert in_flight and all(m.params is sibling for m in in_flight)
+        in_flight = records_in_flight(sim, sender=peer.node_id, dest=dest, action="Introduce")
+        assert in_flight and all(record[REC_PARAMS] is sibling for record in in_flight)
         assert sibling == snapshot
         assert {k: v for k, v in sibling.items() if k != "topic"} == {
             "node": peer.node_id, "label": view.label,

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from conftest import records_in_flight
 
 from repro.api import SystemSpec, build_stable
 from repro.core.system import SupervisedPubSub
@@ -18,6 +19,11 @@ from repro.sim.network import (
     DROP_PARTITION,
     DROP_TO_CRASHED,
     FAST_RECORD_KIND,
+    REC_DELIVER_TIME,
+    REC_DEST,
+    REC_KIND,
+    REC_PARAMS,
+    REC_SEND_TIME,
 )
 from repro.sim.node import ProtocolNode
 
@@ -140,8 +146,8 @@ class TestAdversaryHooks:
 
 class TestOneInFlightForm:
     """Everything in flight — sent with or without an adversary, duplicated,
-    injected — is one record in the scheduler, and every network view is a
-    reading of those records."""
+    injected — is one record in the scheduler, and ``Network.in_flight``
+    counts those records."""
 
     def test_views_agree_under_every_adversarial_condition(self):
         sim = Simulator(SimulatorConfig(seed=21))
@@ -163,40 +169,35 @@ class TestOneInFlightForm:
         assert stats.duplicated > 0
         assert stats.total_sent == 30  # the injection is not a protocol send
 
-        in_flight = list(network.iter_in_flight())
+        in_flight = records_in_flight(sim)
         assert (network.in_flight() == len(in_flight)
-                == sum(len(network.channel_of(n)) for n in sim.nodes)
                 == 30 - stats.total_dropped + stats.duplicated + 1)
         # the scheduler backlog is the only store: one record per entry
-        assert (sorted(m.deliver_time for m in in_flight)
-                == sorted(event[0] for event in sim.scheduler.iter_events()
-                          if event[2] == FAST_RECORD_KIND))
+        assert in_flight == [event for event in sim.scheduler.iter_events()
+                             if event[REC_KIND] == FAST_RECORD_KIND]
         # the spike undercut min_delay for at least one copy
-        assert any(m.deliver_time - m.send_time < sim.config.min_delay
-                   for m in in_flight)
+        assert any(record[REC_DELIVER_TIME] - record[REC_SEND_TIME] < sim.config.min_delay
+                   for record in in_flight)
         # a duplicate is a second entry sharing the first one's params dict
         sharers = {}
-        for msg in in_flight:
-            sharers.setdefault(id(msg.params), []).append(msg)
+        for record in in_flight:
+            sharers.setdefault(id(record[REC_PARAMS]), []).append(record)
         pairs = [group for group in sharers.values() if len(group) == 2]
         assert len(pairs) == stats.duplicated
         assert len(sharers) == len(in_flight) - stats.duplicated
-        assert all(a.deliver_time != b.deliver_time for a, b in pairs)
+        assert all(a[REC_DELIVER_TIME] != b[REC_DELIVER_TIME] for a, b in pairs)
         # injected corruption has no sender
-        injected = [m for m in in_flight if m.sender is None]
-        assert len(injected) == 1 and injected[0].dest == 3
-        assert injected[0].params == {"sender": 99}
+        (injected,) = records_in_flight(sim, sender=None)
+        assert injected[REC_DEST] == 3 and injected[REC_PARAMS] == {"sender": 99}
 
-        # copies addressed to a node that then crashes leave every view at
-        # once and are nobody's "drop"
-        to_four = len(network.channel_of(4))
+        # copies addressed to a node that then crashes are no longer in
+        # flight at once and are nobody's "drop"
+        to_four = len(records_in_flight(sim, dest=4))
         assert to_four > 0
         drops_before = stats.drops_by_reason
         sim.crash_node(4)
-        assert network.channel_of(4) == []
-        assert (network.in_flight() == len(list(network.iter_in_flight()))
-                == len(in_flight) - to_four)
-        assert all(dest != 4 for dest, _ref in network.implicit_edges())
+        assert records_in_flight(sim, dest=4) == []
+        assert network.in_flight() == len(in_flight) - to_four
         assert stats.drops_by_reason == drops_before
 
         sim.run_for(2.0)

@@ -137,24 +137,6 @@ class TestDispatchTable:
         sim.run_rounds(3)
         assert node.pings == 2
 
-    def test_handlers_added_after_class_creation_still_dispatch(self):
-        """The precompiled table misses post-hoc handlers; the getattr
-        fallback must still deliver to them (matching the seed behaviour)."""
-        class Late(ProtocolNode):
-            def __init__(self, node_id):
-                super().__init__(node_id)
-                self.extras = 0
-
-        def on_Extra(self, topic=None):
-            self.extras += 1
-
-        Late.on_Extra = on_Extra  # added after class creation
-        sim = Simulator(SimulatorConfig(seed=8))
-        node = sim.add_node(Late(1), schedule_timeout=False)
-        sim.inject_message(1, "Extra", {})
-        sim.run_rounds(3)
-        assert node.extras == 1
-
     def test_unknown_action_still_ignored(self):
         sim = Simulator(SimulatorConfig(seed=2))
         node = sim.add_node(Pinger(1), schedule_timeout=False)

@@ -1,10 +1,11 @@
 """Unit tests for the simulation substrate (engine, network, tracing, failures)."""
 
 import pytest
+from conftest import records_in_flight
 
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.failure import FailureDetector
-from repro.sim.network import FAST_RECORD_KIND, ChannelStats
+from repro.sim.network import FAST_RECORD_KIND, REC_PARAMS, REC_SENDER, ChannelStats
 from repro.sim.node import ProtocolNode
 from repro.sim.rng import derive_rng
 from repro.sim.tracing import Tracer
@@ -124,14 +125,14 @@ class TestSimulatorBasics:
 
 
 class TestNetwork:
-    def test_channel_and_implicit_edges(self):
+    def test_a_send_is_one_record_in_the_channel(self):
         sim = Simulator(SimulatorConfig(seed=8))
         sim.add_node(EchoNode(1), schedule_timeout=False)
         sim.add_node(EchoNode(2), schedule_timeout=False)
         sim.nodes[1].send(2, "Ping", sender=1, node=7)
         assert sim.network.in_flight() == 1
-        assert (2, 7) in sim.network.implicit_edges()
-        assert len(sim.network.channel_of(2)) == 1
+        (record,) = records_in_flight(sim, dest=2, action="Ping")
+        assert record[REC_SENDER] == 1 and record[REC_PARAMS] == {"sender": 1, "node": 7}
 
     def test_stats_snapshot_and_delta(self):
         sim = Simulator(SimulatorConfig(seed=8))
@@ -291,11 +292,10 @@ class TestUnaddressableDestination:
         live = [node for node in nodes if not node.crashed]
         assert all(node.timeout_count >= 8 for node in live)
         assert sum(node.pings for node in live) >= 15
-        # the in-flight views survive the records still queued ...
+        # the records still queued to the stray are not in flight ...
         network = sim.network
-        assert network.in_flight() == len(list(network.iter_in_flight()))
-        assert all(msg.dest == 1 for msg in network.channel_of(1))
-        network.implicit_edges()
+        assert network.in_flight() == len(records_in_flight(sim))
+        assert records_in_flight(sim, dest=stray) == []
         # ... and every stray send is accounted exactly once: dropped as
         # to_crashed, or still waiting to come due
         strays = sum(node.timeout_count for node in nodes)

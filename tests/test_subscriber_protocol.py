@@ -3,6 +3,7 @@
 import copy
 
 import pytest
+from conftest import records_in_flight
 
 from repro.api import SystemSpec, build_stable
 from repro.core import messages as msg
@@ -12,6 +13,7 @@ from repro.core.supervisor import Supervisor
 from repro.pubsub.hashing import publication_key
 from repro.pubsub.publications import Publication
 from repro.sim.engine import Simulator, SimulatorConfig
+from repro.sim.network import REC_DEST, REC_PARAMS
 
 
 def make_world(n_subscribers: int = 3, params: ProtocolParams | None = None):
@@ -572,9 +574,9 @@ class TestTimeoutPlanStaysHonest:
         a.on_Linearize(d.node_id, label)  # equal to the stored one, which is misplaced
         # farther than the neighbour of the side it belongs to: delegated there
         assert sent(sim, a.node_id, msg.LINEARIZE) == before + 1
-        last = [m for m in sim.network.iter_in_flight() if m.action == msg.LINEARIZE][-1]
-        assert last.dest == {"b": b, "c": c}[delegate].node_id
-        assert last.params == {"node": d.node_id, "label": label}
+        last = records_in_flight(sim, action=msg.LINEARIZE)[-1]
+        assert last[REC_DEST] == {"b": b, "c": c}[delegate].node_id
+        assert last[REC_PARAMS] == {"node": d.node_id, "label": label}
 
     def test_anti_entropy_targets_follow_a_reference_the_same_timeout_relinearized(self):
         sim, sup, (a, b, c) = make_world()
@@ -583,12 +585,12 @@ class TestTimeoutPlanStaysHonest:
         view.left = Neighbor("0", b.node_id)
         a.publish(b"something to offer")
         a.on_timeout()
-        offers = [m.dest for m in sim.network.iter_in_flight() if m.action == msg.CHECK_TRIE]
+        offers = [record[REC_DEST] for record in records_in_flight(sim, action=msg.CHECK_TRIE)]
         assert offers == [b.node_id]
         view.shortcuts["011"] = c.node_id  # not an expected label, closer than "0"
         a.on_timeout()  # prunes it into ``left`` after the plan was matched
         assert view.left == Neighbor("011", c.node_id)
-        offers = [m.dest for m in sim.network.iter_in_flight() if m.action == msg.CHECK_TRIE]
+        offers = [record[REC_DEST] for record in records_in_flight(sim, action=msg.CHECK_TRIE)]
         assert sorted(offers) == sorted([b.node_id, c.node_id])
 
     def test_the_wrap_around_partner_can_change_its_label(self):

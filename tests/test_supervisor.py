@@ -8,8 +8,7 @@ import pytest
 from repro.api import SystemSpec, build_stable
 from repro.core.config import ProtocolParams
 from repro.core.labels import label_of
-from repro.core.supervisor import Supervisor, TopicDatabase
-from repro.sim.engine import Simulator, SimulatorConfig
+from repro.core.supervisor import TopicDatabase
 
 
 class TestTopicDatabase:
@@ -90,13 +89,6 @@ class TestTopicDatabase:
         assert TopicDatabase().round_robin_label() is None
 
 
-def make_supervisor(params: ProtocolParams | None = None):
-    sim = Simulator(SimulatorConfig(seed=5))
-    supervisor = Supervisor(0, params=params)
-    sim.add_node(supervisor, schedule_timeout=False)
-    return sim, supervisor
-
-
 class TestOrderedDatabaseDifferential:
     """The database's bisect-maintained ring order and ``subscriber → labels``
     index against what the seed computed from the plain dict on every call:
@@ -124,11 +116,11 @@ class TestOrderedDatabaseDifferential:
                 (label for label, held in entries.items() if held == ref), None)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_histories_match_the_sorted_dict_reference(self, seed):
+    def test_random_histories_match_the_sorted_dict_reference(self, seed, supervised):
         rng = random.Random(seed)
-        sim, sup = make_supervisor()
-        db = sup.database()
         refs = list(range(100, 130)) + [999]  # 999 never joins
+        sim, sup = supervised(refs[:-1])
+        db = sup.database()
 
         def short_label():  # non-canonical and trailing zeros included: r ties
             return "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
@@ -177,8 +169,8 @@ class TestOrderedDatabaseDifferential:
 
 
 class TestSupervisorHandlers:
-    def test_subscribe_assigns_sequential_labels(self):
-        sim, sup = make_supervisor()
+    def test_subscribe_assigns_sequential_labels(self, supervised):
+        sim, sup = supervised((10, 11, 12))
         for node in (10, 11, 12):
             sup.on_Subscribe(node)
         db = sup.database()
@@ -189,14 +181,14 @@ class TestSupervisorHandlers:
         # one configuration message per subscribe (Theorem 7)
         assert sup.op_response_messages == 3
 
-    def test_duplicate_subscribe_does_not_duplicate_entry(self):
-        sim, sup = make_supervisor()
+    def test_duplicate_subscribe_does_not_duplicate_entry(self, supervised):
+        sim, sup = supervised([10])
         sup.on_Subscribe(10)
         sup.on_Subscribe(10)
         assert sup.database().n == 1
 
-    def test_unsubscribe_moves_last_label_holder(self):
-        sim, sup = make_supervisor()
+    def test_unsubscribe_moves_last_label_holder(self, supervised):
+        sim, sup = supervised((10, 11, 12))
         for node in (10, 11, 12):
             sup.on_Subscribe(node)
         sup.on_Unsubscribe(10)  # label l(0) freed; holder of l(2) moves in
@@ -205,32 +197,32 @@ class TestSupervisorHandlers:
         assert db.label_for(12) == label_of(0)
         assert not db.is_corrupted()
 
-    def test_unsubscribe_last_node(self):
-        sim, sup = make_supervisor()
+    def test_unsubscribe_last_node(self, supervised):
+        sim, sup = supervised([10])
         sup.on_Subscribe(10)
         sup.on_Unsubscribe(10)
         assert sup.database().n == 0
 
-    def test_unsubscribe_unknown_node_still_grants_permission(self):
-        sim, sup = make_supervisor()
+    def test_unsubscribe_unknown_node_still_grants_permission(self, supervised):
+        sim, sup = supervised(())
         sup.on_Unsubscribe(99)
         assert sup.database().n == 0
         # SetData(⊥,⊥,⊥) was sent to the requester
         assert sim.network.stats.sent_by(0, "SetData") == 1
 
-    def test_get_configuration_unknown_integrates_by_default(self):
-        sim, sup = make_supervisor()
+    def test_get_configuration_unknown_integrates_by_default(self, supervised):
+        sim, sup = supervised([55])
         sup.on_GetConfiguration(55)
         assert sup.database().label_for(55) == label_of(0)
 
-    def test_get_configuration_unknown_pseudocode_variant(self):
-        sim, sup = make_supervisor(ProtocolParams(integrate_unknown_requesters=False))
+    def test_get_configuration_unknown_pseudocode_variant(self, supervised):
+        sim, sup = supervised([55], ProtocolParams(integrate_unknown_requesters=False))
         sup.on_GetConfiguration(55)
         assert sup.database().n == 0
         assert sim.network.stats.sent_by(0, "SetData") == 1
 
-    def test_requests_from_suspected_nodes_are_ignored(self):
-        sim, sup = make_supervisor()
+    def test_requests_from_suspected_nodes_are_ignored(self, supervised):
+        sim, sup = supervised([10])
         sup.on_Subscribe(10)
         sim.failure_detector.notify_crash(10, time=0.0)
         sup.on_GetConfiguration(10)
@@ -239,8 +231,8 @@ class TestSupervisorHandlers:
         sup.on_timeout()
         assert sup.database().label_for(10) is None
 
-    def test_timeout_round_robin_sends_configs(self):
-        sim, sup = make_supervisor()
+    def test_timeout_round_robin_sends_configs(self, supervised):
+        sim, sup = supervised((10, 11, 12, 13))
         for node in (10, 11, 12, 13):
             sup.on_Subscribe(node)
         sent_before = sim.network.stats.sent_by(0, "SetData")
@@ -248,8 +240,8 @@ class TestSupervisorHandlers:
             sup.on_timeout()
         assert sim.network.stats.sent_by(0, "SetData") == sent_before + 4
 
-    def test_per_topic_isolation(self):
-        sim, sup = make_supervisor()
+    def test_per_topic_isolation(self, supervised):
+        sim, sup = supervised((10, 11))
         sup.on_Subscribe(10, topic="news")
         sup.on_Subscribe(11, topic="sports")
         assert sup.database("news").label_for(10) == label_of(0)
@@ -257,8 +249,8 @@ class TestSupervisorHandlers:
         assert sup.database("news").label_for(11) is None
         assert sup.topics() == ["news", "sports"]
 
-    def test_is_database_legitimate(self):
-        sim, sup = make_supervisor()
+    def test_is_database_legitimate(self, supervised):
+        sim, sup = supervised((10, 11))
         for node in (10, 11):
             sup.on_Subscribe(node)
         assert sup.is_database_legitimate([10, 11])
@@ -306,8 +298,8 @@ class TestForgedRequests:
         assert system.run_until_legitimate(max_rounds=300)
         assert dict(supervisor.database("default").entries) == before
 
-    def test_unaddressable_node_is_ignored_by_every_request_handler(self):
-        sim, sup = make_supervisor()
+    def test_unaddressable_node_is_ignored_by_every_request_handler(self, supervised):
+        sim, sup = supervised([10])
         sup.on_Subscribe(10)
         for node in (None, [1], {"a": 1}):
             sup.on_Subscribe(node)
@@ -338,8 +330,8 @@ class TestForgedRequestTopics:
         assert dict(supervisor.database("default").entries) == entries
         assert system.run_until_legitimate(max_rounds=100)
 
-    def test_none_and_empty_topics_still_mean_the_default_topic(self):
-        sim, sup = make_supervisor()
+    def test_none_and_empty_topics_still_mean_the_default_topic(self, supervised):
+        sim, sup = supervised((10, 11))
         sup.on_Subscribe(10, topic=None)
         sup.on_Subscribe(11, topic="")
         assert sup.topics() == [sup.params.default_topic]
@@ -347,25 +339,40 @@ class TestForgedRequestTopics:
 
 
 class TestOracleDoesNotRaise:
-    """ROADMAP item 1(iii): a forged ``Subscribe`` stores any hashable ref, and
-    the legitimacy oracle has to *say* so — ``sorted()`` over ``'x'`` and ints
-    used to raise out of ``is_legitimate()``.  Evicting the ghost is the
-    detector rule's job (item 1(a)), so the system stays illegitimate here."""
+    """A corrupted database may hold a ref of any hashable type, and the
+    legitimacy oracle has to *say* so — ``sorted()`` over ``'x'`` and ints
+    used to raise out of ``is_legitimate()``.  The failure detector suspects
+    an id with no node behind it, so the supervisor never stores one from a
+    request and its Timeout evicts one found in the database."""
 
     @BOTH_TOPOLOGIES
-    def test_a_stored_ghost_reads_as_not_legitimate(self, spec):
+    def test_a_stored_ghost_is_evicted_and_the_system_is_legitimate_again(self, spec):
         system, peers = build_stable(spec, 8)
         supervisor = system.supervisor_of("default")
+        db = supervisor.database("default")
         system.sim.inject_message(supervisor.node_id, "Subscribe", {"node": "x"},
                                   topic="default")
         system.run_rounds(3)
-        assert "x" in supervisor.database("default").members()
+        assert "x" not in db.members()  # refused at the ingress
+        db.put(label_of(db.n), "x")
         assert system.is_legitimate() is False
-        assert system.run_until_legitimate(max_rounds=20) is False
         assert not supervisor.is_database_legitimate([p.node_id for p in peers], "default")
+        assert system.run_until_legitimate(max_rounds=20)
+        assert "x" not in db.members()
 
-    def test_set_comparison_is_the_old_predicate_on_clean_databases(self):
-        sim, sup = make_supervisor()
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("ref", [10**9, "x", (1, 2), -5], ids=repr)
+    def test_an_introduced_id_with_no_node_does_not_poison_the_run(self, spec, ref):
+        """Thm 8: a forged neighbour id, passed on until a subscriber asks the
+        supervisor about it, used to be stored for good."""
+        system, peers = build_stable(spec, 8)
+        system.sim.inject_message(peers[0].node_id, "Introduce",
+                                  {"node": ref, "label": "0101"}, topic="default")
+        system.run_rounds(10)
+        assert system.run_until_legitimate(max_rounds=1500)
+
+    def test_set_comparison_is_the_old_predicate_on_clean_databases(self, supervised):
+        sim, sup = supervised((10, 11, 12))
         for node in (12, 10, 11):
             sup.on_Subscribe(node)
         assert sup.is_database_legitimate([10, 11, 12])

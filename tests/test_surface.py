@@ -16,7 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _RULE = "registered by its @register decorator; CheckEngine reaches it through default_rules()"
 _TASK = "reached by its 'module:function' string through exec.backend.resolve_task_fn"
-_INSTRUMENT = "the instrument ~25 tests observe sends with (ISSUE 23: deliberately kept)"
 
 #: Names with no by-name reader that stay, each with the reader it does have.
 KEPT = {
@@ -31,7 +30,6 @@ KEPT = {
     "shard_topic_counts": "cluster inspection: per-shard topic load after a rebalance",
     "shortcut_labels_closed_form": "the paper's closed form, property-tested == shortcut_labels",
     "check_invariants": "structural + Merkle oracle of the trie, asserted by four test files",
-    "channel_of": _INSTRUMENT, "iter_in_flight": _INSTRUMENT, "implicit_edges": _INSTRUMENT,
 }
 
 
