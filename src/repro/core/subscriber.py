@@ -161,9 +161,9 @@ class TopicView:
 
     # ------------------------------------------------------------------ sends
     # ``ProtocolNode.send``'s two tests, made by the view itself, in front of
-    # the simulator's ``_send_fast`` (read per call or once per Timeout/flood
-    # — assigning ``sim.scheduler`` rebinds it; a detached owner's ``sim``
-    # raises the explanatory error).
+    # the simulator's ``_send_fast`` (bound once per simulator, read per call
+    # or once per Timeout/flood; a detached owner's ``sim`` raises the
+    # explanatory error).
     def send(self, dest: Optional[NodeRef], action: str, **params) -> None:
         owner = self.owner
         if not owner.crashed and dest is not None:

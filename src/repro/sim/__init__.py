@@ -25,7 +25,6 @@ from repro.sim.network import Network, ChannelStats
 from repro.sim.node import ProtocolNode, NodeRef
 from repro.sim.failure import FailureDetector
 from repro.sim.scheduler import (
-    EventScheduler,
     HeapScheduler,
     TimeoutWheelScheduler,
     auto_bucket_width,
@@ -38,7 +37,6 @@ from repro.sim.rng import derive_rng, derive_seed
 __all__ = [
     "Simulator",
     "SimulatorConfig",
-    "EventScheduler",
     "HeapScheduler",
     "TimeoutWheelScheduler",
     "auto_bucket_width",

@@ -17,8 +17,8 @@ which has **one** event loop — the windowed block drain.  A safety window is
 computed such that nothing a handler can schedule may land inside it
 (``min(min_delay, timeout_period * (1 - jitter))`` ahead of the next event,
 clipped by the earliest pending crash/callback), the whole window is taken
-out of the scheduler in one call
-(:meth:`~repro.sim.scheduler.EventScheduler.pop_block_into`), and a tight
+out of the scheduler in one ``pop_block_into`` call (see
+:mod:`repro.sim.scheduler`), and a tight
 loop delivers it with no per-event queue traffic.  Anything that does land
 inside an open window — a callback, a zero-delay injection, a delivery an
 adversary scaled below ``min_delay`` — raises an interrupt flag, and the
@@ -58,12 +58,7 @@ from repro.sim.failure import FailureDetector
 from repro.sim.network import DROP_TO_CRASHED, FAST_RECORD_KIND, Network
 from repro.sim.node import NodeRef, ProtocolNode
 from repro.sim.rng import derive_rng
-from repro.sim.scheduler import (
-    SCHEDULER_NAMES,
-    EventScheduler,
-    TimeoutWheelScheduler,
-    make_scheduler,
-)
+from repro.sim.scheduler import SCHEDULER_NAMES, TimeoutWheelScheduler, make_scheduler
 from repro.sim.tracing import Tracer
 
 
@@ -109,6 +104,9 @@ class SimulatorConfig:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("min_delay", "max_delay", "timeout_period", "detection_lag"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         # Strictly positive: the block drain's safety window is
         # min(min_delay, ...) wide (see Simulator._run_blocks).
         if self.min_delay <= 0:
@@ -182,38 +180,21 @@ class Simulator:
         #: when an event lands inside it
         self._block_end: float = _NEG_INF
         self._block_interrupted = False
-        # Assigning the scheduler (a property) also binds the fused
-        # ``_send_fast`` closure, which captures the scheduler's push.
-        scheduler = make_scheduler(
+        self._scheduler = make_scheduler(
             self.config.scheduler, self.config.timeout_period,
             min_delay=self.config.min_delay, max_delay=self.config.max_delay,
             timeout_jitter=self.config.timeout_jitter)
-        if type(scheduler) is TimeoutWheelScheduler:
-            # The engine builds every event around a freshly drawn seq and
-            # pushes it immediately, so its push stream is seq-monotone per
-            # bucket — unlock the wheel's timestamp-only bucket sort.  Only
-            # set on the wheel the engine creates itself: an externally
-            # assigned scheduler may have been pre-loaded in arbitrary order.
-            scheduler.monotone_seq = True
-        self.scheduler = scheduler
+        self._bind_fast_submit()
 
     @property
-    def scheduler(self) -> EventScheduler:
-        """The event queue.  Assigning a new scheduler rebinds the fused
-        send path, so a replacement (e.g. a custom
-        :class:`~repro.sim.scheduler.EventScheduler` installed by a test or
-        an experiment) is picked up consistently."""
+    def scheduler(self):
+        """The event queue :attr:`SimulatorConfig.scheduler` names, built
+        once with the simulator (read-only: ``_send_fast`` captured it)."""
         return self._scheduler
-
-    @scheduler.setter
-    def scheduler(self, value: EventScheduler) -> None:
-        self._scheduler = value
-        self._bind_fast_submit()
 
     def _bind_fast_submit(self) -> None:
         """Build the ``_send_fast(sender, dest, action, topic, params)``
-        closure behind :meth:`ProtocolNode.send`, once per scheduler
-        assignment.
+        closure behind :meth:`ProtocolNode.send`, once per simulator.
 
         Network internals, scheduler, delay stream and seq counter are fixed
         for the simulator's lifetime, so the per-message path resolves them
@@ -248,9 +229,8 @@ class Simulator:
         scheduler = self._scheduler
         scheduler_push = scheduler.push
         seq_next = self._seq.__next__
-        # Two push shapes: the bucket append of the built-in wheel, inlined,
-        # and ``push`` for every other scheduler (the heap, subclasses of
-        # either, custom queues).
+        # Two push shapes: the wheel's bucket append, inlined, and the
+        # heap's ``push``.
         is_wheel = type(scheduler) is TimeoutWheelScheduler
         if is_wheel:
             inv_width = scheduler._inv_width
@@ -568,8 +548,8 @@ class Simulator:
         heappop = heapq.heappop
         heappush = heapq.heappush
         # Timeout reschedules are by far the most frequent push this loop
-        # performs; inline the built-in wheel's push for them (the same two
-        # push shapes _bind_fast_submit gives sends).
+        # performs; inline the wheel's push for them (the same two push
+        # shapes _bind_fast_submit gives sends).
         is_wheel = type(scheduler) is TimeoutWheelScheduler
         if is_wheel:
             inv_width = scheduler._inv_width
@@ -773,8 +753,10 @@ class Simulator:
         """Advance time until ``predicate()`` is true or ``max_time`` elapses.
 
         Returns True if the predicate held at some checkpoint.  The predicate
-        is evaluated every ``check_every`` time units of simulated time.
+        is evaluated every ``check_every`` (> 0) time units of simulated time.
         """
+        if not check_every > 0:
+            raise ValueError("check_every must be positive")
         deadline = self.now + max_time
         while self.now < deadline:
             if predicate():

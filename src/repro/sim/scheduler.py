@@ -1,18 +1,17 @@
-"""Pluggable event schedulers for the discrete-event simulator.
+"""The simulator's two event queues.
 
 The event volume of a run is dominated by the periodic ``Timeout`` storm (one
 event per node per period) and one delivery per message, so the cost of a
-push and a pop decides the engine's speed.  Behind the tiny
-:class:`EventScheduler` interface there are two implementations:
+push and a pop decides the engine's speed.  :class:`SimulatorConfig.scheduler`
+names one of two queues:
 
 * :class:`TimeoutWheelScheduler` — the default, whose push the engine
   inlines: events are appended (O(1)) to coarse time buckets of one fixed
-  width (:func:`auto_bucket_width`) and each bucket is sorted once when the
-  clock reaches it.  Batch ``list.sort`` on an almost-sorted bucket is
-  substantially cheaper than ~``log n`` sift operations per event;
+  width (:func:`auto_bucket_width`) and each bucket is sorted once, by time
+  alone, when the clock reaches it.  Batch ``list.sort`` on an almost-sorted
+  bucket is substantially cheaper than ~``log n`` sift operations per event;
 * :class:`HeapScheduler` — the classic binary heap, kept as the parity
-  reference: the engine hands it events through ``push``, as it does any
-  custom queue.
+  reference: the engine hands it events through ``push``.
 
 Both schedulers emit events in **exactly** the same order: ascending
 ``(time, seq)`` where ``seq`` is the monotonically increasing submission
@@ -21,18 +20,15 @@ by that key, and buckets partition the time axis, so the global order is
 identical to the heap's.  Tests assert this parity for identical seeds.
 
 **Block drains.**  The engine does not pop event by event: one
-:meth:`EventScheduler.pop_block_into` call removes every pending event with
-``time`` strictly below a caller-supplied limit (for the wheel, bounded by
-the current bucket) as one array-level splice.  The engine picks the limit
-so that nothing a handler schedules is expected to land inside the window,
-and requeues the unprocessed tail when something does (see
+``pop_block_into`` call removes every pending event with ``time`` strictly
+below a caller-supplied limit (for the wheel, bounded by the current bucket)
+as one array-level splice.  The engine picks the limit so that nothing a
+handler schedules is expected to land inside the window, and requeues the
+unprocessed tail when something does (see
 :meth:`~repro.sim.engine.Simulator.run_until_time`), so the block is
 consumed in exactly the order per-event pops would produce.  The bucket
 slice *is* the packed event array: draining it costs two C-level list
-operations instead of one queue round-trip per event.  The base class
-implements the block pop over :meth:`~EventScheduler.next_time` /
-:meth:`~EventScheduler.pop`, so a custom queue only has to provide
-``push``, ``pop``, ``next_time``, ``iter_events`` and ``__len__``.
+operations instead of one queue round-trip per event.
 """
 
 from __future__ import annotations
@@ -41,8 +37,7 @@ import heapq
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Sort key extracting an event's timestamp (see
-#: :attr:`TimeoutWheelScheduler.monotone_seq`).
+#: The wheel's bucket sort key: an event's timestamp.
 _TIME_KEY = itemgetter(0)
 
 #: One scheduled event: (time, seq, kind, payload).  ``seq`` is unique, so the
@@ -56,61 +51,7 @@ Event = Tuple[float, int, int, Any]
 SCHEDULER_NAMES = ("heap", "wheel")
 
 
-class EventScheduler:
-    """Minimal interface the simulator needs from an event queue."""
-
-    __slots__ = ()
-
-    def push(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event.  Undefined when empty."""
-        raise NotImplementedError
-
-    def pop_block_into(self, out: List[Event], limit: float) -> int:
-        """Drain a block of events with ``time`` strictly below ``limit``.
-
-        Appends the block to ``out`` in ascending ``(time, seq)`` order and
-        returns its size.  The bound is **exclusive** (``time < limit``).
-        Implementations may return fewer events than are due (the wheel
-        stops at its current bucket boundary); the only guarantees are (a)
-        at least one event is returned whenever ``next_time() < limit`` and
-        (b) events come out in exactly the order per-event popping would
-        produce.  The caller owns ``out`` and reuses it across calls.
-
-        The default implementation pops event by event, so custom
-        schedulers inherit correct (if unaccelerated) block behaviour.
-        """
-        count = 0
-        while True:
-            upcoming = self.next_time()
-            if upcoming is None or upcoming >= limit:
-                return count
-            out.append(self.pop())
-            count += 1
-
-    def next_time(self) -> Optional[float]:
-        """Timestamp of the earliest pending event, or ``None`` when empty."""
-        raise NotImplementedError
-
-    def iter_events(self):
-        """Iterate over every pending event in **arbitrary** order.
-
-        A cold introspection surface: ``Network.in_flight`` counts the
-        pending message records straight out of the queue through it.  The
-        iterator must not be used across a mutation (push/pop).
-        """
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-
-class HeapScheduler(EventScheduler):
+class HeapScheduler:
     """Binary-heap scheduler: the straightforward reference implementation."""
 
     __slots__ = ("_heap",)
@@ -148,15 +89,22 @@ class HeapScheduler(EventScheduler):
         return len(self._heap)
 
 
-class TimeoutWheelScheduler(EventScheduler):
+class TimeoutWheelScheduler:
     """Bucketed timing wheel with heap-identical event ordering.
 
     Events are hashed by ``floor(time / bucket_width)`` into buckets.  Future
     buckets are plain lists receiving O(1) appends; when the wheel advances to
-    a bucket it is sorted once by ``(time, seq)`` — descending, so draining is
-    an O(1) ``list.pop()`` off the tail.  Late arrivals into the *current*
-    bucket (e.g. a message sent with a delay smaller than the bucket width)
-    are placed by binary search, preserving order.
+    a bucket it is sorted once into descending ``(time, seq)`` order, so
+    draining is an O(1) ``list.pop()`` off the tail.  Late arrivals into the
+    *current* bucket (a message sent with a delay smaller than the bucket
+    width, a block requeue) are placed by binary search, preserving order.
+
+    One precondition: pushes into a *future* bucket arrive in ascending
+    ``seq``.  The engine builds every event around a freshly drawn ``seq``
+    and pushes it at once, so it holds by construction.  Then a stable sort
+    by time alone — a float-specialised ``list.sort``, several times faster
+    than comparing event tuples — followed by one ``reverse()`` yields the
+    exact descending ``(time, seq)`` order.
 
     A small auxiliary heap of bucket indices finds the next non-empty bucket
     without scanning empty ones, so sparse schedules (e.g. a far-future crash)
@@ -164,25 +112,12 @@ class TimeoutWheelScheduler(EventScheduler):
     """
 
     __slots__ = ("bucket_width", "_inv_width", "_buckets", "_bucket_heap",
-                 "_current", "_current_index", "_count", "monotone_seq")
+                 "_current", "_current_index", "_count")
 
     def __init__(self, bucket_width: float = 0.25) -> None:
         if bucket_width <= 0:
             raise ValueError("bucket_width must be positive")
         self.bucket_width = bucket_width
-        #: Promise that events arrive in ascending ``seq`` order (per future
-        #: bucket).  The engine's push stream satisfies this by construction —
-        #: every event tuple is built around a freshly drawn ``seq`` and
-        #: pushed immediately, and block requeues always target the *current*
-        #: bucket (the late-insert path, which never relies on sorting).
-        #: Under the promise, a *stable* sort by time alone reproduces the
-        #: full ``(time, seq)`` order: equal-time events already sit in seq
-        #: order, and the whole-list ``reverse()`` flips them into the exact
-        #: descending order the drain expects.  A timestamp-only key lets
-        #: ``list.sort`` use its float-specialised comparison, several times
-        #: faster than comparing mixed-width event tuples.  Default ``False``:
-        #: a bare wheel keeps the order contract for arbitrary push orders.
-        self.monotone_seq = False
         #: reciprocal so ``push`` multiplies instead of divides.  The mapping
         #: ``t -> int(t * inv)`` differs from ``int(t / w)`` by at most one
         #: bucket on boundary values, but it is monotone in ``t`` and applied
@@ -199,8 +134,8 @@ class TimeoutWheelScheduler(EventScheduler):
         self._count = 0
 
     # Events are plain tuples and ``seq`` (position 1) is unique, so tuple
-    # comparison decides on (time, seq) and never touches kind/payload; sort
-    # and the late-insert binary search therefore need no key function.
+    # comparison decides on (time, seq) and never touches kind/payload; the
+    # late-insert binary search therefore needs no key function.
     def push(self, event: Event) -> None:
         index = int(event[0] * self._inv_width)
         self._count += 1
@@ -242,14 +177,10 @@ class TimeoutWheelScheduler(EventScheduler):
                 return
             index = heapq.heappop(self._bucket_heap)
             bucket = self._buckets.pop(index)
-            if self.monotone_seq:
-                # Stable by-time sort + whole-list reverse == descending
-                # (time, seq) when pushes arrived in seq order (see the
-                # attribute docstring), with a float-specialised comparison.
-                bucket.sort(key=_TIME_KEY)
-                bucket.reverse()
-            else:
-                bucket.sort(reverse=True)
+            # stable by time, then reversed: descending (time, seq) under the
+            # class's seq-ascending precondition
+            bucket.sort(key=_TIME_KEY)
+            bucket.reverse()
             self._current = bucket
             self._current_index = index
 
@@ -350,7 +281,7 @@ def auto_bucket_width(timeout_period: float = 1.0, min_delay: float = 0.1,
 
 def make_scheduler(name: str, timeout_period: float = 1.0, *,
                    min_delay: float = 0.1, max_delay: float = 1.0,
-                   timeout_jitter: float = 0.2) -> EventScheduler:
+                   timeout_jitter: float = 0.2):
     """Instantiate the scheduler selected by :class:`SimulatorConfig.scheduler`
     (the wheel at :func:`auto_bucket_width` of the simulation time scales)."""
     if name == "heap":

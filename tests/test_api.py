@@ -117,6 +117,16 @@ class TestSystemSpecRoundTrip:
         with pytest.raises(ValueError, match="check_every_rounds"):
             SystemSpec(check_every_rounds=0)
 
+    @pytest.mark.parametrize("field", ["min_delay", "max_delay", "timeout_period",
+                                       "detection_lag"])
+    def test_non_finite_sim_times_are_rejected_at_load(self, field):
+        """JSON admits ``NaN`` and ``Infinity``; a NaN lag used to load and
+        leave the failure detector never suspecting anyone."""
+        for literal in ("NaN", "Infinity"):
+            text = f'{{"seed": 3, "sim": {{"{field}": {literal}}}}}'
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SystemSpec.from_dict(json.loads(text))
+
     def test_retired_wheel_width_key_is_rejected_not_ignored(self):
         """PR 19 retired ``wheel_bucket_width`` with no shim: a document that
         still carries the key fails loudly, on the spec and inside ``sim``."""

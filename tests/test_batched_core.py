@@ -1,11 +1,10 @@
-"""Block-drain edge cases and the monotone-seq bucket sort contract (the
-heap-vs-wheel event-log parity storms are ``tests/test_engine_scale.py``)."""
+"""Block-drain edge cases (the heap-vs-wheel event-log parity storms are
+``tests/test_engine_scale.py``)."""
 
 from __future__ import annotations
 
 import random
 
-from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.scheduler import (
     HeapScheduler,
     TimeoutWheelScheduler,
@@ -86,34 +85,3 @@ class TestBlockDrainEdges:
         assert drained_wheel == drained_heap
         assert drained_wheel == sorted(events)
 
-
-class TestMonotoneSeqBucketSort:
-    def test_engine_enables_flag_only_on_its_own_wheel(self):
-        sim = Simulator(SimulatorConfig(seed=1, scheduler="wheel"))
-        assert sim.scheduler.monotone_seq is True
-        # A hand-built wheel keeps the general contract by default.
-        assert TimeoutWheelScheduler(bucket_width=0.25).monotone_seq is False
-        # ... and so does one assigned from outside the engine.
-        external = TimeoutWheelScheduler(bucket_width=0.25)
-        sim2 = Simulator(SimulatorConfig(seed=1))
-        sim2.scheduler = external
-        assert external.monotone_seq is False
-
-    def test_flag_preserves_order_for_seq_ascending_pushes(self):
-        """Under the engine's push discipline (seq strictly ascending into
-        any future bucket) the fast stable-by-time sort must reproduce the
-        full (time, seq) descending-pop order exactly."""
-        fast = TimeoutWheelScheduler(bucket_width=0.25)
-        fast.monotone_seq = True
-        slow = TimeoutWheelScheduler(bucket_width=0.25)
-        rng = random.Random(13)
-        for seq in range(2000):
-            # many timestamp ties across distinct seqs, seqs ascending
-            event = _event(round(rng.uniform(0.0, 3.0), 1), seq)
-            fast.push(event)
-            slow.push(event)
-        out_fast, out_slow = [], []
-        _drain_block(fast, out_fast, limit=10.0)
-        _drain_block(slow, out_slow, limit=10.0)
-        assert len(out_fast) == 2000
-        assert out_fast == out_slow == sorted(out_fast)

@@ -29,18 +29,12 @@ from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.network import FAST_RECORD_KIND
 from repro.sim.node import ProtocolNode
 from repro.sim.rng import derive_rng
-from repro.sim.scheduler import HeapScheduler
 
 NODES = 40
 DEADLINES = (1.0, 1.0, 4.25, 7.5, 12.0)
 #: what node 13 also pings in the ``forged`` modes: two dests that cannot be
 #: an address, then hashable ids no facade allocates (``True`` aliases node 1)
 FORGED = ([1], {"a": 1}, 2.5, -3, "x", 10**9, True)
-
-
-class _SubHeap(HeapScheduler):
-    """A queue installed from outside (``sim.scheduler = ...``), fed through
-    ``push`` like the built-in heap."""
 
 
 class _Relay(ProtocolNode):
@@ -85,10 +79,7 @@ def _drain_by_steps(sim: Simulator, deadline: float) -> None:
 
 def _build(scheduler, mode):
     sim = Simulator(SimulatorConfig(seed=77, telemetry=(mode == "telemetry"),
-                                    scheduler="heap" if scheduler == "heap"
-                                    else "wheel"))
-    if scheduler == "subheap":
-        sim.scheduler = _SubHeap()
+                                    scheduler=scheduler))
     log = []
     for i in range(NODES):
         sim.add_node(_Relay(i + 1, log, FORGED if i + 1 == 13
@@ -128,7 +119,7 @@ def _observe(sim, log):
 
 @pytest.mark.parametrize("mode", ["plain", "telemetry", "adversary", "forged",
                                   "forged-adversary"])
-@pytest.mark.parametrize("scheduler", ["wheel", "heap", "subheap"])
+@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
 def test_run_until_time_reproduces_the_step_drain(scheduler, mode):
     reference, reference_log = _build(scheduler, mode)
     for deadline in DEADLINES:
@@ -155,14 +146,14 @@ def test_run_until_time_reproduces_the_step_drain(scheduler, mode):
 
 
 def test_all_cells_of_one_mode_agree_across_schedulers():
-    """Scheduler choice is unobservable: the three queues give one log."""
+    """Scheduler choice is unobservable: the two queues give one log."""
     for mode in ("plain", "adversary", "forged-adversary"):
         runs = []
-        for scheduler in ("wheel", "heap", "subheap"):
+        for scheduler in ("wheel", "heap"):
             sim, log = _build(scheduler, mode)
             sim.run_until_time(DEADLINES[-1])
             runs.append(_observe(sim, log))
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
 
 
 def _advanced(seed, stream, draws):

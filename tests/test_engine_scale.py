@@ -134,7 +134,7 @@ class TestSchedulerParity:
     def test_heap_wheel_event_log_parity(self, nodes, rounds):
         """The same per-event log — same timestamps, same kinds, same handling
         order — whether the engine drains a binary heap or the timeout wheel
-        (with its monotone-seq bucket sort and auto width)."""
+        (with its time-only bucket sort and auto width)."""
         heap_log, heap_sim = _storm("heap", nodes, rounds)
         wheel_log, wheel_sim = _storm("wheel", nodes, rounds)
         # The cheap aggregate fingerprint first for a readable failure, then

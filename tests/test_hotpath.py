@@ -27,7 +27,6 @@ from repro.sim.network import (
 )
 from repro.sim.node import ProtocolNode
 from repro.sim.scheduler import (
-    EventScheduler,
     HeapScheduler,
     TimeoutWheelScheduler,
     auto_bucket_width,
@@ -37,40 +36,13 @@ from repro.sim.scheduler import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-class _SortedListScheduler(EventScheduler):
-    """The least a custom queue has to provide; ``pop_block_into`` is the
-    base class's, built on ``next_time``/``pop``."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self):
-        self._events = []
-
-    def push(self, event):
-        self._events.append(event)
-        self._events.sort(reverse=True)
-
-    def pop(self):
-        return self._events.pop()
-
-    def next_time(self):
-        return self._events[-1][0] if self._events else None
-
-    def iter_events(self):
-        return iter(self._events)
-
-    def __len__(self):
-        return len(self._events)
-
-
 class TestPopBatch:
-    """``pop_block_into`` on the heap, the wheel and the base-class default
-    (the class and test names predate the block pop)."""
+    """``pop_block_into`` on the heap and the wheel (the class and test names
+    predate the block pop)."""
 
     @staticmethod
     def _fill(events):
-        schedulers = (HeapScheduler(), TimeoutWheelScheduler(bucket_width=0.25),
-                      _SortedListScheduler())
+        schedulers = (HeapScheduler(), TimeoutWheelScheduler(bucket_width=0.25))
         for event in events:
             for scheduler in schedulers:
                 scheduler.push(event)
@@ -117,23 +89,19 @@ class TestPopBatch:
         # Coarse timestamps force plenty of equal-time collisions.
         events = [(round(rng.uniform(0, 20), 1), seq, seq % 4, None)
                   for seq in range(2_000)]
-        heap, wheel, generic = self._fill(events)
+        heap, wheel = self._fill(events)
         limit = 0.0
         while len(heap):
             limit += 0.37  # windows not aligned to buckets or timestamps
             blocks = []
-            for scheduler in (heap, wheel, generic):
+            for scheduler in (heap, wheel):
                 block = []
                 # the wheel stops at bucket boundaries: pop until dry
                 while scheduler.pop_block_into(block, limit):
                     pass
                 blocks.append(block)
-            assert blocks[0] == blocks[1] == blocks[2]
-        assert len(wheel) == len(generic) == 0
-
-    def test_base_class_requires_the_backlog_iterator(self):
-        with pytest.raises(NotImplementedError):
-            EventScheduler().iter_events()
+            assert blocks[0] == blocks[1]
+        assert len(wheel) == 0
 
 
 class TestWheelAutoSizing:
@@ -159,14 +127,14 @@ class TestWheelAutoSizing:
                                timeout_jitter=0.2)
         assert wheel.bucket_width == pytest.approx(auto_bucket_width(1.0, 0.1, 1.0, 0.2))
 
-    def test_bucket_width_never_changes_results(self):
-        """The width is pure performance: any width, identical runs.  A wheel
-        of another width is installed the supported way, by assigning
-        ``sim.scheduler``."""
+    def test_bucket_width_never_changes_results(self, monkeypatch):
+        """The width is pure performance: any width, identical runs."""
         def run(width):
-            sim = Simulator(SimulatorConfig(seed=5))
             if width is not None:
-                sim.scheduler = TimeoutWheelScheduler(bucket_width=width)
+                monkeypatch.setattr("repro.sim.engine.make_scheduler",
+                                    lambda *args, **kwargs: TimeoutWheelScheduler(width))
+            sim = Simulator(SimulatorConfig(seed=5))
+            assert width is None or sim.scheduler.bucket_width == width
             nodes = [sim.add_node(_Pinger(i + 1)) for i in range(30)]
             sim.run_rounds(25)
             return ([n.pings for n in nodes], sim.steps_executed,
@@ -192,46 +160,40 @@ class _Pinger(ProtocolNode):
 
 
 class TestGenericSchedulerDrain:
-    def test_custom_scheduler_runs_through_batch_interface(self):
-        """A scheduler installed from outside is fed through ``push`` and
-        drained through the same ``pop_block_into`` interface, and must
-        produce results identical to the built-ins."""
+    """The heap: the queue the engine feeds through ``push`` rather than an
+    inlined bucket append."""
+
+    def test_custom_scheduler_runs_through_batch_interface(self, monkeypatch):
+        """The heap is drained through ``pop_block_into`` too, and gives
+        results identical to the wheel's."""
         calls = {"blocks": 0}
+        pop_block_into = HeapScheduler.pop_block_into
 
-        class CountingHeap(HeapScheduler):
-            def pop_block_into(self, out, limit):
-                count = super().pop_block_into(out, limit)
-                if count:
-                    calls["blocks"] += 1
-                return count
+        def counting(self, out, limit):
+            count = pop_block_into(self, out, limit)
+            if count:
+                calls["blocks"] += 1
+            return count
 
-        def run(scheduler=None):
-            sim = Simulator(SimulatorConfig(seed=6))
-            if scheduler is not None:
-                sim.scheduler = scheduler
+        monkeypatch.setattr(HeapScheduler, "pop_block_into", counting)
+
+        def run(scheduler):
+            sim = Simulator(SimulatorConfig(seed=6, scheduler=scheduler))
             nodes = [sim.add_node(_Pinger(i + 1)) for i in range(30)]
             sim.run_rounds(20)
             return ([n.pings for n in nodes], sim.steps_executed,
                     sim.network.stats.total_delivered, sim.now)
 
-        custom = run(CountingHeap())
+        heap = run("heap")
         assert calls["blocks"] > 0, "drain did not use pop_block_into"
-        assert custom == run()  # identical to the default wheel engine
-        # ... and so is a queue with nothing but the required five methods
-        assert run(_SortedListScheduler()) == custom
+        assert heap == run("wheel")
 
     def test_custom_scheduler_with_adversary(self):
-        """A custom scheduler under an adversary matches the built-in
-        wheel event for event."""
+        """The heap under an adversary matches the wheel event for event."""
         from repro.scenarios.adversary import LinkAdversary
 
-        class SubHeap(HeapScheduler):
-            pass
-
         def run(scheduler):
-            sim = Simulator(SimulatorConfig(seed=8))
-            if scheduler is not None:
-                sim.scheduler = scheduler
+            sim = Simulator(SimulatorConfig(seed=8, scheduler=scheduler))
             sim.install_adversary(
                 LinkAdversary(rng=sim.adversary_rng(), loss_rate=0.2))
             nodes = [sim.add_node(_Pinger(i + 1)) for i in range(30)]
@@ -240,11 +202,11 @@ class TestGenericSchedulerDrain:
             return ([n.pings for n in nodes], sim.steps_executed,
                     stats.total_delivered, stats.total_dropped)
 
-        custom = run(SubHeap())
-        assert custom[3] > 0, "adversary never dropped anything"
-        assert custom == run(None)  # parity with the default wheel
+        heap = run("heap")
+        assert heap[3] > 0, "adversary never dropped anything"
+        assert heap == run("wheel")
 
-    def test_interrupted_windows_narrow_under_an_adversary(self):
+    def test_interrupted_windows_narrow_under_an_adversary(self, monkeypatch):
         """A delay spike with ``factor < 1`` lands deliveries inside the open
         window; every interrupt hands the unprocessed tail back to the
         queue.  The drain halves its window after each one, so the requeue
@@ -252,20 +214,18 @@ class TestGenericSchedulerDrain:
         exceeds the event count itself)."""
         from repro.scenarios.adversary import LinkAdversary
 
-        class RequeueCounting(HeapScheduler):
-            def __init__(self):
-                super().__init__()
-                self.seen = set()
-                self.requeued = 0
+        seen, requeued = set(), []
+        push = HeapScheduler.push
 
-            def push(self, event):
-                key = event[:2]
-                self.requeued += key in self.seen
-                self.seen.add(key)
-                super().push(event)
+        def counting(self, event):
+            key = event[:2]
+            if key in seen:
+                requeued.append(key)
+            seen.add(key)
+            push(self, event)
 
-        sim = Simulator(SimulatorConfig(seed=5))
-        sim.scheduler = scheduler = RequeueCounting()
+        monkeypatch.setattr(HeapScheduler, "push", counting)
+        sim = Simulator(SimulatorConfig(seed=5, scheduler="heap"))
         adversary = LinkAdversary(rng=sim.adversary_rng())
         adversary.add_delay_spike(0.0, 1e9, factor=0.01)
         sim.install_adversary(adversary)
@@ -273,7 +233,7 @@ class TestGenericSchedulerDrain:
             sim.add_node(_Pinger(i + 1))
         sim.run_until_time(30.0)
         assert sim.steps_executed > 1_500
-        assert 0 < scheduler.requeued < sim.steps_executed // 20
+        assert 0 < len(requeued) < sim.steps_executed // 20
 
 
 class TestFailureDetectorCache:

@@ -1,4 +1,4 @@
-"""Tests for the pluggable event schedulers, dispatch-table fast path and
+"""Tests for the two event schedulers, dispatch-table fast path and
 ``Simulator.run_until`` edge cases."""
 
 import random
@@ -43,18 +43,29 @@ class TestSchedulerUnits:
         with pytest.raises(ValueError):
             TimeoutWheelScheduler(bucket_width=0)
 
+    def test_the_simulator_keeps_the_queue_it_built(self):
+        sim = Simulator(SimulatorConfig(seed=1, scheduler="heap"))
+        assert type(sim.scheduler) is HeapScheduler
+        with pytest.raises(AttributeError):
+            sim.scheduler = TimeoutWheelScheduler()
+
     @pytest.mark.parametrize("width", [0.05, 0.25, 1.0, 10.0])
     def test_wheel_orders_random_events_like_heap(self, width):
+        """Pushed in ascending seq (the wheel's precondition), including
+        coarse timestamps with many ties, which the time-only bucket sort
+        must leave in seq order."""
         rng = random.Random(17)
-        events = [(rng.uniform(0, 50), seq, seq % 4, None) for seq in range(2_000)]
-        heap, wheel = HeapScheduler(), TimeoutWheelScheduler(bucket_width=width)
-        for event in events:
-            heap.push(event)
-            wheel.push(event)
-        assert len(heap) == len(wheel) == len(events)
-        for _ in range(len(events)):
-            assert heap.pop() == wheel.pop()
-        assert len(wheel) == 0 and not wheel
+        uniform = [(rng.uniform(0, 50), seq, seq % 4, None) for seq in range(2_000)]
+        tied = [(round(rng.uniform(0, 3), 1), seq, 0, None) for seq in range(2_000)]
+        for events in (uniform, tied):
+            heap, wheel = HeapScheduler(), TimeoutWheelScheduler(bucket_width=width)
+            for event in events:
+                heap.push(event)
+                wheel.push(event)
+            assert len(heap) == len(wheel) == len(events)
+            for _ in range(len(events)):
+                assert heap.pop() == wheel.pop()
+            assert len(wheel) == 0 and not wheel
 
     def test_wheel_interleaved_push_pop_stays_ordered(self):
         """Late pushes landing in the bucket currently being drained must be
@@ -170,6 +181,28 @@ class TestRunUntilEdgeCases:
         assert not reached
         assert sim.now == pytest.approx(10.0)
         assert node.timeouts <= 11
+
+    @pytest.mark.parametrize("check_every", [0.0, -1.0, float("nan")])
+    def test_run_until_rejects_a_non_positive_check_interval(self, check_every):
+        """It used to spin forever: the clock never advanced."""
+        sim = Simulator(SimulatorConfig(seed=1))
+        with pytest.raises(ValueError, match="check_every"):
+            sim.run_until(lambda: False, check_every=check_every, max_time=5.0)
+
+    @pytest.mark.parametrize("topology", ["single", "sharded"])
+    @pytest.mark.parametrize("driver", ["run_until_legitimate",
+                                        "run_until_publications_converged"])
+    def test_facade_drivers_reject_a_zero_check_interval(self, driver, topology):
+        """Only ``SystemSpec`` validates ``check_every_rounds``; a facade
+        driver called directly reached the same spin on an unmet predicate."""
+        spec = SystemSpec(seed=1, topology=topology,
+                          shards=2 if topology == "sharded" else 1)
+        system, peers = build_stable(spec, 4)
+        system.crash(peers[1])
+        kwargs = ({"expected_keys": {"never-published"}}
+                  if driver == "run_until_publications_converged" else {})
+        with pytest.raises(ValueError, match="check_every"):
+            getattr(system, driver)(check_every_rounds=0, **kwargs)
 
     def test_run_until_empty_schedule_mid_run(self):
         """When the event queue drains before the deadline, run_until must not

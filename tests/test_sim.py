@@ -1,5 +1,7 @@
 """Unit tests for the simulation substrate (engine, network, tracing, failures)."""
 
+import math
+
 import pytest
 from conftest import records_in_flight
 
@@ -40,6 +42,12 @@ class TestSimulatorBasics:
             SimulatorConfig(timeout_period=0)
         with pytest.raises(ValueError):
             SimulatorConfig(timeout_jitter=1.5)
+        # NaN passed every comparison: a NaN lag left the detector never
+        # suspecting anyone, a NaN/inf delay or period broke the wheel later
+        for field in ("min_delay", "max_delay", "timeout_period", "detection_lag"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    SimulatorConfig(**{field: value})
 
     def test_duplicate_node_ids_rejected(self):
         sim = Simulator()
