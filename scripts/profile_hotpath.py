@@ -123,7 +123,8 @@ def main(argv=None) -> int:
         print(f"events processed: {events:,}")
         print(f"calls/event: {calls_per_event(stats, events):.1f} "
               f"({stats.prim_calls:,} primitive calls)")
-        print(f"sha256/op: {sha256_per_op(stats, workload.ops(state)):.2f} "
+        print(f"sha256/op: {sha256_per_op(stats, workload.ops(state)):.2f}, "
+              f"decodes/op: {decodes_per_op(stats, workload.ops(state)):.2f} "
               f"(per {workload.op})")
         share, checks = oracle_cost(stats, workload.ops(state))
         print(f"oracle: {share:.1%} of the region, {checks:.4f} checks/op")
@@ -203,6 +204,15 @@ def sha256_per_op(stats: pstats.Stats, ops: int) -> float:
     return calls / ops if ops else 0.0
 
 
+def decodes_per_op(stats: pstats.Stats, ops: int) -> float:
+    """``Publication.from_wire`` calls per workload op: how often a received
+    publication wire (or a new publication) was decoded rather than found
+    stored as a copy."""
+    calls = sum(row[1] for (filename, _, name), row in stats.stats.items()
+                if name == "from_wire" and filename.endswith("publications.py"))
+    return calls / ops if ops else 0.0
+
+
 #: The legitimacy oracle's entry points in ``repro.analysis.convergence``.
 ORACLE_CHECKS = ("ring_legitimate", "publications_converged")
 
@@ -250,6 +260,7 @@ def profile_payload(stats: pstats.Stats, workload, events, ops,
         "events": events,
         "calls_per_event": round(calls_per_event(stats, events), 2),
         "sha256_per_op": round(sha256_per_op(stats, ops), 3),
+        "decodes_per_op": round(decodes_per_op(stats, ops), 3),
         "oracle_share": round(oracle_share, 4),
         "oracle_checks_per_op": round(oracle_checks, 5),
         "sort": sort,

@@ -28,10 +28,12 @@ objects*) and sends the same params dicts again, each through the simulator's
 too, and each "nothing to do" case is answered on the first lines of its
 handler: a ring neighbour restating itself under a current plan
 (``Introduce``), a shortcut stored already (``IntroduceShortcut``), a root
-summary equal to ours (``CheckTrie``) — one Python frame per message at each
-end.  Every other input takes the full path.  Every dict a view caches is
-shared by all the messages sent from it and therefore read-only: handlers get
-a ``**params`` copy and the engine's in-place ``topic`` fold is idempotent.
+summary equal to ours (``CheckTrie``), a copy of a stored publication (the
+key its wire names finds it, equality confirms it: ``PublishNew``,
+``Publish``).  Every other input takes the full path.  Every dict a view
+caches is shared by all the messages sent from it and therefore read-only:
+handlers get a ``**params`` copy and the engine's in-place ``topic`` fold is
+idempotent.
 """
 
 from __future__ import annotations
@@ -130,15 +132,16 @@ class TopicView:
     ``_plan`` caches what a Timeout derives from ``(label, left, right,
     ring)`` and is matched by identity, so every write to one of the four
     rebuilds it; ``_pair_memo`` holds the last ``IntroduceShortcut`` pair,
-    matched by value, and ``_check_memo`` the last ``CheckTrie`` params,
-    matched by the identity of the root digest they carry.  The cached dicts
-    are shared by the messages sent from them: read-only.
+    matched by value, ``_check_memo`` the last ``CheckTrie`` params, matched
+    by the identity of the root digest they carry, and ``_flood_memo`` the
+    flood targets of ``(left, right, ring, shortcuts)``, matched by value (a
+    neighbour by identity first).  Cached dicts are shared: read-only.
     """
 
     __slots__ = ("owner", "node_id", "topic", "subscribed", "pending_unsubscribe",
                  "label", "left", "right", "ring", "shortcuts", "trie",
                  "config_change_count", "_last_config_state", "_plan",
-                 "_pair_memo", "_check_memo")
+                 "_pair_memo", "_check_memo", "_flood_memo")
 
     def __init__(self, owner: "Subscriber", topic: str, subscribed: bool) -> None:
         self.owner = owner
@@ -158,6 +161,7 @@ class TopicView:
         self._plan: Optional[_TimeoutPlan] = None
         self._pair_memo: Optional[tuple] = None  # (first, second, their labels, params)
         self._check_memo: Optional[Tuple[str, dict]] = None
+        self._flood_memo: Optional[tuple] = None  # ((left, right, ring, shortcuts), targets)
 
     # ------------------------------------------------------------------ sends
     # ``ProtocolNode.send``'s two tests, made by the view itself, in front of
@@ -303,7 +307,8 @@ class TopicView:
     def _integrate(self, cand_label: Label, cand_ref: NodeRef, cyc: bool = False) -> None:
         """Linearization: place a reference where it belongs or delegate it
         towards its position (Algorithm 1 / Algorithm 2)."""
-        if cand_ref == self.node_id or not is_valid_label(cand_label):
+        if (cand_ref == self.node_id or not isinstance(cand_ref, int)
+                or not is_valid_label(cand_label)):
             return
         if self.label is None:
             self.send(cand_ref, msg.REMOVE_CONNECTIONS, node=self.node_id)
@@ -418,26 +423,38 @@ class TopicView:
         return publication
 
     def _flood(self, publication: Publication, hops: int, exclude: object) -> None:
-        """Forward to every distinct ring and shortcut neighbour but ``exclude``,
+        """Forward to every :meth:`neighbor_refs` target, sorted, but ``exclude``,
         the node the message arrived from: the paper does not require skipping
         it, but that halves redundant traffic and the receiver drops duplicates
         anyway.  ``exclude`` is message content, so it is only ever compared."""
         owner = self.owner
         if owner.crashed:
             return
-        targets = set(self.shortcuts.values())
-        for nb in (self.left, self.right, self.ring):
-            if nb is not None:
-                targets.add(nb.ref)
-        targets.discard(None)
+        state, memo = (self.left, self.right, self.ring, self.shortcuts), self._flood_memo
+        if memo is None or memo[0] != state:
+            memo = self._flood_memo = ((*state[:3], dict(self.shortcuts)),
+                                       sorted(self.neighbor_refs()))
         # :meth:`send` to each target, its tests made once and its frame
         # saved: one read-only dict for the whole flood.
         send_fast = (owner._sim or owner.sim)._send_fast
         node_id, topic = self.node_id, self.topic
-        params = {"pub": publication.to_wire(), "hops": hops, "sender": node_id}
-        for ref in sorted(targets):
+        params = {"pub": publication.wire, "hops": hops, "sender": node_id}
+        for ref in memo[1]:
             if ref != exclude:
                 send_fast(node_id, ref, msg.PUBLISH_NEW, topic, params)
+
+    def _receive(self, wire: object) -> Optional[Publication]:
+        """The publication ``wire`` carries, if new here and now stored; a copy of a
+        stored one (its wire, or an equal dict, under the key it names) costs one lookup."""
+        key = wire.get("key") if wire.__class__ is dict else None
+        stored = self.trie._by_key.get(key) if key.__class__ is str else None
+        if stored is not None and (stored.wire is wire or stored.wire == wire):
+            return None
+        try:  # a forged key_bits derives a key of another length: insert refuses it
+            publication = Publication.from_wire(wire)
+            return publication if self.trie.insert(publication) else None
+        except (KeyError, ValueError, TypeError):
+            return None
 
     def _anti_entropy_round(self, plan: _TimeoutPlan, send_fast: Callable) -> None:
         """Send our trie root to a random direct ring neighbour (Algorithm 5)."""
@@ -711,7 +728,7 @@ class Subscriber(ProtocolNode):
         shortcuts = view.shortcuts
         if isinstance(label, str) and shortcuts.get(label, _ABSENT) == node:
             return  # stored already: nothing to store, nothing to delegate
-        if node == self.node_id or not is_valid_label(label):
+        if node == self.node_id or not isinstance(node, int) or not is_valid_label(label):
             return
         if label in shortcuts:
             old = shortcuts[label]
@@ -741,20 +758,14 @@ class Subscriber(ProtocolNode):
         reply_tuples, caps, publications = handle_check_and_publish(view.trie, tuples, prefix)
         view._answer(sender, reply_tuples, caps)
         if publications:
-            view.send(sender, msg.PUBLISH, pubs=[p.to_wire() for p in publications])
+            view.send(sender, msg.PUBLISH, pubs=[p.wire for p in publications])
 
     def on_Publish(self, /, pubs=None, topic=None, **_) -> None:
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is None or not isinstance(pubs, (list, tuple)):
             return
-        trie = view.trie
         for wire in pubs:
-            try:
-                publication = Publication.from_wire(wire)
-            except (KeyError, ValueError, TypeError):
-                continue
-            # A forged key_bits decodes to a key of another length: drop it.
-            if len(publication.key) == trie.key_bits and trie.insert(publication):
+            if (publication := view._receive(wire)) is not None:
                 self.sim.tracer.record(self.now, "publication_received", node=self.node_id,
                                        topic=view.topic, key=publication.key, via="antientropy")
 
@@ -762,18 +773,11 @@ class Subscriber(ProtocolNode):
         if pub is None:
             return
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
-        # Forged content is dropped with its message (anti-entropy delivers what
-        # it carried): a hop count that is not an int >= 1 — a bool is not — or
-        # a wire that does not decode.
+        # Forged content is dropped with its message (anti-entropy delivers what it
+        # carried): a hop count that is not an int >= 1 (a bool is not), or a bad wire.
         if view is None or hops.__class__ is not int or hops < 1:
             return
-        try:
-            publication = Publication.from_wire(pub)
-        except (KeyError, ValueError, TypeError):
-            return
-        trie = view.trie
-        if len(publication.key) != trie.key_bits or not trie.insert(publication):
-            return  # forged key_bits (a key of another length), or already stored
-        self.sim.tracer.record(self.now, "flood_delivery", node=self.node_id,
-                               topic=view.topic, key=publication.key, hops=hops)
-        view._flood(publication, hops=hops + 1, exclude=sender)
+        if (publication := view._receive(pub)) is not None:
+            self.sim.tracer.record(self.now, "flood_delivery", node=self.node_id,
+                                   topic=view.topic, key=publication.key, hops=hops)
+            view._flood(publication, hops=hops + 1, exclude=sender)

@@ -13,13 +13,12 @@ Hashes are computed when read, not when written.  Invariant: a node's cached
 hash (``_hash``, which the subscriber's steady-state paths read as it is) is
 either ``None`` or the Merkle hash of its current subtree; ``insert`` clears
 the cache of every node it descends through, reading ``node.hash`` fills it
-(recursion depth at most ``key_bits``).  A leaf's hash is a pure
-function of its key, so it is read from the stored :class:`Publication`
-(``Publication.leaf_hash``, computed once per instance): the n tries holding
-one interned publication hash its leaf once between them.  Every reader goes
-through that one attribute, so two tries hold the same publication set if and
-only if their root hashes are equal (up to hash collisions), which is exactly
-the property the CheckTrie reconciliation protocol relies on.
+(recursion depth at most ``key_bits``).  A leaf is a pure function of its
+publication and ``insert`` never writes to one, so the n tries holding one
+interned publication share its one leaf (``Publication.leaf``) and hash it
+once between them.  Two tries hold the same publication set if and only if
+their root hashes are equal (up to hash collisions), which is exactly the
+property the CheckTrie reconciliation protocol relies on.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class TrieNode:
         if digest is None:
             children = self.children
             digest = self._hash = (node_hash(children["0"].hash, children["1"].hash)
-                                   if children else self.publication.leaf_hash)
+                                   if children else leaf_hash(self.label))
         return digest
 
     def child_summaries(self) -> List[Summary]:
@@ -80,7 +79,7 @@ class PatriciaTrie:
             raise ValueError("key_bits must be positive")
         self.key_bits = key_bits
         self.root: Optional[TrieNode] = None
-        self._by_key: Dict[str, Publication] = {}
+        self._by_key: Dict[str, Publication] = {}  # the subscriber's ingress reads it as is
 
     # ---------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -181,7 +180,7 @@ class PatriciaTrie:
                 f"publication key {key!r} is not a {self.key_bits}-bit binary string")
         self._by_key[key] = publication
 
-        new_leaf = TrieNode(key, publication)
+        new_leaf = publication.leaf
         node = self.root
         if node is None:
             self.root = new_leaf

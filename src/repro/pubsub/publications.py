@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict
 
-from repro.pubsub.hashing import leaf_hash as _leaf_hash, publication_key
+from repro.pubsub.hashing import publication_key
 
 # Wire content -> the one live Publication derived from it.  Weak, so it holds
 # nothing that a trie or an in-flight handler does not already hold.
@@ -29,10 +29,12 @@ class Publication:
         string.  It is derived deterministically, so any subscriber that
         receives ``(publisher, payload)`` reconstructs the same key.
 
-    :meth:`from_wire` interns: equal wire content yields the same instance
-    for as long as anything holds it, so n tries share one payload — and one
-    :attr:`leaf_hash`.  Its key is only ever derived by the hash; forged
-    content is different content.
+    :meth:`create` and :meth:`from_wire` intern: equal content yields the
+    same instance for as long as anything holds it, so n tries share one
+    payload — one trie :attr:`leaf` and one wire dict.  The key is only ever
+    derived by the hash.  The wire carries it too, but a receiver trusts it
+    only to find a stored copy, and drops the message only if that copy's
+    wire is, or equals, the one received: forged content is other content.
     """
 
     publisher: int
@@ -41,37 +43,32 @@ class Publication:
 
     @classmethod
     def create(cls, publisher: int, payload: bytes | str, key_bits: int = 16) -> "Publication":
-        if isinstance(payload, str):
-            payload = payload.encode("utf-8")
-        return cls(publisher=publisher, payload=bytes(payload),
-                   key=publication_key(publisher, payload, bits=key_bits))
+        payload = payload.encode("utf-8") if isinstance(payload, str) else bytes(payload)
+        return cls.from_wire(dict(publisher=publisher, payload=payload.hex(), key_bits=key_bits))
 
     @cached_property
-    def leaf_hash(self) -> str:
-        """``h(key)``, the hash of this publication's leaf in any trie."""
-        return _leaf_hash(self.key)
+    def leaf(self):
+        """This publication's :class:`~repro.pubsub.patricia.TrieNode`, shared by
+        every trie that stores it (so its hash ``h(key)`` is taken once)."""
+        from repro.pubsub.patricia import TrieNode  # which imports this module
+        return TrieNode(self.key, self)
 
     # ---------------------------------------------------------------- wire fmt
     @cached_property
-    def _wire(self) -> Dict[str, Any]:
+    def wire(self) -> Dict[str, Any]:
+        """Plain-data representation for message parameters, built once and
+        shared by every message that carries this publication: read-only."""
         return {"publisher": self.publisher, "payload": self.payload.hex(),
-                "key_bits": len(self.key)}
-
-    def to_wire(self) -> Dict[str, Any]:
-        """Plain-data representation for message parameters.
-
-        Built once and shared by every message that carries this publication:
-        delivered parameters are read-only by contract, do not modify it.
-        """
-        return self._wire
+                "key_bits": len(self.key), "key": self.key}
 
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "Publication":
         ident = (int(data["publisher"]), data["payload"], int(data["key_bits"]))
         publication = _INTERNED.get(ident)
         if publication is None:
-            publication = cls.create(ident[0], bytes.fromhex(ident[1]), key_bits=ident[2])
-            _INTERNED[ident] = publication
+            payload = bytes.fromhex(ident[1])
+            publication = _INTERNED[ident] = cls(
+                ident[0], payload, publication_key(ident[0], payload, bits=ident[2]))
         return publication
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -483,6 +483,7 @@ class TestPublicationPathBudget:
             views.append(node.view())
         stored = {id(view.trie.get(view.trie.keys()[0])) for view in views}
         assert len(stored) == 1 and sha.calls == 1  # one instance, one key derivation
+        assert len({id(view.trie.root) for view in views}) == 1  # one shared leaf node
         sha.calls = 0
         summaries = {view.trie.root_summary() for view in views}
         assert sha.calls == 1  # one leaf hash between the 8 tries
@@ -539,12 +540,14 @@ class TestPublicationPathBudget:
         from repro.pubsub.publications import Publication
 
         p = Publication.create(3, b"payload", key_bits=64)
-        assert p.to_wire() is p.to_wire()
-        assert p.to_wire() == {"publisher": 3, "payload": b"payload".hex(), "key_bits": 64}
-        q = Publication.from_wire(p.to_wire())
-        assert q == p
-        assert Publication.from_wire(dict(p.to_wire())) is q
-        assert Publication.from_wire(q.to_wire()) is q
+        assert p.wire is p.wire
+        assert p.wire == {
+            "publisher": 3, "payload": b"payload".hex(), "key_bits": 64,
+            "key": "0110011100100110100100011100011100111111111010101111000111100110"}
+        q = Publication.from_wire(p.wire)
+        assert q is p  # the publisher's own instance is the interned one
+        assert Publication.from_wire(dict(p.wire)) is q
+        assert Publication.from_wire(q.wire) is q
 
     def test_intern_table_holds_nothing_a_dropped_system_held(self):
         import gc
@@ -883,7 +886,10 @@ class TestProfilerSpeaksTheBenchmarksNames:
         assert payload["calls_per_event"] > 0
         # engine_storm never hashes nor checks; a delivery pays at least its
         # share of the trie, and the drive polls publications_converged
-        for key in ("sha256_per_op", "oracle_share", "oracle_checks_per_op"):
+        for key in ("sha256_per_op", "decodes_per_op", "oracle_share",
+                    "oracle_checks_per_op"):
             assert payload[key] > 0 if protocol else payload[key] == 0, key
         assert payload["oracle_share"] < 1
+        # each member decodes a publication once; a copy it stores is dropped undecoded
+        assert payload["decodes_per_op"] <= 1.05
 

@@ -138,7 +138,7 @@ class TestHashesAndInvariants:
 class TestPublicationRecord:
     def test_create_and_wire_roundtrip(self):
         pub = Publication.create(7, b"hello", key_bits=16)
-        wire = pub.to_wire()
+        wire = pub.wire
         restored = Publication.from_wire(wire)
         assert restored == pub
 

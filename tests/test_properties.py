@@ -440,15 +440,17 @@ def test_table_driven_oracle_equals_rebuilding_sr_n_per_check(n, perturbations):
 
 # ------------------------------------------- the Timeout plan vs no plan at all
 # ``core/subscriber.py`` caches what a Timeout derives from (label, left,
-# right, ring) and re-sends cached params dicts, and two handlers return early
-# on what a cache vouches for: ``Introduce`` on the plan, ``CheckTrie`` on the
-# trie root's cached digest.  Two identical systems take the same steps; in
-# one, every cache is thrown away before every step (and right before each
-# ``CheckTrie``), so it runs the uncached protocol and no such early return
-# fires.  Sends, state and RNG state must never differ — also in the states
-# built to make an early return *not* fire: a stale plan, a CYC flag, a
-# ``believed`` that is not the label, a root that differs, summaries in a
-# tuple or as 2-lists.
+# right, ring) and re-sends cached params dicts, a flood reads its targets
+# from a memo, and three handlers return early on what a cache vouches for:
+# ``Introduce`` on the plan, ``CheckTrie`` on the trie root's cached digest,
+# ``PublishNew``/``Publish`` on the stored copy the wire's key finds.  Two
+# identical systems take the same steps; in one, every cache is thrown away
+# before every step (and right before each ``CheckTrie``), and every copy of
+# a publication reaches it without its key, so it runs the uncached protocol
+# and no such early return fires.  Sends, state and RNG state must never
+# differ — also in the states built to make an early return *not* fire: a
+# stale plan, a CYC flag, a ``believed`` that is not the label, a root that
+# differs, summaries in a tuple or as 2-lists, a stored key over other content.
 _LABELS = ["0", "1", "01", "11", "10", "001", "011", "101", "111", "0001", "1111"]
 _REFS = [1, 2, 3, 4, 5, 0, 99]  # the five subscribers, the supervisor, nobody
 _PAYLOADS = [b"a", b"b", b"c"]
@@ -494,10 +496,18 @@ _echoes = st.tuples(
 # a Timeout sends, in a tuple, as a 2-list, or twice.
 _checks = st.tuples(st.sampled_from([0, 1, 2, 3, 4, "forged"]),
                     st.sampled_from(["list", "tuple", "2-list", "twice"]), _ref)
-# Two of the five subscribers take the steps and two of the eight step kinds
+# A copy of a publication: as its publisher's instance carries it, as the
+# interned instance of its content carries it (the same dict, while ``create``
+# interns), as an equal dict, or naming the key of one the receiver stores
+# (its first, if any) over its own content.
+_copies = st.tuples(st.sampled_from([msg.PUBLISH_NEW, msg.PUBLISH]),
+                    st.sampled_from(["publisher", "interned", "dict", "stored key"]),
+                    _ref, st.sampled_from(_PAYLOADS), st.integers(1, 3), _ref)
+# Two of the five subscribers take the steps and two of the nine step kinds
 # are a Timeout, so "write one field, then time out" is a common subsequence.
 _steps = st.lists(st.tuples(st.integers(0, 1), st.one_of(
     st.tuples(st.just("deliver"), _deliveries),
+    st.tuples(st.just("copy"), _copies),
     st.tuples(st.just("echo"), _echoes),
     st.tuples(st.just("check"), _checks),
     st.tuples(st.just("write"), _writes),
@@ -532,7 +542,7 @@ class _World:
         if self.caching:
             return
         for view in self.views():
-            view._plan = view._pair_memo = view._check_memo = None
+            view._plan = view._pair_memo = view._check_memo = view._flood_memo = None
             for node in view.trie.iter_nodes():
                 node._hash = None  # the Merkle cache: recomputed on the next read
 
@@ -542,6 +552,21 @@ class _World:
         if kind == "deliver":
             action, params = arg
             Subscriber._action_handlers[action](sub, topic=view.topic, **params)
+        elif kind == "copy":
+            action, source, publisher, payload, hops, sender = arg
+            genuine = Publication.create(publisher, payload, key_bits=64)
+            wire = {"publisher": genuine.wire,
+                    "interned": Publication.from_wire(dict(genuine.wire)).wire,
+                    "dict": dict(genuine.wire),
+                    "stored key": dict(genuine.wire,
+                                       key=min(view.trie.key_set(), default=genuine.key)),
+                    }[source]
+            if not self.caching:
+                wire = {k: v for k, v in wire.items() if k != "key"}
+            if action == msg.PUBLISH_NEW:
+                sub.on_PublishNew(pub=wire, hops=hops, sender=sender, topic=view.topic)
+            else:
+                sub.on_Publish(pubs=[wire], topic=view.topic)
         elif kind == "echo":
             field, action, relabel, flag, honest = arg
             stored = getattr(view, field)

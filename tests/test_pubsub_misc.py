@@ -53,7 +53,7 @@ def _flood_targets(left, right, ring, shortcut_refs, exclude):
     view._flood(publication, hops=3, exclude=exclude)
     assert all(action == msg.PUBLISH_NEW and params is sends[0][2]
                for _, action, params in sends)  # one read-only dict per flood
-    assert not sends or sends[0][2] == {"pub": publication.to_wire(), "hops": 3, "sender": 1}
+    assert not sends or sends[0][2] == {"pub": publication.wire, "hops": 3, "sender": 1}
     return [dest for dest, _, _ in sends]
 
 

@@ -252,7 +252,7 @@ class TestPublicationHandlers:
         incoming = a.publish(b"x")  # seeds the trie and floods
         first = sent(sim, a.node_id, msg.PUBLISH_NEW)
         # Receiving the same publication again must not re-flood.
-        a.on_PublishNew(incoming.to_wire(), hops=2, sender=b.node_id)
+        a.on_PublishNew(incoming.wire, hops=2, sender=b.node_id)
         assert sent(sim, a.node_id, msg.PUBLISH_NEW) == first
 
     def test_check_trie_round_trip_between_two_views(self):
@@ -279,7 +279,9 @@ class TestPublicationHandlers:
 
 
 # Publication wires an arbitrary initial state or a forger may put in flight.
-# The receiver's key length is 64 bits.
+# The receiver's key length is 64 bits; it stores GENUINE, under GENUINE_KEY.
+GENUINE = {"publisher": 1, "payload": b"genuine".hex(), "key_bits": 64}
+GENUINE_KEY = publication_key(1, b"genuine", bits=64)
 FORGED_WIRES = [
     {"publisher": 1, "payload": "00", "key_bits": 8},    # decodes, to a key of another length
     {"publisher": 1, "payload": "00", "key_bits": 0},
@@ -295,6 +297,12 @@ FORGED_WIRES = [
     [1, "00", 64],
     "publication",
     7,
+    # a forged "key": only ever a hint where to find a stored copy
+    dict(GENUINE, key=7),                        # not a str: decoded, a copy
+    dict(GENUINE, key=["0"]),                    # unhashable: decoded, a copy
+    dict(GENUINE, key="1" * 64),                 # names nothing stored: decoded, a copy
+    dict(GENUINE, key_bits=8, key=GENUINE_KEY),  # a stored key over other key_bits
+    dict(GENUINE, payload="not hex", key=GENUINE_KEY),
 ]
 
 
@@ -317,7 +325,7 @@ class TestForgedPublicationWires:
 
         before = observed()
         a.on_PublishNew(pub=wire, hops=1, sender=b.node_id)
-        a.on_Publish(pubs=[wire, stored.to_wire()])
+        a.on_Publish(pubs=[wire, stored.wire])
         a.on_Publish(pubs=wire)
         assert observed() == before
         view.trie.check_invariants()
@@ -327,11 +335,31 @@ class TestForgedPublicationWires:
         publication only in its publisher is other content, gets its key
         from the hash like any publication, and is stored beside it."""
         sim, a, b, view, stored = self._view_with_one_publication()
-        forged = dict(stored.to_wire(), publisher=stored.publisher + 1)
+        forged = dict(stored.wire, publisher=stored.publisher + 1)
         a.on_PublishNew(pub=forged, hops=1, sender=b.node_id)
         other = Publication.from_wire(forged)
         assert other is not stored and other.key != stored.key
         assert other.key == publication_key(stored.publisher + 1, b"genuine", bits=64)
+        assert view.trie.keys() == sorted([stored.key, other.key])
+        assert view.trie.get(stored.key) is stored
+
+    @pytest.mark.parametrize("action", [msg.PUBLISH_NEW, msg.PUBLISH])
+    @pytest.mark.parametrize("change", [{"publisher": 2}, {"payload": b"forged".hex()}],
+                             ids=repr)
+    def test_a_stored_key_over_other_content_is_decoded_from_content(self, action, change):
+        """The wire names its key, but the receiver drops it as a copy only if
+        the stored publication's wire equals it: other content under a stored
+        key is a new publication, stored under the key its content hashes to."""
+        sim, a, b, view, stored = self._view_with_one_publication()
+        forged = dict(stored.wire, **change)
+        assert forged["key"] == stored.key == GENUINE_KEY
+        if action == msg.PUBLISH_NEW:
+            a.on_PublishNew(pub=forged, hops=1, sender=b.node_id)
+        else:
+            a.on_Publish(pubs=[forged])
+        other = view.trie.get(publication_key(
+            forged["publisher"], bytes.fromhex(forged["payload"]), bits=64))
+        assert other is Publication.from_wire(forged) and other.key != stored.key
         assert view.trie.keys() == sorted([stored.key, other.key])
         assert view.trie.get(stored.key) is stored
 
@@ -454,11 +482,15 @@ class TestAntiEntropyWireShapes:
             (2, "CheckAndPublish", {"sender": 1, "tuples": [["11", h["11"]]], "prefix": "10"}),
             (1, "CheckAndPublish", {"sender": 2, "tuples": [], "prefix": "0001"}),
             (1, "CheckAndPublish", {"sender": 2, "tuples": [], "prefix": "0110"}),
-            (2, "Publish", {"pubs": [{"publisher": 1, "payload": "7031", "key_bits": 4}]}),
+            (2, "Publish", {"pubs": [
+                {"publisher": 1, "payload": "7031", "key_bits": 4, "key": "0001"}]}),
             (1, "CheckAndPublish", {"sender": 2, "tuples": [["1111", h["1111"]]], "prefix": "110"}),
-            (1, "Publish", {"pubs": [{"publisher": 2, "payload": "7033", "key_bits": 4}]}),
-            (2, "Publish", {"pubs": [{"publisher": 1, "payload": "7030", "key_bits": 4}]}),
-            (2, "Publish", {"pubs": [{"publisher": 1, "payload": "7035", "key_bits": 4}]}),
+            (1, "Publish", {"pubs": [
+                {"publisher": 2, "payload": "7033", "key_bits": 4, "key": "1000"}]}),
+            (2, "Publish", {"pubs": [
+                {"publisher": 1, "payload": "7030", "key_bits": 4, "key": "0110"}]}),
+            (2, "Publish", {"pubs": [
+                {"publisher": 1, "payload": "7035", "key_bits": 4, "key": "1100"}]}),
         ]
         # list == tuple is False, so the literal above pins the container types too.
         assert view_a.trie.keys() == ["0001", "0110", "1000", "1100", "1111"]
@@ -553,6 +585,36 @@ class TestForgedSetDataNeighbors:
         a.on_SetData(pred={0: "0"}, label="01", succ={"0", 2}, topic=view.topic)
         assert view.label == "01"
         assert view.left is None and view.right is None and view.ring is None
+
+
+class TestForgedNeighbourRefs:
+    """Theorem 8 for the ref an ``Introduce``, ``Linearize`` or
+    ``IntroduceShortcut`` names: one that is not an ``int`` is dropped where
+    it would enter the view, by the rule ``SetData``'s refs follow.  Kept, it
+    used to end the run at the next flood (``sorted`` over mixed types, or an
+    unhashable ref in the target set)."""
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("action", [msg.INTRODUCE, msg.LINEARIZE, msg.INTRODUCE_SHORTCUT])
+    @pytest.mark.parametrize("ref", ["x", (1, 2), [3]], ids=repr)
+    def test_a_forged_ref_never_reaches_a_flood(self, spec, action, ref):
+        system, peers = build_stable(spec, 8)
+        if action == msg.INTRODUCE_SHORTCUT:  # a label the view expects
+            receiver = next(peer for peer in peers if peer.view().shortcuts)
+            params = {"node": ref, "label": min(receiver.view().shortcuts)}
+        else:  # a deepest node: its label + "1" is closer than any neighbour it has
+            receiver = next(peer for peer in peers if len(peer.view().label) == 3)
+            params = {"node": ref, "label": receiver.view().label + "1"}
+        if action == msg.INTRODUCE:
+            params.update(believed=receiver.view().label, flag=msg.FLAG_LIN)
+        system.sim.inject_message(receiver.node_id, action, params, topic="default", delay=0.0)
+        system.run_for(0.01)  # delivered, and nothing has overwritten it yet
+        genuine = system.publish(receiver.node_id, b"genuine")
+        system.run_rounds(4)
+        assert system.run_until_legitimate(max_rounds=300)
+        assert system.run_until_publications_converged(expected_keys={genuine.key},
+                                                       max_rounds=300)
+        assert system.is_legitimate() and system.publications_converged()
 
 
 class TestTimeoutPlanStaysHonest:
