@@ -43,6 +43,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.pubsub.hashing import node_hash
+
 DEFAULT_TOP = 25
 #: Seed of the profiled repeat: repeat 0 of the benchmark's default ``--seed 11``.
 WORKLOAD_SEED = 11_000
@@ -66,12 +68,15 @@ def timed_region(workload, state) -> int:
 
 
 def profile_region(workload, state):
-    """The timed region under :mod:`cProfile`: ``(stats, events)``."""
+    """The timed region under :mod:`cProfile`: ``(stats, events, memo_hit_rate)``,
+    the last from the ``node_hash`` memo's counters around the region."""
     profiler = cProfile.Profile()
+    memo_before = node_hash.cache_info()
     profiler.enable()
     events = timed_region(workload, state)
     profiler.disable()
-    return pstats.Stats(profiler, stream=sys.stdout), events
+    return (pstats.Stats(profiler, stream=sys.stdout), events,
+            memo_hit_rate(memo_before, node_hash.cache_info()))
 
 
 def main(argv=None) -> int:
@@ -113,7 +118,7 @@ def main(argv=None) -> int:
     if args.tracemalloc:
         return run_tracemalloc(workload, state, args)
 
-    stats, events = profile_region(workload, state)
+    stats, events, memo_rate = profile_region(workload, state)
     failed = workload.check(state)
     if failed:
         print(f"WARNING: {failed} ops failed the workload's check — "
@@ -123,7 +128,8 @@ def main(argv=None) -> int:
         print(f"events processed: {events:,}")
         print(f"calls/event: {calls_per_event(stats, events):.1f} "
               f"({stats.prim_calls:,} primitive calls)")
-        print(f"sha256/op: {sha256_per_op(stats, workload.ops(state)):.2f}, "
+        print(f"sha256/op: {sha256_per_op(stats, workload.ops(state)):.2f} "
+              f"(node_hash memo: {memo_rate:.1%} hits), "
               f"decodes/op: {decodes_per_op(stats, workload.ops(state)):.2f} "
               f"(per {workload.op})")
         share, checks = oracle_cost(stats, workload.ops(state))
@@ -135,7 +141,7 @@ def main(argv=None) -> int:
     if args.json_out is not None:
         args.json_out.write_text(json.dumps(
             profile_payload(stats, workload, events, workload.ops(state),
-                            args.sort, args.top),
+                            args.sort, args.top, memo_rate),
             indent=2, sort_keys=True) + "\n")
         print(f"wrote JSON profile to {args.json_out}")
     return 0
@@ -204,6 +210,13 @@ def sha256_per_op(stats: pstats.Stats, ops: int) -> float:
     return calls / ops if ops else 0.0
 
 
+def memo_hit_rate(before, after) -> float:
+    """Share of the ``node_hash`` calls between two ``cache_info()`` readings
+    that the memo answered without hashing (0 when there were none)."""
+    hits, misses = after.hits - before.hits, after.misses - before.misses
+    return hits / (hits + misses) if hits + misses else 0.0
+
+
 def decodes_per_op(stats: pstats.Stats, ops: int) -> float:
     """``Publication.from_wire`` calls per workload op: how often a received
     publication wire (or a new publication) was decoded rather than found
@@ -232,7 +245,7 @@ _SORT_VALUE = {"cumulative": 3, "tottime": 2, "ncalls": 1}
 
 
 def profile_payload(stats: pstats.Stats, workload, events, ops,
-                    sort: str, top: int) -> dict:
+                    sort: str, top: int, memo_rate: float) -> dict:
     """The ``--json`` artifact: run context plus the top-N functions.
 
     Wall times in here carry cProfile's 2-3x instrumentation overhead — the
@@ -260,6 +273,7 @@ def profile_payload(stats: pstats.Stats, workload, events, ops,
         "events": events,
         "calls_per_event": round(calls_per_event(stats, events), 2),
         "sha256_per_op": round(sha256_per_op(stats, ops), 3),
+        "node_hash_memo_hit_rate": round(memo_rate, 4),
         "decodes_per_op": round(decodes_per_op(stats, ops), 3),
         "oracle_share": round(oracle_share, 4),
         "oracle_checks_per_op": round(oracle_checks, 5),

@@ -34,14 +34,3 @@ FLAG_CYC = "CYC"
 
 #: Actions whose receipt counts as load on the supervisor (Theorem 5 / E2).
 SUPERVISOR_REQUEST_ACTIONS = frozenset({SUBSCRIBE, UNSUBSCRIBE, GET_CONFIGURATION})
-
-#: Actions that belong to the overlay-maintenance part of the protocol.
-OVERLAY_ACTIONS = frozenset({
-    SET_DATA, INTRODUCE, LINEARIZE, CORRECT_LABEL, INTRODUCE_SHORTCUT,
-    REMOVE_CONNECTIONS, SUBSCRIBE, UNSUBSCRIBE, GET_CONFIGURATION,
-})
-
-#: Actions that belong to the publication-dissemination part of the protocol.
-PUBLICATION_ACTIONS = frozenset({CHECK_TRIE, CHECK_AND_PUBLISH, PUBLISH, PUBLISH_NEW})
-
-ALL_ACTIONS = OVERLAY_ACTIONS | PUBLICATION_ACTIONS

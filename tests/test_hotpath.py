@@ -441,13 +441,17 @@ class TestPublicationPathBudget:
     """The PR 15 contract: a trie node is hashed when it is read, a
     publication is derived once per distinct wire content, and its wire form
     is built once.  PR 21 adds: a leaf is hashed once per publication and a
-    duplicate insert is answered before the key is validated."""
+    duplicate insert is answered before the key is validated.  A key's bits
+    are checked once per publication, and an inner digest once per distinct
+    child pair (``node_hash`` is memoized, so every count starts from an
+    empty memo)."""
 
     @pytest.fixture
     def sha(self, monkeypatch):
         import repro.pubsub.hashing as hashing
         counter = _CountingHashlib()
         monkeypatch.setattr(hashing, "hashlib", counter)
+        hashing.node_hash.cache_clear()
         return counter
 
     def test_inserts_hash_nothing_and_a_read_hashes_each_node_once(self, sha):
@@ -491,35 +495,42 @@ class TestPublicationPathBudget:
         assert digest == leaf_hash(key)
 
     def test_a_duplicate_insert_is_answered_before_validation(self):
+        """A new key's bits are scanned once per publication, when its shared
+        leaf is built, not once per trie; each trie still checks the length."""
         from repro.pubsub.patricia import PatriciaTrie
         from repro.pubsub.publications import Publication
 
         class CountingKey(str):
-            checks = 0
+            scans = lengths = 0
 
             def strip(self, chars=None):
-                CountingKey.checks += 1
+                CountingKey.scans += 1
                 return super().strip(chars)
 
             def __len__(self):
-                CountingKey.checks += 1
+                CountingKey.lengths += 1
                 return super().__len__()
 
-        trie = PatriciaTrie(key_bits=8)
+        tries = [PatriciaTrie(key_bits=8) for _ in range(3)]
         stored = Publication(1, b"a", CountingKey("01100110"))
-        assert trie.insert(Publication(1, b"b", "01100111")) and trie.insert(stored)
-        assert CountingKey.checks == 2  # a new key is validated: len + strip
-        CountingKey.checks = 0
-        assert trie.insert(stored) is False
-        assert trie.insert(Publication(2, b"other", CountingKey("01100110"))) is False
-        assert CountingKey.checks == 0
-        # ... and a new malformed key still raises, leaving the trie as it was
-        before = (len(trie), trie.root_summary())
+        for trie in tries:
+            assert trie.insert(Publication(1, b"b", "01100111")) and trie.insert(stored)
+        assert (CountingKey.scans, CountingKey.lengths) == (1, 3)  # one scan, a length per trie
+        CountingKey.scans = CountingKey.lengths = 0
+        for trie in tries:
+            assert trie.insert(stored) is False
+            assert trie.insert(Publication(2, b"other", CountingKey("01100110"))) is False
+        assert CountingKey.scans == CountingKey.lengths == 0
+        # ... and a new malformed key still raises, in every trie, leaving each as it was
+        before = [(len(trie), trie.root_summary()) for trie in tries]
         for malformed in ("0110011", "011001100", "0110011x", ""):
-            with pytest.raises(ValueError):
-                trie.insert(Publication(1, b"c", malformed))
-        assert (len(trie), trie.root_summary()) == before
-        trie.check_invariants()
+            publication = Publication(1, b"c", malformed)
+            for trie in tries:
+                with pytest.raises(ValueError):
+                    trie.insert(publication)
+        assert [(len(trie), trie.root_summary()) for trie in tries] == before
+        for trie in tries:
+            trie.check_invariants()
 
     def test_a_stored_publication_is_not_derived_again(self, sha):
         from repro.core.subscriber import Subscriber
@@ -879,10 +890,14 @@ class TestProfilerSpeaksTheBenchmarksNames:
     def test_json_carries_sha256_per_op(self, script, name, protocol):
         workload = script._benchmark_workloads()[name]
         state = workload.setup(script.WORKLOAD_SEED, workload.sizes(0.05))
-        stats, events = script.profile_region(workload, state)
+        from repro.pubsub.hashing import node_hash
+
+        node_hash.cache_clear()  # so the SHA-256 count does not depend on earlier tests
+        stats, events, memo_rate = script.profile_region(workload, state)
         assert workload.check(state) == 0
         payload = script.profile_payload(stats, workload, events, workload.ops(state),
-                                         "tottime", 5)
+                                         "tottime", 5, memo_rate)
+        assert 0 <= payload["node_hash_memo_hit_rate"] <= 1
         assert payload["calls_per_event"] > 0
         # engine_storm never hashes nor checks; a delivery pays at least its
         # share of the trie, and the drive polls publications_converged

@@ -3,6 +3,7 @@
 
 from os.path import commonprefix
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -197,10 +198,12 @@ def test_patricia_prefix_query_matches_filter(keys, prefix):
 
 
 def _eager_hash(node):
-    """The Merkle hash of ``node``'s subtree from scratch, reading no cache."""
+    """The Merkle hash of ``node``'s subtree from scratch, reading no cache:
+    neither a node's nor the ``node_hash`` memo's."""
     if not node.children:
         return leaf_hash(node.label)
-    return node_hash(_eager_hash(node.children["0"]), _eager_hash(node.children["1"]))
+    return node_hash.__wrapped__(_eager_hash(node.children["0"]),
+                                 _eager_hash(node.children["1"]))
 
 
 trie_steps = st.lists(st.tuples(
@@ -208,12 +211,24 @@ trie_steps = st.lists(st.tuples(
     st.text(alphabet="01", min_size=8, max_size=8),
     st.integers(min_value=0, max_value=10 ** 6)), max_size=60)
 
+#: Keys no 8-bit trie accepts: another length, or 8 characters not all bits,
+#: among them forms ``int(key, 2)`` would parse (a sign, spaces, ``_``, a
+#: non-ASCII digit one).
+malformed_keys = st.one_of(
+    st.text(alphabet="01", max_size=12).filter(lambda key: len(key) != 8),
+    st.sampled_from(["+0110011", " 0110011", "0110011 ", "0110_011", "0110011\u0661"]),
+    st.text(alphabet="01x2 _+", min_size=8, max_size=8).filter(lambda key: key.strip("01")))
 
-@given(trie_steps, st.booleans())
-def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step):
+
+@given(trie_steps, st.booleans(), st.lists(malformed_keys, max_size=3))
+@example([("insert", "01100110", 0)], False, ["+0110011", "0110_011", "0110011\u0661", "0110011"])
+def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step, malformed):
     """Hashes are computed when read: under any interleaving of inserts and
     reads, every hash read is the one an eager trie would hold, and a cached
-    hash is never stale."""
+    hash is never stale.  Digests are memoized across tries: tries filled in
+    other orders hold the same root digest *object*, and every digest equals
+    its uncached recomputation.  A malformed key raises at every insert, in
+    every trie, and leaves each trie as it was."""
     trie = PatriciaTrie(key_bits=8)
     shared = {}  # key -> the one hand-built record every trie below stores
     for op, key, pick in steps:
@@ -248,8 +263,18 @@ def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step):
         sorted_order.insert(shared[key])
     for other in (backwards, sorted_order):
         assert other.root_summary() == trie.root_summary()
+        assert other.root is None or other.root.hash is trie.root.hash
         assert all(n.hash == _eager_hash(n) for n in other.iter_nodes())
         assert all(other.get(key) is shared[key] for key in shared)
+    for key in malformed:
+        publication = Publication(1, key.encode(), key=key)
+        for other in (trie, backwards, sorted_order):
+            before = (other.keys(), other.root_summary())
+            for _ in range(2):  # a failed check is not remembered
+                with pytest.raises(ValueError):
+                    other.insert(publication)
+            assert (other.keys(), other.root_summary()) == before
+            other.check_invariants()
 
 
 @given(st.lists(st.text(alphabet="01", min_size=6, max_size=6),
