@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import importlib.util
 import json
 import pstats
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -68,15 +70,37 @@ def timed_region(workload, state) -> int:
 
 
 def profile_region(workload, state):
-    """The timed region under :mod:`cProfile`: ``(stats, events, memo_hit_rate)``,
-    the last from the ``node_hash`` memo's counters around the region."""
+    """The timed region under :mod:`cProfile`: ``(stats, events, region)``.
+
+    ``region`` holds what the profile itself cannot show: the ``node_hash``
+    memo's hit rate (its counters around the region) and the cyclic
+    collector's share of the region's wall time and its collection count
+    (a ``gc.callbacks`` hook installed around the region).  cProfile slows
+    the region 2-3x but not the collector, so the share is a lower bound of
+    the unprofiled one.
+    """
     profiler = cProfile.Profile()
     memo_before = node_hash.cache_info()
+    marks = []  # perf_counter() at each collection's start and stop
+
+    def on_gc(phase, info):
+        marks.append(time.perf_counter())
+
+    gc.callbacks.append(on_gc)
+    started = time.perf_counter()
     profiler.enable()
-    events = timed_region(workload, state)
-    profiler.disable()
-    return (pstats.Stats(profiler, stream=sys.stdout), events,
-            memo_hit_rate(memo_before, node_hash.cache_info()))
+    try:
+        events = timed_region(workload, state)
+    finally:
+        profiler.disable()
+        wall = time.perf_counter() - started
+        gc.callbacks.remove(on_gc)
+    gc_seconds = sum(marks[1::2]) - sum(marks[0::2])
+    return pstats.Stats(profiler, stream=sys.stdout), events, {
+        "node_hash_memo_hit_rate": round(memo_hit_rate(memo_before, node_hash.cache_info()), 4),
+        "gc_share": round(gc_seconds / wall, 4) if wall > 0 else 0.0,
+        "gc_collections": len(marks) // 2,
+    }
 
 
 def main(argv=None) -> int:
@@ -118,7 +142,7 @@ def main(argv=None) -> int:
     if args.tracemalloc:
         return run_tracemalloc(workload, state, args)
 
-    stats, events, memo_rate = profile_region(workload, state)
+    stats, events, region = profile_region(workload, state)
     failed = workload.check(state)
     if failed:
         print(f"WARNING: {failed} ops failed the workload's check — "
@@ -127,9 +151,11 @@ def main(argv=None) -> int:
     if events:
         print(f"events processed: {events:,}")
         print(f"calls/event: {calls_per_event(stats, events):.1f} "
-              f"({stats.prim_calls:,} primitive calls)")
+              f"({stats.prim_calls:,} primitive calls), "
+              f"gc: {region['gc_share']:.1%} of the region "
+              f"in {region['gc_collections']} collections")
         print(f"sha256/op: {sha256_per_op(stats, workload.ops(state)):.2f} "
-              f"(node_hash memo: {memo_rate:.1%} hits), "
+              f"(node_hash memo: {region['node_hash_memo_hit_rate']:.1%} hits), "
               f"decodes/op: {decodes_per_op(stats, workload.ops(state)):.2f} "
               f"(per {workload.op})")
         share, checks = oracle_cost(stats, workload.ops(state))
@@ -141,7 +167,7 @@ def main(argv=None) -> int:
     if args.json_out is not None:
         args.json_out.write_text(json.dumps(
             profile_payload(stats, workload, events, workload.ops(state),
-                            args.sort, args.top, memo_rate),
+                            args.sort, args.top, region),
             indent=2, sort_keys=True) + "\n")
         print(f"wrote JSON profile to {args.json_out}")
     return 0
@@ -245,8 +271,9 @@ _SORT_VALUE = {"cumulative": 3, "tottime": 2, "ncalls": 1}
 
 
 def profile_payload(stats: pstats.Stats, workload, events, ops,
-                    sort: str, top: int, memo_rate: float) -> dict:
-    """The ``--json`` artifact: run context plus the top-N functions.
+                    sort: str, top: int, region: dict) -> dict:
+    """The ``--json`` artifact: run context, ``region`` (``profile_region``'s
+    memo and collector readings) and the top-N functions.
 
     Wall times in here carry cProfile's 2-3x instrumentation overhead — the
     artifact is for comparing *shapes* across commits (which functions climbed
@@ -273,7 +300,7 @@ def profile_payload(stats: pstats.Stats, workload, events, ops,
         "events": events,
         "calls_per_event": round(calls_per_event(stats, events), 2),
         "sha256_per_op": round(sha256_per_op(stats, ops), 3),
-        "node_hash_memo_hit_rate": round(memo_rate, 4),
+        **region,
         "decodes_per_op": round(decodes_per_op(stats, ops), 3),
         "oracle_share": round(oracle_share, 4),
         "oracle_checks_per_op": round(oracle_checks, 5),

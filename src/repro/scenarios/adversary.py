@@ -37,6 +37,7 @@ spike.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
@@ -73,10 +74,10 @@ class DelaySpike:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
+        if not self.start <= self.end:  # also NaN
             raise ValueError("delay spike must end at or after it starts")
-        if self.factor <= 0:
-            raise ValueError("delay factor must be positive")
+        if not 0 < self.factor < math.inf:
+            raise ValueError("delay factor must be positive and finite")
 
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
@@ -94,7 +95,7 @@ class Partition:
 
     def __init__(self, name: str, groups: Sequence[Iterable[int]],
                  start: float = 0.0, heal_time: Optional[float] = None) -> None:
-        if heal_time is not None and heal_time < start:
+        if not start <= (math.inf if heal_time is None else heal_time):  # also NaN
             raise ValueError("a partition cannot heal before it starts")
         self.name = name
         self.groups: List[Set[int]] = [set(g) for g in groups]

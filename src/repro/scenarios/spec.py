@@ -16,6 +16,7 @@ Specs are frozen dataclasses with a lossless ``to_dict``/``from_dict`` (and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -43,8 +44,8 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("partition fraction must lie strictly in (0, 1)")
-        if self.heal_after_rounds < 0:
-            raise ValueError("heal_after_rounds must be non-negative")
+        if not 0 <= self.heal_after_rounds < math.inf:
+            raise ValueError("heal_after_rounds must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,10 @@ class PhaseSpec:
     expect_delivery: bool = True
 
     def __post_init__(self) -> None:
-        if self.rounds <= 0:
-            raise ValueError("phase rounds must be positive")
-        if self.settle_rounds < 0:
-            raise ValueError("settle_rounds must be non-negative")
+        if not 0 < self.rounds < math.inf:
+            raise ValueError("phase rounds must be positive and finite")
+        if not 0 <= self.settle_rounds < math.inf:
+            raise ValueError("settle_rounds must be non-negative and finite")
         for attr in ("joins", "leaves", "crashes", "publications"):
             if getattr(self, attr) < 0:
                 raise ValueError(f"{attr} must be non-negative")
@@ -111,8 +112,8 @@ class PhaseSpec:
             raise ValueError("loss_rate must lie in [0, 1)")
         if not 0.0 <= self.duplicate_rate < 1.0:
             raise ValueError("duplicate_rate must lie in [0, 1)")
-        if self.delay_spike_factor <= 0:
-            raise ValueError("delay_spike_factor must be positive")
+        if not 0 < self.delay_spike_factor < math.inf:
+            raise ValueError("delay_spike_factor must be positive and finite")
 
     @property
     def disruptions(self) -> Tuple[str, ...]:

@@ -532,6 +532,24 @@ class TestPublicationPathBudget:
         for trie in tries:
             trie.check_invariants()
 
+    def test_a_trie_node_is_two_slots_and_holds_no_container(self):
+        """A node's children are the slots ``zero`` and ``one``: an insert
+        allocates one object, not a node and its children dict."""
+        from repro.pubsub.patricia import PatriciaTrie, TrieNode
+        from repro.pubsub.publications import Publication
+
+        assert "children" not in TrieNode.__slots__ and not hasattr(TrieNode, "children")
+        assert {"zero", "one"} <= set(TrieNode.__slots__)
+        trie = PatriciaTrie(key_bits=8)
+        for i in range(16):
+            trie.insert(Publication.create(1, bytes([i]), key_bits=8))
+        nodes = list(trie.iter_nodes())
+        assert len(nodes) == 2 * len(trie) - 1
+        for node in nodes:
+            assert not hasattr(node, "__dict__")
+            assert not any(isinstance(getattr(node, name), (dict, list, set, tuple))
+                           for name in TrieNode.__slots__)
+
     def test_a_stored_publication_is_not_derived_again(self, sha):
         from repro.core.subscriber import Subscriber
 
@@ -893,11 +911,14 @@ class TestProfilerSpeaksTheBenchmarksNames:
         from repro.pubsub.hashing import node_hash
 
         node_hash.cache_clear()  # so the SHA-256 count does not depend on earlier tests
-        stats, events, memo_rate = script.profile_region(workload, state)
+        stats, events, region = script.profile_region(workload, state)
         assert workload.check(state) == 0
         payload = script.profile_payload(stats, workload, events, workload.ops(state),
-                                         "tottime", 5, memo_rate)
+                                         "tottime", 5, region)
         assert 0 <= payload["node_hash_memo_hit_rate"] <= 1
+        # the cyclic collector's share of the region, from gc.callbacks around it
+        assert 0 <= payload["gc_share"] <= 1
+        assert isinstance(payload["gc_collections"], int) and payload["gc_collections"] >= 0
         assert payload["calls_per_event"] > 0
         # engine_storm never hashes nor checks; a delivery pays at least its
         # share of the trie, and the drive polls publications_converged

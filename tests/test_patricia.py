@@ -107,6 +107,13 @@ class TestNavigation:
         assert [p.key for p in trie.publications_with_prefix("")] == ["000", "010", "100", "101"]
         assert trie.publications_with_prefix("11") == []
 
+    @pytest.mark.parametrize("label", ["x", "0x", "10x", "0 ", "0002"])
+    def test_a_branch_that_is_not_a_bit_finds_nothing(self, label):
+        # only "0" and "1" name a child; any other character finds nothing
+        trie = self._build()
+        assert trie.search_node(label) is None
+        assert trie.find_min_extension(label) is None
+
     def test_iter_nodes_counts(self):
         trie = self._build()
         nodes = list(trie.iter_nodes())
@@ -127,6 +134,21 @@ class TestHashesAndInvariants:
         assert trie_a.root_summary() == trie_b.root_summary()
         trie_b.insert(Publication.create(2, b"extra", key_bits=8))
         assert trie_a.root_summary() != trie_b.root_summary()
+
+    def test_invariants_require_both_child_slots_or_neither(self):
+        trie = PatriciaTrie(key_bits=3)
+        for key in ("000", "010", "100", "101"):
+            trie.insert(make_pub(key))
+        trie.root_summary()  # caches every hash: the check reaches the bad node first
+        inner, leaf = trie.search_node("10"), trie.search_node("000")
+        one, inner.one = inner.one, None
+        with pytest.raises(AssertionError, match="inner node sets both"):
+            trie.check_invariants()
+        inner.one, leaf.one = one, one
+        with pytest.raises(AssertionError, match="leaf sets neither"):
+            trie.check_invariants()
+        leaf.one = None
+        trie.check_invariants()
 
     def test_invariants_hold_after_many_inserts(self):
         trie = PatriciaTrie(key_bits=6)

@@ -200,10 +200,9 @@ def test_patricia_prefix_query_matches_filter(keys, prefix):
 def _eager_hash(node):
     """The Merkle hash of ``node``'s subtree from scratch, reading no cache:
     neither a node's nor the ``node_hash`` memo's."""
-    if not node.children:
+    if node.zero is None:
         return leaf_hash(node.label)
-    return node_hash.__wrapped__(_eager_hash(node.children["0"]),
-                                 _eager_hash(node.children["1"]))
+    return node_hash.__wrapped__(_eager_hash(node.zero), _eager_hash(node.one))
 
 
 trie_steps = st.lists(st.tuples(
@@ -244,10 +243,9 @@ def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step, malfor
             assert trie.root_summary() == (trie.root.label, _eager_hash(trie.root))
         elif op == "node":
             assert trie.search_node(node.label).hash == _eager_hash(node)
-        elif node.children:
+        elif node.zero is not None:
             assert node.child_summaries() == [
-                (child.label, _eager_hash(child))
-                for child in (node.children["0"], node.children["1"])]
+                (child.label, _eager_hash(child)) for child in (node.zero, node.one)]
         if check_every_step:  # reads every hash, so also leaves no cache empty
             trie.check_invariants()
         for n in trie.iter_nodes():

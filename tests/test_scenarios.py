@@ -72,6 +72,52 @@ class TestPartitionAndSpike:
             adversary.add_partition("cut", [{2}])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInputsAreRejected:
+    """Thm 8 harness: a NaN or infinite time, round count or factor is refused
+    where it is stated.  Accepted, a NaN or infinite spike factor killed the
+    next ``run_for`` inside the wheel, and a NaN heal time left the cut never
+    active.  ``heal_time=None`` stays the way to say "never heals"."""
+
+    @pytest.mark.parametrize("start, end, factor", [
+        (NAN, 5.0, 2.0), (0.0, NAN, 2.0), (0.0, 5.0, NAN), (0.0, 5.0, INF)],
+        ids=["start-nan", "end-nan", "factor-nan", "factor-inf"])
+    def test_delay_spike(self, start, end, factor):
+        adversary = LinkAdversary(random.Random(0))
+        with pytest.raises(ValueError):
+            adversary.add_delay_spike(start, end, factor)
+        assert adversary.spikes == []
+
+    @pytest.mark.parametrize("start, heal_time", [(0.0, NAN), (NAN, None), (NAN, 5.0)],
+                             ids=["heal-nan", "start-nan-never-heals", "start-nan"])
+    def test_partition(self, start, heal_time):
+        adversary = LinkAdversary(random.Random(0))
+        with pytest.raises(ValueError):
+            adversary.add_partition("cut", [{1}], start=start, heal_time=heal_time)
+        assert adversary.partitions == {}
+
+    @pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["rounds", "settle_rounds", "delay_spike_factor"])
+    def test_phase_spec(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+            PhaseSpec(name="p", **{field: value})
+
+    @pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
+    def test_partition_spec(self, value):
+        with pytest.raises(ValueError, match="heal_after_rounds must be .* finite"):
+            PartitionSpec(heal_after_rounds=value)
+
+    def test_a_scenario_json_text_carrying_nan(self):
+        payload = json.loads(get_scenario("rolling-partition").to_json())
+        payload["phases"][1]["partition"]["heal_after_rounds"] = NAN
+        text = json.dumps(payload)
+        assert "NaN" in text
+        with pytest.raises(ValueError, match="heal_after_rounds"):
+            ScenarioSpec.from_json(text)
+
+
 class TestAdversaryHooks:
     def test_loss_and_duplication_are_accounted(self):
         sim = Simulator(SimulatorConfig(seed=3))
