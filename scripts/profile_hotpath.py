@@ -26,8 +26,8 @@ so compare *shapes* between runs, never absolute times — ``bench/run.py``
 owns absolute numbers.  ``--tracemalloc`` switches the instrument from time
 to memory: the run executes under :mod:`tracemalloc` and the report ranks
 source lines by bytes still allocated at the run's peak — the view that
-finds what the hot loops keep alive (pending event tuples, stats columns),
-complementing the ``peak_rss_mb`` the benchmark records per workload.
+finds what the hot loops keep alive (pending event tuples, per-node message
+counts), complementing the ``peak_rss_mb`` the benchmark records per workload.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def run_tracemalloc(workload, state, args) -> int:
     """The ``--tracemalloc`` mode: rank allocation sites by bytes live at
     the run's peak (snapshot taken at the traced-memory high-water mark is
     approximated by snapshotting right after the run, before teardown — the
-    pending-event backlog and every column are still alive then).
+    pending-event backlog and the message counts are still alive then).
 
     tracemalloc costs far more than cProfile (every allocation records a
     traceback), so wall times in this mode mean nothing; the byte counts

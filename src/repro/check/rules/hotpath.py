@@ -1,8 +1,9 @@
 """no-hotpath-allocation: per-event allocation bans in marked hot functions.
 
 The engine's fused loops (``_send_fast``, ``_run_blocks``) exist to remove
-per-event allocation: a message is one record tuple, int64 columns replace
-``(node, action)`` counter keys, prebound closures replace attribute chains.
+per-event allocation: a message is one record tuple, a count is bumped in
+place in an ``action -> {node: count}`` store (no per-message key tuple),
+prebound closures replace attribute chains.
 A well-meaning edit that reintroduces a dict/list/set display inside one of
 those loops silently undoes the optimisation while every test stays green
 (the cost is wall time, not semantics).

@@ -214,10 +214,7 @@ class Simulator:
         network = self.network
         crashed = network._crashed
         stats = network.stats
-        sent = stats._sent
-        sent_cols = stats._sent_cols  # dense columnar half; grown in place
-        bump_column = stats._bump_column
-        derived = stats._derived  # invalidated in place, never rebound
+        sent = stats._sent  # action -> {sender: count}; never rebound
         # ``_delay_rng.uniform(min_delay, max_delay)`` unrolled with its bounds
         # precomputed — ``now + (a + (b - a) * random())`` is the same float
         # as Random.uniform's, minus the per-message method frame, as long as
@@ -254,25 +251,12 @@ class Simulator:
             except TypeError:
                 gone = True  # unhashable ``dest``: no such address
             stats.total_sent += 1
-            # Columnar sent counter for dense int senders: one action-keyed
-            # lookup in a handful-sized dict plus an int64 array store,
-            # replacing the (sender, action) tuple allocation and the
-            # n_nodes-sized dict update.  The exact type test keeps bools on
-            # the dict path (True would alias column row 1); the slow path
-            # creates/grows columns and caps forged huge ids.
-            if type(sender) is int and sender >= 0:
-                try:
-                    sent_cols[action][sender] += 1
-                except (KeyError, IndexError):
-                    bump_column(sent_cols, sent, sender, action)
-            else:
-                key = (sender, action)
-                try:
-                    sent[key] += 1
-                except KeyError:
-                    sent[key] = 1
-            if derived:
-                derived.clear()
+            try:
+                sent[action][sender] += 1
+            except KeyError:
+                # first sight of the action or of this sender under it
+                # repro: allow[no-hotpath-allocation]
+                sent.setdefault(action, {})[sender] = 1
             if gone:
                 stats.record_drop(DROP_TO_CRASHED)
                 return
@@ -350,6 +334,8 @@ class Simulator:
         """Place an adversarial message into ``dest``'s channel (initial-state
         corruption): a record with ``sender=None``, delivered like any other
         but never counted as a protocol send."""
+        if delay is not None and not math.isfinite(delay):
+            raise ValueError("inject_message delay must be finite")
         if delay is not None and delay < 0:
             # The block drain relies on every schedulable time being >= now
             # (the simulated clock never moves backward).
@@ -384,6 +370,8 @@ class Simulator:
 
     def crash_node(self, node_id: NodeRef, at: Optional[float] = None) -> None:
         """Crash ``node_id`` now or at a future time ``at``."""
+        if at is not None and not math.isfinite(at):
+            raise ValueError("crash_node at must be finite")
         if at is None or at <= self.now:
             self._apply_crash(node_id)
         else:
@@ -401,6 +389,8 @@ class Simulator:
     # ------------------------------------------------------------------ clock
     def call_at(self, time: float, fn: Callable[[], None]) -> None:
         """Schedule an arbitrary callback (used by workloads/experiments)."""
+        if not math.isfinite(time):
+            raise ValueError("call_at time must be finite")
         self._push(max(time, self.now), _CALL, fn)
 
     def _push(self, time: float, kind: int, *payload: Any) -> None:
@@ -487,7 +477,7 @@ class Simulator:
         """
         # Pause the cyclic garbage collector for the duration of the run.
         # The hot loop allocates a tuple or two per event (records, timeout
-        # events, stats keys), and every ~700 net allocations trigger a gen-0
+        # events), and every ~700 net allocations trigger a gen-0
         # scan; over a long run the collector eats 10-20 % of the wall clock
         # while collecting almost nothing — event garbage is acyclic and dies
         # by refcount, and the sim <-> node reference cycles live until the
@@ -562,10 +552,7 @@ class Simulator:
         crashed_set = network._crashed
         stats = network.stats
         latency_hist = stats.delivery_latency  # None unless telemetry is on
-        received = stats._received
-        received_cols = stats._received_cols  # dense half; grown in place
-        bump_column = stats._bump_column
-        derived = stats._derived
+        received = stats._received  # action -> {dest: count}
         nodes_get = self.nodes.get
         config = self.config
         period = config.timeout_period
@@ -630,7 +617,7 @@ class Simulator:
                         # O(1) stats counters update inline.
                         dest = event[3]
                         action = event[4]
-                        if type(dest) is int and dest >= 0:
+                        if type(dest) is int:
                             if crashed_set and dest in crashed_set:
                                 continue  # destination crashed after the send
                             if adversary is not None:
@@ -645,18 +632,15 @@ class Simulator:
                             delivered += 1
                             if latency_hist is not None:
                                 latency_hist.record(time - event[8])
-                            # columnar counter, as _send_fast's for sends
                             try:
-                                received_cols[action][dest] += 1
-                            except (KeyError, IndexError):
-                                bump_column(received_cols, received,
-                                            dest, action)
-                            if derived:
-                                derived.clear()
+                                received[action][dest] += 1
+                            except KeyError:
+                                # first sight, as in _send_fast
+                                # repro: allow[no-hotpath-allocation]
+                                received.setdefault(action, {})[dest] = 1
                         elif not pop_record(event):
-                            # Not an id the facades allocate (non-negative
-                            # ints): the reference accounting, sparse stats
-                            # half — where an unhashable ``dest`` is dropped.
+                            # Not an int: the reference accounting, where an
+                            # unhashable ``dest`` is dropped.
                             continue
                         node = nodes_get(dest)
                         if node is None or node.crashed:

@@ -8,8 +8,9 @@ in the simulator's scheduler until it fires (layout below) — whether a node
 sent it, a link adversary duplicated it or a corrupted initial state injected
 it.  ``v.Ch`` is therefore the pending records addressed to ``v``.
 :class:`Network` holds the link adversary the engine's send path consults,
-keeps per-action and per-node accounting (used by the supervisor-load and
-congestion experiments) and the set of crashed nodes, messages to which are
+keeps the message accounting — :class:`ChannelStats`, one
+``action -> {node: count}`` store per direction, read by the supervisor-load
+and congestion experiments — and the set of crashed nodes, messages to which are
 dropped (the paper's Section 3.3 failure model: a crashed node's address
 ceases to exist, so messages to it "do not invoke any action").
 
@@ -22,9 +23,8 @@ self-stabilization under conditions the paper's channel never exhibits.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 
 #: Drop-accounting reasons used by :meth:`ChannelStats.record_drop`.
@@ -68,24 +68,21 @@ REC_SEND_TIME = 8
 #: a mixed scheduler backlog without a length check.
 FAST_RECORD_KIND = 4
 
-#: dense-id ceiling for the columnar :class:`ChannelStats` store — node ids
-#: at or past this always count through the sparse dict half (bounds any one
-#: column at 8 MiB even against a forged id of 10**9; real deployments sit
-#: far below it).
-_STATS_COLUMN_CAP = 1 << 20
-
 
 class ChannelStats:
     """Aggregated message statistics, queryable per node and per action.
 
+    One store per direction: ``_sent`` and ``_received`` each map
+    ``action -> {node: count}`` (keyed by sender, respectively destination).
     Recording is inlined where the messages are — the engine's send closure
-    and drain loop, and :meth:`Network.pop_record` — and costs one counter update on a
-    ``(node, action)`` store plus an integer increment.  The per-node and
-    per-action totals behind :meth:`sent_by` / :meth:`received_by` and the
-    :attr:`sent_by_action` / :attr:`received_by_action` views are derived
-    lazily on first access and cached until the next write, so querying stays
-    as convenient as the eager counters the seed kept while the per-message
-    cost is O(1) with a minimal constant.
+    and drain loop, and :meth:`Network.pop_record` — and costs one lookup in
+    a handful-sized action dict, one counter update in that action's node
+    dict and an integer increment.  The per-node and per-action totals behind
+    :meth:`sent_by` / :meth:`received_by` and the :attr:`sent_by_action` /
+    :attr:`received_by_action` views are computed when read: every reader is
+    cold (reports, phase deltas, tests), so nothing is cached or invalidated
+    on the write path.  An action with no count in a store never appears in
+    a view or a summary.
 
     The two view properties are read-only and return fresh :class:`Counter`
     copies: mutating a returned counter never corrupts the statistics.
@@ -99,27 +96,14 @@ class ChannelStats:
     sees them.
     """
 
-    __slots__ = ("_sent", "_received", "_sent_cols", "_received_cols",
-                 "_drops", "duplicated", "total_sent", "total_delivered",
-                 "delivery_latency", "_derived")
+    __slots__ = ("_sent", "_received", "_drops", "duplicated", "total_sent",
+                 "total_delivered", "delivery_latency")
 
     def __init__(self) -> None:
-        #: raw (sender-or-None, action) -> count and (dest, action) -> count
-        #: — the *sparse* half of the store: non-int / negative node keys and
-        #: every count recorded off the engine's fused loops
-        self._sent: Dict[tuple, int] = {}
-        self._received: Dict[tuple, int] = {}
-        #: columnar half (PR 10): ``action -> array('q')`` indexed by dense
-        #: node id.  The engine's fused loops bump ``cols[action][node]``
-        #: directly — one action-keyed lookup in a handful-sized dict plus an
-        #: int64 array store, instead of allocating a ``(node, action)``
-        #: tuple and updating a dict that grows to n_nodes x n_actions
-        #: entries (the dominant cache miss of large storms).  Columns grow
-        #: strictly in place (``array.extend``) so captured references stay
-        #: valid; every read-side surface merges both halves, so where a
-        #: count landed is unobservable.
-        self._sent_cols: Dict[str, "array[int]"] = {}
-        self._received_cols: Dict[str, "array[int]"] = {}
+        #: action -> {sender: count} and action -> {dest: count}; never
+        #: rebound, so the engine's fused closures capture them once
+        self._sent: Dict[str, Dict[Any, int]] = {}
+        self._received: Dict[str, Dict[Any, int]] = {}
         #: drop reason -> count (see DROP_REASONS)
         self._drops: Dict[str, int] = {}
         #: extra copies created by adversarial duplication
@@ -131,9 +115,6 @@ class ChannelStats:
         #: keeps the hot paths latency-blind; :meth:`enable_latency` turns it
         #: on (``SimulatorConfig.telemetry`` does so at build time).
         self.delivery_latency = None
-        #: lazily derived Counter views, invalidated with ``.clear()`` — never
-        #: rebound, so the engine's fused closures may capture the dict once.
-        self._derived: Dict[str, Counter] = {}
 
     def enable_latency(self) -> None:
         """Attach a delivery-latency histogram (idempotent)."""
@@ -164,113 +145,22 @@ class ChannelStats:
     def total_dropped(self) -> int:
         return sum(self._drops.values())
 
-    # -------------------------------------------------- columnar slow paths
-    def _bump_column(self, cols: Dict[str, "array[int]"],
-                     table: Dict[tuple, int], node_id: int,
-                     action: str) -> None:
-        """Create/grow the ``action`` column so ``node_id`` fits, then count
-        one event.  The hot loops call this only on their ``KeyError`` /
-        ``IndexError`` miss — first sight of an action, or a node id past the
-        column's current length.  Growth is in place (``array.extend``) so
-        captured column references stay valid.  Ids past
-        :data:`_STATS_COLUMN_CAP` land in the sparse ``table`` instead (a
-        forged id of 10**9 must not balloon the column)."""
-        if node_id >= _STATS_COLUMN_CAP:
-            key = (node_id, action)
-            table[key] = table.get(key, 0) + 1
-            return
-        col = cols.get(action)
-        if col is None:
-            col = cols[action] = array("q")
-        if node_id >= len(col):
-            # Geometric growth caps a population ramp at O(log n) reallocs;
-            # frombytes, not extend — extend(bytes) appends one item per BYTE.
-            grow = max(node_id + 1, 2 * len(col)) - len(col)
-            col.frombytes(bytes(8 * grow))
-        col[node_id] += 1
-
-    @staticmethod
-    def _iter_counts(table: Dict[tuple, int], cols: Dict[str, "array[int]"]
-                     ) -> Iterator[Tuple[tuple, int]]:
-        """Yield ``((node, action), count)`` pairs across both halves of a
-        store (sparse dict + dense columns), skipping zero column rows."""
-        yield from table.items()
-        for action, col in cols.items():
-            for node_id, count in enumerate(col):
-                if count:
-                    yield (node_id, action), count
-
-    def _merged(self, table: Dict[tuple, int], cols: Dict[str, "array[int]"]
-                ) -> Dict[tuple, int]:
-        """Fold the dense columns of a store into dict form (cold paths:
-        snapshot/delta).  Keys colliding across the halves are summed."""
-        merged = dict(table)
-        for action, col in cols.items():
-            for node_id, count in enumerate(col):
-                if count:
-                    key = (node_id, action)
-                    merged[key] = merged.get(key, 0) + count
-        return merged
-
-    # ---------------------------------------------------------- derived views
-    def _view(self, name: str) -> Counter:
-        view = self._derived.get(name)
-        if view is None:
-            view = Counter()
-            if name == "sent_by_node":
-                for (node, _action), count in self._iter_counts(
-                        self._sent, self._sent_cols):
-                    if node is not None:
-                        view[node] += count
-            elif name == "sent_by_action":
-                for (_node, action), count in self._iter_counts(
-                        self._sent, self._sent_cols):
-                    view[action] += count
-            elif name == "received_by_node":
-                for (node, _action), count in self._iter_counts(
-                        self._received, self._received_cols):
-                    view[node] += count
-            elif name == "received_by_action":
-                for (_node, action), count in self._iter_counts(
-                        self._received, self._received_cols):
-                    view[action] += count
-            else:  # pragma: no cover - programming error
-                raise KeyError(name)
-            self._derived[name] = view
-        return view
-
+    # ---------------------------------------------------------------- queries
     @property
     def sent_by_action(self) -> Counter:
-        return Counter(self._view("sent_by_action"))
+        return _per_action(self._sent)
 
     @property
     def received_by_action(self) -> Counter:
-        return Counter(self._view("received_by_action"))
+        return _per_action(self._received)
 
-    # ---------------------------------------------------------------- queries
     def received_by(self, node_id: int, action: Optional[str] = None) -> int:
         """Number of messages delivered to ``node_id`` (optionally one action)."""
-        if action is None:
-            return self._view("received_by_node")[node_id]
-        count = self._received.get((node_id, action), 0)
-        col = self._received_cols.get(action)
-        # isinstance, not an exact type test: True must alias column row 1
-        # exactly as it aliases the dict key (1, action).
-        if (col is not None and isinstance(node_id, int)
-                and 0 <= node_id < len(col)):
-            count += col[node_id]
-        return count
+        return _per_node(self._received, node_id, action)
 
     def sent_by(self, node_id: int, action: Optional[str] = None) -> int:
         """Number of messages sent by ``node_id`` (optionally one action)."""
-        if action is None:
-            return self._view("sent_by_node")[node_id]
-        count = self._sent.get((node_id, action), 0)
-        col = self._sent_cols.get(action)
-        if (col is not None and isinstance(node_id, int)
-                and 0 <= node_id < len(col)):
-            count += col[node_id]
-        return count
+        return _per_node(self._sent, node_id, action)
 
     def to_summary_dict(self, include_latency: Optional[bool] = None
                         ) -> Dict[str, object]:
@@ -290,8 +180,8 @@ class ChannelStats:
             "duplicated": self.duplicated,
             "drops_by_reason": {reason: count
                                 for reason, count in sorted(self._drops.items())},
-            "sent_by_action": dict(sorted(self._view("sent_by_action").items())),
-            "received_by_action": dict(sorted(self._view("received_by_action").items())),
+            "sent_by_action": dict(sorted(self.sent_by_action.items())),
+            "received_by_action": dict(sorted(self.received_by_action.items())),
         }
         if include_latency is None:
             include_latency = self.delivery_latency is not None
@@ -302,10 +192,11 @@ class ChannelStats:
     def snapshot(self) -> "ChannelStats":
         """Return a deep copy usable as a baseline for differential counting."""
         clone = ChannelStats()
-        # Fold the columns into dict form: snapshots are cold baselines, and
-        # dict shape keeps delta() independent of where a count landed.
-        clone._sent = self._merged(self._sent, self._sent_cols)
-        clone._received = self._merged(self._received, self._received_cols)
+        # a copy, not a payload: each inner dict is copied in its own order
+        # repro: allow[no-unsorted-iteration-into-output]
+        clone._sent = {action: dict(by_node) for action, by_node in self._sent.items()}
+        # repro: allow[no-unsorted-iteration-into-output]
+        clone._received = {action: dict(by_node) for action, by_node in self._received.items()}
         clone._drops = dict(self._drops)
         clone.duplicated = self.duplicated
         clone.total_sent = self.total_sent
@@ -319,12 +210,8 @@ class ChannelStats:
         both sides carry a latency histogram the delta carries the bucket
         difference too (differential per-phase latency accounting)."""
         diff = ChannelStats()
-        diff._sent = _dict_delta(
-            self._merged(self._sent, self._sent_cols),
-            baseline._merged(baseline._sent, baseline._sent_cols))
-        diff._received = _dict_delta(
-            self._merged(self._received, self._received_cols),
-            baseline._merged(baseline._received, baseline._received_cols))
+        diff._sent = _store_delta(self._sent, baseline._sent)
+        diff._received = _store_delta(self._received, baseline._received)
         diff._drops = _dict_delta(self._drops, baseline._drops)
         diff.duplicated = self.duplicated - baseline.duplicated
         diff.total_sent = self.total_sent - baseline.total_sent
@@ -338,6 +225,19 @@ class ChannelStats:
         return diff
 
 
+def _per_action(store: Dict[str, Dict[Any, int]]) -> Counter:
+    """Action -> total count of a store, as a fresh :class:`Counter`."""
+    return Counter({action: sum(by_node.values()) for action, by_node in store.items()})
+
+
+def _per_node(store: Dict[str, Dict[Any, int]], node_id: Any,
+              action: Optional[str]) -> int:
+    """``node_id``'s count in a store: for one action, or over all of them."""
+    if action is not None:
+        return store.get(action, {}).get(node_id, 0)
+    return sum(by_node.get(node_id, 0) for by_node in store.values())
+
+
 def _dict_delta(current: Dict, baseline: Dict) -> Dict:
     """Key-wise ``current - baseline``, keeping only positive entries (matching
     the semantics of ``Counter`` subtraction on monotonically growing counts)."""
@@ -346,6 +246,18 @@ def _dict_delta(current: Dict, baseline: Dict) -> Dict:
         remaining = count - baseline.get(key, 0)
         if remaining > 0:
             out[key] = remaining
+    return out
+
+
+def _store_delta(current: Dict[str, Dict[Any, int]],
+                 baseline: Dict[str, Dict[Any, int]]) -> Dict[str, Dict[Any, int]]:
+    """:func:`_dict_delta` per action, leaving out an action with no traffic
+    in the window (a zero entry would surface in the summary views)."""
+    out = {}
+    for action, by_node in current.items():
+        remaining = _dict_delta(by_node, baseline.get(action, {}))
+        if remaining:
+            out[action] = remaining
     return out
 
 
@@ -364,7 +276,7 @@ class Network:
     is counted, then dropped as ``to_crashed`` exactly once, by whichever
     looks the address up first: the send path (under an adversary or with
     some node crashed) or :meth:`pop_record` (when the record comes due; the
-    drain loop calls it for every ``dest`` but a non-negative int).  It is
+    drain loop calls it for every ``dest`` that is not an ``int``).  It is
     never delivered, shown to an adversary or counted as in flight.
     """
 
@@ -444,11 +356,8 @@ class Network:
         if stats.delivery_latency is not None:
             stats.delivery_latency.record(
                 record[REC_DELIVER_TIME] - record[REC_SEND_TIME])
-        key = (record[REC_DEST], record[REC_ACTION])
-        received = stats._received
-        received[key] = received.get(key, 0) + 1
-        if stats._derived:
-            stats._derived.clear()
+        by_dest = stats._received.setdefault(record[REC_ACTION], {})
+        by_dest[record[REC_DEST]] = by_dest.get(record[REC_DEST], 0) + 1
         return True
 
     # ------------------------------------------------------------ inspection

@@ -120,6 +120,23 @@ class TestSimulatorBasics:
         sim.run_rounds(5)
         assert fired and fired[0] >= 2.0
 
+    @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call, name", [
+        (lambda sim, t: sim.call_at(t, lambda: None), "call_at time"),
+        (lambda sim, t: sim.crash_node(1, at=t), "crash_node at"),
+        (lambda sim, t: sim.inject_message(1, "Ping", {}, delay=t), "inject_message delay"),
+    ], ids=["call_at", "crash_node", "inject_message"])
+    def test_non_finite_event_times_are_rejected(self, call, name, value, scheduler):
+        """The wheel died in its bucket arithmetic while the heap queued the
+        event (a NaN crash never happened): both now refuse it up front."""
+        sim = Simulator(SimulatorConfig(seed=1, scheduler=scheduler))
+        sim.add_node(EchoNode(1))
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            call(sim, value)
+        sim.run_rounds(3)
+        assert not sim.nodes[1].crashed and sim.nodes[1].pings == 0
+
     def test_determinism_across_runs(self):
         def run(seed):
             sim = Simulator(SimulatorConfig(seed=seed))
@@ -149,6 +166,7 @@ class TestNetwork:
         stats = sim.network.stats
         assert isinstance(stats, ChannelStats)
         sim.nodes[1].send(2, "Ping", reply=False, sender=1)
+        sim.nodes[1].send(2, "Hello")  # no handler: counted, then ignored
         sim.run_for(2.0)  # sent and delivered
         snap = stats.snapshot()
         sim.nodes[1].send(2, "Ping", reply=False, sender=1)  # sent, in flight
@@ -156,7 +174,22 @@ class TestNetwork:
         assert delta.total_sent == 1 and delta.total_delivered == 0
         assert delta.sent_by(1, "Ping") == 1 and delta.received_by(2) == 0
         assert stats.sent_by(1, "Ping") == 2
-        assert stats.received_by(2) == 1
+        assert stats.received_by(2) == 2
+        # an action with no traffic in the window is absent, not zero (a zero
+        # entry would change every summary and so the bench's sim_digest)
+        assert delta.sent_by_action == {"Ping": 1}
+        assert delta.received_by_action == {}
+        assert delta.to_summary_dict() == {
+            "total_sent": 1, "total_delivered": 0, "total_dropped": 0,
+            "duplicated": 0, "drops_by_reason": {}, "sent_by_action": {"Ping": 1},
+            "received_by_action": {}}
+        # the snapshot copied every per-action dict: later traffic leaves it be
+        sim.nodes[2].send(1, "Hello")
+        sim.run_for(2.0)
+        assert stats.sent_by(1, "Ping") == 2 and stats.received_by(2) == 3
+        assert (snap.sent_by(1), snap.sent_by(1, "Ping"), snap.sent_by(2)) == (2, 1, 0)
+        assert (snap.received_by(2), snap.received_by(2, "Ping"), snap.received_by(1)) == (2, 1, 0)
+        assert snap.to_summary_dict()["sent_by_action"] == {"Hello": 1, "Ping": 1}
 
 
 class TestTracerAndFailureDetector:
@@ -311,7 +344,8 @@ class TestUnaddressableDestination:
                       if event[2] == FAST_RECORD_KIND and event[3] is stray)
         to_dead_peer = nodes[2].timeout_count if mode == "crashed" else 0
         assert network.stats.drops_by_reason["to_crashed"] == strays - pending + to_dead_peer
-        assert {node for node, _ in network.stats.snapshot()._received} <= {1, 2, 3, 4}
+        received = network.stats.snapshot()._received  # action -> {node: count}
+        assert {node for by_node in received.values() for node in by_node} <= {1, 2, 3, 4}
 
     def test_ring_outlives_a_forged_neighbour_ref(self, stray, mode):
         """A forged ``Linearize`` names the ref as every subscriber's closest
