@@ -4,8 +4,8 @@ Runs the scenario engine (:mod:`repro.scenarios`) over the built-in library
 plus a dedicated "10 % loss + healed partition" spec, and asserts the
 self-stabilization claims under adversity: publications still reach every
 surviving subscriber, the overlay re-legitimizes after each disruption, drops
-are accounted per reason, and reports are byte-identical per seed across both
-event schedulers.
+are accounted per reason, and reports are byte-identical per seed with
+telemetry on or off.
 """
 
 from repro.experiments.experiments import e12_adversarial_scenarios

@@ -2,7 +2,7 @@
 """The unified deployment API end to end: spec → build → hooks → RunReport.
 
 One declarative :class:`~repro.api.spec.SystemSpec` describes the deployment
-(topology, scheduler, protocol params, seed); the builder turns it into the
+(topology, protocol params, seed); the builder turns it into the
 right facade; typed hooks observe the run instead of polling loops; and the
 scenario engine hands back a single :class:`~repro.api.report.RunReport`.
 
@@ -21,7 +21,7 @@ from repro.scenarios.runner import ScenarioRunner
 def main() -> None:
     # 1. Declarative spec — frozen and losslessly JSON-round-trippable, so a
     #    deployment can live in code, a config file, or CI.
-    spec = SystemSpec(topology="sharded", shards=4, seed=7, scheduler="wheel")
+    spec = SystemSpec(topology="sharded", shards=4, seed=7)
     wire = spec.to_json(indent=2)
     assert SystemSpec.from_json(wire) == spec
     print("SystemSpec round-trips through JSON:")
@@ -30,7 +30,7 @@ def main() -> None:
     # 2. Build — the spec (or the fluent builder, same thing) picks the
     #    facade; callers never name a concrete class.
     cluster = build_system(spec)
-    same = PubSub.builder().sharded(4).seed(7).scheduler("wheel").build()
+    same = PubSub.builder().sharded(4).seed(7).build()
     print(f"\nbuilt {type(cluster).__name__} with "
           f"supervisors {cluster.supervisor_node_ids()} "
           f"(builder gives a {type(same).__name__} too)")

@@ -142,9 +142,9 @@ COMMENTARY = {
         "(Theorem 17 under adversity) and the overlay re-legitimized after each "
         "disruption window (Theorem 8). Drops are accounted per reason "
         "(crashed-destination vs. adversary loss vs. partition), and scenario reports "
-        "are byte-identical per seed across the heap/wheel schedulers **and with "
-        "telemetry enabled** — the observer does not perturb the run, so the library "
-        "doubles as a deterministic regression oracle. The telemetry rerun "
+        "are byte-identical per seed **with telemetry enabled or not** — the "
+        "observer does not perturb the run, so the library doubles as a "
+        "deterministic regression oracle. The telemetry rerun "
         "(`telemetry=True` on the `SystemSpec`) additionally records every "
         "publication's send→delivery latency into a deterministic log-bucketed "
         "histogram; the p50/p90/p99/max digest lands in the report metadata and "
@@ -211,7 +211,7 @@ work: PR 10's vectorized delivery core and columnar node-state arena, and
 PR 19's deletion of that arena, the batched RNG drawers and the wheel retune,
 changed per-event *cost* only, never event order or report bytes — the
 goldens in `tests/golden/`, the corpus replays in `tests/corpus/`, and the
-heap-vs-wheel parity suites (`tests/test_batched_core.py`,
+wheel-vs-`heapq` ordering tests (`tests/test_batched_core.py`,
 `tests/test_engine_scale.py`) pin that equivalence at up to 100k nodes.
 
 """

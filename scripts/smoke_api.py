@@ -34,14 +34,14 @@ def _scenario():
 
 def main() -> int:
     # --- SystemSpec JSON round-trip -----------------------------------------
-    spec = SystemSpec(topology="sharded", shards=4, seed=3, scheduler="wheel")
+    spec = SystemSpec(topology="sharded", shards=4, seed=3)
     if SystemSpec.from_json(spec.to_json()) != spec:
         print("FAIL: SystemSpec JSON round-trip is lossy")
         return 1
     print(f"spec round-trip ok ({len(spec.to_json())} bytes of JSON)")
 
     # --- builder vs spec parity ---------------------------------------------
-    built = PubSub.builder().sharded(4).seed(3).scheduler("wheel").build()
+    built = PubSub.builder().sharded(4).seed(3).build()
     from_spec = build_system(spec)
     if type(built) is not type(from_spec) or built.spec != from_spec.spec:
         print("FAIL: builder and spec paths disagree")

@@ -52,8 +52,7 @@ class _Chatter(ProtocolNode):
 
 def storm_wall(telemetry: bool) -> float:
     """Wall seconds of one storm run (setup excluded)."""
-    sim = Simulator(SimulatorConfig(seed=42, scheduler="wheel",
-                                    telemetry=telemetry))
+    sim = Simulator(SimulatorConfig(seed=42, telemetry=telemetry))
     for i in range(NODES):
         sim.add_node(_Chatter(i + 1))
     start = perf_counter()

@@ -8,7 +8,7 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
 * the self-stabilizing **publish-subscribe** layer (Patricia-trie
   anti-entropy plus flooding of new publications),
 * the asynchronous message-passing **simulation substrate** the protocol runs
-  on (with pluggable heap / timeout-wheel event schedulers), adversarial
+  on (a timeout-wheel event queue), adversarial
   initial-state and churn **workloads**, reference **baselines** (Chord, skip
   graph, centralized broker), and the **experiments** reproducing every
   quantitative claim of the paper,

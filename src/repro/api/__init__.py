@@ -9,7 +9,7 @@ One composable front door to the whole system::
     system = spec.build()
 
     # fluent: the same spec, built up step by step
-    system = PubSub.builder().sharded(4).scheduler("wheel").seed(7).build()
+    system = PubSub.builder().sharded(4).seed(7).build()
 
     # typed lifecycle hooks instead of polling loops
     system.hooks.on_relegitimacy(lambda topics, rounds: print(topics, rounds))

@@ -12,7 +12,7 @@ Fluent::
 
     from repro.api import PubSub
 
-    cluster = PubSub.builder().sharded(4).scheduler("wheel").seed(7).build()
+    cluster = PubSub.builder().sharded(4).seed(7).build()
     system, peers = PubSub.builder().seed(3).params(enable_flooding=False) \\
                           .build_stable(n=12)
 
@@ -128,10 +128,6 @@ class SystemBuilder:
         self._spec = self._spec.with_overrides(seed=seed)
         return self
 
-    def scheduler(self, name: str) -> "SystemBuilder":
-        self._spec = self._spec.with_overrides(scheduler=name)
-        return self
-
     def telemetry(self, enabled: bool = True) -> "SystemBuilder":
         """Toggle run-wide telemetry (latency histograms + phase spans; see
         :mod:`repro.telemetry`).  Costs one histogram bucket increment per
@@ -150,7 +146,7 @@ class SystemBuilder:
 
     def sim(self, config: Optional[SimulatorConfig] = None,
             **overrides: object) -> "SystemBuilder":
-        """Set simulator knobs (seed/scheduler stay governed by the spec)."""
+        """Set simulator knobs (seed/telemetry stay governed by the spec)."""
         base = config if config is not None else \
             (self._spec.sim or SimulatorConfig())
         if overrides:

@@ -2,7 +2,7 @@
 
 A :class:`SystemSpec` is the single front door to every way of standing the
 system up: the paper's single-supervisor facade, the sharded K-supervisor
-cluster, either event scheduler, any :class:`~repro.core.config.ProtocolParams`
+cluster, any :class:`~repro.core.config.ProtocolParams`
 and any :class:`~repro.sim.engine.SimulatorConfig` — all in one frozen,
 JSON-round-trippable value (the same pattern
 :class:`~repro.scenarios.spec.ScenarioSpec` established for adversarial
@@ -29,7 +29,6 @@ from repro.core.config import (
     ProtocolParams,
 )
 from repro.sim.engine import SimulatorConfig
-from repro.sim.scheduler import SCHEDULER_NAMES
 
 #: Topology selector values accepted by :attr:`SystemSpec.topology`.
 TOPOLOGIES = ("single", "sharded")
@@ -56,9 +55,6 @@ class SystemSpec:
         *inherited* when :attr:`seed` is left at its default, and a
         ``ValueError`` is raised when both are set explicitly but disagree —
         never a silent override.
-    scheduler:
-        Event-queue backend (``"wheel"`` or ``"heap"``); reconciled with
-        :attr:`sim` the same way :attr:`seed` is.
     telemetry:
         Enable run-wide telemetry (:mod:`repro.telemetry`): the simulator
         records delivery-latency histograms and the builder attaches a
@@ -74,7 +70,7 @@ class SystemSpec:
     sim:
         Extra simulator knobs (delays, jitter, detection lag, tracing).
         ``None`` means defaults.  After construction the stored config is
-        canonical: its seed/scheduler are neutral (they live on the spec)
+        canonical: its seed/telemetry are neutral (they live on the spec)
         and an all-defaults config collapses to ``None``.
     max_rounds / check_every_rounds:
         Named defaults for the "run until legitimate/converged" drivers —
@@ -85,7 +81,6 @@ class SystemSpec:
     shards: int = 1
     virtual_nodes: int = 64
     seed: int = 0
-    scheduler: str = "wheel"
     telemetry: bool = False
     params: ProtocolParams = field(default_factory=ProtocolParams)
     sim: Optional[SimulatorConfig] = None
@@ -109,10 +104,6 @@ class SystemSpec:
                 "use topology='sharded' for shards > 1")
         if self.virtual_nodes < 1:
             raise ValueError("virtual_nodes must be >= 1")
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULER_NAMES}, "
-                f"got {self.scheduler!r}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.check_every_rounds < 1:
@@ -127,11 +118,11 @@ class SystemSpec:
             self._reconcile_with_sim()
 
     def _reconcile_with_sim(self) -> None:
-        """Fold the sim config's seed/scheduler into the spec.
+        """Fold the sim config's seed/telemetry into the spec.
 
         A field left at its spec default inherits the sim's value; two
         explicit, disagreeing values raise instead of one silently winning.
-        The stored config is then neutralised (seed/scheduler live on the
+        The stored config is then neutralised (seed/telemetry live on the
         spec only) and dropped entirely when nothing else differs from the
         defaults — so equality, ``with_overrides`` and the JSON round-trip
         all see one canonical form.
@@ -143,16 +134,10 @@ class SystemSpec:
             raise ValueError(
                 f"conflicting seeds: spec seed {self.seed} vs sim.seed "
                 f"{sim.seed}; set the seed in one place")
-        if self.scheduler == "wheel":
-            object.__setattr__(self, "scheduler", sim.scheduler)
-        elif sim.scheduler not in ("wheel", self.scheduler):
-            raise ValueError(
-                f"conflicting schedulers: spec scheduler {self.scheduler!r} "
-                f"vs sim.scheduler {sim.scheduler!r}; set it in one place")
         if not self.telemetry:
             # Booleans cannot conflict: True on either side simply wins.
             object.__setattr__(self, "telemetry", sim.telemetry)
-        neutral = replace(sim, seed=0, scheduler="wheel", telemetry=False)
+        neutral = replace(sim, seed=0, telemetry=False)
         object.__setattr__(self, "sim",
                            None if neutral == SimulatorConfig() else neutral)
 
@@ -161,8 +146,7 @@ class SystemSpec:
         """A fresh :class:`SimulatorConfig` realising this spec (the facade
         copies it again defensively, so sharing the spec is always safe)."""
         base = self.sim if self.sim is not None else SimulatorConfig()
-        return replace(base, seed=self.seed, scheduler=self.scheduler,
-                       telemetry=self.telemetry)
+        return replace(base, seed=self.seed, telemetry=self.telemetry)
 
     def build(self) -> Any:
         """Build the facade this spec describes (see
@@ -183,7 +167,6 @@ class SystemSpec:
             "shards": self.shards,
             "virtual_nodes": self.virtual_nodes,
             "seed": self.seed,
-            "scheduler": self.scheduler,
             "telemetry": self.telemetry,
             "params": asdict(self.params),
             "sim": asdict(self.sim) if self.sim is not None else None,

@@ -44,12 +44,13 @@ RECONCILE_METHODS = ("_reconcile_with_sim", "sim_config")
 
 
 def _dataclass_fields(node: ast.ClassDef) -> List[Tuple[str, Optional[str]]]:
-    """(field name, annotation source) for every dataclass field."""
+    """(field name, annotation source) for every dataclass field (neither a
+    ``ClassVar`` nor an ``InitVar`` is one: ``fields()`` lists neither)."""
     fields = []
     for stmt in node.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             annotation = ast.unparse(stmt.annotation)
-            if "ClassVar" in annotation:
+            if "ClassVar" in annotation or "InitVar" in annotation:
                 continue
             fields.append((stmt.target.id, annotation))
     return fields

@@ -275,22 +275,23 @@ class Supervisor(ProtocolNode):
             self._send_configuration(ref, label, db, topic)
 
     def _crashed_members(self, db: TopicDatabase) -> List[NodeRef]:
-        detector = self.sim.failure_detector
-        return [ref for ref in db.members() if detector.suspects(ref)]
+        return [ref for ref in db.members() if self.failure_suspects(ref)]
 
     def failure_suspects(self, node: NodeRef) -> bool:
         """True if the supervisor's failure detector suspects ``node``.
 
         Requests from (or on behalf of) suspected subscribers are ignored so
         that references to crashed nodes are never re-integrated (Section 3.3);
-        a ``node`` that cannot be an address, or names no node at all, is
-        suspected at once.
+        a ``node`` that cannot be an address, names no node at all or names a
+        supervisor (never a subscriber, so the request is forged) is suspected
+        at once.  The Timeout's eviction asks the same question.
         """
-        if not _is_address(node):
-            return True
-        if self._sim is None:
-            return False
-        return self.sim.failure_detector.suspects(node)
+        sim = self._sim
+        if sim is None:
+            return not _is_address(node)
+        # the attached detector suspects a ref that is no address at all
+        return (sim.failure_detector.suspects(node)
+                or isinstance(sim.nodes.get(node), Supervisor))
 
     # ---------------------------------------------------------------- actions
     def _request_topic(self, topic: object) -> Optional[str]:

@@ -10,8 +10,8 @@ The scaling substrate every driver shares.  Three pieces:
   backends, and results are byte-identical either way: both canonicalize
   through the same JSON boundary.
 * **Sweeps** (:mod:`repro.exec.sweep`) — a declarative
-  :class:`SweepSpec` parameter grid (scenario × shards × scheduler ×
-  n_nodes × loss_rate × seed replicates) over a base
+  :class:`SweepSpec` parameter grid (scenario × shards × n_nodes ×
+  loss_rate × seed replicates) over a base
   :class:`~repro.api.spec.SystemSpec`, with lossless JSON round-trip and
   deterministic, coordinate-derived per-task seeds.
 * **Campaigns** (:mod:`repro.exec.campaign`) — :class:`CampaignRunner`

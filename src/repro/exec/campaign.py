@@ -132,7 +132,6 @@ class CampaignRunner:
                     "spec": scenario.to_dict(),
                     "system": self.sweep.system_for(task, scenario).to_dict(),
                     "seed": task.seed,
-                    "scheduler": task.scheduler,
                 }))
         return specs
 

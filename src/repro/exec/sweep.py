@@ -1,7 +1,7 @@
 """Declarative parameter sweeps over a base :class:`~repro.api.spec.SystemSpec`.
 
-A :class:`SweepSpec` names a grid — scenario × shards × scheduler × n_nodes
-× loss_rate × seed replicate — over one base deployment spec, in one frozen,
+A :class:`SweepSpec` names a grid — scenario × shards × n_nodes × loss_rate
+× seed replicate — over one base deployment spec, in one frozen,
 JSON-round-trippable value (the same pattern ``SystemSpec`` and
 ``ScenarioSpec`` established).  :meth:`SweepSpec.expand` turns the grid into
 an ordered list of :class:`SweepTask` points, each with a **deterministic
@@ -32,7 +32,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.spec import SystemSpec
 from repro.scenarios.spec import PhaseSpec, ScenarioSpec
 from repro.sim.rng import derive_seed
-from repro.sim.scheduler import SCHEDULER_NAMES
 
 #: Default subscriber count of synthesized window scenarios when the sweep
 #: does not sweep ``n_nodes``.
@@ -48,7 +47,6 @@ class SweepTask:
     index: int
     scenario: Optional[str]
     shards: Optional[int]
-    scheduler: str
     n_nodes: Optional[int]
     loss_rate: Optional[float]
     seed_index: int
@@ -59,7 +57,6 @@ class SweepTask:
         parts = [self.scenario or "window"]
         if self.shards is not None:
             parts.append(f"k{self.shards}")
-        parts.append(self.scheduler)
         if self.n_nodes is not None:
             parts.append(f"n{self.n_nodes}")
         if self.loss_rate is not None:
@@ -73,7 +70,6 @@ class SweepTask:
             "task_id": self.task_id,
             "scenario": self.scenario,
             "shards": self.shards,
-            "scheduler": self.scheduler,
             "n_nodes": self.n_nodes,
             "loss_rate": self.loss_rate,
             "seed_index": self.seed_index,
@@ -91,10 +87,10 @@ class SweepSpec:
         Sweep name; part of every derived seed and of the campaign artifact.
     base:
         The :class:`~repro.api.spec.SystemSpec` every task inherits from.
-        Its ``seed`` is the sweep's **master seed**; its ``scheduler`` and
-        ``shards`` are the defaults for unswept axes; its protocol/simulator
-        knobs are forwarded into every task's system.
-    n_nodes / shards / schedulers / scenarios / loss_rates:
+        Its ``seed`` is the sweep's **master seed**; its ``shards`` is the
+        default for the unswept axis; its protocol/simulator knobs are
+        forwarded into every task's system.
+    n_nodes / shards / scenarios / loss_rates:
         Axis value tuples.  An empty tuple means the axis is not swept and
         every task inherits the base/scenario value.  ``scenarios`` entries
         are built-in scenario names (:mod:`repro.scenarios.library`); the
@@ -112,7 +108,6 @@ class SweepSpec:
     base: SystemSpec = field(default_factory=SystemSpec)
     n_nodes: Tuple[int, ...] = ()
     shards: Tuple[int, ...] = ()
-    schedulers: Tuple[str, ...] = ()
     scenarios: Tuple[Optional[str], ...] = ()
     loss_rates: Tuple[float, ...] = ()
     seeds: int = 1
@@ -127,18 +122,12 @@ class SweepSpec:
             raise ValueError("a sweep needs a non-empty name")
         if isinstance(self.base, dict):
             object.__setattr__(self, "base", SystemSpec.from_dict(self.base))
-        for axis in ("n_nodes", "shards", "schedulers", "scenarios",
-                     "loss_rates"):
+        for axis in ("n_nodes", "shards", "scenarios", "loss_rates"):
             object.__setattr__(self, axis, tuple(getattr(self, axis)))
         if any(n < 2 for n in self.n_nodes):
             raise ValueError("every n_nodes value must be >= 2")
         if any(k < 1 for k in self.shards):
             raise ValueError("every shards value must be >= 1")
-        for scheduler in self.schedulers:
-            if scheduler not in SCHEDULER_NAMES:
-                raise ValueError(
-                    f"scheduler must be one of {SCHEDULER_NAMES}, "
-                    f"got {scheduler!r}")
         for scenario in self.scenarios:
             if scenario is not None and not isinstance(scenario, str):
                 raise ValueError("scenario axis values must be names or None")
@@ -166,15 +155,14 @@ class SweepSpec:
         return {
             "scenario": self.scenarios or (None,),
             "shards": self.shards or (None,),
-            "scheduler": self.schedulers or (self.base.scheduler,),
             "n_nodes": self.n_nodes or (None,),
             "loss_rate": self.loss_rates or (None,),
             "seed_index": tuple(range(self.seeds)),
         }
 
     def derive_task_seed(self, scenario: Optional[str], shards: Optional[int],
-                         scheduler: str, n_nodes: Optional[int],
-                         loss_rate: Optional[float], seed_index: int) -> int:
+                         n_nodes: Optional[int], loss_rate: Optional[float],
+                         seed_index: int) -> int:
         """Deterministic per-task seed from the master seed and the task's
         axis coordinates — stable under grid growth, independent of task
         position."""
@@ -182,7 +170,7 @@ class SweepSpec:
             self.master_seed, "sweep", self.name, "task",
             scenario if scenario is not None else "<inherit>",
             shards if shards is not None else "<inherit>",
-            scheduler,
+            "wheel",  # the retired scheduler axis: keeps every derived seed
             n_nodes if n_nodes is not None else "<inherit>",
             f"{float(loss_rate)!r}" if loss_rate is not None else "<inherit>",
             seed_index)
@@ -194,13 +182,11 @@ class SweepSpec:
         seen: Dict[int, str] = {}
         axes = self.axis_values()
         for index, point in enumerate(product(*axes.values())):
-            scenario, shards, scheduler, n_nodes, loss_rate, seed_index = point
-            seed = self.derive_task_seed(scenario, shards, scheduler, n_nodes,
-                                         loss_rate, seed_index)
+            seed = self.derive_task_seed(*point)
+            scenario, shards, n_nodes, loss_rate, seed_index = point
             task = SweepTask(index=index, scenario=scenario, shards=shards,
-                             scheduler=scheduler, n_nodes=n_nodes,
-                             loss_rate=loss_rate, seed_index=seed_index,
-                             seed=seed)
+                             n_nodes=n_nodes, loss_rate=loss_rate,
+                             seed_index=seed_index, seed=seed)
             if seed in seen:  # pragma: no cover - 64-bit collision
                 raise RuntimeError(
                     f"derived-seed collision between tasks {seen[seed]!r} "
@@ -249,13 +235,13 @@ class SweepSpec:
                    scenario: Optional[ScenarioSpec] = None) -> SystemSpec:
         """The deployment spec of this task's system: the base spec (protocol
         and simulator knobs included) specialized to the task's resolved
-        topology, derived seed and scheduler.  Pass the already-resolved
+        topology and derived seed.  Pass the already-resolved
         ``scenario`` when you have one to avoid rebuilding it."""
         if scenario is None:
             scenario = self.scenario_for(task)
         return self.base.with_overrides(
             topology=scenario.facade, shards=scenario.shards,
-            seed=task.seed, scheduler=task.scheduler,
+            seed=task.seed,
             max_rounds=scenario.max_stabilize_rounds)
 
     # ------------------------------------------------------------ serialization
@@ -266,7 +252,6 @@ class SweepSpec:
             "base": self.base.to_dict(),
             "n_nodes": list(self.n_nodes),
             "shards": list(self.shards),
-            "schedulers": list(self.schedulers),
             "scenarios": list(self.scenarios),
             "loss_rates": list(self.loss_rates),
             "seeds": self.seeds,

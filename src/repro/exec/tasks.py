@@ -31,8 +31,8 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     spec:
         A :class:`~repro.scenarios.spec.ScenarioSpec` dict, or a built-in
         scenario name from :mod:`repro.scenarios.library`.
-    seed / scheduler:
-        Passed through to the runner (defaults 0 / ``"wheel"``).
+    seed:
+        Passed through to the runner (default 0).
     system:
         Optional :class:`~repro.api.spec.SystemSpec` dict.  When given, the
         facade is built from it and injected into the runner — this is how
@@ -49,7 +49,6 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     else:
         spec = ScenarioSpec.from_dict(raw_spec)
     seed = int(payload.get("seed", 0))
-    scheduler = payload.get("scheduler", "wheel")
 
     system = None
     if payload.get("system") is not None:
@@ -57,7 +56,7 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         from repro.api.spec import SystemSpec
         system = build_system(SystemSpec.from_dict(payload["system"]))
 
-    runner = ScenarioRunner(spec, seed=seed, scheduler=scheduler, system=system)
+    runner = ScenarioRunner(spec, seed=seed, system=system)
     # run_report() == RunReport.from_scenario(runner.run()) plus the
     # telemetry payload when the system was built with telemetry=True.
     return runner.run_report().to_dict()

@@ -516,8 +516,8 @@ def e12_adversarial_scenarios(seed: int = 5) -> RunReport:
     heals**, every publication that survived anywhere still reaches every
     surviving subscriber (Theorem 17 under adversity), and the overlay
     re-legitimizes after each disruption window (Theorem 8).  Reports are
-    byte-identical per seed across the heap/wheel schedulers and with
-    telemetry enabled (the observer does not perturb the run), which makes
+    byte-identical per seed with telemetry enabled or not (the observer does
+    not perturb the run), which makes
     the whole scenario library usable as a regression oracle — now with
     publication→delivery latency percentiles riding along.
     """
@@ -547,20 +547,16 @@ def e12_adversarial_scenarios(seed: int = 5) -> RunReport:
                            phase.relegitimize_rounds, delivered,
                            adversary_drops, phase.passed)
 
-    # Determinism probe: one scenario, both schedulers, plus a rerun with
-    # telemetry enabled — the histograms observe the run without perturbing
-    # it, so the scenario JSON stays byte-identical to the plain run.
+    # Determinism probe: one scenario plus a rerun with telemetry enabled —
+    # the histograms observe the run without perturbing it, so the scenario
+    # JSON stays byte-identical to the plain run.
     lossy = get_scenario("lossy-network")
-    wheel = run_scenario(lossy, seed=seed, scheduler="wheel")
-    heap = run_scenario(lossy, seed=seed, scheduler="heap")
-    telem_system = build_system(lossy.system_spec(seed=seed, scheduler="wheel")
+    plain = run_scenario(lossy, seed=seed)
+    telem_system = build_system(lossy.system_spec(seed=seed)
                                 .with_overrides(telemetry=True))
-    telem = ScenarioRunner(lossy, seed=seed, scheduler="wheel",
-                           system=telem_system).run_report()
-    result.claim("same seed ⇒ byte-identical report JSON on heap and wheel",
-                 wheel.to_json() == heap.to_json())
+    telem = ScenarioRunner(lossy, seed=seed, system=telem_system).run_report()
     result.claim("telemetry-enabled rerun ⇒ byte-identical scenario JSON",
-                 wheel.to_json() == _json.dumps(telem.scenario, sort_keys=True,
+                 plain.to_json() == _json.dumps(telem.scenario, sort_keys=True,
                                                 separators=(",", ":")))
     latency = ((telem.telemetry or {}).get("delivery_latency") or {})
     pcts = latency.get("summary") or {}
@@ -570,7 +566,7 @@ def e12_adversarial_scenarios(seed: int = 5) -> RunReport:
                  all(v is not None for v in ordered)
                  and ordered[0] <= ordered[1] <= ordered[2] <= ordered[3])
     result.metadata["delivery_latency"] = dict(pcts)
-    add_report_rows(wheel)
+    add_report_rows(plain)
 
     # Headline: 10% loss AND a healed partition in one disruption window.
     headline = ScenarioSpec(

@@ -61,7 +61,6 @@ class FuzzConfig:
     seed: int = 0
     budget_iters: int = 64
     batch_size: int = 8
-    scheduler: str = "wheel"
     mutate_probability: float = 0.6
     pool_cap: int = 64
     max_findings: int = 8
@@ -86,7 +85,6 @@ class FuzzConfig:
             "seed": self.seed,
             "budget_iters": self.budget_iters,
             "batch_size": self.batch_size,
-            "scheduler": self.scheduler,
             "mutate_probability": self.mutate_probability,
             "pool_cap": self.pool_cap,
             "max_findings": self.max_findings,
@@ -143,14 +141,13 @@ class FuzzFinding:
     def corpus_artifact(self, fuzz_seed: int) -> Dict[str, Any]:
         """The standalone JSON artifact a triager commits into
         ``tests/corpus/`` once the underlying bug is fixed (see FUZZING.md).
-        ``spec``/``seed``/``scheduler`` are exactly what the corpus replay
+        ``spec``/``seed`` are exactly what the corpus replay
         collector feeds back through the scenario runner."""
         return {
             "schema": 1,
             "spec": self.shrunk_spec if self.shrunk_spec is not None
             else dict(self.spec),
             "seed": self.seed,
-            "scheduler": "wheel",
             "source": {
                 "tool": "repro-fuzz",
                 "fuzz_seed": fuzz_seed,
@@ -228,7 +225,6 @@ class FuzzCampaign:
             task_id=spec.name, fn=FUZZ_TASK_FN,
             payload={"spec": spec.to_dict(),
                      "seed": self.case_seed(iteration),
-                     "scheduler": self.config.scheduler,
                      "oracle": self.config.oracle.to_dict()})
 
     # -------------------------------------------------------------------- run
@@ -345,7 +341,6 @@ class FuzzCampaign:
             task = TaskSpec(
                 task_id=f"shrink-{candidate.name}", fn=FUZZ_TASK_FN,
                 payload={"spec": candidate.to_dict(), "seed": finding.seed,
-                         "scheduler": cfg.scheduler,
                          "oracle": cfg.oracle.to_dict()})
             result = self.backend.run([task])[0]
             if result is None or is_failure_result(result):

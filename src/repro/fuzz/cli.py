@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 from repro.fuzz.campaign import FuzzCampaign, FuzzConfig, FuzzReport
 from repro.fuzz.generator import GeneratorLimits
 from repro.fuzz.oracle import OracleSpec
-from repro.sim.scheduler import SCHEDULER_NAMES
 
 #: The sized-down fault space ``--quick`` fuzzes: specs run in a fraction
 #: of a second each, so a ~60 s CI smoke job still gets real coverage.
@@ -57,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="specs generated between coverage-feedback "
                              "points (default 8; part of the reproducible "
                              "schedule, NOT tied to --jobs)")
-    parser.add_argument("--scheduler", choices=SCHEDULER_NAMES,
-                        default="wheel", help="event scheduler for the runs")
     parser.add_argument("--max-findings", type=int, default=8,
                         help="stop the campaign after this many distinct "
                              "failure signatures (default 8)")
@@ -143,7 +140,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     oracle = OracleSpec(max_relegitimize_rounds=args.releg_budget,
                         max_stabilize_rounds=args.stabilize_budget)
     config = FuzzConfig(seed=args.seed, budget_iters=args.budget_iters,
-                        batch_size=args.batch_size, scheduler=args.scheduler,
+                        batch_size=args.batch_size,
                         max_findings=max(args.max_findings, 1),
                         shrink_budget=max(args.shrink_budget, 1),
                         limits=limits, oracle=oracle)

@@ -19,13 +19,13 @@ def run_fuzz_case(payload: Dict[str, Any]) -> Dict[str, Any]:
     ------------
     spec:
         A :class:`~repro.scenarios.spec.ScenarioSpec` dict.
-    seed / scheduler:
+    seed:
         Passed to the :class:`~repro.scenarios.runner.ScenarioRunner`
-        (defaults 0 / ``"wheel"``).
+        (default 0).
     oracle:
         Optional :class:`~repro.fuzz.oracle.OracleSpec` dict.
 
-    Result keys: ``spec_name``, ``seed``, ``scheduler``, ``coverage``
+    Result keys: ``spec_name``, ``seed``, ``coverage``
     (sorted key list), ``verdict`` (see :class:`~repro.fuzz.oracle.Verdict`)
     and the full ``scenario`` report dict.
     """
@@ -37,12 +37,11 @@ def run_fuzz_case(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     spec = ScenarioSpec.from_dict(payload["spec"])
     seed = int(payload.get("seed", 0))
-    scheduler = payload.get("scheduler", "wheel")
     oracle = OracleSpec.from_dict(payload.get("oracle"))
 
     hooks = HookRegistry()
     collector = CoverageCollector().install(hooks)
-    runner = ScenarioRunner(spec, seed=seed, scheduler=scheduler, hooks=hooks)
+    runner = ScenarioRunner(spec, seed=seed, hooks=hooks)
     scenario = runner.run().to_dict()
 
     verdict = evaluate(oracle, scenario)
@@ -50,7 +49,6 @@ def run_fuzz_case(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "spec_name": spec.name,
         "seed": seed,
-        "scheduler": scheduler,
         "coverage": keys,
         "verdict": verdict.to_dict(),
         "scenario": scenario,

@@ -23,9 +23,8 @@ Determinism: all coin flips come from one ``random.Random`` handed in by the
 caller (use :meth:`repro.sim.engine.Simulator.adversary_rng` to derive it
 from the master seed).  The engine's send path consults ``on_submit`` once
 per send to a live address and its drain consults ``on_deliver`` once per
-delivery, both in event order — identical for the heap and wheel schedulers
-— so identical seeds give identical event orders with the adversary active.
-Tests assert this parity.  The hooks take ``(sender, dest, now)``: a link
+delivery, both in event order, so identical seeds give identical event
+orders with the adversary active.  The hooks take ``(sender, dest, now)``: a link
 policy reads nothing else of a message, so none is built to ask it.
 
 Every run of the scenario/fuzz harness sends through these hooks, quiet

@@ -5,7 +5,7 @@
     python -m repro.scenarios --list
     python -m repro.scenarios --run lossy-network --seed 1
     python -m repro.scenarios --run rolling-partition --json
-    python -m repro.scenarios --all --seed 3 --scheduler heap
+    python -m repro.scenarios --all --seed 3
     python -m repro.scenarios --all --jobs 4          # whole library, 4 cores
 
 Also installed as the ``repro-scenarios`` console script.  ``--jobs N``
@@ -27,7 +27,6 @@ from repro.experiments.report import format_table
 from repro.scenarios.library import SCENARIOS, get_scenario
 from repro.scenarios.runner import ScenarioReport
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.scheduler import SCHEDULER_NAMES
 
 
 def _list_scenarios() -> str:
@@ -76,15 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the ScenarioSpec JSON in PATH (repeatable). "
                              "Accepts a bare spec or a repro-fuzz corpus "
                              "artifact ({'spec': ..., 'seed': ...}); an "
-                             "artifact's embedded seed/scheduler override "
-                             "--seed/--scheduler so findings replay exactly")
+                             "artifact's embedded seed overrides --seed so "
+                             "findings replay exactly")
     parser.add_argument("--all", action="store_true",
                         help="run every built-in scenario")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed (default 0); identical seeds give "
                              "byte-identical --json output")
-    parser.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="wheel",
-                        help="event scheduler (reports are identical either way)")
     parser.add_argument("--json", action="store_true",
                         help="emit the ScenarioReport as canonical JSON "
                              "instead of a table")
@@ -103,20 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_spec_file(path: str, default_seed: int = 0,
-                   default_scheduler: str = "wheel"
-                   ) -> "Tuple[ScenarioSpec, int, str]":
+def load_spec_file(path: str, default_seed: int = 0
+                   ) -> "Tuple[ScenarioSpec, int]":
     """Load a ``--spec`` file: a bare :class:`ScenarioSpec` dict, or a
     corpus/finding artifact wrapping one under ``"spec"`` alongside the
-    ``seed``/``scheduler`` the failure was found with.  Returns the spec
-    plus the seed and scheduler the replay must use."""
+    ``seed`` the failure was found with.  Returns the spec plus the seed the
+    replay must use.  An older artifact's ``"scheduler"`` key is ignored:
+    the engine has one event queue."""
     with open(path) as handle:
         data = json.load(handle)
     if "spec" in data and "phases" not in data:
         spec = ScenarioSpec.from_dict(data["spec"])
-        return (spec, int(data.get("seed", default_seed)),
-                data.get("scheduler", default_scheduler))
-    return ScenarioSpec.from_dict(data), default_seed, default_scheduler
+        return spec, int(data.get("seed", default_seed))
+    return ScenarioSpec.from_dict(data), default_seed
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -131,15 +127,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         build_parser().print_help()
         return 2
     try:
-        runs = [(get_scenario(name), args.seed, args.scheduler)
-                for name in names]
+        runs = [(get_scenario(name), args.seed) for name in names]
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
     for path in args.spec:
         try:
-            runs.append(load_spec_file(path, default_seed=args.seed,
-                                       default_scheduler=args.scheduler))
+            runs.append(load_spec_file(path, default_seed=args.seed))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"cannot load scenario spec {path!r}: {exc}",
                   file=sys.stderr)
@@ -149,15 +143,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # canonicalize reports through the same JSON boundary, so the printed
     # output is byte-identical regardless of the job count.
     tasks = []
-    for spec, seed, scheduler in runs:
-        payload = {"spec": spec.to_dict(), "seed": seed,
-                   "scheduler": scheduler}
+    for spec, seed in runs:
+        payload = {"spec": spec.to_dict(), "seed": seed}
         if args.telemetry:
             # The worker builds the facade from this spec, so the histograms
             # and spans are recorded inside the run — not bolted on after.
             payload["system"] = (
-                spec.system_spec(seed=seed, scheduler=scheduler)
-                .with_overrides(telemetry=True).to_dict())
+                spec.system_spec(seed=seed).with_overrides(telemetry=True).to_dict())
         tasks.append(TaskSpec(task_id=spec.name,
                               fn="repro.exec.tasks:run_scenario_task",
                               payload=payload))

@@ -4,7 +4,7 @@ The runner owns the whole lifecycle of one scenario run:
 
 1. build the facade the spec asks for (single-supervisor or sharded) through
    the unified deployment API (:meth:`ScenarioSpec.system_spec` →
-   :func:`repro.api.builder.build_system`) on either scheduler;
+   :func:`repro.api.builder.build_system`);
 2. populate and stabilize the initial membership;
 3. per phase — unleash the disruptions (crash waves, supervisor failover,
    partitions, churn, publication storms, adversary toggles), run the
@@ -14,12 +14,12 @@ The runner owns the whole lifecycle of one scenario run:
    **supervisor load bound** (Theorems 5/7 should keep the control plane's
    request volume linear in rounds + membership operations, never quadratic);
 4. assemble everything into a :class:`ScenarioReport` whose JSON is
-   **byte-identical** for identical seeds — on repeat runs and across the
-   heap and wheel schedulers (asserted by E12 and the tests).
+   **byte-identical** for identical seeds — on repeat runs and with
+   telemetry on or off (asserted by E12 and the tests).
 
 Determinism rules observed throughout: every coin flip comes from an RNG
 derived from ``(seed, scenario, phase)``; draws happen either at scheduling
-time or inside simulator callbacks (which fire in scheduler-independent event
+time or inside simulator callbacks (which fire in seed-determined event
 order); no wall-clock value ever enters the report.
 """
 
@@ -112,7 +112,7 @@ class ScenarioReport:
 
     ``to_json`` is the canonical serialization: sorted keys, compact
     separators, floats rounded at measurement time — identical seeds produce
-    identical bytes regardless of scheduler or wall clock.
+    identical bytes regardless of wall clock.
     """
 
     scenario: str
@@ -188,7 +188,6 @@ class ScenarioRunner:
     LOAD_SLACK = 50.0
 
     def __init__(self, spec: ScenarioSpec, seed: int = 0,
-                 scheduler: str = "wheel",
                  system: Optional[PubSubFacadeBase] = None,
                  hooks: Optional[HookRegistry] = None) -> None:
         self.spec = spec
@@ -198,7 +197,7 @@ class ScenarioRunner:
         # explicitly injected ``system`` overrides it (custom facades, and
         # the parity tests that reconstruct systems by hand).
         self.system: PubSubFacadeBase = system if system is not None \
-            else build_system(spec.system_spec(seed=seed, scheduler=scheduler))
+            else build_system(spec.system_spec(seed=seed))
         if hooks is not None:
             # Merge, don't replace: callbacks already registered on an
             # injected system keep firing alongside the caller's.
@@ -527,7 +526,6 @@ class ScenarioRunner:
 
 
 def run_scenario(spec: ScenarioSpec, seed: int = 0,
-                 scheduler: str = "wheel",
                  hooks: Optional[HookRegistry] = None) -> ScenarioReport:
     """Convenience wrapper: build a runner and run the scenario once."""
-    return ScenarioRunner(spec, seed=seed, scheduler=scheduler, hooks=hooks).run()
+    return ScenarioRunner(spec, seed=seed, hooks=hooks).run()

@@ -183,14 +183,13 @@ class ScenarioSpec:
         object.__setattr__(self, "phases", tuple(self.phases))
 
     # ------------------------------------------------------------------ system
-    def system_spec(self, seed: int = 0, scheduler: str = "wheel"):
+    def system_spec(self, seed: int = 0):
         """The :class:`~repro.api.spec.SystemSpec` describing the system this
         scenario runs against.  The runner builds the facade through it, so
         scenarios follow the unified deployment path like every other driver.
         """
         from repro.api.spec import SystemSpec
         return SystemSpec(topology=self.facade, shards=self.shards, seed=seed,
-                          scheduler=scheduler,
                           max_rounds=self.max_stabilize_rounds)
 
     # ------------------------------------------------------------ serialization

@@ -24,12 +24,7 @@ from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.network import Network, ChannelStats
 from repro.sim.node import ProtocolNode, NodeRef
 from repro.sim.failure import FailureDetector
-from repro.sim.scheduler import (
-    HeapScheduler,
-    TimeoutWheelScheduler,
-    auto_bucket_width,
-    make_scheduler,
-)
+from repro.sim.scheduler import TimeoutWheelScheduler, auto_bucket_width
 from repro.sim.tracing import Tracer, TraceEvent
 from repro.sim.rng import derive_rng, derive_seed
 
@@ -37,10 +32,8 @@ from repro.sim.rng import derive_rng, derive_seed
 __all__ = [
     "Simulator",
     "SimulatorConfig",
-    "HeapScheduler",
     "TimeoutWheelScheduler",
     "auto_bucket_width",
-    "make_scheduler",
     "Network",
     "ChannelStats",
     "ProtocolNode",

@@ -24,8 +24,8 @@ inside an open window — a callback, a zero-delay injection, a delivery an
 adversary scaled below ``min_delay`` — raises an interrupt flag, and the
 drain hands its unprocessed tail back to the scheduler and reopens the
 window; so the event order is exactly :meth:`Simulator.step`'s under any
-scheduler, adversary or telemetry setting.  Every in-flight message — sent by
-a node, duplicated by an adversary or injected as initial-state corruption —
+adversary or telemetry setting.  Every in-flight message — sent by a node,
+duplicated by an adversary or injected as initial-state corruption —
 is one plain tuple (a *record*, :mod:`repro.sim.network`) that is its own
 delivery event and lives only in the scheduler: no per-message object, no
 second copy in a channel — and reaches a handler by one rule, the class's
@@ -48,7 +48,7 @@ import gc
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
@@ -58,7 +58,7 @@ from repro.sim.failure import FailureDetector
 from repro.sim.network import DROP_TO_CRASHED, FAST_RECORD_KIND, Network
 from repro.sim.node import NodeRef, ProtocolNode
 from repro.sim.rng import derive_rng
-from repro.sim.scheduler import SCHEDULER_NAMES, TimeoutWheelScheduler, make_scheduler
+from repro.sim.scheduler import TimeoutWheelScheduler, auto_bucket_width
 from repro.sim.tracing import Tracer
 
 
@@ -81,10 +81,6 @@ class SimulatorConfig:
         Lag of the supervisor's failure detector (Section 3.3).
     keep_trace_events:
         Whether the tracer stores individual events (counters are always kept).
-    scheduler:
-        Event-queue implementation: ``"wheel"`` (bucketed timeout wheel, the
-        fast default) or ``"heap"`` (binary heap).  Both produce identical
-        event orders for identical seeds (see :mod:`repro.sim.scheduler`).
     telemetry:
         Enable run-wide latency telemetry (:mod:`repro.telemetry`): the
         network records every message's send→delivery latency into a
@@ -100,10 +96,15 @@ class SimulatorConfig:
     timeout_jitter: float = 0.2
     detection_lag: float = 0.0
     keep_trace_events: bool = False
-    scheduler: str = "wheel"
     telemetry: bool = False
+    #: Stores nothing; accepted only because ``bench/workloads.py`` builds
+    #: ``SimulatorConfig(seed=seed, scheduler="wheel")``.  The benchmark's
+    #: next definition change deletes it.
+    scheduler: InitVar[str] = "wheel"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, scheduler: str) -> None:
+        if scheduler != "wheel":
+            raise ValueError(f"the engine has one event queue, not {scheduler!r}")
         for name in ("min_delay", "max_delay", "timeout_period", "detection_lag"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -119,9 +120,6 @@ class SimulatorConfig:
             raise ValueError("timeout_period must be positive")
         if not 0 <= self.timeout_jitter < 1:
             raise ValueError("timeout_jitter must lie in [0, 1)")
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULER_NAMES}, got {self.scheduler!r}")
 
 
 # Event kinds used in the scheduler
@@ -180,16 +178,16 @@ class Simulator:
         #: when an event lands inside it
         self._block_end: float = _NEG_INF
         self._block_interrupted = False
-        self._scheduler = make_scheduler(
-            self.config.scheduler, self.config.timeout_period,
-            min_delay=self.config.min_delay, max_delay=self.config.max_delay,
-            timeout_jitter=self.config.timeout_jitter)
+        config = self.config
+        self._scheduler = TimeoutWheelScheduler(bucket_width=auto_bucket_width(
+            config.timeout_period, config.min_delay, config.max_delay,
+            config.timeout_jitter))
         self._bind_fast_submit()
 
     @property
-    def scheduler(self):
-        """The event queue :attr:`SimulatorConfig.scheduler` names, built
-        once with the simulator (read-only: ``_send_fast`` captured it)."""
+    def scheduler(self) -> TimeoutWheelScheduler:
+        """The event queue, built once with the simulator (read-only:
+        ``_send_fast`` captured it)."""
         return self._scheduler
 
     def _bind_fast_submit(self) -> None:
@@ -226,14 +224,11 @@ class Simulator:
         scheduler = self._scheduler
         scheduler_push = scheduler.push
         seq_next = self._seq.__next__
-        # Two push shapes: the wheel's bucket append, inlined, and the
-        # heap's ``push``.
-        is_wheel = type(scheduler) is TimeoutWheelScheduler
-        if is_wheel:
-            inv_width = scheduler._inv_width
-            buckets = scheduler._buckets
-            bucket_heap = scheduler._bucket_heap
-            insert_late = scheduler._insert_late
+        # The untouched send's push is the wheel's bucket append, inlined.
+        inv_width = scheduler._inv_width
+        buckets = scheduler._buckets
+        bucket_heap = scheduler._bucket_heap
+        insert_late = scheduler._insert_late
         heappush = heapq.heappush
         # The network's in-flight count reads the records _send_fast and
         # inject_message leave in the scheduler; hand it the backlog iterator.
@@ -289,22 +284,19 @@ class Simulator:
             # params, topic, sender, send_time).
             record = (deliver_time, seq_next(), _DELIVER_FAST, dest, action,
                       params, topic, sender, now)
-            if is_wheel:
-                # inlined TimeoutWheelScheduler.push
-                index = int(deliver_time * inv_width)
-                scheduler._count += 1
-                if index <= scheduler._current_index:
-                    insert_late(record)
-                else:
-                    try:
-                        buckets[index].append(record)
-                    except KeyError:
-                        # amortised: one list per bucket, not per event
-                        # repro: allow[no-hotpath-allocation]
-                        buckets[index] = [record]
-                        heappush(bucket_heap, index)
+            # inlined TimeoutWheelScheduler.push
+            index = int(deliver_time * inv_width)
+            scheduler._count += 1
+            if index <= scheduler._current_index:
+                insert_late(record)
             else:
-                scheduler_push(record)
+                try:
+                    buckets[index].append(record)
+                except KeyError:
+                    # amortised: one list per bucket, not per event
+                    # repro: allow[no-hotpath-allocation]
+                    buckets[index] = [record]
+                    heappush(bucket_heap, index)
 
         #: the send path used by :meth:`ProtocolNode.send`
         self._send_fast = _send_fast
@@ -352,9 +344,8 @@ class Simulator:
         :meth:`repro.sim.network.Network.install_adversary`).
 
         The adversary's coin flips happen at send time (``_send_fast``
-        calls its ``on_submit``), which runs in event order — identical for
-        both schedulers — so a seeded adversary preserves the heap/wheel
-        parity guarantee.
+        calls its ``on_submit``), which runs in event order, so a seeded
+        adversary keeps runs reproducible per seed.
         """
         self.network.install_adversary(adversary)
         # The drain reads the adversary once per window: close the open one
@@ -407,14 +398,14 @@ class Simulator:
             heapq.heappush(self._special_times, time)
         if time < self._block_end:
             self._block_interrupted = True
-        self.scheduler.push((time, next(self._seq), kind) + payload)
+        self._scheduler.push((time, next(self._seq), kind) + payload)
 
     # -------------------------------------------------------------- execution
     def step(self) -> bool:
         """Process a single event.  Returns False when no event is pending."""
-        if not self.scheduler:
+        if not self._scheduler:
             return False
-        event = self.scheduler.pop()
+        event = self._scheduler.pop()
         time = event[0]
         if time > self.now:
             self.now = time
@@ -472,9 +463,13 @@ class Simulator:
         """Process events in order until the next one lies beyond ``deadline``.
 
         Events are consumed in exactly the ``(time, seq)`` order repeated
-        :meth:`step` calls would produce, whatever the scheduler, adversary
-        or telemetry setting — see :meth:`_run_blocks`, the one drain loop.
+        :meth:`step` calls would produce, whatever the adversary or telemetry
+        setting — see :meth:`_run_blocks`, the one drain loop.  A deadline
+        that is not finite raises: the periodic Timeouts would never let the
+        drain end.
         """
+        if not math.isfinite(deadline):
+            raise ValueError("run_until_time deadline must be finite")
         # Pause the cyclic garbage collector for the duration of the run.
         # The hot loop allocates a tuple or two per event (records, timeout
         # events), and every ~700 net allocations trigger a gen-0
@@ -538,14 +533,11 @@ class Simulator:
         heappop = heapq.heappop
         heappush = heapq.heappush
         # Timeout reschedules are by far the most frequent push this loop
-        # performs; inline the wheel's push for them (the same two push
-        # shapes _bind_fast_submit gives sends).
-        is_wheel = type(scheduler) is TimeoutWheelScheduler
-        if is_wheel:
-            inv_width = scheduler._inv_width
-            buckets = scheduler._buckets
-            bucket_heap = scheduler._bucket_heap
-            insert_late = scheduler._insert_late
+        # performs; inline the wheel's push for them, as _send_fast does.
+        inv_width = scheduler._inv_width
+        buckets = scheduler._buckets
+        bucket_heap = scheduler._bucket_heap
+        insert_late = scheduler._insert_late
         seq_next = self._seq.__next__
         network = self.network
         pop_record = network.pop_record
@@ -664,25 +656,22 @@ class Simulator:
                         next_at = self.now + period * (
                             1 + (neg_jitter + jitter_span * jitter_rand()))
                         timeout_event = (next_at, seq_next(), _TIMEOUT, event[3])
-                        if is_wheel:
-                            # inlined TimeoutWheelScheduler.push; the _count
-                            # increment is deferred to the per-block flush in
-                            # the finally (nothing reads len(scheduler)
-                            # between handler returns within a block)
-                            index = int(next_at * inv_width)
-                            pushed += 1
-                            if index <= scheduler._current_index:
-                                insert_late(timeout_event)
-                            else:
-                                try:
-                                    buckets[index].append(timeout_event)
-                                except KeyError:
-                                    # amortised: one list per bucket
-                                    # repro: allow[no-hotpath-allocation]
-                                    buckets[index] = [timeout_event]
-                                    heappush(bucket_heap, index)
+                        # inlined TimeoutWheelScheduler.push; the _count
+                        # increment is deferred to the per-block flush in
+                        # the finally (nothing reads len(scheduler) between
+                        # handler returns within a block)
+                        index = int(next_at * inv_width)
+                        pushed += 1
+                        if index <= scheduler._current_index:
+                            insert_late(timeout_event)
                         else:
-                            push(timeout_event)
+                            try:
+                                buckets[index].append(timeout_event)
+                            except KeyError:
+                                # amortised: one list per bucket
+                                # repro: allow[no-hotpath-allocation]
+                                buckets[index] = [timeout_event]
+                                heappush(bucket_heap, index)
                     elif kind == _CRASH:
                         # Defensive: specials are normally excluded by the
                         # window bound; only a push that bypassed ``_push``
@@ -746,7 +735,7 @@ class Simulator:
             if predicate():
                 return True
             self.run_until_time(min(self.now + check_every, deadline))
-            if not self.scheduler and self.now >= deadline:
+            if not self._scheduler and self.now >= deadline:
                 break
         return predicate()
 

@@ -1,28 +1,24 @@
-"""The simulator's two event queues.
+"""The simulator's event queue: a bucketed timing wheel.
 
 The event volume of a run is dominated by the periodic ``Timeout`` storm (one
 event per node per period) and one delivery per message, so the cost of a
-push and a pop decides the engine's speed.  :class:`SimulatorConfig.scheduler`
-names one of two queues:
+push and a pop decides the engine's speed.  :class:`TimeoutWheelScheduler`
+appends events (O(1)) to coarse time buckets of one fixed width
+(:func:`auto_bucket_width`) and sorts each bucket once, by time alone, when
+the clock reaches it — a batch ``list.sort`` on an almost-sorted bucket is
+substantially cheaper than ~``log n`` sift operations per event.  The engine
+inlines its push.
 
-* :class:`TimeoutWheelScheduler` — the default, whose push the engine
-  inlines: events are appended (O(1)) to coarse time buckets of one fixed
-  width (:func:`auto_bucket_width`) and each bucket is sorted once, by time
-  alone, when the clock reaches it.  Batch ``list.sort`` on an almost-sorted
-  bucket is substantially cheaper than ~``log n`` sift operations per event;
-* :class:`HeapScheduler` — the classic binary heap, kept as the parity
-  reference: the engine hands it events through ``push``.
-
-Both schedulers emit events in **exactly** the same order: ascending
-``(time, seq)`` where ``seq`` is the monotonically increasing submission
-counter assigned by the simulator.  Within a wheel bucket events are sorted
-by that key, and buckets partition the time axis, so the global order is
-identical to the heap's.  Tests assert this parity for identical seeds.
+Events come out in ascending ``(time, seq)`` order, where ``seq`` is the
+monotonically increasing submission counter assigned by the simulator:
+within a bucket events are sorted by that key, and buckets partition the time
+axis.  That is a binary heap's pop order, which the tests check against a
+``heapq`` reference.
 
 **Block drains.**  The engine does not pop event by event: one
 ``pop_block_into`` call removes every pending event with ``time`` strictly
-below a caller-supplied limit (for the wheel, bounded by the current bucket)
-as one array-level splice.  The engine picks the limit so that nothing a
+below a caller-supplied limit (bounded by the current bucket) as one
+array-level splice.  The engine picks the limit so that nothing a
 handler schedules is expected to land inside the window, and requeues the
 unprocessed tail when something does (see
 :meth:`~repro.sim.engine.Simulator.run_until_time`), so the block is
@@ -47,50 +43,8 @@ _TIME_KEY = itemgetter(0)
 #: freely with plain 4-tuple events in one queue.
 Event = Tuple[float, int, int, Any]
 
-#: Registry of scheduler names accepted by :class:`SimulatorConfig.scheduler`.
-SCHEDULER_NAMES = ("heap", "wheel")
-
-
-class HeapScheduler:
-    """Binary-heap scheduler: the straightforward reference implementation."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def pop(self) -> Event:
-        return heapq.heappop(self._heap)
-
-    def pop_block_into(self, out: List[Event], limit: float) -> int:
-        # A heap has no bucket structure to splice, so the block drain is a
-        # tight C-``heappop`` loop — still one engine round-trip per block.
-        heap = self._heap
-        if not heap or heap[0][0] >= limit:
-            return 0
-        pop = heapq.heappop
-        append = out.append
-        count = 0
-        while heap and heap[0][0] < limit:
-            append(pop(heap))
-            count += 1
-        return count
-
-    def next_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def iter_events(self):
-        return iter(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 class TimeoutWheelScheduler:
-    """Bucketed timing wheel with heap-identical event ordering.
+    """Bucketed timing wheel emitting events in ascending ``(time, seq)``.
 
     Events are hashed by ``floor(time / bucket_width)`` into buckets.  Future
     buckets are plain lists receiving O(1) appends; when the wheel advances to
@@ -258,7 +212,7 @@ def auto_bucket_width(timeout_period: float = 1.0, min_delay: float = 0.1,
     bucket in delay-dominated runs).  This is the one sizing rule: the engine
     applies it when it builds its wheel and never changes the width after.
 
-    Bucket width never affects event *order* (the schedulers' ``(time, seq)``
+    Bucket width never affects event *order* (the wheel's ``(time, seq)``
     contract is width-independent), only the append/sort balance, so any
     width keeps runs byte-identical per seed.
 
@@ -278,15 +232,3 @@ def auto_bucket_width(timeout_period: float = 1.0, min_delay: float = 0.1,
         width = max(min_delay, horizon / 32.0)
     return max(width, 1e-9)
 
-
-def make_scheduler(name: str, timeout_period: float = 1.0, *,
-                   min_delay: float = 0.1, max_delay: float = 1.0,
-                   timeout_jitter: float = 0.2):
-    """Instantiate the scheduler selected by :class:`SimulatorConfig.scheduler`
-    (the wheel at :func:`auto_bucket_width` of the simulation time scales)."""
-    if name == "heap":
-        return HeapScheduler()
-    if name == "wheel":
-        return TimeoutWheelScheduler(bucket_width=auto_bucket_width(
-            timeout_period, min_delay, max_delay, timeout_jitter))
-    raise ValueError(f"unknown scheduler {name!r}; expected one of {SCHEDULER_NAMES}")

@@ -201,8 +201,8 @@ def build_adversarial_system(config: AdversarialConfig,
     from repro.api.spec import SystemSpec
 
     params = params or ProtocolParams()
-    # The facade's precedence: a given sim_config wins wholesale (its seed and
-    # scheduler included) and config.seed is then ignored, never a conflict.
+    # The facade's precedence: a given sim_config wins wholesale (its seed
+    # included) and config.seed is then ignored, never a conflict.
     system = build_system(SystemSpec(params=params, sim=sim_config) if sim_config is not None
                           else SystemSpec(seed=config.seed, params=params))
     topic = topic or params.default_topic

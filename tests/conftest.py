@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import pytest
 
 from repro import ProtocolParams, SupervisedPubSub
@@ -10,6 +13,7 @@ from repro.core.supervisor import Supervisor
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.network import REC_ACTION, REC_DEST, REC_SENDER
 from repro.sim.node import ProtocolNode
+from repro.sim.scheduler import TimeoutWheelScheduler
 
 
 def records_in_flight(sim, **match):
@@ -19,6 +23,39 @@ def records_in_flight(sim, **match):
     index = {"dest": REC_DEST, "action": REC_ACTION, "sender": REC_SENDER}
     return [record for record in sim.network._iter_pending()
             if all(record[index[key]] == value for key, value in match.items())]
+
+
+class HeapQueue:
+    """The ordering reference for the engine's timing wheel: a ``heapq`` of
+    ``(time, seq, kind, ...)`` events behind the wheel's queue interface.
+    Its pop order, ascending ``(time, seq)``, is the order the wheel must
+    emit."""
+
+    __slots__ = ("_heap",)
+
+    def __init__(self, events=()):
+        self._heap = list(events)
+        heapq.heapify(self._heap)
+
+    def push(self, event):
+        heapq.heappush(self._heap, event)
+
+    def pop(self):
+        return heapq.heappop(self._heap)
+
+    def pop_block_into(self, out, limit):
+        """Pop every event with ``time < limit`` onto ``out``; the count."""
+        heap, count = self._heap, 0
+        while heap and heap[0][0] < limit:
+            out.append(heapq.heappop(heap))
+            count += 1
+        return count
+
+    def next_time(self):
+        return self._heap[0][0] if self._heap else None
+
+    def __len__(self):
+        return len(self._heap)
 
 
 @pytest.fixture()
@@ -56,3 +93,60 @@ def empty_system():
     def make(seed: int = 0, params: ProtocolParams | None = None) -> SupervisedPubSub:
         return build_system(SystemSpec(seed=seed, params=params))
     return make
+
+
+@pytest.fixture()
+def wheel_stream(monkeypatch):
+    """``(stream, requeued)``: the events the engine takes out of the wheel,
+    in the order it takes them, and the block tails it hands back.
+
+    ``pop_block_into``, ``pop`` and ``push`` are wrapped at class level, so
+    install the fixture before building the simulator (its send path binds
+    ``push`` once).  A ``push`` of an event from the last block is the
+    drain's requeue after a window interrupt: that tail is netted out of the
+    stream, which takes the events again when the wheel emits them again.
+    """
+    stream, requeued, block = [], [], set()
+    pop_block_into = TimeoutWheelScheduler.pop_block_into
+    pop = TimeoutWheelScheduler.pop
+    push = TimeoutWheelScheduler.push
+
+    def taking_block(self, out, limit):
+        start = len(out)
+        count = pop_block_into(self, out, limit)
+        stream.extend(out[start:])
+        block.clear()
+        block.update(event[1] for event in out[start:])
+        return count
+
+    def taking_one(self):
+        block.clear()
+        stream.append(pop(self))
+        return stream[-1]
+
+    def pushing(self, event):
+        if event[1] in block:
+            index = len(stream) - 1  # the tail is the stream's suffix
+            while stream[index][1] != event[1]:
+                index -= 1
+            del stream[index]
+            requeued.append(event)
+        push(self, event)
+
+    monkeypatch.setattr(TimeoutWheelScheduler, "pop_block_into", taking_block)
+    monkeypatch.setattr(TimeoutWheelScheduler, "pop", taking_one)
+    monkeypatch.setattr(TimeoutWheelScheduler, "push", pushing)
+    return stream, requeued
+
+
+def assert_heapq_order(sim, stream):
+    """``stream`` is ``heapq``'s pop order of every event the wheel held —
+    taken or still pending — up to the clock, and nothing pending is due."""
+    pending = list(sim.scheduler.iter_events())
+    events = stream + pending
+    # every seq the engine drew went into one pushed event: none was lost
+    assert sorted(event[1] for event in events) == list(range(next(sim._seq)))
+    assert all(event[0] > sim.now for event in pending)
+    reference = []
+    HeapQueue(events).pop_block_into(reference, math.nextafter(sim.now, math.inf))
+    assert reference == stream

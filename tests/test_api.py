@@ -34,10 +34,10 @@ pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 
 # --------------------------------------------------------------------- helpers
-def _pre_redesign_system(spec, seed: int, scheduler: str = "wheel"):
+def _pre_redesign_system(spec, seed: int):
     """Construct the facade exactly the way drivers did before the unified
     API existed — the reference for byte-parity assertions."""
-    config = SimulatorConfig(seed=seed, scheduler=scheduler)
+    config = SimulatorConfig(seed=seed)
     if spec.facade == "sharded":
         return ShardedPubSub(shards=spec.shards, seed=seed, sim_config=config)
     return SupervisedPubSub(seed=seed, sim_config=config)
@@ -61,7 +61,6 @@ class TestSystemSpecRoundTrip:
     def test_custom_spec_round_trips_losslessly(self):
         spec = SystemSpec(
             topology="sharded", shards=5, virtual_nodes=16, seed=42,
-            scheduler="heap",
             params=ProtocolParams(enable_flooding=False, publication_key_bits=32),
             sim=SimulatorConfig(min_delay=0.2, max_delay=2.0, timeout_jitter=0.1),
             max_rounds=500, check_every_rounds=2)
@@ -70,13 +69,13 @@ class TestSystemSpecRoundTrip:
         assert clone.params.publication_key_bits == 32
         assert clone.sim.max_delay == 2.0
 
-    def test_sim_seed_and_scheduler_inherit_when_spec_defaults(self):
-        spec = SystemSpec(sim=SimulatorConfig(seed=42, scheduler="heap"))
-        assert spec.seed == 42 and spec.scheduler == "heap"
+    def test_sim_seed_and_telemetry_inherit_when_spec_defaults(self):
+        spec = SystemSpec(sim=SimulatorConfig(seed=42, telemetry=True))
+        assert spec.seed == 42 and spec.telemetry
         config = spec.sim_config()
-        assert config.seed == 42 and config.scheduler == "heap"
+        assert config.seed == 42 and config.telemetry
         # An all-defaults sim collapses to None; other knobs are kept with
-        # neutral seed/scheduler (they live on the spec).
+        # neutral seed/telemetry (they live on the spec).
         assert SystemSpec(sim=SimulatorConfig()).sim is None
         kept = SystemSpec(seed=7, sim=SimulatorConfig(min_delay=0.3))
         assert kept.sim.min_delay == 0.3 and kept.sim.seed == 0
@@ -108,8 +107,8 @@ class TestSystemSpecRoundTrip:
             SystemSpec(topology="sharded", shards=0)
 
     def test_other_validation_errors(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            SystemSpec(scheduler="quantum")
+        with pytest.raises(TypeError, match="scheduler"):
+            SystemSpec(scheduler="wheel")  # the engine has one event queue
         with pytest.raises(ValueError, match="virtual_nodes"):
             SystemSpec(topology="sharded", shards=2, virtual_nodes=0)
         with pytest.raises(ValueError, match="max_rounds"):
@@ -163,11 +162,11 @@ class TestBuilder:
         assert cluster.supervisor_node_ids() == [0, 1, 2, 3]
 
     def test_fluent_chain_accumulates_one_spec(self):
-        built = (PubSub.builder().sharded(4, virtual_nodes=8).scheduler("heap")
+        built = (PubSub.builder().sharded(4, virtual_nodes=8)
                  .seed(7).params(enable_flooding=False).max_rounds(100).spec())
         assert built == SystemSpec(
             topology="sharded", shards=4, virtual_nodes=8, seed=7,
-            scheduler="heap", params=ProtocolParams(enable_flooding=False),
+            params=ProtocolParams(enable_flooding=False),
             max_rounds=100)
 
     def test_built_facade_remembers_its_spec(self):

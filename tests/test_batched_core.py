@@ -1,15 +1,13 @@
-"""Block-drain edge cases (the heap-vs-wheel event-log parity storms are
-``tests/test_engine_scale.py``)."""
+"""Block-drain edge cases, on the wheel and its ``heapq`` reference (the
+engine's wheel-vs-``heapq`` event streams are ``tests/test_engine_scale.py``)."""
 
 from __future__ import annotations
 
 import random
 
-from repro.sim.scheduler import (
-    HeapScheduler,
-    TimeoutWheelScheduler,
-    auto_bucket_width,
-)
+from conftest import HeapQueue
+
+from repro.sim.scheduler import TimeoutWheelScheduler, auto_bucket_width
 
 
 def _event(time, seq, payload="p"):
@@ -30,7 +28,7 @@ def _drain_block(scheduler, out, limit):
 
 
 def _both_schedulers():
-    return [HeapScheduler(), TimeoutWheelScheduler(bucket_width=0.25)]
+    return [HeapQueue(), TimeoutWheelScheduler(bucket_width=0.25)]
 
 
 class TestBlockDrainEdges:
@@ -64,7 +62,7 @@ class TestBlockDrainEdges:
         width :func:`auto_bucket_width` actually picks."""
         width = auto_bucket_width(1.0, 0.1, 1.0, 0.2)
         wheel = TimeoutWheelScheduler(bucket_width=width)
-        heap = HeapScheduler()
+        heap = HeapQueue()
         rng = random.Random(99)
         events = []
         for seq in range(500):

@@ -3,10 +3,10 @@
 Every artifact in the corpus is a fuzzer-minimized scenario (see
 FUZZING.md): ``repro-fuzz`` found it under a deliberately tightened
 oracle, auto-shrunk it, and a human promoted it here because the shape is
-worth pinning.  The gate replays each spec with its embedded seed and
-scheduler and asserts the *real* invariants hold — the corpus is a
-regression library, so a spec that starts failing means a behavior
-regression, not a flaky test.
+worth pinning.  The gate replays each spec with its embedded seed (the
+``"scheduler"`` key the older artifacts carry is ignored) and asserts the
+*real* invariants hold — the corpus is a regression library, so a spec that
+starts failing means a behavior regression, not a flaky test.
 
 Adding an entry: copy a ``--findings-dir`` artifact in verbatim (the
 ``source`` block records provenance) after checking it replays green with
@@ -41,8 +41,8 @@ def test_corpus_artifact_shape(path):
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
 def test_corpus_replays_green(path):
-    spec, seed, scheduler = load_spec_file(str(path))
-    report = ScenarioRunner(spec, seed=seed, scheduler=scheduler).run()
+    spec, seed = load_spec_file(str(path))
+    report = ScenarioRunner(spec, seed=seed).run()
     failed = [name for phase in report.phases
               for name, holds in phase.invariants.items() if not holds]
     assert report.passed, (

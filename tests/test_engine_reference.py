@@ -2,8 +2,8 @@
 
 ``run_until_time`` drains whole time windows at once; ``step`` pops and
 handles a single event.  The contract is that the two are indistinguishable
-— same handler log, counters, drop accounting and latency histogram — on
-every scheduler, with telemetry on or off, and under a link adversary that
+— same handler log, counters, drop accounting and latency histogram — with
+telemetry on or off, and under a link adversary that
 breaks the window's safety argument (a ``DelaySpike`` with ``factor < 1``
 puts deliveries closer than ``min_delay``), and when nodes send to forged
 addresses (unhashable ones are no address at all; the hashable ones take
@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from conftest import assert_heapq_order
 
 from repro.scenarios.adversary import LinkAdversary
 from repro.sim.engine import Simulator, SimulatorConfig
@@ -77,9 +78,8 @@ def _drain_by_steps(sim: Simulator, deadline: float) -> None:
     sim.now = max(sim.now, deadline)
 
 
-def _build(scheduler, mode):
-    sim = Simulator(SimulatorConfig(seed=77, telemetry=(mode == "telemetry"),
-                                    scheduler=scheduler))
+def _build(mode):
+    sim = Simulator(SimulatorConfig(seed=77, telemetry=(mode == "telemetry")))
     log = []
     for i in range(NODES):
         sim.add_node(_Relay(i + 1, log, FORGED if i + 1 == 13
@@ -119,12 +119,11 @@ def _observe(sim, log):
 
 @pytest.mark.parametrize("mode", ["plain", "telemetry", "adversary", "forged",
                                   "forged-adversary"])
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-def test_run_until_time_reproduces_the_step_drain(scheduler, mode):
-    reference, reference_log = _build(scheduler, mode)
+def test_run_until_time_reproduces_the_step_drain(mode):
+    reference, reference_log = _build(mode)
     for deadline in DEADLINES:
         _drain_by_steps(reference, deadline)
-    sim, log = _build(scheduler, mode)
+    sim, log = _build(mode)
     for deadline in DEADLINES:
         sim.run_until_time(deadline)
     expected = _observe(reference, reference_log)
@@ -145,15 +144,18 @@ def test_run_until_time_reproduces_the_step_drain(scheduler, mode):
         assert expected["received"]["Ping"][2.5] > 0
 
 
-def test_all_cells_of_one_mode_agree_across_schedulers():
-    """Scheduler choice is unobservable: the two queues give one log."""
-    for mode in ("plain", "adversary", "forged-adversary"):
-        runs = []
-        for scheduler in ("wheel", "heap"):
-            sim, log = _build(scheduler, mode)
-            sim.run_until_time(DEADLINES[-1])
-            runs.append(_observe(sim, log))
-        assert runs[0] == runs[1]
+@pytest.mark.parametrize("mode", ["plain", "adversary", "forged-adversary"])
+def test_the_windowed_drain_takes_the_wheel_in_heapq_order(wheel_stream, mode):
+    """Whole windows, interrupted ones included, take the wheel's events in
+    ``heapq``'s order."""
+    stream, requeued = wheel_stream
+    sim, _ = _build(mode)
+    for deadline in DEADLINES:
+        sim.run_until_time(deadline)
+    assert len(stream) == sim.steps_executed > 2_000
+    if mode.endswith("adversary"):
+        assert requeued
+    assert_heapq_order(sim, stream)
 
 
 def _advanced(seed, stream, draws):
@@ -182,7 +184,7 @@ def test_one_draw_per_use_and_none_ahead(workload, adversarial):
         return 1  # injections that drew their delay
 
     if workload == "relay-storm":
-        sim, _ = _build("wheel", "plain")
+        sim, _ = _build("plain")
         injected = corrupt(sim, 1.5)
         silent = sim.add_node(_Relay(NODES + 1, []), schedule_timeout=False)
         sim.run_until_time(DEADLINES[-1])
@@ -264,8 +266,7 @@ def _replay_delivery_times(script, min_delay, max_delay):
     return sent, drops, duplicated, times, delay.getstate(), coins.getstate()
 
 
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-def test_send_fast_reproduces_the_delivery_times_arithmetic(scheduler):
+def test_send_fast_reproduces_the_delivery_times_arithmetic():
     shown = []
 
     class Recording(LinkAdversary):
@@ -273,7 +274,7 @@ def test_send_fast_reproduces_the_delivery_times_arithmetic(scheduler):
             shown.append(dest)
             return super().on_submit(sender, dest, now)
 
-    sim = Simulator(SimulatorConfig(seed=SEND_SEED, scheduler=scheduler))
+    sim = Simulator(SimulatorConfig(seed=SEND_SEED))
     sim.network.mark_crashed(SEND_CRASHED)
     adversary = Recording(sim.adversary_rng(), loss_rate=SEND_LOSS,
                           duplicate_rate=SEND_DUPLICATION)

@@ -1,10 +1,12 @@
 """The engine at scale: one event order, one Timeout count per node.
 
-* **Parity** — storms produce identical event logs run-to-run at 2k nodes on
-  both built-in schedulers, and the heap and the wheel agree event-for-event
-  at every size of :data:`PARITY_STORMS`: 2k to 50k nodes and — the smoke —
-  100k (downsized under ``REPRO_SMOKE_FAST=1`` so the CI matrix stays fast;
-  the full size runs in the default local suite).
+* **Order** — storms produce identical event logs run-to-run at 2k nodes,
+  and the stream of events the engine takes out of its timing wheel is
+  ``heapq``'s pop order of the same events at every size of
+  :data:`PARITY_STORMS` — 2k to 50k nodes and, the smoke, 100k (downsized
+  under ``REPRO_SMOKE_FAST=1`` so the CI matrix stays fast; the full size
+  runs in the default local suite) — and in a scenario under a link
+  adversary whose delay spike interrupts the drain's windows.
 * **Timeout accounting** — ``ProtocolNode.timeout_count`` is exactly the
   number of Timeouts the node fired: after a crashy storm, for a node
   registered under a forged id, and after
@@ -15,12 +17,16 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from conftest import assert_heapq_order
 
 from repro.api import SystemSpec, build_stable
 from repro.core.subscriber import Subscriber
 from repro.core.supervisor import Supervisor
+from repro.scenarios import get_scenario
+from repro.scenarios.runner import ScenarioRunner
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.node import ProtocolNode
 
@@ -30,7 +36,7 @@ SMOKE_FAST = os.environ.get("REPRO_SMOKE_FAST") == "1"
 #: matrix can afford.
 SMOKE_NODES = 5_000 if SMOKE_FAST else 100_000
 
-#: ``(nodes, rounds)`` of every heap-vs-wheel storm: few nodes deep in time
+#: ``(nodes, rounds)`` of every wheel-vs-``heapq`` storm: few nodes deep in time
 #: (2k x 12: many wheel rollovers and bucket reuse cycles), many nodes briefly
 #: (working sets past cache), and the smoke.
 PARITY_STORMS = [(2_000, 3), (2_000, 12), (5_000, 10), (20_000, 2),
@@ -55,10 +61,9 @@ class _Recorder(ProtocolNode):
         self.log.append((self.now, "ping", self.node_id))
 
 
-def _storm(scheduler: str, nodes: int, rounds: int, seed: int = 4242,
-           crash: bool = False):
+def _storm(nodes: int, rounds: int, seed: int = 4242, crash: bool = False):
     """Run a recorder storm; returns ``(log, sim)``."""
-    sim = Simulator(SimulatorConfig(seed=seed, scheduler=scheduler))
+    sim = Simulator(SimulatorConfig(seed=seed))
     log = []
     for i in range(nodes):
         sim.add_node(_Recorder(i + 1, log, nodes))
@@ -72,18 +77,13 @@ def _storm(scheduler: str, nodes: int, rounds: int, seed: int = 4242,
     return log, sim
 
 
-def _fingerprint(sim):
-    stats = sim.network.stats
-    return (sim.steps_executed, stats.total_sent, stats.total_delivered, sim.now)
-
-
 def _logged_timeouts(log) -> Counter:
     return Counter(node_id for _, kind, node_id in log if kind == "timeout")
 
 
 class TestTimeoutAccounting:
     def test_timeout_count_is_the_logged_count_after_crashy_storm(self):
-        log, sim = _storm("wheel", 300, 6, crash=True)
+        log, sim = _storm(300, 6, crash=True)
         assert len(sim.nodes) == 300
         assert sim.timeout_counts == {
             node_id: _logged_timeouts(log)[node_id] for node_id in sim.nodes}
@@ -91,7 +91,7 @@ class TestTimeoutAccounting:
         assert sum(not node.crashed for node in sim.nodes.values()) < 300
 
     def test_forged_id_node_fires_and_is_reachable(self):
-        sim = Simulator(SimulatorConfig(seed=9, scheduler="wheel"))
+        sim = Simulator(SimulatorConfig(seed=9))
         log = []
         for i in range(16):
             sim.add_node(_Recorder(i + 1, log, 16))
@@ -122,27 +122,35 @@ class TestTimeoutAccounting:
         assert min(fired.values()) > 0
 
 
-class TestSchedulerParity:
-    def test_same_seed_same_log_2k_both_schedulers(self):
-        for scheduler in ("heap", "wheel"):
-            first, _ = _storm(scheduler, 2_000, 3)
-            second, _ = _storm(scheduler, 2_000, 3)
-            assert first == second
+class TestWheelOrder:
+    def test_same_seed_same_log_2k(self):
+        first, _ = _storm(2_000, 3)
+        second, _ = _storm(2_000, 3)
+        assert first == second
 
     @pytest.mark.parametrize("nodes, rounds", PARITY_STORMS,
                              ids=[f"{n}x{r}" for n, r in PARITY_STORMS])
-    def test_heap_wheel_event_log_parity(self, nodes, rounds):
-        """The same per-event log — same timestamps, same kinds, same handling
-        order — whether the engine drains a binary heap or the timeout wheel
-        (with its time-only bucket sort and auto width)."""
-        heap_log, heap_sim = _storm("heap", nodes, rounds)
-        wheel_log, wheel_sim = _storm("wheel", nodes, rounds)
-        # The cheap aggregate fingerprint first for a readable failure, then
-        # the full log.
-        assert _fingerprint(heap_sim) == _fingerprint(wheel_sim)
-        assert heap_sim.steps_executed >= (rounds + 1) * nodes  # it stormed
-        assert heap_log == wheel_log
-        assert heap_sim.timeout_counts == wheel_sim.timeout_counts
-        # every node of the population fired on both schedulers
-        assert len(wheel_sim.nodes) == nodes
-        assert min(wheel_sim.timeout_counts.values()) > 0
+    def test_the_wheel_emits_heapq_order_in_a_storm(self, wheel_stream,
+                                                     nodes, rounds):
+        """Same timestamps, same handling order as a binary heap, whatever
+        the wheel's time-only bucket sort and auto width do."""
+        stream, _ = wheel_stream
+        _, sim = _storm(nodes, rounds)
+        assert len(stream) == sim.steps_executed >= (rounds + 1) * nodes
+        assert_heapq_order(sim, stream)
+        # every node of the population fired
+        assert len(sim.nodes) == nodes
+        assert min(sim.timeout_counts.values()) > 0
+
+    def test_the_wheel_emits_heapq_order_under_a_link_adversary(self, wheel_stream):
+        """Loss, duplication and a delay spike that lands deliveries inside
+        the drain's open windows, so block tails are handed back."""
+        stream, requeued = wheel_stream
+        lossy = get_scenario("lossy-network")
+        spec = lossy.with_overrides(phases=tuple(
+            replace(phase, delay_spike_factor=0.05) for phase in lossy.phases))
+        runner = ScenarioRunner(spec, seed=3)
+        assert runner.run().passed
+        sim = runner.system.sim
+        assert requeued and len(stream) == sim.steps_executed
+        assert_heapq_order(sim, stream)

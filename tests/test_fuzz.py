@@ -347,7 +347,6 @@ class TestCampaign:
         # exactly as the shrinker did: same case seed, same oracle).
         result = run_fuzz_case({"spec": finding.shrunk_spec,
                                 "seed": finding.seed,
-                                "scheduler": cfg.scheduler,
                                 "oracle": cfg.oracle.to_dict()})
         verdict = Verdict.from_dict(result["verdict"])
         assert verdict.failed
@@ -380,11 +379,11 @@ class TestFuzzCLI:
         artifact = json.loads(artifacts[0].read_text())
         assert artifact["schema"] == 1
         assert artifact["source"]["tool"] == "repro-fuzz"
+        assert "scheduler" not in artifact
         # The artifact is exactly what tests/corpus replays: loadable by the
         # scenarios CLI with its embedded seed.
-        spec, seed, scheduler = load_spec_file(str(artifacts[0]))
+        spec, seed = load_spec_file(str(artifacts[0]))
         assert seed == report["findings"][0]["seed"]
-        assert scheduler == "wheel"
         assert spec.to_dict() == artifact["spec"]
         capsys.readouterr()
 
@@ -413,13 +412,16 @@ class TestScenarioCLISpecReplay:
         assert scenarios_main(["--spec", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_artifact_seed_overrides_cli_seed(self, tmp_path, capsys):
+    def test_an_old_artifact_replays_on_the_wheel(self, tmp_path, capsys):
+        """An artifact from when a heap queue existed names it; the key is
+        ignored (the heap emitted the wheel's event order) and the
+        artifact's seed still overrides the CLI's."""
         path = tmp_path / "artifact.json"
         artifact = {"schema": 1, "spec": self.failing_spec().to_dict(),
                     "seed": 5, "scheduler": "heap"}
         path.write_text(json.dumps(artifact))
-        spec, seed, scheduler = load_spec_file(str(path), default_seed=0)
-        assert (seed, scheduler) == (5, "heap")
+        spec, seed = load_spec_file(str(path), default_seed=0)
+        assert seed == 5 and spec == self.failing_spec()
         assert scenarios_main(["--spec", str(path), "--json"]) == 1
         assert '"seed":5' in capsys.readouterr().out
 

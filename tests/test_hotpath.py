@@ -12,7 +12,7 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import records_in_flight
+from conftest import HeapQueue, assert_heapq_order, records_in_flight
 
 from repro.api import SystemSpec
 from repro.sim.engine import Simulator, SimulatorConfig
@@ -26,23 +26,18 @@ from repro.sim.network import (
     REC_SEQ,
 )
 from repro.sim.node import ProtocolNode
-from repro.sim.scheduler import (
-    HeapScheduler,
-    TimeoutWheelScheduler,
-    auto_bucket_width,
-    make_scheduler,
-)
+from repro.sim.scheduler import TimeoutWheelScheduler, auto_bucket_width
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPopBatch:
-    """``pop_block_into`` on the heap and the wheel (the class and test names
-    predate the block pop)."""
+    """``pop_block_into`` on the wheel and its ``heapq`` reference (the class
+    and test names predate the block pop)."""
 
     @staticmethod
     def _fill(events):
-        schedulers = (HeapScheduler(), TimeoutWheelScheduler(bucket_width=0.25))
+        schedulers = (HeapQueue(), TimeoutWheelScheduler(bucket_width=0.25))
         for event in events:
             for scheduler in schedulers:
                 scheduler.push(event)
@@ -122,17 +117,18 @@ class TestWheelAutoSizing:
         # min_delay above the quarter-horizon width leaves it untouched.
         assert auto_bucket_width(1.0, 0.5, 1.0, 0.2) == pytest.approx(0.25)
 
-    def test_make_scheduler_uses_auto_width(self):
-        wheel = make_scheduler("wheel", 1.0, min_delay=0.1, max_delay=1.0,
-                               timeout_jitter=0.2)
-        assert wheel.bucket_width == pytest.approx(auto_bucket_width(1.0, 0.1, 1.0, 0.2))
+    def test_the_simulator_builds_its_wheel_at_auto_width(self):
+        config = SimulatorConfig(timeout_period=2.0, min_delay=0.05,
+                                 max_delay=3.0, timeout_jitter=0.1)
+        sim = Simulator(config)
+        assert sim.scheduler.bucket_width == auto_bucket_width(2.0, 0.05, 3.0, 0.1)
 
     def test_bucket_width_never_changes_results(self, monkeypatch):
         """The width is pure performance: any width, identical runs."""
         def run(width):
             if width is not None:
-                monkeypatch.setattr("repro.sim.engine.make_scheduler",
-                                    lambda *args, **kwargs: TimeoutWheelScheduler(width))
+                monkeypatch.setattr("repro.sim.engine.auto_bucket_width",
+                                    lambda *args: width)
             sim = Simulator(SimulatorConfig(seed=5))
             assert width is None or sim.scheduler.bucket_width == width
             nodes = [sim.add_node(_Pinger(i + 1)) for i in range(30)]
@@ -159,53 +155,46 @@ class _Pinger(ProtocolNode):
         self.pings += 1
 
 
-class TestGenericSchedulerDrain:
-    """The heap: the queue the engine feeds through ``push`` rather than an
-    inlined bucket append."""
-
-    def test_custom_scheduler_runs_through_batch_interface(self, monkeypatch):
-        """The heap is drained through ``pop_block_into`` too, and gives
-        results identical to the wheel's."""
-        calls = {"blocks": 0}
-        pop_block_into = HeapScheduler.pop_block_into
+class TestWheelDrain:
+    def test_the_drain_takes_blocks_through_pop_block_into(self, wheel_stream,
+                                                            monkeypatch):
+        """The engine drains the wheel a block at a time, in ``heapq``'s
+        order."""
+        stream, _ = wheel_stream
+        blocks = []
+        pop_block_into = TimeoutWheelScheduler.pop_block_into
 
         def counting(self, out, limit):
             count = pop_block_into(self, out, limit)
             if count:
-                calls["blocks"] += 1
+                blocks.append(count)
             return count
 
-        monkeypatch.setattr(HeapScheduler, "pop_block_into", counting)
+        monkeypatch.setattr(TimeoutWheelScheduler, "pop_block_into", counting)
+        sim = Simulator(SimulatorConfig(seed=6))
+        for i in range(30):
+            sim.add_node(_Pinger(i + 1))
+        sim.run_rounds(20)
+        assert blocks, "drain did not use pop_block_into"
+        assert len(stream) == sim.steps_executed
+        assert_heapq_order(sim, stream)
 
-        def run(scheduler):
-            sim = Simulator(SimulatorConfig(seed=6, scheduler=scheduler))
-            nodes = [sim.add_node(_Pinger(i + 1)) for i in range(30)]
-            sim.run_rounds(20)
-            return ([n.pings for n in nodes], sim.steps_executed,
-                    sim.network.stats.total_delivered, sim.now)
-
-        heap = run("heap")
-        assert calls["blocks"] > 0, "drain did not use pop_block_into"
-        assert heap == run("wheel")
-
-    def test_custom_scheduler_with_adversary(self):
-        """The heap under an adversary matches the wheel event for event."""
+    def test_the_drain_with_an_adversary_takes_heapq_order(self, wheel_stream):
+        """Drops at delivery time leave the wheel's order intact."""
         from repro.scenarios.adversary import LinkAdversary
 
-        def run(scheduler):
-            sim = Simulator(SimulatorConfig(seed=8, scheduler=scheduler))
-            sim.install_adversary(
-                LinkAdversary(rng=sim.adversary_rng(), loss_rate=0.2))
-            nodes = [sim.add_node(_Pinger(i + 1)) for i in range(30)]
-            sim.run_rounds(15)
-            stats = sim.network.stats
-            return ([n.pings for n in nodes], sim.steps_executed,
-                    stats.total_delivered, stats.total_dropped)
+        stream, _ = wheel_stream
+        sim = Simulator(SimulatorConfig(seed=8))
+        sim.install_adversary(LinkAdversary(rng=sim.adversary_rng(), loss_rate=0.2))
+        for i in range(30):
+            sim.add_node(_Pinger(i + 1))
+        sim.run_rounds(15)
+        assert sim.network.stats.total_dropped > 0, "adversary never dropped anything"
+        assert len(stream) == sim.steps_executed
+        assert_heapq_order(sim, stream)
 
-        heap = run("heap")
-        assert heap[3] > 0, "adversary never dropped anything"
-        assert heap == run("wheel")
 
+class TestWindowInterrupts:
     def test_interrupted_windows_narrow_under_an_adversary(self, monkeypatch):
         """A delay spike with ``factor < 1`` lands deliveries inside the open
         window; every interrupt hands the unprocessed tail back to the
@@ -214,18 +203,25 @@ class TestGenericSchedulerDrain:
         exceeds the event count itself)."""
         from repro.scenarios.adversary import LinkAdversary
 
-        seen, requeued = set(), []
-        push = HeapScheduler.push
+        block, requeued = set(), []
+        pop_block_into = TimeoutWheelScheduler.pop_block_into
+        push = TimeoutWheelScheduler.push
+
+        def taking(self, out, limit):
+            start = len(out)
+            count = pop_block_into(self, out, limit)
+            block.clear()
+            block.update(event[1] for event in out[start:])
+            return count
 
         def counting(self, event):
-            key = event[:2]
-            if key in seen:
-                requeued.append(key)
-            seen.add(key)
+            if event[1] in block:  # a seq from the last block: a requeue
+                requeued.append(event[1])
             push(self, event)
 
-        monkeypatch.setattr(HeapScheduler, "push", counting)
-        sim = Simulator(SimulatorConfig(seed=5, scheduler="heap"))
+        monkeypatch.setattr(TimeoutWheelScheduler, "pop_block_into", taking)
+        monkeypatch.setattr(TimeoutWheelScheduler, "push", counting)
+        sim = Simulator(SimulatorConfig(seed=5))
         adversary = LinkAdversary(rng=sim.adversary_rng())
         adversary.add_delay_spike(0.0, 1e9, factor=0.01)
         sim.install_adversary(adversary)

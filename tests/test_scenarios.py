@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from conftest import records_in_flight
+from conftest import assert_heapq_order, records_in_flight
 
 from repro.api import SystemSpec, build_stable
 from repro.core.system import SupervisedPubSub
@@ -257,29 +257,26 @@ class TestOneInFlightForm:
 
 
 class TestSchedulerParityWithAdversary:
-    def test_identical_event_order_with_adversary_active(self):
-        """Heap and wheel runs must stay byte-identical with loss,
-        duplication, a delay spike and a partition all active."""
-        def run(scheduler):
-            sim = Simulator(SimulatorConfig(seed=33, scheduler=scheduler))
-            adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.15,
-                                      duplicate_rate=0.1)
-            adversary.add_delay_spike(5.0, 15.0, 4.0)
-            adversary.add_partition("cut", [{1, 2, 3}], start=8.0,
-                                    heal_time=20.0)
-            sim.install_adversary(adversary)
-            nodes = [sim.add_node(Counting(i + 1)) for i in range(12)]
-            for node in nodes:
-                node.send(node.node_id % 12 + 1, "Ping", sender=node.node_id)
-                node.send((node.node_id + 5) % 12 + 1, "Ping",
-                          sender=node.node_id)
-            sim.run_rounds(40)
-            stats = sim.network.stats
-            return ([n.pings for n in nodes], stats.total_sent,
-                    stats.total_delivered, stats.duplicated,
-                    dict(stats.drops_by_reason), sim.steps_executed, sim.now)
-
-        assert run("heap") == run("wheel")
+    def test_identical_event_order_with_adversary_active(self, wheel_stream):
+        """With loss, duplication, a delay spike and a partition all
+        active, the engine takes the wheel's events in ``heapq``'s order."""
+        stream, _ = wheel_stream
+        sim = Simulator(SimulatorConfig(seed=33))
+        adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.15,
+                                  duplicate_rate=0.1)
+        adversary.add_delay_spike(5.0, 15.0, 4.0)
+        adversary.add_partition("cut", [{1, 2, 3}], start=8.0, heal_time=20.0)
+        sim.install_adversary(adversary)
+        nodes = [sim.add_node(Counting(i + 1)) for i in range(12)]
+        for node in nodes:
+            node.send(node.node_id % 12 + 1, "Ping", sender=node.node_id)
+            node.send((node.node_id + 5) % 12 + 1, "Ping", sender=node.node_id)
+        sim.run_rounds(40)
+        stats = sim.network.stats
+        assert stats.duplicated > 0
+        assert stats.drops_by_reason[DROP_ADVERSARY_LOSS] > 0
+        assert len(stream) == sim.steps_executed > 0
+        assert_heapq_order(sim, stream)
 
 
 class TestSpecRoundTrip:
@@ -315,15 +312,12 @@ class TestSpecRoundTrip:
 
 
 class TestScenarioRunner:
-    def test_reports_identical_across_schedulers_and_reruns(self):
+    def test_reports_identical_across_reruns(self):
         spec = get_scenario("lossy-network")
-        wheel = run_scenario(spec, seed=2, scheduler="wheel").to_json()
-        heap = run_scenario(spec, seed=2, scheduler="heap").to_json()
-        again = run_scenario(spec, seed=2, scheduler="wheel").to_json()
-        assert wheel == heap == again
+        first = run_scenario(spec, seed=2).to_json()
+        assert run_scenario(spec, seed=2).to_json() == first
         # And a different seed produces a genuinely different run.
-        other = run_scenario(spec, seed=3).to_json()
-        assert other != wheel
+        assert run_scenario(spec, seed=3).to_json() != first
 
     def test_lossy_scenario_passes_and_accounts_drops(self):
         report = run_scenario(get_scenario("lossy-network"), seed=1)

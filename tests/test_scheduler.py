@@ -1,18 +1,20 @@
-"""Tests for the two event schedulers, dispatch-table fast path and
-``Simulator.run_until`` edge cases."""
+"""Tests for the event queue (the timing wheel against its ``heapq``
+ordering reference), dispatch-table fast path and ``Simulator.run_until``
+edge cases."""
 
 import random
+from pathlib import Path
 
 import pytest
+from conftest import HeapQueue, assert_heapq_order
 
 from repro.api import SystemSpec, build_stable
+from repro.scenarios.cli import load_spec_file
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.node import ProtocolNode
-from repro.sim.scheduler import (
-    HeapScheduler,
-    TimeoutWheelScheduler,
-    make_scheduler,
-)
+from repro.sim.scheduler import TimeoutWheelScheduler
+
+CORPUS_DIR = Path(__file__).parent / "corpus"
 
 
 class Pinger(ProtocolNode):
@@ -29,23 +31,29 @@ class Pinger(ProtocolNode):
 
 
 class TestSchedulerUnits:
-    def test_make_scheduler_names(self):
-        assert isinstance(make_scheduler("heap"), HeapScheduler)
-        assert isinstance(make_scheduler("wheel"), TimeoutWheelScheduler)
-        with pytest.raises(ValueError):
-            make_scheduler("bogus")
-
-    def test_config_rejects_unknown_scheduler(self):
-        with pytest.raises(ValueError):
-            SimulatorConfig(scheduler="fifo")
+    def test_the_retired_scheduler_key_is_accepted_and_ignored(self):
+        """``SimulatorConfig(scheduler="wheel")`` (the benchmark's call)
+        is the default config and any other queue name raises; every
+        committed corpus artifact still loads with its ``"scheduler"`` key
+        ignored."""
+        assert SimulatorConfig(seed=3, scheduler="wheel") == SimulatorConfig(seed=3)
+        for name in ("heap", "fifo"):
+            with pytest.raises(ValueError):
+                SimulatorConfig(scheduler=name)
+        artifacts = sorted(CORPUS_DIR.glob("*.json"))
+        assert artifacts
+        for path in artifacts:
+            assert '"scheduler": "wheel"' in path.read_text()
+            spec, seed = load_spec_file(str(path))
+            assert spec.phases and seed > 0
 
     def test_wheel_rejects_bad_width(self):
         with pytest.raises(ValueError):
             TimeoutWheelScheduler(bucket_width=0)
 
     def test_the_simulator_keeps_the_queue_it_built(self):
-        sim = Simulator(SimulatorConfig(seed=1, scheduler="heap"))
-        assert type(sim.scheduler) is HeapScheduler
+        sim = Simulator(SimulatorConfig(seed=1))
+        assert type(sim.scheduler) is TimeoutWheelScheduler
         with pytest.raises(AttributeError):
             sim.scheduler = TimeoutWheelScheduler()
 
@@ -58,7 +66,7 @@ class TestSchedulerUnits:
         uniform = [(rng.uniform(0, 50), seq, seq % 4, None) for seq in range(2_000)]
         tied = [(round(rng.uniform(0, 3), 1), seq, 0, None) for seq in range(2_000)]
         for events in (uniform, tied):
-            heap, wheel = HeapScheduler(), TimeoutWheelScheduler(bucket_width=width)
+            heap, wheel = HeapQueue(), TimeoutWheelScheduler(bucket_width=width)
             for event in events:
                 heap.push(event)
                 wheel.push(event)
@@ -71,7 +79,7 @@ class TestSchedulerUnits:
         """Late pushes landing in the bucket currently being drained must be
         emitted in (time, seq) order."""
         rng = random.Random(5)
-        heap, wheel = HeapScheduler(), TimeoutWheelScheduler(bucket_width=0.25)
+        heap, wheel = HeapQueue(), TimeoutWheelScheduler(bucket_width=0.25)
         seq = 0
         now = 0.0
         for _ in range(300):
@@ -105,30 +113,35 @@ class TestSchedulerUnits:
 
 
 class TestEngineParity:
-    def test_identical_event_order_for_identical_seeds(self):
-        """The heap and wheel schedulers must drive byte-identical runs."""
-        def run(scheduler):
-            sim = Simulator(SimulatorConfig(seed=33, scheduler=scheduler))
+    def test_identical_event_order_for_identical_seeds(self, wheel_stream):
+        """Two runs on one seed are byte-identical, and the engine takes the
+        wheel's events in ``heapq``'s order."""
+        stream, _ = wheel_stream
+
+        def run():
+            sim = Simulator(SimulatorConfig(seed=33))
             nodes = [sim.add_node(Pinger(i + 1)) for i in range(20)]
             for node in nodes:
                 node.send(node.node_id % 20 + 1, "Ping", sender=node.node_id)
             sim.run_rounds(30)
-            return ([n.timeouts for n in nodes], [n.pings for n in nodes],
-                    sim.steps_executed, sim.network.stats.total_delivered, sim.now)
+            return sim, ([n.timeouts for n in nodes], [n.pings for n in nodes],
+                         sim.steps_executed, sim.network.stats.total_delivered,
+                         sim.now)
 
-        assert run("heap") == run("wheel")
+        sim, first = run()
+        assert len(stream) == sim.steps_executed > 0
+        assert_heapq_order(sim, stream)
+        assert run()[1] == first
 
-    def test_full_system_parity_across_schedulers(self):
-        """A complete BuildSR stabilization run converges to the same explicit
-        topology and message totals under either scheduler."""
-        def run(scheduler):
-            config = SimulatorConfig(seed=13, scheduler=scheduler)
-            system, _ = build_stable(SystemSpec(sim=config), 12)
-            stats = system.message_stats()
-            return (system.explicit_edges(), stats.total_sent, stats.total_delivered,
-                    system.sim.now)
-
-        assert run("heap") == run("wheel")
+    def test_a_full_stabilization_run_takes_heapq_order(self, wheel_stream):
+        """A complete BuildSR stabilization run, every subscriber and
+        supervisor action included, takes the wheel's events in ``heapq``'s
+        order."""
+        stream, _ = wheel_stream
+        system, _ = build_stable(SystemSpec(sim=SimulatorConfig(seed=13)), 12)
+        assert system.is_legitimate()
+        assert len(stream) == system.sim.steps_executed > 0
+        assert_heapq_order(system.sim, stream)
 
 
 class TestDispatchTable:

@@ -120,20 +120,25 @@ class TestSimulatorBasics:
         sim.run_rounds(5)
         assert fired and fired[0] >= 2.0
 
-    @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("call, name", [
         (lambda sim, t: sim.call_at(t, lambda: None), "call_at time"),
         (lambda sim, t: sim.crash_node(1, at=t), "crash_node at"),
         (lambda sim, t: sim.inject_message(1, "Ping", {}, delay=t), "inject_message delay"),
-    ], ids=["call_at", "crash_node", "inject_message"])
-    def test_non_finite_event_times_are_rejected(self, call, name, value, scheduler):
-        """The wheel died in its bucket arithmetic while the heap queued the
-        event (a NaN crash never happened): both now refuse it up front."""
-        sim = Simulator(SimulatorConfig(seed=1, scheduler=scheduler))
+        (lambda sim, t: sim.run_until_time(t), "run_until_time deadline"),
+        (lambda sim, t: sim.run_for(t), "run_until_time deadline"),
+        (lambda sim, t: sim.run_rounds(t), "run_until_time deadline"),
+    ], ids=["call_at", "crash_node", "inject_message", "run_until_time",
+            "run_for", "run_rounds"])
+    def test_non_finite_event_times_are_rejected(self, call, name, value):
+        """The wheel died in its bucket arithmetic on a non-finite event
+        time, and a non-finite deadline drained the periodic Timeouts
+        forever: all are refused up front."""
+        sim = Simulator(SimulatorConfig(seed=1))
         sim.add_node(EchoNode(1))
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             call(sim, value)
+        assert sim.now == 0.0 and sim.steps_executed == 0
         sim.run_rounds(3)
         assert not sim.nodes[1].crashed and sim.nodes[1].pings == 0
 

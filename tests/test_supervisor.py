@@ -371,6 +371,21 @@ class TestOracleDoesNotRaise:
         system.run_rounds(10)
         assert system.run_until_legitimate(max_rounds=1500)
 
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("action", ["Subscribe", "GetConfiguration"])
+    def test_a_request_naming_a_supervisor_does_not_poison_the_run(self, spec, action):
+        """Thm 8: a supervisor is never a subscriber.  A forged request
+        naming one, its own id or another shard's, used to store it in the
+        database for good."""
+        for ref in build_stable(spec, 2)[0].supervisor_node_ids():
+            system, _ = build_stable(spec, 8)
+            supervisor = system.supervisor_of("default")
+            system.sim.inject_message(supervisor.node_id, action, {"node": ref},
+                                      topic="default")
+            system.run_rounds(10)
+            assert system.run_until_legitimate(max_rounds=1500), ref
+            assert ref not in supervisor.database("default").members()
+
     def test_set_comparison_is_the_old_predicate_on_clean_databases(self, supervised):
         sim, sup = supervised((10, 11, 12))
         for node in (12, 10, 11):

@@ -241,10 +241,9 @@ def lossy_telemetry_report() -> RunReport:
     from repro.scenarios.runner import ScenarioRunner
 
     spec = get_scenario("lossy-network")
-    system = build_system(spec.system_spec(seed=1, scheduler="wheel")
+    system = build_system(spec.system_spec(seed=1)
                           .with_overrides(telemetry=True))
-    return ScenarioRunner(spec, seed=1, scheduler="wheel",
-                          system=system).run_report()
+    return ScenarioRunner(spec, seed=1, system=system).run_report()
 
 
 class TestScenarioTelemetry:
@@ -276,8 +275,7 @@ class TestScenarioTelemetry:
         from repro.scenarios.library import get_scenario
         from repro.scenarios.runner import run_scenario
 
-        plain = run_scenario(get_scenario("lossy-network"), seed=1,
-                             scheduler="wheel")
+        plain = run_scenario(get_scenario("lossy-network"), seed=1)
         assert (json.dumps(lossy_telemetry_report.scenario, sort_keys=True,
                            separators=(",", ":"))
                 == plain.to_json())
@@ -287,10 +285,9 @@ class TestScenarioTelemetry:
         from repro.scenarios.runner import ScenarioRunner
 
         spec = get_scenario("sharded-supervisor-failover")
-        system = build_system(spec.system_spec(seed=2, scheduler="wheel")
+        system = build_system(spec.system_spec(seed=2)
                               .with_overrides(telemetry=True))
-        report = ScenarioRunner(spec, seed=2, scheduler="wheel",
-                                system=system).run_report()
+        report = ScenarioRunner(spec, seed=2, system=system).run_report()
         spans = report.telemetry["spans"]
         crashes = [row for row in spans if row[0] == "supervisor_crash"]
         assert crashes, "failover scenario must mark supervisor crashes"
