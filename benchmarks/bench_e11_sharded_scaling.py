@@ -1,7 +1,7 @@
 """E11 — sharded supervisor cluster scaling (beyond the paper).
 
-Runs the same multi-topic workload against the single-supervisor facade and
-against :class:`repro.cluster.ShardedPubSub` with K = 1, 2, 4 shards, and
+Runs the same multi-topic workload against the single-supervisor topology and
+against :class:`repro.SupervisedPubSub` with K = 1, 2, 4 shards, and
 asserts that K=4 cuts the hotspot supervisor's request load to at most 40 %
 of the single-supervisor baseline.
 """

@@ -12,15 +12,16 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
   initial-state and churn **workloads**, reference **baselines** (Chord, skip
   graph, centralized broker), and the **experiments** reproducing every
   quantitative claim of the paper,
-* a **sharded cluster layer** (:mod:`repro.cluster`) that scales the system
-  beyond the paper by consistent-hashing topics across K supervisors
-  (:class:`~repro.cluster.sharded.ShardedPubSub`), API-compatible with the
-  single-supervisor facade,
+* a **sharded cluster layer** that scales the system beyond the paper by
+  consistent-hashing topics across K supervisors
+  (:mod:`repro.cluster`); the one facade,
+  :class:`~repro.core.facade.SupervisedPubSub`, is the paper's system at
+  ``shards=1`` and the cluster at ``shards=K``,
 * a **scenario engine** (:mod:`repro.scenarios`) composing adversarial link
   conditions (loss, duplication, delay spikes, partitions with scheduled
   heals) and workloads (churn storms, crash waves, publication storms,
   supervisor failover) into declarative, seed-deterministic stress scenarios
-  runnable against either facade (``python -m repro.scenarios``),
+  runnable against either topology (``python -m repro.scenarios``),
 * a **unified deployment API** (:mod:`repro.api`): a declarative, frozen,
   JSON-round-trippable :class:`~repro.api.spec.SystemSpec`, a fluent
   ``PubSub.builder()``, typed lifecycle hooks (``system.hooks``) and one
@@ -70,7 +71,7 @@ from repro.core import (
     label_of,
     r_value,
 )
-from repro.cluster import ConsistentHashRing, ShardedPubSub
+from repro.cluster import ConsistentHashRing
 from repro.pubsub import PatriciaTrie, Publication
 from repro.sim import Simulator, SimulatorConfig
 from repro.api import (
@@ -103,7 +104,6 @@ __all__ = [
     "Simulator",
     "SimulatorConfig",
     "ConsistentHashRing",
-    "ShardedPubSub",
     "SystemSpec",
     "PubSub",
     "SystemBuilder",

@@ -16,8 +16,8 @@ Fluent::
     system, peers = PubSub.builder().seed(3).params(enable_flooding=False) \\
                           .build_stable(n=12)
 
-Both paths return a :class:`~repro.core.facade.PubSubFacadeBase` subclass
-chosen by the spec's topology; drivers never name concrete facade classes.
+Both paths return a :class:`~repro.core.facade.SupervisedPubSub` with the
+spec's shard count (one for the paper's topology).
 The built facade keeps its spec at ``system.spec`` for reporting.
 """
 
@@ -26,23 +26,16 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.api.spec import SystemSpec
-from repro.cluster.sharded import ShardedPubSub
 from repro.core.config import ProtocolParams
-from repro.core.facade import PubSubFacadeBase
+from repro.core.facade import SupervisedPubSub
 from repro.core.subscriber import Subscriber
-from repro.core.system import SupervisedPubSub
 from repro.sim.engine import SimulatorConfig
 
 
-def build_system(spec: SystemSpec) -> PubSubFacadeBase:
+def build_system(spec: SystemSpec) -> SupervisedPubSub:
     """Build the facade ``spec`` describes (no subscribers, not stabilized)."""
-    config = spec.sim_config()
-    if spec.topology == "sharded":
-        system: PubSubFacadeBase = ShardedPubSub(
-            shards=spec.shards, params=spec.params, sim_config=config,
-            virtual_nodes=spec.virtual_nodes)
-    else:
-        system = SupervisedPubSub(params=spec.params, sim_config=config)
+    system = SupervisedPubSub(params=spec.params, sim_config=spec.sim_config(),
+                              shards=spec.shards, virtual_nodes=spec.virtual_nodes)
     system.spec = spec
     if spec.telemetry:
         # The histogram half lives in the simulator (enabled via
@@ -57,9 +50,9 @@ def build_stable(spec: SystemSpec, n: int = 16, *,
                  topics: Optional[Sequence[str]] = None,
                  subscribers_per_topic: Optional[int] = None,
                  max_rounds: Optional[int] = None,
-                 ) -> Tuple[PubSubFacadeBase, List[Subscriber]]:
+                 ) -> Tuple[SupervisedPubSub, List[Subscriber]]:
     """Build the system ``spec`` describes, populate it and run it to a
-    legitimate state.  The one stable-bootstrap helper both facades share.
+    legitimate state.  The one stable-bootstrap helper at every shard count.
 
     Two population shapes:
 
@@ -168,11 +161,11 @@ class SystemBuilder:
         """The accumulated (frozen, JSON-round-trippable) spec."""
         return self._spec
 
-    def build(self) -> PubSubFacadeBase:
+    def build(self) -> SupervisedPubSub:
         return build_system(self._spec)
 
     def build_stable(self, n: int = 16, **kwargs: object
-                     ) -> Tuple[PubSubFacadeBase, List[Subscriber]]:
+                     ) -> Tuple[SupervisedPubSub, List[Subscriber]]:
         return build_stable(self._spec, n, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -188,9 +181,9 @@ class PubSub:
         return SystemBuilder()
 
     @staticmethod
-    def from_spec(spec: SystemSpec) -> PubSubFacadeBase:
+    def from_spec(spec: SystemSpec) -> SupervisedPubSub:
         return build_system(spec)
 
     @staticmethod
-    def from_json(text: str) -> PubSubFacadeBase:
+    def from_json(text: str) -> SupervisedPubSub:
         return build_system(SystemSpec.from_json(text))

@@ -1,7 +1,7 @@
 """Declarative deployment specification for the pub-sub system.
 
 A :class:`SystemSpec` is the single front door to every way of standing the
-system up: the paper's single-supervisor facade, the sharded K-supervisor
+system up: the paper's single-supervisor topology, the sharded K-supervisor
 cluster, any :class:`~repro.core.config.ProtocolParams`
 and any :class:`~repro.sim.engine.SimulatorConfig` — all in one frozen,
 JSON-round-trippable value (the same pattern
@@ -41,10 +41,10 @@ class SystemSpec:
     Attributes
     ----------
     topology:
-        ``"single"`` builds the paper's
-        :class:`~repro.core.system.SupervisedPubSub`; ``"sharded"`` builds
-        :class:`~repro.cluster.sharded.ShardedPubSub` with :attr:`shards`
-        supervisors.
+        ``"single"`` is the paper's one supervisor; ``"sharded"`` runs
+        :attr:`shards` supervisors.  Both build
+        :class:`~repro.core.facade.SupervisedPubSub` with :attr:`shards`
+        supervisors; the field stays because serialized specs carry it.
     shards:
         Number of supervisor shards (must be 1 for the single topology).
     virtual_nodes:

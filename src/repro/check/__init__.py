@@ -17,19 +17,17 @@ only catch *after* the fact:
 
 :mod:`repro.check` enforces those disciplines at review time with an
 AST-based rule engine (``repro-check`` / ``python -m repro.check``).  Rules
-live in :mod:`repro.check.rules`; findings can be suppressed per line with
-``# repro: allow[rule-id]`` pragmas or grandfathered in a committed baseline
-file (:mod:`repro.check.baseline`).  The CLI exits non-zero whenever an
-unsuppressed, non-baselined finding survives, so CI can gate on it.
+live in :mod:`repro.check.rules`; the one way to suppress a finding is a
+``# repro: allow[rule-id]`` pragma on (or directly above) its line
+(:mod:`repro.check.pragmas`).  The CLI exits non-zero whenever an
+unsuppressed finding survives, so CI can gate on it.
 """
 
-from repro.check.baseline import Baseline
 from repro.check.engine import CheckEngine, CheckResult
 from repro.check.findings import Finding
 from repro.check.rules import available_rules, default_rules
 
 __all__ = [
-    "Baseline",
     "CheckEngine",
     "CheckResult",
     "Finding",

@@ -4,15 +4,10 @@ Usage::
 
     repro-check src/repro                 # human output, exit 1 on findings
     repro-check src/repro --json          # machine-readable findings
-    repro-check src/repro --write-baseline  # grandfather current findings
     repro-check --list-rules              # what is enforced, one line each
 
-Findings can be waived per line with ``# repro: allow[rule-id]`` pragmas or
-grandfathered in the committed baseline file
-(``.repro-check-baseline.json`` next to ``pyproject.toml``; override with
-``--baseline``, disable with ``--no-baseline``).  Exit codes: 0 — clean
-(after pragmas + baseline), 1 — findings (or stale baseline entries under
-``--strict-baseline``), 2 — usage error.
+Findings can be waived per line with ``# repro: allow[rule-id]`` pragmas.
+Exit codes: 0 — clean (after pragmas), 1 — findings, 2 — usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.check.baseline import Baseline, default_baseline_path
 from repro.check.engine import CheckEngine, CheckResult
 from repro.check.rules import available_rules, default_rules
 
@@ -42,17 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: all registered rules)")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="baseline file of grandfathered findings "
-                             "(default: .repro-check-baseline.json next to "
-                             "pyproject.toml)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline file "
-                             "and exit 0")
-    parser.add_argument("--strict-baseline", action="store_true",
-                        help="also fail (exit 1) on stale baseline entries")
     return parser
 
 
@@ -77,13 +60,10 @@ def _select_rules(spec: Optional[str]) -> List:
     return [rule for rule in rules if rule.id in wanted]
 
 
-def _render_human(result: CheckResult, stale_fails: bool) -> str:
+def _render_human(result: CheckResult) -> str:
     lines = [finding.render() for finding in result.findings]
     for error in result.parse_errors:
         lines.append(f"parse error: {error}")
-    for rule, path, message in result.stale_baseline:
-        lines.append(f"stale baseline entry: [{rule}] {path}: {message}"
-                     + ("" if stale_fails else " (informational)"))
     counts = result.counts_by_rule()
     tally = ", ".join(f"{rule}={count}" for rule, count in counts.items())
     lines.append(
@@ -91,8 +71,7 @@ def _render_human(result: CheckResult, stale_fails: bool) -> str:
         f"{len(result.findings)} finding(s)"
         + (f" ({tally})" if tally else "")
         + (f", {result.suppressed} suppressed by pragma"
-           if result.suppressed else "")
-        + (f", {result.baselined} baselined" if result.baselined else ""))
+           if result.suppressed else ""))
     return "\n".join(lines)
 
 
@@ -112,30 +91,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else default_baseline_path(paths[0]))
-    baseline = Baseline()
-    if not args.no_baseline and not args.write_baseline:
-        baseline = Baseline.load(baseline_path)
-
-    engine = CheckEngine(rules=_select_rules(args.rules), baseline=baseline)
-    result = engine.run(paths)
-
-    if args.write_baseline:
-        written = Baseline.write(baseline_path, result.findings)
-        print(f"wrote {len(written)} finding(s) to {baseline_path}")
-        return 0
-
+    result = CheckEngine(rules=_select_rules(args.rules)).run(paths)
     if args.json:
         print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
     else:
-        print(_render_human(result, stale_fails=args.strict_baseline))
-
-    if result.findings or result.parse_errors:
-        return 1
-    if args.strict_baseline and result.stale_baseline:
-        return 1
-    return 0
+        print(_render_human(result))
+    return 0 if result.clean else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,9 +1,9 @@
-"""The check engine: file discovery, rule execution, pragma + baseline
-filtering, and the deterministic result object the CLI renders.
+"""The check engine: file discovery, rule execution, pragma filtering, and
+the deterministic result object the CLI renders.
 
 The engine parses every target file once, runs each rule's per-file pass,
 then the cross-file ``finalize`` passes over the whole project, and filters
-the raw findings through line pragmas and the baseline.  All outputs are
+the raw findings through line pragmas.  All outputs are
 sorted, so two runs over the same tree produce byte-identical JSON — the
 checker holds itself to the discipline it enforces.
 """
@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.check.baseline import Baseline
 from repro.check.context import FileContext, ProjectContext
 from repro.check.findings import Finding
 from repro.check.pragmas import is_suppressed
@@ -48,8 +47,6 @@ class CheckResult:
     rules: List[str]
     findings: List[Finding]
     suppressed: int = 0
-    baselined: int = 0
-    stale_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
     parse_errors: List[str] = field(default_factory=list)
 
     @property
@@ -72,21 +69,17 @@ class CheckResult:
             "findings": [f.to_dict() for f in self.findings],
             "counts": self.counts_by_rule(),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
-            "stale_baseline": [list(key) for key in self.stale_baseline],
             "parse_errors": list(self.parse_errors),
             "clean": self.clean,
         }
 
 
 class CheckEngine:
-    """Run a rule set over a file tree with pragma + baseline filtering."""
+    """Run a rule set over a file tree with pragma filtering."""
 
-    def __init__(self, rules: Optional[Iterable[Rule]] = None,
-                 baseline: Optional[Baseline] = None) -> None:
+    def __init__(self, rules: Optional[Iterable[Rule]] = None) -> None:
         self.rules: List[Rule] = (list(rules) if rules is not None
                                   else default_rules())
-        self.baseline = baseline if baseline is not None else Baseline()
 
     def run(self, paths: Sequence[Path], root: Optional[Path] = None
             ) -> CheckResult:
@@ -111,21 +104,14 @@ class CheckEngine:
             raw.extend(rule.finalize(project))
 
         pragma_index = {ctx.relpath: ctx.pragmas for ctx in contexts}
-        # Fresh baseline copy per run: absorption consumes entries, and the
-        # engine must be re-runnable.
-        baseline = Baseline(self.baseline.entries)
         visible: List[Finding] = []
         suppressed = 0
-        baselined = 0
         for finding in sorted(raw, key=Finding.sort_key):
-            pragmas = pragma_index.get(finding.path, {})
-            if is_suppressed(pragmas, finding.rule, finding.line):
+            if is_suppressed(pragma_index.get(finding.path, {}), finding.rule,
+                             finding.line):
                 suppressed += 1
-                continue
-            if baseline.absorb(finding):
-                baselined += 1
-                continue
-            visible.append(finding)
+            else:
+                visible.append(finding)
 
         return CheckResult(
             root=str(root),
@@ -133,7 +119,5 @@ class CheckEngine:
             rules=sorted(rule.id for rule in self.rules),
             findings=visible,
             suppressed=suppressed,
-            baselined=baselined,
-            stale_baseline=baseline.stale_keys(),
             parse_errors=parse_errors,
         )

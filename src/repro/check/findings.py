@@ -1,10 +1,8 @@
 """The finding record every rule emits.
 
 A :class:`Finding` is deliberately small and serialization-first: the JSON
-output of ``repro-check --json`` and the committed baseline file both consist
-of finding dicts, and baseline matching keys on the *stable* part of a
-finding (rule, path, message) so grandfathered findings survive unrelated
-line drift in the same file.
+output of ``repro-check --json`` is a list of finding dicts, and
+:meth:`Finding.from_dict` reads one back.
 """
 
 from __future__ import annotations
@@ -22,10 +20,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    def key(self) -> Tuple[str, str, str]:
-        """The line-insensitive identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
 
     def sort_key(self) -> Tuple[str, int, int, str, str]:
         return (self.path, self.line, self.col, self.rule, self.message)

@@ -1,6 +1,6 @@
 """Rule registry: importing this package registers every built-in rule.
 
-Rule ids (stable — pragmas and baselines refer to them):
+Rule ids (stable — pragmas refer to them):
 
 * ``hook-signature`` — registered hook callbacks match emitter arity
 * ``no-ambient-nondeterminism`` — no wall-clock/uuid/entropy on report paths

@@ -1,7 +1,7 @@
 """Rule base class and registry.
 
-A rule is a small class with a stable ``id`` (the name pragmas and the
-baseline refer to), a one-line ``title``, and two entry points: per-file
+A rule is a small class with a stable ``id`` (the name pragmas refer
+to), a one-line ``title``, and two entry points: per-file
 :meth:`Rule.check_file` and whole-project :meth:`Rule.finalize` (for
 cross-file rules such as spec-field-coverage).  Rules register themselves
 with the :func:`register` decorator; :func:`default_rules` instantiates the
@@ -21,7 +21,7 @@ _REGISTRY: Dict[str, Type["Rule"]] = {}
 class Rule:
     """One static-analysis rule."""
 
-    #: Stable identifier used in pragmas, baselines and ``--rules``.
+    #: Stable identifier used in pragmas and ``--rules``.
     id: str = ""
     #: One-line human description (shown by ``--list-rules``).
     title: str = ""

@@ -42,26 +42,23 @@ class ConsistentHashRing:
         self._points: List[int] = []          # sorted ring positions
         self._owner_at: Dict[int, int] = {}   # ring position -> shard id
         self._shards: Dict[int, List[int]] = {}  # shard id -> its positions
+        self._unplaced: List[int] = []  # added shards not yet on the ring, in add order
 
     # ------------------------------------------------------------------ shards
     def add_shard(self, shard_id: int) -> None:
+        """Record ``shard_id``; its virtual nodes are placed by the next lookup,
+        so building a system hashes nothing."""
         if shard_id in self._shards:
             raise ValueError(f"shard {shard_id} already on the ring")
-        positions = []
-        for replica in range(self.virtual_nodes):
-            point = ring_position(f"shard:{shard_id}:{replica}")
-            # Astronomically unlikely collision: nudge deterministically.
-            while point in self._owner_at:
-                point = (point + 1) % (1 << 64)
-            self._owner_at[point] = shard_id
-            positions.append(point)
-        self._shards[shard_id] = positions
-        self._points = sorted(self._owner_at)
+        self._shards[shard_id] = []
+        self._unplaced.append(shard_id)
 
     def remove_shard(self, shard_id: int) -> None:
         positions = self._shards.pop(shard_id, None)
         if positions is None:
             raise ValueError(f"shard {shard_id} not on the ring")
+        if shard_id in self._unplaced:
+            self._unplaced.remove(shard_id)
         for point in positions:
             del self._owner_at[point]
         self._points = sorted(self._owner_at)
@@ -73,12 +70,28 @@ class ConsistentHashRing:
         return shard_id in self._shards
 
     # ------------------------------------------------------------------ lookup
-    def owner(self, key: str) -> int:
-        """The shard owning ``key``: first virtual node clockwise of its hash."""
+    def _start(self, key: str) -> int:
+        """Index in ``_points`` of the first virtual node clockwise of ``key``'s
+        hash.  Places every unplaced shard first, in the order they were added."""
+        for shard_id in self._unplaced:
+            positions = self._shards[shard_id]
+            for replica in range(self.virtual_nodes):
+                point = ring_position(f"shard:{shard_id}:{replica}")
+                # Astronomically unlikely collision: nudge deterministically.
+                while point in self._owner_at:
+                    point = (point + 1) % (1 << 64)
+                self._owner_at[point] = shard_id
+                positions.append(point)
+        if self._unplaced:
+            self._unplaced.clear()
+            self._points = sorted(self._owner_at)
         if not self._points:
             raise ValueError("consistent-hash ring has no shards")
-        position = ring_position(key, salt=b"topic")
-        index = bisect_right(self._points, position) % len(self._points)
+        return bisect_right(self._points, ring_position(key, salt=b"topic"))
+
+    def owner(self, key: str) -> int:
+        """The shard owning ``key``: first virtual node clockwise of its hash."""
+        index = self._start(key) % len(self._points)
         return self._owner_at[self._points[index]]
 
     def preference_order(self, key: str) -> List[int]:
@@ -87,10 +100,7 @@ class ConsistentHashRing:
         The first entry is :meth:`owner`; later entries are the successive
         fallbacks used by the bounded-loads assignment and by rebalancing.
         """
-        if not self._points:
-            raise ValueError("consistent-hash ring has no shards")
-        position = ring_position(key, salt=b"topic")
-        start = bisect_right(self._points, position)
+        start = self._start(key)
         order: List[int] = []
         seen = set()
         count = len(self._points)

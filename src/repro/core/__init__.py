@@ -12,8 +12,9 @@ Sub-modules
 ``supervisor`` / ``subscriber``
     The two halves of the BuildSR protocol (Algorithms 1–4) plus the
     publication protocol (Algorithm 5).
-``system``
-    :class:`~repro.core.system.SupervisedPubSub`, the public facade.
+``facade``
+    :class:`~repro.core.facade.SupervisedPubSub`, the public facade: the
+    paper's system with one supervisor, or K supervisors sharing the topics.
 ``config``
     :class:`~repro.core.config.ProtocolParams`.
 """
@@ -29,11 +30,11 @@ from repro.core.labels import (
     labels_up_to,
     max_level,
 )
-from repro.core.shortcuts import shortcut_labels, shortcut_labels_closed_form
+from repro.core.shortcuts import shortcut_labels
 from repro.core.skip_ring import SkipRingTopology
 from repro.core.supervisor import Supervisor, TopicDatabase
 from repro.core.subscriber import Subscriber, TopicView, Neighbor
-from repro.core.system import SupervisedPubSub, SUPERVISOR_ID
+from repro.core.facade import SupervisedPubSub, SUPERVISOR_ID
 
 __all__ = [
     "ProtocolParams",
@@ -48,7 +49,6 @@ __all__ = [
     "labels_up_to",
     "max_level",
     "shortcut_labels",
-    "shortcut_labels_closed_form",
     "SkipRingTopology",
     "Supervisor",
     "TopicDatabase",

@@ -1,20 +1,38 @@
-"""Shared machinery of the pub-sub system facades.
+"""The supervised publish-subscribe system, as one facade.
 
-Two facades expose the supervised publish-subscribe system to callers:
+:class:`SupervisedPubSub` wires the simulator, K supervisors and any number
+of subscribers together, and exposes the operations a user of the system
+cares about (subscribe, unsubscribe, publish, crash) together with the
+state-inspection helpers the experiments need (legitimacy checks,
+convergence driving, message accounting).
 
-* :class:`repro.core.system.SupervisedPubSub` — the paper's system: one
-  well-known supervisor serving every topic;
-* :class:`repro.cluster.sharded.ShardedPubSub` — the cluster layer: topics
-  sharded across K supervisors via consistent hashing.
+With ``shards=1`` (the default) it is the paper's system: one well-known
+supervisor (node ``0``) serving every topic.  With ``shards=K`` it is the
+cluster layer: supervisors ``0 .. K-1`` run the same BuildSR supervisor, and
+every topic is assigned to exactly one of them with bounded-loads consistent
+hashing (:mod:`repro.cluster.sharding`).  Each topic's BuildSR instance runs
+against its owning shard exactly as it would against the single supervisor,
+so all of the paper's per-topic guarantees (Theorems 5, 7, 8, 13, 17) carry
+over shard-locally while the *aggregate* request load spreads across the
+cluster.  :meth:`SupervisedPubSub.crash_supervisor` crashes a shard, moves its
+topics to the survivors and prompts their members to re-register; the
+self-stabilizing protocol then rebuilds each moved topic's skip ring.
 
-Everything that does not depend on *which* supervisor owns a topic lives in
-:class:`PubSubFacadeBase`: peer management, subscribe/unsubscribe/publish
-routing, execution drivers (``run_rounds`` / ``run_until_legitimate`` / ...),
-and the legitimacy, convergence and message-accounting inspection API the
-experiments consume.  Subclasses provide :meth:`supervisor_of` (topic →
-owning :class:`Supervisor`), :meth:`supervisor_node_ids` and
-:meth:`_new_subscriber`, so every experiment and workload runs unchanged
-against either facade.
+Example
+-------
+>>> from repro import SupervisedPubSub
+>>> system = SupervisedPubSub(seed=7)
+>>> peers = [system.add_subscriber() for _ in range(8)]
+>>> system.run_until_legitimate()
+True
+>>> pub = system.publish(peers[0], b"hello world")
+>>> system.run_rounds(30)
+>>> system.all_subscribers_have(pub.key)
+True
+>>> cluster = SupervisedPubSub(shards=4, seed=7)
+>>> peers = [cluster.add_subscriber(f"topic-{i % 8}") for i in range(32)]
+>>> cluster.run_until_legitimate()
+True
 """
 
 from __future__ import annotations
@@ -23,6 +41,7 @@ import itertools
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.cluster.sharding import ConsistentHashRing
 from repro.core import messages as msg
 from repro.core.config import (
     DEFAULT_CHECK_EVERY_ROUNDS,
@@ -37,13 +56,24 @@ from repro.pubsub.topics import TopicRegistry
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.node import NodeRef
 
+#: The paper's well-known supervisor: node id of shard 0.
+SUPERVISOR_ID: NodeRef = 0
 
-class PubSubFacadeBase:
-    """Common base of the single-supervisor and sharded pub-sub facades."""
+
+class SupervisedPubSub:
+    """K supervisors plus a dynamic set of subscribers on one simulator.
+
+    Supervisors occupy node ids ``0 .. shards-1``; subscribers are numbered
+    from ``shards`` upwards.  Topics are mapped to shards lazily, on first
+    use, with bounded-loads consistent hashing, so the per-shard topic count
+    stays within one of perfect balance no matter how few topics exist.
+    """
 
     def __init__(self, seed: int = 0, params: Optional[ProtocolParams] = None,
                  sim_config: Optional[SimulatorConfig] = None,
-                 first_subscriber_id: int = 1) -> None:
+                 shards: int = 1, virtual_nodes: int = 64) -> None:
+        if shards < 1:
+            raise ValueError("a supervised system needs at least one supervisor")
         self.params = params or ProtocolParams()
         if sim_config is None:
             config = SimulatorConfig(seed=seed)
@@ -52,9 +82,18 @@ class PubSubFacadeBase:
             # caller-supplied config — callers reuse one config across systems.
             config = replace(sim_config)
         self.sim = Simulator(config)
+        self.ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
+        self.supervisors: Dict[NodeRef, Supervisor] = {}
+        for shard_id in range(shards):
+            supervisor = Supervisor(shard_id, params=self.params)
+            self.sim.add_node(supervisor)
+            self.supervisors[shard_id] = supervisor
+            self.ring.add_shard(shard_id)
+        self._topic_shard: Dict[str, NodeRef] = {}
+        self._shard_topic_load: Dict[NodeRef, int] = {s: 0 for s in self.supervisors}
         self.subscribers: Dict[NodeRef, Subscriber] = {}
         self.registry = TopicRegistry([self.params.default_topic])
-        self._next_id = itertools.count(first_subscriber_id)
+        self._next_id = itertools.count(shards)
         #: typed lifecycle hooks (see :mod:`repro.core.hooks`)
         self.hooks = HookRegistry()
         #: the :class:`~repro.api.spec.SystemSpec` this facade was built from,
@@ -64,24 +103,55 @@ class PubSubFacadeBase:
         #: by the builder when the spec asks for telemetry; ``None`` otherwise
         self.telemetry = None
 
-    # ------------------------------------------------------- subclass contract
+    # ---------------------------------------------------------------- sharding
+    def shard_of(self, topic: str, pin: bool = True) -> NodeRef:
+        """The shard (supervisor node id) owning ``topic``.
+
+        The first *pinning* lookup assigns the topic via bounded-loads
+        consistent hashing; later lookups are a dict hit.  This method is
+        every subscriber's ``supervisor_for``, so protocol-level requests
+        follow rebalancing automatically.
+
+        ``pin=False`` answers "which shard *would* own this topic?" without
+        recording the assignment — used by read-only inspection so that e.g.
+        a legitimacy query for an unknown topic does not consume a
+        bounded-loads capacity slot.
+        """
+        shard = self._topic_shard.get(topic)
+        if shard is None:
+            shard = self.ring.assign_balanced(topic, self._shard_topic_load)
+            if pin:
+                self._topic_shard[topic] = shard
+                self._shard_topic_load[shard] += 1
+        return shard
+
+    def topic_assignment(self) -> Dict[str, NodeRef]:
+        """Topic -> owning shard for every topic seen so far."""
+        return dict(self._topic_shard)
+
+    def live_shard_ids(self) -> List[NodeRef]:
+        return [sid for sid, sup in sorted(self.supervisors.items()) if not sup.crashed]
+
     def supervisor_of(self, topic: str) -> Supervisor:
         """The supervisor node responsible for ``topic``."""
-        raise NotImplementedError
+        # Inspection must not pin: topics are assigned when a subscriber first
+        # routes a request to them (through ``shard_of``), not when queried.
+        return self.supervisors[self.shard_of(topic, pin=False)]
+
+    @property
+    def supervisor(self) -> Supervisor:
+        """The supervisor of the default topic (the only one when K = 1)."""
+        return self.supervisor_of(self.params.default_topic)
 
     def supervisor_node_ids(self) -> List[NodeRef]:
         """Node ids of every supervisor in the system."""
-        raise NotImplementedError
-
-    def _new_subscriber(self, node_id: NodeRef) -> Subscriber:
-        """Construct a subscriber wired to this facade's supervisor(s)."""
-        raise NotImplementedError
+        return sorted(self.supervisors)
 
     # ------------------------------------------------------------------ peers
     def add_peer(self) -> Subscriber:
-        """Create a peer that knows the supervisor(s) but subscribes to nothing."""
+        """Create a peer that knows the supervisors but subscribes to nothing."""
         node_id = next(self._next_id)
-        subscriber = self._new_subscriber(node_id)
+        subscriber = Subscriber(node_id, self.shard_of, params=self.params)
         self.sim.add_node(subscriber)
         self.subscribers[node_id] = subscriber
         return subscriber
@@ -124,13 +194,64 @@ class PubSubFacadeBase:
             return subscriber
         resolved = self.subscribers.get(subscriber)
         if resolved is None:
-            if subscriber in self.supervisor_node_ids():
+            if subscriber in self.supervisors:
                 raise ValueError(
                     f"node {subscriber} is a supervisor, not a subscriber; "
                     "supervisor crash/operations are not addressed through the "
                     "subscriber API")
             raise ValueError(f"unknown subscriber id {subscriber!r}")
         return resolved
+
+    # ---------------------------------------------------------- shard failures
+    def crash_supervisor(self, shard_id: NodeRef, rebalance: bool = True) -> List[str]:
+        """Crash supervisor ``shard_id`` and rebalance its topics.
+
+        The shard's virtual nodes leave the hash ring, every topic it owned is
+        reassigned to a surviving shard (bounded-loads, so the extra topics
+        spread evenly), and each affected subscriber is prompted to re-send
+        ``Subscribe`` to the new owner.  The moved topics' overlays then
+        reconverge through the ordinary self-stabilizing protocol; topics on
+        surviving shards are untouched.  Returns the list of moved topics.
+        """
+        supervisor = self.supervisors.get(shard_id)
+        if supervisor is None:
+            raise ValueError(f"unknown supervisor shard id {shard_id!r}")
+        if supervisor.crashed:
+            raise ValueError(f"supervisor {shard_id} has already crashed")
+        if len(self.live_shard_ids()) <= 1:
+            raise ValueError("cannot crash the last live supervisor")
+        self.sim.crash_node(shard_id)
+        self.ring.remove_shard(shard_id)
+        orphaned = sorted(t for t, s in self._topic_shard.items() if s == shard_id)
+        self._shard_topic_load.pop(shard_id, None)
+        if rebalance:
+            for topic in orphaned:
+                new_shard = self.ring.assign_balanced(topic, self._shard_topic_load)
+                self._topic_shard[topic] = new_shard
+                self._shard_topic_load[new_shard] += 1
+                self._reannounce_members(topic)
+        else:
+            for topic in orphaned:
+                del self._topic_shard[topic]
+        self.hooks.emit_supervisor_crash(shard_id, orphaned)
+        return orphaned
+
+    def _reannounce_members(self, topic: str) -> None:
+        """Prompt every intended member of ``topic`` to register with the
+        topic's (new) supervisor on the protocol level.
+
+        Without this nudge recovery still happens — subscribers periodically
+        request their configuration (Section 3.2.1) and the new supervisor
+        integrates unknown requesters — but only at the request probability
+        ``1/(2^k k²)``, which is deliberately tiny in a stable system.
+        """
+        for node_id in self.registry.members(topic):
+            subscriber = self.subscribers.get(node_id)
+            if subscriber is None or subscriber.crashed:
+                continue
+            view = subscriber.view(topic, create=False)
+            if view is not None and view.subscribed:
+                view.send_supervisor(msg.SUBSCRIBE, node=node_id)
 
     # --------------------------------------------------------------- execution
     def run_rounds(self, rounds: int) -> None:
@@ -245,5 +366,18 @@ class PubSubFacadeBase:
         """Total request messages received across all supervisors."""
         return sum(self.supervisor_request_counts().values())
 
+    def shard_topic_counts(self) -> Dict[NodeRef, int]:
+        """Live shard id -> number of topics currently assigned to it."""
+        return {sid: self._shard_topic_load.get(sid, 0) for sid in self.live_shard_ids()}
+
     def message_stats(self):
         return self.sim.network.stats
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"SupervisedPubSub(shards={len(self.supervisors)}, "
+                f"live={len(self.live_shard_ids())}, n={len(self.subscribers)}, "
+                f"topics={self.registry.topics()}, t={self.sim.now:.1f})")
+
+
+# Read only by bench/trace.py, which patches the facade under this name.
+PubSubFacadeBase = SupervisedPubSub

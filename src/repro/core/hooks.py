@@ -1,6 +1,6 @@
 """Typed observer hooks for the pub-sub facades and the scenario runner.
 
-Every facade (:class:`~repro.core.facade.PubSubFacadeBase` subclass) owns a
+Every facade (:class:`~repro.core.facade.SupervisedPubSub`) owns a
 :class:`HookRegistry` at ``system.hooks``.  Drivers register plain callbacks
 for the lifecycle events they care about instead of polling inspection
 methods (``is_legitimate()``, ``publications_converged()``) in ad-hoc loops:
@@ -16,7 +16,7 @@ event                   fired when / callback signature
 ``on_delivery``         a ``run_until_publications_converged`` drive
                         succeeds — ``(topic, expected_keys, rounds)``
 ``on_supervisor_crash`` a supervisor shard is crashed
-                        (:meth:`~repro.cluster.sharded.ShardedPubSub.crash_supervisor`)
+                        (:meth:`~repro.core.facade.SupervisedPubSub.crash_supervisor`)
                         — ``(shard_id, moved_topics)``
 ``on_phase``            a scenario phase finishes —
                         ``(phase_name, phase_report)``
@@ -85,7 +85,8 @@ class HookRegistry:
                             callback: Callable[[int, Tuple[str, ...]], None],
                             ) -> "HookRegistry":
         """``callback(shard_id, moved_topics)`` when a supervisor shard is
-        crashed (sharded facade only)."""
+        crashed (only reachable with two or more shards: the last live
+        supervisor cannot crash)."""
         self._supervisor_crash.append(callback)
         return self
 

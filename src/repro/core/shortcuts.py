@@ -11,30 +11,18 @@ between ``v`` and some older node ``s`` with ``r(s) = 2·r(w) − r(v) (mod 1)``
 recursing on ``s`` walks outwards level by level until a label no longer than
 ``v``'s own is reached.
 
-Two equivalent formulations are provided:
-
-* :func:`shortcut_labels_from_neighbor` — the paper's recursion, and
-* :func:`shortcut_labels_closed_form` — the closed form
-  ``r(v) ± 2^{-i} (mod 1)`` for each level ``i`` between ``|v.label|`` and
-  ``L − 1``.
-
-Unit and property tests verify that both give the same label sets in
+:func:`shortcut_labels_from_neighbor` is the paper's recursion.  Unit and
+property tests check it against the closed form ``r(v) ± 2^{-i} (mod 1)``
+for each level ``i`` between ``|v.label|`` and ``L − 1``, which lives beside
+them in ``tests/test_properties.py``: both give the same label sets in
 legitimate configurations.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Set
 
-from repro.core.labels import (
-    Label,
-    is_valid_label,
-    label_from_r,
-    label_length,
-    r_value,
-    scaled_r,
-)
+from repro.core.labels import Label, is_valid_label, scaled_r
 
 
 def _reflect(neighbor: Label, own: Label) -> Label:
@@ -88,27 +76,6 @@ def shortcut_labels(own: Label, left: Optional[Label], right: Optional[Label],
     targets: Set[Label] = set()
     targets.update(shortcut_labels_from_neighbor(own, left, max_steps))
     targets.update(shortcut_labels_from_neighbor(own, right, max_steps))
-    targets.discard(own)
-    return targets
-
-
-def shortcut_labels_closed_form(own: Label, top_level: int) -> Set[Label]:
-    """Closed-form shortcut labels: neighbours at distance ``2^{-i}`` for each
-    level ``i`` with ``|own| <= i < top_level``.
-
-    ``top_level`` is ``⌈log n⌉`` (the level of the ring edges).  Labels longer
-    than or equal to ``top_level`` never appear because those neighbours are
-    already ring neighbours.
-    """
-    if not is_valid_label(own):
-        return set()
-    own_len = label_length(own)
-    own_r = r_value(own)
-    targets: Set[Label] = set()
-    for level in range(own_len, top_level):
-        step = Fraction(1, 2 ** level)
-        for direction in (+1, -1):
-            targets.add(label_from_r((own_r + direction * step) % 1))
     targets.discard(own)
     return targets
 

@@ -512,22 +512,17 @@ def _as_neighbor(value: Optional[Sequence]) -> Optional[Neighbor]:
 class Subscriber(ProtocolNode):
     """A peer that can subscribe to topics, publish and maintain the overlay.
 
-    ``supervisor_id`` is the well-known single supervisor of the classic
-    system.  In a sharded cluster (:mod:`repro.cluster`) the supervisor
-    depends on the topic: passing ``supervisor_resolver`` (a callable
-    ``topic -> NodeRef``) routes every supervisor-bound request of a topic
-    view to that topic's owning shard instead.
+    ``supervisor_for`` (a callable ``topic -> NodeRef``) names the supervisor
+    every supervisor-bound request of a topic view goes to: the facade's
+    ``shard_of``, so requests follow a topic to its owning shard.
     """
 
-    __slots__ = ("supervisor_id", "supervisor_resolver", "params", "views",
-                 "rng", "configuration_requests")
+    __slots__ = ("supervisor_for", "params", "views", "rng", "configuration_requests")
 
-    def __init__(self, node_id: NodeRef, supervisor_id: NodeRef,
-                 params: Optional[ProtocolParams] = None,
-                 supervisor_resolver: Optional[Callable[[str], NodeRef]] = None) -> None:
+    def __init__(self, node_id: NodeRef, supervisor_for: Callable[[str], NodeRef],
+                 params: Optional[ProtocolParams] = None) -> None:
         super().__init__(node_id)
-        self.supervisor_id = supervisor_id
-        self.supervisor_resolver = supervisor_resolver
+        self.supervisor_for = supervisor_for
         self.params = params or ProtocolParams()
         self.views: Dict[str, TopicView] = {}
         self.rng: random.Random = random.Random(node_id)
@@ -537,12 +532,6 @@ class Subscriber(ProtocolNode):
     def attach(self, sim) -> None:  # type: ignore[override]
         super().attach(sim)
         self.rng = sim.node_rng(self.node_id)
-
-    def supervisor_for(self, topic: str) -> NodeRef:
-        """The supervisor responsible for ``topic`` (constant unless sharded)."""
-        if self.supervisor_resolver is not None:
-            return self.supervisor_resolver(topic)
-        return self.supervisor_id
 
     # ------------------------------------------------------------------ views
     def view(self, topic: Optional[str] = None, create: bool = True,

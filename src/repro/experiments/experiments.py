@@ -144,11 +144,12 @@ def e3_join_leave(sizes: Sequence[int] = (16, 64), operations: int = 8,
     for n in sizes:
         system, subscribers = build_stable(SystemSpec(seed=seed), n)
         topic = system.params.default_topic
+        supervisor = system.supervisor_of(topic)
 
         # --- overhead per operation: messages sent while handling the
         # Subscribe/Unsubscribe requests themselves (Theorem 7's quantity).
-        before_ops = system.supervisor.ops_handled
-        before_op_msgs = system.supervisor.op_response_messages
+        before_ops = supervisor.ops_handled
+        before_op_msgs = supervisor.op_response_messages
         joined = []
         for _ in range(operations):
             joined.append(system.add_subscriber(topic))
@@ -157,8 +158,8 @@ def e3_join_leave(sizes: Sequence[int] = (16, 64), operations: int = 8,
             system.unsubscribe(peer, topic)
             system.run_rounds(3)
         system.run_until_legitimate(topic, max_rounds=400)
-        ops_done = max(system.supervisor.ops_handled - before_ops, 1)
-        op_messages = system.supervisor.op_response_messages - before_op_msgs
+        ops_done = max(supervisor.ops_handled - before_ops, 1)
+        op_messages = supervisor.op_response_messages - before_op_msgs
         per_op = op_messages / ops_done
         per_op_by_n[n] = per_op
 

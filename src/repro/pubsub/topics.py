@@ -4,7 +4,7 @@ The paper runs one BuildSR protocol instance per topic: the supervisor keeps a
 database per topic and every message carries the topic it refers to.  The
 :class:`TopicRegistry` is the orchestration-side view of which peers *intend*
 to be subscribed to which topic; it is used by the facade
-(:class:`repro.core.system.SupervisedPubSub`) and by legitimacy checks to know
+(:class:`repro.core.facade.SupervisedPubSub`) and by legitimacy checks to know
 what the converged system should look like.  It is deliberately not part of
 the distributed protocol state.
 """

@@ -8,7 +8,7 @@ stress harness:
   into :class:`repro.sim.network.Network`;
 * :mod:`repro.scenarios.spec` — plain-data scenario descriptions with a
   lossless JSON round-trip;
-* :mod:`repro.scenarios.runner` — drives a spec against either facade (built
+* :mod:`repro.scenarios.runner` — drives a spec against either topology (built
   through the unified :mod:`repro.api` deployment path) and evaluates
   invariants into a deterministic :class:`ScenarioReport`, viewable as a
   unified :class:`~repro.api.report.RunReport` via ``to_run_report()``;

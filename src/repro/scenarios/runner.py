@@ -2,7 +2,7 @@
 
 The runner owns the whole lifecycle of one scenario run:
 
-1. build the facade the spec asks for (single-supervisor or sharded) through
+1. build the system the spec asks for (one supervisor or K shards) through
    the unified deployment API (:meth:`ScenarioSpec.system_spec` →
    :func:`repro.api.builder.build_system`);
 2. populate and stabilize the initial membership;
@@ -33,8 +33,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.api.builder import build_system
 from repro.api.hooks import HookRegistry
 from repro.api.report import RunReport
-from repro.cluster.sharded import ShardedPubSub
-from repro.core.facade import PubSubFacadeBase
+from repro.core.facade import SupervisedPubSub
 from repro.scenarios.adversary import LinkAdversary
 from repro.scenarios.spec import PhaseSpec, ScenarioSpec
 from repro.sim.rng import derive_rng
@@ -188,15 +187,15 @@ class ScenarioRunner:
     LOAD_SLACK = 50.0
 
     def __init__(self, spec: ScenarioSpec, seed: int = 0,
-                 system: Optional[PubSubFacadeBase] = None,
+                 system: Optional[SupervisedPubSub] = None,
                  hooks: Optional[HookRegistry] = None) -> None:
         self.spec = spec
         self.seed = seed
         # The facade comes from the unified deployment API: the scenario's
-        # SystemSpec names the topology, the builder picks the class.  An
+        # SystemSpec names the topology and shard count.  An
         # explicitly injected ``system`` overrides it (custom facades, and
         # the parity tests that reconstruct systems by hand).
-        self.system: PubSubFacadeBase = system if system is not None \
+        self.system: SupervisedPubSub = system if system is not None \
             else build_system(spec.system_spec(seed=seed))
         if hooks is not None:
             # Merge, don't replace: callbacks already registered on an
@@ -360,7 +359,6 @@ class ScenarioRunner:
         returned op count covers the re-subscribe nudge every member of a
         moved topic sends."""
         cluster = self.system
-        assert isinstance(cluster, ShardedPubSub)
         live = cluster.live_shard_ids()
         if len(live) <= 1:
             return 0

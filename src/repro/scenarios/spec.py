@@ -1,7 +1,7 @@
 """Declarative scenario specifications.
 
 A :class:`ScenarioSpec` is a plain-data description of an adversarial
-stress-test: which facade to build (single-supervisor or sharded), how many
+stress-test: which topology to build (one supervisor or K shards), how many
 subscribers over which topics, and a sequence of :class:`PhaseSpec` phases.
 Each phase opens a *disruption window* (churn, crash waves, publication
 storms, link loss/duplication, delay spikes, a partition, a supervisor crash)
@@ -147,9 +147,10 @@ class PhaseSpec:
 class ScenarioSpec:
     """A named, reproducible adversarial scenario.
 
-    ``facade`` selects the system under test: ``"single"`` builds the paper's
-    :class:`~repro.core.system.SupervisedPubSub`; ``"sharded"`` builds
-    :class:`~repro.cluster.sharded.ShardedPubSub` with ``shards`` supervisors.
+    ``facade`` names the topology under test: ``"single"`` is the paper's
+    one supervisor, ``"sharded"`` runs ``shards`` supervisors.  Both build
+    :class:`~repro.core.facade.SupervisedPubSub` with ``shards`` supervisors;
+    the field stays because serialized scenarios carry it.
     ``subscribers`` initial members are spread round-robin over ``topics``
     and stabilized before the first phase starts.
     """

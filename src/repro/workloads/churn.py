@@ -3,8 +3,8 @@
 Used by experiment E3 (subscribe/unsubscribe overhead), E9 (failure recovery)
 and the integration tests that exercise the system under continuous change.
 
-Churn is **facade-agnostic**: schedules are applied to any
-:class:`~repro.core.facade.PubSubFacadeBase` (single-supervisor or sharded),
+Churn works at any shard count: schedules are applied to any
+:class:`~repro.core.facade.SupervisedPubSub` (one supervisor or K shards),
 and events target members by their **stable node id** — never by position in
 a subscriber list, which would silently shift as earlier events fire and
 could even address a supervisor on the sharded facade.
@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.facade import PubSubFacadeBase
+from repro.core.facade import SupervisedPubSub
 from repro.sim.node import NodeRef
 
 
@@ -51,7 +51,7 @@ class ChurnSchedule:
         return len(self.events)
 
 
-def apply_churn(system: PubSubFacadeBase, schedule: ChurnSchedule,
+def apply_churn(system: SupervisedPubSub, schedule: ChurnSchedule,
                 topic: Optional[str] = None, seed: int = 0) -> None:
     """Register the schedule's events as simulator callbacks.
 

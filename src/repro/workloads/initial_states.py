@@ -2,7 +2,7 @@
 
 Self-stabilization must hold from *any* initial state in which the explicit
 edges (plus the always-present star to the supervisor) form a weakly connected
-graph.  These generators build a :class:`~repro.core.system.SupervisedPubSub`
+graph.  These generators build a :class:`~repro.core.facade.SupervisedPubSub`
 whose subscribers are wired up arbitrarily *without* running the protocol:
 
 * labels may be wrong, duplicated, missing or absurdly long,
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.core.config import ProtocolParams
 from repro.core.labels import label_of
 from repro.core.subscriber import Neighbor, Subscriber
-from repro.core.system import SupervisedPubSub
+from repro.core.facade import SupervisedPubSub
 from repro.core import messages as msg
 from repro.sim.engine import SimulatorConfig
 
@@ -128,7 +128,7 @@ def corrupt_supervisor_database(system: SupervisedPubSub, subscribers: List[Subs
     """Initialise the supervisor database according to ``config.database_mode``."""
     topic = topic or system.params.default_topic
     rng = random.Random(config.seed * 104729 + 7)
-    db = system.supervisor.database(topic)
+    db = system.supervisor_of(topic).database(topic)
     db.clear()
     ids = [s.node_id for s in subscribers]
     if config.database_mode == "empty":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.core.facade import PubSubFacadeBase
+from repro.core.facade import SupervisedPubSub
 from repro.core.subscriber import Subscriber
 from repro.pubsub.publications import Publication
 
@@ -25,7 +25,7 @@ def generate_payloads(count: int, seed: int = 0, prefix: str = "msg") -> List[by
     return [f"{prefix}-{i}-{rng.randrange(1_000_000)}".encode("ascii") for i in range(count)]
 
 
-def scatter_publications(system: PubSubFacadeBase, subscribers: Sequence[Subscriber],
+def scatter_publications(system: SupervisedPubSub, subscribers: Sequence[Subscriber],
                          count: int, seed: int = 0,
                          topic: Optional[str] = None) -> Set[str]:
     """Insert ``count`` publications directly into randomly chosen subscribers'
@@ -49,7 +49,7 @@ def scatter_publications(system: PubSubFacadeBase, subscribers: Sequence[Subscri
     return keys
 
 
-def publish_stream(system: PubSubFacadeBase, subscribers: Sequence[Subscriber],
+def publish_stream(system: SupervisedPubSub, subscribers: Sequence[Subscriber],
                    count: int, seed: int = 0, topic: Optional[str] = None,
                    spacing_rounds: float = 1.0) -> Dict[str, int]:
     """Schedule ``count`` publish operations spread over the run.

@@ -22,9 +22,8 @@ from repro.api import (
     build_stable,
     build_system,
 )
-from repro.cluster.sharded import ShardedPubSub
 from repro.core.config import ProtocolParams
-from repro.core.system import SupervisedPubSub
+from repro.core.facade import SupervisedPubSub
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.sim.engine import SimulatorConfig
@@ -37,10 +36,8 @@ pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 def _pre_redesign_system(spec, seed: int):
     """Construct the facade exactly the way drivers did before the unified
     API existed — the reference for byte-parity assertions."""
-    config = SimulatorConfig(seed=seed)
-    if spec.facade == "sharded":
-        return ShardedPubSub(shards=spec.shards, seed=seed, sim_config=config)
-    return SupervisedPubSub(seed=seed, sim_config=config)
+    return SupervisedPubSub(seed=seed, sim_config=SimulatorConfig(seed=seed),
+                            shards=spec.shards)
 
 
 def _drive(system, n: int = 8, rounds: int = 60, topic: str = None):
@@ -89,7 +86,7 @@ class TestSystemSpecRoundTrip:
 
     def test_adversarial_builder_keeps_the_old_facade_precedence(self):
         # sim_config wins wholesale, config.seed is ignored — the
-        # PubSubFacadeBase precedence build_adversarial_system (workloads/
+        # SupervisedPubSub precedence build_adversarial_system (workloads/
         # initial_states.py) states for its (config.seed, sim_config) pair;
         # the plain SystemSpec constructor raises on that disagreement.
         from repro.workloads.initial_states import AdversarialConfig, build_adversarial_system
@@ -156,9 +153,11 @@ class TestSystemSpecRoundTrip:
 
 class TestBuilder:
     def test_builder_returns_the_right_facade(self):
-        assert isinstance(PubSub.builder().seed(1).build(), SupervisedPubSub)
+        system = PubSub.builder().seed(1).build()
+        assert isinstance(system, SupervisedPubSub)
+        assert system.supervisor_node_ids() == [0]
         cluster = PubSub.builder().sharded(4).seed(1).build()
-        assert isinstance(cluster, ShardedPubSub)
+        assert isinstance(cluster, SupervisedPubSub)
         assert cluster.supervisor_node_ids() == [0, 1, 2, 3]
 
     def test_fluent_chain_accumulates_one_spec(self):
@@ -184,8 +183,14 @@ class TestBuilder:
     def test_sharded_parity_seed_identical_message_stats(self):
         spec = SystemSpec(topology="sharded", shards=3, seed=5)
         via_spec = _drive(build_system(spec), topic="t")
-        direct = _drive(ShardedPubSub(shards=3, seed=5), topic="t")
+        direct = _drive(SupervisedPubSub(shards=3, seed=5), topic="t")
         assert via_spec == direct
+
+    def test_single_and_one_shard_topologies_build_one_system(self):
+        # E11's "K=1 sharded matches single-supervisor load exactly", per message.
+        single = _drive(build_system(SystemSpec(seed=7)))
+        one_shard = _drive(build_system(SystemSpec(topology="sharded", shards=1, seed=7)))
+        assert single == one_shard
 
     def test_build_stable_single_topic(self):
         system, subscribers = build_stable(SystemSpec(seed=3), 8)

@@ -1,9 +1,9 @@
 """Tests for repro.check: the determinism & invariant static-analysis gate.
 
-Covers every rule against a bad-snippet fixture, the pragma and baseline
-waiver mechanisms, the CLI contract (exit codes, ``--json`` round-trip),
-the repo-is-clean gate the CI job relies on, and regression tests for the
-real findings the checker surfaced when first run on this tree.
+Covers every rule against a bad-snippet fixture, the pragma waiver, the CLI
+contract (exit codes, ``--json`` round-trip), the repo-is-clean gate the CI
+job relies on, and regression tests for the real findings the checker
+surfaced when first run on this tree.
 """
 
 import json
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import Baseline, CheckEngine, Finding
+from repro.check import CheckEngine, Finding
 from repro.check.cli import main as check_main
 from repro.check.engine import iter_python_files
 from repro.check.pragmas import parse_pragmas
@@ -25,7 +25,7 @@ SRC = REPO_ROOT / "src" / "repro"
 def run_rule(rule_id, *paths, root=None):
     rules = [r for r in default_rules() if r.id == rule_id]
     assert rules, f"unknown rule {rule_id}"
-    engine = CheckEngine(rules=rules, baseline=Baseline())
+    engine = CheckEngine(rules=rules)
     return engine.run(list(paths), root=root or FIXTURES)
 
 
@@ -177,7 +177,7 @@ class TestHotpathAllocationRule:
     def test_engine_hot_loops_stay_clean(self):
         # The real marked functions (engine._send_fast / _run_blocks) must
         # carry pragmas on every deliberate allocation — this is the same
-        # invariant CI's strict-baseline gate enforces, pinned here so a
+        # invariant CI's repro-check gate enforces, pinned here so a
         # local pytest run catches a regression without the CLI.
         engine_py = REPO_ROOT / "src" / "repro" / "sim" / "engine.py"
         source = engine_py.read_text()
@@ -208,7 +208,7 @@ class TestPragmas:
         assert any("*" in rules for rules in pragmas.values())
 
     def test_pragmas_suppress_all_fixture_findings(self):
-        engine = CheckEngine(baseline=Baseline())
+        engine = CheckEngine()
         result = engine.run([FIXTURES / "pragma_ok.py"], root=FIXTURES)
         assert result.findings == []
         assert result.suppressed == 3
@@ -219,69 +219,21 @@ class TestPragmas:
             "import time\n\n"
             "def f():\n"
             "    return time.time()  # repro: allow[some-other-rule]\n")
-        engine = CheckEngine(baseline=Baseline())
+        engine = CheckEngine()
         result = engine.run([snippet], root=tmp_path)
         assert len(result.findings) == 1
         assert result.suppressed == 0
 
 
-class TestBaseline:
-    def test_baseline_absorbs_and_reports_stale(self, tmp_path):
-        engine = CheckEngine(baseline=Baseline())
-        raw = engine.run([FIXTURES / "bad_rng.py"], root=FIXTURES)
-        assert len(raw.findings) == 2
-
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.write(baseline_path, raw.findings)
-        loaded = Baseline.load(baseline_path)
-        gated = CheckEngine(baseline=loaded).run(
-            [FIXTURES / "bad_rng.py"], root=FIXTURES)
-        assert gated.findings == []
-        assert gated.baselined == 2
-        assert gated.stale_baseline == []
-
-    def test_stale_entries_surface_when_code_is_fixed(self, tmp_path):
-        phantom = Finding(rule="rng-discipline", path="gone.py", line=1,
-                          col=0, message="module-level random")
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.write(baseline_path, [phantom])
-        result = CheckEngine(baseline=Baseline.load(baseline_path)).run(
-            [FIXTURES / "pragma_ok.py"], root=FIXTURES)
-        assert result.findings == []
-        assert result.stale_baseline == [
-            ("rng-discipline", "gone.py", "module-level random")]
-
-    def test_baseline_is_line_insensitive(self, tmp_path):
-        # Moving a finding to another line must not invalidate the baseline:
-        # the key is (rule, path, message).
-        engine = CheckEngine(baseline=Baseline())
-        raw = engine.run([FIXTURES / "bad_rng.py"], root=FIXTURES)
-        shifted = [Finding(rule=f.rule, path=f.path, line=f.line + 40,
-                           col=0, message=f.message) for f in raw.findings]
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.write(baseline_path, shifted)
-        gated = CheckEngine(baseline=Baseline.load(baseline_path)).run(
-            [FIXTURES / "bad_rng.py"], root=FIXTURES)
-        assert gated.findings == []
-        assert gated.baselined == 2
-
-    def test_engine_is_rerunnable_with_same_baseline(self):
-        engine = CheckEngine(baseline=Baseline())
-        first = engine.run([FIXTURES / "bad_rng.py"], root=FIXTURES)
-        second = engine.run([FIXTURES / "bad_rng.py"], root=FIXTURES)
-        assert [f.to_dict() for f in first.findings] == \
-               [f.to_dict() for f in second.findings]
-
-
 # ----------------------------------------------------------------------- CLI
 class TestCli:
     def test_exit_zero_on_clean_file(self, capsys):
-        rc = check_main([str(FIXTURES / "pragma_ok.py"), "--no-baseline"])
+        rc = check_main([str(FIXTURES / "pragma_ok.py")])
         assert rc == 0
         assert "suppressed by pragma" in capsys.readouterr().out
 
     def test_exit_one_on_findings(self, capsys):
-        rc = check_main([str(FIXTURES / "bad_rng.py"), "--no-baseline"])
+        rc = check_main([str(FIXTURES / "bad_rng.py")])
         assert rc == 1
         out = capsys.readouterr().out
         assert "[rng-discipline]" in out
@@ -301,12 +253,11 @@ class TestCli:
         assert "no-ambient-nondeterminism:" in out
 
     def test_json_round_trip(self, capsys):
-        rc = check_main([str(FIXTURES / "bad_rng.py"), "--no-baseline",
-                         "--json"])
+        rc = check_main([str(FIXTURES / "bad_rng.py"), "--json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         rebuilt = [Finding.from_dict(entry) for entry in payload["findings"]]
-        engine = CheckEngine(baseline=Baseline())
+        engine = CheckEngine()
         direct = engine.run([FIXTURES / "bad_rng.py"],
                             root=Path(".")).findings
         assert sorted(f.message for f in rebuilt) == \
@@ -314,38 +265,15 @@ class TestCli:
         assert payload["clean"] is False
         assert payload["counts"] == {"rng-discipline": 2}
 
-    def test_write_baseline_then_gate_passes(self, tmp_path, capsys):
-        baseline_path = tmp_path / "b.json"
-        rc = check_main([str(FIXTURES / "bad_rng.py"),
-                         "--baseline", str(baseline_path),
-                         "--write-baseline"])
-        assert rc == 0
-        rc = check_main([str(FIXTURES / "bad_rng.py"),
-                         "--baseline", str(baseline_path)])
-        assert rc == 0
-        assert "2 baselined" in capsys.readouterr().out
-
-    def test_strict_baseline_fails_on_stale_entries(self, tmp_path):
-        phantom = Finding(rule="rng-discipline", path="gone.py", line=1,
-                          col=0, message="x")
-        baseline_path = tmp_path / "b.json"
-        Baseline.write(baseline_path, [phantom])
-        rc = check_main([str(FIXTURES / "pragma_ok.py"),
-                         "--baseline", str(baseline_path),
-                         "--strict-baseline"])
-        assert rc == 1
-
 
 # ----------------------------------------------------------------- repo gate
 class TestRepoGate:
-    def test_src_repro_is_clean_with_committed_baseline(self):
+    def test_src_repro_is_clean(self):
         """The CI gate: the shipped tree passes its own checker."""
-        baseline = Baseline.load(REPO_ROOT / ".repro-check-baseline.json")
-        result = CheckEngine(baseline=baseline).run([SRC], root=SRC)
+        result = CheckEngine().run([SRC], root=SRC)
         assert result.parse_errors == []
         assert result.findings == [], \
             "\n".join(f.render() for f in result.findings)
-        assert result.stale_baseline == []
 
     def test_seeded_nondeterminism_bug_fails_the_gate(self, tmp_path, capsys):
         """End-to-end CI semantics: introduce a wall-clock read into a
@@ -356,7 +284,7 @@ class TestRepoGate:
             "class Report:\n"
             "    def to_dict(self):\n"
             "        return {'at': time.time()}\n")
-        rc = check_main([str(bugged), "--no-baseline"])
+        rc = check_main([str(bugged)])
         assert rc == 1
 
     def test_file_discovery_skips_caches(self, tmp_path):

@@ -3,10 +3,10 @@ regressions (clear errors from crash/_resolve, SimulatorConfig copying)."""
 
 import pytest
 
-from repro.api import SystemSpec, build_stable
-from repro.cluster import ShardedPubSub
+from repro.api import SystemSpec, build_stable, build_system
+from repro.cluster import sharding
 from repro.cluster.sharding import ConsistentHashRing
-from repro.core.system import SUPERVISOR_ID, SupervisedPubSub
+from repro.core.facade import SUPERVISOR_ID, SupervisedPubSub
 from repro.sim.engine import SimulatorConfig
 
 TOPICS = [f"topic-{i}" for i in range(8)]
@@ -58,6 +58,45 @@ class TestConsistentHashRing:
         assert sorted(order) == [0, 1, 2, 3]
         assert order[0] == ring.owner("some-topic")
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_building_hashes_nothing_and_the_first_lookup_places_the_ring(
+            self, shards, monkeypatch):
+        calls = []
+        real = sharding.ring_position
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sharding, "ring_position", counted)
+        system = build_system(SystemSpec(topology="sharded" if shards > 1 else "single",
+                                         shards=shards, seed=1))
+        assert calls == []
+        system.shard_of("news")
+        assert len(system.ring._points) == 64 * shards  # 256 points at K = 4
+        assert len(calls) == 64 * shards + 1  # every virtual node, then the topic
+
+    def test_a_shard_removed_before_any_lookup_never_reaches_the_ring(self):
+        removed, never = ConsistentHashRing(), ConsistentHashRing()
+        for shard in range(4):
+            removed.add_shard(shard)
+        removed.remove_shard(2)
+        for shard in (0, 1, 3):
+            never.add_shard(shard)
+        assert [removed.owner(t) for t in TOPICS] == [never.owner(t) for t in TOPICS]
+        assert len(removed._points) == 3 * removed.virtual_nodes
+
+    def test_a_shard_added_after_a_lookup_is_placed_by_the_next(self):
+        late, upfront = ConsistentHashRing(), ConsistentHashRing()
+        late.add_shard(0)
+        late.add_shard(1)
+        late.owner("warm-up")
+        late.add_shard(2)
+        for shard in range(3):
+            upfront.add_shard(shard)
+        assert [late.preference_order(t) for t in TOPICS] == \
+            [upfront.preference_order(t) for t in TOPICS]
+
     def test_assign_balanced_keeps_loads_within_one(self):
         ring = ConsistentHashRing()
         for shard in range(4):
@@ -72,7 +111,16 @@ class TestConsistentHashRing:
 class TestShardedPubSub:
     def test_requires_at_least_one_shard(self):
         with pytest.raises(ValueError):
-            ShardedPubSub(shards=0)
+            SupervisedPubSub(shards=0)
+
+    def test_one_shard_serves_every_topic_from_supervisor_zero(self):
+        system = SupervisedPubSub(seed=3)
+        assert system.supervisor_node_ids() == [SUPERVISOR_ID]
+        assert system.supervisor is system.supervisors[SUPERVISOR_ID]
+        for topic in TOPICS:
+            assert system.supervisor_of(topic) is system.supervisors[SUPERVISOR_ID]
+        system.add_subscriber(topics=TOPICS)
+        assert set(system.topic_assignment().values()) == {SUPERVISOR_ID}
 
     def test_topics_balanced_and_stabilized(self):
         cluster = build_stable(SystemSpec(topology="sharded", shards=4, seed=3),
@@ -123,7 +171,7 @@ class TestShardedPubSub:
             assert cluster.run_until_legitimate(topic, max_rounds=800), topic
 
     def test_crash_supervisor_errors(self):
-        cluster = ShardedPubSub(shards=2, seed=7)
+        cluster = SupervisedPubSub(shards=2, seed=7)
         with pytest.raises(ValueError):
             cluster.crash_supervisor(99)
         cluster.crash_supervisor(0)
@@ -131,11 +179,13 @@ class TestShardedPubSub:
             cluster.crash_supervisor(0)  # already crashed
         with pytest.raises(ValueError):
             cluster.crash_supervisor(1)  # last live supervisor
+        with pytest.raises(ValueError, match="cannot crash the last live supervisor"):
+            SupervisedPubSub(seed=7).crash_supervisor(SUPERVISOR_ID)  # the paper's one
 
     def test_read_only_inspection_does_not_pin_topics(self):
         """Legitimacy queries for unknown topics (including the never-used
         default topic) must not consume bounded-loads assignment slots."""
-        cluster = ShardedPubSub(shards=2, seed=12)
+        cluster = SupervisedPubSub(shards=2, seed=12)
         cluster.is_legitimate("no-such-topic")
         cluster.legitimacy_report("another-unknown")
         cluster.run_until_legitimate(max_rounds=5)
@@ -175,7 +225,7 @@ class TestFacadeRegressions:
             system.crash(12345)
 
     def test_resolve_errors_on_sharded_supervisor_ids(self):
-        cluster = ShardedPubSub(shards=3, seed=10)
+        cluster = SupervisedPubSub(shards=3, seed=10)
         cluster.add_subscriber("news")
         for shard in range(3):
             with pytest.raises(ValueError, match="supervisor"):
@@ -195,5 +245,5 @@ class TestFacadeRegressions:
 
     def test_sharded_facade_also_copies_config(self):
         config = SimulatorConfig(seed=5)
-        cluster = ShardedPubSub(shards=2, sim_config=config)
+        cluster = SupervisedPubSub(shards=2, sim_config=config)
         assert cluster.sim.config is not config

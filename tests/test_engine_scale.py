@@ -10,7 +10,7 @@
 * **Timeout accounting** — ``ProtocolNode.timeout_count`` is exactly the
   number of Timeouts the node fired: after a crashy storm, for a node
   registered under a forged id, and after
-  :meth:`~repro.cluster.ShardedPubSub.crash_supervisor` rebalancing.
+  :meth:`~repro.SupervisedPubSub.crash_supervisor` rebalancing.
 """
 
 from __future__ import annotations

@@ -478,7 +478,7 @@ class TestPublicationPathBudget:
         wire = {"publisher": 9, "payload": "abcd", "key_bits": 64}
         views = []
         for node_id in range(1, 9):
-            node = sim.add_node(Subscriber(node_id, 0), schedule_timeout=False)
+            node = sim.add_node(Subscriber(node_id, lambda topic: 0), schedule_timeout=False)
             node.on_PublishNew(pub=dict(wire), hops=1, sender=None)
             views.append(node.view())
         stored = {id(view.trie.get(view.trie.keys()[0])) for view in views}
@@ -550,7 +550,7 @@ class TestPublicationPathBudget:
         from repro.core.subscriber import Subscriber
 
         sim = Simulator(SimulatorConfig(seed=15))
-        node = Subscriber(1, 0)
+        node = Subscriber(1, lambda topic: 0)
         sim.add_node(node, schedule_timeout=False)
         view = node.view(subscribed=True)
         wire = {"publisher": 9, "payload": "ab", "key_bits": 64}

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the core data structures and invariants."""
 
 
+from fractions import Fraction
 from os.path import commonprefix
 
 import pytest
@@ -21,7 +22,7 @@ from repro.core.labels import (
     r_value,
     ring_key,
 )
-from repro.core.shortcuts import _reflect, shortcut_labels, shortcut_labels_closed_form
+from repro.core.shortcuts import _reflect, shortcut_labels
 from repro.core.skip_ring import SkipRingTopology
 from repro.core.subscriber import Neighbor, Subscriber
 from repro.core.supervisor import TopicDatabase
@@ -101,6 +102,27 @@ def test_is_valid_label_is_the_char_by_char_definition(candidate):
 
 
 # --------------------------------------------------------------- shortcuts
+def shortcut_labels_closed_form(own, top_level):
+    """The reference the protocol's recursion is checked against: closed-form
+    shortcut labels ``r(own) ± 2^{-i} (mod 1)`` for each level ``i`` with
+    ``|own| <= i < top_level``.
+
+    ``top_level`` is ``⌈log n⌉`` (the level of the ring edges).  Labels longer
+    than or equal to ``top_level`` never appear because those neighbours are
+    already ring neighbours.
+    """
+    if not is_valid_label(own):
+        return set()
+    own_r = r_value(own)
+    targets = set()
+    for level in range(label_length(own), top_level):
+        step = Fraction(1, 2 ** level)
+        for direction in (+1, -1):
+            targets.add(label_from_r((own_r + direction * step) % 1))
+    targets.discard(own)
+    return targets
+
+
 @SLOW
 @given(st.integers(min_value=1, max_value=7).map(lambda k: 2 ** k))
 def test_shortcut_recursion_matches_closed_form_powers_of_two(n):

@@ -40,7 +40,7 @@ def _flood_targets(left, right, ring, shortcut_refs, exclude):
     """Destinations, in send order, of one ``TopicView._flood`` — the fan-out's
     one implementation — from a view holding exactly these references."""
     sim = Simulator(SimulatorConfig(seed=7))
-    node = sim.add_node(Subscriber(1, 0), schedule_timeout=False)
+    node = sim.add_node(Subscriber(1, lambda topic: 0), schedule_timeout=False)
     view = node.view(subscribed=True)
     view.label = "01"
     view.left, view.right, view.ring = (

@@ -7,7 +7,7 @@ import pytest
 from conftest import assert_heapq_order, records_in_flight
 
 from repro.api import SystemSpec, build_stable
-from repro.core.system import SupervisedPubSub
+from repro.core.facade import SupervisedPubSub
 from repro.scenarios.adversary import DelaySpike, LinkAdversary, Partition
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.library import SCENARIOS, get_scenario

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.core.labels import max_level
-from repro.core.shortcuts import (
-    shortcut_labels,
-    shortcut_labels_closed_form,
-    shortcut_labels_from_neighbor,
-)
+from repro.core.shortcuts import shortcut_labels, shortcut_labels_from_neighbor
 from repro.core.skip_ring import SkipRingTopology
+from test_properties import shortcut_labels_closed_form  # the test-side reference
 
 
 class TestPaperExample:

@@ -24,7 +24,7 @@ def make_world(n_subscribers: int = 3, params: ProtocolParams | None = None):
     sim.add_node(supervisor, schedule_timeout=False)
     subscribers = []
     for i in range(n_subscribers):
-        sub = Subscriber(i + 1, 0, params=params)
+        sub = Subscriber(i + 1, lambda topic: 0, params=params)
         sim.add_node(sub, schedule_timeout=False)
         subscribers.append(sub)
     return sim, supervisor, subscribers
@@ -32,6 +32,22 @@ def make_world(n_subscribers: int = 3, params: ProtocolParams | None = None):
 
 def sent(sim, sender, action):
     return sim.network.stats.sent_by(sender, action)
+
+
+class TestSupervisorRouting:
+    def test_each_topic_asks_the_supervisor_supervisor_for_names(self):
+        # The one supervisor path: a topic view's supervisor-bound request
+        # goes to whatever node the subscriber's ``supervisor_for`` returns.
+        sim = Simulator(SimulatorConfig(seed=7))
+        for shard in (0, 5):
+            sim.add_node(Supervisor(shard), schedule_timeout=False)
+        sub = sim.add_node(Subscriber(1, {"a": 0, "b": 5}.__getitem__),
+                           schedule_timeout=False)
+        sub.subscribe("a")
+        sub.subscribe("b")
+        assert [(r[REC_DEST], r[REC_PARAMS]) for r in
+                records_in_flight(sim, sender=1, action=msg.SUBSCRIBE)] == \
+            [(0, {"node": 1}), (5, {"node": 1})]
 
 
 class TestSetData:

@@ -28,7 +28,8 @@ KEPT = {
     "run_campaign": "front door: README's sweep quickstart and `from repro import run_campaign`",
     "topic_assignment": "cluster inspection: which shard owns which topic (tests/test_cluster.py)",
     "shard_topic_counts": "cluster inspection: per-shard topic load after a rebalance",
-    "shortcut_labels_closed_form": "the paper's closed form, property-tested == shortcut_labels",
+    "label_from_r": "the inverse of r (Section 2.1) in repro.core's label algebra; "
+                    "the closed-form shortcut reference in tests/test_properties.py reads it",
     "check_invariants": "structural + Merkle oracle of the trie, asserted by four test files",
 }
 
