@@ -23,7 +23,7 @@ def run_and_report(benchmark, experiment_fn, *args, **kwargs) -> RunReport:
                                 rounds=1, iterations=1)
     print()
     print(render_result(result))
-    assert result.all_claims_hold, (
+    assert result.passed, (
         f"{result.name}: some reproduced claims failed: "
         f"{[c for c, ok in result.claims.items() if not ok]}")
     return result

@@ -13,13 +13,13 @@ Run with::
 
 from __future__ import annotations
 
-from repro import PubSub
+from repro import SystemSpec, build_system
 from repro.workloads.churn import ChurnEvent, ChurnSchedule, apply_churn
 from repro.workloads.publications import publish_stream
 
 
 def main() -> None:
-    system = PubSub.builder().seed(13).build()
+    system = build_system(SystemSpec(seed=13))
     peers = [system.add_subscriber() for _ in range(12)]
     assert system.run_until_legitimate(max_rounds=500)
     print(f"Initial overlay stable with {len(system.members())} subscribers.")

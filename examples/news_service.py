@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from repro import PubSub
+from repro import SystemSpec, build_system
 
 TOPICS = ["politics", "sports", "tech"]
 STORIES = {
@@ -27,7 +27,7 @@ STORIES = {
 
 def main() -> None:
     rng = random.Random(7)
-    system = PubSub.builder().seed(7).build()
+    system = build_system(SystemSpec(seed=7))
 
     # 18 peers, each subscribing to one or two topics.
     peers = []

@@ -6,19 +6,19 @@ Run with::
     python examples/quickstart.py
 
 The script builds a single-supervisor system through the unified API
-(``PubSub.builder()``), adds 16 subscribers, lets the self-stabilizing
+(``build_system(SystemSpec(...))``), adds 16 subscribers, lets the self-stabilizing
 BuildSR protocol converge to the ideal skip ring SR(16), publishes a message
 and shows that flooding plus anti-entropy deliver it to every subscriber.
 """
 
 from __future__ import annotations
 
-from repro import PubSub
+from repro import SystemSpec, build_system
 from repro.core.labels import r_float
 
 
 def main() -> None:
-    system = PubSub.builder().seed(42).build()
+    system = build_system(SystemSpec(seed=42))
     peers = [system.add_subscriber() for _ in range(16)]
 
     print("Running the BuildSR protocol until the overlay is legitimate ...")

@@ -2,8 +2,8 @@
 """The unified deployment API end to end: spec → build → hooks → RunReport.
 
 One declarative :class:`~repro.api.spec.SystemSpec` describes the deployment
-(topology, protocol params, seed); the builder turns it into the
-right facade; typed hooks observe the run instead of polling loops; and the
+(topology, protocol params, seed); ``build_system`` turns it into a
+running system; typed hooks observe the run instead of polling loops; and the
 scenario engine hands back a single :class:`~repro.api.report.RunReport`.
 
 Run with::
@@ -13,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.api import PubSub, SystemSpec, build_system
+from repro.api import SystemSpec, build_system
 from repro.scenarios import get_scenario
 from repro.scenarios.runner import ScenarioRunner
 
@@ -27,13 +27,12 @@ def main() -> None:
     print("SystemSpec round-trips through JSON:")
     print(wire)
 
-    # 2. Build — the spec (or the fluent builder, same thing) picks the
-    #    facade; callers never name a concrete class.
+    # 2. Build — build_system is the one way to realise a spec; the built
+    #    system keeps its spec for reporting.
     cluster = build_system(spec)
-    same = PubSub.builder().sharded(4).seed(7).build()
+    assert cluster.spec == spec
     print(f"\nbuilt {type(cluster).__name__} with "
-          f"supervisors {cluster.supervisor_node_ids()} "
-          f"(builder gives a {type(same).__name__} too)")
+          f"supervisors {cluster.supervisor_node_ids()}")
 
     # 3. Hooks — typed callbacks replace ad-hoc polling of is_legitimate().
     events = []

@@ -220,7 +220,7 @@ wheel-vs-`heapq` ordering tests (`tests/test_batched_core.py`,
 def generate(out_path: str = "EXPERIMENTS.md", jobs: int = 1) -> None:
     def progress(key, report, done, total):
         print(f"[{done}/{total}] {key}: done ({report.wall_seconds} s), "
-              f"claims hold: {report.all_claims_hold}")
+              f"claims hold: {report.passed}")
 
     results = run_experiment_campaign(jobs=jobs, progress=progress)
     parts = [HEADER]

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Gate: turning latency telemetry on must stay cheap.
 
-With ``SimulatorConfig.telemetry`` on, the engine's drain loop records one
+With the network's latency histogram on (what ``build_system`` turns on for
+a ``SystemSpec(telemetry=True)``), the engine's drain loop records one
 histogram sample per delivered message.  This script measures what that
 costs on an engine storm (2 000 nodes x 200 rounds, one message per node per
 timeout — all engine, no protocol: the event mix of ``bench/``'s
@@ -52,7 +53,9 @@ class _Chatter(ProtocolNode):
 
 def storm_wall(telemetry: bool) -> float:
     """Wall seconds of one storm run (setup excluded)."""
-    sim = Simulator(SimulatorConfig(seed=42, telemetry=telemetry))
+    sim = Simulator(SimulatorConfig(seed=42))
+    if telemetry:
+        sim.network.stats.enable_latency()
     for i in range(NODES):
         sim.add_node(_Chatter(i + 1))
     start = perf_counter()

@@ -23,10 +23,11 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
   supervisor failover) into declarative, seed-deterministic stress scenarios
   runnable against either topology (``python -m repro.scenarios``),
 * a **unified deployment API** (:mod:`repro.api`): a declarative, frozen,
-  JSON-round-trippable :class:`~repro.api.spec.SystemSpec`, a fluent
-  ``PubSub.builder()``, typed lifecycle hooks (``system.hooks``) and one
-  :class:`~repro.api.report.RunReport` result object — the single front door
-  every experiment, scenario, benchmark and example goes through,
+  JSON-round-trippable :class:`~repro.api.spec.SystemSpec` realised by
+  :func:`~repro.api.builder.build_system` (the single front door every
+  experiment, scenario, benchmark and example goes through), typed
+  lifecycle hooks (``system.hooks``) and one
+  :class:`~repro.api.report.RunReport` result object,
 * a **parallel execution layer** (:mod:`repro.exec`): generic inline /
   process-pool backends with per-task fresh-interpreter isolation,
   declarative :class:`~repro.exec.sweep.SweepSpec` parameter grids with
@@ -47,8 +48,8 @@ Importing and running the protocol loads no third-party module; ``networkx`` (th
 
 Quickstart
 ----------
->>> from repro import PubSub
->>> system = PubSub.builder().seed(1).build()
+>>> from repro import SystemSpec, build_system
+>>> system = build_system(SystemSpec(seed=1))
 >>> peers = [system.add_subscriber() for _ in range(16)]
 >>> system.run_until_legitimate()
 True
@@ -76,9 +77,7 @@ from repro.pubsub import PatriciaTrie, Publication
 from repro.sim import Simulator, SimulatorConfig
 from repro.api import (
     HookRegistry,
-    PubSub,
     RunReport,
-    SystemBuilder,
     SystemSpec,
     build_stable,
     build_system,
@@ -105,8 +104,6 @@ __all__ = [
     "SimulatorConfig",
     "ConsistentHashRing",
     "SystemSpec",
-    "PubSub",
-    "SystemBuilder",
     "build_system",
     "build_stable",
     "HookRegistry",

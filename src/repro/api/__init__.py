@@ -1,35 +1,34 @@
 """Unified declarative deployment API.
 
-One composable front door to the whole system::
+One front door to the whole system::
 
-    from repro.api import PubSub, SystemSpec, RunReport, build_stable
+    from repro.api import SystemSpec, RunReport, build_stable, build_system
 
-    # declarative: a frozen, JSON-round-trippable spec
-    spec = SystemSpec(topology="sharded", shards=4, seed=7)
-    system = spec.build()
+    # a frozen, JSON-round-trippable spec, realised by build_system
+    system = build_system(SystemSpec(topology="sharded", shards=4, seed=7))
 
-    # fluent: the same spec, built up step by step
-    system = PubSub.builder().sharded(4).seed(7).build()
+    # or built, populated and run to a legitimate state in one call
+    system, peers = build_stable(SystemSpec(seed=7), n=16)
 
     # typed lifecycle hooks instead of polling loops
     system.hooks.on_relegitimacy(lambda topics, rounds: print(topics, rounds))
 
 Every driver layer (experiments E1–E12, the scenario engine, benchmarks,
-examples, workloads) consumes :class:`SystemSpec` and produces a
-:class:`RunReport`, so no driver names a concrete facade class — the
-precondition for future multi-backend work.
+examples, workloads) describes its system as a :class:`SystemSpec`, builds
+it with :func:`build_system` / :func:`build_stable` and produces a
+:class:`RunReport`.
 
 Layering: :mod:`repro.api.spec` and :mod:`repro.api.report` sit below the
-facades; the hook registry's implementation lives in :mod:`repro.core.hooks`
-(the facade base instantiates one per system) and is re-exported here;
-:mod:`repro.api.builder` sits above the facades and realises specs into them.
+facade; the hook registry lives in :mod:`repro.core.hooks` (the facade
+instantiates one per system) and is re-exported here;
+:mod:`repro.api.builder` sits above the facade and realises specs into it.
 """
 
-from repro.api.builder import PubSub, SystemBuilder, build_stable, build_system
-from repro.api.hooks import HOOK_EVENTS, HookRegistry
+from repro.api.builder import build_stable, build_system
 from repro.api.report import RunReport
 from repro.api.spec import TOPOLOGIES, SystemSpec
 from repro.core.config import DEFAULT_CHECK_EVERY_ROUNDS, DEFAULT_MAX_ROUNDS
+from repro.core.hooks import HOOK_EVENTS, HookRegistry
 
 __all__ = [
     "SystemSpec",
@@ -39,8 +38,6 @@ __all__ = [
     "RunReport",
     "DEFAULT_MAX_ROUNDS",
     "DEFAULT_CHECK_EVERY_ROUNDS",
-    "PubSub",
-    "SystemBuilder",
     "build_system",
     "build_stable",
 ]

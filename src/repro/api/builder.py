@@ -1,24 +1,14 @@
-"""Build facades from :class:`~repro.api.spec.SystemSpec` — functionally or
-fluently.
-
-Functional::
+"""Build facades from :class:`~repro.api.spec.SystemSpec` — the one way to
+stand a system up::
 
     from repro.api import SystemSpec, build_system, build_stable
 
     system = build_system(SystemSpec(topology="sharded", shards=4, seed=7))
     system, peers = build_stable(SystemSpec(seed=7), n=16)
 
-Fluent::
-
-    from repro.api import PubSub
-
-    cluster = PubSub.builder().sharded(4).seed(7).build()
-    system, peers = PubSub.builder().seed(3).params(enable_flooding=False) \\
-                          .build_stable(n=12)
-
-Both paths return a :class:`~repro.core.facade.SupervisedPubSub` with the
-spec's shard count (one for the paper's topology).
-The built facade keeps its spec at ``system.spec`` for reporting.
+Both return a :class:`~repro.core.facade.SupervisedPubSub` with the spec's
+shard count (one for the paper's topology).  The built facade keeps its spec
+at ``system.spec`` for reporting.
 """
 
 from __future__ import annotations
@@ -26,10 +16,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.api.spec import SystemSpec
-from repro.core.config import ProtocolParams
 from repro.core.facade import SupervisedPubSub
 from repro.core.subscriber import Subscriber
-from repro.sim.engine import SimulatorConfig
 
 
 def build_system(spec: SystemSpec) -> SupervisedPubSub:
@@ -38,9 +26,10 @@ def build_system(spec: SystemSpec) -> SupervisedPubSub:
                               shards=spec.shards, virtual_nodes=spec.virtual_nodes)
     system.spec = spec
     if spec.telemetry:
-        # The histogram half lives in the simulator (enabled via
-        # config.telemetry); the recorder half hooks the facade's registry.
+        # Both halves, before any event runs: the network's latency
+        # histogram and the recorder hooked to the facade's registry.
         from repro.telemetry.recorder import TelemetryRecorder
+        system.sim.network.stats.enable_latency()
         system.telemetry = TelemetryRecorder(system)
     return system
 
@@ -95,95 +84,3 @@ def build_stable(spec: SystemSpec, n: int = 16, *,
                 f"system did not stabilize topic {t!r} with "
                 f"{len(subscribers)} subscribers within {budget} rounds")
     return system, subscribers
-
-
-class SystemBuilder:
-    """Fluent builder accumulating a :class:`SystemSpec`.
-
-    Every step returns the builder; :meth:`spec` yields the frozen spec,
-    :meth:`build` / :meth:`build_stable` realise it.
-    """
-
-    def __init__(self, spec: Optional[SystemSpec] = None) -> None:
-        self._spec = spec or SystemSpec()
-
-    # ---------------------------------------------------------------- topology
-    def sharded(self, shards: int,
-                virtual_nodes: Optional[int] = None) -> "SystemBuilder":
-        overrides = {"topology": "sharded", "shards": shards}
-        if virtual_nodes is not None:
-            overrides["virtual_nodes"] = virtual_nodes
-        self._spec = self._spec.with_overrides(**overrides)
-        return self
-
-    # ------------------------------------------------------------------- knobs
-    def seed(self, seed: int) -> "SystemBuilder":
-        self._spec = self._spec.with_overrides(seed=seed)
-        return self
-
-    def telemetry(self, enabled: bool = True) -> "SystemBuilder":
-        """Toggle run-wide telemetry (latency histograms + phase spans; see
-        :mod:`repro.telemetry`).  Costs one histogram bucket increment per
-        delivery; report bytes stay deterministic either way."""
-        self._spec = self._spec.with_overrides(telemetry=enabled)
-        return self
-
-    def params(self, params: Optional[ProtocolParams] = None,
-               **overrides: object) -> "SystemBuilder":
-        """Set protocol params wholesale and/or override individual fields."""
-        base = params or self._spec.params
-        if overrides:
-            base = base.with_overrides(**overrides)
-        self._spec = self._spec.with_overrides(params=base)
-        return self
-
-    def sim(self, config: Optional[SimulatorConfig] = None,
-            **overrides: object) -> "SystemBuilder":
-        """Set simulator knobs (seed/telemetry stay governed by the spec)."""
-        base = config if config is not None else \
-            (self._spec.sim or SimulatorConfig())
-        if overrides:
-            from dataclasses import replace
-            base = replace(base, **overrides)
-        self._spec = self._spec.with_overrides(sim=base)
-        return self
-
-    def max_rounds(self, rounds: int) -> "SystemBuilder":
-        self._spec = self._spec.with_overrides(max_rounds=rounds)
-        return self
-
-    def check_every_rounds(self, rounds: int) -> "SystemBuilder":
-        self._spec = self._spec.with_overrides(check_every_rounds=rounds)
-        return self
-
-    # ----------------------------------------------------------------- realise
-    def spec(self) -> SystemSpec:
-        """The accumulated (frozen, JSON-round-trippable) spec."""
-        return self._spec
-
-    def build(self) -> SupervisedPubSub:
-        return build_system(self._spec)
-
-    def build_stable(self, n: int = 16, **kwargs: object
-                     ) -> Tuple[SupervisedPubSub, List[Subscriber]]:
-        return build_stable(self._spec, n, **kwargs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SystemBuilder({self._spec!r})"
-
-
-class PubSub:
-    """Entry point of the unified API: ``PubSub.builder()`` /
-    ``PubSub.from_spec(spec)``."""
-
-    @staticmethod
-    def builder() -> SystemBuilder:
-        return SystemBuilder()
-
-    @staticmethod
-    def from_spec(spec: SystemSpec) -> SupervisedPubSub:
-        return build_system(spec)
-
-    @staticmethod
-    def from_json(text: str) -> SupervisedPubSub:
-        return build_system(SystemSpec.from_json(text))

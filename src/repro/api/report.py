@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -60,13 +60,9 @@ class RunReport:
 
     # --------------------------------------------------------------- verdicts
     @property
-    def all_claims_hold(self) -> bool:
-        return all(self.claims.values()) if self.claims else True
-
-    @property
     def passed(self) -> bool:
-        """Alias of :attr:`all_claims_hold` (scenario-report vocabulary)."""
-        return self.all_claims_hold
+        """Whether every claim holds (vacuously true with no claims)."""
+        return all(self.claims.values()) if self.claims else True
 
     @property
     def failed_claims(self) -> List[str]:

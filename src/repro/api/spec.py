@@ -6,9 +6,8 @@ cluster, any :class:`~repro.core.config.ProtocolParams`
 and any :class:`~repro.sim.engine.SimulatorConfig` — all in one frozen,
 JSON-round-trippable value (the same pattern
 :class:`~repro.scenarios.spec.ScenarioSpec` established for adversarial
-phases).  Experiments, scenarios, benchmarks and examples consume specs
-instead of naming concrete facade classes, which is what makes future
-backends drop-in.
+phases).  Experiments, scenarios, benchmarks and examples describe a system
+as a spec and realise it with :func:`~repro.api.builder.build_system`.
 
 The spec also canonicalises the driver budgets that used to be restated as
 magic numbers all over the tree: :attr:`SystemSpec.max_rounds` and
@@ -56,22 +55,21 @@ class SystemSpec:
         ``ValueError`` is raised when both are set explicitly but disagree —
         never a silent override.
     telemetry:
-        Enable run-wide telemetry (:mod:`repro.telemetry`): the simulator
-        records delivery-latency histograms and the builder attaches a
+        Enable run-wide telemetry (:mod:`repro.telemetry`), its one switch:
+        :func:`~repro.api.builder.build_system` turns on the network's
+        delivery-latency histogram and attaches a
         :class:`~repro.telemetry.recorder.TelemetryRecorder` to the facade
         (``system.telemetry``), whose spans/histograms land in
         ``RunReport.telemetry``.  Off by default — all report bytes are
         untouched; on, the engine's drain loop records one histogram sample
-        per delivery.  Reconciled with :attr:`sim` like :attr:`seed`
-        (a ``sim`` with ``telemetry=True`` is inherited; a bool cannot
-        conflict).
+        per delivery.
     params:
         Protocol parameters (``None`` means paper defaults).
     sim:
         Extra simulator knobs (delays, jitter, detection lag, tracing).
         ``None`` means defaults.  After construction the stored config is
-        canonical: its seed/telemetry are neutral (they live on the spec)
-        and an all-defaults config collapses to ``None``.
+        canonical: its seed is neutral (it lives on the spec) and an
+        all-defaults config collapses to ``None``.
     max_rounds / check_every_rounds:
         Named defaults for the "run until legitimate/converged" drivers —
         the former restated ``2_000`` / ``5`` literals.
@@ -86,11 +84,6 @@ class SystemSpec:
     sim: Optional[SimulatorConfig] = None
     max_rounds: int = DEFAULT_MAX_ROUNDS
     check_every_rounds: int = DEFAULT_CHECK_EVERY_ROUNDS
-
-    #: Class-level aliases of the shared driver defaults, so callers can say
-    #: ``SystemSpec.DEFAULT_MAX_ROUNDS`` without importing ``core.config``.
-    DEFAULT_MAX_ROUNDS = DEFAULT_MAX_ROUNDS
-    DEFAULT_CHECK_EVERY_ROUNDS = DEFAULT_CHECK_EVERY_ROUNDS
 
     def __post_init__(self) -> None:
         if self.topology not in TOPOLOGIES:
@@ -118,12 +111,12 @@ class SystemSpec:
             self._reconcile_with_sim()
 
     def _reconcile_with_sim(self) -> None:
-        """Fold the sim config's seed/telemetry into the spec.
+        """Fold the sim config's seed into the spec.
 
-        A field left at its spec default inherits the sim's value; two
-        explicit, disagreeing values raise instead of one silently winning.
-        The stored config is then neutralised (seed/telemetry live on the
-        spec only) and dropped entirely when nothing else differs from the
+        A seed left at its spec default inherits the sim's value; two
+        explicit, disagreeing seeds raise instead of one silently winning.
+        The stored config is then neutralised (the seed lives on the spec
+        only) and dropped entirely when nothing else differs from the
         defaults — so equality, ``with_overrides`` and the JSON round-trip
         all see one canonical form.
         """
@@ -134,10 +127,7 @@ class SystemSpec:
             raise ValueError(
                 f"conflicting seeds: spec seed {self.seed} vs sim.seed "
                 f"{sim.seed}; set the seed in one place")
-        if not self.telemetry:
-            # Booleans cannot conflict: True on either side simply wins.
-            object.__setattr__(self, "telemetry", sim.telemetry)
-        neutral = replace(sim, seed=0, telemetry=False)
+        neutral = replace(sim, seed=0)
         object.__setattr__(self, "sim",
                            None if neutral == SimulatorConfig() else neutral)
 
@@ -146,18 +136,7 @@ class SystemSpec:
         """A fresh :class:`SimulatorConfig` realising this spec (the facade
         copies it again defensively, so sharing the spec is always safe)."""
         base = self.sim if self.sim is not None else SimulatorConfig()
-        return replace(base, seed=self.seed, telemetry=self.telemetry)
-
-    def build(self) -> Any:
-        """Build the facade this spec describes (see
-        :func:`repro.api.builder.build_system`)."""
-        from repro.api.builder import build_system
-        return build_system(self)
-
-    def build_stable(self, n: int = 16, **kwargs: object) -> Any:
-        """Build and stabilize (see :func:`repro.api.builder.build_stable`)."""
-        from repro.api.builder import build_stable
-        return build_stable(self, n, **kwargs)
+        return replace(base, seed=self.seed)
 
     # ------------------------------------------------------------ serialization
     def to_dict(self) -> Dict[str, Any]:

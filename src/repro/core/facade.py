@@ -100,7 +100,7 @@ class SupervisedPubSub:
         #: when it came through :func:`repro.api.builder.build_system`
         self.spec = None
         #: the :class:`~repro.telemetry.recorder.TelemetryRecorder` attached
-        #: by the builder when the spec asks for telemetry; ``None`` otherwise
+        #: by ``build_system`` when the spec asks for telemetry; ``None`` otherwise
         self.telemetry = None
 
     # ---------------------------------------------------------------- sharding

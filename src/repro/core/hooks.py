@@ -34,8 +34,8 @@ call; exceptions propagate to the driver (hooks are part of the run, not a
 detached observer bus).
 
 The implementation lives in :mod:`repro.core` (below the facades, which
-instantiate a registry per system) and is re-exported by :mod:`repro.api.hooks`
-as part of the unified API surface.
+instantiate a registry per system); :mod:`repro.api` re-exports it as part
+of the unified API surface.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.api.builder import build_system
-from repro.api.hooks import HookRegistry
 from repro.api.report import RunReport
 from repro.core.facade import SupervisedPubSub
+from repro.core.hooks import HookRegistry
 from repro.scenarios.adversary import LinkAdversary
 from repro.scenarios.spec import PhaseSpec, ScenarioSpec
 from repro.sim.rng import derive_rng

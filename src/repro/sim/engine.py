@@ -81,12 +81,6 @@ class SimulatorConfig:
         Lag of the supervisor's failure detector (Section 3.3).
     keep_trace_events:
         Whether the tracer stores individual events (counters are always kept).
-    telemetry:
-        Enable run-wide latency telemetry (:mod:`repro.telemetry`): the
-        network records every message's send→delivery latency into a
-        deterministic histogram (``network.stats.delivery_latency``).  Off
-        by default; the drain loop pays one ``None`` test per delivery when
-        off and one histogram bucket increment when on.
     """
 
     seed: int = 0
@@ -96,7 +90,6 @@ class SimulatorConfig:
     timeout_jitter: float = 0.2
     detection_lag: float = 0.0
     keep_trace_events: bool = False
-    telemetry: bool = False
     #: Stores nothing; accepted only because ``bench/workloads.py`` builds
     #: ``SimulatorConfig(seed=seed, scheduler="wheel")``.  The benchmark's
     #: next definition change deletes it.
@@ -167,8 +160,6 @@ class Simulator:
         self._steps = 0
         #: opt-in wall-clock drain accounting (see :meth:`enable_profiling`)
         self._profile: Optional[Dict[str, Any]] = None
-        if self.config.telemetry:
-            self.network.stats.enable_latency()
         #: min-heap of pending crash/callback event times — these are the only
         #: events a handler can schedule *inside* a block window, so the block
         #: drain clips its window at the earliest of them (see ``_push``)

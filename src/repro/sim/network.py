@@ -113,7 +113,7 @@ class ChannelStats:
         #: optional :class:`~repro.telemetry.histogram.LatencyHistogram` of
         #: send→delivery latency in sim seconds.  ``None`` (the default)
         #: keeps the hot paths latency-blind; :meth:`enable_latency` turns it
-        #: on (``SimulatorConfig.telemetry`` does so at build time).
+        #: on (``build_system`` does so for a ``telemetry=True`` spec).
         self.delivery_latency = None
 
     def enable_latency(self) -> None:

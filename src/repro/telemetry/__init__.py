@@ -3,9 +3,9 @@
 Everything here is byte-reproducible by construction (integer bucket
 counts, spec-derived bounds, rounded sim-time floats) so telemetry can ride
 inside the canonical report artifacts without breaking their byte-identity
-guarantees.  The subsystem is off by default (``SystemSpec.telemetry`` /
-``SimulatorConfig.telemetry``); enabling it adds one histogram sample per
-delivery to the engine's drain loop.
+guarantees.  The subsystem is off by default; ``SystemSpec.telemetry`` is its
+one switch, and enabling it adds one histogram sample per delivery to the
+engine's drain loop.
 
 Public surface:
 

@@ -13,7 +13,7 @@ in order of importance:
    is associative and (for equal specs) independent of worker count.
 3. **Cheap to record.**  :meth:`record` is one :func:`bisect.bisect_left`
    into a ~40-entry tuple plus two integer bumps — small enough to sit
-   in the engine's drain loop (see ``SimulatorConfig.telemetry``).
+   in the engine's drain loop (see ``SystemSpec.telemetry``).
 
 Percentiles are *derived at report time*: a percentile resolves to the
 upper bound of the bucket containing its rank, clamped to the exact

@@ -14,8 +14,8 @@ emit sites to the protocol code:
   zero-width marks).
 
 Publication→delivery latency is *not* recorded here: it lives in
-``ChannelStats.delivery_latency`` (enabled by ``SimulatorConfig.telemetry``)
-because it must be observed per message inside the network pop path.  The
+``ChannelStats.delivery_latency`` (enabled by ``build_system`` alongside
+the recorder) because it must be observed per message inside the network pop path.  The
 recorder only serializes it alongside its own state in :meth:`to_dict`.
 """
 

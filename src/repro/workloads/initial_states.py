@@ -28,7 +28,6 @@ from repro.core.labels import label_of
 from repro.core.subscriber import Neighbor, Subscriber
 from repro.core.facade import SupervisedPubSub
 from repro.core import messages as msg
-from repro.sim.engine import SimulatorConfig
 
 
 @dataclass
@@ -187,7 +186,6 @@ def inject_corrupted_messages(system: SupervisedPubSub, subscribers: List[Subscr
 
 def build_adversarial_system(config: AdversarialConfig,
                              params: Optional[ProtocolParams] = None,
-                             sim_config: Optional[SimulatorConfig] = None,
                              topic: Optional[str] = None,
                              ) -> tuple[SupervisedPubSub, List[Subscriber]]:
     """Create a system of ``config.n`` subscribers in an adversarial state.
@@ -201,10 +199,7 @@ def build_adversarial_system(config: AdversarialConfig,
     from repro.api.spec import SystemSpec
 
     params = params or ProtocolParams()
-    # The facade's precedence: a given sim_config wins wholesale (its seed
-    # included) and config.seed is then ignored, never a conflict.
-    system = build_system(SystemSpec(params=params, sim=sim_config) if sim_config is not None
-                          else SystemSpec(seed=config.seed, params=params))
+    system = build_system(SystemSpec(seed=config.seed, params=params))
     topic = topic or params.default_topic
     subscribers = []
     for _ in range(config.n):

@@ -1,4 +1,4 @@
-"""Tests for the unified deployment API: SystemSpec, builder, hooks, RunReport.
+"""Tests for the unified deployment API: SystemSpec, build_system, hooks, RunReport.
 
 This module is deprecation-clean by construction: every test runs with
 ``DeprecationWarning`` promoted to an error (CI additionally runs the file
@@ -16,7 +16,6 @@ from repro.api import (
     DEFAULT_CHECK_EVERY_ROUNDS,
     DEFAULT_MAX_ROUNDS,
     HookRegistry,
-    PubSub,
     RunReport,
     SystemSpec,
     build_stable,
@@ -66,13 +65,12 @@ class TestSystemSpecRoundTrip:
         assert clone.params.publication_key_bits == 32
         assert clone.sim.max_delay == 2.0
 
-    def test_sim_seed_and_telemetry_inherit_when_spec_defaults(self):
-        spec = SystemSpec(sim=SimulatorConfig(seed=42, telemetry=True))
-        assert spec.seed == 42 and spec.telemetry
-        config = spec.sim_config()
-        assert config.seed == 42 and config.telemetry
+    def test_sim_seed_inherits_when_spec_defaults(self):
+        spec = SystemSpec(sim=SimulatorConfig(seed=42))
+        assert spec.seed == 42
+        assert spec.sim_config().seed == 42
         # An all-defaults sim collapses to None; other knobs are kept with
-        # neutral seed/telemetry (they live on the spec).
+        # a neutral seed (it lives on the spec).
         assert SystemSpec(sim=SimulatorConfig()).sim is None
         kept = SystemSpec(seed=7, sim=SimulatorConfig(min_delay=0.3))
         assert kept.sim.min_delay == 0.3 and kept.sim.seed == 0
@@ -84,16 +82,12 @@ class TestSystemSpecRoundTrip:
         # Explicitly agreeing is fine.
         assert SystemSpec(seed=7, sim=SimulatorConfig(seed=7)).seed == 7
 
-    def test_adversarial_builder_keeps_the_old_facade_precedence(self):
-        # sim_config wins wholesale, config.seed is ignored — the
-        # SupervisedPubSub precedence build_adversarial_system (workloads/
-        # initial_states.py) states for its (config.seed, sim_config) pair;
-        # the plain SystemSpec constructor raises on that disagreement.
+    def test_adversarial_builder_seeds_from_its_config_only(self):
         from repro.workloads.initial_states import AdversarialConfig, build_adversarial_system
         config = AdversarialConfig(n=2, seed=5)
-        system, _ = build_adversarial_system(config, sim_config=SimulatorConfig(seed=13))
-        assert system.sim.config.seed == 13
         assert build_adversarial_system(config)[0].sim.config.seed == 5
+        with pytest.raises(TypeError, match="sim_config"):
+            build_adversarial_system(config, sim_config=SimulatorConfig(seed=13))
 
     def test_invalid_topology_and_shard_count_raise(self):
         with pytest.raises(ValueError, match="topology"):
@@ -123,21 +117,26 @@ class TestSystemSpecRoundTrip:
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 SystemSpec.from_dict(json.loads(text))
 
-    def test_retired_wheel_width_key_is_rejected_not_ignored(self):
-        """PR 19 retired ``wheel_bucket_width`` with no shim: a document that
-        still carries the key fails loudly, on the spec and inside ``sim``."""
+    @pytest.mark.parametrize("key,value,in_sim", [
+        ("wheel_bucket_width", None, False),
+        ("wheel_bucket_width", 0.2, True),
+        ("telemetry", True, True),
+    ])
+    def test_retired_wheel_width_key_is_rejected_not_ignored(self, key, value, in_sim):
+        """Retired keys have no shim: a document that still carries
+        ``wheel_bucket_width`` (on the spec or inside ``sim``) or the
+        simulator's old ``telemetry`` knob (the spec's ``telemetry`` is the
+        one switch) fails loudly instead of being ignored."""
         data = SystemSpec().to_dict()
-        assert "wheel_bucket_width" not in data
-        with pytest.raises(TypeError, match="wheel_bucket_width"):
-            SystemSpec.from_dict({**data, "wheel_bucket_width": None})
-        with pytest.raises(TypeError, match="wheel_bucket_width"):
-            SystemSpec.from_dict({**data, "sim": {"wheel_bucket_width": 0.2}})
+        assert data["sim"] is None and "wheel_bucket_width" not in data
+        stale = {**data, "sim": {key: value}} if in_sim else {**data, key: value}
+        with pytest.raises(TypeError, match=key):
+            SystemSpec.from_dict(stale)
 
     def test_named_defaults_replace_the_magic_numbers(self):
         spec = SystemSpec()
         assert spec.max_rounds == DEFAULT_MAX_ROUNDS == 2_000
         assert spec.check_every_rounds == DEFAULT_CHECK_EVERY_ROUNDS == 5
-        assert SystemSpec.DEFAULT_MAX_ROUNDS == DEFAULT_MAX_ROUNDS
         # The facade drivers share the same constants as their defaults.
         import inspect
         defaults = inspect.signature(SupervisedPubSub.run_until_legitimate)
@@ -153,32 +152,23 @@ class TestSystemSpecRoundTrip:
 
 class TestBuilder:
     def test_builder_returns_the_right_facade(self):
-        system = PubSub.builder().seed(1).build()
+        system = build_system(SystemSpec(seed=1))
         assert isinstance(system, SupervisedPubSub)
         assert system.supervisor_node_ids() == [0]
-        cluster = PubSub.builder().sharded(4).seed(1).build()
+        cluster = build_system(SystemSpec(topology="sharded", shards=4, seed=1))
         assert isinstance(cluster, SupervisedPubSub)
         assert cluster.supervisor_node_ids() == [0, 1, 2, 3]
-
-    def test_fluent_chain_accumulates_one_spec(self):
-        built = (PubSub.builder().sharded(4, virtual_nodes=8)
-                 .seed(7).params(enable_flooding=False).max_rounds(100).spec())
-        assert built == SystemSpec(
-            topology="sharded", shards=4, virtual_nodes=8, seed=7,
-            params=ProtocolParams(enable_flooding=False),
-            max_rounds=100)
 
     def test_built_facade_remembers_its_spec(self):
         spec = SystemSpec(seed=5)
         system = build_system(spec)
         assert system.spec == spec
-        assert PubSub.from_spec(spec).spec == spec
-        assert PubSub.from_json(spec.to_json()).spec == spec
+        assert build_system(SystemSpec.from_json(spec.to_json())).spec == spec
 
     def test_single_parity_seed_identical_message_stats(self):
-        via_builder = _drive(PubSub.builder().seed(7).build())
+        via_spec = _drive(build_system(SystemSpec(seed=7)))
         direct = _drive(SupervisedPubSub(seed=7))
-        assert via_builder == direct
+        assert via_spec == direct
 
     def test_sharded_parity_seed_identical_message_stats(self):
         spec = SystemSpec(topology="sharded", shards=3, seed=5)
@@ -216,7 +206,7 @@ class TestBuilder:
 class TestHooks:
     def test_subscribe_relegitimacy_and_delivery_hooks(self):
         events = []
-        system = PubSub.builder().seed(11).build()
+        system = build_system(SystemSpec(seed=11))
         system.hooks.on_subscribe(lambda n, t: events.append(("subscribe", n, t))) \
             .on_relegitimacy(lambda ts, r: events.append(("relegitimacy", ts))) \
             .on_delivery(lambda t, keys, r: events.append(("delivery", t, keys)))
@@ -230,7 +220,7 @@ class TestHooks:
 
     def test_hook_firing_order_under_supervisor_crash(self):
         events = []
-        cluster = PubSub.builder().sharded(2).seed(9).build()
+        cluster = build_system(SystemSpec(topology="sharded", shards=2, seed=9))
         cluster.hooks.on_subscribe(lambda n, t: events.append("subscribe")) \
             .on_relegitimacy(lambda ts, r: events.append("relegitimacy")) \
             .on_supervisor_crash(
@@ -304,7 +294,7 @@ class TestE12Parity:
         from repro.experiments.report import render_result
         first = e12_adversarial_scenarios(seed=5)
         second = e12_adversarial_scenarios(seed=5)
-        assert first.all_claims_hold, first.failed_claims
+        assert first.passed, first.failed_claims
         assert render_result(first) == render_result(second)
         assert isinstance(first, RunReport)
 
@@ -314,13 +304,13 @@ class TestRunReport:
         run = RunReport(name="X", title="t", headers=["a"])
         run.add_row(1)
         run.claim("holds", True)
-        assert run.passed and run.all_claims_hold and not run.failed_claims
+        assert run.passed and not run.failed_claims
         run.claim("broken", False)
         assert not run.passed and run.failed_claims == ["broken"]
         assert run.name == "X"
 
     def test_message_stats_snapshots_embed_summaries(self):
-        system = PubSub.builder().seed(1).build()
+        system = build_system(SystemSpec(seed=1))
         system.add_subscriber()
         system.run_rounds(10)
         run = RunReport(name="X")

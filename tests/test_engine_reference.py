@@ -79,7 +79,9 @@ def _drain_by_steps(sim: Simulator, deadline: float) -> None:
 
 
 def _build(mode):
-    sim = Simulator(SimulatorConfig(seed=77, telemetry=(mode == "telemetry")))
+    sim = Simulator(SimulatorConfig(seed=77))
+    if mode == "telemetry":
+        sim.network.stats.enable_latency()
     log = []
     for i in range(NODES):
         sim.add_node(_Relay(i + 1, log, FORGED if i + 1 == 13

@@ -43,10 +43,10 @@ class TestProtocolParams:
 class TestRunnerAndReport:
     def test_experiment_result_claims(self):
         result = RunReport(name="X", title="test", headers=["a"], rows=[(1,)])
-        assert result.all_claims_hold
+        assert result.passed
         result.claim("ok", True)
         result.claim("bad", False)
-        assert not result.all_claims_hold
+        assert not result.passed
 
     def test_run_experiment_records_wall_time(self):
         result = run_experiment(lambda: RunReport(name="X", title="t",
@@ -69,52 +69,52 @@ class TestExperimentsSmall:
 
     def test_e1(self):
         result = exp.e1_topology(sizes=(8, 16, 32))
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_e2(self):
         result = exp.e2_supervisor_load(sizes=(8, 16), rounds=25)
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_e3(self):
         result = exp.e3_join_leave(sizes=(8,), operations=4)
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_e4(self):
         result = exp.e4_convergence(sizes=(8,), seeds=(0,), components=2)
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_e5(self):
         result = exp.e5_closure(n=8, observation_rounds=40, check_every=10)
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_e6(self):
         result = exp.e6_publication_convergence(sizes=(8,), publication_count=6)
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_e7(self):
         result = exp.e7_flooding(sizes=(16, 64), simulated_n=12)
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_e8(self):
         result = exp.e8_congestion(sizes=(64,), samples=120)
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_e9(self):
         result = exp.e9_failures(n=12, crash_fractions=(0.2,))
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_e10(self):
         result = exp.e10_broker_comparison(n_subscribers=(16,),
                                            publication_counts=(5, 50))
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_a1(self):
         result = exp.a1_ablation_integration(n=8, seeds=(0,))
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_a3(self):
         result = exp.a3_ablation_flooding(n=12, publications=3)
-        assert result.all_claims_hold, result.claims
+        assert result.passed, result.claims
 
     def test_theoretical_request_expectation_helpers(self):
         assert exp.paper_expected_requests(1024) < 1.0

@@ -2,7 +2,7 @@
 
 Covers the histogram's determinism contract (byte-reproducible state,
 order-invariant merges, percentile edge cases), the span timeline, the
-``SystemSpec.telemetry`` knob and its reconciliation, the
+``SystemSpec.telemetry`` switch and what ``build_system`` turns on, the
 observer-effect guarantees, RunReport/CampaignReport
 serialization shapes, jobs-1-vs-N byte parity with telemetry on, the
 tracer truncation accounting, and the ``repro-metrics`` CLI.
@@ -172,16 +172,23 @@ class TestTelemetryKnob:
         assert on.telemetry is True
         assert SystemSpec.from_dict(on.to_dict()) == on
 
-    def test_spec_inherits_sim_telemetry(self):
-        spec = SystemSpec(sim=SimulatorConfig(telemetry=True))
-        assert spec.telemetry is True
-        assert spec.sim_config().telemetry is True
-
-    def test_builder_method(self):
-        from repro.api.builder import PubSub
-        system = PubSub.builder().seed(3).telemetry().build()
+    def test_build_system_turns_on_both_halves(self):
+        system = build_system(SystemSpec(seed=3, telemetry=True))
         assert system.telemetry is not None
         assert system.sim.network.stats.delivery_latency is not None
+        # the simulator config carries no telemetry knob: the spec is the
+        # one switch
+        assert not hasattr(system.sim.config, "telemetry")
+
+    def test_facade_histogram_counts_every_delivery(self):
+        # The facade-level twin of TestEngineTelemetry: the histogram is on
+        # before the first drain, so it sees every delivery.
+        system = build_system(SystemSpec(seed=3, telemetry=True))
+        for _ in range(4):
+            system.add_subscriber()
+        system.run_rounds(20)
+        stats = system.sim.network.stats
+        assert stats.delivery_latency.total == stats.total_delivered > 0
 
     def test_telemetry_off_attaches_nothing(self):
         system = build_system(SystemSpec(seed=3))
@@ -204,7 +211,9 @@ class TestEngineTelemetry:
             def on_Ping(self, sender, topic=None):
                 pass
 
-        sim = Simulator(SimulatorConfig(seed=11, telemetry=telemetry))
+        sim = Simulator(SimulatorConfig(seed=11))
+        if telemetry:
+            sim.network.stats.enable_latency()
         for i in range(50):
             sim.add_node(Pinger(i + 1))
         sim.run_rounds(20)
