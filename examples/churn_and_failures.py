@@ -4,7 +4,9 @@
 A chat-group style workload: peers keep joining and leaving, some crash
 without warning, and messages are published throughout.  The overlay keeps
 re-stabilizing and no publication is ever lost for the surviving subscribers
-(Sections 3.3, 4.1 of the paper).
+(Sections 3.3, 4.1 of the paper).  The whole disruption is one scenario
+phase: the runner spreads the membership events and publications over the
+window, then measures re-legitimization and delivery.
 
 Run with::
 
@@ -13,48 +15,33 @@ Run with::
 
 from __future__ import annotations
 
-from repro import SystemSpec, build_system
-from repro.workloads.churn import ChurnEvent, ChurnSchedule, apply_churn
-from repro.workloads.publications import publish_stream
+from repro.scenarios import PhaseSpec, ScenarioRunner, ScenarioSpec
 
 
 def main() -> None:
-    system = build_system(SystemSpec(seed=13))
-    peers = [system.add_subscriber() for _ in range(12)]
-    assert system.run_until_legitimate(max_rounds=500)
-    print(f"Initial overlay stable with {len(system.members())} subscribers.")
+    # Membership churn over 60 rounds: 4 joins, 2 voluntary leaves and 2
+    # unannounced crashes (victims are random live members when the event
+    # fires), plus 8 publications from random live members.
+    spec = ScenarioSpec(
+        name="churn-and-failures",
+        description="joins, leaves, crashes and publications in one window",
+        subscribers=12,
+        phases=(PhaseSpec(name="churn", rounds=60, joins=4, leaves=2, crashes=2,
+                          publications=8),))
+    report = ScenarioRunner(spec, seed=13).run()
+    print(f"Initial overlay of {spec.subscribers} subscribers stable: "
+          f"{report.stabilized} ({report.stabilize_rounds} rounds).")
 
-    # Membership churn: 4 joins, 2 voluntary leaves, 2 unannounced crashes.
-    # One crash targets a specific peer by its stable node id; the other
-    # events pick random live members when they fire.
-    schedule = ChurnSchedule()
-    for t in (5, 15, 25, 35):
-        schedule.add(ChurnEvent(time=float(t), kind="join"))
-    for t in (10, 30):
-        schedule.add(ChurnEvent(time=float(t), kind="leave"))
-    schedule.add(ChurnEvent(time=20.0, kind="crash", target=peers[3].node_id))
-    schedule.add(ChurnEvent(time=40.0, kind="crash"))
-    apply_churn(system, schedule, seed=3)
-
-    # A stream of publications spread over the same window.
-    published = publish_stream(system, peers, count=8, seed=5, spacing_rounds=5.0)
-
-    print("Running 60 rounds of churn + publications ...")
-    system.run_rounds(60)
-
-    print("Re-stabilizing after the last membership change ...")
-    ok = system.run_until_legitimate(max_rounds=1000)
-    survivors = system.members()
-    print(f"  legitimate again: {ok}, surviving subscribers: {len(survivors)}")
-
-    delivered = system.run_until_publications_converged(
-        expected_keys=set(published), max_rounds=800)
-    print(f"  all {len(published)} publications delivered to every survivor: {delivered}")
-
-    supervisor = system.supervisor
-    print(f"\nSupervisor effort: {supervisor.ops_handled} membership operations handled, "
-          f"{supervisor.op_response_messages} messages sent for them "
-          f"({supervisor.op_response_messages / max(supervisor.ops_handled, 1):.2f} per op).")
+    phase = report.phases[0]
+    print(f"Ran a {spec.phases[0].rounds:g}-round window of {' '.join(phase.disruptions)} ...")
+    print(f"  legitimate again: {phase.relegitimized} "
+          f"({phase.relegitimize_rounds} rounds after the window), "
+          f"surviving subscribers: {phase.live_members}")
+    print(f"  {phase.publications_surviving} of {phase.publications_issued} publications "
+          f"survived; delivered to every survivor: {phase.delivered}")
+    print(f"\nSupervisor effort: {phase.supervisor_hotspot_requests} requests at the "
+          f"busiest supervisor (bound {phase.supervisor_request_bound}).")
+    print(f"All invariants hold: {report.passed}")
 
 
 if __name__ == "__main__":

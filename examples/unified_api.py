@@ -54,8 +54,8 @@ def main() -> None:
     for line in events[-3:]:
         print(f"  {line}")
 
-    # 4. RunReport — one result object for scenarios, experiments and
-    #    benchmarks alike (tables + claims + embedded scenario detail).
+    # 4. RunReport — one result object for scenarios and experiments alike
+    #    (tables + claims + embedded scenario detail).
     runner = ScenarioRunner(get_scenario("sharded-supervisor-failover"), seed=7)
     report = runner.run_report()
     print(f"\nscenario run report: {report.title}")

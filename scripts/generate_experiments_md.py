@@ -7,20 +7,20 @@ Usage::
 
 The commentary blocks describe what the paper claims and how the measured
 numbers relate to it; the tables are produced by the experiment harness
-(`repro.experiments`), which is also what the benchmarks in ``benchmarks/``
-run.  ``--jobs N`` fans the experiments out across N worker processes
-through the :mod:`repro.exec` backends; the written file is byte-identical
-at any job count (experiments are seed-deterministic and every report
-crosses the same canonical JSON boundary), so CI regenerates the file in
-parallel and fails on any diff against the committed copy.
+(`repro.experiments`).  ``--jobs N`` fans the experiments out across N
+worker processes through the :mod:`repro.exec` backends; the written file
+is byte-identical at any job count (experiments are seed-deterministic and
+every report crosses the same canonical JSON boundary), so CI regenerates
+the file in parallel and fails on any diff against the committed copy.
+The script exits 1 when any experiment's checked claim fails.
 """
 
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
+from typing import List
 
-from repro.experiments.experiments import ALL_EXPERIMENTS
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_experiment_campaign
 
@@ -198,8 +198,8 @@ HEADER = """# EXPERIMENTS — paper claims vs. measured results
 This file is generated by `python scripts/generate_experiments_md.py` (add
 `--jobs N` to fan the experiments across N worker processes via `repro.exec`
 — the output is byte-identical at any job count, which CI verifies by
-regenerating this file and failing on diff); the same experiment code runs
-under `pytest benchmarks/ --benchmark-only`.  The paper (IPDPS 2018 /
+regenerating this file and failing on diff); the script exits 1 when any
+checked claim fails.  The paper (IPDPS 2018 /
 arXiv:1710.08128) is a theory paper without measured tables, so each
 experiment reproduces a stated definition, lemma, theorem, figure or
 comparison claim (this file is the experiment index).  "Claims" listed
@@ -217,15 +217,16 @@ wheel-vs-`heapq` ordering tests (`tests/test_batched_core.py`,
 """
 
 
-def generate(out_path: str = "EXPERIMENTS.md", jobs: int = 1) -> None:
+def generate(out_path: str = "EXPERIMENTS.md", jobs: int = 1) -> List[str]:
+    """Write the file and return the keys of the experiments whose checked
+    claims do not all hold."""
     def progress(key, report, done, total):
         print(f"[{done}/{total}] {key}: done ({report.wall_seconds} s), "
               f"claims hold: {report.passed}")
 
     results = run_experiment_campaign(jobs=jobs, progress=progress)
     parts = [HEADER]
-    for key in ALL_EXPERIMENTS:
-        result = results[key]
+    for key, result in results.items():
         parts.append(f"## {result.name} — {result.title}\n")
         parts.append(COMMENTARY.get(key, "") + "\n")
         parts.append(format_table(result.headers, result.rows) + "\n")
@@ -235,6 +236,7 @@ def generate(out_path: str = "EXPERIMENTS.md", jobs: int = 1) -> None:
         parts.append(f"\n*Parameters:* `{result.metadata}`\n")
     Path(out_path).write_text("\n".join(parts), encoding="utf-8")
     print(f"wrote {out_path}")
+    return [key for key, result in results.items() if not result.passed]
 
 
 def main(argv=None) -> int:
@@ -245,7 +247,10 @@ def main(argv=None) -> int:
                         help="worker processes (default 1 = inline; the "
                              "written file is byte-identical at any value)")
     args = parser.parse_args(argv)
-    generate(args.out, jobs=max(args.jobs, 1))
+    failed = generate(args.out, jobs=max(args.jobs, 1))
+    if failed:
+        print(f"claims failed: {', '.join(failed)}")
+        return 1
     return 0
 
 

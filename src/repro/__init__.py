@@ -9,7 +9,7 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
   anti-entropy plus flooding of new publications),
 * the asynchronous message-passing **simulation substrate** the protocol runs
   on (a timeout-wheel event queue), adversarial
-  initial-state and churn **workloads**, reference **baselines** (Chord, skip
+  initial-state and publication **workloads**, reference **baselines** (Chord, skip
   graph, centralized broker), and the **experiments** reproducing every
   quantitative claim of the paper,
 * a **sharded cluster layer** that scales the system beyond the paper by
@@ -25,7 +25,7 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
 * a **unified deployment API** (:mod:`repro.api`): a declarative, frozen,
   JSON-round-trippable :class:`~repro.api.spec.SystemSpec` realised by
   :func:`~repro.api.builder.build_system` (the single front door every
-  experiment, scenario, benchmark and example goes through), typed
+  experiment, scenario, the benchmark and every example go through), typed
   lifecycle hooks (``system.hooks``) and one
   :class:`~repro.api.report.RunReport` result object,
 * a **parallel execution layer** (:mod:`repro.exec`): generic inline /
@@ -34,8 +34,8 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
   deterministically derived per-task seeds, and a
   :class:`~repro.exec.campaign.CampaignRunner` that merges the results into
   byte-reproducible campaign artifacts (``python -m repro.exec``); every
-  ``--jobs N`` flag in the tree (benchmarks, experiments, scenarios) fans
-  out through it,
+  ``--jobs N`` flag in the tree (experiments, scenarios, sweeps, fuzzing)
+  fans out through it,
 * a **telemetry subsystem** (:mod:`repro.telemetry`): deterministic
   fixed-bucket latency histograms (publication→delivery, subscribe→
   stabilization) and hook-fed phase-span timelines, switched by one
@@ -82,7 +82,7 @@ from repro.api import (
     build_stable,
     build_system,
 )
-from repro.exec import CampaignReport, CampaignRunner, SweepSpec, run_campaign
+from repro.exec import CampaignReport, CampaignRunner, SweepSpec
 
 __version__ = "1.9.0"
 
@@ -111,6 +111,5 @@ __all__ = [
     "SweepSpec",
     "CampaignReport",
     "CampaignRunner",
-    "run_campaign",
     "__version__",
 ]

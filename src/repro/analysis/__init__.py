@@ -5,7 +5,6 @@ from repro.analysis.convergence import (
     LegitimacyReport,
     ring_legitimate,
     publications_converged,
-    count_correct_labels,
     edge_set_signature,
 )
 
@@ -13,6 +12,5 @@ __all__ = [
     "LegitimacyReport",
     "ring_legitimate",
     "publications_converged",
-    "count_correct_labels",
     "edge_set_signature",
 ]

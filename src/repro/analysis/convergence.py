@@ -119,24 +119,6 @@ def ring_legitimate(supervisor: Supervisor, subscribers: Dict[NodeRef, Subscribe
     return report
 
 
-def count_correct_labels(supervisor: Supervisor, subscribers: Dict[NodeRef, Subscriber],
-                         members: List[NodeRef], topic: str) -> int:
-    """How many members currently store the label the database assigns them
-    (useful as a convergence progress series)."""
-    db = supervisor.database(topic)
-    correct = 0
-    for label, ref in db.entries.items():
-        if ref is None:
-            continue
-        subscriber = subscribers.get(ref)
-        if subscriber is None:
-            continue
-        view = subscriber.view(topic, create=False)
-        if view is not None and view.label == label:
-            correct += 1
-    return correct
-
-
 def publications_converged(subscribers: Dict[NodeRef, Subscriber], members: List[NodeRef],
                            topic: str, expected_keys: Optional[Set[str]] = None) -> bool:
     """True if every member's trie holds the same publication set (and, if

@@ -13,7 +13,7 @@ One front door to the whole system::
     # typed lifecycle hooks instead of polling loops
     system.hooks.on_relegitimacy(lambda topics, rounds: print(topics, rounds))
 
-Every driver layer (experiments E1–E12, the scenario engine, benchmarks,
+Every driver layer (experiments E1–E13, the scenario engine, the benchmark,
 examples, workloads) describes its system as a :class:`SystemSpec`, builds
 it with :func:`build_system` / :func:`build_stable` and produces a
 :class:`RunReport`.

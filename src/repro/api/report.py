@@ -5,7 +5,7 @@ the experiment harness's ``ExperimentResult`` (a table + claim checklist) and
 the scenario engine's ``ScenarioReport`` (per-phase measurements +
 invariants).  A report carries:
 
-* a primary **table** (``headers`` + ``rows``) — what the benchmarks print;
+* a primary **table** (``headers`` + ``rows``) — what ``EXPERIMENTS.md`` prints;
 * **claims**: description → pass/fail, the asserted reproduction surface;
 * **message-stat snapshots**: labelled
   :meth:`~repro.sim.network.ChannelStats.to_summary_dict` captures;

@@ -6,7 +6,7 @@ cluster, any :class:`~repro.core.config.ProtocolParams`
 and any :class:`~repro.sim.engine.SimulatorConfig` — all in one frozen,
 JSON-round-trippable value (the same pattern
 :class:`~repro.scenarios.spec.ScenarioSpec` established for adversarial
-phases).  Experiments, scenarios, benchmarks and examples describe a system
+phases).  Experiments, scenarios, the benchmark and examples describe a system
 as a spec and realise it with :func:`~repro.api.builder.build_system`.
 
 The spec also canonicalises the driver budgets that used to be restated as
@@ -26,6 +26,7 @@ from repro.core.config import (
     DEFAULT_CHECK_EVERY_ROUNDS,
     DEFAULT_MAX_ROUNDS,
     ProtocolParams,
+    require_int_fields,
 )
 from repro.sim.engine import SimulatorConfig
 
@@ -89,6 +90,8 @@ class SystemSpec:
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
+        require_int_fields(self, "shards", "virtual_nodes", "max_rounds",
+                           "check_every_rounds")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.topology == "single" and self.shards != 1:

@@ -11,8 +11,9 @@ package holds the placement it uses:
     placement with stability under shard arrival/departure (which a
     supervisor crash relies on) and bounded-loads assignment.
 
-See ``benchmarks/bench_e11_sharded_scaling.py`` for the scaling experiment
-(per-supervisor request load vs. shard count K).
+See E11 (:func:`~repro.experiments.experiments.e11_sharded_scaling`, in
+``EXPERIMENTS.md``) for the scaling experiment (per-supervisor request load
+vs. shard count K).
 """
 
 from repro.cluster.sharding import ConsistentHashRing

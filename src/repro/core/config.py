@@ -21,6 +21,17 @@ DEFAULT_MAX_ROUNDS = 2_000
 DEFAULT_CHECK_EVERY_ROUNDS = 5
 
 
+def require_int_fields(spec: object, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of ``spec``'s count fields that
+    is not an ``int`` (a ``bool`` is not a count).  JSON specs may carry
+    ``2.0``, which the runners would only reject mid-run."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{type(spec).__name__}.{name} must be an int, "
+                             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Tunable parameters of the subscriber/supervisor protocols.

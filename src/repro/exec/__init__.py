@@ -33,7 +33,7 @@ from repro.exec.backend import (
     failure_from_result,
     is_failure_result,
 )
-from repro.exec.campaign import CampaignReport, CampaignRunner, run_campaign
+from repro.exec.campaign import CampaignReport, CampaignRunner
 from repro.exec.demo import DEMO_SWEEPS, get_demo_sweep
 from repro.exec.sweep import SweepSpec, SweepTask
 
@@ -51,7 +51,6 @@ __all__ = [
     "SweepTask",
     "CampaignReport",
     "CampaignRunner",
-    "run_campaign",
     "DEMO_SWEEPS",
     "get_demo_sweep",
 ]

@@ -169,14 +169,3 @@ class CampaignRunner:
                               master_seed=self.sweep.master_seed,
                               sweep=self.sweep.to_dict(), tasks=entries,
                               telemetry=telemetry)
-
-
-def run_campaign(sweep: SweepSpec, jobs: int = 1,
-                 progress: Optional[CampaignProgressFn] = None,
-                 fault_tolerant: bool = False,
-                 task_timeout: Optional[float] = None,
-                 retries: int = 0) -> CampaignReport:
-    """Convenience wrapper: expand, dispatch across ``jobs`` cores, merge."""
-    return CampaignRunner(sweep, jobs=jobs, fault_tolerant=fault_tolerant,
-                          task_timeout=task_timeout,
-                          retries=retries).run(progress=progress)

@@ -30,6 +30,7 @@ from itertools import product
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.spec import SystemSpec
+from repro.core.config import require_int_fields
 from repro.scenarios.spec import PhaseSpec, ScenarioSpec
 from repro.sim.rng import derive_seed
 
@@ -133,6 +134,7 @@ class SweepSpec:
                 raise ValueError("scenario axis values must be names or None")
         if any(not 0.0 <= rate < 1.0 for rate in self.loss_rates):
             raise ValueError("every loss_rate must lie in [0, 1)")
+        require_int_fields(self, "seeds", "publications", "joins", "crashes")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if self.window_rounds <= 0:

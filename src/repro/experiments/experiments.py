@@ -525,9 +525,8 @@ def e12_adversarial_scenarios(seed: int = 5) -> RunReport:
     import json as _json
 
     from repro.api.builder import build_system
-    from repro.scenarios import (PartitionSpec, PhaseSpec, ScenarioSpec,
-                                 get_scenario, run_scenario)
-    from repro.scenarios.runner import ScenarioRunner
+    from repro.scenarios import (PartitionSpec, PhaseSpec, ScenarioRunner,
+                                 ScenarioSpec, get_scenario)
 
     result = RunReport(
         name="E12",
@@ -552,7 +551,7 @@ def e12_adversarial_scenarios(seed: int = 5) -> RunReport:
     # the histograms observe the run without perturbing it, so the scenario
     # JSON stays byte-identical to the plain run.
     lossy = get_scenario("lossy-network")
-    plain = run_scenario(lossy, seed=seed)
+    plain = ScenarioRunner(lossy, seed=seed).run()
     telem_system = build_system(lossy.system_spec(seed=seed)
                                 .with_overrides(telemetry=True))
     telem = ScenarioRunner(lossy, seed=seed, system=telem_system).run_report()
@@ -582,7 +581,7 @@ def e12_adversarial_scenarios(seed: int = 5) -> RunReport:
                                               heal_after_rounds=14)),
         ),
     )
-    report = run_scenario(headline, seed=seed)
+    report = ScenarioRunner(headline, seed=seed).run()
     add_report_rows(report)
     phase = report.phases[0]
     result.claim("10% loss + healed partition: publications reach all "
@@ -597,7 +596,7 @@ def e12_adversarial_scenarios(seed: int = 5) -> RunReport:
     # The rest of the library doubles as an invariant sweep.
     for name in ("rolling-partition", "mass-crash-recovery",
                  "sharded-supervisor-failover"):
-        report = run_scenario(get_scenario(name), seed=seed)
+        report = ScenarioRunner(get_scenario(name), seed=seed).run()
         add_report_rows(report)
         result.claim(f"{name}: every scenario invariant holds", report.passed)
 

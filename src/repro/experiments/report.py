@@ -1,10 +1,8 @@
-"""Plain-text table rendering for experiment results (RunReport)."""
+"""Plain-text table rendering shared by the experiment and scenario reports."""
 
 from __future__ import annotations
 
 from typing import List, Sequence
-
-from repro.api.report import RunReport
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -23,21 +21,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
                       "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
     out.extend(line(row) for row in str_rows)
     return "\n".join(out)
-
-
-def render_result(result: RunReport) -> str:
-    """Full text report of an experiment: title, table, claim checklist."""
-    parts = [f"{result.name}: {result.title}", ""]
-    parts.append(format_table(result.headers, result.rows))
-    if result.claims:
-        parts.append("")
-        parts.append("Claims:")
-        for description, holds in result.claims.items():
-            parts.append(f"  [{'PASS' if holds else 'FAIL'}] {description}")
-    if result.metadata:
-        parts.append("")
-        parts.append(f"metadata: {result.metadata}")
-    return "\n".join(parts)
 
 
 def _fmt(cell) -> str:

@@ -11,14 +11,15 @@ stress harness:
 * :mod:`repro.scenarios.runner` — drives a spec against either topology (built
   through the unified :mod:`repro.api` deployment path) and evaluates
   invariants into a deterministic :class:`ScenarioReport`, viewable as a
-  unified :class:`~repro.api.report.RunReport` via ``to_run_report()``;
+  unified :class:`~repro.api.report.RunReport` via
+  :meth:`~repro.api.report.RunReport.from_scenario`;
 * :mod:`repro.scenarios.library` — built-in scenarios (``flash-crowd``,
   ``rolling-partition``, ``lossy-network``, ...);
 * :mod:`repro.scenarios.cli` — ``python -m repro.scenarios`` /
   ``repro-scenarios``.
 
->>> from repro.scenarios import get_scenario, run_scenario
->>> report = run_scenario(get_scenario("lossy-network"), seed=1)
+>>> from repro.scenarios import ScenarioRunner, get_scenario
+>>> report = ScenarioRunner(get_scenario("lossy-network"), seed=1).run()
 >>> report.passed
 True
 """
@@ -34,7 +35,6 @@ from repro.scenarios.runner import (
     PhaseReport,
     ScenarioReport,
     ScenarioRunner,
-    run_scenario,
 )
 from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
 
@@ -51,5 +51,4 @@ __all__ = [
     "ScenarioSpec",
     "SCENARIOS",
     "get_scenario",
-    "run_scenario",
 ]

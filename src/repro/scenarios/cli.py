@@ -22,6 +22,7 @@ import json
 import sys
 from typing import List, Optional, Sequence, Tuple
 
+from repro.api.report import RunReport
 from repro.exec.backend import TaskSpec, backend_for_jobs
 from repro.experiments.report import format_table
 from repro.scenarios.library import SCENARIOS, get_scenario
@@ -43,10 +44,10 @@ def render_report(report: ScenarioReport) -> str:
     """Human-readable scenario report: header, per-phase table, invariants.
 
     Rendering goes through the unified :class:`~repro.api.report.RunReport`
-    view (:meth:`ScenarioReport.to_run_report`), so the CLI prints exactly
-    the table/claims any other driver of the run report would see.
+    view (:meth:`RunReport.from_scenario`), so the CLI prints exactly the
+    table/claims any other driver of the run report would see.
     """
-    run = report.to_run_report()
+    run = RunReport.from_scenario(report)
     lines = [run.title,
              f"  initial stabilization: "
              f"{'ok' if report.stabilized else 'FAILED'} "

@@ -166,12 +166,6 @@ class ScenarioReport:
                              for p in payload.get("phases") or []]
         return cls(**payload)
 
-    def to_run_report(self) -> RunReport:
-        """This report as a unified :class:`~repro.api.report.RunReport`
-        (per-phase table + flattened invariants as claims + the full scenario
-        dict embedded losslessly)."""
-        return RunReport.from_scenario(self)
-
 
 class ScenarioRunner:
     """Execute one :class:`ScenarioSpec` and produce a :class:`ScenarioReport`."""
@@ -251,7 +245,7 @@ class ScenarioRunner:
         :class:`~repro.api.report.RunReport` view of its result — with the
         system's telemetry payload attached when the facade was built with
         ``telemetry=True``."""
-        report = self.run().to_run_report()
+        report = RunReport.from_scenario(self.run())
         recorder = getattr(self.system, "telemetry", None)
         if recorder is not None:
             report.telemetry = recorder.to_dict()
@@ -521,9 +515,3 @@ class ScenarioRunner:
         phase_report.supervisor_request_bound = bound
         phase_report.invariants["supervisor request load within bound"] = (
             hotspot <= bound)
-
-
-def run_scenario(spec: ScenarioSpec, seed: int = 0,
-                 hooks: Optional[HookRegistry] = None) -> ScenarioReport:
-    """Convenience wrapper: build a runner and run the scenario once."""
-    return ScenarioRunner(spec, seed=seed, hooks=hooks).run()

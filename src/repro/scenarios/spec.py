@@ -20,7 +20,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.config import DEFAULT_MAX_ROUNDS
+from repro.core.config import DEFAULT_MAX_ROUNDS, require_int_fields
 
 #: Facade selector values accepted by :attr:`ScenarioSpec.facade` — the same
 #: values as :data:`repro.api.spec.TOPOLOGIES`.
@@ -103,6 +103,7 @@ class PhaseSpec:
             raise ValueError("phase rounds must be positive and finite")
         if not 0 <= self.settle_rounds < math.inf:
             raise ValueError("settle_rounds must be non-negative and finite")
+        require_int_fields(self, "joins", "leaves", "crashes", "publications")
         for attr in ("joins", "leaves", "crashes", "publications"):
             if getattr(self, attr) < 0:
                 raise ValueError(f"{attr} must be non-negative")
@@ -167,6 +168,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.facade not in FACADES:
             raise ValueError(f"facade must be one of {FACADES}, got {self.facade!r}")
+        require_int_fields(self, "shards", "subscribers", "max_stabilize_rounds")
         if self.facade == "single" and self.shards != 1:
             raise ValueError("the single-supervisor facade has exactly one shard")
         if self.shards < 1:

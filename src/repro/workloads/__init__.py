@@ -1,4 +1,6 @@
-"""Workload and adversarial-state generators used by tests and experiments."""
+"""Adversarial initial states and scattered publications, used by tests and
+experiments.  Disruptions during a run (churn, crashes, live publications)
+are :class:`~repro.scenarios.spec.PhaseSpec` phases."""
 
 from repro.workloads.initial_states import (
     AdversarialConfig,
@@ -7,12 +9,7 @@ from repro.workloads.initial_states import (
     inject_corrupted_messages,
     scramble_topic_views,
 )
-from repro.workloads.churn import ChurnEvent, ChurnSchedule, apply_churn
-from repro.workloads.publications import (
-    generate_payloads,
-    scatter_publications,
-    publish_stream,
-)
+from repro.workloads.publications import generate_payloads, scatter_publications
 
 __all__ = [
     "AdversarialConfig",
@@ -20,10 +17,6 @@ __all__ = [
     "corrupt_supervisor_database",
     "inject_corrupted_messages",
     "scramble_topic_views",
-    "ChurnEvent",
-    "ChurnSchedule",
-    "apply_churn",
     "generate_payloads",
     "scatter_publications",
-    "publish_stream",
 ]

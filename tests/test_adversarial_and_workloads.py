@@ -1,19 +1,14 @@
-"""Tests for adversarial initial states, churn schedules and publication workloads."""
+"""Tests for adversarial initial states and publication workloads."""
 
 import pytest
 
 from repro.api import SystemSpec, build_stable
 from repro.core.config import ProtocolParams
-from repro.workloads.churn import ChurnEvent, ChurnSchedule, apply_churn
 from repro.workloads.initial_states import (
     AdversarialConfig,
     build_adversarial_system,
 )
-from repro.workloads.publications import (
-    generate_payloads,
-    publish_stream,
-    scatter_publications,
-)
+from repro.workloads.publications import generate_payloads, scatter_publications
 
 
 class TestAdversarialConfig:
@@ -76,26 +71,6 @@ class TestTheorem8Convergence:
                                                        max_rounds=800)
 
 
-class TestChurn:
-    def test_event_validation(self):
-        with pytest.raises(ValueError):
-            ChurnEvent(time=-1, kind="join")
-        with pytest.raises(ValueError):
-            ChurnEvent(time=0, kind="explode")
-
-    def test_system_survives_churn(self):
-        system, _ = build_stable(SystemSpec(seed=71), 8)
-        schedule = ChurnSchedule()
-        schedule.add(ChurnEvent(time=2.0, kind="join"))
-        schedule.add(ChurnEvent(time=4.0, kind="join"))
-        schedule.add(ChurnEvent(time=6.0, kind="leave"))
-        schedule.add(ChurnEvent(time=8.0, kind="crash"))
-        apply_churn(system, schedule, seed=3)
-        system.run_rounds(12)
-        assert system.run_until_legitimate(max_rounds=1000)
-        assert len(system.members()) == 8  # 8 + 2 joins - 1 leave - 1 crash
-
-
 class TestPublicationWorkloads:
     def test_generate_payloads_distinct_and_deterministic(self):
         a = generate_payloads(10, seed=5)
@@ -109,12 +84,3 @@ class TestPublicationWorkloads:
         assert len(keys) == 8
         total = sum(len(s.publications()) for s in subscribers)
         assert total == 8  # each publication starts at exactly one subscriber
-
-    def test_publish_stream_delivers_over_time(self):
-        system, subscribers = build_stable(SystemSpec(seed=73), 6)
-        published = publish_stream(system, subscribers, count=5, seed=2,
-                                   spacing_rounds=1.0)
-        system.run_rounds(30)
-        assert len(published) == 5
-        for key in published:
-            assert system.all_subscribers_have(key)

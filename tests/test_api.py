@@ -24,9 +24,8 @@ from repro.api import (
 from repro.core.config import ProtocolParams
 from repro.core.facade import SupervisedPubSub
 from repro.scenarios.library import get_scenario
-from repro.scenarios.runner import ScenarioRunner, run_scenario
+from repro.scenarios.runner import ScenarioRunner
 from repro.sim.engine import SimulatorConfig
-from repro.workloads.churn import ChurnEvent, ChurnSchedule, apply_churn
 
 pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
@@ -242,8 +241,8 @@ class TestHooks:
         hooks.on_relegitimacy(lambda ts, r: order.append("relegitimacy"))
         hooks.on_supervisor_crash(lambda s, m: order.append("supervisor_crash"))
         hooks.on_phase(lambda name, rep: order.append(f"phase:{name}"))
-        report = run_scenario(get_scenario("sharded-supervisor-failover"),
-                              seed=1, hooks=hooks)
+        report = ScenarioRunner(get_scenario("sharded-supervisor-failover"),
+                                seed=1, hooks=hooks).run()
         assert report.passed
         crash_at = order.index("supervisor_crash")
         # Initial stabilization happens before the failover...
@@ -270,32 +269,31 @@ class TestScenarioParityWithPreRedesignConstruction:
                                       "sharded-supervisor-failover"])
     def test_byte_identical_scenario_reports(self, name):
         spec = get_scenario(name)
-        via_api = run_scenario(spec, seed=1).to_json()
+        via_api = ScenarioRunner(spec, seed=1).run().to_json()
         old_system = _pre_redesign_system(spec, seed=1)
         via_old = ScenarioRunner(spec, seed=1, system=old_system).run().to_json()
         assert via_api == via_old
 
     def test_run_report_wraps_the_scenario_losslessly(self):
-        report = run_scenario(get_scenario("lossy-network"), seed=2)
-        run = report.to_run_report()
+        report = ScenarioRunner(get_scenario("lossy-network"), seed=2).run()
+        run = RunReport.from_scenario(report)
         assert run.scenario == report.to_dict()
         assert run.claims == report.invariants()
         assert run.passed == report.passed
         assert run.name == "lossy-network"
         assert len(run.rows) == len(report.phases)
         # Canonical JSON is deterministic per seed.
-        rerun = run_scenario(get_scenario("lossy-network"), seed=2)
-        assert run.to_json() == rerun.to_run_report().to_json()
+        rerun = ScenarioRunner(get_scenario("lossy-network"), seed=2).run()
+        assert run.to_json() == RunReport.from_scenario(rerun).to_json()
 
 
 class TestE12Parity:
     def test_e12_reports_byte_identical_at_same_seed(self):
         from repro.experiments.experiments import e12_adversarial_scenarios
-        from repro.experiments.report import render_result
         first = e12_adversarial_scenarios(seed=5)
         second = e12_adversarial_scenarios(seed=5)
         assert first.passed, first.failed_claims
-        assert render_result(first) == render_result(second)
+        assert first.to_json() == second.to_json()
         assert isinstance(first, RunReport)
 
 
@@ -323,31 +321,3 @@ class TestRunReport:
         run = RunReport(name="X", title="t")
         parsed = json.loads(run.to_json())
         assert parsed["name"] == "X" and parsed["passed"] is True
-
-
-class TestChurnIsFacadeAgnostic:
-    def test_churn_runs_against_the_sharded_facade(self):
-        cluster, _ = build_stable(
-            SystemSpec(topology="sharded", shards=2, seed=6),
-            topics=["t"], subscribers_per_topic=8)
-        before = len(cluster.members("t"))
-        schedule = ChurnSchedule()
-        schedule.add(ChurnEvent(time=1.0, kind="join"))
-        schedule.add(ChurnEvent(time=2.0, kind="crash"))
-        apply_churn(cluster, schedule, topic="t", seed=3)
-        cluster.run_rounds(10)
-        assert cluster.run_until_legitimate("t", max_rounds=600)
-        assert len(cluster.members("t")) == before  # +1 join, -1 crash
-
-    def test_targeted_event_uses_stable_node_ids(self):
-        system, subscribers = build_stable(SystemSpec(seed=6), 6)
-        victim = subscribers[2].node_id
-        schedule = ChurnSchedule()
-        schedule.add(ChurnEvent(time=1.0, kind="crash", target=victim))
-        # Targeting a node that is not a member is a silent no-op.
-        schedule.add(ChurnEvent(time=2.0, kind="leave", target=10_000))
-        apply_churn(system, schedule, seed=0)
-        system.run_rounds(5)
-        assert victim not in system.members()
-        assert len(system.members()) == 5
-        assert system.run_until_legitimate(max_rounds=600)

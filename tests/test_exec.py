@@ -192,8 +192,8 @@ class TestCampaign:
 class TestDriverLayers:
     def test_scenario_report_dict_round_trip(self):
         from repro.scenarios.library import get_scenario
-        from repro.scenarios.runner import ScenarioReport, run_scenario
-        report = run_scenario(get_scenario("lossy-network"), seed=1)
+        from repro.scenarios.runner import ScenarioReport, ScenarioRunner
+        report = ScenarioRunner(get_scenario("lossy-network"), seed=1).run()
         rebuilt = ScenarioReport.from_dict(
             json.loads(json.dumps(report.to_dict(), sort_keys=True)))
         assert rebuilt.to_json() == report.to_json()

@@ -1,10 +1,13 @@
 """Tests for ProtocolParams and the experiment harness (small configurations)."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import PAPER_DEFAULTS, PSEUDOCODE_VARIANT, ProtocolParams
 from repro.experiments import experiments as exp
-from repro.experiments.report import format_table, render_result
+from repro.experiments.report import format_table
 from repro.api.report import RunReport
 from repro.experiments.runner import run_experiment
 
@@ -54,18 +57,29 @@ class TestRunnerAndReport:
         assert result.wall_seconds is not None and result.wall_seconds >= 0
 
     def test_format_table_and_render(self):
-        result = RunReport(name="X", title="demo", headers=["n", "value"])
-        result.add_row(1, 2.3456)
-        result.claim("holds", True)
-        text = render_result(result)
-        assert "demo" in text and "2.346" in text and "[PASS]" in text
+        assert "2.346" in format_table(["n", "value"], [[1, 2.3456]])
         table = format_table(["a"], [["x"], ["longer"]])
         assert "longer" in table
 
 
+@pytest.mark.parametrize("holds, status", [(True, 0), (False, 1)])
+def test_the_generator_exits_1_when_a_claim_fails(monkeypatch, tmp_path, holds, status):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "generate_experiments_md.py"
+    spec = importlib.util.spec_from_file_location("generate_experiments_md", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    report = RunReport(name="E1", title="t", headers=["a"])
+    report.claim("the claim", holds)
+    monkeypatch.setattr(module, "run_experiment_campaign",
+                        lambda jobs, progress: {"E1": report})
+    out = tmp_path / "EXPERIMENTS.md"
+    assert module.main([str(out)]) == status
+    assert f"- [{'x' if holds else ' '}] the claim" in out.read_text(encoding="utf-8")
+
+
 class TestExperimentsSmall:
     """Each experiment is exercised at a reduced size so the full test suite
-    stays fast; the benchmarks run the paper-scale versions."""
+    stays fast; the EXPERIMENTS.md generator runs the paper-scale versions."""
 
     def test_e1(self):
         result = exp.e1_topology(sizes=(8, 16, 32))

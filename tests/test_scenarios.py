@@ -8,10 +8,11 @@ from conftest import assert_heapq_order, records_in_flight
 
 from repro.api import SystemSpec, build_stable
 from repro.core.facade import SupervisedPubSub
+from repro.exec.sweep import SweepSpec
 from repro.scenarios.adversary import DelaySpike, LinkAdversary, Partition
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.library import SCENARIOS, get_scenario
-from repro.scenarios.runner import ScenarioRunner, run_scenario
+from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.network import (
@@ -116,6 +117,33 @@ class TestNonFiniteInputsAreRejected:
         assert "NaN" in text
         with pytest.raises(ValueError, match="heal_after_rounds"):
             ScenarioSpec.from_json(text)
+
+
+def _scenario_dict(phase=None, **fields):
+    payload = ScenarioSpec(name="x", description="", phases=(PhaseSpec(name="p"),)).to_dict()
+    payload["phases"][0].update(phase or {})
+    return {**payload, **fields}
+
+
+#: A float (or bool) count per spec field, spelled as a JSON spec carries it.
+NON_INT_COUNTS = {
+    "PhaseSpec.joins": lambda: ScenarioSpec.from_dict(_scenario_dict(phase={"joins": 2.0})),
+    "PhaseSpec.crashes": lambda: ScenarioSpec.from_dict(_scenario_dict(phase={"crashes": 2.0})),
+    "PhaseSpec.publications":
+        lambda: ScenarioSpec.from_dict(_scenario_dict(phase={"publications": 2.0})),
+    "PhaseSpec.leaves": lambda: ScenarioSpec.from_dict(_scenario_dict(phase={"leaves": True})),
+    "ScenarioSpec.subscribers": lambda: ScenarioSpec.from_dict(_scenario_dict(subscribers=12.0)),
+    "SystemSpec.shards": lambda: SystemSpec.from_dict({"topology": "sharded", "shards": 2.0}),
+    "SystemSpec.virtual_nodes": lambda: SystemSpec.from_dict({"virtual_nodes": 8.0}),
+    "SweepSpec.seeds": lambda: SweepSpec.from_dict({"name": "s", "seeds": 2.0}),
+}
+
+
+@pytest.mark.parametrize("field", list(NON_INT_COUNTS))
+def test_a_spec_rejects_a_count_that_is_not_an_int(field):
+    """The spec names the field instead of the runner crashing mid-run."""
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        NON_INT_COUNTS[field]()
 
 
 class TestAdversaryHooks:
@@ -314,13 +342,13 @@ class TestSpecRoundTrip:
 class TestScenarioRunner:
     def test_reports_identical_across_reruns(self):
         spec = get_scenario("lossy-network")
-        first = run_scenario(spec, seed=2).to_json()
-        assert run_scenario(spec, seed=2).to_json() == first
+        first = ScenarioRunner(spec, seed=2).run().to_json()
+        assert ScenarioRunner(spec, seed=2).run().to_json() == first
         # And a different seed produces a genuinely different run.
-        assert run_scenario(spec, seed=3).to_json() != first
+        assert ScenarioRunner(spec, seed=3).run().to_json() != first
 
     def test_lossy_scenario_passes_and_accounts_drops(self):
-        report = run_scenario(get_scenario("lossy-network"), seed=1)
+        report = ScenarioRunner(get_scenario("lossy-network"), seed=1).run()
         assert report.passed
         assert report.stabilized
         phase = report.phases[0]
@@ -333,15 +361,25 @@ class TestScenarioRunner:
             phase.drops["adversary_loss"]
 
     def test_partition_scenario_drops_and_heals(self):
-        report = run_scenario(get_scenario("rolling-partition"), seed=1)
+        report = ScenarioRunner(get_scenario("rolling-partition"), seed=1).run()
         assert report.passed
         assert all(p.drops.get("partition", 0) > 0 for p in report.phases)
 
     def test_sharded_failover_scenario(self):
-        report = run_scenario(get_scenario("sharded-supervisor-failover"),
-                              seed=1)
+        report = ScenarioRunner(get_scenario("sharded-supervisor-failover"),
+                                seed=1).run()
         assert report.passed
         assert report.facade == "sharded"
+
+    def test_churn_on_the_sharded_topology(self):
+        spec = ScenarioSpec(
+            name="sharded-churn", description="", facade="sharded", shards=2,
+            subscribers=16, topics=("t0", "t1"),
+            phases=(PhaseSpec(name="churn", joins=2, leaves=1, crashes=2,
+                              publications=4),))
+        report = ScenarioRunner(spec, seed=0).run()
+        assert report.passed
+        assert report.phases[0].live_members == 15  # 16 + 2 joins - 1 leave - 2 crashes
 
     def test_runner_builds_matching_facade(self):
         runner = ScenarioRunner(get_scenario("flash-crowd"), seed=0)
@@ -349,7 +387,7 @@ class TestScenarioRunner:
         assert runner.system.sim.network.adversary is runner.adversary
 
     def test_invariants_flatten_per_phase(self):
-        report = run_scenario(get_scenario("mass-crash-recovery"), seed=1)
+        report = ScenarioRunner(get_scenario("mass-crash-recovery"), seed=1).run()
         invariants = report.invariants()
         assert invariants["initial stabilization"]
         assert any(key.startswith("wave:") for key in invariants)

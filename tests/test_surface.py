@@ -2,7 +2,7 @@
 
 An ``ast`` walk: every module-level function/class and every public method
 must be *named* — a ``Name``, an attribute, an imported alias or a keyword —
-under ``src/``, ``bench/``, ``benchmarks/``, ``scripts/`` or ``examples/``
+under ``src/``, ``bench/``, ``scripts/`` or ``examples/``
 outside its own ``def``/``class`` line, ``__all__`` strings and bare ``__init__``
 re-exports.  Name-based on purpose: a false "has a reader" is acceptable, a
 false "dead" is not.  Tests are not readers.
@@ -25,7 +25,6 @@ KEPT = {
     "run_scenario_task": _TASK, "run_experiment_task": _TASK, "run_fuzz_case": _TASK,
     "echo": _TASK + " — the exec tests' trivial task",
     "misbehave": _TASK + " — the exec tests' crash/hang/garbage worker",
-    "run_campaign": "front door: README's sweep quickstart and `from repro import run_campaign`",
     "topic_assignment": "cluster inspection: which shard owns which topic (tests/test_cluster.py)",
     "shard_topic_counts": "cluster inspection: per-shard topic load after a rebalance",
     "label_from_r": "the inverse of r (Section 2.1) in repro.core's label algebra; "
@@ -48,7 +47,7 @@ def _scan():
     """``(defined, reads)``: where each checked name is defined, and how often
     any identifier is read anywhere in the reader directories."""
     defined, reads = {}, Counter()
-    for top in ("src", "bench", "benchmarks", "scripts", "examples"):
+    for top in ("src", "bench", "scripts", "examples"):
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             if top == "src":
@@ -73,7 +72,7 @@ def test_every_public_name_has_a_reader():
     dead = {name: where for name, where in defined.items() if not reads[name]}
     unexplained = {name: where for name, where in dead.items() if name not in KEPT}
     assert not unexplained, (
-        "defined under src/repro but read nowhere in src/ bench/ benchmarks/ "
-        f"scripts/ examples/ — delete it or add it to KEPT with its reader: {unexplained}")
+        "defined under src/repro but read nowhere in src/ bench/ scripts/ "
+        f"examples/ — delete it or add it to KEPT with its reader: {unexplained}")
     stale = sorted(set(KEPT) - set(dead))
     assert not stale, f"KEPT entries that are gone or now have a by-name reader: {stale}"

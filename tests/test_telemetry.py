@@ -282,9 +282,9 @@ class TestScenarioTelemetry:
 
     def test_scenario_json_unperturbed(self, lossy_telemetry_report):
         from repro.scenarios.library import get_scenario
-        from repro.scenarios.runner import run_scenario
+        from repro.scenarios.runner import ScenarioRunner
 
-        plain = run_scenario(get_scenario("lossy-network"), seed=1)
+        plain = ScenarioRunner(get_scenario("lossy-network"), seed=1).run()
         assert (json.dumps(lossy_telemetry_report.scenario, sort_keys=True,
                            separators=(",", ":"))
                 == plain.to_json())
