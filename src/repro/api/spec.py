@@ -90,8 +90,14 @@ class SystemSpec:
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
-        require_int_fields(self, "shards", "virtual_nodes", "max_rounds",
+        require_int_fields(self, "shards", "virtual_nodes", "seed", "max_rounds",
                            "check_every_rounds")
+        if not isinstance(self.telemetry, bool):
+            raise ValueError(f"SystemSpec.telemetry must be a bool, got {self.telemetry!r}")
+        for name, kind in (("params", ProtocolParams), ("sim", SimulatorConfig)):
+            if not isinstance(getattr(self, name), (kind, dict, type(None))):
+                raise ValueError(f"SystemSpec.{name} must be a {kind.__name__}, a dict "
+                                 f"or None, got {getattr(self, name)!r}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.topology == "single" and self.shards != 1:

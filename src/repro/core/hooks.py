@@ -31,7 +31,8 @@ registry, so calls chain::
 
 Callbacks run synchronously, in registration order, inside the emitting
 call; exceptions propagate to the driver (hooks are part of the run, not a
-detached observer bus).
+detached observer bus).  Registration checks a callback's positional arity
+against the table above and raises ``TypeError`` there, not mid-drive.
 
 The implementation lives in :mod:`repro.core` (below the facades, which
 instantiate a registry per system); :mod:`repro.api` re-exports it as part
@@ -40,11 +41,29 @@ of the unified API surface.
 
 from __future__ import annotations
 
+from inspect import CO_VARARGS
+from types import MethodType
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 #: The typed events a :class:`HookRegistry` dispatches.
 HOOK_EVENTS = ("subscribe", "relegitimacy", "delivery", "supervisor_crash",
                "phase")
+
+
+def _check_arity(callback: Callable, arity: int, event: str) -> None:
+    """Raise ``TypeError`` unless ``callback`` takes ``arity`` positional
+    arguments.  Read off ``__code__``: a Python function or bound method is
+    checked, a builtin, ``functools.partial`` or callable object is not."""
+    bound = isinstance(callback, MethodType)
+    function = callback.__func__ if bound else callback
+    code = getattr(function, "__code__", None)
+    if code is None:
+        return
+    most = code.co_argcount - bound
+    least = most - len(function.__defaults__ or ())
+    if arity < least or (arity > most and not code.co_flags & CO_VARARGS):
+        raise TypeError(f"on_{event} calls back with {arity} positional "
+                        f"arguments, which {callback!r} cannot take")
 
 
 class HookRegistry:
@@ -63,23 +82,20 @@ class HookRegistry:
     # ------------------------------------------------------------ registration
     def on_subscribe(self, callback: Callable[[int, str], None]) -> "HookRegistry":
         """``callback(node_id, topic)`` on every successful subscribe."""
-        self._subscribe.append(callback)
-        return self
+        return self._add(self._subscribe, callback, 2, "subscribe")
 
     def on_relegitimacy(self,
                         callback: Callable[[Tuple[str, ...], float], None],
                         ) -> "HookRegistry":
         """``callback(topics, rounds)`` whenever a legitimacy drive succeeds."""
-        self._relegitimacy.append(callback)
-        return self
+        return self._add(self._relegitimacy, callback, 2, "relegitimacy")
 
     def on_delivery(self,
                     callback: Callable[[str, frozenset, float], None],
                     ) -> "HookRegistry":
         """``callback(topic, expected_keys, rounds)`` whenever a
         publication-convergence drive succeeds."""
-        self._delivery.append(callback)
-        return self
+        return self._add(self._delivery, callback, 3, "delivery")
 
     def on_supervisor_crash(self,
                             callback: Callable[[int, Tuple[str, ...]], None],
@@ -87,12 +103,16 @@ class HookRegistry:
         """``callback(shard_id, moved_topics)`` when a supervisor shard is
         crashed (only reachable with two or more shards: the last live
         supervisor cannot crash)."""
-        self._supervisor_crash.append(callback)
-        return self
+        return self._add(self._supervisor_crash, callback, 2, "supervisor_crash")
 
     def on_phase(self, callback: Callable[[str, object], None]) -> "HookRegistry":
         """``callback(phase_name, phase_report)`` after each scenario phase."""
-        self._phase.append(callback)
+        return self._add(self._phase, callback, 2, "phase")
+
+    def _add(self, callbacks: List[Callable], callback: Callable, arity: int,
+             event: str) -> "HookRegistry":
+        _check_arity(callback, arity, event)
+        callbacks.append(callback)
         return self
 
     # ---------------------------------------------------------------- emitting

@@ -20,10 +20,9 @@ from repro.api.report import RunReport
 def run_experiment(fn: Callable[..., RunReport], *args, **kwargs) -> RunReport:
     """Run an experiment function and stamp its wall-clock duration on the
     report's first-class :attr:`~repro.api.report.RunReport.wall_seconds`."""
-    start = time.perf_counter()  # repro: allow[no-ambient-nondeterminism]
+    start = time.perf_counter()
     result = fn(*args, **kwargs)
     if result.wall_seconds is None:
-        # repro: allow[no-ambient-nondeterminism]
         result.wall_seconds = round(time.perf_counter() - start, 3)
     return result
 

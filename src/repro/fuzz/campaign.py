@@ -239,13 +239,11 @@ class FuzzCampaign:
 
         deadline = None
         if self.budget_seconds is not None:
-            deadline = (time.monotonic()  # repro: allow[no-ambient-nondeterminism]
-                        + self.budget_seconds)
+            deadline = time.monotonic() + self.budget_seconds
 
         iteration = 0
         while iteration < cfg.budget_iters:
-            if deadline is not None and (
-                    time.monotonic() > deadline):  # repro: allow[no-ambient-nondeterminism]
+            if deadline is not None and time.monotonic() > deadline:
                 report.truncated = True
                 break
             batch: List[ScenarioSpec] = []

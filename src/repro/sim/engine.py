@@ -98,6 +98,11 @@ class SimulatorConfig:
     def __post_init__(self, scheduler: str) -> None:
         if scheduler != "wheel":
             raise ValueError(f"the engine has one event queue, not {scheduler!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"SimulatorConfig.seed must be an int, got {self.seed!r}")
+        if not isinstance(self.keep_trace_events, bool):
+            raise ValueError("SimulatorConfig.keep_trace_events must be a bool, "
+                             f"got {self.keep_trace_events!r}")
         for name in ("min_delay", "max_delay", "timeout_period", "detection_lag"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -227,8 +232,8 @@ class Simulator:
 
         def _send_fast(sender: Optional[NodeRef], dest: NodeRef, action: str,
                        topic: Optional[str], params: Dict[str, Any]) -> None:
-            # repro: hotpath — one frame per ProtocolNode.send; repro.check
-            # flags per-event container allocations added here
+            # hot path — one frame per ProtocolNode.send; a per-event container
+            # added here fails test_engine_hot_loops_build_no_container_per_event
             now = self.now
             adversary = network.adversary
             try:
@@ -241,7 +246,6 @@ class Simulator:
                 sent[action][sender] += 1
             except KeyError:
                 # first sight of the action or of this sender under it
-                # repro: allow[no-hotpath-allocation]
                 sent.setdefault(action, {})[sender] = 1
             if gone:
                 stats.record_drop(DROP_TO_CRASHED)
@@ -285,7 +289,6 @@ class Simulator:
                     buckets[index].append(record)
                 except KeyError:
                     # amortised: one list per bucket, not per event
-                    # repro: allow[no-hotpath-allocation]
                     buckets[index] = [record]
                     heappush(bucket_heap, index)
 
@@ -476,7 +479,7 @@ class Simulator:
             gc.disable()
         profile = self._profile
         if profile is not None:
-            wall_start = perf_counter()  # repro: allow[no-ambient-nondeterminism]
+            wall_start = perf_counter()
             steps_before = self._steps
         try:
             self._run_blocks(deadline)
@@ -485,7 +488,6 @@ class Simulator:
                 gc.enable()
             if profile is not None:
                 profile["drains"] += 1
-                # repro: allow[no-ambient-nondeterminism]
                 profile["wall_seconds"] += perf_counter() - wall_start
                 profile["steps"] += self._steps - steps_before
         if deadline > self.now:
@@ -515,8 +517,8 @@ class Simulator:
         nested delivery-time check (a partition that started with the record
         in flight), nothing else.
         """
-        # repro: hotpath — the fused delivery/timeout drain; repro.check
-        # flags per-event container allocations added to this loop
+        # hot path — the fused delivery/timeout drain; a per-event container
+        # added here fails test_engine_hot_loops_build_no_container_per_event
         scheduler = self._scheduler
         pop_block_into = scheduler.pop_block_into
         next_time = scheduler.next_time
@@ -551,7 +553,7 @@ class Simulator:
         # Strict `< limit` window membership with an inclusive deadline:
         # events at exactly `deadline` belong to the run.
         beyond_deadline = math.nextafter(deadline, math.inf)
-        block: List[Any] = []  # repro: allow[no-hotpath-allocation] (setup)
+        block: List[Any] = []  # setup: the hot-loop test exempts annotated assignments
         delivered = 0
         pushed = 0  # deferred wheel._count increments, flushed per block
         while True:
@@ -619,7 +621,6 @@ class Simulator:
                                 received[action][dest] += 1
                             except KeyError:
                                 # first sight, as in _send_fast
-                                # repro: allow[no-hotpath-allocation]
                                 received.setdefault(action, {})[dest] = 1
                         elif not pop_record(event):
                             # Not an int: the reference accounting, where an
@@ -660,7 +661,6 @@ class Simulator:
                                 buckets[index].append(timeout_event)
                             except KeyError:
                                 # amortised: one list per bucket
-                                # repro: allow[no-hotpath-allocation]
                                 buckets[index] = [timeout_event]
                                 heappush(bucket_heap, index)
                     elif kind == _CRASH:

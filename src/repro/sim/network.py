@@ -193,9 +193,7 @@ class ChannelStats:
         """Return a deep copy usable as a baseline for differential counting."""
         clone = ChannelStats()
         # a copy, not a payload: each inner dict is copied in its own order
-        # repro: allow[no-unsorted-iteration-into-output]
         clone._sent = {action: dict(by_node) for action, by_node in self._sent.items()}
-        # repro: allow[no-unsorted-iteration-into-output]
         clone._received = {action: dict(by_node) for action, by_node in self._received.items()}
         clone._drops = dict(self._drops)
         clone.duplicated = self.duplicated

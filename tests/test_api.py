@@ -8,6 +8,7 @@ deprecated code path.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
@@ -202,6 +203,19 @@ class TestBuilder:
             build_stable(SystemSpec(seed=1, max_rounds=1), 16)
 
 
+def _on_delivery_sink(node_id, topic):  # on_delivery passes three arguments
+    pass
+
+
+def _tolerant_delivery(topic, keys, rounds=0.0, extra=None):
+    pass
+
+
+class _PhaseSink:
+    def on_phase(self, name, report):
+        pass
+
+
 class TestHooks:
     def test_subscribe_relegitimacy_and_delivery_hooks(self):
         events = []
@@ -258,6 +272,28 @@ class TestHooks:
         registry.emit_supervisor_crash(0, ["t"])
         registry.emit_phase("p", None)
         assert registry.counts() == {e: 0 for e in registry.counts()}
+
+    @pytest.mark.parametrize("event, callback", [
+        ("subscribe", lambda node_id, topic, extra: None),
+        ("delivery", _on_delivery_sink),
+    ], ids=["three-arg-subscribe", "two-arg-delivery"])
+    def test_registration_rejects_a_callback_of_the_wrong_arity(self, event, callback):
+        registry = HookRegistry()
+        with pytest.raises(TypeError, match=f"on_{event}"):
+            getattr(registry, f"on_{event}")(callback)
+        assert registry.counts()[event] == 0
+
+    @pytest.mark.parametrize("event, callback", [
+        ("subscribe", lambda *args: None),
+        ("delivery", _tolerant_delivery),
+        ("phase", _PhaseSink().on_phase),
+        ("relegitimacy", print),
+        ("supervisor_crash", functools.partial(lambda tag, shard, moved: None, "x")),
+    ], ids=["varargs", "trailing-defaults", "bound-method", "builtin", "partial"])
+    def test_registration_accepts_any_callable_taking_the_arguments(self, event, callback):
+        registry = HookRegistry()
+        assert getattr(registry, f"on_{event}")(callback) is registry
+        assert registry.counts()[event] == 1
 
 
 class TestScenarioParityWithPreRedesignConstruction:

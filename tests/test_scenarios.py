@@ -12,7 +12,7 @@ from repro.exec.sweep import SweepSpec
 from repro.scenarios.adversary import DelaySpike, LinkAdversary, Partition
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.library import SCENARIOS, get_scenario
-from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.runner import PhaseReport, ScenarioReport, ScenarioRunner
 from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.network import (
@@ -392,6 +392,14 @@ class TestScenarioRunner:
         assert invariants["initial stabilization"]
         assert any(key.startswith("wave:") for key in invariants)
         assert all(invariants.values())
+
+    def test_invariants_sorted_within_phase(self):
+        phase = PhaseReport(name="p", disruptions=[])
+        phase.invariants = {"zeta": True, "alpha": False}
+        report = ScenarioReport(scenario="s", seed=0, facade="f", shards=1,
+                                subscribers_initial=0, topics=[],
+                                stabilized=True, phases=[phase])
+        assert list(report.invariants()) == ["initial stabilization", "p: alpha", "p: zeta"]
 
 
 class TestCli:

@@ -49,6 +49,18 @@ class TestSimulatorBasics:
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     SimulatorConfig(**{field: value})
 
+    def test_config_validates_delays_and_lag(self):
+        with pytest.raises(ValueError, match="min_delay"):
+            SimulatorConfig(min_delay=-0.1)
+        # zero used to validate here and die later in Network.__init__ with
+        # other words; the drain's window argument needs it strictly positive
+        with pytest.raises(ValueError, match="min_delay must be positive"):
+            SimulatorConfig(min_delay=0.0)
+        with pytest.raises(ValueError, match="max_delay"):
+            SimulatorConfig(min_delay=0.5, max_delay=0.1)
+        with pytest.raises(ValueError, match="detection_lag"):
+            SimulatorConfig(detection_lag=-1.0)
+
     def test_duplicate_node_ids_rejected(self):
         sim = Simulator()
         sim.add_node(EchoNode(1))

@@ -14,14 +14,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_RULE = "registered by its @register decorator; CheckEngine reaches it through default_rules()"
 _TASK = "reached by its 'module:function' string through exec.backend.resolve_task_fn"
 
 #: Names with no by-name reader that stay, each with the reader it does have.
 KEPT = {
-    **dict.fromkeys(["AmbientNondeterminismRule", "HookSignatureRule", "HotpathAllocationRule",
-                     "RngDisciplineRule", "SlotsCompleteRule", "SortedOutputRule",
-                     "SpecFieldCoverageRule"], _RULE),
     "run_scenario_task": _TASK, "run_experiment_task": _TASK, "run_fuzz_case": _TASK,
     "echo": _TASK + " — the exec tests' trivial task",
     "misbehave": _TASK + " — the exec tests' crash/hang/garbage worker",

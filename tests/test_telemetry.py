@@ -162,6 +162,19 @@ class TestSpanTimeline:
         with pytest.raises(ValueError):
             SpanTimeline().add("phase", "bad", 5.0, 4.0)
 
+    def test_summary_sorted_by_kind(self):
+        timeline = SpanTimeline()
+        timeline.add("zeta", "a", 0.0, 1.0)
+        timeline.add("alpha", "b", 0.0, 2.0)
+        assert list(timeline.summary()) == ["alpha", "zeta"]
+
+    def test_merged_summary_sorted_by_kind(self):
+        merged = merge_telemetry_dicts([
+            {"span_summary": {"zeta": {"count": 1, "total": 1.0, "max": 1.0}}},
+            {"span_summary": {"alpha": {"count": 1, "total": 2.0, "max": 2.0}}},
+        ])
+        assert list(merged["span_summary"]) == ["alpha", "zeta"]
+
 
 # ------------------------------------------------------ spec + builder knob
 class TestTelemetryKnob:

@@ -1,7 +1,7 @@
 """Every annotation in the mypy-strict packages resolves at runtime.
 
-``pyproject.toml`` holds ``repro.api``, ``repro.telemetry``, ``repro.exec``
-and ``repro.check`` to strict typing, and every module there uses
+``pyproject.toml`` holds ``repro.api``, ``repro.telemetry`` and
+``repro.exec`` to strict typing, and every module there uses
 ``from __future__ import annotations``: an annotation naming something the
 module never imported is a string nothing evaluates, so neither import nor
 any test trips on it.  ``typing.get_type_hints`` evaluates each one in its
@@ -13,7 +13,7 @@ import inspect
 import pkgutil
 import typing
 
-STRICT_PACKAGES = ("repro.api", "repro.telemetry", "repro.exec", "repro.check")
+STRICT_PACKAGES = ("repro.api", "repro.telemetry", "repro.exec")
 
 
 def _modules():
