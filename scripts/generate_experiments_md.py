@@ -21,7 +21,8 @@ import argparse
 from pathlib import Path
 from typing import List
 
-from repro.experiments.report import format_table
+from repro.api.report import format_table
+from repro.cli import positive_int
 from repro.experiments.runner import run_experiment_campaign
 
 COMMENTARY = {
@@ -136,7 +137,7 @@ COMMENTARY = {
         "probabilistic loss, duplication, delay spikes and named partitions with "
         "scheduled heals, while declarative scenario specs compose churn storms, crash "
         "waves, publication storms and supervisor failover into reproducible runs "
-        "against either facade (`python -m repro.scenarios --list`).\n\n"
+        "against either facade (`python -m repro scenario --list`).\n\n"
         "**Measured.** Under 10 % loss plus a partition that heals mid-phase, every "
         "publication that survived anywhere still reached every surviving subscriber "
         "(Theorem 17 under adversity) and the overlay re-legitimized after each "
@@ -156,7 +157,7 @@ COMMENTARY = {
         "parallel execution layer (`repro.exec`) turns such families into "
         "first-class objects: a declarative `SweepSpec` grid over a base "
         "`SystemSpec`, expanded into tasks with deterministically derived "
-        "per-task seeds and fanned out across CPU cores (`repro-sweep --jobs N`), "
+        "per-task seeds and fanned out across CPU cores (`python -m repro sweep --jobs N`), "
         "merged into one byte-reproducible campaign artifact.\n\n"
         "**Measured.** A loss-rate × shard-count grid of disruption windows: "
         "every grid point re-legitimizes and delivers all surviving publications "
@@ -169,7 +170,7 @@ COMMENTARY = {
         "artifact carries cluster-wide p50/p90/p99 percentiles whose total "
         "count is the exact sum over tasks (integer bucket merges are "
         "order-invariant, so the merged block too is byte-identical at any "
-        "job count); render them with `python -m repro.telemetry campaign.json`."
+        "job count); render them with `python -m repro metrics campaign.json`."
     ),
     "A1": (
         "**Design question.** Section 3.2.1's prose integrates an unknown subscriber that "
@@ -243,11 +244,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out", nargs="?", default="EXPERIMENTS.md",
                         help="output path (default EXPERIMENTS.md)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes (default 1 = inline; the "
                              "written file is byte-identical at any value)")
     args = parser.parse_args(argv)
-    failed = generate(args.out, jobs=max(args.jobs, 1))
+    failed = generate(args.out, jobs=args.jobs)
     if failed:
         print(f"claims failed: {', '.join(failed)}")
         return 1

@@ -21,7 +21,7 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
   conditions (loss, duplication, delay spikes, partitions with scheduled
   heals) and workloads (churn storms, crash waves, publication storms,
   supervisor failover) into declarative, seed-deterministic stress scenarios
-  runnable against either topology (``python -m repro.scenarios``),
+  runnable against either topology (``python -m repro scenario``),
 * a **unified deployment API** (:mod:`repro.api`): a declarative, frozen,
   JSON-round-trippable :class:`~repro.api.spec.SystemSpec` realised by
   :func:`~repro.api.builder.build_system` (the single front door every
@@ -33,7 +33,7 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
   declarative :class:`~repro.exec.sweep.SweepSpec` parameter grids with
   deterministically derived per-task seeds, and a
   :class:`~repro.exec.campaign.CampaignRunner` that merges the results into
-  byte-reproducible campaign artifacts (``python -m repro.exec``); every
+  byte-reproducible campaign artifacts (``python -m repro sweep``); every
   ``--jobs N`` flag in the tree (experiments, scenarios, sweeps, fuzzing)
   fans out through it,
 * a **telemetry subsystem** (:mod:`repro.telemetry`): deterministic
@@ -41,7 +41,7 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
   stabilization) and hook-fed phase-span timelines, switched by one
   ``SystemSpec`` knob (``telemetry=True``), merged across exec workers into
   byte-reproducible run and campaign artifacts, and rendered by
-  ``python -m repro.telemetry`` — off by default at zero hot-path cost.
+  ``python -m repro metrics`` — off by default at zero hot-path cost.
 
 Importing and running the protocol loads no third-party module; ``networkx`` (the
 ``analysis`` extra) is loaded when an E1/E7/E8 structural analysis is actually called.

@@ -5,10 +5,10 @@ The scaling substrate every driver shares.  Three pieces:
 * **Backends** (:mod:`repro.exec.backend`) — run named, JSON-payloaded
   tasks either inline (:class:`InlineBackend`) or across CPU cores with
   per-task fresh-interpreter isolation (:class:`ProcessPoolBackend`).
-  Every ``--jobs N`` flag in the tree (``generate_experiments_md``,
-  ``repro-scenarios``, ``repro-sweep``, ``repro-fuzz``) maps onto these two
-  backends, and results are byte-identical either way: both canonicalize
-  through the same JSON boundary.
+  Every ``--jobs N`` flag in the tree (``generate_experiments_md`` and the
+  ``scenario``, ``sweep`` and ``fuzz`` verbs of ``python -m repro``) maps
+  onto these two backends, and results are byte-identical either way:
+  both canonicalize through the same JSON boundary.
 * **Sweeps** (:mod:`repro.exec.sweep`) — a declarative
   :class:`SweepSpec` parameter grid (scenario × shards × n_nodes ×
   loss_rate × seed replicates) over a base
@@ -19,7 +19,7 @@ The scaling substrate every driver shares.  Three pieces:
   per-task :class:`~repro.api.report.RunReport`\\ s into one
   byte-reproducible :class:`CampaignReport` artifact.
 
-CLI: ``python -m repro.exec`` (installed as ``repro-sweep``).
+CLI: ``python -m repro sweep``.
 """
 
 from repro.exec.backend import (

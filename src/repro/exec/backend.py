@@ -30,10 +30,10 @@ yields a structured :class:`TaskFailure` *result* (a dict under the
 :data:`FAILURE_KEY` key, recognizable via :func:`is_failure_result`)
 instead of raising through ``run``.  :class:`ProcessPoolBackend`
 additionally enforces a per-task wall-clock ``timeout`` (the hung worker
-is killed), and both backends retry a failing task up to ``retries``
-times with a deterministic exponential backoff schedule before recording
-the failure.  The default (``fault_tolerant=False``, no timeout, no
-retries) preserves the historical fail-fast contract.
+is killed).  A failed task is not retried: task functions are
+deterministic, so a rerun of a crash or of bad output reproduces it.  The
+default (``fault_tolerant=False``, no timeout) preserves the historical
+fail-fast contract.
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ import json
 import os
 import subprocess
 import sys
-import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence
 
 #: ``progress(task, result, done, total)`` — invoked once per finished task,
 #: in completion order (== submission order on the inline backend).
@@ -90,19 +89,17 @@ STDERR_TAIL_CHARS = 2000
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """Structured record of one task that failed after all retry attempts.
+    """Structured record of one task that failed.
 
     ``kind`` is one of :data:`FAILURE_KINDS`: ``"crash"`` (nonzero exit or
     in-process exception), ``"timeout"`` (the worker exceeded the per-task
     wall-clock budget and was killed) or ``"bad-output"`` (the worker exited
-    0 but printed something that is not a JSON object).  ``attempts`` counts
-    every execution, so ``attempts - 1`` is the number of retries consumed.
+    0 but printed something that is not a JSON object).
     """
 
     task_id: str
     fn: str
     kind: str
-    attempts: int = 1
     exit_code: Optional[int] = None
     timeout_seconds: Optional[float] = None
     detail: str = ""
@@ -111,38 +108,24 @@ class TaskFailure:
         if self.kind not in FAILURE_KINDS:
             raise ValueError(
                 f"failure kind must be one of {FAILURE_KINDS}, got {self.kind!r}")
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "task_id": self.task_id,
-            "fn": self.fn,
-            "kind": self.kind,
-            "attempts": self.attempts,
-            "exit_code": self.exit_code,
-            "timeout_seconds": self.timeout_seconds,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TaskFailure":
-        return cls(task_id=data["task_id"], fn=data["fn"], kind=data["kind"],
-                   attempts=int(data.get("attempts", 1)),
-                   exit_code=data.get("exit_code"),
-                   timeout_seconds=data.get("timeout_seconds"),
-                   detail=data.get("detail", ""))
+        return cls(**data)
 
     def as_result(self) -> Dict[str, Any]:
         """This failure in result-slot form (``{FAILURE_KEY: {...}}``)."""
         return {FAILURE_KEY: self.to_dict()}
 
-    def raise_(self) -> None:
+    def raise_(self) -> NoReturn:
         """Re-raise this failure as the RuntimeError the fail-fast contract
         would have produced."""
         raise RuntimeError(
-            f"task {self.task_id!r} ({self.fn}) failed [{self.kind}] after "
-            f"{self.attempts} attempt(s):\n{self.detail}".rstrip())
+            f"task {self.task_id!r} ({self.fn}) failed [{self.kind}]:\n"
+            f"{self.detail}".rstrip())
 
 
 def is_failure_result(result: Optional[Dict[str, Any]]) -> bool:
@@ -154,14 +137,6 @@ def is_failure_result(result: Optional[Dict[str, Any]]) -> bool:
 def failure_from_result(result: Dict[str, Any]) -> TaskFailure:
     """The :class:`TaskFailure` inside a failure result slot."""
     return TaskFailure.from_dict(result[FAILURE_KEY])
-
-
-def retry_backoff_schedule(retries: int, base: float = 0.1) -> List[float]:
-    """The deterministic sleep (seconds) before each retry attempt:
-    ``base * 2**i`` for retry ``i``.  Pure function of its arguments — the
-    schedule never depends on clocks or load, so retried campaigns stay
-    reproducible in everything but wall time."""
-    return [base * (2 ** i) for i in range(max(retries, 0))]
 
 
 def resolve_task_fn(ref: str) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
@@ -208,34 +183,26 @@ class InlineBackend(ExecBackend):
 
     ``fault_tolerant=True`` converts an exception raised by a task function
     into a :class:`TaskFailure` result slot (kind ``"crash"``, the traceback
-    tail as detail) after ``retries`` deterministic re-attempts, mirroring
-    the process pool's contract.  Per-task timeouts cannot be enforced
-    in-process; inline fault tolerance covers crashes only.
+    tail as detail), mirroring the process pool's contract.  Per-task
+    timeouts cannot be enforced in-process; inline fault tolerance covers
+    crashes only.
     """
 
-    def __init__(self, fault_tolerant: bool = False, retries: int = 0) -> None:
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
+    def __init__(self, fault_tolerant: bool = False) -> None:
         self.fault_tolerant = fault_tolerant
-        self.retries = retries
 
     def run_one(self, task: TaskSpec) -> Dict[str, Any]:
-        """Run one task in-process; absorb failures when fault-tolerant."""
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                fn = resolve_task_fn(task.fn)
-                return canonicalize(fn(dict(task.payload)))
-            except Exception:
-                if attempts <= self.retries:
-                    continue
-                if not self.fault_tolerant:
-                    raise
-                tail = traceback.format_exc()[-STDERR_TAIL_CHARS:]
-                return canonicalize(TaskFailure(
-                    task_id=task.task_id, fn=task.fn, kind="crash",
-                    attempts=attempts, detail=tail).as_result())
+        """Run one task in-process; absorb a failure when fault-tolerant."""
+        try:
+            fn = resolve_task_fn(task.fn)
+            return canonicalize(fn(dict(task.payload)))
+        except Exception:
+            if not self.fault_tolerant:
+                raise
+            tail = traceback.format_exc()[-STDERR_TAIL_CHARS:]
+            return canonicalize(TaskFailure(
+                task_id=task.task_id, fn=task.fn, kind="crash",
+                detail=tail).as_result())
 
     def run(self, tasks: Sequence[TaskSpec],
             progress: Optional[ProgressFn] = None) -> List[Dict[str, Any]]:
@@ -256,32 +223,24 @@ class ProcessPoolBackend(ExecBackend):
     ``python -m repro.exec.worker`` subprocess to completion, so every task
     gets per-process isolation while the parent stays a single process.
 
-    ``timeout`` (seconds, per attempt) kills a hung worker;
-    ``retries``/``retry_backoff`` re-run a crashed/hung/garbled task on the
-    deterministic :func:`retry_backoff_schedule` before giving up.  With
-    ``fault_tolerant=True`` the final failure becomes a :class:`TaskFailure`
-    result slot; otherwise it raises, preserving the historical fail-fast
-    contract.
+    ``timeout`` (seconds, per task) kills a hung worker.  With
+    ``fault_tolerant=True`` a crashed, hung or garbled task becomes a
+    :class:`TaskFailure` result slot; otherwise it raises, preserving the
+    historical fail-fast contract.
     """
 
     def __init__(self, jobs: int = 1, timeout: Optional[float] = None,
-                 retries: int = 0, retry_backoff: float = 0.1,
                  fault_tolerant: bool = False) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         self.jobs = jobs
         self.timeout = timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
         self.fault_tolerant = fault_tolerant
 
-    # ------------------------------------------------------------- one attempt
-    def _attempt(self, task: TaskSpec) -> "Dict[str, Any] | TaskFailure":
-        """One subprocess execution: the result dict, or a single-attempt
+    def _run_worker(self, task: TaskSpec) -> "Dict[str, Any] | TaskFailure":
+        """One subprocess execution: the result dict, or a
         :class:`TaskFailure` describing what went wrong."""
         try:
             proc = subprocess.run(
@@ -316,26 +275,14 @@ class ProcessPoolBackend(ExecBackend):
         return result
 
     def run_one(self, task: TaskSpec) -> Dict[str, Any]:
-        """Run one task to completion (retries included) and return its
-        result dict — or its failure slot when fault-tolerant."""
-        backoffs = retry_backoff_schedule(self.retries, self.retry_backoff)
-        failure: Optional[TaskFailure] = None
-        for attempt in range(self.retries + 1):
-            if attempt > 0 and backoffs[attempt - 1] > 0:
-                time.sleep(backoffs[attempt - 1])
-            outcome = self._attempt(task)
-            if not isinstance(outcome, TaskFailure):
-                return outcome
-            failure = TaskFailure(
-                task_id=outcome.task_id, fn=outcome.fn, kind=outcome.kind,
-                attempts=attempt + 1, exit_code=outcome.exit_code,
-                timeout_seconds=outcome.timeout_seconds,
-                detail=outcome.detail)
-        assert failure is not None
-        if self.fault_tolerant:
-            return canonicalize(failure.as_result())
-        failure.raise_()
-        raise AssertionError("unreachable")  # pragma: no cover
+        """Run one task to completion and return its result dict — or its
+        failure slot when fault-tolerant."""
+        outcome = self._run_worker(task)
+        if not isinstance(outcome, TaskFailure):
+            return outcome
+        if not self.fault_tolerant:
+            outcome.raise_()
+        return canonicalize(outcome.as_result())
 
     def run(self, tasks: Sequence[TaskSpec],
             progress: Optional[ProgressFn] = None) -> List[Dict[str, Any]]:
@@ -362,7 +309,6 @@ class ProcessPoolBackend(ExecBackend):
 
 
 def backend_for_jobs(jobs: int = 1, timeout: Optional[float] = None,
-                     retries: int = 0,
                      fault_tolerant: bool = False) -> ExecBackend:
     """The conventional mapping every ``--jobs N`` flag uses: 1 means inline
     (no subprocess overhead), anything larger means a process pool.  The
@@ -371,6 +317,6 @@ def backend_for_jobs(jobs: int = 1, timeout: Optional[float] = None,
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs == 1:
-        return InlineBackend(fault_tolerant=fault_tolerant, retries=retries)
-    return ProcessPoolBackend(jobs=jobs, timeout=timeout, retries=retries,
+        return InlineBackend(fault_tolerant=fault_tolerant)
+    return ProcessPoolBackend(jobs=jobs, timeout=timeout,
                               fault_tolerant=fault_tolerant)

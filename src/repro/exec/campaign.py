@@ -113,12 +113,10 @@ class CampaignRunner:
     def __init__(self, sweep: SweepSpec, jobs: int = 1,
                  backend: Optional[ExecBackend] = None,
                  fault_tolerant: bool = False,
-                 task_timeout: Optional[float] = None,
-                 retries: int = 0) -> None:
+                 task_timeout: Optional[float] = None) -> None:
         self.sweep = sweep
         self.backend = backend if backend is not None else backend_for_jobs(
-            jobs, timeout=task_timeout, retries=retries,
-            fault_tolerant=fault_tolerant)
+            jobs, timeout=task_timeout, fault_tolerant=fault_tolerant)
 
     def task_specs(self, tasks: Optional[List[SweepTask]] = None) -> List[TaskSpec]:
         """The backend tasks this campaign dispatches, in sweep order."""
@@ -149,8 +147,8 @@ class CampaignRunner:
         for task, report in zip(tasks, results):
             if is_failure_result(report):
                 # A fault-tolerant backend absorbed a worker crash/timeout:
-                # record the structured failure (retry count included) in the
-                # task's slot instead of aborting the whole campaign.
+                # record the structured failure in the task's slot instead of
+                # aborting the whole campaign.
                 entries.append({**task.to_dict(),
                                 "failure": failure_from_result(report).to_dict()})
                 continue

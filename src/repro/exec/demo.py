@@ -1,4 +1,4 @@
-"""Built-in demonstration sweeps for ``repro-sweep`` and experiment E13.
+"""Built-in demonstration sweeps for ``python -m repro sweep`` and experiment E13.
 
 Each entry is a ``seed -> SweepSpec`` factory sized to run in well under a
 minute, so the demos double as CI smoke coverage of the execution layer.
@@ -40,7 +40,7 @@ def scenario_replicates(seed: int = 0) -> SweepSpec:
     )
 
 
-#: name -> sweep factory; ordered for ``--list-demos`` output.
+#: name -> sweep factory; ordered for ``python -m repro sweep --list``.
 DEMO_SWEEPS: Dict[str, Callable[[int], SweepSpec]] = {
     "e13-loss-shards": e13_loss_shards,
     "scenario-replicates": scenario_replicates,

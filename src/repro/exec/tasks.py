@@ -16,7 +16,7 @@ from typing import Any, Dict
 
 def echo(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Diagnostic task: return the payload unchanged (backend plumbing
-    tests and ``repro-sweep --selftest``-style checks)."""
+    tests)."""
     return {"echo": dict(payload)}
 
 

@@ -7,9 +7,8 @@ and checked claims in ``EXPERIMENTS.md``, which is also the claim ↔
 experiment index.
 """
 
-from repro.api.report import RunReport
+from repro.api.report import RunReport, format_table
 from repro.experiments.runner import run_experiment, run_experiment_campaign
-from repro.experiments.report import format_table
 from repro.experiments import experiments
 
 __all__ = ["RunReport", "run_experiment", "run_experiment_campaign",

@@ -20,10 +20,10 @@ package is the machine that imagines the rest.  Four pieces:
   JSON artifact (``tests/corpus/`` replays them as regressions).
 * **Campaign** (:mod:`repro.fuzz.campaign`) — the budgeted loop, fanned
   out through the **fault-tolerant** :mod:`repro.exec` layer (per-task
-  timeouts, crashed-worker detection, bounded deterministic retries), with
-  byte-reproducible reports at any ``--jobs`` value.
+  timeouts, crashed-worker detection), with byte-reproducible reports at
+  any ``--jobs`` value.
 
-CLI: ``python -m repro.fuzz`` (installed as ``repro-fuzz``).  The full
+CLI: ``python -m repro fuzz``.  The full
 design — coverage-key grammar, shrink algorithm, corpus layout, triage
 workflow — is documented in FUZZING.md.
 """

@@ -6,8 +6,8 @@ imagines scenarios":
 1. draw a batch of specs — fresh from the generator, or mutants of pool
    specs that previously discovered new coverage;
 2. fan the batch out through the **fault-tolerant** exec layer (per-task
-   timeouts, crashed-worker detection, bounded deterministic retries — one
-   pathological spec can kill its worker, never the campaign);
+   timeouts, crashed-worker detection — one pathological spec can kill
+   its worker, never the campaign);
 3. merge results *in submission order*: update the coverage map, admit
    coverage-discovering specs to the mutation pool, record oracle failures
    and worker failures as findings (deduplicated by signature);
@@ -203,13 +203,12 @@ class FuzzCampaign:
     def __init__(self, config: FuzzConfig, jobs: int = 1,
                  backend: Optional[ExecBackend] = None,
                  task_timeout: Optional[float] = 300.0,
-                 retries: int = 1,
                  budget_seconds: Optional[float] = None) -> None:
         self.config = config
         # Fault tolerance is not optional for a fuzzer: the whole point is
         # feeding the system inputs that might wedge it.
         self.backend = backend if backend is not None else backend_for_jobs(
-            jobs, timeout=task_timeout, retries=retries, fault_tolerant=True)
+            jobs, timeout=task_timeout, fault_tolerant=True)
         self.budget_seconds = budget_seconds
         self.generator = SpecGenerator(config.limits)
 
@@ -278,17 +277,15 @@ class FuzzCampaign:
 
     # ------------------------------------------------------------ observation
     def _observe(self, index: int, spec: ScenarioSpec,
-                 result: Optional[Dict[str, Any]], coverage: CoverageMap,
+                 result: Dict[str, Any], coverage: CoverageMap,
                  pool: List[Dict[str, Any]],
                  findings: Dict[Tuple[str, ...], FuzzFinding],
                  trail: List[Dict[str, Any]],
                  progress: Optional[FuzzProgressFn]) -> None:
         cfg = self.config
         total = cfg.budget_iters
-        if result is None or is_failure_result(result):
-            failure = (failure_from_result(result).to_dict()
-                       if result is not None else
-                       {"kind": "crash", "detail": "backend returned nothing"})
+        if is_failure_result(result):
+            failure = failure_from_result(result).to_dict()
             signature = (f"worker:{failure['kind']}",)
             if signature in findings:
                 findings[signature].occurrences += 1
@@ -341,12 +338,8 @@ class FuzzCampaign:
                 payload={"spec": candidate.to_dict(), "seed": finding.seed,
                          "oracle": cfg.oracle.to_dict()})
             result = self.backend.run([task])[0]
-            if result is None or is_failure_result(result):
-                if finding.kind != "worker":
-                    return False
-                failure = (failure_from_result(result)
-                           if result is not None else None)
-                kind = failure.kind if failure is not None else "crash"
+            if is_failure_result(result):  # only a worker finding has a worker: signature
+                kind = failure_from_result(result).kind
                 return (f"worker:{kind}",) == finding.signature
             if finding.kind == "worker":
                 return False

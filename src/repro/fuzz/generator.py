@@ -105,6 +105,14 @@ class GeneratorLimits:
         return cls(**payload)
 
 
+#: The sized-down fault space ``fuzz --quick`` draws from: specs run in a
+#: fraction of a second each, so a ~60 s CI smoke job still gets real coverage.
+QUICK_LIMITS = GeneratorLimits(
+    max_phases=2, min_subscribers=6, max_subscribers=10, max_topics=2,
+    max_shards=3, min_rounds=6.0, max_rounds=12.0, settle_rounds=200.0,
+    max_churn_ops=3, max_publications=4)
+
+
 class SpecGenerator:
     """Draw valid :class:`ScenarioSpec`\\ s (and mutants of them) from an RNG."""
 

@@ -14,9 +14,8 @@ stress harness:
   unified :class:`~repro.api.report.RunReport` via
   :meth:`~repro.api.report.RunReport.from_scenario`;
 * :mod:`repro.scenarios.library` — built-in scenarios (``flash-crowd``,
-  ``rolling-partition``, ``lossy-network``, ...);
-* :mod:`repro.scenarios.cli` — ``python -m repro.scenarios`` /
-  ``repro-scenarios``.
+  ``rolling-partition``, ``lossy-network``, ...), run from the command line
+  by ``python -m repro scenario``.
 
 >>> from repro.scenarios import ScenarioRunner, get_scenario
 >>> report = ScenarioRunner(get_scenario("lossy-network"), seed=1).run()

@@ -2,7 +2,7 @@
 
 Each entry is a :class:`~repro.scenarios.spec.ScenarioSpec` factory sized to
 run in a couple of seconds, so the whole library doubles as a CI smoke suite
-(``python -m repro.scenarios --run <name>``).  Sizing knobs (`subscribers`,
+(``python -m repro scenario --run <name>``).  Sizing knobs (`subscribers`,
 phase rounds) can be overridden with :meth:`ScenarioSpec.with_overrides` for
 larger runs.
 

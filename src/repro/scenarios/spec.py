@@ -227,3 +227,17 @@ class ScenarioSpec:
     def with_overrides(self, **kwargs) -> "ScenarioSpec":
         """A copy with top-level fields replaced (sizing knob for tests/CI)."""
         return replace(self, **kwargs)
+
+
+def load_spec_file(path: str, default_seed: int = 0) -> Tuple[ScenarioSpec, int]:
+    """Load a scenario spec file: a bare :class:`ScenarioSpec` dict, or a
+    corpus/finding artifact wrapping one under ``"spec"`` alongside the
+    ``seed`` the failure was found with.  Returns the spec plus the seed the
+    replay must use.  An older artifact's ``"scheduler"`` key is ignored:
+    the engine has one event queue."""
+    with open(path) as handle:
+        data = json.load(handle)
+    if "spec" in data and "phases" not in data:
+        spec = ScenarioSpec.from_dict(data["spec"])
+        return spec, int(data.get("seed", default_seed))
+    return ScenarioSpec.from_dict(data), default_seed

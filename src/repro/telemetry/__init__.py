@@ -1,4 +1,4 @@
-"""Run-wide deterministic telemetry: latency histograms, phase spans, CLI.
+"""Run-wide deterministic telemetry: latency histograms, phase spans, tables.
 
 Everything here is byte-reproducible by construction (integer bucket
 counts, spec-derived bounds, rounded sim-time floats) so telemetry can ride
@@ -14,8 +14,9 @@ Public surface:
 * :class:`~repro.telemetry.spans.SpanTimeline` — sim-time phase spans.
 * :class:`~repro.telemetry.recorder.TelemetryRecorder` — per-system
   collector wired into the typed hook registry (``system.telemetry``).
-* ``python -m repro.telemetry`` / ``repro-metrics`` — render telemetry
-  from any RunReport/CampaignReport JSON artifact.
+* :mod:`repro.telemetry.render` — the telemetry of any
+  RunReport/CampaignReport JSON artifact as tables (``python -m repro
+  metrics``).
 """
 
 from repro.telemetry.histogram import (LatencyHistogram, ROUNDS_SPEC,

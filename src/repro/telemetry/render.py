@@ -1,43 +1,22 @@
-"""``repro-metrics`` — render telemetry from report JSON artifacts.
+"""Telemetry as text: the payload of a report artifact and its tables.
 
-Usage::
-
-    python -m repro.telemetry report.json            # histogram + span tables
-    python -m repro.telemetry campaign.json --spans  # also list raw spans
-    python -m repro.telemetry report.json --json     # telemetry payload only
-
-Accepts any :class:`~repro.api.report.RunReport` or
-:class:`~repro.exec.campaign.CampaignReport` JSON artifact (``--out`` of the
-scenario/sweep CLIs, a saved ``run_report().to_json()``, …).  For a campaign
-the merged cluster-wide telemetry is rendered; if the artifact predates the
-merged block but its per-task reports carry telemetry, the merge happens
-here at render time.  Exits 1 when the artifact carries no telemetry at all
-(i.e. it was produced with ``telemetry=False``).
+``python -m repro metrics`` prints these; ``python -m repro scenario
+--telemetry`` appends them to each scenario report.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.report import format_table
+from repro.api.report import format_table
 from repro.telemetry.histogram import LatencyHistogram
 from repro.telemetry.recorder import merge_telemetry_dicts
 
 
-def _load(path: str) -> Dict[str, Any]:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise SystemExit(f"{path}: not a report object")
-    return data
-
-
 def extract_telemetry(data: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """The telemetry payload of a RunReport or CampaignReport dict."""
+    """The telemetry payload of a RunReport or CampaignReport dict (a
+    campaign's merged block, or — for an artifact that predates it — the
+    merge of its per-task telemetry)."""
     if "tasks" in data and "sweep" in data:  # CampaignReport shape
         merged = data.get("telemetry")
         if merged:
@@ -65,13 +44,14 @@ def _histogram_lines(label: str, payload: Dict[str, Any]) -> List[str]:
                              f"{100.0 * cumulative / hist.total:.1f}%"))
             lower = bound
         if hist.overflow:
-            cumulative += hist.overflow
             rows.append((f"> {hist.bounds[-1]:g}", hist.overflow, "100.0%"))
         lines.append(format_table(["bucket", "count", "cum"], rows))
     return lines
 
 
 def render_telemetry(payload: Dict[str, Any], spans: bool = False) -> str:
+    """Histogram summaries and bucket tables, the span summary, and (with
+    ``spans``) the raw span timeline of one telemetry payload."""
     parts: List[str] = []
     if "runs" in payload:
         parts.append(f"merged telemetry across {payload['runs']} runs")
@@ -96,33 +76,3 @@ def render_telemetry(payload: Dict[str, Any], spans: bool = False) -> str:
             ["kind", "name", "start", "end"],
             [tuple(row) for row in payload["spans"]]))
     return "\n".join(parts)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-metrics", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("report", help="RunReport or CampaignReport JSON "
-                                       "file ('-' reads stdin)")
-    parser.add_argument("--spans", action="store_true",
-                        help="also list the raw span timeline")
-    parser.add_argument("--json", action="store_true",
-                        help="print the telemetry payload as canonical JSON "
-                             "instead of tables")
-    args = parser.parse_args(argv)
-
-    data = _load(args.report)
-    payload = extract_telemetry(data)
-    if not payload:
-        print(f"{args.report}: no telemetry in artifact (was the run built "
-              f"with telemetry=True?)", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(render_telemetry(payload, spans=args.spans))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    raise SystemExit(main())

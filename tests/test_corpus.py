@@ -1,7 +1,8 @@
 """Gating replay of the committed fuzz corpus (``tests/corpus/*.json``).
 
 Every artifact in the corpus is a fuzzer-minimized scenario (see
-FUZZING.md): ``repro-fuzz`` found it under a deliberately tightened
+FUZZING.md): the fuzzer (``python -m repro fuzz``; artifacts name it
+``"tool": "repro-fuzz"``) found it under a deliberately tightened
 oracle, auto-shrunk it, and a human promoted it here because the shape is
 worth pinning.  The gate replays each spec with its embedded seed (the
 ``"scheduler"`` key the older artifacts carry is ignored) and asserts the
@@ -10,7 +11,7 @@ starts failing means a behavior regression, not a flaky test.
 
 Adding an entry: copy a ``--findings-dir`` artifact in verbatim (the
 ``source`` block records provenance) after checking it replays green with
-``python -m repro.scenarios --spec <file>``.
+``python -m repro scenario --spec <file>``.
 """
 
 import json
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios.cli import load_spec_file
 from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import load_spec_file
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))

@@ -3,7 +3,7 @@
 Covers the backend contract (inline vs process-pool parity), the SweepSpec
 grid (JSON round-trip, deterministic coordinate-derived seeds), campaign
 byte-reproducibility at ``--jobs 1`` vs ``--jobs N``, and the driver layers
-refactored onto the backends (scenario CLI, experiment campaign).
+refactored onto the backends (``python -m repro`` verbs, experiment campaign).
 """
 
 from __future__ import annotations
@@ -206,13 +206,33 @@ class TestDriverLayers:
             json.loads(json.dumps(report.to_dict(), sort_keys=True)))
         assert rebuilt.to_json() == report.to_json()
 
-    def test_scenario_cli_jobs_parity(self, capsys):
-        from repro.scenarios.cli import main
-        assert main(["--run", "lossy-network", "--seed", "1", "--json"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["--run", "lossy-network", "--seed", "1", "--json",
-                     "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "--run", "lossy-network", "--seed", "1", "--json"],
+        ["sweep", "--demo", "scenario-replicates", "--out"],
+    ], ids=lambda argv: argv[0])
+    def test_cli_jobs_parity(self, argv, tmp_path, capsys):
+        """What a verb prints, and the artifact it writes, are the same bytes
+        at --jobs 1 and --jobs 2."""
+        from repro.cli import main
+
+        def run(jobs):
+            out = tmp_path / f"jobs{jobs}.json"
+            full = [*argv, str(out)] if argv[-1] == "--out" else argv
+            assert main([*full, "--jobs", str(jobs)]) == 0
+            return capsys.readouterr().out, out.read_text() if out.exists() else None
+
+        assert run(1) == run(2)
+
+    def test_sweep_print_spec_replays_through_spec(self, tmp_path, capsys):
+        from repro.cli import main
+        assert main(["sweep", "--demo", "scenario-replicates", "--print-spec"]) == 0
+        spec = tmp_path / "sweep.json"
+        spec.write_text(capsys.readouterr().out)
+        for name, source in (("demo", ["--demo", "scenario-replicates"]),
+                             ("spec", ["--spec", str(spec)])):
+            assert main(["sweep", *source, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "demo").read_bytes() == (tmp_path / "spec").read_bytes()
 
     def test_experiment_campaign_matches_inline_run(self):
         from repro.experiments.runner import run_experiment_campaign
@@ -255,29 +275,23 @@ def misbehave_task(task_id, mode, **payload):
 
 
 class TestFaultTolerance:
-    def test_backoff_schedule_is_deterministic(self):
-        from repro.exec.backend import retry_backoff_schedule
-        assert retry_backoff_schedule(0) == []
-        assert retry_backoff_schedule(3) == [0.1, 0.2, 0.4]
-        assert retry_backoff_schedule(2, base=0.05) == [0.05, 0.1]
-
     def test_task_failure_round_trip_and_kinds(self):
         from repro.exec.backend import TaskFailure, failure_from_result, \
             is_failure_result
         failure = TaskFailure(task_id="t", fn="m:f", kind="timeout",
-                              attempts=3, timeout_seconds=1.5, detail="slow")
+                              timeout_seconds=1.5, detail="slow")
         assert failure_from_result(failure.as_result()) == failure
         assert is_failure_result(failure.as_result())
         assert not is_failure_result({"report": {}})
         assert not is_failure_result(None)
         with pytest.raises(ValueError, match="failure kind"):
             TaskFailure(task_id="t", fn="m:f", kind="melted")
-        with pytest.raises(RuntimeError, match=r"\[timeout\] after 3"):
+        with pytest.raises(RuntimeError, match=r"\[timeout\]:\nslow"):
             failure.raise_()
 
     def test_inline_fault_tolerant_absorbs_crash(self):
         from repro.exec.backend import failure_from_result, is_failure_result
-        backend = InlineBackend(fault_tolerant=True, retries=1)
+        backend = InlineBackend(fault_tolerant=True)
         ok, boom = backend.run([
             misbehave_task("ok", "ok"),
             misbehave_task("boom", "crash", detail="kaput")])
@@ -285,7 +299,6 @@ class TestFaultTolerance:
         assert is_failure_result(boom)
         failure = failure_from_result(boom)
         assert failure.kind == "crash"
-        assert failure.attempts == 2          # 1 try + 1 retry
         assert "kaput" in failure.detail
 
     def test_inline_fail_fast_still_raises(self):
@@ -302,7 +315,6 @@ class TestFaultTolerance:
         failure = failure_from_result(boom)
         assert failure.kind == "crash"
         assert failure.exit_code == 3
-        assert failure.attempts == 1
 
     def test_pool_hung_worker_is_killed_and_recorded(self):
         from repro.exec.backend import failure_from_result
@@ -319,9 +331,9 @@ class TestFaultTolerance:
         [result] = backend.run([misbehave_task("noise", "garbage-stdout")])
         assert failure_from_result(result).kind == "bad-output"
 
-    def test_pool_fail_fast_raises_after_retries(self):
-        backend = ProcessPoolBackend(jobs=1, retries=1, retry_backoff=0.01)
-        with pytest.raises(RuntimeError, match=r"\[crash\] after 2"):
+    def test_pool_fail_fast_raises(self):
+        backend = ProcessPoolBackend(jobs=1)
+        with pytest.raises(RuntimeError, match=r"\[crash\]"):
             backend.run([misbehave_task("boom", "crash")])
 
     def test_campaign_partial_results_with_failed_worker(self):
@@ -337,13 +349,12 @@ class TestFaultTolerance:
         assert failures
         for failure in failures:
             assert failure["kind"] == "timeout"
-            assert failure["attempts"] == 1
         assert set(report.claims().values()) == {False}
         round_tripped = CampaignReport.from_json(report.to_json())
         assert [entry["failure"] for entry in round_tripped.tasks] == failures
 
     def test_backend_for_jobs_forwards_fault_tolerance(self):
         from repro.exec.backend import failure_from_result
-        backend = backend_for_jobs(1, fault_tolerant=True, retries=2)
+        backend = backend_for_jobs(1, fault_tolerant=True)
         [result] = backend.run([misbehave_task("boom", "crash")])
-        assert failure_from_result(result).attempts == 3
+        assert failure_from_result(result).kind == "crash"

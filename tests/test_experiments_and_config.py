@@ -5,10 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.report import RunReport, format_table
 from repro.core.config import PAPER_DEFAULTS, PSEUDOCODE_VARIANT, ProtocolParams
 from repro.experiments import experiments as exp
-from repro.experiments.report import format_table
-from repro.api.report import RunReport
 from repro.experiments.runner import run_experiment
 
 

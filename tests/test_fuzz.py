@@ -6,18 +6,25 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.fuzz.campaign import FuzzCampaign, FuzzConfig
-from repro.fuzz.cli import QUICK_LIMITS
-from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.coverage import CoverageMap, depth_bucket, spec_coverage_keys
-from repro.fuzz.generator import GeneratorLimits, SpecGenerator, generated_name
+from repro.fuzz.generator import (QUICK_LIMITS, GeneratorLimits, SpecGenerator,
+                                  generated_name)
 from repro.fuzz.oracle import OracleSpec, Verdict, evaluate
 from repro.fuzz.shrink import Shrinker
 from repro.fuzz.tasks import run_fuzz_case
-from repro.scenarios.cli import load_spec_file
-from repro.scenarios.cli import main as scenarios_main
-from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
+from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec, load_spec_file
 from repro.sim.rng import derive_rng
+
+
+def fuzz_main(argv):
+    return main(["fuzz", *argv])
+
+
+def scenarios_main(argv):
+    return main(["scenario", *argv])
+
 
 #: Small fault space so generator/campaign tests run in seconds.
 TINY = GeneratorLimits(
@@ -387,12 +394,28 @@ class TestFuzzCLI:
         assert spec.to_dict() == artifact["spec"]
         capsys.readouterr()
 
-    def test_usage_error_exits_two(self, capsys):
-        assert fuzz_main(["--budget-iters", "0"]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "--run", "lossy-network", "--jobs", "0"],
+        ["sweep", "--demo", "scenario-replicates", "--jobs", "-5"],
+        ["fuzz", "--jobs", "0"],
+        ["fuzz", "--max-findings", "0"],
+        ["fuzz", "--shrink-budget", "-1"],
+        ["fuzz", "--budget-iters", "0"],
+        ["fuzz", "--batch-size", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_a_count_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be >= 1" in capsys.readouterr().err
 
     def test_quick_limits_are_valid(self):
         assert GeneratorLimits.from_dict(QUICK_LIMITS.to_dict()) == QUICK_LIMITS
+
+
+#: What a spec or report file given on the command line can be instead of one.
+BAD_FILES = {"missing": None, "malformed": "{not json", "not-an-object": "[1, 2]",
+             "wrong-shape": '{"phases": "not-a-list"}'}
 
 
 class TestScenarioCLISpecReplay:
@@ -425,9 +448,17 @@ class TestScenarioCLISpecReplay:
         assert scenarios_main(["--spec", str(path), "--json"]) == 1
         assert '"seed":5' in capsys.readouterr().out
 
-    def test_missing_and_garbage_files_exit_two(self, tmp_path, capsys):
-        assert scenarios_main(["--spec", str(tmp_path / "nope.json")]) == 2
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"phases": "not-a-list"}')
-        assert scenarios_main(["--spec", str(bad)]) == 2
-        capsys.readouterr()
+    # An object with no telemetry is a valid metrics input (exit 1), so
+    # metrics takes every bad file but the wrong-shaped spec.
+    @pytest.mark.parametrize("verb, bad", [
+        pytest.param(verb, bad, id=f"{verb}-{bad}")
+        for verb in ("scenario", "sweep", "metrics") for bad in BAD_FILES
+        if (verb, bad) != ("metrics", "wrong-shape")])
+    def test_missing_and_garbage_files_exit_two(self, tmp_path, capsys, verb, bad):
+        path = tmp_path / "bad.json"
+        if BAD_FILES[bad] is not None:
+            path.write_text(BAD_FILES[bad])
+        argv = [verb, str(path)] if verb == "metrics" else [verb, "--spec", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"repro {verb}: {path}: "), err

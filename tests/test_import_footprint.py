@@ -18,7 +18,7 @@ IMPORTS = """
 import sys
 at_startup = set(sys.modules)  # whatever the interpreter's site configuration preloads
 import repro, repro.api, repro.cluster, repro.scenarios.runner, repro.telemetry
-import repro.exec, repro.fuzz, repro.workloads, repro.analysis.convergence
+import repro.exec, repro.fuzz, repro.workloads, repro.analysis.convergence, repro.cli
 
 def third_party():
     tops = {name.partition(".")[0] for name in set(sys.modules) - at_startup}

@@ -7,10 +7,10 @@ import pytest
 from conftest import assert_heapq_order, records_in_flight
 
 from repro.api import SystemSpec, build_stable
+from repro.cli import main
 from repro.core.facade import SupervisedPubSub
 from repro.exec.sweep import SweepSpec
 from repro.scenarios.adversary import DelaySpike, LinkAdversary, Partition
-from repro.scenarios.cli import main as cli_main
 from repro.scenarios.library import SCENARIOS, get_scenario
 from repro.scenarios.runner import PhaseReport, ScenarioReport, ScenarioRunner
 from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
@@ -402,6 +402,10 @@ class TestScenarioRunner:
         assert list(report.invariants()) == ["initial stabilization", "p: alpha", "p: zeta"]
 
 
+def cli_main(argv):
+    return main(["scenario", *argv])
+
+
 class TestCli:
     def test_list(self, capsys):
         assert cli_main(["--list"]) == 0
@@ -429,6 +433,6 @@ class TestCli:
         assert cli_main(["--run", "bogus"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
-    def test_no_arguments_prints_help(self, capsys):
+    def test_nothing_to_run_is_a_usage_error(self, capsys):
         assert cli_main([]) == 2
-        assert "usage" in capsys.readouterr().out.lower()
+        assert "nothing to run" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 from conftest import HeapQueue, assert_heapq_order
 
 from repro.api import SystemSpec, build_stable
-from repro.scenarios.cli import load_spec_file
+from repro.scenarios.spec import load_spec_file
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.node import ProtocolNode
 from repro.sim.scheduler import TimeoutWheelScheduler

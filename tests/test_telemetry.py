@@ -5,7 +5,7 @@ order-invariant merges, percentile edge cases), the span timeline, the
 ``SystemSpec.telemetry`` switch and what ``build_system`` turns on, the
 observer-effect guarantees, RunReport/CampaignReport
 serialization shapes, jobs-1-vs-N byte parity with telemetry on, the
-tracer truncation accounting, and the ``repro-metrics`` CLI.
+tracer truncation accounting, and the ``python -m repro metrics`` verb.
 """
 
 from __future__ import annotations
@@ -396,30 +396,30 @@ class TestTracerTruncation:
 # --------------------------------------------------------------------- CLI
 class TestMetricsCli:
     def test_render_run_report(self, tmp_path, lossy_telemetry_report, capsys):
-        from repro.telemetry.cli import main
+        from repro.cli import main
 
         path = tmp_path / "report.json"
         path.write_text(lossy_telemetry_report.to_json())
-        assert main([str(path)]) == 0
+        assert main(["metrics", str(path)]) == 0
         out = capsys.readouterr().out
         assert "delivery latency" in out
         assert "p50=" in out
         assert "spans:" in out
 
     def test_exit_1_without_telemetry(self, tmp_path, capsys):
-        from repro.telemetry.cli import main
+        from repro.cli import main
 
         path = tmp_path / "bare.json"
         path.write_text(RunReport(name="x").to_json())
-        assert main([str(path)]) == 1
+        assert main(["metrics", str(path)]) == 1
         assert "no telemetry" in capsys.readouterr().err
 
     def test_json_mode_round_trips(self, tmp_path, lossy_telemetry_report,
                                    capsys):
-        from repro.telemetry.cli import main
+        from repro.cli import main
 
         path = tmp_path / "report.json"
         path.write_text(lossy_telemetry_report.to_json())
-        assert main([str(path), "--json"]) == 0
+        assert main(["metrics", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == lossy_telemetry_report.telemetry

@@ -1,7 +1,7 @@
 """Every annotation in the mypy-strict packages resolves at runtime.
 
-``pyproject.toml`` holds ``repro.api``, ``repro.telemetry`` and
-``repro.exec`` to strict typing, and every module there uses
+``pyproject.toml`` holds ``repro.api``, ``repro.telemetry``, ``repro.exec``
+and ``repro.cli`` to strict typing, and every module there uses
 ``from __future__ import annotations``: an annotation naming something the
 module never imported is a string nothing evaluates, so neither import nor
 any test trips on it.  ``typing.get_type_hints`` evaluates each one in its
@@ -13,14 +13,14 @@ import inspect
 import pkgutil
 import typing
 
-STRICT_PACKAGES = ("repro.api", "repro.telemetry", "repro.exec")
+STRICT_PACKAGES = ("repro.api", "repro.telemetry", "repro.exec", "repro.cli")
 
 
 def _modules():
     for name in STRICT_PACKAGES:
         package = importlib.import_module(name)
         yield package
-        for info in pkgutil.walk_packages(package.__path__, name + "."):
+        for info in pkgutil.walk_packages(getattr(package, "__path__", []), name + "."):
             if not info.name.endswith(".__main__"):  # importing one runs its CLI
                 yield importlib.import_module(info.name)
 
