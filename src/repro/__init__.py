@@ -43,8 +43,8 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
   byte-reproducible run and campaign artifacts, and rendered by
   ``python -m repro metrics`` — off by default at zero hot-path cost.
 
-Importing and running the protocol loads no third-party module; ``networkx`` (the
-``analysis`` extra) is loaded when an E1/E7/E8 structural analysis is actually called.
+The package is standard library only: importing it, running the protocol and
+every experiment load no third-party module.
 
 Quickstart
 ----------

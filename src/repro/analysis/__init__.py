@@ -1,5 +1,5 @@
-"""Analysis helpers: the legitimacy predicates.  E1/E7/E8's structural metrics are imported
-by name from :mod:`repro.analysis.graph_metrics`: it loads ``networkx``, this package does not."""
+"""Analysis helpers: the legitimacy predicates here, and E1/E7/E8's structural
+metrics (degrees, diameter, congestion, balance) in :mod:`repro.analysis.graph_metrics`."""
 
 from repro.analysis.convergence import (
     LegitimacyReport,

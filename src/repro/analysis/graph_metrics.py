@@ -1,10 +1,9 @@
 """Structural graph metrics: degrees, diameter, congestion and balance.
 
 These metrics back experiments E1 (skip-ring structure), E7 (flooding depth)
-and E8 (congestion/balance comparison against Chord and skip graphs).  All of
-them operate on plain :class:`networkx.Graph` objects plus, for the balance
-metric, a list of ring positions in ``[0, 1)``.  Importing this module loads
-``networkx`` (the ``analysis`` extra); nothing the protocol imports does.
+and E8 (congestion/balance comparison against Chord and skip graphs).  A graph
+is an adjacency map built by :func:`graph`, plus, for the balance metric, a
+list of ring positions in ``[0, 1)``.  Everything here is standard library.
 """
 
 from __future__ import annotations
@@ -12,9 +11,69 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
+#: Undirected graph: node -> neighbours.  A dict, not a set, so neighbours keep
+#: insertion order: shortest_path's tie-breaks, and so E8's loads, rest on it.
+Adjacency = Dict[int, Dict[int, None]]
+
+
+def graph(nodes: Iterable[int], edges: Iterable[Tuple[int, int]]) -> Adjacency:
+    """The undirected graph over ``nodes`` and ``edges``, in that insertion order."""
+    adj: Adjacency = {node: {} for node in nodes}
+    for u, v in edges:
+        adj.setdefault(u, {})[v] = None
+        adj.setdefault(v, {})[u] = None
+    return adj
+
+
+def distances(adj: Adjacency, source: int) -> Dict[int, int]:
+    """Hop distance from ``source`` to every node it reaches (breadth-first)."""
+    dist, queue = {source: 0}, [source]
+    for v in queue:  # the queue grows while it is read
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def shortest_path(adj: Adjacency, source: int, target: int) -> List[int]:
+    """A shortest ``source`` -> ``target`` path by bidirectional BFS: the
+    smaller fringe grows first (the forward one on a tie), and the search
+    stops at the first node both sides have reached — networkx's algorithm,
+    so the same tie-breaks.  Raises ``ValueError`` if there is no path."""
+    pred: Dict[int, Optional[int]] = {source: None}
+    succ: Dict[int, Optional[int]] = {target: None}
+    forward, reverse = [source], [target]
+    meet = source if source == target else None
+    while meet is None:
+        if not (forward and reverse):
+            raise ValueError(f"no path between {source} and {target}")
+        if len(forward) <= len(reverse):
+            forward, meet = _grow(adj, forward, pred, succ)
+        else:
+            reverse, meet = _grow(adj, reverse, succ, pred)
+    path = [meet]
+    while pred[path[0]] is not None:
+        path.insert(0, pred[path[0]])
+    while succ[path[-1]] is not None:
+        path.append(succ[path[-1]])
+    return path
+
+
+def _grow(adj: Adjacency, fringe: List[int], mine: Dict[int, Optional[int]],
+          theirs: Dict[int, Optional[int]]) -> Tuple[List[int], Optional[int]]:
+    """One BFS level of one side: its next fringe, and where it met the other (or ``None``)."""
+    grown: List[int] = []
+    for v in fringe:
+        for w in adj[v]:
+            if w not in mine:
+                mine[w] = v
+                grown.append(w)
+            if w in theirs:
+                return grown, w
+    return grown, None
 
 
 @dataclass
@@ -25,24 +84,29 @@ class DegreeStats:
     num_edges: int
 
 
-def degree_statistics(graph: nx.Graph) -> DegreeStats:
-    degrees = [d for _, d in graph.degree()]
+def degree_statistics(adj: Adjacency) -> DegreeStats:
+    degrees = [len(neighbours) for neighbours in adj.values()]
     if not degrees:
         return DegreeStats(0, 0, 0.0, 0)
     return DegreeStats(
-        minimum=int(min(degrees)),
-        maximum=int(max(degrees)),
-        mean=float(sum(degrees)) / len(degrees),
-        num_edges=graph.number_of_edges(),
+        minimum=min(degrees),
+        maximum=max(degrees),
+        mean=sum(degrees) / len(degrees),
+        num_edges=sum(degrees) // 2,
     )
 
 
-def diameter(graph: nx.Graph) -> int:
-    """Hop diameter; 0 for graphs with fewer than two nodes.  Raises if the
-    graph is disconnected (which in this code base indicates a bug)."""
-    if graph.number_of_nodes() <= 1:
-        return 0
-    return int(nx.diameter(graph))
+def diameter(adj: Adjacency) -> int:
+    """Hop diameter (exact: a BFS from every node); 0 for graphs with fewer
+    than two nodes.  Raises ``ValueError`` if the graph is disconnected
+    (which in this code base indicates a bug)."""
+    longest = 0
+    for source in adj:
+        dist = distances(adj, source)
+        if len(dist) < len(adj):
+            raise ValueError("the graph is disconnected: its diameter is infinite")
+        longest = max(longest, max(dist.values()))
+    return longest
 
 
 @dataclass
@@ -56,29 +120,25 @@ class CongestionStats:
     load_imbalance: float  # max / mean
 
 
-def routing_congestion(graph: nx.Graph, samples: int = 500, seed: int = 0,
+def routing_congestion(adj: Adjacency, samples: int = 500, seed: int = 0,
                        pairs: Optional[Sequence[Tuple[int, int]]] = None) -> CongestionStats:
     """Route ``samples`` random source/destination pairs along shortest paths
-    and measure how the forwarding load distributes over the nodes.
+    and measure how the forwarding load distributes over the nodes.  Raises
+    ``ValueError`` if a pair has no path (a disconnected overlay is a bug).
 
     The supervised skip ring places nodes perfectly evenly on the ring, which
     yields a more balanced load than Chord's or a skip graph's randomised
     placement — the congestion claim of Section 1.3.
     """
-    nodes = list(graph.nodes())
+    nodes = list(adj)
     if len(nodes) < 2:
         return CongestionStats(0, 0, 0.0, 0.0, 1.0)
     rng = random.Random(seed)
     load: Dict[int, int] = {node: 0 for node in nodes}
     if pairs is None:
         pairs = [tuple(rng.sample(nodes, 2)) for _ in range(samples)]
-    count = 0
     for source, target in pairs:
-        try:
-            path = nx.shortest_path(graph, source, target)
-        except nx.NetworkXNoPath:  # pragma: no cover - graphs here are connected
-            continue
-        count += 1
+        path = shortest_path(adj, source, target)
         for node in path[1:-1]:
             load[node] += 1
         load[source] += 1
@@ -86,7 +146,7 @@ def routing_congestion(graph: nx.Graph, samples: int = 500, seed: int = 0,
     values = sorted(load.values())  # >= 2 nodes here, which quantiles() needs
     mean = statistics.fmean(values)
     return CongestionStats(
-        samples=count,
+        samples=len(pairs),
         max_load=values[-1],
         mean_load=mean,
         p99_load=statistics.quantiles(values, n=100, method="inclusive")[-1],

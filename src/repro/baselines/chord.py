@@ -12,9 +12,8 @@ these networks", Section 1.3).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Set, Tuple
-
-import networkx as nx
+from bisect import bisect_left
+from typing import List, Set, Tuple
 
 
 class ChordTopology:
@@ -34,32 +33,18 @@ class ChordTopology:
             ids.add(int.from_bytes(hashlib.sha256(raw).digest(), "big") % self.space)
             counter += 1
         self.node_ids: List[int] = sorted(ids)
-        self._successor_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ rings
     def successor(self, point: int) -> int:
         """The first node identifier clockwise from ``point`` (inclusive)."""
-        point %= self.space
-        if point in self._successor_cache:
-            return self._successor_cache[point]
-        # binary search over the sorted identifier list
-        lo, hi = 0, len(self.node_ids)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.node_ids[mid] < point:
-                lo = mid + 1
-            else:
-                hi = mid
-        result = self.node_ids[lo % len(self.node_ids)]
-        self._successor_cache[point] = result
-        return result
+        index = bisect_left(self.node_ids, point % self.space)
+        return self.node_ids[index % len(self.node_ids)]
 
     def fingers(self, node_id: int) -> List[int]:
         """Finger table of ``node_id``: successor(node_id + 2^i) for all i."""
         out = []
         for i in range(self.bits):
-            target = (node_id + (1 << i)) % self.space
-            finger = self.successor(target)
+            finger = self.successor(node_id + (1 << i))
             if finger != node_id:
                 out.append(finger)
         return sorted(set(out))
@@ -74,12 +59,6 @@ class ChordTopology:
             for finger in self.fingers(node_id):
                 edges.add(_norm(node_id, finger))
         return edges
-
-    def to_networkx(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(self.node_ids)
-        graph.add_edges_from(self.edges())
-        return graph
 
     # --------------------------------------------------------------- metrics
     def positions(self) -> List[float]:

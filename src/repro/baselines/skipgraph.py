@@ -14,8 +14,6 @@ import random
 from collections import defaultdict
 from typing import Dict, List, Set, Tuple
 
-import networkx as nx
-
 
 class SkipGraphTopology:
     """A static skip graph over ``n`` nodes with random membership vectors."""
@@ -48,12 +46,6 @@ class SkipGraphTopology:
             if all(len(m) <= 1 for m in groups.values()):
                 break
         return edges
-
-    def to_networkx(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(self.edges())
-        return graph
 
     def positions(self) -> List[float]:
         return list(self.keys)

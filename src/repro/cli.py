@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
@@ -52,6 +53,22 @@ def positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return int(text)
+
+
+def positive_float(text: str) -> float:
+    """The argparse ``type`` of every seconds flag: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """The argparse ``type`` of every rounds budget: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
 
 
 def _load(source: str, load: Callable[[], T]) -> T:
@@ -287,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "RunReport with its telemetry (scenario), the "
                            "campaign (sweep) or the campaign report (fuzz)")
     campaigns = argparse.ArgumentParser(add_help=False, parents=[runs])
-    campaigns.add_argument("--task-timeout", type=float, metavar="SECONDS",
+    campaigns.add_argument("--task-timeout", type=positive_float, metavar="SECONDS",
                            help="kill any worker running longer than this "
                                 "(process-pool jobs only; sweep default: "
                                 "none, fuzz default: 300)")
@@ -347,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "always fault-tolerant", handler=_fuzz, task_timeout=300.0)
     fuzz.add_argument("--budget-iters", type=positive_int, default=64,
                       help="number of generated scenarios to run (default 64)")
-    fuzz.add_argument("--budget-seconds", type=float,
+    fuzz.add_argument("--budget-seconds", type=positive_float,
                       help="optional wall-clock cutoff (CI smoke); the "
                            "report is marked truncated when it fires and "
                            "reproducibility is best-effort")
@@ -361,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--shrink-budget", type=positive_int, default=120,
                       help="max re-runs the shrinker may spend per finding "
                            "(default 120)")
-    fuzz.add_argument("--releg-budget", type=float, metavar="ROUNDS",
+    fuzz.add_argument("--releg-budget", type=non_negative_float, metavar="ROUNDS",
                       help="flag any phase whose relegitimacy takes more "
                            "than this many rounds (pathological-"
                            "stabilization oracle; default: off)")
-    fuzz.add_argument("--stabilize-budget", type=float, metavar="ROUNDS",
+    fuzz.add_argument("--stabilize-budget", type=non_negative_float, metavar="ROUNDS",
                       help="flag runs whose initial stabilization exceeds "
                            "this many rounds (default: off)")
     fuzz.add_argument("--quick", action="store_true",

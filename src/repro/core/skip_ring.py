@@ -1,4 +1,4 @@
-"""Ideal skip-ring topology ``SR(n)`` (paper Definition 2) and its analysis.
+"""Ideal skip-ring topology ``SR(n)`` (paper Definition 2).
 
 This module constructs the *target* topology that the self-stabilizing
 protocol converges to, independent of any simulation.  It is used
@@ -6,20 +6,18 @@ protocol converges to, independent of any simulation.  It is used
 * by the analysis layer to verify that a stabilized simulation matches the
   ideal topology,
 * by experiment E1 to reproduce Lemma 3 (degree bounds, edge count 4n − 4,
-  constant average degree) and the logarithmic-diameter claim, and
+  constant average degree) and the logarithmic-diameter claim, measured by
+  :mod:`repro.analysis.graph_metrics` on ``graph(range(n), topo.edges())``, and
 * by the baselines comparison (E8) as the supervised topology under test.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.labels import Label, labels_up_to, max_level, ring_key
 from repro.core.shortcuts import shortcut_labels
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 Edge = Tuple[int, int]
 
@@ -104,38 +102,6 @@ class SkipRingTopology:
     def edges(self) -> Set[Edge]:
         """``E_R ∪ E_S`` as undirected edges."""
         return self.ring_edges() | self.shortcut_edges()
-
-    # ---------------------------------------------------------------- degrees
-    def degrees(self) -> List[int]:
-        counts = [0] * self.n
-        for u, v in self.edges():
-            counts[u] += 1
-            counts[v] += 1
-        return counts
-
-    def average_degree(self) -> float:
-        return sum(self.degrees()) / self.n
-
-    def max_degree(self) -> int:
-        return max(self.degrees())
-
-    def num_edges(self) -> int:
-        return len(self.edges())
-
-    def diameter(self) -> int:
-        """Hop diameter of the undirected graph ``(V, E_R ∪ E_S)``."""
-        if self.n <= 1:
-            return 0
-        import networkx as nx
-        return nx.diameter(self.to_networkx())
-
-    def to_networkx(self) -> nx.Graph:
-        """As a graph (E1/E7/E8): this, and :meth:`diameter` for n > 1, loads ``networkx``."""
-        import networkx as nx
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(self.edges())
-        return graph
 
     # -------------------------------------------------- legitimate-state spec
     def expected_subscriber_state(self, node: int) -> Dict[str, object]:

@@ -233,7 +233,7 @@ class ProcessPoolBackend(ExecBackend):
                  fault_tolerant: bool = False) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if timeout is not None and timeout <= 0:
+        if timeout is not None and not timeout > 0:  # NaN too
             raise ValueError("timeout must be positive (or None)")
         self.jobs = jobs
         self.timeout = timeout

@@ -21,6 +21,7 @@ from repro.analysis.convergence import edge_set_signature
 from repro.analysis.graph_metrics import (
     degree_statistics,
     diameter,
+    graph,
     position_balance,
     routing_congestion,
 )
@@ -49,12 +50,11 @@ def e1_topology(sizes: Sequence[int] = (16, 64, 256, 1024)) -> RunReport:
                  "paper 4n-4", "diameter", "⌈log n⌉"],
     )
     for n in sizes:
-        topo = SkipRingTopology(n)
-        max_deg = topo.max_degree()
-        avg_deg = topo.average_degree()
-        edges = topo.num_edges()
-        degree_sum = sum(topo.degrees())
-        diam = topo.diameter()
+        adj = graph(range(n), SkipRingTopology(n).edges())
+        degrees = degree_statistics(adj)
+        max_deg, avg_deg, edges = degrees.maximum, degrees.mean, degrees.num_edges
+        degree_sum = 2 * edges
+        diam = diameter(adj)
         level = max_level(n)
         result.add_row(n, max_deg, 2 * level, round(avg_deg, 3), edges, degree_sum,
                        4 * n - 4, diam, level)
@@ -336,26 +336,27 @@ def e8_congestion(sizes: Sequence[int] = (64, 256), samples: int = 300,
                  "placement max/min gap"],
     )
     for n in sizes:
-        overlays = []
         skip_ring = SkipRingTopology(n)
-        overlays.append(("skip-ring", skip_ring.to_networkx(),
-                         [r_float(lbl) for lbl in skip_ring.labels]))
         chord = ChordTopology(n, seed=seed)
-        overlays.append(("chord", chord.to_networkx(), chord.positions()))
         skip_graph = SkipGraphTopology(n, seed=seed)
-        overlays.append(("skip-graph", skip_graph.to_networkx(), skip_graph.positions()))
+        overlays = [
+            ("skip-ring", graph(range(n), skip_ring.edges()),
+             [r_float(lbl) for lbl in skip_ring.labels]),
+            ("chord", graph(chord.node_ids, chord.edges()), chord.positions()),
+            ("skip-graph", graph(range(n), skip_graph.edges()), skip_graph.positions()),
+        ]
 
         measured: Dict[str, Dict[str, float]] = {}
-        for name, graph, positions in overlays:
-            deg = degree_statistics(graph)
-            congestion = routing_congestion(graph, samples=samples, seed=seed)
+        for name, adj, positions in overlays:
+            deg = degree_statistics(adj)
+            congestion = routing_congestion(adj, samples=samples, seed=seed)
             balance = position_balance(positions)
             measured[name] = {
                 "avg_deg": deg.mean,
                 "imbalance": congestion.load_imbalance,
                 "balance": balance["max_min_ratio"],
             }
-            result.add_row(n, name, round(deg.mean, 2), deg.maximum, diameter(graph),
+            result.add_row(n, name, round(deg.mean, 2), deg.maximum, diameter(adj),
                            round(congestion.load_imbalance, 2),
                            round(balance["max_min_ratio"], 2))
         result.claim(f"n={n}: skip ring has constant average degree (<= 4)",

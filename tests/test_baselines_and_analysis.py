@@ -3,7 +3,6 @@
 import math
 import random
 
-import networkx as nx
 import pytest
 
 from repro.analysis.convergence import edge_set_signature
@@ -11,14 +10,29 @@ from repro.analysis.graph_metrics import (
     CongestionStats,
     degree_statistics,
     diameter,
+    distances,
+    graph,
     position_balance,
     routing_congestion,
+    shortest_path,
 )
 from repro.baselines.broker import BrokerLoadModel, BrokerPubSub
 from repro.baselines.chord import ChordTopology
 from repro.baselines.skipgraph import SkipGraphTopology
 from repro.core.labels import r_float
 from repro.core.skip_ring import SkipRingTopology
+
+
+def path_graph(n):
+    return graph(range(n), zip(range(n), range(1, n)))
+
+
+def star_graph(leaves):
+    return graph(range(leaves + 1), ((0, leaf) for leaf in range(1, leaves + 1)))
+
+
+def cycle_graph(n):
+    return graph(range(n), ((i, (i + 1) % n) for i in range(n)))
 
 
 class TestChord:
@@ -32,11 +46,11 @@ class TestChord:
 
     def test_connected_and_logarithmic_degree(self):
         chord = ChordTopology(64, seed=2)
-        graph = chord.to_networkx()
-        assert nx.is_connected(graph)
-        stats = degree_statistics(graph)
+        adj = graph(chord.node_ids, chord.edges())
+        assert len(distances(adj, chord.node_ids[0])) == len(adj)
+        stats = degree_statistics(adj)
         assert stats.mean >= 4  # Chord keeps ~log n fingers per node
-        assert diameter(graph) <= 12
+        assert diameter(adj) <= 12
 
     def test_successor_wraps_around(self):
         chord = ChordTopology(8, seed=3)
@@ -55,15 +69,15 @@ class TestSkipGraph:
 
     def test_connected_and_log_degree(self):
         sg = SkipGraphTopology(64, seed=1)
-        graph = sg.to_networkx()
-        assert nx.is_connected(graph)
-        assert degree_statistics(graph).mean >= 4
-        assert diameter(graph) <= 16
+        adj = graph(range(64), sg.edges())
+        assert len(distances(adj, 0)) == len(adj)
+        assert degree_statistics(adj).mean >= 4
+        assert diameter(adj) <= 16
 
     def test_single_node(self):
         sg = SkipGraphTopology(1, seed=2)
         assert sg.edges() == set()
-        assert diameter(sg.to_networkx()) == 0
+        assert diameter(graph(range(1), sg.edges())) == 0
 
 
 class TestBroker:
@@ -96,17 +110,44 @@ class TestBroker:
 
 class TestGraphMetrics:
     def test_degree_statistics_empty_graph(self):
-        stats = degree_statistics(nx.Graph())
+        stats = degree_statistics(graph([], []))
         assert stats.mean == 0 and stats.num_edges == 0
 
-    def test_diameter_trivial_graphs(self):
-        assert diameter(nx.Graph()) == 0
-        g = nx.path_graph(5)
-        assert diameter(g) == 4
+    def test_trivial_graphs(self):
+        assert graph([], []) == {} and diameter(graph([], [])) == 0
+        single = graph([7], [])
+        assert single == {7: {}} and diameter(single) == 0
+        assert distances(single, 7) == {7: 0} and shortest_path(single, 7, 7) == [7]
+        assert diameter(path_graph(5)) == 4
+
+    def test_diameter_raises_on_a_disconnected_graph(self):
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter(graph(range(3), [(0, 1)]))
+
+    def test_an_unreachable_pair_has_no_path(self):
+        split = graph(range(4), [(0, 1), (2, 3)])
+        assert distances(split, 0) == {0: 0, 1: 1}
+        for route in (lambda: shortest_path(split, 0, 2),
+                      lambda: routing_congestion(split, pairs=[(0, 1), (0, 2)])):
+            with pytest.raises(ValueError, match="no path between 0 and 2"):
+                route()
+
+    def test_shortest_path_is_networkx_documented_example(self):
+        # networkx's bidirectional_shortest_path docstring: two 4-cycles joined at 0-4.
+        walk = [0, 1, 2, 3, 0, 4, 5, 6, 7, 4]
+        adj = graph([], zip(walk, walk[1:]))
+        assert shortest_path(adj, 2, 6) == [2, 1, 0, 4, 5, 6]
+        assert distances(adj, 2) == {2: 0, 1: 1, 3: 1, 0: 2, 4: 3, 5: 4, 7: 4, 6: 5}
+
+    def test_graph_keeps_insertion_order(self):
+        # Neighbour order decides shortest_path's tie-breaks, so E8's figures.
+        adj = graph([3, 1, 2], [(3, 2), (1, 3), (2, 1), (3, 2)])
+        assert list(adj) == [3, 1, 2]
+        assert {v: list(nbrs) for v, nbrs in adj.items()} == {3: [2, 1], 1: [3, 2], 2: [3, 1]}
 
     def test_routing_congestion_on_star_is_imbalanced(self):
-        star = nx.star_graph(20)
-        ring = nx.cycle_graph(21)
+        star = star_graph(20)
+        ring = cycle_graph(21)
         star_stats = routing_congestion(star, samples=200, seed=1)
         ring_stats = routing_congestion(ring, samples=200, seed=1)
         assert star_stats.load_imbalance > ring_stats.load_imbalance
@@ -134,20 +175,20 @@ class TestGraphMetrics:
 
     def test_routing_congestion_degenerate(self):
         nothing = CongestionStats(0, 0, 0.0, 0.0, 1.0)
-        assert routing_congestion(nx.Graph()) == nothing
-        assert routing_congestion(nx.empty_graph(1)) == nothing
+        assert routing_congestion(graph([], [])) == nothing
+        assert routing_congestion(graph([0], [])) == nothing
         # no pair routed: zero mean load, the imbalance falls back to 1.0
-        assert routing_congestion(nx.path_graph(3), samples=0) == nothing
-        assert routing_congestion(nx.path_graph(3), pairs=[]) == nothing
+        assert routing_congestion(path_graph(3), samples=0) == nothing
+        assert routing_congestion(path_graph(3), pairs=[]) == nothing
         # two nodes, the fewest a percentile can be taken over
-        assert routing_congestion(nx.path_graph(2), samples=5, seed=0) == CongestionStats(
+        assert routing_congestion(path_graph(2), samples=5, seed=0) == CongestionStats(
             samples=5, max_load=5, mean_load=5.0, p99_load=5.0, load_imbalance=1.0)
-        uneven = routing_congestion(nx.path_graph(2), pairs=[(0, 0), (0, 1)])
+        uneven = routing_congestion(path_graph(2), pairs=[(0, 0), (0, 1)])
         assert uneven == CongestionStats(2, 3, 2.0, 2.98, 1.5)
 
 
-# E8's overlays (seed 6, 300 samples) as the numpy implementation computed them at
-# the parent commit: (n, overlay) -> routing_congestion fields, position_balance keys.
+# E8's overlays (seed 6, 300 samples) as computed when numpy did the statistics and
+# networkx the shortest paths: (n, overlay) -> routing_congestion fields, position_balance keys.
 E8_PARENT_VALUES = {
     (64, "skip-ring"): (
         (300, 121, 19.859375, 110.28999999999996, 6.092840283241542),
@@ -177,11 +218,14 @@ class TestGraphMetricsNumerics:
     def test_e8_overlays_match_the_numpy_era_values(self, n, overlay):
         if overlay == "skip-ring":
             topo = SkipRingTopology(n)
-            positions = [r_float(lbl) for lbl in topo.labels]
+            nodes, positions = range(n), [r_float(lbl) for lbl in topo.labels]
+        elif overlay == "chord":
+            topo = ChordTopology(n, seed=6)
+            nodes, positions = topo.node_ids, topo.positions()
         else:
-            topo = {"chord": ChordTopology, "skip-graph": SkipGraphTopology}[overlay](n, seed=6)
-            positions = topo.positions()
-        congestion = routing_congestion(topo.to_networkx(), samples=300, seed=6)
+            topo = SkipGraphTopology(n, seed=6)
+            nodes, positions = range(n), topo.positions()
+        congestion = routing_congestion(graph(nodes, topo.edges()), samples=300, seed=6)
         balance = position_balance(positions)
         want_congestion, want_balance = E8_PARENT_VALUES[n, overlay]
         got_congestion = (congestion.samples, congestion.max_load, congestion.mean_load,
@@ -202,7 +246,7 @@ class TestGraphMetricsNumerics:
             counts = [rng.randint(0, 12) for _ in range(leaves)]
             pairs = [(leaf, 0) for leaf, c in enumerate(counts, start=1) for _ in range(c)]
             loads = np.array([sum(counts)] + counts, dtype=float)
-            stats = routing_congestion(nx.star_graph(leaves), pairs=pairs)
+            stats = routing_congestion(star_graph(leaves), pairs=pairs)
             assert stats.max_load == loads.max()
             assert math.isclose(stats.mean_load, loads.mean(), rel_tol=1e-12)
             assert math.isclose(stats.p99_load, np.percentile(loads, 99), rel_tol=1e-12)

@@ -14,7 +14,9 @@ hold the disciplines those bytes rest on:
 * every ``repro.sim`` class is slotted through its whole MRO;
 * every spec and config field survives the JSON round trip and rejects a
   value of the wrong type;
-* the engine's hot loops build no container per event.
+* the engine's hot loops build no container per event;
+* the message vocabulary of ``core/messages.py`` is exactly what the
+  subscriber's and the supervisor's handler tables dispatch.
 
 Run as a script, this file prints the payload set (the subprocesses of the
 hash-seed test do exactly that).
@@ -36,7 +38,10 @@ import pytest
 
 import repro.sim
 from repro.api import RunReport, SystemSpec
+from repro.core import messages as msg
 from repro.core.config import ProtocolParams
+from repro.core.subscriber import Subscriber
+from repro.core.supervisor import Supervisor
 from repro.fuzz.campaign import FuzzCampaign, FuzzConfig
 from repro.fuzz.generator import GeneratorLimits
 from repro.scenarios.runner import ScenarioRunner
@@ -180,6 +185,14 @@ def test_engine_hot_loops_build_no_container_per_event():
     found = [f"{func.name}:{line}" for func in hot for line in allocations(
         func, {stmt for stmt in func.body if isinstance(stmt, ast.AnnAssign)})]
     assert found == [], "per-event container allocations"
+
+
+def test_the_message_vocabulary_is_the_handler_tables():
+    actions = {value for name, value in vars(msg).items()
+               if name.isupper() and isinstance(value, str) and not name.startswith("FLAG_")}
+    assert len(actions) == 13
+    assert actions == set(Subscriber._action_handlers) | set(Supervisor._action_handlers)
+    assert msg.SUPERVISOR_REQUEST_ACTIONS == set(Supervisor._action_handlers)
 
 
 if __name__ == "__main__":

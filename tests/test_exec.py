@@ -64,6 +64,9 @@ class TestBackends:
         assert isinstance(backend_for_jobs(4), ProcessPoolBackend)
         with pytest.raises(ValueError):
             backend_for_jobs(0)
+        for timeout in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                backend_for_jobs(2, timeout=timeout)
 
     def test_resolve_task_fn_errors(self):
         with pytest.raises(ValueError, match="module:function"):

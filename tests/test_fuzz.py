@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.fuzz.campaign import FuzzCampaign, FuzzConfig
 from repro.fuzz.coverage import CoverageMap, depth_bucket, spec_coverage_keys
 from repro.fuzz.generator import (QUICK_LIMITS, GeneratorLimits, SpecGenerator,
@@ -366,6 +366,13 @@ class TestCampaign:
         assert report.pool_size == len(report.trail)
 
 
+#: The rule each float flag's argparse type states when it rejects a value.
+FLOAT_FLAG_RULES = {"--task-timeout": "a finite number > 0",
+                    "--budget-seconds": "a finite number > 0",
+                    "--releg-budget": "a finite number >= 0",
+                    "--stabilize-budget": "a finite number >= 0"}
+
+
 class TestFuzzCLI:
     def test_clean_run_exits_zero(self, capsys):
         assert fuzz_main(["--budget-iters", "4", "--quick",
@@ -402,12 +409,30 @@ class TestFuzzCLI:
         ["fuzz", "--shrink-budget", "-1"],
         ["fuzz", "--budget-iters", "0"],
         ["fuzz", "--batch-size", "0"],
+        ["sweep", "--demo", "e13-loss-shards", "--jobs", "2", "--task-timeout", "0"],
+        ["sweep", "--demo", "e13-loss-shards", "--jobs", "2", "--task-timeout", "-1"],
+        ["sweep", "--demo", "e13-loss-shards", "--jobs", "2", "--task-timeout", "nan"],
+        ["fuzz", "--quick", "--task-timeout", "inf"],
+        ["fuzz", "--quick", "--budget-iters", "2", "--budget-seconds", "-1"],
+        ["fuzz", "--quick", "--budget-iters", "2", "--budget-seconds", "0"],
+        ["fuzz", "--quick", "--budget-iters", "2", "--budget-seconds", "nan"],
+        ["fuzz", "--quick", "--stabilize-budget", "nan"],
+        ["fuzz", "--quick", "--stabilize-budget", "inf"],
+        ["fuzz", "--quick", "--releg-budget", "-5"],
+        ["fuzz", "--quick", "--releg-budget", "nan"],
     ], ids=lambda argv: " ".join(argv))
-    def test_a_count_below_one_is_a_usage_error(self, argv, capsys):
+    def test_an_out_of_range_number_is_a_usage_error(self, argv, capsys):
+        flag, value = argv[-2:]
+        rule = FLOAT_FLAG_RULES.get(flag, ">= 1")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"argument {argv[-2]}: must be >= 1" in capsys.readouterr().err
+        assert f"argument {flag}: must be {rule}, got {value}\n" in capsys.readouterr().err
+
+    def test_a_zero_rounds_budget_is_accepted(self):
+        args = build_parser().parse_args(
+            ["fuzz", "--releg-budget", "0", "--stabilize-budget", "0"])
+        assert args.releg_budget == args.stabilize_budget == 0.0
 
     def test_quick_limits_are_valid(self):
         assert GeneratorLimits.from_dict(QUICK_LIMITS.to_dict()) == QUICK_LIMITS

@@ -1,9 +1,9 @@
-"""The import-footprint rule of ``repro/__init__``: importing and running the
-protocol loads no third-party module; ``networkx`` is loaded when an E1/E7/E8
-structural analysis is actually called.
+"""The import-footprint rule of ``repro/__init__``: the package is standard
+library only — importing it, running the protocol and the E1/E7/E8 structural
+analyses load no third-party module.
 
-Every case runs in a fresh interpreter (this one has long since imported
-``networkx`` for other tests) with ``PYTHONPATH=src`` only.
+Every case runs in a fresh interpreter (this one may have imported ``numpy``
+for other tests) with ``PYTHONPATH=src`` only.
 """
 
 import os
@@ -19,6 +19,7 @@ import sys
 at_startup = set(sys.modules)  # whatever the interpreter's site configuration preloads
 import repro, repro.api, repro.cluster, repro.scenarios.runner, repro.telemetry
 import repro.exec, repro.fuzz, repro.workloads, repro.analysis.convergence, repro.cli
+import repro.analysis.graph_metrics, repro.baselines, repro.pubsub.flooding
 
 def third_party():
     tops = {name.partition(".")[0] for name in set(sys.modules) - at_startup}
@@ -53,21 +54,19 @@ def test_running_the_protocol_loads_no_third_party_module():
     run_python(IMPORTS, RUN_PROTOCOL, "assert third_party() == [], third_party()")
 
 
-def test_the_protocol_runs_where_neither_library_can_be_imported():
+def test_the_protocol_runs_where_numpy_cannot_be_imported():
     block = """
     import sys
-    sys.modules["networkx"] = sys.modules["numpy"] = None  # importing either raises
+    sys.modules["numpy"] = None  # importing it raises; the tests use it as a reference
     """
     run_python(block, IMPORTS, RUN_PROTOCOL)
 
 
-def test_a_structural_analysis_is_what_loads_networkx():
-    run_python("""
-    import sys
-    from repro.core.skip_ring import SkipRingTopology
-    assert SkipRingTopology(1).diameter() == 0
-    assert "networkx" not in sys.modules
-    graph = SkipRingTopology(8).to_networkx()
-    assert "networkx" in sys.modules and graph.number_of_nodes() == 8
-    assert SkipRingTopology(8).diameter() == 3
+def test_the_structural_analyses_load_no_third_party_module():
+    run_python(IMPORTS, """
+    from repro.experiments.experiments import e1_topology, e8_congestion
+    from repro.pubsub.flooding import ideal_flood_depth
+    assert e1_topology((16,)).passed and ideal_flood_depth(64) > 0
+    assert e8_congestion((64,), samples=20).passed
+    assert third_party() == [], third_party()
     """)

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.convergence import LegitimacyReport, ring_legitimate
+from repro.analysis.graph_metrics import degree_statistics, diameter, distances, graph
 from repro.api import SystemSpec, build_stable
 from repro.core import messages as msg
 from repro.core.labels import (
@@ -158,13 +159,12 @@ def test_shortcut_recursion_subset_of_closed_form_general_n(n):
 @SLOW
 @given(st.integers(min_value=1, max_value=96))
 def test_skip_ring_invariants_for_arbitrary_n(n):
-    topo = SkipRingTopology(n)
-    assert topo.average_degree() <= 4.0 + 1e-9
-    assert topo.max_degree() <= 2 * max_level(n)
-    if n >= 2:
-        import networkx as nx
-        assert nx.is_connected(topo.to_networkx())
-        assert topo.diameter() <= max_level(n) + 1
+    adj = graph(range(n), SkipRingTopology(n).edges())
+    stats = degree_statistics(adj)
+    assert stats.mean <= 4.0 + 1e-9
+    assert stats.maximum <= 2 * max_level(n)
+    assert len(distances(adj, 0)) == len(adj)
+    assert diameter(adj) <= max_level(n) + 1
 
 
 # ---------------------------------------------------------------- patricia

@@ -2,14 +2,12 @@
 
 import pytest
 
+from repro.analysis.graph_metrics import distances, graph
 from repro.core import messages as msg
 from repro.core.labels import max_level
+from repro.core.skip_ring import SkipRingTopology
 from repro.core.subscriber import Neighbor, Subscriber
-from repro.pubsub.flooding import (
-    ideal_flood_depth,
-    ideal_flood_hops,
-    plain_ring_flood_depth,
-)
+from repro.pubsub.flooding import ideal_flood_depth, plain_ring_flood_depth
 from repro.pubsub.hashing import leaf_hash, node_hash, publication_key
 from repro.pubsub.publications import Publication
 from repro.pubsub.topics import TopicRegistry
@@ -71,10 +69,11 @@ class TestFlooding:
     def test_ideal_flood_depth_logarithmic(self, n):
         assert ideal_flood_depth(n) <= max_level(n) + 1
 
-    def test_ideal_flood_hops_covers_everyone(self):
-        hops = ideal_flood_hops(32, source=0)
-        assert len(hops) == 32
-        assert hops[0] == 0
+    def test_ideal_flood_depth_is_the_last_hop_count(self):
+        hops = distances(graph(range(32), SkipRingTopology(32).edges()), 0)
+        assert len(hops) == 32 and hops[0] == 0
+        assert ideal_flood_depth(32) == max(hops.values())
+        assert ideal_flood_depth(1) == 0
 
     def test_plain_ring_depth_linear(self):
         assert plain_ring_flood_depth(1) == 0

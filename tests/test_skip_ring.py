@@ -1,10 +1,14 @@
 """Unit tests for the ideal SR(n) topology (Definition 2, Lemma 3, Figure 1)."""
 
-import networkx as nx
 import pytest
 
+from repro.analysis.graph_metrics import degree_statistics, diameter, distances, graph
 from repro.core.labels import label_length, max_level, r_value
 from repro.core.skip_ring import SkipRingTopology
+
+
+def skip_ring_graph(n):
+    return graph(range(n), SkipRingTopology(n).edges())
 
 
 class TestConstruction:
@@ -15,19 +19,18 @@ class TestConstruction:
     def test_single_node_has_no_edges(self):
         topo = SkipRingTopology(1)
         assert topo.edges() == set()
-        assert topo.diameter() == 0
+        assert diameter(skip_ring_graph(1)) == 0
 
     def test_two_nodes_single_edge(self):
         topo = SkipRingTopology(2)
         assert topo.edges() == {(0, 1)}
 
     def test_ring_edges_form_a_cycle(self):
-        topo = SkipRingTopology(16)
-        graph = nx.Graph()
-        graph.add_edges_from(topo.ring_edges())
-        assert graph.number_of_edges() == 16
-        assert all(d == 2 for _, d in graph.degree())
-        assert nx.is_connected(graph)
+        ring = graph(range(16), SkipRingTopology(16).ring_edges())
+        stats = degree_statistics(ring)
+        assert stats.num_edges == 16
+        assert stats.minimum == stats.maximum == 2
+        assert len(distances(ring, 0)) == len(ring)
 
     def test_figure1_sr16_edge_counts_per_level(self):
         # Figure 1: black ring edges (16), green level-3 (8), red level-2 (4),
@@ -43,38 +46,36 @@ class TestConstruction:
 class TestLemma3:
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128])
     def test_worst_case_degree_bound(self, n):
-        topo = SkipRingTopology(n)
-        assert topo.max_degree() <= 2 * max_level(n)
+        assert degree_statistics(skip_ring_graph(n)).maximum <= 2 * max_level(n)
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 100, 37])
     def test_average_degree_constant(self, n):
-        topo = SkipRingTopology(n)
-        assert topo.average_degree() <= 4.0
+        assert degree_statistics(skip_ring_graph(n)).mean <= 4.0
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
     def test_edge_count_powers_of_two(self, n):
         # Undirected edge count is 2n-3 for powers of two (the paper's 4n-4
         # counts two endpoints per node and level; see EXPERIMENTS.md).
-        topo = SkipRingTopology(n)
-        assert topo.num_edges() == 2 * n - 3
-        assert sum(topo.degrees()) <= 4 * n - 4
+        stats = degree_statistics(skip_ring_graph(n))
+        assert stats.num_edges == 2 * n - 3
+        assert 2 * stats.num_edges <= 4 * n - 4  # the degree sum
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_per_node_degree_formula(self, n):
         # Degree of a node with label length k is at most 2(log n - k + 1).
         topo = SkipRingTopology(n)
-        for node, degree in enumerate(topo.degrees()):
+        for node, neighbours in graph(range(n), topo.edges()).items():
             k = label_length(topo.labels[node])
-            assert degree <= 2 * (max_level(n) - k + 1)
+            assert len(neighbours) <= 2 * (max_level(n) - k + 1)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64, 128])
     def test_diameter_logarithmic(self, n):
-        topo = SkipRingTopology(n)
-        assert topo.diameter() <= max_level(n) + 1
+        assert diameter(skip_ring_graph(n)) <= max_level(n) + 1
 
     @pytest.mark.parametrize("n", [5, 9, 23, 48])
     def test_graph_connected_for_any_n(self, n):
-        assert nx.is_connected(SkipRingTopology(n).to_networkx())
+        adj = skip_ring_graph(n)
+        assert len(distances(adj, 0)) == len(adj)
 
 
 class TestExpectedState:
