@@ -23,8 +23,8 @@ finds the view of the message's topic and does the work itself.
 A node of a legitimate skip ring does the same thing every period (closure),
 so a view derives what follows from ``(label, left, right, ring)`` alone once
 (:class:`_TimeoutPlan`, current exactly while the four are *the same
-objects*) and sends the same params dicts again, each through the simulator's
-``_send_fast`` read once per Timeout.  It receives the same messages again
+objects*) and sends the same params dicts again, the whole round as one batch
+of send triples in one ``_send_fast`` call.  It receives the same messages again
 too, and each "nothing to do" case is answered on the first lines of its
 handler: a ring neighbour restating itself under a current plan
 (``Introduce``), a shortcut stored already (``IntroduceShortcut``), a root
@@ -79,12 +79,13 @@ class _TimeoutPlan:
         label, node_id = view.label, view.node_id
         left, right, ring = view.left, view.right, view.ring
         self.label, self.left, self.right, self.ring = label, left, right, ring
-        #: ``(dest, Introduce params)`` per stored ring neighbour, carrying the
-        #: label we believe it has (extended BuildRing)
+        #: the ``Introduce`` send triple per stored ring neighbour, carrying
+        #: the label we believe it has (extended BuildRing)
         self.introduces = [
-            (nb.ref, {"node": node_id, "label": label, "believed": nb.label, "flag": flag})
+            (nb.ref, msg.INTRODUCE,
+             {"node": node_id, "label": label, "believed": nb.label, "flag": flag})
             for nb, flag in ((left, msg.FLAG_LIN), (right, msg.FLAG_LIN), (ring, msg.FLAG_CYC))
-            if nb is not None]
+            if nb is not None and nb.ref is not None]
         params = view.owner.params
         # Action (iv) when the node locally looks like the minimum but has no
         # wrap-around partner (so it may be the head of an unrecorded
@@ -131,7 +132,7 @@ class TopicView:
 
     ``_plan`` caches what a Timeout derives from ``(label, left, right,
     ring)`` and is matched by identity, so every write to one of the four
-    rebuilds it; ``_pair_memo`` holds the last ``IntroduceShortcut`` pair,
+    rebuilds it; ``_pair_memo`` holds the last ``IntroduceShortcut`` sends,
     matched by value, ``_check_memo`` the last ``CheckTrie`` params, matched
     by the identity of the root digest they carry, and ``_flood_memo`` the
     flood targets of ``(left, right, ring, shortcuts)``, matched by value (a
@@ -159,19 +160,20 @@ class TopicView:
         self.config_change_count = 0
         self._last_config_state: Optional[Tuple] = None
         self._plan: Optional[_TimeoutPlan] = None
-        self._pair_memo: Optional[tuple] = None  # (first, second, their labels, params)
+        self._pair_memo: Optional[tuple] = None  # ((first, second, their labels), sends)
         self._check_memo: Optional[Tuple[str, dict]] = None
         self._flood_memo: Optional[tuple] = None  # ((left, right, ring, shortcuts), targets)
 
     # ------------------------------------------------------------------ sends
     # ``ProtocolNode.send``'s two tests, made by the view itself, in front of
-    # the simulator's ``_send_fast`` (bound once per simulator, read per call
-    # or once per Timeout/flood; a detached owner's ``sim`` raises the
-    # explanatory error).
+    # the simulator's ``_send_fast`` (a batch of one here; a Timeout or a
+    # flood hands over all its triples at once; a detached owner's ``sim``
+    # raises the explanatory error).
     def send(self, dest: Optional[NodeRef], action: str, **params) -> None:
         owner = self.owner
         if not owner.crashed and dest is not None:
-            (owner._sim or owner.sim)._send_fast(self.node_id, dest, action, self.topic, params)
+            (owner._sim or owner.sim)._send_fast(self.node_id, self.topic,
+                                                 ((dest, action, params),))
 
     def send_supervisor(self, action: str, **params) -> None:
         self.send(self.owner.supervisor_for(self.topic), action, **params)
@@ -200,24 +202,88 @@ class TopicView:
                 or plan.right is not self.right or plan.ring is not self.ring):
             self._sanitize_sides()
             plan = self._plan = _TimeoutPlan(self)
-        # Each send below makes :meth:`send`'s tests in place: one frame per message.
+        # The round — the Introduces, the supervisor request, the level pair's
+        # IntroduceShortcuts and the CheckTrie, in this order — is one batch
+        # of send triples, handed over in one call (a crashed owner sends none).
         owner = self.owner
         send_fast = (owner._sim or owner.sim)._send_fast
-        node_id, topic = self.node_id, self.topic
-        for dest, introduce in plan.introduces:
-            if not owner.crashed and dest is not None:
-                send_fast(node_id, dest, msg.INTRODUCE, topic, introduce)
+        node_id, topic, rng, params = self.node_id, self.topic, owner.rng, owner.params
+        sends = plan.introduces.copy()
         # Actions (ii)/(iv) of Section 3.2.1, or the unsubscribe request.
+        request = None
         if self.pending_unsubscribe:
-            self.send_supervisor(msg.UNSUBSCRIBE, node=node_id)
-        elif owner.rng.random() < plan.request_probability:
-            self.send_supervisor(msg.GET_CONFIGURATION, node=node_id)
+            request = msg.UNSUBSCRIBE
+        elif rng.random() < plan.request_probability:
+            request = msg.GET_CONFIGURATION
             owner.configuration_requests += 1
-        params = owner.params
+        if request is not None and (supervisor := owner.supervisor_for(topic)) is not None:
+            sends.append((supervisor, request, {"node": node_id}))
+        # Shortcut upkeep (Section 3.2.2): hold exactly the expected labels and
+        # introduce our two own-level neighbours to each other.
+        shortcuts, pruned = self.shortcuts, False
         if params.shortcut_maintenance:
-            self._maintain_shortcuts(plan, send_fast)
-        if params.enable_anti_entropy:
-            self._anti_entropy_round(plan, send_fast)
+            expected = plan.expected
+            if shortcuts.keys() != expected:
+                pruned = True
+                # Entries we no longer expect are pruned into the ring through
+                # :meth:`send`, so what is queued goes first.
+                if not owner.crashed:
+                    send_fast(node_id, topic, sends)
+                sends = []
+                for stale_label in [lbl for lbl in shortcuts if lbl not in expected]:
+                    ref = shortcuts.pop(stale_label)
+                    if ref is not None and ref != node_id:
+                        self._integrate(stale_label, ref)
+                # Sorted: the dict's insertion order (so the send order) must
+                # not depend on PYTHONHASHSEED.
+                for wanted in sorted(expected):
+                    shortcuts.setdefault(wanted, None)
+            pair = plan.level_pair
+            if pair is not None:
+                first_label, first, second_label, second = pair
+                if ((first is not _VIA or (first := shortcuts.get(first_label)) is not None)
+                        and (second is not _VIA
+                             or (second := shortcuts.get(second_label)) is not None)):
+                    key, memo = (first, second, first_label, second_label), self._pair_memo
+                    if memo is None or memo[0] != key:
+                        distinct = first != second and node_id not in (first, second)
+                        memo = self._pair_memo = (key, tuple(  # two distinct other nodes
+                            (dest, msg.INTRODUCE_SHORTCUT, {"node": other, "label": lbl})
+                            for dest, other, lbl in ((first, second, second_label),
+                                                     (second, first, first_label))
+                            if distinct and dest is not None))
+                    sends += memo[1]
+        # One anti-entropy offer, our trie root to a random ring neighbour
+        # (Algorithm 5); an empty trie offers nothing.
+        root = self.trie.root
+        if (params.enable_anti_entropy and rng.random() < params.anti_entropy_probability
+                and root is not None):
+            if pruned and (plan.left is not self.left or plan.right is not self.right
+                           or plan.ring is not self.ring):
+                # The prune has just re-linearized a reference: the ring
+                # pointers are no longer the plan's.
+                targets = sorted(self.ring_neighbor_refs())
+            elif (targets := plan.targets) is None:
+                targets = plan.targets = sorted(self.ring_neighbor_refs())
+            if targets:
+                memo = self._check_memo
+                if memo is None or memo[0] is not root._hash:
+                    # Every insert clears the root's cached digest (and may put
+                    # a new root above it): the digest object the memo was
+                    # built from is current exactly while the root still holds it.
+                    summary = self.trie.root_summary()
+                    memo = self._check_memo = (
+                        root._hash, {"sender": node_id, "tuples": [summary]})
+                # ``rng.choice(targets)``, inlined: its ``_randbelow`` draws
+                count, getrandbits = len(targets), rng.getrandbits
+                bits = count.bit_length()
+                index = getrandbits(bits)
+                while index >= count:
+                    index = getrandbits(bits)
+                if (dest := targets[index]) is not None:
+                    sends.append((dest, msg.CHECK_TRIE, memo[1]))
+        if sends and not owner.crashed:
+            send_fast(node_id, topic, sends)
 
     def _disconnect(self) -> None:
         """Tell every neighbour to drop us, then drop them all (Algorithm 2,
@@ -259,49 +325,6 @@ class TopicView:
                 stale = self.ring
                 self.ring = None
                 self._integrate(stale.label, stale.ref)
-
-    # ------------------------------------------------------------- shortcuts
-    def _maintain_shortcuts(self, plan: _TimeoutPlan, send_fast: Callable) -> None:
-        """Hold exactly the expected shortcut labels and introduce our two
-        own-level neighbours to each other (Section 3.2.2)."""
-        shortcuts = self.shortcuts
-        expected = plan.expected
-        if shortcuts.keys() != expected:
-            # Prune entries whose label we no longer expect; delegate their
-            # refs into the ring so the references are not lost.
-            for stale_label in [lbl for lbl in shortcuts if lbl not in expected]:
-                ref = shortcuts.pop(stale_label)
-                if ref is not None and ref != self.node_id:
-                    self._integrate(stale_label, ref)
-            # Sorted so the shortcuts dict's insertion order (and therefore
-            # every later iteration over it, i.e. the message send order) is
-            # independent of PYTHONHASHSEED — runs must be reproducible across
-            # processes.
-            for wanted in sorted(expected):
-                shortcuts.setdefault(wanted, None)
-        if plan.level_pair is None:
-            return
-        first_label, first, second_label, second = plan.level_pair
-        if first is _VIA and (first := shortcuts.get(first_label)) is None:
-            return
-        if second is _VIA and (second := shortcuts.get(second_label)) is None:
-            return
-        memo = self._pair_memo
-        if (memo is None or memo[0] != first or memo[1] != second
-                or memo[2] != first_label or memo[3] != second_label):
-            if first == second or self.node_id in (first, second):
-                introductions = None  # not two distinct other nodes
-            else:
-                introductions = ({"node": second, "label": second_label},
-                                 {"node": first, "label": first_label})
-            memo = self._pair_memo = (first, second, first_label, second_label, introductions)
-        introductions = memo[4]
-        if introductions is not None:
-            owner, node_id, topic = self.owner, self.node_id, self.topic
-            if not owner.crashed and first is not None:
-                send_fast(node_id, first, msg.INTRODUCE_SHORTCUT, topic, introductions[0])
-            if not owner.crashed and second is not None:
-                send_fast(node_id, second, msg.INTRODUCE_SHORTCUT, topic, introductions[1])
 
     # ------------------------------------------------------------- integrate
     def _integrate(self, cand_label: Label, cand_ref: NodeRef, cyc: bool = False) -> None:
@@ -434,14 +457,11 @@ class TopicView:
         if memo is None or memo[0] != state:
             memo = self._flood_memo = ((*state[:3], dict(self.shortcuts)),
                                        sorted(self.neighbor_refs()))
-        # :meth:`send` to each target, its tests made once and its frame
-        # saved: one read-only dict for the whole flood.
-        send_fast = (owner._sim or owner.sim)._send_fast
-        node_id, topic = self.node_id, self.topic
-        params = {"pub": publication.wire, "hops": hops, "sender": node_id}
-        for ref in memo[1]:
-            if ref != exclude:
-                send_fast(node_id, ref, msg.PUBLISH_NEW, topic, params)
+        # One batch, :meth:`send`'s tests made once: one read-only dict for
+        # the whole flood.
+        params = {"pub": publication.wire, "hops": hops, "sender": self.node_id}
+        (owner._sim or owner.sim)._send_fast(self.node_id, self.topic, [
+            (ref, msg.PUBLISH_NEW, params) for ref in memo[1] if ref != exclude])
 
     def _receive(self, wire: object) -> Optional[Publication]:
         """The publication ``wire`` carries, if new here and now stored; a copy of a
@@ -455,37 +475,6 @@ class TopicView:
             return publication if self.trie.insert(publication) else None
         except (KeyError, ValueError, TypeError):
             return None
-
-    def _anti_entropy_round(self, plan: _TimeoutPlan, send_fast: Callable) -> None:
-        """Send our trie root to a random direct ring neighbour (Algorithm 5)."""
-        owner = self.owner
-        rng = owner.rng
-        if rng.random() >= owner.params.anti_entropy_probability:
-            return
-        root = self.trie.root
-        if root is None:
-            return  # nothing to offer; a neighbour's request still reaches us
-        if plan.left is self.left and plan.right is self.right and plan.ring is self.ring:
-            targets = plan.targets
-            if targets is None:
-                targets = plan.targets = sorted(self.ring_neighbor_refs())
-        else:
-            # Shortcut upkeep has just re-linearized a pruned reference: the
-            # ring pointers are no longer the plan's.
-            targets = sorted(self.ring_neighbor_refs())
-        if not targets:
-            return
-        memo = self._check_memo
-        if memo is None or memo[0] is not root._hash:
-            # Every insert clears the root's cached digest (and may put a new
-            # root above it): the digest object the memo was built from is
-            # current exactly while the root still holds it.
-            summary = self.trie.root_summary()
-            memo = self._check_memo = (
-                root._hash, {"sender": self.node_id, "tuples": [summary]})
-        dest = rng.choice(targets)
-        if not owner.crashed and dest is not None:
-            send_fast(self.node_id, dest, msg.CHECK_TRIE, self.topic, memo[1])
 
     def _answer(self, sender: NodeRef, reply_tuples: list, caps: list) -> None:
         """Send what :mod:`repro.pubsub.antientropy` computed, as it computed it."""
@@ -585,7 +574,8 @@ class Subscriber(ProtocolNode):
 
     # --------------------------------------------------------------- timeout
     def on_timeout(self) -> None:
-        for view in list(self.views.values()):
+        # No copy of the views: a Timeout only sends, so none is added meanwhile.
+        for view in self.views.values():
             view.timeout()
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import messages as msg
 from repro.core.config import ProtocolParams
@@ -264,8 +264,7 @@ class Supervisor(ProtocolNode):
     def on_timeout(self) -> None:
         """Repair every database and refresh one subscriber per topic."""
         for topic, db in self.databases.items():
-            crashed = self._crashed_members(db)
-            db.repair_labels(crashed=crashed)
+            db.repair_labels(crashed=self._suspected(db.members()))
             label = db.round_robin_label()
             if label is None:
                 continue
@@ -274,9 +273,6 @@ class Supervisor(ProtocolNode):
                 continue
             self._send_configuration(ref, label, db, topic)
 
-    def _crashed_members(self, db: TopicDatabase) -> List[NodeRef]:
-        return [ref for ref in db.members() if self.failure_suspects(ref)]
-
     def failure_suspects(self, node: NodeRef) -> bool:
         """True if the supervisor's failure detector suspects ``node``.
 
@@ -284,14 +280,25 @@ class Supervisor(ProtocolNode):
         that references to crashed nodes are never re-integrated (Section 3.3);
         a ``node`` that cannot be an address, names no node at all or names a
         supervisor (never a subscriber, so the request is forged) is suspected
-        at once.  The Timeout's eviction asks the same question.
+        at once.  The Timeout's eviction asks it too (:meth:`_suspected`).
         """
+        try:
+            return bool(self._suspected((node,)))
+        except TypeError:
+            return True  # unhashable: no address at all
+
+    def _suspected(self, refs: Sequence[NodeRef]) -> List[NodeRef]:
+        """The ``refs`` :meth:`failure_suspects` holds for, in order, reading
+        the suspect set and the node table once (an unhashable ref raises
+        ``TypeError``): the detector's rule — crashed ``detection_lag`` ago,
+        or no node at all — or a supervisor."""
         sim = self._sim
         if sim is None:
-            return not _is_address(node)
-        # the attached detector suspects a ref that is no address at all
-        return (sim.failure_detector.suspects(node)
-                or isinstance(sim.nodes.get(node), Supervisor))
+            return [ref for ref in refs if not _is_address(ref)]
+        nodes, detector = sim.nodes, sim.failure_detector
+        suspected = detector._suspected_at(sim.now) if detector._crash_times else ()
+        return [ref for ref in refs if ref in suspected
+                or (node := nodes.get(ref)) is None or isinstance(node, Supervisor)]
 
     # ---------------------------------------------------------------- actions
     def _request_topic(self, topic: object) -> Optional[str]:

@@ -29,10 +29,10 @@ duplicated by an adversary or injected as initial-state corruption —
 is one plain tuple (a *record*, :mod:`repro.sim.network`) that is its own
 delivery event and lives only in the scheduler: no per-message object, no
 second copy in a channel — and reaches a handler by one rule, the class's
-``_action_handlers`` table.  A send has one path too (``_send_fast``): with or
-without a link adversary — the scenario and fuzz harness installs one on
-every run — it is counted, tested against the crashed set, shown to the
-adversary and, unless that answers with a verdict, drawn and pushed inline.
+``_action_handlers`` table.  A send has one path too (``_send_fast``, one call
+per batch): with or without a link adversary — the scenario and fuzz harness
+installs one on every run — each copy is counted, tested against the crashed
+set, shown to the adversary and, unless it answers with a verdict, pushed.
 Message delays and timeout jitter are drawn where
 they are used: one ``random()`` per use on a prebound ``Random.random``,
 inside ``Random.uniform``'s own expression (``a + (b - a) * random()``), so
@@ -50,7 +50,7 @@ import math
 import random
 from dataclasses import InitVar, dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import heapq
 
@@ -187,23 +187,21 @@ class Simulator:
         return self._scheduler
 
     def _bind_fast_submit(self) -> None:
-        """Build the ``_send_fast(sender, dest, action, topic, params)``
-        closure behind :meth:`ProtocolNode.send`, once per simulator.
+        """Build ``_send_fast(sender, topic, sends)``, the one send path, once
+        per simulator: ``sends`` is a batch of ``(dest, action, params)``
+        triples — one message (:meth:`ProtocolNode.send`), a flood, a
+        subscriber's Timeout round.
 
-        Network internals, scheduler, delay stream and seq counter are fixed
-        for the simulator's lifetime, so the per-message path resolves them
-        here instead of per call.  A send builds one record tuple that lives
-        *only* in the scheduler until delivery: the crashed set answers
-        "still deliverable?" and :meth:`Network.in_flight` reads pending
-        records straight off the scheduler backlog.
-
-        One path for every send: count it, drop it if the address is gone
-        (crashed, or a ``dest`` that cannot be an address — never shown to
-        the adversary), ask the installed adversary's ``on_submit``, and —
-        untouched (``None``) or with no adversary at all — draw the delay and
-        push inline.  Only a verdict (a drop, a duplicate, a delay spike)
-        takes the generic tail, one draw and one push per copy.  Live reads
-        each call: ``self.now`` and ``network.adversary``.
+        Network internals, scheduler, delay stream and seq counter are
+        resolved here; the clock, the adversary and the crashed set are read,
+        and ``total_sent`` and the wheel's count bumped, once per batch.  A
+        send builds one record tuple that lives *only* in the scheduler until
+        delivery.  Per copy, in batch order: count it, drop it if the address
+        is gone (crashed, or a ``dest`` that cannot be an address — never
+        shown to the adversary), ask the adversary's ``on_submit`` and —
+        untouched (``None``) or with no adversary — draw the delay and push
+        inline; only a verdict (a drop, a duplicate, a delay spike) takes the
+        generic tail.  So a batch is its triples sent one per call.
         """
         network = self.network
         crashed = network._crashed
@@ -230,67 +228,72 @@ class Simulator:
         # inject_message leave in the scheduler; hand it the backlog iterator.
         network._pending_records = scheduler.iter_events
 
-        def _send_fast(sender: Optional[NodeRef], dest: NodeRef, action: str,
-                       topic: Optional[str], params: Dict[str, Any]) -> None:
-            # hot path — one frame per ProtocolNode.send; a per-event container
-            # added here fails test_engine_hot_loops_build_no_container_per_event
+        def _send_fast(sender: Optional[NodeRef], topic: Optional[str],
+                       sends: Sequence[Tuple[NodeRef, str, Dict[str, Any]]]) -> None:
+            # hot path — one frame per batch; a per-event container added
+            # here fails test_engine_hot_loops_build_no_container_per_event
             now = self.now
             adversary = network.adversary
+            # unconditional under an adversary: it never sees an unhashable dest
+            screen = crashed or adversary is not None
+            stats.total_sent += len(sends)
+            current_index = scheduler._current_index  # moves only when popping
+            pushed = 0  # inline wheel appends, added to its count once
             try:
-                # unconditional under an adversary: it never sees an unhashable dest
-                gone = (crashed or adversary is not None) and dest in crashed
-            except TypeError:
-                gone = True  # unhashable ``dest``: no such address
-            stats.total_sent += 1
-            try:
-                sent[action][sender] += 1
-            except KeyError:
-                # first sight of the action or of this sender under it
-                sent.setdefault(action, {})[sender] = 1
-            if gone:
-                stats.record_drop(DROP_TO_CRASHED)
-                return
-            if adversary is not None:
-                verdict = adversary.on_submit(sender, dest, now)
-                if verdict is not None:
-                    # touched: dropped, duplicated or delay-scaled; the
-                    # copies share ``params``
-                    if verdict.drop_reason is not None:
-                        stats.record_drop(verdict.drop_reason)
-                        return
-                    duplicates = verdict.duplicates
-                    if duplicates:
-                        stats.record_duplicate(duplicates)
-                    factor = verdict.delay_factor
-                    for _ in range(1 + duplicates):
-                        deliver_time = now + (
-                            min_delay + delay_span * delay_rand()) * factor
-                        if deliver_time < self._block_end:
-                            # a factor < 1 can undercut min_delay and land
-                            # inside the open window
-                            self._block_interrupted = True
-                        scheduler_push((deliver_time, seq_next(),
-                                        _DELIVER_FAST, dest, action, params,
-                                        topic, sender, now))
-                    return
-            deliver_time = now + (min_delay + delay_span * delay_rand())
-            # The record layout is pinned by the REC_* constants in
-            # repro.sim.network: (deliver_time, seq, kind, dest, action,
-            # params, topic, sender, send_time).
-            record = (deliver_time, seq_next(), _DELIVER_FAST, dest, action,
-                      params, topic, sender, now)
-            # inlined TimeoutWheelScheduler.push
-            index = int(deliver_time * inv_width)
-            scheduler._count += 1
-            if index <= scheduler._current_index:
-                insert_late(record)
-            else:
-                try:
-                    buckets[index].append(record)
-                except KeyError:
-                    # amortised: one list per bucket, not per event
-                    buckets[index] = [record]
-                    heappush(bucket_heap, index)
+                for dest, action, params in sends:
+                    try:
+                        sent[action][sender] += 1
+                    except KeyError:
+                        # first sight of the action or of this sender under it
+                        sent.setdefault(action, {})[sender] = 1
+                    if screen:
+                        try:
+                            gone = dest in crashed
+                        except TypeError:
+                            gone = True  # unhashable ``dest``: no such address
+                        if gone:
+                            stats.record_drop(DROP_TO_CRASHED)
+                            continue
+                        if adversary is not None:
+                            verdict = adversary.on_submit(sender, dest, now)
+                            if verdict is not None:
+                                # touched: dropped, duplicated or delay-scaled
+                                if verdict.drop_reason is not None:
+                                    stats.record_drop(verdict.drop_reason)
+                                    continue
+                                duplicates = verdict.duplicates
+                                if duplicates:
+                                    stats.record_duplicate(duplicates)
+                                factor = verdict.delay_factor
+                                for _ in range(1 + duplicates):
+                                    deliver_time = now + (
+                                        min_delay + delay_span * delay_rand()) * factor
+                                    if deliver_time < self._block_end:
+                                        # a factor < 1 lands in the open window
+                                        self._block_interrupted = True
+                                    scheduler_push((deliver_time, seq_next(),
+                                                    _DELIVER_FAST, dest, action,
+                                                    params, topic, sender, now))
+                                continue
+                    deliver_time = now + (min_delay + delay_span * delay_rand())
+                    # the REC_* layout of repro.sim.network: (deliver_time, seq,
+                    # kind, dest, action, params, topic, sender, send_time)
+                    record = (deliver_time, seq_next(), _DELIVER_FAST, dest,
+                              action, params, topic, sender, now)
+                    # inlined TimeoutWheelScheduler.push
+                    index = int(deliver_time * inv_width)
+                    pushed += 1
+                    if index <= current_index:
+                        insert_late(record)
+                    else:
+                        try:
+                            buckets[index].append(record)
+                        except KeyError:
+                            # amortised: one list per bucket, not per event
+                            buckets[index] = [record]
+                            heappush(bucket_heap, index)
+            finally:
+                scheduler._count += pushed
 
         #: the send path used by :meth:`ProtocolNode.send`
         self._send_fast = _send_fast

@@ -264,10 +264,10 @@ class Network:
 
     The network holds no message: every in-flight record lives in the
     :class:`~repro.sim.engine.Simulator`'s scheduler.  The simulator's send
-    path (``_send_fast``) counts a send, drops it if the destination crashed
-    and asks :attr:`adversary` which copies survive; its drain loop delivers
-    records (fusing what :meth:`pop_record` spells out); :meth:`in_flight`
-    counts the pending records back out of the scheduler.
+    path (``_send_fast``, one call per batch) counts each send, drops it if
+    the destination crashed and asks :attr:`adversary` which copies survive;
+    its drain loop delivers records (fusing what :meth:`pop_record` spells
+    out); :meth:`in_flight` counts the pending records out of the scheduler.
 
     A ``dest`` that cannot be an address — unhashable: a forged list or dict
     where a node ref belongs — is an address that does not exist.  The send

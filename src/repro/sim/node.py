@@ -111,25 +111,20 @@ class ProtocolNode:
         the convention in the paper's pseudocode where calls on ``⊥`` do
         nothing.  Crashed nodes never send.
 
-        This is the per-message hot path: the kwargs dict is freshly built by
-        the call itself, so it is handed over to the in-flight record without
-        a defensive copy (:meth:`Simulator.inject_message`, whose caller keeps
-        its dict, copies), and the send goes through the simulator's prebound
-        ``_send_fast`` closure (network, scheduler and delay source resolved
-        once per simulator, not once per message), which builds one record
-        tuple per accepted copy.
-
-        :class:`~repro.core.subscriber.TopicView` does not come through here:
-        it makes the same two tests itself, and a Timeout or a flood reads
-        ``_send_fast`` once and calls it per message — one frame per message
-        instead of three.
+        The message goes out as a batch of one through the simulator's
+        prebound ``_send_fast`` (the one send path), which builds one record
+        tuple per accepted copy; the kwargs dict is freshly built by the
+        call, so the record takes it uncopied (:meth:`Simulator.inject_message`,
+        whose caller keeps its dict, copies).  A sender with several
+        messages — a subscriber's Timeout, a flood — hands them over as one
+        batch of ``(dest, action, params)`` triples.
         """
         if self.crashed or dest is None:
             return
         sim = self._sim
         if sim is None:
             raise RuntimeError(f"node {self.node_id} is not attached to a simulator")
-        sim._send_fast(self.node_id, dest, action, topic, params)
+        sim._send_fast(self.node_id, topic, ((dest, action, params),))
 
     # ----------------------------------------------------------------- actions
     def on_timeout(self) -> None:

@@ -15,7 +15,8 @@ the engine draws what ``Random.uniform`` would, one draw per use, none ahead.
 
 The send path has a reference too, kept here since PR 22 deleted it from the
 library: ``Network.delivery_times``' arithmetic, replayed on twin RNG streams
-against scripted ``_send_fast`` calls under a link adversary.
+against scripted ``_send_fast`` calls under a link adversary; and a batch
+of sends is pinned to the same sends made one per call.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def test_send_fast_reproduces_the_delivery_times_arithmetic():
     params = {"origin": 0, "hops": 0}
     for now, sender, dest in script:
         sim.now = now
-        sim._send_fast(sender, dest, "Ping", None, params)
+        sim._send_fast(sender, None, ((dest, "Ping", params),))
 
     sent, drops, duplicated, times, delay_state, coin_state = \
         _replay_delivery_times(script, sim.config.min_delay, sim.config.max_delay)
@@ -311,3 +312,48 @@ def test_send_fast_reproduces_the_delivery_times_arithmetic():
     # an unaddressable dest is dropped before the adversary sees it
     assert [1] not in shown and {} not in shown
     assert len(shown) == len(script) - drops["to_crashed"]
+
+
+def _batch_world(seed):
+    """A simulator mid-window under a lossy, duplicating adversary whose delay
+    spike (factor < 1) puts copies inside the open window; node 7 crashed."""
+    sim = Simulator(SimulatorConfig(seed=seed))
+    sim.network.mark_crashed(7)
+    adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.3, duplicate_rate=0.3)
+    adversary.add_delay_spike(start=0.0, end=10.0, factor=0.25)
+    sim.install_adversary(adversary)
+    sim.now = 1.0
+    sim._block_end = 1.0 + sim.config.min_delay  # an open block window
+    sim._block_interrupted = False
+    return sim
+
+
+def _batch_outcome(sim):
+    stats = sim.network.stats
+    return (sorted(sim.scheduler.iter_events(), key=lambda event: event[1]),
+            stats.drops_by_reason, stats.duplicated, stats.total_sent,
+            stats.snapshot()._sent, len(sim.scheduler), sim._block_interrupted,
+            sim._delay_rng.getstate(), sim.adversary_rng().getstate())
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_a_batch_is_its_sends_made_one_per_call(seed):
+    """Per copy, in batch order: the same records, drops by reason,
+    duplicates, counts, block interrupt and random streams."""
+    # a live dest, a crashed one, an unhashable one, ``None`` (an address
+    # like any hashable non-node ref: callers drop unset references), then
+    # enough live sends for the loss and duplicate coins to come up
+    sends = [(dest, action, {"i": i}) for i, (dest, action) in enumerate(
+        [(2, "Ping"), (7, "Ping"), ([1], "Pong"), (None, "Ping"), (3, "Pong")]
+        + [(4 + i % 3, ("Ping", "Pong")[i % 2]) for i in range(24)])]
+    batched, single = _batch_world(seed), _batch_world(seed)
+    batched._send_fast(5, "t", sends)
+    for send in sends:
+        single._send_fast(5, "t", (send,))
+    outcome = _batch_outcome(batched)
+    assert outcome == _batch_outcome(single)
+    records, drops, duplicated, total_sent, sent, pending, interrupted = outcome[:7]
+    assert drops["to_crashed"] == 2 and drops["adversary_loss"] > 0 and duplicated > 0
+    assert total_sent == len(sends) and set(sent) == {"Ping", "Pong"}
+    assert interrupted and pending == len(records)
+    assert all(record[6] == "t" and record[7] == 5 and record[8] == 1.0 for record in records)

@@ -780,10 +780,9 @@ class TestSteadyStateBudget:
     def _frames(system, rounds):
         """Python ``call`` events under ``_run_blocks`` (the ``TestAdversarial
         SendBudget`` idiom): per delivered Introduce / IntroduceShortcut /
-        CheckTrie, every frame its handler enters; per subscriber Timeout, the
-        frames of the protocol's own code outside ``_send_fast`` (the stdlib's
-        ``random.choice`` that draws the anti-entropy partner is not counted),
-        and the sends."""
+        CheckTrie, every frame its handler enters; over the subscriber
+        Timeouts, their number, the frames of the protocol's own code outside
+        ``_send_fast`` and the ``_send_fast`` calls."""
         import sys
         from collections import Counter
 
@@ -807,6 +806,7 @@ class TestSteadyStateBudget:
                         delivered[entry] += 1
                     elif code is Subscriber.on_timeout.__code__:
                         entry = "timeout"
+                        timeout["timeouts"] += 1
                     else:
                         return
                 depth += 1
@@ -839,12 +839,21 @@ class TestSteadyStateBudget:
             assert delivered[action] >= 8 * len(peers)
             assert frames[action] <= 1.0 * delivered[action], action
 
-    def test_a_steady_timeout_costs_at_most_one_frame_per_send(self, steady):
-        """Each send calls ``_send_fast`` from the frame that decides it."""
+    def test_a_steady_timeout_is_one_send_call_and_two_protocol_frames(self, steady):
+        """A steady Timeout hands its whole round to ``_send_fast`` in one
+        call; ``Subscriber.on_timeout`` and ``TopicView.timeout`` are its only
+        protocol frames, but for the supervisor lookup of a configuration
+        request (``supervisor_for``, at most one frame per request)."""
         system, peers = steady
+        requests = sum(peer.configuration_requests for peer in peers)
+        sent = system.sim.network.stats.total_sent
         _, _, timeout = self._frames(system, 10)
-        assert timeout["sends"] >= 4 * 10 * len(peers)
-        assert timeout["frames"] <= 1.0 * timeout["sends"]
+        requests = sum(peer.configuration_requests for peer in peers) - requests
+        assert timeout["timeouts"] >= 8 * len(peers)
+        assert timeout["sends"] == timeout["timeouts"]
+        assert timeout["frames"] <= 2 * timeout["timeouts"] + requests
+        # the rounds carry the traffic: over four messages sent per Timeout
+        assert system.sim.network.stats.total_sent - sent >= 4 * timeout["timeouts"]
 
     def test_a_cached_message_in_flight_only_ever_gains_its_topic(self, steady):
         """Cached params are shared between messages: delivering one copy may
@@ -856,7 +865,7 @@ class TestSteadyStateBudget:
         dest = view.left.ref if view.left else view.right.ref
         self._timeout_sends(system, peer)
         sim.run_for(sim.config.max_delay + 0.01)   # the first copies are delivered
-        delivered = peer.view()._plan.introduces[0][1]
+        delivered = peer.view()._plan.introduces[0][2]
         assert delivered["topic"] == view.topic
         sibling = self._timeout_sends(system, peer)[dest, "Introduce"]
         snapshot = dict(sibling)

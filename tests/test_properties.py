@@ -30,6 +30,7 @@ from repro.core.supervisor import TopicDatabase
 from repro.pubsub.hashing import leaf_hash, node_hash
 from repro.pubsub.patricia import PatriciaTrie
 from repro.pubsub.publications import Publication
+from repro.workloads.initial_states import AdversarialConfig, build_adversarial_system
 from test_antientropy import reconcile_once  # the test-only pairwise driver
 
 SLOW = settings(max_examples=30, deadline=None,
@@ -564,19 +565,26 @@ _steps = st.lists(st.tuples(st.integers(0, 1), st.one_of(
 
 
 class _World:
-    """A stable five-subscriber system whose every send is logged."""
+    """A stable five-subscriber system — or E4's corrupted eight-subscriber
+    start, two components and a corrupted database — whose every send is
+    logged."""
 
-    def __init__(self, seed: int, caching: bool) -> None:
-        self.system, self.subscribers = build_stable(SystemSpec(seed=seed), 5)
+    def __init__(self, seed: int, caching: bool, corrupted: bool = False) -> None:
+        if corrupted:
+            self.system, self.subscribers = build_adversarial_system(AdversarialConfig(
+                8, seed, database_mode="corrupted", components=2))
+        else:
+            self.system, self.subscribers = build_stable(SystemSpec(seed=seed), 5)
         self.caching = caching
         self.sends = []
         sim = self.system.sim
         send_fast = sim._send_fast
 
-        def logged(sender, dest, action, topic, params):
-            self.sends.append((sender, dest, action, topic,
-                               {k: v for k, v in params.items() if k != "topic"}))
-            send_fast(sender, dest, action, topic, params)
+        def logged(sender, topic, sends):
+            self.sends.extend((sender, dest, action, topic,
+                               {k: v for k, v in params.items() if k != "topic"})
+                              for dest, action, params in sends)
+            send_fast(sender, topic, sends)
 
         sim._send_fast = logged
 
@@ -667,6 +675,21 @@ class _World:
 def test_timeout_plan_and_memos_are_indistinguishable_from_no_cache(seed, steps):
     cached, uncached = _World(seed, caching=True), _World(seed, caching=False)
     assert all(view._plan is not None for view in cached.views())
+    _assert_indistinguishable(cached, uncached, steps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 3), _steps)
+def test_timeout_plan_and_memos_are_indistinguishable_from_a_corrupted_start(seed, steps):
+    """From E4's corrupted configuration the first Timeouts sanitize sides and
+    prune shortcuts — the paths a steady ring never takes."""
+    cached = _World(seed, caching=True, corrupted=True)
+    uncached = _World(seed, caching=False, corrupted=True)
+    _assert_indistinguishable(cached, uncached, steps)
+
+
+def _assert_indistinguishable(cached, uncached, steps):
     for who, (kind, arg) in steps:
         uncached.forget()
         cached.take(who, kind, arg)

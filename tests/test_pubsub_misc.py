@@ -44,11 +44,12 @@ def _flood_targets(left, right, ring, shortcut_refs, exclude):
     view.left, view.right, view.ring = (
         None if ref is None else Neighbor("0", ref) for ref in (left, right, ring))
     view.shortcuts = dict(enumerate(shortcut_refs))
-    sends = []
-    sim._send_fast = lambda sender, dest, action, topic, params: sends.append(
-        (dest, action, params))
+    batches = []
+    sim._send_fast = lambda sender, topic, sends: batches.append((sender, topic, list(sends)))
     publication = Publication.create(1, b"x", key_bits=64)
     view._flood(publication, hops=3, exclude=exclude)
+    assert [batch[:2] for batch in batches] == [(1, view.topic)]  # one batch per flood
+    sends = batches[0][2]
     assert all(action == msg.PUBLISH_NEW and params is sends[0][2]
                for _, action, params in sends)  # one read-only dict per flood
     assert not sends or sends[0][2] == {"pub": publication.wire, "hops": 3, "sender": 1}

@@ -1,6 +1,7 @@
 """Unit tests for the subscriber-side protocol logic (Algorithms 1, 2, 4, 5)."""
 
 import copy
+import random
 
 import pytest
 from conftest import records_in_flight
@@ -478,9 +479,9 @@ class TestAntiEntropyWireShapes:
         assert view_b.trie.keys() == ["0000", "0101", "1000", "1111"]
         log, send_fast = [], sim._send_fast
 
-        def recording(sender, dest, action, topic, params):
-            log.append((dest, action, copy.deepcopy(params)))
-            send_fast(sender, dest, action, topic, params)
+        def recording(sender, topic, sends):
+            log.extend((dest, action, copy.deepcopy(params)) for dest, action, params in sends)
+            send_fast(sender, topic, sends)
         sim._send_fast = recording
         b.on_CheckTrie(a.node_id, [list(view_a.trie.root_summary())])
         sim.run_rounds(10)
@@ -511,6 +512,30 @@ class TestAntiEntropyWireShapes:
         # list == tuple is False, so the literal above pins the container types too.
         assert view_a.trie.keys() == ["0001", "0110", "1000", "1100", "1111"]
         assert view_b.trie.keys() == ["0000", "0001", "0101", "0110", "1000", "1100", "1111"]
+
+
+@pytest.mark.parametrize("count", range(1, 10))
+def test_the_check_trie_partner_draw_is_random_choice(count):
+    """The Timeout draws its anti-entropy partner inline: the index and the
+    generator state after it are ``Random.choice``'s over the same targets."""
+    system, peers = build_stable(SystemSpec(seed=4), 4)  # anti-entropy every Timeout
+    peer = peers[0]
+    view = peer.view()
+    view.publish(b"offer")  # a trie root to offer
+    batches = []
+    system.sim._send_fast = lambda sender, topic, sends: batches.append(list(sends))
+    view.timeout()  # the plan is current from here on
+    targets = view._plan.targets = list(range(100, 100 + count))
+    twin = random.Random()
+    for _ in range(40):
+        twin.setstate(peer.rng.getstate())
+        batches.clear()
+        view.timeout()
+        twin.random()  # the configuration-request coin
+        twin.random()  # the anti-entropy coin
+        assert [dest for dest, action, _ in batches[0]
+                if action == msg.CHECK_TRIE] == [twin.choice(targets)]
+        assert peer.rng.getstate() == twin.getstate()
 
 
 # ``topic`` values no sender produces: two unhashable, two hashable.

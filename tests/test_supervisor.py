@@ -8,7 +8,9 @@ import pytest
 from repro.api import SystemSpec, build_stable
 from repro.core.config import ProtocolParams
 from repro.core.labels import label_of
-from repro.core.supervisor import TopicDatabase
+from repro.core.supervisor import Supervisor, TopicDatabase
+from repro.sim.engine import Simulator, SimulatorConfig
+from repro.sim.node import ProtocolNode
 
 
 class TestTopicDatabase:
@@ -273,6 +275,51 @@ BOTH_TOPOLOGIES = pytest.mark.parametrize("spec", [
     SystemSpec(seed=3),
     SystemSpec(seed=3, topology="sharded", shards=2),
 ], ids=["single", "sharded"])
+
+
+class TestEvictionPredicate:
+    """The Timeout's eviction scan and the per-request ``failure_suspects``
+    are one predicate: the scan reads the suspect set and the node table
+    once per database and picks exactly the members a request would refuse."""
+
+    @pytest.mark.parametrize("lag", [0.0, 2.0])
+    def test_the_scan_is_failure_suspects_over_the_members(self, lag):
+        sim = Simulator(SimulatorConfig(seed=5, detection_lag=lag))
+        sup = sim.add_node(Supervisor(0), schedule_timeout=False)
+        sim.add_node(Supervisor(50), schedule_timeout=False)
+        for node_id in range(10, 16):
+            sim.add_node(ProtocolNode(node_id), schedule_timeout=False)
+        db = sup.database()
+        # live members, two soon crashed, a never-existing id, a supervisor id
+        for index, ref in enumerate([10, 11, 12, 13, 99, 50, 14, 15]):
+            db.put(label_of(index), ref)
+        sim.run_until_time(1.0)
+        sim.crash_node(11)
+        sim.crash_node(12, at=2.0)
+
+        def expect(at, suspected):
+            sim.run_until_time(at)
+            members = db.members()
+            scan = sup._suspected(members)
+            assert scan == [ref for ref in members if sup.failure_suspects(ref)]
+            assert scan == suspected, at
+
+        forged = [99, 50]
+        if lag:  # each crash is suspected ``lag`` after it happened
+            expect(1.0, forged)
+            expect(2.0, forged)
+            expect(3.0, [11, *forged])
+        else:    # ... at the very time of the crash
+            expect(1.0, [11, *forged])
+            expect(2.0, [11, 12, *forged])
+        expect(4.5, [11, 12, *forged])
+        sup.on_timeout()  # the eviction takes exactly the suspected members
+        assert sorted(db.members()) == [10, 13, 14, 15]
+
+    def test_a_detached_supervisor_suspects_only_non_addresses(self):
+        sup = Supervisor(0)
+        assert sup._suspected([1, None, 2]) == [None]
+        assert sup.failure_suspects([1]) and not sup.failure_suspects(7)
 
 
 class TestForgedRequests:
