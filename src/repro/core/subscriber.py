@@ -574,7 +574,8 @@ class Subscriber(ProtocolNode):
 
     # --------------------------------------------------------------- timeout
     def on_timeout(self) -> None:
-        # No copy of the views: a Timeout only sends, so none is added meanwhile.
+        # No copy of the views: nothing a Timeout reaches adds or removes one
+        # (only view() adds a view, and none is ever removed).
         for view in self.views.values():
             view.timeout()
 

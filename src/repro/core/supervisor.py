@@ -282,23 +282,20 @@ class Supervisor(ProtocolNode):
         supervisor (never a subscriber, so the request is forged) is suspected
         at once.  The Timeout's eviction asks it too (:meth:`_suspected`).
         """
-        try:
-            return bool(self._suspected((node,)))
-        except TypeError:
-            return True  # unhashable: no address at all
+        return bool(self._suspected((node,)))
 
     def _suspected(self, refs: Sequence[NodeRef]) -> List[NodeRef]:
-        """The ``refs`` :meth:`failure_suspects` holds for, in order, reading
-        the suspect set and the node table once (an unhashable ref raises
-        ``TypeError``): the detector's rule — crashed ``detection_lag`` ago,
-        or no node at all — or a supervisor."""
+        """The ``refs`` :meth:`failure_suspects` holds for, in order: the
+        detector's rule (:meth:`~repro.sim.failure.FailureDetector.suspects`:
+        crashed ``detection_lag`` ago, or no node at all), or a supervisor.
+        One O(1) call per ref; the clock and the node table are read once."""
         sim = self._sim
         if sim is None:
             return [ref for ref in refs if not _is_address(ref)]
-        nodes, detector = sim.nodes, sim.failure_detector
-        suspected = detector._suspected_at(sim.now) if detector._crash_times else ()
-        return [ref for ref in refs if ref in suspected
-                or (node := nodes.get(ref)) is None or isinstance(node, Supervisor)]
+        suspects, nodes, now = sim.failure_detector.suspects, sim.nodes, sim.now
+        # ``suspects`` holds for an unhashable ref first, so ``get`` never sees one
+        return [ref for ref in refs
+                if suspects(ref, now) or isinstance(nodes.get(ref), Supervisor)]
 
     # ---------------------------------------------------------------- actions
     def _request_topic(self, topic: object) -> Optional[str]:

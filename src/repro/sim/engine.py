@@ -239,61 +239,59 @@ class Simulator:
             stats.total_sent += len(sends)
             current_index = scheduler._current_index  # moves only when popping
             pushed = 0  # inline wheel appends, added to its count once
-            try:
-                for dest, action, params in sends:
+            for dest, action, params in sends:
+                try:
+                    sent[action][sender] += 1
+                except KeyError:
+                    # first sight of the action or of this sender under it
+                    sent.setdefault(action, {})[sender] = 1
+                if screen:
                     try:
-                        sent[action][sender] += 1
-                    except KeyError:
-                        # first sight of the action or of this sender under it
-                        sent.setdefault(action, {})[sender] = 1
-                    if screen:
-                        try:
-                            gone = dest in crashed
-                        except TypeError:
-                            gone = True  # unhashable ``dest``: no such address
-                        if gone:
-                            stats.record_drop(DROP_TO_CRASHED)
-                            continue
-                        if adversary is not None:
-                            verdict = adversary.on_submit(sender, dest, now)
-                            if verdict is not None:
-                                # touched: dropped, duplicated or delay-scaled
-                                if verdict.drop_reason is not None:
-                                    stats.record_drop(verdict.drop_reason)
-                                    continue
-                                duplicates = verdict.duplicates
-                                if duplicates:
-                                    stats.record_duplicate(duplicates)
-                                factor = verdict.delay_factor
-                                for _ in range(1 + duplicates):
-                                    deliver_time = now + (
-                                        min_delay + delay_span * delay_rand()) * factor
-                                    if deliver_time < self._block_end:
-                                        # a factor < 1 lands in the open window
-                                        self._block_interrupted = True
-                                    scheduler_push((deliver_time, seq_next(),
-                                                    _DELIVER_FAST, dest, action,
-                                                    params, topic, sender, now))
+                        gone = dest in crashed
+                    except TypeError:
+                        gone = True  # unhashable ``dest``: no such address
+                    if gone:
+                        stats.record_drop(DROP_TO_CRASHED)
+                        continue
+                    if adversary is not None:
+                        verdict = adversary.on_submit(sender, dest, now)
+                        if verdict is not None:
+                            # touched: dropped, duplicated or delay-scaled
+                            if verdict.drop_reason is not None:
+                                stats.record_drop(verdict.drop_reason)
                                 continue
-                    deliver_time = now + (min_delay + delay_span * delay_rand())
-                    # the REC_* layout of repro.sim.network: (deliver_time, seq,
-                    # kind, dest, action, params, topic, sender, send_time)
-                    record = (deliver_time, seq_next(), _DELIVER_FAST, dest,
-                              action, params, topic, sender, now)
-                    # inlined TimeoutWheelScheduler.push
-                    index = int(deliver_time * inv_width)
-                    pushed += 1
-                    if index <= current_index:
-                        insert_late(record)
-                    else:
-                        try:
-                            buckets[index].append(record)
-                        except KeyError:
-                            # amortised: one list per bucket, not per event
-                            buckets[index] = [record]
-                            heappush(bucket_heap, index)
-            finally:
-                scheduler._count += pushed
+                            duplicates = verdict.duplicates
+                            if duplicates:
+                                stats.record_duplicate(duplicates)
+                            factor = verdict.delay_factor
+                            for _ in range(1 + duplicates):
+                                deliver_time = now + (
+                                    min_delay + delay_span * delay_rand()) * factor
+                                if deliver_time < self._block_end:
+                                    # a factor < 1 lands in the open window
+                                    self._block_interrupted = True
+                                scheduler_push((deliver_time, seq_next(),
+                                                _DELIVER_FAST, dest, action,
+                                                params, topic, sender, now))
+                            continue
+                deliver_time = now + (min_delay + delay_span * delay_rand())
+                # the REC_* layout of repro.sim.network: (deliver_time, seq,
+                # kind, dest, action, params, topic, sender, send_time)
+                record = (deliver_time, seq_next(), _DELIVER_FAST, dest,
+                          action, params, topic, sender, now)
+                # inlined TimeoutWheelScheduler.push
+                index = int(deliver_time * inv_width)
+                pushed += 1
+                if index <= current_index:
+                    insert_late(record)
+                else:
+                    try:
+                        buckets[index].append(record)
+                    except KeyError:
+                        # amortised: one list per bucket, not per event
+                        buckets[index] = [record]
+                        heappush(bucket_heap, index)
+            scheduler._count += pushed
 
         #: the send path used by :meth:`ProtocolNode.send`
         self._send_fast = _send_fast

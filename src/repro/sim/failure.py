@@ -31,8 +31,7 @@ class FailureDetector:
         ``0.0`` gives a perfect detector; larger values model slow detection.
     """
 
-    __slots__ = ("detection_lag", "_crash_times", "_sim",
-                 "_suspect_cache", "_suspect_cache_time")
+    __slots__ = ("detection_lag", "_crash_times", "_sim")
 
     def __init__(self, detection_lag: float = 0.0) -> None:
         if detection_lag < 0:
@@ -40,12 +39,6 @@ class FailureDetector:
         self.detection_lag = detection_lag
         self._crash_times: Dict[int, float] = {}
         self._sim: Optional["Simulator"] = None
-        #: node ids suspected at ``_suspect_cache_time`` — the supervisor
-        #: timeout path queries every database member per topic per Timeout,
-        #: so the suspect set is materialised once per simulation time instead
-        #: of re-deriving ``now >= crash_time + lag`` on every call.
-        self._suspect_cache: frozenset[int] = frozenset()
-        self._suspect_cache_time: Optional[float] = None
 
     def attach(self, sim: "Simulator") -> None:
         self._sim = sim
@@ -54,22 +47,11 @@ class FailureDetector:
         """Record that ``node_id`` crashed at ``time`` (called by the simulator)."""
         if node_id not in self._crash_times:
             self._crash_times[node_id] = time
-            # A zero-lag detector suspects the node at the very time of the
-            # crash, so a cache built for the current time is already stale.
-            self._suspect_cache_time = None
-
-    def _suspected_at(self, now: float) -> frozenset[int]:
-        """The full suspect set at ``now``, cached per simulation time."""
-        if now != self._suspect_cache_time:
-            lag = self.detection_lag
-            self._suspect_cache = frozenset(
-                node_id for node_id, crash_time in self._crash_times.items()
-                if now >= crash_time + lag)
-            self._suspect_cache_time = now
-        return self._suspect_cache
 
     def suspects(self, node_id: int, now: Optional[float] = None) -> bool:
-        """True once the detector has (eventually-correctly) detected the crash.
+        """True once the detector has (eventually-correctly) detected the crash:
+        ``node_id`` crashed ``detection_lag`` or more before ``now``.  O(1) —
+        one lookup of the id's crash time, however many crashes there were.
 
         ``now`` may be omitted only when the detector is attached to a
         simulator (the normal case — the supervisor queries it mid-run).  A
@@ -94,4 +76,4 @@ class FailureDetector:
                     "detector is not attached to a simulator (attach() was never "
                     "called); a detached detector has no clock to consult")
             now = self._sim.now
-        return node_id in self._suspected_at(now)
+        return now >= self._crash_times[node_id] + self.detection_lag

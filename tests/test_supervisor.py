@@ -279,8 +279,9 @@ BOTH_TOPOLOGIES = pytest.mark.parametrize("spec", [
 
 class TestEvictionPredicate:
     """The Timeout's eviction scan and the per-request ``failure_suspects``
-    are one predicate: the scan reads the suspect set and the node table
-    once per database and picks exactly the members a request would refuse."""
+    are one predicate: the scan asks the detector once per member (the rule
+    lives in ``FailureDetector.suspects``), adds the supervisor clause, and
+    picks exactly the members a request would refuse."""
 
     @pytest.mark.parametrize("lag", [0.0, 2.0])
     def test_the_scan_is_failure_suspects_over_the_members(self, lag):

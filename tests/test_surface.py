@@ -26,8 +26,6 @@ KEPT = {
     "label_from_r": "the inverse of r (Section 2.1) in repro.core's label algebra; "
                     "the closed-form shortcut reference in tests/test_properties.py reads it",
     "check_invariants": "structural + Merkle oracle of the trie, asserted by four test files",
-    "suspects": "the failure detector's one-id query, its lag pinned by tests/test_sim.py and "
-                "tests/test_hotpath.py; the supervisor reads the suspect set once per scan",
 }
 
 
