@@ -61,9 +61,14 @@ COMMENTARY = {
         "**Paper claim (Theorem 8).** From any weakly connected initial state — corrupted "
         "labels, corrupted supervisor database, partitioned components, garbage in-flight "
         "messages — the protocol converges to the legitimate supervised skip ring.\n\n"
-        "**Measured.** Every adversarial trial converged; convergence time grows mildly "
-        "with n (dominated by the round-robin refresh, which needs Θ(n) supervisor "
-        "timeouts)."
+        "**Setup.** The garbage in the channels is drawn from the protocol's own vocabulary: "
+        "every action of both roles, read off the handler tables "
+        "(`repro.core.messages.protocol_schema`), addressed to a subscriber or to the "
+        "supervisor, with each key present or missing, an extra key, and values from one "
+        "pool of forged and well-formed values (`workloads.initial_states.value_pool`).\n\n"
+        "**Measured.** Every adversarial trial converged, within 30 rounds; the mean first "
+        "legitimate check grows mildly with n, from 10 rounds at n = 8 to 25 at n = 32 "
+        "(legitimacy is checked every 5 rounds)."
     ),
     "E5": (
         "**Paper claim (Theorem 13).** Closure: once the explicit edges form the skip "

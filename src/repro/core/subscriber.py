@@ -643,6 +643,7 @@ class Subscriber(ProtocolNode):
 
     def on_Introduce(self, /, node=None, label=None, believed=None, flag=None, topic=None,
                      **_) -> None:
+        """Correct a wrong believed label, then integrate the sender (Algorithms 1–2)."""
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is None:
             return
@@ -662,12 +663,13 @@ class Subscriber(ProtocolNode):
         view._integrate(label, node, cyc=cyc)  # checks ``label``
 
     def on_Linearize(self, /, node=None, label=None, topic=None, **_) -> None:
+        """Integrate a delegated reference into the list or ring (Algorithms 1–2)."""
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is not None:
             view._integrate(label, node)  # checks ``label``
 
     def on_CorrectLabel(self, /, node=None, label=None, topic=None, **_) -> None:
-        """A neighbour told us its actual label differs from what we stored."""
+        """A neighbour's actual label differs from the stored one (Section 2.2)."""
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is None or not is_valid_label(label):
             return
@@ -686,6 +688,7 @@ class Subscriber(ProtocolNode):
             view._integrate(label, node, cyc=was_ring)
 
     def on_RemoveConnections(self, /, node=None, topic=None, **_) -> None:
+        """Drop every edge to ``node``, which holds no label (Algorithm 2)."""
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is None:
             return
@@ -719,6 +722,7 @@ class Subscriber(ProtocolNode):
             view._integrate(label, node)
 
     def on_CheckTrie(self, /, sender=None, tuples=None, topic=None, **_) -> None:
+        """Answer the trie summaries that differ from ours (Algorithm 5, CheckTrie)."""
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is None:
             return
@@ -732,6 +736,7 @@ class Subscriber(ProtocolNode):
 
     def on_CheckAndPublish(self, /, sender=None, tuples=None, prefix=None, topic=None,
                            **_) -> None:
+        """Answer below ``prefix``; publish what ``sender`` lacks (Algorithm 5)."""
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is None:
             return
@@ -741,6 +746,7 @@ class Subscriber(ProtocolNode):
             view.send(sender, msg.PUBLISH, pubs=[p.wire for p in publications])
 
     def on_Publish(self, /, pubs=None, topic=None, **_) -> None:
+        """Store the publications anti-entropy sent us (Algorithm 5, Publish)."""
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)
         if view is None or not isinstance(pubs, (list, tuple)):
             return
@@ -751,6 +757,7 @@ class Subscriber(ProtocolNode):
                                                  via="antientropy")
 
     def on_PublishNew(self, /, pub=None, hops=None, sender=None, topic=None, **_) -> None:
+        """Store a flooded new publication and flood it on (Section 4.3)."""
         if pub is None:
             return
         view = (topic.__class__ is str and self.views.get(topic)) or self._open_view(topic)

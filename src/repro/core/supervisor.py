@@ -342,8 +342,8 @@ class Supervisor(ProtocolNode):
         if label is not None:
             n = db.n
             last_label = label_of(n - 1)
-            if n > 1 and label != last_label:
-                mover = db.entries.get(last_label)
+            if n > 1 and label != last_label and last_label in db.entries:  # a hole: Section 3.1
+                mover = db.entries[last_label]
                 db.remove(last_label)
                 db.remove(label)
                 if mover is not None:

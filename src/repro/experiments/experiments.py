@@ -192,6 +192,19 @@ def e3_join_leave(sizes: Sequence[int] = (16, 64), operations: int = 8,
 
 
 # --------------------------------------------------------------------------- E4
+def _convergence_trials(configs: Sequence[AdversarialConfig], max_rounds: int,
+                        params: Optional[ProtocolParams] = None,
+                        never: float = float("inf")) -> Tuple[int, float, float]:
+    """Theorem 8 from each start: how many reach a legitimate check within
+    ``max_rounds``, and the mean and maximum of their rounds (``never`` if none)."""
+    rounds: List[float] = []
+    for config in configs:
+        system, _ = build_adversarial_system(config, params=params)
+        if system.run_until_legitimate(max_rounds=max_rounds):
+            rounds.append(system.sim.now / system.sim.config.timeout_period)
+    return len(rounds), sum(rounds) / len(rounds) if rounds else never, max(rounds, default=never)
+
+
 def e4_convergence(sizes: Sequence[int] = (8, 16, 32), seeds: Sequence[int] = (0, 1, 2),
                    database_mode: str = "corrupted", components: int = 2,
                    max_rounds: int = 1_500) -> RunReport:
@@ -202,19 +215,9 @@ def e4_convergence(sizes: Sequence[int] = (8, 16, 32), seeds: Sequence[int] = (0
         headers=["n", "trials", "converged", "mean rounds", "max rounds"],
     )
     for n in sizes:
-        rounds_taken: List[float] = []
-        converged = 0
-        for seed in seeds:
-            config = AdversarialConfig(n=n, seed=seed, database_mode=database_mode,
-                                       components=components)
-            system, _ = build_adversarial_system(config)
-            start = system.sim.now
-            ok = system.run_until_legitimate(max_rounds=max_rounds)
-            if ok:
-                converged += 1
-                rounds_taken.append((system.sim.now - start) / system.sim.config.timeout_period)
-        mean_rounds = sum(rounds_taken) / len(rounds_taken) if rounds_taken else float("inf")
-        max_rounds_taken = max(rounds_taken) if rounds_taken else float("inf")
+        converged, mean_rounds, max_rounds_taken = _convergence_trials(
+            [AdversarialConfig(n=n, seed=seed, database_mode=database_mode,
+                               components=components) for seed in seeds], max_rounds)
         result.add_row(n, len(seeds), converged, round(mean_rounds, 1),
                        round(max_rounds_taken, 1))
         result.claim(f"n={n}: every adversarial trial converged", converged == len(seeds))
@@ -684,18 +687,9 @@ def a1_ablation_integration(n: int = 16, seeds: Sequence[int] = (0, 1),
         headers=["variant", "trials", "converged", "mean rounds"],
     )
     for label, integrate in (("integrate (prose)", True), ("reply ⊥ (pseudocode)", False)):
-        params = ProtocolParams(integrate_unknown_requesters=integrate)
-        rounds_taken = []
-        converged = 0
-        for seed in seeds:
-            config = AdversarialConfig(n=n, seed=seed, database_mode="empty", components=2)
-            system, _ = build_adversarial_system(config, params=params)
-            start = system.sim.now
-            if system.run_until_legitimate(max_rounds=max_rounds):
-                converged += 1
-                rounds_taken.append(
-                    (system.sim.now - start) / system.sim.config.timeout_period)
-        mean_rounds = sum(rounds_taken) / len(rounds_taken) if rounds_taken else float("inf")
+        converged, mean_rounds, _ = _convergence_trials(
+            [AdversarialConfig(n=n, seed=seed, database_mode="empty", components=2)
+             for seed in seeds], max_rounds, ProtocolParams(integrate_unknown_requesters=integrate))
         result.add_row(label, len(seeds), converged, round(mean_rounds, 1))
         result.claim(f"{label}: converges from adversarial states", converged == len(seeds))
     return result
@@ -711,20 +705,11 @@ def a2_ablation_minimal_request(n: int = 16, seeds: Sequence[int] = (0, 1),
     )
     means: Dict[str, float] = {}
     for label, enabled in (("action (iv) on", True), ("action (iv) off", False)):
-        params = ProtocolParams(enable_minimal_request=enabled)
-        rounds_taken = []
-        converged = 0
-        for seed in seeds:
-            config = AdversarialConfig(n=n, seed=seed, database_mode="empty",
-                                       components=1, fraction_unlabeled=0.0,
-                                       fraction_random_labels=1.0)
-            system, _ = build_adversarial_system(config, params=params)
-            start = system.sim.now
-            if system.run_until_legitimate(max_rounds=max_rounds):
-                converged += 1
-                rounds_taken.append(
-                    (system.sim.now - start) / system.sim.config.timeout_period)
-        mean_rounds = sum(rounds_taken) / len(rounds_taken) if rounds_taken else float(max_rounds)
+        converged, mean_rounds, _ = _convergence_trials(
+            [AdversarialConfig(n=n, seed=seed, database_mode="empty", components=1,
+                               fraction_unlabeled=0.0, fraction_random_labels=1.0)
+             for seed in seeds], max_rounds, ProtocolParams(enable_minimal_request=enabled),
+            never=float(max_rounds))
         means[label] = mean_rounds
         result.add_row(label, len(seeds), converged, round(mean_rounds, 1))
     result.claim("action (iv) does not slow convergence down",

@@ -269,8 +269,8 @@ class Network:
     its drain loop delivers records (fusing what :meth:`pop_record` spells
     out); :meth:`in_flight` counts the pending records out of the scheduler.
 
-    A ``dest`` that cannot be an address — unhashable: a forged list or dict
-    where a node ref belongs — is an address that does not exist.  The send
+    A ``dest`` that cannot be an address — unhashable: a forged list, dict or
+    set where a node ref belongs — is an address that does not exist.  The send
     is counted, then dropped as ``to_crashed`` exactly once, by whichever
     looks the address up first: the send path (under an adversary or with
     some node crashed) or :meth:`pop_record` (when the record comes due; the
@@ -282,7 +282,7 @@ class Network:
 
     def __init__(self) -> None:
         self.stats = ChannelStats()
-        self._crashed: set[int] = set()
+        self._crashed: dict[int, None] = {}  # a dict: ``{1} in set()`` does not raise
         #: optional link-level adversary (duck-typed; see
         #: :class:`repro.scenarios.adversary.LinkAdversary`).  ``None`` keeps
         #: the paper's fault model: no loss, no duplication, finite delays.
@@ -313,7 +313,7 @@ class Network:
         """Record ``node_id`` as crashed: records in flight to it are never
         delivered (silently — they stop counting as in flight at once) and
         future messages to it are dropped at send time."""
-        self._crashed.add(node_id)
+        self._crashed[node_id] = None
 
     def is_crashed(self, node_id: Any) -> bool:
         """Whether ``node_id``'s address is gone: it crashed, or it cannot be

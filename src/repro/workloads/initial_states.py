@@ -11,7 +11,7 @@ whose subscribers are wired up arbitrarily *without* running the protocol:
 * shortcut sets may contain garbage entries,
 * the supervisor's database may be empty, partially filled or corrupted in all
   four ways listed in Section 3.1,
-* channels may contain corrupted in-flight messages.
+* channels may hold any message of the protocol's vocabulary (:func:`value_pool`).
 
 The experiments then run the protocol and measure the time to reach a
 legitimate state.
@@ -19,15 +19,43 @@ legitimate state.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.config import ProtocolParams
+from repro.core.config import ProtocolParams, require_int_fields
 from repro.core.labels import label_of
+from repro.core.messages import protocol_schema
 from repro.core.subscriber import Neighbor, Subscriber
 from repro.core.facade import SupervisedPubSub
-from repro.core import messages as msg
+from repro.pubsub.hashing import publication_key
+from repro.sim.rng import derive_rng
+
+MAX_RANDOM_LABEL_BITS = 10  #: the longest random (corrupted) label
+
+_WIRE = {"publisher": 1, "payload": "00", "key_bits": 64}
+_GENUINE, _KEY = dict(_WIRE, payload=b"genuine".hex()), publication_key(1, b"genuine", bits=64)
+
+#: Values no honest sender puts in a message, by the key each was first forged in
+#: (each once ended a run, was stored or flooded on).  A 64-bit receiver drops the
+#: wires; the last five name ``_GENUINE``'s key (its holder drops them as copies).
+FORGED: Dict[str, Tuple[Any, ...]] = {
+    "ref": (None, True, -5, 10**9, "x", (1, 2), [1], [3], {"a": 1}, {}),
+    "label": ("", "2x", "0x", None, "0" * 40 + "1", 7, ["0"]),
+    "pair": ({"label": "0", "ref": 2}, {0: "0"}, {"0", 2}, 7, ("0",), ("0", "ref"), ("2x", 2)),
+    "hops": ("x", None, 1.5, True, 0, [2]),
+    "tuples": ([{}], [{"x": 1}], [[]], [["01"]], [[1, 2]], [["0x", "h"]], "01", 7, None),
+    "topic": (["x"], {"a": 1}, 7, b"t"),
+    "wire": (*(dict(_WIRE, key_bits=bits) for bits in (8, 0, 300, "many")),
+             *(dict(_WIRE, payload=payload) for payload in ("not hex", ["00"], b"00")),
+             dict(_WIRE, publisher=None), [1, "00", 64], "publication", 7,
+             *({k: v for k, v in _WIRE.items() if k != key} for key in _WIRE),
+             *(dict(_GENUINE, **forged) for forged in (
+                 {"key": 7}, {"key": ["0"]}, {"key": "1" * 64},
+                 {"key_bits": 8, "key": _KEY}, {"payload": "not hex", "key": _KEY}))),
+}
 
 
 @dataclass
@@ -47,141 +75,126 @@ class AdversarialConfig:
     components: int = 1
     #: number of corrupted in-flight messages to inject
     corrupted_messages: int = 10
-    #: maximum length of random (corrupted) labels
-    max_random_label_bits: int = 10
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.components < 1 or self.components > self.n:
-            raise ValueError("components must be in [1, n]")
+        require_int_fields(self, "n", "seed", "components", "corrupted_messages")
+        for name, low, high in (("n", 1, float("inf")), ("components", 1, self.n),
+                                ("corrupted_messages", 0, float("inf")),
+                                ("fraction_unlabeled", 0, 1), ("fraction_random_labels", 0, 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not low <= value <= high:
+                raise ValueError(f"AdversarialConfig.{name} must lie in [{low}, {high}], "
+                                 f"got {value!r}")
+        if self.fraction_unlabeled + self.fraction_random_labels > 1:
+            raise ValueError("AdversarialConfig.fraction_unlabeled + fraction_random_labels "
+                             "must be at most 1")
         if self.database_mode not in {"empty", "partial", "corrupted", "correct"}:
             raise ValueError(f"unknown database_mode {self.database_mode!r}")
 
 
-def _random_label(rng: random.Random, max_bits: int) -> str:
-    length = rng.randint(1, max_bits)
+def _random_label(rng: random.Random) -> str:
+    length = rng.randint(1, MAX_RANDOM_LABEL_BITS)
     bits = "".join(rng.choice("01") for _ in range(length - 1))
     return bits + "1" if length > 1 else rng.choice(("0", "1"))
 
 
+def value_pool(system: SupervisedPubSub, topic: str) -> List[Any]:
+    """Every value a corrupted message may carry: :data:`FORGED` (its wires also
+    in one list), then ``system``'s subscriber and supervisor ids, an id that never
+    existed, the held labels and ``(label, id)`` pairs, and valid labels nobody
+    holds (one level below each held label; the next two a joiner would get)."""
+    n = len(system.subscribers)
+    held = [(sub.views[topic].label, ref) for ref, sub in system.subscribers.items()
+            if topic in sub.views and sub.views[topic].label is not None]
+    return [*chain.from_iterable(FORGED.values()), list(FORGED["wire"]), *system.subscribers,
+            *system.supervisor_node_ids(), max(system.sim.nodes) + 1, *(label for label, _ in held),
+            *held, *(label + "1" for label, _ in held), label_of(n), label_of(n + 1)]
+
+
 def scramble_topic_views(system: SupervisedPubSub, subscribers: List[Subscriber],
-                         config: AdversarialConfig, topic: Optional[str] = None) -> None:
+                         config: AdversarialConfig, topic: str) -> None:
     """Assign arbitrary labels/neighbours/shortcuts to every subscriber.
 
     The subscribers are split into ``config.components`` groups; within each
     group the left/right pointers form a random chain (so each group is weakly
     connected), and pointers never cross groups.
     """
-    topic = topic or system.params.default_topic
-    rng = random.Random(config.seed * 7919 + 13)
+    rng = derive_rng(config.seed, "initial-state", "views", topic)
     ids = [s.node_id for s in subscribers]
     rng.shuffle(ids)
-    groups: List[List[int]] = [[] for _ in range(config.components)]
-    for position, node_id in enumerate(ids):
-        groups[position % config.components].append(node_id)
+    groups = [ids[index::config.components] for index in range(config.components)]
 
-    by_id: Dict[int, Subscriber] = {s.node_id: s for s in subscribers}
     label_by_id: Dict[int, Optional[str]] = {}
     remaining_correct = [label_of(i) for i in range(len(subscribers))]
     rng.shuffle(remaining_correct)
+    random_below = config.fraction_unlabeled + config.fraction_random_labels
     for node_id in ids:
         roll = rng.random()
-        if roll < config.fraction_unlabeled:
-            label_by_id[node_id] = None
-        elif roll < config.fraction_unlabeled + config.fraction_random_labels:
-            label_by_id[node_id] = _random_label(rng, config.max_random_label_bits)
-        else:
-            label_by_id[node_id] = remaining_correct.pop() if remaining_correct else \
-                _random_label(rng, config.max_random_label_bits)
+        label_by_id[node_id] = (None if roll < config.fraction_unlabeled else
+                                _random_label(rng) if roll < random_below or not remaining_correct
+                                else remaining_correct.pop())
 
     for group in groups:
         for position, node_id in enumerate(group):
-            subscriber = by_id[node_id]
-            view = subscriber.view(topic, subscribed=True)
-            assert view is not None
-            view.subscribed = True
+            view = system.subscribers[node_id].views[topic]
             view.label = label_by_id[node_id]
             view.left = view.right = view.ring = None
             view.shortcuts = {}
             # Chain pointers keep each group weakly connected regardless of
             # how wrong the stored labels are.
             if position > 0:
-                left_id = group[position - 1]
-                view.left = Neighbor(label_by_id[left_id] or "0", left_id)
+                view.left = Neighbor(label_by_id[group[position - 1]] or "0", group[position - 1])
             if position + 1 < len(group):
-                right_id = group[position + 1]
-                view.right = Neighbor(label_by_id[right_id] or "1", right_id)
+                view.right = Neighbor(label_by_id[group[position + 1]] or "1", group[position + 1])
             # Sprinkle bogus shortcut entries.
             if rng.random() < 0.5 and len(group) > 2:
                 target = rng.choice(group)
                 if target != node_id:
-                    view.shortcuts[_random_label(rng, config.max_random_label_bits)] = target
+                    view.shortcuts[_random_label(rng)] = target
             if rng.random() < 0.3:
-                view.shortcuts[_random_label(rng, config.max_random_label_bits)] = None
+                view.shortcuts[_random_label(rng)] = None
 
 
 def corrupt_supervisor_database(system: SupervisedPubSub, subscribers: List[Subscriber],
-                                config: AdversarialConfig,
-                                topic: Optional[str] = None) -> None:
+                                config: AdversarialConfig, topic: str) -> None:
     """Initialise the supervisor database according to ``config.database_mode``."""
-    topic = topic or system.params.default_topic
-    rng = random.Random(config.seed * 104729 + 7)
+    rng = derive_rng(config.seed, "initial-state", "database", topic)
     db = system.supervisor_of(topic).database(topic)
     db.clear()
     ids = [s.node_id for s in subscribers]
     if config.database_mode == "empty":
         return
-    if config.database_mode == "correct":
-        for index, node_id in enumerate(ids):
-            db.put(label_of(index), node_id)
-        return
-    if config.database_mode == "partial":
-        sample = rng.sample(ids, max(1, len(ids) // 2))
-        for index, node_id in enumerate(sample):
-            db.put(label_of(index), node_id)
-        return
-    # corrupted: exercise all four corruption conditions of Section 3.1
-    sample = rng.sample(ids, max(2, len(ids) // 2))
+    sample = ids if config.database_mode == "correct" else rng.sample(
+        ids, max(1 if config.database_mode == "partial" else 2, len(ids) // 2))
     for index, node_id in enumerate(sample):
         db.put(label_of(index), node_id)
+    if config.database_mode != "corrupted":
+        return
+    # corrupted: exercise all four corruption conditions of Section 3.1
     db.put(label_of(len(sample) + 3), sample[0])          # (ii) duplicate subscriber
     db.put(label_of(len(sample) + 5), None)                # (i) tuple without subscriber
-    db.put(_random_label(rng, config.max_random_label_bits) * 2 + "1", sample[-1])
+    db.put(_random_label(rng) * 2 + "1", sample[-1])
     # (iii) holes arise implicitly because we skipped labels above; (iv) the
     # out-of-range labels were just inserted.
 
 
 def inject_corrupted_messages(system: SupervisedPubSub, subscribers: List[Subscriber],
-                              config: AdversarialConfig, topic: Optional[str] = None) -> None:
-    """Place garbage protocol messages into random channels."""
-    topic = topic or system.params.default_topic
-    rng = random.Random(config.seed * 15485863 + 3)
-    ids = [s.node_id for s in subscribers]
-    actions = [msg.INTRODUCE, msg.LINEARIZE, msg.SET_DATA, msg.INTRODUCE_SHORTCUT,
-               msg.CHECK_TRIE, msg.REMOVE_CONNECTIONS, "BogusAction"]
+                              config: AdversarialConfig, topic: str) -> None:
+    """Place ``config.corrupted_messages`` garbage messages into channels: an
+    action of either role (:func:`~repro.core.messages.protocol_schema`) to a
+    subscriber or the topic's supervisor, each of its keys and a ``self`` no
+    handler takes present with probability 3/4, valued from :func:`value_pool`."""
+    rng = derive_rng(config.seed, "initial-state", "messages", topic)
+    pool = value_pool(system, topic)
+    dests = {"subscriber": [s.node_id for s in subscribers],
+             "supervisor": [system.supervisor_of(topic).node_id]}
+    actions = [(role, action, keys) for role, table in protocol_schema().items()
+               for action, keys in table.items()]
     for _ in range(config.corrupted_messages):
-        dest = rng.choice(ids)
-        action = rng.choice(actions)
-        params: Dict[str, object]
-        if action == msg.INTRODUCE:
-            params = {"node": rng.choice(ids), "label": _random_label(rng, 8),
-                      "believed": _random_label(rng, 8), "flag": rng.choice(["LIN", "CYC"])}
-        elif action == msg.LINEARIZE:
-            params = {"node": rng.choice(ids), "label": _random_label(rng, 8)}
-        elif action == msg.SET_DATA:
-            params = {"pred": (_random_label(rng, 8), rng.choice(ids)),
-                      "label": _random_label(rng, 8),
-                      "succ": (_random_label(rng, 8), rng.choice(ids))}
-        elif action == msg.INTRODUCE_SHORTCUT:
-            params = {"node": rng.choice(ids), "label": _random_label(rng, 8)}
-        elif action == msg.CHECK_TRIE:
-            params = {"sender": rng.choice(ids), "tuples": [["01", "nothash"]]}
-        elif action == msg.REMOVE_CONNECTIONS:
-            params = {"node": rng.choice(ids)}
-        else:
-            params = {"junk": rng.random()}
-        system.sim.inject_message(dest, action, params, topic=topic)
+        role, action, keys = rng.choice(actions)
+        params = {key: copy.deepcopy(rng.choice(pool)) for key in (*keys, "self")
+                  if rng.random() < 0.75}
+        system.sim.inject_message(rng.choice(dests[role]), action, params, topic=topic)
 
 
 def build_adversarial_system(config: AdversarialConfig,
@@ -204,9 +217,7 @@ def build_adversarial_system(config: AdversarialConfig,
     subscribers = []
     for _ in range(config.n):
         peer = system.add_peer()
-        view = peer.view(topic, subscribed=True)
-        assert view is not None
-        view.subscribed = True
+        peer.view(topic, subscribed=True)
         system.registry.subscribe(peer.node_id, topic)
         subscribers.append(peer)
     scramble_topic_views(system, subscribers, config, topic)

@@ -20,6 +20,20 @@ class TestAdversarialConfig:
         with pytest.raises(ValueError):
             AdversarialConfig(database_mode="weird")
 
+    @pytest.mark.parametrize("field, value", [
+        ("fraction_unlabeled", 1.5), ("fraction_unlabeled", -0.1), ("fraction_unlabeled", "0.5"),
+        ("fraction_random_labels", -0.2), ("fraction_random_labels", float("nan")),
+        ("corrupted_messages", -3), ("corrupted_messages", 2.0), ("n", 4.0), ("seed", True),
+        ("components", "2")])
+    def test_a_bad_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"AdversarialConfig.{field}"):
+            AdversarialConfig(**{field: value})
+
+    def test_the_fractions_sum_to_at_most_one(self):
+        AdversarialConfig(fraction_unlabeled=0.0, fraction_random_labels=1.0)  # A2's start
+        with pytest.raises(ValueError, match="fraction_unlabeled \\+ fraction_random_labels"):
+            AdversarialConfig(fraction_unlabeled=0.5, fraction_random_labels=0.75)
+
     def test_generator_is_deterministic(self):
         config = AdversarialConfig(n=8, seed=3, database_mode="corrupted")
         sys_a, subs_a = build_adversarial_system(config)

@@ -5,6 +5,7 @@ from typing import List, Tuple
 from repro.pubsub.antientropy import handle_check_and_publish, handle_check_trie
 from repro.pubsub.patricia import PatriciaTrie
 from repro.pubsub.publications import Publication
+from repro.workloads.initial_states import FORGED
 
 
 def make_pub(key: str, publisher: int = 1) -> Publication:
@@ -106,7 +107,7 @@ class TestHandleCheckTrie:
         trie = build(["000"])
         reply, caps = handle_check_trie(trie, [(123, "x"), ("02", "y"), ("0", 5), {}, [], 7])
         assert reply == [] and caps == []
-        assert handle_check_trie(trie, "01") == handle_check_trie(trie, None) == ([], [])
+        assert all(handle_check_trie(trie, tuples) == ([], []) for tuples in FORGED["tuples"])
 
 
 class TestHandleCheckAndPublish:

@@ -16,7 +16,8 @@ hold the disciplines those bytes rest on:
   value of the wrong type;
 * the engine's hot loops build no container per event;
 * the message vocabulary of ``core/messages.py`` is exactly what the
-  subscriber's and the supervisor's handler tables dispatch.
+  subscriber's and the supervisor's handler tables dispatch
+  (``protocol_schema()``), and every handler's docstring cites the paper.
 
 Run as a script, this file prints the payload set (the subprocesses of the
 hash-seed test do exactly that).
@@ -28,6 +29,7 @@ import importlib
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import time
@@ -188,11 +190,22 @@ def test_engine_hot_loops_build_no_container_per_event():
 
 
 def test_the_message_vocabulary_is_the_handler_tables():
+    schema = msg.protocol_schema()
     actions = {value for name, value in vars(msg).items()
                if name.isupper() and isinstance(value, str) and not name.startswith("FLAG_")}
     assert len(actions) == 13
-    assert actions == set(Subscriber._action_handlers) | set(Supervisor._action_handlers)
-    assert msg.SUPERVISOR_REQUEST_ACTIONS == set(Supervisor._action_handlers)
+    assert actions == set(schema["subscriber"]) | set(schema["supervisor"])
+    assert msg.SUPERVISOR_REQUEST_ACTIONS == set(schema["supervisor"])
+    assert schema["supervisor"] == dict.fromkeys(msg.SUPERVISOR_REQUEST_ACTIONS, ("node",))
+    assert schema["subscriber"][msg.SET_DATA] == ("pred", "label", "succ")
+
+
+@pytest.mark.parametrize("role, cls", [("subscriber", Subscriber), ("supervisor", Supervisor)])
+def test_every_handler_cites_the_paper(role, cls):
+    uncited = [action for action in msg.protocol_schema()[role]
+               if not re.search(r"\b(Algorithms?|Section|Theorem) \d",
+                                cls._action_handlers[action].__doc__ or "")]
+    assert uncited == []
 
 
 if __name__ == "__main__":

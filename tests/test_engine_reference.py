@@ -34,9 +34,9 @@ from repro.sim.rng import derive_rng
 
 NODES = 40
 DEADLINES = (1.0, 1.0, 4.25, 7.5, 12.0)
-#: what node 13 also pings in the ``forged`` modes: two dests that cannot be
+#: what node 13 also pings in the ``forged`` modes: three dests that cannot be
 #: an address, then hashable ids no facade allocates (``True`` aliases node 1)
-FORGED = ([1], {"a": 1}, 2.5, -3, "x", 10**9, True)
+FORGED = ([1], {"a": 1}, {0, 2}, 2.5, -3, "x", 10**9, True)
 
 
 class _Relay(ProtocolNode):
@@ -141,9 +141,9 @@ def test_run_until_time_reproduces_the_step_drain(mode):
         assert any(b[0] - a[0] < 0.01 and b[1] == "ping"
                    for a, b in zip(reference_log, reference_log[1:]))
     if mode.startswith("forged"):
-        # both unaddressable sends of every Timeout were dropped, some when
-        # sent (crashed set non-empty, adversary installed), some when due
-        assert expected["drops"]["to_crashed"] >= 2 * expected["timeouts"][13]
+        # the three unaddressable sends of every Timeout were dropped, some
+        # when sent (crashed set non-empty, adversary installed), some when due
+        assert expected["drops"]["to_crashed"] >= 3 * expected["timeouts"][13]
         assert expected["received"]["Ping"][2.5] > 0
 
 

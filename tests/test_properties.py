@@ -30,7 +30,7 @@ from repro.core.supervisor import TopicDatabase
 from repro.pubsub.hashing import leaf_hash, node_hash
 from repro.pubsub.patricia import PatriciaTrie
 from repro.pubsub.publications import Publication
-from repro.workloads.initial_states import AdversarialConfig, build_adversarial_system
+from repro.workloads.initial_states import FORGED, AdversarialConfig, build_adversarial_system
 from test_antientropy import reconcile_once  # the test-only pairwise driver
 
 SLOW = settings(max_examples=30, deadline=None,
@@ -502,15 +502,16 @@ _REFS = [1, 2, 3, 4, 5, 0, 99]  # the five subscribers, the supervisor, nobody
 _PAYLOADS = [b"a", b"b", b"c"]
 
 _label = st.sampled_from(_LABELS)
-_any_label = st.one_of(_label, _label, st.sampled_from(["", "2x", None, 7, ["0"]]))
+_any_label = st.one_of(_label, _label, st.sampled_from(FORGED["label"]))
 _ref = st.sampled_from(_REFS)
 _pair = st.one_of(st.none(), st.tuples(_label, _ref), st.tuples(_label, _ref),
-                  st.sampled_from([{0: "0"}, 7, ("0",)]))
+                  st.sampled_from(FORGED["pair"]))
 _node_and_label = st.fixed_dictionaries({"node": _ref, "label": _any_label})
 _deliveries = st.one_of(
     st.tuples(st.just(msg.INTRODUCE), st.fixed_dictionaries({
         "node": _ref, "label": _any_label, "believed": _any_label,
-        "flag": st.sampled_from([msg.FLAG_LIN, msg.FLAG_CYC, "?"])})),
+        "flag": st.one_of(st.sampled_from([msg.FLAG_LIN, msg.FLAG_CYC]),
+                          st.sampled_from(FORGED["label"]))})),
     st.tuples(st.just(msg.LINEARIZE), _node_and_label),
     st.tuples(st.just(msg.CORRECT_LABEL), _node_and_label),
     st.tuples(st.just(msg.INTRODUCE_SHORTCUT), _node_and_label),

@@ -329,10 +329,11 @@ def _install_lossy_partitioned(sim, group):
 
 
 @pytest.mark.parametrize("mode", ["plain", "crashed", "adversary"])
-@pytest.mark.parametrize("stray", [[1], {"a": 1}], ids=["list", "dict"])
+@pytest.mark.parametrize("stray", [[1], {"a": 1}, {"0", 2}], ids=["list", "dict", "set"])
 class TestUnaddressableDestination:
     """A ``dest`` that cannot be an address (unhashable: a forged ref) is a
-    send to an address that does not exist — it must never end the run."""
+    send to an address that does not exist — it must never end the run (a
+    set did: ``{"0", 2} in set()`` does not raise)."""
 
     @pytest.mark.parametrize("driver", ["run_rounds", "step"])
     def test_bare_engine_send_is_dropped_once(self, stray, mode, driver):

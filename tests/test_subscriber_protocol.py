@@ -15,6 +15,7 @@ from repro.pubsub.hashing import publication_key
 from repro.pubsub.publications import Publication
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.network import REC_DEST, REC_PARAMS
+from repro.workloads.initial_states import FORGED
 
 
 def make_world(n_subscribers: int = 3, params: ProtocolParams | None = None):
@@ -287,40 +288,10 @@ class TestPublicationHandlers:
         sim.run_rounds(10)
         assert pub.key in view_b.trie
 
-    def test_malformed_publication_wire_data_is_ignored(self):
-        sim, sup, (a, b, c) = make_world()
-        view = a.view(subscribed=True)
-        a.on_Publish([{"bogus": 1}])
-        a.on_PublishNew({"bogus": 1}, hops=1, sender=None)
-        assert len(view.trie) == 0
 
-
-# Publication wires an arbitrary initial state or a forger may put in flight.
-# The receiver's key length is 64 bits; it stores GENUINE, under GENUINE_KEY.
-GENUINE = {"publisher": 1, "payload": b"genuine".hex(), "key_bits": 64}
+# The receiver's key length is 64 bits; it stores b"genuine" from node 1, under
+# GENUINE_KEY: the last five of the pool's forged wires forge that publication.
 GENUINE_KEY = publication_key(1, b"genuine", bits=64)
-FORGED_WIRES = [
-    {"publisher": 1, "payload": "00", "key_bits": 8},    # decodes, to a key of another length
-    {"publisher": 1, "payload": "00", "key_bits": 0},
-    {"publisher": 1, "payload": "00", "key_bits": 300},
-    {"publisher": 1, "payload": "00", "key_bits": "many"},
-    {"publisher": 1, "payload": "not hex", "key_bits": 64},
-    {"publisher": 1, "payload": ["00"], "key_bits": 64},  # unhashable
-    {"publisher": 1, "payload": b"00", "key_bits": 64},
-    {"publisher": None, "payload": "00", "key_bits": 64},
-    {"payload": "00", "key_bits": 64},
-    {"publisher": 1, "key_bits": 64},
-    {"publisher": 1, "payload": "00"},
-    [1, "00", 64],
-    "publication",
-    7,
-    # a forged "key": only ever a hint where to find a stored copy
-    dict(GENUINE, key=7),                        # not a str: decoded, a copy
-    dict(GENUINE, key=["0"]),                    # unhashable: decoded, a copy
-    dict(GENUINE, key="1" * 64),                 # names nothing stored: decoded, a copy
-    dict(GENUINE, key_bits=8, key=GENUINE_KEY),  # a stored key over other key_bits
-    dict(GENUINE, payload="not hex", key=GENUINE_KEY),
-]
 
 
 class TestForgedPublicationWires:
@@ -333,7 +304,7 @@ class TestForgedPublicationWires:
         stored = a.publish(b"genuine")
         return sim, a, b, view, stored
 
-    @pytest.mark.parametrize("wire", FORGED_WIRES, ids=repr)
+    @pytest.mark.parametrize("wire", FORGED["wire"], ids=repr)
     def test_forged_wire_is_dropped_at_ingress(self, wire):
         sim, a, b, view, stored = self._view_with_one_publication()
         def observed():
@@ -381,11 +352,6 @@ class TestForgedPublicationWires:
         assert view.trie.get(stored.key) is stored
 
 
-# ``hops`` values that are not an int >= 1: some cannot be counted with
-# (``hops + 1`` raises), the float and the bool can and would flood on into
-# the ``flood_delivery`` events E7 reads its hop counts from.
-FORGED_HOPS = ["x", None, 1.5, True, 0, [2]]
-
 _KEEP_EVENTS = SimulatorConfig(seed=3, keep_trace_events=True)
 BOTH_TOPOLOGIES = pytest.mark.parametrize("spec", [
     SystemSpec(seed=3, sim=_KEEP_EVENTS),
@@ -395,14 +361,15 @@ BOTH_TOPOLOGIES = pytest.mark.parametrize("spec", [
 
 class TestForgedPublishNewEnvelope:
     """Theorem 8, arbitrary channel contents, for the two ``PublishNew``
-    parameters beside the wire: ``hops`` is counted with, so a forged one is
-    dropped with its message; ``sender`` is only compared, so a forged one
-    excludes nobody."""
+    parameters beside the wire: ``hops`` is counted with, so one that is not
+    an int >= 1 is dropped with its message (a float or a bool would flood on
+    into the ``flood_delivery`` events E7 reads its hop counts from);
+    ``sender`` is only compared, so a forged one excludes nobody."""
 
     WIRE = {"publisher": 9, "payload": "ab", "key_bits": 64}
 
     @BOTH_TOPOLOGIES
-    @pytest.mark.parametrize("hops", FORGED_HOPS, ids=repr)
+    @pytest.mark.parametrize("hops", FORGED["hops"], ids=repr)
     def test_forged_hops_end_no_run_and_reach_no_trace(self, spec, hops):
         system, peers = build_stable(spec, 8)
         system.sim.inject_message(peers[0].node_id, "PublishNew",
@@ -419,7 +386,8 @@ class TestForgedPublishNewEnvelope:
         assert all(peer.view().trie.keys() == [genuine.key] for peer in peers)
 
     @BOTH_TOPOLOGIES
-    @pytest.mark.parametrize("sender", [[1], {}, None], ids=repr)
+    @pytest.mark.parametrize("sender", [ref for ref in FORGED["ref"] if not isinstance(ref, int)],
+                             ids=repr)
     def test_forged_sender_excludes_nobody(self, spec, sender):
         system, peers = build_stable(spec, 8)
         receiver = peers[0]
@@ -434,33 +402,6 @@ class TestForgedPublishNewEnvelope:
                 == len(receiver.view().neighbor_refs()) > 0)
         assert system.run_until_publications_converged(expected_keys={key}, max_rounds=300)
         assert system.run_until_legitimate(max_rounds=300)
-
-
-# ``tuples`` values that are not a list of ``(bit-string label, str digest)``
-# pairs; the dict rows used to raise ``KeyError(0)`` out of the drain.
-FORGED_TUPLES = [[{}], [{"x": 1}], [[]], [["01"]], [[1, 2]], [["0x", "h"]], "01", 7, None]
-
-
-class TestForgedAntiEntropyTuples:
-    """Theorem 8, arbitrary channel contents, for the ``tuples`` of the two
-    anti-entropy requests: ``antientropy.handle_check_trie`` is their one
-    validator and skips what is not a summary, item by item."""
-
-    @BOTH_TOPOLOGIES
-    @pytest.mark.parametrize("action", [msg.CHECK_TRIE, msg.CHECK_AND_PUBLISH])
-    @pytest.mark.parametrize("tuples", FORGED_TUPLES, ids=repr)
-    def test_forged_tuples_end_no_run_and_store_nothing(self, spec, action, tuples):
-        system, peers = build_stable(spec, 8)
-        params = {"sender": peers[1].node_id, "tuples": tuples}
-        if action == msg.CHECK_AND_PUBLISH:
-            params["prefix"] = "0"
-        system.sim.inject_message(peers[0].node_id, action, params, topic="default")
-        genuine = system.publish(peers[2].node_id, b"genuine")
-        system.run_rounds(5)
-        assert system.run_until_legitimate(max_rounds=100)
-        assert system.run_until_publications_converged(expected_keys={genuine.key},
-                                                       max_rounds=300)
-        assert all(peer.view().trie.keys() == [genuine.key] for peer in peers)
 
 
 class TestAntiEntropyWireShapes:
@@ -538,44 +479,10 @@ def test_the_check_trie_partner_draw_is_random_choice(count):
         assert peer.rng.getstate() == twin.getstate()
 
 
-# ``topic`` values no sender produces: two unhashable, two hashable.
-FORGED_TOPICS = [["x"], {"a": 1}, 7, b"t"]
-
-# One well-formed parameter set per subscriber-bound action.
-HANDLER_PARAMS = {
-    msg.SET_DATA: {"pred": ("0", 2), "label": "01", "succ": ("1", 3)},
-    msg.INTRODUCE: {"node": 2, "label": "01", "believed": "0", "flag": msg.FLAG_LIN},
-    msg.LINEARIZE: {"node": 2, "label": "01"},
-    msg.CORRECT_LABEL: {"node": 2, "label": "01"},
-    msg.REMOVE_CONNECTIONS: {"node": 2},
-    msg.INTRODUCE_SHORTCUT: {"node": 2, "label": "01"},
-    msg.CHECK_TRIE: {"sender": 2, "tuples": [("0", "ab")]},
-    msg.CHECK_AND_PUBLISH: {"sender": 2, "tuples": [("0", "ab")], "prefix": "0"},
-    msg.PUBLISH: {"pubs": [{"publisher": 1, "payload": "00", "key_bits": 64}]},
-    msg.PUBLISH_NEW: {"pub": {"publisher": 1, "payload": "00", "key_bits": 64},
-                      "hops": 1, "sender": 2},
-}
-
-
 class TestForgedTopics:
-    """A ``topic`` that is neither ``None`` nor a ``str`` is a forged message:
-    dropped by the handlers' one view lookup, whatever the action."""
-
-    def test_every_subscriber_bound_action_is_covered(self):
-        assert set(HANDLER_PARAMS) == set(Subscriber._action_handlers)
-
-    @pytest.mark.parametrize("topic", FORGED_TOPICS, ids=repr)
-    @pytest.mark.parametrize("action", sorted(HANDLER_PARAMS))
-    def test_handler_drops_the_message(self, action, topic):
-        sim, sup, (a, b, c) = make_world()
-        view = a.view(subscribed=True)
-        a.on_SetData(("0", b.node_id), "01", ("1", c.node_id))
-        before = (view.label, view.left, view.right, view.ring, dict(view.shortcuts),
-                  len(view.trie), sim.network.stats.sent_by(a.node_id))
-        Subscriber._action_handlers[action](a, topic=topic, **HANDLER_PARAMS[action])
-        assert list(a.views) == [a.params.default_topic]
-        assert (view.label, view.left, view.right, view.ring, dict(view.shortcuts),
-                len(view.trie), sim.network.stats.sent_by(a.node_id)) == before
+    """``None`` and ``""`` are no forged topic: both mean the default topic
+    (``tests/test_forged_messages.py`` drops every other topic that is not a
+    ``str``, whatever the action)."""
 
     def test_none_and_empty_topics_still_mean_the_default_topic(self):
         sim, sup, (a, b, c) = make_world()
@@ -585,29 +492,13 @@ class TestForgedTopics:
         a.on_RemoveConnections(node=b.node_id, topic="")
         assert view.left is None and list(a.views) == [a.params.default_topic]
 
-    def test_injected_forged_topics_do_not_stop_the_run(self, fresh_system):
-        system, subscribers = fresh_system(8, seed=18)
-        sim = system.sim
-        for i, topic in enumerate(FORGED_TOPICS * 3):
-            action = sorted(HANDLER_PARAMS)[i % len(HANDLER_PARAMS)]
-            sim.inject_message(subscribers[i % 8].node_id, action,
-                               HANDLER_PARAMS[action], topic=topic, delay=0.01 * (i + 1))
-        system.run_rounds(1)
-        assert system.run_until_legitimate(max_rounds=50)
-        assert all(list(s.views) == [system.params.default_topic] for s in subscribers)
-
-
-# ``pred`` / ``succ`` values that are not a ``(label, int ref)`` pair.
-FORGED_NEIGHBORS = [{"label": "0", "ref": 2}, {0: "0"}, {"0", 2}, 7, ("0",), ("0", "ref"),
-                    ("2x", 2)]
-
 
 class TestForgedSetDataNeighbors:
     """Correct topic, correct label, a garbage neighbour: decoded as ``None``
     (a dict used to raise ``KeyError: 0`` out of the handler)."""
 
     @pytest.mark.parametrize("side", ["pred", "succ"])
-    @pytest.mark.parametrize("garbage", FORGED_NEIGHBORS, ids=repr)
+    @pytest.mark.parametrize("garbage", FORGED["pair"], ids=repr)
     def test_garbage_on_one_side_leaves_the_view_unchanged(self, garbage, side):
         sim, sup, (a, b, c) = make_world()
         view = a.view(subscribed=True)
@@ -626,36 +517,6 @@ class TestForgedSetDataNeighbors:
         a.on_SetData(pred={0: "0"}, label="01", succ={"0", 2}, topic=view.topic)
         assert view.label == "01"
         assert view.left is None and view.right is None and view.ring is None
-
-
-class TestForgedNeighbourRefs:
-    """Theorem 8 for the ref an ``Introduce``, ``Linearize`` or
-    ``IntroduceShortcut`` names: one that is not an ``int`` is dropped where
-    it would enter the view, by the rule ``SetData``'s refs follow.  Kept, it
-    used to end the run at the next flood (``sorted`` over mixed types, or an
-    unhashable ref in the target set)."""
-
-    @BOTH_TOPOLOGIES
-    @pytest.mark.parametrize("action", [msg.INTRODUCE, msg.LINEARIZE, msg.INTRODUCE_SHORTCUT])
-    @pytest.mark.parametrize("ref", ["x", (1, 2), [3]], ids=repr)
-    def test_a_forged_ref_never_reaches_a_flood(self, spec, action, ref):
-        system, peers = build_stable(spec, 8)
-        if action == msg.INTRODUCE_SHORTCUT:  # a label the view expects
-            receiver = next(peer for peer in peers if peer.view().shortcuts)
-            params = {"node": ref, "label": min(receiver.view().shortcuts)}
-        else:  # a deepest node: its label + "1" is closer than any neighbour it has
-            receiver = next(peer for peer in peers if len(peer.view().label) == 3)
-            params = {"node": ref, "label": receiver.view().label + "1"}
-        if action == msg.INTRODUCE:
-            params.update(believed=receiver.view().label, flag=msg.FLAG_LIN)
-        system.sim.inject_message(receiver.node_id, action, params, topic="default", delay=0.0)
-        system.run_for(0.01)  # delivered, and nothing has overwritten it yet
-        genuine = system.publish(receiver.node_id, b"genuine")
-        system.run_rounds(4)
-        assert system.run_until_legitimate(max_rounds=300)
-        assert system.run_until_publications_converged(expected_keys={genuine.key},
-                                                       max_rounds=300)
-        assert system.is_legitimate() and system.publications_converged()
 
 
 class TestTimeoutPlanStaysHonest:
@@ -735,37 +596,5 @@ class TestTimeoutIsNoMessage:
         sim.inject_message(node.node_id, "timeout", params, topic=topic, delay=0.0)
         sim.run_until_time(sim.now)  # the injected message, nothing else
         assert (node.timeout_count, sim.network.stats.sent_by(node.node_id)) == before
-        system.run_rounds(10)
-        assert system.run_until_legitimate(max_rounds=300)
-
-
-# One well-formed parameter set per supervisor-bound action.
-SUPERVISOR_PARAMS = {action: {"node": 2}
-                     for action in (msg.SUBSCRIBE, msg.UNSUBSCRIBE, msg.GET_CONFIGURATION)}
-
-
-class TestMessageShape:
-    """Theorem 8, arbitrary channel contents, for the *shape* of a message:
-    every handler of both roles takes ``(self, /, key=None, ..., **_)``, so a
-    missing key reads as ``None`` and an unknown key — ``self`` too — is
-    absorbed.  Each used to raise ``TypeError`` out of the drain."""
-
-    def test_every_supervisor_bound_action_is_covered(self):
-        assert set(SUPERVISOR_PARAMS) == set(Supervisor._action_handlers)
-
-    @BOTH_TOPOLOGIES
-    @pytest.mark.parametrize("action", sorted(HANDLER_PARAMS) + sorted(SUPERVISOR_PARAMS))
-    def test_missing_extra_and_none_keys_end_no_run(self, spec, action):
-        system, peers = build_stable(spec, 8)
-        if action in HANDLER_PARAMS:  # refs 2 and 3 are subscribers in both topologies
-            dest, params = peers[-1].node_id, HANDLER_PARAMS[action]
-        else:
-            dest, params = system.supervisor_of("default").node_id, SUPERVISOR_PARAMS[action]
-        variants = [{k: v for k, v in params.items() if k != key} for key in params]
-        variants += [dict(params, **{key: None}) for key in params]
-        variants.append(dict(params, extra=1, self=2))
-        for i, variant in enumerate(variants):
-            system.sim.inject_message(dest, action, variant, topic="default",
-                                      delay=0.01 * (i + 1))
         system.run_rounds(10)
         assert system.run_until_legitimate(max_rounds=300)
