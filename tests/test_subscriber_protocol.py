@@ -9,6 +9,7 @@ from conftest import records_in_flight
 from repro.api import SystemSpec, build_stable
 from repro.core import messages as msg
 from repro.core.config import ProtocolParams
+from repro.core.messages import protocol_schema
 from repro.core.subscriber import Neighbor, Subscriber
 from repro.core.supervisor import Supervisor
 from repro.pubsub.hashing import publication_key
@@ -288,6 +289,13 @@ class TestPublicationHandlers:
         sim.run_rounds(10)
         assert pub.key in view_b.trie
 
+    def test_malformed_publication_wire_data_is_ignored(self):
+        sim, sup, (a, b, c) = make_world()
+        view = a.view(subscribed=True)
+        a.on_Publish([{"bogus": 1}])
+        a.on_PublishNew({"bogus": 1}, hops=1, sender=None)
+        assert len(view.trie) == 0
+
 
 # The receiver's key length is 64 bits; it stores b"genuine" from node 1, under
 # GENUINE_KEY: the last five of the pool's forged wires forge that publication.
@@ -404,6 +412,27 @@ class TestForgedPublishNewEnvelope:
         assert system.run_until_legitimate(max_rounds=300)
 
 
+class TestForgedAntiEntropyTuples:
+    """Theorem 8, arbitrary channel contents, for the ``tuples`` of the two
+    anti-entropy requests: ``antientropy.handle_check_trie`` is their one
+    validator and skips what is not a summary, item by item (the pool's dict
+    rows used to raise ``KeyError(0)`` out of the drain)."""
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("action", [msg.CHECK_TRIE, msg.CHECK_AND_PUBLISH])
+    @pytest.mark.parametrize("tuples", FORGED["tuples"], ids=repr)
+    def test_forged_tuples_end_no_run_and_store_nothing(self, spec, action, tuples):
+        system, peers = build_stable(spec, 8)
+        params = dict(well_formed("subscriber", action), sender=peers[1].node_id, tuples=tuples)
+        system.sim.inject_message(peers[0].node_id, action, params, topic="default")
+        genuine = system.publish(peers[2].node_id, b"genuine")
+        system.run_rounds(5)
+        assert system.run_until_legitimate(max_rounds=100)
+        assert system.run_until_publications_converged(expected_keys={genuine.key},
+                                                       max_rounds=300)
+        assert all(peer.view().trie.keys() == [genuine.key] for peer in peers)
+
+
 class TestAntiEntropyWireShapes:
     def test_recorded_exchange_between_two_views_with_different_tries(self):
         """Message for message what the parent of PR 23 sent (its output, pasted):
@@ -479,10 +508,44 @@ def test_the_check_trie_partner_draw_is_random_choice(count):
         assert peer.rng.getstate() == twin.getstate()
 
 
+SCHEMA = protocol_schema()
+
+#: One well-formed value per key the protocol schema names (refs 2 and 3 are
+#: subscribers in both topologies): a well-formed message of any action of
+#: either role is its keys' values.
+WELL_FORMED = {
+    "pred": ("0", 2), "label": "01", "succ": ("1", 3), "node": 2, "believed": "0",
+    "flag": msg.FLAG_LIN, "sender": 2, "tuples": [("0", "ab")], "prefix": "0",
+    "pubs": [{"publisher": 1, "payload": "00", "key_bits": 64}],
+    "pub": {"publisher": 1, "payload": "00", "key_bits": 64}, "hops": 1,
+}
+
+
+def well_formed(role, action):
+    return {key: WELL_FORMED[key] for key in SCHEMA[role][action]}
+
+
 class TestForgedTopics:
-    """``None`` and ``""`` are no forged topic: both mean the default topic
-    (``tests/test_forged_messages.py`` drops every other topic that is not a
-    ``str``, whatever the action)."""
+    """A ``topic`` that is neither ``None`` nor a ``str`` is a forged message:
+    dropped by the handlers' one view lookup, whatever the action
+    (``tests/test_forged_messages.py`` searches the same space with any keys).
+    ``None`` and ``""`` are no forged topic: both mean the default topic."""
+
+    def test_every_subscriber_bound_action_is_covered(self):
+        assert {key for keys in SCHEMA["subscriber"].values() for key in keys} == set(WELL_FORMED)
+
+    @pytest.mark.parametrize("topic", FORGED["topic"], ids=repr)
+    @pytest.mark.parametrize("action", sorted(SCHEMA["subscriber"]))
+    def test_handler_drops_the_message(self, action, topic):
+        sim, sup, (a, b, c) = make_world()
+        view = a.view(subscribed=True)
+        a.on_SetData(("0", b.node_id), "01", ("1", c.node_id))
+        before = (view.label, view.left, view.right, view.ring, dict(view.shortcuts),
+                  len(view.trie), sim.network.stats.sent_by(a.node_id))
+        Subscriber._action_handlers[action](a, topic=topic, **well_formed("subscriber", action))
+        assert list(a.views) == [a.params.default_topic]
+        assert (view.label, view.left, view.right, view.ring, dict(view.shortcuts),
+                len(view.trie), sim.network.stats.sent_by(a.node_id)) == before
 
     def test_none_and_empty_topics_still_mean_the_default_topic(self):
         sim, sup, (a, b, c) = make_world()
@@ -491,6 +554,19 @@ class TestForgedTopics:
         assert view.label == "01"
         a.on_RemoveConnections(node=b.node_id, topic="")
         assert view.left is None and list(a.views) == [a.params.default_topic]
+
+    def test_injected_forged_topics_do_not_stop_the_run(self, fresh_system):
+        system, subscribers = fresh_system(8, seed=18)
+        sim = system.sim
+        actions = sorted(SCHEMA["subscriber"])
+        for i, topic in enumerate(FORGED["topic"] * 3):
+            action = actions[i % len(actions)]
+            sim.inject_message(subscribers[i % 8].node_id, action,
+                               well_formed("subscriber", action), topic=topic,
+                               delay=0.01 * (i + 1))
+        system.run_rounds(1)
+        assert system.run_until_legitimate(max_rounds=50)
+        assert all(list(s.views) == [system.params.default_topic] for s in subscribers)
 
 
 class TestForgedSetDataNeighbors:
@@ -517,6 +593,38 @@ class TestForgedSetDataNeighbors:
         a.on_SetData(pred={0: "0"}, label="01", succ={"0", 2}, topic=view.topic)
         assert view.label == "01"
         assert view.left is None and view.right is None and view.ring is None
+
+
+class TestForgedNeighbourRefs:
+    """Theorem 8 for the ref an ``Introduce``, ``Linearize`` or
+    ``IntroduceShortcut`` names: one that is not an ``int`` is dropped where
+    it would enter the view, by the rule ``SetData``'s refs follow.  Kept, it
+    used to end the run at the next flood (``sorted`` over mixed types, or an
+    unhashable ref in the target set)."""
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("action", [msg.INTRODUCE, msg.LINEARIZE, msg.INTRODUCE_SHORTCUT])
+    @pytest.mark.parametrize("ref", ["x", (1, 2), [3]], ids=repr)
+    def test_a_forged_ref_never_reaches_a_flood(self, spec, action, ref):
+        assert ref in FORGED["ref"]
+        system, peers = build_stable(spec, 8)
+        if action == msg.INTRODUCE_SHORTCUT:  # a label the view expects
+            receiver = next(peer for peer in peers if peer.view().shortcuts)
+            label = min(receiver.view().shortcuts)
+        else:  # a deepest node: its label + "1" is closer than any neighbour it has
+            receiver = next(peer for peer in peers if len(peer.view().label) == 3)
+            label = receiver.view().label + "1"
+        params = dict(well_formed("subscriber", action), node=ref, label=label)
+        if action == msg.INTRODUCE:
+            params["believed"] = receiver.view().label
+        system.sim.inject_message(receiver.node_id, action, params, topic="default", delay=0.0)
+        system.run_for(0.01)  # delivered, and nothing has overwritten it yet
+        genuine = system.publish(receiver.node_id, b"genuine")
+        system.run_rounds(4)
+        assert system.run_until_legitimate(max_rounds=300)
+        assert system.run_until_publications_converged(expected_keys={genuine.key},
+                                                       max_rounds=300)
+        assert system.is_legitimate() and system.publications_converged()
 
 
 class TestTimeoutPlanStaysHonest:
@@ -596,5 +704,33 @@ class TestTimeoutIsNoMessage:
         sim.inject_message(node.node_id, "timeout", params, topic=topic, delay=0.0)
         sim.run_until_time(sim.now)  # the injected message, nothing else
         assert (node.timeout_count, sim.network.stats.sent_by(node.node_id)) == before
+        system.run_rounds(10)
+        assert system.run_until_legitimate(max_rounds=300)
+
+
+class TestMessageShape:
+    """Theorem 8, arbitrary channel contents, for the *shape* of a message:
+    every handler of both roles takes ``(self, /, key=None, ..., **_)``, so a
+    missing key reads as ``None`` and an unknown key — ``self`` too — is
+    absorbed.  Each used to raise ``TypeError`` out of the drain."""
+
+    def test_every_supervisor_bound_action_is_covered(self):
+        assert {key for keys in SCHEMA["supervisor"].values() for key in keys} <= set(WELL_FORMED)
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("action", sorted(SCHEMA["subscriber"]) + sorted(SCHEMA["supervisor"]))
+    def test_missing_extra_and_none_keys_end_no_run(self, spec, action):
+        system, peers = build_stable(spec, 8)
+        if action in SCHEMA["subscriber"]:
+            dest, params = peers[-1].node_id, well_formed("subscriber", action)
+        else:
+            dest = system.supervisor_of("default").node_id
+            params = well_formed("supervisor", action)
+        variants = [{k: v for k, v in params.items() if k != key} for key in params]
+        variants += [dict(params, **{key: None}) for key in params]
+        variants.append(dict(params, extra=1, self=2))
+        for i, variant in enumerate(variants):
+            system.sim.inject_message(dest, action, variant, topic="default",
+                                      delay=0.01 * (i + 1))
         system.run_rounds(10)
         assert system.run_until_legitimate(max_rounds=300)

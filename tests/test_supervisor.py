@@ -8,6 +8,7 @@ import pytest
 from repro.api import SystemSpec, build_stable
 from repro.core.config import ProtocolParams
 from repro.core.labels import label_of
+from repro.core.messages import protocol_schema
 from repro.core.supervisor import Supervisor, TopicDatabase
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.node import ProtocolNode
@@ -261,6 +262,17 @@ class TestSupervisorHandlers:
         assert not sup.is_database_legitimate([10, 11, 12])
 
 
+#: (destination, action, node) of one forged message, the node from the pool.
+UNADDRESSABLE_REQUESTS = [
+    ("supervisor", "Subscribe", None),
+    ("supervisor", "GetConfiguration", None),
+    ("supervisor", "Unsubscribe", [1]),
+    # reaches the supervisor *through the protocol*: sent with the receiver's
+    # own label, its ``_integrate`` answers with ``GetConfiguration(node=None)``
+    ("subscriber", "Linearize", None),
+]
+
+
 BOTH_TOPOLOGIES = pytest.mark.parametrize("spec", [
     SystemSpec(seed=3),
     SystemSpec(seed=3, topology="sharded", shards=2),
@@ -316,8 +328,27 @@ class TestEvictionPredicate:
 class TestForgedRequests:
     """Theorem 8 starts from arbitrary channel contents: a request naming a
     ``node`` that cannot be an address (``None``, unhashable) is ignored at
-    the supervisor's ingress — each used to raise out of a handler and end the
-    run (``tests/test_forged_messages.py`` sends them through the engine)."""
+    the supervisor's ingress; each of these used to raise out of a handler
+    and end the run."""
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("dest, action, node", UNADDRESSABLE_REQUESTS,
+                             ids=[f"{a}-{node}" for _, a, node in UNADDRESSABLE_REQUESTS])
+    def test_run_returns_and_relegitimizes(self, spec, dest, action, node):
+        assert node in FORGED["ref"]
+        system, peers = build_stable(spec, 8)
+        supervisor = system.supervisor_of("default")
+        before = dict(supervisor.database("default").entries)
+        params = {"node": node}
+        if dest == "supervisor":
+            dest_id = supervisor.node_id
+        else:
+            dest_id = peers[0].node_id
+            params["label"] = peers[0].view().label
+        system.sim.inject_message(dest_id, action, params, topic="default")
+        system.run_rounds(10)
+        assert system.run_until_legitimate(max_rounds=300)
+        assert dict(supervisor.database("default").entries) == before
 
     def test_unaddressable_node_is_ignored_by_every_request_handler(self, supervised):
         sim, sup = supervised([10])
@@ -352,9 +383,24 @@ class TestUnsubscribeFromADatabaseWithAHole:
 
 
 class TestForgedRequestTopics:
-    """``None`` and ``""`` are no forged topic: both mean the default topic
-    (``tests/test_forged_messages.py`` drops every other topic that is not a
-    ``str``, as the subscriber does)."""
+    """The subscriber's rule, at the supervisor: a ``topic`` that is neither
+    ``None`` nor a ``str`` is a forged message and the request is dropped.  An
+    unhashable one used to raise out of ``databases.setdefault``; ``7`` used
+    to become a database key ``sorted(self.databases)`` chokes on."""
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("topic", [["t"], 7], ids=repr)
+    @pytest.mark.parametrize("action", sorted(protocol_schema()["supervisor"]))
+    def test_run_returns_with_topics_unchanged_and_legitimate(self, spec, action, topic):
+        system, peers = build_stable(spec, 8)
+        supervisor = system.supervisor_of("default")
+        topics, entries = supervisor.topics(), dict(supervisor.database("default").entries)
+        system.sim.inject_message(supervisor.node_id, action,
+                                  {"node": peers[0].node_id, "topic": topic})
+        system.run_rounds(5)
+        assert supervisor.topics() == topics
+        assert dict(supervisor.database("default").entries) == entries
+        assert system.run_until_legitimate(max_rounds=100)
 
     def test_none_and_empty_topics_still_mean_the_default_topic(self, supervised):
         sim, sup = supervised((10, 11))
@@ -372,6 +418,33 @@ class TestOracleDoesNotRaise:
     request and its Timeout evicts one found in the database.  No message can
     store such a ghost, so the search of ``tests/test_forged_messages.py``
     never meets one: it is put into the database here."""
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("ref", [10**9, "x", (1, 2), -5], ids=repr)
+    def test_an_introduced_id_with_no_node_does_not_poison_the_run(self, spec, ref):
+        """Thm 8: a forged neighbour id, passed on until a subscriber asks the
+        supervisor about it, used to be stored for good."""
+        assert ref in FORGED["ref"]
+        system, peers = build_stable(spec, 8)
+        system.sim.inject_message(peers[0].node_id, "Introduce",
+                                  {"node": ref, "label": "0101"}, topic="default")
+        system.run_rounds(10)
+        assert system.run_until_legitimate(max_rounds=1500)
+
+    @BOTH_TOPOLOGIES
+    @pytest.mark.parametrize("action", ["Subscribe", "GetConfiguration"])
+    def test_a_request_naming_a_supervisor_does_not_poison_the_run(self, spec, action):
+        """Thm 8: a supervisor is never a subscriber.  A forged request
+        naming one, its own id or another shard's, used to store it in the
+        database for good."""
+        for ref in build_stable(spec, 2)[0].supervisor_node_ids():
+            system, _ = build_stable(spec, 8)
+            supervisor = system.supervisor_of("default")
+            system.sim.inject_message(supervisor.node_id, action, {"node": ref},
+                                      topic="default")
+            system.run_rounds(10)
+            assert system.run_until_legitimate(max_rounds=1500), ref
+            assert ref not in supervisor.database("default").members()
 
     @BOTH_TOPOLOGIES
     def test_a_stored_ghost_is_evicted_and_the_system_is_legitimate_again(self, spec):
