@@ -180,8 +180,10 @@ COMMENTARY = {
     "A1": (
         "**Design question.** Section 3.2.1's prose integrates an unknown subscriber that "
         "requests its configuration; Algorithm 3 instead replies `⊥` and lets the "
-        "subscriber re-subscribe. Both variants converge; integration saves one round "
-        "trip and is the library default (`ProtocolParams.integrate_unknown_requesters`)."
+        "subscriber re-subscribe. At two seeds both variants converge and neither is "
+        "shown faster; a speed comparison needs more seeds and sizes (ROADMAP item "
+        "8(c)). Integration is the library default "
+        "(`ProtocolParams.integrate_unknown_requesters`)."
     ),
     "A2": (
         "**Design question.** Action (iv) (a subscriber that believes it is minimal asks "

@@ -60,8 +60,6 @@ True
 """
 
 from repro.core import (
-    PAPER_DEFAULTS,
-    PSEUDOCODE_VARIANT,
     ProtocolParams,
     SkipRingTopology,
     Subscriber,
@@ -88,8 +86,6 @@ __version__ = "1.9.0"
 
 __all__ = [
     "ProtocolParams",
-    "PAPER_DEFAULTS",
-    "PSEUDOCODE_VARIANT",
     "SkipRingTopology",
     "Subscriber",
     "Supervisor",

@@ -23,7 +23,7 @@ from repro.core.subscriber import Subscriber
 def build_system(spec: SystemSpec) -> SupervisedPubSub:
     """Build the facade ``spec`` describes (no subscribers, not stabilized)."""
     system = SupervisedPubSub(params=spec.params, sim_config=spec.sim_config(),
-                              shards=spec.shards, virtual_nodes=spec.virtual_nodes)
+                              shards=spec.shards)
     system.spec = spec
     if spec.telemetry:
         # Both halves, before any event runs: the network's latency

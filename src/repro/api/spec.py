@@ -47,8 +47,6 @@ class SystemSpec:
         supervisors; the field stays because serialized specs carry it.
     shards:
         Number of supervisor shards (must be 1 for the single topology).
-    virtual_nodes:
-        Consistent-hash virtual nodes per shard (sharded topology only).
     seed:
         Master seed for all randomness.  A spec never carries two competing
         seeds: a ``sim`` whose ``seed`` differs from the default is
@@ -78,7 +76,6 @@ class SystemSpec:
 
     topology: str = "single"
     shards: int = 1
-    virtual_nodes: int = 64
     seed: int = 0
     telemetry: bool = False
     params: ProtocolParams = field(default_factory=ProtocolParams)
@@ -90,8 +87,7 @@ class SystemSpec:
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
-        require_int_fields(self, "shards", "virtual_nodes", "seed", "max_rounds",
-                           "check_every_rounds")
+        require_int_fields(self, "shards", "seed", "max_rounds", "check_every_rounds")
         if not isinstance(self.telemetry, bool):
             raise ValueError(f"SystemSpec.telemetry must be a bool, got {self.telemetry!r}")
         for name, kind in (("params", ProtocolParams), ("sim", SimulatorConfig)):
@@ -104,8 +100,6 @@ class SystemSpec:
             raise ValueError(
                 "the single-supervisor topology has exactly one shard; "
                 "use topology='sharded' for shards > 1")
-        if self.virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.check_every_rounds < 1:
@@ -153,7 +147,6 @@ class SystemSpec:
         return {
             "topology": self.topology,
             "shards": self.shards,
-            "virtual_nodes": self.virtual_nodes,
             "seed": self.seed,
             "telemetry": self.telemetry,
             "params": asdict(self.params),

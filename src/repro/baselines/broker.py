@@ -19,6 +19,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Set
 
+#: Expected configuration requests per maintenance round in the supervisor's
+#: load (Theorem 5 bounds the rate by a constant).
+EXPECTED_REQUESTS_PER_ROUND = 1.0
+
 
 @dataclass
 class BrokerLoadModel:
@@ -36,14 +40,13 @@ class BrokerLoadModel:
         membership = self.subscribe_ops + self.unsubscribe_ops
         return dissemination + membership
 
-    def supervisor_messages(self, maintenance_rounds: int = 0,
-                            expected_requests_per_round: float = 1.0) -> int:
+    def supervisor_messages(self, maintenance_rounds: int = 0) -> int:
         """Messages handled by the supervised skip ring's supervisor for the
         same workload: a constant (2: request + configuration) per membership
         operation plus the expected maintenance traffic — and, crucially,
         nothing per publication."""
         membership = 2 * (self.subscribe_ops + self.unsubscribe_ops)
-        maintenance = int(round(maintenance_rounds * (1 + expected_requests_per_round)))
+        maintenance = int(round(maintenance_rounds * (1 + EXPECTED_REQUESTS_PER_ROUND)))
         return membership + maintenance
 
 

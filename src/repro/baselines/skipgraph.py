@@ -18,12 +18,12 @@ from typing import Dict, List, Set, Tuple
 class SkipGraphTopology:
     """A static skip graph over ``n`` nodes with random membership vectors."""
 
-    def __init__(self, n: int, seed: int = 0, max_levels: int | None = None) -> None:
+    def __init__(self, n: int, seed: int = 0) -> None:
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
         rng = random.Random(seed)
-        self.max_levels = max_levels if max_levels is not None else max(1, (n - 1).bit_length() + 2)
+        self.max_levels = max(1, (n - 1).bit_length() + 2)
         #: sorted keys in [0, 1) — random placement, as in a DHT
         self.keys: List[float] = sorted(rng.random() for _ in range(n))
         #: membership vector per node index

@@ -7,7 +7,7 @@ that bottleneck by running one BuildSR supervisor *per shard* and assigning
 each topic to exactly one shard.
 
 :class:`ConsistentHashRing` provides the assignment.  Every shard owns
-``virtual_nodes`` points on a 64-bit hash ring (positions come from
+:data:`VIRTUAL_NODES` points on a 64-bit hash ring (positions come from
 :func:`repro.pubsub.hashing.ring_position`); a topic is served by the shards
 encountered clockwise from the topic's own ring position.  Consistent hashing
 gives the two properties the cluster needs:
@@ -27,18 +27,18 @@ of perfect balance while still inheriting consistent hashing's stability.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.pubsub.hashing import ring_position
+
+#: Virtual nodes (ring points) per shard.
+VIRTUAL_NODES = 64
 
 
 class ConsistentHashRing:
     """A 64-bit consistent-hash ring mapping string keys to shard ids."""
 
-    def __init__(self, virtual_nodes: int = 64) -> None:
-        if virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
-        self.virtual_nodes = virtual_nodes
+    def __init__(self) -> None:
         self._points: List[int] = []          # sorted ring positions
         self._owner_at: Dict[int, int] = {}   # ring position -> shard id
         self._shards: Dict[int, List[int]] = {}  # shard id -> its positions
@@ -75,7 +75,7 @@ class ConsistentHashRing:
         hash.  Places every unplaced shard first, in the order they were added."""
         for shard_id in self._unplaced:
             positions = self._shards[shard_id]
-            for replica in range(self.virtual_nodes):
+            for replica in range(VIRTUAL_NODES):
                 point = ring_position(f"shard:{shard_id}:{replica}")
                 # Astronomically unlikely collision: nudge deterministically.
                 while point in self._owner_at:
@@ -113,19 +113,17 @@ class ConsistentHashRing:
                     break
         return order
 
-    def assign_balanced(self, key: str, load: Dict[int, int],
-                        capacity: Optional[int] = None) -> int:
+    def assign_balanced(self, key: str, load: Dict[int, int]) -> int:
         """Bounded-loads assignment: the first shard in ``key``'s preference
-        order whose entry in ``load`` is below ``capacity``.
+        order whose entry in ``load`` is below the perfectly balanced capacity
+        ``ceil((total assigned + 1) / shards)``.
 
         ``load`` maps shard id -> number of keys already assigned; the caller
-        keeps it up to date.  ``capacity`` defaults to the perfectly balanced
-        ``ceil((total assigned + 1) / shards)``.
+        keeps it up to date.
         """
         order = self.preference_order(key)
-        if capacity is None:
-            total = sum(load.get(shard, 0) for shard in self._shards) + 1
-            capacity = -(-total // len(self._shards))  # ceil division
+        total = sum(load.get(shard, 0) for shard in self._shards) + 1
+        capacity = -(-total // len(self._shards))  # ceil division
         for shard in order:
             if load.get(shard, 0) < capacity:
                 return shard

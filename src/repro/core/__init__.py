@@ -19,7 +19,7 @@ Sub-modules
     :class:`~repro.core.config.ProtocolParams`.
 """
 
-from repro.core.config import ProtocolParams, PAPER_DEFAULTS, PSEUDOCODE_VARIANT
+from repro.core.config import ProtocolParams
 from repro.core.labels import (
     label_of,
     index_of,
@@ -38,8 +38,6 @@ from repro.core.facade import SupervisedPubSub, SUPERVISOR_ID
 
 __all__ = [
     "ProtocolParams",
-    "PAPER_DEFAULTS",
-    "PSEUDOCODE_VARIANT",
     "label_of",
     "index_of",
     "r_value",

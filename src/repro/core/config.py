@@ -1,14 +1,15 @@
 """Protocol parameters for the BuildSR / publish-subscribe protocols.
 
-The paper fixes most behaviour but leaves a few knobs implicit (timeout
-period, how aggressively an unknown requester is integrated, whether flooding
-is enabled on top of anti-entropy).  :class:`ProtocolParams` gathers them so
-experiments and ablations can vary one dimension at a time.
+The paper fixes most behaviour but leaves a few knobs implicit (how an
+unknown requester is integrated, whether flooding is enabled on top of
+anti-entropy).  :class:`ProtocolParams` gathers them so experiments and
+ablations can vary one dimension at a time; the values the paper fixes are
+constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Default budget (in timeout periods) for "run until legitimate/converged"
 #: drivers.  Shared by :class:`~repro.api.spec.SystemSpec`, the facade
@@ -36,17 +37,12 @@ def require_int_fields(spec: object, *names: str) -> None:
 class ProtocolParams:
     """Tunable parameters of the subscriber/supervisor protocols.
 
+    The paper fixes the request probabilities, so they are not fields:
+    action (ii)'s ``1 / (2^k · k²)`` is :meth:`request_probability`, action
+    (iv)'s 1/2 is :data:`repro.core.subscriber.MINIMAL_REQUEST_PROBABILITY`.
+
     Attributes
     ----------
-    request_probability_exponent_cap:
-        The subscriber's periodic configuration request fires with probability
-        ``1 / (2^k · k²)`` where ``k = |label|`` (Section 3.2.1, action (ii)).
-        To keep the simulation honest but finite we cap ``k`` at this value
-        when evaluating the probability (the paper's analysis only needs the
-        probability to be positive).
-    minimal_request_probability:
-        Probability of action (iv): a subscriber that believes its label is
-        minimal requests its configuration (paper value: 1/2).
     integrate_unknown_requesters:
         Section 3.2.1's prose says the supervisor *integrates* an unknown
         subscriber that asks for its configuration; Algorithm 3 instead
@@ -72,8 +68,6 @@ class ProtocolParams:
         Topic name used when the caller does not specify one.
     """
 
-    request_probability_exponent_cap: int = 30
-    minimal_request_probability: float = 0.5
     integrate_unknown_requesters: bool = True
     enable_minimal_request: bool = True
     enable_flooding: bool = True
@@ -84,28 +78,15 @@ class ProtocolParams:
     default_topic: str = "default"
 
     def __post_init__(self) -> None:
-        if not 0 <= self.minimal_request_probability <= 1:
-            raise ValueError("minimal_request_probability must be in [0, 1]")
         if not 0 <= self.anti_entropy_probability <= 1:
             raise ValueError("anti_entropy_probability must be in [0, 1]")
         if self.publication_key_bits < 4:
             raise ValueError("publication_key_bits must be at least 4")
-        if self.request_probability_exponent_cap < 1:
-            raise ValueError("request_probability_exponent_cap must be >= 1")
 
     def request_probability(self, label_length: int) -> float:
-        """Probability of action (ii): ``1 / (2^k · k²)`` for ``k = |label|``."""
+        """Probability of action (ii): ``1 / (2^k · k²)`` for ``k = |label|``.
+        The exponent is capped at 30: a corrupted, absurdly long label would
+        overflow the division, and the analysis only needs the probability
+        to be positive."""
         k = max(1, label_length)
-        k_capped = min(k, self.request_probability_exponent_cap)
-        return 1.0 / (2 ** k_capped * k * k)
-
-    def with_overrides(self, **kwargs) -> "ProtocolParams":
-        """Return a copy with the given fields replaced (ablation helper)."""
-        return replace(self, **kwargs)
-
-
-#: Parameters matching the paper's description as closely as possible.
-PAPER_DEFAULTS = ProtocolParams()
-
-#: Parameters for the pseudocode variant of GetConfiguration handling.
-PSEUDOCODE_VARIANT = ProtocolParams(integrate_unknown_requesters=False)
+        return 1.0 / (2 ** min(k, 30) * k * k)

@@ -71,7 +71,7 @@ class SupervisedPubSub:
 
     def __init__(self, seed: int = 0, params: Optional[ProtocolParams] = None,
                  sim_config: Optional[SimulatorConfig] = None,
-                 shards: int = 1, virtual_nodes: int = 64) -> None:
+                 shards: int = 1) -> None:
         if shards < 1:
             raise ValueError("a supervised system needs at least one supervisor")
         self.params = params or ProtocolParams()
@@ -82,7 +82,7 @@ class SupervisedPubSub:
             # caller-supplied config — callers reuse one config across systems.
             config = replace(sim_config)
         self.sim = Simulator(config)
-        self.ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
+        self.ring = ConsistentHashRing()
         self.supervisors: Dict[NodeRef, Supervisor] = {}
         for shard_id in range(shards):
             supervisor = Supervisor(shard_id, params=self.params)
@@ -203,7 +203,7 @@ class SupervisedPubSub:
         return resolved
 
     # ---------------------------------------------------------- shard failures
-    def crash_supervisor(self, shard_id: NodeRef, rebalance: bool = True) -> List[str]:
+    def crash_supervisor(self, shard_id: NodeRef) -> List[str]:
         """Crash supervisor ``shard_id`` and rebalance its topics.
 
         The shard's virtual nodes leave the hash ring, every topic it owned is
@@ -224,15 +224,11 @@ class SupervisedPubSub:
         self.ring.remove_shard(shard_id)
         orphaned = sorted(t for t, s in self._topic_shard.items() if s == shard_id)
         self._shard_topic_load.pop(shard_id, None)
-        if rebalance:
-            for topic in orphaned:
-                new_shard = self.ring.assign_balanced(topic, self._shard_topic_load)
-                self._topic_shard[topic] = new_shard
-                self._shard_topic_load[new_shard] += 1
-                self._reannounce_members(topic)
-        else:
-            for topic in orphaned:
-                del self._topic_shard[topic]
+        for topic in orphaned:
+            new_shard = self.ring.assign_balanced(topic, self._shard_topic_load)
+            self._topic_shard[topic] = new_shard
+            self._shard_topic_load[new_shard] += 1
+            self._reannounce_members(topic)
         self.hooks.emit_supervisor_crash(shard_id, orphaned)
         return orphaned
 

@@ -24,6 +24,10 @@ from typing import List, Optional, Set
 
 from repro.core.labels import Label, is_valid_label, scaled_r
 
+#: Most labels the recursion derives from one neighbour: a legitimate ring of
+#: n nodes needs at most ``⌈log n⌉``.
+MAX_STEPS = 64
+
 
 def _reflect(neighbor: Label, own: Label) -> Label:
     """The canonical label ``s`` with ``r(s) = 2·r(neighbor) − r(own) (mod 1)``,
@@ -33,8 +37,7 @@ def _reflect(neighbor: Label, own: Label) -> Label:
     return format(value, f"0{bits}b").rstrip("0") or "0"
 
 
-def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label],
-                                  max_steps: int = 64) -> List[Label]:
+def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label]) -> List[Label]:
     """Shortcut labels derived from a single ring neighbour (paper recursion).
 
     Starting from the ring neighbour's label, repeatedly reflect outwards
@@ -43,15 +46,15 @@ def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label],
     ``<= |own|`` is produced (that final label is included, it is ``v``'s
     neighbour in ``R_{|own|}`` on this side).
 
-    ``max_steps`` guards against corrupted neighbour labels that are absurdly
-    long in adversarial initial states.
+    At most :data:`MAX_STEPS` labels are produced: a guard against corrupted
+    neighbour labels that are absurdly long in adversarial initial states.
     """
     if neighbor is None or not is_valid_label(own) or not is_valid_label(neighbor):
         return []
     result: List[Label] = []
     current = neighbor
     own_len = len(own)
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if len(current) <= own_len:
             # The neighbour itself is not longer than us: nothing to derive on
             # this side (its edge is already a ring edge).
@@ -65,8 +68,7 @@ def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label],
     return result
 
 
-def shortcut_labels(own: Label, left: Optional[Label], right: Optional[Label],
-                    max_steps: int = 64) -> Set[Label]:
+def shortcut_labels(own: Label, left: Optional[Label], right: Optional[Label]) -> Set[Label]:
     """All shortcut labels of a node, derived from both ring neighbours.
 
     This is what the subscriber protocol recomputes on every ``Timeout`` to
@@ -74,8 +76,8 @@ def shortcut_labels(own: Label, left: Optional[Label], right: Optional[Label],
     The node's own label is never a shortcut target.
     """
     targets: Set[Label] = set()
-    targets.update(shortcut_labels_from_neighbor(own, left, max_steps))
-    targets.update(shortcut_labels_from_neighbor(own, right, max_steps))
+    targets.update(shortcut_labels_from_neighbor(own, left))
+    targets.update(shortcut_labels_from_neighbor(own, right))
     targets.discard(own)
     return targets
 

@@ -54,6 +54,9 @@ from repro.sim.node import NodeRef, ProtocolNode
 _ABSENT = object()
 #: A ``_TimeoutPlan.level_pair`` ref: "the shortcut stored under this label".
 _VIA = object()
+#: Probability of action (iv): a subscriber that believes its label is
+#: minimal requests its configuration (Section 3.2.1).
+MINIMAL_REQUEST_PROBABILITY = 0.5
 
 
 class Neighbor(NamedTuple):
@@ -91,7 +94,7 @@ class _TimeoutPlan:
         # wrap-around partner (so it may be the head of an unrecorded
         # component) or is completely isolated, action (ii) otherwise.
         if params.enable_minimal_request and left is None and ring is None:
-            self.request_probability = params.minimal_request_probability
+            self.request_probability = MINIMAL_REQUEST_PROBABILITY
         else:
             self.request_probability = params.request_probability(len(label))
         # The ring neighbours, whether stored in ``left``/``right`` or ``ring``.

@@ -52,6 +52,12 @@ FUZZ_TASK_FN = "repro.fuzz.tasks:run_fuzz_case"
 #: ``"ok"``, ``"new-coverage"``, ``"finding"`` or ``"worker-failure"``.
 FuzzProgressFn = Callable[[int, int, str, str, str], None]
 
+#: Probability that a draw mutates a pool spec instead of generating afresh.
+MUTATE_PROBABILITY = 0.6
+
+#: Size of the mutation pool; older coverage discoveries rotate out FIFO.
+POOL_CAP = 64
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -61,8 +67,6 @@ class FuzzConfig:
     seed: int = 0
     budget_iters: int = 64
     batch_size: int = 8
-    mutate_probability: float = 0.6
-    pool_cap: int = 64
     max_findings: int = 8
     shrink_budget: int = 120
     limits: GeneratorLimits = field(default_factory=GeneratorLimits)
@@ -73,10 +77,6 @@ class FuzzConfig:
             raise ValueError("budget_iters must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.mutate_probability <= 1.0:
-            raise ValueError("mutate_probability must lie in [0, 1]")
-        if self.pool_cap < 1:
-            raise ValueError("pool_cap must be >= 1")
         if self.max_findings < 1:
             raise ValueError("max_findings must be >= 1")
 
@@ -85,8 +85,6 @@ class FuzzConfig:
             "seed": self.seed,
             "budget_iters": self.budget_iters,
             "batch_size": self.batch_size,
-            "mutate_probability": self.mutate_probability,
-            "pool_cap": self.pool_cap,
             "max_findings": self.max_findings,
             "shrink_budget": self.shrink_budget,
             "limits": self.limits.to_dict(),
@@ -249,7 +247,7 @@ class FuzzCampaign:
             for offset in range(min(cfg.batch_size,
                                     cfg.budget_iters - iteration)):
                 name = generated_name(cfg.seed, iteration + offset)
-                if pool and rng.random() < cfg.mutate_probability:
+                if pool and rng.random() < MUTATE_PROBABILITY:
                     base = ScenarioSpec.from_dict(rng.choice(pool))
                     batch.append(self.generator.mutate(rng, base, name))
                 else:
@@ -304,7 +302,7 @@ class FuzzCampaign:
         if new_keys:
             trail.append({"iteration": index, "new_keys": new_keys})
             pool.append(spec.to_dict())
-            if len(pool) > cfg.pool_cap:
+            if len(pool) > POOL_CAP:
                 # FIFO eviction: old discoveries rotate out deterministically.
                 del pool[0]
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
 
@@ -40,33 +40,38 @@ from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
 PHASE_KINDS = ("churn", "crash_wave", "publications", "loss", "duplication",
                "delay_spike", "partition")
 
+#: Fixed bounds of the fault space: topics and shards per spec, the largest
+#: crash-wave fraction and loss/duplication rates, the delay-spike factors,
+#: the chance a spec is sharded and that a sharded phase may crash a shard.
+MAX_TOPICS = 2
+MAX_SHARDS = 3
+MAX_CRASH_FRACTION = 0.34
+MAX_LOSS_RATE = 0.18
+MAX_DUPLICATE_RATE = 0.12
+DELAY_SPIKE_FACTORS = (2.0, 3.0, 5.0)
+SHARDED_PROBABILITY = 0.4
+CRASH_SUPERVISOR_PROBABILITY = 0.25
+
 
 @dataclass(frozen=True)
 class GeneratorLimits:
-    """Bounds of the generated fault space.
+    """Bounds of the generated fault space that set how long a spec runs.
 
     The defaults size specs to run in roughly a second each, so a fuzz
     campaign gets through a meaningful number of iterations per minute;
     tests shrink them further, large hunts can raise them.  All bounds are
-    inclusive and JSON round-trippable.
+    inclusive and JSON round-trippable.  The bounds no profile varies are
+    the module constants above.
     """
 
     max_phases: int = 3
     min_subscribers: int = 8
     max_subscribers: int = 18
-    max_topics: int = 2
-    max_shards: int = 3
     min_rounds: float = 8.0
     max_rounds: float = 24.0
     settle_rounds: float = 300.0
     max_churn_ops: int = 4
-    max_crash_fraction: float = 0.34
     max_publications: int = 6
-    max_loss_rate: float = 0.18
-    max_duplicate_rate: float = 0.12
-    delay_spike_factors: Tuple[float, ...] = (2.0, 3.0, 5.0)
-    sharded_probability: float = 0.4
-    crash_supervisor_probability: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_phases < 1:
@@ -75,42 +80,24 @@ class GeneratorLimits:
             raise ValueError("min_subscribers must be >= 2")
         if self.max_subscribers < self.min_subscribers:
             raise ValueError("max_subscribers must be >= min_subscribers")
-        if self.max_topics < 1:
-            raise ValueError("max_topics must be >= 1")
-        if self.max_shards < 2:
-            raise ValueError("max_shards must be >= 2 (sharded facades need "
-                             "at least two shards to be interesting)")
         if not 0 < self.min_rounds <= self.max_rounds:
             raise ValueError("need 0 < min_rounds <= max_rounds")
         if self.settle_rounds < 0:
             raise ValueError("settle_rounds must be non-negative")
-        if not 0.0 <= self.max_loss_rate < 1.0:
-            raise ValueError("max_loss_rate must lie in [0, 1)")
-        if not 0.0 <= self.max_duplicate_rate < 1.0:
-            raise ValueError("max_duplicate_rate must lie in [0, 1)")
-        if not 0.0 <= self.max_crash_fraction < 1.0:
-            raise ValueError("max_crash_fraction must lie in [0, 1)")
 
     def to_dict(self) -> Dict[str, Any]:
-        out = asdict(self)
-        out["delay_spike_factors"] = list(self.delay_spike_factors)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "GeneratorLimits":
-        payload = dict(data)
-        if "delay_spike_factors" in payload:
-            payload["delay_spike_factors"] = tuple(
-                payload["delay_spike_factors"])
-        return cls(**payload)
+        return cls(**data)
 
 
 #: The sized-down fault space ``fuzz --quick`` draws from: specs run in a
 #: fraction of a second each, so a ~60 s CI smoke job still gets real coverage.
 QUICK_LIMITS = GeneratorLimits(
-    max_phases=2, min_subscribers=6, max_subscribers=10, max_topics=2,
-    max_shards=3, min_rounds=6.0, max_rounds=12.0, settle_rounds=200.0,
-    max_churn_ops=3, max_publications=4)
+    max_phases=2, min_subscribers=6, max_subscribers=10, min_rounds=6.0,
+    max_rounds=12.0, settle_rounds=200.0, max_churn_ops=3, max_publications=4)
 
 
 class SpecGenerator:
@@ -123,9 +110,9 @@ class SpecGenerator:
     def random_spec(self, rng: random.Random, name: str) -> ScenarioSpec:
         """One fresh spec drawn uniformly-ish over the fault space."""
         limits = self.limits
-        sharded = rng.random() < limits.sharded_probability
-        shards = rng.randint(2, limits.max_shards) if sharded else 1
-        n_topics = rng.randint(1, limits.max_topics)
+        sharded = rng.random() < SHARDED_PROBABILITY
+        shards = rng.randint(2, MAX_SHARDS) if sharded else 1
+        n_topics = rng.randint(1, MAX_TOPICS)
         topics = tuple(f"t{i}" for i in range(n_topics))
         # Round-robin spread plus crash headroom: every topic keeps >= 2
         # live members through the worst crash wave the limits allow.
@@ -145,7 +132,7 @@ class SpecGenerator:
                       sharded: bool) -> PhaseSpec:
         limits = self.limits
         menu: List[str] = list(PHASE_KINDS)
-        if sharded and rng.random() < limits.crash_supervisor_probability:
+        if sharded and rng.random() < CRASH_SUPERVISOR_PROBABILITY:
             menu.append("crash_supervisor")
         kinds = rng.sample(menu, rng.randint(1, min(3, len(menu))))
         rounds = round(rng.uniform(limits.min_rounds, limits.max_rounds), 1)
@@ -163,18 +150,17 @@ class SpecGenerator:
                 fields.update(ops)
             elif kind == "crash_wave":
                 fields["crash_fraction"] = round(
-                    rng.uniform(0.1, limits.max_crash_fraction), 2)
+                    rng.uniform(0.1, MAX_CRASH_FRACTION), 2)
             elif kind == "publications":
                 fields["publications"] = rng.randint(1, limits.max_publications)
             elif kind == "loss":
                 fields["loss_rate"] = round(
-                    rng.uniform(0.02, limits.max_loss_rate), 3)
+                    rng.uniform(0.02, MAX_LOSS_RATE), 3)
             elif kind == "duplication":
                 fields["duplicate_rate"] = round(
-                    rng.uniform(0.02, limits.max_duplicate_rate), 3)
+                    rng.uniform(0.02, MAX_DUPLICATE_RATE), 3)
             elif kind == "delay_spike":
-                fields["delay_spike_factor"] = rng.choice(
-                    list(limits.delay_spike_factors))
+                fields["delay_spike_factor"] = rng.choice(DELAY_SPIKE_FACTORS)
             elif kind == "partition":
                 # heal_after_rounds may land inside the disruption window or
                 # run into the settle window — distinct orderings, distinct
@@ -234,7 +220,7 @@ class SpecGenerator:
         subscribers = rng.randint(floor, max(floor, limits.max_subscribers))
         if base.facade == "sharded":
             return replace(base, subscribers=subscribers,
-                           shards=rng.randint(2, limits.max_shards))
+                           shards=rng.randint(2, MAX_SHARDS))
         return replace(base, subscribers=subscribers)
 
     def _op_tweak_phase(self, rng: random.Random,

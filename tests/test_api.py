@@ -56,7 +56,7 @@ class TestSystemSpecRoundTrip:
 
     def test_custom_spec_round_trips_losslessly(self):
         spec = SystemSpec(
-            topology="sharded", shards=5, virtual_nodes=16, seed=42,
+            topology="sharded", shards=5, seed=42,
             params=ProtocolParams(enable_flooding=False, publication_key_bits=32),
             sim=SimulatorConfig(min_delay=0.2, max_delay=2.0, timeout_jitter=0.1),
             max_rounds=500, check_every_rounds=2)
@@ -100,8 +100,6 @@ class TestSystemSpecRoundTrip:
     def test_other_validation_errors(self):
         with pytest.raises(TypeError, match="scheduler"):
             SystemSpec(scheduler="wheel")  # the engine has one event queue
-        with pytest.raises(ValueError, match="virtual_nodes"):
-            SystemSpec(topology="sharded", shards=2, virtual_nodes=0)
         with pytest.raises(ValueError, match="max_rounds"):
             SystemSpec(max_rounds=0)
         with pytest.raises(ValueError, match="check_every_rounds"):

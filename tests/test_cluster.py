@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import SystemSpec, build_stable, build_system
 from repro.cluster import sharding
-from repro.cluster.sharding import ConsistentHashRing
+from repro.cluster.sharding import VIRTUAL_NODES, ConsistentHashRing
 from repro.core.facade import SUPERVISOR_ID, SupervisedPubSub
 from repro.sim.engine import SimulatorConfig
 
@@ -73,8 +73,8 @@ class TestConsistentHashRing:
                                          shards=shards, seed=1))
         assert calls == []
         system.shard_of("news")
-        assert len(system.ring._points) == 64 * shards  # 256 points at K = 4
-        assert len(calls) == 64 * shards + 1  # every virtual node, then the topic
+        assert len(system.ring._points) == VIRTUAL_NODES * shards  # 256 points at K = 4
+        assert len(calls) == VIRTUAL_NODES * shards + 1  # every virtual node, then the topic
 
     def test_a_shard_removed_before_any_lookup_never_reaches_the_ring(self):
         removed, never = ConsistentHashRing(), ConsistentHashRing()
@@ -84,7 +84,7 @@ class TestConsistentHashRing:
         for shard in (0, 1, 3):
             never.add_shard(shard)
         assert [removed.owner(t) for t in TOPICS] == [never.owner(t) for t in TOPICS]
-        assert len(removed._points) == 3 * removed.virtual_nodes
+        assert len(removed._points) == 3 * VIRTUAL_NODES
 
     def test_a_shard_added_after_a_lookup_is_placed_by_the_next(self):
         late, upfront = ConsistentHashRing(), ConsistentHashRing()

@@ -14,6 +14,7 @@ hold the disciplines those bytes rest on:
 * every ``repro.sim`` class is slotted through its whole MRO;
 * every spec and config field survives the JSON round trip and rejects a
   value of the wrong type;
+* an option retired into a constant is refused by name, not ignored;
 * the engine's hot loops build no container per event;
 * the message vocabulary of ``core/messages.py`` is exactly what the
   subscriber's and the supervisor's handler tables dispatch
@@ -127,14 +128,14 @@ def test_every_sim_class_is_slotted_through_its_mro(cls):
 
 
 #: One valid, non-default value per field: a new field fails until it has one.
-SPEC_VALUES = {"topology": "sharded", "shards": 2, "virtual_nodes": 8, "seed": 7,
+SPEC_VALUES = {"topology": "sharded", "shards": 2, "seed": 7,
                "telemetry": True, "params": ProtocolParams(enable_flooding=False),
                "sim": SimulatorConfig(max_delay=2.0), "max_rounds": 900,
                "check_every_rounds": 3}
 SIM_VALUES = {"seed": 7, "min_delay": 0.2, "max_delay": 2.0, "timeout_period": 1.5,
               "timeout_jitter": 0.1, "detection_lag": 1.0, "keep_trace_events": True}
 #: One wrong-typed value per field; each must raise where the spec is built.
-SPEC_WRONG = {"topology": 1, "shards": 2.0, "virtual_nodes": "8", "seed": "7",
+SPEC_WRONG = {"topology": 1, "shards": 2.0, "seed": "7",
               "telemetry": "false", "params": "x", "sim": "x", "max_rounds": 9.5,
               "check_every_rounds": None}
 SIM_WRONG = {"seed": True, "min_delay": "0.2", "max_delay": "2", "timeout_period": None,
@@ -163,6 +164,30 @@ def test_every_simulator_config_field_round_trips_and_checks_its_type(name):
     assert getattr(SystemSpec.from_json(spec.to_json()).sim_config(), name) == SIM_VALUES[name]
     with pytest.raises((TypeError, ValueError)):
         SimulatorConfig(**{name: SIM_WRONG[name]})
+
+
+def _params(payload):
+    return ProtocolParams(**payload)
+
+
+#: Options that became constants: where a spec carrying one is read, the key
+#: and its old default.
+RETIRED = [(_params, "request_probability_exponent_cap", 30),
+           (_params, "minimal_request_probability", 0.5),
+           (SystemSpec.from_dict, "virtual_nodes", 64),
+           (FuzzConfig.from_dict, "mutate_probability", 0.6),
+           (FuzzConfig.from_dict, "pool_cap", 64),
+           *((GeneratorLimits.from_dict, key, value) for key, value in (
+               ("max_topics", 2), ("max_shards", 3), ("max_crash_fraction", 0.34),
+               ("max_loss_rate", 0.18), ("max_duplicate_rate", 0.12),
+               ("delay_spike_factors", [2.0, 3.0, 5.0]), ("sharded_probability", 0.4),
+               ("crash_supervisor_probability", 0.25)))]
+
+
+@pytest.mark.parametrize("read, key, value", RETIRED, ids=[key for _, key, _ in RETIRED])
+def test_a_retired_option_is_rejected_by_name(read, key, value):
+    with pytest.raises(TypeError, match=key):
+        read({key: value})
 
 
 def test_engine_hot_loops_build_no_container_per_event():

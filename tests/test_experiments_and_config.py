@@ -6,15 +6,15 @@ from pathlib import Path
 import pytest
 
 from repro.api.report import RunReport, format_table
-from repro.core.config import PAPER_DEFAULTS, PSEUDOCODE_VARIANT, ProtocolParams
+from repro.core.config import ProtocolParams
 from repro.experiments import experiments as exp
 from repro.experiments.runner import run_experiment
 
 
 class TestProtocolParams:
     def test_defaults_are_valid(self):
-        assert PAPER_DEFAULTS.integrate_unknown_requesters
-        assert not PSEUDOCODE_VARIANT.integrate_unknown_requesters
+        assert ProtocolParams().integrate_unknown_requesters
+        assert not ProtocolParams(integrate_unknown_requesters=False).integrate_unknown_requesters
 
     def test_request_probability_matches_paper_formula(self):
         params = ProtocolParams()
@@ -23,23 +23,14 @@ class TestProtocolParams:
         assert params.request_probability(3) == pytest.approx(1 / (8 * 9))
 
     def test_request_probability_is_capped_for_huge_labels(self):
-        params = ProtocolParams(request_probability_exponent_cap=10)
-        assert params.request_probability(1000) > 0
+        # Uncapped, 2^2000 would overflow the float division.
+        assert ProtocolParams().request_probability(2000) > 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ProtocolParams(minimal_request_probability=2.0)
         with pytest.raises(ValueError):
             ProtocolParams(anti_entropy_probability=-0.1)
         with pytest.raises(ValueError):
             ProtocolParams(publication_key_bits=1)
-        with pytest.raises(ValueError):
-            ProtocolParams(request_probability_exponent_cap=0)
-
-    def test_with_overrides(self):
-        params = ProtocolParams().with_overrides(enable_flooding=False)
-        assert not params.enable_flooding
-        assert ProtocolParams().enable_flooding  # original untouched
 
 
 class TestRunnerAndReport:

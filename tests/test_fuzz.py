@@ -28,9 +28,8 @@ def scenarios_main(argv):
 
 #: Small fault space so generator/campaign tests run in seconds.
 TINY = GeneratorLimits(
-    max_phases=2, min_subscribers=6, max_subscribers=9, max_topics=2,
-    max_shards=3, min_rounds=6.0, max_rounds=10.0, settle_rounds=150.0,
-    max_churn_ops=2, max_publications=3)
+    max_phases=2, min_subscribers=6, max_subscribers=9, min_rounds=6.0,
+    max_rounds=10.0, settle_rounds=150.0, max_churn_ops=2, max_publications=3)
 
 
 def phase(**kwargs):
@@ -94,8 +93,6 @@ class TestSpecValidationEdgeCases:
             phase(**kwargs)
 
     def test_limits_validation(self):
-        with pytest.raises(ValueError, match="max_shards"):
-            GeneratorLimits(max_shards=1)
         with pytest.raises(ValueError, match="min_subscribers"):
             GeneratorLimits(min_subscribers=1)
         with pytest.raises(ValueError, match="min_rounds"):
@@ -307,8 +304,6 @@ class TestCampaign:
         assert FuzzConfig.from_dict(cfg.to_dict()) == cfg
         with pytest.raises(ValueError):
             FuzzConfig(budget_iters=0)
-        with pytest.raises(ValueError):
-            FuzzConfig(mutate_probability=1.5)
 
     def test_same_seed_same_report_bytes(self):
         cfg = self.config()

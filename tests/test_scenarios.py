@@ -134,7 +134,6 @@ NON_INT_COUNTS = {
     "PhaseSpec.leaves": lambda: ScenarioSpec.from_dict(_scenario_dict(phase={"leaves": True})),
     "ScenarioSpec.subscribers": lambda: ScenarioSpec.from_dict(_scenario_dict(subscribers=12.0)),
     "SystemSpec.shards": lambda: SystemSpec.from_dict({"topology": "sharded", "shards": 2.0}),
-    "SystemSpec.virtual_nodes": lambda: SystemSpec.from_dict({"virtual_nodes": 8.0}),
     "SweepSpec.seeds": lambda: SweepSpec.from_dict({"name": "s", "seeds": 2.0}),
 }
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.labels import max_level
-from repro.core.shortcuts import shortcut_labels, shortcut_labels_from_neighbor
+from repro.core.shortcuts import MAX_STEPS, shortcut_labels, shortcut_labels_from_neighbor
 from repro.core.skip_ring import SkipRingTopology
 from test_properties import shortcut_labels_closed_form  # the test-side reference
 
@@ -50,8 +50,8 @@ class TestRobustness:
     def test_max_steps_guards_against_huge_labels(self):
         # A corrupted, very long neighbour label must not loop forever.
         crazy = "0" * 200 + "1"
-        result = shortcut_labels_from_neighbor("0", crazy, max_steps=16)
-        assert len(result) <= 16
+        result = shortcut_labels_from_neighbor("0", crazy)
+        assert len(result) == MAX_STEPS
 
 
 class TestClosedFormEquivalence:
