@@ -442,8 +442,11 @@ class TopicView:
         publication = Publication.create(self.node_id, payload,
                                          key_bits=self.owner.params.publication_key_bits)
         self.trie.insert(publication)
-        self.owner.sim.tracer.record(self.owner.now, "publish", node=self.node_id,
-                                     topic=self.topic, key=publication.key)
+        if (tracer := self.owner.sim.tracer).keep_events:
+            tracer.record(self.owner.now, "publish", node=self.node_id,
+                          topic=self.topic, key=publication.key)
+        else:
+            tracer.counters["publish"] += 1
         if self.owner.params.enable_flooding:
             self._flood(publication, hops=1, exclude=None)
         return publication
@@ -755,9 +758,11 @@ class Subscriber(ProtocolNode):
             return
         for wire in pubs:
             if (publication := view._receive(wire)) is not None:
-                (sim := self._sim).tracer.record(sim.now, "publication_received", node=self.node_id,
-                                                 topic=view.topic, key=publication.key,
-                                                 via="antientropy")
+                if (tracer := (sim := self._sim).tracer).keep_events:
+                    tracer.record(sim.now, "publication_received", node=self.node_id,
+                                  topic=view.topic, key=publication.key, via="antientropy")
+                else:
+                    tracer.counters["publication_received"] += 1
 
     def on_PublishNew(self, /, pub=None, hops=None, sender=None, topic=None, **_) -> None:
         """Store a flooded new publication and flood it on (Section 4.3)."""
@@ -769,6 +774,9 @@ class Subscriber(ProtocolNode):
         if view is None or hops.__class__ is not int or hops < 1:
             return
         if (publication := view._receive(pub)) is not None:
-            (sim := self._sim).tracer.record(sim.now, "flood_delivery", node=self.node_id,
-                                             topic=view.topic, key=publication.key, hops=hops)
+            if (tracer := (sim := self._sim).tracer).keep_events:
+                tracer.record(sim.now, "flood_delivery", node=self.node_id,
+                              topic=view.topic, key=publication.key, hops=hops)
+            else:  # counted, not logged: no keyword dict for record to drop
+                tracer.counters["flood_delivery"] += 1
             view._flood(publication, hops=hops + 1, exclude=sender)

@@ -9,14 +9,20 @@ from typing import Any, Dict
 
 from repro.pubsub.hashing import publication_key
 
-# Wire content -> a weak reference to the one live Publication derived from it
-# (``_forget`` drops the entry with it): a plain dict, so a hit runs no Python code.
+# Wire content -> a weak reference to the one live Publication derived from it,
+# and ``id()`` of that publication's own wire dict -> the same reference
+# (``_forget`` drops both entries with it): plain dicts, so a hit runs no Python
+# code.  An id is unique while its dict lives, and the publication holds its wire.
 _INTERNED: "Dict[tuple, weakref.KeyedRef]" = {}
+_BY_WIRE: "Dict[int, weakref.KeyedRef]" = {}
 
 
 def _forget(ref: "weakref.KeyedRef") -> None:
-    if _INTERNED.get(ref.key) is ref:  # not since replaced by a new instance
-        del _INTERNED[ref.key]
+    ident, wire_id = ref.key
+    if _INTERNED.get(ident) is ref:  # not since replaced by a new instance
+        del _INTERNED[ident]
+    if _BY_WIRE.get(wire_id) is ref:
+        del _BY_WIRE[wire_id]
 
 
 @dataclass(frozen=True)
@@ -36,10 +42,13 @@ class Publication:
 
     :meth:`create` and :meth:`from_wire` intern: equal content yields the
     same instance for as long as anything holds it, so n tries share one
-    payload — one trie :attr:`leaf` and one wire dict.  The key is only ever
-    derived by the hash.  The wire carries it too, but a receiver trusts it
-    only to find a stored copy, and drops the message only if that copy's
-    wire is, or equals, the one received: forged content is other content.
+    payload — one trie :attr:`leaf` and one wire dict.  An interned
+    publication's own :attr:`wire` resolves to it by identity, with nothing
+    parsed or looked up by content; any other dict, a copy included, is
+    parsed and validated.  The key is only ever derived by the hash.  The
+    wire carries it too, but a receiver trusts it only to find a stored
+    copy, and drops the message only if that copy's wire is, or equals, the
+    one received: forged content is other content.
     """
 
     publisher: int
@@ -70,10 +79,15 @@ class Publication:
 
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "Publication":
+        if ((ref := _BY_WIRE.get(id(data))) is not None
+                and (publication := ref()) is not None and publication.wire is data):
+            return publication  # an interned publication's own wire
         ident = (int(data["publisher"]), data["payload"], int(data["key_bits"]))
         publication = ref() if (ref := _INTERNED.get(ident)) is not None else None
         if publication is None:
             payload = bytes.fromhex(ident[1])
             publication = cls(ident[0], payload, publication_key(ident[0], payload, bits=ident[2]))
-            _INTERNED[ident] = weakref.KeyedRef(publication, _forget, ident)
+            wire_id = id(publication.wire)
+            _INTERNED[ident] = _BY_WIRE[wire_id] = weakref.KeyedRef(
+                publication, _forget, (ident, wire_id))
         return publication

@@ -288,7 +288,6 @@ class ScenarioRunner:
                                            phase.delay_spike_factor)
         self._schedule_churn(phase, start, window, rng)
         issued = self._schedule_publications(index, phase, start, window, rng)
-        self._schedule_samples(start, window)
 
         sim.run_for(window)
 
@@ -430,23 +429,6 @@ class ScenarioRunner:
             at = start + (i + 1) * window / (phase.publications + 1)
             system.sim.call_at(at, make_publish(payload, topic))
         return issued
-
-    def _schedule_samples(self, start: float, window: float) -> None:
-        """Record tracer time series over the disruption window (membership
-        size and in-flight message volume — the scenario's vital signs)."""
-        sim = self.system.sim
-        tracer = sim.tracer
-
-        def sample() -> None:
-            tracer.sample("scenario/live_members", sim.now,
-                          len(self._live_members()))
-            tracer.sample("scenario/in_flight", sim.now,
-                          sim.network.in_flight())
-
-        step = max(sim.config.timeout_period, window / 10.0)
-        ticks = int(window / step)
-        for i in range(1, ticks + 1):
-            sim.call_at(start + i * step, sample)
 
     # -------------------------------------------------------------- invariants
     def _surviving_keys(self, topic: str) -> Set[str]:

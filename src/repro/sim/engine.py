@@ -193,10 +193,11 @@ class Simulator:
         subscriber's Timeout round.
 
         Network internals, scheduler, delay stream and seq counter are
-        resolved here; the clock, the adversary and the crashed set are read,
-        and ``total_sent`` and the wheel's count bumped, once per batch.  A
-        send builds one record tuple that lives *only* in the scheduler until
-        delivery.  Per copy, in batch order: count it, drop it if the address
+        resolved here; the clock, the adversary and the crashed set are read
+        once per batch.  A send builds one record tuple that lives *only* in
+        the scheduler until delivery, and is counted once, in the per-action
+        store (the totals are sums over it, taken when read; the wheel keeps
+        no count).  Per copy, in batch order: count it, drop it if the address
         is gone (crashed, or a ``dest`` that cannot be an address — never
         shown to the adversary), ask the adversary's ``on_submit`` and —
         untouched (``None``) or with no adversary — draw the delay and push
@@ -236,9 +237,7 @@ class Simulator:
             adversary = network.adversary
             # unconditional under an adversary: it never sees an unhashable dest
             screen = crashed or adversary is not None
-            stats.total_sent += len(sends)
             current_index = scheduler._current_index  # moves only when popping
-            pushed = 0  # inline wheel appends, added to its count once
             for dest, action, params in sends:
                 try:
                     sent[action][sender] += 1
@@ -281,7 +280,6 @@ class Simulator:
                           action, params, topic, sender, now)
                 # inlined TimeoutWheelScheduler.push
                 index = int(deliver_time * inv_width)
-                pushed += 1
                 if index <= current_index:
                     insert_late(record)
                 else:
@@ -291,7 +289,6 @@ class Simulator:
                         # amortised: one list per bucket, not per event
                         buckets[index] = [record]
                         heappush(bucket_heap, index)
-            scheduler._count += pushed
 
         #: the send path used by :meth:`ProtocolNode.send`
         self._send_fast = _send_fast
@@ -398,7 +395,7 @@ class Simulator:
     # -------------------------------------------------------------- execution
     def step(self) -> bool:
         """Process a single event.  Returns False when no event is pending."""
-        if not self._scheduler:
+        if self._scheduler.next_time() is None:
             return False
         event = self._scheduler.pop()
         time = event[0]
@@ -555,8 +552,6 @@ class Simulator:
         # events at exactly `deadline` belong to the run.
         beyond_deadline = math.nextafter(deadline, math.inf)
         block: List[Any] = []  # setup: the hot-loop test exempts annotated assignments
-        delivered = 0
-        pushed = 0  # deferred wheel._count increments, flushed per block
         while True:
             t0 = next_time()
             if t0 is None or t0 > deadline:
@@ -600,7 +595,7 @@ class Simulator:
                         # Network.pop_record): records live only in this
                         # queue, so "still deliverable?" is one membership
                         # test on the crashed set (usually empty) and the
-                        # O(1) stats counters update inline.
+                        # per-action store's counter updates inline.
                         dest = event[3]
                         action = event[4]
                         if type(dest) is int:
@@ -615,7 +610,6 @@ class Simulator:
                                 if reason is not None:
                                     stats.record_drop(reason)
                                     continue
-                            delivered += 1
                             if latency_hist is not None:
                                 latency_hist.record(time - event[8])
                             try:
@@ -649,12 +643,8 @@ class Simulator:
                         next_at = self.now + period * (
                             1 + (neg_jitter + jitter_span * jitter_rand()))
                         timeout_event = (next_at, seq_next(), _TIMEOUT, event[3])
-                        # inlined TimeoutWheelScheduler.push; the _count
-                        # increment is deferred to the per-block flush in
-                        # the finally (nothing reads len(scheduler) between
-                        # handler returns within a block)
+                        # inlined TimeoutWheelScheduler.push
                         index = int(next_at * inv_width)
-                        pushed += 1
                         if index <= scheduler._current_index:
                             insert_late(timeout_event)
                         else:
@@ -688,9 +678,6 @@ class Simulator:
                 consumed = 0 if event is None else block.index(event) + 1
                 raise
             finally:
-                if pushed:
-                    scheduler._count += pushed
-                    pushed = 0
                 if consumed != n:
                     for event in block[consumed:]:
                         push(event)
@@ -703,11 +690,6 @@ class Simulator:
                 self._block_end = _NEG_INF
                 self._block_interrupted = False
                 self._steps += consumed
-                if delivered:
-                    # Flushed per block (not per run) so callbacks between
-                    # blocks observe fresh totals.
-                    stats.total_delivered += delivered
-                    delivered = 0
 
     def run_rounds(self, rounds: int) -> None:
         """Run for ``rounds`` timeout periods of simulated time."""
@@ -727,8 +709,6 @@ class Simulator:
             if predicate():
                 return True
             self.run_until_time(min(self.now + check_every, deadline))
-            if not self._scheduler and self.now >= deadline:
-                break
         return predicate()
 
     @property

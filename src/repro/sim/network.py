@@ -76,13 +76,14 @@ class ChannelStats:
     ``action -> {node: count}`` (keyed by sender, respectively destination).
     Recording is inlined where the messages are — the engine's send closure
     and drain loop, and :meth:`Network.pop_record` — and costs one lookup in
-    a handful-sized action dict, one counter update in that action's node
-    dict and an integer increment.  The per-node and per-action totals behind
-    :meth:`sent_by` / :meth:`received_by` and the :attr:`sent_by_action` /
-    :attr:`received_by_action` views are computed when read: every reader is
-    cold (reports, phase deltas, tests), so nothing is cached or invalidated
-    on the write path.  An action with no count in a store never appears in
-    a view or a summary.
+    a handful-sized action dict and one counter update in that action's node
+    dict.  Every total is computed from the two stores when read —
+    :attr:`total_sent`, :attr:`total_delivered`, the per-node and per-action
+    totals behind :meth:`sent_by` / :meth:`received_by` and the
+    :attr:`sent_by_action` / :attr:`received_by_action` views: every reader
+    is cold (reports, phase deltas, tests), so the write path keeps no
+    running tally beside the stores.  An action with no count in a store
+    never appears in a view or a summary.
 
     The two view properties are read-only and return fresh :class:`Counter`
     copies: mutating a returned counter never corrupts the statistics.
@@ -96,8 +97,7 @@ class ChannelStats:
     sees them.
     """
 
-    __slots__ = ("_sent", "_received", "_drops", "duplicated", "total_sent",
-                 "total_delivered", "delivery_latency")
+    __slots__ = ("_sent", "_received", "_drops", "duplicated", "delivery_latency")
 
     def __init__(self) -> None:
         #: action -> {sender: count} and action -> {dest: count}; never
@@ -108,8 +108,6 @@ class ChannelStats:
         self._drops: Dict[str, int] = {}
         #: extra copies created by adversarial duplication
         self.duplicated = 0
-        self.total_sent = 0
-        self.total_delivered = 0
         #: optional :class:`~repro.telemetry.histogram.LatencyHistogram` of
         #: send→delivery latency in sim seconds.  ``None`` (the default)
         #: keeps the hot paths latency-blind; :meth:`enable_latency` turns it
@@ -146,6 +144,14 @@ class ChannelStats:
         return sum(self._drops.values())
 
     # ---------------------------------------------------------------- queries
+    @property
+    def total_sent(self) -> int:
+        return _total(self._sent)
+
+    @property
+    def total_delivered(self) -> int:
+        return _total(self._received)
+
     @property
     def sent_by_action(self) -> Counter:
         return _per_action(self._sent)
@@ -197,8 +203,6 @@ class ChannelStats:
         clone._received = {action: dict(by_node) for action, by_node in self._received.items()}
         clone._drops = dict(self._drops)
         clone.duplicated = self.duplicated
-        clone.total_sent = self.total_sent
-        clone.total_delivered = self.total_delivered
         if self.delivery_latency is not None:
             clone.delivery_latency = self.delivery_latency.copy()
         return clone
@@ -212,8 +216,6 @@ class ChannelStats:
         diff._received = _store_delta(self._received, baseline._received)
         diff._drops = _dict_delta(self._drops, baseline._drops)
         diff.duplicated = self.duplicated - baseline.duplicated
-        diff.total_sent = self.total_sent - baseline.total_sent
-        diff.total_delivered = self.total_delivered - baseline.total_delivered
         if (self.delivery_latency is not None
                 and baseline.delivery_latency is not None):
             diff.delivery_latency = self.delivery_latency.delta(
@@ -221,6 +223,11 @@ class ChannelStats:
         elif self.delivery_latency is not None:
             diff.delivery_latency = self.delivery_latency.copy()
         return diff
+
+
+def _total(store: Dict[str, Dict[Any, int]]) -> int:
+    """The count of every message in a store."""
+    return sum(sum(by_node.values()) for by_node in store.values())
 
 
 def _per_action(store: Dict[str, Dict[Any, int]]) -> Counter:
@@ -264,7 +271,8 @@ class Network:
 
     The network holds no message: every in-flight record lives in the
     :class:`~repro.sim.engine.Simulator`'s scheduler.  The simulator's send
-    path (``_send_fast``, one call per batch) counts each send, drops it if
+    path (``_send_fast``, one call per batch) counts each send in
+    :attr:`stats`' per-action store, drops it if
     the destination crashed and asks :attr:`adversary` which copies survive;
     its drain loop delivers records (fusing what :meth:`pop_record` spells
     out); :meth:`in_flight` counts the pending records out of the scheduler.
@@ -350,7 +358,6 @@ class Network:
                 self.stats.record_drop(reason)
                 return False
         stats = self.stats
-        stats.total_delivered += 1
         if stats.delivery_latency is not None:
             stats.delivery_latency.record(
                 record[REC_DELIVER_TIME] - record[REC_SEND_TIME])

@@ -63,10 +63,15 @@ class TimeoutWheelScheduler:
     A small auxiliary heap of bucket indices finds the next non-empty bucket
     without scanning empty ones, so sparse schedules (e.g. a far-future crash)
     cost nothing.
+
+    The wheel keeps no event count: ``len()`` adds up the current bucket and
+    the pending ones when asked (only tests ask), so a push or a
+    pop — and the engine's inlined pushes — touch nothing but the buckets.
+    Emptiness is :meth:`next_time` returning ``None``.
     """
 
     __slots__ = ("bucket_width", "_inv_width", "_buckets", "_bucket_heap",
-                 "_current", "_current_index", "_count")
+                 "_current", "_current_index")
 
     def __init__(self, bucket_width: float = 0.25) -> None:
         if bucket_width <= 0:
@@ -85,14 +90,12 @@ class TimeoutWheelScheduler:
         #: index of the bucket being drained; -1 (smaller than any index of a
         #: non-negative timestamp) while no bucket is active
         self._current_index: int = -1
-        self._count = 0
 
     # Events are plain tuples and ``seq`` (position 1) is unique, so tuple
     # comparison decides on (time, seq) and never touches kind/payload; the
     # late-insert binary search therefore needs no key function.
     def push(self, event: Event) -> None:
         index = int(event[0] * self._inv_width)
-        self._count += 1
         if index <= self._current_index:
             self._insert_late(event)
             return
@@ -143,7 +146,6 @@ class TimeoutWheelScheduler:
         if not current:
             self._advance()
             current = self._current
-        self._count -= 1
         return current.pop()
 
     def pop_block_into(self, out: List[Event], limit: float) -> int:
@@ -178,7 +180,6 @@ class TimeoutWheelScheduler:
         del current[lo:]
         block.reverse()
         out += block
-        self._count -= count
         return count
 
     def next_time(self) -> Optional[float]:
@@ -196,7 +197,7 @@ class TimeoutWheelScheduler:
             yield from bucket
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._current) + sum(map(len, self._buckets.values()))
 
 
 def auto_bucket_width(timeout_period: float = 1.0, min_delay: float = 0.1,

@@ -4,13 +4,19 @@ The experiments need more than raw message counts: they track *when* the
 system first reached a legitimate state, how many configuration requests the
 supervisor received per timeout interval, how many hops a flooded publication
 needed, and so on.  :class:`Tracer` is a lightweight event log plus a set of
-named counters/series that protocol code and experiment harnesses can write
-to without coupling to each other.
+named counters that protocol code and experiment harnesses can write to
+without coupling to each other.
+
+A counter is always kept; an event object only when :attr:`Tracer.keep_events`
+is on.  The per-message protocol paths (a flood delivery, an anti-entropy
+receipt, a publish) read that flag first: with the log off they bump
+:attr:`Tracer.counters` directly and build no keyword arguments for
+:meth:`Tracer.record`, which would only count them.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -26,9 +32,9 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects trace events, counters and time series during a run."""
+    """Collects trace events and counters during a run."""
 
-    __slots__ = ("keep_events", "max_events", "events", "counters", "series",
+    __slots__ = ("keep_events", "max_events", "events", "counters",
                  "events_dropped")
 
     def __init__(self, keep_events: bool = True, max_events: int = 1_000_000) -> None:
@@ -36,7 +42,6 @@ class Tracer:
         self.max_events = max_events
         self.events: List[TraceEvent] = []
         self.counters: Counter = Counter()
-        self.series: Dict[str, List[tuple[float, float]]] = defaultdict(list)
         #: events that would have been stored but fell past ``max_events``
         #: (counters still counted them; only the event *objects* are gone)
         self.events_dropped = 0
@@ -61,8 +66,3 @@ class Tracer:
     def count(self, kind: str, amount: int = 1) -> None:
         """Increment the counter ``kind`` without logging an event."""
         self.counters[kind] += amount
-
-    # ------------------------------------------------------------------ series
-    def sample(self, name: str, time: float, value: float) -> None:
-        """Append ``(time, value)`` to the time series ``name``."""
-        self.series[name].append((time, value))

@@ -154,3 +154,66 @@ class TestWheelOrder:
         sim = runner.system.sim
         assert requeued and len(stream) == sim.steps_executed
         assert_heapq_order(sim, stream)
+
+
+class TestDerivedTotals:
+    """The wheel keeps no event count and the network no running totals:
+    ``len(scheduler)``, ``total_sent`` and ``total_delivered`` are computed
+    when read, and each equals a count kept apart from the engine — the
+    events the wheel still holds, the sends a wrapped ``_send_fast`` logged
+    and the pings the nodes handled — as does a :meth:`ChannelStats.delta`
+    over a later window."""
+
+    @pytest.fixture
+    def sends(self, monkeypatch):
+        """Every ``(dest, action, params)`` handed to a simulator's send path."""
+        logged = []
+        bind = Simulator._bind_fast_submit
+
+        def logging_bind(self):
+            bind(self)
+            send_fast = self._send_fast
+
+            def logging(sender, topic, batch):
+                logged.extend(batch)
+                send_fast(sender, topic, batch)
+
+            self._send_fast = logging
+
+        monkeypatch.setattr(Simulator, "_bind_fast_submit", logging_bind)
+        return logged
+
+    @staticmethod
+    def _assert_exact(sim, sends, run_more):
+        stats = sim.network.stats
+        assert len(sim.scheduler) == sum(1 for _ in sim.scheduler.iter_events()) > 0
+        assert stats.total_sent == len(sends) > 0
+        baseline = stats.snapshot()
+        sent, delivered, logged = stats.total_sent, stats.total_delivered, len(sends)
+        run_more()
+        delta = stats.delta(baseline)
+        assert delta.total_sent == stats.total_sent - sent == len(sends) - logged > 0
+        assert delta.total_delivered == stats.total_delivered - delivered > 0
+        assert len(sim.scheduler) == sum(1 for _ in sim.scheduler.iter_events())
+
+    def test_after_a_crashy_storm(self, sends):
+        log, sim = _storm(300, 6, crash=True)
+        assert sum(node.crashed for node in sim.nodes.values()) > 0
+        pings = sum(1 for _, kind, _ in log if kind == "ping")
+        assert sim.network.stats.total_delivered == pings > 0
+        self._assert_exact(sim, sends, lambda: sim.run_rounds(2))
+        assert sim.network.stats.total_delivered == sum(
+            1 for _, kind, _ in log if kind == "ping")
+
+    def test_after_a_lossy_duplicating_scenario(self, wheel_stream, sends):
+        lossy = get_scenario("lossy-network")
+        spec = lossy.with_overrides(phases=tuple(
+            replace(phase, delay_spike_factor=0.05) for phase in lossy.phases))
+        runner = ScenarioRunner(spec, seed=3)
+        assert runner.run().passed
+        sim = runner.system.sim
+        stats = sim.network.stats
+        assert stats.duplicated > 0 and stats.drops_by_reason["adversary_loss"] > 0
+        self._assert_exact(sim, sends, lambda: runner.system.run_rounds(3))
+        stream, _ = wheel_stream  # every event the wheel gave up, taken once
+        assert len(stream) == sim.steps_executed

@@ -586,22 +586,100 @@ class TestPublicationPathBudget:
         assert Publication.from_wire(dict(p.wire)) is q
         assert Publication.from_wire(q.wire) is q
 
+    def test_a_flood_with_the_log_off_is_counted_not_recorded(self, monkeypatch):
+        """With ``keep_trace_events`` off, a publish and every first receipt
+        of its flood bump a counter and build no event for ``record``."""
+        from repro.api import build_stable
+        from repro.sim.tracing import Tracer
+
+        system, peers = build_stable(SystemSpec(seed=3), 8)
+        counters = system.sim.tracer.counters
+        assert not system.sim.tracer.keep_events
+
+        def refusing(self, *args, **kwargs):
+            raise AssertionError("Tracer.record called with the event log off")
+
+        monkeypatch.setattr(Tracer, "record", refusing)
+        before = dict(counters)
+        system.publish(peers[0], b"counted")
+        assert system.run_until_publications_converged()
+        assert counters["publish"] - before.get("publish", 0) == 1
+        assert counters["flood_delivery"] - before.get("flood_delivery", 0) == len(peers) - 1
+
+    @pytest.fixture
+    def decoding(self, monkeypatch):
+        """``(parses, lookups)``: the ``int()`` calls of ``repro.pubsub.publications``
+        and the ``get`` calls on its content-keyed intern table."""
+        import repro.pubsub.publications as publications
+
+        parses, lookups = [], []
+
+        class CountingTable(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        def counting_int(*args):
+            parses.append(args)
+            return int(*args)
+
+        monkeypatch.setattr(publications, "_INTERNED", CountingTable(publications._INTERNED))
+        monkeypatch.setattr(publications, "int", counting_int, raising=False)
+        return parses, lookups
+
+    def test_a_publications_own_wire_resolves_by_identity(self, decoding):
+        """``from_wire(p.wire)`` is ``p``: nothing parsed, nothing looked up by content."""
+        from repro.pubsub.publications import Publication
+
+        parses, lookups = decoding
+        p = Publication.create(5, b"identity", key_bits=64)
+        del parses[:], lookups[:]
+        for _ in range(3):
+            assert Publication.from_wire(p.wire) is p
+        assert parses == [] and lookups == []
+
+    def test_an_equal_copy_resolves_through_the_validating_path(self, decoding):
+        from repro.pubsub.publications import Publication
+
+        parses, lookups = decoding
+        p = Publication.create(5, b"identity", key_bits=64)
+        del parses[:], lookups[:]
+        assert Publication.from_wire(dict(p.wire)) is p
+        assert len(parses) == 2 and len(lookups) == 1  # publisher, key_bits; one lookup
+
+    def test_another_wire_never_resolves_by_identity(self, decoding):
+        """A copy with another payload is another publication; a wire the
+        interning did not build — a publication made with a forged key — is
+        parsed, and its key derived by the hash."""
+        from repro.pubsub.publications import Publication
+
+        parses, _ = decoding
+        p = Publication.create(5, b"identity", key_bits=64)
+        other = Publication.from_wire(dict(p.wire, payload=b"other".hex()))
+        assert other is not p and other.payload == b"other" and other.key != p.key
+        assert Publication.from_wire(other.wire) is other
+        forged = Publication(5, b"identity", "0" * 64)
+        del parses[:]
+        assert Publication.from_wire(forged.wire) is p and parses
+
     def test_intern_table_holds_nothing_a_dropped_system_held(self):
         import gc
 
         from repro.api import build_stable
-        from repro.pubsub.publications import _INTERNED
+        from repro.pubsub.publications import _BY_WIRE, _INTERNED
 
         gc.collect()
-        before = set(_INTERNED.keys())
+        before, wires_before = set(_INTERNED.keys()), set(_BY_WIRE.keys())
         system, peers = build_stable(SystemSpec(seed=15), 16)
         for i, peer in enumerate(peers):
             system.publish(peer, b"budget-%d" % i)
         assert system.run_until_publications_converged()
         assert len(set(_INTERNED.keys()) - before) == len(peers)
+        assert len(set(_BY_WIRE.keys()) - wires_before) == len(peers)
         del system, peers, peer
         gc.collect()
         assert set(_INTERNED.keys()) - before == set()
+        assert set(_BY_WIRE.keys()) - wires_before == set()
 
 
 class TestAdversarialSendBudget:

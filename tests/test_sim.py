@@ -214,9 +214,7 @@ class TestTracerAndFailureDetector:
         tracer = Tracer()
         tracer.record(1.0, "x", node=3, foo="bar")
         tracer.count("x", 2)
-        tracer.sample("load", 1.0, 0.5)
         assert tracer.counters["x"] == 3
-        assert tracer.series["load"] == [(1.0, 0.5)]
         (event,) = tracer.events
         assert (event.time, event.kind, event.node, event.data) == (1.0, "x", 3, {"foo": "bar"})
 
@@ -229,15 +227,13 @@ class TestTracerAndFailureDetector:
 
     def test_tracer_event_cap_keeps_earliest_events(self):
         """Truncation at max_events keeps the first events, drops the rest,
-        and never corrupts counters or series."""
+        and never corrupts counters."""
         tracer = Tracer(max_events=3)
         for i in range(10):
             tracer.record(float(i), "k", node=i)
-            tracer.sample("s", float(i), float(i))
         assert [e.time for e in tracer.events] == [0.0, 1.0, 2.0]
         assert [e.node for e in tracer.events] == [0, 1, 2]
         assert tracer.counters["k"] == 10
-        assert len(tracer.series["s"]) == 10
         assert tracer.truncated and tracer.events_dropped == 7
 
     def test_tracer_keep_events_false_counts_without_storing(self):
