@@ -13,19 +13,21 @@ invariants).  A report carries:
 * for scenario runs, the full embedded scenario dict (lossless — the
   canonical per-phase JSON is reachable from the unified report).
 
-``to_json`` is canonical (sorted keys, compact separators), so reports are
-byte-comparable across runs whenever their content is deterministic.
+A report serializes through the artifact codec (:mod:`repro.artifact`), so
+reports are byte-comparable across runs whenever their content is
+deterministic.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.artifact import Artifact
+
 
 @dataclass
-class RunReport:
+class RunReport(Artifact, derived=("passed",), omit_none=("telemetry",)):
     """Unified result of one experiment, scenario or benchmark run."""
 
     name: str
@@ -67,51 +69,6 @@ class RunReport:
     @property
     def failed_claims(self) -> List[str]:
         return [c for c, ok in self.claims.items() if not ok]
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> Dict[str, object]:
-        out = {
-            "name": self.name,
-            "title": self.title,
-            "headers": list(self.headers),
-            "rows": [list(row) for row in self.rows],
-            "claims": dict(sorted(self.claims.items())),
-            "metadata": dict(self.metadata),
-            "message_stats": {label: dict(stats)
-                              for label, stats in sorted(self.message_stats.items())},
-            "wall_seconds": self.wall_seconds,
-            "scenario": self.scenario,
-            "passed": self.passed,
-        }
-        if self.telemetry is not None:
-            # Conditional key: telemetry-off artifacts keep their exact
-            # historical byte shape (the golden suite pins this).
-            out["telemetry"] = self.telemetry
-        return out
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        if indent is not None:
-            return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RunReport":
-        """Rebuild a report from :meth:`to_dict` output (``passed`` is
-        derived, so it is recomputed rather than read).  This is how reports
-        cross the :mod:`repro.exec` process boundary."""
-        return cls(
-            name=data["name"],
-            title=data.get("title", ""),
-            headers=list(data.get("headers") or []),
-            rows=[list(row) for row in data.get("rows") or []],
-            claims=dict(data.get("claims") or {}),
-            metadata=dict(data.get("metadata") or {}),
-            message_stats={label: dict(stats) for label, stats
-                           in (data.get("message_stats") or {}).items()},
-            wall_seconds=data.get("wall_seconds"),
-            scenario=data.get("scenario"),
-            telemetry=data.get("telemetry"),
-        )
 
     # ------------------------------------------------------------- converters
     @classmethod

@@ -3,11 +3,10 @@
 A :class:`SystemSpec` is the single front door to every way of standing the
 system up: the paper's single-supervisor topology, the sharded K-supervisor
 cluster, any :class:`~repro.core.config.ProtocolParams`
-and any :class:`~repro.sim.engine.SimulatorConfig` — all in one frozen,
-JSON-round-trippable value (the same pattern
-:class:`~repro.scenarios.spec.ScenarioSpec` established for adversarial
-phases).  Experiments, scenarios, the benchmark and examples describe a system
-as a spec and realise it with :func:`~repro.api.builder.build_system`.
+and any :class:`~repro.sim.engine.SimulatorConfig` — all in one frozen
+value that serializes through the artifact codec (:mod:`repro.artifact`).
+Experiments, scenarios, the benchmark and examples describe a system as a
+spec and realise it with :func:`~repro.api.builder.build_system`.
 
 The spec also canonicalises the driver budgets that used to be restated as
 magic numbers all over the tree: :attr:`SystemSpec.max_rounds` and
@@ -18,10 +17,10 @@ magic numbers all over the tree: :attr:`SystemSpec.max_rounds` and
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
+from repro.artifact import Artifact
 from repro.core.config import (
     DEFAULT_CHECK_EVERY_ROUNDS,
     DEFAULT_MAX_ROUNDS,
@@ -35,7 +34,7 @@ TOPOLOGIES = ("single", "sharded")
 
 
 @dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(Artifact):
     """A complete, declarative description of one deployable system.
 
     Attributes
@@ -84,16 +83,15 @@ class SystemSpec:
     check_every_rounds: int = DEFAULT_CHECK_EVERY_ROUNDS
 
     def __post_init__(self) -> None:
+        if self.params is None:
+            object.__setattr__(self, "params", ProtocolParams())
+        super().__post_init__()
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
         require_int_fields(self, "shards", "seed", "max_rounds", "check_every_rounds")
         if not isinstance(self.telemetry, bool):
             raise ValueError(f"SystemSpec.telemetry must be a bool, got {self.telemetry!r}")
-        for name, kind in (("params", ProtocolParams), ("sim", SimulatorConfig)):
-            if not isinstance(getattr(self, name), (kind, dict, type(None))):
-                raise ValueError(f"SystemSpec.{name} must be a {kind.__name__}, a dict "
-                                 f"or None, got {getattr(self, name)!r}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.topology == "single" and self.shards != 1:
@@ -104,12 +102,6 @@ class SystemSpec:
             raise ValueError("max_rounds must be >= 1")
         if self.check_every_rounds < 1:
             raise ValueError("check_every_rounds must be >= 1")
-        if self.params is None:
-            object.__setattr__(self, "params", ProtocolParams())
-        elif isinstance(self.params, dict):
-            object.__setattr__(self, "params", ProtocolParams(**self.params))
-        if isinstance(self.sim, dict):
-            object.__setattr__(self, "sim", SimulatorConfig(**self.sim))
         if self.sim is not None:
             self._reconcile_with_sim()
 
@@ -140,39 +132,3 @@ class SystemSpec:
         copies it again defensively, so sharing the spec is always safe)."""
         base = self.sim if self.sim is not None else SimulatorConfig()
         return replace(base, seed=self.seed)
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict; :meth:`from_dict` inverts it losslessly."""
-        return {
-            "topology": self.topology,
-            "shards": self.shards,
-            "seed": self.seed,
-            "telemetry": self.telemetry,
-            "params": asdict(self.params),
-            "sim": asdict(self.sim) if self.sim is not None else None,
-            "max_rounds": self.max_rounds,
-            "check_every_rounds": self.check_every_rounds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SystemSpec":
-        payload = dict(data)
-        params = payload.get("params")
-        if isinstance(params, dict):
-            payload["params"] = ProtocolParams(**params)
-        sim = payload.get("sim")
-        if isinstance(sim, dict):
-            payload["sim"] = SimulatorConfig(**sim)
-        return cls(**payload)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemSpec":
-        return cls.from_dict(json.loads(text))
-
-    def with_overrides(self, **kwargs: object) -> "SystemSpec":
-        """A copy with top-level fields replaced."""
-        return replace(self, **kwargs)

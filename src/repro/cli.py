@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.api.report import RunReport, format_table
+from repro.artifact import canonical_json
 from repro.exec.backend import FAILURE_KEY, TaskSpec, backend_for_jobs
 from repro.exec.campaign import CampaignReport, CampaignRunner
 from repro.exec.demo import DEMO_SWEEPS, get_demo_sweep
@@ -151,7 +152,7 @@ def _scenario(args: argparse.Namespace) -> int:
         artifact: Dict[str, Any] = results[0] if len(results) == 1 else {
             "reports": results,
             "telemetry": merge_telemetry_dicts(r.get("telemetry") for r in results)}
-        _write(args.out, json.dumps(artifact, sort_keys=True, separators=(",", ":")))
+        _write(args.out, canonical_json(artifact))
     if args.json:
         print("\n".join(report.to_json() for report in reports))
     else:
@@ -221,7 +222,7 @@ def _fuzz_summary(report: FuzzReport) -> str:
         f"fuzz campaign (seed {cfg.seed}): {report.iterations}/"
         f"{cfg.budget_iters} iterations"
         + (" [truncated by --budget-seconds]" if report.truncated else ""),
-        f"  coverage: {len(report.coverage or [])} keys "
+        f"  coverage: {len(report.coverage)} keys "
         f"({len(report.trail)} discovering runs, pool {report.pool_size})",
         f"  findings: {len(report.findings)}",
     ]
@@ -260,7 +261,7 @@ def _fuzz(args: argparse.Namespace) -> int:
         for finding in report.findings:
             artifact = finding.corpus_artifact(report.config.seed)
             _write(args.findings_dir / f"{finding.finding_id}.json",
-                   json.dumps(artifact, indent=2, sort_keys=True))
+                   canonical_json(artifact, indent=2))
     return _finish(args, report, _fuzz_summary(report))
 
 
@@ -277,7 +278,7 @@ def _metrics(args: argparse.Namespace) -> int:
               f"with telemetry=True?)", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(canonical_json(payload))
     else:
         print(render_telemetry(payload, spans=args.spans))
     return 0

@@ -15,7 +15,8 @@ Two backends implement the same contract:
   and process-wide measurements (peak RSS) genuinely belong to one task.
 
 Backend choice never changes results: both backends canonicalize every
-result through a JSON round-trip (sorted keys), so a result dict has the
+result through a JSON round-trip (the artifact codec's
+:func:`~repro.artifact.canonical_json`), so a result dict has the
 same key order and value types whether it crossed a process boundary or
 not.  ``backend.run`` returns results in *task submission order* regardless
 of completion order; the optional progress callback streams completions as
@@ -45,9 +46,11 @@ import subprocess
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence
+
+from repro.artifact import Artifact, canonical_json
 
 #: ``progress(task, result, done, total)`` — invoked once per finished task,
 #: in completion order (== submission order on the inline backend).
@@ -55,7 +58,7 @@ ProgressFn = Callable[["TaskSpec", Dict[str, Any], int, int], None]
 
 
 @dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Artifact):
     """One named unit of work: a task-function reference plus its payload."""
 
     task_id: str
@@ -63,15 +66,12 @@ class TaskSpec:
     payload: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.task_id:
             raise ValueError("task_id must be non-empty")
         if ":" not in self.fn:
             raise ValueError(
                 f"task fn must be 'package.module:function', got {self.fn!r}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"task_id": self.task_id, "fn": self.fn,
-                "payload": dict(self.payload)}
 
 
 #: Key under which a :class:`TaskFailure` dict rides in a result slot when a
@@ -88,7 +88,7 @@ STDERR_TAIL_CHARS = 2000
 
 
 @dataclass(frozen=True)
-class TaskFailure:
+class TaskFailure(Artifact):
     """Structured record of one task that failed.
 
     ``kind`` is one of :data:`FAILURE_KINDS`: ``"crash"`` (nonzero exit or
@@ -105,16 +105,10 @@ class TaskFailure:
     detail: str = ""
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.kind not in FAILURE_KINDS:
             raise ValueError(
                 f"failure kind must be one of {FAILURE_KINDS}, got {self.kind!r}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TaskFailure":
-        return cls(**data)
 
     def as_result(self) -> Dict[str, Any]:
         """This failure in result-slot form (``{FAILURE_KEY: {...}}``)."""
@@ -153,11 +147,11 @@ def resolve_task_fn(ref: str) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
 
 
 def canonicalize(result: Dict[str, Any]) -> Dict[str, Any]:
-    """Normalize a task result exactly as a process boundary would: JSON
-    round-trip with sorted keys.  Tuples become lists, dict keys become
+    """Normalize a task result exactly as a process boundary would: a
+    canonical JSON round-trip.  Tuples become lists, dict keys become
     strings in sorted order — identical no matter which backend ran the
     task."""
-    return json.loads(json.dumps(result, sort_keys=True))
+    return json.loads(canonical_json(result))
 
 
 def worker_env() -> Dict[str, str]:
@@ -245,7 +239,7 @@ class ProcessPoolBackend(ExecBackend):
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "repro.exec.worker"],
-                input=json.dumps(task.to_dict()),
+                input=task.to_json(),
                 capture_output=True, text=True, env=worker_env(),
                 timeout=self.timeout)
         except subprocess.TimeoutExpired as exc:

@@ -5,21 +5,22 @@ an execution backend (inline or process pool — ``--jobs N``), streams
 per-task progress, and merges every task's
 :class:`~repro.api.report.RunReport` into one :class:`CampaignReport`.
 
-The campaign artifact is **byte-reproducible**: same sweep + same master
-seed ⇒ identical ``to_json`` bytes, at any ``--jobs`` value.  Three rules
-make that hold: per-task seeds are derived from coordinates (not schedule),
-every result crosses the backend's canonical JSON boundary (so inline and
-subprocess runs agree on structure), and wall-clock values are scrubbed
-from the merged reports (walls are streamed to the progress callback
-instead — they belong to the console, not the artifact).
+The campaign artifact, written by the artifact codec (:mod:`repro.artifact`),
+is **byte-reproducible**: same sweep + same master seed ⇒ identical
+``to_json`` bytes, at any ``--jobs`` value.  Three rules make that hold:
+per-task seeds are derived from coordinates (not schedule), every result
+crosses the backend's canonical JSON boundary (so inline and subprocess
+runs agree on structure), and wall-clock values are scrubbed from the
+merged reports (walls are streamed to the progress callback instead —
+they belong to the console, not the artifact).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.artifact import Artifact
 from repro.exec.backend import (
     ExecBackend,
     TaskSpec,
@@ -38,12 +39,12 @@ SCENARIO_TASK_FN = "repro.exec.tasks:run_scenario_task"
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(Artifact, derived=("passed",), omit_none=("telemetry",)):
     """Merged result of one campaign: the sweep, and one entry per task
     (axis coordinates + derived seed + the task's full ``RunReport`` dict).
 
-    ``to_json`` is canonical (sorted keys, compact separators) and contains
-    no wall-clock values, so identical campaigns produce identical bytes.
+    It contains no wall-clock values, so identical campaigns produce
+    identical ``to_json`` bytes.
     """
 
     name: str
@@ -73,38 +74,6 @@ class CampaignReport:
         return {entry["task_id"]: ("report" in entry
                                    and bool(entry["report"]["passed"]))
                 for entry in self.tasks}
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> Dict[str, Any]:
-        out = {
-            "schema": self.schema,
-            "name": self.name,
-            "master_seed": self.master_seed,
-            "sweep": self.sweep,
-            "tasks": [dict(entry) for entry in self.tasks],
-            "passed": self.passed,
-        }
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry
-        return out
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        if indent is not None:
-            return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CampaignReport":
-        return cls(name=data["name"], master_seed=data["master_seed"],
-                   sweep=dict(data["sweep"]),
-                   tasks=[dict(entry) for entry in data.get("tasks", [])],
-                   schema=data.get("schema", 1),
-                   telemetry=data.get("telemetry"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignReport":
-        return cls.from_dict(json.loads(text))
 
 
 class CampaignRunner:

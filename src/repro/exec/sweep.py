@@ -1,12 +1,12 @@
 """Declarative parameter sweeps over a base :class:`~repro.api.spec.SystemSpec`.
 
 A :class:`SweepSpec` names a grid — scenario × shards × n_nodes × loss_rate
-× seed replicate — over one base deployment spec, in one frozen,
-JSON-round-trippable value (the same pattern ``SystemSpec`` and
-``ScenarioSpec`` established).  :meth:`SweepSpec.expand` turns the grid into
-an ordered list of :class:`SweepTask` points, each with a **deterministic
-derived seed**: the seed is hashed from the master seed and the task's axis
-coordinates (never its position), so
+× seed replicate — over one base deployment spec, in one frozen value that
+serializes through the artifact codec (:mod:`repro.artifact`), like
+``SystemSpec`` and ``ScenarioSpec``.  :meth:`SweepSpec.expand` turns the
+grid into an ordered list of :class:`SweepTask` points, each with a
+**deterministic derived seed**: the seed is hashed from the master seed and
+the task's axis coordinates (never its position), so
 
 * the same sweep + master seed always derives the same per-task seeds,
 * a task keeps its seed when unrelated axis values are added or removed,
@@ -24,12 +24,12 @@ the base spec (or the named scenario), so a sweep only states what varies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.spec import SystemSpec
+from repro.artifact import Artifact
 from repro.core.config import require_int_fields
 from repro.scenarios.spec import PhaseSpec, ScenarioSpec
 from repro.sim.rng import derive_seed
@@ -40,7 +40,7 @@ DEFAULT_WINDOW_SUBSCRIBERS = 12
 
 
 @dataclass(frozen=True)
-class SweepTask:
+class SweepTask(Artifact, derived=("task_id",)):
     """One expanded grid point.  ``None`` axis values mean "inherited" —
     resolved against the base spec / named scenario by
     :meth:`SweepSpec.scenario_for` and :meth:`SweepSpec.system_for`."""
@@ -65,21 +65,9 @@ class SweepTask:
         parts.append(f"s{self.seed_index}")
         return "/".join(parts)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "task_id": self.task_id,
-            "scenario": self.scenario,
-            "shards": self.shards,
-            "n_nodes": self.n_nodes,
-            "loss_rate": self.loss_rate,
-            "seed_index": self.seed_index,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Artifact):
     """A named parameter grid over a base deployment spec.
 
     Attributes
@@ -119,12 +107,9 @@ class SweepSpec:
     crashes: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.name:
             raise ValueError("a sweep needs a non-empty name")
-        if isinstance(self.base, dict):
-            object.__setattr__(self, "base", SystemSpec.from_dict(self.base))
-        for axis in ("n_nodes", "shards", "scenarios", "loss_rates"):
-            object.__setattr__(self, axis, tuple(getattr(self, axis)))
         if any(n < 2 for n in self.n_nodes):
             raise ValueError("every n_nodes value must be >= 2")
         if any(k < 1 for k in self.shards):
@@ -245,40 +230,3 @@ class SweepSpec:
             topology=scenario.facade, shards=scenario.shards,
             seed=task.seed,
             max_rounds=scenario.max_stabilize_rounds)
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict; :meth:`from_dict` inverts it losslessly."""
-        return {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "n_nodes": list(self.n_nodes),
-            "shards": list(self.shards),
-            "scenarios": list(self.scenarios),
-            "loss_rates": list(self.loss_rates),
-            "seeds": self.seeds,
-            "window_rounds": self.window_rounds,
-            "settle_rounds": self.settle_rounds,
-            "publications": self.publications,
-            "joins": self.joins,
-            "crashes": self.crashes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SweepSpec":
-        payload = dict(data)
-        base = payload.get("base")
-        if isinstance(base, dict):
-            payload["base"] = SystemSpec.from_dict(base)
-        return cls(**payload)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        return cls.from_dict(json.loads(text))
-
-    def with_overrides(self, **kwargs: object) -> "SweepSpec":
-        """A copy with top-level fields replaced."""
-        return replace(self, **kwargs)

@@ -2,25 +2,23 @@
 
 ``python -m repro.exec.worker`` reads a single JSON task object
 (``{"task_id": ..., "fn": "module:function", "payload": {...}}``) from
-stdin, runs it, and prints the result dict as JSON (sorted keys) to stdout.
+stdin, runs it, and prints the result dict as canonical JSON to stdout.
 :class:`~repro.exec.backend.ProcessPoolBackend` drives one worker per task,
 which keeps every task isolated in a fresh interpreter.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 
-from repro.exec.backend import resolve_task_fn
+from repro.artifact import canonical_json
+from repro.exec.backend import TaskSpec, resolve_task_fn
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    task = json.load(sys.stdin)
-    fn = resolve_task_fn(task["fn"])
-    result = fn(dict(task.get("payload") or {}))
-    json.dump(result, sys.stdout, sort_keys=True)
-    print()
+    task = TaskSpec.from_json(sys.stdin.read())
+    fn = resolve_task_fn(task.fn)
+    print(canonical_json(fn(dict(task.payload))))
     return 0
 
 

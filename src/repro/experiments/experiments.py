@@ -28,6 +28,7 @@ from repro.analysis.graph_metrics import (
 from repro.api.builder import build_stable, build_system
 from repro.api.report import RunReport
 from repro.api.spec import SystemSpec
+from repro.artifact import canonical_json
 from repro.baselines.broker import BrokerLoadModel, BrokerPubSub
 from repro.baselines.chord import ChordTopology
 from repro.baselines.skipgraph import SkipGraphTopology
@@ -526,8 +527,6 @@ def e12_adversarial_scenarios(seed: int = 5) -> RunReport:
     the whole scenario library usable as a regression oracle — now with
     publication→delivery latency percentiles riding along.
     """
-    import json as _json
-
     from repro.api.builder import build_system
     from repro.scenarios import (PartitionSpec, PhaseSpec, ScenarioRunner,
                                  ScenarioSpec, get_scenario)
@@ -560,8 +559,7 @@ def e12_adversarial_scenarios(seed: int = 5) -> RunReport:
                                 .with_overrides(telemetry=True))
     telem = ScenarioRunner(lossy, seed=seed, system=telem_system).run_report()
     result.claim("telemetry-enabled rerun ⇒ byte-identical scenario JSON",
-                 plain.to_json() == _json.dumps(telem.scenario, sort_keys=True,
-                                                separators=(",", ":")))
+                 plain.to_json() == canonical_json(telem.scenario))
     latency = ((telem.telemetry or {}).get("delivery_latency") or {})
     pcts = latency.get("summary") or {}
     ordered = [pcts.get("p50"), pcts.get("p90"), pcts.get("p99"),

@@ -18,19 +18,20 @@ Byte-reproducibility: generation draws from one ``derive_rng`` stream whose
 consumption depends only on the seed and the (deterministic) results of
 previous batches; batches are a fixed size regardless of ``--jobs``;
 results are merged in submission order; nothing wall-clock ever enters the
-report.  Same seed + same iteration budget ⇒ identical findings, identical
-coverage trail, identical artifact bytes at any job count.  (A wall-clock
+report, which the artifact codec (:mod:`repro.artifact`) writes.  Same
+seed + same iteration budget ⇒ identical findings, identical coverage
+trail, identical artifact bytes at any job count.  (A wall-clock
 budget — ``budget_seconds`` — necessarily trades this away; it exists for
 CI smoke jobs and is recorded as ``truncated`` in the report.)
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.artifact import Artifact
 from repro.exec.backend import (
     ExecBackend,
     TaskSpec,
@@ -60,9 +61,9 @@ POOL_CAP = 64
 
 
 @dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(Artifact):
     """Everything that determines a campaign's results (and nothing that
-    doesn't): JSON round-trippable, embedded verbatim in the report."""
+    doesn't), embedded verbatim in the report."""
 
     seed: int = 0
     budget_iters: int = 64
@@ -73,6 +74,7 @@ class FuzzConfig:
     oracle: OracleSpec = field(default_factory=OracleSpec)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.budget_iters < 1:
             raise ValueError("budget_iters must be >= 1")
         if self.batch_size < 1:
@@ -80,28 +82,9 @@ class FuzzConfig:
         if self.max_findings < 1:
             raise ValueError("max_findings must be >= 1")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "budget_iters": self.budget_iters,
-            "batch_size": self.batch_size,
-            "max_findings": self.max_findings,
-            "shrink_budget": self.shrink_budget,
-            "limits": self.limits.to_dict(),
-            "oracle": self.oracle.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FuzzConfig":
-        payload = dict(data)
-        payload["limits"] = GeneratorLimits.from_dict(
-            payload.get("limits") or {})
-        payload["oracle"] = OracleSpec.from_dict(payload.get("oracle"))
-        return cls(**payload)
-
 
 @dataclass
-class FuzzFinding:
+class FuzzFinding(Artifact):
     """One deduplicated failure: the spec that first hit it, every later
     occurrence counted, and the shrunk minimal reproduction."""
 
@@ -118,23 +101,6 @@ class FuzzFinding:
     shrink_evals: int = 0
     shrink_steps: int = 0
     shrink_budget_exhausted: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "finding_id": self.finding_id,
-            "signature": list(self.signature),
-            "kind": self.kind,
-            "iteration": self.iteration,
-            "spec": dict(self.spec),
-            "seed": self.seed,
-            "reasons": list(self.reasons),
-            "worker_failure": self.worker_failure,
-            "occurrences": self.occurrences,
-            "shrunk_spec": self.shrunk_spec,
-            "shrink_evals": self.shrink_evals,
-            "shrink_steps": self.shrink_steps,
-            "shrink_budget_exhausted": self.shrink_budget_exhausted,
-        }
 
     def corpus_artifact(self, fuzz_seed: int) -> Dict[str, Any]:
         """The standalone JSON artifact a triager commits into
@@ -158,13 +124,13 @@ class FuzzFinding:
 
 
 @dataclass
-class FuzzReport:
+class FuzzReport(Artifact, derived=("passed",)):
     """The campaign artifact: canonical JSON, wall-clock free."""
 
     config: FuzzConfig
     iterations: int = 0
     truncated: bool = False
-    coverage: Optional[CoverageMap] = None
+    coverage: CoverageMap = field(default_factory=CoverageMap)
     trail: List[Dict[str, Any]] = field(default_factory=list)
     findings: List[FuzzFinding] = field(default_factory=list)
     pool_size: int = 0
@@ -173,26 +139,6 @@ class FuzzReport:
     @property
     def passed(self) -> bool:
         return not self.findings
-
-    def to_dict(self) -> Dict[str, Any]:
-        coverage = self.coverage if self.coverage is not None else CoverageMap()
-        return {
-            "schema": self.schema,
-            "config": self.config.to_dict(),
-            "iterations": self.iterations,
-            "truncated": self.truncated,
-            "coverage": coverage.to_dict(),
-            "trail": [dict(entry) for entry in self.trail],
-            "findings": [f.to_dict() for f in self.findings],
-            "pool_size": self.pool_size,
-            "passed": self.passed,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        if indent is not None:
-            return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
 
 
 class FuzzCampaign:

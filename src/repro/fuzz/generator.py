@@ -30,9 +30,10 @@ steers through:
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
+from repro.artifact import Artifact
 from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
 
 #: The disruption kinds a generated phase samples from (``crash_supervisor``
@@ -54,14 +55,14 @@ CRASH_SUPERVISOR_PROBABILITY = 0.25
 
 
 @dataclass(frozen=True)
-class GeneratorLimits:
+class GeneratorLimits(Artifact):
     """Bounds of the generated fault space that set how long a spec runs.
 
     The defaults size specs to run in roughly a second each, so a fuzz
     campaign gets through a meaningful number of iterations per minute;
     tests shrink them further, large hunts can raise them.  All bounds are
-    inclusive and JSON round-trippable.  The bounds no profile varies are
-    the module constants above.
+    inclusive and serialize through the artifact codec.  The bounds no
+    profile varies are the module constants above.
     """
 
     max_phases: int = 3
@@ -74,6 +75,7 @@ class GeneratorLimits:
     max_publications: int = 6
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.max_phases < 1:
             raise ValueError("max_phases must be >= 1")
         if self.min_subscribers < 2:
@@ -84,13 +86,6 @@ class GeneratorLimits:
             raise ValueError("need 0 < min_rounds <= max_rounds")
         if self.settle_rounds < 0:
             raise ValueError("settle_rounds must be non-negative")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "GeneratorLimits":
-        return cls(**data)
 
 
 #: The sized-down fault space ``fuzz --quick`` draws from: specs run in a

@@ -14,10 +14,11 @@ artifacts) from the ``signature`` (sorted category tuple, phase-agnostic).
 The shrinker matches candidates on the signature, so deleting unrelated
 phases never disguises the failure being minimized.
 
-``OracleSpec`` is a frozen, JSON-round-trippable config so it can ride in a
-task payload to worker processes — and so a test can *deliberately weaken*
-a budget (e.g. ``max_relegitimize_rounds=0.1``) to prove the fuzzer finds
-and shrinks a seeded bug.
+``OracleSpec`` is a frozen config serialized by the artifact codec
+(:mod:`repro.artifact`), so it can ride in a task payload to worker
+processes — and so a test can *deliberately weaken* a budget (e.g.
+``max_relegitimize_rounds=0.1``) to prove the fuzzer finds and shrinks a
+seeded bug.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.artifact import Artifact
+
 
 @dataclass(frozen=True)
-class OracleSpec:
+class OracleSpec(Artifact):
     """Failure thresholds applied to a finished scenario report.
 
     ``max_relegitimize_rounds`` / ``max_stabilize_rounds`` of ``None``
@@ -38,37 +41,25 @@ class OracleSpec:
     max_stabilize_rounds: Optional[float] = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         for attr in ("max_relegitimize_rounds", "max_stabilize_rounds"):
             value = getattr(self, attr)
             if value is not None and value < 0:
                 raise ValueError(f"{attr} must be non-negative (or None)")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"max_relegitimize_rounds": self.max_relegitimize_rounds,
-                "max_stabilize_rounds": self.max_stabilize_rounds}
-
-    @classmethod
-    def from_dict(cls, data: Optional[Dict[str, Any]]) -> "OracleSpec":
-        return cls(**dict(data or {}))
-
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Artifact):
     """One run's oracle outcome: detailed reasons + matching signature."""
 
     failed: bool
     reasons: Tuple[str, ...] = ()
     signature: Tuple[str, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"failed": self.failed, "reasons": list(self.reasons),
-                "signature": list(self.signature)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Verdict":
-        return cls(failed=bool(data["failed"]),
-                   reasons=tuple(data.get("reasons") or ()),
-                   signature=tuple(data.get("signature") or ()))
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not isinstance(self.failed, bool):
+            raise ValueError(f"Verdict.failed must be a bool, got {self.failed!r}")
 
 
 def evaluate(oracle: OracleSpec, scenario: Dict[str, Any]) -> Verdict:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.artifact import Artifact
 from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
 
 #: ``still_fails(candidate)`` — run the candidate and report whether it
@@ -54,18 +55,13 @@ NEUTRAL_FIELDS: Tuple[Tuple[str, object], ...] = (
 
 
 @dataclass
-class ShrinkOutcome:
+class ShrinkOutcome(Artifact):
     """What the shrinker produced and what it cost."""
 
     spec: ScenarioSpec
     evals: int = 0
     accepted_steps: int = 0
     budget_exhausted: bool = False
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"spec": self.spec.to_dict(), "evals": self.evals,
-                "accepted_steps": self.accepted_steps,
-                "budget_exhausted": self.budget_exhausted}
 
 
 class Shrinker:

@@ -37,7 +37,7 @@ def run_fuzz_case(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     spec = ScenarioSpec.from_dict(payload["spec"])
     seed = int(payload.get("seed", 0))
-    oracle = OracleSpec.from_dict(payload.get("oracle"))
+    oracle = OracleSpec.from_dict(payload.get("oracle") or {})
 
     hooks = HookRegistry()
     collector = CoverageCollector().install(hooks)

@@ -13,9 +13,10 @@ The runner owns the whole lifecycle of one scenario run:
    surviving members** (Theorem 17 under adversity), and a generous
    **supervisor load bound** (Theorems 5/7 should keep the control plane's
    request volume linear in rounds + membership operations, never quadratic);
-4. assemble everything into a :class:`ScenarioReport` whose JSON is
-   **byte-identical** for identical seeds — on repeat runs and with
-   telemetry on or off (asserted by E12 and the tests).
+4. assemble everything into a :class:`ScenarioReport` whose JSON (written
+   by the artifact codec, :mod:`repro.artifact`) is **byte-identical** for
+   identical seeds — on repeat runs and with telemetry on or off (asserted
+   by E12 and the tests).
 
 Determinism rules observed throughout: every coin flip comes from an RNG
 derived from ``(seed, scenario, phase)``; draws happen either at scheduling
@@ -25,13 +26,13 @@ order); no wall-clock value ever enters the report.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.api.builder import build_system
 from repro.api.report import RunReport
+from repro.artifact import Artifact
 from repro.core.facade import SupervisedPubSub
 from repro.core.hooks import HookRegistry
 from repro.scenarios.adversary import LinkAdversary
@@ -45,7 +46,7 @@ def _round(value: float, digits: int = 3) -> float:
 
 
 @dataclass
-class PhaseReport:
+class PhaseReport(Artifact, derived=("passed",)):
     """Measurements and invariant verdicts for one phase."""
 
     name: str
@@ -72,46 +73,13 @@ class PhaseReport:
     def passed(self) -> bool:
         return all(self.invariants.values())
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "disruptions": list(self.disruptions),
-            "elapsed_rounds": self.elapsed_rounds,
-            "relegitimized": self.relegitimized,
-            "relegitimize_rounds": self.relegitimize_rounds,
-            "delivery_checked": self.delivery_checked,
-            "delivered": self.delivered,
-            "publications_issued": self.publications_issued,
-            "publications_surviving": self.publications_surviving,
-            "live_members": self.live_members,
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "duplicated": self.duplicated,
-            "drops": dict(sorted(self.drops.items())),
-            "supervisor_hotspot_requests": self.supervisor_hotspot_requests,
-            "supervisor_request_bound": self.supervisor_request_bound,
-            "invariants": dict(sorted(self.invariants.items())),
-            "passed": self.passed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PhaseReport":
-        """Rebuild from :meth:`to_dict` output (``passed`` is derived and
-        recomputed)."""
-        payload = {key: value for key, value in data.items() if key != "passed"}
-        payload["disruptions"] = list(payload.get("disruptions") or [])
-        payload["drops"] = dict(payload.get("drops") or {})
-        payload["invariants"] = dict(payload.get("invariants") or {})
-        return cls(**payload)
-
 
 @dataclass
-class ScenarioReport:
+class ScenarioReport(Artifact, derived=("passed",)):
     """The full result of one scenario run.
 
-    ``to_json`` is the canonical serialization: sorted keys, compact
-    separators, floats rounded at measurement time — identical seeds produce
-    identical bytes regardless of wall clock.
+    Floats are rounded at measurement time, so identical seeds produce
+    identical ``to_json`` bytes regardless of wall clock.
     """
 
     scenario: str
@@ -135,36 +103,6 @@ class ScenarioReport:
             for name, holds in sorted(phase.invariants.items()):
                 out[f"{phase.name}: {name}"] = holds
         return out
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "facade": self.facade,
-            "shards": self.shards,
-            "subscribers_initial": self.subscribers_initial,
-            "topics": list(self.topics),
-            "stabilized": self.stabilized,
-            "stabilize_rounds": self.stabilize_rounds,
-            "phases": [p.to_dict() for p in self.phases],
-            "passed": self.passed,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        if indent is not None:
-            return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioReport":
-        """Rebuild from :meth:`to_dict` output — the inverse the scenario CLI
-        uses when reports arrive from :mod:`repro.exec` worker processes.
-        ``to_dict(from_dict(d)) == d`` for any dict ``to_dict`` produced."""
-        payload = {key: value for key, value in data.items() if key != "passed"}
-        payload["topics"] = list(payload.get("topics") or [])
-        payload["phases"] = [PhaseReport.from_dict(p)
-                             for p in payload.get("phases") or []]
-        return cls(**payload)
 
 
 class ScenarioRunner:

@@ -8,8 +8,8 @@ storms, link loss/duplication, delay spikes, a partition, a supervisor crash)
 and is followed by a *settle window* in which the runner measures
 time-to-relegitimacy and publication delivery.
 
-Specs are frozen dataclasses with a lossless ``to_dict``/``from_dict`` (and
-``to_json``/``from_json``) round-trip, so scenarios can live in code
+Specs are frozen dataclasses that serialize through the artifact codec
+(:mod:`repro.artifact`), so scenarios can live in code
 (:mod:`repro.scenarios.library`), in JSON files, or in CI configuration.
 """
 
@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
+from repro.artifact import Artifact
 from repro.core.config import DEFAULT_MAX_ROUNDS, require_int_fields
 
 #: Facade selector values accepted by :attr:`ScenarioSpec.facade` — the same
@@ -28,7 +29,7 @@ FACADES = ("single", "sharded")
 
 
 @dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(Artifact):
     """One partition/heal window opened at the start of a phase.
 
     ``fraction`` of the current members (sorted, sampled with the scenario
@@ -42,6 +43,7 @@ class PartitionSpec:
     heal_after_rounds: float = 10.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("partition fraction must lie strictly in (0, 1)")
         if not 0 <= self.heal_after_rounds < math.inf:
@@ -49,7 +51,7 @@ class PartitionSpec:
 
 
 @dataclass(frozen=True)
-class PhaseSpec:
+class PhaseSpec(Artifact):
     """One disruption window plus the invariants expected after it.
 
     Attributes
@@ -99,6 +101,7 @@ class PhaseSpec:
     expect_delivery: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0 < self.rounds < math.inf:
             raise ValueError("phase rounds must be positive and finite")
         if not 0 <= self.settle_rounds < math.inf:
@@ -145,7 +148,7 @@ class PhaseSpec:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Artifact):
     """A named, reproducible adversarial scenario.
 
     ``facade`` names the topology under test: ``"single"`` is the paper's
@@ -166,6 +169,7 @@ class ScenarioSpec:
     max_stabilize_rounds: int = DEFAULT_MAX_ROUNDS
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.facade not in FACADES:
             raise ValueError(f"facade must be one of {FACADES}, got {self.facade!r}")
         require_int_fields(self, "shards", "subscribers", "max_stabilize_rounds")
@@ -181,9 +185,6 @@ class ScenarioSpec:
             raise ValueError("a scenario needs at least one phase")
         if any(p.crash_supervisor for p in self.phases) and self.facade != "sharded":
             raise ValueError("crash_supervisor phases require the sharded facade")
-        # Normalize sequences so equality/round-trip work when lists are passed.
-        object.__setattr__(self, "topics", tuple(self.topics))
-        object.__setattr__(self, "phases", tuple(self.phases))
 
     # ------------------------------------------------------------------ system
     def system_spec(self, seed: int = 0):
@@ -194,39 +195,6 @@ class ScenarioSpec:
         from repro.api.spec import SystemSpec
         return SystemSpec(topology=self.facade, shards=self.shards, seed=seed,
                           max_rounds=self.max_stabilize_rounds)
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict; ``from_dict`` inverts it losslessly."""
-        out = asdict(self)
-        out["topics"] = list(self.topics)
-        out["phases"] = [asdict(p) for p in self.phases]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        payload = dict(data)
-        phases = []
-        for raw in payload.pop("phases", []):
-            raw = dict(raw)
-            partition = raw.pop("partition", None)
-            if partition is not None:
-                partition = PartitionSpec(**partition)
-            phases.append(PhaseSpec(partition=partition, **raw))
-        payload["phases"] = tuple(phases)
-        payload["topics"] = tuple(payload.get("topics", ("default",)))
-        return cls(**payload)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
-
-    def with_overrides(self, **kwargs) -> "ScenarioSpec":
-        """A copy with top-level fields replaced (sizing knob for tests/CI)."""
-        return replace(self, **kwargs)
 
 
 def load_spec_file(path: str, default_seed: int = 0) -> Tuple[ScenarioSpec, int]:

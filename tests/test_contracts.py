@@ -12,8 +12,12 @@ hold the disciplines those bytes rest on:
 * no output order comes from a set or dict of strings — the same payloads
   are byte-identical under three ``PYTHONHASHSEED`` values;
 * every ``repro.sim`` class is slotted through its whole MRO;
-* every spec and config field survives the JSON round trip and rejects a
-  value of the wrong type;
+* every spec, config and report class serializes through the one artifact
+  codec (``repro.artifact``): an instance of each re-encodes to the same
+  bytes, a decoder names an unknown key instead of dropping it, a nested
+  dict is rebuilt from the field's type, and no other module writes JSON
+  or hand-writes the codec's methods;
+* every spec and config field rejects a value of the wrong type;
 * an option retired into a constant is refused by name, not ignored;
 * the engine's hot loops build no container per event;
 * the message vocabulary of ``core/messages.py`` is exactly what the
@@ -27,6 +31,7 @@ hash-seed test do exactly that).
 import ast
 import dataclasses
 import importlib
+import json
 import os
 import pkgutil
 import random
@@ -45,10 +50,16 @@ from repro.core import messages as msg
 from repro.core.config import ProtocolParams
 from repro.core.subscriber import Subscriber
 from repro.core.supervisor import Supervisor
-from repro.fuzz.campaign import FuzzCampaign, FuzzConfig
+from repro.exec.backend import TaskFailure, TaskSpec
+from repro.exec.campaign import CampaignReport
+from repro.exec.sweep import SweepSpec
+from repro.fuzz.campaign import FuzzCampaign, FuzzConfig, FuzzFinding, FuzzReport
+from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.generator import GeneratorLimits
-from repro.scenarios.runner import ScenarioRunner
-from repro.scenarios.spec import PhaseSpec, ScenarioSpec
+from repro.fuzz.oracle import OracleSpec, Verdict
+from repro.fuzz.shrink import ShrinkOutcome
+from repro.scenarios.runner import PhaseReport, ScenarioReport, ScenarioRunner
+from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec
 from repro.sim import engine
 from repro.sim.engine import SimulatorConfig
 
@@ -150,10 +161,7 @@ def test_spec_tables_cover_every_field(cls, table):
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_VALUES))
-def test_every_system_spec_field_round_trips_and_checks_its_type(name):
-    spec = SystemSpec(**{"topology": "sharded", name: SPEC_VALUES[name]})
-    assert SystemSpec.from_json(spec.to_json()) == spec
-    assert getattr(SystemSpec.from_dict(spec.to_dict()), name) == SPEC_VALUES[name]
+def test_every_system_spec_field_checks_its_type(name):
     with pytest.raises((TypeError, ValueError)):
         SystemSpec(**{name: SPEC_WRONG[name]})
 
@@ -164,6 +172,127 @@ def test_every_simulator_config_field_round_trips_and_checks_its_type(name):
     assert getattr(SystemSpec.from_json(spec.to_json()).sim_config(), name) == SIM_VALUES[name]
     with pytest.raises((TypeError, ValueError)):
         SimulatorConfig(**{name: SIM_WRONG[name]})
+
+
+SYSTEM = SystemSpec(**SPEC_VALUES)  # every field away from its default
+PARTITION = PartitionSpec(name="split", fraction=0.3, heal_after_rounds=4.0)
+PHASE = PhaseSpec(name="storm", rounds=6.0, joins=1, loss_rate=0.1, partition=PARTITION)
+SCENARIO = ScenarioSpec(name="s", description="d", facade="sharded", shards=2, subscribers=8,
+                        topics=("a", "b"), phases=(PHASE,))
+SWEEP = SweepSpec(name="w", base=SYSTEM, n_nodes=(4,), shards=(1, 2), scenarios=(None,),
+                  loss_rates=(0.1,), seeds=2)
+LIMITS = GeneratorLimits(max_phases=1, min_subscribers=6)
+ORACLE = OracleSpec(max_relegitimize_rounds=5.0)
+FUZZ = FuzzConfig(seed=3, budget_iters=2, limits=LIMITS, oracle=ORACLE)
+PHASE_REPORT = PhaseReport(name="storm", disruptions=["joins=1"], relegitimized=True,
+                           drops={"loss": 2}, invariants={"relegitimized": True})
+SCENARIO_REPORT = ScenarioReport(scenario="s", seed=5, facade="sharded", shards=2,
+                                 subscribers_initial=8, topics=["a"], stabilized=True,
+                                 phases=[PHASE_REPORT])
+RUN_REPORT = RunReport(name="E1", title="t", headers=["a", "b"], rows=[(1, "x")],
+                       claims={"holds": True}, metadata={"pair": (1, 2)},
+                       scenario=SCENARIO_REPORT.to_dict(), telemetry={"runs": 1})
+FINDING = FuzzFinding(finding_id="f", signature=("invariant:x",), kind="oracle", iteration=1,
+                      spec=SCENARIO.to_dict(), seed=9, reasons=("invariant:x@storm",))
+
+#: One instance of every class that decodes, then the encode-only ones.
+ARTIFACTS = [SYSTEM, SCENARIO, PHASE, PARTITION, SWEEP, FUZZ, LIMITS, ORACLE,
+             Verdict(failed=True, reasons=("r",), signature=("s",)),
+             TaskSpec(task_id="t", fn="repro.exec.tasks:echo", payload={"a": [1]}),
+             TaskFailure(task_id="t", fn="m:f", kind="timeout", timeout_seconds=1.5),
+             RUN_REPORT, SCENARIO_REPORT, PHASE_REPORT,
+             CampaignReport(name="w", master_seed=7, sweep=SWEEP.to_dict(), telemetry={"runs": 1},
+                            tasks=[{**SWEEP.expand()[0].to_dict(),
+                                    "report": RUN_REPORT.to_dict()}])]
+ENCODE_ONLY = [SWEEP.expand()[1], FINDING, ShrinkOutcome(spec=SCENARIO, evals=3),
+               FuzzReport(config=FUZZ, iterations=2, coverage=CoverageMap(["k"]),
+                          trail=[{"iteration": 0, "new_keys": ["k"]}], findings=[FINDING])]
+
+
+def _name(artifact):
+    return type(artifact).__name__
+
+
+def test_every_artifact_class_has_an_instance_here():
+    from repro.artifact import Artifact
+    assert {type(a) for a in ARTIFACTS + ENCODE_ONLY} == set(Artifact.__subclasses__())
+
+
+@pytest.mark.parametrize("artifact, decodes", [
+    pytest.param(a, a in ARTIFACTS, id=_name(a)) for a in ARTIFACTS + ENCODE_ONLY])
+def test_every_artifact_round_trips_to_the_same_bytes(artifact, decodes):
+    text = artifact.to_json()
+    assert json.loads(text) == artifact.to_dict()
+    if decodes:
+        again = type(artifact).from_json(text)
+        assert again.to_json() == text and again.to_json(indent=2) == artifact.to_json(indent=2)
+        if type(artifact).__dataclass_params__.frozen:
+            assert again == artifact
+
+
+@pytest.mark.parametrize("artifact", ARTIFACTS, ids=_name)
+def test_an_unknown_key_is_rejected_by_name(artifact):
+    with pytest.raises(TypeError, match="titel"):
+        type(artifact).from_dict({**artifact.to_dict(), "titel": "x"})
+
+
+def test_a_partition_given_as_a_dict_is_rebuilt():
+    phase = PhaseSpec(name="p", partition={"fraction": 0.3})
+    assert phase.partition == PartitionSpec(fraction=0.3)
+    assert "partition(0.3, heal@10r)" in phase.disruptions
+
+
+def test_phases_given_as_dicts_are_rebuilt():
+    spec = ScenarioSpec(name="s", description="", phases=[{"name": "p", "joins": 1}])
+    assert spec.phases == (PhaseSpec(name="p", joins=1),)
+
+
+@pytest.mark.parametrize("field, build", [pytest.param(field, build, id=field) for field, build in (
+    ("PhaseSpec.partition", lambda: PhaseSpec(name="p", partition="cut")),
+    ("ScenarioSpec.phases", lambda: ScenarioSpec(name="s", description="", phases=("p",))),
+    ("SweepSpec.base", lambda: SweepSpec(name="w", base=3)),
+    ("FuzzConfig.oracle", lambda: FuzzConfig(oracle=[5.0])),
+    ("FuzzReport.coverage", lambda: FuzzReport.from_json(ENCODE_ONLY[-1].to_json())))])
+def test_a_nested_value_of_another_type_is_rejected_by_name(field, build):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_a_verdict_reads_failed_only_as_a_bool():
+    with pytest.raises(ValueError, match="failed"):
+        Verdict.from_dict({"failed": "no"})
+
+
+#: The codec's methods; a dataclass hand-writes none of them, and no class
+#: outside the codec writes the last three.
+CODEC_METHODS = ("to_dict", "from_dict", "to_json", "from_json", "with_overrides")
+
+
+def test_one_module_writes_json_and_no_class_hand_writes_the_codec():
+    writers, hand_written = set(), []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = path.relative_to(SRC).as_posix()
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "json"}
+        functions = {alias.asname or alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "json"
+                     for alias in node.names if alias.name in ("dump", "dumps")}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and (
+                    isinstance(func, ast.Name) and func.id in functions
+                    or isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                    and isinstance(func.value, ast.Name) and func.value.id in aliases):
+                writers.add(module)
+            if isinstance(node, ast.ClassDef) and module != "repro/artifact.py":
+                dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                forbidden = CODEC_METHODS if dataclass else CODEC_METHODS[2:]
+                hand_written += [f"{module}:{node.name}.{item.name}" for item in node.body
+                                 if isinstance(item, ast.FunctionDef) and item.name in forbidden]
+    assert writers == {"repro/artifact.py"}, "json.dump(s) outside the artifact codec"
+    assert hand_written == [], "codec methods written by hand"
 
 
 def _params(payload):

@@ -55,7 +55,7 @@ class TestBackends:
 
     def test_canonicalize_matches_process_boundary(self):
         # Tuples -> lists, int keys -> str keys, sorted key order: exactly
-        # what json.dump in the worker + json.loads in the parent produce.
+        # what the worker's canonical JSON + json.loads in the parent produce.
         value = {"b": (1, 2), "a": {3: "x"}}
         assert canonicalize(value) == {"a": {"3": "x"}, "b": [1, 2]}
 
