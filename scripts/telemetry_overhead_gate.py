@@ -2,13 +2,17 @@
 """Gate: turning latency telemetry on must stay cheap.
 
 With the network's latency histogram on (what ``build_system`` turns on for
-a ``SystemSpec(telemetry=True)``), the engine's drain loop records one
-histogram sample per delivered message.  This script measures what that
+a ``SystemSpec(telemetry=True)``), the engine's drain loop bumps one
+histogram slot per delivered message.  This script measures what that
 costs on an engine storm (2 000 nodes x 200 rounds, one message per node per
 timeout — all engine, no protocol: the event mix of ``bench/``'s
-``engine_storm``): it alternates telemetry-off and telemetry-on runs in this
-process, takes the min wall of each, and fails if ``on / off`` exceeds the
-threshold.
+``engine_storm``): it runs telemetry-off and telemetry-on back to back,
+``--repeats`` times, in this process, and fails if the median of the
+``on / off`` ratios of those adjacent pairs exceeds the threshold.  A pair's
+two runs are seconds apart, so a slow spell of the host slows both; the
+minimum of each side pairs runs from different spells (on a shared 2-core
+VM it read 1.15–1.39 over three gate runs whose pair ratios all lay in
+1.13–1.17), so it is printed beside the gated median, not gated.
 
 Usage::
 
@@ -23,6 +27,7 @@ ratio needs no baseline file and no assumption about the hardware.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -35,7 +40,7 @@ from repro.sim.node import ProtocolNode  # noqa: E402
 
 NODES = 2_000
 ROUNDS = 200
-DEFAULT_THRESHOLD = 1.25
+DEFAULT_THRESHOLD = 1.20
 DEFAULT_REPEATS = 5
 
 
@@ -74,10 +79,10 @@ def main(argv=None) -> int:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                        help="runs per side; the min wall of each gates "
+                        help="off/on pairs; the median pair ratio gates "
                              f"(default {DEFAULT_REPEATS})")
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                        help="largest allowed on/off wall ratio "
+                        help="largest allowed median on/off wall ratio "
                              f"(default {DEFAULT_THRESHOLD:g})")
     args = parser.parse_args(argv)
 
@@ -85,16 +90,18 @@ def main(argv=None) -> int:
     for _ in range(max(args.repeats, 1)):
         off.append(storm_wall(False))
         on.append(storm_wall(True))
-    ratio = min(on) / min(off)
+    pairs = [b / a for a, b in zip(off, on)]
+    ratio = statistics.median(pairs)
     print(f"telemetry on-cost gate, {NODES} nodes x {ROUNDS} rounds "
-          f"(statistic: min of {len(off)})")
-    print("  off: " + " ".join(f"{wall:.3f}" for wall in off))
-    print("  on:  " + " ".join(f"{wall:.3f}" for wall in on))
-    print(f"  min off: {min(off):.4f}s   min on: {min(on):.4f}s   "
-          f"ratio: {ratio:.3f}")
+          f"(statistic: median of {len(pairs)} adjacent off/on pair ratios)")
+    print("  off:   " + " ".join(f"{wall:.3f}" for wall in off))
+    print("  on:    " + " ".join(f"{wall:.3f}" for wall in on))
+    print("  pairs: " + " ".join(f"{pair:.3f}" for pair in pairs))
+    print(f"  median pair ratio: {ratio:.3f}   "
+          f"(min on / min off: {min(on) / min(off):.3f})")
     if ratio > args.threshold:
-        print(f"FAIL: telemetry-on wall is {ratio:.3f}x telemetry-off "
-              f"(> {args.threshold:g} allowed)", file=sys.stderr)
+        print(f"FAIL: telemetry-on wall is {ratio:.3f}x telemetry-off in the "
+              f"median pair (> {args.threshold:g} allowed)", file=sys.stderr)
         return 1
     print(f"OK: on/off <= {args.threshold:g}")
     return 0

@@ -59,7 +59,7 @@ class SystemSpec(Artifact):
         :class:`~repro.telemetry.recorder.TelemetryRecorder` to the facade
         (``system.telemetry``), whose spans/histograms land in
         ``RunReport.telemetry``.  Off by default — all report bytes are
-        untouched; on, the engine's drain loop records one histogram sample
+        untouched; on, the engine's drain loop bumps one histogram slot
         per delivery.
     params:
         Protocol parameters (``None`` means paper defaults).

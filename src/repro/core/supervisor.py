@@ -237,7 +237,10 @@ class Supervisor(ProtocolNode):
     # ------------------------------------------------------------------ state
     def database(self, topic: Optional[str] = None) -> TopicDatabase:
         topic = topic or self.params.default_topic
-        return self.databases.setdefault(topic, TopicDatabase())
+        database = self.databases.get(topic)
+        if database is None:  # built once, on the first ask for the topic
+            database = self.databases[topic] = TopicDatabase()
+        return database
 
     def topics(self) -> List[str]:
         return sorted(self.databases)

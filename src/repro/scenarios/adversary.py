@@ -21,17 +21,20 @@ initial state.  :class:`LinkAdversary` makes those conditions injectable:
 
 Determinism: all coin flips come from one ``random.Random`` handed in by the
 caller (use :meth:`repro.sim.engine.Simulator.adversary_rng` to derive it
-from the master seed).  The engine's send path consults ``on_submit`` once
-per send to a live address and its drain consults ``on_deliver`` once per
-delivery, both in event order, so identical seeds give identical event
-orders with the adversary active.  The hooks take ``(sender, dest, now)``: a link
-policy reads nothing else of a message, so none is built to ask it.
+from the master seed).  The hooks take ``(sender, dest, now)``: a link
+policy reads nothing else of a message, so none is built to ask it.  They
+run in event order, so identical seeds give identical runs, and ``now``
+never moves backward: a healed partition or an ended spike removes itself
+the first time a hook sees it, as no later call could find it acting.
 
-Every run of the scenario/fuzz harness sends through these hooks, quiet
-phases included, so they allocate nothing: an untouched message is ``None``
-from both, a loss, a severed link and a plain duplicate are three constant
-verdicts, and a :class:`LinkVerdict` is built only under an active delay
-spike.
+The engine asks only where the adversary can act — ``on_submit`` unless
+:attr:`LinkAdversary.idle` (no partition, no spike, both rates 0),
+``on_deliver`` while a partition is held — so the quiet phases and settle
+windows of the scenario/fuzz harness, which installs one on every run, cost
+no hook frame.  A hook that runs allocates nothing: an untouched message is
+``None`` from both, a loss, a severed link and a plain duplicate are three
+constant verdicts, and a :class:`LinkVerdict` is built only under an active
+delay spike.
 """
 
 from __future__ import annotations
@@ -135,9 +138,9 @@ class LinkAdversary:
 
     The object is installed via
     :meth:`repro.sim.engine.Simulator.install_adversary` and consulted by the
-    network on every send and delivery.  All conditions can be reconfigured
-    mid-run (the scenario runner flips them per phase); :meth:`quiesce`
-    discards delay spikes and, given the current time, healed partitions.
+    network on sends and deliveries it can affect.  Every condition is set
+    through the methods below, which keep :attr:`idle` current, mid-run too
+    (the scenario runner flips them per phase).
     """
 
     def __init__(self, rng: random.Random, loss_rate: float = 0.0,
@@ -145,9 +148,27 @@ class LinkAdversary:
         self.rng = rng
         self.loss_rate = 0.0
         self.duplicate_rate = 0.0
-        self.set_rates(loss_rate, duplicate_rate)
         self.spikes: List[DelaySpike] = []
         self.partitions: Dict[str, Partition] = {}
+        self.set_rates(loss_rate, duplicate_rate)  # sets idle and _expires
+
+    def _refresh(self) -> None:
+        """Set :attr:`idle` — no partition, no spike, both rates 0: the
+        adversary cannot act — and ``_expires``, the earliest heal or spike
+        end held, at or after which a hook sweeps (:meth:`_expire`)."""
+        self.idle = not (self.partitions or self.spikes
+                         or self.loss_rate or self.duplicate_rate)
+        self._expires = min([p.heal_time for p in self.partitions.values()
+                             if p.heal_time is not None]
+                            + [spike.end for spike in self.spikes], default=math.inf)
+
+    def _expire(self, now: float) -> None:
+        """Drop the partitions healed and the spikes ended by ``now``."""
+        for name in [name for name, p in self.partitions.items()
+                     if p.heal_time is not None and p.heal_time <= now]:
+            del self.partitions[name]
+        self.spikes[:] = [spike for spike in self.spikes if spike.end > now]
+        self._refresh()
 
     # -------------------------------------------------------------- configure
     def set_rates(self, loss_rate: Optional[float] = None,
@@ -161,10 +182,12 @@ class LinkAdversary:
             if not 0.0 <= duplicate_rate < 1.0:
                 raise ValueError("duplicate_rate must lie in [0, 1)")
             self.duplicate_rate = duplicate_rate
+        self._refresh()
 
     def add_delay_spike(self, start: float, end: float, factor: float) -> DelaySpike:
         spike = DelaySpike(start=start, end=end, factor=factor)
         self.spikes.append(spike)
+        self._refresh()
         return spike
 
     def add_partition(self, name: str, groups: Sequence[Iterable[int]],
@@ -175,33 +198,30 @@ class LinkAdversary:
             raise ValueError(f"a partition named {name!r} already exists")
         partition = Partition(name, groups, start=start, heal_time=heal_time)
         self.partitions[name] = partition
+        self._refresh()
         return partition
 
-    def quiesce(self, now: Optional[float] = None) -> None:
-        """Stop all probabilistic interference and discard delay spikes.
-        With ``now`` given, partitions already healed by then are swept out
-        (so long multi-phase runs do not accumulate dead cuts in the
-        per-message hooks); still-active partitions keep their scheduled
-        heal times."""
+    def quiesce(self) -> None:
+        """Stop all probabilistic interference and discard delay spikes;
+        partitions keep their scheduled heal times."""
         self.loss_rate = 0.0
         self.duplicate_rate = 0.0
-        self.spikes = []
-        if now is not None:
-            self.partitions = {
-                name: p for name, p in self.partitions.items()
-                if p.heal_time is None or p.heal_time > now
-            }
+        self.spikes.clear()
+        self._refresh()
 
     # ------------------------------------------------------------------ hooks
     def on_submit(self, sender: Optional[int], dest: int,
                   now: float) -> Optional[LinkVerdict]:
         """Called by the engine's send path for every send to a non-crashed
-        destination; ``None`` leaves the message untouched.
+        destination while the adversary is not :attr:`idle`; ``None``
+        leaves the message untouched.
 
         Coin order is part of the seeded contract: the loss coin (only if
         ``loss_rate > 0``), then the duplicate coin (only if
         ``duplicate_rate > 0``).
         """
+        if now >= self._expires:
+            self._expire(now)
         if self.partitions:
             for partition in self.partitions.values():
                 if partition.severs(sender, dest, now):
@@ -222,13 +242,16 @@ class LinkAdversary:
 
     def on_deliver(self, sender: Optional[int], dest: int,
                    now: float) -> Optional[str]:
-        """Called at delivery time (the engine's drain loop,
-        ``Network.pop_record``); a non-``None`` return drops the message.
+        """Called at delivery time (the engine's drain loop while a
+        partition is held, ``Network.pop_record`` always); a non-``None``
+        return drops the message.
 
         Only partitions act here: a message sent before a partition started
         must not cross the cut while it is active.  Loss/duplication already
         happened at send time.
         """
+        if now >= self._expires:
+            self._expire(now)
         if self.partitions:
             for partition in self.partitions.values():
                 if partition.severs(sender, dest, now):

@@ -230,7 +230,7 @@ class ScenarioRunner:
         sim.run_for(window)
 
         # --- settle & invariants --------------------------------------------
-        self.adversary.quiesce(now=sim.now)
+        self.adversary.quiesce()
         settle_start = sim.now
         relegitimized = system.run_until_legitimate(
             max_rounds=phase.settle_rounds)

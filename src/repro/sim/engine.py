@@ -32,7 +32,8 @@ second copy in a channel — and reaches a handler by one rule, the class's
 ``_action_handlers`` table.  A send has one path too (``_send_fast``, one call
 per batch): with or without a link adversary — the scenario and fuzz harness
 installs one on every run — each copy is counted, tested against the crashed
-set, shown to the adversary and, unless it answers with a verdict, pushed.
+set, shown to the adversary unless it is idle and, unless it answers with a
+verdict, pushed; the drain asks the adversary only while it holds a partition.
 Message delays and timeout jitter are drawn where
 they are used: one ``random()`` per use on a prebound ``Random.random``,
 inside ``Random.uniform``'s own expression (``a + (b - a) * random()``), so
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+from bisect import bisect_left
 import math
 import random
 from dataclasses import InitVar, dataclass
@@ -126,7 +128,7 @@ _CRASH = 2
 _CALL = 3
 #: Message delivery: the event tuple IS the in-flight message record (see the
 #: ``REC_*`` layout in :mod:`repro.sim.network`, which owns the canonical
-#: kind value — the network's introspection filters on it too).
+#: kind value).
 _DELIVER_FAST = FAST_RECORD_KIND
 
 _NEG_INF = float("-inf")
@@ -199,10 +201,10 @@ class Simulator:
         store (the totals are sums over it, taken when read; the wheel keeps
         no count).  Per copy, in batch order: count it, drop it if the address
         is gone (crashed, or a ``dest`` that cannot be an address — never
-        shown to the adversary), ask the adversary's ``on_submit`` and —
-        untouched (``None``) or with no adversary — draw the delay and push
-        inline; only a verdict (a drop, a duplicate, a delay spike) takes the
-        generic tail.  So a batch is its triples sent one per call.
+        shown to the adversary), ask a non-idle adversary's ``on_submit`` and
+        — untouched (``None``) or with no adversary to ask — draw the delay
+        and push inline; only a verdict (a drop, a duplicate, a delay spike)
+        takes the generic tail.  So a batch is its triples sent one per call.
         """
         network = self.network
         crashed = network._crashed
@@ -225,9 +227,6 @@ class Simulator:
         bucket_heap = scheduler._bucket_heap
         insert_late = scheduler._insert_late
         heappush = heapq.heappush
-        # The network's in-flight count reads the records _send_fast and
-        # inject_message leave in the scheduler; hand it the backlog iterator.
-        network._pending_records = scheduler.iter_events
 
         def _send_fast(sender: Optional[NodeRef], topic: Optional[str],
                        sends: Sequence[Tuple[NodeRef, str, Dict[str, Any]]]) -> None:
@@ -237,6 +236,8 @@ class Simulator:
             adversary = network.adversary
             # unconditional under an adversary: it never sees an unhashable dest
             screen = crashed or adversary is not None
+            if adversary is not None and adversary.idle:
+                adversary = None  # it would answer None and draw no coin
             current_index = scheduler._current_index  # moves only when popping
             for dest, action, params in sends:
                 try:
@@ -260,8 +261,7 @@ class Simulator:
                                 stats.record_drop(verdict.drop_reason)
                                 continue
                             duplicates = verdict.duplicates
-                            if duplicates:
-                                stats.record_duplicate(duplicates)
+                            stats.duplicated += duplicates
                             factor = verdict.delay_factor
                             for _ in range(1 + duplicates):
                                 deliver_time = now + (
@@ -336,8 +336,8 @@ class Simulator:
         :meth:`repro.sim.network.Network.install_adversary`).
 
         The adversary's coin flips happen at send time (``_send_fast``
-        calls its ``on_submit``), which runs in event order, so a seeded
-        adversary keeps runs reproducible per seed.
+        calls its ``on_submit`` unless it is idle), which runs in event
+        order, so a seeded adversary keeps runs reproducible per seed.
         """
         self.network.install_adversary(adversary)
         # The drain reads the adversary once per window: close the open one
@@ -512,8 +512,9 @@ class Simulator:
         the open window), so correctness never depends on the window width.
         The adversary is read once per window — installing or removing one
         interrupts the open window — and costs the one delivery branch a
-        nested delivery-time check (a partition that started with the record
-        in flight), nothing else.
+        delivery-time check (a partition that started with the record in
+        flight) only while it holds a partition.  With telemetry on, a
+        delivery bumps the latency histogram's slot and max inline.
         """
         # hot path — the fused delivery/timeout drain; a per-event container
         # added here fails test_engine_hot_loops_build_no_container_per_event
@@ -535,6 +536,9 @@ class Simulator:
         crashed_set = network._crashed
         stats = network.stats
         latency_hist = stats.delivery_latency  # None unless telemetry is on
+        # its ``record``, inlined: the histogram never rebinds either
+        latency_slots = None if latency_hist is None else latency_hist.slots
+        latency_bounds = None if latency_hist is None else latency_hist.bounds
         received = stats._received  # action -> {dest: count}
         nodes_get = self.nodes.get
         config = self.config
@@ -601,7 +605,7 @@ class Simulator:
                         if type(dest) is int:
                             if crashed_set and dest in crashed_set:
                                 continue  # destination crashed after the send
-                            if adversary is not None:
+                            if adversary is not None and adversary.partitions:
                                 # Delivery-time check: a record can be in
                                 # flight when a partition starts; it must not
                                 # cross the cut while the partition is active.
@@ -610,8 +614,11 @@ class Simulator:
                                 if reason is not None:
                                     stats.record_drop(reason)
                                     continue
-                            if latency_hist is not None:
-                                latency_hist.record(time - event[8])
+                            if latency_slots is not None:
+                                latency = time - event[8]
+                                latency_slots[bisect_left(latency_bounds, latency)] += 1
+                                if latency > latency_hist.max_value:
+                                    latency_hist.max_value = latency
                             try:
                                 received[action][dest] += 1
                             except KeyError:

@@ -24,7 +24,7 @@ self-stabilization under conditions the paper's channel never exhibits.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 
 #: Drop-accounting reasons used by :meth:`ChannelStats.record_drop`.
@@ -49,9 +49,9 @@ DROP_REASONS = (DROP_TO_CRASHED, DROP_ADVERSARY_LOSS, DROP_PARTITION)
 # delivery event fires — every send (with or without a link adversary; a
 # duplicate is a second record sharing the params dict) and every injected
 # corruption (``sender`` is ``None``).  "Is the record still deliverable?" is
-# a crashed-set test, and :meth:`Network.in_flight` counts the pending records
-# straight out of the scheduler through :attr:`Network._pending_records`.
-# Index constants are shared with the engine's fused loops.
+# a crashed-set test, so the channel ``v.Ch`` is the scheduler's records to
+# ``v`` while ``v`` is not crashed.  Index constants are shared with the
+# engine's fused loops.
 REC_DELIVER_TIME = 0
 REC_SEQ = 1
 REC_KIND = 2
@@ -128,10 +128,6 @@ class ChannelStats:
             raise ValueError(
                 f"unknown drop reason {reason!r}; expected one of {DROP_REASONS}")
         self._drops[reason] = self._drops.get(reason, 0) + 1
-
-    def record_duplicate(self, copies: int = 1) -> None:
-        """Account ``copies`` extra adversarial duplicates of a sent message."""
-        self.duplicated += copies
 
     # ------------------------------------------------------------------- drops
     @property
@@ -275,7 +271,7 @@ class Network:
     :attr:`stats`' per-action store, drops it if
     the destination crashed and asks :attr:`adversary` which copies survive;
     its drain loop delivers records (fusing what :meth:`pop_record` spells
-    out); :meth:`in_flight` counts the pending records out of the scheduler.
+    out).
 
     A ``dest`` that cannot be an address — unhashable: a forged list, dict or
     set where a node ref belongs — is an address that does not exist.  The send
@@ -283,10 +279,10 @@ class Network:
     looks the address up first: the send path (under an adversary or with
     some node crashed) or :meth:`pop_record` (when the record comes due; the
     drain loop calls it for every ``dest`` that is not an ``int``).  It is
-    never delivered, shown to an adversary or counted as in flight.
+    never delivered or shown to an adversary.
     """
 
-    __slots__ = ("stats", "_crashed", "adversary", "_pending_records")
+    __slots__ = ("stats", "_crashed", "adversary")
 
     def __init__(self) -> None:
         self.stats = ChannelStats()
@@ -295,41 +291,32 @@ class Network:
         #: :class:`repro.scenarios.adversary.LinkAdversary`).  ``None`` keeps
         #: the paper's fault model: no loss, no duplication, finite delays.
         self.adversary = None
-        #: zero-arg callable yielding the scheduler's pending events (the
-        #: simulator binds ``scheduler.iter_events`` here) — what
-        #: :meth:`_iter_pending` reads.  ``None`` for a standalone network,
-        #: which then has nothing in flight.
-        self._pending_records = None
 
     # ------------------------------------------------------------------ admin
     def install_adversary(self, adversary) -> None:
         """Install (or with ``None``, remove) a link adversary.
 
-        The adversary is consulted on every send to a live address (loss,
-        duplication, delay spikes, send-time partition checks) and every
-        delivery (partition checks for messages already in flight when a
+        The adversary is consulted on sends to a live address (loss,
+        duplication, delay spikes, send-time partition checks) and on
+        deliveries (partition checks for messages already in flight when a
         partition started).  It must expose ``on_submit(sender, dest, now)``
         returning ``None`` (untouched) or a verdict with ``drop_reason``,
         ``duplicates`` and ``delay_factor``
         (:class:`~repro.scenarios.adversary.LinkVerdict`), and
         ``on_deliver(sender, dest, now)`` returning a drop-reason string or
-        ``None``.
+        ``None``; the hooks are called in event order (``now`` never moves
+        backward).  Two attributes say where they can act: while ``idle`` is
+        true, ``on_submit`` would answer ``None`` and draw nothing, and the
+        send path (which reads it once per batch) skips it; while
+        ``partitions`` is empty, the drain skips ``on_deliver``.
         """
         self.adversary = adversary
 
     def mark_crashed(self, node_id: int) -> None:
         """Record ``node_id`` as crashed: records in flight to it are never
-        delivered (silently — they stop counting as in flight at once) and
-        future messages to it are dropped at send time."""
+        delivered (silently — they leave its channel at once) and future
+        messages to it are dropped at send time."""
         self._crashed[node_id] = None
-
-    def is_crashed(self, node_id: Any) -> bool:
-        """Whether ``node_id``'s address is gone: it crashed, or it cannot be
-        an address at all (unhashable — see the class docstring)."""
-        try:
-            return node_id in self._crashed
-        except TypeError:
-            return True
 
     # -------------------------------------------------------------- delivery
     def pop_record(self, record: tuple) -> bool:
@@ -364,24 +351,3 @@ class Network:
         by_dest = stats._received.setdefault(record[REC_ACTION], {})
         by_dest[record[REC_DEST]] = by_dest.get(record[REC_DEST], 0) + 1
         return True
-
-    # ------------------------------------------------------------ inspection
-    def _iter_pending(self) -> Iterator[tuple]:
-        """Yield the records still awaiting delivery.
-
-        Pulled from the scheduler backlog (:attr:`_pending_records`),
-        filtered down to records whose destination is alive: records
-        addressed to a crashed node stay queued (the engine skips them at
-        delivery time) but are no longer in flight.
-        """
-        source = self._pending_records
-        if source is None:
-            return
-        gone = self.is_crashed
-        for event in source():
-            if event[REC_KIND] == FAST_RECORD_KIND and not gone(event[REC_DEST]):
-                yield event
-
-    def in_flight(self) -> int:
-        """Total number of undelivered messages."""
-        return sum(1 for _ in self._iter_pending())

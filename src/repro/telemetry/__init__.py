@@ -4,8 +4,8 @@ Everything here is byte-reproducible by construction (integer bucket
 counts, spec-derived bounds, rounded sim-time floats) so telemetry can ride
 inside the canonical report artifacts without breaking their byte-identity
 guarantees.  The subsystem is off by default; ``SystemSpec.telemetry`` is its
-one switch, and enabling it adds one histogram sample per delivery to the
-engine's drain loop.
+one switch, and enabling it adds one histogram slot bump per delivery,
+inline in the engine's drain loop.
 
 Public surface:
 

@@ -11,9 +11,12 @@ in order of importance:
 2. **Mergeable.**  :meth:`merge` adds integer counts element-wise and takes
    the max of maxima, so merging per-task histograms from an exec campaign
    is associative and (for equal specs) independent of worker count.
-3. **Cheap to record.**  :meth:`record` is one :func:`bisect.bisect_left`
-   into a ~40-entry tuple plus two integer bumps — small enough to sit
-   in the engine's drain loop (see ``SystemSpec.telemetry``).
+3. **Cheap to record.**  The state is one slot list (the overflow bucket
+   last; ``total`` and ``overflow`` are read from it) and a sample is one
+   :func:`bisect.bisect_left` into a ~40-entry tuple, one slot bump and a
+   max test — which the engine's drain loop does inline, with no method
+   frame (see ``SystemSpec.telemetry``); :meth:`record` is that for every
+   other caller.
 
 Percentiles are *derived at report time*: a percentile resolves to the
 upper bound of the bucket containing its rank, clamped to the exact
@@ -62,32 +65,34 @@ def bounds_from_spec(spec: Sequence[int]) -> Tuple[float, ...]:
 class LatencyHistogram:
     """Log-bucketed histogram with integer counts and an exact max."""
 
-    __slots__ = ("spec", "unit", "bounds", "counts", "overflow", "total",
-                 "max_value")
+    __slots__ = ("spec", "unit", "bounds", "slots", "max_value")
 
     def __init__(self, spec: Sequence[int] = SIM_SECONDS_SPEC,
                  unit: str = "sim_seconds") -> None:
         self.spec = tuple(int(v) for v in spec)
         self.unit = unit
         self.bounds = bounds_from_spec(self.spec)
-        self.counts: List[int] = [0] * len(self.bounds)
-        self.overflow = 0
-        self.total = 0
+        #: one count per bucket, then the overflow bucket; never rebound, so
+        #: the engine's drain captures it once per run
+        self.slots: List[int] = [0] * (len(self.bounds) + 1)
         #: exact maximum recorded value (0.0 while empty; gate on ``total``)
         self.max_value = 0.0
+
+    @property
+    def overflow(self) -> int:
+        return self.slots[-1]
+
+    @property
+    def total(self) -> int:
+        return sum(self.slots)
 
     # ------------------------------------------------------------- recording
     def record(self, value: float) -> None:
         """Count one observation.  Values below the lowest bound land in
         bucket 0; values above the highest land in the overflow bucket."""
-        self.total += 1
+        self.slots[bisect_left(self.bounds, value)] += 1
         if value > self.max_value:
             self.max_value = value
-        index = bisect_left(self.bounds, value)
-        if index == len(self.bounds):
-            self.overflow += 1
-        else:
-            self.counts[index] += 1
 
     # ----------------------------------------------------------- combination
     def _require_compatible(self, other: "LatencyHistogram") -> None:
@@ -99,19 +104,13 @@ class LatencyHistogram:
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other`` into this histogram in place (same spec+unit)."""
         self._require_compatible(other)
-        counts = self.counts
-        for i, c in enumerate(other.counts):
-            counts[i] += c
-        self.overflow += other.overflow
-        self.total += other.total
+        self.slots[:] = [a + b for a, b in zip(self.slots, other.slots)]
         if other.max_value > self.max_value:
             self.max_value = other.max_value
 
     def copy(self) -> "LatencyHistogram":
         clone = LatencyHistogram(self.spec, self.unit)
-        clone.counts = list(self.counts)
-        clone.overflow = self.overflow
-        clone.total = self.total
+        clone.slots[:] = self.slots
         clone.max_value = self.max_value
         return clone
 
@@ -123,11 +122,9 @@ class LatencyHistogram:
         """
         self._require_compatible(earlier)
         diff = LatencyHistogram(self.spec, self.unit)
-        diff.counts = [a - b for a, b in zip(self.counts, earlier.counts)]
-        diff.overflow = self.overflow - earlier.overflow
-        diff.total = self.total - earlier.total
+        diff.slots[:] = [a - b for a, b in zip(self.slots, earlier.slots)]
         diff.max_value = self.max_value
-        if diff.total < 0 or diff.overflow < 0 or min(diff.counts, default=0) < 0:
+        if min(diff.slots) < 0:
             raise ValueError("delta against a later snapshot")
         return diff
 
@@ -145,7 +142,7 @@ class LatencyHistogram:
         # ceil(q/100 * total) without float rounding surprises.
         target = max(1, -(-int(q * self.total) // 100))
         cumulative = 0
-        for bound, count in zip(self.bounds, self.counts):
+        for bound, count in zip(self.bounds, self.slots):
             cumulative += count
             if cumulative >= target:
                 return round(min(bound, self.max_value), 6)
@@ -171,7 +168,7 @@ class LatencyHistogram:
             "total": self.total,
             "overflow": self.overflow,
             "max": round(self.max_value, 6) if self.total else None,
-            "counts": {str(i): c for i, c in enumerate(self.counts) if c},
+            "counts": {str(i): c for i, c in enumerate(self.slots[:-1]) if c},
         }
 
     def to_report_dict(self) -> Dict[str, object]:
@@ -183,10 +180,13 @@ class LatencyHistogram:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LatencyHistogram":
         hist = cls(tuple(data["spec"]), str(data["unit"]))
+        slots = hist.slots
         for key, count in dict(data.get("counts", {})).items():
-            hist.counts[int(key)] = int(count)
-        hist.overflow = int(data.get("overflow", 0))
-        hist.total = int(data["total"])
+            slots[int(key)] = int(count)
+        slots[-1] = int(data.get("overflow", 0))
+        if int(data["total"]) != hist.total:  # the total is derived, not stored
+            raise ValueError(f"histogram total {data['total']!r} is not the "
+                             f"sum of its buckets ({hist.total})")
         raw_max = data.get("max")
         hist.max_value = float(raw_max) if raw_max is not None else 0.0
         return hist

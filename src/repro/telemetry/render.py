@@ -37,7 +37,7 @@ def _histogram_lines(label: str, payload: Dict[str, Any]) -> List[str]:
         rows = []
         cumulative = 0
         lower = 0.0
-        for bound, count in zip(hist.bounds, hist.counts):
+        for bound, count in zip(hist.bounds, hist.slots):
             if count:
                 cumulative += count
                 rows.append((f"({lower:g}, {bound:g}]", count,

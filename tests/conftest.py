@@ -11,7 +11,8 @@ from repro import ProtocolParams, SupervisedPubSub
 from repro.api import SystemSpec, build_stable, build_system
 from repro.core.supervisor import Supervisor
 from repro.sim.engine import Simulator, SimulatorConfig
-from repro.sim.network import REC_ACTION, REC_DEST, REC_SENDER
+from repro.sim.network import (FAST_RECORD_KIND, REC_ACTION, REC_DEST, REC_KIND,
+                                REC_SENDER)
 from repro.sim.node import ProtocolNode
 from repro.sim.scheduler import TimeoutWheelScheduler
 
@@ -19,10 +20,22 @@ from repro.sim.scheduler import TimeoutWheelScheduler
 def records_in_flight(sim, **match):
     """The records still in flight in ``sim`` (``REC_*``-indexed tuples), in
     scheduler order, keeping those whose ``dest``/``action``/``sender``
-    equal the values given in ``match``."""
+    equal the values given in ``match``.
+
+    This is the paper's channel volume: the scheduler's pending records,
+    minus those addressed to a crashed node (they stay queued, and the
+    engine skips them when due) or to no address at all (unhashable)."""
     index = {"dest": REC_DEST, "action": REC_ACTION, "sender": REC_SENDER}
-    return [record for record in sim.network._iter_pending()
-            if all(record[index[key]] == value for key, value in match.items())]
+
+    def gone(dest):
+        try:
+            return dest in sim.network._crashed
+        except TypeError:
+            return True
+
+    return [record for record in sim.scheduler.iter_events()
+            if record[REC_KIND] == FAST_RECORD_KIND and not gone(record[REC_DEST])
+            and all(record[index[key]] == value for key, value in match.items())]
 
 
 class HeapQueue:

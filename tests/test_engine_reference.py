@@ -7,7 +7,11 @@ telemetry on or off, and under a link adversary that
 breaks the window's safety argument (a ``DelaySpike`` with ``factor < 1``
 puts deliveries closer than ``min_delay``), and when nodes send to forged
 addresses (unhashable ones are no address at all; the hashable ones take
-``pop_record``'s accounting inside the drain loop too).
+``pop_record``'s accounting inside the drain loop too).  With telemetry on
+under the adversary, its partition heals and its spike ends mid-run and a
+callback zeroes its rates, so it goes idle inside a drain: the drain then
+skips its hooks, where ``step()``'s ``pop_record`` still asks on every
+delivery.
 
 With no second implementation of the random draws to compare against,
 ``test_one_draw_per_use_and_none_ahead`` pins them to the streams themselves:
@@ -24,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from conftest import assert_heapq_order
+from conftest import assert_heapq_order, records_in_flight
 
 from repro.scenarios.adversary import LinkAdversary
 from repro.sim.engine import Simulator, SimulatorConfig
@@ -79,9 +83,9 @@ def _drain_by_steps(sim: Simulator, deadline: float) -> None:
     sim.now = max(sim.now, deadline)
 
 
-def _build(mode):
+def _build(mode, adversary_class=LinkAdversary):
     sim = Simulator(SimulatorConfig(seed=77))
-    if mode == "telemetry":
+    if mode.startswith("telemetry"):
         sim.network.stats.enable_latency()
     log = []
     for i in range(NODES):
@@ -92,14 +96,17 @@ def _build(mode):
         9, "Ping", {"origin": 0, "hops": 1}, delay=0.0))
     if mode.endswith("adversary"):
         def install():
-            adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.1,
-                                      duplicate_rate=0.1)
+            adversary = adversary_class(sim.adversary_rng(), loss_rate=0.1,
+                                        duplicate_rate=0.1)
             # starts with records sent before the install in flight
             adversary.add_partition("cut", [range(1, 11)], start=1.75,
                                     heal_time=6.0)
             # deliveries 10x closer than min_delay: inside the drain's window
             adversary.add_delay_spike(2.0, 8.0, factor=0.01)
             sim.install_adversary(adversary)
+            if mode == "telemetry-adversary":
+                # healed and ended by then: nothing left for it to do
+                sim.call_at(9.0, lambda: adversary.set_rates(0.0, 0.0))
         sim.call_at(1.5, install)
     return sim, log
 
@@ -116,12 +123,13 @@ def _observe(sim, log):
         "drops": stats.drops_by_reason,
         "latency": None if latency is None else latency.to_dict(),
         "timeouts": sim.timeout_counts,
-        "in_flight": sim.network.in_flight(),
+        # by seq: the wheel's bucket order may differ after requeued tails
+        "in_flight": sorted(records_in_flight(sim), key=lambda record: record[1]),
     }
 
 
 @pytest.mark.parametrize("mode", ["plain", "telemetry", "adversary", "forged",
-                                  "forged-adversary"])
+                                  "forged-adversary", "telemetry-adversary"])
 def test_run_until_time_reproduces_the_step_drain(mode):
     reference, reference_log = _build(mode)
     for deadline in DEADLINES:
@@ -133,8 +141,11 @@ def test_run_until_time_reproduces_the_step_drain(mode):
     assert _observe(sim, log) == expected
     # the scenario has teeth: every fault it sets up actually fired
     assert expected["steps"] > 2_000
-    if mode == "telemetry":
+    if mode.startswith("telemetry"):
         assert expected["latency"]["total"] == expected["summary"]["total_delivered"]
+    if mode == "telemetry-adversary":
+        for adversary in (reference.network.adversary, sim.network.adversary):
+            assert adversary.idle and not adversary.partitions and not adversary.spikes
     if mode.endswith("adversary"):
         assert all(count > 0 for count in expected["drops"].values())
         assert expected["summary"]["duplicated"] > 0
@@ -145,6 +156,32 @@ def test_run_until_time_reproduces_the_step_drain(mode):
         # when sent (crashed set non-empty, adversary installed), some when due
         assert expected["drops"]["to_crashed"] >= 3 * expected["timeouts"][13]
         assert expected["received"]["Ping"][2.5] > 0
+
+
+def test_an_adversary_that_never_reports_idle_changes_nothing():
+    """The drain and the send path skip an idle adversary's hooks; one that
+    never reports idle is asked everything, and the run is the same."""
+    asked = Counter()
+
+    class Counted(LinkAdversary):
+        def on_submit(self, sender, dest, now):
+            asked[type(self).__name__] += 1
+            return super().on_submit(sender, dest, now)
+
+    class NeverIdle(Counted):
+        def _refresh(self):
+            super()._refresh()
+            self.idle = False
+
+    observed = []
+    for adversary_class in (Counted, NeverIdle):
+        sim, log = _build("telemetry-adversary", adversary_class)
+        for deadline in DEADLINES:
+            sim.run_until_time(deadline)
+        observed.append(_observe(sim, log))
+        assert sim.network.adversary.idle == (adversary_class is Counted)
+    assert observed[0] == observed[1]
+    assert 0 < asked["Counted"] < asked["NeverIdle"]
 
 
 @pytest.mark.parametrize("mode", ["plain", "adversary", "forged-adversary"])

@@ -420,6 +420,24 @@ class TestProtocolPathStaysFractionFree:
         assert all(system.is_legitimate() for _ in range(6))
         assert built == [1]
 
+    def test_a_topic_database_is_built_once(self, monkeypatch, supervised):
+        """``Supervisor.database`` builds a topic's database on the first
+        ask and only then: later asks — every request and Timeout asks —
+        build nothing, and the Timeout walks the topics in first-ask order."""
+        from repro.core.supervisor import TopicDatabase
+
+        sim, supervisor = supervised(range(1, 9))
+        built = _count_constructions(monkeypatch, TopicDatabase)
+        news = supervisor.database("news")
+        assert built == [1]
+        assert supervisor.database("news") is news and built == [1]
+        for node in range(1, 9):
+            supervisor.on_Subscribe(node, topic=("sport", "news")[node % 2])
+            supervisor.on_GetConfiguration(node, topic=("sport", "news")[node % 2])
+        supervisor.on_timeout()
+        assert len(built) == 2 and news.n == 4
+        assert list(supervisor.databases) == ["news", "sport"]
+
 
 def _count_constructions(monkeypatch, cls):
     """Patch ``cls.__init__`` to append to the returned list per instance."""
@@ -683,10 +701,11 @@ class TestPublicationPathBudget:
 
 
 class TestAdversarialSendBudget:
-    """The PR 22 contract: the scenario harness installs a ``LinkAdversary``
-    on every run, so a send under one is the hot path — two Python frames
-    (``_send_fast`` and ``on_submit``) and no verdict object unless a delay
-    spike has a factor to carry."""
+    """The scenario harness installs a ``LinkAdversary`` on every run, so a
+    send under one is the hot path: no verdict object unless a delay spike
+    has a factor to carry, and while the adversary is idle — no partition,
+    no spike, both rates 0 — no hook frame at all, only ``_send_fast``'s one
+    per batch."""
 
     @pytest.fixture
     def harness(self, monkeypatch):
@@ -728,12 +747,26 @@ class TestAdversarialSendBudget:
             sys.setprofile(None)
         return frames / (system.sim.network.stats.total_sent - before)
 
-    def test_a_quiet_adversary_costs_two_frames_and_no_verdict(self, harness):
+    def test_a_quiet_adversary_costs_no_hook_frame_and_no_verdict(self, harness):
         system, adversary, built = harness
         assert adversary.loss_rate == adversary.duplicate_rate == 0.0
         assert not adversary.partitions and not adversary.spikes
-        assert self._frames_per_send(system, 10) <= 2.0
+        assert adversary.idle
+        assert self._frames_per_send(system, 10) <= 1.0
         assert system.sim.network.stats.total_sent > 500
+        assert built == []
+
+    def test_a_healed_partition_leaves_and_costs_no_hook_frame(self, harness):
+        system, adversary, built = harness
+        sim = system.sim
+        isolated = sorted(system.members())[:4]
+        adversary.add_partition("cut", [isolated], start=sim.now,
+                                heal_time=sim.now + 2.0)
+        assert not adversary.idle
+        system.run_rounds(3)  # severs while active; the first hook after it heals sweeps it
+        assert sim.network.stats.drops_by_reason["partition"] > 0
+        assert not adversary.partitions and adversary.idle
+        assert self._frames_per_send(system, 10) <= 1.0
         assert built == []
 
     def test_loss_and_duplication_build_no_verdict(self, harness):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from conftest import assert_heapq_order, records_in_flight
@@ -61,6 +62,42 @@ class TestPartitionAndSpike:
             DelaySpike(start=2.0, end=1.0, factor=2.0)
         with pytest.raises(ValueError):
             DelaySpike(start=0.0, end=1.0, factor=0.0)
+
+    def test_sweeping_keeps_every_verdict_and_coin(self):
+        """Over a monotone script, an adversary that drops healed partitions
+        and ended spikes when a hook first meets them answers every hook
+        exactly as one that keeps them, and leaves its RNG at the same
+        state; once its rates are 0 as well it is idle."""
+        class Keeping(LinkAdversary):
+            def _expire(self, now):
+                pass  # never sweeps
+
+        def build(cls):
+            adversary = cls(random.Random(5), loss_rate=0.2, duplicate_rate=0.3)
+            adversary.add_partition("early", [{1, 2}], start=1.0, heal_time=3.0)
+            adversary.add_partition("late", [{3}, {4}], start=2.5, heal_time=6.0)
+            adversary.add_delay_spike(2.0, 5.0, factor=3.0)
+            adversary.add_delay_spike(4.0, 4.0, factor=2.0)  # an empty window
+            return adversary
+
+        sweeping, keeping = build(LinkAdversary), build(Keeping)
+        verdicts = Counter()
+        for i in range(1000):
+            now, sender, dest = 0.01 * i, (None, 1, 2, 3, 4, 5)[i % 6], i * 7 % 6 + 1
+            if i == 700:
+                for adversary in (sweeping, keeping):
+                    adversary.set_rates(0.0, 0.0)
+            verdict = sweeping.on_submit(sender, dest, now)
+            assert verdict == keeping.on_submit(sender, dest, now)
+            reason = sweeping.on_deliver(sender, dest, now)
+            assert reason == keeping.on_deliver(sender, dest, now)
+            verdicts[verdict, reason] += 1
+            if i == 400:  # "early" healed, "late" still cutting
+                assert list(sweeping.partitions) == ["late"] and not sweeping.idle
+        assert sweeping.rng.getstate() == keeping.rng.getstate()
+        assert len(verdicts) >= 5  # untouched, lost, duplicated, severed, spiked
+        assert sweeping.idle and not sweeping.partitions and not sweeping.spikes
+        assert len(keeping.partitions) == 2 and len(keeping.spikes) == 2
 
     def test_adversary_rate_validation_and_duplicate_names(self):
         adversary = LinkAdversary(random.Random(0))
@@ -219,8 +256,8 @@ class TestAdversaryHooks:
 
 class TestOneInFlightForm:
     """Everything in flight — sent with or without an adversary, duplicated,
-    injected — is one record in the scheduler, and ``Network.in_flight``
-    counts those records."""
+    injected — is one record in the scheduler, and the records to live
+    addresses are what is in flight."""
 
     def test_views_agree_under_every_adversarial_condition(self):
         sim = Simulator(SimulatorConfig(seed=21))
@@ -237,14 +274,13 @@ class TestOneInFlightForm:
                 if dest != node.node_id:
                     node.send(dest, "Ping", sender=node.node_id)
         sim.inject_message(3, "Ping", {"sender": 99})
-        network, stats = sim.network, sim.network.stats
+        stats = sim.network.stats
         assert stats.drops_by_reason[DROP_ADVERSARY_LOSS] > 0
         assert stats.duplicated > 0
         assert stats.total_sent == 30  # the injection is not a protocol send
 
         in_flight = records_in_flight(sim)
-        assert (network.in_flight() == len(in_flight)
-                == 30 - stats.total_dropped + stats.duplicated + 1)
+        assert len(in_flight) == 30 - stats.total_dropped + stats.duplicated + 1
         # the scheduler backlog is the only store: one record per entry
         assert in_flight == [event for event in sim.scheduler.iter_events()
                              if event[REC_KIND] == FAST_RECORD_KIND]
@@ -270,11 +306,11 @@ class TestOneInFlightForm:
         drops_before = stats.drops_by_reason
         sim.crash_node(4)
         assert records_in_flight(sim, dest=4) == []
-        assert network.in_flight() == len(in_flight) - to_four
+        assert len(records_in_flight(sim)) == len(in_flight) - to_four
         assert stats.drops_by_reason == drops_before
 
         sim.run_for(2.0)
-        assert network.in_flight() == 0
+        assert records_in_flight(sim) == []
         # all of them were sent before the cut: severed at delivery time
         severed = stats.drops_by_reason[DROP_PARTITION]
         assert severed > 0

@@ -43,8 +43,8 @@ KEPT = {
     "label_from_r": "the inverse of r (Section 2.1) in repro.core's label algebra; "
                     "the closed-form shortcut reference in tests/test_properties.py reads it",
     "check_invariants": "structural + Merkle oracle of the trie, asserted by four test files",
-    "in_flight": "the paper's channel volume (pending records to live addresses), asserted "
-                 "by four test files; its one src/ reader was the scenario sampler",
+    "iter_events": "the scheduler's pending events: the in-flight oracle of tests/conftest.py "
+                   "and the backlog four more test files read",
 }
 
 

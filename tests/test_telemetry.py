@@ -67,7 +67,7 @@ class TestLatencyHistogram:
         hist.record(top * 10)  # overflow
         hist.record(0.0)  # below the lowest bound -> bucket 0
         assert hist.overflow == 1
-        assert hist.counts[0] == 1
+        assert hist.slots[0] == 1
         assert hist.total == 2
         # The overflow rank reports the exact max, not a bucket bound.
         assert hist.percentile(99) == round(top * 10, 6)
@@ -117,6 +117,21 @@ class TestLatencyHistogram:
         # to_report_dict adds the digest but stays loadable.
         assert (LatencyHistogram.from_dict(hist.to_report_dict()).to_dict()
                 == hist.to_dict())
+
+    def test_a_stored_total_must_be_the_sum_of_the_buckets(self):
+        """The total is derived from the slots, so a payload whose total
+        disagrees with its buckets (or names a bucket past the last bound)
+        is rejected instead of being silently re-counted."""
+        hist = LatencyHistogram()
+        for value in (0.2, 0.4, 1e9):
+            hist.record(value)
+        payload = hist.to_dict()
+        assert payload["total"] == 3 and payload["overflow"] == 1
+        with pytest.raises(ValueError, match="total"):
+            LatencyHistogram.from_dict(dict(payload, total=4))
+        past_last = dict(payload, counts={str(len(hist.bounds)): 1})
+        with pytest.raises(ValueError, match="total"):
+            LatencyHistogram.from_dict(dict(past_last, total=2))
 
     def test_delta(self):
         hist = LatencyHistogram()
