@@ -21,6 +21,9 @@ Usage::
     python scripts/profile_hotpath.py publish_fanout --tracemalloc
     python scripts/profile_hotpath.py --tracemalloc --json alloc.json
 
+    # where does the *time* go, without cProfile's per-call cost?  (sampling)
+    python scripts/profile_hotpath.py join_stabilize --sample --sort tottime
+
 Profiling overhead is large (~2-3x wall) and skews toward call-heavy code,
 so compare *shapes* between runs, never absolute times — ``bench/run.py``
 owns absolute numbers.  ``--tracemalloc`` switches the instrument from time
@@ -28,6 +31,22 @@ to memory: the run executes under :mod:`tracemalloc` and the report ranks
 source lines by bytes still allocated at the run's peak — the view that
 finds what the hot loops keep alive (pending event tuples, per-node message
 counts), complementing the ``peak_rss_mb`` the benchmark records per workload.
+
+``--sample`` switches the instrument to a stack sampler (stdlib only:
+``signal.setitimer(ITIMER_PROF)``).  cProfile pays a fixed cost per call (a
+``join_stabilize`` region runs about 2.8x slower under it), so its shares
+tilt toward call-heavy code such as the label helpers, a few lines each; a
+sample costs nothing per call.  Each tick of the process's CPU-time timer
+records the interrupted Python stack: its top frame takes the sample as
+*self* (the builtins it was calling included) and every function on it as
+*cumulative*.  Python runs the handler at its next check for signals (a
+call, a function's entry, a loop's back edge), so a tick inside plain
+bytecode lands there, most often in the same function.  The
+kernel delivers the tick at its own granularity (about 4 ms of CPU on a
+250 Hz kernel, however short the requested interval), so one timed region
+of tens of milliseconds yields a handful of samples: the mode repeats set-up
+and region over consecutive seeds until at least :data:`MIN_SAMPLES` samples
+(about ±1 % on a share, one binomial sigma at worst) fell inside regions.
 """
 
 from __future__ import annotations
@@ -37,9 +56,12 @@ import cProfile
 import gc
 import importlib.util
 import json
+import os
 import pstats
+import signal
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +72,10 @@ from repro.pubsub.hashing import node_hash
 DEFAULT_TOP = 25
 #: Seed of the profiled repeat: repeat 0 of the benchmark's default ``--seed 11``.
 WORKLOAD_SEED = 11_000
+#: ``--sample``: the CPU-time interval asked of ``ITIMER_PROF`` (the kernel
+#: rounds it up to its tick) and the fewest samples a run collects.
+SAMPLE_INTERVAL_S = 0.001
+MIN_SAMPLES = 2_000
 
 
 def _benchmark_workloads() -> dict:
@@ -126,6 +152,11 @@ def main(argv=None) -> int:
                         help="profile allocations instead of time: run under "
                              "tracemalloc and report the top-N allocation "
                              "sites by bytes live at the run's peak")
+    parser.add_argument("--sample", action="store_true",
+                        help="sample the stack on a CPU-time timer instead of "
+                             "tracing every call: each function's self and "
+                             "cumulative share of the timed region, over "
+                             f"repeats until {MIN_SAMPLES} samples")
     parser.add_argument("--list", action="store_true",
                         help="list the benchmark's workloads and exit")
     args = parser.parse_args(argv)
@@ -135,8 +166,13 @@ def main(argv=None) -> int:
             print(f"{workload.name:22s} {workload.why}")
         return 0
 
+    if args.sample and (args.tracemalloc or args.out is not None or args.sort == "ncalls"):
+        parser.error("--sample counts no calls and writes no pstats: it takes "
+                     "neither --tracemalloc, --out nor --sort ncalls")
     workload = workloads[args.workload]
     print(f"profiling {workload.name} ({workload.why})")
+    if args.sample:
+        return run_sampler(workload, args)
     state = workload.setup(WORKLOAD_SEED, workload.sizes())
 
     if args.tracemalloc:
@@ -219,6 +255,98 @@ def run_tracemalloc(workload, state, args) -> int:
             "top": rows,
         }, indent=2, sort_keys=True) + "\n")
         print(f"wrote JSON allocation profile to {args.json_out}")
+    return 0
+
+
+def sample_regions(workload, size: dict, min_samples: int = MIN_SAMPLES) -> dict:
+    """Sample the timed region of repeats at ``size`` and seeds
+    ``WORKLOAD_SEED``, ``WORKLOAD_SEED + 1``, ... (set-up and check outside
+    the sampled span) until ``min_samples`` samples fell inside regions.
+
+    Returns ``samples``, ``repeats``, ``cpu_s`` (the regions' CPU seconds,
+    ``time.process_time``), ``failed`` (ops the workloads' checks failed) and
+    ``self``/``cumulative``: sample counts per code object.  A function's
+    cumulative count takes each sample once however often it recurs on the
+    stack, and the walk stops at :func:`timed_region`'s frame.
+    """
+    own, under = Counter(), Counter()
+    region = timed_region.__code__
+    active = False
+    samples = repeats = failed = 0
+    cpu = 0.0
+
+    def on_tick(signum, frame):
+        nonlocal samples
+        if not active or frame is None:
+            return
+        samples += 1
+        own[frame.f_code] += 1
+        seen = set()
+        while frame is not None and frame.f_code is not region:
+            if frame.f_code not in seen:
+                seen.add(frame.f_code)
+                under[frame.f_code] += 1
+            frame = frame.f_back
+
+    previous = signal.signal(signal.SIGPROF, on_tick)
+    signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S)
+    try:
+        while samples < min_samples:
+            state = workload.setup(WORKLOAD_SEED + repeats, size)
+            started = time.process_time()
+            active = True
+            try:
+                timed_region(workload, state)
+            finally:
+                active = False
+            cpu += time.process_time() - started
+            failed += workload.check(state)
+            repeats += 1
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+        signal.signal(signal.SIGPROF, previous)
+    return {"samples": samples, "repeats": repeats, "cpu_s": cpu, "failed": failed,
+            "self": own, "cumulative": under}
+
+
+def _code_name(code) -> str:
+    """``file:line(function)``, the name pstats' ``strip_dirs`` prints."""
+    return f"{os.path.basename(code.co_filename)}:{code.co_firstlineno}({code.co_name})"
+
+
+def run_sampler(workload, args) -> int:
+    """The ``--sample`` mode: print (and with ``--json`` write) the top
+    functions by cumulative share (``--sort tottime``: by self share)."""
+    sampled = sample_regions(workload, workload.sizes())
+    samples = sampled["samples"]
+    key = "self" if args.sort == "tottime" else "cumulative"
+    codes = sorted(sampled["cumulative"], key=lambda code: (-sampled[key][code],
+                                                            _code_name(code)))
+    rows = [{"function": _code_name(code),
+             "self_share": round(sampled["self"][code] / samples, 4),
+             "cumulative_share": round(sampled["cumulative"][code] / samples, 4)}
+            for code in codes[:args.top]]
+    print(f"{samples:,} samples over {sampled['repeats']} repeats "
+          f"({sampled['cpu_s']:.2f} s of region CPU: one sample per "
+          f"{1000 * sampled['cpu_s'] / samples:.2f} ms)")
+    if sampled["failed"]:
+        print(f"WARNING: {sampled['failed']} ops failed the workload's check — "
+              f"this is the profile of a wrong run")
+    print(f"{'self':>7s} {'cum':>7s}  function")
+    for row in rows:
+        print(f"{row['self_share']:7.1%} {row['cumulative_share']:7.1%}  {row['function']}")
+    if args.json_out is not None:
+        args.json_out.write_text(json.dumps({
+            "case": workload.name,
+            "description": workload.why,
+            "mode": "sample",
+            "samples": samples,
+            "repeats": sampled["repeats"],
+            "region_cpu_s": round(sampled["cpu_s"], 4),
+            "sort": key,
+            "top": rows,
+        }, indent=2, sort_keys=True) + "\n")
+        print(f"wrote JSON sample profile to {args.json_out}")
     return 0
 
 

@@ -21,12 +21,14 @@ around the ring (the property behind Theorem 7's constant join overhead).
 Labels *are* strings over ``{'0','1'}`` (wire, reports, goldens).  Ring order
 is the lexicographic order of the bit string without its trailing zeros
 (:func:`ring_key`): exact at any length, compared at C speed, equal exactly
-when ``r`` is (``'1'`` vs ``'10'``); distances use integers scaled to a common
-bit length (:func:`scaled_r`).  :func:`r_value` and ``Fraction`` are the
+when ``r`` is (``'1'`` vs ``'10'``); the subscriber's hot paths read it off
+the string the same way (``label.rstrip("0")``, once per label) instead of
+calling the helper at every comparison.  Distances use integers scaled to a
+common bit length (:func:`closer`).  :func:`r_value` and ``Fraction`` are the
 *specification* (figures, experiments, the property tests that pin the key to
-it), not the implementation of any comparison.  ``ring_key``, ``scaled_r`` and
-``closer`` are *unchecked* — handlers test :func:`is_valid_label` once, at
-message ingress; everything else raises ``ValueError`` on garbage.
+it), not the implementation of any comparison.  ``ring_key`` and ``closer``
+are *unchecked* — handlers test :func:`is_valid_label` once, at message
+ingress; everything else raises ``ValueError`` on garbage.
 """
 
 from __future__ import annotations
@@ -125,16 +127,14 @@ def ring_key(label: Label) -> str:
     return label.rstrip("0")
 
 
-def scaled_r(label: Label, bits: int) -> int:
-    """``r(label) · 2^bits``, an integer for ``bits >= len(label)`` (unchecked)."""
-    return int(label, 2) << (bits - len(label))
-
-
 def closer(label_a: Label, label_b: Label, origin: Label) -> bool:
-    """``|r(a) − r(origin)| < |r(b) − r(origin)|`` in integers (unchecked)."""
-    bits = max(len(label_a), len(label_b), len(origin))
-    at = scaled_r(origin, bits)
-    return abs(scaled_r(label_a, bits) - at) < abs(scaled_r(label_b, bits) - at)
+    """``|r(a) − r(origin)| < |r(b) − r(origin)|`` in integers (unchecked):
+    each ``r(label) · 2^bits`` for the longest length ``bits``."""
+    len_a, len_b, len_o = len(label_a), len(label_b), len(origin)
+    bits = max(len_a, len_b, len_o)
+    at = int(origin, 2) << (bits - len_o)
+    return (abs((int(label_a, 2) << (bits - len_a)) - at)
+            < abs((int(label_b, 2) << (bits - len_b)) - at))
 
 
 def is_valid_label(label: object) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from repro.core.labels import Label, is_valid_label, scaled_r
+from repro.core.labels import Label, is_valid_label
 
 #: Most labels the recursion derives from one neighbour: a legitimate ring of
 #: n nodes needs at most ``⌈log n⌉``.
@@ -31,10 +31,15 @@ MAX_STEPS = 64
 
 def _reflect(neighbor: Label, own: Label) -> Label:
     """The canonical label ``s`` with ``r(s) = 2·r(neighbor) − r(own) (mod 1)``,
-    in integers scaled to the longer of the two (already validated) labels."""
+    in integers scaled to the longer of the two (already validated) labels;
+    the canonical form drops the value's trailing zero bits by a shift."""
     bits = max(len(neighbor), len(own))
-    value = (2 * scaled_r(neighbor, bits) - scaled_r(own, bits)) % (1 << bits)
-    return format(value, f"0{bits}b").rstrip("0") or "0"
+    value = ((int(neighbor, 2) << (bits + 1 - len(neighbor)))
+             - (int(own, 2) << (bits - len(own)))) % (1 << bits)
+    if not value:
+        return "0"
+    zeros = (value & -value).bit_length() - 1
+    return bin(value >> zeros)[2:].zfill(bits - zeros)
 
 
 def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label]) -> List[Label]:

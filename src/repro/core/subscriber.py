@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from repro.core import messages as msg
 from repro.core.config import ProtocolParams
-from repro.core.labels import Label, closer, is_valid_label, ring_key
+from repro.core.labels import Label, closer, is_valid_label
 from repro.core.shortcuts import shortcut_labels_from_neighbor
 from repro.pubsub.antientropy import handle_check_and_publish, handle_check_trie
 from repro.pubsub.patricia import PatriciaTrie
@@ -97,13 +97,15 @@ class _TimeoutPlan:
             self.request_probability = MINIMAL_REQUEST_PROBABILITY
         else:
             self.request_probability = params.request_probability(len(label))
-        # The ring neighbours, whether stored in ``left``/``right`` or ``ring``.
+        # The ring neighbours, whether stored in ``left``/``right`` or ``ring``
+        # (ring order read off the labels: ``ring_key``, once per label).
         cyc: Tuple[Neighbor, ...] = ()
         if ring is not None:
-            if left is None and ring_key(ring.label) > ring_key(label):
+            own, ring_r = label.rstrip("0"), ring.label.rstrip("0")
+            if left is None and ring_r > own:
                 left = ring
                 cyc = (ring,)
-            if right is None and ring_key(ring.label) < ring_key(label):
+            if right is None and ring_r < own:
                 right = ring
                 cyc = (ring,)
         #: What an ``Introduce`` flagged LIN / CYC may restate to no effect: a
@@ -310,12 +312,12 @@ class TopicView:
         """Re-linearize neighbours that are on the wrong side of our label and
         ring pointers that should not exist (Algorithms 1–2 Timeout)."""
         assert self.label is not None
-        own = ring_key(self.label)
-        if self.left is not None and ring_key(self.left.label) >= own:
+        own = self.label.rstrip("0")
+        if self.left is not None and self.left.label.rstrip("0") >= own:
             stale = self.left
             self.left = None
             self._integrate(stale.label, stale.ref)
-        if self.right is not None and ring_key(self.right.label) <= own:
+        if self.right is not None and self.right.label.rstrip("0") <= own:
             stale = self.right
             self.right = None
             self._integrate(stale.label, stale.ref)
@@ -332,61 +334,51 @@ class TopicView:
     # ------------------------------------------------------------- integrate
     def _integrate(self, cand_label: Label, cand_ref: NodeRef, cyc: bool = False) -> None:
         """Linearization: place a reference where it belongs or delegate it
-        towards its position (Algorithm 1 / Algorithm 2)."""
+        towards its position (Algorithm 1 / Algorithm 2).  ``cyc``: it came
+        flagged CYC — its sender believes we are an endpoint of the sorted
+        list and it is our wrap-around partner.  Ring order is read off the
+        labels (``ring_key``, once per label)."""
         if (cand_ref == self.node_id or not isinstance(cand_ref, int)
                 or not is_valid_label(cand_label)):
             return
-        if self.label is None:
+        label = self.label
+        if label is None:
             self.send(cand_ref, msg.REMOVE_CONNECTIONS, node=self.node_id)
             return
-        own = ring_key(self.label)
-        cand_r = ring_key(cand_label)
+        own, cand_r = label.rstrip("0"), cand_label.rstrip("0")
         if cand_r == own:
             # Two nodes claiming the same ring position: only the supervisor
             # can resolve this; ask it to refresh the other node.
             self.send_supervisor(msg.GET_CONFIGURATION, node=cand_ref)
             return
-        if cyc:
-            self._integrate_cycle(cand_label, cand_ref)
+        on_left = cand_r < own
+        if cyc and (self.right if on_left else self.left) is None:
+            # A larger wrap-around partner and no left neighbour: we would be
+            # the minimum (a smaller one and no right neighbour: the maximum).
+            self._keep_farthest_ring(cand_label, cand_ref, prefer_larger=not on_left)
             return
-        if cand_r < own:
-            self._integrate_side("left", cand_label, cand_ref)
+        current = self.left if on_left else self.right
+        if current is not None:
+            if current.ref == cand_ref:
+                if current.label == cand_label:
+                    return
+                current = None  # the same neighbour, under its new label
+            else:
+                # On one side of us the nearer label is the later in ring order
+                # towards us; a neighbour on the wrong side is measured.
+                cur_r = current.label.rstrip("0")
+                if not ((cand_r > cur_r if on_left else cand_r < cur_r)
+                        if (cur_r < own) == on_left else closer(cand_label, current.label, label)):
+                    # Delegate the candidate towards its position.
+                    self.send(current.ref, msg.LINEARIZE, node=cand_ref, label=cand_label)
+                    return
+        if on_left:
+            self.left = Neighbor(cand_label, cand_ref)
         else:
-            self._integrate_side("right", cand_label, cand_ref)
-
-    def _integrate_side(self, side: str, cand_label: Label, cand_ref: NodeRef) -> None:
-        current: Optional[Neighbor] = getattr(self, side)
-        assert self.label is not None
-        if current is None:
-            setattr(self, side, Neighbor(cand_label, cand_ref))
-            return
-        if current.ref == cand_ref:
-            if current.label != cand_label:
-                setattr(self, side, Neighbor(cand_label, cand_ref))
-            return
-        if closer(cand_label, current.label, self.label):
-            setattr(self, side, Neighbor(cand_label, cand_ref))
+            self.right = Neighbor(cand_label, cand_ref)
+        if current is not None:
             # Delegate the displaced neighbour to the new, closer one.
             self.send(cand_ref, msg.LINEARIZE, node=current.ref, label=current.label)
-        else:
-            # Delegate the candidate towards its position.
-            self.send(current.ref, msg.LINEARIZE, node=cand_ref, label=cand_label)
-
-    def _integrate_cycle(self, cand_label: Label, cand_ref: NodeRef) -> None:
-        """Handle an introduction flagged CYC: the sender believes we are an
-        endpoint of the sorted list and it is our wrap-around partner."""
-        assert self.label is not None
-        if ring_key(cand_label) > ring_key(self.label):
-            # The candidate is larger, so we would be the minimum.
-            if self.left is None:
-                self._keep_farthest_ring(cand_label, cand_ref, prefer_larger=True)
-            else:
-                self._integrate(cand_label, cand_ref)
-        else:
-            if self.right is None:
-                self._keep_farthest_ring(cand_label, cand_ref, prefer_larger=False)
-            else:
-                self._integrate(cand_label, cand_ref)
 
     def _keep_farthest_ring(self, cand_label: Label, cand_ref: NodeRef,
                             prefer_larger: bool) -> None:
@@ -396,8 +388,8 @@ class TopicView:
             if self.ring is None or self.ring.label != cand_label:
                 self.ring = Neighbor(cand_label, cand_ref)
             return
-        current_r = ring_key(self.ring.label)
-        cand_r = ring_key(cand_label)
+        current_r = self.ring.label.rstrip("0")
+        cand_r = cand_label.rstrip("0")
         keep_candidate = cand_r > current_r if prefer_larger else cand_r < current_r
         if keep_candidate:
             loser = self.ring
@@ -412,8 +404,7 @@ class TopicView:
         assert self.label is not None
         if proposed is None or proposed.ref == self.node_id:
             return
-        own = ring_key(self.label)
-        proposed_r = ring_key(proposed.label)
+        own, proposed_r = self.label.rstrip("0"), proposed.label.rstrip("0")
         side = "left" if is_pred else "right"
         if proposed_r > own if is_pred else proposed_r < own:
             # The wrap-around partner: it lives in ``ring`` and the list side
@@ -520,7 +511,8 @@ class Subscriber(ProtocolNode):
         self.supervisor_for = supervisor_for
         self.params = params or ProtocolParams()
         self.views: Dict[str, TopicView] = {}
-        self.rng: random.Random = random.Random(node_id)
+        #: the node's protocol stream, seeded once: by :meth:`attach`
+        self.rng: Optional[random.Random] = None
         #: total configuration requests this subscriber sent (Theorem 5 / E2)
         self.configuration_requests = 0
 

@@ -1001,6 +1001,76 @@ class TestSteadyStateBudget:
             "believed": (view.left or view.right).label, "flag": "LIN"}
 
 
+class TestConvergingPathBudget:
+    """The converging path pays once per fact: a delegated ``Linearize`` is
+    its handler, ``_integrate`` (both list sides in one frame, ring order and
+    nearness read off the label strings) and one send path; a join seeds one
+    RNG."""
+
+    @staticmethod
+    def _protocol_frames(call):
+        """Names of the package's frames ``call()`` enters, ``_send_fast``
+        included but nothing below it."""
+        import sys
+
+        import repro
+
+        package = str(Path(repro.__file__).parent)
+        names, below = [], 0
+
+        def profiler(frame, event, arg):
+            nonlocal below
+            if event == "call":
+                if below:
+                    below += 1
+                elif frame.f_code.co_filename.startswith(package):
+                    names.append(frame.f_code.co_name)
+                    below = frame.f_code.co_name == "_send_fast"
+            elif event == "return" and below:
+                below -= 1
+
+        sys.setprofile(profiler)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return names
+
+    def test_a_delegated_linearize_is_its_handler_integrate_and_one_send(self):
+        from repro.core import messages as msg
+        from repro.core.subscriber import Neighbor, Subscriber
+
+        sim = Simulator(SimulatorConfig(seed=50))
+        node = sim.add_node(Subscriber(1, lambda topic: 0), schedule_timeout=False)
+        view = node.view(subscribed=True)
+        view.label, view.left = "1", Neighbor("01", 2)  # r = 1/2, left at 1/4
+        # 1/8 is farther than the stored 1/4: handed on to it
+        frames = self._protocol_frames(
+            lambda: node.on_Linearize(node=3, label="001", topic=view.topic))
+        assert frames == ["on_Linearize", "_integrate", "is_valid_label", "send", "_send_fast"]
+        assert not {"_integrate_side", "scaled_r", "ring_key", "closer"} & set(frames)
+        assert view.left == ("01", 2)
+        assert [(record[REC_DEST], record[REC_PARAMS]) for record in records_in_flight(
+            sim, sender=1, action=msg.LINEARIZE)] == [(2, {"node": 3, "label": "001"})]
+
+    def test_a_join_seeds_one_rng(self, monkeypatch):
+        from repro.api import build_system
+
+        system = build_system(SystemSpec(seed=50))
+        system.add_subscriber()
+        seeds = []
+        original = random.Random.seed
+
+        def counted(self, *args, **kwargs):
+            seeds.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "seed", counted)
+        peer = system.add_subscriber()
+        assert len(seeds) == 1
+        assert peer.rng.getstate() == system.sim.node_rng(peer.node_id).getstate()
+
+
 class TestProfilerSpeaksTheBenchmarksNames:
     """``scripts/profile_hotpath.py`` profiles what ``bench/`` measures: its
     one name space is the workload list of ``BENCHMARK.json``."""
@@ -1030,6 +1100,23 @@ class TestProfilerSpeaksTheBenchmarksNames:
         message = capsys.readouterr().err
         assert "invalid choice: 'core_2k_wheel'" in message
         assert all(name in message for name in names)
+
+    def test_sample_shares_are_counts_of_region_ticks(self, script):
+        workload = script._benchmark_workloads()["steady_maintain"]
+        sampled = script.sample_regions(workload, workload.sizes(0.05), min_samples=5)
+        own, under = sampled["self"], sampled["cumulative"]
+        assert sampled["samples"] >= 5 and sampled["failed"] == 0
+        assert sum(own.values()) == sampled["samples"]
+        assert all(own[code] <= under[code] <= sampled["samples"] for code in under)
+        assert script.timed_region.__code__ not in under  # the walk stops below it
+        assert workload.run.__code__ in under
+
+    def test_sample_takes_no_call_count_options(self, script, capsys):
+        for extra in (["--tracemalloc"], ["--sort", "ncalls"], ["--out", "x.pstats"]):
+            with pytest.raises(SystemExit) as exit_info:
+                script.main(["engine_storm", "--sample", *extra])
+            assert exit_info.value.code == 2
+        assert "--sample counts no calls" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, protocol", [("engine_storm", False),
                                                 ("publish_fanout", True)])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.convergence import LegitimacyReport, ring_legitimate
 from repro.analysis.graph_metrics import degree_statistics, diameter, distances, graph
-from repro.api import SystemSpec, build_stable
+from repro.api import SystemSpec, build_stable, build_system
 from repro.core import messages as msg
 from repro.core.labels import (
     closer,
@@ -88,6 +88,17 @@ def test_sorting_by_ring_key_is_the_stable_sort_by_r_value(labels):
 def test_integer_distances_match_the_fraction_spec(a, b, origin):
     ra, rb, ro = r_value(a), r_value(b), r_value(origin)
     assert closer(a, b, origin) == (abs(ra - ro) < abs(rb - ro))
+
+
+@given(any_label | short_label, any_label | short_label, any_label | short_label)
+def test_on_one_side_of_the_origin_the_nearer_label_is_the_later_key(a, b, origin):
+    """``_integrate``'s shortcut for a neighbour on the candidate's side: there
+    ``closer`` is the ring order towards the origin (keys equal to the
+    origin's count as its right side, where both read "not nearer")."""
+    key_a, key_b, key_o = ring_key(a), ring_key(b), ring_key(origin)
+    if key_a != key_o and (key_a < key_o) == (key_b < key_o):
+        nearer = key_a > key_b if key_a < key_o else key_a < key_b
+        assert nearer == closer(a, b, origin)
 
 
 @given(any_label | short_label, any_label | short_label)
@@ -567,13 +578,15 @@ _steps = st.lists(st.tuples(st.integers(0, 1), st.one_of(
 
 class _World:
     """A stable five-subscriber system — or E4's corrupted eight-subscriber
-    start, two components and a corrupted database — whose every send is
-    logged."""
+    start, two components and a corrupted database, or an empty system five
+    subscribers are joining — whose every send is logged."""
 
-    def __init__(self, seed: int, caching: bool, corrupted: bool = False) -> None:
-        if corrupted:
+    def __init__(self, seed: int, caching: bool, start: str = "stable") -> None:
+        if start == "corrupted":
             self.system, self.subscribers = build_adversarial_system(AdversarialConfig(
                 8, seed, database_mode="corrupted", components=2))
+        elif start == "empty":
+            self.system, self.subscribers = build_system(SystemSpec(seed=seed)), []
         else:
             self.system, self.subscribers = build_stable(SystemSpec(seed=seed), 5)
         self.caching = caching
@@ -588,6 +601,8 @@ class _World:
             send_fast(sender, topic, sends)
 
         sim._send_fast = logged
+        if start == "empty":  # the joins' Subscribe requests are logged too
+            self.subscribers = [self.system.add_subscriber() for _ in range(5)]
 
     def views(self):
         return [view for sub in self.subscribers for view in sub.views.values()]
@@ -685,8 +700,20 @@ def test_timeout_plan_and_memos_are_indistinguishable_from_no_cache(seed, steps)
 def test_timeout_plan_and_memos_are_indistinguishable_from_a_corrupted_start(seed, steps):
     """From E4's corrupted configuration the first Timeouts sanitize sides and
     prune shortcuts — the paths a steady ring never takes."""
-    cached = _World(seed, caching=True, corrupted=True)
-    uncached = _World(seed, caching=False, corrupted=True)
+    cached = _World(seed, caching=True, start="corrupted")
+    uncached = _World(seed, caching=False, start="corrupted")
+    _assert_indistinguishable(cached, uncached, steps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 3), _steps)
+def test_timeout_plan_and_memos_are_indistinguishable_while_subscribers_join(seed, steps):
+    """From an empty system five subscribers join: the runs carry the
+    ``SetData`` and ``Linearize`` traffic of a converging ring, the path
+    ``_integrate`` takes most, with plans rebuilt as neighbours arrive."""
+    cached = _World(seed, caching=True, start="empty")
+    uncached = _World(seed, caching=False, start="empty")
     _assert_indistinguishable(cached, uncached, steps)
 
 
