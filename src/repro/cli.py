@@ -223,7 +223,7 @@ def _fuzz_summary(report: FuzzReport) -> str:
         f"{cfg.budget_iters} iterations"
         + (" [truncated by --budget-seconds]" if report.truncated else ""),
         f"  coverage: {len(report.coverage)} keys "
-        f"({len(report.trail)} discovering runs, pool {report.pool_size})",
+        f"({len(report.trail)} discovering runs)",
         f"  findings: {len(report.findings)}",
     ]
     for finding in report.findings:
@@ -244,7 +244,7 @@ def _fuzz_summary(report: FuzzReport) -> str:
 
 def _fuzz(args: argparse.Namespace) -> int:
     config = FuzzConfig(seed=args.seed, budget_iters=args.budget_iters,
-                        batch_size=args.batch_size, max_findings=args.max_findings,
+                        max_findings=args.max_findings,
                         shrink_budget=args.shrink_budget,
                         limits=QUICK_LIMITS if args.quick else GeneratorLimits(),
                         oracle=OracleSpec(max_relegitimize_rounds=args.releg_budget,
@@ -360,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "TaskFailure entry in the campaign artifact "
                             "instead of aborting the whole campaign")
 
-    fuzz = verb("fuzz", campaigns, "coverage-guided adversarial scenario fuzzer "
-                "with auto-shrink (see repro.fuzz and FUZZING.md); fuzzing is "
+    fuzz = verb("fuzz", campaigns, "adversarial scenario fuzzer: fresh random "
+                "specs, with auto-shrink (see repro.fuzz and FUZZING.md); fuzzing is "
                 "always fault-tolerant", handler=_fuzz, task_timeout=300.0)
     fuzz.add_argument("--budget-iters", type=positive_int, default=64,
                       help="number of generated scenarios to run (default 64)")
@@ -369,10 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="optional wall-clock cutoff (CI smoke); the "
                            "report is marked truncated when it fires and "
                            "reproducibility is best-effort")
-    fuzz.add_argument("--batch-size", type=positive_int, default=8,
-                      help="specs generated between coverage-feedback "
-                           "points (default 8; part of the reproducible "
-                           "schedule, NOT tied to --jobs)")
     fuzz.add_argument("--max-findings", type=positive_int, default=8,
                       help="stop the campaign after this many distinct "
                            "failure signatures (default 8)")

@@ -1,18 +1,20 @@
-"""Coverage-guided adversarial scenario fuzzer with auto-shrink.
+"""Adversarial scenario fuzzer with auto-shrink.
 
 The scenario library (7 hand-written scenarios) proves the paper's
 self-stabilization claims against the faults a human thought of; this
 package is the machine that imagines the rest.  Four pieces:
 
 * **Generation** (:mod:`repro.fuzz.generator`) — seeded, valid-by-
-  construction draws and mutations over the full
+  construction fresh draws over the full
   :class:`~repro.scenarios.spec.ScenarioSpec` fault space: loss ×
   duplication × delay spikes × named partitions/heals × churn storms ×
   crash waves × shard counts.
 * **Coverage** (:mod:`repro.fuzz.coverage`) — a behavior signal derived
   from the typed hook registry and ChannelStats (distinct hook firings,
   drop reasons, partition/heal orderings, relegitimacy depth buckets) that
-  steers generation toward unexplored behavior.
+  measures how much behavior a campaign explored.  It does not steer
+  generation: a planted-bug ablation (FUZZING.md) found fresh draws at
+  least as good as mutating coverage-discovering specs.
 * **Oracle + shrink** (:mod:`repro.fuzz.oracle`, :mod:`repro.fuzz.shrink`)
   — invariant violations and pathological stabilization become findings; a
   delta-debugging shrinker minimizes phases → events → magnitudes while

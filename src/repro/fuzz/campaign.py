@@ -1,28 +1,28 @@
-"""The coverage-guided fuzz campaign: generate → run → observe → shrink.
+"""The fuzz campaign: generate → run → observe → shrink.
 
 One :class:`FuzzCampaign` executes the loop the issue calls "a machine that
 imagines scenarios":
 
-1. draw a batch of specs — fresh from the generator, or mutants of pool
-   specs that previously discovered new coverage;
-2. fan the batch out through the **fault-tolerant** exec layer (per-task
+1. draw fresh specs from the generator, one chunk of ``jobs`` at a time;
+2. fan the chunk out through the **fault-tolerant** exec layer (per-task
    timeouts, crashed-worker detection — one pathological spec can kill
    its worker, never the campaign);
-3. merge results *in submission order*: update the coverage map, admit
-   coverage-discovering specs to the mutation pool, record oracle failures
-   and worker failures as findings (deduplicated by signature);
+3. merge results *in submission order*: update the coverage map (the
+   report's measure of exploration), record oracle failures and worker
+   failures as findings (deduplicated by signature), and stop at the
+   first result that brings the findings to ``max_findings``;
 4. when the budget is spent (or enough findings accumulated), delta-debug
    every finding down to a minimal spec that still fails the same way.
 
-Byte-reproducibility: generation draws from one ``derive_rng`` stream whose
-consumption depends only on the seed and the (deterministic) results of
-previous batches; batches are a fixed size regardless of ``--jobs``;
-results are merged in submission order; nothing wall-clock ever enters the
-report, which the artifact codec (:mod:`repro.artifact`) writes.  Same
-seed + same iteration budget ⇒ identical findings, identical coverage
-trail, identical artifact bytes at any job count.  (A wall-clock
-budget — ``budget_seconds`` — necessarily trades this away; it exists for
-CI smoke jobs and is recorded as ``truncated`` in the report.)
+Byte-reproducibility: generation draws from one ``derive_rng`` stream in
+iteration order, which no result feeds back into; results are merged in
+submission order and the stop point is a result's index, not a chunk's
+end; nothing wall-clock ever enters the report, which the artifact codec
+(:mod:`repro.artifact`) writes.  Same seed + same iteration budget ⇒
+identical findings, identical coverage trail, identical artifact bytes at
+any job count.  (A wall-clock budget — ``budget_seconds`` — necessarily
+trades this away; it exists for CI smoke jobs and is recorded as
+``truncated`` in the report.)
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.artifact import Artifact
 from repro.exec.backend import (
-    ExecBackend,
     TaskSpec,
     backend_for_jobs,
     failure_from_result,
@@ -50,14 +49,8 @@ from repro.sim.rng import derive_rng
 FUZZ_TASK_FN = "repro.fuzz.tasks:run_fuzz_case"
 
 #: ``progress(iteration, total, spec_name, status, detail)`` — status is
-#: ``"ok"``, ``"new-coverage"``, ``"finding"`` or ``"worker-failure"``.
+#: ``"ok"``, ``"finding"`` or ``"worker-failure"``.
 FuzzProgressFn = Callable[[int, int, str, str, str], None]
-
-#: Probability that a draw mutates a pool spec instead of generating afresh.
-MUTATE_PROBABILITY = 0.6
-
-#: Size of the mutation pool; older coverage discoveries rotate out FIFO.
-POOL_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,6 @@ class FuzzConfig(Artifact):
 
     seed: int = 0
     budget_iters: int = 64
-    batch_size: int = 8
     max_findings: int = 8
     shrink_budget: int = 120
     limits: GeneratorLimits = field(default_factory=GeneratorLimits)
@@ -77,10 +69,10 @@ class FuzzConfig(Artifact):
         super().__post_init__()
         if self.budget_iters < 1:
             raise ValueError("budget_iters must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.max_findings < 1:
             raise ValueError("max_findings must be >= 1")
+        if self.shrink_budget < 1:
+            raise ValueError("shrink_budget must be >= 1")
 
 
 @dataclass
@@ -133,7 +125,6 @@ class FuzzReport(Artifact, derived=("passed",)):
     coverage: CoverageMap = field(default_factory=CoverageMap)
     trail: List[Dict[str, Any]] = field(default_factory=list)
     findings: List[FuzzFinding] = field(default_factory=list)
-    pool_size: int = 0
     schema: int = 1
 
     @property
@@ -142,24 +133,24 @@ class FuzzReport(Artifact, derived=("passed",)):
 
 
 class FuzzCampaign:
-    """Drive one coverage-guided fuzz campaign through an exec backend."""
+    """Drive one fuzz campaign through an exec backend."""
 
     def __init__(self, config: FuzzConfig, jobs: int = 1,
-                 backend: Optional[ExecBackend] = None,
                  task_timeout: Optional[float] = 300.0,
                  budget_seconds: Optional[float] = None) -> None:
         self.config = config
+        self.jobs = jobs  # also the chunk of specs each backend call runs
         # Fault tolerance is not optional for a fuzzer: the whole point is
         # feeding the system inputs that might wedge it.
-        self.backend = backend if backend is not None else backend_for_jobs(
-            jobs, timeout=task_timeout, fault_tolerant=True)
+        self.backend = backend_for_jobs(jobs, timeout=task_timeout,
+                                        fault_tolerant=True)
         self.budget_seconds = budget_seconds
         self.generator = SpecGenerator(config.limits)
 
     # -------------------------------------------------------------- case seeds
     def case_seed(self, iteration: int) -> int:
         """The run seed of iteration ``i`` — derived, stable, independent of
-        batching and job count."""
+        the job count."""
         return derive_rng(self.config.seed, "fuzz", "case",
                           iteration).getrandbits(32)
 
@@ -175,7 +166,6 @@ class FuzzCampaign:
         cfg = self.config
         rng = derive_rng(cfg.seed, "fuzz", "gen")
         coverage = CoverageMap()
-        pool: List[Dict[str, Any]] = []
         findings: Dict[Tuple[str, ...], FuzzFinding] = {}
         trail: List[Dict[str, Any]] = []
         report = FuzzReport(config=cfg, coverage=coverage, trail=trail)
@@ -185,35 +175,24 @@ class FuzzCampaign:
             deadline = time.monotonic() + self.budget_seconds
 
         iteration = 0
-        while iteration < cfg.budget_iters:
+        while iteration < cfg.budget_iters and len(findings) < cfg.max_findings:
             if deadline is not None and time.monotonic() > deadline:
                 report.truncated = True
                 break
-            batch: List[ScenarioSpec] = []
-            for offset in range(min(cfg.batch_size,
-                                    cfg.budget_iters - iteration)):
-                name = generated_name(cfg.seed, iteration + offset)
-                if pool and rng.random() < MUTATE_PROBABILITY:
-                    base = ScenarioSpec.from_dict(rng.choice(pool))
-                    batch.append(self.generator.mutate(rng, base, name))
-                else:
-                    batch.append(self.generator.random_spec(rng, name))
-            tasks = [self._task(spec, iteration + offset)
-                     for offset, spec in enumerate(batch)]
-            results = self.backend.run(tasks)
-
-            for offset, (spec, result) in enumerate(zip(batch, results)):
-                index = iteration + offset
-                self._observe(index, spec, result, coverage, pool, findings,
+            chunk = range(iteration, min(iteration + self.jobs, cfg.budget_iters))
+            specs = [self.generator.random_spec(rng, generated_name(cfg.seed, index))
+                     for index in chunk]
+            results = self.backend.run([self._task(spec, index)
+                                        for index, spec in zip(chunk, specs)])
+            for spec, result in zip(specs, results):
+                self._observe(iteration, spec, result, coverage, findings,
                               trail, progress)
-            iteration += len(batch)
-            if len(findings) >= cfg.max_findings:
-                break
+                iteration += 1
+                if len(findings) >= cfg.max_findings:
+                    break
 
         report.iterations = iteration
-        report.pool_size = len(pool)
-        report.findings = sorted(findings.values(),
-                                 key=lambda f: f.iteration)
+        report.findings = list(findings.values())  # first occurrences, in order
         for number, finding in enumerate(report.findings):
             finding.finding_id = f"fuzz-s{cfg.seed}-f{number:03d}"
             self._shrink(finding)
@@ -222,52 +201,32 @@ class FuzzCampaign:
     # ------------------------------------------------------------ observation
     def _observe(self, index: int, spec: ScenarioSpec,
                  result: Dict[str, Any], coverage: CoverageMap,
-                 pool: List[Dict[str, Any]],
                  findings: Dict[Tuple[str, ...], FuzzFinding],
                  trail: List[Dict[str, Any]],
                  progress: Optional[FuzzProgressFn]) -> None:
-        cfg = self.config
-        total = cfg.budget_iters
+        failure: Optional[Dict[str, Any]] = None
         if is_failure_result(result):
             failure = failure_from_result(result).to_dict()
-            signature = (f"worker:{failure['kind']}",)
+            kind, signature, reasons = "worker", (f"worker:{failure['kind']}",), ()
+            status, detail = "worker-failure", failure["kind"]
+        else:
+            new_keys = coverage.add(result["coverage"])
+            if new_keys:
+                trail.append({"iteration": index, "new_keys": new_keys})
+            verdict = Verdict.from_dict(result["verdict"])
+            kind, signature, reasons = "oracle", verdict.signature, verdict.reasons
+            status, detail = (("finding", "; ".join(signature)) if verdict.failed
+                              else ("ok", ""))
+        if status != "ok":
             if signature in findings:
                 findings[signature].occurrences += 1
             else:
                 findings[signature] = FuzzFinding(
-                    finding_id="", signature=signature, kind="worker",
-                    iteration=index, spec=spec.to_dict(),
-                    seed=self.case_seed(index),
-                    worker_failure=failure)
-            if progress is not None:
-                progress(index + 1, total, spec.name, "worker-failure",
-                         failure["kind"])
-            return
-
-        new_keys = coverage.add(result["coverage"])
-        if new_keys:
-            trail.append({"iteration": index, "new_keys": new_keys})
-            pool.append(spec.to_dict())
-            if len(pool) > POOL_CAP:
-                # FIFO eviction: old discoveries rotate out deterministically.
-                del pool[0]
-
-        verdict = Verdict.from_dict(result["verdict"])
-        if verdict.failed:
-            if verdict.signature in findings:
-                findings[verdict.signature].occurrences += 1
-            else:
-                findings[verdict.signature] = FuzzFinding(
-                    finding_id="", signature=verdict.signature, kind="oracle",
-                    iteration=index, spec=spec.to_dict(),
-                    seed=self.case_seed(index), reasons=verdict.reasons)
-            status = "finding"
-            detail = "; ".join(verdict.signature)
-        else:
-            status = "new-coverage" if new_keys else "ok"
-            detail = f"+{len(new_keys)} keys" if new_keys else ""
+                    finding_id="", signature=signature, kind=kind, iteration=index,
+                    spec=spec.to_dict(), seed=self.case_seed(index),
+                    reasons=reasons, worker_failure=failure)
         if progress is not None:
-            progress(index + 1, total, spec.name, status, detail)
+            progress(index + 1, self.config.budget_iters, spec.name, status, detail)
 
     # -------------------------------------------------------------- shrinking
     def _still_fails_fn(self, finding: FuzzFinding

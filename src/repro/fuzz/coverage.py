@@ -1,4 +1,4 @@
-"""The coverage signal that steers generation toward unexplored behavior.
+"""The coverage signal: a fuzz campaign's measure of the behavior it explored.
 
 Coverage is a set of small string keys describing *which behaviors a run
 actually exercised*, derived from two deterministic sources:
@@ -12,10 +12,9 @@ actually exercised*, derived from two deterministic sources:
   heal-vs-window ordering).
 
 Keys are coarse on purpose: buckets instead of raw values, kinds instead of
-magnitudes.  A fuzz campaign keeps a spec in its mutation pool exactly when
-the spec's run contributed at least one key nobody had produced before, so
-the coarseness is what makes "new coverage" mean "new behavior" rather than
-"new noise".  Everything here is a pure function of the run (which is a
+magnitudes.  A fuzz campaign's trail records each run that contributed at
+least one key nobody had produced before, so the coarseness is what makes
+"new coverage" mean "new behavior" rather than "new noise".  Everything here is a pure function of the run (which is a
 pure function of the seed), so coverage trails are byte-reproducible.
 """
 

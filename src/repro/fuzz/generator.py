@@ -1,4 +1,4 @@
-"""Seeded generation and mutation over the full ScenarioSpec fault space.
+"""Seeded generation over the full ScenarioSpec fault space.
 
 Every spec a :class:`SpecGenerator` produces is **valid by construction**:
 magnitudes are drawn inside the bounds :class:`~repro.scenarios.spec`
@@ -15,8 +15,8 @@ Generation is a pure function of the :class:`random.Random` stream passed
 in (always a :func:`repro.sim.rng.derive_rng` stream in practice), which is
 what makes whole fuzz campaigns byte-reproducible.
 
-The fault dimensions covered — the full product space the coverage signal
-steers through:
+The fault dimensions covered — the full product space every draw samples
+and the coverage map measures:
 
 * **link faults** — probabilistic loss, duplication, delay spikes;
 * **named partitions** with heals scheduled either inside the disruption
@@ -30,7 +30,7 @@ steers through:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.artifact import Artifact
@@ -86,6 +86,10 @@ class GeneratorLimits(Artifact):
             raise ValueError("need 0 < min_rounds <= max_rounds")
         if self.settle_rounds < 0:
             raise ValueError("settle_rounds must be non-negative")
+        if self.max_churn_ops < 1:
+            raise ValueError("max_churn_ops must be >= 1")
+        if self.max_publications < 1:
+            raise ValueError("max_publications must be >= 1")
 
 
 #: The sized-down fault space ``fuzz --quick`` draws from: specs run in a
@@ -96,12 +100,11 @@ QUICK_LIMITS = GeneratorLimits(
 
 
 class SpecGenerator:
-    """Draw valid :class:`ScenarioSpec`\\ s (and mutants of them) from an RNG."""
+    """Draw valid :class:`ScenarioSpec`\\ s from an RNG."""
 
     def __init__(self, limits: Optional[GeneratorLimits] = None) -> None:
         self.limits = limits if limits is not None else GeneratorLimits()
 
-    # ---------------------------------------------------------------- freshness
     def random_spec(self, rng: random.Random, name: str) -> ScenarioSpec:
         """One fresh spec drawn uniformly-ish over the fault space."""
         limits = self.limits
@@ -118,7 +121,7 @@ class SpecGenerator:
                        for i in range(n_phases))
         return ScenarioSpec(
             name=name,
-            description="coverage-guided generated scenario",
+            description="generated scenario",
             facade="sharded" if sharded else "single",
             shards=shards, subscribers=subscribers, topics=topics,
             phases=phases)
@@ -167,65 +170,6 @@ class SpecGenerator:
             elif kind == "crash_supervisor":
                 fields["crash_supervisor"] = True
         return PhaseSpec(**fields)
-
-    # ---------------------------------------------------------------- mutation
-    def mutate(self, rng: random.Random, base: ScenarioSpec,
-               name: str) -> ScenarioSpec:
-        """One validity-preserving mutant of ``base`` (coverage-guided
-        campaigns mutate specs that discovered new behavior).  Applies one
-        randomly chosen applicable operator; falls back to a fresh spec when
-        an operator produces an invalid combination (never expected, but a
-        fuzzer must not crash on its own corpus)."""
-        ops = ["tweak_phase", "add_phase", "resize"]
-        if len(base.phases) > 1:
-            ops.extend(["drop_phase", "swap_phases"])
-        if len(base.phases) >= self.limits.max_phases:
-            ops.remove("add_phase")
-        op = rng.choice(sorted(ops))
-        try:
-            mutant = getattr(self, f"_op_{op}")(rng, base)
-            return replace(mutant, name=name,
-                           description=f"mutant({op}) of {base.name}")
-        except ValueError:
-            return self.random_spec(rng, name)
-
-    def _op_drop_phase(self, rng: random.Random,
-                       base: ScenarioSpec) -> ScenarioSpec:
-        victim = rng.randrange(len(base.phases))
-        phases = tuple(p for i, p in enumerate(base.phases) if i != victim)
-        return replace(base, phases=phases)
-
-    def _op_swap_phases(self, rng: random.Random,
-                        base: ScenarioSpec) -> ScenarioSpec:
-        i, j = rng.sample(range(len(base.phases)), 2)
-        phases = list(base.phases)
-        phases[i], phases[j] = phases[j], phases[i]
-        return replace(base, phases=tuple(phases))
-
-    def _op_add_phase(self, rng: random.Random,
-                      base: ScenarioSpec) -> ScenarioSpec:
-        sharded = base.facade == "sharded"
-        new = self._random_phase(rng, len(base.phases), sharded)
-        return replace(base, phases=base.phases + (new,))
-
-    def _op_resize(self, rng: random.Random,
-                   base: ScenarioSpec) -> ScenarioSpec:
-        limits = self.limits
-        floor = max(limits.min_subscribers, 4 * len(base.topics))
-        subscribers = rng.randint(floor, max(floor, limits.max_subscribers))
-        if base.facade == "sharded":
-            return replace(base, subscribers=subscribers,
-                           shards=rng.randint(2, MAX_SHARDS))
-        return replace(base, subscribers=subscribers)
-
-    def _op_tweak_phase(self, rng: random.Random,
-                        base: ScenarioSpec) -> ScenarioSpec:
-        """Re-draw one phase in place (same index, fresh disruption mix)."""
-        index = rng.randrange(len(base.phases))
-        sharded = base.facade == "sharded"
-        phases = list(base.phases)
-        phases[index] = self._random_phase(rng, index, sharded)
-        return replace(base, phases=tuple(phases))
 
 
 def generated_name(fuzz_seed: int, iteration: int) -> str:

@@ -318,12 +318,11 @@ class Simulator:
         """Place an adversarial message into ``dest``'s channel (initial-state
         corruption): a record with ``sender=None``, delivered like any other
         but never counted as a protocol send."""
-        if delay is not None and not math.isfinite(delay):
-            raise ValueError("inject_message delay must be finite")
-        if delay is not None and delay < 0:
-            # The block drain relies on every schedulable time being >= now
-            # (the simulated clock never moves backward).
-            raise ValueError("inject_message delay must be non-negative")
+        if delay is not None and not (math.isfinite(delay) and delay >= 0):
+            # The block drain relies on every schedulable time being >= now.
+            raise ValueError("inject_message delay must be finite and non-negative")
+        if not all(isinstance(key, str) for key in params):  # ``handler(node, **params)``
+            raise TypeError("inject_message params must be named: every key a str")
         if delay is None:
             delay = self._delay_rng.uniform(self.config.min_delay,
                                             self.config.max_delay)

@@ -306,6 +306,7 @@ RETIRED = [(_params, "request_probability_exponent_cap", 30),
            (SystemSpec.from_dict, "virtual_nodes", 64),
            (FuzzConfig.from_dict, "mutate_probability", 0.6),
            (FuzzConfig.from_dict, "pool_cap", 64),
+           (FuzzConfig.from_dict, "batch_size", 8),
            *((GeneratorLimits.from_dict, key, value) for key, value in (
                ("max_topics", 2), ("max_shards", 3), ("max_crash_fraction", 0.34),
                ("max_loss_rate", 0.18), ("max_duplicate_rate", 0.12),

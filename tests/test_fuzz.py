@@ -1,4 +1,4 @@
-"""Tests for the coverage-guided fuzzer: generator validity/determinism,
+"""Tests for the fuzzer: generator validity/determinism,
 coverage signal, oracle, shrinker minimality, campaign reproducibility, and
 the seeded known-bug acceptance check."""
 
@@ -98,6 +98,17 @@ class TestSpecValidationEdgeCases:
         with pytest.raises(ValueError, match="min_rounds"):
             GeneratorLimits(min_rounds=10.0, max_rounds=5.0)
 
+    @pytest.mark.parametrize("make, field", [
+        (GeneratorLimits, "max_churn_ops"),
+        (GeneratorLimits, "max_publications"),
+        (FuzzConfig, "shrink_budget"),
+    ], ids=lambda value: value if isinstance(value, str) else value.__name__)
+    def test_a_zero_count_is_refused_at_construction(self, make, field):
+        """Accepted, a zero count ended the campaign later: ``randint(1, 0)``
+        mid-generation, or the shrinker's refusal at the first finding."""
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            make(**{field: 0})
+
     def test_limits_round_trip(self):
         assert GeneratorLimits.from_dict(TINY.to_dict()) == TINY
 
@@ -117,15 +128,6 @@ class TestGenerator:
             # Constructing from the dict re-runs every validator; equality
             # proves the JSON round trip is lossless.
             assert ScenarioSpec.from_dict(spec.to_dict()) == spec
-
-    def test_mutants_valid_and_renamed(self):
-        gen = SpecGenerator(TINY)
-        rng = derive_rng(1, "gen")
-        base = gen.random_spec(rng, "base")
-        for i in range(40):
-            mutant = gen.mutate(rng, base, f"mut{i}")
-            assert mutant.name == f"mut{i}"
-            assert ScenarioSpec.from_dict(mutant.to_dict()) == mutant
 
     def test_fault_space_is_actually_covered(self):
         gen = SpecGenerator(GeneratorLimits())
@@ -295,7 +297,6 @@ class TestCampaign:
     def config(self, **kwargs):
         kwargs.setdefault("seed", 3)
         kwargs.setdefault("budget_iters", 6)
-        kwargs.setdefault("batch_size", 3)
         kwargs.setdefault("limits", TINY)
         return FuzzConfig(**kwargs)
 
@@ -311,11 +312,19 @@ class TestCampaign:
         second = FuzzCampaign(cfg).run().to_json()
         assert first == second
 
-    def test_jobs_do_not_change_report_bytes(self):
-        cfg = self.config()
-        inline = FuzzCampaign(cfg, jobs=1).run().to_json()
-        fanned = FuzzCampaign(cfg, jobs=2).run().to_json()
-        assert inline == fanned
+    @pytest.mark.parametrize("stop", [False, True], ids=["budget", "max-findings"])
+    def test_jobs_do_not_change_report_bytes(self, stop):
+        # With ``stop``, the first finding lands on the first of a 2-job
+        # chunk: the campaign must end there, not after the chunk.
+        cfg = self.config(**({"budget_iters": 12, "max_findings": 1, "shrink_budget": 1,
+                              "oracle": OracleSpec(max_relegitimize_rounds=0.5)}
+                             if stop else {}))
+        inline = FuzzCampaign(cfg, jobs=1).run()
+        fanned = FuzzCampaign(cfg, jobs=2).run()
+        assert inline.to_json() == fanned.to_json()
+        if stop:
+            assert inline.iterations == inline.findings[0].iteration + 1
+            assert inline.iterations % 2 == 1
 
     def test_case_seeds_are_schedule_independent(self):
         campaign = FuzzCampaign(self.config())
@@ -330,12 +339,13 @@ class TestCampaign:
         assert report.iterations == 6
         assert '"truncated":false' in text
         assert "wall" not in text
+        assert len(report.coverage) > 0 and report.trail[0]["iteration"] == 0
 
     def test_seeded_known_bug_is_found_and_shrunk(self):
         # Deliberately weakened oracle: any relegitimacy over half a round
         # is "a bug".  The campaign must find it, dedupe it, and shrink the
         # reproduction to a handful of phases (acceptance: <= 3).
-        cfg = self.config(budget_iters=12, batch_size=4,
+        cfg = self.config(budget_iters=12,
                           oracle=OracleSpec(max_relegitimize_rounds=0.5),
                           max_findings=1)
         report = FuzzCampaign(cfg).run()
@@ -353,12 +363,6 @@ class TestCampaign:
         verdict = Verdict.from_dict(result["verdict"])
         assert verdict.failed
         assert verdict.signature == finding.signature
-
-    def test_coverage_trail_grows_and_pool_feeds_mutation(self):
-        report = FuzzCampaign(self.config(budget_iters=8, batch_size=4)).run()
-        assert report.coverage is not None and len(report.coverage) > 0
-        assert report.trail and report.trail[0]["iteration"] == 0
-        assert report.pool_size == len(report.trail)
 
 
 #: The rule each float flag's argparse type states when it rejects a value.
@@ -403,7 +407,6 @@ class TestFuzzCLI:
         ["fuzz", "--max-findings", "0"],
         ["fuzz", "--shrink-budget", "-1"],
         ["fuzz", "--budget-iters", "0"],
-        ["fuzz", "--batch-size", "0"],
         ["sweep", "--demo", "e13-loss-shards", "--jobs", "2", "--task-timeout", "0"],
         ["sweep", "--demo", "e13-loss-shards", "--jobs", "2", "--task-timeout", "-1"],
         ["sweep", "--demo", "e13-loss-shards", "--jobs", "2", "--task-timeout", "nan"],

@@ -90,6 +90,16 @@ class TestSimulatorBasics:
         sim.inject_message(1, "Nonsense", {"x": 1})
         sim.run_rounds(2)  # must not raise
 
+    def test_a_message_with_an_unnamed_parameter_is_refused_up_front(self):
+        """A non-str params key used to reach ``handler(node, **params)`` and
+        end the drain with ``keywords must be strings``."""
+        sim = Simulator(SimulatorConfig(seed=3))
+        node = sim.add_node(EchoNode(1), schedule_timeout=False)
+        with pytest.raises(TypeError, match="every key a str"):
+            sim.inject_message(1, "Ping", {1: 2, "sender": 1}, delay=0.5)
+        sim.run_rounds(3)
+        assert node.pings == 0 and sim.steps_executed == 0
+
     def test_send_to_none_is_noop(self):
         sim = Simulator()
         node = sim.add_node(EchoNode(1), schedule_timeout=False)

@@ -180,7 +180,6 @@ CONFIG_FIELDS = {
     "SweepSpec.crashes": _SRC + "exec/demo.py",
     "FuzzConfig.seed": _SRC + "cli.py",
     "FuzzConfig.budget_iters": _SRC + "cli.py",
-    "FuzzConfig.batch_size": _SRC + "cli.py",
     "FuzzConfig.max_findings": _SRC + "cli.py",
     "FuzzConfig.shrink_budget": _SRC + "cli.py",
     "FuzzConfig.limits": _SRC + "cli.py",
