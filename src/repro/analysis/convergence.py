@@ -1,15 +1,18 @@
 """Legitimate-state predicates and convergence measurement helpers.
 
 The paper's notion of a legitimate state for ``BuildSR`` (Theorems 8/13)
-requires, for a topic with member set ``M`` of size ``n``:
+requires, for a topic with live member set ``M`` of size ``n``, and the
+oracle names each failed condition as a :class:`Finding`:
 
-* the supervisor's database is uncorrupted and contains exactly the members
-  of ``M`` under the labels ``l(0), ..., l(n-1)``;
-* every member stores its correct label and its correct ring neighbours
-  (the wrap-around edge being held in ``ring`` by the minimum and maximum
-  nodes);
-* every member's shortcut set contains exactly the locally computable
-  shortcut labels, each mapped to the correct member.
+* the supervisor's database holds every member of ``M``
+  (``database-missing``), no entry whose reference is ``None``, outside
+  ``M`` or a second label for one reference (``database-ghost``), and every
+  label ``l(0), ..., l(n-1)`` (``database-label``);
+* every member stores its correct label (``label``) and its correct ring
+  neighbours (``ring-left``, ``ring-right``, and ``ring-wrap``: the
+  wrap-around edge held in ``ring`` by the minimum and maximum nodes);
+* every member's shortcut set maps exactly the locally computable shortcut
+  labels to the correct members (``shortcut@<label>``, one per label).
 
 For the publication layer (Theorems 17/23) the legitimate state additionally
 requires every member's Patricia trie to hold the same publication set.
@@ -20,39 +23,53 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import AbstractSet, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.labels import Label
 from repro.core.skip_ring import SkipRingTopology
 from repro.core.subscriber import Subscriber
-from repro.core.supervisor import Supervisor
+from repro.core.supervisor import Supervisor, TopicDatabase
 from repro.sim.node import NodeRef
+
+
+class Finding(NamedTuple):
+    """One failed condition at one node (``None``: a hole, or an entry without
+    a ref); ``None`` as ``expected``/``actual`` is an absent entry or neighbour."""
+
+    node: Optional[NodeRef]
+    condition: str
+    expected: Any
+    actual: Any
 
 
 @dataclass
 class LegitimacyReport:
-    """Break-down of which legitimacy conditions currently hold."""
+    """The failed conditions of one topic; legitimate means none failed."""
 
     topic: str
     n: int
-    database_ok: bool = False
-    labels_ok: bool = False
-    ring_ok: bool = False
-    shortcuts_ok: bool = False
-    problems: List[str] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
 
     @property
     def legitimate(self) -> bool:
-        return self.database_ok and self.labels_ok and self.ring_ok and self.shortcuts_ok
+        return not self.findings
 
-    def add_problem(self, text: str, *args: object) -> None:
-        """Keep ``text.format(*args)`` — formatted only if it is among the first 50."""
-        if len(self.problems) < 50:
-            self.problems.append(text.format(*args) if args else text)
+    @property
+    def problems(self) -> List[str]:
+        """The first 50 findings, rendered."""
+        return [f"{f.node}: {f.condition} expected {f.expected!r}, actual {f.actual!r}"
+                for f in self.findings[:50]]
+
+    def failed(self) -> Set[str]:
+        """The failed condition kinds (``shortcut`` for every ``shortcut@<label>``)."""
+        return {finding.condition.partition("@")[0] for finding in self.findings}
 
 
 #: One join index of SR(n): label, left/right/ring indices, shortcut (label, index) pairs.
 _Row = Tuple[Label, int, int, int, Tuple[Tuple[Label, int], ...]]
+
+#: The conditions of a row's label and ring indices, in the row's order.
+_NODE_CONDITIONS = ("label", "ring-left", "ring-right", "ring-wrap")
 
 
 @lru_cache(maxsize=8)  # a sharded system checks one n per topic
@@ -71,51 +88,51 @@ def _ideal_state(n: int) -> Tuple[_Row, ...]:
 
 def ring_legitimate(supervisor: Supervisor, subscribers: Dict[NodeRef, Subscriber],
                     members: List[NodeRef], topic: str) -> LegitimacyReport:
-    """Full legitimacy check of the overlay for one topic."""
-    report = LegitimacyReport(topic=topic, n=len(members))
-    # database(), not databases.get(): created here at t = 0, it fixes the Timeout's topic order.
-    db = supervisor.database(topic)
+    """Every failed legitimacy condition of ``topic``'s overlay, its live
+    ``members`` given; read-only, so a check creates no database.
 
-    report.database_ok = supervisor.is_database_legitimate(members, topic)
-    if not report.database_ok:
-        report.add_problem("supervisor database corrupted or membership mismatch")
+    The database conditions are checked first, comparing refs by hash and
+    equality, never by order (a forged ``Subscribe`` can store a ghost
+    ``"x"`` next to int refs).  SR(n)'s expected state is indexed by the
+    database's labels, so the node conditions are evaluated only when no
+    database condition fails; then each is evaluated for every member,
+    independently of the others.
+    """
+    db = supervisor.databases.get(topic) or TopicDatabase()
+    live, held, ghosts = set(members), set(), []
+    for label, ref in db.entries.items():
+        if ref in held or ref not in live:
+            ghosts.append(Finding(ref, "database-ghost", None, label))
+        held.add(ref)
+    findings = [Finding(ref, "database-missing", None, None) for ref in members if ref not in held]
+    findings += ghosts
+    findings += [Finding(None, "database-label", label, None) for label in db.missing_labels()]
+    report = LegitimacyReport(topic, len(members), findings)
+    if findings or not members:
         return report
 
-    n = len(members)
-    if n == 0:
-        report.labels_ok = report.ring_ok = report.shortcuts_ok = True
-        return report
-
-    # An uncorrupted database holds exactly l(0..n-1): join index -> subscriber, n -> None.
-    rows = _ideal_state(n)
+    # The database holds exactly l(0..n-1): join index -> subscriber, n -> None.
+    rows = _ideal_state(len(members))
     refs: List[Optional[NodeRef]] = [db.entries[row[0]] for row in rows] + [None]
-    labels_ok = ring_ok = shortcuts_ok = True
-    for ref, (expected_label, left, right, ring, shortcuts) in zip(refs, rows):
+    for ref, (label, left, right, ring, shortcuts) in zip(refs, rows):
         subscriber = subscribers.get(ref)
-        if subscriber is None or subscriber.crashed:
-            report.add_problem("database points to missing subscriber {}", ref)
-            labels_ok = ring_ok = shortcuts_ok = False
-            break
-        view = subscriber.view(topic, create=False)
-        if view is None or view.label != expected_label:
-            labels_ok = False
-            report.add_problem("subscriber {} has label {!r}, expected {!r}",
-                               ref, getattr(view, "label", None), expected_label)
-            continue
-        actual = (view.left and view.left.ref,  # a Neighbor is a 2-tuple, never falsy
-                  view.right and view.right.ref, view.ring and view.ring.ref)
-        expected = (refs[left], refs[right], refs[ring])
+        view = None if subscriber is None or subscriber.crashed else subscriber.views.get(topic)
+        if view is None:
+            actual, actual_sc = (None, None, None, None), {}
+        else:
+            actual = (view.label, view.left and view.left.ref,  # a Neighbor is never falsy
+                      view.right and view.right.ref, view.ring and view.ring.ref)
+            actual_sc = view.shortcuts
+        expected = (label, refs[left], refs[right], refs[ring])
         if actual != expected:
-            ring_ok = False
-            report.add_problem("subscriber {}: ring neighbours (L={}, R={}, W={}) "
-                               "expected (L={}, R={}, W={})", ref, *actual, *expected)
-        expected_shortcuts = {label: refs[index] for label, index in shortcuts}
-        if view.shortcuts != expected_shortcuts:
-            shortcuts_ok = False
-            report.add_problem("subscriber {}: shortcuts {} expected {}",
-                               ref, view.shortcuts, expected_shortcuts)
-
-    report.labels_ok, report.ring_ok, report.shortcuts_ok = labels_ok, ring_ok, shortcuts_ok
+            findings += [Finding(ref, condition, want, got) for condition, want, got
+                         in zip(_NODE_CONDITIONS, expected, actual) if want != got]
+        expected_sc = {key: refs[index] for key, index in shortcuts}
+        if actual_sc != expected_sc:  # a key may be absent on either side
+            findings += [Finding(ref, f"shortcut@{key}", expected_sc.get(key), actual_sc.get(key))
+                         for key in {**expected_sc, **actual_sc}
+                         if key not in actual_sc or key not in expected_sc
+                         or actual_sc[key] != expected_sc[key]]
     return report
 
 

@@ -68,7 +68,7 @@ class TopicDatabase:
         self._item: Dict[Label, _Item] = {}
         self._order: List[_Item] = []
         self._labels_of: Dict[Optional[NodeRef], List[Label]] = {}
-        self._missing: Optional[List[Label]] = None  # _missing_labels(), until a write
+        self._missing: Optional[List[Label]] = None  # missing_labels(), until a write
         for label, ref in (entries or {}).items():
             self.put(label, ref)
 
@@ -143,9 +143,9 @@ class TopicDatabase:
                 or len(self._labels_of) != len(self._entries)
                 # (iii)/(iv) among n labels, one of l(0..n-1) missing means
                 # another is out of range or non-canonical
-                or bool(self._missing_labels()))
+                or bool(self.missing_labels()))
 
-    def _missing_labels(self) -> List[Label]:
+    def missing_labels(self) -> List[Label]:
         """The holes: labels of ``l(0), ..., l(n-1)`` the database lacks —
         scanned once per write, not once per Timeout or oracle check."""
         if self._missing is None:
@@ -178,7 +178,7 @@ class TopicDatabase:
             for ref in [ref for ref, owned in self._labels_of.items() if len(owned) > 1]:
                 self.check_multiple_copies(ref)
         # (iii)/(iv) move out-of-range labels into the holes 0..n-1.
-        missing = self._missing_labels()
+        missing = self.missing_labels()
         if missing:
             wanted = set(map(label_of, range(len(self._entries))))
             extras = sorted((label for label in self._entries if label not in wanted),
@@ -244,24 +244,6 @@ class Supervisor(ProtocolNode):
 
     def topics(self) -> List[str]:
         return sorted(self.databases)
-
-    def is_database_legitimate(self, expected_members: List[NodeRef],
-                               topic: Optional[str] = None) -> bool:
-        """True if the topic database is uncorrupted and contains exactly
-        ``expected_members`` (used by legitimacy checks).
-
-        Compared as sets — an uncorrupted database holds no subscriber twice,
-        so length plus set equality is the same predicate — because the oracle
-        must not raise: a forged ``Subscribe`` can store a hashable ref of any
-        type (``"x"`` next to ints), which ``sorted()`` cannot order.  Such a
-        ghost makes this ``False`` until the next Timeout evicts it (the
-        failure detector suspects an id with no node behind it).
-        """
-        db = self.database(topic)
-        if db.is_corrupted():
-            return False
-        members = db.members()
-        return len(members) == len(expected_members) and set(members) == set(expected_members)
 
     # --------------------------------------------------------------- timeout
     def on_timeout(self) -> None:

@@ -48,6 +48,11 @@ class TestAdversarialConfig:
         config = AdversarialConfig(n=10, seed=1, database_mode="corrupted")
         system, _ = build_adversarial_system(config)
         assert not system.is_legitimate()
+        # A None ref and a duplicate subscriber are ghosts; the node conditions
+        # wait for a database that names SR(n)'s labels.
+        assert "database-ghost" in system.legitimacy_report().failed()
+        assert system.legitimacy_report().failed() <= {
+            "database-missing", "database-ghost", "database-label"}
 
 
 class TestTheorem8Convergence:
@@ -69,6 +74,19 @@ class TestTheorem8Convergence:
                                    database_mode="corrupted")
         system, _ = build_adversarial_system(config)
         assert system.run_until_legitimate(max_rounds=1500)
+
+    def test_a_first_hit_is_followed_by_two_wrong_level_0_shortcuts(self):
+        """From a corrupted start, legitimacy is a first-hitting time: ten
+        rounds after the first legitimate check at n = 32, two subscribers
+        hold a wrong level-0 shortcut, named as records, not parsed strings."""
+        config = AdversarialConfig(32, 7, database_mode="corrupted", components=2)
+        system = build_adversarial_system(config)[0]
+        assert system.run_until_legitimate(max_rounds=3000)
+        assert system.sim.now == 60 * system.sim.config.timeout_period
+        system.run_rounds(10)
+        report = system.legitimacy_report()
+        assert report.findings == [(6, "shortcut@0", 29, 1), (27, "shortcut@0", 29, None)]
+        assert report.failed() == {"shortcut"} and not report.legitimate
 
     def test_convergence_with_pseudocode_getconfiguration_variant(self):
         config = AdversarialConfig(n=8, seed=9, database_mode="empty")

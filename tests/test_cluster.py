@@ -186,8 +186,11 @@ class TestShardedPubSub:
         """Legitimacy queries for unknown topics (including the never-used
         default topic) must not consume bounded-loads assignment slots."""
         cluster = SupervisedPubSub(shards=2, seed=12)
+        topics = {k: supervisor.topics() for k, supervisor in cluster.supervisors.items()}
         cluster.is_legitimate("no-such-topic")
         cluster.legitimacy_report("another-unknown")
+        # ... and create no database, which every Timeout of its shard would iterate.
+        assert {k: supervisor.topics() for k, supervisor in cluster.supervisors.items()} == topics
         cluster.run_until_legitimate(max_rounds=5)
         assert cluster.topic_assignment() == {}
         assert all(count == 0 for count in cluster.shard_topic_counts().values())
@@ -195,6 +198,11 @@ class TestShardedPubSub:
         prospective = cluster.shard_of("news", pin=False)
         cluster.add_subscriber("news")
         assert cluster.topic_assignment() == {"news": prospective}
+
+    def test_the_oracle_creates_no_database_at_one_shard(self):
+        system = SupervisedPubSub(seed=0)
+        assert system.is_legitimate()  # no member, no entry: nothing fails
+        assert system.supervisor.topics() == []
 
     def test_surviving_topics_untouched_by_shard_crash(self):
         cluster = build_stable(SystemSpec(topology="sharded", shards=4, seed=8),

@@ -385,7 +385,8 @@ class TestProtocolPathStaysFractionFree:
                                                                    supervised):
         """The hole scan (n ``label_of`` calls) runs once per database write:
         a Timeout on an unchanged database calls ``label_of`` once, for the
-        round-robin pick, and the oracle's ``is_corrupted`` not at all."""
+        round-robin pick, and ``is_corrupted`` (whose hole scan the oracle
+        reads too) not at all."""
         import repro.core.supervisor as supervisor_module
 
         sim, supervisor = supervised(range(1, 257))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.convergence import LegitimacyReport, ring_legitimate
+from repro.analysis.convergence import Finding, LegitimacyReport, ring_legitimate
 from repro.analysis.graph_metrics import degree_statistics, diameter, distances, graph
 from repro.api import SystemSpec, build_stable, build_system
 from repro.core import messages as msg
@@ -394,7 +394,7 @@ _db_steps = st.lists(st.one_of(
 
 @given(_db_steps)
 def test_memoized_hole_scan_equals_a_fresh_scan_after_every_write(steps):
-    """``_missing_labels`` is remembered until the next ``put``/``remove``/
+    """``missing_labels`` is remembered until the next ``put``/``remove``/
     ``clear``; after every step it and ``is_corrupted`` equal a scan of a
     database rebuilt from the same entries."""
     db = TopicDatabase()
@@ -408,7 +408,7 @@ def test_memoized_hole_scan_equals_a_fresh_scan_after_every_write(steps):
         elif op == "clear":
             db.clear()
         fresh = TopicDatabase(entries=dict(db.entries))
-        assert db._missing_labels() == fresh._missing_labels() == [
+        assert db.missing_labels() == fresh.missing_labels() == [
             label_of(i) for i in range(db.n) if label_of(i) not in db.entries]
         assert db.is_corrupted() == fresh.is_corrupted()
 
@@ -416,40 +416,45 @@ def test_memoized_hole_scan_equals_a_fresh_scan_after_every_write(steps):
 # ------------------------------------------------ the oracle vs SR(n) per check
 def _reference_ring_legitimate(supervisor, subscribers, members, topic):
     """The oracle as it was before its per-n table: ``SkipRingTopology(n)``
-    and ``expected_subscriber_state`` rebuilt on every check."""
+    and ``expected_subscriber_state`` rebuilt on every check, each condition
+    one explicit comparison, emitting the oracle's records in its order."""
     report = LegitimacyReport(topic=topic, n=len(members))
-    report.database_ok = supervisor.is_database_legitimate(members, topic)
-    if not report.database_ok:
-        report.add_problem("supervisor database corrupted or membership mismatch")
+    db = supervisor.databases.get(topic)
+    entries = dict(db.entries) if db is not None else {}
+    first_label, ghosts = {}, []
+    for lbl, ref in entries.items():
+        if ref is None or ref not in members or ref in first_label:
+            ghosts.append(Finding(ref, "database-ghost", None, lbl))
+        else:
+            first_label[ref] = lbl
+    report.findings += [Finding(ref, "database-missing", None, None)
+                        for ref in members if ref not in entries.values()]
+    report.findings += ghosts
+    report.findings += [Finding(None, "database-label", label_of(i), None)
+                        for i in range(len(entries)) if label_of(i) not in entries]
+    if report.findings:
         return report
-    ref_of = {index_of(lbl): ref for lbl, ref in supervisor.database(topic).entries.items()}
-    topo, ok = SkipRingTopology(len(members)), {"label": True, "ring": True, "sc": True}
+    ref_of = {index_of(lbl): ref for lbl, ref in entries.items()}
+    topo = SkipRingTopology(len(members))
     for index in range(len(members)):
         ref, spec = ref_of[index], topo.expected_subscriber_state(index)
         subscriber = subscribers.get(ref)
-        if subscriber is None or subscriber.crashed:
-            report.add_problem(f"database points to missing subscriber {ref}")
-            ok = dict.fromkeys(ok, False)
-            break
-        view = subscriber.view(topic, create=False)
-        if view is None or view.label != spec["label"]:
-            ok["label"] = False
-            report.add_problem(f"subscriber {ref} has label "
-                               f"{getattr(view, 'label', None)!r}, expected {spec['label']!r}")
-            continue
-        al, ar, aw = (None if s is None else s.ref for s in (view.left, view.right, view.ring))
-        el, er, ew = (None if spec[k] is None else ref_of[spec[k]]
-                      for k in ("left", "right", "ring"))
-        if (al, ar, aw) != (el, er, ew):
-            ok["ring"] = False
-            report.add_problem(f"subscriber {ref}: ring neighbours (L={al}, R={ar}, W={aw}) "
-                               f"expected (L={el}, R={er}, W={ew})")
+        view = None if subscriber is None or subscriber.crashed else subscriber.view(
+            topic, create=False)
+        checks = [("label", spec["label"], getattr(view, "label", None))]
+        for condition, key in (("ring-left", "left"), ("ring-right", "right"),
+                               ("ring-wrap", "ring")):
+            held = getattr(view, key, None)
+            checks.append((condition, None if spec[key] is None else ref_of[spec[key]],
+                           None if held is None else held.ref))
+        report.findings += [Finding(ref, condition, want, got)
+                            for condition, want, got in checks if want != got]
         expected = {lbl: ref_of[idx] for lbl, idx in spec["shortcuts"].items()}
-        if dict(view.shortcuts) != expected:
-            ok["sc"] = False
-            report.add_problem(f"subscriber {ref}: shortcuts {dict(view.shortcuts)} "
-                               f"expected {expected}")
-    report.labels_ok, report.ring_ok, report.shortcuts_ok = ok.values()
+        actual = dict(view.shortcuts) if view is not None else {}
+        for lbl in [*expected, *(lbl for lbl in actual if lbl not in expected)]:
+            if (lbl in expected, expected.get(lbl)) != (lbl in actual, actual.get(lbl)):
+                report.findings.append(
+                    Finding(ref, f"shortcut@{lbl}", expected.get(lbl), actual.get(lbl)))
     return report
 
 
@@ -461,7 +466,7 @@ _perturbations = st.lists(st.tuples(
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(1, 40), _perturbations)
-@example(40, [("scramble", 0, 0)])  # 80 problems: the report keeps the first 50
+@example(40, [("scramble", 0, 0)])  # 113 findings: the report renders the first 50
 def test_table_driven_oracle_equals_rebuilding_sr_n_per_check(n, perturbations):
     system, peers = build_stable(SystemSpec(seed=n), n)
     members, topic = system.members(), system.params.default_topic
@@ -489,10 +494,24 @@ def test_table_driven_oracle_equals_rebuilding_sr_n_per_check(n, perturbations):
                 peer.view().left, peer.view().shortcuts = None, {}
     actual = ring_legitimate(supervisor, system.subscribers, members, topic)
     expected = _reference_ring_legitimate(supervisor, system.subscribers, members, topic)
-    assert actual == expected
-    assert len(actual.problems) <= 50
+    assert (actual.findings, actual.legitimate) == (expected.findings, expected.legitimate)
+    assert actual.legitimate or perturbations
+    assert [problem.split(" expected ")[0] for problem in actual.problems] == [
+        f"{finding.node}: {finding.condition}" for finding in actual.findings[:50]]
     if perturbations == [("scramble", 0, 0)] and n == 40:
-        assert len(actual.problems) == 50 and not actual.ring_ok
+        # every left but the minimum's, and all 74 shortcuts: counted, not capped
+        assert len(actual.findings) == 113 and len(actual.problems) == 50
+        assert actual.failed() == {"ring-left", "shortcut"}
+
+
+def test_a_null_shortcut_the_table_lacks_is_a_finding():
+    """A corrupted start can store a shortcut whose ref is ``None``; its label
+    is present, so it fails although ``None`` also reads as absent."""
+    system, peers = build_stable(SystemSpec(seed=3), 8)
+    peers[2].view().shortcuts["1111111"] = None
+    report = system.legitimacy_report()
+    assert report.findings == [(peers[2].node_id, "shortcut@1111111", None, None)]
+    assert not report.legitimate
 
 
 # ------------------------------------------- the Timeout plan vs no plan at all

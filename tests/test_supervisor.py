@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.analysis.convergence import ring_legitimate
 from repro.api import SystemSpec, build_stable
 from repro.core.config import ProtocolParams
 from repro.core.labels import label_of
@@ -253,13 +254,13 @@ class TestSupervisorHandlers:
         assert sup.database("news").label_for(11) is None
         assert sup.topics() == ["news", "sports"]
 
-    def test_is_database_legitimate(self, supervised):
+    def test_the_oracle_names_each_database_mismatch(self, supervised):
         sim, sup = supervised((10, 11))
         for node in (10, 11):
             sup.on_Subscribe(node)
-        assert sup.is_database_legitimate([10, 11])
-        assert not sup.is_database_legitimate([10])
-        assert not sup.is_database_legitimate([10, 11, 12])
+        assert database_findings(sup, [10, 11]) == []
+        assert database_findings(sup, [10]) == [(11, "database-ghost", None, label_of(1))]
+        assert database_findings(sup, [10, 11, 12]) == [(12, "database-missing", None, None)]
 
 
 #: (destination, action, node) of one forged message, the node from the pool.
@@ -271,6 +272,13 @@ UNADDRESSABLE_REQUESTS = [
     # own label, its ``_integrate`` answers with ``GetConfiguration(node=None)``
     ("subscriber", "Linearize", None),
 ]
+
+
+def database_findings(supervisor, members, topic="default"):
+    """The oracle's ``database-*`` findings for ``members``; with no
+    subscriber objects given, the node conditions it may add are dropped."""
+    return [finding for finding in ring_legitimate(supervisor, {}, members, topic).findings
+            if finding.condition.startswith("database-")]
 
 
 BOTH_TOPOLOGIES = pytest.mark.parametrize("spec", [
@@ -455,18 +463,22 @@ class TestOracleDoesNotRaise:
                                   topic="default")
         system.run_rounds(3)
         assert "x" not in db.members()  # refused at the ingress
-        db.put(label_of(db.n), "x")
+        label = label_of(db.n)
+        db.put(label, "x")
         assert system.is_legitimate() is False
-        assert not supervisor.is_database_legitimate([p.node_id for p in peers], "default")
+        assert database_findings(supervisor, [p.node_id for p in peers]) == [
+            ("x", "database-ghost", None, label)]
         assert system.run_until_legitimate(max_rounds=20)
         assert "x" not in db.members()
 
-    def test_set_comparison_is_the_old_predicate_on_clean_databases(self, supervised):
+    def test_members_are_compared_as_a_set(self, supervised):
         sim, sup = supervised((10, 11, 12))
         for node in (12, 10, 11):
             sup.on_Subscribe(node)
-        assert sup.is_database_legitimate([10, 11, 12])
-        assert sup.is_database_legitimate([11, 12, 10])
-        assert not sup.is_database_legitimate([10, 11])
-        assert not sup.is_database_legitimate([10, 11, 12, 13])
-        assert not sup.is_database_legitimate([10, 11, 13])
+        assert database_findings(sup, [10, 11, 12]) == []
+        assert database_findings(sup, [11, 12, 10]) == []
+        ghost_12 = (12, "database-ghost", None, label_of(0))
+        assert database_findings(sup, [10, 11]) == [ghost_12]
+        assert database_findings(sup, [10, 11, 12, 13]) == [(13, "database-missing", None, None)]
+        assert database_findings(sup, [10, 11, 13]) == [
+            (13, "database-missing", None, None), ghost_12]
