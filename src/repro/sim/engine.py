@@ -14,21 +14,20 @@ All randomness is derived from a single master seed
 
 Hot-path layout: every driver funnels into :meth:`Simulator.run_until_time`,
 which has **one** event loop — the windowed block drain.  A safety window is
-computed such that nothing a handler can schedule may land inside it
-(``min(min_delay, timeout_period * (1 - jitter))`` ahead of the next event,
-clipped by the earliest pending crash/callback), the whole window is taken
-out of the scheduler in one ``pop_block_into`` call (see
-:mod:`repro.sim.scheduler`), and a tight
-loop delivers it with no per-event queue traffic.  Anything that does land
-inside an open window — a callback, a zero-delay injection, a delivery an
-adversary scaled below ``min_delay`` — raises an interrupt flag, and the
-drain hands its unprocessed tail back to the scheduler and reopens the
-window; so the event order is exactly :meth:`Simulator.step`'s under any
-adversary or telemetry setting.  Every in-flight message — sent by a node,
-duplicated by an adversary or injected as initial-state corruption —
-is one plain tuple (a *record*, :mod:`repro.sim.network`) that is its own
-delivery event and lives only in the scheduler: no per-message object, no
-second copy in a channel — and reaches a handler by one rule, the class's
+computed such that nothing a handler's sends or Timeout reschedules may land
+inside it (``min(min_delay, timeout_period * (1 - jitter))`` ahead of the next
+event), the whole window is taken out of the scheduler in one
+``pop_block_into`` call (see :mod:`repro.sim.scheduler`), and a tight loop
+delivers it with no per-event queue traffic.  Anything else that lands before
+the block's last event — a callback, a crash, a freshly added node's first
+Timeout, a zero-delay injection, a delivery an adversary scaled below
+``min_delay`` — is inserted into the open block at its ``(time, seq)`` place;
+so the event order is exactly :meth:`Simulator.step`'s under any adversary or
+telemetry setting.  Every in-flight message — sent by a node, duplicated by
+an adversary or injected as initial-state corruption — is one plain tuple (a
+*record*, :mod:`repro.sim.network`) that is its own delivery event and lives
+only in the scheduler or the open block: no per-message object, no second
+copy in a channel — and reaches a handler by one rule, the class's
 ``_action_handlers`` table.  A send has one path too (``_send_fast``, one call
 per batch): with or without a link adversary — the scenario and fuzz harness
 installs one on every run — each copy is counted, tested against the crashed
@@ -46,15 +45,14 @@ when the simulator builds it (:func:`~repro.sim.scheduler.auto_bucket_width`).
 from __future__ import annotations
 
 import gc
+import heapq
 import itertools
-from bisect import bisect_left
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import InitVar, dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import heapq
 
 from repro.sim.failure import FailureDetector
 from repro.sim.network import DROP_TO_CRASHED, FAST_RECORD_KIND, Network
@@ -137,16 +135,16 @@ _NEG_INF = float("-inf")
 class Simulator:
     """Event-driven executor for a set of :class:`ProtocolNode` instances.
 
-    Slotted: ``self.now`` is read and written once per event and the block-
-    interrupt flag is polled once per event, so the per-instance ``__dict__``
-    indirection is worth removing.  The ``_send_fast`` closure is a
-    per-instance slot assigned by :meth:`_bind_fast_submit`.
+    Slotted: ``self.now`` is read and written once per event, so the
+    per-instance ``__dict__`` indirection is worth removing.  The
+    ``_send_fast`` closure is a per-instance slot assigned by
+    :meth:`_bind_fast_submit`.
     """
 
     __slots__ = ("config", "now", "network", "tracer", "failure_detector",
                  "nodes", "_seq", "_delay_rng", "_jitter_rng",
-                 "_adversary_rng", "_steps", "_special_times", "_block_end",
-                 "_block_interrupted", "_scheduler", "_send_fast", "_profile")
+                 "_adversary_rng", "_steps", "_block", "_block_end",
+                 "_scheduler", "_send_fast", "_profile")
 
     def __init__(self, config: Optional[SimulatorConfig] = None) -> None:
         self.config = config or SimulatorConfig()
@@ -167,15 +165,11 @@ class Simulator:
         self._steps = 0
         #: opt-in wall-clock drain accounting (see :meth:`enable_profiling`)
         self._profile: Optional[Dict[str, Any]] = None
-        #: min-heap of pending crash/callback event times — these are the only
-        #: events a handler can schedule *inside* a block window, so the block
-        #: drain clips its window at the earliest of them (see ``_push``)
-        self._special_times: List[float] = []
-        #: exclusive upper bound of the block currently being drained
-        #: (``-inf`` outside a block) and the interrupt flag ``_push`` raises
-        #: when an event lands inside it
+        #: the block being drained and the time of its last event (``-inf``
+        #: outside a block): an event pushed before that time joins the
+        #: block (see ``_push``)
+        self._block: List[Any] = []
         self._block_end: float = _NEG_INF
-        self._block_interrupted = False
         config = self.config
         self._scheduler = TimeoutWheelScheduler(bucket_width=auto_bucket_width(
             config.timeout_period, config.min_delay, config.max_delay,
@@ -266,12 +260,13 @@ class Simulator:
                             for _ in range(1 + duplicates):
                                 deliver_time = now + (
                                     min_delay + delay_span * delay_rand()) * factor
+                                record = (deliver_time, seq_next(), _DELIVER_FAST,
+                                          dest, action, params, topic, sender, now)
                                 if deliver_time < self._block_end:
-                                    # a factor < 1 lands in the open window
-                                    self._block_interrupted = True
-                                scheduler_push((deliver_time, seq_next(),
-                                                _DELIVER_FAST, dest, action,
-                                                params, topic, sender, now))
+                                    # a factor < 1 lands in the open block
+                                    insort(self._block, record)
+                                else:
+                                    scheduler_push(record)
                             continue
                 deliver_time = now + (min_delay + delay_span * delay_rand())
                 # the REC_* layout of repro.sim.network: (deliver_time, seq,
@@ -337,11 +332,10 @@ class Simulator:
         The adversary's coin flips happen at send time (``_send_fast``
         calls its ``on_submit`` unless it is idle), which runs in event
         order, so a seeded adversary keeps runs reproducible per seed.
+        Mid-run, install from a :meth:`call_at` callback: the drain reads the
+        adversary once per window and again after each callback it runs.
         """
         self.network.install_adversary(adversary)
-        # The drain reads the adversary once per window: close the open one
-        # (if any) so the next delivery already faces the new adversary.
-        self._block_interrupted = True
 
     def adversary_rng(self) -> random.Random:
         """The RNG stream reserved for a link adversary, derived from the
@@ -376,24 +370,24 @@ class Simulator:
         self._push(max(time, self.now), _CALL, fn)
 
     def _push(self, time: float, kind: int, *payload: Any) -> None:
-        """Generic event push — ``(time, seq, kind, *payload)`` — with the
-        block-drain bookkeeping.
+        """Generic event push — ``(time, seq, kind, *payload)``.
 
-        Crash/callback times go into the special-times heap that clips the
-        block window (entries are popped as the events are consumed), and a
-        push landing inside the block currently being drained raises the
-        interrupt flag so the drain requeues its unprocessed tail and the new
-        event is emitted in proper ``(time, seq)`` order.
+        An event due before the last event of the block being drained joins
+        that block at its ``(time, seq)`` place, so the drain runs it in
+        order; any other goes to the scheduler.
         """
-        if kind == _CRASH or kind == _CALL:
-            heapq.heappush(self._special_times, time)
+        event = (time, next(self._seq), kind) + payload
         if time < self._block_end:
-            self._block_interrupted = True
-        self._scheduler.push((time, next(self._seq), kind) + payload)
+            insort(self._block, event)
+        else:
+            self._scheduler.push(event)
 
     # -------------------------------------------------------------- execution
     def step(self) -> bool:
-        """Process a single event.  Returns False when no event is pending."""
+        """Process a single event.  Returns False when no event is pending.
+
+        The per-event reference the block drain is tested against
+        (``tests/test_engine_reference.py``); no ``run_*`` method calls it."""
         if self._scheduler.next_time() is None:
             return False
         event = self._scheduler.pop()
@@ -408,14 +402,8 @@ class Simulator:
             self._handle_record(event)
         elif kind == _CRASH:
             self._apply_crash(event[3])
-            special = self._special_times
-            if special and special[0] == time:
-                heapq.heappop(special)
         elif kind == _CALL:
             event[3]()
-            special = self._special_times
-            if special and special[0] == time:
-                heapq.heappop(special)
         return True
 
     def _handle_record(self, record: tuple) -> None:
@@ -457,10 +445,13 @@ class Simulator:
         :meth:`step` calls would produce, whatever the adversary or telemetry
         setting — see :meth:`_run_blocks`, the one drain loop.  A deadline
         that is not finite raises: the periodic Timeouts would never let the
-        drain end.
+        drain end.  So does a call from inside an event (a callback or a
+        handler): it would run the wheel past the rest of the open block.
         """
         if not math.isfinite(deadline):
             raise ValueError("run_until_time deadline must be finite")
+        if self._block_end > _NEG_INF:
+            raise RuntimeError("run_until_time called from inside an event")
         # Pause the cyclic garbage collector for the duration of the run.
         # The hot loop allocates a tuple or two per event (records, timeout
         # events), and every ~700 net allocations trigger a gen-0
@@ -469,8 +460,6 @@ class Simulator:
         # by refcount, and the sim <-> node reference cycles live until the
         # simulator itself is dropped (never mid-run).  Cycles a handler
         # creates during the run are simply collected after it returns.
-        # Nested runs are safe: the inner call sees GC already off and leaves
-        # it that way; only the outermost call restores it.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -493,35 +482,40 @@ class Simulator:
     def _run_blocks(self, deadline: float) -> None:
         """The event loop: a windowed block drain.
 
-        Safety argument: with no adversary, every handler-scheduled event
-        lies at least ``horizon = min(min_delay, timeout_period * (1 -
-        timeout_jitter))`` in the future (message delays are >= min_delay,
-        timeout reschedules >= period * (1 - jitter); both strictly positive
-        by :class:`SimulatorConfig` validation) — **except** crashes,
-        callbacks, zero-delay injections and freshly added nodes' staggered
-        timeouts.  The first two are pre-registered in the special-times heap, which clips the
-        window; the rest route through :meth:`_push`, which interrupts the
-        block so the drain requeues its unprocessed tail.  Hence every event
-        in ``[t0, limit)`` is already in the scheduler when the window opens,
-        and the block can be consumed with no per-event queue traffic.
+        Safety argument: with no adversary, every send and Timeout reschedule
+        a handler makes is due at least ``horizon = min(min_delay,
+        timeout_period * (1 - timeout_jitter))`` after the clock (message
+        delays are >= min_delay, timeout reschedules >= period * (1 -
+        jitter); both strictly positive by :class:`SimulatorConfig`
+        validation), so not before the window ``[t0, t0 + horizon)`` ends.
+        The window is never empty: a horizon too small to move ``t0`` is
+        widened to the next float, which keeps exactly the events at ``t0``,
+        and a push due at ``t0`` then sorts after them by its fresh seq.  The
+        block is the window's share of the wheel's current bucket, so the
+        wheel holds nothing due before the block's last event.  Every other
+        push — crashes, callbacks, zero-delay injections, freshly added
+        nodes' staggered Timeouts, and under a link adversary a delay
+        spike's ``factor < 1`` copies — goes through :meth:`_push` or
+        ``_send_fast``'s verdict tail, which insert it into the block at its
+        ``(time, seq)`` place when it is due before the block's last event;
+        one due at that time or later sorts after the whole block and goes
+        to the wheel.  Hence the block, taken from the scheduler in one call
+        and consumed with no per-event queue traffic, runs in exactly
+        :meth:`step`'s order.
 
-        Under a link adversary the horizon is only a guess — a delay spike
-        with ``factor < 1`` undercuts ``min_delay`` — but the same interrupt
-        covers it (``_send_fast`` raises the flag for a copy landing inside
-        the open window), so correctness never depends on the window width.
-        The adversary is read once per window — installing or removing one
-        interrupts the open window — and costs the one delivery branch a
-        delivery-time check (a partition that started with the record in
-        flight) only while it holds a partition.  With telemetry on, a
-        delivery bumps the latency histogram's slot and max inline.
+        The adversary is read once per window and again after each callback
+        (the only code that installs, removes or swaps one mid-run), and
+        costs the one delivery branch a delivery-time check (a partition that
+        started with the record in flight) only while it holds a partition.
+        With telemetry on, a delivery bumps the latency histogram's slot and
+        max inline.  An exception hands the unprocessed tail back to the
+        scheduler.
         """
         # hot path — the fused delivery/timeout drain; a per-event container
         # added here fails test_engine_hot_loops_build_no_container_per_event
         scheduler = self._scheduler
         pop_block_into = scheduler.pop_block_into
         next_time = scheduler.next_time
-        push = scheduler.push
-        heappop = heapq.heappop
         heappush = heapq.heappush
         # Timeout reschedules are by far the most frequent push this loop
         # performs; inline the wheel's push for them, as _send_fast does.
@@ -549,42 +543,28 @@ class Simulator:
         neg_jitter = -jitter
         jitter_span = jitter - neg_jitter
         jitter_rand = self._jitter_rng.random
-        special = self._special_times
         horizon = min(config.min_delay, period * (1.0 - jitter))
         # Strict `< limit` window membership with an inclusive deadline:
         # events at exactly `deadline` belong to the run.
         beyond_deadline = math.nextafter(deadline, math.inf)
         block: List[Any] = []  # setup: the hot-loop test exempts annotated assignments
+        self._block = block
         while True:
             t0 = next_time()
             if t0 is None or t0 > deadline:
                 return
-            while special and special[0] < t0:
-                heappop(special)  # stale: consumed outside this loop
             limit = t0 + horizon
-            if special and special[0] < limit:
-                limit = special[0]
+            if limit <= t0:
+                limit = math.nextafter(t0, math.inf)
             if beyond_deadline < limit:
                 limit = beyond_deadline
-            n = pop_block_into(block, limit)
-            if n == 0:
-                # The next event is a crash/callback at exactly ``limit`` (or
-                # a window-degenerate boundary case): process one event on
-                # the generic per-event path — which also keeps the special-
-                # times heap in sync — then recompute the window.
-                if not self.step():
-                    return
-                continue
+            pop_block_into(block, limit)
+            self._block_end = block[-1][0]
             adversary = network.adversary
-            self._block_end = limit
-            self._block_interrupted = False
-            consumed = n
             event = None
             try:
-                # No enumerate: the index is only needed on the rare
-                # interrupt/exception paths, where ``block.index(event)``
-                # recovers it ((time, seq) tuples are unique, so value
-                # equality is identity here).
+                # No enumerate: only the exception path needs the index, and
+                # ``block.index(event)`` recovers it ((time, seq) is unique).
                 for event in block:
                     # Unconditional clock store: block events arrive sorted
                     # ascending and every schedulable time is >= now
@@ -661,41 +641,21 @@ class Simulator:
                                 buckets[index] = [timeout_event]
                                 heappush(bucket_heap, index)
                     elif kind == _CRASH:
-                        # Defensive: specials are normally excluded by the
-                        # window bound; only a push that bypassed ``_push``
-                        # (no special-times entry) can land one here.
                         self._apply_crash(event[3])
-                        if special and special[0] == time:
-                            heappop(special)
                     elif kind == _CALL:
                         event[3]()
-                        if special and special[0] == time:
-                            heappop(special)
-                    if self._block_interrupted:
-                        # A handler scheduled work inside this very window (a
-                        # sub-window callback, a node added with a tiny
-                        # stagger, a zero-delay injection).  Hand the
-                        # unprocessed tail back to the scheduler and reopen
-                        # the window so the new event is ordered correctly.
-                        consumed = block.index(event) + 1
-                        break
+                        adversary = network.adversary
             except BaseException:
-                # The raising event counts as consumed.
+                # The raising event counts as consumed; the tail goes back.
                 consumed = 0 if event is None else block.index(event) + 1
+                for event in block[consumed:]:
+                    scheduler.push(event)
+                del block[consumed:]
                 raise
             finally:
-                if consumed != n:
-                    for event in block[consumed:]:
-                        push(event)
-                    if adversary is not None:
-                        # Delays are undercutting the window: narrow it for
-                        # the rest of this drain instead of requeueing most
-                        # of a block per event.
-                        horizon *= 0.5
+                self._steps += len(block)
                 block.clear()
                 self._block_end = _NEG_INF
-                self._block_interrupted = False
-                self._steps += consumed
 
     def run_rounds(self, rounds: int) -> None:
         """Run for ``rounds`` timeout periods of simulated time."""

@@ -19,8 +19,8 @@ axis.  That is a binary heap's pop order, which the tests check against a
 ``pop_block_into`` call removes every pending event with ``time`` strictly
 below a caller-supplied limit (bounded by the current bucket) as one
 array-level splice.  The engine picks the limit so that nothing a
-handler schedules is expected to land inside the window, and requeues the
-unprocessed tail when something does (see
+handler sends or reschedules can land inside the window, and inserts into
+the block whatever else is due before its last event (see
 :meth:`~repro.sim.engine.Simulator.run_until_time`), so the block is
 consumed in exactly the order per-event pops would produce.  The bucket
 slice *is* the packed event array: draining it costs two C-level list
@@ -51,7 +51,8 @@ class TimeoutWheelScheduler:
     a bucket it is sorted once into descending ``(time, seq)`` order, so
     draining is an O(1) ``list.pop()`` off the tail.  Late arrivals into the
     *current* bucket (a message sent with a delay smaller than the bucket
-    width, a block requeue) are placed by binary search, preserving order.
+    width, a block tail handed back by an exception) are placed by binary
+    search, preserving order.
 
     One precondition: pushes into a *future* bucket arrive in ascending
     ``seq``.  The engine builds every event around a freshly drawn ``seq``

@@ -10,6 +10,7 @@ import pytest
 from repro import ProtocolParams, SupervisedPubSub
 from repro.api import SystemSpec, build_stable, build_system
 from repro.core.supervisor import Supervisor
+from repro.sim import engine
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.network import (FAST_RECORD_KIND, REC_ACTION, REC_DEST, REC_KIND,
                                 REC_SENDER)
@@ -110,46 +111,40 @@ def empty_system():
 
 @pytest.fixture()
 def wheel_stream(monkeypatch):
-    """``(stream, requeued)``: the events the engine takes out of the wheel,
-    in the order it takes them, and the block tails it hands back.
+    """``(stream, inserted)``: the events the engine executes, in the order
+    it executes them, and those a push inserted into an open block.
 
-    ``pop_block_into``, ``pop`` and ``push`` are wrapped at class level, so
-    install the fixture before building the simulator (its send path binds
-    ``push`` once).  A ``push`` of an event from the last block is the
-    drain's requeue after a window interrupt: that tail is netted out of the
-    stream, which takes the events again when the wheel emits them again.
+    Per window, the stream is the events the wheel gave up merged with the
+    ones inserted into the block while it ran.  ``pop_block_into`` and
+    ``pop`` are wrapped at class level and ``repro.sim.engine.insort`` at
+    module level, so install the fixture before building the simulator.
     """
-    stream, requeued, block = [], [], set()
+    stream, inserted = [], []
+    window = [0]  # where the open block starts in ``stream``
     pop_block_into = TimeoutWheelScheduler.pop_block_into
     pop = TimeoutWheelScheduler.pop
-    push = TimeoutWheelScheduler.push
+    insort = engine.insort
 
     def taking_block(self, out, limit):
         start = len(out)
         count = pop_block_into(self, out, limit)
+        window[0] = len(stream)
         stream.extend(out[start:])
-        block.clear()
-        block.update(event[1] for event in out[start:])
         return count
 
     def taking_one(self):
-        block.clear()
         stream.append(pop(self))
         return stream[-1]
 
-    def pushing(self, event):
-        if event[1] in block:
-            index = len(stream) - 1  # the tail is the stream's suffix
-            while stream[index][1] != event[1]:
-                index -= 1
-            del stream[index]
-            requeued.append(event)
-        push(self, event)
+    def inserting(block, event):
+        insort(stream, event, lo=window[0])
+        inserted.append(event)
+        insort(block, event)
 
     monkeypatch.setattr(TimeoutWheelScheduler, "pop_block_into", taking_block)
     monkeypatch.setattr(TimeoutWheelScheduler, "pop", taking_one)
-    monkeypatch.setattr(TimeoutWheelScheduler, "push", pushing)
-    return stream, requeued
+    monkeypatch.setattr(engine, "insort", inserting)
+    return stream, inserted
 
 
 def assert_heapq_order(sim, stream):

@@ -11,7 +11,10 @@ addresses (unhashable ones are no address at all; the hashable ones take
 under the adversary, its partition heals and its spike ends mid-run and a
 callback zeroes its rates, so it goes idle inside a drain: the drain then
 skips its hooks, where ``step()``'s ``pop_record`` still asks on every
-delivery.
+delivery.  In the ``callbacks`` mode a chain of callbacks inside the windows
+adds nodes, schedules crashes and further callbacks and removes and
+reinstalls a partitioning adversary; in the ``instant`` mode every send is
+due when it is made, so a push ties with the open block's last event.
 
 With no second implementation of the random draws to compare against,
 ``test_one_draw_per_use_and_none_ahead`` pins them to the streams themselves:
@@ -41,6 +44,8 @@ DEADLINES = (1.0, 1.0, 4.25, 7.5, 12.0)
 #: what node 13 also pings in the ``forged`` modes: three dests that cannot be
 #: an address, then hashable ids no facade allocates (``True`` aliases node 1)
 FORGED = ([1], {"a": 1}, {0, 2}, 2.5, -3, "x", 10**9, True)
+#: callbacks in the ``callbacks`` mode's chain
+CHAIN = 40
 
 
 class _Relay(ProtocolNode):
@@ -67,8 +72,9 @@ class _Relay(ProtocolNode):
         if hops:
             self.send((self.node_id * 3 + origin) % NODES + 1, "Ping",
                       origin=origin, hops=hops - 1)
-        elif origin == 9:
-            # zero delay from inside a handler: lands in the open window
+        if origin == 9 and hops < 2:
+            # zero delay from inside a handler, after its send: lands in the
+            # open window, and in the ``instant`` mode ties with that send
             self.sim.inject_message(origin, "Ping", {"origin": 0, "hops": 0},
                                     delay=0.0)
 
@@ -84,7 +90,10 @@ def _drain_by_steps(sim: Simulator, deadline: float) -> None:
 
 
 def _build(mode, adversary_class=LinkAdversary):
-    sim = Simulator(SimulatorConfig(seed=77))
+    # ``instant``: every send is due at its send time, so each window holds
+    # one timestamp and an injection from a handler ties with the block
+    sim = Simulator(SimulatorConfig(seed=77) if mode != "instant" else
+                    SimulatorConfig(seed=77, min_delay=1e-300, max_delay=1e-300))
     if mode.startswith("telemetry"):
         sim.network.stats.enable_latency()
     log = []
@@ -108,6 +117,24 @@ def _build(mode, adversary_class=LinkAdversary):
                 # healed and ended by then: nothing left for it to do
                 sim.call_at(9.0, lambda: adversary.set_rates(0.0, 0.0))
         sim.call_at(1.5, install)
+    if mode == "callbacks":
+        # A chain of callbacks 0.01 apart, inside the drain's windows: each
+        # adds a node (some first Timeouts land in the window), crashes a
+        # node 0.01 later and removes or reinstalls an adversary whose
+        # partition decides deliveries meanwhile.
+        adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.1,
+                                  duplicate_rate=0.1)
+        adversary.add_partition("cut", [range(1, 21)], start=1.75, heal_time=6.0)
+
+        def link(k):
+            log.append((sim.now, "added", NODES + 1 + k))
+            sim.add_node(_Relay(NODES + 1 + k, log))
+            sim.crash_node(21 + k % 10, at=sim.now + 0.01)
+            sim.install_adversary(adversary if k % 2 else None)
+            if k + 1 < CHAIN:
+                sim.call_at(sim.now + 0.01, lambda: link(k + 1))
+        sim.call_at(1.5, lambda: sim.install_adversary(adversary))
+        sim.call_at(2.5, lambda: link(0))
     return sim, log
 
 
@@ -123,13 +150,14 @@ def _observe(sim, log):
         "drops": stats.drops_by_reason,
         "latency": None if latency is None else latency.to_dict(),
         "timeouts": sim.timeout_counts,
-        # by seq: the wheel's bucket order may differ after requeued tails
+        # by seq: the wheel sorts a bucket only when it reaches it
         "in_flight": sorted(records_in_flight(sim), key=lambda record: record[1]),
     }
 
 
 @pytest.mark.parametrize("mode", ["plain", "telemetry", "adversary", "forged",
-                                  "forged-adversary", "telemetry-adversary"])
+                                  "forged-adversary", "telemetry-adversary",
+                                  "callbacks", "instant"])
 def test_run_until_time_reproduces_the_step_drain(mode):
     reference, reference_log = _build(mode)
     for deadline in DEADLINES:
@@ -156,6 +184,43 @@ def test_run_until_time_reproduces_the_step_drain(mode):
         # when sent (crashed set non-empty, adversary installed), some when due
         assert expected["drops"]["to_crashed"] >= 3 * expected["timeouts"][13]
         assert expected["received"]["Ping"][2.5] > 0
+    if mode == "callbacks":
+        added = {entry[2]: entry[0] for entry in reference_log if entry[1] == "added"}
+        first = {}
+        for entry in reference_log:
+            if entry[1] == "timeout" and entry[2] in added:
+                first.setdefault(entry[2], entry[0])
+        assert len(added) == CHAIN and sim.network.adversary is not None
+        assert any(first[node] - added[node] < 0.05 for node in first)
+        assert all(sim.nodes[node].crashed for node in range(21, 31))
+        assert expected["drops"]["partition"] > 0
+    if mode == "instant":
+        assert sum(a[0] == b[0] for a, b in zip(reference_log, reference_log[1:])) > 1_000
+
+
+def test_an_exception_hands_the_rest_of_the_block_back():
+    """A callback that raises inside a window ends the drain; the events
+    after it in the block, one it inserted included, go back to the wheel,
+    and the next run takes them as the per-event drain does."""
+    observed = []
+    for drain in (_drain_by_steps, Simulator.run_until_time):
+        sim, log = _build("callbacks")
+
+        def boom():
+            sim.call_at(sim.now, lambda: log.append((sim.now, "after boom")))
+            raise RuntimeError("boom")
+        sim.call_at(2.605, boom)
+        raised = 0
+        for deadline in DEADLINES:
+            try:
+                drain(sim, deadline)
+            except RuntimeError:
+                raised += 1
+                drain(sim, deadline)
+        assert raised == 1
+        observed.append(_observe(sim, log))
+    assert observed[0] == observed[1]
+    assert sum(entry[1] == "after boom" for entry in observed[0]["log"]) == 1
 
 
 def test_an_adversary_that_never_reports_idle_changes_nothing():
@@ -186,15 +251,15 @@ def test_an_adversary_that_never_reports_idle_changes_nothing():
 
 @pytest.mark.parametrize("mode", ["plain", "adversary", "forged-adversary"])
 def test_the_windowed_drain_takes_the_wheel_in_heapq_order(wheel_stream, mode):
-    """Whole windows, interrupted ones included, take the wheel's events in
-    ``heapq``'s order."""
-    stream, requeued = wheel_stream
+    """Whole windows, those that took insertions included, run the wheel's
+    events in ``heapq``'s order."""
+    stream, inserted = wheel_stream
     sim, _ = _build(mode)
     for deadline in DEADLINES:
         sim.run_until_time(deadline)
     assert len(stream) == sim.steps_executed > 2_000
     if mode.endswith("adversary"):
-        assert requeued
+        assert inserted
     assert_heapq_order(sim, stream)
 
 
@@ -353,30 +418,31 @@ def test_send_fast_reproduces_the_delivery_times_arithmetic():
 
 def _batch_world(seed):
     """A simulator mid-window under a lossy, duplicating adversary whose delay
-    spike (factor < 1) puts copies inside the open window; node 7 crashed."""
+    spike (factor < 1) puts copies inside the open block; node 7 crashed."""
     sim = Simulator(SimulatorConfig(seed=seed))
     sim.network.mark_crashed(7)
     adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.3, duplicate_rate=0.3)
     adversary.add_delay_spike(start=0.0, end=10.0, factor=0.25)
     sim.install_adversary(adversary)
     sim.now = 1.0
-    sim._block_end = 1.0 + sim.config.min_delay  # an open block window
-    sim._block_interrupted = False
+    sim._block = []  # an open block, its last event due at 1 + min_delay
+    sim._block_end = 1.0 + sim.config.min_delay
     return sim
 
 
 def _batch_outcome(sim):
     stats = sim.network.stats
-    return (sorted(sim.scheduler.iter_events(), key=lambda event: event[1]),
+    return (sorted(sim._block + list(sim.scheduler.iter_events()),
+                   key=lambda event: event[1]),
             stats.drops_by_reason, stats.duplicated, stats.total_sent,
-            stats.snapshot()._sent, len(sim.scheduler), sim._block_interrupted,
+            stats.snapshot()._sent, len(sim.scheduler), sim._block,
             sim._delay_rng.getstate(), sim.adversary_rng().getstate())
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_a_batch_is_its_sends_made_one_per_call(seed):
     """Per copy, in batch order: the same records, drops by reason,
-    duplicates, counts, block interrupt and random streams."""
+    duplicates, counts, block insertions and random streams."""
     # a live dest, a crashed one, an unhashable one, ``None`` (an address
     # like any hashable non-node ref: callers drop unset references), then
     # enough live sends for the loss and duplicate coins to come up
@@ -389,8 +455,9 @@ def test_a_batch_is_its_sends_made_one_per_call(seed):
         single._send_fast(5, "t", (send,))
     outcome = _batch_outcome(batched)
     assert outcome == _batch_outcome(single)
-    records, drops, duplicated, total_sent, sent, pending, interrupted = outcome[:7]
+    records, drops, duplicated, total_sent, sent, pending, block = outcome[:7]
     assert drops["to_crashed"] == 2 and drops["adversary_loss"] > 0 and duplicated > 0
     assert total_sent == len(sends) and set(sent) == {"Ping", "Pong"}
-    assert interrupted and pending == len(records)
+    assert block == sorted(block) and 0 < pending < pending + len(block) == len(records)
+    assert all(record[0] < batched._block_end for record in block)
     assert all(record[6] == "t" and record[7] == 5 and record[8] == 1.0 for record in records)

@@ -1,12 +1,12 @@
 """The engine at scale: one event order, one Timeout count per node.
 
 * **Order** — storms produce identical event logs run-to-run at 2k nodes,
-  and the stream of events the engine takes out of its timing wheel is
-  ``heapq``'s pop order of the same events at every size of
-  :data:`PARITY_STORMS` — 2k to 50k nodes and, the smoke, 100k (downsized
-  under ``REPRO_SMOKE_FAST=1`` so the CI matrix stays fast; the full size
-  runs in the default local suite) — and in a scenario under a link
-  adversary whose delay spike interrupts the drain's windows.
+  and the stream of events the engine executes is ``heapq``'s pop order of
+  the same events at every size of :data:`PARITY_STORMS` — 2k to 50k nodes
+  and, the smoke, 100k (downsized under ``REPRO_SMOKE_FAST=1`` so the CI
+  matrix stays fast; the full size runs in the default local suite) — and
+  in a scenario under a link adversary whose delay spike lands deliveries
+  inside the drain's windows.
 * **Timeout accounting** — ``ProtocolNode.timeout_count`` is exactly the
   number of Timeouts the node fired: after a crashy storm, for a node
   registered under a forged id, and after
@@ -144,15 +144,15 @@ class TestWheelOrder:
 
     def test_the_wheel_emits_heapq_order_under_a_link_adversary(self, wheel_stream):
         """Loss, duplication and a delay spike that lands deliveries inside
-        the drain's open windows, so block tails are handed back."""
-        stream, requeued = wheel_stream
+        the drain's open windows, so they join the open block."""
+        stream, inserted = wheel_stream
         lossy = get_scenario("lossy-network")
         spec = lossy.with_overrides(phases=tuple(
             replace(phase, delay_spike_factor=0.05) for phase in lossy.phases))
         runner = ScenarioRunner(spec, seed=3)
         assert runner.run().passed
         sim = runner.system.sim
-        assert requeued and len(stream) == sim.steps_executed
+        assert inserted and len(stream) == sim.steps_executed
         assert_heapq_order(sim, stream)
 
 
@@ -215,5 +215,6 @@ class TestDerivedTotals:
         stats = sim.network.stats
         assert stats.duplicated > 0 and stats.drops_by_reason["adversary_loss"] > 0
         self._assert_exact(sim, sends, lambda: runner.system.run_rounds(3))
-        stream, _ = wheel_stream  # every event the wheel gave up, taken once
-        assert len(stream) == sim.steps_executed
+        stream, inserted = wheel_stream  # every event executed, once
+        assert inserted and len(stream) == sim.steps_executed
+        assert_heapq_order(sim, stream)

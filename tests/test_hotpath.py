@@ -194,18 +194,19 @@ class TestWheelDrain:
         assert_heapq_order(sim, stream)
 
 
-class TestWindowInterrupts:
-    def test_interrupted_windows_narrow_under_an_adversary(self, monkeypatch):
+class TestInWindowInsertion:
+    def test_nothing_taken_into_a_block_is_handed_back(self, monkeypatch):
         """A delay spike with ``factor < 1`` lands deliveries inside the open
-        window; every interrupt hands the unprocessed tail back to the
-        queue.  The drain halves its window after each one, so the requeue
-        traffic stays a sliver of the events (without the halving it
-        exceeds the event count itself)."""
+        window; each is inserted into the block being drained, so no event
+        the drain took from the wheel goes back to it, and the run is the
+        one a per-event drain makes."""
         from repro.scenarios.adversary import LinkAdversary
+        from repro.sim import engine
 
-        block, requeued = set(), []
+        block, requeued, inserted = set(), [], []
         pop_block_into = TimeoutWheelScheduler.pop_block_into
         push = TimeoutWheelScheduler.push
+        insort = engine.insort
 
         def taking(self, out, limit):
             start = len(out)
@@ -219,17 +220,37 @@ class TestWindowInterrupts:
                 requeued.append(event[1])
             push(self, event)
 
+        def inserting(events, event):
+            inserted.append(event[1])
+            insort(events, event)
+
+        def world():
+            sim = Simulator(SimulatorConfig(seed=5))
+            adversary = LinkAdversary(rng=sim.adversary_rng())
+            adversary.add_delay_spike(0.0, 1e9, factor=0.01)
+            sim.install_adversary(adversary)
+            nodes = [sim.add_node(_Pinger(i + 1)) for i in range(30)]
+            return sim, nodes
+
+        def state(sim, nodes):
+            return ([node.pings for node in nodes], sim.timeout_counts,
+                    sim.steps_executed, sim.now,
+                    sim.network.stats.to_summary_dict(),
+                    sorted(sim.scheduler.iter_events(), key=lambda event: event[1]))
+
         monkeypatch.setattr(TimeoutWheelScheduler, "pop_block_into", taking)
         monkeypatch.setattr(TimeoutWheelScheduler, "push", counting)
-        sim = Simulator(SimulatorConfig(seed=5))
-        adversary = LinkAdversary(rng=sim.adversary_rng())
-        adversary.add_delay_spike(0.0, 1e9, factor=0.01)
-        sim.install_adversary(adversary)
-        for i in range(30):
-            sim.add_node(_Pinger(i + 1))
+        monkeypatch.setattr(engine, "insort", inserting)
+        sim, nodes = world()
         sim.run_until_time(30.0)
         assert sim.steps_executed > 1_500
-        assert 0 < len(requeued) < sim.steps_executed // 20
+        assert requeued == [] and len(inserted) > 100
+
+        twin, twin_nodes = world()
+        while twin.scheduler.next_time() <= 30.0:
+            twin.step()
+        twin.now = 30.0
+        assert state(twin, twin_nodes) == state(sim, nodes)
 
 
 class TestFailureDetectorQuery:

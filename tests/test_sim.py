@@ -142,6 +142,18 @@ class TestSimulatorBasics:
         sim.run_rounds(5)
         assert fired and fired[0] >= 2.0
 
+    def test_a_run_from_inside_an_event_is_refused(self):
+        """An event runs inside the open block: a drain it started would run
+        the wheel past the rest of that block."""
+        sim = Simulator(SimulatorConfig(seed=1))
+        node = sim.add_node(EchoNode(1))
+        sim.call_at(2.0, lambda: sim.run_for(1.0))
+        with pytest.raises(RuntimeError, match="from inside an event"):
+            sim.run_rounds(5)
+        assert sim.now == 2.0
+        sim.run_rounds(5)
+        assert node.timeouts >= 5 and sim.now == 7.0
+
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("call, name", [
         (lambda sim, t: sim.call_at(t, lambda: None), "call_at time"),
