@@ -13,21 +13,18 @@ All randomness is derived from a single master seed
 (:class:`SimulatorConfig.seed`), so runs are reproducible.
 
 Hot-path layout: every driver funnels into :meth:`Simulator.run_until_time`,
-which has **one** event loop — the windowed block drain.  A safety window is
-computed such that nothing a handler's sends or Timeout reschedules may land
-inside it (``min(min_delay, timeout_period * (1 - jitter))`` ahead of the next
-event), the whole window is taken out of the scheduler in one
-``pop_block_into`` call (see :mod:`repro.sim.scheduler`), and a tight loop
-delivers it with no per-event queue traffic.  Anything else that lands before
-the block's last event — a callback, a crash, a freshly added node's first
-Timeout, a zero-delay injection, a delivery an adversary scaled below
-``min_delay`` — is inserted into the open block at its ``(time, seq)`` place;
-so the event order is exactly :meth:`Simulator.step`'s under any adversary or
-telemetry setting.  Every in-flight message — sent by a node, duplicated by
-an adversary or injected as initial-state corruption — is one plain tuple (a
-*record*, :mod:`repro.sim.network`) that is its own delivery event and lives
-only in the scheduler or the open block: no per-message object, no second
-copy in a channel — and reaches a handler by one rule, the class's
+which has **one** event loop, :meth:`Simulator._drain`: it walks the wheel's
+current bucket (see :mod:`repro.sim.scheduler`) in place, with no per-event
+queue traffic.  Every push — a send, a Timeout reschedule, a callback, a
+crash, a freshly added node's first Timeout, a zero-delay injection, a
+delivery an adversary scaled below ``min_delay`` — goes to the wheel, and
+one due in the walked bucket is inserted at its ``(time, seq)`` place, after
+the running event; so the event order is exactly :meth:`Simulator.step`'s
+under any adversary or telemetry setting.  Every in-flight message — sent by
+a node, duplicated by an adversary or injected as initial-state corruption —
+is one plain tuple (a *record*, :mod:`repro.sim.network`) that is its own
+delivery event and lives only in the scheduler: no per-message object, no
+second copy in a channel — and reaches a handler by one rule, the class's
 ``_action_handlers`` table.  A send has one path too (``_send_fast``, one call
 per batch): with or without a link adversary — the scenario and fuzz harness
 installs one on every run — each copy is counted, tested against the crashed
@@ -49,10 +46,10 @@ import heapq
 import itertools
 import math
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.sim.failure import FailureDetector
 from repro.sim.network import DROP_TO_CRASHED, FAST_RECORD_KIND, Network
@@ -106,8 +103,8 @@ class SimulatorConfig:
         for name in ("min_delay", "max_delay", "timeout_period", "detection_lag"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        # Strictly positive: the block drain's safety window is
-        # min(min_delay, ...) wide (see Simulator._run_blocks).
+        # Strictly positive: the paper's channels deliver each message after
+        # a positive, finite delay.
         if self.min_delay <= 0:
             raise ValueError("min_delay must be positive")
         if self.max_delay < self.min_delay:
@@ -129,8 +126,6 @@ _CALL = 3
 #: kind value).
 _DELIVER_FAST = FAST_RECORD_KIND
 
-_NEG_INF = float("-inf")
-
 
 class Simulator:
     """Event-driven executor for a set of :class:`ProtocolNode` instances.
@@ -138,12 +133,13 @@ class Simulator:
     Slotted: ``self.now`` is read and written once per event, so the
     per-instance ``__dict__`` indirection is worth removing.  The
     ``_send_fast`` closure is a per-instance slot assigned by
-    :meth:`_bind_fast_submit`.
+    :meth:`_bind_fast_submit`.  ``_draining`` is true while
+    :meth:`run_until_time` runs, so an event cannot start a second drain.
     """
 
     __slots__ = ("config", "now", "network", "tracer", "failure_detector",
                  "nodes", "_seq", "_delay_rng", "_jitter_rng",
-                 "_adversary_rng", "_steps", "_block", "_block_end",
+                 "_adversary_rng", "_steps", "_draining",
                  "_scheduler", "_send_fast", "_profile")
 
     def __init__(self, config: Optional[SimulatorConfig] = None) -> None:
@@ -165,11 +161,7 @@ class Simulator:
         self._steps = 0
         #: opt-in wall-clock drain accounting (see :meth:`enable_profiling`)
         self._profile: Optional[Dict[str, Any]] = None
-        #: the block being drained and the time of its last event (``-inf``
-        #: outside a block): an event pushed before that time joins the
-        #: block (see ``_push``)
-        self._block: List[Any] = []
-        self._block_end: float = _NEG_INF
+        self._draining = False
         config = self.config
         self._scheduler = TimeoutWheelScheduler(bucket_width=auto_bucket_width(
             config.timeout_period, config.min_delay, config.max_delay,
@@ -232,7 +224,7 @@ class Simulator:
             screen = crashed or adversary is not None
             if adversary is not None and adversary.idle:
                 adversary = None  # it would answer None and draw no coin
-            current_index = scheduler._current_index  # moves only when popping
+            current_index = scheduler._current_index  # moves only when the wheel advances
             for dest, action, params in sends:
                 try:
                     sent[action][sender] += 1
@@ -260,13 +252,8 @@ class Simulator:
                             for _ in range(1 + duplicates):
                                 deliver_time = now + (
                                     min_delay + delay_span * delay_rand()) * factor
-                                record = (deliver_time, seq_next(), _DELIVER_FAST,
-                                          dest, action, params, topic, sender, now)
-                                if deliver_time < self._block_end:
-                                    # a factor < 1 lands in the open block
-                                    insort(self._block, record)
-                                else:
-                                    scheduler_push(record)
+                                scheduler_push((deliver_time, seq_next(), _DELIVER_FAST,
+                                                dest, action, params, topic, sender, now))
                             continue
                 deliver_time = now + (min_delay + delay_span * delay_rand())
                 # the REC_* layout of repro.sim.network: (deliver_time, seq,
@@ -314,7 +301,7 @@ class Simulator:
         corruption): a record with ``sender=None``, delivered like any other
         but never counted as a protocol send."""
         if delay is not None and not (math.isfinite(delay) and delay >= 0):
-            # The block drain relies on every schedulable time being >= now.
+            # The drain relies on every schedulable time being >= now.
             raise ValueError("inject_message delay must be finite and non-negative")
         if not all(isinstance(key, str) for key in params):  # ``handler(node, **params)``
             raise TypeError("inject_message params must be named: every key a str")
@@ -333,7 +320,7 @@ class Simulator:
         calls its ``on_submit`` unless it is idle), which runs in event
         order, so a seeded adversary keeps runs reproducible per seed.
         Mid-run, install from a :meth:`call_at` callback: the drain reads the
-        adversary once per window and again after each callback it runs.
+        adversary once per bucket and again after each callback it runs.
         """
         self.network.install_adversary(adversary)
 
@@ -370,24 +357,22 @@ class Simulator:
         self._push(max(time, self.now), _CALL, fn)
 
     def _push(self, time: float, kind: int, *payload: Any) -> None:
-        """Generic event push — ``(time, seq, kind, *payload)``.
-
-        An event due before the last event of the block being drained joins
-        that block at its ``(time, seq)`` place, so the drain runs it in
-        order; any other goes to the scheduler.
-        """
-        event = (time, next(self._seq), kind) + payload
-        if time < self._block_end:
-            insort(self._block, event)
-        else:
-            self._scheduler.push(event)
+        """Generic event push — ``(time, seq, kind, *payload)`` — to the
+        wheel; one due in the bucket being drained lands after the running
+        event (``time >= now``, fresh ``seq``), so the drain runs it in
+        order."""
+        self._scheduler.push((time, next(self._seq), kind) + payload)
 
     # -------------------------------------------------------------- execution
     def step(self) -> bool:
         """Process a single event.  Returns False when no event is pending.
 
-        The per-event reference the block drain is tested against
-        (``tests/test_engine_reference.py``); no ``run_*`` method calls it."""
+        The per-event reference the drain is tested against
+        (``tests/test_engine_reference.py``); no ``run_*`` method calls it.
+        A call from inside an event raises, as :meth:`run_until_time`'s does:
+        it would pop an event ahead of the rest of the walked bucket."""
+        if self._draining:
+            raise RuntimeError("step called from inside an event")
         if self._scheduler.next_time() is None:
             return False
         event = self._scheduler.pop()
@@ -443,14 +428,14 @@ class Simulator:
 
         Events are consumed in exactly the ``(time, seq)`` order repeated
         :meth:`step` calls would produce, whatever the adversary or telemetry
-        setting — see :meth:`_run_blocks`, the one drain loop.  A deadline
-        that is not finite raises: the periodic Timeouts would never let the
-        drain end.  So does a call from inside an event (a callback or a
-        handler): it would run the wheel past the rest of the open block.
+        setting — see :meth:`_drain`, the one drain loop.  A deadline that is
+        not finite raises: the periodic Timeouts would never let the drain
+        end.  So does a call from inside an event (a callback or a handler):
+        it would walk the bucket the outer drain is walking.
         """
         if not math.isfinite(deadline):
             raise ValueError("run_until_time deadline must be finite")
-        if self._block_end > _NEG_INF:
+        if self._draining:
             raise RuntimeError("run_until_time called from inside an event")
         # Pause the cyclic garbage collector for the duration of the run.
         # The hot loop allocates a tuple or two per event (records, timeout
@@ -467,9 +452,11 @@ class Simulator:
         if profile is not None:
             wall_start = perf_counter()
             steps_before = self._steps
+        self._draining = True
         try:
-            self._run_blocks(deadline)
+            self._drain(deadline)
         finally:
+            self._draining = False
             if gc_was_enabled:
                 gc.enable()
             if profile is not None:
@@ -479,42 +466,30 @@ class Simulator:
         if deadline > self.now:
             self.now = deadline
 
-    def _run_blocks(self, deadline: float) -> None:
-        """The event loop: a windowed block drain.
+    def _drain(self, deadline: float) -> None:
+        """The event loop: it walks the wheel's current bucket in place.
 
-        Safety argument: with no adversary, every send and Timeout reschedule
-        a handler makes is due at least ``horizon = min(min_delay,
-        timeout_period * (1 - timeout_jitter))`` after the clock (message
-        delays are >= min_delay, timeout reschedules >= period * (1 -
-        jitter); both strictly positive by :class:`SimulatorConfig`
-        validation), so not before the window ``[t0, t0 + horizon)`` ends.
-        The window is never empty: a horizon too small to move ``t0`` is
-        widened to the next float, which keeps exactly the events at ``t0``,
-        and a push due at ``t0`` then sorts after them by its fresh seq.  The
-        block is the window's share of the wheel's current bucket, so the
-        wheel holds nothing due before the block's last event.  Every other
-        push — crashes, callbacks, zero-delay injections, freshly added
-        nodes' staggered Timeouts, and under a link adversary a delay
-        spike's ``factor < 1`` copies — goes through :meth:`_push` or
-        ``_send_fast``'s verdict tail, which insert it into the block at its
-        ``(time, seq)`` place when it is due before the block's last event;
-        one due at that time or later sorts after the whole block and goes
-        to the wheel.  Hence the block, taken from the scheduler in one call
-        and consumed with no per-event queue traffic, runs in exactly
-        :meth:`step`'s order.
+        Safety argument: every schedulable time is ``>= now`` and a fresh
+        ``seq`` sorts after every queued event of equal time, so an event
+        pushed into the walked bucket — by ``_send_fast``, a Timeout
+        reschedule or :meth:`_push`, through the wheel's ``_insert_late`` —
+        lands after the running event, and the list iterator reaches it in
+        order.  Hence the walk runs exactly :meth:`step`'s order.  A bucket
+        run to its end is cleared; the walk stops at the first event due
+        after ``deadline`` and deletes the prefix it ran, leaving the rest
+        queued.
 
-        The adversary is read once per window and again after each callback
+        The adversary is read once per bucket and again after each callback
         (the only code that installs, removes or swaps one mid-run), and
         costs the one delivery branch a delivery-time check (a partition that
         started with the record in flight) only while it holds a partition.
         With telemetry on, a delivery bumps the latency histogram's slot and
-        max inline.  An exception hands the unprocessed tail back to the
-        scheduler.
+        max inline.  An exception deletes the prefix that ran, the raising
+        event included, and propagates.
         """
         # hot path — the fused delivery/timeout drain; a per-event container
         # added here fails test_engine_hot_loops_build_no_container_per_event
         scheduler = self._scheduler
-        pop_block_into = scheduler.pop_block_into
         next_time = scheduler.next_time
         heappush = heapq.heappush
         # Timeout reschedules are by far the most frequent push this loop
@@ -543,34 +518,26 @@ class Simulator:
         neg_jitter = -jitter
         jitter_span = jitter - neg_jitter
         jitter_rand = self._jitter_rng.random
-        horizon = min(config.min_delay, period * (1.0 - jitter))
-        # Strict `< limit` window membership with an inclusive deadline:
-        # events at exactly `deadline` belong to the run.
-        beyond_deadline = math.nextafter(deadline, math.inf)
-        block: List[Any] = []  # setup: the hot-loop test exempts annotated assignments
-        self._block = block
         while True:
             t0 = next_time()
             if t0 is None or t0 > deadline:
                 return
-            limit = t0 + horizon
-            if limit <= t0:
-                limit = math.nextafter(t0, math.inf)
-            if beyond_deadline < limit:
-                limit = beyond_deadline
-            pop_block_into(block, limit)
-            self._block_end = block[-1][0]
+            bucket = scheduler._current
+            current_index = scheduler._current_index  # fixed while it runs
             adversary = network.adversary
             event = None
             try:
-                # No enumerate: only the exception path needs the index, and
-                # ``block.index(event)`` recovers it ((time, seq) is unique).
-                for event in block:
-                    # Unconditional clock store: block events arrive sorted
+                # No enumerate: only the stop and exception paths need the
+                # index, and ``bucket.index(event)`` recovers it ((time, seq)
+                # is unique).
+                for event in bucket:
+                    time = event[0]
+                    if time > deadline:
+                        break
+                    # Unconditional clock store: bucket events arrive sorted
                     # ascending and every schedulable time is >= now
                     # (inject_message validates its delay), so the clock
                     # never moves backward here.
-                    time = event[0]
                     self.now = time
                     kind = event[2]
                     if kind == _DELIVER_FAST:
@@ -631,7 +598,7 @@ class Simulator:
                         timeout_event = (next_at, seq_next(), _TIMEOUT, event[3])
                         # inlined TimeoutWheelScheduler.push
                         index = int(next_at * inv_width)
-                        if index <= scheduler._current_index:
+                        if index <= current_index:
                             insert_late(timeout_event)
                         else:
                             try:
@@ -645,17 +612,20 @@ class Simulator:
                     elif kind == _CALL:
                         event[3]()
                         adversary = network.adversary
+                else:
+                    self._steps += len(bucket)
+                    bucket.clear()
+                    continue
             except BaseException:
-                # The raising event counts as consumed; the tail goes back.
-                consumed = 0 if event is None else block.index(event) + 1
-                for event in block[consumed:]:
-                    scheduler.push(event)
-                del block[consumed:]
+                # The raising event counts as run; the rest stays queued.
+                ran = 0 if event is None else bucket.index(event) + 1
+                self._steps += ran
+                del bucket[:ran]
                 raise
-            finally:
-                self._steps += len(block)
-                block.clear()
-                self._block_end = _NEG_INF
+            ran = bucket.index(event)
+            self._steps += ran
+            del bucket[:ran]
+            return
 
     def run_rounds(self, rounds: int) -> None:
         """Run for ``rounds`` timeout periods of simulated time."""

@@ -44,8 +44,8 @@ DROP_REASONS = (DROP_TO_CRASHED, DROP_ADVERSARY_LOSS, DROP_PARTITION)
 #
 # The first three positions match the scheduler's ``(time, seq, kind, ...)``
 # event layout (``seq`` is unique, so tuple comparison never reads past it and
-# mixed 4-/9-tuples order correctly); the tail is the row the engine's block
-# drain consumes in place.  A record lives *only* in the scheduler until its
+# mixed 4-/9-tuples order correctly); the tail is the row the engine's drain
+# consumes in place.  A record lives *only* in the scheduler until its
 # delivery event fires — every send (with or without a link adversary; a
 # duplicate is a second record sharing the params dict) and every injected
 # corruption (``sender`` is ``None``).  "Is the record still deliverable?" is

@@ -15,21 +15,20 @@ within a bucket events are sorted by that key, and buckets partition the time
 axis.  That is a binary heap's pop order, which the tests check against a
 ``heapq`` reference.
 
-**Block drains.**  The engine does not pop event by event: one
-``pop_block_into`` call removes every pending event with ``time`` strictly
-below a caller-supplied limit (bounded by the current bucket) as one
-array-level splice.  The engine picks the limit so that nothing a
-handler sends or reschedules can land inside the window, and inserts into
-the block whatever else is due before its last event (see
-:meth:`~repro.sim.engine.Simulator.run_until_time`), so the block is
-consumed in exactly the order per-event pops would produce.  The bucket
-slice *is* the packed event array: draining it costs two C-level list
-operations instead of one queue round-trip per event.
+**The drain walks the current bucket.**  The engine does not pop event by
+event: it iterates ``_current``, the bucket the clock has reached, in place,
+and deletes the prefix it ran when it stops (see
+:meth:`~repro.sim.engine.Simulator.run_until_time`).  A push due in that
+bucket is inserted at its ``(time, seq)`` place, which lies after the running
+event (every schedulable time is ``>= now`` and a fresh ``seq`` sorts last),
+so the walk reaches it in order.  The bucket is the one ordered container of
+due events: running it costs no per-event queue traffic.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -48,18 +47,17 @@ class TimeoutWheelScheduler:
 
     Events are hashed by ``floor(time / bucket_width)`` into buckets.  Future
     buckets are plain lists receiving O(1) appends; when the wheel advances to
-    a bucket it is sorted once into descending ``(time, seq)`` order, so
-    draining is an O(1) ``list.pop()`` off the tail.  Late arrivals into the
-    *current* bucket (a message sent with a delay smaller than the bucket
-    width, a block tail handed back by an exception) are placed by binary
-    search, preserving order.
+    a bucket it is sorted once into ascending ``(time, seq)`` order, which the
+    engine's drain walks front to back.  Late arrivals into the *current*
+    bucket (a message sent with a delay smaller than the bucket width, a
+    callback or injection due now) are placed by binary search, preserving
+    order.
 
     One precondition: pushes into a *future* bucket arrive in ascending
     ``seq``.  The engine builds every event around a freshly drawn ``seq``
     and pushes it at once, so it holds by construction.  Then a stable sort
     by time alone — a float-specialised ``list.sort``, several times faster
-    than comparing event tuples — followed by one ``reverse()`` yields the
-    exact descending ``(time, seq)`` order.
+    than comparing event tuples — yields the exact ``(time, seq)`` order.
 
     A small auxiliary heap of bucket indices finds the next non-empty bucket
     without scanning empty ones, so sparse schedules (e.g. a far-future crash)
@@ -85,8 +83,8 @@ class TimeoutWheelScheduler:
         self._inv_width = 1.0 / bucket_width
         self._buckets: Dict[int, List[Event]] = {}
         self._bucket_heap: List[int] = []
-        #: the bucket currently being drained, sorted DESCENDING so the next
-        #: event comes off the tail with an O(1) ``list.pop()``
+        #: the bucket currently being drained, sorted ascending; the engine's
+        #: drain iterates it in place
         self._current: List[Event] = []
         #: index of the bucket being drained; -1 (smaller than any index of a
         #: non-negative timestamp) while no bucket is active
@@ -94,7 +92,7 @@ class TimeoutWheelScheduler:
 
     # Events are plain tuples and ``seq`` (position 1) is unique, so tuple
     # comparison decides on (time, seq) and never touches kind/payload; the
-    # late-insert binary search therefore needs no key function.
+    # late insert's ``insort`` therefore needs no key function.
     def push(self, event: Event) -> None:
         index = int(event[0] * self._inv_width)
         if index <= self._current_index:
@@ -108,20 +106,12 @@ class TimeoutWheelScheduler:
 
     def _insert_late(self, event: Event) -> None:
         """Insert an event that lands in the bucket being drained (e.g. a
-        message sent with a delay smaller than the bucket width), keeping the
-        descending order so it is still emitted in (time, seq) order."""
-        current = self._current
-        lo, hi = 0, len(current)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if current[mid] > event:
-                lo = mid + 1
-            else:
-                hi = mid
-        current.insert(lo, event)
+        message sent with a delay smaller than the bucket width) at its
+        (time, seq) place."""
+        insort(self._current, event)
 
     def _advance(self) -> None:
-        """Make ``self._current`` hold the next non-empty bucket, descending.
+        """Make ``self._current`` hold the next non-empty bucket, ascending.
 
         When every bucket is drained the current index is deliberately left
         at its last value: bucket indices only ever advance (pushes land in
@@ -135,53 +125,20 @@ class TimeoutWheelScheduler:
                 return
             index = heapq.heappop(self._bucket_heap)
             bucket = self._buckets.pop(index)
-            # stable by time, then reversed: descending (time, seq) under the
-            # class's seq-ascending precondition
+            # stable by time: (time, seq) order under the class's
+            # seq-ascending precondition
             bucket.sort(key=_TIME_KEY)
-            bucket.reverse()
             self._current = bucket
             self._current_index = index
 
     def pop(self) -> Event:
+        """The next event, removed: O(bucket), for the tests' per-event
+        reference (the engine's drain walks the bucket instead)."""
         current = self._current
         if not current:
             self._advance()
             current = self._current
-        return current.pop()
-
-    def pop_block_into(self, out: List[Event], limit: float) -> int:
-        """Array-level block drain: the due suffix of the current bucket.
-
-        The current bucket is sorted descending by ``(time, seq)``, so every
-        event with ``time < limit`` forms a contiguous tail suffix.  One
-        binary search finds the cut, one slice + ``del`` removes it, one
-        ``reverse`` restores ascending order — no per-event scheduler
-        traffic at all.  The drain deliberately stops at the bucket
-        boundary; the caller loops, and equal-time runs never straddle the
-        cut because the search compares times only.
-        """
-        current = self._current
-        if not current:
-            self._advance()
-            current = self._current
-            if not current:
-                return 0
-        # Descending list: the prefix has time >= limit, the suffix < limit.
-        lo, hi = 0, len(current)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if current[mid][0] >= limit:
-                lo = mid + 1
-            else:
-                hi = mid
-        count = len(current) - lo
-        if count == 0:
-            return 0
-        block = current[lo:]
-        del current[lo:]
-        block.reverse()
-        out += block
-        return count
+        return current.pop(0)
 
     def next_time(self) -> Optional[float]:
         current = self._current
@@ -190,9 +147,12 @@ class TimeoutWheelScheduler:
             current = self._current
             if not current:
                 return None
-        return current[-1][0]
+        return current[0][0]
 
     def iter_events(self):
+        """Every queued event, in no global order.  From inside an event the
+        walked bucket still holds the events that ran before it: the drain
+        deletes them when it stops."""
         yield from self._current
         for bucket in self._buckets.values():
             yield from bucket
@@ -220,11 +180,10 @@ def auto_bucket_width(timeout_period: float = 1.0, min_delay: float = 0.1,
 
     The width is additionally clamped to ``min_delay`` when that does not
     degenerate the wheel (floor: 1/32 of the shorter horizon): a width no
-    larger than the minimum message delay guarantees no send can ever land
-    in the bucket currently being drained (``floor((t + d) / w) >
-    floor(t / w)`` whenever ``d >= w``), which eliminates the O(bucket)
-    late-insertion path from the hot loop entirely and keeps per-bucket
-    sorts smaller.
+    larger than the minimum message delay guarantees no undisturbed send
+    lands in the bucket currently being drained (``floor((t + d) / w) >
+    floor(t / w)`` whenever ``d >= w``), which keeps the O(bucket)
+    late-insertion path off the hot loop and per-bucket sorts smaller.
     """
     timeout_horizon = timeout_period * (1.0 + timeout_jitter)
     delay_horizon = max_delay if max_delay > 0 else timeout_horizon

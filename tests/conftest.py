@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import heapq
-import math
 
 import pytest
 
 from repro import ProtocolParams, SupervisedPubSub
 from repro.api import SystemSpec, build_stable, build_system
 from repro.core.supervisor import Supervisor
-from repro.sim import engine
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.network import (FAST_RECORD_KIND, REC_ACTION, REC_DEST, REC_KIND,
                                 REC_SENDER)
@@ -57,14 +55,6 @@ class HeapQueue:
     def pop(self):
         return heapq.heappop(self._heap)
 
-    def pop_block_into(self, out, limit):
-        """Pop every event with ``time < limit`` onto ``out``; the count."""
-        heap, count = self._heap, 0
-        while heap and heap[0][0] < limit:
-            out.append(heapq.heappop(heap))
-            count += 1
-        return count
-
     def next_time(self):
         return self._heap[0][0] if self._heap else None
 
@@ -109,52 +99,69 @@ def empty_system():
     return make
 
 
+class _RecordedBucket(list):
+    """A wheel bucket that logs every event removed from it, in order: the
+    engine's drain deletes exactly the prefix it ran (``clear()`` after a
+    whole bucket, ``del bucket[:k]`` at a deadline or an exception) and
+    ``step()`` pops the head, so the log is the executed stream."""
+
+    __slots__ = ("log",)
+
+    def clear(self):
+        self.log.extend(self)
+        super().clear()
+
+    def __delitem__(self, index):
+        self.log.extend(self[index])
+        super().__delitem__(index)
+
+    def pop(self, index=-1):
+        event = super().pop(index)
+        self.log.append(event)
+        return event
+
+
 @pytest.fixture()
 def wheel_stream(monkeypatch):
     """``(stream, inserted)``: the events the engine executes, in the order
-    it executes them, and those a push inserted into an open block.
+    it executes them, and those pushed into the bucket being drained.
 
-    Per window, the stream is the events the wheel gave up merged with the
-    ones inserted into the block while it ran.  ``pop_block_into`` and
-    ``pop`` are wrapped at class level and ``repro.sim.engine.insort`` at
-    module level, so install the fixture before building the simulator.
+    ``TimeoutWheelScheduler._advance`` is wrapped at class level so that the
+    current bucket logs what leaves it (:class:`_RecordedBucket`), and
+    ``_insert_late`` so that it lists the in-bucket pushes.  The engine
+    binds ``_insert_late`` when it builds the simulator, so install the
+    fixture first.
     """
     stream, inserted = [], []
-    window = [0]  # where the open block starts in ``stream``
-    pop_block_into = TimeoutWheelScheduler.pop_block_into
-    pop = TimeoutWheelScheduler.pop
-    insort = engine.insort
+    advance = TimeoutWheelScheduler._advance
+    insert_late = TimeoutWheelScheduler._insert_late
 
-    def taking_block(self, out, limit):
-        start = len(out)
-        count = pop_block_into(self, out, limit)
-        window[0] = len(stream)
-        stream.extend(out[start:])
-        return count
+    def advancing(self):
+        advance(self)
+        if type(self._current) is not _RecordedBucket:
+            self._current = _RecordedBucket(self._current)
+            self._current.log = stream
 
-    def taking_one(self):
-        stream.append(pop(self))
-        return stream[-1]
-
-    def inserting(block, event):
-        insort(stream, event, lo=window[0])
+    def inserting(self, event):
         inserted.append(event)
-        insort(block, event)
+        insert_late(self, event)
 
-    monkeypatch.setattr(TimeoutWheelScheduler, "pop_block_into", taking_block)
-    monkeypatch.setattr(TimeoutWheelScheduler, "pop", taking_one)
-    monkeypatch.setattr(engine, "insort", inserting)
+    monkeypatch.setattr(TimeoutWheelScheduler, "_advance", advancing)
+    monkeypatch.setattr(TimeoutWheelScheduler, "_insert_late", inserting)
     return stream, inserted
 
 
 def assert_heapq_order(sim, stream):
     """``stream`` is ``heapq``'s pop order of every event the wheel held —
-    taken or still pending — up to the clock, and nothing pending is due."""
+    executed or still pending — up to the clock, and nothing pending is
+    due."""
     pending = list(sim.scheduler.iter_events())
     events = stream + pending
     # every seq the engine drew went into one pushed event: none was lost
     assert sorted(event[1] for event in events) == list(range(next(sim._seq)))
     assert all(event[0] > sim.now for event in pending)
+    heap = HeapQueue(events)
     reference = []
-    HeapQueue(events).pop_block_into(reference, math.nextafter(sim.now, math.inf))
+    while len(heap) and heap.next_time() <= sim.now:
+        reference.append(heap.pop())
     assert reference == stream

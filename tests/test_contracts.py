@@ -321,12 +321,12 @@ def test_a_retired_option_is_rejected_by_name(read, key, value):
 
 
 def test_engine_hot_loops_build_no_container_per_event():
-    """In ``_send_fast`` and ``_run_blocks`` a dict/list/set display or a
+    """In ``_send_fast`` and ``_drain`` a dict/list/set display or a
     comprehension may sit only in an ``except`` handler (first sight of a
     key, one list per wheel bucket) or in an annotated setup assignment."""
     tree = ast.parse(Path(engine.__file__).read_text())
     hot = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-           and node.name in ("_send_fast", "_run_blocks")]
+           and node.name in ("_send_fast", "_drain")]
     assert len(hot) == 2
     displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 

@@ -1,20 +1,20 @@
 """One reference for the engine's drain loop: ``Simulator.step``.
 
-``run_until_time`` drains whole time windows at once; ``step`` pops and
-handles a single event.  The contract is that the two are indistinguishable
-— same handler log, counters, drop accounting and latency histogram — with
-telemetry on or off, and under a link adversary that
-breaks the window's safety argument (a ``DelaySpike`` with ``factor < 1``
-puts deliveries closer than ``min_delay``), and when nodes send to forged
+``run_until_time`` walks the wheel's current bucket in place; ``step`` pops
+and handles a single event.  The contract is that the two are
+indistinguishable — same handler log, counters, drop accounting and latency
+histogram — with telemetry on or off, and under a link adversary whose
+``DelaySpike`` with ``factor < 1`` puts deliveries closer than
+``min_delay``, into the bucket being walked, and when nodes send to forged
 addresses (unhashable ones are no address at all; the hashable ones take
 ``pop_record``'s accounting inside the drain loop too).  With telemetry on
 under the adversary, its partition heals and its spike ends mid-run and a
 callback zeroes its rates, so it goes idle inside a drain: the drain then
 skips its hooks, where ``step()``'s ``pop_record`` still asks on every
-delivery.  In the ``callbacks`` mode a chain of callbacks inside the windows
+delivery.  In the ``callbacks`` mode a chain of callbacks inside the buckets
 adds nodes, schedules crashes and further callbacks and removes and
 reinstalls a partitioning adversary; in the ``instant`` mode every send is
-due when it is made, so a push ties with the open block's last event.
+due when it is made, so a push ties with the running event's time.
 
 With no second implementation of the random draws to compare against,
 ``test_one_draw_per_use_and_none_ahead`` pins them to the streams themselves:
@@ -74,7 +74,7 @@ class _Relay(ProtocolNode):
                       origin=origin, hops=hops - 1)
         if origin == 9 and hops < 2:
             # zero delay from inside a handler, after its send: lands in the
-            # open window, and in the ``instant`` mode ties with that send
+            # walked bucket, and in the ``instant`` mode ties with that send
             self.sim.inject_message(origin, "Ping", {"origin": 0, "hops": 0},
                                     delay=0.0)
 
@@ -90,8 +90,8 @@ def _drain_by_steps(sim: Simulator, deadline: float) -> None:
 
 
 def _build(mode, adversary_class=LinkAdversary):
-    # ``instant``: every send is due at its send time, so each window holds
-    # one timestamp and an injection from a handler ties with the block
+    # ``instant``: every send is due at its send time, so an injection from
+    # a handler ties with the event that made it
     sim = Simulator(SimulatorConfig(seed=77) if mode != "instant" else
                     SimulatorConfig(seed=77, min_delay=1e-300, max_delay=1e-300))
     if mode.startswith("telemetry"):
@@ -110,7 +110,7 @@ def _build(mode, adversary_class=LinkAdversary):
             # starts with records sent before the install in flight
             adversary.add_partition("cut", [range(1, 11)], start=1.75,
                                     heal_time=6.0)
-            # deliveries 10x closer than min_delay: inside the drain's window
+            # deliveries 10x closer than min_delay: inside the walked bucket
             adversary.add_delay_spike(2.0, 8.0, factor=0.01)
             sim.install_adversary(adversary)
             if mode == "telemetry-adversary":
@@ -118,8 +118,8 @@ def _build(mode, adversary_class=LinkAdversary):
                 sim.call_at(9.0, lambda: adversary.set_rates(0.0, 0.0))
         sim.call_at(1.5, install)
     if mode == "callbacks":
-        # A chain of callbacks 0.01 apart, inside the drain's windows: each
-        # adds a node (some first Timeouts land in the window), crashes a
+        # A chain of callbacks 0.01 apart, inside the walked buckets: each
+        # adds a node (some first Timeouts land in the bucket), crashes a
         # node 0.01 later and removes or reinstalls an adversary whose
         # partition decides deliveries meanwhile.
         adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.1,
@@ -198,10 +198,10 @@ def test_run_until_time_reproduces_the_step_drain(mode):
         assert sum(a[0] == b[0] for a, b in zip(reference_log, reference_log[1:])) > 1_000
 
 
-def test_an_exception_hands_the_rest_of_the_block_back():
-    """A callback that raises inside a window ends the drain; the events
-    after it in the block, one it inserted included, go back to the wheel,
-    and the next run takes them as the per-event drain does."""
+def test_an_exception_leaves_the_rest_of_the_bucket_queued():
+    """A callback that raises mid-bucket ends the drain; the events after it
+    in the bucket, one it inserted included, stay queued, and the next run
+    takes them as the per-event drain does."""
     observed = []
     for drain in (_drain_by_steps, Simulator.run_until_time):
         sim, log = _build("callbacks")
@@ -250,9 +250,9 @@ def test_an_adversary_that_never_reports_idle_changes_nothing():
 
 
 @pytest.mark.parametrize("mode", ["plain", "adversary", "forged-adversary"])
-def test_the_windowed_drain_takes_the_wheel_in_heapq_order(wheel_stream, mode):
-    """Whole windows, those that took insertions included, run the wheel's
-    events in ``heapq``'s order."""
+def test_the_drain_takes_the_wheel_in_heapq_order(wheel_stream, mode):
+    """Whole buckets, those that took in-bucket pushes included, run the
+    wheel's events in ``heapq``'s order."""
     stream, inserted = wheel_stream
     sim, _ = _build(mode)
     for deadline in DEADLINES:
@@ -417,32 +417,34 @@ def test_send_fast_reproduces_the_delivery_times_arithmetic():
 
 
 def _batch_world(seed):
-    """A simulator mid-window under a lossy, duplicating adversary whose delay
-    spike (factor < 1) puts copies inside the open block; node 7 crashed."""
+    """A simulator mid-bucket under a lossy, duplicating adversary whose delay
+    spike (factor < 1) puts copies into the bucket being drained; node 7
+    crashed."""
     sim = Simulator(SimulatorConfig(seed=seed))
     sim.network.mark_crashed(7)
     adversary = LinkAdversary(sim.adversary_rng(), loss_rate=0.3, duplicate_rate=0.3)
     adversary.add_delay_spike(start=0.0, end=10.0, factor=0.25)
     sim.install_adversary(adversary)
     sim.now = 1.0
-    sim._block = []  # an open block, its last event due at 1 + min_delay
-    sim._block_end = 1.0 + sim.config.min_delay
+    # one event due now, its bucket made current: [1.0, 1.0 + bucket width)
+    sim.inject_message(2, "Ping", {}, delay=0.0)
+    assert sim.scheduler.next_time() == 1.0
     return sim
 
 
 def _batch_outcome(sim):
     stats = sim.network.stats
-    return (sorted(sim._block + list(sim.scheduler.iter_events()),
-                   key=lambda event: event[1]),
+    scheduler = sim.scheduler
+    return (sorted(scheduler.iter_events(), key=lambda event: event[1]),
             stats.drops_by_reason, stats.duplicated, stats.total_sent,
-            stats.snapshot()._sent, len(sim.scheduler), sim._block,
+            stats.snapshot()._sent, len(scheduler), list(scheduler._current),
             sim._delay_rng.getstate(), sim.adversary_rng().getstate())
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_a_batch_is_its_sends_made_one_per_call(seed):
     """Per copy, in batch order: the same records, drops by reason,
-    duplicates, counts, block insertions and random streams."""
+    duplicates, counts, in-bucket insertions and random streams."""
     # a live dest, a crashed one, an unhashable one, ``None`` (an address
     # like any hashable non-node ref: callers drop unset references), then
     # enough live sends for the loss and duplicate coins to come up
@@ -455,9 +457,14 @@ def test_a_batch_is_its_sends_made_one_per_call(seed):
         single._send_fast(5, "t", (send,))
     outcome = _batch_outcome(batched)
     assert outcome == _batch_outcome(single)
-    records, drops, duplicated, total_sent, sent, pending, block = outcome[:7]
+    records, drops, duplicated, total_sent, sent, pending, current = outcome[:7]
     assert drops["to_crashed"] == 2 and drops["adversary_loss"] > 0 and duplicated > 0
     assert total_sent == len(sends) and set(sent) == {"Ping", "Pong"}
-    assert block == sorted(block) and 0 < pending < pending + len(block) == len(records)
-    assert all(record[0] < batched._block_end for record in block)
-    assert all(record[6] == "t" and record[7] == 5 and record[8] == 1.0 for record in records)
+    # the injected event and at least one copy landed in the current bucket,
+    # the rest in future buckets
+    scheduler = batched.scheduler
+    assert current == sorted(current) and 2 <= len(current) < pending == len(records)
+    assert all(int(record[0] * scheduler._inv_width) == scheduler._current_index
+               for record in current)
+    assert all(record[6] == "t" and record[7] == 5 and record[8] == 1.0
+               for record in records if record[7] is not None)

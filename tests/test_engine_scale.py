@@ -6,7 +6,7 @@
   and, the smoke, 100k (downsized under ``REPRO_SMOKE_FAST=1`` so the CI
   matrix stays fast; the full size runs in the default local suite) — and
   in a scenario under a link adversary whose delay spike lands deliveries
-  inside the drain's windows.
+  into the bucket the drain is walking.
 * **Timeout accounting** — ``ProtocolNode.timeout_count`` is exactly the
   number of Timeouts the node fired: after a crashy storm, for a node
   registered under a forged id, and after
@@ -144,7 +144,7 @@ class TestWheelOrder:
 
     def test_the_wheel_emits_heapq_order_under_a_link_adversary(self, wheel_stream):
         """Loss, duplication and a delay spike that lands deliveries inside
-        the drain's open windows, so they join the open block."""
+        the bucket the drain is walking, where they run in place."""
         stream, inserted = wheel_stream
         lossy = get_scenario("lossy-network")
         spec = lossy.with_overrides(phases=tuple(

@@ -1,18 +1,17 @@
-"""Unit tests for the PR 4 hot-path machinery: scheduler block pops, wheel
-bucket auto-sizing, the cached failure detector, and the slotted node
-state."""
+"""Unit tests for the hot-path machinery: the drain's walk of the wheel's
+current bucket, wheel bucket auto-sizing, the cached failure detector, and
+the slotted node state."""
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
 import json
-import math
 import random
 from pathlib import Path
 
 import pytest
-from conftest import HeapQueue, assert_heapq_order, records_in_flight
+from conftest import assert_heapq_order, records_in_flight
 
 from repro.api import SystemSpec
 from repro.sim.engine import Simulator, SimulatorConfig
@@ -29,74 +28,6 @@ from repro.sim.node import ProtocolNode
 from repro.sim.scheduler import TimeoutWheelScheduler, auto_bucket_width
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-class TestPopBatch:
-    """``pop_block_into`` on the wheel and its ``heapq`` reference (the class
-    and test names predate the block pop)."""
-
-    @staticmethod
-    def _fill(events):
-        schedulers = (HeapQueue(), TimeoutWheelScheduler(bucket_width=0.25))
-        for event in events:
-            for scheduler in schedulers:
-                scheduler.push(event)
-        return schedulers
-
-    @staticmethod
-    def _after(time):
-        return math.nextafter(time, math.inf)
-
-    def test_equal_timestamp_runs_drain_in_one_batch(self):
-        events = [(1.0, 0, 0, "a"), (1.0, 1, 0, "b"), (1.0, 2, 0, "c"),
-                  (2.0, 3, 0, "d")]
-        for scheduler in self._fill(events):
-            block = []
-            assert scheduler.pop_block_into(block, self._after(1.0)) == 3
-            assert block == events[:3]
-            assert scheduler.pop_block_into(block, self._after(2.0)) == 1
-            assert block == events
-            assert len(scheduler) == 0
-
-    def test_limit_excludes_future_events(self):
-        events = [(1.0, 0, 0, "a"), (5.0, 1, 0, "b")]
-        for scheduler in self._fill(events):
-            block = []
-            assert scheduler.pop_block_into(block, 0.5) == 0
-            assert scheduler.pop_block_into(block, 1.0) == 0  # exclusive
-            assert scheduler.pop_block_into(block, 2.0) == 1
-            assert scheduler.pop_block_into(block, 2.0) == 0
-            assert block == [events[0]]
-            assert len(scheduler) == 1
-
-    def test_pop_batch_into_reuses_buffer_and_counts(self):
-        events = [(1.0, 0, 0, "a"), (1.0, 1, 0, "b"), (3.0, 2, 0, "c")]
-        for scheduler in self._fill(events):
-            out = []
-            assert scheduler.pop_block_into(out, 2.0) == 2
-            assert scheduler.pop_block_into(out, 4.0) == 1
-            assert out == events  # appended to, never replaced
-            assert scheduler.pop_block_into(out, 4.0) == 0
-            assert scheduler.next_time() is None
-
-    def test_heap_wheel_batch_parity_randomized(self):
-        rng = random.Random(3)
-        # Coarse timestamps force plenty of equal-time collisions.
-        events = [(round(rng.uniform(0, 20), 1), seq, seq % 4, None)
-                  for seq in range(2_000)]
-        heap, wheel = self._fill(events)
-        limit = 0.0
-        while len(heap):
-            limit += 0.37  # windows not aligned to buckets or timestamps
-            blocks = []
-            for scheduler in (heap, wheel):
-                block = []
-                # the wheel stops at bucket boundaries: pop until dry
-                while scheduler.pop_block_into(block, limit):
-                    pass
-                blocks.append(block)
-            assert blocks[0] == blocks[1]
-        assert len(wheel) == 0
 
 
 class TestWheelAutoSizing:
@@ -156,27 +87,21 @@ class _Pinger(ProtocolNode):
 
 
 class TestWheelDrain:
-    def test_the_drain_takes_blocks_through_pop_block_into(self, wheel_stream,
-                                                            monkeypatch):
-        """The engine drains the wheel a block at a time, in ``heapq``'s
-        order."""
+    def test_the_drain_walks_the_buckets_and_pops_nothing(self, wheel_stream,
+                                                          monkeypatch):
+        """The engine runs each bucket in place, in ``heapq``'s order: no
+        event leaves the wheel through ``pop``."""
         stream, _ = wheel_stream
-        blocks = []
-        pop_block_into = TimeoutWheelScheduler.pop_block_into
 
-        def counting(self, out, limit):
-            count = pop_block_into(self, out, limit)
-            if count:
-                blocks.append(count)
-            return count
+        def refusing(self):
+            raise AssertionError("the drain popped an event")
 
-        monkeypatch.setattr(TimeoutWheelScheduler, "pop_block_into", counting)
+        monkeypatch.setattr(TimeoutWheelScheduler, "pop", refusing)
         sim = Simulator(SimulatorConfig(seed=6))
         for i in range(30):
             sim.add_node(_Pinger(i + 1))
         sim.run_rounds(20)
-        assert blocks, "drain did not use pop_block_into"
-        assert len(stream) == sim.steps_executed
+        assert len(stream) == sim.steps_executed > 600
         assert_heapq_order(sim, stream)
 
     def test_the_drain_with_an_adversary_takes_heapq_order(self, wheel_stream):
@@ -194,35 +119,14 @@ class TestWheelDrain:
         assert_heapq_order(sim, stream)
 
 
-class TestInWindowInsertion:
-    def test_nothing_taken_into_a_block_is_handed_back(self, monkeypatch):
-        """A delay spike with ``factor < 1`` lands deliveries inside the open
-        window; each is inserted into the block being drained, so no event
-        the drain took from the wheel goes back to it, and the run is the
-        one a per-event drain makes."""
+class TestInBucketInsertion:
+    def test_in_bucket_pushes_run_in_step_order(self, wheel_stream):
+        """A delay spike with ``factor < 1`` lands deliveries in the bucket
+        being walked; each runs in its ``(time, seq)`` place, so the run is
+        the one a per-event drain makes."""
         from repro.scenarios.adversary import LinkAdversary
-        from repro.sim import engine
 
-        block, requeued, inserted = set(), [], []
-        pop_block_into = TimeoutWheelScheduler.pop_block_into
-        push = TimeoutWheelScheduler.push
-        insort = engine.insort
-
-        def taking(self, out, limit):
-            start = len(out)
-            count = pop_block_into(self, out, limit)
-            block.clear()
-            block.update(event[1] for event in out[start:])
-            return count
-
-        def counting(self, event):
-            if event[1] in block:  # a seq from the last block: a requeue
-                requeued.append(event[1])
-            push(self, event)
-
-        def inserting(events, event):
-            inserted.append(event[1])
-            insort(events, event)
+        _, inserted = wheel_stream
 
         def world():
             sim = Simulator(SimulatorConfig(seed=5))
@@ -238,13 +142,9 @@ class TestInWindowInsertion:
                     sim.network.stats.to_summary_dict(),
                     sorted(sim.scheduler.iter_events(), key=lambda event: event[1]))
 
-        monkeypatch.setattr(TimeoutWheelScheduler, "pop_block_into", taking)
-        monkeypatch.setattr(TimeoutWheelScheduler, "push", counting)
-        monkeypatch.setattr(engine, "insort", inserting)
         sim, nodes = world()
         sim.run_until_time(30.0)
-        assert sim.steps_executed > 1_500
-        assert requeued == [] and len(inserted) > 100
+        assert sim.steps_executed > 1_500 and len(inserted) > 100
 
         twin, twin_nodes = world()
         while twin.scheduler.next_time() <= 30.0:
@@ -923,7 +823,7 @@ class TestSteadyStateBudget:
 
     @staticmethod
     def _frames(system, rounds):
-        """Python ``call`` events under ``_run_blocks`` (the ``TestAdversarial
+        """Python ``call`` events under ``_drain`` (the ``TestAdversarial
         SendBudget`` idiom): per delivered Introduce / IntroduceShortcut /
         CheckTrie, every frame its handler enters; over the subscriber
         Timeouts, their number, the frames of the protocol's own code outside

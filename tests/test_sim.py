@@ -53,7 +53,7 @@ class TestSimulatorBasics:
         with pytest.raises(ValueError, match="min_delay"):
             SimulatorConfig(min_delay=-0.1)
         # zero used to validate here and die later in Network.__init__ with
-        # other words; the drain's window argument needs it strictly positive
+        # other words; the paper's delays are strictly positive
         with pytest.raises(ValueError, match="min_delay must be positive"):
             SimulatorConfig(min_delay=0.0)
         with pytest.raises(ValueError, match="max_delay"):
@@ -143,11 +143,23 @@ class TestSimulatorBasics:
         assert fired and fired[0] >= 2.0
 
     def test_a_run_from_inside_an_event_is_refused(self):
-        """An event runs inside the open block: a drain it started would run
-        the wheel past the rest of that block."""
+        """An event runs inside the walked bucket: a drain it started would
+        walk that bucket a second time."""
         sim = Simulator(SimulatorConfig(seed=1))
         node = sim.add_node(EchoNode(1))
         sim.call_at(2.0, lambda: sim.run_for(1.0))
+        with pytest.raises(RuntimeError, match="from inside an event"):
+            sim.run_rounds(5)
+        assert sim.now == 2.0
+        sim.run_rounds(5)
+        assert node.timeouts >= 5 and sim.now == 7.0
+
+    def test_a_step_from_inside_an_event_is_refused(self):
+        """An event runs inside the walked bucket: a ``step()`` it made would
+        pop an event ahead of the rest of that bucket."""
+        sim = Simulator(SimulatorConfig(seed=1))
+        node = sim.add_node(EchoNode(1))
+        sim.call_at(2.0, sim.step)
         with pytest.raises(RuntimeError, match="from inside an event"):
             sim.run_rounds(5)
         assert sim.now == 2.0
