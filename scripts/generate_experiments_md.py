@@ -7,8 +7,9 @@ Usage::
 
 The commentary blocks describe what the paper claims and how the measured
 numbers relate to it; the tables are produced by the experiment harness
-(`repro.experiments`).  ``--jobs N`` fans the experiments out across N
-worker processes through the :mod:`repro.exec` backends; the written file
+(`repro.experiments`).  ``--jobs N`` fans the experiments out across the N
+worker processes of a stdlib pool, opened per run, through
+:func:`repro.exec.backend.run_tasks`; the written file
 is byte-identical at any job count (experiments are seed-deterministic and
 every report crosses the same canonical JSON boundary), so CI regenerates
 the file in parallel and fails on any diff against the committed copy.

@@ -11,11 +11,11 @@
     python -m repro fuzz --quick --budget-iters 24 --findings-dir findings/
     python -m repro metrics campaign.json --spans
 
-``--jobs N`` fans a verb's tasks across N worker processes through
-:mod:`repro.exec`; what is printed and written is byte-identical at any
-``--jobs``.  Exit status: 0 when every invariant held (``fuzz``: no
-findings; ``metrics``: the artifact carries telemetry), 1 when one did not,
-2 on a usage error.
+``--jobs N`` fans a verb's tasks across the N worker processes of a stdlib
+pool, opened per run (:mod:`repro.exec`); what is printed and written is
+byte-identical at any ``--jobs``.  Exit status: 0 when every invariant
+held (``fuzz``: no findings; ``metrics``: the artifact carries telemetry),
+1 when one did not, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.api.report import RunReport, format_table
 from repro.artifact import canonical_json
-from repro.exec.backend import FAILURE_KEY, TaskSpec, backend_for_jobs
+from repro.exec.backend import FAILURE_KEY, TaskSpec, run_tasks
 from repro.exec.campaign import CampaignReport, CampaignRunner
 from repro.exec.demo import DEMO_SWEEPS, get_demo_sweep
 from repro.exec.sweep import SweepSpec
@@ -137,14 +137,14 @@ def _scenario(args: argparse.Namespace) -> int:
     for spec, seed in runs:
         payload: Dict[str, Any] = {"spec": spec.to_dict(), "seed": seed}
         if args.telemetry:
-            # The worker builds the facade from this spec, so the histograms
+            # The task builds the facade from this spec, so the histograms
             # and spans are recorded inside the run — not bolted on after.
             payload["system"] = (
                 spec.system_spec(seed=seed).with_overrides(telemetry=True).to_dict())
         tasks.append(TaskSpec(task_id=spec.name,
                               fn="repro.exec.tasks:run_scenario_task",
                               payload=payload))
-    results = backend_for_jobs(args.jobs).run(tasks)
+    results = run_tasks(tasks, jobs=args.jobs)
     reports = [ScenarioReport.from_dict(result["scenario"]) for result in results]
     if args.out:
         # A single report verbatim, or {"reports": [...], "telemetry":
@@ -165,7 +165,7 @@ def _scenario(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- sweep
 def _verdict(report: Dict[str, Any], failure: Optional[Dict[str, Any]]) -> str:
-    """One campaign task's verdict: its report's, or its worker's failure."""
+    """One campaign task's verdict: its report's, or its crash record's."""
     if failure is not None:
         return f"FAIL (worker {failure['kind']})"
     return "PASS" if report["passed"] else "FAIL"
@@ -210,8 +210,8 @@ def _sweep(args: argparse.Namespace) -> int:
         print(f"  [{done}/{total}] {task.task_id:40s} "
               f"{_verdict(result, result.get(FAILURE_KEY))}", file=sys.stderr)
 
-    report = CampaignRunner(sweep, jobs=args.jobs, fault_tolerant=args.fault_tolerant,
-                            task_timeout=args.task_timeout).run(progress=progress)
+    report = CampaignRunner(sweep, jobs=args.jobs,
+                            fault_tolerant=args.fault_tolerant).run(progress=progress)
     return _finish(args, report, _campaign_summary(report))
 
 
@@ -255,7 +255,7 @@ def _fuzz(args: argparse.Namespace) -> int:
             print(f"  [{done}/{total}] {name:24s} {status} {detail}".rstrip(),
                   file=sys.stderr)
 
-    report = FuzzCampaign(config, jobs=args.jobs, task_timeout=args.task_timeout,
+    report = FuzzCampaign(config, jobs=args.jobs,
                           budget_seconds=args.budget_seconds).run(progress=progress)
     if args.findings_dir:
         for finding in report.findings:
@@ -287,8 +287,7 @@ def _metrics(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- parser
 def build_parser() -> argparse.ArgumentParser:
     # The shared flags, each defined once: every verb prints --json; the
-    # three verbs that run tasks share --seed/--jobs/--out; the two that run
-    # campaigns share --task-timeout (its default differs: set_defaults).
+    # three verbs that run tasks share --seed/--jobs/--out.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true",
                         help="print the report as canonical JSON instead of "
@@ -304,11 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the full JSON artifact to FILE: the "
                            "RunReport with its telemetry (scenario), the "
                            "campaign (sweep) or the campaign report (fuzz)")
-    campaigns = argparse.ArgumentParser(add_help=False, parents=[runs])
-    campaigns.add_argument("--task-timeout", type=positive_float, metavar="SECONDS",
-                           help="kill any worker running longer than this "
-                                "(process-pool jobs only; sweep default: "
-                                "none, fuzz default: 300)")
 
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -342,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(telemetry=True on the system spec) and render "
                                "them after each report")
 
-    sweep = verb("sweep", campaigns, "expand a declarative parameter sweep over "
+    sweep = verb("sweep", runs, "expand a declarative parameter sweep over "
                  "the pub-sub system and run it as a campaign across CPU cores "
                  "(see repro.exec)", handler=_sweep)
     source = sweep.add_mutually_exclusive_group()
@@ -356,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the selected sweep's JSON and exit "
                             "(scaffold for custom --spec files)")
     sweep.add_argument("--fault-tolerant", action="store_true",
-                       help="record a crashed/hung worker as a structured "
+                       help="record a crashed task as a structured "
                             "TaskFailure entry in the campaign artifact "
                             "instead of aborting the whole campaign")
 
-    fuzz = verb("fuzz", campaigns, "adversarial scenario fuzzer: fresh random "
+    fuzz = verb("fuzz", runs, "adversarial scenario fuzzer: fresh random "
                 "specs, with auto-shrink (see repro.fuzz and FUZZING.md); fuzzing is "
-                "always fault-tolerant", handler=_fuzz, task_timeout=300.0)
+                "always fault-tolerant", handler=_fuzz)
     fuzz.add_argument("--budget-iters", type=positive_int, default=64,
                       help="number of generated scenarios to run (default 64)")
     fuzz.add_argument("--budget-seconds", type=positive_float,

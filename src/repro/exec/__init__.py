@@ -2,13 +2,14 @@
 
 The scaling substrate every driver shares.  Three pieces:
 
-* **Backends** (:mod:`repro.exec.backend`) — run named, JSON-payloaded
-  tasks either inline (:class:`InlineBackend`) or across CPU cores with
-  per-task fresh-interpreter isolation (:class:`ProcessPoolBackend`).
-  Every ``--jobs N`` flag in the tree (``generate_experiments_md`` and the
+* **The backend** (:mod:`repro.exec.backend`) — :func:`run_tasks` runs
+  named, JSON-payloaded tasks inline (``jobs=1``) or on the worker
+  processes of a stdlib pool, opened per run (``jobs=N``).  Every
+  ``--jobs N`` flag in the tree (``generate_experiments_md`` and the
   ``scenario``, ``sweep`` and ``fuzz`` verbs of ``python -m repro``) maps
-  onto these two backends, and results are byte-identical either way:
-  both canonicalize through the same JSON boundary.
+  onto it, and results are byte-identical at any job count: every task
+  goes through one per-task function, :func:`run_task`, which
+  canonicalizes its result through the same JSON boundary.
 * **Sweeps** (:mod:`repro.exec.sweep`) — a declarative
   :class:`SweepSpec` parameter grid (scenario × shards × n_nodes ×
   loss_rate × seed replicates) over a base
@@ -24,29 +25,25 @@ CLI: ``python -m repro sweep``.
 
 from repro.exec.backend import (
     FAILURE_KEY,
-    ExecBackend,
-    InlineBackend,
-    ProcessPoolBackend,
     TaskFailure,
     TaskSpec,
-    backend_for_jobs,
     failure_from_result,
     is_failure_result,
+    run_task,
+    run_tasks,
 )
 from repro.exec.campaign import CampaignReport, CampaignRunner
 from repro.exec.demo import DEMO_SWEEPS, get_demo_sweep
 from repro.exec.sweep import SweepSpec, SweepTask
 
 __all__ = [
-    "ExecBackend",
     "FAILURE_KEY",
-    "InlineBackend",
-    "ProcessPoolBackend",
     "TaskFailure",
     "TaskSpec",
-    "backend_for_jobs",
     "failure_from_result",
     "is_failure_result",
+    "run_task",
+    "run_tasks",
     "SweepSpec",
     "SweepTask",
     "CampaignReport",

@@ -1,16 +1,17 @@
 """Fan a :class:`~repro.exec.sweep.SweepSpec` out and merge the results.
 
-:class:`CampaignRunner` expands a sweep into tasks, dispatches them through
-an execution backend (inline or process pool — ``--jobs N``), streams
-per-task progress, and merges every task's
-:class:`~repro.api.report.RunReport` into one :class:`CampaignReport`.
+:class:`CampaignRunner` expands a sweep into tasks, runs them through
+:func:`~repro.exec.backend.run_tasks` (inline, or on the worker processes
+of a stdlib pool, opened per run — ``--jobs N``), streams per-task
+progress, and merges every task's :class:`~repro.api.report.RunReport`
+into one :class:`CampaignReport`.
 
 The campaign artifact, written by the artifact codec (:mod:`repro.artifact`),
 is **byte-reproducible**: same sweep + same master seed ⇒ identical
 ``to_json`` bytes, at any ``--jobs`` value.  Three rules make that hold:
 per-task seeds are derived from coordinates (not schedule), every result
-crosses the backend's canonical JSON boundary (so inline and subprocess
-runs agree on structure), and wall-clock values are scrubbed from the
+crosses the backend's canonical JSON boundary (so inline and pooled runs
+agree on structure), and wall-clock values are scrubbed from the
 merged reports (walls are streamed to the progress callback instead —
 they belong to the console, not the artifact).
 """
@@ -22,11 +23,10 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.artifact import Artifact
 from repro.exec.backend import (
-    ExecBackend,
     TaskSpec,
-    backend_for_jobs,
     failure_from_result,
     is_failure_result,
+    run_tasks,
 )
 from repro.exec.sweep import SweepSpec, SweepTask
 
@@ -68,8 +68,8 @@ class CampaignReport(Artifact, derived=("passed",), omit_none=("telemetry",)):
         return [task_id for task_id, ok in self.claims().items() if not ok]
 
     def claims(self) -> Dict[str, bool]:
-        """Flat ``task_id -> all invariants hold`` map.  A task whose worker
-        failed (a ``"failure"`` entry instead of a ``"report"``) never
+        """Flat ``task_id -> all invariants hold`` map.  A task that
+        crashed (a ``"failure"`` entry instead of a ``"report"``) never
         passes: an unverifiable invariant is a failed claim."""
         return {entry["task_id"]: ("report" in entry
                                    and bool(entry["report"]["passed"]))
@@ -80,12 +80,10 @@ class CampaignRunner:
     """Expand a sweep, fan its tasks out, merge the reports."""
 
     def __init__(self, sweep: SweepSpec, jobs: int = 1,
-                 backend: Optional[ExecBackend] = None,
-                 fault_tolerant: bool = False,
-                 task_timeout: Optional[float] = None) -> None:
+                 fault_tolerant: bool = False) -> None:
         self.sweep = sweep
-        self.backend = backend if backend is not None else backend_for_jobs(
-            jobs, timeout=task_timeout, fault_tolerant=fault_tolerant)
+        self.jobs = jobs
+        self.fault_tolerant = fault_tolerant
 
     def task_specs(self, tasks: Optional[List[SweepTask]] = None) -> List[TaskSpec]:
         """The backend tasks this campaign dispatches, in sweep order."""
@@ -111,13 +109,15 @@ class CampaignRunner:
             if progress is not None:
                 progress(by_id[spec.task_id], result, done, total)
 
-        results = self.backend.run(self.task_specs(tasks), progress=on_result)
+        results = run_tasks(self.task_specs(tasks), jobs=self.jobs,
+                            fault_tolerant=self.fault_tolerant,
+                            progress=on_result)
         entries = []
         for task, report in zip(tasks, results):
             if is_failure_result(report):
-                # A fault-tolerant backend absorbed a worker crash/timeout:
-                # record the structured failure in the task's slot instead of
-                # aborting the whole campaign.
+                # fault_tolerant absorbed a task's crash: record the
+                # structured failure in the task's slot instead of aborting
+                # the whole campaign.
                 entries.append({**task.to_dict(),
                                 "failure": failure_from_result(report).to_dict()})
                 continue
@@ -125,7 +125,7 @@ class CampaignRunner:
             # Walls are machine noise; the artifact must be byte-reproducible.
             report["wall_seconds"] = None
             entries.append({**task.to_dict(), "report": report})
-        # Entries are zipped in sweep order regardless of backend, so the
+        # Entries are zipped in sweep order at any job count, so the
         # merge order is fixed and the merged block is byte-identical at any
         # --jobs value; it is None (no key at all) without telemetry.
         from repro.telemetry.recorder import merge_telemetry_dicts

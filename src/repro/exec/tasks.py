@@ -1,16 +1,14 @@
-"""Task functions runnable by any :mod:`repro.exec` backend.
+"""Task functions runnable by :func:`repro.exec.backend.run_tasks`.
 
 Every function here takes one JSON-safe payload dict and returns one
-JSON-safe result dict, so it can run in-process
-(:class:`~repro.exec.backend.InlineBackend`) or in a fresh interpreter
-(:class:`~repro.exec.backend.ProcessPoolBackend`) with identical results.
-Imports happen inside the functions: a worker process only pays for the
-subsystem its task actually uses.
+JSON-safe result dict, so it runs inline (``jobs=1``) or on the worker
+processes of a stdlib pool, opened per run (``jobs=N``), with identical
+results.  Imports happen inside the functions: a task only pays for the
+subsystem it actually uses.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict
 
 
@@ -77,23 +75,3 @@ def run_experiment_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         raise KeyError(f"unknown experiment {key!r}; known: {known}") from None
     return run_experiment(fn, **dict(payload.get("kwargs") or {})).to_dict()
 
-
-def misbehave(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Diagnostic task that fails on demand — the test fixture for the
-    fault-tolerant layer.  ``payload["mode"]`` selects the failure:
-    ``"crash"`` raises, ``"exit"`` hard-exits with ``payload["code"]``,
-    ``"hang"`` sleeps ``payload["seconds"]`` (long enough to trip a task
-    timeout), ``"garbage-stdout"`` corrupts the worker's JSON protocol,
-    and anything else succeeds."""
-    mode = payload.get("mode", "ok")
-    if mode == "crash":
-        raise RuntimeError(payload.get("detail", "injected crash"))
-    if mode == "exit":
-        import os
-        os._exit(int(payload.get("code", 3)))
-    if mode == "hang":
-        time.sleep(float(payload.get("seconds", 60.0)))
-    if mode == "garbage-stdout":
-        import sys
-        print("this is not the JSON you are looking for", file=sys.stdout)
-    return {"ok": True, "mode": mode}

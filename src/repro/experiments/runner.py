@@ -4,9 +4,10 @@ The result type of the experiment harness is
 :class:`~repro.api.report.RunReport` (the unified API's single result
 object).  :func:`run_experiment` runs one experiment in-process;
 :func:`run_experiment_campaign` fans any subset of
-:data:`~repro.experiments.experiments.ALL_EXPERIMENTS` out through the
-:mod:`repro.exec` backends (``jobs=1`` inline, ``jobs>1`` one fresh worker
-process per experiment) with backend-independent, byte-identical reports.
+:data:`~repro.experiments.experiments.ALL_EXPERIMENTS` out through
+:func:`repro.exec.backend.run_tasks` (``jobs=1`` inline, ``jobs>1`` the
+worker processes of a stdlib pool, opened per run) with byte-identical
+reports at any job count.
 """
 
 from __future__ import annotations
@@ -31,17 +32,18 @@ def run_experiment_campaign(keys: Optional[Sequence[str]] = None,
                             jobs: int = 1,
                             progress=None) -> Dict[str, RunReport]:
     """Run experiments (default: all of ``ALL_EXPERIMENTS``) as a campaign
-    over the :mod:`repro.exec` backends and return ``key -> RunReport`` in
-    request order.
+    through :func:`repro.exec.backend.run_tasks` and return
+    ``key -> RunReport`` in request order.
 
-    ``jobs=1`` runs inline, ``jobs>1`` fans out across worker processes —
-    either way every report crosses the backend's canonical JSON boundary,
-    so the returned reports (and anything rendered from them, e.g.
-    EXPERIMENTS.md) are byte-identical at any job count.  ``progress`` is an
+    ``jobs=1`` runs inline, ``jobs>1`` fans out across the worker processes
+    of a stdlib pool, opened per run — either way every report crosses the
+    backend's canonical JSON boundary, so the returned reports (and
+    anything rendered from them, e.g. EXPERIMENTS.md) are byte-identical
+    at any job count.  ``progress`` is an
     optional ``callable(key, report, done, total)`` streamed in completion
     order; only its wall times vary between runs.
     """
-    from repro.exec.backend import TaskSpec, backend_for_jobs
+    from repro.exec.backend import TaskSpec, run_tasks
     from repro.experiments.experiments import ALL_EXPERIMENTS
 
     selected = list(keys) if keys is not None else list(ALL_EXPERIMENTS)
@@ -56,6 +58,6 @@ def run_experiment_campaign(keys: Optional[Sequence[str]] = None,
         if progress is not None:
             progress(task.task_id, RunReport.from_dict(result), done, total)
 
-    results = backend_for_jobs(jobs).run(tasks, progress=on_result)
+    results = run_tasks(tasks, jobs=jobs, progress=on_result)
     return {key: RunReport.from_dict(result)
             for key, result in zip(selected, results)}

@@ -21,9 +21,10 @@ package is the machine that imagines the rest.  Four pieces:
   re-checking the failure signature each step, and emits a corpus-ready
   JSON artifact (``tests/corpus/`` replays them as regressions).
 * **Campaign** (:mod:`repro.fuzz.campaign`) — the budgeted loop, fanned
-  out through the **fault-tolerant** :mod:`repro.exec` layer (per-task
-  timeouts, crashed-worker detection), with byte-reproducible reports at
-  any ``--jobs`` value.
+  out through the **fault-tolerant** :mod:`repro.exec` layer (a raising
+  case becomes a ``crash`` record, not an aborted campaign) on the worker
+  processes of a stdlib pool, opened per run, with byte-reproducible
+  reports at any ``--jobs`` value.
 
 CLI: ``python -m repro fuzz``.  The full
 design — coverage-key grammar, shrink algorithm, corpus layout, triage

@@ -4,9 +4,9 @@ One :class:`FuzzCampaign` executes the loop the issue calls "a machine that
 imagines scenarios":
 
 1. draw fresh specs from the generator, one chunk of ``jobs`` at a time;
-2. fan the chunk out through the **fault-tolerant** exec layer (per-task
-   timeouts, crashed-worker detection — one pathological spec can kill
-   its worker, never the campaign);
+2. fan the chunk out through the **fault-tolerant** exec layer, on the
+   worker processes of a stdlib pool, opened per run (a spec whose run
+   raises becomes a ``crash`` record, never an aborted campaign);
 3. merge results *in submission order*: update the coverage map (the
    report's measure of exploration), record oracle failures and worker
    failures as findings (deduplicated by signature), and stop at the
@@ -34,9 +34,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.artifact import Artifact
 from repro.exec.backend import (
     TaskSpec,
-    backend_for_jobs,
     failure_from_result,
     is_failure_result,
+    run_task,
+    run_tasks,
 )
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.generator import GeneratorLimits, SpecGenerator, generated_name
@@ -133,17 +134,14 @@ class FuzzReport(Artifact, derived=("passed",)):
 
 
 class FuzzCampaign:
-    """Drive one fuzz campaign through an exec backend."""
+    """Drive one fuzz campaign through the exec backend.  Every run is
+    fault-tolerant: the whole point is feeding the system inputs that might
+    break it."""
 
     def __init__(self, config: FuzzConfig, jobs: int = 1,
-                 task_timeout: Optional[float] = 300.0,
                  budget_seconds: Optional[float] = None) -> None:
         self.config = config
         self.jobs = jobs  # also the chunk of specs each backend call runs
-        # Fault tolerance is not optional for a fuzzer: the whole point is
-        # feeding the system inputs that might wedge it.
-        self.backend = backend_for_jobs(jobs, timeout=task_timeout,
-                                        fault_tolerant=True)
         self.budget_seconds = budget_seconds
         self.generator = SpecGenerator(config.limits)
 
@@ -182,8 +180,9 @@ class FuzzCampaign:
             chunk = range(iteration, min(iteration + self.jobs, cfg.budget_iters))
             specs = [self.generator.random_spec(rng, generated_name(cfg.seed, index))
                      for index in chunk]
-            results = self.backend.run([self._task(spec, index)
-                                        for index, spec in zip(chunk, specs)])
+            results = run_tasks([self._task(spec, index)
+                                 for index, spec in zip(chunk, specs)],
+                                jobs=self.jobs, fault_tolerant=True)
             for spec, result in zip(specs, results):
                 self._observe(iteration, spec, result, coverage, findings,
                               trail, progress)
@@ -232,7 +231,7 @@ class FuzzCampaign:
     def _still_fails_fn(self, finding: FuzzFinding
                         ) -> Callable[[ScenarioSpec], bool]:
         """The signature-preserving check the shrinker re-runs candidates
-        through: same case seed, same oracle, same exec-layer hardening."""
+        through: same case seed, same oracle, run inline and fault-tolerant."""
         cfg = self.config
 
         def still_fails(candidate: ScenarioSpec) -> bool:
@@ -240,7 +239,7 @@ class FuzzCampaign:
                 task_id=f"shrink-{candidate.name}", fn=FUZZ_TASK_FN,
                 payload={"spec": candidate.to_dict(), "seed": finding.seed,
                          "oracle": cfg.oracle.to_dict()})
-            result = self.backend.run([task])[0]
+            result = run_task(task, fault_tolerant=True)
             if is_failure_result(result):  # only a worker finding has a worker: signature
                 kind = failure_from_result(result).kind
                 return (f"worker:{kind}",) == finding.signature

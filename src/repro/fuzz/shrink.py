@@ -1,8 +1,8 @@
 """Delta-debugging shrinker: minimize a failing spec, re-checking each step.
 
-Given a spec whose run fails the oracle (or crashes its worker), the
-shrinker searches for a smaller spec that *still fails with the same
-signature*, in three candidate tiers applied greedily to a fixpoint:
+Given a spec whose run fails the oracle (or crashes), the shrinker
+searches for a smaller spec that *still fails with the same signature*, in
+three candidate tiers applied greedily to a fixpoint:
 
 1. **phases** — keep a single phase, or drop one phase (1-minimality: when
    the shrinker is done, removing any remaining phase makes the failure

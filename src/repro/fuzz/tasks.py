@@ -1,7 +1,8 @@
 """The fuzz case task function — one scenario run, observed for coverage.
 
-Runnable by any :mod:`repro.exec` backend (inline or fresh-interpreter
-worker), like every other task in the tree: JSON payload in, JSON result
+Runnable by :func:`repro.exec.backend.run_tasks` (inline, or on the worker
+processes of a stdlib pool, opened per run), like every other task in the
+tree: JSON payload in, JSON result
 out, no wall-clock values anywhere in the result, so fuzz campaigns stay
 byte-reproducible at any ``--jobs`` value.
 """

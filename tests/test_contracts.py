@@ -199,7 +199,7 @@ FINDING = FuzzFinding(finding_id="f", signature=("invariant:x",), kind="oracle",
 ARTIFACTS = [SYSTEM, SCENARIO, PHASE, PARTITION, SWEEP, FUZZ, LIMITS, ORACLE,
              Verdict(failed=True, reasons=("r",), signature=("s",)),
              TaskSpec(task_id="t", fn="repro.exec.tasks:echo", payload={"a": [1]}),
-             TaskFailure(task_id="t", fn="m:f", kind="timeout", timeout_seconds=1.5),
+             TaskFailure(task_id="t", fn="m:f", kind="crash", detail="KeyError: 'x'"),
              RUN_REPORT, SCENARIO_REPORT, PHASE_REPORT,
              CampaignReport(name="w", master_seed=7, sweep=SWEEP.to_dict(), telemetry={"runs": 1},
                             tasks=[{**SWEEP.expand()[0].to_dict(),

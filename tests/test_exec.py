@@ -1,6 +1,7 @@
 """Tests for the parallel execution layer (repro.exec).
 
-Covers the backend contract (inline vs process-pool parity), the SweepSpec
+Covers the backend contract (inline vs process-pool parity, crash records
+and fail-fast at any job count, no pool thread outliving a run), the SweepSpec
 grid (JSON round-trip, deterministic coordinate-derived seeds), campaign
 byte-reproducibility at ``--jobs 1`` vs ``--jobs N``, and the driver layers
 refactored onto the backends (``python -m repro`` verbs, experiment campaign).
@@ -9,6 +10,7 @@ refactored onto the backends (``python -m repro`` verbs, experiment campaign).
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -17,12 +19,10 @@ from repro.api.spec import SystemSpec
 from repro.exec import (
     CampaignReport,
     CampaignRunner,
-    InlineBackend,
-    ProcessPoolBackend,
     SweepSpec,
     TaskSpec,
-    backend_for_jobs,
     get_demo_sweep,
+    run_tasks,
 )
 from repro.exec.backend import canonicalize, resolve_task_fn
 
@@ -44,29 +44,24 @@ class TestBackends:
     def test_inline_runs_in_submission_order(self):
         tasks = echo_tasks()
         seen = []
-        results = InlineBackend().run(
+        results = run_tasks(
             tasks, progress=lambda t, r, done, total: seen.append(t.task_id))
         assert [r["echo"]["i"] for r in results] == [0, 1, 2]
         assert seen == ["t0", "t1", "t2"]
 
     def test_process_pool_matches_inline(self):
         tasks = echo_tasks()
-        assert ProcessPoolBackend(jobs=2).run(tasks) == InlineBackend().run(tasks)
+        assert run_tasks(tasks, jobs=2) == run_tasks(tasks)
 
     def test_canonicalize_matches_process_boundary(self):
-        # Tuples -> lists, int keys -> str keys, sorted key order: exactly
-        # what the worker's canonical JSON + json.loads in the parent produce.
+        # Tuples -> lists, int keys -> str keys, sorted key order: what a
+        # canonical JSON dump + json.loads produce.
         value = {"b": (1, 2), "a": {3: "x"}}
         assert canonicalize(value) == {"a": {"3": "x"}, "b": [1, 2]}
 
-    def test_backend_for_jobs(self):
-        assert isinstance(backend_for_jobs(1), InlineBackend)
-        assert isinstance(backend_for_jobs(4), ProcessPoolBackend)
-        with pytest.raises(ValueError):
-            backend_for_jobs(0)
-        for timeout in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="timeout must be positive"):
-                backend_for_jobs(2, timeout=timeout)
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_tasks(echo_tasks(), jobs=0)
 
     def test_resolve_task_fn_errors(self):
         with pytest.raises(ValueError, match="module:function"):
@@ -76,12 +71,16 @@ class TestBackends:
         with pytest.raises(ValueError, match="module:function"):
             TaskSpec(task_id="x", fn="no-colon")
 
-    def test_worker_failure_propagates(self):
-        backend = ProcessPoolBackend(jobs=1)
-        task = TaskSpec(task_id="boom", fn="repro.exec.tasks:misbehave",
-                        payload={"mode": "crash"})
-        with pytest.raises(RuntimeError, match="boom"):
-            backend.run([task])
+    def test_pool_threads_do_not_outlive_the_run(self):
+        # A pool thread left behind would make the next pool fork a
+        # multi-threaded process (a DeprecationWarning, an error here, on
+        # Python 3.12+), on success and on fail-fast alike.
+        before = threading.active_count()
+        run_tasks(echo_tasks(), jobs=2)
+        assert threading.active_count() == before
+        with pytest.raises(KeyError):
+            run_tasks([*echo_tasks(), crashing_task()], jobs=2)
+        assert threading.active_count() == before
 
 
 class TestSweepSpec:
@@ -272,92 +271,57 @@ class TestDriverLayers:
             get_demo_sweep("nope")
 
 
-def misbehave_task(task_id, mode, **payload):
-    return TaskSpec(task_id=task_id, fn="repro.exec.tasks:misbehave",
-                    payload={"mode": mode, **payload})
+def crashing_task(task_id: str = "boom") -> TaskSpec:
+    """A real task that raises: an unknown experiment is a ``KeyError``."""
+    return TaskSpec(task_id=task_id, fn="repro.exec.tasks:run_experiment_task",
+                    payload={"experiment": "E99"})
 
 
 class TestFaultTolerance:
-    def test_task_failure_round_trip_and_kinds(self):
+    def test_task_failure_round_trip(self):
         from repro.exec.backend import TaskFailure, failure_from_result, \
             is_failure_result
-        failure = TaskFailure(task_id="t", fn="m:f", kind="timeout",
-                              timeout_seconds=1.5, detail="slow")
+        failure = TaskFailure(task_id="t", fn="m:f", kind="crash",
+                              detail="KeyError: 'x'")
         assert failure_from_result(failure.as_result()) == failure
         assert is_failure_result(failure.as_result())
         assert not is_failure_result({"report": {}})
         assert not is_failure_result(None)
-        with pytest.raises(ValueError, match="failure kind"):
-            TaskFailure(task_id="t", fn="m:f", kind="melted")
-        with pytest.raises(RuntimeError, match=r"\[timeout\]:\nslow"):
-            failure.raise_()
 
-    def test_inline_fault_tolerant_absorbs_crash(self):
+    def test_crash_record_is_the_same_at_any_job_count(self):
         from repro.exec.backend import failure_from_result, is_failure_result
-        backend = InlineBackend(fault_tolerant=True)
-        ok, boom = backend.run([
-            misbehave_task("ok", "ok"),
-            misbehave_task("boom", "crash", detail="kaput")])
-        assert ok == {"mode": "ok", "ok": True}
+        tasks = [*echo_tasks(1), crashing_task()]
+        inline = run_tasks(tasks, jobs=1, fault_tolerant=True)
+        assert run_tasks(tasks, jobs=2, fault_tolerant=True) == inline
+        ok, boom = inline
+        assert ok == run_tasks(tasks[:1])[0]
         assert is_failure_result(boom)
         failure = failure_from_result(boom)
-        assert failure.kind == "crash"
-        assert "kaput" in failure.detail
+        assert (failure.task_id, failure.kind) == ("boom", "crash")
+        assert "KeyError: \"unknown experiment 'E99'" in failure.detail
 
-    def test_inline_fail_fast_still_raises(self):
-        with pytest.raises(RuntimeError, match="injected crash"):
-            InlineBackend().run([misbehave_task("boom", "crash")])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_raises_the_task_exception(self, jobs):
+        with pytest.raises(KeyError, match="unknown experiment 'E99'"):
+            run_tasks([*echo_tasks(), crashing_task()], jobs=jobs)
 
-    def test_pool_worker_crash_becomes_structured_failure(self):
-        from repro.exec.backend import failure_from_result, is_failure_result
-        backend = ProcessPoolBackend(jobs=2, fault_tolerant=True)
-        ok, boom = backend.run([misbehave_task("ok", "ok"),
-                                misbehave_task("boom", "exit", code=3)])
-        assert ok == {"mode": "ok", "ok": True}
-        assert is_failure_result(boom)
-        failure = failure_from_result(boom)
-        assert failure.kind == "crash"
-        assert failure.exit_code == 3
-
-    def test_pool_hung_worker_is_killed_and_recorded(self):
-        from repro.exec.backend import failure_from_result
-        backend = ProcessPoolBackend(jobs=1, timeout=1.0,
-                                     fault_tolerant=True)
-        [result] = backend.run([misbehave_task("hang", "hang", seconds=60)])
-        failure = failure_from_result(result)
-        assert failure.kind == "timeout"
-        assert failure.timeout_seconds == 1.0
-
-    def test_pool_garbage_stdout_is_bad_output(self):
-        from repro.exec.backend import failure_from_result
-        backend = ProcessPoolBackend(jobs=1, fault_tolerant=True)
-        [result] = backend.run([misbehave_task("noise", "garbage-stdout")])
-        assert failure_from_result(result).kind == "bad-output"
-
-    def test_pool_fail_fast_raises(self):
-        backend = ProcessPoolBackend(jobs=1)
-        with pytest.raises(RuntimeError, match=r"\[crash\]"):
-            backend.run([misbehave_task("boom", "crash")])
-
-    def test_campaign_partial_results_with_failed_worker(self):
-        # A fault-tolerant campaign whose every worker times out still
-        # produces a merged report: one structured failure per task slot,
-        # claims all false, artifact round-trips.
-        sweep = tiny_sweep(seed=5)
-        backend = ProcessPoolBackend(jobs=1, timeout=0.05,
-                                     fault_tolerant=True)
-        report = CampaignRunner(sweep, backend=backend).run()
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_campaign_partial_results_with_crashed_tasks(self, jobs, monkeypatch):
+        # A fault-tolerant campaign whose every task crashes still produces
+        # a merged report: one structured failure per task slot, claims all
+        # false, artifact round-trips.  The sweep's tasks are pointed at the
+        # experiment task, which raises on a payload without "experiment".
+        import repro.exec.campaign as campaign
+        monkeypatch.setattr(campaign, "SCENARIO_TASK_FN",
+                            "repro.exec.tasks:run_experiment_task")
+        report = CampaignRunner(tiny_sweep(seed=5), jobs=jobs,
+                                fault_tolerant=True).run()
         assert not report.passed
         failures = [entry["failure"] for entry in report.tasks]  # every slot has one
-        assert failures
+        assert len(failures) == 2
         for failure in failures:
-            assert failure["kind"] == "timeout"
+            assert failure["kind"] == "crash"
+            assert "KeyError: 'experiment'" in failure["detail"]
         assert set(report.claims().values()) == {False}
         round_tripped = CampaignReport.from_json(report.to_json())
         assert [entry["failure"] for entry in round_tripped.tasks] == failures
-
-    def test_backend_for_jobs_forwards_fault_tolerance(self):
-        from repro.exec.backend import failure_from_result
-        backend = backend_for_jobs(1, fault_tolerant=True)
-        [result] = backend.run([misbehave_task("boom", "crash")])
-        assert failure_from_result(result).kind == "crash"

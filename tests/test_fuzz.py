@@ -366,8 +366,7 @@ class TestCampaign:
 
 
 #: The rule each float flag's argparse type states when it rejects a value.
-FLOAT_FLAG_RULES = {"--task-timeout": "a finite number > 0",
-                    "--budget-seconds": "a finite number > 0",
+FLOAT_FLAG_RULES = {"--budget-seconds": "a finite number > 0",
                     "--releg-budget": "a finite number >= 0",
                     "--stabilize-budget": "a finite number >= 0"}
 
@@ -407,10 +406,6 @@ class TestFuzzCLI:
         ["fuzz", "--max-findings", "0"],
         ["fuzz", "--shrink-budget", "-1"],
         ["fuzz", "--budget-iters", "0"],
-        ["sweep", "--demo", "e13-loss-shards", "--jobs", "2", "--task-timeout", "0"],
-        ["sweep", "--demo", "e13-loss-shards", "--jobs", "2", "--task-timeout", "-1"],
-        ["sweep", "--demo", "e13-loss-shards", "--jobs", "2", "--task-timeout", "nan"],
-        ["fuzz", "--quick", "--task-timeout", "inf"],
         ["fuzz", "--quick", "--budget-iters", "2", "--budget-seconds", "-1"],
         ["fuzz", "--quick", "--budget-iters", "2", "--budget-seconds", "0"],
         ["fuzz", "--quick", "--budget-iters", "2", "--budget-seconds", "nan"],
