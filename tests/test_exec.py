@@ -82,6 +82,33 @@ class TestBackends:
             run_tasks([*echo_tasks(), crashing_task()], jobs=2)
         assert threading.active_count() == before
 
+    def test_pool_progress_streams_every_completion_once(self):
+        tasks = echo_tasks(4)
+        seen = []
+        results = run_tasks(
+            tasks, jobs=2,
+            progress=lambda t, r, done, total: seen.append((t.task_id, r, done, total)))
+        assert [done for _, _, done, _ in seen] == [1, 2, 3, 4]
+        assert {total for _, _, _, total in seen} == {4}
+        by_id = {task_id: result for task_id, result, _, _ in seen}
+        assert by_id == {t.task_id: r for t, r in zip(tasks, results)}
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_no_tasks_is_no_results(self, jobs):
+        seen = []
+        assert run_tasks([], jobs=jobs, progress=lambda *a: seen.append(a)) == []
+        assert seen == []
+
+    def test_one_task_runs_inline_at_any_job_count(self, monkeypatch):
+        # One worker's worth of work opens no pool, whatever --jobs says.
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was opened for a single task")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        tasks = echo_tasks(1)
+        assert run_tasks(tasks, jobs=4) == [{"echo": tasks[0].payload}]
+
 
 class TestSweepSpec:
     def test_json_round_trip_is_lossless(self):
@@ -325,3 +352,41 @@ class TestFaultTolerance:
         assert set(report.claims().values()) == {False}
         round_tripped = CampaignReport.from_json(report.to_json())
         assert [entry["failure"] for entry in round_tripped.tasks] == failures
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_unresolvable_task_is_a_crash_record(self, jobs):
+        # Resolving the task's function happens inside the task, so a bad
+        # reference fails that slot alone, or raises when fail-fast.
+        from repro.exec.backend import failure_from_result
+        missing = TaskSpec(task_id="gone", fn="repro.exec.tasks:not_a_function")
+        ok, gone = run_tasks([*echo_tasks(1), missing], jobs=jobs,
+                             fault_tolerant=True)
+        assert ok == run_tasks(echo_tasks(1))[0]
+        failure = failure_from_result(gone)
+        assert (failure.task_id, failure.kind) == ("gone", "crash")
+        assert "does not name a callable task function" in failure.detail
+        with pytest.raises(ValueError, match="callable"):
+            run_tasks([*echo_tasks(1), missing], jobs=jobs)
+
+    def test_crash_detail_keeps_the_traceback_tail(self):
+        from repro.exec.backend import TRACEBACK_TAIL_CHARS, failure_from_result
+        name = "E" + "9" * (3 * TRACEBACK_TAIL_CHARS)
+        task = TaskSpec(task_id="long", fn="repro.exec.tasks:run_experiment_task",
+                        payload={"experiment": name})
+        [result] = run_tasks([task], fault_tolerant=True)
+        detail = failure_from_result(result).detail
+        assert len(detail) == TRACEBACK_TAIL_CHARS
+        from repro.experiments.experiments import ALL_EXPERIMENTS
+        known = ", ".join(ALL_EXPERIMENTS)
+        assert detail.rstrip().endswith(f"known: {known}\"")
+
+    def test_pool_progress_sees_the_crash_record(self):
+        from repro.exec.backend import is_failure_result
+        tasks = [*echo_tasks(2), crashing_task()]
+        seen = {}
+        results = run_tasks(
+            tasks, jobs=2, fault_tolerant=True,
+            progress=lambda t, r, done, total: seen.__setitem__(t.task_id, r))
+        assert seen == {t.task_id: r for t, r in zip(tasks, results)}
+        assert is_failure_result(seen["boom"])
+        assert not any(is_failure_result(seen[t.task_id]) for t in tasks[:2])
