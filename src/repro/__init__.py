@@ -28,9 +28,9 @@ Strothmann, *Self-Stabilizing Supervised Publish-Subscribe Systems* (2018):
   experiment, scenario, the benchmark and every example go through), typed
   lifecycle hooks (``system.hooks``) and one
   :class:`~repro.api.report.RunReport` result object,
-* a **parallel execution layer** (:mod:`repro.exec`): one backend that
-  runs named tasks inline or on the worker processes of a stdlib pool,
-  opened per run, declarative :class:`~repro.exec.sweep.SweepSpec` parameter grids with
+* a **parallel execution layer** (:mod:`repro.exec`): one task runner
+  that streams the results of named tasks in submission order, run inline
+  or on the worker processes of a stdlib pool opened per run, declarative :class:`~repro.exec.sweep.SweepSpec` parameter grids with
   deterministically derived per-task seeds, and a
   :class:`~repro.exec.campaign.CampaignRunner` that merges the results into
   byte-reproducible campaign artifacts (``python -m repro sweep``); every

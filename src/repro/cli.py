@@ -144,7 +144,7 @@ def _scenario(args: argparse.Namespace) -> int:
         tasks.append(TaskSpec(task_id=spec.name,
                               fn="repro.exec.tasks:run_scenario_task",
                               payload=payload))
-    results = run_tasks(tasks, jobs=args.jobs)
+    results = list(run_tasks(tasks, jobs=args.jobs))
     reports = [ScenarioReport.from_dict(result["scenario"]) for result in results]
     if args.out:
         # A single report verbatim, or {"reports": [...], "telemetry":

@@ -1,4 +1,4 @@
-"""The execution backend: run named tasks inline or across CPU cores.
+"""The task runner: run named tasks inline or across CPU cores.
 
 A *task* is a :class:`TaskSpec`: a dotted reference to a task function
 (``"package.module:function"``) plus a JSON-safe payload dict.  Task
@@ -8,17 +8,15 @@ is what lets the same task run in this process or in a worker process.
 
 One per-task function, :func:`run_task`, does the work everywhere:
 resolve the task, call it, canonicalize the result.  :func:`run_tasks`
-calls it in a loop when there is one worker's worth of work, and
-otherwise submits it to the worker processes of a stdlib
-:class:`~concurrent.futures.ProcessPoolExecutor`, opened per run and shut
-down before ``run_tasks`` returns.
+returns an iterator of its results in *task submission order*: a lazy
+loop when there is one worker's worth of work, and otherwise one
+``map`` over the worker processes of a stdlib
+:class:`~concurrent.futures.ProcessPoolExecutor`, opened when the stream
+starts and shut down when it is used up, closed or raises.
 
 The job count never changes results: every result goes through a canonical
 JSON round-trip (the artifact codec's :func:`~repro.artifact.canonical_json`),
 so a result dict has the same key order and value types in either path.
-``run_tasks`` returns results in *task submission order* regardless of
-completion order; the optional progress callback streams completions as
-they happen.
 
 Fault tolerance
 ---------------
@@ -28,24 +26,23 @@ yields a structured :class:`TaskFailure` *result* (a dict under the
 :data:`FAILURE_KEY` key, recognizable via :func:`is_failure_result`)
 instead of raising through ``run_tasks``.  A failed task is not retried:
 task functions are deterministic, so a rerun reproduces the crash.  The
-default (``fault_tolerant=False``) is fail-fast: the task's own exception
-propagates at any job count.  A worker process killed from outside breaks
-the pool, and that error propagates in either mode.
+default (``fault_tolerant=False``) is fail-fast: the exception of the
+first failing task in submission order propagates, at any job count.  A
+worker process killed from outside breaks the pool, and that error
+propagates in either mode.
 """
 
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
+import os
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 from repro.artifact import Artifact, canonical_json
-
-#: ``progress(task, result, done, total)`` — invoked once per finished task,
-#: in completion order (== submission order when run inline).
-ProgressFn = Callable[["TaskSpec", Dict[str, Any], int, int], None]
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class TaskSpec(Artifact):
 #: ``fault_tolerant`` absorbed the failure instead of raising.
 FAILURE_KEY = "__task_failure__"
 
-#: How many trailing characters of a task's traceback a :class:`TaskFailure`
+#: How many trailing characters of a task's crash detail a :class:`TaskFailure`
 #: keeps (enough to triage, bounded so campaign artifacts stay small).
 TRACEBACK_TAIL_CHARS = 2000
 
@@ -77,7 +74,8 @@ TRACEBACK_TAIL_CHARS = 2000
 @dataclass(frozen=True)
 class TaskFailure(Artifact):
     """Structured record of one task that raised: ``kind`` is ``"crash"``
-    and ``detail`` the tail of the traceback."""
+    and ``detail`` the tail of its path-free traceback: one
+    ``file:function`` line per frame, then the exception line."""
 
     task_id: str
     fn: str
@@ -126,48 +124,43 @@ def run_task(task: TaskSpec, fault_tolerant: bool) -> Dict[str, Any]:
     try:
         fn = resolve_task_fn(task.fn)
         return canonicalize(fn(dict(task.payload)))
-    except Exception:
+    except Exception as error:
         if not fault_tolerant:
             raise
-        tail = traceback.format_exc()[-TRACEBACK_TAIL_CHARS:]
+        # One file:function line per frame, file by base name, then the
+        # exception line: the same text from any checkout, host or job count.
+        frames = [f"{os.path.basename(frame.filename)}:{frame.name}\n"
+                  for frame in traceback.extract_tb(error.__traceback__)]
+        detail = "".join(frames + traceback.format_exception_only(type(error), error))
         return canonicalize(TaskFailure(
             task_id=task.task_id, fn=task.fn, kind="crash",
-            detail=tail).as_result())
+            detail=detail[-TRACEBACK_TAIL_CHARS:]).as_result())
 
 
 def run_tasks(tasks: Sequence[TaskSpec], jobs: int = 1,
-              fault_tolerant: bool = False,
-              progress: Optional[ProgressFn] = None) -> List[Dict[str, Any]]:
-    """Run ``tasks`` on up to ``jobs`` worker processes; results in
-    submission order.  One worker's worth of work runs inline, with no
-    fork; more opens a process pool for this call only, so no pool thread
-    outlives it.  On a task's exception (fail-fast) the not-yet-started
-    tasks are cancelled and the exception is re-raised."""
+              fault_tolerant: bool = False) -> Iterator[Dict[str, Any]]:
+    """Run ``tasks`` on up to ``jobs`` worker processes and return an
+    iterator of their results in submission order.  One worker's worth of
+    work runs inline and lazily, with no fork; more runs as one pool
+    ``map``, so no pool thread outlives the stream.  Fail-fast, the first
+    failing task's exception is raised when the stream reaches it, and the
+    not-yet-started tasks are cancelled."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    tasks = list(tasks)
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        results: List[Dict[str, Any]] = []
-        for done, task in enumerate(tasks, 1):
-            results.append(run_task(task, fault_tolerant))
-            if progress is not None:
-                progress(task, results[-1], done, len(tasks))
-        return results
+        return (run_task(task, fault_tolerant) for task in tasks)
+    return _pooled(tasks, workers, fault_tolerant)
+
+
+def _pooled(tasks: Sequence[TaskSpec], workers: int,
+            fault_tolerant: bool) -> Iterator[Dict[str, Any]]:
     # Imported here: multiprocessing would add about 1.2 MiB to the RSS of
     # every process that imports repro, and only a pooled run needs it.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import ProcessPoolExecutor
 
-    slots: List[Dict[str, Any]] = [{}] * len(tasks)
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        futures = {pool.submit(run_task, task, fault_tolerant): index
-                   for index, task in enumerate(tasks)}
-        for done, future in enumerate(as_completed(futures), 1):
-            index = futures[future]
-            slots[index] = future.result()
-            if progress is not None:
-                progress(tasks[index], slots[index], done, len(tasks))
+        yield from pool.map(run_task, tasks, itertools.repeat(fault_tolerant))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-    return slots

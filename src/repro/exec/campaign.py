@@ -2,15 +2,15 @@
 
 :class:`CampaignRunner` expands a sweep into tasks, runs them through
 :func:`~repro.exec.backend.run_tasks` (inline, or on the worker processes
-of a stdlib pool, opened per run — ``--jobs N``), streams per-task
-progress, and merges every task's :class:`~repro.api.report.RunReport`
-into one :class:`CampaignReport`.
+of a stdlib pool, opened per run — ``--jobs N``), reports progress per
+task in sweep order, and merges every task's
+:class:`~repro.api.report.RunReport` into one :class:`CampaignReport`.
 
 The campaign artifact, written by the artifact codec (:mod:`repro.artifact`),
 is **byte-reproducible**: same sweep + same master seed ⇒ identical
 ``to_json`` bytes, at any ``--jobs`` value.  Three rules make that hold:
 per-task seeds are derived from coordinates (not schedule), every result
-crosses the backend's canonical JSON boundary (so inline and pooled runs
+crosses the task runner's canonical JSON boundary (so inline and pooled runs
 agree on structure), and wall-clock values are scrubbed from the
 merged reports (walls are streamed to the progress callback instead —
 they belong to the console, not the artifact).
@@ -31,7 +31,7 @@ from repro.exec.backend import (
 from repro.exec.sweep import SweepSpec, SweepTask
 
 #: ``progress(task, report_dict, done, total)`` with ``task`` a
-#: :class:`SweepTask`; invoked in completion order.
+#: :class:`SweepTask`; invoked in sweep order.
 CampaignProgressFn = Callable[[SweepTask, Dict[str, Any], int, int], None]
 
 #: Dotted reference of the task function every sweep point runs.
@@ -85,10 +85,10 @@ class CampaignRunner:
         self.jobs = jobs
         self.fault_tolerant = fault_tolerant
 
-    def task_specs(self, tasks: Optional[List[SweepTask]] = None) -> List[TaskSpec]:
-        """The backend tasks this campaign dispatches, in sweep order."""
+    def task_specs(self, tasks: List[SweepTask]) -> List[TaskSpec]:
+        """The runner tasks this campaign dispatches, in sweep order."""
         specs: List[TaskSpec] = []
-        for task in tasks if tasks is not None else self.sweep.expand():
+        for task in tasks:
             scenario = self.sweep.scenario_for(task)
             specs.append(TaskSpec(
                 task_id=task.task_id,
@@ -102,18 +102,12 @@ class CampaignRunner:
 
     def run(self, progress: Optional[CampaignProgressFn] = None) -> CampaignReport:
         tasks = self.sweep.expand()
-        by_id = {task.task_id: task for task in tasks}
-
-        def on_result(spec: TaskSpec, result: Dict[str, Any],
-                      done: int, total: int) -> None:
-            if progress is not None:
-                progress(by_id[spec.task_id], result, done, total)
-
         results = run_tasks(self.task_specs(tasks), jobs=self.jobs,
-                            fault_tolerant=self.fault_tolerant,
-                            progress=on_result)
+                            fault_tolerant=self.fault_tolerant)
         entries = []
-        for task, report in zip(tasks, results):
+        for done, (task, report) in enumerate(zip(tasks, results), 1):
+            if progress is not None:
+                progress(task, report, done, len(tasks))
             if is_failure_result(report):
                 # fault_tolerant absorbed a task's crash: record the
                 # structured failure in the task's slot instead of aborting
@@ -125,7 +119,7 @@ class CampaignRunner:
             # Walls are machine noise; the artifact must be byte-reproducible.
             report["wall_seconds"] = None
             entries.append({**task.to_dict(), "report": report})
-        # Entries are zipped in sweep order at any job count, so the
+        # Entries arrive in sweep order at any job count, so the
         # merge order is fixed and the merged block is byte-identical at any
         # --jobs value; it is None (no key at all) without telemetry.
         from repro.telemetry.recorder import merge_telemetry_dicts

@@ -13,8 +13,8 @@ from typing import Any, Dict
 
 
 def echo(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Diagnostic task: return the payload unchanged (backend plumbing
-    tests)."""
+    """Diagnostic task: return the payload unchanged (task runner
+    plumbing tests)."""
     return {"echo": dict(payload)}
 
 

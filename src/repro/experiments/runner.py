@@ -37,11 +37,11 @@ def run_experiment_campaign(keys: Optional[Sequence[str]] = None,
 
     ``jobs=1`` runs inline, ``jobs>1`` fans out across the worker processes
     of a stdlib pool, opened per run — either way every report crosses the
-    backend's canonical JSON boundary, so the returned reports (and
+    task runner's canonical JSON boundary, so the returned reports (and
     anything rendered from them, e.g. EXPERIMENTS.md) are byte-identical
-    at any job count.  ``progress`` is an
-    optional ``callable(key, report, done, total)`` streamed in completion
-    order; only its wall times vary between runs.
+    at any job count.  ``progress`` is an optional
+    ``callable(key, report, done, total)`` called in request order; only
+    its wall times vary between runs.
     """
     from repro.exec.backend import TaskSpec, run_tasks
     from repro.experiments.experiments import ALL_EXPERIMENTS
@@ -53,11 +53,10 @@ def run_experiment_campaign(keys: Optional[Sequence[str]] = None,
                        f"known: {', '.join(ALL_EXPERIMENTS)}")
     tasks = [TaskSpec(task_id=key, fn="repro.exec.tasks:run_experiment_task",
                       payload={"experiment": key}) for key in selected]
-
-    def on_result(task, result, done, total):
+    results = run_tasks(tasks, jobs=jobs)
+    reports: Dict[str, RunReport] = {}
+    for done, (key, result) in enumerate(zip(selected, results), 1):
+        reports[key] = RunReport.from_dict(result)
         if progress is not None:
-            progress(task.task_id, RunReport.from_dict(result), done, total)
-
-    results = run_tasks(tasks, jobs=jobs, progress=on_result)
-    return {key: RunReport.from_dict(result)
-            for key, result in zip(selected, results)}
+            progress(key, reports[key], done, len(selected))
+    return reports

@@ -3,21 +3,23 @@
 One :class:`FuzzCampaign` executes the loop the issue calls "a machine that
 imagines scenarios":
 
-1. draw fresh specs from the generator, one chunk of ``jobs`` at a time;
-2. fan the chunk out through the **fault-tolerant** exec layer, on the
-   worker processes of a stdlib pool, opened per run (a spec whose run
-   raises becomes a ``crash`` record, never an aborted campaign);
+1. draw the budget's fresh specs from the generator, once;
+2. run them as one stream through the **fault-tolerant** task runner,
+   inline or on the worker processes of a stdlib pool opened for the run
+   (a spec whose run raises becomes a ``crash`` record, never an aborted
+   campaign);
 3. merge results *in submission order*: update the coverage map (the
    report's measure of exploration), record oracle failures and worker
    failures as findings (deduplicated by signature), and stop at the
-   first result that brings the findings to ``max_findings``;
+   first result that brings the findings to ``max_findings`` — closing
+   the stream cancels the specs not yet started;
 4. when the budget is spent (or enough findings accumulated), delta-debug
    every finding down to a minimal spec that still fails the same way.
 
 Byte-reproducibility: generation draws from one ``derive_rng`` stream in
 iteration order, which no result feeds back into; results are merged in
-submission order and the stop point is a result's index, not a chunk's
-end; nothing wall-clock ever enters the report, which the artifact codec
+submission order and the stop point is a result's index; nothing
+wall-clock ever enters the report, which the artifact codec
 (:mod:`repro.artifact`) writes.  Same seed + same iteration budget ⇒
 identical findings, identical coverage trail, identical artifact bytes at
 any job count.  (A wall-clock budget — ``budget_seconds`` — necessarily
@@ -28,6 +30,7 @@ trades this away; it exists for CI smoke jobs and is recorded as
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -134,14 +137,14 @@ class FuzzReport(Artifact, derived=("passed",)):
 
 
 class FuzzCampaign:
-    """Drive one fuzz campaign through the exec backend.  Every run is
+    """Drive one fuzz campaign through the task runner.  Every run is
     fault-tolerant: the whole point is feeding the system inputs that might
     break it."""
 
     def __init__(self, config: FuzzConfig, jobs: int = 1,
                  budget_seconds: Optional[float] = None) -> None:
         self.config = config
-        self.jobs = jobs  # also the chunk of specs each backend call runs
+        self.jobs = jobs
         self.budget_seconds = budget_seconds
         self.generator = SpecGenerator(config.limits)
 
@@ -172,20 +175,17 @@ class FuzzCampaign:
         if self.budget_seconds is not None:
             deadline = time.monotonic() + self.budget_seconds
 
+        specs = [self.generator.random_spec(rng, generated_name(cfg.seed, index))
+                 for index in range(cfg.budget_iters)]
+        tasks = [self._task(spec, index) for index, spec in enumerate(specs)]
         iteration = 0
-        while iteration < cfg.budget_iters and len(findings) < cfg.max_findings:
-            if deadline is not None and time.monotonic() > deadline:
-                report.truncated = True
-                break
-            chunk = range(iteration, min(iteration + self.jobs, cfg.budget_iters))
-            specs = [self.generator.random_spec(rng, generated_name(cfg.seed, index))
-                     for index in chunk]
-            results = run_tasks([self._task(spec, index)
-                                 for index, spec in zip(chunk, specs)],
-                                jobs=self.jobs, fault_tolerant=True)
-            for spec, result in zip(specs, results):
-                self._observe(iteration, spec, result, coverage, findings,
-                              trail, progress)
+        with closing(run_tasks(tasks, jobs=self.jobs, fault_tolerant=True)) as results:
+            for spec in specs:
+                if deadline is not None and time.monotonic() > deadline:
+                    report.truncated = True
+                    break
+                self._observe(iteration, spec, next(results), coverage,
+                              findings, trail, progress)
                 iteration += 1
                 if len(findings) >= cfg.max_findings:
                     break

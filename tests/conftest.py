@@ -151,6 +151,24 @@ def wheel_stream(monkeypatch):
     return stream, inserted
 
 
+@pytest.fixture()
+def pools_built(monkeypatch):
+    """The worker counts of the process pools opened while the test runs,
+    one entry per pool: ``run_tasks`` reads
+    ``concurrent.futures.ProcessPoolExecutor`` when a pooled stream
+    starts, so a counting subclass stands in for it."""
+    import concurrent.futures
+    built = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
 def assert_heapq_order(sim, stream):
     """``stream`` is ``heapq``'s pop order of every event the wheel held —
     executed or still pending — up to the clock, and nothing pending is

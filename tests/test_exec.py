@@ -1,15 +1,18 @@
 """Tests for the parallel execution layer (repro.exec).
 
-Covers the backend contract (inline vs process-pool parity, crash records
-and fail-fast at any job count, no pool thread outliving a run), the SweepSpec
+Covers the task runner's contract (results stream in submission order,
+inline vs process-pool parity, path-free crash records and fail-fast at any
+job count, one pool per run and no pool thread outliving it), the SweepSpec
 grid (JSON round-trip, deterministic coordinate-derived seeds), campaign
 byte-reproducibility at ``--jobs 1`` vs ``--jobs N``, and the driver layers
-refactored onto the backends (``python -m repro`` verbs, experiment campaign).
+refactored onto the task runner (``python -m repro`` verbs, experiment
+campaign).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
@@ -42,16 +45,20 @@ def tiny_sweep(seed: int = 3) -> SweepSpec:
 
 class TestBackends:
     def test_inline_runs_in_submission_order(self):
-        tasks = echo_tasks()
-        seen = []
-        results = run_tasks(
-            tasks, progress=lambda t, r, done, total: seen.append(t.task_id))
+        results = run_tasks(echo_tasks())
         assert [r["echo"]["i"] for r in results] == [0, 1, 2]
-        assert seen == ["t0", "t1", "t2"]
+
+    def test_inline_stream_is_lazy(self):
+        # Each task runs when the stream reaches it: the result before a
+        # crashing task is read before the crash is raised.
+        stream = run_tasks([*echo_tasks(1), crashing_task()])
+        assert next(stream) == {"echo": echo_tasks(1)[0].payload}
+        with pytest.raises(KeyError, match="E99"):
+            next(stream)
 
     def test_process_pool_matches_inline(self):
         tasks = echo_tasks()
-        assert run_tasks(tasks, jobs=2) == run_tasks(tasks)
+        assert list(run_tasks(tasks, jobs=2)) == list(run_tasks(tasks))
 
     def test_canonicalize_matches_process_boundary(self):
         # Tuples -> lists, int keys -> str keys, sorted key order: what a
@@ -76,28 +83,29 @@ class TestBackends:
         # multi-threaded process (a DeprecationWarning, an error here, on
         # Python 3.12+), on success and on fail-fast alike.
         before = threading.active_count()
-        run_tasks(echo_tasks(), jobs=2)
+        list(run_tasks(echo_tasks(), jobs=2))
         assert threading.active_count() == before
         with pytest.raises(KeyError):
-            run_tasks([*echo_tasks(), crashing_task()], jobs=2)
+            list(run_tasks([*echo_tasks(), crashing_task()], jobs=2))
         assert threading.active_count() == before
 
-    def test_pool_progress_streams_every_completion_once(self):
-        tasks = echo_tasks(4)
-        seen = []
-        results = run_tasks(
-            tasks, jobs=2,
-            progress=lambda t, r, done, total: seen.append((t.task_id, r, done, total)))
-        assert [done for _, _, done, _ in seen] == [1, 2, 3, 4]
-        assert {total for _, _, _, total in seen} == {4}
-        by_id = {task_id: result for task_id, result, _, _ in seen}
-        assert by_id == {t.task_id: r for t, r in zip(tasks, results)}
+    def test_closing_a_pooled_stream_shuts_its_pool_down(self):
+        before = threading.active_count()
+        stream = run_tasks(echo_tasks(6), jobs=2)
+        assert next(stream)["echo"]["i"] == 0
+        stream.close()
+        assert threading.active_count() == before
+
+    def test_pool_streams_every_result_once_in_submission_order(self, pools_built):
+        tasks = echo_tasks(6)
+        results = list(run_tasks(tasks, jobs=2))
+        assert results == [{"echo": task.payload} for task in tasks]
+        assert pools_built == [2]
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_no_tasks_is_no_results(self, jobs):
-        seen = []
-        assert run_tasks([], jobs=jobs, progress=lambda *a: seen.append(a)) == []
-        assert seen == []
+    def test_no_tasks_is_no_results(self, jobs, pools_built):
+        assert list(run_tasks([], jobs=jobs)) == []
+        assert pools_built == []
 
     def test_one_task_runs_inline_at_any_job_count(self, monkeypatch):
         # One worker's worth of work opens no pool, whatever --jobs says.
@@ -107,7 +115,7 @@ class TestBackends:
             raise AssertionError("a pool was opened for a single task")
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         tasks = echo_tasks(1)
-        assert run_tasks(tasks, jobs=4) == [{"echo": tasks[0].payload}]
+        assert list(run_tasks(tasks, jobs=4)) == [{"echo": tasks[0].payload}]
 
 
 class TestSweepSpec:
@@ -202,15 +210,16 @@ class TestCampaign:
         assert len(claims) == 2 and all(claims.values())
         assert report.failed_tasks == []
 
-    def test_progress_streams_every_task(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_progress_streams_every_task_in_sweep_order(self, jobs, pools_built):
         sweep = tiny_sweep()
         seen = []
-        CampaignRunner(sweep, jobs=1).run(
+        CampaignRunner(sweep, jobs=jobs).run(
             progress=lambda task, rep, done, total: seen.append(
                 (task.task_id, rep["passed"], done, total)))
-        assert [entry[0] for entry in seen] == \
-            [t.task_id for t in sweep.expand()]
-        assert all(done <= total == 2 for _, _, done, total in seen)
+        assert seen == [(t.task_id, True, done, 2)
+                        for done, t in enumerate(sweep.expand(), 1)]
+        assert pools_built == ([] if jobs == 1 else [2])
 
     def test_artifact_contains_no_wall_clock(self):
         report = CampaignRunner(tiny_sweep(), jobs=1).run()
@@ -263,6 +272,18 @@ class TestDriverLayers:
         capsys.readouterr()
         assert (tmp_path / "demo").read_bytes() == (tmp_path / "spec").read_bytes()
 
+    def test_experiment_campaign_runs_on_one_pool_in_request_order(self, pools_built):
+        from repro.experiments.runner import run_experiment_campaign
+        keys = ["E7", "E1", "E8"]
+        seen = []
+        reports = run_experiment_campaign(
+            keys=keys, jobs=2,
+            progress=lambda key, report, done, total: seen.append((key, done, total)))
+        assert list(reports) == keys
+        assert seen == [(key, done, 3) for done, key in enumerate(keys, 1)]
+        assert all(report.passed for report in reports.values())
+        assert pools_built == [2]
+
     def test_experiment_campaign_matches_inline_run(self):
         from repro.experiments.runner import run_experiment_campaign
         reports = run_experiment_campaign(keys=["E1"], jobs=2)
@@ -298,10 +319,10 @@ class TestDriverLayers:
             get_demo_sweep("nope")
 
 
-def crashing_task(task_id: str = "boom") -> TaskSpec:
+def crashing_task(task_id: str = "boom", experiment: str = "E99") -> TaskSpec:
     """A real task that raises: an unknown experiment is a ``KeyError``."""
     return TaskSpec(task_id=task_id, fn="repro.exec.tasks:run_experiment_task",
-                    payload={"experiment": "E99"})
+                    payload={"experiment": experiment})
 
 
 class TestFaultTolerance:
@@ -318,10 +339,10 @@ class TestFaultTolerance:
     def test_crash_record_is_the_same_at_any_job_count(self):
         from repro.exec.backend import failure_from_result, is_failure_result
         tasks = [*echo_tasks(1), crashing_task()]
-        inline = run_tasks(tasks, jobs=1, fault_tolerant=True)
-        assert run_tasks(tasks, jobs=2, fault_tolerant=True) == inline
+        inline = list(run_tasks(tasks, jobs=1, fault_tolerant=True))
+        assert list(run_tasks(tasks, jobs=2, fault_tolerant=True)) == inline
         ok, boom = inline
-        assert ok == run_tasks(tasks[:1])[0]
+        assert [ok] == list(run_tasks(tasks[:1]))
         assert is_failure_result(boom)
         failure = failure_from_result(boom)
         assert (failure.task_id, failure.kind) == ("boom", "crash")
@@ -330,7 +351,13 @@ class TestFaultTolerance:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_raises_the_task_exception(self, jobs):
         with pytest.raises(KeyError, match="unknown experiment 'E99'"):
-            run_tasks([*echo_tasks(), crashing_task()], jobs=jobs)
+            list(run_tasks([*echo_tasks(), crashing_task()], jobs=jobs))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_raises_the_first_failure_in_submission_order(self, jobs):
+        tasks = [crashing_task("first", "E98"), crashing_task("second", "E99")]
+        with pytest.raises(KeyError, match="unknown experiment 'E98'"):
+            list(run_tasks(tasks, jobs=jobs))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_campaign_partial_results_with_crashed_tasks(self, jobs, monkeypatch):
@@ -361,12 +388,12 @@ class TestFaultTolerance:
         missing = TaskSpec(task_id="gone", fn="repro.exec.tasks:not_a_function")
         ok, gone = run_tasks([*echo_tasks(1), missing], jobs=jobs,
                              fault_tolerant=True)
-        assert ok == run_tasks(echo_tasks(1))[0]
+        assert [ok] == list(run_tasks(echo_tasks(1)))
         failure = failure_from_result(gone)
         assert (failure.task_id, failure.kind) == ("gone", "crash")
         assert "does not name a callable task function" in failure.detail
         with pytest.raises(ValueError, match="callable"):
-            run_tasks([*echo_tasks(1), missing], jobs=jobs)
+            list(run_tasks([*echo_tasks(1), missing], jobs=jobs))
 
     def test_crash_detail_keeps_the_traceback_tail(self):
         from repro.exec.backend import TRACEBACK_TAIL_CHARS, failure_from_result
@@ -380,13 +407,22 @@ class TestFaultTolerance:
         known = ", ".join(ALL_EXPERIMENTS)
         assert detail.rstrip().endswith(f"known: {known}\"")
 
-    def test_pool_progress_sees_the_crash_record(self):
-        from repro.exec.backend import is_failure_result
-        tasks = [*echo_tasks(2), crashing_task()]
-        seen = {}
-        results = run_tasks(
-            tasks, jobs=2, fault_tolerant=True,
-            progress=lambda t, r, done, total: seen.__setitem__(t.task_id, r))
-        assert seen == {t.task_id: r for t, r in zip(tasks, results)}
-        assert is_failure_result(seen["boom"])
-        assert not any(is_failure_result(seen[t.task_id]) for t in tasks[:2])
+    def test_crash_detail_is_path_free(self):
+        # Frames by file base name and function, then the exception line:
+        # no checkout path, line number or caret line to differ between hosts.
+        from repro.exec.backend import failure_from_result
+        [result] = run_tasks([crashing_task()], fault_tolerant=True)
+        detail = failure_from_result(result).detail
+        assert os.sep not in detail and "line" not in detail
+        lines = detail.splitlines()
+        assert lines[0] == "backend.py:run_task"
+        assert "tasks.py:run_experiment_task" in lines
+        assert lines[-1].startswith("KeyError: \"unknown experiment 'E99'")
+
+    def test_pool_stream_carries_the_crash_record_in_its_slot(self):
+        from repro.exec.backend import failure_from_result, is_failure_result
+        tasks = [*echo_tasks(1), crashing_task(), *echo_tasks(3)[1:]]
+        results = list(run_tasks(tasks, jobs=2, fault_tolerant=True))
+        assert [is_failure_result(r) for r in results] == [False, True, False, False]
+        assert failure_from_result(results[1]).task_id == "boom"
+        assert [r["echo"]["i"] for r in results if not is_failure_result(r)] == [0, 1, 2]

@@ -314,8 +314,9 @@ class TestCampaign:
 
     @pytest.mark.parametrize("stop", [False, True], ids=["budget", "max-findings"])
     def test_jobs_do_not_change_report_bytes(self, stop):
-        # With ``stop``, the first finding lands on the first of a 2-job
-        # chunk: the campaign must end there, not after the chunk.
+        # With ``stop``, the first finding lands on an odd iteration, with
+        # the next spec already running on the pool's other worker: the
+        # campaign must end at that result, not after the in-flight ones.
         cfg = self.config(**({"budget_iters": 12, "max_findings": 1, "shrink_budget": 1,
                               "oracle": OracleSpec(max_relegitimize_rounds=0.5)}
                              if stop else {}))
@@ -325,6 +326,35 @@ class TestCampaign:
         if stop:
             assert inline.iterations == inline.findings[0].iteration + 1
             assert inline.iterations % 2 == 1
+
+    def test_one_pool_per_run(self, pools_built):
+        FuzzCampaign(self.config(budget_iters=12), jobs=2).run()
+        assert pools_built == [2]
+
+    def test_wall_clock_budget_truncates_at_any_job_count(self, monkeypatch):
+        # A clock that steps one second per reading: with a 3.5 s budget the
+        # campaign reads it once for the deadline and once before each
+        # result, so it stops before the fourth, at any job count.
+        import itertools
+        import threading
+        import types
+
+        import repro.fuzz.campaign as campaign
+
+        def run(jobs):
+            ticks = itertools.count()
+            monkeypatch.setattr(campaign, "time", types.SimpleNamespace(
+                monotonic=lambda: float(next(ticks))))
+            before = threading.active_count()
+            report = FuzzCampaign(self.config(budget_iters=12), jobs=jobs,
+                                  budget_seconds=3.5).run()
+            assert threading.active_count() == before  # the pool is shut down
+            return report
+
+        inline, pooled = run(1), run(2)
+        assert inline.truncated and pooled.truncated
+        assert inline.iterations == pooled.iterations == 3
+        assert inline.to_json() == pooled.to_json()
 
     def test_case_seeds_are_schedule_independent(self):
         campaign = FuzzCampaign(self.config())
