@@ -40,9 +40,10 @@ def main() -> None:
     keys = scatter_publications(system, subscribers, count=6, seed=1)
 
     print("Initial state:")
-    print(f"  supervisor database corrupted: "
-          f"{system.supervisor.database().is_corrupted()}")
-    print(f"  {_failed(system.legitimacy_report())}")
+    report = system.legitimacy_report()
+    database = sorted(kind for kind in report.failed() if kind.startswith("database-"))
+    print(f"  supervisor database findings: {', '.join(database) or 'none'}")
+    print(f"  {_failed(report)}")
 
     print("\nRunning the protocol ...")
     step = 10

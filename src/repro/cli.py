@@ -40,7 +40,7 @@ from repro.scenarios.library import SCENARIOS, get_scenario
 from repro.scenarios.runner import ScenarioReport
 from repro.scenarios.spec import load_spec_file
 from repro.telemetry.recorder import merge_telemetry_dicts
-from repro.telemetry.render import extract_telemetry, render_telemetry
+from repro.telemetry.render import render_telemetry
 
 T = TypeVar("T")
 
@@ -272,7 +272,8 @@ def _metrics(args: argparse.Namespace) -> int:
         sys.stdin.read() if path == "-" else Path(path).read_text()))
     if not isinstance(data, dict):
         raise UsageError(f"{path}: not a report object")
-    payload = extract_telemetry(data)
+    # a run's payload, or the merge a campaign or multi-scenario artifact carries
+    payload = data.get("telemetry")
     if not payload:
         print(f"{path}: no telemetry in artifact (was the run built "
               f"with telemetry=True?)", file=sys.stderr)

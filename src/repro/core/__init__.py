@@ -25,7 +25,6 @@ from repro.core.labels import (
     index_of,
     r_value,
     r_float,
-    label_from_r,
     label_length,
     labels_up_to,
     max_level,
@@ -42,7 +41,6 @@ __all__ = [
     "index_of",
     "r_value",
     "r_float",
-    "label_from_r",
     "label_length",
     "labels_up_to",
     "max_level",

@@ -125,10 +125,6 @@ class SupervisedPubSub:
                 self._shard_topic_load[shard] += 1
         return shard
 
-    def topic_assignment(self) -> Dict[str, NodeRef]:
-        """Topic -> owning shard for every topic seen so far."""
-        return dict(self._topic_shard)
-
     def live_shard_ids(self) -> List[NodeRef]:
         return [sid for sid, sup in sorted(self.supervisors.items()) if not sup.crashed]
 
@@ -361,10 +357,6 @@ class SupervisedPubSub:
     def supervisor_request_count(self) -> int:
         """Total request messages received across all supervisors."""
         return sum(self.supervisor_request_counts().values())
-
-    def shard_topic_counts(self) -> Dict[NodeRef, int]:
-        """Live shard id -> number of topics currently assigned to it."""
-        return {sid: self._shard_topic_load.get(sid, 0) for sid in self.live_shard_ids()}
 
     def message_stats(self):
         return self.sim.network.stats

@@ -157,11 +157,7 @@ class HookRegistry:
             getattr(self, f"_{event}").extend(getattr(other, f"_{event}"))
         return self
 
-    # -------------------------------------------------------------- inspection
-    def counts(self) -> dict:
-        """Registered-callback count per event (mainly for tests/debugging)."""
-        return {event: len(getattr(self, f"_{event}")) for event in HOOK_EVENTS}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        active = {e: c for e, c in self.counts().items() if c}
+        active = {event: len(getattr(self, f"_{event}")) for event in HOOK_EVENTS
+                  if getattr(self, f"_{event}")}
         return f"HookRegistry({active or 'empty'})"

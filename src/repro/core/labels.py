@@ -85,30 +85,6 @@ def r_float(label: Label) -> float:
     return float(r_value(label))
 
 
-def label_from_r(value: Fraction) -> Label:
-    """Return the canonical label whose ``r``-value equals ``value``.
-
-    ``value`` must be a dyadic rational in ``[0, 1)``.  The canonical label is
-    the shortest bit string with that value; ``0`` maps to the label ``'0'``
-    (the label of the first subscriber).
-
-    >>> label_from_r(Fraction(5, 8))
-    '101'
-    >>> label_from_r(Fraction(0))
-    '0'
-    """
-    value = Fraction(value)
-    if not 0 <= value < 1:
-        raise ValueError("r-value must lie in [0, 1)")
-    if value == 0:
-        return "0"
-    denominator = value.denominator
-    if denominator & (denominator - 1) != 0:
-        raise ValueError(f"{value} is not a dyadic rational")
-    bits = denominator.bit_length() - 1  # denominator = 2^bits
-    return format(value.numerator, f"0{bits}b")
-
-
 def label_length(label: Label) -> int:
     """``|label|`` — the number of bits of the (canonical) label."""
     return len(_validate(label))

@@ -136,15 +136,6 @@ class TopicDatabase:
         return (pred, self._entries[pred]), (succ, self._entries[succ])
 
     # ----------------------------------------------------------------- repair
-    def is_corrupted(self) -> bool:
-        """True if any of the four corruption conditions of Section 3.1 holds."""
-        return (None in self._labels_of  # (i) tuple without a subscriber
-                # (ii) one subscriber under several labels
-                or len(self._labels_of) != len(self._entries)
-                # (iii)/(iv) among n labels, one of l(0..n-1) missing means
-                # another is out of range or non-canonical
-                or bool(self.missing_labels()))
-
     def missing_labels(self) -> List[Label]:
         """The holes: labels of ``l(0), ..., l(n-1)`` the database lacks —
         scanned once per write, not once per Timeout or oracle check."""

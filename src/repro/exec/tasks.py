@@ -27,8 +27,7 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     Payload keys
     ------------
     spec:
-        A :class:`~repro.scenarios.spec.ScenarioSpec` dict, or a built-in
-        scenario name from :mod:`repro.scenarios.library`.
+        A :class:`~repro.scenarios.spec.ScenarioSpec` dict.
     seed:
         Passed through to the runner (default 0).
     system:
@@ -40,12 +39,7 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.scenarios.runner import ScenarioRunner
     from repro.scenarios.spec import ScenarioSpec
 
-    raw_spec = payload["spec"]
-    if isinstance(raw_spec, str):
-        from repro.scenarios.library import get_scenario
-        spec = get_scenario(raw_spec)
-    else:
-        spec = ScenarioSpec.from_dict(raw_spec)
+    spec = ScenarioSpec.from_dict(payload["spec"])
     seed = int(payload.get("seed", 0))
 
     system = None

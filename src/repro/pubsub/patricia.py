@@ -25,7 +25,6 @@ to hash collisions), which is exactly the property CheckTrie relies on.
 
 from __future__ import annotations
 
-from os.path import commonprefix  # character-wise, works on any strings
 from typing import Dict, Iterator, KeysView, List, Optional, Tuple
 
 from repro.pubsub.hashing import leaf_hash, node_hash
@@ -145,9 +144,6 @@ class PatriciaTrie:
         start = self.find_min_extension(prefix)
         return [] if start is None else [n.publication for n in _subtree(start) if n.zero is None]
 
-    def iter_nodes(self) -> Iterator[TrieNode]:
-        return iter(()) if self.root is None else _subtree(self.root)
-
     # ---------------------------------------------------------------- updates
     def insert(self, publication: Publication) -> bool:
         """Insert ``publication``; returns True if the trie changed.
@@ -192,33 +188,6 @@ class PatriciaTrie:
         else:
             parent.one = inner
         return True
-
-    # ------------------------------------------------------------ validation
-    def check_invariants(self) -> None:
-        """Raise AssertionError if structural invariants are violated.
-
-        Used by property-based tests: an inner node sets both child slots and
-        a leaf neither; children's labels extend the parent's label and
-        diverge on the next bit; every leaf label has ``key_bits`` bits;
-        hashes are consistent with the Merkle rule; ``value`` holds each
-        label's bits.
-        """
-        uncached = node_hash.__wrapped__  # the memo must not check itself
-        for node in self.iter_nodes():
-            assert node.value == int(node.label or "0", 2), "value is not the label's bits"
-            left, right = node.zero, node.one
-            if left is None:
-                assert right is None, "a leaf sets neither child slot"
-                assert len(node.label) == self.key_bits, "leaf label has wrong length"
-                assert node.publication is not None, "leaf without publication"
-                assert node.hash == leaf_hash(node.label), "stale leaf hash"
-            else:
-                assert right is not None, "an inner node sets both child slots"
-                assert left.label.startswith(node.label + "0"), "zero child must extend label + '0'"
-                assert right.label.startswith(node.label + "1"), "one child must extend label + '1'"
-                assert node.hash == uncached(left.hash, right.hash), "stale inner hash"
-                assert node.label == commonprefix((left.label, right.label)), (
-                    "inner label must be the LCP of its children")
 
 
 def _subtree(node: TrieNode) -> Iterator[TrieNode]:

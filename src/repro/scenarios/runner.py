@@ -26,7 +26,6 @@ order); no wall-clock value ever enters the report.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -137,7 +136,6 @@ class ScenarioRunner:
         self.system.sim.install_adversary(self.adversary)
         #: topic -> keys published by the scenario so far
         self._published: Dict[str, Set[str]] = {t: set() for t in spec.topics}
-        self._warned_truncated = False
 
     # ------------------------------------------------------------------- run
     def run(self) -> ScenarioReport:
@@ -161,22 +159,7 @@ class ScenarioRunner:
 
         for index, phase in enumerate(spec.phases):
             report.phases.append(self._run_phase(index, phase))
-        self._warn_if_truncated()
         return report
-
-    def _warn_if_truncated(self) -> None:
-        """Warn (once per runner) when the report was built from a trace
-        whose event log hit the ``Tracer.max_events`` cap — any analysis of
-        ``sim.tracer.events`` would silently see a prefix of the run."""
-        tracer = self.system.sim.tracer
-        if tracer.truncated and not self._warned_truncated:
-            self._warned_truncated = True
-            warnings.warn(
-                f"scenario {self.spec.name!r}: trace event log truncated at "
-                f"max_events={tracer.max_events} "
-                f"({tracer.events_dropped} events dropped); counters and the "
-                f"report are complete, but sim.tracer.events is a prefix",
-                RuntimeWarning, stacklevel=3)
 
     def run_report(self) -> RunReport:
         """Run the scenario and return the unified

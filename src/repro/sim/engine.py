@@ -19,9 +19,10 @@ queue traffic.  Every push — a send, a Timeout reschedule, a callback, a
 crash, a freshly added node's first Timeout, a zero-delay injection, a
 delivery an adversary scaled below ``min_delay`` — goes to the wheel, and
 one due in the walked bucket is inserted at its ``(time, seq)`` place, after
-the running event; so the event order is exactly :meth:`Simulator.step`'s
-under any adversary or telemetry setting.  Every in-flight message — sent by
-a node, duplicated by an adversary or injected as initial-state corruption —
+the running event; so the event order is exactly the per-event reference's
+(``reference_step`` in ``tests/conftest.py``) under any adversary or
+telemetry setting.  Every in-flight message — sent by a node, duplicated by
+an adversary or injected as initial-state corruption —
 is one plain tuple (a *record*, :mod:`repro.sim.network`) that is its own
 delivery event and lives only in the scheduler: no per-message object, no
 second copy in a channel — and reaches a handler by one rule, the class's
@@ -363,61 +364,6 @@ class Simulator:
         order."""
         self._scheduler.push((time, next(self._seq), kind) + payload)
 
-    # -------------------------------------------------------------- execution
-    def step(self) -> bool:
-        """Process a single event.  Returns False when no event is pending.
-
-        The per-event reference the drain is tested against
-        (``tests/test_engine_reference.py``); no ``run_*`` method calls it.
-        A call from inside an event raises, as :meth:`run_until_time`'s does:
-        it would pop an event ahead of the rest of the walked bucket."""
-        if self._draining:
-            raise RuntimeError("step called from inside an event")
-        if self._scheduler.next_time() is None:
-            return False
-        event = self._scheduler.pop()
-        time = event[0]
-        if time > self.now:
-            self.now = time
-        self._steps += 1
-        kind = event[2]
-        if kind == _TIMEOUT:
-            self._handle_timeout(event[3])
-        elif kind == _DELIVER_FAST:
-            self._handle_record(event)
-        elif kind == _CRASH:
-            self._apply_crash(event[3])
-        elif kind == _CALL:
-            event[3]()
-        return True
-
-    def _handle_record(self, record: tuple) -> None:
-        """Unfused record delivery, the reference for the drain loop's
-        fused branch: the full :meth:`Network.pop_record` (delivery-time
-        adversary check, per-reason drop accounting), then the same handler
-        table lookup and topic folding."""
-        if not self.network.pop_record(record):
-            return
-        node = self.nodes.get(record[3])
-        handler = (None if node is None or node.crashed
-                   else node._action_handlers.get(record[4]))
-        if handler is not None:
-            params = record[5]
-            if record[6] is not None and "topic" not in params:
-                params["topic"] = record[6]
-            handler(node, **params)
-
-    def _handle_timeout(self, node_id: NodeRef) -> None:
-        node = self.nodes.get(node_id)
-        if node is None or node.crashed:
-            return
-        node.timeout_count += 1
-        node.on_timeout()
-        period = self.config.timeout_period
-        jitter = self.config.timeout_jitter
-        next_in = period * (1 + self._jitter_rng.uniform(-jitter, jitter))
-        self._push(self.now + next_in, _TIMEOUT, node_id)
-
     # ----------------------------------------------------------------- drivers
     def run_for(self, duration: float) -> None:
         """Run until simulation time advances by ``duration``."""
@@ -426,12 +372,13 @@ class Simulator:
     def run_until_time(self, deadline: float) -> None:
         """Process events in order until the next one lies beyond ``deadline``.
 
-        Events are consumed in exactly the ``(time, seq)`` order repeated
-        :meth:`step` calls would produce, whatever the adversary or telemetry
-        setting — see :meth:`_drain`, the one drain loop.  A deadline that is
-        not finite raises: the periodic Timeouts would never let the drain
-        end.  So does a call from inside an event (a callback or a handler):
-        it would walk the bucket the outer drain is walking.
+        Events are consumed in exactly the ``(time, seq)`` order a per-event
+        drain would produce (``tests/conftest.py``'s ``reference_step``),
+        whatever the adversary or telemetry setting — see :meth:`_drain`,
+        the one drain loop.  A deadline that is not finite raises: the
+        periodic Timeouts would never let the drain end.  So does a call from
+        inside an event (a callback or a handler): it would walk the bucket
+        the outer drain is walking.
         """
         if not math.isfinite(deadline):
             raise ValueError("run_until_time deadline must be finite")
@@ -474,7 +421,7 @@ class Simulator:
         pushed into the walked bucket — by ``_send_fast``, a Timeout
         reschedule or :meth:`_push`, through the wheel's ``_insert_late`` —
         lands after the running event, and the list iterator reaches it in
-        order.  Hence the walk runs exactly :meth:`step`'s order.  A bucket
+        order.  Hence the walk runs exactly a per-event pop's order.  A bucket
         run to its end is cleared; the walk stops at the first event due
         after ``deadline`` and deletes the prefix it ran, leaving the rest
         queued.

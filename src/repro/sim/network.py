@@ -164,16 +164,14 @@ class ChannelStats:
         """Number of messages sent by ``node_id`` (optionally one action)."""
         return _per_node(self._sent, node_id, action)
 
-    def to_summary_dict(self, include_latency: Optional[bool] = None
-                        ) -> Dict[str, object]:
+    def to_summary_dict(self) -> Dict[str, object]:
         """A JSON-safe summary of the statistics (totals, per-action sends,
         per-reason drops) — the shape :class:`~repro.api.report.RunReport`
         embeds as a message-stat snapshot.
 
-        ``include_latency=None`` (the default) appends a
-        ``"delivery_latency"`` block exactly when a latency histogram is
-        attached, so summaries of telemetry-off runs keep their historical
-        keys byte-for-byte.  Pass ``True``/``False`` to force either shape.
+        A ``"delivery_latency"`` block is appended exactly when a latency
+        histogram is attached, so summaries of telemetry-off runs keep their
+        historical keys byte-for-byte.
         """
         out: Dict[str, object] = {
             "total_sent": self.total_sent,
@@ -185,9 +183,7 @@ class ChannelStats:
             "sent_by_action": dict(sorted(self.sent_by_action.items())),
             "received_by_action": dict(sorted(self.received_by_action.items())),
         }
-        if include_latency is None:
-            include_latency = self.delivery_latency is not None
-        if include_latency and self.delivery_latency is not None:
+        if self.delivery_latency is not None:
             out["delivery_latency"] = self.delivery_latency.summary()
         return out
 
@@ -321,7 +317,9 @@ class Network:
     # -------------------------------------------------------------- delivery
     def pop_record(self, record: tuple) -> bool:
         """Account the delivery of ``record`` — the reference the engine's
-        fused drain branch is pinned against (:meth:`Simulator.step` uses it).
+        fused drain branch is pinned against (the per-event reference,
+        ``reference_step`` in ``tests/conftest.py``, uses it; the drain calls
+        it only for a ``dest`` that is not an ``int``).
 
         Returns ``True`` if the record was still pending and is now accounted
         as delivered; ``False`` if the destination crashed after the send or

@@ -16,8 +16,10 @@ axis.  That is a binary heap's pop order, which the tests check against a
 ``heapq`` reference.
 
 **The drain walks the current bucket.**  The engine does not pop event by
-event: it iterates ``_current``, the bucket the clock has reached, in place,
-and deletes the prefix it ran when it stops (see
+event (only the per-event reference it is tested against does:
+``reference_step`` in ``tests/conftest.py``): it iterates ``_current``, the
+bucket the clock has reached, in place, and deletes the prefix it ran when it
+stops (see
 :meth:`~repro.sim.engine.Simulator.run_until_time`).  A push due in that
 bucket is inserted at its ``(time, seq)`` place, which lies after the running
 event (every schedulable time is ``>= now`` and a fresh ``seq`` sorts last),
@@ -63,10 +65,10 @@ class TimeoutWheelScheduler:
     without scanning empty ones, so sparse schedules (e.g. a far-future crash)
     cost nothing.
 
-    The wheel keeps no event count: ``len()`` adds up the current bucket and
-    the pending ones when asked (only tests ask), so a push or a
-    pop — and the engine's inlined pushes — touch nothing but the buckets.
-    Emptiness is :meth:`next_time` returning ``None``.
+    The wheel keeps no event count, so a push — and the engine's inlined
+    pushes — touch nothing but the buckets.  Emptiness is :meth:`next_time`
+    returning ``None``; the tests' per-event reference pops and counts from
+    the test side (``tests/conftest.py``: ``pop_event``, ``queued_events``).
     """
 
     __slots__ = ("bucket_width", "_inv_width", "_buckets", "_bucket_heap",
@@ -131,15 +133,6 @@ class TimeoutWheelScheduler:
             self._current = bucket
             self._current_index = index
 
-    def pop(self) -> Event:
-        """The next event, removed: O(bucket), for the tests' per-event
-        reference (the engine's drain walks the bucket instead)."""
-        current = self._current
-        if not current:
-            self._advance()
-            current = self._current
-        return current.pop(0)
-
     def next_time(self) -> Optional[float]:
         current = self._current
         if not current:
@@ -148,17 +141,6 @@ class TimeoutWheelScheduler:
             if not current:
                 return None
         return current[0][0]
-
-    def iter_events(self):
-        """Every queued event, in no global order.  From inside an event the
-        walked bucket still holds the events that ran before it: the drain
-        deletes them when it stops."""
-        yield from self._current
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    def __len__(self) -> int:
-        return len(self._current) + sum(map(len, self._buckets.values()))
 
 
 def auto_bucket_width(timeout_period: float = 1.0, min_delay: float = 0.1,

@@ -34,35 +34,15 @@ class TraceEvent:
 class Tracer:
     """Collects trace events and counters during a run."""
 
-    __slots__ = ("keep_events", "max_events", "events", "counters",
-                 "events_dropped")
+    __slots__ = ("keep_events", "events", "counters")
 
-    def __init__(self, keep_events: bool = True, max_events: int = 1_000_000) -> None:
+    def __init__(self, keep_events: bool = True) -> None:
         self.keep_events = keep_events
-        self.max_events = max_events
         self.events: List[TraceEvent] = []
         self.counters: Counter = Counter()
-        #: events that would have been stored but fell past ``max_events``
-        #: (counters still counted them; only the event *objects* are gone)
-        self.events_dropped = 0
 
-    @property
-    def truncated(self) -> bool:
-        """True when at least one event was dropped at the ``max_events``
-        cap — consumers of :attr:`events` are seeing a prefix, not the run."""
-        return self.events_dropped > 0
-
-    # ------------------------------------------------------------------ events
     def record(self, time: float, kind: str, node: Optional[int] = None, **data: Any) -> None:
         """Log an event and bump the counter named after its kind."""
         self.counters[kind] += 1
         if self.keep_events:
-            if len(self.events) < self.max_events:
-                self.events.append(
-                    TraceEvent(time=time, kind=kind, node=node, data=data))
-            else:
-                self.events_dropped += 1
-
-    def count(self, kind: str, amount: int = 1) -> None:
-        """Increment the counter ``kind`` without logging an event."""
-        self.counters[kind] += amount
+            self.events.append(TraceEvent(time=time, kind=kind, node=node, data=data))

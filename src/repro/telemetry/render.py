@@ -6,25 +6,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.api.report import format_table
 from repro.telemetry.histogram import LatencyHistogram
-from repro.telemetry.recorder import merge_telemetry_dicts
-
-
-def extract_telemetry(data: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """The telemetry payload of a RunReport or CampaignReport dict (a
-    campaign's merged block, or — for an artifact that predates it — the
-    merge of its per-task telemetry)."""
-    if "tasks" in data and "sweep" in data:  # CampaignReport shape
-        merged = data.get("telemetry")
-        if merged:
-            return merged
-        return merge_telemetry_dicts(
-            entry.get("report", {}).get("telemetry")
-            for entry in data.get("tasks", []))
-    return data.get("telemetry")  # RunReport shape
 
 
 def _histogram_lines(label: str, payload: Dict[str, Any]) -> List[str]:

@@ -1,19 +1,85 @@
-"""Shared fixtures for the test suite (built through the unified API)."""
+"""Shared fixtures for the test suite (built through the unified API), and
+the references the library is tested against: the per-event engine
+(:func:`reference_step`), ``heapq`` for the wheel's order, and the trie,
+database and label oracles."""
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from fractions import Fraction
+from os.path import commonprefix  # character-wise, works on any strings
 
 import pytest
 
 from repro import ProtocolParams, SupervisedPubSub
 from repro.api import SystemSpec, build_stable, build_system
 from repro.core.supervisor import Supervisor
-from repro.sim.engine import Simulator, SimulatorConfig
+from repro.pubsub.hashing import leaf_hash, node_hash
+from repro.pubsub.patricia import _subtree
+from repro.sim.engine import _CALL, _CRASH, _TIMEOUT, Simulator, SimulatorConfig
 from repro.sim.network import (FAST_RECORD_KIND, REC_ACTION, REC_DEST, REC_KIND,
-                                REC_SENDER)
+                                REC_PARAMS, REC_SENDER, REC_TOPIC)
 from repro.sim.node import ProtocolNode
 from repro.sim.scheduler import TimeoutWheelScheduler
+
+
+def pop_event(wheel):
+    """``wheel``'s next event, removed — O(bucket): the per-event reference's
+    pop (the engine's drain walks the bucket in place instead)."""
+    if not wheel._current:
+        wheel._advance()
+    return wheel._current.pop(0)
+
+
+def queued_events(wheel):
+    """Every event queued in ``wheel``, in no global order.  From inside an
+    event the walked bucket still holds the events that ran before it: the
+    drain deletes them when it stops."""
+    return [*wheel._current, *itertools.chain.from_iterable(wheel._buckets.values())]
+
+
+def reference_step(sim):
+    """Run ``sim``'s next event on its own; ``False`` when none is pending.
+
+    The per-event reference the engine's one drain loop is tested against
+    (``tests/test_engine_reference.py``): pop the head event, move the clock
+    to it and handle it unfused — a record through the full
+    ``Network.pop_record`` (delivery-time adversary check, per-reason drop
+    accounting), then the same handler-table lookup and topic folding; a
+    Timeout with a per-call ``uniform`` jitter draw and a generic push of
+    the next one."""
+    if sim.scheduler.next_time() is None:
+        return False
+    event = pop_event(sim.scheduler)
+    if event[0] > sim.now:
+        sim.now = event[0]
+    sim._steps += 1
+    kind = event[REC_KIND]
+    if kind == _TIMEOUT:
+        node = sim.nodes.get(event[3])
+        if node is not None and not node.crashed:
+            node.timeout_count += 1
+            node.on_timeout()
+            jitter = sim.config.timeout_jitter
+            next_in = sim.config.timeout_period * (
+                1 + sim._jitter_rng.uniform(-jitter, jitter))
+            sim._push(sim.now + next_in, _TIMEOUT, event[3])
+    elif kind == FAST_RECORD_KIND:
+        if sim.network.pop_record(event):
+            node = sim.nodes.get(event[REC_DEST])
+            handler = (None if node is None or node.crashed
+                       else node._action_handlers.get(event[REC_ACTION]))
+            if handler is not None:
+                params = event[REC_PARAMS]
+                if event[REC_TOPIC] is not None and "topic" not in params:
+                    params["topic"] = event[REC_TOPIC]
+                handler(node, **params)
+    elif kind == _CRASH:
+        sim._apply_crash(event[3])
+    elif kind == _CALL:
+        event[3]()
+    return True
 
 
 def records_in_flight(sim, **match):
@@ -32,16 +98,16 @@ def records_in_flight(sim, **match):
         except TypeError:
             return True
 
-    return [record for record in sim.scheduler.iter_events()
+    return [record for record in queued_events(sim.scheduler)
             if record[REC_KIND] == FAST_RECORD_KIND and not gone(record[REC_DEST])
             and all(record[index[key]] == value for key, value in match.items())]
 
 
 class HeapQueue:
     """The ordering reference for the engine's timing wheel: a ``heapq`` of
-    ``(time, seq, kind, ...)`` events behind the wheel's queue interface.
-    Its pop order, ascending ``(time, seq)``, is the order the wheel must
-    emit."""
+    ``(time, seq, kind, ...)`` events behind the wheel's ``push`` and
+    ``next_time``.  Its pop order, ascending ``(time, seq)``, is the order
+    the wheel must emit."""
 
     __slots__ = ("_heap",)
 
@@ -103,7 +169,7 @@ class _RecordedBucket(list):
     """A wheel bucket that logs every event removed from it, in order: the
     engine's drain deletes exactly the prefix it ran (``clear()`` after a
     whole bucket, ``del bucket[:k]`` at a deadline or an exception) and
-    ``step()`` pops the head, so the log is the executed stream."""
+    :func:`pop_event` pops the head, so the log is the executed stream."""
 
     __slots__ = ("log",)
 
@@ -173,7 +239,7 @@ def assert_heapq_order(sim, stream):
     """``stream`` is ``heapq``'s pop order of every event the wheel held —
     executed or still pending — up to the clock, and nothing pending is
     due."""
-    pending = list(sim.scheduler.iter_events())
+    pending = queued_events(sim.scheduler)
     events = stream + pending
     # every seq the engine drew went into one pushed event: none was lost
     assert sorted(event[1] for event in events) == list(range(next(sim._seq)))
@@ -183,3 +249,62 @@ def assert_heapq_order(sim, stream):
     while len(heap) and heap.next_time() <= sim.now:
         reference.append(heap.pop())
     assert reference == stream
+
+
+def trie_nodes(trie):
+    """Every node of ``trie``, parents first and '0' subtrees first (key order)."""
+    return iter(()) if trie.root is None else _subtree(trie.root)
+
+
+def check_trie_invariants(trie):
+    """Raise AssertionError if ``trie``'s structural invariants are violated:
+    an inner node sets both child slots and a leaf neither; children's
+    labels extend the parent's label and diverge on the next bit; every leaf
+    label has ``key_bits`` bits; hashes are consistent with the Merkle rule;
+    ``value`` holds each label's bits."""
+    uncached = node_hash.__wrapped__  # the memo must not check itself
+    for node in trie_nodes(trie):
+        assert node.value == int(node.label or "0", 2), "value is not the label's bits"
+        left, right = node.zero, node.one
+        if left is None:
+            assert right is None, "a leaf sets neither child slot"
+            assert len(node.label) == trie.key_bits, "leaf label has wrong length"
+            assert node.publication is not None, "leaf without publication"
+            assert node.hash == leaf_hash(node.label), "stale leaf hash"
+        else:
+            assert right is not None, "an inner node sets both child slots"
+            assert left.label.startswith(node.label + "0"), "zero child must extend label + '0'"
+            assert right.label.startswith(node.label + "1"), "one child must extend label + '1'"
+            assert node.hash == uncached(left.hash, right.hash), "stale inner hash"
+            assert node.label == commonprefix((left.label, right.label)), (
+                "inner label must be the LCP of its children")
+
+
+def database_corrupted(db):
+    """True if any of the four corruption conditions of Section 3.1 holds
+    in the ``TopicDatabase`` ``db``."""
+    return (None in db._labels_of  # (i) tuple without a subscriber
+            # (ii) one subscriber under several labels
+            or len(db._labels_of) != len(db._entries)
+            # (iii)/(iv) among n labels, one of l(0..n-1) missing means
+            # another is out of range or non-canonical
+            or bool(db.missing_labels()))
+
+
+def label_from_r(value):
+    """The canonical label whose ``r``-value equals ``value``: the inverse of
+    ``r`` (Section 2.1).
+
+    ``value`` must be a dyadic rational in ``[0, 1)``.  The canonical label is
+    the shortest bit string with that value; ``0`` maps to the label ``'0'``
+    (the label of the first subscriber)."""
+    value = Fraction(value)
+    if not 0 <= value < 1:
+        raise ValueError("r-value must lie in [0, 1)")
+    if value == 0:
+        return "0"
+    denominator = value.denominator
+    if denominator & (denominator - 1) != 0:
+        raise ValueError(f"{value} is not a dyadic rational")
+    bits = denominator.bit_length() - 1  # denominator = 2^bits
+    return format(value.numerator, f"0{bits}b")

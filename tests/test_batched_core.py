@@ -8,7 +8,7 @@ import math
 import random
 
 import pytest
-from conftest import HeapQueue
+from conftest import HeapQueue, pop_event, queued_events
 
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.scheduler import TimeoutWheelScheduler
@@ -47,9 +47,9 @@ def _logging_sim():
 
 class TestBucketDrainEdges:
     def test_an_empty_wheel_drains_nothing(self):
-        for scheduler in (HeapQueue(), TimeoutWheelScheduler(bucket_width=0.25)):
-            assert scheduler.next_time() is None
-            assert len(scheduler) == 0
+        heap, wheel = HeapQueue(), TimeoutWheelScheduler(bucket_width=0.25)
+        assert heap.next_time() is None and wheel.next_time() is None
+        assert len(heap) == len(queued_events(wheel)) == 0
         sim = Simulator(SimulatorConfig(seed=1))
         sim.run_until_time(5.0)
         assert sim.now == 5.0 and sim.steps_executed == 0
@@ -75,7 +75,7 @@ class TestBucketDrainEdges:
         assert log == [(index * scheduler.bucket_width, "early"), (deadline, "at"),
                        (deadline, "at, later seq")]
         assert sim.now == deadline and sim.steps_executed == 3
-        assert scheduler.next_time() == beyond and len(scheduler) == 1
+        assert scheduler.next_time() == beyond and len(queued_events(scheduler)) == 1
         sim.run_until_time(beyond)
         assert log[3:] == [(beyond, "beyond")] and sim.steps_executed == 4
 
@@ -137,7 +137,7 @@ class TestBucketDrainEdges:
         in_bucket = popped = 0
         while len(heap):
             assert wheel.next_time() == heap.next_time()
-            event = wheel.pop()
+            event = pop_event(wheel)
             assert event == heap.pop()
             popped += 1
             if seq < 3_000:
@@ -145,5 +145,5 @@ class TestBucketDrainEdges:
                     time = event[0] + rng.choice((0.0, rng.uniform(0, 2 * width)))
                     in_bucket += int(time * wheel._inv_width) <= wheel._current_index
                     push(time)
-        assert len(wheel) == 0 and popped == seq
+        assert len(queued_events(wheel)) == 0 and popped == seq
         assert in_bucket > 300

@@ -12,6 +12,16 @@ from repro.sim.engine import SimulatorConfig
 TOPICS = [f"topic-{i}" for i in range(8)]
 
 
+def topic_assignment(system):
+    """Topic -> owning shard for every topic ``system`` has seen so far."""
+    return dict(system._topic_shard)
+
+
+def shard_topic_counts(system):
+    """Live shard id -> number of topics currently assigned to it."""
+    return {sid: system._shard_topic_load.get(sid, 0) for sid in system.live_shard_ids()}
+
+
 class TestConsistentHashRing:
     def test_owner_is_deterministic(self):
         a, b = ConsistentHashRing(), ConsistentHashRing()
@@ -120,12 +130,12 @@ class TestShardedPubSub:
         for topic in TOPICS:
             assert system.supervisor_of(topic) is system.supervisors[SUPERVISOR_ID]
         system.add_subscriber(topics=TOPICS)
-        assert set(system.topic_assignment().values()) == {SUPERVISOR_ID}
+        assert set(topic_assignment(system).values()) == {SUPERVISOR_ID}
 
     def test_topics_balanced_and_stabilized(self):
         cluster = build_stable(SystemSpec(topology="sharded", shards=4, seed=3),
                                    topics=TOPICS, subscribers_per_topic=4)[0]
-        counts = cluster.shard_topic_counts()
+        counts = shard_topic_counts(cluster)
         assert sum(counts.values()) >= len(TOPICS)
         assert max(counts.values()) - min(counts.values()) <= 1
         assert all(cluster.is_legitimate(t) for t in TOPICS)
@@ -145,7 +155,7 @@ class TestShardedPubSub:
                                    topics=TOPICS, subscribers_per_topic=4)[0]
         cluster.run_rounds(30)
         stats = cluster.message_stats()
-        assignment = cluster.topic_assignment()
+        assignment = topic_assignment(cluster)
         # Every supervisor-bound request for a topic must have hit its shard:
         # a shard that owns no subscribed topics would have received nothing.
         for shard, supervisor in cluster.supervisors.items():
@@ -159,10 +169,10 @@ class TestShardedPubSub:
         cluster = build_stable(SystemSpec(topology="sharded", shards=4, seed=6),
                                    topics=TOPICS, subscribers_per_topic=4)[0]
         victim = cluster.live_shard_ids()[1]
-        before = cluster.topic_assignment()
+        before = topic_assignment(cluster)
         moved = cluster.crash_supervisor(victim)
         assert moved == sorted(t for t, s in before.items() if s == victim)
-        after = cluster.topic_assignment()
+        after = topic_assignment(cluster)
         for topic, shard in after.items():
             assert shard != victim
             if topic not in moved:
@@ -192,12 +202,12 @@ class TestShardedPubSub:
         # ... and create no database, which every Timeout of its shard would iterate.
         assert {k: supervisor.topics() for k, supervisor in cluster.supervisors.items()} == topics
         cluster.run_until_legitimate(max_rounds=5)
-        assert cluster.topic_assignment() == {}
-        assert all(count == 0 for count in cluster.shard_topic_counts().values())
+        assert topic_assignment(cluster) == {}
+        assert all(count == 0 for count in shard_topic_counts(cluster).values())
         # Prospective lookups are stable and consistent with later pinning.
         prospective = cluster.shard_of("news", pin=False)
         cluster.add_subscriber("news")
-        assert cluster.topic_assignment() == {"news": prospective}
+        assert topic_assignment(cluster) == {"news": prospective}
 
     def test_the_oracle_creates_no_database_at_one_shard(self):
         system = SupervisedPubSub(seed=0)
@@ -208,7 +218,7 @@ class TestShardedPubSub:
         cluster = build_stable(SystemSpec(topology="sharded", shards=4, seed=8),
                                    topics=TOPICS, subscribers_per_topic=4)[0]
         victim = cluster.live_shard_ids()[0]
-        survivors = [t for t, s in cluster.topic_assignment().items()
+        survivors = [t for t, s in topic_assignment(cluster).items()
                      if s != victim and t in TOPICS]
         edges_before = {t: cluster.explicit_edges(t) for t in survivors}
         cluster.crash_supervisor(victim)

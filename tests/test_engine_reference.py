@@ -1,7 +1,8 @@
-"""One reference for the engine's drain loop: ``Simulator.step``.
+"""One reference for the engine's drain loop: ``conftest.reference_step``.
 
-``run_until_time`` walks the wheel's current bucket in place; ``step`` pops
-and handles a single event.  The contract is that the two are
+``run_until_time`` walks the wheel's current bucket in place;
+``reference_step`` pops and handles a single event, from the test side.  The
+contract is that the two are
 indistinguishable — same handler log, counters, drop accounting and latency
 histogram — with telemetry on or off, and under a link adversary whose
 ``DelaySpike`` with ``factor < 1`` puts deliveries closer than
@@ -10,7 +11,7 @@ addresses (unhashable ones are no address at all; the hashable ones take
 ``pop_record``'s accounting inside the drain loop too).  With telemetry on
 under the adversary, its partition heals and its spike ends mid-run and a
 callback zeroes its rates, so it goes idle inside a drain: the drain then
-skips its hooks, where ``step()``'s ``pop_record`` still asks on every
+skips its hooks, where ``reference_step``'s ``pop_record`` still asks on every
 delivery.  In the ``callbacks`` mode a chain of callbacks inside the buckets
 adds nodes, schedules crashes and further callbacks and removes and
 reinstalls a partitioning adversary; in the ``instant`` mode every send is
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from conftest import assert_heapq_order, records_in_flight
+from conftest import assert_heapq_order, queued_events, records_in_flight, reference_step
 
 from repro.scenarios.adversary import LinkAdversary
 from repro.sim.engine import Simulator, SimulatorConfig
@@ -80,12 +81,12 @@ class _Relay(ProtocolNode):
 
 
 def _drain_by_steps(sim: Simulator, deadline: float) -> None:
-    """The reference drain: one ``step()`` per due event."""
+    """The reference drain: one ``reference_step`` per due event."""
     while True:
         upcoming = sim.scheduler.next_time()
         if upcoming is None or upcoming > deadline:
             break
-        sim.step()
+        reference_step(sim)
     sim.now = max(sim.now, deadline)
 
 
@@ -402,13 +403,13 @@ def test_send_fast_reproduces_the_delivery_times_arithmetic():
     assert stats.snapshot()._sent == {"Ping": dict(sent)}  # action -> {node: count}
     assert stats.drops_by_reason == dict(drops)
     assert stats.duplicated == duplicated
-    pushed = sorted(sim.scheduler.iter_events(), key=lambda event: event[1])
+    pushed = sorted(queued_events(sim.scheduler), key=lambda event: event[1])
     # (deliver_time, send_time, sender, dest) per copy in push order; the
     # deliver times compare with == on floats
     assert [(e[0], e[8], e[7], e[3]) for e in pushed] == times
     assert all(e[2] == FAST_RECORD_KIND and e[4] == "Ping" and e[5] is params
                and e[6] is None for e in pushed)
-    assert len(sim.scheduler) == len(times)
+    assert len(queued_events(sim.scheduler)) == len(times)
     assert sim._delay_rng.getstate() == delay_state
     assert sim.adversary_rng().getstate() == coin_state
     # an unaddressable dest is dropped before the adversary sees it
@@ -435,9 +436,9 @@ def _batch_world(seed):
 def _batch_outcome(sim):
     stats = sim.network.stats
     scheduler = sim.scheduler
-    return (sorted(scheduler.iter_events(), key=lambda event: event[1]),
+    return (sorted(queued_events(scheduler), key=lambda event: event[1]),
             stats.drops_by_reason, stats.duplicated, stats.total_sent,
-            stats.snapshot()._sent, len(scheduler), list(scheduler._current),
+            stats.snapshot()._sent, len(queued_events(scheduler)), list(scheduler._current),
             sim._delay_rng.getstate(), sim.adversary_rng().getstate())
 
 

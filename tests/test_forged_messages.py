@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from conftest import check_trie_invariants
 
 from repro.api import SystemSpec, build_stable
 from repro.core.labels import is_valid_label
@@ -74,7 +75,7 @@ def _assert_stored_state_is_well_formed(system):
                 assert nb is None or (isinstance(nb.ref, int) and is_valid_label(nb.label)), nb
             for label, ref in view.shortcuts.items():
                 assert is_valid_label(label) and (ref is None or isinstance(ref, int)), ref
-            view.trie.check_invariants()
+            check_trie_invariants(view.trie)
     for supervisor in system.supervisors.values():
         for topic, db in supervisor.databases.items():
             assert type(topic) is str

@@ -11,7 +11,16 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import assert_heapq_order, records_in_flight
+from conftest import (
+    _RecordedBucket,
+    assert_heapq_order,
+    check_trie_invariants,
+    database_corrupted,
+    queued_events,
+    records_in_flight,
+    reference_step,
+    trie_nodes,
+)
 
 from repro.api import SystemSpec
 from repro.sim.engine import Simulator, SimulatorConfig
@@ -25,7 +34,7 @@ from repro.sim.network import (
     REC_SEQ,
 )
 from repro.sim.node import ProtocolNode
-from repro.sim.scheduler import TimeoutWheelScheduler, auto_bucket_width
+from repro.sim.scheduler import auto_bucket_width
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,13 +99,13 @@ class TestWheelDrain:
     def test_the_drain_walks_the_buckets_and_pops_nothing(self, wheel_stream,
                                                           monkeypatch):
         """The engine runs each bucket in place, in ``heapq``'s order: no
-        event leaves the wheel through ``pop``."""
+        event leaves the walked bucket through ``pop``."""
         stream, _ = wheel_stream
 
-        def refusing(self):
+        def refusing(self, index=-1):
             raise AssertionError("the drain popped an event")
 
-        monkeypatch.setattr(TimeoutWheelScheduler, "pop", refusing)
+        monkeypatch.setattr(_RecordedBucket, "pop", refusing)
         sim = Simulator(SimulatorConfig(seed=6))
         for i in range(30):
             sim.add_node(_Pinger(i + 1))
@@ -140,7 +149,7 @@ class TestInBucketInsertion:
             return ([node.pings for node in nodes], sim.timeout_counts,
                     sim.steps_executed, sim.now,
                     sim.network.stats.to_summary_dict(),
-                    sorted(sim.scheduler.iter_events(), key=lambda event: event[1]))
+                    sorted(queued_events(sim.scheduler), key=lambda event: event[1]))
 
         sim, nodes = world()
         sim.run_until_time(30.0)
@@ -148,7 +157,7 @@ class TestInBucketInsertion:
 
         twin, twin_nodes = world()
         while twin.scheduler.next_time() <= 30.0:
-            twin.step()
+            reference_step(twin)
         twin.now = 30.0
         assert state(twin, twin_nodes) == state(sim, nodes)
 
@@ -261,7 +270,7 @@ class TestProtocolPathStaysFractionFree:
             raise AssertionError("Fraction algebra reached from the protocol path")
 
         for module in (labels, shortcuts, skip_ring, subscriber, supervisor, convergence):
-            for name in ("r_value", "label_from_r", "r_float", "Fraction"):
+            for name in ("r_value", "r_float", "Fraction"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, off_the_path)
 
@@ -297,17 +306,17 @@ class TestProtocolPathStaysFractionFree:
         supervisor.on_timeout()  # CheckLabels on an uncorrupted database
         assert calls == []
         db = supervisor.database()
-        assert db.n == 287 and not db.is_corrupted()
+        assert db.n == 287 and not database_corrupted(db)
         db.put("0100", 5)  # non-canonical: now the repair has something to sort
         supervisor.on_timeout()
-        assert calls and not db.is_corrupted()
+        assert calls and not database_corrupted(db)
 
     def test_checklabels_on_an_unchanged_database_scans_no_labels(self, monkeypatch,
                                                                    supervised):
         """The hole scan (n ``label_of`` calls) runs once per database write:
         a Timeout on an unchanged database calls ``label_of`` once, for the
-        round-robin pick, and ``is_corrupted`` (whose hole scan the oracle
-        reads too) not at all."""
+        round-robin pick, and the corruption check (``database_corrupted``,
+        whose hole scan the oracle reads too) not at all."""
         import repro.core.supervisor as supervisor_module
 
         sim, supervisor = supervised(range(1, 257))
@@ -325,11 +334,11 @@ class TestProtocolPathStaysFractionFree:
         monkeypatch.setattr(supervisor_module, "label_of", counting_label_of)
         for _ in range(5):
             supervisor.on_timeout()
-            assert not db.is_corrupted()
+            assert not database_corrupted(db)
             db.repair_labels()
         assert len(calls) == 5  # one round-robin label per Timeout
         db.remove(label_of(db.n - 1))  # a write: the next read scans again
-        assert not db.is_corrupted() and len(calls) == 5 + db.n
+        assert not database_corrupted(db) and len(calls) == 5 + db.n
 
     def test_consecutive_checks_at_one_n_build_sr_n_once(self, monkeypatch):
         from repro.analysis import convergence
@@ -418,7 +427,7 @@ class TestPublicationPathBudget:
         sha.calls = 0
         assert trie.root_summary() == first
         assert sha.calls == 0
-        trie.check_invariants()
+        check_trie_invariants(trie)
 
     def test_n_views_hash_one_interned_leaf_once(self, sha):
         """PR 21: ``h(key)`` is remembered on the interned publication, so it
@@ -478,7 +487,7 @@ class TestPublicationPathBudget:
                     trie.insert(publication)
         assert [(len(trie), trie.root_summary()) for trie in tries] == before
         for trie in tries:
-            trie.check_invariants()
+            check_trie_invariants(trie)
 
     def test_a_trie_node_is_two_slots_and_holds_no_container(self):
         """A node's children are the slots ``zero`` and ``one``: an insert
@@ -491,7 +500,7 @@ class TestPublicationPathBudget:
         trie = PatriciaTrie(key_bits=8)
         for i in range(16):
             trie.insert(Publication.create(1, bytes([i]), key_bits=8))
-        nodes = list(trie.iter_nodes())
+        nodes = list(trie_nodes(trie))
         assert len(nodes) == 2 * len(trie) - 1
         for node in nodes:
             assert not hasattr(node, "__dict__")

@@ -3,13 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from conftest import label_from_r
 
 from repro.core.labels import (
     count_labels_of_length,
     index_of,
     is_canonical_label,
     is_valid_label,
-    label_from_r,
     label_length,
     label_of,
     labels_up_to,

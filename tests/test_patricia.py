@@ -1,6 +1,7 @@
 """Unit tests for the hashed Patricia trie (Section 4.2)."""
 
 import pytest
+from conftest import check_trie_invariants, trie_nodes
 
 from repro.pubsub.hashing import leaf_hash, node_hash
 from repro.pubsub.patricia import PatriciaTrie
@@ -116,7 +117,7 @@ class TestNavigation:
 
     def test_iter_nodes_counts(self):
         trie = self._build()
-        nodes = list(trie.iter_nodes())
+        nodes = list(trie_nodes(trie))
         leaves = [n for n in nodes if n.is_leaf]
         inner = [n for n in nodes if not n.is_leaf]
         assert len(leaves) == 4
@@ -143,18 +144,18 @@ class TestHashesAndInvariants:
         inner, leaf = trie.search_node("10"), trie.search_node("000")
         one, inner.one = inner.one, None
         with pytest.raises(AssertionError, match="inner node sets both"):
-            trie.check_invariants()
+            check_trie_invariants(trie)
         inner.one, leaf.one = one, one
         with pytest.raises(AssertionError, match="leaf sets neither"):
-            trie.check_invariants()
+            check_trie_invariants(trie)
         leaf.one = None
-        trie.check_invariants()
+        check_trie_invariants(trie)
 
     def test_invariants_hold_after_many_inserts(self):
         trie = PatriciaTrie(key_bits=6)
         for i in range(40):
             trie.insert(Publication.create(i % 5, f"payload-{i}".encode(), key_bits=6))
-        trie.check_invariants()
+        check_trie_invariants(trie)
 
 
 class TestPublicationRecord:

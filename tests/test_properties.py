@@ -7,6 +7,7 @@ from os.path import commonprefix
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from conftest import check_trie_invariants, database_corrupted, label_from_r, trie_nodes
 
 from repro.analysis.convergence import Finding, LegitimacyReport, ring_legitimate
 from repro.analysis.graph_metrics import degree_statistics, diameter, distances, graph
@@ -16,7 +17,6 @@ from repro.core.labels import (
     closer,
     index_of,
     is_valid_label,
-    label_from_r,
     label_length,
     label_of,
     max_level,
@@ -191,7 +191,7 @@ def test_patricia_set_semantics(keys):
         trie.insert(Publication(publisher=1, payload=key.encode(), key=key))
     assert set(trie.keys()) == keys
     assert len(trie) == len(keys)
-    trie.check_invariants()
+    check_trie_invariants(trie)
     for key in keys:
         assert key in trie
         node = trie.search_node(key)
@@ -265,12 +265,12 @@ def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step, malfor
     trie = PatriciaTrie(key_bits=8)
     shared = {}  # key -> the one hand-built record every trie below stores
     for op, key, pick in steps:
-        nodes = sorted(trie.iter_nodes(), key=lambda n: n.label)
+        nodes = sorted(trie_nodes(trie), key=lambda n: n.label)
         node = nodes[pick % len(nodes)] if nodes else None
         if op == "insert":
             trie.insert(shared.setdefault(key, Publication(1, key.encode(), key=key)))
         elif op == "invariants":
-            trie.check_invariants()
+            check_trie_invariants(trie)
         elif node is None:
             assert trie.root_summary() is None
         elif op == "root":
@@ -281,10 +281,10 @@ def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step, malfor
             assert node.child_summaries() == [
                 (child.label, _eager_hash(child)) for child in (node.zero, node.one)]
         if check_every_step:  # reads every hash, so also leaves no cache empty
-            trie.check_invariants()
-        for n in trie.iter_nodes():
+            check_trie_invariants(trie)
+        for n in trie_nodes(trie):
             assert n._hash is None or n._hash == _eager_hash(n), "stale cached hash"
-    trie.check_invariants()
+    check_trie_invariants(trie)
     # A leaf's hash lives on the Publication: tries sharing the instances, filled
     # in other orders and read before, between and after, all hold eager hashes.
     backwards, sorted_order = PatriciaTrie(key_bits=8), PatriciaTrie(key_bits=8)
@@ -296,7 +296,7 @@ def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step, malfor
     for other in (backwards, sorted_order):
         assert other.root_summary() == trie.root_summary()
         assert other.root is None or other.root.hash is trie.root.hash
-        assert all(n.hash == _eager_hash(n) for n in other.iter_nodes())
+        assert all(n.hash == _eager_hash(n) for n in trie_nodes(other))
         assert all(other.get(key) is shared[key] for key in shared)
     for key in malformed:
         publication = Publication(1, key.encode(), key=key)
@@ -306,7 +306,7 @@ def test_patricia_lazy_hashes_equal_eager_hashes(steps, check_every_step, malfor
                 with pytest.raises(ValueError):
                     other.insert(publication)
             assert (other.keys(), other.root_summary()) == before
-            other.check_invariants()
+            check_trie_invariants(other)
 
 
 @given(st.lists(st.text(alphabet="01", min_size=6, max_size=6),
@@ -323,7 +323,7 @@ def test_patricia_xor_split_is_the_common_prefix(keys):
     trie = PatriciaTrie(key_bits=6)
     for count, key in enumerate(keys, start=1):
         assert trie.insert(Publication(1, b"", key=key))
-        for node in trie.iter_nodes():
+        for node in trie_nodes(trie):
             below = [k for k in keys[:count] if k.startswith(node.label)]
             assert node.label == commonprefix(below)
             assert node.is_leaf == (len(below) == 1)
@@ -365,7 +365,7 @@ entries_strategy = st.dictionaries(
 def test_database_repair_always_restores_invariants(entries):
     db = TopicDatabase(entries=dict(entries))
     db.repair_labels()
-    assert not db.is_corrupted()
+    assert not database_corrupted(db)
     # repair never invents subscribers
     survivors = set(db.members())
     original = {v for v in entries.values() if v is not None}
@@ -395,7 +395,7 @@ _db_steps = st.lists(st.one_of(
 @given(_db_steps)
 def test_memoized_hole_scan_equals_a_fresh_scan_after_every_write(steps):
     """``missing_labels`` is remembered until the next ``put``/``remove``/
-    ``clear``; after every step it and ``is_corrupted`` equal a scan of a
+    ``clear``; after every step it and ``database_corrupted`` equal a scan of a
     database rebuilt from the same entries."""
     db = TopicDatabase()
     for op, label, ref in steps:
@@ -410,7 +410,7 @@ def test_memoized_hole_scan_equals_a_fresh_scan_after_every_write(steps):
         fresh = TopicDatabase(entries=dict(db.entries))
         assert db.missing_labels() == fresh.missing_labels() == [
             label_of(i) for i in range(db.n) if label_of(i) not in db.entries]
-        assert db.is_corrupted() == fresh.is_corrupted()
+        assert database_corrupted(db) == database_corrupted(fresh)
 
 
 # ------------------------------------------------ the oracle vs SR(n) per check
@@ -631,7 +631,7 @@ class _World:
             return
         for view in self.views():
             view._plan = view._pair_memo = view._check_memo = view._flood_memo = None
-            for node in view.trie.iter_nodes():
+            for node in trie_nodes(view.trie):
                 node._hash = None  # the Merkle cache: recomputed on the next read
 
     def take(self, who: int, kind: str, arg) -> None:

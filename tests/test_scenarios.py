@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import assert_heapq_order, records_in_flight
+from conftest import assert_heapq_order, queued_events, records_in_flight
 
 from repro.api import SystemSpec, build_stable
 from repro.cli import main
@@ -282,7 +282,7 @@ class TestOneInFlightForm:
         in_flight = records_in_flight(sim)
         assert len(in_flight) == 30 - stats.total_dropped + stats.duplicated + 1
         # the scheduler backlog is the only store: one record per entry
-        assert in_flight == [event for event in sim.scheduler.iter_events()
+        assert in_flight == [event for event in queued_events(sim.scheduler)
                              if event[REC_KIND] == FAST_RECORD_KIND]
         # the spike undercut min_delay for at least one copy
         assert any(record[REC_DELIVER_TIME] - record[REC_SEND_TIME] < sim.config.min_delay

@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import HeapQueue, assert_heapq_order
+from conftest import HeapQueue, assert_heapq_order, pop_event, queued_events
 
 from repro.api import SystemSpec, build_stable
 from repro.scenarios.spec import load_spec_file
@@ -70,10 +70,10 @@ class TestSchedulerUnits:
             for event in events:
                 heap.push(event)
                 wheel.push(event)
-            assert len(heap) == len(wheel) == len(events)
+            assert len(heap) == len(queued_events(wheel)) == len(events)
             for _ in range(len(events)):
-                assert heap.pop() == wheel.pop()
-            assert len(wheel) == 0 and not wheel
+                assert heap.pop() == pop_event(wheel)
+            assert queued_events(wheel) == []
 
     def test_wheel_interleaved_push_pop_stays_ordered(self):
         """Late pushes landing in the bucket currently being drained must be
@@ -91,7 +91,7 @@ class TestSchedulerUnits:
             assert (heap.next_time() is None) == (wheel.next_time() is None)
             if heap.next_time() is None:
                 break
-            a, b = heap.pop(), wheel.pop()
+            a, b = heap.pop(), pop_event(wheel)
             assert a == b
             now = a[0]
             # Push replacements with tiny delays that often hit the current bucket.
@@ -107,9 +107,9 @@ class TestSchedulerUnits:
         wheel.push((1.0, 0, 0, "b"))
         assert wheel.next_time() == 1.0
         assert wheel.next_time() == 1.0
-        assert wheel.pop()[3] == "b"
+        assert pop_event(wheel)[3] == "b"
         assert wheel.next_time() == 2.0
-        assert len(wheel) == 1
+        assert len(queued_events(wheel)) == 1
 
 
 class TestEngineParity:

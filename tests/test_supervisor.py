@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import database_corrupted
 
 from repro.analysis.convergence import ring_legitimate
 from repro.api import SystemSpec, build_stable
@@ -18,47 +19,47 @@ from repro.workloads.initial_states import FORGED
 
 class TestTopicDatabase:
     def test_empty_database_is_not_corrupted(self):
-        assert not TopicDatabase().is_corrupted()
+        assert not database_corrupted(TopicDatabase())
 
     def test_corruption_condition_i_missing_subscriber(self):
         db = TopicDatabase(entries={label_of(0): None})
-        assert db.is_corrupted()
+        assert database_corrupted(db)
         db.repair_labels()
-        assert not db.is_corrupted() and db.n == 0
+        assert not database_corrupted(db) and db.n == 0
 
     def test_corruption_condition_ii_duplicate_subscriber(self):
         db = TopicDatabase(entries={label_of(0): 5, label_of(1): 5})
-        assert db.is_corrupted()
+        assert database_corrupted(db)
         db.repair_labels()
-        assert not db.is_corrupted()
+        assert not database_corrupted(db)
         assert db.entries == {label_of(0): 5}
 
     def test_corruption_condition_iii_missing_label(self):
         # labels l(0) and l(2) present, l(1) missing
         db = TopicDatabase(entries={label_of(0): 1, label_of(2): 2})
-        assert db.is_corrupted()
+        assert database_corrupted(db)
         db.repair_labels()
-        assert not db.is_corrupted()
+        assert not database_corrupted(db)
         assert set(db.entries) == {label_of(0), label_of(1)}
         assert set(db.members()) == {1, 2}
 
     def test_corruption_condition_iv_out_of_range_label(self):
         db = TopicDatabase(entries={label_of(0): 1, label_of(7): 2})
-        assert db.is_corrupted()
+        assert database_corrupted(db)
         db.repair_labels()
         assert set(db.entries) == {label_of(0), label_of(1)}
 
     def test_repair_handles_non_canonical_labels(self):
         db = TopicDatabase(entries={"010": 3, label_of(0): 1})
-        assert db.is_corrupted()
+        assert database_corrupted(db)
         db.repair_labels()
-        assert not db.is_corrupted()
+        assert not database_corrupted(db)
         assert set(db.members()) == {1, 3}
 
     def test_repair_removes_crashed_members(self):
         db = TopicDatabase(entries={label_of(0): 1, label_of(1): 2, label_of(2): 3})
         db.repair_labels(crashed=[2])
-        assert not db.is_corrupted()
+        assert not database_corrupted(db)
         assert set(db.members()) == {1, 3}
         assert set(db.entries) == {label_of(0), label_of(1)}
 
@@ -159,7 +160,7 @@ class TestOrderedDatabaseDifferential:
             step()
             self._assert_matches_reference(db, refs)
         db.repair_labels()
-        assert not db.is_corrupted()
+        assert not database_corrupted(db)
         self._assert_matches_reference(db, refs)
 
     def test_direct_writes_to_entries_raise(self):
@@ -200,7 +201,7 @@ class TestSupervisorHandlers:
         db = sup.database()
         assert db.label_for(10) is None
         assert db.label_for(12) == label_of(0)
-        assert not db.is_corrupted()
+        assert not database_corrupted(db)
 
     def test_unsubscribe_last_node(self, supervised):
         sim, sup = supervised([10])

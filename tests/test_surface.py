@@ -37,13 +37,6 @@ _TASK = "reached by its 'module:function' string through exec.backend.resolve_ta
 KEPT = {
     "run_scenario_task": _TASK, "run_experiment_task": _TASK, "run_fuzz_case": _TASK,
     "echo": _TASK + " — the exec tests' trivial task",
-    "topic_assignment": "cluster inspection: which shard owns which topic (tests/test_cluster.py)",
-    "shard_topic_counts": "cluster inspection: per-shard topic load after a rebalance",
-    "label_from_r": "the inverse of r (Section 2.1) in repro.core's label algebra; "
-                    "the closed-form shortcut reference in tests/test_properties.py reads it",
-    "check_invariants": "structural + Merkle oracle of the trie, asserted by four test files",
-    "iter_events": "the scheduler's pending events: the in-flight oracle of tests/conftest.py "
-                   "and the backlog four more test files read",
 }
 
 

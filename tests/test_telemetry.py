@@ -4,8 +4,8 @@ Covers the histogram's determinism contract (byte-reproducible state,
 order-invariant merges, percentile edge cases), the span timeline, the
 ``SystemSpec.telemetry`` switch and what ``build_system`` turns on, the
 observer-effect guarantees, RunReport/CampaignReport
-serialization shapes, jobs-1-vs-N byte parity with telemetry on, the
-tracer truncation accounting, and the ``python -m repro metrics`` verb.
+serialization shapes, jobs-1-vs-N byte parity with telemetry on, and the
+``python -m repro metrics`` verb on run and campaign artifacts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.api.builder import build_system
 from repro.api.report import RunReport
 from repro.api.spec import SystemSpec
 from repro.sim.engine import Simulator, SimulatorConfig
-from repro.sim.tracing import Tracer
 from repro.telemetry import (
     LatencyHistogram,
     ROUNDS_SPEC,
@@ -257,8 +256,9 @@ class TestEngineTelemetry:
         on, off = self._run(telemetry=True), self._run(telemetry=False)
         assert on.steps_executed == off.steps_executed
         assert on.now == off.now
-        assert (on.network.stats.to_summary_dict(include_latency=False)
-                == off.network.stats.to_summary_dict())
+        summary = on.network.stats.to_summary_dict()
+        del summary["delivery_latency"]
+        assert summary == off.network.stats.to_summary_dict()
 
     def test_profiling_hooks(self):
         sim = self._run(telemetry=False)
@@ -374,40 +374,6 @@ class TestCampaignTelemetry:
         assert "telemetry" not in campaign.to_dict()
 
 
-# ------------------------------------------------------------------ tracer
-class TestTracerTruncation:
-    def test_drop_accounting(self):
-        tracer = Tracer(max_events=2)
-        for i in range(5):
-            tracer.record(float(i), "tick")
-        assert len(tracer.events) == 2
-        assert tracer.events_dropped == 3
-        assert tracer.truncated is True
-        # Counters still saw every event.
-        assert tracer.counters["tick"] == 5
-
-    def test_untruncated_tracer(self):
-        tracer = Tracer()
-        tracer.record(0.0, "tick")
-        assert tracer.truncated is False
-        assert tracer.events_dropped == 0
-
-    def test_runner_warns_once(self):
-        import warnings
-
-        from repro.scenarios.library import get_scenario
-        from repro.scenarios.runner import ScenarioRunner
-
-        runner = ScenarioRunner(get_scenario("lossy-network"), seed=0)
-        runner.system.sim.tracer.events_dropped = 7
-        with pytest.warns(RuntimeWarning, match="truncated"):
-            runner._warn_if_truncated()
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            runner._warn_if_truncated()  # warned already: silent
-        assert not records
-
-
 # --------------------------------------------------------------------- CLI
 class TestMetricsCli:
     def test_render_run_report(self, tmp_path, lossy_telemetry_report, capsys):
@@ -438,3 +404,16 @@ class TestMetricsCli:
         assert main(["metrics", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == lossy_telemetry_report.telemetry
+
+    def test_render_campaign_report(self, tmp_path, capsys):
+        """A campaign artifact renders the merged block it carries."""
+        from repro.cli import main
+        from repro.exec.campaign import CampaignRunner
+
+        campaign = CampaignRunner(TestCampaignTelemetry._sweep(), jobs=1).run()
+        path = tmp_path / "campaign.json"
+        path.write_text(campaign.to_json())
+        assert main(["metrics", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"merged telemetry across {len(campaign.tasks)} runs" in out
+        assert "delivery latency" in out
