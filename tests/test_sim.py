@@ -247,6 +247,35 @@ class TestTracerAndFailureDetector:
         assert tracer.events == []
         assert tracer.counters["k"] == 5
 
+    def test_tracer_keeps_every_event_in_order(self):
+        """The log has no cap: every recorded event is kept, in record order,
+        and the counters agree with it."""
+        tracer = Tracer()
+        for i in range(10):
+            tracer.record(float(i), "k" if i % 3 else "j", node=i)
+        assert [e.node for e in tracer.events] == list(range(10))
+        assert [e.time for e in tracer.events] == [float(i) for i in range(10)]
+        assert tracer.counters == {"j": 4, "k": 6}
+
+    def test_trace_log_matches_counters_on_a_run(self):
+        """With ``keep_trace_events`` on, every counted event of a scenario
+        run is also in the log, in time order."""
+        from collections import Counter
+
+        from repro.api.builder import build_system
+        from repro.api.spec import SystemSpec
+        from repro.scenarios.library import get_scenario
+        from repro.scenarios.runner import ScenarioRunner
+
+        system = build_system(SystemSpec(
+            seed=3, sim=SimulatorConfig(seed=3, keep_trace_events=True)))
+        ScenarioRunner(get_scenario("lossy-network"), seed=0, system=system).run()
+        tracer = system.sim.tracer
+        assert tracer.counters["publish"] > 0 and tracer.counters["flood_delivery"] > 0
+        assert Counter(event.kind for event in tracer.events) == tracer.counters
+        times = [event.time for event in tracer.events]
+        assert times == sorted(times)
+
     def test_failure_detector_lag(self):
         detector = FailureDetector(detection_lag=5.0)
         detector.notify_crash(1, time=10.0)

@@ -260,6 +260,13 @@ class TestEngineTelemetry:
         del summary["delivery_latency"]
         assert summary == off.network.stats.to_summary_dict()
 
+    @pytest.mark.parametrize("telemetry", [True, False], ids=["on", "off"])
+    def test_summary_carries_latency_exactly_with_a_histogram(self, telemetry):
+        summary = self._run(telemetry=telemetry).network.stats.to_summary_dict()
+        assert ("delivery_latency" in summary) is telemetry
+        if telemetry:
+            assert summary["delivery_latency"]["count"] == summary["total_delivered"]
+
     def test_profiling_hooks(self):
         sim = self._run(telemetry=False)
         assert sim.profile_snapshot() is None
@@ -417,3 +424,26 @@ class TestMetricsCli:
         out = capsys.readouterr().out
         assert f"merged telemetry across {len(campaign.tasks)} runs" in out
         assert "delivery latency" in out
+
+    def test_campaign_json_mode_prints_the_merged_block(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.exec.campaign import CampaignRunner
+
+        campaign = CampaignRunner(TestCampaignTelemetry._sweep(), jobs=1).run()
+        path = tmp_path / "campaign.json"
+        path.write_text(campaign.to_json())
+        assert main(["metrics", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == campaign.telemetry
+
+    def test_campaign_without_telemetry_exits_1(self, tmp_path, capsys):
+        """A campaign run with telemetry off carries no merged block, so the
+        verb has nothing to render."""
+        from repro.cli import main
+        from repro.exec.campaign import CampaignRunner
+        from repro.exec.demo import e13_loss_shards
+
+        campaign = CampaignRunner(e13_loss_shards(seed=0), jobs=1).run()
+        path = tmp_path / "campaign.json"
+        path.write_text(campaign.to_json())
+        assert main(["metrics", str(path)]) == 1
+        assert "no telemetry" in capsys.readouterr().err
