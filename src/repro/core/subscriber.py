@@ -17,6 +17,11 @@ Algorithms 1–2), the probabilistic configuration requests to the supervisor
 shortcut introductions (Section 3.2.2), and one anti-entropy exchange with a
 random ring neighbour (Algorithm 5).
 
+A departure from list linearization (Onus, Richa and Scheideler, ALENEX 2007),
+which moves a delegated reference one list position per hop: a view hands it
+to the stored reference nearest it that does not overshoot, a list neighbour or
+a shortcut, as skip graphs route (Aspnes and Shah, SODA 2003), in O(log n) hops.
+
 Each message handler is a :class:`Subscriber` ``on_<Action>`` method that
 finds the view of the message's topic and does the work itself.
 
@@ -314,12 +319,10 @@ class TopicView:
         assert self.label is not None
         own = self.label.rstrip("0")
         if self.left is not None and self.left.label.rstrip("0") >= own:
-            stale = self.left
-            self.left = None
+            stale, self.left = self.left, None
             self._integrate(stale.label, stale.ref)
         if self.right is not None and self.right.label.rstrip("0") <= own:
-            stale = self.right
-            self.right = None
+            stale, self.right = self.right, None
             self._integrate(stale.label, stale.ref)
         if self.ring is not None:
             if self.ring.ref == self.node_id:
@@ -327,17 +330,16 @@ class TopicView:
             elif self.left is not None and self.right is not None:
                 # A node with both list neighbours is not an endpoint: the wrap
                 # pointer is stale, push it back into the list.
-                stale = self.ring
-                self.ring = None
+                stale, self.ring = self.ring, None
                 self._integrate(stale.label, stale.ref)
 
     # ------------------------------------------------------------- integrate
     def _integrate(self, cand_label: Label, cand_ref: NodeRef, cyc: bool = False) -> None:
         """Linearization: place a reference where it belongs or delegate it
-        towards its position (Algorithm 1 / Algorithm 2).  ``cyc``: it came
-        flagged CYC — its sender believes we are an endpoint of the sorted
-        list and it is our wrap-around partner.  Ring order is read off the
-        labels (``ring_key``, once per label)."""
+        towards its position (Algorithm 1 / Algorithm 2), over the shortcuts:
+        a departure, see the module docstring.  ``cyc``: it came flagged CYC —
+        its sender believes we are an endpoint of the sorted list and it is our
+        wrap-around partner.  Ring order is read off the labels (``ring_key``)."""
         if (cand_ref == self.node_id or not isinstance(cand_ref, int)
                 or not is_valid_label(cand_label)):
             return
@@ -364,13 +366,21 @@ class TopicView:
                     return
                 current = None  # the same neighbour, under its new label
             else:
-                # On one side of us the nearer label is the later in ring order
-                # towards us; a neighbour on the wrong side is measured.
                 cur_r = current.label.rstrip("0")
-                if not ((cand_r > cur_r if on_left else cand_r < cur_r)
-                        if (cur_r < own) == on_left else closer(cand_label, current.label, label)):
-                    # Delegate the candidate towards its position.
-                    self.send(current.ref, msg.LINEARIZE, node=cand_ref, label=cand_label)
+                if (cur_r < own) != on_left:  # a neighbour on the wrong side is measured
+                    if not closer(cand_label, current.label, label):
+                        self.send(current.ref, msg.LINEARIZE, node=cand_ref, label=cand_label)
+                        return
+                elif not (cand_r > cur_r if on_left else cand_r < cur_r):
+                    # Not nearer than the neighbour: delegate it to the stored ref whose
+                    # key lies nearest it without overshooting (neighbour or shortcut).
+                    dest, best = current.ref, cur_r
+                    for lbl, ref in self.shortcuts.items():
+                        key = lbl.rstrip("0")
+                        if ((cand_r < key < best if on_left else best < key < cand_r)
+                                and ref not in (None, self.node_id, cand_ref)):
+                            dest, best = ref, key
+                    self.send(dest, msg.LINEARIZE, node=cand_ref, label=cand_label)
                     return
         if on_left:
             self.left = Neighbor(cand_label, cand_ref)
@@ -388,10 +398,8 @@ class TopicView:
             if self.ring is None or self.ring.label != cand_label:
                 self.ring = Neighbor(cand_label, cand_ref)
             return
-        current_r = self.ring.label.rstrip("0")
-        cand_r = cand_label.rstrip("0")
-        keep_candidate = cand_r > current_r if prefer_larger else cand_r < current_r
-        if keep_candidate:
+        current_r, cand_r = self.ring.label.rstrip("0"), cand_label.rstrip("0")
+        if (cand_r > current_r if prefer_larger else cand_r < current_r):
             loser = self.ring
             self.ring = Neighbor(cand_label, cand_ref)
             self._integrate(loser.label, loser.ref)
@@ -530,9 +538,6 @@ class Subscriber(ProtocolNode):
             self.views[topic] = TopicView(self, topic, subscribed=subscribed)
         return self.views[topic]
 
-    def topics(self) -> List[str]:
-        return sorted(self.views)
-
     # ------------------------------------------------------------- public API
     def subscribe(self, topic: Optional[str] = None) -> None:
         """Start participating in ``topic``; the protocol contacts the
@@ -576,7 +581,6 @@ class Subscriber(ProtocolNode):
         # (only view() adds a view, and none is ever removed).
         for view in self.views.values():
             view.timeout()
-
 
     # ------------------------------------------------------- message handlers
     # Each handler finds its view with the same expression — one dict lookup

@@ -12,12 +12,6 @@ from __future__ import annotations
 from typing import Any, Dict
 
 
-def echo(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Diagnostic task: return the payload unchanged (task runner
-    plumbing tests)."""
-    return {"echo": dict(payload)}
-
-
 def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one adversarial scenario; return the unified
     :class:`~repro.api.report.RunReport` dict (the full

@@ -75,18 +75,19 @@ class TestTheorem8Convergence:
         system, _ = build_adversarial_system(config)
         assert system.run_until_legitimate(max_rounds=1500)
 
-    def test_a_first_hit_is_followed_by_two_wrong_level_0_shortcuts(self):
-        """From a corrupted start, legitimacy is a first-hitting time: ten
-        rounds after the first legitimate check at n = 32, two subscribers
-        hold a wrong level-0 shortcut, named as records, not parsed strings."""
+    def test_a_first_hit_at_n_32_holds_for_80_checks(self):
+        """From a corrupted start, legitimacy is a first-hitting time.  With
+        delegations routed over the shortcuts, the probe that once found two
+        wrong level-0 shortcuts ten rounds after the first hit finds every one
+        of 80 checks, ten rounds apart, legitimate."""
         config = AdversarialConfig(32, 7, database_mode="corrupted", components=2)
         system = build_adversarial_system(config)[0]
         assert system.run_until_legitimate(max_rounds=3000)
-        assert system.sim.now == 60 * system.sim.config.timeout_period
-        system.run_rounds(10)
-        report = system.legitimacy_report()
-        assert report.findings == [(6, "shortcut@0", 29, 1), (27, "shortcut@0", 29, None)]
-        assert report.failed() == {"shortcut"} and not report.legitimate
+        assert system.sim.now == 65 * system.sim.config.timeout_period
+        for check in range(80):
+            system.run_rounds(10)
+            report = system.legitimacy_report()
+            assert report.legitimate, (check, report.findings)
 
     def test_convergence_with_pseudocode_getconfiguration_variant(self):
         config = AdversarialConfig(n=8, seed=9, database_mode="empty")

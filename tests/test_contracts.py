@@ -198,7 +198,7 @@ FINDING = FuzzFinding(finding_id="f", signature=("invariant:x",), kind="oracle",
 #: One instance of every class that decodes, then the encode-only ones.
 ARTIFACTS = [SYSTEM, SCENARIO, PHASE, PARTITION, SWEEP, FUZZ, LIMITS, ORACLE,
              Verdict(failed=True, reasons=("r",), signature=("s",)),
-             TaskSpec(task_id="t", fn="repro.exec.tasks:echo", payload={"a": [1]}),
+             TaskSpec(task_id="t", fn="exec_tasks:echo", payload={"a": [1]}),
              TaskFailure(task_id="t", fn="m:f", kind="crash", detail="KeyError: 'x'"),
              RUN_REPORT, SCENARIO_REPORT, PHASE_REPORT,
              CampaignReport(name="w", master_seed=7, sweep=SWEEP.to_dict(), telemetry={"runs": 1},

@@ -31,7 +31,7 @@ from repro.exec.backend import canonicalize, resolve_task_fn
 
 
 def echo_tasks(count: int = 3):
-    return [TaskSpec(task_id=f"t{i}", fn="repro.exec.tasks:echo",
+    return [TaskSpec(task_id=f"t{i}", fn="exec_tasks:echo",
                      payload={"i": i, "nested": {"tuple_becomes": [1, 2]}})
             for i in range(count)]
 

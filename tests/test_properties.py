@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) for the core data structures and invariants."""
 
 
+import functools
 from fractions import Fraction
 from os.path import commonprefix
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from conftest import check_trie_invariants, database_corrupted, label_from_r, trie_nodes
 
@@ -25,11 +27,12 @@ from repro.core.labels import (
 )
 from repro.core.shortcuts import _reflect, shortcut_labels
 from repro.core.skip_ring import SkipRingTopology
-from repro.core.subscriber import Neighbor, Subscriber
+from repro.core.subscriber import Neighbor, Subscriber, TopicView
 from repro.core.supervisor import TopicDatabase
 from repro.pubsub.hashing import leaf_hash, node_hash
 from repro.pubsub.patricia import PatriciaTrie
 from repro.pubsub.publications import Publication
+from repro.sim.engine import Simulator, SimulatorConfig
 from repro.workloads.initial_states import FORGED, AdversarialConfig, build_adversarial_system
 from test_antientropy import reconcile_once  # the test-only pairwise driver
 
@@ -177,6 +180,82 @@ def test_skip_ring_invariants_for_arbitrary_n(n):
     assert stats.maximum <= 2 * max_level(n)
     assert len(distances(adj, 0)) == len(adj)
     assert diameter(adj) <= max_level(n) + 1
+
+
+# ------------------------------------------------ shortcut-routed delegation
+_route_label = st.text(alphabet="01", min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_route_label, min_size=3, max_size=3, unique_by=r_value), st.booleans(),
+       st.booleans(),
+       st.dictionaries(_route_label, st.sampled_from([None, 1, 9, 2, 3, 4, 5]), max_size=8))
+def test_a_delegation_goes_to_the_nearest_stored_ref_short_of_the_candidate(
+        three, on_left, wrong_side, shortcuts):
+    """Against the ``r``-value spec: with the list neighbour on the
+    candidate's side, the ``Linearize`` goes to a ref stored nearest the
+    candidate among the neighbour and the shortcuts strictly between us and
+    it (never ``None``, ours (1) or the candidate's own (9)); with the
+    neighbour on the wrong side, to the neighbour, as list linearization does."""
+    low, mid, high = sorted(three, key=r_value)
+    if wrong_side:  # on our other side, and the candidate is no nearer to us
+        cand, own, cur = (low, mid, high) if on_left else (high, mid, low)
+        assume(not closer(cand, cur, own))
+    else:  # between us and the candidate
+        cand, cur, own = (low, mid, high) if on_left else (high, mid, low)
+    own_r, cand_r, cur_r = r_value(own), r_value(cand), r_value(cur)
+    sim = Simulator(SimulatorConfig(seed=0))
+    sub = Subscriber(1, lambda topic: 0)
+    sim.add_node(sub, schedule_timeout=False)
+    sends = []
+    sim._send_fast = lambda sender, topic, batch: sends.extend(batch)
+    view = sub.view(subscribed=True)
+    view.label, view.shortcuts = own, dict(shortcuts)
+    setattr(view, "left" if on_left else "right", Neighbor(cur, 2))
+    sub.on_Linearize(9, cand)
+    ((dest, action, params),) = sends
+    assert (action, params) == (msg.LINEARIZE, {"node": 9, "label": cand})
+    if wrong_side:
+        assert dest == 2
+        return
+    stored = [(cur_r, 2)] + [
+        (r_value(lbl), ref) for lbl, ref in shortcuts.items()
+        if ref not in (None, 1, 9) and min(own_r, cand_r) < r_value(lbl) < max(own_r, cand_r)]
+    nearest = min(abs(r - cand_r) for r, _ in stored)
+    assert nearest in {abs(r - cand_r) for r, ref in stored if ref == dest}
+
+
+@functools.lru_cache(maxsize=None)
+def _stable_ring(n):
+    system, subscribers = build_stable(SystemSpec(seed=n), n)
+    return {sub.node_id: sub for sub in subscribers}
+
+
+@SLOW
+@given(st.sampled_from([8, 13, 32, 64]), st.data())
+def test_a_walk_in_a_legitimate_ring_takes_at_most_2_log_n_hops(n, data):
+    """Delegated to a member it already holds, a reference walks, each hop
+    strictly nearer it without overshooting, to that member's list neighbour
+    in at most ``2⌈log n⌉`` hops (one list position per hop took up to n − 2)."""
+    ring = _stable_ring(n)
+    holder, cand = data.draw(st.permutations(sorted(ring)))[:2]
+    label = ring[cand].view().label
+    cand_r, hops, sends = r_value(label), 0, []
+    with mock.patch.object(TopicView, "send",
+                           lambda view, dest, action, **params: sends.append((dest, action))):
+        while True:
+            ring[holder].view()._integrate(label, cand)
+            if not sends:
+                break
+            ((dest, action),) = sends
+            sends.clear()
+            here, there = r_value(ring[holder].view().label), r_value(ring[dest].view().label)
+            assert action == msg.LINEARIZE and abs(there - cand_r) < abs(here - cand_r)
+            assert (there - cand_r) * (here - cand_r) > 0  # not past the candidate
+            holder, hops = dest, hops + 1
+    view = ring[holder].view()
+    assert cand in {view.left.ref if view.left else None, view.right.ref if view.right else None}
+    assert hops <= 2 * max_level(n)
 
 
 # ---------------------------------------------------------------- patricia

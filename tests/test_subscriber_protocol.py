@@ -180,6 +180,64 @@ class TestIntroduceAndLinearize:
         assert view.shortcuts["11"] == c.node_id
 
 
+class TestShortcutRoutedDelegation:
+    """A delegated reference goes to the stored ref whose label key lies
+    nearest it without overshooting: the list neighbour or a shortcut strictly
+    between our key and the candidate's (skip ring routing, a departure from
+    list linearization's one position per hop)."""
+
+    def _delegate(self, label, current, shortcuts, cand_label, on_left=True):
+        """The destination of the ``Linearize`` a view labelled ``label``
+        sends for candidate ref 9 under ``cand_label`` (refs are node ids)."""
+        sim, sup, subs = make_world(9)
+        view = subs[0].view(subscribed=True)
+        view.label = label
+        setattr(view, "left" if on_left else "right", current)
+        view.shortcuts = dict(shortcuts)
+        subs[0].on_Linearize(9, cand_label)
+        (record,) = records_in_flight(sim, action=msg.LINEARIZE)
+        assert record[REC_PARAMS] == {"node": 9, "label": cand_label}
+        return record[REC_DEST]
+
+    def test_the_nearest_shortcut_short_of_the_candidate_is_taken(self):
+        # own r = 1/2, neighbour 3/8, shortcuts 1/4 and 1/8; candidate 1/16
+        assert self._delegate("1", Neighbor("011", 2), {"01": 3, "001": 4}, "0001") == 4
+
+    def test_the_right_side_mirrors_the_left(self):
+        # own r = 1/4, neighbour 3/8, shortcuts 1/2 and 3/4; candidate 7/8
+        assert self._delegate("01", Neighbor("011", 2), {"1": 3, "11": 4}, "111",
+                              on_left=False) == 4
+
+    def test_a_shortcut_past_the_candidate_or_on_our_other_side_is_not_taken(self):
+        # 1/32 overshoots the candidate at 1/16, 3/4 lies on our other side
+        shortcuts = {"00001": 5, "11": 6, "01": 3}
+        assert self._delegate("1", Neighbor("011", 2), shortcuts, "0001") == 3
+
+    def test_a_shortcut_at_the_candidates_key_is_not_taken(self):
+        assert self._delegate("1", Neighbor("011", 2), {"00010": 5}, "0001") == 2
+
+    def test_none_our_own_and_the_candidates_refs_are_skipped(self):
+        # nearer stored labels, but no ref, ours (1) or the candidate's (9)
+        shortcuts = {"001": None, "0011": 1, "00011": 9, "01": 3}
+        assert self._delegate("1", Neighbor("011", 2), shortcuts, "0001") == 3
+
+    def test_with_no_usable_shortcut_the_neighbour_takes_it(self):
+        assert self._delegate("1", Neighbor("011", 2), {"001": None, "11": 6}, "0001") == 2
+
+    def test_a_neighbour_on_the_wrong_side_falls_back_to_list_linearization(self):
+        # An arbitrary state: ``left`` holds 3/4 > 1/2.  The candidate at 1/8
+        # is farther from us than it, so it goes there, past the shortcut at 1/4.
+        assert self._delegate("1", Neighbor("11", 2), {"01": 3}, "001") == 2
+
+    def test_a_stale_shortcut_label_never_carries_the_candidate_past_its_position(self):
+        # Node 5 is stored under 1/32, a label this view does not expect (a stale
+        # entry, pruned at its next Timeout).  The stored label is all the view
+        # knows, and it lies past the candidate at 1/16: the walk stays on the
+        # list.  Stored under 3/32, short of the candidate, the entry is taken.
+        assert self._delegate("1", Neighbor("011", 2), {"00001": 5}, "0001") == 2
+        assert self._delegate("1", Neighbor("011", 2), {"00011": 5}, "0001") == 5
+
+
 class TestShortcutHandling:
     def test_expected_shortcut_is_stored(self):
         sim, sup, (a, b, c) = make_world()

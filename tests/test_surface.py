@@ -36,7 +36,6 @@ _TASK = "reached by its 'module:function' string through exec.backend.resolve_ta
 #: Names with no by-name reader that stay, each with the reader it does have.
 KEPT = {
     "run_scenario_task": _TASK, "run_experiment_task": _TASK, "run_fuzz_case": _TASK,
-    "echo": _TASK + " — the exec tests' trivial task",
 }
 
 
