@@ -12,8 +12,7 @@ every artifact is written one way, stated here and nowhere else:
   raises ``TypeError`` naming it.  At construction, a nested dataclass field
   given as a dict is rebuilt from the field's type, and a tuple field given
   as a list becomes a tuple.  Any other value not of a class-typed field's
-  class raises ``ValueError`` naming the field — a coverage map given as its
-  dict too, so a report that holds one is encode-only;
+  class raises ``ValueError`` naming the field;
 * **JSON** — :func:`canonical_json`: sorted keys and compact separators, or
   ``indent``-ed lines for humans.
 
@@ -48,17 +47,13 @@ def canonical_json(payload: Any, indent: Optional[int] = None) -> str:
 
 
 def _encode(value: Any) -> Any:
-    """``value`` in JSON shape: dataclasses as field dicts, tuples as lists.
-    A value that is neither a dataclass nor JSON-shaped (a coverage map)
-    gives its own ``to_dict()``."""
+    """``value`` in JSON shape: dataclasses as field dicts, tuples as lists."""
     if value is None or isinstance(value, (str, int, float)):
         return value
     if isinstance(value, (list, tuple)):
         return [_encode(item) for item in value]
     if isinstance(value, dict):
         return {key: _encode(item) for key, item in value.items()}
-    if not is_dataclass(value):
-        return value.to_dict()
     cls = type(value)
     omit = getattr(cls, "_omit_none", ())
     out = {name: _encode(getattr(value, name)) for name in _field_names(cls)

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 from repro.api.report import RunReport, format_table
 from repro.artifact import canonical_json
 from repro.exec.backend import FAILURE_KEY, TaskSpec, run_tasks
-from repro.exec.campaign import CampaignReport, CampaignRunner
+from repro.exec.campaign import SCENARIO_TASK_FN, CampaignReport, CampaignRunner
 from repro.exec.demo import DEMO_SWEEPS, get_demo_sweep
 from repro.exec.sweep import SweepSpec
 from repro.fuzz.campaign import FuzzCampaign, FuzzConfig, FuzzReport
@@ -142,7 +142,7 @@ def _scenario(args: argparse.Namespace) -> int:
             payload["system"] = (
                 spec.system_spec(seed=seed).with_overrides(telemetry=True).to_dict())
         tasks.append(TaskSpec(task_id=spec.name,
-                              fn="repro.exec.tasks:run_scenario_task",
+                              fn=SCENARIO_TASK_FN,
                               payload=payload))
     results = list(run_tasks(tasks, jobs=args.jobs))
     reports = [ScenarioReport.from_dict(result["scenario"]) for result in results]
@@ -222,8 +222,6 @@ def _fuzz_summary(report: FuzzReport) -> str:
         f"fuzz campaign (seed {cfg.seed}): {report.iterations}/"
         f"{cfg.budget_iters} iterations"
         + (" [truncated by --budget-seconds]" if report.truncated else ""),
-        f"  coverage: {len(report.coverage)} keys "
-        f"({len(report.trail)} discovering runs)",
         f"  findings: {len(report.findings)}",
     ]
     for finding in report.findings:

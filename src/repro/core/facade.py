@@ -281,20 +281,13 @@ class SupervisedPubSub:
                                          check_every_rounds: int = DEFAULT_CHECK_EVERY_ROUNDS,
                                          ) -> bool:
         """Run until every live member of ``topic`` stores every expected
-        publication, or ``max_rounds`` timeout periods elapse.  On success the
-        ``on_delivery`` hook fires with the topic, the expected keys and the
-        rounds the drive took."""
+        publication, or ``max_rounds`` timeout periods elapse."""
         topic = topic or self.params.default_topic
         period = self.sim.config.timeout_period
-        start = self.sim.now
-        ok = self.sim.run_until(
+        return self.sim.run_until(
             lambda: self.publications_converged(topic, expected_keys),
             check_every=check_every_rounds * period,
             max_time=max_rounds * period)
-        if ok:
-            self.hooks.emit_delivery(topic, expected_keys or (),
-                                     (self.sim.now - start) / period)
-        return ok
 
     # ------------------------------------------------------------- inspection
     def members(self, topic: Optional[str] = None) -> List[NodeRef]:

@@ -3,7 +3,7 @@
 Every facade (:class:`~repro.core.facade.SupervisedPubSub`) owns a
 :class:`HookRegistry` at ``system.hooks``.  Drivers register plain callbacks
 for the lifecycle events they care about instead of polling inspection
-methods (``is_legitimate()``, ``publications_converged()``) in ad-hoc loops:
+methods (``is_legitimate()``) in ad-hoc loops:
 
 ======================  =====================================================
 event                   fired when / callback signature
@@ -13,8 +13,6 @@ event                   fired when / callback signature
 ``on_relegitimacy``     a ``run_until_legitimate`` drive succeeds —
                         ``(topics, rounds)`` (tuple of topics checked, rounds
                         the drive took)
-``on_delivery``         a ``run_until_publications_converged`` drive
-                        succeeds — ``(topic, expected_keys, rounds)``
 ``on_supervisor_crash`` a supervisor shard is crashed
                         (:meth:`~repro.core.facade.SupervisedPubSub.crash_supervisor`)
                         — ``(shard_id, moved_topics)``
@@ -43,11 +41,10 @@ from __future__ import annotations
 
 from inspect import CO_VARARGS
 from types import MethodType
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 #: The typed events a :class:`HookRegistry` dispatches.
-HOOK_EVENTS = ("subscribe", "relegitimacy", "delivery", "supervisor_crash",
-               "phase")
+HOOK_EVENTS = ("subscribe", "relegitimacy", "supervisor_crash", "phase")
 
 
 def _check_arity(callback: Callable, arity: int, event: str) -> None:
@@ -69,13 +66,11 @@ def _check_arity(callback: Callable, arity: int, event: str) -> None:
 class HookRegistry:
     """Per-system registry of typed lifecycle callbacks."""
 
-    __slots__ = ("_subscribe", "_relegitimacy", "_delivery",
-                 "_supervisor_crash", "_phase")
+    __slots__ = ("_subscribe", "_relegitimacy", "_supervisor_crash", "_phase")
 
     def __init__(self) -> None:
         self._subscribe: List[Callable] = []
         self._relegitimacy: List[Callable] = []
-        self._delivery: List[Callable] = []
         self._supervisor_crash: List[Callable] = []
         self._phase: List[Callable] = []
 
@@ -89,13 +84,6 @@ class HookRegistry:
                         ) -> "HookRegistry":
         """``callback(topics, rounds)`` whenever a legitimacy drive succeeds."""
         return self._add(self._relegitimacy, callback, 2, "relegitimacy")
-
-    def on_delivery(self,
-                    callback: Callable[[str, frozenset, float], None],
-                    ) -> "HookRegistry":
-        """``callback(topic, expected_keys, rounds)`` whenever a
-        publication-convergence drive succeeds."""
-        return self._add(self._delivery, callback, 3, "delivery")
 
     def on_supervisor_crash(self,
                             callback: Callable[[int, Tuple[str, ...]], None],
@@ -129,13 +117,6 @@ class HookRegistry:
             for callback in self._relegitimacy:
                 callback(topics, rounds)
 
-    def emit_delivery(self, topic: str, expected_keys: Iterable[str],
-                      rounds: float) -> None:
-        if self._delivery:
-            keys = frozenset(expected_keys) if expected_keys else frozenset()
-            for callback in self._delivery:
-                callback(topic, keys, rounds)
-
     def emit_supervisor_crash(self, shard_id: int,
                               moved_topics: Sequence[str]) -> None:
         if self._supervisor_crash:
@@ -147,15 +128,6 @@ class HookRegistry:
         if self._phase:
             for callback in self._phase:
                 callback(name, phase_report)
-
-    # ----------------------------------------------------------------- merging
-    def merge(self, other: "HookRegistry") -> "HookRegistry":
-        """Append every callback registered on ``other`` to this registry
-        (used when a driver combines its own hooks with a system that already
-        has some — neither side's registrations are lost)."""
-        for event in HOOK_EVENTS:
-            getattr(self, f"_{event}").extend(getattr(other, f"_{event}"))
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         active = {event: len(getattr(self, f"_{event}")) for event in HOOK_EVENTS

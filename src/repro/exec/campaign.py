@@ -34,7 +34,8 @@ from repro.exec.sweep import SweepSpec, SweepTask
 #: :class:`SweepTask`; invoked in sweep order.
 CampaignProgressFn = Callable[[SweepTask, Dict[str, Any], int, int], None]
 
-#: Dotted reference of the task function every sweep point runs.
+#: Dotted reference of the task function every sweep point, ``scenario``
+#: verb run, fuzz case and shrink re-check runs.
 SCENARIO_TASK_FN = "repro.exec.tasks:run_scenario_task"
 
 

@@ -25,7 +25,6 @@ def e13_loss_shards(seed: int = 0) -> SweepSpec:
         publications=6,
         joins=3,
         crashes=2,
-        window_rounds=20.0,
     )
 
 

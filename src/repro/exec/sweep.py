@@ -17,8 +17,9 @@ Every task point materializes as one scenario run: either a named scenario
 from :mod:`repro.scenarios.library` (with the swept axes overriding its
 sizing) or, when the scenario axis is unset, a synthesized single-phase
 "window" scenario — n subscribers stabilized, then a disruption window of
-``window_rounds`` with ``publications`` publications under ``loss_rate``,
-measured by the standard scenario invariants.  Axes left empty inherit from
+:class:`~repro.scenarios.spec.PhaseSpec`'s default length and settle
+budget with ``publications`` publications under ``loss_rate``, measured by
+the standard scenario invariants.  Axes left empty inherit from
 the base spec (or the named scenario), so a sweep only states what varies.
 """
 
@@ -87,10 +88,11 @@ class SweepSpec(Artifact):
         scenario instead.
     seeds:
         Number of seed replicates per grid point (>= 1).
-    window_rounds / settle_rounds / publications / joins / crashes:
+    publications / joins / crashes:
         Shape of the synthesized window scenario (ignored for named
-        scenarios): window length, settle budget, publications issued, and
-        membership churn spread over the window.
+        scenarios): publications issued and membership churn spread over
+        the window.  The window's length and settle budget are
+        :class:`~repro.scenarios.spec.PhaseSpec`'s defaults.
     """
 
     name: str
@@ -100,8 +102,6 @@ class SweepSpec(Artifact):
     scenarios: Tuple[Optional[str], ...] = ()
     loss_rates: Tuple[float, ...] = ()
     seeds: int = 1
-    window_rounds: float = 20.0
-    settle_rounds: float = 400.0
     publications: int = 4
     joins: int = 0
     crashes: int = 0
@@ -122,10 +122,6 @@ class SweepSpec(Artifact):
         require_int_fields(self, "seeds", "publications", "joins", "crashes")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
-        if self.window_rounds <= 0:
-            raise ValueError("window_rounds must be positive")
-        if self.settle_rounds < 0:
-            raise ValueError("settle_rounds must be non-negative")
         if self.publications < 0:
             raise ValueError("publications must be non-negative")
         if self.joins < 0 or self.crashes < 0:
@@ -212,9 +208,7 @@ class SweepSpec(Artifact):
             shards=shards,
             subscribers=n_nodes,
             topics=("sweep",),
-            phases=(PhaseSpec(name="window", rounds=self.window_rounds,
-                              settle_rounds=self.settle_rounds,
-                              publications=self.publications,
+            phases=(PhaseSpec(name="window", publications=self.publications,
                               joins=self.joins, crashes=self.crashes,
                               loss_rate=loss_rate),))
 

@@ -4,15 +4,17 @@ One :class:`FuzzCampaign` executes the loop the issue calls "a machine that
 imagines scenarios":
 
 1. draw the budget's fresh specs from the generator, once;
-2. run them as one stream through the **fault-tolerant** task runner,
+2. run them as one stream of scenario tasks
+   (:func:`repro.exec.tasks.run_scenario_task`, the task the ``scenario``
+   and ``sweep`` verbs run) through the **fault-tolerant** task runner,
    inline or on the worker processes of a stdlib pool opened for the run
    (a spec whose run raises becomes a ``crash`` record, never an aborted
    campaign);
-3. merge results *in submission order*: update the coverage map (the
-   report's measure of exploration), record oracle failures and worker
-   failures as findings (deduplicated by signature), and stop at the
-   first result that brings the findings to ``max_findings`` — closing
-   the stream cancels the specs not yet started;
+3. merge results *in submission order*: apply the failure oracle to each
+   scenario report, record oracle failures and worker failures as findings
+   (deduplicated by signature), and stop at the first result that brings
+   the findings to ``max_findings`` — closing the stream cancels the specs
+   not yet started;
 4. when the budget is spent (or enough findings accumulated), delta-debug
    every finding down to a minimal spec that still fails the same way.
 
@@ -21,10 +23,9 @@ iteration order, which no result feeds back into; results are merged in
 submission order and the stop point is a result's index; nothing
 wall-clock ever enters the report, which the artifact codec
 (:mod:`repro.artifact`) writes.  Same seed + same iteration budget ⇒
-identical findings, identical coverage trail, identical artifact bytes at
-any job count.  (A wall-clock budget — ``budget_seconds`` — necessarily
-trades this away; it exists for CI smoke jobs and is recorded as
-``truncated`` in the report.)
+identical findings, identical artifact bytes at any job count.  (A
+wall-clock budget — ``budget_seconds`` — necessarily trades this away; it
+exists for CI smoke jobs and is recorded as ``truncated`` in the report.)
 """
 
 from __future__ import annotations
@@ -42,15 +43,12 @@ from repro.exec.backend import (
     run_task,
     run_tasks,
 )
-from repro.fuzz.coverage import CoverageMap
+from repro.exec.campaign import SCENARIO_TASK_FN
 from repro.fuzz.generator import GeneratorLimits, SpecGenerator, generated_name
-from repro.fuzz.oracle import OracleSpec, Verdict
+from repro.fuzz.oracle import OracleSpec, evaluate
 from repro.fuzz.shrink import Shrinker
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.rng import derive_rng
-
-#: Dotted reference of the task function every fuzz iteration runs.
-FUZZ_TASK_FN = "repro.fuzz.tasks:run_fuzz_case"
 
 #: ``progress(iteration, total, spec_name, status, detail)`` — status is
 #: ``"ok"``, ``"finding"`` or ``"worker-failure"``.
@@ -126,8 +124,6 @@ class FuzzReport(Artifact, derived=("passed",)):
     config: FuzzConfig
     iterations: int = 0
     truncated: bool = False
-    coverage: CoverageMap = field(default_factory=CoverageMap)
-    trail: List[Dict[str, Any]] = field(default_factory=list)
     findings: List[FuzzFinding] = field(default_factory=list)
     schema: int = 1
 
@@ -157,19 +153,15 @@ class FuzzCampaign:
 
     def _task(self, spec: ScenarioSpec, iteration: int) -> TaskSpec:
         return TaskSpec(
-            task_id=spec.name, fn=FUZZ_TASK_FN,
-            payload={"spec": spec.to_dict(),
-                     "seed": self.case_seed(iteration),
-                     "oracle": self.config.oracle.to_dict()})
+            task_id=spec.name, fn=SCENARIO_TASK_FN,
+            payload={"spec": spec.to_dict(), "seed": self.case_seed(iteration)})
 
     # -------------------------------------------------------------------- run
     def run(self, progress: Optional[FuzzProgressFn] = None) -> FuzzReport:
         cfg = self.config
         rng = derive_rng(cfg.seed, "fuzz", "gen")
-        coverage = CoverageMap()
         findings: Dict[Tuple[str, ...], FuzzFinding] = {}
-        trail: List[Dict[str, Any]] = []
-        report = FuzzReport(config=cfg, coverage=coverage, trail=trail)
+        report = FuzzReport(config=cfg)
 
         deadline = None
         if self.budget_seconds is not None:
@@ -184,8 +176,7 @@ class FuzzCampaign:
                 if deadline is not None and time.monotonic() > deadline:
                     report.truncated = True
                     break
-                self._observe(iteration, spec, next(results), coverage,
-                              findings, trail, progress)
+                self._observe(iteration, spec, next(results), findings, progress)
                 iteration += 1
                 if len(findings) >= cfg.max_findings:
                     break
@@ -199,9 +190,8 @@ class FuzzCampaign:
 
     # ------------------------------------------------------------ observation
     def _observe(self, index: int, spec: ScenarioSpec,
-                 result: Dict[str, Any], coverage: CoverageMap,
+                 result: Dict[str, Any],
                  findings: Dict[Tuple[str, ...], FuzzFinding],
-                 trail: List[Dict[str, Any]],
                  progress: Optional[FuzzProgressFn]) -> None:
         failure: Optional[Dict[str, Any]] = None
         if is_failure_result(result):
@@ -209,10 +199,7 @@ class FuzzCampaign:
             kind, signature, reasons = "worker", (f"worker:{failure['kind']}",), ()
             status, detail = "worker-failure", failure["kind"]
         else:
-            new_keys = coverage.add(result["coverage"])
-            if new_keys:
-                trail.append({"iteration": index, "new_keys": new_keys})
-            verdict = Verdict.from_dict(result["verdict"])
+            verdict = evaluate(self.config.oracle, result["scenario"])
             kind, signature, reasons = "oracle", verdict.signature, verdict.reasons
             status, detail = (("finding", "; ".join(signature)) if verdict.failed
                               else ("ok", ""))
@@ -232,20 +219,19 @@ class FuzzCampaign:
                         ) -> Callable[[ScenarioSpec], bool]:
         """The signature-preserving check the shrinker re-runs candidates
         through: same case seed, same oracle, run inline and fault-tolerant."""
-        cfg = self.config
+        oracle = self.config.oracle
 
         def still_fails(candidate: ScenarioSpec) -> bool:
             task = TaskSpec(
-                task_id=f"shrink-{candidate.name}", fn=FUZZ_TASK_FN,
-                payload={"spec": candidate.to_dict(), "seed": finding.seed,
-                         "oracle": cfg.oracle.to_dict()})
+                task_id=f"shrink-{candidate.name}", fn=SCENARIO_TASK_FN,
+                payload={"spec": candidate.to_dict(), "seed": finding.seed})
             result = run_task(task, fault_tolerant=True)
             if is_failure_result(result):  # only a worker finding has a worker: signature
                 kind = failure_from_result(result).kind
                 return (f"worker:{kind}",) == finding.signature
             if finding.kind == "worker":
                 return False
-            verdict = Verdict.from_dict(result["verdict"])
+            verdict = evaluate(oracle, result["scenario"])
             return verdict.failed and verdict.signature == finding.signature
 
         return still_fails

@@ -15,12 +15,11 @@ Generation is a pure function of the :class:`random.Random` stream passed
 in (always a :func:`repro.sim.rng.derive_rng` stream in practice), which is
 what makes whole fuzz campaigns byte-reproducible.
 
-The fault dimensions covered — the full product space every draw samples
-and the coverage map measures:
+The fault dimensions covered — the full product space every draw samples:
 
 * **link faults** — probabilistic loss, duplication, delay spikes;
 * **named partitions** with heals scheduled either inside the disruption
-  window or into the settle window (both orderings are distinct coverage);
+  window or into the settle window;
 * **churn storms** — join/leave/crash event streams over the window;
 * **crash waves** — instantaneous fractional membership loss;
 * **supervisor crashes** and **shard counts** on the sharded facade;
@@ -93,7 +92,7 @@ class GeneratorLimits(Artifact):
 
 
 #: The sized-down fault space ``fuzz --quick`` draws from: specs run in a
-#: fraction of a second each, so a ~60 s CI smoke job still gets real coverage.
+#: fraction of a second each, so a ~60 s CI smoke job still runs thousands.
 QUICK_LIMITS = GeneratorLimits(
     max_phases=2, min_subscribers=6, max_subscribers=10, min_rounds=6.0,
     max_rounds=12.0, settle_rounds=200.0, max_churn_ops=3, max_publications=4)
@@ -135,11 +134,7 @@ class SpecGenerator:
         kinds = rng.sample(menu, rng.randint(1, min(3, len(menu))))
         rounds = round(rng.uniform(limits.min_rounds, limits.max_rounds), 1)
 
-        fields: Dict[str, Any] = {
-            "name": f"p{index}",
-            "rounds": rounds,
-            "settle_rounds": limits.settle_rounds,
-        }
+        fields: Dict[str, Any] = {}
         for kind in kinds:
             if kind == "churn":
                 ops = {"joins": 0, "leaves": 0, "crashes": 0}
@@ -161,15 +156,15 @@ class SpecGenerator:
                 fields["delay_spike_factor"] = rng.choice(DELAY_SPIKE_FACTORS)
             elif kind == "partition":
                 # heal_after_rounds may land inside the disruption window or
-                # run into the settle window — distinct orderings, distinct
-                # coverage keys.
+                # run into the settle window: both orderings are drawn.
                 fields["partition"] = PartitionSpec(
                     name=f"cut{index}",
                     fraction=round(rng.uniform(0.15, 0.45), 2),
                     heal_after_rounds=round(rng.uniform(4.0, rounds + 10.0), 1))
             elif kind == "crash_supervisor":
                 fields["crash_supervisor"] = True
-        return PhaseSpec(**fields)
+        return PhaseSpec(name=f"p{index}", rounds=rounds,
+                         settle_rounds=limits.settle_rounds, **fields)
 
 
 def generated_name(fuzz_seed: int, iteration: int) -> str:

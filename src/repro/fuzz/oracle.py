@@ -15,10 +15,11 @@ The shrinker matches candidates on the signature, so deleting unrelated
 phases never disguises the failure being minimized.
 
 ``OracleSpec`` is a frozen config serialized by the artifact codec
-(:mod:`repro.artifact`), so it can ride in a task payload to worker
-processes — and so a test can *deliberately weaken* a budget (e.g.
-``max_relegitimize_rounds=0.1``) to prove the fuzzer finds and shrinks a
-seeded bug.
+(:mod:`repro.artifact`) inside the campaign's
+:class:`~repro.fuzz.campaign.FuzzConfig`.  The campaign applies it in the
+parent process to each scenario report a worker returns, so a test can
+*deliberately weaken* a budget (e.g. ``max_relegitimize_rounds=0.1``) to
+prove the fuzzer finds and shrinks a seeded bug.
 """
 
 from __future__ import annotations

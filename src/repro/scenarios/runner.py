@@ -33,7 +33,6 @@ from repro.api.builder import build_system
 from repro.api.report import RunReport
 from repro.artifact import Artifact
 from repro.core.facade import SupervisedPubSub
-from repro.core.hooks import HookRegistry
 from repro.scenarios.adversary import LinkAdversary
 from repro.scenarios.spec import PhaseSpec, ScenarioSpec
 from repro.sim.rng import derive_rng
@@ -118,8 +117,7 @@ class ScenarioRunner:
     LOAD_SLACK = 50.0
 
     def __init__(self, spec: ScenarioSpec, seed: int = 0,
-                 system: Optional[SupervisedPubSub] = None,
-                 hooks: Optional[HookRegistry] = None) -> None:
+                 system: Optional[SupervisedPubSub] = None) -> None:
         self.spec = spec
         self.seed = seed
         # The facade comes from the unified deployment API: the scenario's
@@ -128,10 +126,6 @@ class ScenarioRunner:
         # the parity tests that reconstruct systems by hand).
         self.system: SupervisedPubSub = system if system is not None \
             else build_system(spec.system_spec(seed=seed))
-        if hooks is not None:
-            # Merge, don't replace: callbacks already registered on an
-            # injected system keep firing alongside the caller's.
-            self.system.hooks.merge(hooks)
         self.adversary = LinkAdversary(self.system.sim.adversary_rng())
         self.system.sim.install_adversary(self.adversary)
         #: topic -> keys published by the scenario so far

@@ -207,11 +207,11 @@ class TestBuilder:
             build_stable(SystemSpec(seed=1, max_rounds=1), 16)
 
 
-def _on_delivery_sink(node_id, topic):  # on_delivery passes three arguments
+def _on_relegitimacy_sink(topics):  # on_relegitimacy passes two arguments
     pass
 
 
-def _tolerant_delivery(topic, keys, rounds=0.0, extra=None):
+def _tolerant_relegitimacy(topics, rounds=0.0, extra=None):
     pass
 
 
@@ -221,19 +221,15 @@ class _PhaseSink:
 
 
 class TestHooks:
-    def test_subscribe_relegitimacy_and_delivery_hooks(self):
+    def test_subscribe_and_relegitimacy_hooks(self):
         events = []
         system = build_system(SystemSpec(seed=11))
         system.hooks.on_subscribe(lambda n, t: events.append(("subscribe", n, t))) \
-            .on_relegitimacy(lambda ts, r: events.append(("relegitimacy", ts))) \
-            .on_delivery(lambda t, keys, r: events.append(("delivery", t, keys)))
+            .on_relegitimacy(lambda ts, r: events.append(("relegitimacy", ts)))
         peers = [system.add_subscriber() for _ in range(6)]
         assert events[:6] == [("subscribe", p.node_id, "default") for p in peers]
         assert system.run_until_legitimate()
-        assert events[6] == ("relegitimacy", ("default",))
-        pub = system.publish(peers[0], b"payload")
-        assert system.run_until_publications_converged(expected_keys={pub.key})
-        assert events[-1] == ("delivery", "default", frozenset({pub.key}))
+        assert events[6:] == [("relegitimacy", ("default",))]
 
     def test_hook_firing_order_under_supervisor_crash(self):
         events = []
@@ -255,12 +251,11 @@ class TestHooks:
 
     def test_scenario_phase_hook_fires_after_supervisor_crash(self):
         order = []
-        hooks = HookRegistry()
-        hooks.on_relegitimacy(lambda ts, r: order.append("relegitimacy"))
-        hooks.on_supervisor_crash(lambda s, m: order.append("supervisor_crash"))
-        hooks.on_phase(lambda name, rep: order.append(f"phase:{name}"))
-        report = ScenarioRunner(get_scenario("sharded-supervisor-failover"),
-                                seed=1, hooks=hooks).run()
+        runner = ScenarioRunner(get_scenario("sharded-supervisor-failover"), seed=1)
+        runner.system.hooks.on_relegitimacy(lambda ts, r: order.append("relegitimacy")) \
+            .on_supervisor_crash(lambda s, m: order.append("supervisor_crash")) \
+            .on_phase(lambda name, rep: order.append(f"phase:{name}"))
+        report = runner.run()
         assert report.passed
         crash_at = order.index("supervisor_crash")
         # Initial stabilization happens before the failover...
@@ -272,15 +267,14 @@ class TestHooks:
         registry = HookRegistry()
         registry.emit_subscribe(1, "t")
         registry.emit_relegitimacy(("t",), 1.0)
-        registry.emit_delivery("t", {"k"}, 1.0)
         registry.emit_supervisor_crash(0, ["t"])
         registry.emit_phase("p", None)
         assert _hook_counts(registry) == {e: 0 for e in _hook_counts(registry)}
 
     @pytest.mark.parametrize("event, callback", [
         ("subscribe", lambda node_id, topic, extra: None),
-        ("delivery", _on_delivery_sink),
-    ], ids=["three-arg-subscribe", "two-arg-delivery"])
+        ("relegitimacy", _on_relegitimacy_sink),
+    ], ids=["three-arg-subscribe", "one-arg-relegitimacy"])
     def test_registration_rejects_a_callback_of_the_wrong_arity(self, event, callback):
         registry = HookRegistry()
         with pytest.raises(TypeError, match=f"on_{event}"):
@@ -289,7 +283,7 @@ class TestHooks:
 
     @pytest.mark.parametrize("event, callback", [
         ("subscribe", lambda *args: None),
-        ("delivery", _tolerant_delivery),
+        ("relegitimacy", _tolerant_relegitimacy),
         ("phase", _PhaseSink().on_phase),
         ("relegitimacy", print),
         ("supervisor_crash", functools.partial(lambda tag, shard, moved: None, "x")),

@@ -39,8 +39,7 @@ def echo_tasks(count: int = 3):
 #: A small, fast sweep: two synthesized windows (loss on/off), n=8.
 def tiny_sweep(seed: int = 3) -> SweepSpec:
     return SweepSpec(name="tiny", base=SystemSpec(seed=seed), n_nodes=(8,),
-                     loss_rates=(0.0, 0.1), publications=2,
-                     window_rounds=10.0, settle_rounds=200.0)
+                     loss_rates=(0.0, 0.1), publications=2)
 
 
 class TestBackends:
@@ -136,6 +135,11 @@ class TestSweepSpec:
             SweepSpec(name="x", loss_rates=(1.0,))
         with pytest.raises(ValueError):
             SweepSpec(name="x", seeds=0)
+
+    @pytest.mark.parametrize("key", ["window_rounds", "settle_rounds"])
+    def test_a_retired_window_key_is_rejected_by_name(self, key):
+        with pytest.raises(TypeError, match=key):
+            SweepSpec.from_dict({**tiny_sweep().to_dict(), key: 20.0})
 
     def test_same_sweep_same_master_seed_same_task_seeds(self):
         first = [t.seed for t in tiny_sweep(seed=3).expand()]

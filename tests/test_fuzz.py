@@ -1,19 +1,18 @@
-"""Tests for the fuzzer: generator validity/determinism,
-coverage signal, oracle, shrinker minimality, campaign reproducibility, and
-the seeded known-bug acceptance check."""
+"""Tests for the fuzzer: generator validity/determinism, oracle, shrinker
+minimality, campaign reproducibility, and the seeded known-bug acceptance
+check."""
 
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exec.tasks import run_scenario_task
 from repro.fuzz.campaign import FuzzCampaign, FuzzConfig
-from repro.fuzz.coverage import CoverageMap, depth_bucket, spec_coverage_keys
 from repro.fuzz.generator import (QUICK_LIMITS, GeneratorLimits, SpecGenerator,
                                   generated_name)
 from repro.fuzz.oracle import OracleSpec, Verdict, evaluate
 from repro.fuzz.shrink import Shrinker
-from repro.fuzz.tasks import run_fuzz_case
 from repro.scenarios.spec import PartitionSpec, PhaseSpec, ScenarioSpec, load_spec_file
 from repro.sim.rng import derive_rng
 
@@ -159,33 +158,6 @@ class TestGenerator:
 
     def test_generated_name_is_stable(self):
         assert generated_name(3, 7) == "fuzz-s3-i00007"
-
-
-class TestCoverageSignal:
-    def test_depth_buckets(self):
-        assert depth_bucket(0.0) == "0"
-        assert depth_bucket(1.0) == "<=1"
-        assert depth_bucket(1.5) == "<=2"
-        assert depth_bucket(5.0) == "<=8"
-        assert depth_bucket(256.0) == "<=256"
-        assert depth_bucket(300.0) == ">256"
-
-    def test_coverage_map_add_reports_only_new_keys(self):
-        cov = CoverageMap()
-        assert cov.add(["b", "a", "b"]) == ["a", "b"]
-        assert cov.add(["a", "c"]) == ["c"]
-        assert cov.add(["a", "c"]) == []
-        assert len(cov) == 3 and "b" in cov
-
-    def test_spec_coverage_keys(self):
-        healing = spec_of(
-            phase(partition=PartitionSpec(heal_after_rounds=4.0)),
-            topics=("t0", "t1"), subscribers=10)
-        keys = spec_coverage_keys(healing)
-        assert {"topology:single", "shards:1", "topics:2", "phases:1",
-                "partition:heal_in_window"} <= keys
-        late = spec_of(phase(partition=PartitionSpec(heal_after_rounds=50.0)))
-        assert "partition:heal_in_settle" in spec_coverage_keys(late)
 
 
 class TestOracle:
@@ -369,7 +341,6 @@ class TestCampaign:
         assert report.iterations == 6
         assert '"truncated":false' in text
         assert "wall" not in text
-        assert len(report.coverage) > 0 and report.trail[0]["iteration"] == 0
 
     def test_seeded_known_bug_is_found_and_shrunk(self):
         # Deliberately weakened oracle: any relegitimacy over half a round
@@ -386,11 +357,10 @@ class TestCampaign:
         assert finding.shrunk_spec is not None
         assert len(finding.shrunk_spec["phases"]) <= 3
         # The shrunk spec still fails with the same signature (re-run it
-        # exactly as the shrinker did: same case seed, same oracle).
-        result = run_fuzz_case({"spec": finding.shrunk_spec,
-                                "seed": finding.seed,
-                                "oracle": cfg.oracle.to_dict()})
-        verdict = Verdict.from_dict(result["verdict"])
+        # exactly as the shrinker did: same task, case seed and oracle).
+        result = run_scenario_task({"spec": finding.shrunk_spec,
+                                    "seed": finding.seed})
+        verdict = evaluate(cfg.oracle, result["scenario"])
         assert verdict.failed
         assert verdict.signature == finding.signature
 

@@ -35,7 +35,7 @@ _TASK = "reached by its 'module:function' string through exec.backend.resolve_ta
 
 #: Names with no by-name reader that stay, each with the reader it does have.
 KEPT = {
-    "run_scenario_task": _TASK, "run_experiment_task": _TASK, "run_fuzz_case": _TASK,
+    "run_scenario_task": _TASK, "run_experiment_task": _TASK,
 }
 
 
@@ -87,8 +87,6 @@ def test_every_public_name_has_a_reader():
 _RUNG = "KEPT: a rung of ROADMAP item 9's ablation ladder (the switch is the ablation)"
 _ASYNC = "KEPT: the paper's asynchronous model (delays, timeouts, failure detection)"
 _EXPECT = "KEPT: a phase's invariant switch, carried by every phase in tests/corpus/"
-_SWEEP = ("KEPT: one value in use, but campaign artifacts embed the sweep spec, so "
-          "retiring it moves their bytes (open in ROADMAP)")
 _SRC = "src/repro/"
 
 #: ``Class.field`` -> the non-test file that passes the field as a keyword,
@@ -132,7 +130,7 @@ CONFIG_FIELDS = {
     "ScenarioSpec.max_stabilize_rounds": "bench/workloads.py",
     "PhaseSpec.name": _SRC + "scenarios/library.py",
     "PhaseSpec.rounds": _SRC + "scenarios/library.py",
-    "PhaseSpec.settle_rounds": _SRC + "exec/sweep.py",
+    "PhaseSpec.settle_rounds": _SRC + "fuzz/generator.py",
     "PhaseSpec.joins": _SRC + "scenarios/library.py",
     "PhaseSpec.leaves": _SRC + "scenarios/library.py",
     "PhaseSpec.crashes": _SRC + "scenarios/library.py",
@@ -164,8 +162,6 @@ CONFIG_FIELDS = {
     "SweepSpec.scenarios": _SRC + "exec/demo.py",
     "SweepSpec.loss_rates": _SRC + "exec/demo.py",
     "SweepSpec.seeds": _SRC + "exec/demo.py",
-    "SweepSpec.window_rounds": _SWEEP,
-    "SweepSpec.settle_rounds": _SWEEP,
     "SweepSpec.publications": _SRC + "exec/demo.py",
     "SweepSpec.joins": _SRC + "exec/demo.py",
     "SweepSpec.crashes": _SRC + "exec/demo.py",
